@@ -17,7 +17,7 @@ STATICCHECK_VERSION = 2025.1.1
 COVER_PKGS = internal/core internal/geom internal/metrics internal/trust internal/cache internal/faults internal/sim internal/p2p internal/broadcast
 COVER_MIN ?= 70
 
-.PHONY: all build vet test race lint cover cover-profile cover-check fuzz-smoke verify continuous-identity soak bench bench-hot bench-tick bench-smoke
+.PHONY: all build vet test race lint cover cover-profile cover-check fuzz-smoke verify continuous-identity soak bench bench-hot bench-tick bench-smoke bench-e2e-check
 
 all: build
 
@@ -66,12 +66,14 @@ cover-profile:
 cover-check:
 	$(GO) run ./cmd/lbsq-cover -profile results/cover.out -min $(COVER_MIN) $(COVER_PKGS)
 
-# Short native-fuzzing runs of the wire codecs and the byzantine attack
-# mangler: the decoders must survive arbitrary bytes (the fault layer's
-# truncation/corruption damage classes) without panicking, accepted
-# inputs must round-trip canonically, and every attack profile must
-# produce a materially false claim over arbitrary geometry (the trust
-# layer's audits-always-convict contract). The seed corpora are part of
+# Short native-fuzzing runs of the wire codecs, the byzantine attack
+# mangler and the MVR geometry kernel: the decoders must survive arbitrary
+# bytes (the fault layer's truncation/corruption damage classes) without
+# panicking, accepted inputs must round-trip canonically, every attack
+# profile must produce a materially false claim over arbitrary geometry
+# (the trust layer's audits-always-convict contract), and the row-strip
+# RectUnion must match its brute-force oracles bit for bit on degenerate
+# grid geometry (DESIGN.md §9.2). The seed corpora are part of
 # the gate: a missing testdata corpus means a fuzz target silently lost
 # its regression inputs, so fail loudly instead of fuzzing from nothing.
 # Explicit -timeout keeps a hung target from stalling CI for go test's
@@ -86,11 +88,15 @@ fuzz-smoke:
 	@if [ ! -d internal/faults/testdata/fuzz ]; then \
 		echo "fuzz-smoke: internal/faults/testdata/fuzz corpus missing"; exit 1; \
 	fi
+	@if [ ! -d internal/geom/testdata/fuzz/FuzzRectUnion ]; then \
+		echo "fuzz-smoke: internal/geom/testdata/fuzz/FuzzRectUnion corpus missing"; exit 1; \
+	fi
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeReply -fuzztime=5s -timeout 5m ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=5s -timeout 5m ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzInvalidationReport -fuzztime=5s -timeout 5m ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBusy -fuzztime=5s -timeout 5m ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzAttackClaim -fuzztime=5s -timeout 5m ./internal/faults
+	$(GO) test -run='^$$' -fuzz=FuzzRectUnion -fuzztime=5s -timeout 5m ./internal/geom
 
 verify: vet build race fuzz-smoke
 	@echo "verify: all gates passed"
@@ -152,3 +158,11 @@ bench-smoke:
 	$(GO) test -race -run 'TestParallel|TestFaultGrid' \
 		./internal/perf ./internal/experiments
 	$(GO) test -race -short -run 'TestBatchedTick' ./internal/sim
+
+# The end-to-end benchmark (bench/, see BENCHMARK.json) is a module of its
+# own, so tier-1 never builds it — yet it drives the exported surface of
+# internal/sim, internal/core and internal/geom from outside. Vet it, run
+# its tests and one shrunken pass of every workload, so a signature it
+# depends on cannot change unnoticed.
+bench-e2e-check:
+	cd bench && $(GO) vet . && $(GO) test ./... && $(GO) run . -quick

@@ -107,9 +107,9 @@ func runTick(out, compare string, tolerance float64) {
 		os.Exit(1)
 	}
 	for _, r := range rep.Rows {
-		fmt.Printf("%-18s workers=%d gomaxprocs=%d %12.0f ns/op %10d B/op %6d allocs/op %6.2fx memo=%d delta=%d\n",
+		fmt.Printf("%-18s workers=%d gomaxprocs=%d %12.0f ns/op %10d B/op %6d allocs/op %6.2fx memo=%d\n",
 			r.Name, r.Workers, r.GoMaxProcs, r.NsPerOp, r.BytesPerOp,
-			r.AllocsPerOp, r.SpeedupVsSerial, r.MemoHits, r.DeltaReuses)
+			r.AllocsPerOp, r.SpeedupVsSerial, r.MemoHits)
 	}
 	fmt.Printf("tick: gomaxprocs=%d numcpu=%d identical=%v\n",
 		rep.GoMaxProcs, rep.NumCPU, rep.Identical)

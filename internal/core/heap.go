@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"lbsq/internal/broadcast"
@@ -280,26 +281,43 @@ func (h *Heap) AppendTrustedPOIs(dst []broadcast.POI) []broadcast.POI {
 	return dst
 }
 
-// sortCandidates orders candidate POIs by ascending distance to q with
-// the ID as the deterministic tiebreak. slices.SortFunc is used instead
-// of sort.Slice because it does not allocate (no reflect-based swapper);
-// the comparator is total up to identical POIs, so the unstable sort is
-// still deterministic.
-func sortCandidates(pois []broadcast.POI, q geom.Point) {
-	slices.SortFunc(pois, func(a, b broadcast.POI) int {
-		da, db := a.Pos.DistSq(q), b.Pos.DistSq(q)
-		switch {
-		case da < db:
-			return -1
-		case da > db:
-			return 1
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
+// sortCandidates orders candidate POIs by ascending distance² to q with
+// the ID as the deterministic tiebreak; the order is total up to identical
+// POIs. Each candidate's distance² is computed once and packed, with the
+// candidate's index in its low bits, into one integer key (the bit pattern
+// of a non-negative float orders like the float), so the bulk of the work
+// is an allocation-free sort of plain integers rather than a comparator
+// call per comparison. The sorted keys are then applied to pois as a
+// permutation, in place. The index bits cost the key its lowest distance
+// bits, so a final insertion pass under the exact (distance², ID) order
+// settles the near-ties — nothing else moves.
+func sortCandidates(s *Scratch, pois []broadcast.POI, q geom.Point) {
+	keys := slices.Grow(s.sortKeys[:0], len(pois))
+	shift := bits.Len(uint(len(pois)))
+	for i, p := range pois {
+		keys = append(keys, math.Float64bits(p.Pos.DistSq(q))>>shift<<shift|uint64(i))
+	}
+	s.sortKeys = keys
+	slices.Sort(keys)
+	for i := range keys {
+		// Rotate the cycle through slot i: every slot takes the candidate
+		// its key names and is marked settled by naming itself.
+		first := pois[i]
+		for k := i; ; {
+			src := int(keys[k] & (1<<shift - 1))
+			keys[k] = uint64(k)
+			if src == i {
+				pois[k] = first
+				break
+			}
+			pois[k], k = pois[src], src
 		}
-		return 0
-	})
+	}
+	for i := 1; i < len(pois); i++ {
+		for j := i; j > 0 && candBefore(pois[j], pois[j-1], q); j-- {
+			pois[j], pois[j-1] = pois[j-1], pois[j]
+		}
+	}
 }
 
 // CorrectnessProbability implements Lemma 3.2: with POIs Poisson

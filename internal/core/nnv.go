@@ -47,6 +47,7 @@ type Scratch struct {
 	candidates []broadcast.POI
 	tainted    []broadcast.POI
 	poiBuf     []broadcast.POI
+	sortKeys   []uint64 // sortCandidates: packed (distance², index) keys
 }
 
 // NNVResult bundles the outputs of the nearest-neighbor verification
@@ -140,10 +141,10 @@ func NNVScratchMVR(s *Scratch, mvr *geom.RectUnion, prebuilt bool, q geom.Point,
 		merged++
 		cands = append(cands, p.POIs...)
 	}
-	sortCandidates(cands, q)
+	sortCandidates(s, cands, q)
 	cands = dedupSortedCandidates(cands)
 	s.candidates = cands
-	sortCandidates(taints, q)
+	sortCandidates(s, taints, q)
 	taints = dedupSortedCandidates(taints)
 	s.tainted = taints
 

@@ -36,14 +36,14 @@ func poolWorkload() (geom.Point, []PeerData, *broadcast.Schedule) {
 	return geom.Pt(16, 16), peers, sched
 }
 
-// prebuiltMVR builds a RectUnion holding the untainted VRs of peers via
-// the incremental Insert path — how the tick engine materializes a
-// memoized MVR.
-func prebuiltMVR(peers []PeerData) *geom.RectUnion {
-	u := &geom.RectUnion{}
-	for _, p := range peers {
-		if !p.Tainted {
-			u.Insert(p.VR)
+// prebuiltMVR fills u with the untainted VRs of peers, in reverse order —
+// how the tick engine materializes a memoized MVR (a pooled union, Reset
+// and refilled), except for the order, which must not matter.
+func prebuiltMVR(u *geom.RectUnion, peers []PeerData) *geom.RectUnion {
+	u.Reset()
+	for i := len(peers) - 1; i >= 0; i-- {
+		if !peers[i].Tainted {
+			u.Add(peers[i].VR)
 		}
 	}
 	return u
@@ -89,7 +89,7 @@ func sameSBWQ(t *testing.T, tag string, a, b SBWQResult) {
 
 // TestScratchMVRVariantsMatch pins the memo-key soundness the tick
 // engine relies on: running a kernel against a prebuilt external MVR
-// (built incrementally, in any member order) is bit-identical to the
+// (a reused union, filled in any member order) is bit-identical to the
 // classic scratch path that rebuilds the MVR per query.
 func TestScratchMVRVariantsMatch(t *testing.T) {
 	q, peers, sched := poolWorkload()
@@ -97,7 +97,7 @@ func TestScratchMVRVariantsMatch(t *testing.T) {
 	win := geom.NewRect(14, 14, 18, 18)
 
 	var s1, s2 Scratch
-	mvr := prebuiltMVR(peers)
+	mvr := prebuiltMVR(new(geom.RectUnion), peers)
 
 	sameNNV(t, "nnv",
 		NNVScratch(&s1, q, peers, 5, 0.5),
@@ -109,25 +109,19 @@ func TestScratchMVRVariantsMatch(t *testing.T) {
 		SBWQScratch(&s1, q, win, peers, SBWQConfig{}, sched, 42),
 		SBWQScratchMVR(&s2, mvr, true, q, win, peers, SBWQConfig{}, sched, 42))
 
-	// Delta-chain style: morph the prebuilt MVR to a different peer
-	// subset via Remove/Insert and compare against a fresh run.
+	// Pool style: refill the same union, its strips already built and
+	// probed, for a different peer subset and compare against a fresh run.
 	subset := make([]PeerData, 0, len(peers))
 	for i, p := range peers {
 		if i%3 != 0 {
 			subset = append(subset, p)
 		}
 	}
-	for i, p := range peers {
-		if i%3 == 0 && !p.Tainted {
-			if !mvr.Remove(p.VR) {
-				t.Fatalf("delta Remove(%v) failed", p.VR)
-			}
-		}
-	}
-	sameSBNN(t, "sbnn-delta",
+	prebuiltMVR(mvr, subset)
+	sameSBNN(t, "sbnn-refill",
 		SBNNScratch(&s1, q, subset, cfg, sched, 7),
 		SBNNScratchMVR(&s2, mvr, true, q, subset, cfg, sched, 7))
-	sameSBWQ(t, "sbwq-delta",
+	sameSBWQ(t, "sbwq-refill",
 		SBWQScratch(&s1, q, win, subset, SBWQConfig{}, sched, 7),
 		SBWQScratchMVR(&s2, mvr, true, q, win, subset, SBWQConfig{}, sched, 7))
 }

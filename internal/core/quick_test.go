@@ -52,7 +52,7 @@ func TestQuickNNVVerifiedPrefixIsTruth(t *testing.T) {
 		w := makeQuickWorld(seed)
 		res := NNV(w.q, w.peers, w.k, 0.3)
 		truth := append([]broadcast.POI(nil), w.db...)
-		sortCandidates(truth, w.q)
+		SortByDist(truth, w.q)
 		for rank, e := range res.Heap.Entries() {
 			if !e.Verified {
 				break
@@ -120,7 +120,7 @@ func TestQuickSBNNExactness(t *testing.T) {
 		}
 		res := SBNN(w.q, w.peers, SBNNConfig{K: w.k, Lambda: 0.3}, sched, seed%977)
 		truth := append([]broadcast.POI(nil), w.db...)
-		sortCandidates(truth, w.q)
+		SortByDist(truth, w.q)
 		want := w.k
 		if want > len(truth) {
 			want = len(truth)

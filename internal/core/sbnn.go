@@ -206,7 +206,7 @@ func SBNNScratchMVR(s *Scratch, mvr *geom.RectUnion, prebuilt bool, q geom.Point
 	// exactly.
 	merged := append(s.poiBuf[:0], onAir...)
 	merged = nnv.Heap.AppendTrustedPOIs(merged)
-	sortCandidates(merged, q)
+	sortCandidates(s, merged, q)
 	merged = dedupSortedCandidates(merged)
 	s.poiBuf = merged
 

@@ -116,7 +116,7 @@ func SBWQScratchMVR(s *Scratch, mvr *geom.RectUnion, prebuilt bool, q geom.Point
 			}
 		}
 	}
-	sortCandidates(local, q)
+	sortCandidates(s, local, q)
 	local = dedupSortedCandidates(local)
 	s.candidates = local
 	res := SBWQResult{MVR: mvr, Merged: mergedVRs, Examined: len(local)}
@@ -156,7 +156,7 @@ func SBWQScratchMVR(s *Scratch, mvr *geom.RectUnion, prebuilt bool, q geom.Point
 	onAir, raw, retrieved, acc := sched.WindowReducedDetailed(res.ReducedWindows, now)
 	res.Access = acc
 	merged := append(local, onAir...)
-	sortCandidates(merged, q)
+	sortCandidates(s, merged, q)
 	merged = dedupSortedCandidates(merged)
 	s.candidates = merged
 	merged = freshCopy(merged)

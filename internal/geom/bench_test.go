@@ -20,18 +20,27 @@ func benchUnion(n int, seed int64) (*RectUnion, Point) {
 
 func BenchmarkClearance16(b *testing.B) {
 	u, p := benchUnion(16, 1)
-	u.Boundary() // warm the cache once; per-query cost includes it below
+	u.BoundaryDist(p) // build the row strips once; the loop measures warm probes
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u.BoundaryDist(p)
 	}
 }
 
-func BenchmarkBoundaryBuild64(b *testing.B) {
+// BenchmarkClearanceCold64 is the per-query cycle of the NNV hot path on
+// a reused union: Reset, merge 64 members, first probe (strip build, row
+// directory and search).
+func BenchmarkClearanceCold64(b *testing.B) {
+	src, p := benchUnion(64, 1)
+	var u RectUnion
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		u, _ := benchUnion(64, int64(i))
-		if len(u.Boundary()) == 0 {
-			b.Fatal("empty boundary")
+		u.Reset()
+		for _, r := range src.Rects() {
+			u.Add(r)
+		}
+		if _, ok := u.Clearance(p); !ok {
+			b.Fatal("probe outside the union")
 		}
 	}
 }

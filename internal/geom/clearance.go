@@ -5,47 +5,21 @@ import "math"
 // Clearance primitives for safe-region maintenance (DESIGN.md §15): how
 // far a covered rectangle may translate before it can escape a union of
 // verified regions, and how much margin a contained rectangle has inside
-// a single outer rectangle. Both are exact rectilinear computations —
-// the segments produced by RectUnion.Boundary are axis-parallel, so
-// every distance reduces to per-axis interval gaps.
-
-// SegmentRectDist returns the minimum Euclidean distance between the
-// axis-parallel segment s and the closed rectangle r (zero when they
-// intersect). For an axis-parallel segment the bounding box IS the
-// segment, so the box-to-box gap distance is exact.
-func SegmentRectDist(s Segment, r Rect) float64 {
-	sMinX, sMaxX := math.Min(s.A.X, s.B.X), math.Max(s.A.X, s.B.X)
-	sMinY, sMaxY := math.Min(s.A.Y, s.B.Y), math.Max(s.A.Y, s.B.Y)
-	dx := math.Max(0, math.Max(r.Min.X-sMaxX, sMinX-r.Max.X))
-	dy := math.Max(0, math.Max(r.Min.Y-sMaxY, sMinY-r.Max.Y))
-	return math.Hypot(dx, dy)
-}
+// a single outer rectangle. Both are exact rectilinear computations that
+// reduce to per-axis interval gaps.
 
 // ClearanceRect returns the minimum distance from the rectangle w to the
 // boundary of the union, and whether the union covers w. It is the
 // rectangle analogue of Clearance: when ok, every translation of w by a
 // vector shorter than the returned distance is still covered by the
 // union (any escaping point would trace a path from a covered point of w
-// across the boundary in under the clearance, contradicting the boundary
-// being at least that far from w). When the union does not cover w the
-// distance is meaningless and ok is false.
-//
-// A union with no boundary at all only happens when it is empty, which
-// never covers a valid rectangle, so the +Inf starting value is never
-// returned with ok == true unless w is covered and the union has no
-// boundary segments — impossible for the bounded unions this package
-// builds.
+// into the complement in under the clearance). When the union does not
+// cover w the distance is meaningless and ok is false.
 func (u *RectUnion) ClearanceRect(w Rect) (float64, bool) {
 	if !u.CoversRect(w) {
 		return 0, false
 	}
-	min := math.Inf(1)
-	for _, s := range u.Boundary() {
-		if d := SegmentRectDist(s, w); d < min {
-			min = d
-		}
-	}
-	return min, true
+	return u.rowDist(w, true), true
 }
 
 // InnerGap returns the smallest margin between the boundary of the inner

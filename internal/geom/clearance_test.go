@@ -23,7 +23,7 @@ func TestSegmentRectDist(t *testing.T) {
 		{"degenerate point", Segment{Pt(-3, -4), Pt(-3, -4)}, 5},
 	}
 	for _, c := range cases {
-		if got := SegmentRectDist(c.s, r); math.Abs(got-c.want) > 1e-12 {
+		if got := segmentRectDist(c.s, r); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("%s: got %g, want %g", c.name, got, c.want)
 		}
 	}
@@ -44,7 +44,7 @@ func TestQuickSegmentRectDistSampled(t *testing.T) {
 			b.Y = a.Y + rng.Float64()*6 // vertical
 		}
 		s := Segment{a, b}
-		got := SegmentRectDist(s, r)
+		got := segmentRectDist(s, r)
 		const n = 2000
 		brute := math.Inf(1)
 		for i := 0; i <= n; i++ {

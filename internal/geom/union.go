@@ -1,64 +1,56 @@
 package geom
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
-// Index thresholds: unions smaller than these are scanned linearly (the
-// index build cost would dominate); larger unions get strip-bucketed
-// indexes so per-candidate queries prune instead of scanning everything.
-const (
-	boundaryIndexMin = 24 // boundary segments before BoundaryDist indexes
-	disjointIndexMin = 24 // disjoint rects before IntersectCircleArea indexes
-)
+// disjointIndexMin is the number of disjoint rects below which
+// IntersectCircleArea scans linearly (the index build cost would
+// dominate); larger decompositions get an x-strip index so per-candidate
+// queries prune instead of scanning everything.
+const disjointIndexMin = 24
 
 // RectUnion is a (possibly overlapping) collection of axis-aligned
 // rectangles treated as their set union. It models the merged verified
 // region (MVR) of the paper: the union of the verified-region MBRs
 // returned by the peers of a querying mobile host.
 //
-// The zero value is the empty union. Derived data (disjoint
-// decomposition, boundary segments, strip indexes) is computed lazily and
-// cached; Add and Reset invalidate the caches but keep their allocated
-// capacity, so a RectUnion reused via Reset reaches a zero-allocation
-// steady state on the query hot path.
+// The zero value is the empty union. The one derived structure is the
+// row-strip decomposition (Disjoint): the maximal covered x-runs of every
+// compressed y-row, a pure function of the member multiset. Areas,
+// boundary distances and clearances are all answered from it. It is
+// computed lazily and cached; Add and Reset invalidate it but keep the
+// allocated capacity, so a RectUnion reused via Reset reaches a
+// zero-allocation steady state on the query hot path.
 //
-// Aliasing contract: slices returned by Rects, Disjoint, and Boundary
-// point into the union's internal storage and are invalidated by the next
-// Add or Reset. Callers that need the data across mutations must copy.
-// RectUnion is not safe for concurrent use.
+// Aliasing contract: slices returned by Rects and Disjoint point into the
+// union's internal storage and are invalidated by the next Add or Reset.
+// Callers that need the data across mutations must copy. RectUnion is not
+// safe for concurrent use.
 type RectUnion struct {
 	rects []Rect
 
-	// Lazily computed caches (valid when the matching have* flag is set;
-	// the backing arrays are reused across Reset cycles).
-	disjoint     []Rect    // disjoint decomposition of the union
-	boundary     []Segment // boundary pieces of the union
+	// Row strips in row-major order (valid when haveDisjoint is set; the
+	// backing array is reused across Reset cycles).
+	disjoint     []Rect
 	haveDisjoint bool
-	haveBoundary bool
 
-	// Strip-bucketed indexes over the caches above (built lazily on top
-	// of them, invalidated together with them).
-	boundIdx stripIndex // x-strips over boundary segments
-	disjIdx  stripIndex // x-strips over disjoint rects
+	// Row directory over the strips (valid when haveRows is set), what the
+	// boundary searches walk.
+	rowDir   []rowSpan
+	haveRows bool
 
-	// Reusable scratch for the cache builders and CoversRect.
+	// x-strip index over the strips for IntersectCircleArea (built lazily,
+	// invalidated together with them).
+	disjIdx stripIndex
+
+	// Reusable scratch: coordinate lists (Disjoint, CoversRect) and the
+	// sweep's member indices.
 	xs, ys []float64
-	diff   []int32
-	cov    []interval
-
-	// Incremental-maintenance state (Insert/Remove, see
-	// union_incremental.go). Kept separate from the xs/ys/diff scratch
-	// above because CoversRect clobbers that scratch between repairs.
-	// Valid only while incValid is set; Add and Reset drop it.
-	incValid     bool
-	incXs, incYs []float64 // sorted distinct member edge coordinates
-	incXRef      []int32   // member-edge refcount per incXs entry
-	incYRef      []int32   // member-edge refcount per incYs entry
-	incDiff      []int32   // row-major grid: (len(incYs)-1) rows × len(incXs) cols
-	incGrid2     []int32   // double buffer for row/column splices
-	incEmit      []Rect    // re-emission scratch for repaired rows
+	idx    []int32
 }
 
 // NewRectUnion builds a union from the given rectangles, dropping
@@ -82,10 +74,8 @@ func (u *RectUnion) Reset() {
 
 func (u *RectUnion) invalidate() {
 	u.haveDisjoint = false
-	u.haveBoundary = false
-	u.boundIdx.built = false
+	u.haveRows = false
 	u.disjIdx.built = false
-	u.incValid = false
 }
 
 // Add inserts another rectangle into the union.
@@ -149,13 +139,13 @@ func (u *RectUnion) Area() float64 {
 }
 
 // Disjoint returns a decomposition of the union into pairwise disjoint
-// rectangles (they may share edges but not interior points). The
-// decomposition works on the compressed grid induced by all member
-// coordinates: every member marks its covered cell range with a
-// difference array, and a per-row prefix sum merges covered cells into
-// horizontal strips. Total cost is O(n log n + n·rows + cells), which
-// keeps the merged-verified-region math cheap even with a hundred peer
-// regions per query. The returned slice is invalidated by Add or Reset.
+// rectangles (they may share edges but not interior points): for every
+// row of the y-grid induced by the member coordinates, the maximal
+// covered x-runs, in row-major order. A y-sweep keeps the members alive
+// in the current row ordered by Min.X and merges them in one pass, so the
+// cost is O(n log n + rows·active) — no cell grid is materialised. The
+// result is a pure function of the member multiset. The returned slice is
+// invalidated by Add or Reset.
 func (u *RectUnion) Disjoint() []Rect {
 	if len(u.rects) == 0 {
 		return nil
@@ -163,60 +153,54 @@ func (u *RectUnion) Disjoint() []Rect {
 	if u.haveDisjoint {
 		return u.disjoint
 	}
-	xs, ys := u.xs[:0], u.ys[:0]
-	for _, r := range u.rects {
-		xs = append(xs, r.Min.X, r.Max.X)
+	// Scratch is sized up front: a union that grows pays one allocation
+	// per buffer, not a doubling ladder.
+	rects, n := u.rects, len(u.rects)
+	ys, idx := slices.Grow(u.ys[:0], 2*n), slices.Grow(u.idx[:0], 2*n)
+	for i, r := range rects {
 		ys = append(ys, r.Min.Y, r.Max.Y)
+		idx = append(idx, int32(i))
 	}
-	xs = dedupSorted(xs)
 	ys = dedupSorted(ys)
-	u.xs, u.ys = xs, ys
-	nx, ny := len(xs)-1, len(ys)-1
-	if nx <= 0 || ny <= 0 {
-		u.disjoint = u.disjoint[:0]
-		u.haveDisjoint = true
-		return nil
-	}
+	order, act := idx[:n:n], idx[n:n] // members by Min.Y; those alive in the row, by Min.X
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(rects[a].Min.Y, rects[b].Min.Y) })
+	u.ys, u.idx = ys, idx
 
-	// Per-row difference array over cell columns; rect coordinates are
-	// exact members of xs/ys, so the index lookups are exact.
-	n := ny * (nx + 1)
-	if cap(u.diff) < n {
-		u.diff = make([]int32, n)
-	} else {
-		u.diff = u.diff[:n]
-		clear(u.diff)
-	}
-	diff := u.diff
-	for _, r := range u.rects {
-		x0 := sort.SearchFloat64s(xs, r.Min.X)
-		x1 := sort.SearchFloat64s(xs, r.Max.X)
-		y0 := sort.SearchFloat64s(ys, r.Min.Y)
-		y1 := sort.SearchFloat64s(ys, r.Max.Y)
-		for row := y0; row < y1; row++ {
-			diff[row*(nx+1)+x0]++
-			diff[row*(nx+1)+x1]--
+	out, next := slices.Grow(u.disjoint[:0], len(ys)), 0
+	for j := 0; j+1 < len(ys); j++ {
+		y0, y1 := ys[j], ys[j+1]
+		for ; next < len(order) && rects[order[next]].Min.Y <= y0; next++ {
+			id := order[next]
+			i := len(act)
+			act = append(act, id)
+			for ; i > 0 && rects[act[i-1]].Min.X > rects[id].Min.X; i-- {
+				act[i] = act[i-1]
+			}
+			act[i] = id
 		}
-	}
-
-	out := u.disjoint[:0]
-	for j := 0; j < ny; j++ {
-		row := diff[j*(nx+1) : (j+1)*(nx+1)]
-		depth := int32(0)
-		stripStart := -1
-		for i := 0; i <= nx; i++ {
-			depth += row[i]
-			covered := i < nx && depth > 0
-			if covered && stripStart < 0 {
-				stripStart = i
+		// One pass drops the members that ended below this row and merges
+		// the rest, already in Min.X order, into maximal runs.
+		live, open := act[:0], false
+		var lo, hi float64
+		for _, id := range act {
+			r := &rects[id]
+			if r.Max.Y <= y0 {
+				continue
 			}
-			if !covered && stripStart >= 0 {
-				out = append(out, Rect{
-					Min: Point{xs[stripStart], ys[j]},
-					Max: Point{xs[i], ys[j+1]},
-				})
-				stripStart = -1
+			live = append(live, id)
+			switch {
+			case !open:
+				lo, hi, open = r.Min.X, r.Max.X, true
+			case r.Min.X > hi:
+				out = append(out, Rect{Point{lo, y0}, Point{hi, y1}})
+				lo, hi = r.Min.X, r.Max.X
+			case r.Max.X > hi:
+				hi = r.Max.X
 			}
+		}
+		act = live
+		if open {
+			out = append(out, Rect{Point{lo, y0}, Point{hi, y1}})
 		}
 	}
 	u.disjoint = out
@@ -224,98 +208,133 @@ func (u *RectUnion) Disjoint() []Rect {
 	return out
 }
 
-// Boundary returns the boundary of the union as a set of axis-parallel
-// segments. A portion of a member rectangle's edge belongs to the union
-// boundary exactly when no other member covers its outward side. The
-// returned slice is invalidated by Add or Reset.
-func (u *RectUnion) Boundary() []Segment {
-	if len(u.rects) == 0 {
-		return nil
+// rowSpan is one entry of the row directory: a maximal stack of rows with
+// identical covered x-runs. It starts at y, ends where the next entry
+// starts, and its runs are the strips disjoint[lo:hi] of its first row.
+type rowSpan struct {
+	y      float64
+	lo, hi int32
+}
+
+// rows builds the row directory over the strips. Uncovered bands between
+// rows and the two half-planes outside the bounding box are spans without
+// runs and a terminal entry at +Inf closes the last one, so a search never
+// leaves the directory.
+func (u *RectUnion) rows() {
+	dis := u.Disjoint()
+	if u.haveRows {
+		return
 	}
-	if u.haveBoundary {
-		return u.boundary
+	n := int32(len(dis))
+	rows := append(u.rowDir[:0], rowSpan{y: math.Inf(-1)})
+	top := math.Inf(-1) // upper edge of the last covered span
+	for i, j := int32(0), int32(0); i < n; i = j {
+		for j = i + 1; j < n && dis[j].Min.Y == dis[i].Min.Y; j++ {
+		}
+		if last := rows[len(rows)-1]; dis[i].Min.Y == top && sameRuns(dis[last.lo:last.hi], dis[i:j]) {
+			top = dis[i].Max.Y
+			continue
+		}
+		if i > 0 && dis[i].Min.Y > top {
+			rows = append(rows, rowSpan{top, i, i}) // uncovered band
+		}
+		rows = append(rows, rowSpan{dis[i].Min.Y, i, j})
+		top = dis[i].Max.Y
 	}
-	u.boundary = u.boundary[:0]
-	for i, r := range u.rects {
-		// Bottom edge (outward = -Y): covered where another rect spans
-		// the y just below.
-		u.appendEdgePieces(i, r.Min.Y, r.Min.X, r.Max.X, true, outwardBelow)
-		// Top edge (outward = +Y).
-		u.appendEdgePieces(i, r.Max.Y, r.Min.X, r.Max.X, true, outwardAbove)
-		// Left edge (outward = -X).
-		u.appendEdgePieces(i, r.Min.X, r.Min.Y, r.Max.Y, false, outwardBelow)
-		// Right edge (outward = +X).
-		u.appendEdgePieces(i, r.Max.X, r.Min.Y, r.Max.Y, false, outwardAbove)
+	if n > 0 {
+		rows = append(rows, rowSpan{top, n, n})
 	}
-	u.haveBoundary = true
-	return u.boundary
+	u.rowDir = append(rows, rowSpan{math.Inf(1), n, n})
+	u.haveRows = true
+}
+
+// sameRuns reports whether two rows cover the same x-runs.
+func sameRuns(a, b []Rect) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Min.X != b[i].Min.X || a[i].Max.X != b[i].Max.X {
+			return false
+		}
+	}
+	return true
+}
+
+// rowDist is the one search behind every boundary query: the minimum
+// distance from the rectangle w (a point when Min == Max) to the covered
+// runs of the row strips (gaps=false), or to the closure of the union's
+// complement — the x-gaps between the runs of each row (gaps=true). Spans
+// are visited outward from w and a direction stops as soon as its
+// y-distance alone reaches the best distance found, so a probe touches a
+// handful of spans. Distances are per-axis differences of member
+// coordinates combined by one Hypot; nothing here depends on what is
+// cached or on how the strips were reached.
+func (u *RectUnion) rowDist(w Rect, gaps bool) float64 {
+	u.rows()
+	rows := u.rowDir
+	lo, hi := 0, len(rows)-1 // span holding w's lower edge: last k with rows[k].y <= w.Min.Y
+	for hi-lo > 1 {
+		if m := int(uint(lo+hi) >> 1); rows[m].y <= w.Min.Y {
+			lo = m
+		} else {
+			hi = m
+		}
+	}
+	best := math.Inf(1)
+	for k := lo; k < len(rows)-1; k++ {
+		dy := max(0, rows[k].y-w.Max.Y)
+		if dy >= best {
+			break
+		}
+		best = u.spanBest(rows[k], w, gaps, dy, best)
+	}
+	for k := lo - 1; k >= 0; k-- {
+		dy := w.Min.Y - rows[k+1].y
+		if dy >= best {
+			break
+		}
+		best = u.spanBest(rows[k], w, gaps, dy, best)
+	}
+	return best
+}
+
+// spanBest folds one span, at y-distance dy from w, into the running
+// minimum.
+func (u *RectUnion) spanBest(sp rowSpan, w Rect, gaps bool, dy, best float64) float64 {
+	dx := math.Inf(1)
+	if gaps {
+		// The only run that can keep w's x-extent off every gap is the
+		// first one ending right of it; the gaps beside it are the nearest.
+		dx = 0
+		for _, s := range u.disjoint[sp.lo:sp.hi] {
+			if s.Max.X > w.Max.X {
+				if s.Min.X < w.Min.X {
+					dx = min(w.Min.X-s.Min.X, s.Max.X-w.Max.X)
+				}
+				break
+			}
+		}
+	} else {
+		for _, s := range u.disjoint[sp.lo:sp.hi] {
+			dx = min(dx, max(0, s.Min.X-w.Max.X, w.Min.X-s.Max.X))
+		}
+	}
+	if dx >= best {
+		return best
+	}
+	return min(best, math.Hypot(dx, dy))
 }
 
 // BoundaryDist returns the minimum Euclidean distance from p to the
 // boundary of the union. For p inside the union this is the clearance
 // radius (‖q, e_s‖ in the NNV algorithm); for p outside it is the distance
 // to the union. It returns +Inf for an empty union.
-//
-// Large boundaries are pruned through an x-strip index: strips are
-// visited outward from p's strip and the search stops as soon as the
-// horizontal distance to the next strip already exceeds the best segment
-// distance found (the horizontal distance lower-bounds the true segment
-// distance, so no unvisited strip can improve the result).
 func (u *RectUnion) BoundaryDist(p Point) float64 {
-	segs := u.Boundary()
-	best := math.Inf(1)
-	if len(segs) < boundaryIndexMin {
-		for _, s := range segs {
-			if d := s.Dist(p); d < best {
-				best = d
-			}
-		}
-		return best
+	if d := u.rowDist(Rect{p, p}, true); d > 0 {
+		return d
 	}
-	if !u.boundIdx.built {
-		u.boundIdx.build(len(segs), func(i int) (float64, float64) {
-			a, b := segs[i].A.X, segs[i].B.X
-			if a > b {
-				a, b = b, a
-			}
-			return a, b
-		})
-	}
-	si := &u.boundIdx
-	c := si.bucketOf(p.X)
-	for d := 0; ; d++ {
-		l, r := c-d, c+d
-		if l < 0 && r >= si.n {
-			break
-		}
-		lb := math.Inf(1)
-		if l >= 0 {
-			lb = si.stripLB(l, p.X)
-		}
-		if r < si.n && r != l {
-			if v := si.stripLB(r, p.X); v < lb {
-				lb = v
-			}
-		}
-		if lb >= best {
-			break
-		}
-		if l >= 0 && si.stripLB(l, p.X) < best {
-			for _, i := range si.buckets[l] {
-				if dd := segs[i].Dist(p); dd < best {
-					best = dd
-				}
-			}
-		}
-		if r < si.n && r != l && si.stripLB(r, p.X) < best {
-			for _, i := range si.buckets[r] {
-				if dd := segs[i].Dist(p); dd < best {
-					best = dd
-				}
-			}
-		}
-	}
-	return best
+	return u.rowDist(Rect{p, p}, false)
 }
 
 // Clearance returns the distance from p to the union boundary when p lies
@@ -323,10 +342,12 @@ func (u *RectUnion) BoundaryDist(p Point) float64 {
 // exactly the quantity Lemma 3.1 verifies candidates against: any POI
 // closer to p than its clearance is a guaranteed true nearest neighbor.
 func (u *RectUnion) Clearance(p Point) (float64, bool) {
-	if !u.Contains(p) {
-		return 0, false
+	if d := u.rowDist(Rect{p, p}, true); d > 0 {
+		return d, true
 	}
-	return u.BoundaryDist(p), true
+	// p touches the complement: on the boundary if it also touches a run,
+	// outside otherwise.
+	return 0, u.rowDist(Rect{p, p}, false) == 0
 }
 
 // CoversRect reports whether rectangle w is entirely inside the union —
@@ -513,9 +534,9 @@ func SubtractRect(w Rect, covers []Rect) []Rect {
 	return out
 }
 
-// stripIndex buckets items (boundary segments or disjoint rects) by
-// uniform x-strips over their collective extent. Buckets hold item
-// indices; an item overlapping several strips appears in each. The bucket
+// stripIndex buckets items (the disjoint rects) by uniform x-strips over
+// their collective extent. Buckets hold item indices; an item overlapping
+// several strips appears in each. The bucket
 // arrays are reused across rebuilds, so a Reset/Add/rebuild cycle
 // allocates nothing in the steady state.
 type stripIndex struct {
@@ -577,156 +598,6 @@ func (si *stripIndex) bucketOf(x float64) int {
 		return si.n - 1
 	}
 	return b
-}
-
-// stripLB is the horizontal distance from x to strip b's x-range — a
-// lower bound on the distance from any point with that x to any item
-// indexed in the strip.
-func (si *stripIndex) stripLB(b int, x float64) float64 {
-	lo := si.minX + float64(b)*si.width
-	hi := lo + si.width
-	if x < lo {
-		return lo - x
-	}
-	if x > hi {
-		return x - hi
-	}
-	return 0
-}
-
-// outwardBelow/outwardAbove select which side of an edge is "outward" for
-// coverage testing in appendEdgePieces.
-const (
-	outwardBelow = iota // outward side has smaller coordinate (bottom/left edges)
-	outwardAbove        // outward side has larger coordinate (top/right edges)
-)
-
-// appendEdgePieces appends to u.boundary the sub-segments of one
-// rectangle edge that lie on the union boundary. The edge is at fixed
-// coordinate `level` on the perpendicular axis and spans [lo, hi] on the
-// parallel axis. horizontal selects edge orientation; side selects the
-// outward direction. The covering-interval scratch is reused across
-// calls.
-func (u *RectUnion) appendEdgePieces(self int, level, lo, hi float64, horizontal bool, side int) {
-	if lo >= hi {
-		return
-	}
-	// Collect the intervals of [lo, hi] whose outward side is covered by
-	// another rectangle: such portions are interior to the union.
-	cov := u.cov[:0]
-	for j, s := range u.rects {
-		if j == self {
-			continue
-		}
-		var perpMin, perpMax, parMin, parMax float64
-		if horizontal {
-			perpMin, perpMax = s.Min.Y, s.Max.Y
-			parMin, parMax = s.Min.X, s.Max.X
-		} else {
-			perpMin, perpMax = s.Min.X, s.Max.X
-			parMin, parMax = s.Min.Y, s.Max.Y
-		}
-		var coversOutward bool
-		if side == outwardBelow {
-			// Points just below `level` are inside s.
-			coversOutward = perpMin < level && perpMax >= level
-		} else {
-			// Points just above `level` are inside s.
-			coversOutward = perpMax > level && perpMin <= level
-		}
-		if !coversOutward {
-			continue
-		}
-		a, b := math.Max(parMin, lo), math.Min(parMax, hi)
-		if a < b {
-			cov = append(cov, interval{a, b})
-		}
-	}
-	u.cov = cov
-	sortIntervals(cov)
-
-	// Emit the uncovered leftovers of [lo, hi] directly.
-	cursor := lo
-	for _, c := range cov {
-		if c.b <= cursor {
-			continue
-		}
-		if c.a > cursor {
-			end := math.Min(c.a, hi)
-			if end > cursor {
-				u.emitPiece(cursor, end, level, horizontal)
-			}
-		}
-		if c.b > cursor {
-			cursor = c.b
-		}
-		if cursor >= hi {
-			return
-		}
-	}
-	if cursor < hi {
-		u.emitPiece(cursor, hi, level, horizontal)
-	}
-}
-
-// emitPiece appends one boundary sub-segment.
-func (u *RectUnion) emitPiece(a, b, level float64, horizontal bool) {
-	if horizontal {
-		u.boundary = append(u.boundary, Segment{Point{a, level}, Point{b, level}})
-	} else {
-		u.boundary = append(u.boundary, Segment{Point{level, a}, Point{level, b}})
-	}
-}
-
-type interval struct{ a, b float64 }
-
-// sortIntervals orders intervals ascending by start without allocating
-// (insertion sort: covering lists are small — the peers overlapping one
-// edge).
-func sortIntervals(cov []interval) {
-	for i := 1; i < len(cov); i++ {
-		c := cov[i]
-		j := i - 1
-		for j >= 0 && cov[j].a > c.a {
-			cov[j+1] = cov[j]
-			j--
-		}
-		cov[j+1] = c
-	}
-}
-
-// subtractIntervals returns the parts of base not covered by any interval
-// in cov. The covering intervals are treated as closed; zero-length
-// leftovers are dropped. (Kept for tests and external callers; the
-// boundary builder subtracts inline to avoid the allocation.)
-func subtractIntervals(base interval, cov []interval) []interval {
-	if len(cov) == 0 {
-		return []interval{base}
-	}
-	sortIntervals(cov)
-	var out []interval
-	cursor := base.a
-	for _, c := range cov {
-		if c.b <= cursor {
-			continue
-		}
-		if c.a > cursor {
-			end := math.Min(c.a, base.b)
-			if end > cursor {
-				out = append(out, interval{cursor, end})
-			}
-		}
-		if c.b > cursor {
-			cursor = c.b
-		}
-		if cursor >= base.b {
-			return out
-		}
-	}
-	if cursor < base.b {
-		out = append(out, interval{cursor, base.b})
-	}
-	return out
 }
 
 // dedupSorted sorts vs ascending and removes duplicates in place.

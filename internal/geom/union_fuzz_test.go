@@ -1,0 +1,124 @@
+package geom
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// decodeFuzzUnion reads a fuzz input as geometry on a coarse grid, where
+// degenerate configurations (shared edges, coincident and zero-area
+// members, corner contacts) are the norm rather than measure-zero events:
+// byte 0 (mod 13) is the member count, each member takes four bytes
+// (corner coordinates mod 16), and the remaining bytes pair up into probe
+// points on half-integers in [-2, 17.5] — on grid lines, inside cells and
+// outside every possible bounding box.
+func decodeFuzzUnion(b []byte) (rects []Rect, probes []Point) {
+	if len(b) == 0 {
+		return nil, nil
+	}
+	n := int(b[0]) % 13
+	b = b[1:]
+	for ; n > 0 && len(b) >= 4; n, b = n-1, b[4:] {
+		rects = append(rects, NewRect(float64(b[0]%16), float64(b[1]%16), float64(b[2]%16), float64(b[3]%16)))
+	}
+	for ; len(b) >= 2; b = b[2:] {
+		probes = append(probes, Pt(float64(b[0]%40)/2-2, float64(b[1]%40)/2-2))
+	}
+	return rects, probes
+}
+
+// checkUnionAgainstOracles is the whole contract of the row-strip kernel
+// on one input: the sweep emits the grid builder's strips, and every
+// boundary query equals the brute-force scan over explicit boundary
+// pieces bit for bit (same per-axis arithmetic), stays within rounding of
+// the retired Segment.Dist route, and agrees with Contains/CoversRect on
+// which side of the boundary the probe is.
+func checkUnionAgainstOracles(t *testing.T, rects []Rect, probes []Point) {
+	t.Helper()
+	u := NewRectUnion(rects...)
+	if got, want := u.Disjoint(), gridStrips(u.Rects()); !rectsEqual(got, want) {
+		t.Fatalf("sweep strips differ from grid strips\n sweep: %v\n grid:  %v\n rects: %v", got, want, rects)
+	}
+	segs := bruteBoundary(u)
+	for i, p := range probes {
+		want := bruteBoundaryDist(segs, Rect{p, p})
+		got := u.BoundaryDist(p)
+		if got != want {
+			t.Fatalf("BoundaryDist(%v) = %v, brute = %v (rects %v)", p, got, want, rects)
+		}
+		// The projection route carries an absolute error of a few ulps of
+		// the coordinates (it reports 9e-16 for a probe on an edge), so
+		// the tolerance is relative to the larger of distance and scale.
+		if legacy := legacyBoundaryDist(segs, p); got != legacy && math.Abs(got-legacy) > 1e-12*math.Max(1, legacy) {
+			t.Fatalf("BoundaryDist(%v) = %v, legacy = %v (rects %v)", p, got, legacy, rects)
+		}
+		d, ok := u.Clearance(p)
+		if ok != u.Contains(p) || (ok && d != want) || (!ok && d != 0) {
+			t.Fatalf("Clearance(%v) = %v, %v; contains %v, brute %v (rects %v)", p, d, ok, u.Contains(p), want, rects)
+		}
+		w := NewRect(p.X, p.Y, probes[(i+1)%len(probes)].X, probes[(i+1)%len(probes)].Y)
+		d, ok = u.ClearanceRect(w)
+		if want := bruteBoundaryDist(segs, w); ok != u.CoversRect(w) || (ok && d != want) || (!ok && d != 0) {
+			t.Fatalf("ClearanceRect(%v) = %v, %v; covers %v, brute %v (rects %v)", w, d, ok, u.CoversRect(w), want, rects)
+		}
+	}
+}
+
+// FuzzRectUnion drives checkUnionAgainstOracles. The committed corpus
+// (testdata/fuzz/FuzzRectUnion) holds the degenerate families by name:
+// zero-area, coincident, abutting, nested, corner-touching and
+// disconnected members, and a ring with an interior hole, each probed on
+// the boundary, outside the bounding box and — for the ring — in the hole.
+func FuzzRectUnion(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		rects, probes := decodeFuzzUnion(b)
+		checkUnionAgainstOracles(t, rects, probes)
+	})
+}
+
+// TestBoundaryDistHistoryIndependent pins the one-path rule: the answer
+// is a function of the member multiset alone — the same bits whether the
+// probe is the first call on a fresh union, follows other queries that
+// warmed the caches, or runs on a union that reached the multiset by
+// CopyFrom or by Reset and a shuffled re-Add over another union's state.
+func TestBoundaryDistHistoryIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 30; trial++ {
+		members := make([]Rect, 2+rng.Intn(40))
+		for i := range members {
+			members[i] = quantRect(rng)
+		}
+		shuffled := append([]Rect(nil), members...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+
+		warmed := NewRectUnion(members...)
+		warmed.IntersectCircleArea(Pt(4, 4), 3)
+		warmed.CoversRect(NewRect(1, 1, 2, 2))
+
+		copied := &RectUnion{}
+		copied.CopyFrom(warmed)
+
+		readded := NewRectUnion(quantRect(rng), quantRect(rng))
+		readded.BoundaryDist(Pt(1, 1))
+		readded.Reset()
+		for _, r := range shuffled {
+			readded.Add(r)
+		}
+
+		for probe := 0; probe < 40; probe++ {
+			p := Pt(rng.Float64()*10-1, rng.Float64()*10-1)
+			if rng.Intn(3) == 0 {
+				p = Pt(math.Round(p.X*8)/8, math.Round(p.Y*8)/8) // on the member lattice
+			}
+			want := NewRectUnion(members...).BoundaryDist(p) // first call on a fresh union
+			for name, u := range map[string]*RectUnion{
+				"warmed": warmed, "copied": copied, "re-added": readded,
+			} {
+				if got := u.BoundaryDist(p); got != want {
+					t.Fatalf("trial %d: %s union BoundaryDist(%v) = %v, fresh = %v", trial, name, p, got, want)
+				}
+			}
+		}
+	}
+}

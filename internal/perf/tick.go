@@ -18,7 +18,7 @@ import (
 )
 
 // TickSchemaVersion versions the BENCH_tick.json format.
-const TickSchemaVersion = 1
+const TickSchemaVersion = 2
 
 // TickWorkerCounts are the Params.TickWorkers settings each report
 // measures; index 0 must stay 1 (the serial baseline the speedups are
@@ -38,10 +38,9 @@ type TickRow struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	// SpeedupVsSerial is this row's ns/op relative to the workers=1 row.
 	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
-	// MemoHits / DeltaReuses are the engine's MVR-sharing counters over
-	// the benchmark run — nonzero proves the memoization layer fired.
-	MemoHits    int64 `json:"memo_hits"`
-	DeltaReuses int64 `json:"delta_reuses"`
+	// MemoHits is the engine's MVR-sharing counter over the benchmark
+	// run — nonzero proves the memoization layer fired.
+	MemoHits int64 `json:"memo_hits"`
 }
 
 // Tick is the full BENCH_tick.json document.
@@ -51,7 +50,7 @@ type Tick struct {
 	NumCPU      int    `json:"num_cpu"`
 	GoVersion   string `json:"go_version"`
 	// Identical records the embedded serial-identity check: a batched
-	// run's Stats must equal the serial run's (memo counters masked).
+	// run's Stats must equal the serial run's (memo counter masked).
 	// False in a report is a bug, and CompareTick fails on it.
 	Identical bool      `json:"identical"`
 	Rows      []TickRow `json:"rows"`
@@ -74,8 +73,8 @@ func tickParams(workers int) sim.Params {
 }
 
 // TickIdentical runs the benchmark world serially and batched and
-// reports whether the Stats match (the engine-internal memo counters,
-// excluded from every encoding, are masked). The full byte-identity
+// reports whether the Stats match (the engine-internal memo counter,
+// excluded from every encoding, is masked). The full byte-identity
 // matrix lives in internal/sim's tests; this is the self-auditing check
 // embedded in the perf report.
 func TickIdentical(workers int) (bool, error) {
@@ -94,8 +93,7 @@ func TickIdentical(workers int) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	serial.MVRMemoHits, serial.MVRDeltaReuses = 0, 0
-	batched.MVRMemoHits, batched.MVRDeltaReuses = 0, 0
+	serial.MVRMemoHits, batched.MVRMemoHits = 0, 0
 	return serial == batched, nil
 }
 
@@ -117,7 +115,7 @@ func MeasureTick() (Tick, error) {
 	var serialNs float64
 	for _, workers := range TickWorkerCounts {
 		workers := workers
-		var memoHits, deltaReuses int64
+		var memoHits int64
 		r := testing.Benchmark(func(b *testing.B) {
 			p := tickParams(workers)
 			b.ReportAllocs()
@@ -127,7 +125,7 @@ func MeasureTick() (Tick, error) {
 					b.Fatal(err)
 				}
 				s := w.Run()
-				memoHits, deltaReuses = s.MVRMemoHits, s.MVRDeltaReuses
+				memoHits = s.MVRMemoHits
 			}
 		})
 		row := TickRow{
@@ -137,7 +135,6 @@ func MeasureTick() (Tick, error) {
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
 			MemoHits:    memoHits,
-			DeltaReuses: deltaReuses,
 		}
 		if r.N > 0 {
 			row.NsPerOp = float64(r.T.Nanoseconds()) / float64(r.N)

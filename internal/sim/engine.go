@@ -47,13 +47,10 @@ import (
 // order), handled by executing entries serially at commit time.
 //
 // Memoization. Entries whose untainted VR multisets match share one
-// merged RectUnion (Stats.MVRMemoHits); consecutive memo groups whose
-// multisets differ by a small edit are chained, deriving each group's
-// MVR from the previous one's via incremental Remove/Insert
-// (Stats.MVRDeltaReuses) instead of a rebuild. Both rest on the
-// RectUnion order-independence contract: the union's observable state
-// is a pure function of its member multiset
-// (TestRectUnionIncrementalOrderIndependence, TestScratchMVRVariantsMatch).
+// merged RectUnion (Stats.MVRMemoHits). This rests on the RectUnion
+// purity contract: the union's observable state is a function of its
+// member multiset alone, never of the instance's history
+// (TestRectUnionOrderIndependence, TestScratchMVRVariantsMatch).
 
 // tickResult is the sanitized outcome of one entry's execute phase:
 // exactly the algorithm-result fields the commit phase consumes, with
@@ -107,14 +104,10 @@ type tickEntry struct {
 }
 
 // tickGroup is one memo group: entries sharing an untainted VR
-// multiset. A delta group derives its MVR from the previous group's by
-// applying removes/inserts instead of rebuilding.
+// multiset, hence one merged verified region.
 type tickGroup struct {
 	rep     int   // entry index of the representative
 	members []int // entry indices, batch order (rep first)
-	removes []geom.Rect
-	inserts []geom.Rect
-	delta   bool // chained onto the previous group
 }
 
 // tickEngine holds the batch state and reusable buffers of the batched
@@ -125,16 +118,14 @@ type tickEngine struct {
 	n       int
 	groups  []tickGroup
 	nGroups int
-	heads   []int // chain-head group indices (execute scratch)
 
-	fpIdx map[uint64][]int  // fingerprint → group indices
-	diff  map[geom.Rect]int // multiset-diff scratch
+	fpIdx map[uint64][]int // fingerprint → group indices
 
 	workers   int
 	serialAir bool // lossy broadcast channel: execute serially at commit
 }
 
-// tickMVRPool recycles the per-chain merged verified regions across
+// tickMVRPool recycles the per-group merged verified regions across
 // flushes and worker goroutines.
 var tickMVRPool = sync.Pool{New: func() any { return new(geom.RectUnion) }}
 
@@ -195,7 +186,6 @@ func (w *World) stepBatch(n, nCrowd int) {
 	eng.serialAir = w.Params.Faults.Normalized().BroadcastLoss > 0
 	if eng.fpIdx == nil {
 		eng.fpIdx = make(map[uint64][]int)
-		eng.diff = make(map[geom.Rect]int)
 	}
 	eng.n = 0
 	for q := 0; q < n; q++ {
@@ -343,8 +333,7 @@ func (w *World) execSerial(e *tickEntry) {
 }
 
 // planGroups partitions the batch into memo groups (identical untainted
-// VR multisets) and chains consecutive groups whose multisets differ by
-// a small edit. Runs serially, so the memo counters and the
+// VR multisets). Runs serially, so the memo counter and the
 // deterministic first-appearance group order cost no synchronization.
 func (w *World) planGroups() {
 	eng := &w.eng
@@ -367,128 +356,45 @@ func (w *World) planGroups() {
 		g := eng.allocGroup()
 		g.rep = i
 		g.members = append(g.members[:0], i)
-		g.removes, g.inserts = g.removes[:0], g.inserts[:0]
-		g.delta = false
 		eng.fpIdx[e.fp] = append(eng.fpIdx[e.fp], eng.nGroups-1)
 	}
-	// Chain pass: derive group gi's MVR from group gi-1's when the edit
-	// is small relative to a rebuild. The edit lists are computed here,
-	// deterministically (ordered walks over the peer lists, never map
-	// iteration), so the execute phase only applies them.
-	for gi := 1; gi < eng.nGroups; gi++ {
-		prev := &eng.groups[gi-1]
-		cur := &eng.groups[gi]
-		pPeers := eng.entries[prev.rep].peers
-		cPeers := eng.entries[cur.rep].peers
-		nPrev, nCur := untaintedCount(pPeers), untaintedCount(cPeers)
-		if nPrev < 4 {
-			continue // rebuilding from few members is already cheap
-		}
-		removes, inserts := eng.multisetDiff(pPeers, cPeers, cur.removes[:0], cur.inserts[:0])
-		cur.removes, cur.inserts = removes, inserts
-		if len(removes)+len(inserts) <= nCur/2 {
-			cur.delta = true
-			w.stats.MVRDeltaReuses++
-		}
-	}
 }
 
-// multisetDiff appends the edit turning prev's untainted VR multiset
-// into cur's: removes (walked in prev order) and inserts (walked in cur
-// order). Deterministic by construction.
-func (eng *tickEngine) multisetDiff(prev, cur []core.PeerData, removes, inserts []geom.Rect) ([]geom.Rect, []geom.Rect) {
-	m := eng.diff
-	clear(m)
-	for _, p := range cur {
-		if !p.Tainted {
-			m[p.VR]++
-		}
-	}
-	for _, p := range prev {
-		if !p.Tainted {
-			m[p.VR]--
-		}
-	}
-	for _, p := range prev {
-		if !p.Tainted && m[p.VR] < 0 {
-			removes = append(removes, p.VR)
-			m[p.VR]++
-		}
-	}
-	for _, p := range cur {
-		if !p.Tainted && m[p.VR] > 0 {
-			inserts = append(inserts, p.VR)
-			m[p.VR]--
-		}
-	}
-	return removes, inserts
-}
-
-// executeBatch runs every chain as one sweep cell: the chain's head
-// group builds its MVR incrementally from scratch, delta groups repair
-// it in place, and every member entry runs the core algorithm against
-// the shared prebuilt union. Cells own all their mutable state (pooled
-// scratch, pooled RectUnion, their entries' result fields), satisfying
-// the sweep determinism contract.
+// executeBatch runs every memo group as one sweep cell: the group's MVR
+// is merged once (the strips build lazily on the first algorithm query)
+// and every member entry runs the core algorithm against the shared
+// prebuilt union. Cells own all their mutable state (pooled scratch,
+// pooled RectUnion, their entries' result fields), satisfying the sweep
+// determinism contract.
 func (w *World) executeBatch() {
 	eng := &w.eng
-	heads := eng.heads[:0]
-	for gi := 0; gi < eng.nGroups; gi++ {
-		if !eng.groups[gi].delta {
-			heads = append(heads, gi)
-		}
-	}
-	eng.heads = heads
 	isWindow := w.Params.Kind == WindowQuery
 
-	cells := make([]func() struct{}, len(heads))
-	for c := range heads {
-		head := heads[c]
-		end := eng.nGroups
-		if c+1 < len(heads) {
-			end = heads[c+1]
-		}
+	cells := make([]func() struct{}, eng.nGroups)
+	for c := range cells {
+		g := &eng.groups[c]
 		cells[c] = func() struct{} {
 			s := core.GetScratch()
 			mvr := tickMVRPool.Get().(*geom.RectUnion)
-			for gi := head; gi < end; gi++ {
-				g := &eng.groups[gi]
-				if gi == head {
-					// Lazy Add: one batch decomposition build (on the first
-					// algorithm query) beats N incremental repairs when
-					// constructing from scratch. Delta groups below then
-					// switch the union to incremental maintenance.
-					mvr.Reset()
-					for _, p := range eng.entries[g.rep].peers {
-						if !p.Tainted {
-							mvr.Add(p.VR)
-						}
-					}
-				} else {
-					// Delta group: the union now holds exactly the
-					// previous group's multiset, so every remove finds
-					// its member.
-					for _, r := range g.removes {
-						mvr.Remove(r)
-					}
-					for _, r := range g.inserts {
-						mvr.Insert(r)
-					}
+			mvr.Reset()
+			for _, p := range eng.entries[g.rep].peers {
+				if !p.Tainted {
+					mvr.Add(p.VR)
 				}
-				for _, ei := range g.members {
-					e := &eng.entries[ei]
-					if isWindow {
-						res := core.SBWQScratchMVR(s, mvr, true, e.q, e.win, e.peers, e.sbwqCfg, e.sched, e.now)
-						e.res = tickResult{outcome: res.Outcome, access: res.Access,
-							knownRegion: res.KnownRegion, known: res.Known, pois: res.POIs,
-							merged: res.Merged, examined: res.Examined}
-					} else {
-						res := core.SBNNScratchMVR(s, mvr, true, e.q, e.peers, e.sbnnCfg, e.sched, e.now)
-						e.poiBuf = append(e.poiBuf[:0], res.POIs...)
-						e.res = tickResult{outcome: res.Outcome, access: res.Access,
-							knownRegion: res.KnownRegion, known: res.Known, pois: e.poiBuf,
-							merged: res.Merged, examined: res.Examined}
-					}
+			}
+			for _, ei := range g.members {
+				e := &eng.entries[ei]
+				if isWindow {
+					res := core.SBWQScratchMVR(s, mvr, true, e.q, e.win, e.peers, e.sbwqCfg, e.sched, e.now)
+					e.res = tickResult{outcome: res.Outcome, access: res.Access,
+						knownRegion: res.KnownRegion, known: res.Known, pois: res.POIs,
+						merged: res.Merged, examined: res.Examined}
+				} else {
+					res := core.SBNNScratchMVR(s, mvr, true, e.q, e.peers, e.sbnnCfg, e.sched, e.now)
+					e.poiBuf = append(e.poiBuf[:0], res.POIs...)
+					e.res = tickResult{outcome: res.Outcome, access: res.Access,
+						knownRegion: res.KnownRegion, known: res.Known, pois: e.poiBuf,
+						merged: res.Merged, examined: res.Examined}
 				}
 			}
 			tickMVRPool.Put(mvr)
@@ -639,15 +545,4 @@ func untaintedVRsEqual(a, b []core.PeerData) bool {
 		i++
 		j++
 	}
-}
-
-// untaintedCount counts the untainted contributions of a peer list.
-func untaintedCount(peers []core.PeerData) int {
-	n := 0
-	for _, p := range peers {
-		if !p.Tainted {
-			n++
-		}
-	}
-	return n
 }

@@ -63,9 +63,8 @@ func runTickWorld(t *testing.T, p Params, workers int) (*World, Stats, []byte, [
 func checkTickIdentity(t *testing.T, p Params) {
 	t.Helper()
 	base, bs, bRep, bTr := runTickWorld(t, p, 1)
-	if bs.MVRMemoHits != 0 || bs.MVRDeltaReuses != 0 {
-		t.Errorf("serial path ran the memo engine: hits=%d deltas=%d",
-			bs.MVRMemoHits, bs.MVRDeltaReuses)
+	if bs.MVRMemoHits != 0 {
+		t.Errorf("serial path ran the memo engine: hits=%d", bs.MVRMemoHits)
 	}
 	for _, workers := range batchedWorkerCounts {
 		w, s, rep, tr := runTickWorld(t, p, workers)
@@ -78,11 +77,10 @@ func checkTickIdentity(t *testing.T, p Params) {
 				workers, len(tr), len(bTr))
 		}
 		// Direct Stats comparison catches the unexported fields the report
-		// row does not carry; the engine-internal memo counters (excluded
-		// from every encoding) are masked first.
+		// row does not carry; the engine-internal memo counter (excluded
+		// from every encoding) is masked first.
 		ms, mb := s, bs
-		ms.MVRMemoHits, ms.MVRDeltaReuses = 0, 0
-		mb.MVRMemoHits, mb.MVRDeltaReuses = 0, 0
+		ms.MVRMemoHits, mb.MVRMemoHits = 0, 0
 		if ms != mb {
 			t.Errorf("workers=%d stats diverged from serial:\n%+v\nvs\n%+v",
 				workers, ms, mb)
@@ -160,8 +158,7 @@ func TestBatchedMemoHits(t *testing.T) {
 	if s.MVRMemoHits == 0 {
 		t.Error("no same-tick query ever shared a memoized MVR")
 	}
-	t.Logf("memo hits=%d delta reuses=%d over %d queries",
-		s.MVRMemoHits, s.MVRDeltaReuses, s.Queries)
+	t.Logf("memo hits=%d over %d queries", s.MVRMemoHits, s.Queries)
 }
 
 // TestTickWorkersValidate pins the knob's validation contract.

@@ -280,14 +280,10 @@ type Stats struct {
 
 	// Batched-tick-engine visibility (DESIGN.md §14). MVRMemoHits counts
 	// same-tick queries that reused another query's merged verified
-	// region through the engine's memo table (TickWorkers > 1 only), and
-	// MVRDeltaReuses memo groups whose MVR was derived from the previous
-	// group's by an incremental Remove/Insert edit instead of a rebuild.
-	// Pure engine-internal performance counters: they are excluded from
-	// every encoding so batched report rows stay byte-identical to
-	// serial ones.
-	MVRMemoHits    int64 `json:"-"`
-	MVRDeltaReuses int64 `json:"-"`
+	// region through the engine's memo table (TickWorkers > 1 only). A
+	// pure engine-internal performance counter: it is excluded from every
+	// encoding so batched report rows stay byte-identical to serial ones.
+	MVRMemoHits int64 `json:"-"`
 
 	// AvgPeersPerQuery tracks mean reachable peers (encounter density).
 	peersSum int64
