@@ -17,7 +17,7 @@ STATICCHECK_VERSION = 2025.1.1
 COVER_PKGS = internal/core internal/geom internal/metrics internal/trust internal/cache internal/faults internal/sim internal/p2p internal/broadcast
 COVER_MIN ?= 70
 
-.PHONY: all build vet test race lint cover cover-profile cover-check fuzz-smoke verify continuous-identity soak bench bench-hot bench-tick bench-smoke bench-e2e-check
+.PHONY: all build vet test race lint cover cover-profile cover-check fuzz-smoke verify continuous-identity trust-identity soak bench bench-hot bench-tick bench-smoke bench-e2e-check
 
 all: build
 
@@ -71,9 +71,11 @@ cover-check:
 # bytes (the fault layer's truncation/corruption damage classes) without
 # panicking, accepted inputs must round-trip canonically, every attack
 # profile must produce a materially false claim over arbitrary geometry
-# (the trust layer's audits-always-convict contract), and the row-strip
+# (the trust layer's audits-always-convict contract), the row-strip
 # RectUnion must match its brute-force oracles bit for bit on degenerate
-# grid geometry (DESIGN.md §9.2). The seed corpora are part of
+# grid geometry (DESIGN.md §9.2), and the trust screen's one-hole
+# subtraction must emit SubtractRect's rectangles bit for bit and in its
+# order (DESIGN.md §11.5). The seed corpora are part of
 # the gate: a missing testdata corpus means a fuzz target silently lost
 # its regression inputs, so fail loudly instead of fuzzing from nothing.
 # Explicit -timeout keeps a hung target from stalling CI for go test's
@@ -91,12 +93,16 @@ fuzz-smoke:
 	@if [ ! -d internal/geom/testdata/fuzz/FuzzRectUnion ]; then \
 		echo "fuzz-smoke: internal/geom/testdata/fuzz/FuzzRectUnion corpus missing"; exit 1; \
 	fi
+	@if [ ! -d internal/geom/testdata/fuzz/FuzzSubtractOne ]; then \
+		echo "fuzz-smoke: internal/geom/testdata/fuzz/FuzzSubtractOne corpus missing"; exit 1; \
+	fi
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeReply -fuzztime=5s -timeout 5m ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=5s -timeout 5m ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzInvalidationReport -fuzztime=5s -timeout 5m ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBusy -fuzztime=5s -timeout 5m ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzAttackClaim -fuzztime=5s -timeout 5m ./internal/faults
 	$(GO) test -run='^$$' -fuzz=FuzzRectUnion -fuzztime=5s -timeout 5m ./internal/geom
+	$(GO) test -run='^$$' -fuzz=FuzzSubtractOne -fuzztime=5s -timeout 5m ./internal/geom
 
 verify: vet build race fuzz-smoke
 	@echo "verify: all gates passed"
@@ -108,6 +114,14 @@ verify: vet build race fuzz-smoke
 # named in the job log instead of buried in the full race run.
 continuous-identity:
 	$(GO) test -race -count=1 -run 'TestContinuous' ./internal/sim
+
+# Trust-screen identity lane (DESIGN.md §11.5): the scratch-based screen
+# kernel against the verbatim pre-kernel body over thousands of screens,
+# and the aliasing contract of its results (they outlive later screens,
+# inputs are never written) — under the race detector, as its own CI step
+# so an aliasing regression is named in the job log.
+trust-identity:
+	$(GO) test -race -count=1 -run 'TestScreenMatchesReference|TestScreen.*Survive|TestScreenDoesNotMutate' ./internal/trust
 
 # Chaos soak sweep: randomized fault/churn/resilience schedules with
 # metamorphic invariants after every run (see internal/sim/soak_test.go).

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -154,4 +155,87 @@ func TestSubtractRectAreaConservation(t *testing.T) {
 			t.Fatalf("trial %d: area %v, want %v", trial, subtractArea(got), want)
 		}
 	}
+}
+
+// sameRectBits reports bit- and order-equality of two rectangle lists.
+func sameRectBits(a, b []Rect) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	bits := math.Float64bits
+	for i := range a {
+		if bits(a[i].Min.X) != bits(b[i].Min.X) || bits(a[i].Min.Y) != bits(b[i].Min.Y) ||
+			bits(a[i].Max.X) != bits(b[i].Max.X) || bits(a[i].Max.Y) != bits(b[i].Max.Y) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkSubtractOne is AppendSubtractOne's whole contract on one input:
+// the rectangles of the general routine for the single hole, same bits,
+// same order, appended after whatever dst already held.
+func checkSubtractOne(t *testing.T, w, hole Rect) {
+	t.Helper()
+	want := SubtractRect(w, []Rect{hole})
+	keep := Rect{Pt(-1, -2), Pt(-3, -4)}
+	got := AppendSubtractOne([]Rect{keep}, w, hole)
+	if got[0] != keep {
+		t.Fatalf("AppendSubtractOne(%v, %v) overwrote dst[0]: %v", w, hole, got[0])
+	}
+	if !sameRectBits(got[1:], want) {
+		t.Fatalf("AppendSubtractOne(%v, %v) = %v, SubtractRect = %v", w, hole, got[1:], want)
+	}
+}
+
+// The closed-form single-hole subtraction on the named degenerate
+// families (the committed fuzz corpus repeats them) and on random grid
+// geometry, where shared edges and zero-area operands are the norm.
+func TestAppendSubtractOneMatchesSubtractRect(t *testing.T) {
+	w := NewRect(2, 2, 8, 6)
+	holes := []Rect{
+		NewRect(4, 3, 6, 5),     // strictly inside: four pieces
+		NewRect(0, 0, 10, 10),   // covering w
+		w,                       // equal to w
+		NewRect(2, 3, 5, 5),     // sharing the left edge
+		NewRect(2, 2, 5, 5),     // sharing two edges (corner)
+		NewRect(2, 2, 8, 4),     // sharing three edges (bottom band)
+		NewRect(6, 4, 12, 9),    // corner overlap
+		NewRect(8, 0, 11, 9),    // edge-touching only
+		NewRect(20, 20, 22, 22), // disjoint
+		NewRect(5, 0, 5, 9),     // zero-area (a line through w)
+		NewRect(4, 4, 4, 4),     // zero-area (a point inside w)
+		{Pt(6, 5), Pt(4, 3)},    // inverted: covers nothing, still cuts
+		NewRect(0, 3, 10, 5),    // full-width band: two pieces
+		NewRect(4, 0, 6, 10),    // full-height band: two pieces
+	}
+	for _, h := range holes {
+		checkSubtractOne(t, w, h)
+	}
+	checkSubtractOne(t, NewRect(3, 3, 3, 7), NewRect(0, 0, 9, 9)) // zero-area w
+	checkSubtractOne(t, Rect{}, NewRect(0, 0, 1, 1))
+	// A sliver one ulp wide: the midpoint probe lands on a cell edge.
+	checkSubtractOne(t, NewRect(1, 1, 3, 3), NewRect(math.Nextafter(1, 2), 0, 2, 4))
+	checkSubtractOne(t, NewRect(1, 1, 3, 3), NewRect(0, 0, math.Nextafter(3, 0), 4))
+
+	rng := rand.New(rand.NewSource(13))
+	grid := func() float64 { return float64(rng.Intn(8)) }
+	for i := 0; i < 20000; i++ {
+		checkSubtractOne(t, NewRect(grid(), grid(), grid(), grid()), NewRect(grid(), grid(), grid(), grid()))
+	}
+}
+
+// FuzzSubtractOne checks AppendSubtractOne against SubtractRect on
+// arbitrary (NaN-free) coordinates. The operands are taken raw, not
+// normalized, so inverted rectangles are covered too. The committed
+// corpus (testdata/fuzz/FuzzSubtractOne) names the degenerate families.
+func FuzzSubtractOne(f *testing.F) {
+	f.Fuzz(func(t *testing.T, wx0, wy0, wx1, wy1, hx0, hy0, hx1, hy1 float64) {
+		for _, v := range []float64{wx0, wy0, wx1, wy1, hx0, hy0, hx1, hy1} {
+			if math.IsNaN(v) {
+				t.Skip("NaN coordinate")
+			}
+		}
+		checkSubtractOne(t, Rect{Pt(wx0, wy0), Pt(wx1, wy1)}, Rect{Pt(hx0, hy0), Pt(hx1, hy1)})
+	})
 }

@@ -534,6 +534,73 @@ func SubtractRect(w Rect, covers []Rect) []Rect {
 	return out
 }
 
+// AppendSubtractOne appends to dst the parts of w not covered by hole —
+// exactly the rectangles SubtractRect(w, []Rect{hole}) returns, bit for
+// bit and in its order (bottom band, middle-left, middle-right, top
+// band) — without sorting or allocating beyond dst's growth. It is the
+// trust screen's quarantine-subtraction primitive: one hole at a time,
+// per piece, into a reused buffer. The coordinates must not be NaN.
+//
+// One hole cuts each axis of w into at most three intervals, and a grid
+// cell is covered exactly when its x-interval and its y-interval both lie
+// in the hole, so the general routine's per-cell midpoint probe factors
+// into three probes per axis (the same midpoints, hence the same answers
+// on slivers one ulp wide).
+func AppendSubtractOne(dst []Rect, w, hole Rect) []Rect {
+	if w.Empty() {
+		return dst
+	}
+	if !hole.Intersects(w) {
+		return append(dst, w)
+	}
+	var xs, ys [4]float64
+	var xin, yin [3]bool
+	nx := axisCuts(&xs, &xin, w.Min.X, w.Max.X, hole.Min.X, hole.Max.X)
+	ny := axisCuts(&ys, &yin, w.Min.Y, w.Max.Y, hole.Min.Y, hole.Max.Y)
+	for j := 0; j+1 < ny; j++ {
+		start := -1
+		for i := 0; i < nx; i++ {
+			uncovered := i+1 < nx && !(xin[i] && yin[j])
+			if uncovered && start < 0 {
+				start = i
+			}
+			if !uncovered && start >= 0 {
+				dst = append(dst, Rect{Min: Point{xs[start], ys[j]}, Max: Point{xs[i], ys[j+1]}})
+				start = -1
+			}
+		}
+	}
+	return dst
+}
+
+// axisCuts writes to cuts the ascending, deduplicated coordinates that
+// split [lo, hi] at the hole edges a and b lying strictly inside it, marks
+// in in[i] whether the midpoint of interval i lies in the closed [a, b],
+// and returns the number of coordinates.
+func axisCuts(cuts *[4]float64, in *[3]bool, lo, hi, a, b float64) int {
+	c0, c1 := a, b
+	if c1 < c0 {
+		c0, c1 = c1, c0
+	}
+	n := 1
+	cuts[0] = lo
+	if c0 > lo && c0 < hi {
+		cuts[n] = c0
+		n++
+	}
+	if c1 > lo && c1 < hi && c1 != c0 {
+		cuts[n] = c1
+		n++
+	}
+	cuts[n] = hi
+	n++
+	for i := 0; i+1 < n; i++ {
+		mid := (cuts[i] + cuts[i+1]) / 2
+		in[i] = mid >= a && mid <= b
+	}
+	return n
+}
+
 // stripIndex buckets items (the disjoint rects) by uniform x-strips over
 // their collective extent. Buckets hold item indices; an item overlapping
 // several strips appears in each. The bucket

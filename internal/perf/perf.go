@@ -25,6 +25,7 @@ import (
 	"lbsq/internal/geom"
 	"lbsq/internal/p2p"
 	"lbsq/internal/sim"
+	"lbsq/internal/trust"
 )
 
 // HotpathSchemaVersion versions the BENCH_hotpath.json format.
@@ -194,6 +195,16 @@ func MicroBenchmarks() []Micro {
 		}
 	})))
 
+	out = append(out, row("trust_screen_64peers_honest", testing.Benchmark(func(b *testing.B) {
+		benchScreen(b, wl, trust.Config{AuditRate: 0.1}, 0)
+	})))
+
+	// Nobody is ever vouched (the audit rate rounds to never), so every
+	// contribution is reduced by the whole quarantine, held at its cap.
+	out = append(out, row("trust_screen_64peers_quar1024", testing.Benchmark(func(b *testing.B) {
+		benchScreen(b, wl, trust.Config{AuditRate: 1e-12, QuarantineCycles: 1 << 40, ConvictStrikes: 1 << 30}, 1024)
+	})))
+
 	out = append(out, row("world_step_small", testing.Benchmark(func(b *testing.B) {
 		p := sim.LACity().Scaled(1).WithDuration(0.1)
 		p.TimeStepSec = 10
@@ -210,6 +221,44 @@ func MicroBenchmarks() []Micro {
 	})))
 
 	return out
+}
+
+// benchScreen measures one steady-state trust screen over the workload's
+// 64 peers as contributions of 64 distinct peer ids, behind an engine
+// that first quarantined `quar` distinct conflict rectangles inside the
+// peers' area (two strangers disagreeing on an overlap, once per
+// rectangle). The oracle is a lookup, so a passed audit costs the screen
+// nothing but its own comparison.
+func benchScreen(b *testing.B, wl workload, cfg trust.Config, quar int) {
+	contribs := make([]trust.Contribution, len(wl.peers))
+	truth := make(map[geom.Rect][]broadcast.POI, len(wl.peers))
+	for i, pd := range wl.peers {
+		contribs[i] = trust.Contribution{Peer: i, VR: pd.VR, POIs: pd.POIs}
+		truth[pd.VR] = pd.POIs
+	}
+	oracle := func(r geom.Rect) []broadcast.POI { return truth[r] }
+	e := trust.NewEngine(5, cfg, nil)
+	rng := rand.New(rand.NewSource(9))
+	for k := 0; k < quar; k++ {
+		x, y := 12+rng.Float64()*12, 12+rng.Float64()*12
+		overlap := geom.NewRect(x, y, x+0.2+rng.Float64(), y+0.2+rng.Float64())
+		lie := broadcast.POI{ID: int64(1_000_000 + k), Pos: overlap.Center()}
+		e.Screen([]trust.Contribution{
+			{Peer: 1000 + 2*k, VR: geom.Rect{Min: overlap.Min.Sub(geom.Pt(1, 1)), Max: overlap.Max}, POIs: []broadcast.POI{lie}},
+			{Peer: 1001 + 2*k, VR: geom.Rect{Min: overlap.Min, Max: overlap.Max.Add(geom.Pt(1, 1))}},
+		}, oracle, 0)
+	}
+	if e.QuarantinedRects() != quar {
+		b.Fatalf("fixture quarantined %d rectangles, want %d", e.QuarantinedRects(), quar)
+	}
+	for i := 0; i < 64; i++ { // reach the vouching steady state
+		e.Screen(contribs, oracle, -1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Screen(contribs, oracle, -1)
+	}
 }
 
 // figuresEqual reports deep equality of two figure slices.

@@ -100,6 +100,12 @@ type World struct {
 	// exchanges — one engine per world, the same simplification the
 	// breaker set makes.
 	tr *trust.Engine
+	// auditOracle is the ground-truth oracle handed to every screen,
+	// bound once (a closure per query would escape through the Oracle
+	// value); it reads the POI type from auditType, which trustScreen
+	// sets before each call.
+	auditOracle trust.Oracle
+	auditType   int
 
 	// mx is the observability layer (nil unless Params.Metrics): the
 	// per-world registry, phase-span scratch, and instrument handles.
@@ -287,6 +293,9 @@ func NewWorld(p Params) (*World, error) {
 		w.chanDown = make([]bool, p.MHNumber)
 	}
 	w.tr = trust.NewEngine(p.Seed^trustSeedSalt, p.TrustConfig(), w.breakers)
+	if w.tr != nil {
+		w.auditOracle = func(r geom.Rect) []broadcast.POI { return w.poisInRect(w.auditType, r) }
+	}
 	if prof.ByzantineRate > 0 {
 		// Byzantine status is a per-host property, assigned once from a
 		// dedicated seeded stream (the attacker's population, not a
@@ -721,8 +730,8 @@ func (w *World) trustScreen(ti int, peers []core.PeerData, spent int64, bcastUp 
 	if !bcastUp {
 		budget = 0 // dark downlink: no channel to audit against
 	}
-	oracle := func(r geom.Rect) []broadcast.POI { return w.poisInRect(ti, r) }
-	screened, rep := w.tr.Screen(contribs, oracle, budget)
+	w.auditType = ti
+	screened, rep := w.tr.Screen(contribs, w.auditOracle, budget)
 	out := w.qs.screened[:0]
 	for _, r := range screened {
 		out = append(out, core.PeerData{VR: r.VR, POIs: r.POIs, Tainted: r.Tainted})

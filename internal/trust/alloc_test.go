@@ -1,0 +1,104 @@
+//go:build !race
+
+// Allocation gates of the screen kernel (skipped under the race
+// detector, whose instrumentation skews AllocsPerRun).
+
+package trust
+
+import (
+	"math/rand"
+	"testing"
+
+	"lbsq/internal/broadcast"
+	"lbsq/internal/geom"
+)
+
+// peers64 is internal/perf's hot-path fixture as a screen's input: a
+// 500-POI field on a 32×32 area and 64 truthful, heavily overlapping
+// regions, one per peer id. The oracle is a lookup, so audits allocate
+// nothing of their own.
+func peers64() ([]Contribution, Oracle) {
+	rng := rand.New(rand.NewSource(2))
+	db := make([]broadcast.POI, 500)
+	for i := range db {
+		db[i] = broadcast.POI{ID: int64(i), Pos: geom.Pt(rng.Float64()*32, rng.Float64()*32)}
+	}
+	contribs := make([]Contribution, 64)
+	truth := make(map[geom.Rect][]broadcast.POI, len(contribs))
+	for i := range contribs {
+		cx, cy := 12+rng.Float64()*8, 12+rng.Float64()*8
+		vr := geom.NewRect(cx, cy, cx+3+rng.Float64()*4, cy+3+rng.Float64()*4)
+		c := Contribution{Peer: i, VR: vr}
+		for _, p := range db {
+			if vr.Contains(p.Pos) {
+				c.POIs = append(c.POIs, p)
+			}
+		}
+		contribs[i], truth[vr] = c, c.POIs
+	}
+	return contribs, func(r geom.Rect) []broadcast.POI { return truth[r] }
+}
+
+// A steady-state honest screen with an empty quarantine allocates
+// nothing: every result shares its contribution's POIs — with every peer
+// vouched (audits running each screen) and with none vouched.
+func TestScreenHonestSteadyStateAllocs(t *testing.T) {
+	contribs, oracle := peers64()
+	for name, cfg := range map[string]Config{
+		"all-vouched":  {AuditRate: 1, MaxAuditsPerQuery: len(contribs)},
+		"none-vouched": {AuditRate: 1e-12},
+	} {
+		e := newTestEngine(t, cfg, nil)
+		for i := 0; i < 4; i++ {
+			e.Screen(contribs, oracle, -1)
+		}
+		var out []Result
+		allocs := testing.AllocsPerRun(50, func() { out, _ = e.Screen(contribs, oracle, -1) })
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per screen, want 0", name, allocs)
+		}
+		if len(out) != len(contribs) || out[0].Tainted != (name == "none-vouched") {
+			t.Fatalf("%s: %d results, first %+v", name, len(out), out[0])
+		}
+		for i, r := range out {
+			if !sharesStorage(r.POIs, contribs[i].POIs) {
+				t.Fatalf("%s: result %d does not share its contribution's POIs", name, i)
+			}
+		}
+	}
+}
+
+// With the rectangle quarantine at its cap a screen allocates one POI
+// array per contribution the quarantine actually cut, and nothing else.
+func TestScreenQuarantinedAllocsBoundedBySplits(t *testing.T) {
+	contribs, oracle := peers64()
+	e := newTestEngine(t, Config{AuditRate: 1e-12, QuarantineCycles: 1 << 40}, nil)
+	e.seq = 1
+	rng := rand.New(rand.NewSource(9))
+	var rep Report
+	for e.QuarantinedRects() < maxQuarRects {
+		x, y := rng.Float64()*32, rng.Float64()*32
+		e.quarantineRect(geom.NewRect(x, y, x+0.1+rng.Float64()*0.4, y+0.1+rng.Float64()*0.4), &rep)
+	}
+	for i := 0; i < 4; i++ {
+		e.Screen(contribs, oracle, -1)
+	}
+	var out []Result
+	allocs := testing.AllocsPerRun(20, func() { out, _ = e.Screen(contribs, oracle, -1) })
+	whole := 0
+	for _, r := range out {
+		if r.VR == contribs[r.Peer].VR {
+			whole++
+		}
+	}
+	split := len(contribs) - whole
+	if split == 0 || len(out) <= len(contribs) {
+		t.Fatalf("fixture cut nothing: %d results for %d contributions", len(out), len(contribs))
+	}
+	if allocs > float64(split) {
+		t.Fatalf("%v allocs per screen for %d split contributions", allocs, split)
+	}
+	if e.QuarantinedRects() != maxQuarRects {
+		t.Fatalf("quarantine decayed to %d during the run", e.QuarantinedRects())
+	}
+}

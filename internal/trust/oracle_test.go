@@ -1,0 +1,391 @@
+package trust
+
+import (
+	"math/rand"
+
+	"lbsq/internal/broadcast"
+	"lbsq/internal/geom"
+	"lbsq/internal/p2p"
+)
+
+// refEngine is the test oracle for Engine: the engine as it stood before
+// Screen became a scratch-based kernel, kept verbatim — per-screen maps,
+// a quarantine set re-indexed on every screen and on every eviction, the
+// |a|·|b| restrictAgree, geom.SubtractRect with a one-element cover list
+// into fresh slices, pieceOwns per (piece, POI), in-place cross-pool
+// dedup on copied POI slices. TestScreenMatchesReference drives it and
+// the production engine from one seed and requires every observable to
+// be equal after every screen.
+type refEngine struct {
+	cfg      Config
+	rng      *rand.Rand
+	breakers *p2p.BreakerSet
+	seq      int64
+	peers    map[int]*refPeerRec
+	quar     []quarRect
+	quarIdx  map[geom.Rect]int // rect → index in quar (dedup)
+	counters Counters
+
+	// scratch reused across screens
+	pieces []geom.Rect
+}
+
+type refPeerRec struct {
+	vouchedUntil     int64
+	quarantinedUntil int64
+	strikes          int
+}
+
+func newRefEngine(seed int64, cfg Config, breakers *p2p.BreakerSet) *refEngine {
+	return &refEngine{
+		cfg:      cfg.Normalized(),
+		rng:      rand.New(rand.NewSource(seed)),
+		breakers: breakers,
+		peers:    make(map[int]*refPeerRec),
+		quarIdx:  make(map[geom.Rect]int),
+	}
+}
+
+func (e *refEngine) auditCost(nPOIs int) int64 {
+	per := int64(e.cfg.AuditPOIsPerSlot)
+	return e.cfg.AuditBaseSlots + (int64(nPOIs)+per-1)/per
+}
+
+// Quarantined reports whether peer id is currently quarantined. Safe on
+// nil (never).
+func (e *refEngine) Quarantined(id int) bool {
+	if e == nil || id == Self {
+		return false
+	}
+	rec, ok := e.peers[id]
+	return ok && rec.quarantinedUntil > e.seq
+}
+
+// Vouched reports whether peer id is currently vouched with no standing
+// strikes — the condition for its contributions to stay untainted. Safe
+// on nil (never).
+func (e *refEngine) Vouched(id int) bool {
+	if e == nil {
+		return false
+	}
+	if id == Self {
+		return true
+	}
+	rec, ok := e.peers[id]
+	return ok && rec.vouchedUntil > e.seq && rec.strikes == 0 && rec.quarantinedUntil <= e.seq
+}
+
+// rec returns (creating if needed) peer id's reputation record.
+func (e *refEngine) rec(id int) *refPeerRec {
+	r, ok := e.peers[id]
+	if !ok {
+		r = &refPeerRec{}
+		e.peers[id] = r
+	}
+	return r
+}
+
+// convict quarantines peer id and forces its breaker open. Idempotent
+// within one screen (a peer both conflicted and audit-failed counts
+// once, tracked through the screen's convicted set).
+func (e *refEngine) convict(id int, rep *Report, convicted map[int]bool) {
+	if id == Self || convicted[id] {
+		return
+	}
+	convicted[id] = true
+	r := e.rec(id)
+	r.quarantinedUntil = e.seq + e.cfg.QuarantineCycles
+	r.vouchedUntil = 0
+	r.strikes = 0
+	e.counters.PeersQuarantined++
+	rep.Convictions++
+	e.breakers.ForceOpen(id)
+}
+
+// strike records one cross-validation strike against peer id, unvouching
+// it; ConvictStrikes standing strikes convict.
+func (e *refEngine) strike(id int, rep *Report, convicted map[int]bool) {
+	if id == Self {
+		return
+	}
+	r := e.rec(id)
+	r.vouchedUntil = 0
+	r.strikes++
+	if r.strikes >= e.cfg.ConvictStrikes {
+		e.convict(id, rep, convicted)
+	}
+}
+
+// quarantineRect adds (or refreshes) one rectangle in the decaying
+// quarantine set. The same pair of disagreeing regions resurfaces
+// screen after screen under a sustained attack, so an already-known
+// rectangle only has its decay horizon extended — it is not re-counted
+// as newly quarantined area. The live set is capped at maxQuarRects by
+// evicting the oldest entry.
+func (e *refEngine) quarantineRect(r geom.Rect, rep *Report) {
+	until := e.seq + e.cfg.QuarantineCycles
+	if i, ok := e.quarIdx[r]; ok {
+		if e.quar[i].until < until {
+			e.quar[i].until = until
+		}
+		return
+	}
+	if len(e.quar) >= maxQuarRects {
+		delete(e.quarIdx, e.quar[0].r)
+		e.quar = append(e.quar[:0], e.quar[1:]...)
+		for i, q := range e.quar {
+			e.quarIdx[q.r] = i
+		}
+	}
+	e.quarIdx[r] = len(e.quar)
+	e.quar = append(e.quar, quarRect{r: r, until: until})
+	rep.QuarantinedArea += r.Area()
+	e.counters.QuarantinedArea += r.Area()
+}
+
+// restrictAgree reports whether two claims agree on the overlap rect:
+// each claim's POIs inside the overlap must appear identically in the
+// other claim.
+func restrictAgreeRef(overlap geom.Rect, a, b []broadcast.POI) bool {
+	contains := func(set []broadcast.POI, p broadcast.POI) bool {
+		for _, q := range set {
+			if q == p {
+				return true
+			}
+		}
+		return false
+	}
+	for _, p := range a {
+		if overlap.Contains(p.Pos) && !contains(b, p) {
+			return false
+		}
+	}
+	for _, p := range b {
+		if overlap.Contains(p.Pos) && !contains(a, p) {
+			return false
+		}
+	}
+	return true
+}
+
+// Screen runs one query's trust pass over the collected contributions:
+// drops quarantined peers, cross-validates overlapping VRs, spot-audits
+// a seeded sample against the oracle within the slot budget, subtracts
+// quarantined rectangles, and marks every surviving piece with its taint
+// verdict. budget is the query's remaining deadline budget in slots
+// (negative means unlimited); audits that do not fit are skipped.
+//
+// Safe on nil: contributions pass through untainted and unscreened (the
+// defense is off; this is the seed behavior).
+func (e *refEngine) screenReference(contribs []Contribution, oracle Oracle, budget int64) ([]Result, Report) {
+	if e == nil {
+		out := make([]Result, 0, len(contribs))
+		for _, c := range contribs {
+			out = append(out, Result{Peer: c.Peer, VR: c.VR, POIs: c.POIs, Tainted: c.Stale})
+		}
+		return out, Report{}
+	}
+	e.seq++
+	var rep Report
+
+	// Decay expired quarantine rectangles (insertion order preserved).
+	live := e.quar[:0]
+	for _, q := range e.quar {
+		if q.until > e.seq {
+			live = append(live, q)
+		} else {
+			delete(e.quarIdx, q.r)
+		}
+	}
+	e.quar = live
+	for i, q := range e.quar {
+		e.quarIdx[q.r] = i
+	}
+
+	// Drop contributions from quarantined peers outright.
+	kept := make([]Contribution, 0, len(contribs))
+	for _, c := range contribs {
+		if e.Quarantined(c.Peer) {
+			continue
+		}
+		kept = append(kept, c)
+	}
+
+	// Cross-validation: every overlapping pair must agree on the overlap.
+	convicted := make(map[int]bool)
+	for i := 0; i < len(kept); i++ {
+		for j := i + 1; j < len(kept); j++ {
+			if kept[i].Peer == kept[j].Peer {
+				continue // two regions of one cache cannot witness each other
+			}
+			overlap, ok := kept[i].VR.Intersect(kept[j].VR)
+			if !ok || overlap.Empty() {
+				continue
+			}
+			if restrictAgreeRef(overlap, kept[i].POIs, kept[j].POIs) {
+				continue
+			}
+			// Third verdict: a disagreement involving a stale claimant is
+			// expected under churn — the stale side is already demoted, so
+			// amnesty both and leave reputations untouched. Counting it as
+			// a byzantine conflict would let honest churn strike honest
+			// peers into quarantine.
+			if kept[i].Stale || kept[j].Stale {
+				rep.StaleConflicts++
+				e.counters.StaleVerdicts++
+				continue
+			}
+			rep.Conflicts++
+			e.counters.ConflictsDetected++
+			// An audit-backed vouch outweighs an unvouched accuser: when
+			// exactly one claimant is vouched, the other one lied (a
+			// byzantine peer can never be vouched), so strike it alone and
+			// let the vouched claim stand. Otherwise the engine cannot
+			// tell who lied: quarantine the overlap out of the merge and
+			// strike both claimants.
+			iv, jv := e.Vouched(kept[i].Peer), e.Vouched(kept[j].Peer)
+			switch {
+			case iv && !jv:
+				e.strike(kept[j].Peer, &rep, convicted)
+			case jv && !iv:
+				e.strike(kept[i].Peer, &rep, convicted)
+			default:
+				e.quarantineRect(overlap, &rep)
+				e.strike(kept[i].Peer, &rep, convicted)
+				e.strike(kept[j].Peer, &rep, convicted)
+			}
+		}
+	}
+
+	// Spot audits: seeded contribution-level sampling, priced in slots
+	// against the deadline budget, capped per query. The audit runs on
+	// the *original* claim (pre-subtraction): under the always-material
+	// adversary model this makes a sampled lie impossible to miss, which
+	// is what keeps byzantine peers permanently unvouchable.
+	audits := 0
+	for _, c := range kept {
+		// Stale contributions are skipped before the sampling draw: the
+		// claim predates the current epoch, so re-verifying it against
+		// current truth would convict an honest peer for churn.
+		if c.Peer == Self || c.Stale || convicted[c.Peer] || e.Quarantined(c.Peer) {
+			continue
+		}
+		if audits >= e.cfg.MaxAuditsPerQuery {
+			break
+		}
+		if e.rng.Float64() >= e.cfg.AuditRate {
+			continue
+		}
+		cost := e.auditCost(len(c.POIs))
+		if budget >= 0 && rep.AuditSlots+cost > budget {
+			continue // cannot afford within the deadline
+		}
+		audits++
+		rep.Audits++
+		rep.AuditSlots += cost
+		e.counters.AuditsRun++
+		e.counters.AuditSlots += cost
+		truth := oracle(c.VR)
+		if claimHonest(c.VR, c.POIs, truth) {
+			// Vouch and forgive standing strikes: the ground truth just
+			// testified for the peer, so conflicts it lost to unvouched
+			// accusers no longer count against it.
+			r := e.rec(c.Peer)
+			r.vouchedUntil = e.seq + e.cfg.VouchCycles
+			r.strikes = 0
+			continue
+		}
+		rep.AuditFailures++
+		e.counters.AuditFailures++
+		e.convict(c.Peer, &rep, convicted)
+		rep.QuarantinedArea += c.VR.Area()
+		e.counters.QuarantinedArea += c.VR.Area()
+	}
+
+	// Assemble: convicted peers drop out entirely; everything else is
+	// reduced by the quarantine set and marked with its taint verdict.
+	out := make([]Result, 0, len(kept))
+	taintedPeers := make(map[int]bool)
+	for _, c := range kept {
+		if convicted[c.Peer] || e.Quarantined(c.Peer) {
+			continue
+		}
+		tainted := c.Stale || !e.Vouched(c.Peer)
+		if tainted && !taintedPeers[c.Peer] {
+			taintedPeers[c.Peer] = true
+			rep.Tainted++
+		}
+		e.pieces = e.pieces[:0]
+		e.pieces = append(e.pieces, c.VR)
+		// Rectangle quarantine is defense-in-depth for *unvouched*
+		// claims. A vouched claim is audit-backed, so it stands whole:
+		// subtracting disputed rectangles from the trusted population
+		// would let an attacker pulverize the honest MVR merely by
+		// disputing it (the coverage-collapse failure mode).
+		if tainted {
+			for _, q := range e.quar {
+				if !c.VR.Intersects(q.r) {
+					continue
+				}
+				next := e.pieces[:0:0]
+				for _, piece := range e.pieces {
+					next = append(next, geom.SubtractRect(piece, []geom.Rect{q.r})...)
+				}
+				e.pieces = next
+			}
+		}
+		for _, piece := range e.pieces {
+			if piece.Empty() {
+				continue
+			}
+			r := Result{Peer: c.Peer, VR: piece, Tainted: tainted}
+			for _, p := range c.POIs {
+				if pieceOwns(e.pieces, piece, p.Pos) {
+					r.POIs = append(r.POIs, p)
+				}
+			}
+			out = append(out, r)
+		}
+	}
+
+	// Cross-pool POI dedup: core's candidate dedup assumes one POI ID
+	// appears in only one trust pool, so drop from tainted pieces any
+	// POI an untainted piece already vouches for (the untrusted copy
+	// adds nothing).
+	trusted := make(map[int64]bool)
+	for _, r := range out {
+		if !r.Tainted {
+			for _, p := range r.POIs {
+				trusted[p.ID] = true
+			}
+		}
+	}
+	for i := range out {
+		if !out[i].Tainted {
+			continue
+		}
+		kept := out[i].POIs[:0]
+		for _, p := range out[i].POIs {
+			if !trusted[p.ID] {
+				kept = append(kept, p)
+			}
+		}
+		out[i].POIs = kept
+	}
+	return out, rep
+}
+
+// pieceOwns reports whether piece is the first piece in pieces (closed)
+// containing pos — the tiebreak that keeps a boundary POI from being
+// duplicated across adjacent subtraction pieces.
+func pieceOwns(pieces []geom.Rect, piece geom.Rect, pos geom.Point) bool {
+	for _, p := range pieces {
+		if p.Empty() {
+			continue
+		}
+		if p.Contains(pos) {
+			return p == piece
+		}
+	}
+	return false
+}

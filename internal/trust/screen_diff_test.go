@@ -1,0 +1,260 @@
+package trust
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"lbsq/internal/broadcast"
+	"lbsq/internal/faults"
+	"lbsq/internal/geom"
+	"lbsq/internal/p2p"
+)
+
+// diffWorld generates randomized contribution sets for the differential
+// tests: a POI field with half of it on a half-integer grid (so POIs land
+// exactly on region, overlap and piece boundaries), a peer population
+// whose low ids lie with the five faults attack profiles, and regions
+// clustered around a wandering query point so that most of them overlap.
+type diffWorld struct {
+	rng   *rand.Rand
+	inj   *faults.Injector
+	db    []broadcast.POI
+	peers int // peer ids are 0..peers-1
+	liars int // ids below this lie on every claim
+}
+
+var diffAttacks = []faults.Attack{faults.AttackFabricate, faults.AttackOmit,
+	faults.AttackInflate, faults.AttackShift, faults.AttackMix}
+
+func newDiffWorld(seed int64, peers, liars int) *diffWorld {
+	rng := rand.New(rand.NewSource(seed))
+	w := &diffWorld{rng: rng, peers: peers, liars: liars,
+		inj: faults.New(seed, faults.Profile{ByzantineRate: 1, Attack: faults.AttackMix})}
+	for i := 0; i < 240; i++ {
+		p := geom.Pt(rng.Float64()*16, rng.Float64()*16)
+		if i%2 == 0 {
+			p = geom.Pt(float64(rng.Intn(33))/2, float64(rng.Intn(33))/2)
+		}
+		w.db = append(w.db, broadcast.POI{ID: int64(i), Pos: p})
+	}
+	return w
+}
+
+func (w *diffWorld) truth(r geom.Rect) []broadcast.POI {
+	var out []broadcast.POI
+	for _, p := range w.db {
+		if r.Contains(p.Pos) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// region draws one verified region near c: free-form, or snapped to the
+// integer grid (shared edges with its neighbors and with the POI grid),
+// and now and then zero-area.
+func (w *diffWorld) region(c geom.Point) geom.Rect {
+	rng := w.rng
+	x, y := c.X+rng.Float64()*4-3, c.Y+rng.Float64()*4-3
+	r := geom.NewRect(x, y, x+0.5+rng.Float64()*3, y+0.5+rng.Float64()*3)
+	switch rng.Intn(12) {
+	case 0, 1, 2, 3:
+		r = geom.NewRect(math.Floor(r.Min.X), math.Floor(r.Min.Y), math.Ceil(r.Max.X), math.Ceil(r.Max.Y))
+	case 4:
+		r.Max.X = r.Min.X // zero-area
+	}
+	return r
+}
+
+// contributions draws one screen's input.
+func (w *diffWorld) contributions(maxN int) []Contribution {
+	rng := w.rng
+	c := geom.Pt(3+rng.Float64()*10, 3+rng.Float64()*10)
+	n := rng.Intn(maxN + 1)
+	out := make([]Contribution, 0, n)
+	for len(out) < n {
+		peer := rng.Intn(w.peers)
+		if rng.Intn(14) == 0 {
+			peer = Self
+		}
+		regions := 1
+		if rng.Intn(6) == 0 {
+			regions = 2 + rng.Intn(2) // several regions of one cache
+		}
+		for k := 0; k < regions && len(out) < n; k++ {
+			vr := w.region(c)
+			pois := w.truth(vr)
+			rng.Shuffle(len(pois), func(i, j int) { pois[i], pois[j] = pois[j], pois[i] })
+			con := Contribution{Peer: peer, VR: vr, POIs: pois}
+			switch {
+			case peer != Self && peer < w.liars:
+				con.VR, con.POIs = w.inj.AttackClaim(vr, pois, diffAttacks[peer%len(diffAttacks)])
+			case rng.Intn(10) == 0:
+				// Epoch-stale: honestly reported, possibly diverged.
+				con.Stale = true
+				if len(pois) > 0 && rng.Intn(2) == 0 {
+					con.POIs = pois[1:]
+				}
+			case rng.Intn(25) == 0:
+				// A POI the region does not cover rides along.
+				con.POIs = append(pois, w.db[rng.Intn(len(w.db))])
+			case rng.Intn(25) == 0 && len(pois) > 0:
+				con.POIs = append(pois, pois[0]) // listed twice
+			}
+			out = append(out, con)
+		}
+	}
+	return out
+}
+
+func (w *diffWorld) budget() int64 {
+	switch w.rng.Intn(4) {
+	case 0:
+		return 0
+	case 1:
+		return int64(2 + w.rng.Intn(8)) // affords one or two audits
+	default:
+		return -1
+	}
+}
+
+func cloneContribs(in []Contribution) []Contribution {
+	out := make([]Contribution, len(in))
+	for i, c := range in {
+		out[i] = c
+		out[i].POIs = append([]broadcast.POI(nil), c.POIs...)
+	}
+	return out
+}
+
+func sameContribs(a, b []Contribution) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Peer != b[i].Peer || a[i].VR != b[i].VR || a[i].Stale != b[i].Stale || !samePOIs(a[i].POIs, b[i].POIs) {
+			return false
+		}
+	}
+	return true
+}
+
+func samePOIs(a, b []broadcast.POI) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func sameBits(a, b geom.Rect) bool {
+	f := math.Float64bits
+	return f(a.Min.X) == f(b.Min.X) && f(a.Min.Y) == f(b.Min.Y) && f(a.Max.X) == f(b.Max.X) && f(a.Max.Y) == f(b.Max.Y)
+}
+
+// sameResults requires equal order, peers, region bits, POI order and
+// taint (a nil and an empty POI list are the same list).
+func sameResults(t *testing.T, got, want []Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d results, reference %d\n got  %+v\n want %+v", len(got), len(want), got, want)
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Peer != w.Peer || g.Tainted != w.Tainted || !sameBits(g.VR, w.VR) || !samePOIs(g.POIs, w.POIs) {
+			t.Fatalf("result %d = %+v, reference %+v", i, g, w)
+		}
+	}
+}
+
+// runDifferential drives the production engine and the reference from one
+// seed through `screens` screens and compares every observable after each.
+func runDifferential(t *testing.T, w *diffWorld, cfg Config, seed int64, screens, maxN int) (*Engine, *refEngine) {
+	t.Helper()
+	bcfg := p2p.BreakerConfig{Threshold: 3}
+	eb, rb := p2p.NewBreakerSet(bcfg), p2p.NewBreakerSet(bcfg)
+	e, ref := NewEngine(seed, cfg, eb), newRefEngine(seed, cfg, rb)
+	for s := 0; s < screens; s++ {
+		contribs := w.contributions(maxN)
+		pristine := cloneContribs(contribs)
+		budget := w.budget()
+		want, wantRep := ref.screenReference(cloneContribs(contribs), w.truth, budget)
+		got, gotRep := e.Screen(contribs, w.truth, budget)
+		sameResults(t, got, want)
+		if !sameContribs(contribs, pristine) {
+			t.Fatalf("screen %d wrote to its input", s)
+		}
+		if gotRep != wantRep {
+			t.Fatalf("screen %d report = %+v, reference %+v", s, gotRep, wantRep)
+		}
+		if e.Counters() != ref.counters {
+			t.Fatalf("screen %d counters = %+v, reference %+v", s, e.Counters(), ref.counters)
+		}
+		for id := -1; id < w.peers; id++ {
+			if e.Quarantined(id) != ref.Quarantined(id) || e.Vouched(id) != ref.Vouched(id) {
+				t.Fatalf("screen %d peer %d: quarantined %v vouched %v, reference %v %v", s, id,
+					e.Quarantined(id), e.Vouched(id), ref.Quarantined(id), ref.Vouched(id))
+			}
+			if eb.State(id) != rb.State(id) {
+				t.Fatalf("screen %d peer %d: breaker %v, reference %v", s, id, eb.State(id), rb.State(id))
+			}
+		}
+		live := e.quar[e.quarHead:]
+		if e.QuarantinedRects() != len(ref.quar) {
+			t.Fatalf("screen %d: %d quarantined rects, reference %d", s, e.QuarantinedRects(), len(ref.quar))
+		}
+		for i, q := range live {
+			if q != ref.quar[i] || e.quarIdx[q.r] != e.quarHead+i {
+				t.Fatalf("screen %d: quarantine entry %d = %+v (index %d), reference %+v", s, i, q, e.quarIdx[q.r]-e.quarHead, ref.quar[i])
+			}
+		}
+		if len(e.quarIdx) != len(live) {
+			t.Fatalf("screen %d: %d index entries for %d live rects", s, len(e.quarIdx), len(live))
+		}
+		if s%64 == 63 || s == screens-1 {
+			if a, b := e.rng.Float64(), ref.rng.Float64(); a != b {
+				t.Fatalf("screen %d: next rng draw %v, reference %v", s, a, b)
+			}
+		}
+	}
+	return e, ref
+}
+
+// TestScreenMatchesReference is the differential oracle for the whole
+// screen (DESIGN.md §11.5): the scratch-based kernel and the verbatim
+// pre-kernel body, one seed, thousands of consecutive screens, every
+// observable equal after each.
+func TestScreenMatchesReference(t *testing.T) {
+	// Default horizons: vouching, strikes, convictions and decay all
+	// cycle many times over.
+	t.Run("lifecycle", func(t *testing.T) {
+		e, _ := runDifferential(t, newDiffWorld(1, 40, 8), Config{AuditRate: 0.15}, 11, 2200, 24)
+		c := e.Counters()
+		if c.AuditsRun == 0 || c.AuditFailures == 0 || c.ConflictsDetected == 0 || c.StaleVerdicts == 0 || c.PeersQuarantined == 0 {
+			t.Fatalf("lifecycle run exercised too little: %+v", c)
+		}
+	})
+	// A sustained attack nobody is convicted for: long horizons, rare
+	// audits and a strike limit out of reach, so unvouched disagreeing
+	// pairs fill the rectangle quarantine to its cap and keep evicting.
+	t.Run("cap", func(t *testing.T) {
+		cfg := Config{AuditRate: 0.01, QuarantineCycles: 4000, ConvictStrikes: 1 << 30}
+		e, _ := runDifferential(t, newDiffWorld(2, 300, 150), cfg, 12, 900, 20)
+		if e.QuarantinedRects() != maxQuarRects {
+			t.Fatalf("quarantine holds %d rects, want the cap %d", e.QuarantinedRects(), maxQuarRects)
+		}
+		if e.Counters().ConflictsDetected < 3*maxQuarRects {
+			t.Fatalf("only %d conflicts: the cap was not overflowed enough to compact", e.Counters().ConflictsDetected)
+		}
+	})
+	// Everyone audited at once: vouched claimants outvote liars, dedup
+	// drops from tainted pieces what trusted ones carry.
+	t.Run("audited", func(t *testing.T) {
+		runDifferential(t, newDiffWorld(3, 24, 4), Config{AuditRate: 0.9, MaxAuditsPerQuery: 16, QuarantineCycles: 20, VouchCycles: 40}, 13, 600, 16)
+	})
+}

@@ -21,7 +21,8 @@
 //     only possible through the TrustStale bypass) is vouched the
 //     engine cannot tell who lied: the overlap rectangle is
 //     quarantined out of the merge (subtracted from every unvouched
-//     contribution via geom.SubtractRect; vouched claims stand whole)
+//     contribution, one rectangle at a time in insertion order, via
+//     geom.AppendSubtractOne; vouched claims stand whole)
 //     for QuarantineCycles screens and both peers are struck and
 //     unvouched. The live rectangle set is deduplicated and capped
 //     (maxQuarRects) so a sustained attack cannot make the screening
@@ -59,7 +60,9 @@ package trust
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"lbsq/internal/broadcast"
 	"lbsq/internal/geom"
@@ -163,7 +166,9 @@ func (c Config) Validate() error {
 
 // Contribution is one shared verified region entering a query's merge:
 // the claiming peer, the region, and every POI the peer claims is inside
-// it. The POIs slice is borrowed (never mutated, never retained).
+// it. The POIs slice is borrowed: Screen never writes to it and the
+// engine keeps no reference past the call, but a Result may share it
+// (see Screen).
 type Contribution struct {
 	Peer int
 	VR   geom.Rect
@@ -235,7 +240,11 @@ type Counters struct {
 type peerRec struct {
 	vouchedUntil     int64 // screen seq until which the peer is vouched
 	quarantinedUntil int64 // screen seq until which the peer is dropped
-	strikes          int   // standing cross-validation strikes
+	strikes          int32 // standing cross-validation strikes
+	// Marks of the screen in progress, cleared before it returns: the
+	// peer was convicted, the peer was counted in Report.Tainted.
+	convicted bool
+	counted   bool
 }
 
 // quarRect is one quarantined rectangle with its decay horizon.
@@ -254,6 +263,26 @@ type quarRect struct {
 // claims into the *probabilistic* path.
 const maxQuarRects = 1024
 
+// slot is one contribution that survived the quarantined-peer drop, with
+// what the screen's passes need of it side by side.
+type slot struct {
+	vr   geom.Rect
+	peer int
+	rec  *peerRec // nil for Self
+	ci   int32    // index into the contributions
+	// Engine.sorted[lo:hi] is the contribution's ordered POI index;
+	// lo < 0 until a strictly overlapping partner asks for it.
+	lo, hi int32
+	stale  bool
+}
+
+// conflict is one pair of contributions (i < j, slot indices) that
+// disagree on their overlap.
+type conflict struct {
+	i, j    int32
+	overlap geom.Rect
+}
+
 // Engine is the per-host trust state: reputation records, the decaying
 // rectangle quarantine, and the seeded audit-sampling stream. It is
 // deterministic — identical seeds and call sequences produce identical
@@ -264,12 +293,31 @@ type Engine struct {
 	breakers *p2p.BreakerSet
 	seq      int64
 	peers    map[int]*peerRec
-	quar     []quarRect
-	quarIdx  map[geom.Rect]int // rect → index in quar (dedup)
 	counters Counters
 
-	// scratch reused across screens
-	pieces []geom.Rect
+	// The live quarantine set is quar[quarHead:], in insertion order;
+	// quarIdx maps a live rectangle to its index in quar (dedup). Cap
+	// eviction advances quarHead and compacts once per maxQuarRects
+	// evictions, so an index is rewritten only when its entry moves.
+	// quarMinUntil is a lower bound of the live entries' until: no decay
+	// scan is due while seq is below it.
+	quar         []quarRect
+	quarHead     int
+	quarIdx      map[geom.Rect]int
+	quarMinUntil int64
+
+	// Scratch reused across screens (DESIGN.md §11.5). out is what Screen
+	// returns; nothing here is referenced by a Result's POIs.
+	slots     []slot
+	conflicts []conflict
+	sorted    []broadcast.POI // ordered POI indices, one run per slot that asked
+	trusted   []int64         // sorted IDs of the POIs untainted results carry
+	holes     []geom.Rect     // live quarantine meeting the tainted contributions
+	pieces    []geom.Rect
+	spare     []geom.Rect
+	owner     []int32 // per POI of one contribution: owning piece, or -1
+	count     []int32 // per piece: POIs owned
+	out       []Result
 }
 
 // NewEngine creates a trust engine, or returns nil when the config
@@ -315,8 +363,7 @@ func (e *Engine) Quarantined(id int) bool {
 	if e == nil || id == Self {
 		return false
 	}
-	rec, ok := e.peers[id]
-	return ok && rec.quarantinedUntil > e.seq
+	return e.quarantined(e.peers[id])
 }
 
 // Vouched reports whether peer id is currently vouched with no standing
@@ -329,9 +376,24 @@ func (e *Engine) Vouched(id int) bool {
 	if id == Self {
 		return true
 	}
-	rec, ok := e.peers[id]
-	return ok && rec.vouchedUntil > e.seq && rec.strikes == 0 && rec.quarantinedUntil <= e.seq
+	r, ok := e.peers[id]
+	return ok && e.vouched(r)
 }
+
+// quarantined is Quarantined on a record; nil (Self, or a peer never
+// seen) is not quarantined.
+func (e *Engine) quarantined(r *peerRec) bool {
+	return r != nil && r.quarantinedUntil > e.seq
+}
+
+// vouched is Vouched on a slot's record, where nil is Self.
+func (e *Engine) vouched(r *peerRec) bool {
+	return r == nil || (r.vouchedUntil > e.seq && r.strikes == 0 && r.quarantinedUntil <= e.seq)
+}
+
+// tainted is the verdict on a surviving slot: demoted to the
+// probabilistic path unless fresh and from a vouched peer (or Self).
+func (e *Engine) tainted(s *slot) bool { return s.stale || !e.vouched(s.rec) }
 
 // QuarantinedRects returns the number of rectangles currently in the
 // decaying quarantine set. Safe on nil.
@@ -339,7 +401,7 @@ func (e *Engine) QuarantinedRects() int {
 	if e == nil {
 		return 0
 	}
-	return len(e.quar)
+	return len(e.quar) - e.quarHead
 }
 
 // rec returns (creating if needed) peer id's reputation record.
@@ -354,13 +416,12 @@ func (e *Engine) rec(id int) *peerRec {
 
 // convict quarantines peer id and forces its breaker open. Idempotent
 // within one screen (a peer both conflicted and audit-failed counts
-// once, tracked through the screen's convicted set).
-func (e *Engine) convict(id int, rep *Report, convicted map[int]bool) {
-	if id == Self || convicted[id] {
+// once). A nil record is Self, which is never convicted.
+func (e *Engine) convict(id int, r *peerRec, rep *Report) {
+	if r == nil || r.convicted {
 		return
 	}
-	convicted[id] = true
-	r := e.rec(id)
+	r.convicted = true
 	r.quarantinedUntil = e.seq + e.cfg.QuarantineCycles
 	r.vouchedUntil = 0
 	r.strikes = 0
@@ -370,16 +431,16 @@ func (e *Engine) convict(id int, rep *Report, convicted map[int]bool) {
 }
 
 // strike records one cross-validation strike against peer id, unvouching
-// it; ConvictStrikes standing strikes convict.
-func (e *Engine) strike(id int, rep *Report, convicted map[int]bool) {
-	if id == Self {
+// it; ConvictStrikes standing strikes convict. A nil record is Self,
+// which is never struck.
+func (e *Engine) strike(id int, r *peerRec, rep *Report) {
+	if r == nil {
 		return
 	}
-	r := e.rec(id)
 	r.vouchedUntil = 0
 	r.strikes++
-	if r.strikes >= e.cfg.ConvictStrikes {
-		e.convict(id, rep, convicted)
+	if int(r.strikes) >= e.cfg.ConvictStrikes {
+		e.convict(id, r, rep)
 	}
 }
 
@@ -397,17 +458,57 @@ func (e *Engine) quarantineRect(r geom.Rect, rep *Report) {
 		}
 		return
 	}
-	if len(e.quar) >= maxQuarRects {
-		delete(e.quarIdx, e.quar[0].r)
-		e.quar = append(e.quar[:0], e.quar[1:]...)
-		for i, q := range e.quar {
-			e.quarIdx[q.r] = i
+	if len(e.quar)-e.quarHead >= maxQuarRects {
+		delete(e.quarIdx, e.quar[e.quarHead].r)
+		e.quarHead++
+		if e.quarHead >= maxQuarRects {
+			// One compaction per maxQuarRects evictions keeps eviction
+			// amortised O(1) and the backing array at twice the cap.
+			e.quar = e.quar[:copy(e.quar, e.quar[e.quarHead:])]
+			e.quarHead = 0
+			for i, q := range e.quar {
+				e.quarIdx[q.r] = i
+			}
 		}
+	}
+	if len(e.quar) == e.quarHead || until < e.quarMinUntil {
+		e.quarMinUntil = until
 	}
 	e.quarIdx[r] = len(e.quar)
 	e.quar = append(e.quar, quarRect{r: r, until: until})
 	rep.QuarantinedArea += r.Area()
 	e.counters.QuarantinedArea += r.Area()
+}
+
+// decayQuarantine drops the expired quarantine rectangles, insertion
+// order preserved. Survivors keep their place — and their index — up to
+// the first expired entry; only the ones behind it move.
+func (e *Engine) decayQuarantine() {
+	if e.quarHead == len(e.quar) || e.seq < e.quarMinUntil {
+		return
+	}
+	w := e.quarHead
+	minUntil := int64(math.MaxInt64)
+	for i := e.quarHead; i < len(e.quar); i++ {
+		q := e.quar[i]
+		if q.until <= e.seq {
+			delete(e.quarIdx, q.r)
+			continue
+		}
+		if q.until < minUntil {
+			minUntil = q.until
+		}
+		if w != i {
+			e.quar[w] = q
+			e.quarIdx[q.r] = w
+		}
+		w++
+	}
+	e.quar = e.quar[:w]
+	e.quarMinUntil = minUntil
+	if w == e.quarHead {
+		e.quar, e.quarHead = e.quar[:0], 0
+	}
 }
 
 // auditCost prices one audit in broadcast slots.
@@ -441,29 +542,89 @@ func claimHonest(vr geom.Rect, claimed, truth []broadcast.POI) bool {
 	return true
 }
 
+// comparePOI orders POIs by (X, Y, ID): position first, so that the POIs
+// inside a rectangle sit in one run of the order (see restrictAgree). On
+// NaN-free positions two POIs compare equal exactly when they are == (the
+// order has no opinion on the sign of a zero, and neither has ==).
+func comparePOI(a, b broadcast.POI) int {
+	switch {
+	case a.Pos.X != b.Pos.X:
+		if a.Pos.X < b.Pos.X {
+			return -1
+		}
+		return 1
+	case a.Pos.Y != b.Pos.Y:
+		if a.Pos.Y < b.Pos.Y {
+			return -1
+		}
+		return 1
+	case a.ID != b.ID:
+		if a.ID < b.ID {
+			return -1
+		}
+		return 1
+	}
+	return 0
+}
+
+// orderPOIs builds slot s's POIs in comparePOI order, each once, as the
+// run e.sorted[s.lo:s.hi]. POIs at a NaN position are left out: no
+// rectangle contains them, so no overlap ever asks about them.
+func (e *Engine) orderPOIs(s *slot, pois []broadcast.POI) {
+	lo := len(e.sorted)
+	for _, p := range pois {
+		if p.Pos.X == p.Pos.X && p.Pos.Y == p.Pos.Y {
+			e.sorted = append(e.sorted, p)
+		}
+	}
+	slices.SortFunc(e.sorted[lo:], comparePOI)
+	e.sorted = e.sorted[:lo+len(slices.Compact(e.sorted[lo:]))]
+	s.lo, s.hi = int32(lo), int32(len(e.sorted))
+}
+
 // restrictAgree reports whether two claims agree on the overlap rect:
 // each claim's POIs inside the overlap must appear identically in the
-// other claim.
+// other claim. a and b are duplicate-free and in comparePOI order, so the
+// two restrictions are compared as sets by one merge — and only over the
+// run of each list whose x lies in the overlap's x-range: everything left
+// of it is skipped on one comparison each, everything right of it is
+// never looked at.
 func restrictAgree(overlap geom.Rect, a, b []broadcast.POI) bool {
-	contains := func(set []broadcast.POI, p broadcast.POI) bool {
-		for _, q := range set {
-			if q == p {
-				return true
-			}
-		}
-		return false
+	i, j := 0, 0
+	for i < len(a) && a[i].Pos.X < overlap.Min.X {
+		i++
 	}
-	for _, p := range a {
-		if overlap.Contains(p.Pos) && !contains(b, p) {
+	for j < len(b) && b[j].Pos.X < overlap.Min.X {
+		j++
+	}
+	for {
+		i = nextInside(overlap, a, i)
+		j = nextInside(overlap, b, j)
+		if i == len(a) || j == len(b) {
+			return i == len(a) && j == len(b)
+		}
+		if a[i] != b[j] {
 			return false
 		}
+		i++
+		j++
 	}
-	for _, p := range b {
-		if overlap.Contains(p.Pos) && !contains(a, p) {
-			return false
+}
+
+// nextInside returns the index of the first POI of s[i:] inside r, or
+// len(s). s is in comparePOI order and s[i:] starts at or right of
+// r.Min.X.
+func nextInside(r geom.Rect, s []broadcast.POI, i int) int {
+	for ; i < len(s); i++ {
+		pos := s[i].Pos
+		if pos.X > r.Max.X {
+			return len(s)
+		}
+		if pos.Y >= r.Min.Y && pos.Y <= r.Max.Y {
+			return i
 		}
 	}
-	return true
+	return len(s)
 }
 
 // Screen runs one query's trust pass over the collected contributions:
@@ -472,6 +633,12 @@ func restrictAgree(overlap geom.Rect, a, b []broadcast.POI) bool {
 // quarantined rectangles, and marks every surviving piece with its taint
 // verdict. budget is the query's remaining deadline budget in slots
 // (negative means unlimited); audits that do not fit are skipped.
+//
+// Aliasing: the returned slice is engine scratch, valid until the next
+// Screen. Each Result's POIs stay valid and unchanged for as long as the
+// contribution they came from does — they are the contribution's own
+// POIs slice when the piece is the whole region and keeps every POI, and
+// freshly allocated otherwise. Screen never writes to a contribution.
 //
 // Safe on nil: contributions pass through untainted and unscreened (the
 // defense is off; this is the seed behavior).
@@ -485,87 +652,122 @@ func (e *Engine) Screen(contribs []Contribution, oracle Oracle, budget int64) ([
 	}
 	e.seq++
 	var rep Report
-
-	// Decay expired quarantine rectangles (insertion order preserved).
-	live := e.quar[:0]
-	for _, q := range e.quar {
-		if q.until > e.seq {
-			live = append(live, q)
-		} else {
-			delete(e.quarIdx, q.r)
-		}
-	}
-	e.quar = live
-	for i, q := range e.quar {
-		e.quarIdx[q.r] = i
-	}
+	e.decayQuarantine()
 
 	// Drop contributions from quarantined peers outright.
-	kept := make([]Contribution, 0, len(contribs))
-	for _, c := range contribs {
-		if e.Quarantined(c.Peer) {
+	slots := e.slots[:0]
+	for i := range contribs {
+		c := &contribs[i]
+		var r *peerRec
+		if c.Peer != Self {
+			r = e.rec(c.Peer)
+			if e.quarantined(r) {
+				continue
+			}
+		}
+		slots = append(slots, slot{vr: c.VR, peer: c.Peer, rec: r, ci: int32(i), lo: -1, stale: c.Stale})
+	}
+	e.slots = slots
+
+	e.detectConflicts(contribs)
+	e.applyVerdicts(&rep)
+	e.audit(contribs, oracle, budget, &rep)
+	e.judge(contribs, &rep)
+	return e.assemble(contribs), rep
+}
+
+// detectConflicts is the pure half of cross-validation: it fills
+// e.conflicts with every pair of slots, in (i, j) order, whose regions
+// strictly overlap and whose claims disagree on the overlap. It reads the
+// contributions and touches no reputation, so what it finds cannot depend
+// on a verdict — verdicts are applied afterwards, in the order found.
+func (e *Engine) detectConflicts(contribs []Contribution) {
+	e.sorted = e.sorted[:0]
+	e.conflicts = e.conflicts[:0]
+	slots := e.slots
+	for i := range slots {
+		a := &slots[i]
+		av := a.vr
+		if av.Empty() {
 			continue
 		}
-		kept = append(kept, c)
-	}
-
-	// Cross-validation: every overlapping pair must agree on the overlap.
-	convicted := make(map[int]bool)
-	for i := 0; i < len(kept); i++ {
-		for j := i + 1; j < len(kept); j++ {
-			if kept[i].Peer == kept[j].Peer {
+		for j := i + 1; j < len(slots); j++ {
+			b := &slots[j]
+			// Strict overlap of two non-empty rectangles by comparisons
+			// alone; most pairs end here.
+			if !(av.Min.X < b.vr.Max.X && b.vr.Min.X < av.Max.X &&
+				av.Min.Y < b.vr.Max.Y && b.vr.Min.Y < av.Max.Y) {
+				continue
+			}
+			if a.peer == b.peer || b.vr.Empty() {
 				continue // two regions of one cache cannot witness each other
 			}
-			overlap, ok := kept[i].VR.Intersect(kept[j].VR)
-			if !ok || overlap.Empty() {
+			if a.lo < 0 {
+				e.orderPOIs(a, contribs[a.ci].POIs)
+			}
+			if b.lo < 0 {
+				e.orderPOIs(b, contribs[b.ci].POIs)
+			}
+			overlap, _ := av.Intersect(b.vr)
+			if restrictAgree(overlap, e.sorted[a.lo:a.hi], e.sorted[b.lo:b.hi]) {
 				continue
 			}
-			if restrictAgree(overlap, kept[i].POIs, kept[j].POIs) {
-				continue
-			}
-			// Third verdict: a disagreement involving a stale claimant is
-			// expected under churn — the stale side is already demoted, so
-			// amnesty both and leave reputations untouched. Counting it as
-			// a byzantine conflict would let honest churn strike honest
-			// peers into quarantine.
-			if kept[i].Stale || kept[j].Stale {
-				rep.StaleConflicts++
-				e.counters.StaleVerdicts++
-				continue
-			}
-			rep.Conflicts++
-			e.counters.ConflictsDetected++
-			// An audit-backed vouch outweighs an unvouched accuser: when
-			// exactly one claimant is vouched, the other one lied (a
-			// byzantine peer can never be vouched), so strike it alone and
-			// let the vouched claim stand. Otherwise the engine cannot
-			// tell who lied: quarantine the overlap out of the merge and
-			// strike both claimants.
-			iv, jv := e.Vouched(kept[i].Peer), e.Vouched(kept[j].Peer)
-			switch {
-			case iv && !jv:
-				e.strike(kept[j].Peer, &rep, convicted)
-			case jv && !iv:
-				e.strike(kept[i].Peer, &rep, convicted)
-			default:
-				e.quarantineRect(overlap, &rep)
-				e.strike(kept[i].Peer, &rep, convicted)
-				e.strike(kept[j].Peer, &rep, convicted)
-			}
+			e.conflicts = append(e.conflicts, conflict{i: int32(i), j: int32(j), overlap: overlap})
 		}
 	}
+}
 
-	// Spot audits: seeded contribution-level sampling, priced in slots
-	// against the deadline budget, capped per query. The audit runs on
-	// the *original* claim (pre-subtraction): under the always-material
-	// adversary model this makes a sampled lie impossible to miss, which
-	// is what keeps byzantine peers permanently unvouchable.
+// applyVerdicts rules on the detected conflicts in (i, j) order; a
+// verdict changes who is vouched, so the order is part of the result.
+func (e *Engine) applyVerdicts(rep *Report) {
+	for _, cf := range e.conflicts {
+		a, b := &e.slots[cf.i], &e.slots[cf.j]
+		// Third verdict: a disagreement involving a stale claimant is
+		// expected under churn — the stale side is already demoted, so
+		// amnesty both and leave reputations untouched. Counting it as
+		// a byzantine conflict would let honest churn strike honest
+		// peers into quarantine.
+		if a.stale || b.stale {
+			rep.StaleConflicts++
+			e.counters.StaleVerdicts++
+			continue
+		}
+		rep.Conflicts++
+		e.counters.ConflictsDetected++
+		// An audit-backed vouch outweighs an unvouched accuser: when
+		// exactly one claimant is vouched, the other one lied (a
+		// byzantine peer can never be vouched), so strike it alone and
+		// let the vouched claim stand. Otherwise the engine cannot
+		// tell who lied: quarantine the overlap out of the merge and
+		// strike both claimants.
+		av, bv := e.vouched(a.rec), e.vouched(b.rec)
+		switch {
+		case av && !bv:
+			e.strike(b.peer, b.rec, rep)
+		case bv && !av:
+			e.strike(a.peer, a.rec, rep)
+		default:
+			e.quarantineRect(cf.overlap, rep)
+			e.strike(a.peer, a.rec, rep)
+			e.strike(b.peer, b.rec, rep)
+		}
+	}
+}
+
+// audit runs the spot audits: seeded contribution-level sampling, priced
+// in slots against the deadline budget, capped per query. The audit runs
+// on the *original* claim (pre-subtraction): under the always-material
+// adversary model this makes a sampled lie impossible to miss, which is
+// what keeps byzantine peers permanently unvouchable.
+func (e *Engine) audit(contribs []Contribution, oracle Oracle, budget int64, rep *Report) {
 	audits := 0
-	for _, c := range kept {
+	for i := range e.slots {
+		s := &e.slots[i]
 		// Stale contributions are skipped before the sampling draw: the
 		// claim predates the current epoch, so re-verifying it against
-		// current truth would convict an honest peer for churn.
-		if c.Peer == Self || c.Stale || convicted[c.Peer] || e.Quarantined(c.Peer) {
+		// current truth would convict an honest peer for churn. A peer
+		// convicted earlier in this screen is quarantined by now.
+		if s.rec == nil || s.stale || e.quarantined(s.rec) {
 			continue
 		}
 		if audits >= e.cfg.MaxAuditsPerQuery {
@@ -574,6 +776,7 @@ func (e *Engine) Screen(contribs []Contribution, oracle Oracle, budget int64) ([
 		if e.rng.Float64() >= e.cfg.AuditRate {
 			continue
 		}
+		c := &contribs[s.ci]
 		cost := e.auditCost(len(c.POIs))
 		if budget >= 0 && rep.AuditSlots+cost > budget {
 			continue // cannot afford within the deadline
@@ -588,102 +791,191 @@ func (e *Engine) Screen(contribs []Contribution, oracle Oracle, budget int64) ([
 			// Vouch and forgive standing strikes: the ground truth just
 			// testified for the peer, so conflicts it lost to unvouched
 			// accusers no longer count against it.
-			r := e.rec(c.Peer)
-			r.vouchedUntil = e.seq + e.cfg.VouchCycles
-			r.strikes = 0
+			s.rec.vouchedUntil = e.seq + e.cfg.VouchCycles
+			s.rec.strikes = 0
 			continue
 		}
 		rep.AuditFailures++
 		e.counters.AuditFailures++
-		e.convict(c.Peer, &rep, convicted)
+		e.convict(s.peer, s.rec, rep)
 		rep.QuarantinedArea += c.VR.Area()
 		e.counters.QuarantinedArea += c.VR.Area()
 	}
+}
 
-	// Assemble: convicted peers drop out entirely; everything else is
-	// reduced by the quarantine set and marked with its taint verdict.
-	out := make([]Result, 0, len(kept))
-	taintedPeers := make(map[int]bool)
-	for _, c := range kept {
-		if convicted[c.Peer] || e.Quarantined(c.Peer) {
+// judge runs once reputations have stopped moving, so every slot's
+// verdict is settled: dropped (its peer was convicted this screen),
+// tainted or trusted. It counts the tainted peers and gathers what
+// assembly needs from the whole set: the IDs untainted results will carry
+// (cross-pool dedup) and the quarantine rectangles that can reach a
+// tainted contribution.
+func (e *Engine) judge(contribs []Contribution, rep *Report) {
+	e.trusted = e.trusted[:0]
+	e.holes = e.holes[:0]
+	var reach geom.Rect // bounding box of the tainted regions
+	anyTainted, selfTainted := false, false
+	for i := range e.slots {
+		s := &e.slots[i]
+		if e.quarantined(s.rec) {
 			continue
 		}
-		tainted := c.Stale || !e.Vouched(c.Peer)
-		if tainted && !taintedPeers[c.Peer] {
-			taintedPeers[c.Peer] = true
+		if !e.tainted(s) {
+			// An untainted region is never subtracted from, so its result
+			// carries exactly its POIs inside the region.
+			if !s.vr.Empty() {
+				for _, p := range contribs[s.ci].POIs {
+					if s.vr.Contains(p.Pos) {
+						e.trusted = append(e.trusted, p.ID)
+					}
+				}
+			}
+			continue
+		}
+		switch {
+		case s.rec == nil:
+			if !selfTainted {
+				selfTainted = true
+				rep.Tainted++
+			}
+		case !s.rec.counted:
+			s.rec.counted = true
 			rep.Tainted++
 		}
-		e.pieces = e.pieces[:0]
-		e.pieces = append(e.pieces, c.VR)
+		switch {
+		case s.vr.Empty(): // yields no piece
+		case !anyTainted:
+			anyTainted, reach = true, s.vr
+		default:
+			reach = reach.Union(s.vr)
+		}
+	}
+	for i := range e.slots {
+		if r := e.slots[i].rec; r != nil {
+			r.convicted, r.counted = false, false
+		}
+	}
+	if !anyTainted {
+		return
+	}
+	slices.Sort(e.trusted)
+	// Insertion order is kept, so each contribution meets its holes in
+	// the order the full set would present them.
+	for _, q := range e.quar[e.quarHead:] {
+		if q.r.Intersects(reach) {
+			e.holes = append(e.holes, q.r)
+		}
+	}
+}
+
+// assemble emits the surviving pieces in contribution order: convicted
+// peers drop out entirely; everything else is reduced by the quarantine
+// set and marked with its taint verdict.
+func (e *Engine) assemble(contribs []Contribution) []Result {
+	out := e.out[:0]
+	for i := range e.slots {
+		s := &e.slots[i]
+		c := &contribs[s.ci]
+		if e.quarantined(s.rec) || c.VR.Empty() {
+			continue
+		}
+		tainted := e.tainted(s)
+		pieces, spare := append(e.pieces[:0], c.VR), e.spare
 		// Rectangle quarantine is defense-in-depth for *unvouched*
 		// claims. A vouched claim is audit-backed, so it stands whole:
 		// subtracting disputed rectangles from the trusted population
 		// would let an attacker pulverize the honest MVR merely by
 		// disputing it (the coverage-collapse failure mode).
 		if tainted {
-			for _, q := range e.quar {
-				if !c.VR.Intersects(q.r) {
+			for _, h := range e.holes {
+				if !c.VR.Intersects(h) {
 					continue
 				}
-				next := e.pieces[:0:0]
-				for _, piece := range e.pieces {
-					next = append(next, geom.SubtractRect(piece, []geom.Rect{q.r})...)
+				// Most holes that meet the region meet none of what is
+				// left of it, or one piece: copy nothing until a piece is
+				// actually hit.
+				k := 0
+				for k < len(pieces) && !pieces[k].Intersects(h) {
+					k++
 				}
-				e.pieces = next
-			}
-		}
-		for _, piece := range e.pieces {
-			if piece.Empty() {
-				continue
-			}
-			r := Result{Peer: c.Peer, VR: piece, Tainted: tainted}
-			for _, p := range c.POIs {
-				if pieceOwns(e.pieces, piece, p.Pos) {
-					r.POIs = append(r.POIs, p)
+				if k == len(pieces) {
+					continue
 				}
-			}
-			out = append(out, r)
-		}
-	}
-
-	// Cross-pool POI dedup: core's candidate dedup assumes one POI ID
-	// appears in only one trust pool, so drop from tainted pieces any
-	// POI an untainted piece already vouches for (the untrusted copy
-	// adds nothing).
-	trusted := make(map[int64]bool)
-	for _, r := range out {
-		if !r.Tainted {
-			for _, p := range r.POIs {
-				trusted[p.ID] = true
+				spare = append(spare[:0], pieces[:k]...)
+				for _, piece := range pieces[k:] {
+					spare = geom.AppendSubtractOne(spare, piece, h)
+				}
+				pieces, spare = spare, pieces
 			}
 		}
+		e.pieces, e.spare = pieces, spare
+		out = e.appendPieces(out, c, tainted, pieces)
 	}
-	for i := range out {
-		if !out[i].Tainted {
-			continue
-		}
-		kept := out[i].POIs[:0]
-		for _, p := range out[i].POIs {
-			if !trusted[p.ID] {
-				kept = append(kept, p)
-			}
-		}
-		out[i].POIs = kept
-	}
-	return out, rep
+	e.out = out
+	return out
 }
 
-// pieceOwns reports whether piece is the first piece in pieces (closed)
-// containing pos — the tiebreak that keeps a boundary POI from being
-// duplicated across adjacent subtraction pieces.
-func pieceOwns(pieces []geom.Rect, piece geom.Rect, pos geom.Point) bool {
-	for _, p := range pieces {
-		if p.Empty() {
-			continue
+// appendPieces appends one Result per piece of c. A POI belongs to the
+// first piece that contains it (closed) — the tiebreak that keeps a
+// boundary POI from being duplicated across adjacent pieces — and a
+// tainted piece drops every POI an untainted result already vouches for:
+// core's candidate dedup assumes one POI ID appears in only one trust
+// pool, and the untrusted copy adds nothing. A piece that keeps all of
+// c.POIs shares the slice; otherwise the pieces of c share one new array.
+func (e *Engine) appendPieces(out []Result, c *Contribution, tainted bool, pieces []geom.Rect) []Result {
+	if len(pieces) == 0 {
+		return out // the quarantine swallowed the whole region
+	}
+	owner, count := e.owner[:0], e.count[:0]
+	for range pieces {
+		count = append(count, 0)
+	}
+	kept := 0
+	for _, p := range c.POIs {
+		o := int32(-1)
+		if !tainted || !e.isTrusted(p.ID) {
+			for k, piece := range pieces {
+				if piece.Contains(p.Pos) {
+					o = int32(k)
+					count[k]++
+					kept++
+					break
+				}
+			}
 		}
-		if p.Contains(pos) {
-			return p == piece
+		owner = append(owner, o)
+	}
+	e.owner, e.count = owner, count
+
+	if len(pieces) == 1 && kept == len(c.POIs) {
+		return append(out, Result{Peer: c.Peer, VR: pieces[0], POIs: c.POIs, Tainted: tainted})
+	}
+	var buf []broadcast.POI
+	if kept > 0 {
+		buf = make([]broadcast.POI, kept)
+	}
+	// Lay the pieces' runs out back to back; count[k] becomes the write
+	// cursor of piece k.
+	off := int32(0)
+	for k, piece := range pieces {
+		r := Result{Peer: c.Peer, VR: piece, Tainted: tainted}
+		if n := count[k]; n > 0 {
+			r.POIs = buf[off : off+n : off+n]
+		}
+		count[k], off = off, off+count[k]
+		out = append(out, r)
+	}
+	for i, p := range c.POIs {
+		if k := owner[i]; k >= 0 {
+			buf[count[k]] = p
+			count[k]++
 		}
 	}
-	return false
+	return out
+}
+
+// isTrusted reports whether an untainted result of this screen carries a
+// POI with this ID.
+func (e *Engine) isTrusted(id int64) bool {
+	_, ok := slices.BinarySearch(e.trusted, id)
+	return ok
 }
