@@ -17,7 +17,7 @@ STATICCHECK_VERSION = 2025.1.1
 COVER_PKGS = internal/core internal/geom internal/metrics internal/trust internal/cache internal/faults internal/sim internal/p2p internal/broadcast
 COVER_MIN ?= 70
 
-.PHONY: all build vet test race lint cover cover-profile cover-check fuzz-smoke verify continuous-identity trust-identity soak bench bench-hot bench-tick bench-smoke bench-e2e-check
+.PHONY: all build vet test race lint loc cover cover-profile cover-check fuzz-smoke verify goldens continuous-identity trust-identity soak bench bench-hot bench-tick bench-smoke bench-e2e-check
 
 all: build
 
@@ -107,6 +107,22 @@ fuzz-smoke:
 verify: vet build race fuzz-smoke
 	@echo "verify: all gates passed"
 
+# Committed goldens (internal/sim/testdata/golden, DESIGN.md §14.4):
+# TestGolden runs in `make test` and `make race` and fails on any
+# difference. Run this only for an intended behaviour change, and review
+# the resulting diff like code; amd64 only (the files are float-bit exact).
+goldens:
+	$(GO) test -count=1 -run 'TestGolden' ./internal/sim -update
+
+# The two size measures ROADMAP.md tracks (aim 2), with the exact
+# commands: non-test lines of internal/sim, and all non-test Go lines
+# outside the bench/ module.
+loc:
+	@printf 'loc: internal/sim non-test lines: '; \
+		ls internal/sim/*.go | grep -v _test.go | xargs cat | wc -l
+	@printf 'loc: all non-test, non-bench lines: '; \
+		find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+
 # Continuous-query identity lane (DESIGN.md §15): zero-knob and armed
 # determinism, the batched-tick identity matrix with subscriptions live,
 # and the safe-region differential gate — all under the race detector.
@@ -151,10 +167,10 @@ bench-hot:
 	$(GO) run ./cmd/lbsq-bench -out results/BENCH_hotpath.json
 	@echo "bench-hot: wrote results/BENCH_hotpath.json"
 
-# Batched tick-engine report: World.Step wall clock at each
-# -tick-workers setting with per-row GOMAXPROCS stamps, the MVR
-# memoization counters, and the embedded serial-identity check
-# (DESIGN.md §14).
+# Tick-engine report: a full world run at each -tick-workers setting
+# with per-row GOMAXPROCS stamps, the MVR memoization counters, and the
+# embedded serial-identity check (DESIGN.md §14.4). The committed file is
+# a GOMAXPROCS=1 run.
 bench-tick:
 	@mkdir -p results
 	$(GO) run ./cmd/lbsq-bench -tick -out results/BENCH_tick.json
@@ -163,8 +179,9 @@ bench-tick:
 # CI regression gate: quick-scale harness compared against the committed
 # baseline (fails on >25% ns/op regression or any steady-state allocs/op
 # growth), the tick-engine report against its baseline (wall clock only
-# judged under matching GOMAXPROCS; allocations and serial identity
-# always), then the parallel sweep identity under the race detector.
+# judged under matching GOMAXPROCS; allocations within 1% on one core
+# and 10% otherwise; serial identity always), then the parallel sweep
+# identity under the race detector.
 bench-smoke:
 	$(GO) run ./cmd/lbsq-bench -quick -compare results/BENCH_hotpath.json
 	$(GO) run ./cmd/lbsq-bench -tick -compare results/BENCH_tick.json

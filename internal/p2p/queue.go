@@ -19,7 +19,7 @@ package p2p
 // so capacity is a rate (requests per peer per tick), not a lifetime
 // total. All decisions are deterministic functions of arrival order —
 // no randomness — so armed runs stay reproducible and tick-worker
-// identical (admission happens in the serial draw phase).
+// identical (admission happens in the simulator's serial prepare stage).
 
 // ServiceVerdict classifies one admission decision of a peer's bounded
 // service queue.

@@ -1,7 +1,7 @@
 package perf
 
-// Batched tick-engine benchmarks (DESIGN.md §14): World.Step wall clock
-// at several Params.TickWorkers settings, each row stamped with the
+// Tick-engine benchmarks (DESIGN.md §14.4): a full world run at
+// several Params.TickWorkers settings, each row stamped with the
 // GOMAXPROCS it ran under so speedups are honest on any machine — a
 // single-core runner records ~1.0×, not a fabricated parallel win — plus
 // an embedded serial-identity check mirroring the sim package's
@@ -56,18 +56,19 @@ type Tick struct {
 	Rows      []TickRow `json:"rows"`
 }
 
-// tickParams is the world the tick benchmarks run: the hotpath
-// harness's world_step_small configuration, stretched to half a
-// simulated hour so caches fill and batches carry real work, with the
-// worker knob applied. One benchmark op is one full world run —
-// World.Step cost grows with simulated time as caches fill, so an
-// auto-ramped open-ended step loop would measure whatever horizon the
-// ramp happened to reach; a bounded, identical workload per op keeps
-// rows comparable across runs and machines.
+// tickParams is the world the tick benchmarks run: a 4-mile LA world
+// with warm caches, whose 10-second ticks carry ~40 queries each — real
+// batches, so the rows measure what several workers buy, not what
+// dispatching near-empty batches costs. One benchmark op is one full
+// world run, set-up untimed — World.Step cost grows with simulated time
+// as caches fill, so an auto-ramped open-ended step loop would measure
+// whatever horizon the ramp happened to reach; a bounded, identical
+// workload per op keeps rows comparable across runs and machines.
 func tickParams(workers int) sim.Params {
-	p := sim.LACity().Scaled(1).WithDuration(0.5)
+	p := sim.LACity().Scaled(4).WithDuration(0.1)
 	p.TimeStepSec = 10
 	p.Seed = 42
+	p.PrefillQueriesPerHost = 10
 	p.TickWorkers = workers
 	return p
 }
@@ -120,10 +121,14 @@ func MeasureTick() (Tick, error) {
 			p := tickParams(workers)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				// Building the world (POI field, prefilled caches) is the
+				// same work at every worker count and several times the run.
+				b.StopTimer()
 				w, err := sim.NewWorld(p)
 				if err != nil {
 					b.Fatal(err)
 				}
+				b.StartTimer()
 				s := w.Run()
 				memoHits = s.MVRMemoHits
 			}
@@ -175,9 +180,16 @@ func LoadTick(path string) (Tick, error) {
 
 // CompareTick checks a current tick report against a baseline. Wall
 // clock is compared only between rows measured under the same
-// GOMAXPROCS (a 1-core baseline says nothing about a 4-core run);
-// steady-state allocs/op must never grow regardless, and the embedded
-// identity check must hold. Returns human-readable failures.
+// GOMAXPROCS (a 1-core baseline says nothing about a 4-core run).
+// Allocs/op must not grow by more than 1% when both rows were measured
+// at GOMAXPROCS=1, or by more than 10% otherwise. An op is a handful of
+// world runs, so the count carries the runtime's own allocations and,
+// on the parallel rows, how many pooled scratches were live at once and
+// how often the collector cleared the pools — measured on the benchmark
+// world: ±0.3% run to run on one core, +5–8% from one core to two, ±2%
+// run to run on two. One more allocation per query is +14% (parallel
+// rows) to +22% (serial row), so both allowances still catch it. The
+// embedded identity check must hold. Returns human-readable failures.
 func CompareTick(baseline, current Tick, tolerance float64) []string {
 	base := make(map[string]TickRow, len(baseline.Rows))
 	for _, r := range baseline.Rows {
@@ -196,7 +208,11 @@ func CompareTick(baseline, current Tick, tolerance float64) []string {
 				cur.Name, b.NsPerOp, cur.NsPerOp,
 				100*(cur.NsPerOp/b.NsPerOp-1), 100*tolerance))
 		}
-		if cur.AllocsPerOp > b.AllocsPerOp {
+		slack := b.AllocsPerOp / 100
+		if b.GoMaxProcs != 1 || cur.GoMaxProcs != 1 {
+			slack = b.AllocsPerOp / 10
+		}
+		if cur.AllocsPerOp > b.AllocsPerOp+slack {
 			failures = append(failures, fmt.Sprintf(
 				"%s: allocs/op %d -> %d (steady-state allocations must not grow)",
 				cur.Name, b.AllocsPerOp, cur.AllocsPerOp))

@@ -78,48 +78,3 @@ func BenchmarkDelete(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkInsertRStar measures R*-tree insertion (forced reinsertion +
-// topological split) against the plain Guttman BenchmarkInsert above.
-func BenchmarkInsertRStar(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	tr := NewRStar(16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Insert(Item{ID: int64(i), Pos: geom.Pt(rng.Float64()*100, rng.Float64()*100)})
-	}
-}
-
-// BenchmarkWindowQualityGuttmanVsRStar reports the node-touch advantage
-// of the R* heuristics on clustered data.
-func BenchmarkWindowQualityGuttmanVsRStar(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	var items []Item
-	for c := 0; c < 10; c++ {
-		cx, cy := rng.Float64()*100, rng.Float64()*100
-		for i := 0; i < 200; i++ {
-			items = append(items, Item{
-				ID:  int64(len(items)),
-				Pos: geom.Pt(cx+rng.NormFloat64()*3, cy+rng.NormFloat64()*3),
-			})
-		}
-	}
-	g, r := New(8), NewRStar(8)
-	for _, it := range items {
-		g.Insert(it)
-		r.Insert(it)
-	}
-	var gT, rT int
-	for i := 0; i < 100; i++ {
-		cx, cy := rng.Float64()*95, rng.Float64()*95
-		w := geom.NewRect(cx, cy, cx+5, cy+5)
-		gT += g.NodesTouchedByWindow(w)
-		rT += r.NodesTouchedByWindow(w)
-	}
-	b.Logf("nodes touched per 100 windows: guttman=%d rstar=%d", gT, rT)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cx, cy := rng.Float64()*95, rng.Float64()*95
-		r.Window(geom.NewRect(cx, cy, cx+5, cy+5))
-	}
-}

@@ -42,10 +42,6 @@ type Tree struct {
 	maxEntries int
 	minEntries int
 	size       int
-	variant    variant
-	// reinserted tracks which levels already forced a reinsertion during
-	// the current R* insertion (OT1 bookkeeping).
-	reinserted map[int]bool
 }
 
 // New returns an empty tree with the given maximum node fan-out.
@@ -188,10 +184,6 @@ func (n *node) recomputeBounds() {
 
 // Insert adds an item to the tree.
 func (t *Tree) Insert(it Item) {
-	if t.variant == rstar {
-		t.insertRStar(it)
-		return
-	}
 	leaf := t.chooseLeaf(t.root, it.Pos)
 	leaf.items = append(leaf.items, it)
 	leaf.bounds = extend(leaf, it.Pos)
@@ -641,4 +633,27 @@ func (t *Tree) Height() int {
 		h++
 	}
 	return h
+}
+
+// NodesTouchedByWindow returns how many tree nodes a window query visits
+// — the page-access proxy of the random-access-disk baseline.
+func (t *Tree) NodesTouchedByWindow(r geom.Rect) int {
+	if t.size == 0 {
+		return 0
+	}
+	count := 0
+	var walk func(n *node)
+	walk = func(n *node) {
+		count++
+		if n.leaf {
+			return
+		}
+		for _, c := range n.children {
+			if c.bounds.Intersects(r) {
+				walk(c)
+			}
+		}
+	}
+	walk(t.root)
+	return count
 }

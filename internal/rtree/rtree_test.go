@@ -385,3 +385,9 @@ func TestMixedWorkloadModelCheck(t *testing.T) {
 		}
 	}
 }
+
+func TestNodesTouchedEmptyTree(t *testing.T) {
+	if New(8).NodesTouchedByWindow(geom.NewRect(0, 0, 1, 1)) != 0 {
+		t.Error("empty tree touched nodes")
+	}
+}

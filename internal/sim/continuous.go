@@ -9,10 +9,10 @@ package sim
 // nothing taints the answer, the standing result is provably still
 // exact and the tick costs no channel time at all (SafeRegionHits).
 // Crossing the radius, an epoch advance, a TTL expiry, or an inexact
-// previous answer forces a full re-verification — the same
-// channel-assessment / peer-collection / trust-screen / core-algorithm
-// path a one-shot query runs, priced identically, but drawing nothing
-// from the world stream.
+// previous answer forces a full re-verification — the subscription's
+// shape through the same prepare and execute stages a one-shot query
+// runs (pipeline.go), priced identically, but drawing nothing from the
+// world stream.
 //
 // Determinism contract: registrations draw only from the dedicated
 // contSeedSalt stream, and maintenance draws nothing (each
@@ -20,16 +20,15 @@ package sim
 // world stream w.rng is untouched whether the knob is armed or not.
 // With ContinuousRate zero the layer is a nil pointer: zero draws, zero
 // branches, zero counters — outputs stay bit-identical to the
-// pre-continuous build. The whole phase runs serially before the
-// Poisson query loop, so batched ticks (TickWorkers > 1) stay
-// byte-identical too.
+// pre-continuous build. The whole phase runs serially before the tick's
+// first one-shot query launches, so it is the same at every TickWorkers
+// setting.
 
 import (
 	"math"
 	"math/rand"
 
 	"lbsq/internal/broadcast"
-	"lbsq/internal/cache"
 	"lbsq/internal/core"
 	"lbsq/internal/geom"
 	"lbsq/internal/mobility"
@@ -124,7 +123,7 @@ func (w *World) advanceContinuous(dt float64) {
 
 // registerSubscription draws one new standing query from the continuous
 // stream: the subscribing host, its data type, and the query shape —
-// sampled with the same distributions the one-shot path uses (drawK /
+// sampled with the same distributions a one-shot query uses (drawK /
 // drawWindow), but from the dedicated rng so the world stream never
 // moves. The subscription starts inexact, so its first maintenance pass
 // runs the initial full verification.
@@ -209,11 +208,7 @@ func (w *World) maintainSubscription(s *subscription) {
 		w.mx.observeContinuous(false, 0)
 		return
 	}
-	if w.Params.Kind == WindowQuery {
-		w.reverifyWindow(s, reason)
-	} else {
-		w.reverifyKNN(s, reason)
-	}
+	w.reverify(s, reason)
 }
 
 // contCommit writes one re-verification's outcome into the subscription
@@ -245,8 +240,6 @@ func (w *World) contCommit(s *subscription, reason contReason, answer []broadcas
 			w.stats.ContDegraded++
 		}
 		w.stats.ContSlots += slots
-		ev.TimeSec = w.nowSec
-		ev.Host = s.host
 		ev.SafeRadiusMiles = safeR
 		ev.Subscription = s.id
 		w.record(ev)
@@ -254,211 +247,104 @@ func (w *World) contCommit(s *subscription, reason contReason, answer []broadcas
 	w.mx.observeContinuous(true, slots)
 }
 
-// reverifyKNN runs a full kNN re-verification for one subscription: the
-// one-shot runKNNQuery pipeline (channel assessment, IR sync, peer
-// collection, trust screen, SBNN) with the subscription's fixed k, plus
-// the safe-exit radius computation over the new answer. It draws
-// nothing from the world stream and counts toward the continuous
-// counters, never Stats.Queries.
-func (w *World) reverifyKNN(s *subscription, reason contReason) {
-	// Standing subscriptions are priority traffic under overload: their
-	// retries bypass the retry budget and they are never admission-denied
-	// or governor-shed (the one-shot gates live outside this path, but
-	// the exemption also covers the retry-budget hook inside the
-	// collection). Peer-side BUSY backpressure still applies — a
-	// saturated peer cannot tell subscribers from one-shots.
-	w.overloadExempt(true)
-	defer w.overloadExempt(false)
-	h := &w.hosts[s.host]
-	ts := &w.types[s.ti]
-	q := h.mob.Pos
-	relevance := geom.RectAround(q, w.knnRelevanceRadius(s.ti, s.k))
-	qc := w.assessChannel(s.host)
-	irSlots := w.syncIR(s.host, s.ti)
-	var (
-		peers     []core.PeerData
-		nPeers    int
-		collected int64
-	)
-	switch qc.mode {
-	case modeFull, modeP2POnly:
-		peers, nPeers, collected = w.gatherPeers(s.host, s.ti, relevance)
-	default:
-		peers, _ = w.collectOwnCacheOnly(s.host, s.ti, relevance, qc.mode == modeOwnCache)
-	}
-	collected += qc.switchCost()
-	peers, spent, trep := w.trustScreen(s.ti, peers, collected+irSlots, qc.bcastUp)
-
-	sched := ts.sched
-	if qc.mode == modeP2POnly || qc.mode == modeOwnCache {
-		sched = nil
-	}
-	cfg := core.SBNNConfig{
-		K:                 s.k,
-		Lambda:            ts.lambda,
-		AcceptApproximate: w.Params.AcceptApproximate,
-		MinCorrectness:    w.Params.MinCorrectness,
-	}
-	res := core.SBNNScratch(&w.qs.core, q, peers, cfg, sched, w.slotNow()+spent+qc.chWait)
-	degraded := sched == nil && res.Outcome == core.OutcomeBroadcast
-	// Exact means provably correct: a verified answer, or a
-	// channel-resolved one (SBNN's POIs are exact for OutcomeBroadcast
-	// with a live schedule). Approximate and degraded answers are the
-	// Lemma 3.2 probabilistic path — no safe region, re-verify next tick.
-	exact := !degraded && res.Outcome != core.OutcomeApproximate
-
-	var safeR float64
-	if exact {
-		// Complete-knowledge clearance around q: distance to the MVR
-		// boundary for peer-verified answers, to the known-region boundary
-		// for channel-resolved ones. Inside that disk the candidate list
-		// is the whole database, so the safe-exit bound is sound.
-		var clearance float64
-		if res.Outcome == core.OutcomeVerified {
-			if cl, ok := res.MVR.Clearance(q); ok {
-				clearance = cl
-			}
-		} else if res.KnownRegion.Contains(q) {
-			clearance = res.KnownRegion.BoundaryDist(q)
-		}
-		safeR = core.SafeExitKNN(q, res.POIs, w.contCandidates(peers, res.Known,
-			res.Outcome == core.OutcomeVerified), clearance)
-	}
-
-	slots := res.Access.Latency + spent + qc.chWait
-	if w.counted() && w.SelfCheck && exact {
-		w.checkKNN(s.ti, q, s.k, res.POIs)
-	}
-	ev := trace.Event{
-		Kind:    "cont-knn",
-		Outcome: outcomeLabel(res.Outcome, degraded, len(res.POIs)),
-		K:       s.k, Peers: nPeers,
-		LatencySlots: res.Access.Latency, TuningSlots: res.Access.Tuning,
-		PacketsRead: res.Access.PacketsRead, PacketsSkipped: res.Access.PacketsSkipped,
-		Audits: trep.Audits, AuditFailures: trep.AuditFailures,
-		Conflicts: trep.Conflicts, AuditSlots: trep.AuditSlots,
-		TaintedPeers: trep.Tainted,
-		IRSlots:      irSlots, StaleConflicts: trep.StaleConflicts,
-		Mode: qc.mode.String(), WaitSlots: qc.chWait,
-	}
-	w.contCommit(s, reason, res.POIs, exact, safeR, slots, ev)
-
-	// The re-verification earns the same cacheable verified knowledge a
-	// one-shot query does.
-	if !res.KnownRegion.Empty() {
-		reg := cache.Region{Rect: res.KnownRegion, POIs: res.Known}
-		if w.cons != nil {
-			reg.Epoch = w.cons.types[s.ti].epoch
-		}
-		h.caches[s.ti].Insert(reg, q, h.mob.Heading(), int64(w.nowSec))
-	}
-}
-
-// reverifyWindow is reverifyKNN's window counterpart: the one-shot
-// runWindowQuery pipeline over the subscription's translated window,
-// plus the window safe-exit radius (cover clearance vs candidate
-// boundary distances, capped by the service-area margin so the
-// translated window never escapes the map inside the safe region).
-func (w *World) reverifyWindow(s *subscription, reason contReason) {
-	// Priority traffic: same overload exemption as reverifyKNN.
-	w.overloadExempt(true)
-	defer w.overloadExempt(false)
-	h := &w.hosts[s.host]
-	ts := &w.types[s.ti]
-	q := h.mob.Pos
-	raw := geom.RectAround(q.Add(s.off), s.side/2)
+// reverify runs one subscription's full re-verification: the query
+// pipeline (pipeline.go) over the subscription's fixed shape at the
+// host's current position, plus the safe-exit radius of the new answer.
+// It draws nothing from the world stream and counts toward the
+// continuous counters, never Stats.Queries.
+func (w *World) reverify(s *subscription, reason contReason) {
+	var e query
+	w.start(&e, s.host, s.ti)
 	// areaMargin > 0 means the translated window sits strictly inside the
 	// service area: the safe-exit radius is additionally capped by it, so
 	// every position inside the safe region keeps the window on the map.
 	// Otherwise the window is clipped for this answer and the safe region
 	// collapses (re-verify next tick).
-	areaMargin := w.area.InnerGap(raw)
-	win := raw
-	if areaMargin <= 0 {
-		clipped, ok := raw.Intersect(w.area)
-		if !ok {
-			// The window drifted entirely off the map: an empty inexact
-			// answer, re-checked next tick, with no channel work to price.
-			w.contCommit(s, reason, nil, false, 0, 0, trace.Event{
-				Kind: "cont-window", Outcome: "unanswered"})
-			return
+	var areaMargin float64
+	if w.Params.Kind == WindowQuery {
+		win := geom.RectAround(e.q.Add(s.off), s.side/2)
+		areaMargin = w.area.InnerGap(win)
+		if areaMargin <= 0 {
+			var ok bool
+			if win, ok = win.Intersect(w.area); !ok {
+				// The window drifted entirely off the map: an empty inexact
+				// answer, re-checked next tick, with no channel work to price.
+				w.contCommit(s, reason, nil, false, 0, 0, trace.Event{
+					TimeSec: w.nowSec, Host: s.host, Kind: traceKinds[1][1], Outcome: "unanswered"})
+				return
+			}
 		}
-		win = clipped
+		e.shapeWindow(win)
+	} else {
+		w.shapeKNN(&e, s.k)
 	}
+	// Standing subscriptions are priority traffic under overload: never
+	// admission-denied, governor-shed or coalesced, and their retries
+	// bypass the retry budget. Peer-side BUSY backpressure still applies —
+	// a saturated peer cannot tell subscribers from one-shots.
+	w.overloadExempt(true)
+	w.prepare(&e)
+	w.overloadExempt(false)
+	w.execute(&e, &w.qs.core, &w.qs.mvr, false)
 
-	qc := w.assessChannel(s.host)
-	irSlots := w.syncIR(s.host, s.ti)
-	var (
-		peers     []core.PeerData
-		nPeers    int
-		collected int64
-	)
-	switch qc.mode {
-	case modeFull, modeP2POnly:
-		peers, nPeers, collected = w.gatherPeers(s.host, s.ti, win)
-	default:
-		peers, _ = w.collectOwnCacheOnly(s.host, s.ti, win, qc.mode == modeOwnCache)
-	}
-	collected += qc.switchCost()
-	peers, spent, trep := w.trustScreen(s.ti, peers, collected+irSlots, qc.bcastUp)
-
-	sched := ts.sched
-	if qc.mode == modeP2POnly || qc.mode == modeOwnCache {
-		sched = nil
-	}
-	cfg := core.SBWQConfig{
-		MaxKnownArea: 1.5 * float64(w.Params.CacheSize) / math.Max(ts.lambda, 1e-9),
-	}
-	res := core.SBWQScratch(&w.qs.core, q, win, peers, cfg, sched, w.slotNow()+spent+qc.chWait)
-	degraded := sched == nil && res.Outcome == core.OutcomeBroadcast
-	exact := !degraded
-
+	// Inexact answers (approximate or degraded) are the Lemma 3.2
+	// probabilistic path: no safe region, re-verify next tick.
+	res := &e.res
+	exact := res.exact()
 	var safeR float64
-	if exact && areaMargin > 0 {
-		// coverClearance: how far the window can translate while staying
-		// inside complete knowledge — the MVR for covered windows, the
-		// known region for channel-resolved ones. Within that envelope the
-		// candidate list is the whole database near the window, so the
-		// boundary-distance bound is sound.
-		var cover float64
-		covered := false
-		if res.Outcome == core.OutcomeVerified {
-			cover, covered = res.MVR.ClearanceRect(win)
-		} else if res.KnownRegion.ContainsRect(win) {
-			cover, covered = res.KnownRegion.InnerGap(win), true
-		}
-		if covered {
-			safeR = core.SafeExitWindow(win, w.contCandidates(peers, res.Known,
-				res.Outcome == core.OutcomeVerified), cover)
-			safeR = math.Min(safeR, areaMargin)
-		}
+	switch {
+	case !exact:
+	case !e.window:
+		safeR = w.safeExitKNN(&e)
+	case areaMargin > 0:
+		safeR = math.Min(w.safeExitWindow(&e), areaMargin)
 	}
-
-	slots := res.Access.Latency + spent + qc.chWait
 	if w.counted() && w.SelfCheck && exact {
-		w.checkWindow(s.ti, win, res.POIs)
+		w.selfCheck(&e)
 	}
-	ev := trace.Event{
-		Kind:         "cont-window",
-		Outcome:      outcomeLabel(res.Outcome, degraded, len(res.POIs)),
-		Peers:        nPeers,
-		LatencySlots: res.Access.Latency, TuningSlots: res.Access.Tuning,
-		PacketsRead: res.Access.PacketsRead, PacketsSkipped: res.Access.PacketsSkipped,
-		Audits: trep.Audits, AuditFailures: trep.AuditFailures,
-		Conflicts: trep.Conflicts, AuditSlots: trep.AuditSlots,
-		TaintedPeers: trep.Tainted,
-		IRSlots:      irSlots, StaleConflicts: trep.StaleConflicts,
-		Mode: qc.mode.String(), WaitSlots: qc.chWait,
-	}
-	w.contCommit(s, reason, res.POIs, exact, safeR, slots, ev)
+	w.contCommit(s, reason, res.pois, exact, safeR,
+		res.access.Latency+e.spent+e.qc.chWait, w.traceEvent(&e, true))
+	// The re-verification earns the same cacheable verified knowledge a
+	// one-shot query does.
+	w.cacheKnown(&e)
+}
 
-	if !res.KnownRegion.Empty() {
-		reg := cache.Region{Rect: res.KnownRegion, POIs: res.Known}
-		if w.cons != nil {
-			reg.Epoch = w.cons.types[s.ti].epoch
-		}
-		h.caches[s.ti].Insert(reg, q, h.mob.Heading(), int64(w.nowSec))
+// safeExitKNN bounds how far the host may move before an exact kNN
+// answer can change. The complete-knowledge clearance around q is the
+// distance to the MVR boundary for peer-verified answers, to the
+// known-region boundary for channel-resolved ones; inside that disk the
+// candidate list is the whole database, so the bound is sound.
+func (w *World) safeExitKNN(e *query) float64 {
+	res := &e.res
+	verified := res.outcome == core.OutcomeVerified
+	var clearance float64
+	if verified {
+		clearance, _ = w.qs.mvr.Clearance(e.q)
+	} else if res.knownRegion.Contains(e.q) {
+		clearance = res.knownRegion.BoundaryDist(e.q)
 	}
+	return core.SafeExitKNN(e.q, res.pois, w.contCandidates(e.peers, res.known, verified), clearance)
+}
+
+// safeExitWindow bounds how far an exact, unclipped window may translate
+// while staying inside complete knowledge — the MVR for covered windows,
+// the known region for channel-resolved ones. Within that envelope the
+// candidate list is the whole database near the window, so the
+// boundary-distance bound is sound. Zero when the window is not covered.
+func (w *World) safeExitWindow(e *query) float64 {
+	res := &e.res
+	verified := res.outcome == core.OutcomeVerified
+	var cover float64
+	covered := false
+	if verified {
+		cover, covered = w.qs.mvr.ClearanceRect(e.win)
+	} else if res.knownRegion.ContainsRect(e.win) {
+		cover, covered = res.knownRegion.InnerGap(e.win), true
+	}
+	if !covered {
+		return 0
+	}
+	return core.SafeExitWindow(e.win, w.contCandidates(e.peers, res.known, verified), cover)
 }
 
 // contCandidates returns the candidate POI set the safe-exit bounds

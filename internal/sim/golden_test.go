@@ -1,0 +1,164 @@
+package sim
+
+// Committed goldens (testdata/golden/*.json): the report row (wall clock
+// zeroed, metrics snapshot embedded) and the trace stream's SHA-256 of a
+// fixed set of small worlds, each run with SelfCheck, CompareBaseline
+// and Metrics on. Every other identity test in this package compares
+// the build against itself (serial vs batched, zero-knob vs armed); the
+// goldens compare it against the commit that generated them, so a
+// behaviour-preserving refactor is proven by an empty diff and an
+// intentional change is a reviewed golden diff.
+//
+//	make goldens    # go test ./internal/sim -run TestGolden -update
+//
+// Report rows do not carry TickWorkers, so one file pins both worker
+// counts. The files are float-bit exact and therefore amd64-only: other
+// architectures may fuse multiply-adds and move the last bit.
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"lbsq/internal/faults"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from this build (make goldens)")
+
+// goldenFile is one world's committed observation.
+type goldenFile struct {
+	Report      json.RawMessage `json:"report"`
+	TraceEvents int             `json:"trace_events"`
+	TraceSHA256 string          `json:"trace_sha256"`
+}
+
+// goldenWorlds is the fixed world set. Names are file names; adding a
+// world adds a file, changing one is a golden diff.
+func goldenWorlds() map[string]Params {
+	clean := func(kind QueryKind) Params {
+		p := LACity().Scaled(1.5).WithDuration(0.1)
+		p.Seed = 99
+		p.TimeStepSec = 10
+		p.Kind = kind
+		p.AcceptApproximate = kind == KNNQuery
+		return p
+	}
+
+	// Soak schedule 9 arms every layer at once: loss, damage, staleness,
+	// churn, deadline, breakers, byzantine peers with audits, POI updates
+	// with IR reconciliation (whole-discard ablation), blackouts, standing
+	// subscriptions and the overload controls. The safe-region path
+	// replaces its naive baseline so hits are pinned too. The kNN world
+	// keeps its lossy broadcast channel (entries execute serially at
+	// commit); the window world clears it, so batches execute in parallel.
+	armedKNN := soakParams(9)
+	armedKNN.ContinuousNaive = false
+	armedWindow := armedKNN
+	armedWindow.Kind = WindowQuery
+	armedWindow.AcceptApproximate = false
+	armedWindow.WindowDistMiles = 0.1
+	armedWindow.Faults.BroadcastLoss = 0
+
+	// Flash crowd under the full control stack (coalescing, admission,
+	// BUSY backpressure, retry budget). On its lossy downlink a governor
+	// floor of 1 engages at the first budget miss, so governor sheds are
+	// pinned; on a loss-free downlink nothing misses, most of the hotspot
+	// coalesces, and its batches execute in parallel.
+	crowdLossy := withOverloadControls(crowdParams())
+	crowdLossy.GovernorFloor = 1
+	crowd := crowdLossy
+	crowd.Faults.BroadcastLoss = 0
+
+	// Every rung of the degraded-mode ladder, with standing queries
+	// re-verifying on them; and the planner-less stall it replaces.
+	ladder := clean(KNNQuery)
+	ladder.Seed = 23
+	ladder.Faults = burstProfile()
+	ladder.Faults.BlackoutPeriodSec = 60
+	ladder.Faults.BlackoutDurationSec = 20
+	ladder.DegradedMode = true
+	ladder.DeadlineSlots = 16
+	ladder.PrefillQueriesPerHost = 5
+	ladder.UseOwnCache = true
+	ladder.ContinuousRate = 2
+	stall := clean(WindowQuery)
+	stall.Seed = 24
+	stall.Faults = blackoutProfile()
+	stall.DeadlineSlots = 16
+
+	return map[string]Params{
+		"knn_zero":     clean(KNNQuery),
+		"window_zero":  clean(WindowQuery),
+		"armed_knn":    armedKNN,
+		"armed_window": armedWindow,
+		"crowd":        crowd,
+		"crowd_lossy":  crowdLossy,
+		"ladder":       ladder,
+		"stall_window": stall,
+		"byzantine":    byzParams(901, KNNQuery, 0.3, 0.5, faults.AttackMix),
+	}
+}
+
+// goldenObserve runs one world and renders its golden file.
+func goldenObserve(t *testing.T, p Params, workers int) []byte {
+	t.Helper()
+	_, _, rep, tr := runTickWorld(t, p, workers)
+	sum := sha256.Sum256(tr)
+	out, err := json.MarshalIndent(goldenFile{
+		Report:      rep,
+		TraceEvents: bytes.Count(tr, []byte("\n")),
+		TraceSHA256: hex.EncodeToString(sum[:]),
+	}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, '\n')
+}
+
+// firstDiffLine locates the first line two renderings disagree on.
+func firstDiffLine(a, b []byte) (int, string, string) {
+	la, lb := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
+	for i := 0; i < len(la) && i < len(lb); i++ {
+		if !bytes.Equal(la[i], lb[i]) {
+			return i + 1, string(la[i]), string(lb[i])
+		}
+	}
+	return min(len(la), len(lb)) + 1, "", ""
+}
+
+func TestGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("goldens are float-bit exact; generated and checked on amd64 only")
+	}
+	for name, p := range goldenWorlds() {
+		path := filepath.Join("testdata", "golden", name+".json")
+		t.Run(name, func(t *testing.T) {
+			if *updateGolden {
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, goldenObserve(t, p, 1), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run `make goldens`)", err)
+			}
+			for _, workers := range []int{1, 4} {
+				got := goldenObserve(t, p, workers)
+				if !bytes.Equal(got, want) {
+					line, g, w := firstDiffLine(got, want)
+					t.Errorf("workers=%d diverged from %s at line %d:\n got: %s\nwant: %s",
+						workers, path, line, g, w)
+				}
+			}
+		})
+	}
+}

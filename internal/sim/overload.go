@@ -9,7 +9,6 @@ import (
 	"lbsq/internal/geom"
 	"lbsq/internal/mobility"
 	"lbsq/internal/p2p"
-	"lbsq/internal/trust"
 )
 
 // The flash-crowd and overload-control plane (DESIGN.md §16). Four
@@ -37,9 +36,10 @@ import (
 // Determinism: every decision here is either a pure function of
 // deterministic per-tick state (queues, buckets, the governor's ratio)
 // or drawn from the dedicated crowd stream (crowdSeedSalt). All hooks
-// run in serial-phase code — Step's draw loop and the batched engine's
-// draw phase — so armed runs are tick-worker identical by construction,
-// and the zero-knob world never constructs this state at all.
+// run in Step's launch loop or the pipeline's prepare stage — serial,
+// in query order, at every worker count — so armed runs are tick-worker
+// identical by construction, and the zero-knob world never constructs
+// this state at all.
 
 // crowdSeedSalt seeds the flash-crowd stream: how many crowd queries
 // fire each tick, and which hotspot hosts and data types they hit.
@@ -413,69 +413,6 @@ func (w *World) coalesceDonate(ti int, q geom.Point, relevance geom.Rect, peers 
 		d.peers = append(d.peers, core.PeerData{
 			VR: pd.VR, POIs: d.pois[start:len(d.pois):len(d.pois)], Tainted: pd.Tainted})
 	}
-}
-
-// collectResult is one query's overload-aware collection outcome: the
-// screened peers plus every draw-phase fact the post-algorithm tail
-// needs.
-type collectResult struct {
-	peers     []core.PeerData
-	nPeers    int
-	collected int64
-	minBorn   int64
-	spent     int64
-	trep      trust.Report
-	shed      shedCause
-	coalesced bool
-}
-
-// collectQuery is the collection step shared by the serial query
-// runners and the batched engine's draw phase: the overload gates
-// (coalesce, admission, governor) in front of the mode-dispatched
-// gather, then the trust screen. With the overload plane off this is
-// byte-for-byte the pre-overload pipeline.
-func (w *World) collectQuery(idx, ti int, relevance geom.Rect, qc queryChannel, irSlots int64) collectResult {
-	cr := collectResult{minBorn: math.MaxInt64}
-	gathered := false
-	switch qc.mode {
-	case modeFull, modeP2POnly:
-		q := w.hosts[idx].mob.Pos
-		if d := w.coalesceLookup(ti, q, relevance); d != nil {
-			// Reuse the donor's screened set: no gather, no re-screen —
-			// the donor already paid collection and audits for this
-			// neighborhood this tick.
-			cr.peers = append(w.qs.peers[:0], d.peers...)
-			w.qs.peers = cr.peers
-			cr.nPeers = d.nPeers
-			cr.coalesced = true
-			if w.counted() {
-				w.stats.Coalesced++
-			}
-			cr.collected = qc.switchCost()
-			cr.spent = cr.collected + irSlots
-			return cr
-		}
-		if ok, cause := w.admitOneShot(idx); !ok {
-			// Shed: own cache plus broadcast only — the Lemma 3.2 /
-			// on-air path, exact answers at broadcast latency.
-			cr.shed = cause
-			cr.peers, cr.minBorn = w.collectOwnCacheOnly(idx, ti, relevance, false)
-			break
-		}
-		cr.peers, cr.nPeers, cr.collected = w.gatherPeers(idx, ti, relevance)
-		gathered = true
-	default:
-		// The P2P channel is in a deep fade: spending the retry budget on
-		// peers that cannot hear is pure waste, so the lower rungs skip
-		// the wire entirely.
-		cr.peers, cr.minBorn = w.collectOwnCacheOnly(idx, ti, relevance, qc.mode == modeOwnCache)
-	}
-	cr.collected += qc.switchCost()
-	cr.peers, cr.spent, cr.trep = w.trustScreen(ti, cr.peers, cr.collected+irSlots, qc.bcastUp)
-	if gathered {
-		w.coalesceDonate(ti, w.hosts[idx].mob.Pos, relevance, cr.peers, cr.nPeers)
-	}
-	return cr
 }
 
 // OverloadRecoveryTicks reports how many ticks the load governor stayed

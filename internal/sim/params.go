@@ -343,15 +343,14 @@ type Params struct {
 	// insufficient. Zero (the default) disables coalescing.
 	CoalesceRadiusMiles float64
 
-	// TickWorkers selects the batched per-tick query engine (DESIGN.md
-	// §14): each tick's queries are drawn serially (consuming every
-	// random stream in the legacy order), executed in parallel across
-	// this many workers against the tick's frozen world state, and
-	// committed serially in query order. Every report, trace, and
-	// metrics output is byte-identical to the serial path. 0 or 1 (the
-	// default) runs the seed's serial query loop bit-identically. The
-	// knob is a host-machine execution detail, never part of the
-	// simulated configuration, so it is excluded from Report rows.
+	// TickWorkers sets when the query pipeline's pure execute stage runs
+	// (DESIGN.md §14.2). 0 or 1 (the default): each query executes and
+	// commits as it is drawn. More: a tick's prepared queries are held
+	// and executed together across this many workers against the tick's
+	// frozen world state, then committed serially in query order. Every
+	// report, trace, and metrics output is byte-identical at every
+	// setting. The knob is a host-machine execution detail, never part
+	// of the simulated configuration, so it is excluded from Report rows.
 	TickWorkers int `json:"-"`
 }
 

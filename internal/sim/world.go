@@ -145,8 +145,8 @@ type World struct {
 	// every cell its own World and therefore its own scratch.
 	qs queryScratch
 
-	// eng is the batched per-tick query engine (engine.go), active only
-	// when Params.TickWorkers > 1. Its buffers are reused across ticks.
+	// eng holds the tick's pending one-shot queries (engine.go). Its
+	// buffers are reused across ticks.
 	eng tickEngine
 
 	stats        Stats
@@ -169,6 +169,7 @@ type queryScratch struct {
 	contribs []trust.Contribution // trust-screen staging
 	screened []core.PeerData      // trust-screened PeerData
 	core     core.Scratch         // NNV/SBNN/SBWQ hot-path scratch
+	mvr      geom.RectUnion       // merged verified region of the executing query
 }
 
 // collectTarget is one addressed peer's state during the resilient
@@ -289,6 +290,7 @@ func NewWorld(p Params) (*World, error) {
 		chanArmed:   prof.BurstEnabled() || prof.BlackoutEnabled(),
 	}
 	w.warmupSec = w.durationSec * p.WarmupFrac
+	w.eng.serialAir = prof.BroadcastLoss > 0
 	if w.blackout != nil {
 		w.chanDown = make([]bool, p.MHNumber)
 	}
@@ -541,43 +543,29 @@ func (w *World) Step(dt float64) {
 	w.tickReset(dt)
 	w.advanceConsistency()
 	// Continuous subscriptions register and maintain strictly before the
-	// one-shot Poisson loop, on the simulation goroutine: the batched tick
-	// engine only parallelizes the loop below, so the maintenance phase is
-	// byte-identical across every TickWorkers setting by construction.
+	// one-shot queries, on the simulation goroutine, so the maintenance
+	// phase is the same at every TickWorkers setting by construction.
 	w.advanceContinuous(dt)
 
 	mean := w.Params.QueryRate / 60 * dt
 	n := mobility.Poisson(w.rng, mean)
-	// Crowd queries launch after the legacy loop each tick, drawn from
-	// the dedicated crowd stream (overload.go); crowd-off runs draw
+	// Crowd queries launch after the background load each tick, drawn
+	// from the dedicated crowd stream (overload.go); crowd-off runs draw
 	// nothing here.
 	nCrowd := w.crowdDraw(dt)
-	if w.Params.TickWorkers > 1 && n+nCrowd > 0 {
-		// Batched engine: serial draw, parallel execute, serial commit —
-		// byte-identical output (engine.go).
-		w.stepBatch(n, nCrowd)
-	} else {
-		for q := 0; q < n; q++ {
-			idx := w.rng.Intn(len(w.hosts))
-			ti := w.rng.Intn(len(w.types))
-			if w.Params.Kind == WindowQuery {
-				w.runWindowQuery(idx, ti)
-			} else {
-				w.runKNNQuery(idx, ti)
-			}
-		}
-		for q := 0; q < nCrowd; q++ {
-			idx, ti := w.crowdPick()
-			if w.counted() {
-				w.stats.CrowdQueries++
-			}
-			if w.Params.Kind == WindowQuery {
-				w.runWindowQuery(idx, ti)
-			} else {
-				w.runKNNQuery(idx, ti)
-			}
-		}
+	for q := 0; q < n; q++ {
+		idx := w.rng.Intn(len(w.hosts))
+		ti := w.rng.Intn(len(w.types))
+		w.launch(idx, ti)
 	}
+	for q := 0; q < nCrowd; q++ {
+		idx, ti := w.crowdPick()
+		if w.counted() {
+			w.stats.CrowdQueries++
+		}
+		w.launch(idx, ti)
+	}
+	w.flushBatch()
 	if w.ovl != nil && w.mx != nil {
 		w.observeOverloadTick()
 	}
@@ -1179,202 +1167,6 @@ func (w *World) knnRelevanceRadius(ti, k int) float64 {
 	return math.Min(r, w.Params.AreaMiles)
 }
 
-func (w *World) runKNNQuery(idx, ti int) {
-	h := &w.hosts[idx]
-	ts := &w.types[ti]
-	q := h.mob.Pos
-	k := w.drawK()
-	relevance := geom.RectAround(q, w.knnRelevanceRadius(ti, k))
-	qc := w.assessChannel(idx)
-	irSlots := w.syncIR(idx, ti)
-	// The overload-aware collection pipeline (overload.go): coalesce /
-	// admission / governor gates in front of the mode-dispatched gather,
-	// then the trust screen. Identical to the inline pre-overload
-	// pipeline when the plane is off.
-	cr := w.collectQuery(idx, ti, relevance, qc, irSlots)
-	peers, nPeers, collected := cr.peers, cr.nPeers, cr.collected
-	minBorn, spent, trep := cr.minBorn, cr.spent, cr.trep
-
-	// The blackout rungs have no channel to fall back to; the core
-	// algorithms answer from peer knowledge alone (nil schedule).
-	sched := ts.sched
-	if qc.mode == modeP2POnly || qc.mode == modeOwnCache {
-		sched = nil
-	}
-
-	cfg := core.SBNNConfig{
-		K:                 k,
-		Lambda:            ts.lambda,
-		AcceptApproximate: w.Params.AcceptApproximate,
-		MinCorrectness:    w.Params.MinCorrectness,
-	}
-	// Slots spent in retry backoff delay the client's arrival on the
-	// broadcast channel (spent is zero on the legacy path), as does a
-	// naive-mode blackout stall (qc.chWait). The World scratch keeps the
-	// per-query hot path allocation-free; the result aliases the scratch
-	// and is fully consumed before the next query.
-	res := core.SBNNScratch(&w.qs.core, q, peers, cfg, sched, w.slotNow()+spent+qc.chWait)
-	// A channel-less rung that could not verify is a degraded answer
-	// (best peer-side knowledge, Lemma 3.2 confidence at most) or — with
-	// nothing usable at all — an unanswered query.
-	degraded := sched == nil && res.Outcome == core.OutcomeBroadcast
-
-	if w.counted() {
-		w.stats.Queries++
-		w.stats.peersSum += int64(nPeers)
-		switch {
-		case degraded && len(res.POIs) > 0:
-			w.stats.Degraded++
-		case degraded:
-			w.stats.Unanswered++
-		case res.Outcome == core.OutcomeVerified:
-			w.stats.Verified++
-		case res.Outcome == core.OutcomeApproximate:
-			w.stats.Approximate++
-		default:
-			w.stats.Broadcast++
-			// The backoff slots the P2P phase burned are part of this
-			// query's end-to-end access latency, as is the dead air a
-			// naive client spent waiting out a blackout window.
-			w.stats.LatencySlots += res.Access.Latency + spent + qc.chWait
-			w.stats.TuningSlots += res.Access.Tuning
-			w.stats.PacketsRead += int64(res.Access.PacketsRead)
-			w.stats.PacketsSkipped += int64(res.Access.PacketsSkipped)
-			w.stats.Retransmissions += int64(res.Access.Retransmissions)
-			w.stats.IndexRetries += int64(res.Access.IndexRetries)
-		}
-		if w.chanArmed || w.govSteering() {
-			w.observeBudget(ts, res.Access.Latency+spent+qc.chWait, !degraded || len(res.POIs) > 0, cr.shed != shedNone)
-		}
-		w.sampleKNNBaseline(ti, q, k)
-		if w.SelfCheck && !degraded && res.Outcome != core.OutcomeApproximate {
-			w.checkKNN(ti, q, k, res.POIs)
-		}
-		ev := trace.Event{
-			TimeSec: w.nowSec, Host: idx, Kind: "knn",
-			Outcome: outcomeLabel(res.Outcome, degraded, len(res.POIs)), K: k, Peers: nPeers,
-			LatencySlots: res.Access.Latency, TuningSlots: res.Access.Tuning,
-			PacketsRead: res.Access.PacketsRead, PacketsSkipped: res.Access.PacketsSkipped,
-			Audits: trep.Audits, AuditFailures: trep.AuditFailures,
-			Conflicts: trep.Conflicts, AuditSlots: trep.AuditSlots,
-			TaintedPeers: trep.Tainted,
-			IRSlots:      irSlots, StaleConflicts: trep.StaleConflicts,
-			Mode: qc.mode.String(), WaitSlots: qc.chWait,
-		}
-		ev.StaleBoundSec = w.staleBound(qc.mode, minBorn)
-		ev.Shed, ev.Coalesced = cr.shed.String(), cr.coalesced
-		if w.mx != nil {
-			w.net.ObserveFanout(nPeers)
-			w.mx.observeQuery(res.Outcome, collected, trep.AuditSlots+irSlots, res.Access,
-				res.Merged, res.Examined, res.KnownRegion, w.stats.PeerBytes)
-			w.mx.observeTrust(trep)
-			w.mx.observeChannel(qc, degraded, len(res.POIs) == 0)
-			w.mx.spanFields(&ev.SpanP2PSlots, &ev.SpanMergeWork,
-				&ev.SpanVerifyWork, &ev.SpanTuneSlots, &ev.SpanDownloadSlots)
-		}
-		w.record(ev)
-	}
-
-	// Store the gained verified knowledge (Section 4.1 cache policies),
-	// stamped with the epoch it was verified against.
-	if !res.KnownRegion.Empty() {
-		reg := cache.Region{Rect: res.KnownRegion, POIs: res.Known}
-		if w.cons != nil {
-			reg.Epoch = w.cons.types[ti].epoch
-		}
-		h.caches[ti].Insert(reg, q, h.mob.Heading(), int64(w.nowSec))
-	}
-}
-
-func (w *World) runWindowQuery(idx, ti int) {
-	h := &w.hosts[idx]
-	ts := &w.types[ti]
-	q := h.mob.Pos
-	win, ok := w.drawWindow(q)
-	if !ok {
-		return
-	}
-	qc := w.assessChannel(idx)
-	irSlots := w.syncIR(idx, ti)
-	cr := w.collectQuery(idx, ti, win, qc, irSlots)
-	peers, nPeers, collected := cr.peers, cr.nPeers, cr.collected
-	minBorn, spent, trep := cr.minBorn, cr.spent, cr.trep
-
-	sched := ts.sched
-	if qc.mode == modeP2POnly || qc.mode == modeOwnCache {
-		sched = nil
-	}
-	// Cap cached retrieval regions at what the cache can hold: CacheSize
-	// POIs cover about CacheSize/lambda square miles.
-	cfg := core.SBWQConfig{
-		MaxKnownArea: 1.5 * float64(w.Params.CacheSize) / math.Max(ts.lambda, 1e-9),
-	}
-	res := core.SBWQScratch(&w.qs.core, q, win, peers, cfg, sched, w.slotNow()+spent+qc.chWait)
-	degraded := sched == nil && res.Outcome == core.OutcomeBroadcast
-
-	if w.counted() {
-		w.stats.Queries++
-		w.stats.peersSum += int64(nPeers)
-		switch {
-		case degraded && len(res.POIs) > 0:
-			w.stats.Degraded++
-		case degraded:
-			w.stats.Unanswered++
-		case res.Outcome == core.OutcomeVerified:
-			w.stats.Verified++
-		default:
-			w.stats.Broadcast++
-			w.stats.LatencySlots += res.Access.Latency + spent + qc.chWait
-			w.stats.TuningSlots += res.Access.Tuning
-			w.stats.PacketsRead += int64(res.Access.PacketsRead)
-			w.stats.PacketsSkipped += int64(res.Access.PacketsSkipped)
-			w.stats.Retransmissions += int64(res.Access.Retransmissions)
-			w.stats.IndexRetries += int64(res.Access.IndexRetries)
-		}
-		if w.chanArmed || w.govSteering() {
-			w.observeBudget(ts, res.Access.Latency+spent+qc.chWait, !degraded || len(res.POIs) > 0, cr.shed != shedNone)
-		}
-		w.sampleWindowBaseline(ti, win)
-		if w.SelfCheck && !degraded {
-			w.checkWindow(ti, win, res.POIs)
-		}
-		ev := trace.Event{
-			TimeSec: w.nowSec, Host: idx, Kind: "window",
-			Outcome: outcomeLabel(res.Outcome, degraded, len(res.POIs)), Peers: nPeers,
-			LatencySlots: res.Access.Latency, TuningSlots: res.Access.Tuning,
-			PacketsRead: res.Access.PacketsRead, PacketsSkipped: res.Access.PacketsSkipped,
-			Audits: trep.Audits, AuditFailures: trep.AuditFailures,
-			Conflicts: trep.Conflicts, AuditSlots: trep.AuditSlots,
-			TaintedPeers: trep.Tainted,
-			IRSlots:      irSlots, StaleConflicts: trep.StaleConflicts,
-			Mode: qc.mode.String(), WaitSlots: qc.chWait,
-		}
-		ev.StaleBoundSec = w.staleBound(qc.mode, minBorn)
-		ev.Shed, ev.Coalesced = cr.shed.String(), cr.coalesced
-		if w.mx != nil {
-			w.net.ObserveFanout(nPeers)
-			w.mx.observeQuery(res.Outcome, collected, trep.AuditSlots+irSlots, res.Access,
-				res.Merged, res.Examined, res.KnownRegion, w.stats.PeerBytes)
-			w.mx.observeTrust(trep)
-			w.mx.observeChannel(qc, degraded, len(res.POIs) == 0)
-			w.mx.spanFields(&ev.SpanP2PSlots, &ev.SpanMergeWork,
-				&ev.SpanVerifyWork, &ev.SpanTuneSlots, &ev.SpanDownloadSlots)
-		}
-		w.record(ev)
-	}
-
-	// Cache the gained verified knowledge: the window itself, or the
-	// larger collective MBR of a broadcast retrieval — stamped with the
-	// epoch it was verified against.
-	if !res.KnownRegion.Empty() {
-		reg := cache.Region{Rect: res.KnownRegion, POIs: res.Known}
-		if w.cons != nil {
-			reg.Epoch = w.cons.types[ti].epoch
-		}
-		h.caches[ti].Insert(reg, q, h.mob.Heading(), int64(w.nowSec))
-	}
-}
-
 // drawWindow samples a query window: side around the configured mean,
 // center at a normally-distributed distance from the host in a uniform
 // direction, clipped to the service area.
@@ -1393,40 +1185,6 @@ func (w *World) drawWindow(q geom.Point) (geom.Rect, bool) {
 		return geom.Rect{}, false
 	}
 	return win, true
-}
-
-func (w *World) sampleKNNBaseline(ti int, q geom.Point, k int) {
-	if !w.CompareBaseline {
-		return
-	}
-	rate := w.BaselineSampleRate
-	if rate <= 0 {
-		rate = 0.2
-	}
-	if w.rng.Float64() > rate {
-		return
-	}
-	_, acc := w.types[ti].sched.KNN(q, k, w.slotNow())
-	w.stats.BaselineLatencySlots += acc.Latency
-	w.stats.BaselinePackets += int64(acc.PacketsRead)
-	w.stats.BaselineSampled++
-}
-
-func (w *World) sampleWindowBaseline(ti int, win geom.Rect) {
-	if !w.CompareBaseline {
-		return
-	}
-	rate := w.BaselineSampleRate
-	if rate <= 0 {
-		rate = 0.2
-	}
-	if w.rng.Float64() > rate {
-		return
-	}
-	_, acc := w.types[ti].sched.Window(win, w.slotNow())
-	w.stats.BaselineLatencySlots += acc.Latency
-	w.stats.BaselinePackets += int64(acc.PacketsRead)
-	w.stats.BaselineSampled++
 }
 
 func (w *World) checkKNN(ti int, q geom.Point, k int, got []broadcast.POI) {
