@@ -17,7 +17,7 @@ STATICCHECK_VERSION = 2025.1.1
 COVER_PKGS = internal/core internal/geom internal/metrics internal/trust internal/cache internal/faults internal/sim internal/p2p internal/broadcast
 COVER_MIN ?= 70
 
-.PHONY: all build vet test race lint loc cover cover-profile cover-check fuzz-smoke verify goldens continuous-identity trust-identity soak bench bench-hot bench-tick bench-smoke bench-e2e-check
+.PHONY: all build vet test race lint loc cover cover-profile cover-check fuzz-smoke verify goldens continuous-identity trust-identity nnv-identity soak bench bench-hot bench-tick bench-smoke bench-e2e-check
 
 all: build
 
@@ -73,7 +73,9 @@ cover-check:
 # profile must produce a materially false claim over arbitrary geometry
 # (the trust layer's audits-always-convict contract), the row-strip
 # RectUnion must match its brute-force oracles bit for bit on degenerate
-# grid geometry (DESIGN.md §9.2), and the trust screen's one-hole
+# grid geometry (DESIGN.md §9.2), a union cut down to the members near a
+# query point must keep that point's clearance and disk areas within the
+# cut radius (DESIGN.md §9.3), and the trust screen's one-hole
 # subtraction must emit SubtractRect's rectangles bit for bit and in its
 # order (DESIGN.md §11.5). The seed corpora are part of
 # the gate: a missing testdata corpus means a fuzz target silently lost
@@ -93,6 +95,9 @@ fuzz-smoke:
 	@if [ ! -d internal/geom/testdata/fuzz/FuzzRectUnion ]; then \
 		echo "fuzz-smoke: internal/geom/testdata/fuzz/FuzzRectUnion corpus missing"; exit 1; \
 	fi
+	@if [ ! -d internal/geom/testdata/fuzz/FuzzLocalClearance ]; then \
+		echo "fuzz-smoke: internal/geom/testdata/fuzz/FuzzLocalClearance corpus missing"; exit 1; \
+	fi
 	@if [ ! -d internal/geom/testdata/fuzz/FuzzSubtractOne ]; then \
 		echo "fuzz-smoke: internal/geom/testdata/fuzz/FuzzSubtractOne corpus missing"; exit 1; \
 	fi
@@ -102,6 +107,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBusy -fuzztime=5s -timeout 5m ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzAttackClaim -fuzztime=5s -timeout 5m ./internal/faults
 	$(GO) test -run='^$$' -fuzz=FuzzRectUnion -fuzztime=5s -timeout 5m ./internal/geom
+	$(GO) test -run='^$$' -fuzz=FuzzLocalClearance -fuzztime=5s -timeout 5m ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzSubtractOne -fuzztime=5s -timeout 5m ./internal/geom
 
 verify: vet build race fuzz-smoke
@@ -139,6 +145,14 @@ continuous-identity:
 trust-identity:
 	$(GO) test -race -count=1 -run 'TestScreenMatchesReference|TestScreen.*Survive|TestScreenDoesNotMutate' ./internal/trust
 
+# Query-local NNV identity lane (DESIGN.md §9.3): NNV against the verbatim
+# gather-all, sort-all, decompose-all body over thousands of grid and
+# adversarial inputs, and the contract that no result aliases the peers'
+# POI slices it now scans in place — under the race detector, as its own
+# CI step.
+nnv-identity:
+	$(GO) test -race -count=1 -run 'TestNNVMatchesReference|TestCoreDoesNotRetainPeerSlices' ./internal/core
+
 # Chaos soak sweep: randomized fault/churn/resilience schedules with
 # metamorphic invariants after every run (see internal/sim/soak_test.go).
 # SOAK_SCHEDULES widens the sweep beyond the 20-schedule acceptance
@@ -168,9 +182,8 @@ bench-hot:
 	@echo "bench-hot: wrote results/BENCH_hotpath.json"
 
 # Tick-engine report: a full world run at each -tick-workers setting
-# with per-row GOMAXPROCS stamps, the MVR memoization counters, and the
-# embedded serial-identity check (DESIGN.md §14.4). The committed file is
-# a GOMAXPROCS=1 run.
+# with per-row GOMAXPROCS stamps and the embedded serial-identity check
+# (DESIGN.md §14.4). The committed file is a GOMAXPROCS=1 run.
 bench-tick:
 	@mkdir -p results
 	$(GO) run ./cmd/lbsq-bench -tick -out results/BENCH_tick.json

@@ -16,8 +16,8 @@
 // bit-identical to serial — the CI bench-smoke gate.
 //
 // With -tick the command measures the batched per-tick query engine
-// instead (DESIGN.md §14): World.Step at each TickWorkers setting, the
-// MVR memoization counters, and the embedded serial-identity check.
+// instead (DESIGN.md §14): World.Step at each TickWorkers setting and
+// the embedded serial-identity check.
 // Rows record the GOMAXPROCS they ran under, and -compare only judges
 // wall clock between rows measured at matching GOMAXPROCS, so reports
 // from machines of different widths never produce phantom regressions.
@@ -107,9 +107,9 @@ func runTick(out, compare string, tolerance float64) {
 		os.Exit(1)
 	}
 	for _, r := range rep.Rows {
-		fmt.Printf("%-18s workers=%d gomaxprocs=%d %12.0f ns/op %10d B/op %6d allocs/op %6.2fx memo=%d\n",
+		fmt.Printf("%-18s workers=%d gomaxprocs=%d %12.0f ns/op %10d B/op %6d allocs/op %6.2fx\n",
 			r.Name, r.Workers, r.GoMaxProcs, r.NsPerOp, r.BytesPerOp,
-			r.AllocsPerOp, r.SpeedupVsSerial, r.MemoHits)
+			r.AllocsPerOp, r.SpeedupVsSerial)
 	}
 	fmt.Printf("tick: gomaxprocs=%d numcpu=%d identical=%v\n",
 		rep.GoMaxProcs, rep.NumCPU, rep.Identical)

@@ -38,6 +38,60 @@ type Invalidation struct {
 	Cell  geom.Rect
 }
 
+// InvalSet is the item list of one invalidation report, indexed once per
+// IR frame so that a region no mutation touches — nearly every region a
+// peer serves — is recognised without allocating. The zero value is the
+// empty report.
+type InvalSet struct {
+	items []Invalidation
+	// removedAt maps a POI id to the newest epoch that deleted or moved it.
+	removedAt map[int64]int64
+}
+
+// NewInvalSet indexes items, which it keeps and must not be modified
+// afterwards.
+func NewInvalSet(items []Invalidation) InvalSet {
+	s := InvalSet{items: items, removedAt: make(map[int64]int64)}
+	for _, inv := range items {
+		if inv.Kind != InvalDelete && inv.Kind != InvalMove {
+			continue
+		}
+		if at, ok := s.removedAt[inv.ID]; !ok || inv.Epoch > at {
+			s.removedAt[inv.ID] = inv.Epoch
+		}
+	}
+	return s
+}
+
+// removes reports whether a mutation newer than epoch deleted or moved id.
+func (s InvalSet) removes(id, epoch int64) bool {
+	at, ok := s.removedAt[id]
+	return ok && at > epoch
+}
+
+// cuts reports whether inv places a POI in a cell meeting r, later than r
+// was verified.
+func (inv *Invalidation) cuts(r *Region) bool {
+	return inv.Epoch > r.Epoch && (inv.Kind == InvalInsert || inv.Kind == InvalMove) &&
+		inv.Cell.Intersects(r.Rect)
+}
+
+// touches reports whether any mutation newer than r.Epoch removes one of
+// r's POIs or places one inside r.
+func (s InvalSet) touches(r *Region) bool {
+	for i := range r.POIs {
+		if s.removes(r.POIs[i].ID, r.Epoch) {
+			return true
+		}
+	}
+	for i := range s.items {
+		if s.items[i].cuts(r) {
+			return true
+		}
+	}
+	return false
+}
+
 // maxReconcilePieces bounds the fragmentation one repair may produce;
 // past it the region is dropped instead (sound: losing coverage never
 // fabricates exactness, and a region shredded this badly is worth little).
@@ -58,49 +112,22 @@ type Recon struct {
 	BeyondHorizon int
 }
 
-// ReconcileRegion applies the invalidations newer than r.Epoch and
-// returns the surviving exact sub-regions, each stamped with epoch. The
-// second result reports whether any mutation touched the region; when
-// false the region was already current in content and is returned as-is
-// with its epoch bumped. A nil slice with touched=true means the region
-// could not be soundly repaired (shrunk to nothing or over-fragmented).
-func ReconcileRegion(r Region, invals []Invalidation, epoch int64) ([]Region, bool) {
+// ReconcileRegion applies the invalidations newer than r.Epoch. The second
+// result reports whether any of them touched the region. When none did,
+// the content already matches the new epoch: the result is (nil, false),
+// nothing was allocated, and the caller keeps r as it is, at epoch. When
+// one did, the result is the surviving exact sub-regions, each stamped
+// with epoch — nil if the region could not be soundly repaired (shrunk to
+// nothing or over-fragmented).
+func ReconcileRegion(r Region, invals InvalSet, epoch int64) ([]Region, bool) {
+	if !invals.touches(&r) {
+		return nil, false
+	}
 	var cells []geom.Rect
-	var removed map[int64]bool
-	for _, inv := range invals {
-		if inv.Epoch <= r.Epoch {
-			continue
-		}
-		if inv.Kind == InvalDelete || inv.Kind == InvalMove {
-			if removed == nil {
-				removed = make(map[int64]bool)
-			}
-			removed[inv.ID] = true
-		}
-		if (inv.Kind == InvalInsert || inv.Kind == InvalMove) && inv.Cell.Intersects(r.Rect) {
+	for i := range invals.items {
+		if inv := &invals.items[i]; inv.cuts(&r) {
 			cells = append(cells, inv.Cell)
 		}
-	}
-	survivors := r.POIs
-	if removed != nil {
-		survivors = nil
-		hit := false
-		for _, p := range r.POIs {
-			if removed[p.ID] {
-				hit = true
-				continue
-			}
-			survivors = append(survivors, p)
-		}
-		if !hit {
-			survivors = r.POIs
-			removed = nil
-		}
-	}
-	if len(cells) == 0 && removed == nil {
-		// No relevant mutation: content already matches the new epoch.
-		r.Epoch = epoch
-		return []Region{r}, false
 	}
 	rects := geom.SubtractRect(r.Rect, cells)
 	if len(rects) == 0 || len(rects) > maxReconcilePieces {
@@ -112,7 +139,10 @@ func ReconcileRegion(r Region, invals []Invalidation, epoch int64) ([]Region, bo
 	}
 	// First-containing-piece assignment keeps POI ownership disjoint when
 	// a survivor sits exactly on a shared piece boundary.
-	for _, p := range survivors {
+	for _, p := range r.POIs {
+		if invals.removes(p.ID, r.Epoch) {
+			continue
+		}
 		for i := range pieces {
 			if pieces[i].Rect.Contains(p.Pos) {
 				pieces[i].POIs = append(pieces[i].POIs, p)
@@ -128,7 +158,7 @@ func ReconcileRegion(r Region, invals []Invalidation, epoch int64) ([]Region, bo
 // are surgically repaired (or all dropped when discard is set — the
 // whole-discard ablation); regions older than horizon-1 predate the
 // report's memory and stay cached for query-time demotion.
-func (c *Cache) Reconcile(epoch, horizon int64, invals []Invalidation, discard bool) Recon {
+func (c *Cache) Reconcile(epoch, horizon int64, invals InvalSet, discard bool) Recon {
 	var rec Recon
 	// A repair can fan one region out into several pieces, so the output
 	// cannot reuse the backing array being iterated.
@@ -147,17 +177,20 @@ func (c *Cache) Reconcile(epoch, horizon int64, invals []Invalidation, discard b
 			size += cost(r)
 		default:
 			pieces, touched := ReconcileRegion(r, invals, epoch)
-			if pieces == nil {
+			switch {
+			case !touched:
+				r.Epoch = epoch
+				out = append(out, r)
+				size += cost(r)
+			case pieces == nil:
 				rec.Discarded++
-				continue
-			}
-			if touched {
+			default:
 				rec.Repaired++
 				rec.Pieces += len(pieces)
-			}
-			for _, p := range pieces {
-				out = append(out, p)
-				size += cost(p)
+				for _, p := range pieces {
+					out = append(out, p)
+					size += cost(p)
+				}
 			}
 		}
 	}

@@ -25,22 +25,30 @@ func TestReconcileRegionUntouchedBumpsEpoch(t *testing.T) {
 		{Epoch: 3, Kind: InvalDelete, ID: 1},
 		{Epoch: 5, Kind: InvalInsert, ID: 99, Cell: geom.NewRect(10, 10, 11, 11)}, // disjoint
 	}
-	pieces, touched := ReconcileRegion(r, invals, 5)
-	if touched {
-		t.Fatal("disjoint/old mutations reported as touching")
+	pieces, touched := ReconcileRegion(r, NewInvalSet(invals), 5)
+	if touched || pieces != nil {
+		t.Fatalf("disjoint/old mutations must return (nil, false), got (%v, %v)", pieces, touched)
 	}
-	if len(pieces) != 1 || pieces[0].Epoch != 5 || pieces[0].Born != 7 || pieces[0].Stamp != 9 {
-		t.Fatalf("fast path mangled region: %+v", pieces)
+	// The caller keeps the region, at the new epoch.
+	c := New(100, LRU)
+	c.Insert(r, geom.Pt(0, 0), geom.Point{}, 7)
+	c.Regions()[0].Stamp = 9
+	if rec := c.Reconcile(5, 3, NewInvalSet(invals), false); rec != (Recon{}) {
+		t.Fatalf("untouched region counted as work: %+v", rec)
 	}
-	if len(pieces[0].POIs) != 2 {
-		t.Fatalf("fast path dropped POIs: %d", len(pieces[0].POIs))
+	got := c.Regions()
+	if len(got) != 1 || got[0].Epoch != 5 || got[0].Born != 7 || got[0].Stamp != 9 || got[0].Rect != r.Rect {
+		t.Fatalf("fast path mangled region: %+v", got)
+	}
+	if len(got[0].POIs) != 2 {
+		t.Fatalf("fast path dropped POIs: %d", len(got[0].POIs))
 	}
 }
 
 func TestReconcileRegionDeleteStripsPOI(t *testing.T) {
 	r := mkRegion(geom.NewRect(0, 0, 4, 4), 1, 2, 3)
 	invals := []Invalidation{{Epoch: 1, Kind: InvalDelete, ID: 2}}
-	pieces, touched := ReconcileRegion(r, invals, 1)
+	pieces, touched := ReconcileRegion(r, NewInvalSet(invals), 1)
 	if !touched {
 		t.Fatal("delete of a contained POI not reported as touching")
 	}
@@ -58,7 +66,7 @@ func TestReconcileRegionInsertSubtractsCell(t *testing.T) {
 	r := mkRegion(geom.NewRect(0, 0, 8, 8), 1, 2, 3)
 	cell := geom.NewRect(3, 3, 5, 5)
 	invals := []Invalidation{{Epoch: 2, Kind: InvalInsert, ID: 50, Cell: cell}}
-	pieces, touched := ReconcileRegion(r, invals, 2)
+	pieces, touched := ReconcileRegion(r, NewInvalSet(invals), 2)
 	if !touched || len(pieces) == 0 {
 		t.Fatalf("insert inside region not repaired: touched=%v pieces=%d", touched, len(pieces))
 	}
@@ -87,7 +95,7 @@ func TestReconcileRegionShrinkToEmpty(t *testing.T) {
 	r := mkRegion(geom.NewRect(2, 2, 3, 3), 1)
 	// The invalidated cell swallows the whole region.
 	invals := []Invalidation{{Epoch: 1, Kind: InvalMove, ID: 77, Cell: geom.NewRect(0, 0, 10, 10)}}
-	pieces, touched := ReconcileRegion(r, invals, 1)
+	pieces, touched := ReconcileRegion(r, NewInvalSet(invals), 1)
 	if !touched || pieces != nil {
 		t.Fatalf("shrink-to-empty must return (nil, true), got (%v, %v)", pieces, touched)
 	}
@@ -104,7 +112,7 @@ func TestReconcileRegionFragmentationCap(t *testing.T) {
 			Epoch: 1, Kind: InvalInsert, ID: int64(100 + i),
 			Cell: geom.NewRect(x, 0, x+0.5, 1)})
 	}
-	pieces, touched := ReconcileRegion(r, invals, 1)
+	pieces, touched := ReconcileRegion(r, NewInvalSet(invals), 1)
 	if !touched || pieces != nil {
 		t.Fatalf("over-fragmented repair must drop the region, got %d pieces", len(pieces))
 	}
@@ -121,7 +129,7 @@ func TestCacheReconcileFreshAndBeyondHorizon(t *testing.T) {
 
 	// Report: epoch 10, horizon 8 — fresh is current, ancient predates the
 	// report's memory (1 < 8-1) and must survive untouched for demotion.
-	rec := c.Reconcile(10, 8, nil, false)
+	rec := c.Reconcile(10, 8, InvalSet{}, false)
 	if rec.Repaired != 0 || rec.Discarded != 0 || rec.BeyondHorizon != 1 {
 		t.Fatalf("unexpected recon: %+v", rec)
 	}
@@ -140,7 +148,7 @@ func TestCacheReconcileWholeDiscard(t *testing.T) {
 	old := mkRegion(geom.NewRect(0, 0, 4, 4), 1, 2)
 	old.Epoch = 4
 	c.Insert(old, geom.Pt(0, 0), geom.Point{}, 0)
-	rec := c.Reconcile(5, 4, nil, true)
+	rec := c.Reconcile(5, 4, InvalSet{}, true)
 	if rec.Discarded != 1 || len(c.Regions()) != 0 || c.Size() != 0 {
 		t.Fatalf("whole-discard kept data: %+v regions=%d size=%d",
 			rec, len(c.Regions()), c.Size())
@@ -154,9 +162,9 @@ func TestCacheReconcileEvictedRegionIsNoOp(t *testing.T) {
 	r := mkRegion(geom.NewRect(0, 0, 2, 2), 1)
 	c.Insert(r, geom.Pt(0, 0), geom.Point{}, 0)
 	c.Clear() // the region is gone before the report arrives
-	rec := c.Reconcile(3, 2, []Invalidation{
+	rec := c.Reconcile(3, 2, NewInvalSet([]Invalidation{
 		{Epoch: 3, Kind: InvalInsert, ID: 9, Cell: geom.NewRect(0, 0, 2, 2)},
-	}, false)
+	}), false)
 	if rec != (Recon{}) || len(c.Regions()) != 0 || c.Size() != 0 {
 		t.Fatalf("reconcile of empty cache did something: %+v", rec)
 	}
@@ -176,9 +184,9 @@ func TestCacheReconcileFanOutKeepsUnvisitedRegions(t *testing.T) {
 	c.Insert(big, geom.Pt(0, 0), geom.Point{}, 0)
 	c.Insert(tail1, geom.Pt(0, 0), geom.Point{}, 0)
 	c.Insert(tail2, geom.Pt(0, 0), geom.Point{}, 0)
-	rec := c.Reconcile(2, 1, []Invalidation{
+	rec := c.Reconcile(2, 1, NewInvalSet([]Invalidation{
 		{Epoch: 2, Kind: InvalInsert, ID: 90, Cell: geom.NewRect(4, 4, 5, 5)},
-	}, false)
+	}), false)
 	if rec.Repaired != 1 || rec.Pieces < 2 {
 		t.Fatalf("expected a fan-out repair: %+v", rec)
 	}

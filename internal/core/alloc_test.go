@@ -32,6 +32,22 @@ func TestNNVScratchZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("warm NNVScratch allocates %.1f times per run, want 0", allocs)
 	}
+
+	// The same with one peer in seven tainted (both candidate pools, the
+	// local union a strict subset of the MVR), k from 1 to past the
+	// trusted pool's size.
+	q, peers, _ = poolWorkload()
+	for k := 1; k <= 256; k *= 4 {
+		NNVScratch(&s, q, peers, k, 0.5)
+	}
+	allocs = testing.AllocsPerRun(20, func() {
+		for k := 1; k <= 256; k *= 4 {
+			NNVScratch(&s, q, peers, k, 0.5)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm NNVScratch with tainted peers allocates %.1f times per run, want 0", allocs)
+	}
 }
 
 // TestSBNNScratchSteadyAllocs bounds the warm SBNN path. A verified
@@ -62,5 +78,27 @@ func TestSBNNScratchSteadyAllocs(t *testing.T) {
 	// One allocation for the fresh Known slice is the by-design floor.
 	if allocs > 2 {
 		t.Fatalf("warm verified SBNNScratch allocates %.1f times per run, want <= 2", allocs)
+	}
+}
+
+// TestNNVColdAllocGate gates the pooled cold-start path: once the
+// scratch pool is warm, a cold-entry NNV call must stay within the
+// copy-out allocations (heap clone, MVR clone) instead of the dozens a
+// fresh Scratch used to cost. (Under -race sync.Pool drops items on
+// purpose, so the gate lives in this file.)
+func TestNNVColdAllocGate(t *testing.T) {
+	q, peers, _ := poolWorkload()
+	for i := 0; i < 4; i++ {
+		NNV(q, peers, 5, 0.5) // warm the pool
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		NNV(q, peers, 5, 0.5)
+	})
+	t.Logf("nnv cold path: %.2f allocs/op", avg)
+	// Expected steady state is 4 (Heap struct + entries, RectUnion
+	// struct + rects); 8 leaves headroom for a GC emptying the pool
+	// mid-measurement without letting the old 52-alloc profile back in.
+	if avg > 8 {
+		t.Errorf("pooled NNV cold path costs %.1f allocs/op, want <= 8", avg)
 	}
 }

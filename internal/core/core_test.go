@@ -270,8 +270,29 @@ func TestNNVNoPeers(t *testing.T) {
 	if res.Heap.Len() != 0 || res.Heap.State() != StateEmpty {
 		t.Fatal("no peers must yield empty heap")
 	}
-	if res.Candidates != 0 {
-		t.Fatalf("candidates = %d", res.Candidates)
+	if res.Examined != 0 {
+		t.Fatalf("examined = %d", res.Examined)
+	}
+}
+
+// TestNNVNonPositiveK pins that a request for no neighbors does no
+// verification work: Heap.Full is false for k ≤ 0, so a loop that runs
+// "until the heap is full" used to examine and price every candidate
+// while the heap dropped them all.
+func TestNNVNonPositiveK(t *testing.T) {
+	peers := []PeerData{
+		{VR: geom.NewRect(0, 0, 10, 10), POIs: []broadcast.POI{poi(1, 5, 6), poi(2, 5, 4)}},
+		{VR: geom.NewRect(0, 0, 10, 10), POIs: []broadcast.POI{poi(3, 7, 7)}, Tainted: true},
+	}
+	for _, k := range []int{0, -1} {
+		res := NNV(geom.Pt(5, 5), peers, k, 0.1)
+		if res.Heap.Len() != 0 || res.Examined != 0 {
+			t.Fatalf("k=%d: heap len %d, examined %d, want an empty heap and no work",
+				k, res.Heap.Len(), res.Examined)
+		}
+		if !res.InsideMVR || res.Merged != 1 {
+			t.Fatalf("k=%d: inside=%v merged=%d", k, res.InsideMVR, res.Merged)
+		}
 	}
 }
 
@@ -283,8 +304,8 @@ func TestNNVDeduplicatesPeers(t *testing.T) {
 		{VR: vr, POIs: []broadcast.POI{poi(1, 5, 6), poi(2, 5, 4)}},
 	}
 	res := NNV(geom.Pt(5, 5), peers, 5, 0.1)
-	if res.Candidates != 2 {
-		t.Fatalf("candidates = %d want 2", res.Candidates)
+	if res.Examined != 2 {
+		t.Fatalf("examined = %d want 2", res.Examined)
 	}
 	if res.Heap.Len() != 2 {
 		t.Fatalf("heap len = %d", res.Heap.Len())

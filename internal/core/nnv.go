@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"lbsq/internal/broadcast"
 	"lbsq/internal/geom"
 )
@@ -32,10 +34,10 @@ type PeerData struct {
 }
 
 // Scratch holds the reusable per-client buffers of the query hot path:
-// the merged verified region, the result heap, and the candidate/result
-// slices. A Scratch reaches a zero-allocation steady state after a few
-// queries (buffers grow to the working-set high-water mark and are then
-// reused).
+// the merged verified region, the part of it NNV decomposes, the result
+// heap, and the candidate/result slices. A Scratch reaches a
+// zero-allocation steady state after a few queries (buffers grow to the
+// working-set high-water mark and are then reused).
 //
 // Results returned by the *Scratch functions alias the scratch: Heap,
 // MVR, and POIs are valid only until the next call with the same Scratch.
@@ -43,7 +45,9 @@ type PeerData struct {
 // A Scratch must not be shared between goroutines.
 type Scratch struct {
 	mvr        geom.RectUnion
+	local      geom.RectUnion // NNV: the members of mvr within reach of q
 	heap       Heap
+	nearest    []nearCand // NNV: the trusted pool's selection buffer
 	candidates []broadcast.POI
 	tainted    []broadcast.POI
 	poiBuf     []broadcast.POI
@@ -59,15 +63,16 @@ type NNVResult struct {
 	Heap *Heap
 	// MVR is the merged verified region of all peers.
 	MVR *geom.RectUnion
-	// EdgeDist is ‖q, e_s‖ — the distance from q to the nearest boundary
-	// edge of the MVR; zero when q lies outside the MVR (no verification
-	// possible).
+	// EdgeDist is a lower bound on ‖q, e_s‖ — the distance from q to the
+	// nearest boundary edge of the MVR — that is exact whenever it does
+	// not exceed the distance of the farthest heap entry, and exceeds that
+	// distance otherwise (NNV measures it on the part of the MVR within
+	// reach of the heap, DESIGN.md §9.3; MVR.Clearance(q) is the true
+	// value). Zero when q lies outside the MVR (no verification possible).
 	EdgeDist float64
 	// InsideMVR reports whether q lies inside the MVR (the precondition
 	// of Lemma 3.1).
 	InsideMVR bool
-	// Candidates is the number of distinct POIs received from peers.
-	Candidates int
 	// Merged is the number of peer verified regions merged into the MVR
 	// and Examined the number of candidates pushed through Lemma 3.1/3.2
 	// verification — the deterministic work units of the mvr_merge and
@@ -80,12 +85,12 @@ type NNVResult struct {
 	TaintedCandidates int
 }
 
-// NNV is Algorithm 1: merge the peers' verified regions, sort their
-// cached POIs by distance to q, and verify each candidate o against
-// Lemma 3.1 (o is a guaranteed nearest neighbor when ‖q,o‖ ≤ ‖q,e_s‖ and
-// q lies inside the MVR). Unverified candidates are annotated with the
-// Lemma 3.2 correctness probability computed from the exact area of their
-// unverified region, using lambda as the POI density.
+// NNV is Algorithm 1: merge the peers' verified regions, take their
+// cached POIs in order of distance to q, and verify each candidate o
+// against Lemma 3.1 (o is a guaranteed nearest neighbor when
+// ‖q,o‖ ≤ ‖q,e_s‖ and q lies inside the MVR). Unverified candidates are
+// annotated with the Lemma 3.2 correctness probability computed from the
+// exact area of their unverified region, using lambda as the POI density.
 //
 // NNV runs on pooled scratch and copies the aliasing parts (Heap, MVR)
 // out before returning, so the result is caller-owned while the cold
@@ -103,103 +108,154 @@ func NNV(q geom.Point, peers []PeerData, k int, lambda float64) NNVResult {
 // hot-path variant used by the simulator's per-world query loop. The
 // returned Heap and MVR alias the scratch (see Scratch).
 //
-// Output is bit-identical to NNV: candidate deduplication is sort-based
-// (gather every peer POI, sort by (distance², ID), drop adjacent
-// duplicates), which yields exactly the distinct candidate set in exactly
-// the order the per-query map used to produce — duplicates of one POI ID
-// carry the same database position, hence the same distance, and are
-// therefore adjacent after the sort.
+// The work is bounded by what the k heap rows need (DESIGN.md §9.3), not
+// by what the peers sent. The rows are the head of the candidate order —
+// every peer POI sorted by (distance², ID), adjacent copies of one ID
+// dropped — so the trusted pool is scanned in place for its first k
+// distinct candidates and never sorted whole; and every question the rows
+// ask of the MVR lies within reach, the distance of the farthest row, so
+// only the verified regions that meet the square around q just wider than
+// reach are decomposed into strips. The full MVR still receives every
+// untainted region, but builds its strips only if a caller asks it to.
 func NNVScratch(s *Scratch, q geom.Point, peers []PeerData, k int, lambda float64) NNVResult {
-	return NNVScratchMVR(s, &s.mvr, false, q, peers, k, lambda)
-}
-
-// NNVScratchMVR is NNVScratch with the merged verified region held in a
-// caller-supplied RectUnion instead of the Scratch. With prebuilt=false
-// it resets mvr and merges the untainted peer regions into it exactly as
-// NNVScratch does. With prebuilt=true it assumes mvr already holds the
-// untainted VR multiset of peers (the tick engine's memoized,
-// incrementally maintained MVR) and skips the rebuild; every derived
-// query on the union is a pure function of that multiset, so the result
-// is bit-identical either way. The returned MVR aliases mvr.
-func NNVScratchMVR(s *Scratch, mvr *geom.RectUnion, prebuilt bool, q geom.Point, peers []PeerData, k int, lambda float64) NNVResult {
-	if !prebuilt {
-		mvr.Reset()
-	}
-	cands := s.candidates[:0]
+	mvr := &s.mvr
+	mvr.Reset()
+	s.heap.Reset(k)
+	res := NNVResult{Heap: &s.heap, MVR: mvr}
 	taints := s.tainted[:0]
-	merged := 0
-	for _, p := range peers {
-		if p.Tainted {
+	for i := range peers {
+		if p := &peers[i]; p.Tainted {
 			// Untrusted: the VR must not strengthen Lemma 3.1, but the
-			// POIs may still compete as probabilistic candidates.
+			// POIs may still compete as probabilistic candidates. The pool
+			// is sorted whole: TaintedCandidates reports its distinct size.
 			taints = append(taints, p.POIs...)
-			continue
-		}
-		if !prebuilt {
+		} else {
 			mvr.Add(p.VR)
+			res.Merged++
 		}
-		merged++
-		cands = append(cands, p.POIs...)
 	}
-	sortCandidates(s, cands, q)
-	cands = dedupSortedCandidates(cands)
-	s.candidates = cands
 	sortCandidates(s, taints, q)
 	taints = dedupSortedCandidates(taints)
 	s.tainted = taints
+	res.TaintedCandidates = len(taints)
+	cands := nearestTrusted(s, q, peers, k)
 
-	s.heap.Reset(k)
-	res := NNVResult{
-		Heap:              &s.heap,
-		MVR:               mvr,
-		Candidates:        len(cands) + len(taints),
-		Merged:            merged,
-		TaintedCandidates: len(taints),
-	}
-	if d, ok := mvr.Clearance(q); ok {
-		res.EdgeDist = d
-		res.InsideMVR = true
-	}
-
-	// Merge-walk the two sorted pools in global (distance², ID) order.
-	// With no tainted peers this reduces exactly to a walk of cands —
-	// the seed loop, bit for bit.
-	lastVerified := 0.0
-	hasVerified := false
-	i, j := 0, 0
-	for (i < len(cands) || j < len(taints)) && !res.Heap.Full() {
-		pickTainted := i >= len(cands) ||
-			(j < len(taints) && candBefore(taints[j], cands[i], q))
-		var poi broadcast.POI
-		if pickTainted {
-			poi = taints[j]
+	// Merge-walk the two sorted pools in global (distance², ID) order
+	// until the heap is full. With no tainted peers this reduces exactly
+	// to a walk of cands.
+	reach := 0.0
+	for i, j := 0, 0; (i < len(cands) || j < len(taints)) && res.Heap.Len() < k; {
+		e := Entry{Tainted: i >= len(cands) ||
+			(j < len(taints) && candBefore(taints[j], cands[i], q))}
+		if e.Tainted {
+			e.POI = taints[j]
 			j++
 		} else {
-			poi = cands[i]
+			e.POI = cands[i]
 			i++
 		}
-		res.Examined++
-		d := poi.Pos.Dist(q)
-		e := Entry{POI: poi, Dist: d, Tainted: pickTainted}
-		if !pickTainted && res.InsideMVR && d <= res.EdgeDist {
-			e.Verified = true
-			e.Correctness = 1
-			lastVerified = d
-			hasVerified = true
-		} else {
-			// Unverified (or tainted — untrusted candidates can never be
-			// verified regardless of geometry): the candidate's
-			// unverified region is the part of its distance disk not
-			// covered by the (trusted) MVR.
-			u := mvr.UnverifiedArea(q, d)
-			e.Correctness = CorrectnessProbability(lambda, u)
-			if hasVerified && lastVerified > 0 {
-				e.Surpassing = d / lastVerified
-			}
-		}
+		e.Dist = e.POI.Pos.Dist(q)
+		reach = max(reach, e.Dist)
 		res.Heap.add(e)
 	}
+	res.Examined = res.Heap.Len()
+
+	// Every distance the rows are compared with or priced at is ≤ reach.
+	local := &s.local
+	local.Reset()
+	near := geom.RectAround(q, math.Nextafter(reach, math.Inf(1)))
+	for i := range peers {
+		if p := &peers[i]; !p.Tainted && p.VR.Intersects(near) {
+			local.Add(p.VR)
+		}
+	}
+	res.EdgeDist, res.InsideMVR = local.Clearance(q)
+
+	lastVerified := 0.0
+	for i := range s.heap.entries {
+		e := &s.heap.entries[i]
+		if !e.Tainted && res.InsideMVR && e.Dist <= res.EdgeDist {
+			e.Verified = true
+			e.Correctness = 1
+			lastVerified = e.Dist
+			continue
+		}
+		// Unverified (or tainted — untrusted candidates can never be
+		// verified regardless of geometry): the candidate's unverified
+		// region is the part of its distance disk not covered by the
+		// (trusted) MVR.
+		e.Correctness = CorrectnessProbability(lambda, local.UnverifiedArea(q, e.Dist))
+		if lastVerified > 0 {
+			e.Surpassing = e.Dist / lastVerified
+		}
+	}
 	return res
+}
+
+// nearCand is one row of the trusted pool's selection buffer: a candidate
+// and its squared distance to q.
+type nearCand struct {
+	d2  float64
+	poi broadcast.POI
+}
+
+// after reports whether c follows the key (d2, id) in the candidate order.
+func (c *nearCand) after(d2 float64, id int64) bool {
+	return d2 < c.d2 || (d2 == c.d2 && id < c.poi.ID)
+}
+
+// nearestTrusted returns the head of the untainted peers' candidate order
+// — what sorting every untainted POI with sortCandidates and dropping
+// adjacent copies with dedupSortedCandidates would put first — long enough
+// to hold k candidates, or all of them when there are fewer. It scans the
+// peers' slices in place, keeping the limit nearest distinct (distance²,
+// ID) keys seen so far in sorted order: almost every POI is dismissed by
+// one comparison with the farthest key kept, and a copy of a kept
+// candidate by a short search. Of equal keys the first scanned stays, as
+// under the stable sort. Dropping adjacent copies of an ID can shorten the
+// kept keys below k (one ID reported at two positions with nothing
+// between them); the scan then repeats with the limit doubled.
+func nearestTrusted(s *Scratch, q geom.Point, peers []PeerData, k int) []broadcast.POI {
+	if k <= 0 {
+		return nil
+	}
+	for limit := k; ; limit *= 2 {
+		sel := s.nearest[:0]
+		for i := range peers {
+			if peers[i].Tainted {
+				continue
+			}
+			for _, p := range peers[i].POIs {
+				d2 := p.Pos.DistSq(q)
+				n := len(sel)
+				if n >= limit && !sel[n-1].after(d2, p.ID) {
+					continue
+				}
+				at := n
+				for at > 0 && sel[at-1].after(d2, p.ID) {
+					at--
+				}
+				if at > 0 && sel[at-1].d2 == d2 && sel[at-1].poi.ID == p.ID {
+					continue
+				}
+				if n < limit {
+					sel = append(sel, nearCand{})
+				}
+				copy(sel[at+1:], sel[at:])
+				sel[at] = nearCand{d2, p}
+			}
+		}
+		s.nearest = sel
+		out := s.candidates[:0]
+		for i := range sel {
+			out = append(out, sel[i].poi)
+		}
+		out = dedupSortedCandidates(out)
+		s.candidates = out
+		if len(out) >= k || len(sel) < limit {
+			return out
+		}
+	}
 }
 
 // candBefore reports whether a precedes b in the candidate order

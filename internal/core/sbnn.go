@@ -132,15 +132,7 @@ func SBNN(q geom.Point, peers []PeerData, cfg SBNNConfig, sched *broadcast.Sched
 // until the next call with the same Scratch, while KnownRegion/Known are
 // always freshly allocated (callers insert them into caches).
 func SBNNScratch(s *Scratch, q geom.Point, peers []PeerData, cfg SBNNConfig, sched *broadcast.Schedule, now int64) SBNNResult {
-	return SBNNScratchMVR(s, &s.mvr, false, q, peers, cfg, sched, now)
-}
-
-// SBNNScratchMVR is SBNNScratch with the merged verified region held in
-// a caller-supplied RectUnion; prebuilt follows the NNVScratchMVR
-// contract (mvr already holds the untainted VR multiset of peers).
-// Results are bit-identical to SBNNScratch.
-func SBNNScratchMVR(s *Scratch, mvr *geom.RectUnion, prebuilt bool, q geom.Point, peers []PeerData, cfg SBNNConfig, sched *broadcast.Schedule, now int64) SBNNResult {
-	nnv := NNVScratchMVR(s, mvr, prebuilt, q, peers, cfg.K, cfg.Lambda)
+	nnv := NNVScratch(s, q, peers, cfg.K, cfg.Lambda)
 	res := SBNNResult{Heap: nnv.Heap, MVR: nnv.MVR, Merged: nnv.Merged,
 		Examined: nnv.Examined, TaintedCandidates: nnv.TaintedCandidates}
 

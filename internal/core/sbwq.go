@@ -83,17 +83,8 @@ func SBWQWithConfig(q geom.Point, w geom.Rect, peers []PeerData, cfg SBWQConfig,
 // allocated: window-query answers double as the cached verified region,
 // so they must survive the next query.
 func SBWQScratch(s *Scratch, q geom.Point, w geom.Rect, peers []PeerData, cfg SBWQConfig, sched *broadcast.Schedule, now int64) SBWQResult {
-	return SBWQScratchMVR(s, &s.mvr, false, q, w, peers, cfg, sched, now)
-}
-
-// SBWQScratchMVR is SBWQScratch with the merged verified region held in
-// a caller-supplied RectUnion; prebuilt follows the NNVScratchMVR
-// contract (mvr already holds the untainted VR multiset of peers).
-// Results are bit-identical to SBWQScratch.
-func SBWQScratchMVR(s *Scratch, mvr *geom.RectUnion, prebuilt bool, q geom.Point, w geom.Rect, peers []PeerData, cfg SBWQConfig, sched *broadcast.Schedule, now int64) SBWQResult {
-	if !prebuilt {
-		mvr.Reset()
-	}
+	mvr := &s.mvr
+	mvr.Reset()
 	local := s.candidates[:0]
 	mergedVRs := 0
 	for _, p := range peers {
@@ -106,9 +97,7 @@ func SBWQScratchMVR(s *Scratch, mvr *geom.RectUnion, prebuilt bool, q geom.Point
 			// "verified by a stranger's claim" to "re-downloaded".
 			continue
 		}
-		if !prebuilt {
-			mvr.Add(p.VR)
-		}
+		mvr.Add(p.VR)
 		mergedVRs++
 		for _, poi := range p.POIs {
 			if w.Contains(poi.Pos) {

@@ -88,7 +88,7 @@ func TestNoTaintBitIdentity(t *testing.T) {
 	a := NNV(q, peers, 2, 0.2)
 	// Manual seed re-implementation: all VRs merged, candidates walked in
 	// ascending order.
-	if a.Merged != 2 || a.TaintedCandidates != 0 || a.Candidates != 3 {
+	if a.Merged != 2 || a.TaintedCandidates != 0 || a.Examined != 2 {
 		t.Fatalf("counters changed on the untainted path: %+v", a)
 	}
 	for i, e := range a.Heap.Entries() {

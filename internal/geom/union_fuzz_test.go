@@ -77,6 +77,58 @@ func FuzzRectUnion(f *testing.F) {
 	})
 }
 
+// checkLocalClearance is the contract the query-local NNV rests on
+// (DESIGN.md §9.3). Of a union, keep only the members that meet the square
+// around q of half-side just above r. Then the clearance of q in what is
+// kept is the full union's, bit for bit, whenever that is at most r, and
+// exceeds r otherwise; and a disk around q of radius at most r cuts the
+// same area out of both — through other strips, so in another summation
+// order: equal to 1e-12 of the disk's own area, the scale of the terms (a
+// disk that only grazes the union reports a residue of ±1e-15, not 0).
+func checkLocalClearance(t *testing.T, rects []Rect, q Point, r float64) {
+	t.Helper()
+	full, local := NewRectUnion(rects...), &RectUnion{}
+	near := RectAround(q, math.Nextafter(r, math.Inf(1)))
+	for _, m := range rects {
+		if m.Intersects(near) {
+			local.Add(m)
+		}
+	}
+	want, wantOK := full.Clearance(q)
+	got, gotOK := local.Clearance(q)
+	switch {
+	case gotOK != wantOK:
+		t.Fatalf("local Clearance(%v) inside=%v, full inside=%v (r=%v rects %v)", q, gotOK, wantOK, r, rects)
+	case want <= r && got != want:
+		t.Fatalf("local Clearance(%v) = %v, full = %v within r=%v (rects %v)", q, got, want, r, rects)
+	case want > r && !(got > r && got <= want):
+		t.Fatalf("local Clearance(%v) = %v, want a bound in (%v, %v] (rects %v)", q, got, r, want, rects)
+	}
+	for _, d := range [3]float64{r, r / 2, r / 7} {
+		want, got := full.IntersectCircleArea(q, d), local.IntersectCircleArea(q, d)
+		if math.Abs(got-want) > 1e-12*math.Pi*d*d {
+			t.Fatalf("local IntersectCircleArea(%v, %v) = %v, full = %v (r=%v rects %v)", q, d, got, want, r, rects)
+		}
+	}
+}
+
+// FuzzLocalClearance drives checkLocalClearance over the grid geometry of
+// FuzzRectUnion (the committed corpus is that target's, under this
+// target's name): every probe is a query point, with the radii 0, a
+// half-integer, and the distance to the next probe — so r lands on member
+// edges and corners, short of them, and beyond the whole union.
+func FuzzLocalClearance(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		rects, probes := decodeFuzzUnion(b)
+		for i, q := range probes {
+			next := probes[(i+1)%len(probes)]
+			for _, r := range [3]float64{0, float64(len(b)%9) / 2, q.Dist(next)} {
+				checkLocalClearance(t, rects, q, r)
+			}
+		}
+	})
+}
+
 // TestBoundaryDistHistoryIndependent pins the one-path rule: the answer
 // is a function of the member multiset alone — the same bits whether the
 // probe is the first call on a fresh union, follows other queries that

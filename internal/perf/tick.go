@@ -18,7 +18,7 @@ import (
 )
 
 // TickSchemaVersion versions the BENCH_tick.json format.
-const TickSchemaVersion = 2
+const TickSchemaVersion = 3
 
 // TickWorkerCounts are the Params.TickWorkers settings each report
 // measures; index 0 must stay 1 (the serial baseline the speedups are
@@ -38,9 +38,6 @@ type TickRow struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	// SpeedupVsSerial is this row's ns/op relative to the workers=1 row.
 	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
-	// MemoHits is the engine's MVR-sharing counter over the benchmark
-	// run — nonzero proves the memoization layer fired.
-	MemoHits int64 `json:"memo_hits"`
 }
 
 // Tick is the full BENCH_tick.json document.
@@ -50,7 +47,7 @@ type Tick struct {
 	NumCPU      int    `json:"num_cpu"`
 	GoVersion   string `json:"go_version"`
 	// Identical records the embedded serial-identity check: a batched
-	// run's Stats must equal the serial run's (memo counter masked).
+	// run's Stats must equal the serial run's.
 	// False in a report is a bug, and CompareTick fails on it.
 	Identical bool      `json:"identical"`
 	Rows      []TickRow `json:"rows"`
@@ -74,10 +71,9 @@ func tickParams(workers int) sim.Params {
 }
 
 // TickIdentical runs the benchmark world serially and batched and
-// reports whether the Stats match (the engine-internal memo counter,
-// excluded from every encoding, is masked). The full byte-identity
-// matrix lives in internal/sim's tests; this is the self-auditing check
-// embedded in the perf report.
+// reports whether the Stats match. The full byte-identity matrix lives
+// in internal/sim's tests; this is the self-auditing check embedded in
+// the perf report.
 func TickIdentical(workers int) (bool, error) {
 	run := func(workers int) (sim.Stats, error) {
 		w, err := sim.NewWorld(tickParams(workers))
@@ -94,7 +90,6 @@ func TickIdentical(workers int) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	serial.MVRMemoHits, batched.MVRMemoHits = 0, 0
 	return serial == batched, nil
 }
 
@@ -116,7 +111,6 @@ func MeasureTick() (Tick, error) {
 	var serialNs float64
 	for _, workers := range TickWorkerCounts {
 		workers := workers
-		var memoHits int64
 		r := testing.Benchmark(func(b *testing.B) {
 			p := tickParams(workers)
 			b.ReportAllocs()
@@ -129,8 +123,7 @@ func MeasureTick() (Tick, error) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				s := w.Run()
-				memoHits = s.MVRMemoHits
+				w.Run()
 			}
 		})
 		row := TickRow{
@@ -139,7 +132,6 @@ func MeasureTick() (Tick, error) {
 			GoMaxProcs:  runtime.GOMAXPROCS(0),
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
-			MemoHits:    memoHits,
 		}
 		if r.N > 0 {
 			row.NsPerOp = float64(r.T.Nanoseconds()) / float64(r.N)

@@ -114,7 +114,7 @@ func TestTickRoundTrip(t *testing.T) {
 		Rows: []TickRow{{
 			Name: "world_step_w2", Workers: 2, GoMaxProcs: 4,
 			NsPerOp: 123.5, BytesPerOp: 64, AllocsPerOp: 2,
-			SpeedupVsSerial: 1.8, MemoHits: 7,
+			SpeedupVsSerial: 1.8,
 		}},
 	}
 	path := filepath.Join(t.TempDir(), "tick.json")

@@ -56,10 +56,10 @@ type typeConsState struct {
 	records []epochRecord
 	// horizon and invals mirror the *decoded* current IR frame: the
 	// oldest epoch the frame retains and its items as cache
-	// invalidations. Clients reconcile strictly from these, so the wire
-	// codec is load-bearing, not decorative.
+	// invalidations, indexed once per frame. Clients reconcile strictly
+	// from these, so the wire codec is load-bearing, not decorative.
 	horizon int64
-	invals  []cache.Invalidation
+	invals  cache.InvalSet
 	// frameBytes is the encoded size of the current IR frame.
 	frameBytes int
 }
@@ -213,11 +213,12 @@ func (w *World) applyUpdates(ti int) {
 	}
 	tc.frameBytes = len(enc)
 	tc.horizon = ir.Horizon
-	tc.invals = tc.invals[:0]
+	invals := make([]cache.Invalidation, 0, len(ir.Items))
 	for _, it := range ir.Items {
-		tc.invals = append(tc.invals, cache.Invalidation{
+		invals = append(invals, cache.Invalidation{
 			Epoch: it.Epoch, Kind: cache.InvalKind(it.Kind), ID: it.ID, Cell: it.Cell})
 	}
+	tc.invals = cache.NewInvalSet(invals)
 }
 
 // syncIR is the client side of one query's consistency pass, run before
@@ -326,15 +327,18 @@ func (w *World) admitShared(peers []core.PeerData, id, ti int, r cache.Region, s
 		return peers
 	case r.Epoch >= tc.horizon-1:
 		pieces, touched := cache.ReconcileRegion(r, tc.invals, tc.epoch)
+		if !touched {
+			// No mutation since r.Epoch reaches the region: still exact.
+			w.qs.owners = append(w.qs.owners, id)
+			return append(peers, core.PeerData{VR: r.Rect, POIs: r.POIs})
+		}
 		if pieces == nil {
 			w.stats.VRsDiscarded++
 			w.mx.observeReconcile(cache.Recon{Discarded: 1})
 			return peers
 		}
-		if touched {
-			w.stats.VRsReconciled++
-			w.mx.observeReconcile(cache.Recon{Repaired: 1, Pieces: len(pieces)})
-		}
+		w.stats.VRsReconciled++
+		w.mx.observeReconcile(cache.Recon{Repaired: 1, Pieces: len(pieces)})
 		for _, p := range pieces {
 			w.qs.owners = append(w.qs.owners, id)
 			peers = append(peers, core.PeerData{VR: p.Rect, POIs: p.POIs})

@@ -285,7 +285,7 @@ func (w *World) reverify(s *subscription, reason contReason) {
 	w.overloadExempt(true)
 	w.prepare(&e)
 	w.overloadExempt(false)
-	w.execute(&e, &w.qs.core, &w.qs.mvr, false)
+	w.execute(&e, &w.qs.core)
 
 	// Inexact answers (approximate or degraded) are the Lemma 3.2
 	// probabilistic path: no safe region, re-verify next tick.
@@ -319,7 +319,7 @@ func (w *World) safeExitKNN(e *query) float64 {
 	verified := res.outcome == core.OutcomeVerified
 	var clearance float64
 	if verified {
-		clearance, _ = w.qs.mvr.Clearance(e.q)
+		clearance, _ = res.mvr.Clearance(e.q)
 	} else if res.knownRegion.Contains(e.q) {
 		clearance = res.knownRegion.BoundaryDist(e.q)
 	}
@@ -337,7 +337,7 @@ func (w *World) safeExitWindow(e *query) float64 {
 	var cover float64
 	covered := false
 	if verified {
-		cover, covered = w.qs.mvr.ClearanceRect(e.win)
+		cover, covered = res.mvr.ClearanceRect(e.win)
 	} else if res.knownRegion.ContainsRect(e.win) {
 		cover, covered = res.knownRegion.InnerGap(e.win), true
 	}

@@ -1,11 +1,7 @@
 package sim
 
 import (
-	"math"
-	"sync"
-
 	"lbsq/internal/core"
-	"lbsq/internal/geom"
 	"lbsq/internal/sweep"
 )
 
@@ -16,11 +12,9 @@ import (
 //	TickWorkers ≤ 1  execute and commit each query as it is drawn, on
 //	                 World scratch, straight from the collection buffers.
 //	TickWorkers > 1  hold prepared queries as pending entries (peers
-//	                 snapshotted, VR sequence fingerprinted) and flush
-//	                 them together: execute across workers under the
-//	                 internal/sweep determinism contract, entries with
-//	                 identical untainted VR multisets sharing one merged
-//	                 region, then commit serially in query order.
+//	                 snapshotted) and flush them together: execute across
+//	                 workers under the internal/sweep determinism
+//	                 contract, then commit serially in query order.
 //
 // Identity argument. Execute reads only state frozen for the tick (host
 // positions, schedules, epochs, the entry's own peer snapshot) and the
@@ -35,19 +29,6 @@ import (
 // flushed. On a lossy broadcast channel the schedule's reception-error
 // stream is consumed by execute and by baseline pricing, so a flush then
 // runs [execute, commit] per entry, serially.
-//
-// Memoization. Entries whose untainted VR multisets match share one
-// merged RectUnion (Stats.MVRMemoHits). This rests on the RectUnion
-// purity contract: the union's observable state is a function of its
-// member multiset alone, never of the instance's history
-// (TestRectUnionOrderIndependence, TestScratchMVRVariantsMatch).
-
-// tickGroup is one memo group: entries sharing an untainted VR
-// multiset, hence one merged verified region.
-type tickGroup struct {
-	rep     int   // entry index of the representative
-	members []int // entry indices, batch order (rep first)
-}
 
 // tickEngine holds the pending entries and reusable buffers of the tick
 // path. Owned by the World's goroutine except during a parallel
@@ -56,17 +37,9 @@ type tickEngine struct {
 	entries []query
 	n       int
 	first   [1]query // initial backing of entries: a serial world never grows it
-	groups  []tickGroup
-	nGroups int
-
-	fpIdx map[uint64][]int // fingerprint → group indices
 
 	serialAir bool // lossy broadcast channel: execute serially at commit
 }
-
-// tickMVRPool recycles the per-group merged verified regions across
-// flushes and worker goroutines.
-var tickMVRPool = sync.Pool{New: func() any { return new(geom.RectUnion) }}
 
 func (eng *tickEngine) alloc() *query {
 	if eng.entries == nil {
@@ -78,15 +51,6 @@ func (eng *tickEngine) alloc() *query {
 	e := &eng.entries[eng.n]
 	eng.n++
 	return e
-}
-
-func (eng *tickEngine) allocGroup() *tickGroup {
-	if eng.nGroups == len(eng.groups) {
-		eng.groups = append(eng.groups, tickGroup{})
-	}
-	g := &eng.groups[eng.nGroups]
-	eng.nGroups++
-	return g
 }
 
 // conflicts reports whether a new query on (idx, ti) could observe any
@@ -159,23 +123,19 @@ func (w *World) launch(idx, ti int) {
 	// flush (see core.PeerData and the conflict predicate).
 	e.own = append(e.own[:0], e.peers...)
 	e.peers = e.own
-	e.fp = untaintedFP(e.peers)
 }
 
 // flushBatch executes and commits every pending entry, in query order.
 func (w *World) flushBatch() {
 	eng := &w.eng
 	if eng.serialAir || eng.n == 1 {
-		// A single entry can neither share an MVR nor overlap work, so it
-		// skips group planning and dispatch; the outputs (memo counters
-		// included) are the same.
+		// A single entry has no work to overlap, so it skips the dispatch.
 		for i := 0; i < eng.n; i++ {
 			e := &eng.entries[i]
-			w.execute(e, &w.qs.core, &w.qs.mvr, false)
+			w.execute(e, &w.qs.core)
 			w.commit(e)
 		}
 	} else if eng.n > 1 {
-		w.planGroups()
 		w.executeBatch()
 		for i := 0; i < eng.n; i++ {
 			w.commit(&eng.entries[i])
@@ -184,116 +144,26 @@ func (w *World) flushBatch() {
 	eng.n = 0
 }
 
-// planGroups partitions the batch into memo groups (identical untainted
-// VR multisets). Runs serially, so the memo counter and the
-// deterministic first-appearance group order cost no synchronization.
-func (w *World) planGroups() {
-	eng := &w.eng
-	eng.nGroups = 0
-	if eng.fpIdx == nil {
-		eng.fpIdx = make(map[uint64][]int)
-	}
-	clear(eng.fpIdx)
-	for i := 0; i < eng.n; i++ {
-		e := &eng.entries[i]
-		memo := -1
-		for _, gi := range eng.fpIdx[e.fp] {
-			if untaintedVRsEqual(eng.entries[eng.groups[gi].rep].peers, e.peers) {
-				memo = gi
-				break
-			}
-		}
-		if memo >= 0 {
-			eng.groups[memo].members = append(eng.groups[memo].members, i)
-			w.stats.MVRMemoHits++
-			continue
-		}
-		g := eng.allocGroup()
-		g.rep = i
-		g.members = append(g.members[:0], i)
-		eng.fpIdx[e.fp] = append(eng.fpIdx[e.fp], eng.nGroups-1)
-	}
-}
-
-// executeBatch runs every memo group as one sweep cell: the group's MVR
-// is merged once (the strips build lazily on the first algorithm query)
-// and every member entry executes against the shared prebuilt union.
-// Cells own all their mutable state (pooled scratch, pooled RectUnion,
-// their entries' result fields), satisfying the sweep determinism
-// contract.
+// executeBatch runs every pending entry as one sweep cell. Cells own all
+// their mutable state (pooled scratch, their entry's result fields),
+// satisfying the sweep determinism contract.
 func (w *World) executeBatch() {
 	eng := &w.eng
-	cells := make([]func() struct{}, eng.nGroups)
+	cells := make([]func() struct{}, eng.n)
 	for c := range cells {
-		g := &eng.groups[c]
+		e := &eng.entries[c]
 		cells[c] = func() struct{} {
 			s := core.GetScratch()
-			mvr := tickMVRPool.Get().(*geom.RectUnion)
-			mvr.Reset()
-			for _, p := range eng.entries[g.rep].peers {
-				if !p.Tainted {
-					mvr.Add(p.VR)
-				}
+			w.execute(e, s)
+			if !e.window {
+				// SBNN answers alias the scratch the next cell reuses.
+				e.poiBuf = append(e.poiBuf[:0], e.res.pois...)
+				e.res.pois = e.poiBuf
 			}
-			for _, ei := range g.members {
-				e := &eng.entries[ei]
-				w.execute(e, s, mvr, true)
-				if !e.window {
-					// SBNN answers alias the scratch the next member reuses.
-					e.poiBuf = append(e.poiBuf[:0], e.res.pois...)
-					e.res.pois = e.poiBuf
-				}
-			}
-			tickMVRPool.Put(mvr)
+			e.res.mvr = nil // likewise, and no commit reads it
 			core.PutScratch(s)
 			return struct{}{}
 		}
 	}
 	sweep.Run(w.Params.TickWorkers, cells)
-}
-
-// untaintedFP is an FNV-1a fingerprint of the ordered untainted VR
-// sequence — the memo key's fast filter (untaintedVRsEqual confirms).
-func untaintedFP(peers []core.PeerData) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, p := range peers {
-		if p.Tainted {
-			continue
-		}
-		for _, f := range [4]float64{p.VR.Min.X, p.VR.Min.Y, p.VR.Max.X, p.VR.Max.Y} {
-			b := math.Float64bits(f)
-			for s := uint(0); s < 64; s += 8 {
-				h ^= b >> s & 0xff
-				h *= prime64
-			}
-		}
-	}
-	return h
-}
-
-// untaintedVRsEqual reports whether two peer lists carry the same
-// untainted VR sequence (the memo key's exact comparison; sequence
-// equality implies multiset equality).
-func untaintedVRsEqual(a, b []core.PeerData) bool {
-	i, j := 0, 0
-	for {
-		for i < len(a) && a[i].Tainted {
-			i++
-		}
-		for j < len(b) && b[j].Tainted {
-			j++
-		}
-		if i == len(a) || j == len(b) {
-			return i == len(a) && j == len(b)
-		}
-		if a[i].VR != b[j].VR {
-			return false
-		}
-		i++
-		j++
-	}
 }

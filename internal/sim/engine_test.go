@@ -4,8 +4,7 @@ package sim
 // byte-identical to the seed's serial query loop — report rows (wall
 // clock zeroed), trace streams, metrics snapshots, fault counters, and
 // breaker state — across the full armed-knob soak schedule, at every
-// worker count, and the MVR memoization layer must actually fire on a
-// default-ish workload. Every schedule runs twice: as drawn (broadcast
+// worker count. Every schedule runs twice: as drawn (broadcast
 // loss armed, exercising the serial-air fallback) and with broadcast
 // loss zeroed (exercising the parallel execute phase proper), so both
 // regimes of the engine are pinned against the same serial baseline.
@@ -63,9 +62,6 @@ func runTickWorld(t *testing.T, p Params, workers int) (*World, Stats, []byte, [
 func checkTickIdentity(t *testing.T, p Params) {
 	t.Helper()
 	base, bs, bRep, bTr := runTickWorld(t, p, 1)
-	if bs.MVRMemoHits != 0 {
-		t.Errorf("serial path ran the memo engine: hits=%d", bs.MVRMemoHits)
-	}
 	for _, workers := range batchedWorkerCounts {
 		w, s, rep, tr := runTickWorld(t, p, workers)
 		if !bytes.Equal(bRep, rep) {
@@ -77,13 +73,10 @@ func checkTickIdentity(t *testing.T, p Params) {
 				workers, len(tr), len(bTr))
 		}
 		// Direct Stats comparison catches the unexported fields the report
-		// row does not carry; the engine-internal memo counter (excluded
-		// from every encoding) is masked first.
-		ms, mb := s, bs
-		ms.MVRMemoHits, mb.MVRMemoHits = 0, 0
-		if ms != mb {
+		// row does not carry.
+		if s != bs {
 			t.Errorf("workers=%d stats diverged from serial:\n%+v\nvs\n%+v",
-				workers, ms, mb)
+				workers, s, bs)
 		}
 		if w.FaultCounters() != base.FaultCounters() {
 			t.Errorf("workers=%d fault counters diverged: %+v vs %+v",
@@ -125,8 +118,7 @@ func TestBatchedTickIdentity(t *testing.T) {
 }
 
 // TestBatchedTickIdentityClean pins the impairment-free configurations
-// (no fault profile at all), where the whole batch executes in parallel
-// and the memoized empty-cache groups are common.
+// (no fault profile at all), where the whole batch executes in parallel.
 func TestBatchedTickIdentityClean(t *testing.T) {
 	for _, kind := range []QueryKind{KNNQuery, WindowQuery} {
 		kind := kind
@@ -139,26 +131,6 @@ func TestBatchedTickIdentityClean(t *testing.T) {
 			checkTickIdentity(t, p)
 		})
 	}
-}
-
-// TestBatchedMemoHits proves the memoization layer fires on a
-// default-ish workload: same-tick queries with matching untainted VR
-// multisets share one merged region.
-func TestBatchedMemoHits(t *testing.T) {
-	p := LACity().Scaled(1.5).WithDuration(0.1)
-	p.Seed = 1234
-	p.TimeStepSec = 10
-	p.Kind = KNNQuery
-	p.TickWorkers = 4
-	w, err := NewWorld(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := w.Run()
-	if s.MVRMemoHits == 0 {
-		t.Error("no same-tick query ever shared a memoized MVR")
-	}
-	t.Logf("memo hits=%d over %d queries", s.MVRMemoHits, s.Queries)
 }
 
 // TestTickWorkersValidate pins the knob's validation contract.

@@ -67,23 +67,25 @@ type query struct {
 
 	res queryResult
 
-	// Batch-only storage, kept across ticks: the memo fingerprint of the
-	// untainted VR sequence, the entry-owned peers snapshot, and the
-	// copy-out buffer for SBNN answers (which alias worker scratch).
-	fp     uint64
+	// Batch-only storage, kept across ticks: the entry-owned peers
+	// snapshot and the copy-out buffer for SBNN answers (which alias
+	// worker scratch).
 	own    []core.PeerData
 	poiBuf []broadcast.POI
 }
 
 // queryResult is what commit consumes of an SBNN or SBWQ result. pois
-// aliases the executing scratch for kNN queries (fresh for windows);
-// known is always fresh storage, safe to cache.
+// aliases the executing scratch for kNN queries (fresh for windows), and
+// mvr — the merged verified region, read only by a standing query's
+// safe-exit bound — always does; known is always fresh storage, safe to
+// cache.
 type queryResult struct {
 	outcome     core.Outcome
 	access      broadcast.Access
 	knownRegion geom.Rect
 	known       []broadcast.POI
 	pois        []broadcast.POI
+	mvr         *geom.RectUnion
 	merged      int
 	examined    int
 	// degraded: a channel-less rung that could not verify — the best
@@ -176,11 +178,10 @@ func (w *World) collect(e *query) {
 	}
 }
 
-// execute runs the core algorithm for e on the given scratch, merging
-// verified regions into mvr (or, with prebuilt set, trusting mvr to hold
-// e's untainted VR multiset already). It writes only e.res and the
-// scratch, so batch workers may run it concurrently on disjoint entries.
-func (w *World) execute(e *query, s *core.Scratch, mvr *geom.RectUnion, prebuilt bool) {
+// execute runs the core algorithm for e on the given scratch. It writes
+// only e.res and the scratch, so batch workers may run it concurrently on
+// disjoint entries.
+func (w *World) execute(e *query, s *core.Scratch) {
 	ts := &w.types[e.ti]
 	r := &e.res
 	if e.window {
@@ -189,10 +190,10 @@ func (w *World) execute(e *query, s *core.Scratch, mvr *geom.RectUnion, prebuilt
 		cfg := core.SBWQConfig{
 			MaxKnownArea: 1.5 * float64(w.Params.CacheSize) / math.Max(ts.lambda, 1e-9),
 		}
-		res := core.SBWQScratchMVR(s, mvr, prebuilt, e.q, e.win, e.peers, cfg, e.sched, e.now)
+		res := core.SBWQScratch(s, e.q, e.win, e.peers, cfg, e.sched, e.now)
 		*r = queryResult{outcome: res.Outcome, access: res.Access,
 			knownRegion: res.KnownRegion, known: res.Known, pois: res.POIs,
-			merged: res.Merged, examined: res.Examined}
+			mvr: res.MVR, merged: res.Merged, examined: res.Examined}
 	} else {
 		cfg := core.SBNNConfig{
 			K:                 e.k,
@@ -200,10 +201,10 @@ func (w *World) execute(e *query, s *core.Scratch, mvr *geom.RectUnion, prebuilt
 			AcceptApproximate: w.Params.AcceptApproximate,
 			MinCorrectness:    w.Params.MinCorrectness,
 		}
-		res := core.SBNNScratchMVR(s, mvr, prebuilt, e.q, e.peers, cfg, e.sched, e.now)
+		res := core.SBNNScratch(s, e.q, e.peers, cfg, e.sched, e.now)
 		*r = queryResult{outcome: res.Outcome, access: res.Access,
 			knownRegion: res.KnownRegion, known: res.Known, pois: res.POIs,
-			merged: res.Merged, examined: res.Examined}
+			mvr: res.MVR, merged: res.Merged, examined: res.Examined}
 	}
 	r.degraded = e.sched == nil && r.outcome == core.OutcomeBroadcast
 }

@@ -278,13 +278,6 @@ type Stats struct {
 	// request.
 	Coalesced int64 `json:",omitempty"`
 
-	// Tick-engine visibility (DESIGN.md §14.3). MVRMemoHits counts
-	// same-tick queries that reused another query's merged verified
-	// region through the engine's memo table (TickWorkers > 1 only). A
-	// pure engine-internal performance counter: it is excluded from every
-	// encoding so report rows stay byte-identical across worker counts.
-	MVRMemoHits int64 `json:"-"`
-
 	// AvgPeersPerQuery tracks mean reachable peers (encounter density).
 	peersSum int64
 }

@@ -169,7 +169,6 @@ type queryScratch struct {
 	contribs []trust.Contribution // trust-screen staging
 	screened []core.PeerData      // trust-screened PeerData
 	core     core.Scratch         // NNV/SBNN/SBWQ hot-path scratch
-	mvr      geom.RectUnion       // merged verified region of the executing query
 }
 
 // collectTarget is one addressed peer's state during the resilient
@@ -1009,11 +1008,16 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 	// shared stages the served regions in World scratch; its contents are
 	// consumed (copied into PeerData values or wire frames) before this
 	// function returns, so reuse across replies is safe.
+	// Regions are 80-byte structs, so every loop over them here and over
+	// shared below goes by index.
 	shared := w.qs.shared[:0]
-	for ri, r := range c.Regions() {
-		if !r.Rect.Intersects(relevance) {
+	regions := c.Regions()
+	for ri := range regions {
+		if !regions[ri].Rect.Intersects(relevance) {
 			continue
 		}
+		shared = append(shared, sharedRegion{region: regions[ri]})
+		s := &shared[len(shared)-1]
 		// The peer serves the region regardless of freshness — it cannot
 		// know the POI-update process invalidated it.
 		c.Touch(ri, stamp)
@@ -1022,9 +1026,9 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 			// radio: the lie rides every downstream path (delivery, loss,
 			// wire damage) exactly like an honest claim would. AttackClaim
 			// returns fresh copies, so the host's own cache stays intact.
-			r.Rect, r.POIs = w.inj.AttackClaim(r.Rect, r.POIs, atk)
+			s.region.Rect, s.region.POIs = w.inj.AttackClaim(s.region.Rect, s.region.POIs, atk)
 		}
-		shared = append(shared, sharedRegion{region: r, stale: w.inj.StaleVR()})
+		s.stale = w.inj.StaleVR()
 	}
 	w.qs.shared = shared
 	if len(shared) == 0 {
@@ -1032,8 +1036,8 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 	}
 
 	wireBytes := wire.ReplyOverhead
-	for _, s := range shared {
-		wireBytes += wire.RegionWireSize(len(s.region.POIs))
+	for i := range shared {
+		wireBytes += wire.RegionWireSize(len(shared[i].region.POIs))
 	}
 
 	trustStale := w.inj.Profile().TrustStale
@@ -1046,12 +1050,13 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 			// (assigned a beyond-horizon epoch), so staleDiscards stays
 			// zero: under an armed layer staleness is amnestied, and the
 			// breakers see an ordinary successful delivery.
-			for _, s := range shared {
-				peers = w.admitShared(peers, id, ti, s.region, s.stale, trustStale)
+			for i := range shared {
+				peers = w.admitShared(peers, id, ti, shared[i].region, shared[i].stale, trustStale)
 			}
 			return peers
 		}
-		for _, s := range shared {
+		for i := range shared {
+			s := &shared[i]
 			if s.stale && !trustStale {
 				staleDiscards++
 				continue // consistency layer: stale region discarded
@@ -1086,8 +1091,8 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 		// astronomically unlikely event the damage passes every check,
 		// the decoded content is used like any delivered reply.
 		regs := w.qs.regs[:0]
-		for _, s := range shared {
-			regs = append(regs, wire.Region{Rect: s.region.Rect, POIs: s.region.POIs})
+		for i := range shared {
+			regs = append(regs, wire.Region{Rect: shared[i].region.Rect, POIs: shared[i].region.POIs})
 		}
 		w.qs.regs = regs
 		w.queryID++
