@@ -75,9 +75,10 @@ cover-check:
 # RectUnion must match its brute-force oracles bit for bit on degenerate
 # grid geometry (DESIGN.md §9.2), a union cut down to the members near a
 # query point must keep that point's clearance and disk areas within the
-# cut radius (DESIGN.md §9.3), and the trust screen's one-hole
-# subtraction must emit SubtractRect's rectangles bit for bit and in its
-# order (DESIGN.md §11.5). The seed corpora are part of
+# cut radius (DESIGN.md §9.3), the trust screen's one-hole subtraction
+# must emit SubtractRect's rectangles bit for bit and in its order, and
+# its claim-coverage detection must find the pair loop's conflicts
+# element for element (DESIGN.md §11.5). The seed corpora are part of
 # the gate: a missing testdata corpus means a fuzz target silently lost
 # its regression inputs, so fail loudly instead of fuzzing from nothing.
 # Explicit -timeout keeps a hung target from stalling CI for go test's
@@ -101,6 +102,9 @@ fuzz-smoke:
 	@if [ ! -d internal/geom/testdata/fuzz/FuzzSubtractOne ]; then \
 		echo "fuzz-smoke: internal/geom/testdata/fuzz/FuzzSubtractOne corpus missing"; exit 1; \
 	fi
+	@if [ ! -d internal/trust/testdata/fuzz/FuzzDetectConflicts ]; then \
+		echo "fuzz-smoke: internal/trust/testdata/fuzz/FuzzDetectConflicts corpus missing"; exit 1; \
+	fi
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeReply -fuzztime=5s -timeout 5m ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=5s -timeout 5m ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzInvalidationReport -fuzztime=5s -timeout 5m ./internal/wire
@@ -109,6 +113,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRectUnion -fuzztime=5s -timeout 5m ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzLocalClearance -fuzztime=5s -timeout 5m ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzSubtractOne -fuzztime=5s -timeout 5m ./internal/geom
+	$(GO) test -run='^$$' -fuzz=FuzzDetectConflicts -fuzztime=5s -timeout 5m ./internal/trust
 
 verify: vet build race fuzz-smoke
 	@echo "verify: all gates passed"
@@ -138,12 +143,15 @@ continuous-identity:
 	$(GO) test -race -count=1 -run 'TestContinuous' ./internal/sim
 
 # Trust-screen identity lane (DESIGN.md §11.5): the scratch-based screen
-# kernel against the verbatim pre-kernel body over thousands of screens,
-# and the aliasing contract of its results (they outlive later screens,
+# kernel against the verbatim pre-kernel body, and its claim-coverage
+# detection against the retired pair loop, over thousands of screens and
+# over the table of cases closed containment could fool (plus their fuzz
+# seeds); that a screen does not depend on what the scratch held before;
+# and the aliasing contract of the results (they outlive later screens,
 # inputs are never written) — under the race detector, as its own CI step
-# so an aliasing regression is named in the job log.
+# so a regression is named in the job log.
 trust-identity:
-	$(GO) test -race -count=1 -run 'TestScreenMatchesReference|TestScreen.*Survive|TestScreenDoesNotMutate' ./internal/trust
+	$(GO) test -race -count=1 -run 'TestScreenMatchesReference|TestCrossValidationCases|TestDedupByID|TestScreenIndependentOfScratchHistory|FuzzDetectConflicts|TestScreen.*Survive|TestScreenDoesNotMutate' ./internal/trust
 
 # Query-local NNV identity lane (DESIGN.md §9.3): NNV against the verbatim
 # gather-all, sort-all, decompose-all body over thousands of grid and

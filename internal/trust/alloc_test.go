@@ -7,6 +7,7 @@ package trust
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"lbsq/internal/broadcast"
@@ -65,6 +66,31 @@ func TestScreenHonestSteadyStateAllocs(t *testing.T) {
 				t.Fatalf("%s: result %d does not share its contribution's POIs", name, i)
 			}
 		}
+	}
+}
+
+// When the contribution count doubles and then holds, the claim table,
+// the grid's cell lists and the rest of the scratch regrow on the first
+// larger screen and never again.
+func TestScreenAllocsSettleAfterGrowth(t *testing.T) {
+	contribs, oracle := peers64()
+	e := newTestEngine(t, Config{AuditRate: 1e-12}, nil)
+	half := contribs[:len(contribs)/2]
+	for i := 0; i < 4; i++ {
+		e.Screen(half, oracle, -1)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { e.Screen(half, oracle, -1) }); allocs != 0 {
+		t.Fatalf("%v allocs per screen of %d contributions, want 0", allocs, len(half))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e.Screen(contribs, oracle, -1)
+	runtime.ReadMemStats(&after)
+	if after.Mallocs == before.Mallocs {
+		t.Fatal("fixture: doubling the contributions grew nothing")
+	}
+	if allocs := testing.AllocsPerRun(50, func() { e.Screen(contribs, oracle, -1) }); allocs != 0 {
+		t.Fatalf("%v allocs per screen after the scratch regrew, want 0", allocs)
 	}
 }
 

@@ -2,6 +2,7 @@ package trust
 
 import (
 	"math/rand"
+	"slices"
 
 	"lbsq/internal/broadcast"
 	"lbsq/internal/geom"
@@ -388,4 +389,144 @@ func pieceOwns(pieces []geom.Rect, piece geom.Rect, pos geom.Point) bool {
 		}
 	}
 	return false
+}
+
+// pairOracle is the test oracle for detectConflicts: the pair loop it
+// replaced, kept verbatim apart from holding its own scratch — every
+// i < j pair of slots, strict overlap by comparisons, each slot's POIs
+// ordered on first demand, the two restrictions compared by one merge.
+// FuzzDetectConflicts and TestDetectConflictsMatchesPairLoop require the
+// coverage check to produce this list element for element.
+type pairOracle struct {
+	sorted []broadcast.POI // ordered POI indices, one run per slot that asked
+	// sorted[lo[i]:hi[i]] is slot i's run; lo[i] < 0 until a strictly
+	// overlapping partner asks for it.
+	lo, hi []int32
+}
+
+// comparePOI orders POIs by (X, Y, ID): position first, so that the POIs
+// inside a rectangle sit in one run of the order (see restrictAgree). On
+// NaN-free positions two POIs compare equal exactly when they are == (the
+// order has no opinion on the sign of a zero, and neither has ==).
+func comparePOI(a, b broadcast.POI) int {
+	switch {
+	case a.Pos.X != b.Pos.X:
+		if a.Pos.X < b.Pos.X {
+			return -1
+		}
+		return 1
+	case a.Pos.Y != b.Pos.Y:
+		if a.Pos.Y < b.Pos.Y {
+			return -1
+		}
+		return 1
+	case a.ID != b.ID:
+		if a.ID < b.ID {
+			return -1
+		}
+		return 1
+	}
+	return 0
+}
+
+// orderPOIs builds slot i's POIs in comparePOI order, each once, as the
+// run o.sorted[o.lo[i]:o.hi[i]]. POIs at a NaN position are left out: no
+// rectangle contains them, so no overlap ever asks about them.
+func (o *pairOracle) orderPOIs(i int, pois []broadcast.POI) {
+	lo := len(o.sorted)
+	for _, p := range pois {
+		if p.Pos.X == p.Pos.X && p.Pos.Y == p.Pos.Y {
+			o.sorted = append(o.sorted, p)
+		}
+	}
+	slices.SortFunc(o.sorted[lo:], comparePOI)
+	o.sorted = o.sorted[:lo+len(slices.Compact(o.sorted[lo:]))]
+	o.lo[i], o.hi[i] = int32(lo), int32(len(o.sorted))
+}
+
+// restrictAgree reports whether two claims agree on the overlap rect:
+// each claim's POIs inside the overlap must appear identically in the
+// other claim. a and b are duplicate-free and in comparePOI order, so the
+// two restrictions are compared as sets by one merge — and only over the
+// run of each list whose x lies in the overlap's x-range: everything left
+// of it is skipped on one comparison each, everything right of it is
+// never looked at.
+func restrictAgree(overlap geom.Rect, a, b []broadcast.POI) bool {
+	i, j := 0, 0
+	for i < len(a) && a[i].Pos.X < overlap.Min.X {
+		i++
+	}
+	for j < len(b) && b[j].Pos.X < overlap.Min.X {
+		j++
+	}
+	for {
+		i = nextInside(overlap, a, i)
+		j = nextInside(overlap, b, j)
+		if i == len(a) || j == len(b) {
+			return i == len(a) && j == len(b)
+		}
+		if a[i] != b[j] {
+			return false
+		}
+		i++
+		j++
+	}
+}
+
+// nextInside returns the index of the first POI of s[i:] inside r, or
+// len(s). s is in comparePOI order and s[i:] starts at or right of
+// r.Min.X.
+func nextInside(r geom.Rect, s []broadcast.POI, i int) int {
+	for ; i < len(s); i++ {
+		pos := s[i].Pos
+		if pos.X > r.Max.X {
+			return len(s)
+		}
+		if pos.Y >= r.Min.Y && pos.Y <= r.Max.Y {
+			return i
+		}
+	}
+	return len(s)
+}
+
+// detectConflicts returns every pair of slots, in (i, j) order, whose
+// regions strictly overlap and whose claims disagree on the overlap.
+func (o *pairOracle) detectConflicts(slots []slot, contribs []Contribution) []conflict {
+	o.sorted = o.sorted[:0]
+	o.lo, o.hi = o.lo[:0], o.hi[:0]
+	for range slots {
+		o.lo, o.hi = append(o.lo, -1), append(o.hi, -1)
+	}
+	var conflicts []conflict
+	for i := range slots {
+		a := &slots[i]
+		av := a.vr
+		if av.Empty() {
+			continue
+		}
+		for j := i + 1; j < len(slots); j++ {
+			b := &slots[j]
+			// Strict overlap of two non-empty rectangles by comparisons
+			// alone; most pairs end here.
+			if !(av.Min.X < b.vr.Max.X && b.vr.Min.X < av.Max.X &&
+				av.Min.Y < b.vr.Max.Y && b.vr.Min.Y < av.Max.Y) {
+				continue
+			}
+			if a.peer == b.peer || b.vr.Empty() {
+				continue // two regions of one cache cannot witness each other
+			}
+			if o.lo[i] < 0 {
+				o.orderPOIs(i, contribs[a.ci].POIs)
+			}
+			if o.lo[j] < 0 {
+				o.orderPOIs(j, contribs[b.ci].POIs)
+			}
+			overlap, _ := av.Intersect(b.vr)
+			if restrictAgree(overlap, o.sorted[o.lo[i]:o.hi[i]], o.sorted[o.lo[j]:o.hi[j]]) {
+				continue
+			}
+			conflicts = append(conflicts, conflict{i: int32(i), j: int32(j), overlap: overlap})
+		}
+	}
+	return conflicts
 }

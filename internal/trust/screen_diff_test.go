@@ -3,6 +3,7 @@ package trust
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lbsq/internal/broadcast"
@@ -13,9 +14,12 @@ import (
 
 // diffWorld generates randomized contribution sets for the differential
 // tests: a POI field with half of it on a half-integer grid (so POIs land
-// exactly on region, overlap and piece boundaries), a peer population
-// whose low ids lie with the five faults attack profiles, and regions
-// clustered around a wandering query point so that most of them overlap.
+// exactly on region, overlap and piece boundaries — regions snapped to
+// the integer grid touch without overlapping, with POIs on the shared
+// edges and corners), a peer population whose low ids lie with the five
+// faults attack profiles (several regions of one lying cache disagree
+// with each other), and regions clustered around a wandering query point
+// so that most of them overlap.
 type diffWorld struct {
 	rng   *rand.Rand
 	inj   *faults.Injector
@@ -101,11 +105,32 @@ func (w *diffWorld) contributions(maxN int) []Contribution {
 				con.POIs = append(pois, w.db[rng.Intn(len(w.db))])
 			case rng.Intn(25) == 0 && len(pois) > 0:
 				con.POIs = append(pois, pois[0]) // listed twice
+			case rng.Intn(25) == 0 && len(pois) > 0:
+				// One ID at a second position inside the region.
+				con.POIs = append(pois, broadcast.POI{ID: pois[0].ID, Pos: vr.Center()})
+			case rng.Intn(25) == 0:
+				// A position no rectangle contains.
+				con.POIs = append(pois, broadcast.POI{ID: int64(rng.Intn(len(w.db))), Pos: geom.Pt(math.NaN(), vr.Min.Y)})
+			case rng.Intn(8) == 0:
+				// The same claim with its zeros negative: still the same claim.
+				con.VR.Min.X, con.VR.Min.Y = negZero(vr.Min.X), negZero(vr.Min.Y)
+				con.POIs = slices.Clone(pois)
+				for i := range con.POIs {
+					con.POIs[i].Pos = geom.Pt(negZero(con.POIs[i].Pos.X), negZero(con.POIs[i].Pos.Y))
+				}
 			}
 			out = append(out, con)
 		}
 	}
 	return out
+}
+
+// negZero returns v with a zero made negative.
+func negZero(v float64) float64 {
+	if v == 0 {
+		return negativeZero
+	}
+	return v
 }
 
 func (w *diffWorld) budget() int64 {
@@ -133,19 +158,22 @@ func sameContribs(a, b []Contribution) bool {
 		return false
 	}
 	for i := range a {
-		if a[i].Peer != b[i].Peer || a[i].VR != b[i].VR || a[i].Stale != b[i].Stale || !samePOIs(a[i].POIs, b[i].POIs) {
+		if a[i].Peer != b[i].Peer || !sameBits(a[i].VR, b[i].VR) || a[i].Stale != b[i].Stale || !samePOIs(a[i].POIs, b[i].POIs) {
 			return false
 		}
 	}
 	return true
 }
 
+// samePOIs compares IDs and position bits, so a NaN equals itself and the
+// two zeros differ: both screens copy POIs from one input.
 func samePOIs(a, b []broadcast.POI) bool {
+	f := math.Float64bits
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if a[i].ID != b[i].ID || f(a[i].Pos.X) != f(b[i].Pos.X) || f(a[i].Pos.Y) != f(b[i].Pos.Y) {
 			return false
 		}
 	}
@@ -172,57 +200,96 @@ func sameResults(t *testing.T, got, want []Result) {
 	}
 }
 
+// diffPair is the production engine and the reference, built from one
+// seed, each behind a breaker set of its own.
+type diffPair struct {
+	e      *Engine
+	ref    *refEngine
+	eb, rb *p2p.BreakerSet
+	pairs  pairOracle
+}
+
+func newDiffPair(seed int64, cfg Config) *diffPair {
+	bcfg := p2p.BreakerConfig{Threshold: 3}
+	d := &diffPair{eb: p2p.NewBreakerSet(bcfg), rb: p2p.NewBreakerSet(bcfg)}
+	d.e, d.ref = NewEngine(seed, cfg, d.eb), newRefEngine(seed, cfg, d.rb)
+	return d
+}
+
+// screen runs one screen on both engines and compares every observable:
+// results, report, counters, the reputations and breakers of peers
+// -1..peers-1, the quarantine and its index — and the conflict list of the
+// coverage check against the pair loop's. It returns the production
+// engine's results (valid until its next screen) and report.
+func (d *diffPair) screen(t *testing.T, s int, contribs []Contribution, oracle Oracle, budget int64, peers int) ([]Result, Report) {
+	t.Helper()
+	e, ref := d.e, d.ref
+	pristine := cloneContribs(contribs)
+	want, wantRep := ref.screenReference(cloneContribs(contribs), oracle, budget)
+	got, gotRep := e.Screen(contribs, oracle, budget)
+	sameResults(t, got, want)
+	if !sameContribs(contribs, pristine) {
+		t.Fatalf("screen %d wrote to its input", s)
+	}
+	if gotRep != wantRep {
+		t.Fatalf("screen %d report = %+v, reference %+v", s, gotRep, wantRep)
+	}
+	if e.Counters() != ref.counters {
+		t.Fatalf("screen %d counters = %+v, reference %+v", s, e.Counters(), ref.counters)
+	}
+	sameConflicts(t, e.conflicts, d.pairs.detectConflicts(e.slots, contribs))
+	for id := -1; id < peers; id++ {
+		if e.Quarantined(id) != ref.Quarantined(id) || e.Vouched(id) != ref.Vouched(id) {
+			t.Fatalf("screen %d peer %d: quarantined %v vouched %v, reference %v %v", s, id,
+				e.Quarantined(id), e.Vouched(id), ref.Quarantined(id), ref.Vouched(id))
+		}
+		if d.eb.State(id) != d.rb.State(id) {
+			t.Fatalf("screen %d peer %d: breaker %v, reference %v", s, id, d.eb.State(id), d.rb.State(id))
+		}
+	}
+	live := e.quar[e.quarHead:]
+	if e.QuarantinedRects() != len(ref.quar) {
+		t.Fatalf("screen %d: %d quarantined rects, reference %d", s, e.QuarantinedRects(), len(ref.quar))
+	}
+	for i, q := range live {
+		if q != ref.quar[i] || e.quarIdx[q.r] != e.quarHead+i {
+			t.Fatalf("screen %d: quarantine entry %d = %+v (index %d), reference %+v", s, i, q, e.quarIdx[q.r]-e.quarHead, ref.quar[i])
+		}
+	}
+	if len(e.quarIdx) != len(live) {
+		t.Fatalf("screen %d: %d index entries for %d live rects", s, len(e.quarIdx), len(live))
+	}
+	return got, gotRep
+}
+
+// sameConflicts requires the same pairs in the same order with the same
+// overlap bits.
+func sameConflicts(t *testing.T, got, want []conflict) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d conflicts, pair loop %d\n got  %+v\n want %+v", len(got), len(want), got, want)
+	}
+	for k := range got {
+		if got[k].i != want[k].i || got[k].j != want[k].j || !sameBits(got[k].overlap, want[k].overlap) {
+			t.Fatalf("conflict %d = %+v, pair loop %+v", k, got[k], want[k])
+		}
+	}
+}
+
 // runDifferential drives the production engine and the reference from one
 // seed through `screens` screens and compares every observable after each.
 func runDifferential(t *testing.T, w *diffWorld, cfg Config, seed int64, screens, maxN int) (*Engine, *refEngine) {
 	t.Helper()
-	bcfg := p2p.BreakerConfig{Threshold: 3}
-	eb, rb := p2p.NewBreakerSet(bcfg), p2p.NewBreakerSet(bcfg)
-	e, ref := NewEngine(seed, cfg, eb), newRefEngine(seed, cfg, rb)
+	d := newDiffPair(seed, cfg)
 	for s := 0; s < screens; s++ {
-		contribs := w.contributions(maxN)
-		pristine := cloneContribs(contribs)
-		budget := w.budget()
-		want, wantRep := ref.screenReference(cloneContribs(contribs), w.truth, budget)
-		got, gotRep := e.Screen(contribs, w.truth, budget)
-		sameResults(t, got, want)
-		if !sameContribs(contribs, pristine) {
-			t.Fatalf("screen %d wrote to its input", s)
-		}
-		if gotRep != wantRep {
-			t.Fatalf("screen %d report = %+v, reference %+v", s, gotRep, wantRep)
-		}
-		if e.Counters() != ref.counters {
-			t.Fatalf("screen %d counters = %+v, reference %+v", s, e.Counters(), ref.counters)
-		}
-		for id := -1; id < w.peers; id++ {
-			if e.Quarantined(id) != ref.Quarantined(id) || e.Vouched(id) != ref.Vouched(id) {
-				t.Fatalf("screen %d peer %d: quarantined %v vouched %v, reference %v %v", s, id,
-					e.Quarantined(id), e.Vouched(id), ref.Quarantined(id), ref.Vouched(id))
-			}
-			if eb.State(id) != rb.State(id) {
-				t.Fatalf("screen %d peer %d: breaker %v, reference %v", s, id, eb.State(id), rb.State(id))
-			}
-		}
-		live := e.quar[e.quarHead:]
-		if e.QuarantinedRects() != len(ref.quar) {
-			t.Fatalf("screen %d: %d quarantined rects, reference %d", s, e.QuarantinedRects(), len(ref.quar))
-		}
-		for i, q := range live {
-			if q != ref.quar[i] || e.quarIdx[q.r] != e.quarHead+i {
-				t.Fatalf("screen %d: quarantine entry %d = %+v (index %d), reference %+v", s, i, q, e.quarIdx[q.r]-e.quarHead, ref.quar[i])
-			}
-		}
-		if len(e.quarIdx) != len(live) {
-			t.Fatalf("screen %d: %d index entries for %d live rects", s, len(e.quarIdx), len(live))
-		}
+		d.screen(t, s, w.contributions(maxN), w.truth, w.budget(), w.peers)
 		if s%64 == 63 || s == screens-1 {
-			if a, b := e.rng.Float64(), ref.rng.Float64(); a != b {
+			if a, b := d.e.rng.Float64(), d.ref.rng.Float64(); a != b {
 				t.Fatalf("screen %d: next rng draw %v, reference %v", s, a, b)
 			}
 		}
 	}
-	return e, ref
+	return d.e, d.ref
 }
 
 // TestScreenMatchesReference is the differential oracle for the whole

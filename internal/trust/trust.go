@@ -61,6 +61,7 @@ package trust
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -266,15 +267,17 @@ const maxQuarRects = 1024
 // slot is one contribution that survived the quarantined-peer drop, with
 // what the screen's passes need of it side by side.
 type slot struct {
-	vr   geom.Rect
-	peer int
-	rec  *peerRec // nil for Self
-	ci   int32    // index into the contributions
-	// Engine.sorted[lo:hi] is the contribution's ordered POI index;
-	// lo < 0 until a strictly overlapping partner asks for it.
-	lo, hi int32
-	stale  bool
+	vr    geom.Rect
+	peer  int
+	rec   *peerRec // nil for Self
+	ci    int32    // index into the contributions
+	stale bool
 }
+
+// claims reports whether the slot's region can claim anything: positive
+// area and no NaN bound. Only such a region can strictly overlap another,
+// so only such slots take part in cross-validation.
+func (s *slot) claims() bool { return s.vr.Min.X < s.vr.Max.X && s.vr.Min.Y < s.vr.Max.Y }
 
 // conflict is one pair of contributions (i < j, slot indices) that
 // disagree on their overlap.
@@ -283,10 +286,15 @@ type conflict struct {
 	overlap geom.Rect
 }
 
-// Engine is the per-host trust state: reputation records, the decaying
-// rectangle quarantine, and the seeded audit-sampling stream. It is
-// deterministic — identical seeds and call sequences produce identical
-// verdicts — and single-goroutine like the rest of the query path.
+// Engine is the reputation state the hosts of one world share through
+// their ordinary P2P exchanges — one engine per world, not one per host,
+// the same simplification p2p.BreakerSet makes: reputation records, the
+// decaying rectangle quarantine, and the seeded audit-sampling stream. It
+// is deterministic — identical seeds and call sequences produce identical
+// verdicts. Nothing in it is synchronized, and nothing needs to be: the
+// simulator's query pipeline screens in its prepare stage, which like
+// commit runs serially on the stepping goroutine for every worker count;
+// the parallel execute stage never sees the engine.
 type Engine struct {
 	cfg      Config
 	rng      *rand.Rand
@@ -310,9 +318,11 @@ type Engine struct {
 	// returns; nothing here is referenced by a Result's POIs.
 	slots     []slot
 	conflicts []conflict
-	sorted    []broadcast.POI // ordered POI indices, one run per slot that asked
-	trusted   []int64         // sorted IDs of the POIs untainted results carry
-	holes     []geom.Rect     // live quarantine meeting the tainted contributions
+	cover     coverage    // the screen's distinct claimed POIs and who claims them
+	grid      slotGrid    // point location over the claiming slots' regions
+	inside    []int32     // slots whose region contains the claim under test
+	pairs     []uint64    // conflicting pairs as witnessed, i<<32 | j, unsorted
+	holes     []geom.Rect // live quarantine meeting the tainted contributions
 	pieces    []geom.Rect
 	spare     []geom.Rect
 	owner     []int32 // per POI of one contribution: owning piece, or -1
@@ -542,89 +552,204 @@ func claimHonest(vr geom.Rect, claimed, truth []broadcast.POI) bool {
 	return true
 }
 
-// comparePOI orders POIs by (X, Y, ID): position first, so that the POIs
-// inside a rectangle sit in one run of the order (see restrictAgree). On
-// NaN-free positions two POIs compare equal exactly when they are == (the
-// order has no opinion on the sign of a zero, and neither has ==).
-func comparePOI(a, b broadcast.POI) int {
+// claim is one distinct POI that some slot lists inside its own region.
+type claim struct {
+	poi      broadcast.POI
+	claimers int32 // distinct slots that list it inside their region
+	last     int32 // the latest of them: a POI listed twice counts once
+	carried  bool  // an untainted result of this screen carries it (judge)
+}
+
+// coverage is one screen's claim table: every distinct POI that a slot
+// lists inside its own region, in first-listing order, and for each slot
+// the claims it makes. A claim is the whole POI value compared with ==,
+// so one ID at two positions is two claims and the sign of a zero is
+// ignored; a NaN position is inside no region and never gets here. The
+// hash table is keyed on the ID alone, which puts every claim of one ID
+// in one probe run (carries), and is sized from the screen's POI count,
+// never from the capacity it has grown to, so nothing about a screen
+// depends on what the engine screened before.
+type coverage struct {
+	claims []claim
+	table  []int32 // open addressing: index into claims + 1, 0 is free
+	shift  uint    // 64 - log2(len(table))
+	// by[off[i]:off[i+1]] are slot i's claims, as indices into claims.
+	off []int32
+	by  []int32
+}
+
+// reset empties the table and sizes it for at most pois claims at a load
+// of one half or less.
+func (c *coverage) reset(pois int) {
+	c.claims, c.off, c.by = c.claims[:0], c.off[:0], c.by[:0]
+	log := bits.Len(uint(2 * pois))
+	if size := 1 << log; cap(c.table) < size {
+		c.table = make([]int32, size)
+	} else {
+		c.table = c.table[:size]
+		clear(c.table)
+	}
+	c.shift = uint(64 - log)
+}
+
+// home is where the probe run of id starts.
+func (c *coverage) home(id int64) int {
+	return int(uint64(id) * 0x9e3779b97f4a7c15 >> c.shift)
+}
+
+// add records that slot i lists p inside its region. Slots are added in
+// index order, so a claim's last claimer tells whether i already counts.
+func (c *coverage) add(i int32, p broadcast.POI) {
+	mask := len(c.table) - 1
+	for h := c.home(p.ID); ; h = (h + 1) & mask {
+		t := c.table[h] - 1
+		if t < 0 {
+			c.table[h] = int32(len(c.claims)) + 1
+			c.by = append(c.by, int32(len(c.claims)))
+			c.claims = append(c.claims, claim{poi: p, claimers: 1, last: i})
+			return
+		}
+		if cl := &c.claims[t]; cl.poi == p {
+			if cl.last != i {
+				cl.last = i
+				cl.claimers++
+				c.by = append(c.by, t)
+			}
+			return
+		}
+	}
+}
+
+// of returns slot i's claims.
+func (c *coverage) of(i int32) []int32 { return c.by[c.off[i]:c.off[i+1]] }
+
+// carries reports whether an untainted result of this screen carries a
+// POI with this ID, at whatever position.
+func (c *coverage) carries(id int64) bool {
+	mask := len(c.table) - 1
+	for h := c.home(id); ; h = (h + 1) & mask {
+		t := c.table[h] - 1
+		if t < 0 {
+			return false
+		}
+		if cl := &c.claims[t]; cl.carried && cl.poi.ID == id {
+			return true
+		}
+	}
+}
+
+// slotGrid locates a point among the claiming slots' regions: a uniform
+// grid over their bounding box whose cells list, ascending, the slots
+// whose region meets the cell. The column of a coordinate is a monotone
+// function of it, so a point inside a region falls in one of the
+// region's cells whatever the rounding does.
+type slotGrid struct {
+	minX, minY float64
+	perX, perY float64 // cells per unit length
+	side       int32   // cells per axis
+	off        []int32 // cell c lists slots[off[c]:off[c+1]]
+	slots      []int32
+	spans      []cellSpan
+}
+
+// cellSpan is the block of cells one slot's region meets.
+type cellSpan struct{ slot, x0, x1, y0, y1 int32 }
+
+// cell maps an offset from the grid's low edge to a column or row. An
+// unbounded box has per == 0 and puts everything in cell 0.
+func (g *slotGrid) cell(d, per float64) int32 {
+	v := d * per
 	switch {
-	case a.Pos.X != b.Pos.X:
-		if a.Pos.X < b.Pos.X {
-			return -1
+	case !(v >= 1): // also NaN (Inf · 0)
+		return 0
+	case v >= float64(g.side):
+		return g.side - 1
+	}
+	return int32(v)
+}
+
+// build indexes the claiming slots, about one cell per slot.
+func (g *slotGrid) build(slots []slot) {
+	n := 0
+	var box geom.Rect
+	for i := range slots {
+		s := &slots[i]
+		if !s.claims() {
+			continue
 		}
-		return 1
-	case a.Pos.Y != b.Pos.Y:
-		if a.Pos.Y < b.Pos.Y {
-			return -1
+		if n == 0 {
+			box = s.vr
 		}
-		return 1
-	case a.ID != b.ID:
-		if a.ID < b.ID {
-			return -1
+		box.Min.X, box.Min.Y = min(box.Min.X, s.vr.Min.X), min(box.Min.Y, s.vr.Min.Y)
+		box.Max.X, box.Max.Y = max(box.Max.X, s.vr.Max.X), max(box.Max.Y, s.vr.Max.Y)
+		n++
+	}
+	g.side = int32(math.Ceil(math.Sqrt(float64(n))))
+	g.minX, g.minY = box.Min.X, box.Min.Y
+	g.perX, g.perY = float64(g.side)/box.Width(), float64(g.side)/box.Height()
+
+	// Counting sort of (cell, slot): cell c's count goes to off[c+2], the
+	// running sum turns off[c+1] into c's write cursor, and filling
+	// advances it to c's end — the start of c+1.
+	cells := int(g.side * g.side)
+	g.off = append(g.off[:0], make([]int32, cells+2)...)
+	g.spans = g.spans[:0]
+	for i := range slots {
+		s := &slots[i]
+		if !s.claims() {
+			continue
 		}
+		sp := cellSpan{slot: int32(i),
+			x0: g.cell(s.vr.Min.X-g.minX, g.perX), x1: g.cell(s.vr.Max.X-g.minX, g.perX),
+			y0: g.cell(s.vr.Min.Y-g.minY, g.perY), y1: g.cell(s.vr.Max.Y-g.minY, g.perY)}
+		g.spans = append(g.spans, sp)
+		for y := sp.y0; y <= sp.y1; y++ {
+			row := g.off[y*g.side+sp.x0+2 : y*g.side+sp.x1+3]
+			for k := range row {
+				row[k]++
+			}
+		}
+	}
+	for c := 2; c < len(g.off); c++ {
+		g.off[c] += g.off[c-1]
+	}
+	g.slots = append(g.slots[:0], make([]int32, g.off[cells+1])...)
+	for _, sp := range g.spans {
+		for y := sp.y0; y <= sp.y1; y++ {
+			row := g.off[y*g.side+sp.x0+1 : y*g.side+sp.x1+2]
+			for k := range row {
+				g.slots[row[k]] = sp.slot
+				row[k]++
+			}
+		}
+	}
+	g.off = g.off[:cells+1]
+}
+
+// near returns the slots listed in the cell of p, a point inside the
+// grid's box: every claiming slot whose closed region contains p is one.
+func (g *slotGrid) near(p geom.Point) []int32 {
+	c := g.cell(p.Y-g.minY, g.perY)*g.side + g.cell(p.X-g.minX, g.perX)
+	return g.slots[g.off[c]:g.off[c+1]]
+}
+
+// containing counts the slots of near whose closed region contains p.
+// Which way each comparison goes is a coin flip per slot, so the count is
+// summed from the four outcomes rather than branched on.
+func containing(slots []slot, near []int32, p geom.Point) int32 {
+	n := int32(0)
+	for _, i := range near {
+		r := &slots[i].vr
+		n += bit(p.X >= r.Min.X) & bit(p.X <= r.Max.X) & bit(p.Y >= r.Min.Y) & bit(p.Y <= r.Max.Y)
+	}
+	return n
+}
+
+func bit(b bool) int32 {
+	if b {
 		return 1
 	}
 	return 0
-}
-
-// orderPOIs builds slot s's POIs in comparePOI order, each once, as the
-// run e.sorted[s.lo:s.hi]. POIs at a NaN position are left out: no
-// rectangle contains them, so no overlap ever asks about them.
-func (e *Engine) orderPOIs(s *slot, pois []broadcast.POI) {
-	lo := len(e.sorted)
-	for _, p := range pois {
-		if p.Pos.X == p.Pos.X && p.Pos.Y == p.Pos.Y {
-			e.sorted = append(e.sorted, p)
-		}
-	}
-	slices.SortFunc(e.sorted[lo:], comparePOI)
-	e.sorted = e.sorted[:lo+len(slices.Compact(e.sorted[lo:]))]
-	s.lo, s.hi = int32(lo), int32(len(e.sorted))
-}
-
-// restrictAgree reports whether two claims agree on the overlap rect:
-// each claim's POIs inside the overlap must appear identically in the
-// other claim. a and b are duplicate-free and in comparePOI order, so the
-// two restrictions are compared as sets by one merge — and only over the
-// run of each list whose x lies in the overlap's x-range: everything left
-// of it is skipped on one comparison each, everything right of it is
-// never looked at.
-func restrictAgree(overlap geom.Rect, a, b []broadcast.POI) bool {
-	i, j := 0, 0
-	for i < len(a) && a[i].Pos.X < overlap.Min.X {
-		i++
-	}
-	for j < len(b) && b[j].Pos.X < overlap.Min.X {
-		j++
-	}
-	for {
-		i = nextInside(overlap, a, i)
-		j = nextInside(overlap, b, j)
-		if i == len(a) || j == len(b) {
-			return i == len(a) && j == len(b)
-		}
-		if a[i] != b[j] {
-			return false
-		}
-		i++
-		j++
-	}
-}
-
-// nextInside returns the index of the first POI of s[i:] inside r, or
-// len(s). s is in comparePOI order and s[i:] starts at or right of
-// r.Min.X.
-func nextInside(r geom.Rect, s []broadcast.POI, i int) int {
-	for ; i < len(s); i++ {
-		pos := s[i].Pos
-		if pos.X > r.Max.X {
-			return len(s)
-		}
-		if pos.Y >= r.Min.Y && pos.Y <= r.Max.Y {
-			return i
-		}
-	}
-	return len(s)
 }
 
 // Screen runs one query's trust pass over the collected contributions:
@@ -665,56 +790,108 @@ func (e *Engine) Screen(contribs []Contribution, oracle Oracle, budget int64) ([
 				continue
 			}
 		}
-		slots = append(slots, slot{vr: c.VR, peer: c.Peer, rec: r, ci: int32(i), lo: -1, stale: c.Stale})
+		slots = append(slots, slot{vr: c.VR, peer: c.Peer, rec: r, ci: int32(i), stale: c.Stale})
 	}
 	e.slots = slots
 
 	e.detectConflicts(contribs)
 	e.applyVerdicts(&rep)
 	e.audit(contribs, oracle, budget, &rep)
-	e.judge(contribs, &rep)
+	e.judge(&rep)
 	return e.assemble(contribs), rep
 }
 
 // detectConflicts is the pure half of cross-validation: it fills
 // e.conflicts with every pair of slots, in (i, j) order, whose regions
-// strictly overlap and whose claims disagree on the overlap. It reads the
-// contributions and touches no reputation, so what it finds cannot depend
-// on a verdict — verdicts are applied afterwards, in the order found.
+// strictly overlap, whose peers differ and whose claims disagree on the
+// overlap. It reads the contributions and touches no reputation, so what
+// it finds cannot depend on a verdict — verdicts are applied afterwards,
+// in the order found.
+//
+// Two claims disagree on their overlap exactly when one lists, inside its
+// own region, a POI whose position the other's closed region contains but
+// whose value the other does not list (the closed overlap is the
+// intersection of the closed regions). So detection asks once per
+// distinct claimed POI whether every region that contains it also claims
+// it; when all do — an honest neighbourhood — no pair can disagree, and
+// that is the whole cost. A POI that some containing region does not
+// claim is itself the witness against every (claimer, non-claimer) pair
+// of its containers that are of different peers and strictly overlap.
 func (e *Engine) detectConflicts(contribs []Contribution) {
-	e.sorted = e.sorted[:0]
 	e.conflicts = e.conflicts[:0]
-	slots := e.slots
+	slots, cv := e.slots, &e.cover
+	listed := 0
 	for i := range slots {
-		a := &slots[i]
-		av := a.vr
-		if av.Empty() {
+		listed += len(contribs[slots[i].ci].POIs)
+	}
+	cv.reset(listed)
+	for i := range slots {
+		s := &slots[i]
+		cv.off = append(cv.off, int32(len(cv.by)))
+		if !s.claims() {
 			continue
 		}
-		for j := i + 1; j < len(slots); j++ {
-			b := &slots[j]
-			// Strict overlap of two non-empty rectangles by comparisons
-			// alone; most pairs end here.
-			if !(av.Min.X < b.vr.Max.X && b.vr.Min.X < av.Max.X &&
-				av.Min.Y < b.vr.Max.Y && b.vr.Min.Y < av.Max.Y) {
-				continue
+		for _, p := range contribs[s.ci].POIs {
+			if s.vr.Contains(p.Pos) {
+				cv.add(int32(i), p)
 			}
-			if a.peer == b.peer || b.vr.Empty() {
-				continue // two regions of one cache cannot witness each other
-			}
-			if a.lo < 0 {
-				e.orderPOIs(a, contribs[a.ci].POIs)
-			}
-			if b.lo < 0 {
-				e.orderPOIs(b, contribs[b.ci].POIs)
-			}
-			overlap, _ := av.Intersect(b.vr)
-			if restrictAgree(overlap, e.sorted[a.lo:a.hi], e.sorted[b.lo:b.hi]) {
-				continue
-			}
-			e.conflicts = append(e.conflicts, conflict{i: int32(i), j: int32(j), overlap: overlap})
 		}
 	}
+	cv.off = append(cv.off, int32(len(cv.by)))
+	if len(cv.claims) == 0 {
+		return
+	}
+
+	e.grid.build(slots)
+	pairs := e.pairs[:0]
+	for t := range cv.claims {
+		cl := &cv.claims[t]
+		near := e.grid.near(cl.poi.Pos)
+		if containing(slots, near, cl.poi.Pos) > cl.claimers {
+			pairs = e.appendWitnessed(pairs, int32(t), near)
+		}
+	}
+	e.pairs = pairs
+	// One pair can have many witnesses, and claims come in no pair order.
+	slices.Sort(pairs)
+	for k, key := range pairs {
+		if k > 0 && key == pairs[k-1] {
+			continue
+		}
+		i, j := int32(key>>32), int32(uint32(key))
+		overlap, _ := slots[i].vr.Intersect(slots[j].vr)
+		e.conflicts = append(e.conflicts, conflict{i: i, j: j, overlap: overlap})
+	}
+}
+
+// appendWitnessed appends, as i<<32 | j with i < j, the conflicting pairs
+// claim t witnesses among the slots of near whose region contains it: one
+// that lists it against one that does not, of different peers (two regions
+// of one cache cannot witness each other), strictly overlapping.
+func (e *Engine) appendWitnessed(dst []uint64, t int32, near []int32) []uint64 {
+	// The containing slots, claimers in front.
+	inside, k, p := e.inside[:0], 0, e.cover.claims[t].poi.Pos
+	for _, i := range near {
+		if !e.slots[i].vr.Contains(p) {
+			continue
+		}
+		inside = append(inside, i)
+		if slices.Contains(e.cover.of(i), t) {
+			inside[len(inside)-1], inside[k] = inside[k], i
+			k++
+		}
+	}
+	e.inside = inside
+	for _, i := range inside[:k] {
+		a := &e.slots[i]
+		for _, j := range inside[k:] {
+			b := &e.slots[j]
+			if _, strictly := a.vr.Intersect(b.vr); strictly && a.peer != b.peer {
+				dst = append(dst, uint64(min(i, j))<<32|uint64(max(i, j)))
+			}
+		}
+	}
+	return dst
 }
 
 // applyVerdicts rules on the detected conflicts in (i, j) order; a
@@ -806,11 +983,10 @@ func (e *Engine) audit(contribs []Contribution, oracle Oracle, budget int64, rep
 // judge runs once reputations have stopped moving, so every slot's
 // verdict is settled: dropped (its peer was convicted this screen),
 // tainted or trusted. It counts the tainted peers and gathers what
-// assembly needs from the whole set: the IDs untainted results will carry
-// (cross-pool dedup) and the quarantine rectangles that can reach a
+// assembly needs from the whole set: which claims untainted results will
+// carry (cross-pool dedup) and the quarantine rectangles that can reach a
 // tainted contribution.
-func (e *Engine) judge(contribs []Contribution, rep *Report) {
-	e.trusted = e.trusted[:0]
+func (e *Engine) judge(rep *Report) {
 	e.holes = e.holes[:0]
 	var reach geom.Rect // bounding box of the tainted regions
 	anyTainted, selfTainted := false, false
@@ -821,13 +997,9 @@ func (e *Engine) judge(contribs []Contribution, rep *Report) {
 		}
 		if !e.tainted(s) {
 			// An untainted region is never subtracted from, so its result
-			// carries exactly its POIs inside the region.
-			if !s.vr.Empty() {
-				for _, p := range contribs[s.ci].POIs {
-					if s.vr.Contains(p.Pos) {
-						e.trusted = append(e.trusted, p.ID)
-					}
-				}
+			// carries exactly the POIs it lists inside the region: its claims.
+			for _, t := range e.cover.of(int32(i)) {
+				e.cover.claims[t].carried = true
 			}
 			continue
 		}
@@ -857,7 +1029,6 @@ func (e *Engine) judge(contribs []Contribution, rep *Report) {
 	if !anyTainted {
 		return
 	}
-	slices.Sort(e.trusted)
 	// Insertion order is kept, so each contribution meets its holes in
 	// the order the full set would present them.
 	for _, q := range e.quar[e.quarHead:] {
@@ -932,7 +1103,7 @@ func (e *Engine) appendPieces(out []Result, c *Contribution, tainted bool, piece
 	kept := 0
 	for _, p := range c.POIs {
 		o := int32(-1)
-		if !tainted || !e.isTrusted(p.ID) {
+		if !tainted || !e.cover.carries(p.ID) {
 			for k, piece := range pieces {
 				if piece.Contains(p.Pos) {
 					o = int32(k)
@@ -971,11 +1142,4 @@ func (e *Engine) appendPieces(out []Result, c *Contribution, tainted bool, piece
 		}
 	}
 	return out
-}
-
-// isTrusted reports whether an untainted result of this screen carries a
-// POI with this ID.
-func (e *Engine) isTrusted(id int64) bool {
-	_, ok := slices.BinarySearch(e.trusted, id)
-	return ok
 }
