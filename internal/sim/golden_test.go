@@ -92,9 +92,15 @@ func goldenWorlds() map[string]Params {
 	stall.Faults = blackoutProfile()
 	stall.DeadlineSlots = 16
 
+	// Loss on both directions of the peer link plus reply damage, with the
+	// deadline, breakers and churn all off: the retry policy alone.
+	lossy := clean(KNNQuery)
+	lossy.Faults = faults.Profile{RequestLoss: 0.1, ReplyLoss: 0.1, ReplyTruncate: 0.05, ReplyCorrupt: 0.05}
+
 	return map[string]Params{
 		"knn_zero":     clean(KNNQuery),
 		"window_zero":  clean(WindowQuery),
+		"lossy_knn":    lossy,
 		"armed_knn":    armedKNN,
 		"armed_window": armedWindow,
 		"crowd":        crowd,
