@@ -125,14 +125,20 @@ verify: vet build race fuzz-smoke
 goldens:
 	$(GO) test -count=1 -run 'TestGolden' ./internal/sim -update
 
-# The two size measures ROADMAP.md tracks (aim 2), with the exact
-# commands: non-test lines of internal/sim, and all non-test Go lines
-# outside the bench/ module.
+# The size measures ROADMAP.md tracks (aim 2), with the exact commands:
+# non-test lines of internal/sim, all non-test Go lines outside the bench/
+# module, and the four counts its item 2 quotes — lines of world.go, lines
+# of world.go that gate on a layer pointer, Stats fields, lbsq-sim flags.
 loc:
 	@printf 'loc: internal/sim non-test lines: '; \
 		ls internal/sim/*.go | grep -v _test.go | xargs cat | wc -l
 	@printf 'loc: all non-test, non-bench lines: '; \
 		find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+	@printf 'loc: internal/sim/world.go lines: '; wc -l < internal/sim/world.go
+	@printf 'loc: "!= nil" layer gates in world.go: '; grep -c '!= nil' internal/sim/world.go
+	@printf 'loc: Stats fields: '; \
+		awk '/^type Stats struct/,/^}/' internal/sim/stats.go | grep -cE '^\s[A-Z][A-Za-z0-9]* '
+	@printf 'loc: lbsq-sim flags: '; grep -cE '= flag\.[A-Z]' cmd/lbsq-sim/main.go
 
 # Continuous-query identity lane (DESIGN.md §15): zero-knob and armed
 # determinism, the batched-tick identity matrix with subscriptions live,
@@ -171,7 +177,7 @@ soak:
 
 # Fault/resilience benchmark grid: one JSON line per cell into
 # results/BENCH_faults.json. Sweeps request-loss with and without the
-# resilient lifecycle so the two degradation curves can be compared.
+# deadline/breaker/churn knobs so the two degradation curves can be compared.
 # Runs in one process through the sweep engine (internal/perf.FaultGrid);
 # rows are value-identical to the former go-run-per-cell shell loop, in
 # the same order, plus the bench_schema version field.

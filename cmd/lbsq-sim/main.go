@@ -43,7 +43,7 @@
 //
 // -grid faults replaces the single run with the standard in-process
 // fault/resilience benchmark grid (the `make bench` cells): loss rates
-// {0, 0.05, 0.1, 0.2} with and without the resilient lifecycle, each
+// {0, 0.05, 0.1, 0.2} with and without the lifecycle knobs, each
 // cell self-checked, one JSONL row per cell on stdout. -parallel sets
 // the grid worker count (0 = GOMAXPROCS, 1 = serial); every worker
 // count emits identical rows apart from wall_seconds, because each cell
@@ -56,18 +56,19 @@
 // ad-hoc request and reply loss rates, -corrupt is the reply
 // damage rate (split evenly between truncation and bit corruption),
 // -stale-rate is the fraction of shared verified regions silently
-// invalidated by the POI-update process, and -retries bounds request
-// re-broadcasts. All fault runs are deterministic under -seed.
+// invalidated by the POI-update process, and -retries bounds the retry
+// rounds of one query's peer collection. All fault runs are deterministic
+// under -seed.
 //
 // The resilience flags drive the adaptive query lifecycle (DESIGN.md §8):
 // -deadline-slots is the per-query P2P slot budget (exceeding it abandons
 // peer collection and falls back to the channel), -breaker-threshold and
 // -breaker-cooldown configure the per-peer circuit breakers (consecutive
 // failures to trip; quarantine cycles), and -churn-rate lets peers power
-// off/on and drift out of range mid-collection. Any nonzero resilience
-// flag replaces the blind retry loop with capped exponential backoff plus
-// seeded jitter, retrying only unanswered peers; all-zero resilience
-// flags reproduce the seed behavior bit-identically.
+// off/on and drift out of range mid-collection. Peer collection always
+// retries only unanswered peers, under capped exponential backoff plus
+// seeded jitter; with all three at zero that backoff is unbounded by a
+// deadline, no peer is quarantined and none departs.
 //
 // The trust flags drive the Byzantine-resilience layer (DESIGN.md §11):
 // -byzantine-rate makes that fraction of hosts lie about their cached
@@ -190,7 +191,7 @@ func main() {
 		replyLoss = flag.Float64("reply-loss", 0, "P2P reply loss rate [0, 0.95]")
 		corrupt   = flag.Float64("corrupt", 0, "P2P reply damage rate, half truncation half bit flips [0, 0.95]")
 		staleRate = flag.Float64("stale-rate", 0, "fraction of shared verified regions silently invalidated [0, 0.95]")
-		retries   = flag.Int("retries", 0, "request re-broadcast budget (0 = default when faults are on)")
+		retries   = flag.Int("retries", 0, "retry rounds per peer collection (0 = default when faults are on)")
 		deadline  = flag.Int("deadline-slots", 0, "per-query P2P slot budget; exceeding it falls back to the channel (0 = no deadline)")
 		brThresh  = flag.Int("breaker-threshold", 0, "consecutive peer failures that trip its circuit breaker (0 = breakers off)")
 		brCool    = flag.Int64("breaker-cooldown", 0, "breaker quarantine in collection cycles (0 = default 8 when breakers on)")
@@ -516,7 +517,7 @@ func main() {
 			stats.Retransmissions, stats.IndexRetries)
 	}
 	if stats.ResilienceEvents() > 0 {
-		fmt.Printf("\nresilient lifecycle (deadline=%d slots, breaker=%d/%d, churn=%.2f):\n",
+		fmt.Printf("\ncollection lifecycle (deadline=%d slots, breaker=%d/%d, churn=%.2f):\n",
 			p.DeadlineSlots, p.BreakerThreshold, p.BreakerCooldown, p.Faults.ChurnRate)
 		fmt.Printf("  deadline aborts:               %d (backoff spent: %d slots)\n",
 			stats.DeadlineAborts, stats.BackoffSlots)

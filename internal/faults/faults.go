@@ -16,8 +16,8 @@
 // What is injected where:
 //
 //   - P2P request loss: a neighbor fails to hear the broadcast cache
-//     request (per peer, per attempt). The querying host re-broadcasts
-//     within a bounded retry budget.
+//     request (per peer, per attempt). The querying host re-requests
+//     its unanswered peers within a bounded retry budget.
 //   - P2P reply loss / truncation / bit corruption: a peer's reply is
 //     dropped in flight, cut short, or bit-flipped. Corrupted replies are
 //     detected by the wire CRC and rejected; the query degrades (the MVR
@@ -85,7 +85,7 @@ type Profile struct {
 	// no longer there (wasted, counted). Zero disables churn entirely.
 	ChurnRate float64
 	// MaxRetries bounds how many times a querying host re-broadcasts its
-	// cache request when no neighbor heard it. Zero selects
+	// cache request while a neighbor has not answered. Zero selects
 	// DefaultMaxRetries when any fault rate is set.
 	MaxRetries int
 	// TrustStale disables the consistency layer's stale-region discard:

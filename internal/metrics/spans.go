@@ -5,8 +5,8 @@ package metrics
 // deterministic simulated quantities, never wall time:
 //
 //	p2p_collect    broadcast slots spent gathering peer replies (retry
-//	               backoff of the resilient lifecycle; 0 on the legacy
-//	               blind loop, whose exchanges are modeled instantaneous)
+//	               backoff; 0 when every peer answers the first request,
+//	               whose exchange is modeled instantaneous)
 //	mvr_merge      work units: peer verified regions merged into the MVR
 //	nnv_verify     work units: candidate POIs pushed through Lemma 3.1/3.2
 //	               verification

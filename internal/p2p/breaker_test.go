@@ -11,98 +11,111 @@ func newTestBreakers(t *testing.T, threshold int, cooldown int64) *BreakerSet {
 	return bs
 }
 
-func TestBreakerTripsAtThreshold(t *testing.T) {
-	bs := newTestBreakers(t, 3, 5)
-	const peer = 7
+// The five operations the collector drives a breaker with.
+const (
+	opTick = iota
+	opAllow
+	opSuccess
+	opFailure
+	opDeparture
+	nBreakerOps
+)
 
-	// Two failures: still closed, still allowed.
-	bs.RecordFailure(peer)
-	bs.RecordFailure(peer)
-	if got := bs.State(peer); got != BreakerClosed {
-		t.Fatalf("state after 2 failures = %v, want closed", got)
-	}
-	if !bs.Allow(peer) {
-		t.Fatal("closed breaker denied a request")
-	}
-
-	// Third consecutive failure trips.
-	bs.RecordFailure(peer)
-	if got := bs.State(peer); got != BreakerOpen {
-		t.Fatalf("state after threshold failures = %v, want open", got)
-	}
-	if got := bs.Stats().Trips; got != 1 {
-		t.Fatalf("trips = %d, want 1", got)
-	}
-	if err := bs.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+// breakerModel is the reference closed/open/half-open machine for one
+// peer. It keeps a countdown of ticks left in quarantine where BreakerSet
+// keeps an absolute reopen cycle, so the two agree only if both are right.
+type breakerModel struct {
+	state  BreakerState
+	streak int   // consecutive failures while closed
+	wait   int64 // ticks before an open breaker may probe
+	stats  BreakerStats
 }
 
-func TestBreakerSuccessResetsFailureCount(t *testing.T) {
-	bs := newTestBreakers(t, 3, 5)
-	const peer = 1
-
-	// failure, failure, success, failure, failure: never trips — the
-	// threshold counts *consecutive* failures.
-	bs.RecordFailure(peer)
-	bs.RecordFailure(peer)
-	bs.RecordSuccess(peer)
-	bs.RecordFailure(peer)
-	bs.RecordFailure(peer)
-	if got := bs.State(peer); got != BreakerClosed {
-		t.Fatalf("state = %v, want closed (success resets streak)", got)
+// step applies one operation and returns Allow's answer (true otherwise).
+func (m *breakerModel) step(op, threshold int, cooldown int64) bool {
+	strike := op == opFailure || op == opDeparture
+	switch {
+	case op == opTick && m.wait > 0:
+		m.wait--
+	case op == opAllow && m.state == BreakerOpen && m.wait > 0:
+		m.stats.ShortCircuits++
+		return false
+	case op == opAllow && m.state != BreakerClosed:
+		m.state = BreakerHalfOpen
+		m.stats.Probes++
+	case op == opSuccess && m.state == BreakerHalfOpen:
+		m.state = BreakerClosed
+		m.stats.Recoveries++
+	case op == opSuccess && m.state == BreakerClosed:
+		m.streak = 0
+	case op == opDeparture && m.state == BreakerHalfOpen:
+		m.stats.InconclusiveProbes++
+	case strike && m.state == BreakerClosed && m.streak+1 < threshold:
+		m.streak++
+	case strike && m.state != BreakerOpen:
+		m.state, m.streak, m.wait = BreakerOpen, 0, cooldown
+		m.stats.Trips++
 	}
-	if got := bs.Stats().Trips; got != 0 {
-		t.Fatalf("trips = %d, want 0", got)
-	}
+	return true
 }
 
-func TestBreakerShortCircuitsDuringCooldown(t *testing.T) {
-	bs := newTestBreakers(t, 1, 3)
-	const peer = 2
-	bs.RecordFailure(peer) // threshold 1: trips immediately at cycle 0
-
-	// Cycles 1 and 2 are inside the cooldown (reopenAt = 3).
-	for i := 0; i < 2; i++ {
-		bs.Tick()
-		if bs.Allow(peer) {
-			t.Fatalf("open breaker allowed a request at cycle %d", bs.Cycle())
+// TestBreakerModelCheck walks every sequence of the five operations up to
+// length 8 on one peer, at thresholds 1–3 and cooldowns 1–3, against the
+// reference model, comparing the state, Allow's answer, the stats and the
+// invariants after every step. Sequences share their prefixes: each step
+// is undone on the way back up instead of replayed.
+func TestBreakerModelCheck(t *testing.T) {
+	const peer, depth = 7, 8
+	for threshold := 1; threshold <= 3; threshold++ {
+		for cooldown := int64(1); cooldown <= 3; cooldown++ {
+			bs := newTestBreakers(t, threshold, cooldown)
+			var path []int
+			var walk func(m breakerModel)
+			walk = func(m breakerModel) {
+				if len(path) == depth {
+					return
+				}
+				cycle, stats := bs.cycle, bs.stats
+				rec, had := bs.peers[peer]
+				var saved breakerRec
+				if had {
+					saved = *rec
+				}
+				for op := 0; op < nBreakerOps; op++ {
+					path = append(path, op)
+					next, allowed := m, true
+					switch op {
+					case opTick:
+						bs.Tick()
+					case opAllow:
+						allowed = bs.Allow(peer)
+					case opSuccess:
+						bs.RecordSuccess(peer)
+					case opFailure:
+						bs.RecordFailure(peer)
+					case opDeparture:
+						bs.RecordDeparture(peer)
+					}
+					want := next.step(op, threshold, cooldown)
+					if allowed != want || bs.State(peer) != next.state || bs.Stats() != next.stats {
+						t.Fatalf("threshold %d cooldown %d ops %v: allowed %v state %v stats %+v, model %v %v %+v",
+							threshold, cooldown, path, allowed, bs.State(peer), bs.Stats(), want, next.state, next.stats)
+					}
+					if err := bs.CheckInvariants(); err != nil {
+						t.Fatalf("threshold %d cooldown %d ops %v: %v", threshold, cooldown, path, err)
+					}
+					walk(next)
+					path = path[:len(path)-1]
+					bs.cycle, bs.stats = cycle, stats
+					if had {
+						*rec = saved
+					} else {
+						delete(bs.peers, peer)
+					}
+				}
+			}
+			walk(breakerModel{})
 		}
-	}
-	if got := bs.Stats().ShortCircuits; got != 2 {
-		t.Fatalf("short-circuits = %d, want 2", got)
-	}
-
-	// Cycle 3 reaches reopenAt: the breaker half-opens and probes.
-	bs.Tick()
-	if !bs.Allow(peer) {
-		t.Fatal("breaker denied the probe after cooldown")
-	}
-	if got := bs.State(peer); got != BreakerHalfOpen {
-		t.Fatalf("state after cooldown Allow = %v, want half-open", got)
-	}
-	if got := bs.Stats().Probes; got != 1 {
-		t.Fatalf("probes = %d, want 1", got)
-	}
-}
-
-func TestBreakerHalfOpenProbeSuccessCloses(t *testing.T) {
-	bs := newTestBreakers(t, 1, 1)
-	const peer = 4
-	bs.RecordFailure(peer)
-	bs.Tick()
-	if !bs.Allow(peer) {
-		t.Fatal("probe denied")
-	}
-	bs.RecordSuccess(peer)
-	if got := bs.State(peer); got != BreakerClosed {
-		t.Fatalf("state after probe success = %v, want closed", got)
-	}
-	if got := bs.Stats().Recoveries; got != 1 {
-		t.Fatalf("recoveries = %d, want 1", got)
-	}
-	if err := bs.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -39,8 +39,8 @@ type Network struct {
 
 // TrafficStats tallies the P2P messages exchanged, including the fault
 // paths: retries are the bounded request re-broadcasts a querying host
-// pays when no neighbor heard it, and the reply-failure counters record
-// degradation that consumed channel bytes without delivering data.
+// pays while a neighbor has not answered, and the reply-failure counters
+// record degradation that consumed channel bytes without delivering data.
 type TrafficStats struct {
 	Requests int64 // broadcast cache requests issued (every attempt)
 	Replies  int64 // peer replies delivered intact

@@ -9,8 +9,8 @@ import (
 )
 
 // FaultCell is one cell of the fault/resilience benchmark grid: a
-// symmetric request/reply loss rate, with or without the resilient
-// query lifecycle (bounded retries, churn, deadlines, breakers), and
+// symmetric request/reply loss rate, with or without the lifecycle
+// knobs (a larger retry budget, churn, a deadline, breakers), and
 // optionally with the dynamic-POI consistency layer (UpdateRate > 0
 // arms it; Discard replaces surgical reconciliation with whole-region
 // discard — the ablation the churn rows compare).
@@ -38,10 +38,10 @@ type FaultCell struct {
 }
 
 // FaultGrid returns the standard grid `make bench` sweeps: loss rates
-// {0, 0.05, 0.1, 0.2}, first with the blind retry loop of the fault
-// layer, then with the full resilient lifecycle, then the two POI-churn
-// cells (surgical reconciliation vs whole-discard at the same churn and
-// loss), then the three channel-impairment cells (burst fading naive
+// {0, 0.05, 0.1, 0.2}, first loss-only (default retry budget, no
+// deadline, breakers or churn), then with all of them, then the two
+// POI-churn cells (surgical reconciliation vs whole-discard at the same
+// churn and loss), then the three channel-impairment cells (burst fading naive
 // and planned, blackout planned), then the two flash-crowd cells
 // (uncontrolled vs governed at the same hotspot load). The legacy cell
 // order (and therefore the BENCH_faults.json row prefix) matches the

@@ -304,16 +304,9 @@ func (w *World) expireTTL(c *cache.Cache) {
 // "slept past the IR window" degrade identically (and without the
 // breaker-feeding discard of the consistency-off path: staleness under
 // an armed layer is amnestied, like the trust layer's stale verdict).
-func (w *World) admitShared(peers []core.PeerData, id, ti int, r cache.Region, stale, trustStale bool) []core.PeerData {
+func (w *World) admitShared(peers []core.PeerData, id, ti int, r cache.Region, stale bool) []core.PeerData {
 	tc := &w.cons.types[ti]
 	if stale {
-		if trustStale {
-			// The documented TrustStale hazard: the diverged region is
-			// trusted at face value, claimed epoch included.
-			pd := w.poisonRegion(core.PeerData{VR: r.Rect, POIs: r.POIs})
-			w.qs.owners = append(w.qs.owners, id)
-			return append(peers, pd)
-		}
 		r.Epoch = tc.horizon - 2
 	}
 	switch {

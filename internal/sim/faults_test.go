@@ -59,10 +59,14 @@ func TestFaultDeterminism(t *testing.T) {
 
 // TestZeroProfileIsSeedBehavior: a zero fault profile must be bit-identical
 // to the pre-fault simulator — same statistics as a world that never heard
-// of the fault layer, with every fault counter zero.
+// of the fault layer, with every fault counter zero — and the collector
+// degenerates to the paper's ideal exchange: one request frame per query,
+// no retry round, no backoff.
 func TestZeroProfileIsSeedBehavior(t *testing.T) {
 	zero := faultyWorld(t, KNNQuery, 22, faults.Profile{})
 	plain := smallWorld(t, KNNQuery, 22)
+	// No warm-up: PeerRequests tallies every query, Queries only counted ones.
+	zero.warmupSec, plain.warmupSec = 0, 0
 	sz, sp := zero.Run(), plain.Run()
 	if sz != sp {
 		t.Fatalf("zero profile drifted from seed behavior:\n%+v\nvs\n%+v", sz, sp)
@@ -70,8 +74,11 @@ func TestZeroProfileIsSeedBehavior(t *testing.T) {
 	if zero.FaultCounters() != (faults.Counters{}) {
 		t.Fatalf("zero profile made fault draws: %+v", zero.FaultCounters())
 	}
-	if sz.FaultEvents() != 0 || sz.PeerRetries != 0 {
+	if sz.FaultEvents() != 0 || sz.PeerRetries != 0 || sz.BackoffSlots != 0 {
 		t.Fatalf("zero profile reported fault events: %+v", sz)
+	}
+	if sz.PeerRequests != int64(sz.Queries) {
+		t.Fatalf("%d requests for %d gathered queries, want one each", sz.PeerRequests, sz.Queries)
 	}
 	if err := zero.SelfCheckErr(); err != nil {
 		t.Fatal(err)

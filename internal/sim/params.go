@@ -158,15 +158,11 @@ type Params struct {
 	// drawn and behavior is identical to a build without the layer.
 	Faults faults.Profile
 
-	// DeadlineSlots is the per-query slot budget of the resilient P2P
-	// lifecycle: when a query's retry backoff would spend more broadcast
-	// slots than this, peer collection abandons its remaining targets and
-	// the query falls back to the channel with the spent slots priced
-	// into its access latency. Zero disables the deadline. Any nonzero
-	// resilience knob (DeadlineSlots, BreakerThreshold, Faults.ChurnRate)
-	// switches peer collection from the seed's blind re-broadcast loop to
-	// the adaptive lifecycle: capped exponential backoff with seeded
-	// jitter, retrying only peers that have not yet replied.
+	// DeadlineSlots is the per-query slot budget of peer collection: when
+	// a query's retry backoff would spend more broadcast slots than this,
+	// collection abandons its remaining targets and the query falls back
+	// to the channel with the spent slots priced into its access latency.
+	// Zero disables the deadline.
 	DeadlineSlots int
 	// BreakerThreshold is the consecutive-failure count (CRC rejections,
 	// stale discards, reply timeouts) that trips a peer's circuit breaker
@@ -534,13 +530,6 @@ func (p *Params) TrustEnabled() bool { return p.TrustConfig().Enabled() }
 // BreakerConfig assembles the per-peer circuit-breaker configuration.
 func (p *Params) BreakerConfig() p2p.BreakerConfig {
 	return p2p.BreakerConfig{Threshold: p.BreakerThreshold, Cooldown: p.BreakerCooldown}
-}
-
-// ResilienceEnabled reports whether any resilient-lifecycle knob is set.
-// When false, peer collection runs the seed's blind re-broadcast loop
-// bit-identically (the adaptive path is never entered).
-func (p *Params) ResilienceEnabled() bool {
-	return p.DeadlineSlots > 0 || p.BreakerThreshold > 0 || p.Faults.ChurnRate > 0
 }
 
 // Area returns the square service area in miles.

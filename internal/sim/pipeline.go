@@ -163,7 +163,7 @@ func (w *World) collect(e *query) {
 			e.peers, e.minBorn = w.collectOwnCacheOnly(e.idx, e.ti, e.relevance, false)
 			break
 		}
-		e.peers, e.nPeers, e.collected = w.gatherPeers(e.idx, e.ti, e.relevance)
+		e.peers, e.nPeers, e.collected = w.gather(e.idx, e.ti, e.relevance)
 		gathered = true
 	default:
 		// The P2P channel is in a deep fade: spending the retry budget on

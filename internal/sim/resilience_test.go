@@ -211,30 +211,3 @@ func TestResilienceValidation(t *testing.T) {
 		t.Errorf("valid resilient config rejected: %v", err)
 	}
 }
-
-// TestResilienceEnabledGate pins which knobs select the resilient path.
-func TestResilienceEnabledGate(t *testing.T) {
-	p := LACity()
-	if p.ResilienceEnabled() {
-		t.Error("default params report resilience enabled")
-	}
-	p.DeadlineSlots = 1
-	if !p.ResilienceEnabled() {
-		t.Error("deadline alone does not enable resilience")
-	}
-	p = LACity()
-	p.BreakerThreshold = 1
-	if !p.ResilienceEnabled() {
-		t.Error("breaker threshold alone does not enable resilience")
-	}
-	p = LACity()
-	p.Faults.ChurnRate = 0.1
-	if !p.ResilienceEnabled() {
-		t.Error("churn alone does not enable resilience")
-	}
-	p = LACity()
-	p.BreakerCooldown = 8 // cooldown without threshold is inert
-	if p.ResilienceEnabled() {
-		t.Error("cooldown alone enables resilience")
-	}
-}

@@ -92,10 +92,16 @@ func soakParams(schedule int) Params {
 	p.BreakerThreshold = 2 + rng.Intn(4)
 	p.BreakerCooldown = int64(2 + rng.Intn(12))
 
-	// A slice of the schedules zeroes individual resilience knobs so the
-	// harness also soaks the partial configurations (and their "counter
-	// is zero when the knob is zero" contracts).
+	// A slice of the schedules zeroes individual resilience knobs — and
+	// every fifth all three — so the harness also soaks the partial and
+	// policy-off configurations (and their "counter is zero when the knob
+	// is zero" contracts).
 	switch schedule % 5 {
+	case 0:
+		p.Faults.ChurnRate = 0
+		p.DeadlineSlots = 0
+		p.BreakerThreshold = 0
+		p.BreakerCooldown = 0
 	case 1:
 		p.Faults.ChurnRate = 0
 	case 2:
@@ -546,33 +552,35 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
-// TestSoakZeroKnobIdentity pins the bit-identity contract: with every
-// resilience knob zero the world must select the seed's legacy collection
-// path — resilience counters stay zero and runs are reproducible — even
-// when the PR-1 fault knobs are active.
+// TestSoakZeroKnobIdentity pins the policy-off corner of the collector:
+// with the deadline, the breakers and churn all zero, a run under loss,
+// damage and staleness is reproducible and sound, allocates neither a
+// breaker set nor a trust engine, and leaves every counter of the three
+// absent mechanisms at zero — while the lost requests and replies are
+// re-requested under priced backoff.
 func TestSoakZeroKnobIdentity(t *testing.T) {
 	p := LACity().Scaled(1.5).WithDuration(0.1)
 	p.Seed = 4242
 	p.TimeStepSec = 10
 	p.Kind = KNNQuery
 	p.AcceptApproximate = true
-	p.Faults = faults.Profile{ // PR-1 knobs only: legacy loop must run
+	p.Faults = faults.Profile{
 		RequestLoss: 0.2, ReplyLoss: 0.1, ReplyTruncate: 0.05,
 		ReplyCorrupt: 0.05, BroadcastLoss: 0.1, StaleRate: 0.05,
-	}
-	if p.ResilienceEnabled() {
-		t.Fatal("zero resilience knobs report enabled")
 	}
 	a, sa := runSoakWorld(t, p)
 	b, sb := runSoakWorld(t, p)
 	if sa != sb {
-		t.Fatalf("legacy path not deterministic:\n%+v\nvs\n%+v", sa, sb)
+		t.Fatalf("loss-only run not deterministic:\n%+v\nvs\n%+v", sa, sb)
 	}
 	if err := a.SelfCheckErr(); err != nil {
 		t.Fatal(err)
 	}
-	if sa.ResilienceEvents() != 0 {
-		t.Fatalf("legacy path produced resilience events: %+v", sa)
+	if sa.ResilienceEvents() != sa.BackoffSlots {
+		t.Fatalf("deadline, breaker or churn counters fired with their knobs off: %+v", sa)
+	}
+	if sa.BackoffSlots == 0 || sa.PeerRetries == 0 {
+		t.Fatalf("lost frames were never re-requested: retries=%d backoff=%d", sa.PeerRetries, sa.BackoffSlots)
 	}
 	if a.Breakers() != nil || b.Breakers() != nil {
 		t.Fatal("breaker set allocated with breakers disabled")

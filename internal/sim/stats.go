@@ -66,9 +66,8 @@ type Stats struct {
 	// waited for the next (1, m) index replica for each.
 	IndexRetries int64
 
-	// Resilient-lifecycle visibility. All of these are zero when the
-	// resilience knobs (DeadlineSlots, BreakerThreshold, ChurnRate) are
-	// zero — the seed's blind retry loop runs bit-identically then.
+	// Collection-lifecycle visibility. With no loss on the peer link
+	// every peer resolves in round one and all of these stay zero.
 	//
 	// DeadlineAborts counts queries whose P2P phase exceeded its slot
 	// budget and abandoned the remaining retry targets.
@@ -434,8 +433,9 @@ func (s Stats) GoodputPct() float64 {
 	return pct(s.Verified+s.Approximate+s.Broadcast, s.Queries)
 }
 
-// ResilienceEvents returns the total activity of the resilient query
-// lifecycle — zero exactly when every resilience knob was zero.
+// ResilienceEvents returns the total activity of the collection
+// lifecycle — retry backoff, deadline aborts, breakers and churn. Zero
+// on a loss-free peer link with the lifecycle knobs off.
 func (s Stats) ResilienceEvents() int64 {
 	return s.DeadlineAborts + s.BackoffSlots + s.BreakerTrips +
 		s.BreakerShortCircuits + s.BreakerRecoveries +

@@ -71,11 +71,8 @@ type World struct {
 	inj     *faults.Injector
 	queryID uint64 // wire correlation IDs for encoded replies
 
-	// resilient selects the adaptive query lifecycle (deadline, backoff,
-	// breakers, churn); false runs the seed's blind collection loop
-	// bit-identically. breakers is nil unless BreakerThreshold is set.
-	resilient bool
-	breakers  *p2p.BreakerSet
+	// breakers is nil unless BreakerThreshold is set.
+	breakers *p2p.BreakerSet
 
 	// blackout is the per-host deep-fade schedule of the broadcast
 	// downlink (nil unless the blackout knobs are set — no draws, no
@@ -160,10 +157,10 @@ type World struct {
 // consumed before the query completes.
 type queryScratch struct {
 	ids      []int                // neighbor lookup buffer
-	heard    []int                // per-attempt heard list (legacy) / heard target indexes (resilient)
+	heard    []int                // per-round indexes into targets of the peers that heard
 	peers    []core.PeerData      // collected verified regions
 	owners   []int                // contributing host per peers entry (trust.Self for own cache)
-	targets  []collectTarget      // resilient lifecycle per-peer state
+	targets  []collectTarget      // per-peer collection state
 	shared   []sharedRegion       // receiveReply staging
 	regs     []wire.Region        // wire-encoding staging (damaged-reply path)
 	contribs []trust.Contribution // trust-screen staging
@@ -171,8 +168,7 @@ type queryScratch struct {
 	core     core.Scratch         // NNV/SBNN/SBWQ hot-path scratch
 }
 
-// collectTarget is one addressed peer's state during the resilient
-// collection lifecycle.
+// collectTarget is one addressed peer's state during a collection.
 type collectTarget struct {
 	id       int
 	departed bool // churned away (the querier cannot know)
@@ -282,7 +278,6 @@ func NewWorld(p Params) (*World, error) {
 		model:       model,
 		inj:         faults.New(p.Seed^faultSeedSalt, p.Faults),
 		durationSec: p.DurationHours * 3600,
-		resilient:   p.ResilienceEnabled(),
 		breakers:    p2p.NewBreakerSet(p.BreakerConfig()),
 		blackout:    faults.NewBlackout(p.Seed^faultSeedSalt, prof),
 		planner:     p.DegradedMode,
@@ -583,104 +578,6 @@ func (w *World) record(e trace.Event) {
 // counted reports whether the warm-up has passed.
 func (w *World) counted() bool { return w.nowSec >= w.warmupSec }
 
-// collectPeers gathers the verified regions of all single-hop peers of
-// host idx that intersect the relevance rectangle, as PeerData for the
-// core algorithms. Dropping irrelevant regions only shrinks the MVR,
-// which keeps verification sound (and the simulation fast).
-//
-// The fault layer sits between the two hosts: each neighbor hears the
-// broadcast request independently (re-broadcast within the retry budget
-// when nobody heard), each reply can be lost, truncated, or bit-corrupted
-// in flight (damaged frames run through the real wire codec and are
-// rejected by its CRC trailer), and each shared region can be stale
-// (discarded by the consistency layer before it enters verification).
-// Every fault strictly removes information, so degradation stays sound:
-// the MVR shrinks and the query falls back to the channel instead of
-// trusting damaged or outdated data.
-func (w *World) collectPeers(idx, ti int, relevance geom.Rect) ([]core.PeerData, int) {
-	q := w.hosts[idx].mob.Pos
-	hops := w.Params.SharingHops
-	if hops < 1 {
-		hops = 1
-	}
-	ids := w.net.AppendNeighborsMultiHop(w.qs.ids[:0], q, w.Params.TxRangeMiles(), hops, idx)
-	w.qs.ids = ids
-
-	// Request phase: who heard the broadcast? Without faults everyone
-	// does, in one attempt, exactly as the ideal model.
-	heard := ids
-	attempts := 1
-	if w.inj.Enabled() && len(ids) > 0 {
-		maxAttempts := 1 + w.inj.Profile().MaxRetries
-		for {
-			h := w.qs.heard[:0]
-			for _, id := range ids {
-				if w.inj.RequestHeard() {
-					h = append(h, id)
-				}
-			}
-			w.qs.heard = h
-			heard = h
-			if len(heard) > 0 || attempts >= maxAttempts {
-				break
-			}
-			attempts++
-			w.net.Stats.Retries++
-		}
-	}
-	w.net.RecordExchange(len(heard))
-	w.net.Stats.Requests += int64(attempts - 1) // re-broadcasts are requests too
-
-	count := w.counted() // byte accounting joins the other post-warm-up stats
-	if count {
-		w.stats.PeerBytes += int64(attempts) * int64(wire.RequestSize)
-	}
-
-	peers := w.qs.peers[:0]
-	w.qs.owners = w.qs.owners[:0]
-	stamp := int64(w.nowSec)
-	if w.Params.UseOwnCache {
-		// The host's own cache is a zero-cost "peer": no wire traffic and
-		// no transport faults. With the consistency layer armed, regions
-		// that survived reconciliation beyond the repair horizon are still
-		// offered, but demoted to the probabilistic path (never exact).
-		peers, _ = w.appendOwnCache(peers, idx, ti, relevance)
-	}
-	for _, id := range heard {
-		if w.ovl != nil && w.ovl.queue != nil {
-			// Peer-side backpressure: the peer's bounded service queue
-			// admits, refuses with an explicit BUSY frame, or sheds the
-			// request before any serving work happens (p2p.ServiceQueue).
-			switch w.ovl.queue.Admit(id) {
-			case p2p.ServeBusy:
-				w.net.Stats.Busy++
-				if count {
-					w.stats.PeerBytes += int64(wire.BusySize)
-				}
-				continue
-			case p2p.ServeDrop:
-				w.net.Stats.QueueDrops++
-				continue
-			}
-		}
-		peers, _ = w.receiveReply(peers, id, ti, relevance, stamp, count)
-	}
-	w.qs.peers = peers
-	return peers, len(ids)
-}
-
-// gatherPeers dispatches between the seed's blind collection loop and the
-// resilient lifecycle. The third return value is the number of broadcast
-// slots the query spent waiting in retry backoff — always zero on the
-// legacy path, so zero-knob runs stay bit-identical to the seed.
-func (w *World) gatherPeers(idx, ti int, relevance geom.Rect) ([]core.PeerData, int, int64) {
-	if w.resilient {
-		return w.collectPeersResilient(idx, ti, relevance)
-	}
-	peers, nPeers := w.collectPeers(idx, ti, relevance)
-	return peers, nPeers, 0
-}
-
 // trustScreen runs one query's trust pass (DESIGN.md §11) over the
 // collected contributions: cross-validation of overlapping VRs, on-air
 // spot audits priced against the remaining deadline budget, and taint
@@ -727,16 +624,24 @@ func (w *World) trustScreen(ti int, peers []core.PeerData, spent int64, bcastUp 
 	return out, spent + rep.AuditSlots, rep
 }
 
-// collectPeersResilient is the resilient query lifecycle (active whenever
-// any of DeadlineSlots / BreakerThreshold / ChurnRate is nonzero):
+// gather is the paper's sharing step for host idx: broadcast a cache
+// request and collect the verified regions of its single-hop peers that
+// intersect the relevance rectangle (dropping the rest only shrinks the
+// MVR, which keeps verification sound). It returns them as PeerData with
+// the neighbour count and the broadcast slots spent in retry backoff. The
+// fault layer between the two hosts only ever removes information, so a
+// degraded collection falls back to the channel instead of trusting
+// damaged or outdated data.
 //
 //  1. Peers with open circuit breakers are short-circuited before any
 //     traffic is spent on them.
-//  2. The request is re-broadcast under capped exponential backoff with
-//     seeded jitter, and each round addresses only the peers that have
-//     not yet replied (a delivered reply, a CRC-rejected frame the
-//     querier can re-request, and a null "nothing relevant" ack are the
-//     three observable responses; silence keeps a peer pending).
+//  2. The first request frame is broadcast and priced unconditionally: a
+//     querier cannot observe an empty or fully breaker-gated neighbourhood
+//     without asking. Later rounds run only while a peer is pending, under
+//     capped exponential backoff with seeded jitter, and address only the
+//     peers that have not yet answered (a delivered reply, a CRC-rejected
+//     frame the querier can re-request, and a null "nothing relevant" ack
+//     are the three observable responses; silence keeps a peer pending).
 //  3. Backoff waits accumulate against the per-query slot deadline; when
 //     the next wait would exceed it, the P2P phase abandons its
 //     remaining targets (DeadlineAborts) and the spent slots are priced
@@ -750,8 +655,10 @@ func (w *World) trustScreen(ti int, peers []core.PeerData, spent int64, bcastUp 
 //     deliveries are successes.
 //
 // Every random draw (loss, fates, churn, jitter) comes from the seeded
-// injector stream, so identical seeds yield identical collections.
-func (w *World) collectPeersResilient(idx, ti int, relevance geom.Rect) ([]core.PeerData, int, int64) {
+// injector stream. With a zero fault profile every peer resolves in round
+// one and nothing is drawn: one frame, then one reply or null ack per
+// neighbour — the paper's ideal exchange.
+func (w *World) gather(idx, ti int, relevance geom.Rect) ([]core.PeerData, int, int64) {
 	q := w.hosts[idx].mob.Pos
 	hops := w.Params.SharingHops
 	if hops < 1 {
@@ -770,8 +677,8 @@ func (w *World) collectPeersResilient(idx, ti int, relevance geom.Rect) ([]core.
 	w.qs.owners = w.qs.owners[:0]
 	if w.Params.UseOwnCache {
 		// The host's own cache is a zero-cost "peer": no wire traffic, no
-		// transport faults, no breaker. Beyond-horizon regions demote as
-		// in the legacy collection path above.
+		// transport faults, no breaker. Regions beyond the consistency
+		// layer's repair horizon are offered demoted (never exact).
 		peers, _ = w.appendOwnCache(peers, idx, ti, relevance)
 	}
 
@@ -789,7 +696,7 @@ func (w *World) collectPeersResilient(idx, ti int, relevance geom.Rect) ([]core.
 	var spent int64
 	remaining := len(targets)
 
-	for attempt := 1; remaining > 0 && attempt <= maxAttempts; attempt++ {
+	for attempt := 1; attempt <= maxAttempts && (attempt == 1 || remaining > 0); attempt++ {
 		if attempt > 1 {
 			// The global per-tick retry budget gates every retry round
 			// before its backoff is even priced: exhausted means stop
@@ -802,9 +709,6 @@ func (w *World) collectPeersResilient(idx, ti int, relevance geom.Rect) ([]core.
 				}
 				break
 			}
-			// Adaptive backoff before each retry round: capped
-			// exponential base plus seeded jitter, charged against the
-			// per-query slot deadline.
 			base := faults.BackoffSlots(attempt)
 			delay := base + w.inj.Jitter(base)
 			if deadline > 0 && spent+delay > deadline {
@@ -844,9 +748,7 @@ func (w *World) collectPeersResilient(idx, ti int, relevance geom.Rect) ([]core.
 		}
 		w.qs.heard = heard
 
-		// Churn window between the request and the reply deliveries:
-		// present peers may power off or drift away, departed peers may
-		// come back.
+		// Churn window between the request and the reply deliveries.
 		for i := range targets {
 			t := &targets[i]
 			if t.resolved {
@@ -859,9 +761,8 @@ func (w *World) collectPeersResilient(idx, ti int, relevance geom.Rect) ([]core.
 			}
 		}
 
-		// Reply deliveries. A peer that heard the request and departed
-		// during the churn window still delivers — its reply was already
-		// in flight on the single-hop link.
+		// Reply deliveries, including from peers that departed in the churn
+		// window: their replies were already in flight.
 		for _, i := range heard {
 			t := &targets[i]
 			if w.ovl != nil && w.ovl.queue != nil {
@@ -962,13 +863,12 @@ func (w *World) collectPeersResilient(idx, ti int, relevance geom.Rect) ([]core.
 }
 
 // replyKind classifies what the querying host learned from one peer's
-// reply attempt — the signal the resilient lifecycle feeds its breakers
-// and retry scheduler. The legacy (blind-loop) path ignores it.
+// reply attempt — what gather feeds its breakers and retry scheduler.
 type replyKind int
 
 const (
 	// replySilent: the peer had nothing relevant (modeled as a free null
-	// ack, so the resilient path does not retry it).
+	// ack, so it is not retried).
 	replySilent replyKind = iota
 	// replyDelivered: reply content arrived and passed the wire checks.
 	replyDelivered
@@ -993,9 +893,7 @@ type replyOutcome struct {
 // receiveReply models one peer answering a cache request: the peer serves
 // every cached region intersecting the relevance rectangle, the channel
 // applies a transport fate to the reply, and the client's consistency
-// layer discards regions the POI-update process invalidated. Surviving
-// regions are appended to peers. With a zero fault profile this is
-// byte-for-byte the ideal exchange.
+// gate admits what arrived. Surviving regions are appended to peers.
 func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.Rect, stamp int64, count bool) ([]core.PeerData, replyOutcome) {
 	c := w.hosts[id].caches[ti]
 	// Serving is a cache touchpoint: the peer lazily expires its own
@@ -1007,9 +905,8 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 	}
 	// shared stages the served regions in World scratch; its contents are
 	// consumed (copied into PeerData values or wire frames) before this
-	// function returns, so reuse across replies is safe.
-	// Regions are 80-byte structs, so every loop over them here and over
-	// shared below goes by index.
+	// function returns, so reuse across replies is safe. Regions are
+	// 80-byte structs, so every loop over them and over shared goes by index.
 	shared := w.qs.shared[:0]
 	regions := c.Regions()
 	for ri := range regions {
@@ -1040,44 +937,11 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 		wireBytes += wire.RegionWireSize(len(shared[i].region.POIs))
 	}
 
-	trustStale := w.inj.Profile().TrustStale
-	var staleDiscards int
-	deliver := func() []core.PeerData {
-		if w.cons != nil {
-			// Versioned admission: every shared region passes the epoch
-			// gate — repair, demote, or accept — instead of the binary
-			// keep/discard below. Injector staleness rides the same path
-			// (assigned a beyond-horizon epoch), so staleDiscards stays
-			// zero: under an armed layer staleness is amnestied, and the
-			// breakers see an ordinary successful delivery.
-			for i := range shared {
-				peers = w.admitShared(peers, id, ti, shared[i].region, shared[i].stale, trustStale)
-			}
-			return peers
-		}
-		for i := range shared {
-			s := &shared[i]
-			if s.stale && !trustStale {
-				staleDiscards++
-				continue // consistency layer: stale region discarded
-			}
-			pd := core.PeerData{VR: s.region.Rect, POIs: s.region.POIs}
-			if s.stale && trustStale {
-				pd = w.poisonRegion(pd)
-			}
-			peers = append(peers, pd)
-			w.qs.owners = append(w.qs.owners, id)
-		}
-		return peers
-	}
-
 	switch fate := w.inj.ReplyFate(); fate {
 	case faults.FateDeliver:
 		if count {
 			w.stats.PeerBytes += int64(wireBytes)
 		}
-		peers = deliver()
-		return peers, replyOutcome{kind: replyDelivered, staleDiscards: staleDiscards}
 	case faults.FateDrop:
 		// Lost in flight: the frame occupied the channel, nothing arrived.
 		w.net.Stats.RepliesLost++
@@ -1107,34 +971,42 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 			w.stats.PeerBytes += int64(len(mangled))
 		}
 		dec, err := wire.DecodeReply(mangled)
-		if err != nil {
+		if err != nil || len(dec.Regions) != len(shared) {
 			w.net.Stats.RepliesRejected++
 			return peers, replyOutcome{kind: replyRejected} // sound degradation, already counted
 		}
+		// The staged regions keep their epoch and staleness fate; the frame
+		// carries the (damage-passed) geometry.
 		for i, reg := range dec.Regions {
-			if w.cons != nil {
-				if i < len(shared) {
-					// The staged region carries the epoch/staleness fate;
-					// the wire frame carries the (possibly damage-passed)
-					// geometry. Recombine and run the versioned gate.
-					r := shared[i].region
-					r.Rect, r.POIs = reg.Rect, reg.POIs
-					peers = w.admitShared(peers, id, ti, r, shared[i].stale, trustStale)
-				} else {
-					peers = append(peers, core.PeerData{VR: reg.Rect, POIs: reg.POIs})
-					w.qs.owners = append(w.qs.owners, id)
-				}
-				continue
-			}
-			if i < len(shared) && shared[i].stale && !trustStale {
-				staleDiscards++
-				continue
-			}
-			peers = append(peers, core.PeerData{VR: reg.Rect, POIs: reg.POIs})
+			shared[i].region.Rect, shared[i].region.POIs = reg.Rect, reg.POIs
+		}
+	}
+
+	// The client's consistency gate, once per staged region. With the
+	// layer armed every region passes the epoch gate — repair, demote or
+	// accept — and injector staleness rides it, so staleDiscards stays
+	// zero: staleness is amnestied there and the breakers see an ordinary
+	// delivery. With the layer off the gate is binary keep/discard.
+	trustStale := w.inj.Profile().TrustStale
+	var staleDiscards int
+	for i := range shared {
+		s := &shared[i]
+		switch {
+		case s.stale && trustStale:
+			// The documented TrustStale hazard: the diverged region is
+			// trusted at face value, claimed epoch included.
+			peers = append(peers, w.poisonRegion(core.PeerData{VR: s.region.Rect, POIs: s.region.POIs}))
+			w.qs.owners = append(w.qs.owners, id)
+		case w.cons != nil:
+			peers = w.admitShared(peers, id, ti, s.region, s.stale)
+		case s.stale:
+			staleDiscards++
+		default:
+			peers = append(peers, core.PeerData{VR: s.region.Rect, POIs: s.region.POIs})
 			w.qs.owners = append(w.qs.owners, id)
 		}
-		return peers, replyOutcome{kind: replyDelivered, staleDiscards: staleDiscards}
 	}
+	return peers, replyOutcome{kind: replyDelivered, staleDiscards: staleDiscards}
 }
 
 // poisonRegion returns a silently diverged copy of a trusted stale
