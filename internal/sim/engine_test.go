@@ -31,8 +31,23 @@ var batchedWorkerCounts = []int{2, 4, 8}
 // trace stream.
 func runTickWorld(t *testing.T, p Params, workers int) (*World, Stats, []byte, []byte) {
 	t.Helper()
-	p.TickWorkers = workers
 	p.Metrics = true
+	w, s, tr := runTracedWorld(t, p, workers)
+	rep := NewReport(p, s, true, 0)
+	snap := w.Metrics().Snapshot()
+	rep.Metrics = &snap
+	js, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatalf("marshal report: %v", err)
+	}
+	return w, s, js, tr
+}
+
+// runTracedWorld is runTickWorld without the report, leaving the Metrics
+// knob as the caller set it.
+func runTracedWorld(t *testing.T, p Params, workers int) (*World, Stats, []byte) {
+	t.Helper()
+	p.TickWorkers = workers
 	w, err := NewWorld(p)
 	if err != nil {
 		t.Fatalf("world (workers=%d): %v", workers, err)
@@ -47,14 +62,7 @@ func runTickWorld(t *testing.T, p Params, workers int) (*World, Stats, []byte, [
 	if err := w.SelfCheckErr(); err != nil {
 		t.Fatalf("self-check (workers=%d): %v", workers, err)
 	}
-	rep := NewReport(p, s, true, 0)
-	snap := w.Metrics().Snapshot()
-	rep.Metrics = &snap
-	js, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatalf("marshal report: %v", err)
-	}
-	return w, s, js, trBuf.Bytes()
+	return w, s, trBuf.Bytes()
 }
 
 // checkTickIdentity pins every batched worker count against the serial

@@ -111,10 +111,29 @@ func goldenWorlds() map[string]Params {
 	}
 }
 
-// goldenObserve runs one world and renders its golden file.
-func goldenObserve(t *testing.T, p Params, workers int) []byte {
+// goldenRun is one golden world's serial run with everything armed: what
+// the golden file renders, and what the stats-vs-metrics and metrics
+// on-vs-off tests read, so the three share one simulation per world.
+type goldenRun struct {
+	stats       Stats
+	report, trc []byte
+}
+
+var goldenRuns = map[string]goldenRun{}
+
+func goldenRunOf(t *testing.T, name string, p Params) goldenRun {
 	t.Helper()
-	_, _, rep, tr := runTickWorld(t, p, workers)
+	r, ok := goldenRuns[name]
+	if !ok {
+		_, r.stats, r.report, r.trc = runTickWorld(t, p, 1)
+		goldenRuns[name] = r
+	}
+	return r
+}
+
+// goldenRender renders one run as its golden file.
+func goldenRender(t *testing.T, rep, tr []byte) []byte {
+	t.Helper()
 	sum := sha256.Sum256(tr)
 	out, err := json.MarshalIndent(goldenFile{
 		Report:      rep,
@@ -145,11 +164,12 @@ func TestGolden(t *testing.T) {
 	for name, p := range goldenWorlds() {
 		path := filepath.Join("testdata", "golden", name+".json")
 		t.Run(name, func(t *testing.T) {
+			serial := goldenRunOf(t, name, p)
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(path, goldenObserve(t, p, 1), 0o644); err != nil {
+				if err := os.WriteFile(path, goldenRender(t, serial.report, serial.trc), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -157,8 +177,11 @@ func TestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v (run `make goldens`)", err)
 			}
-			for _, workers := range []int{1, 4} {
-				got := goldenObserve(t, p, workers)
+			_, _, rep4, tr4 := runTickWorld(t, p, 4)
+			for workers, got := range map[int][]byte{
+				1: goldenRender(t, serial.report, serial.trc),
+				4: goldenRender(t, rep4, tr4),
+			} {
 				if !bytes.Equal(got, want) {
 					line, g, w := firstDiffLine(got, want)
 					t.Errorf("workers=%d diverged from %s at line %d:\n got: %s\nwant: %s",

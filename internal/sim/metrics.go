@@ -100,6 +100,79 @@ type worldMetrics struct {
 	lastPeerBytes int64
 }
 
+// metricLayer names the block of instruments one armed layer registers:
+// the base set is always present, the others only when their knobs are
+// on, so a zero-knob snapshot is byte-identical to a build without them.
+type metricLayer int
+
+const (
+	layerBase metricLayer = iota
+	layerTrust
+	layerConsistency
+	layerChannel
+	layerContinuous
+	layerOverload
+	numMetricLayers
+)
+
+// statCounter is one /metrics counter: a named view of Stats.
+type statCounter struct {
+	name, help string
+	get        func(*Stats) int64
+}
+
+// statCounters is the whole counter surface of /metrics, by layer. Stats
+// is the only ledger; these rows say which of its tallies are exported
+// and under what name (DESIGN.md §10.2).
+var statCounters = [numMetricLayers][]statCounter{
+	layerBase: {
+		{"lbsq_queries_total", "counted (post-warm-up) queries", func(s *Stats) int64 { return int64(s.Queries) }},
+		{"lbsq_queries_verified_total", "queries resolved by exact sharing", func(s *Stats) int64 { return int64(s.Verified) }},
+		{"lbsq_queries_approximate_total", "queries resolved by approximate SBNN", func(s *Stats) int64 { return int64(s.Approximate) }},
+		{"lbsq_queries_broadcast_total", "queries resolved over the broadcast channel", func(s *Stats) int64 { return int64(s.Broadcast) }},
+		{"lbsq_peer_bytes_total", "ad-hoc channel traffic in encoded wire bytes", func(s *Stats) int64 { return s.PeerBytes }},
+		{"lbsq_backoff_slots_total", "broadcast slots spent in retry backoff", func(s *Stats) int64 { return s.BackoffSlots }},
+	},
+	layerTrust: {
+		{"lbsq_trust_audits_total", "on-air spot audits run", func(s *Stats) int64 { return s.AuditsRun }},
+		{"lbsq_trust_audit_failures_total", "spot audits that convicted the contributor", func(s *Stats) int64 { return s.AuditFailures }},
+		{"lbsq_trust_conflicts_total", "cross-validation overlap disagreements", func(s *Stats) int64 { return s.ConflictsDetected }},
+		{"lbsq_trust_convictions_total", "peer convictions (audit failures plus strike accumulations)", func(s *Stats) int64 { return s.PeersQuarantined }},
+		{"lbsq_trust_audit_slots_total", "broadcast slots spent auditing, priced into query latency", func(s *Stats) int64 { return s.AuditSlots }},
+	},
+	layerConsistency: {
+		{"lbsq_consistency_poi_updates_total", "POI mutations applied by the update process", func(s *Stats) int64 { return s.POIUpdates }},
+		{"lbsq_consistency_ir_broadcasts_total", "invalidation-report frames put on air (epoch advances)", func(s *Stats) int64 { return s.IRBroadcasts }},
+		{"lbsq_consistency_ir_listens_total", "client IR listen passes (one per host behind the current epoch)", func(s *Stats) int64 { return s.IRListens }},
+		{"lbsq_consistency_ir_listen_slots_total", "broadcast slots spent listening for IR frames, priced into query latency", func(s *Stats) int64 { return s.IRListenSlots }},
+		{"lbsq_consistency_vrs_reconciled_total", "verified regions surgically repaired against an IR frame", func(s *Stats) int64 { return s.VRsReconciled }},
+		{"lbsq_consistency_vrs_demoted_total", "beyond-horizon regions demoted to the probabilistic path", func(s *Stats) int64 { return s.VRsDemoted }},
+		{"lbsq_consistency_vrs_discarded_total", "regions dropped outright (shrunk to empty, over the piece cap, or whole-discard ablation)", func(s *Stats) int64 { return s.VRsDiscarded }},
+		{"lbsq_consistency_vrs_expired_total", "cached regions evicted by the VR time-to-live", func(s *Stats) int64 { return s.VRsExpired }},
+	},
+	layerChannel: {
+		{"lbsq_channel_degraded_total", "queries answered best-effort on a channel-less fallback rung", func(s *Stats) int64 { return int64(s.Degraded) }},
+		{"lbsq_channel_unanswered_total", "queries no fallback rung could answer", func(s *Stats) int64 { return int64(s.Unanswered) }},
+		{"lbsq_channel_mode_fallbacks_total", "queries the degraded planner placed below the full protocol", func(s *Stats) int64 { return s.ModeP2POnly + s.ModeOnAirOnly + s.ModeOwnCache }},
+		{"lbsq_channel_mode_switch_slots_total", "deadline-priced rung-switch slots paid by fallback queries", func(s *Stats) int64 { return s.ModeSwitchSlots }},
+		{"lbsq_channel_blackout_wait_slots_total", "dead-air slots naive-mode queries spent waiting out blackout windows", func(s *Stats) int64 { return s.BlackoutWaitSlots }},
+	},
+	layerContinuous: {
+		{"lbsq_continuous_subscriptions_total", "standing-query registrations", func(s *Stats) int64 { return s.Subscriptions }},
+		{"lbsq_continuous_safe_region_hits_total", "maintenance ticks answered inside the safe-exit radius", func(s *Stats) int64 { return s.SafeRegionHits }},
+		{"lbsq_continuous_reverifies_total", "maintenance ticks that re-ran the full query path", func(s *Stats) int64 { return s.Reverifies }},
+		{"lbsq_continuous_slots_total", "broadcast slots subscription re-verifications spent", func(s *Stats) int64 { return s.ContSlots }},
+	},
+	layerOverload: {
+		{"lbsq_overload_crowd_queries_total", "flash-crowd queries launched from the hotspot", func(s *Stats) int64 { return s.CrowdQueries }},
+		{"lbsq_overload_shed_total", "one-shot peer-gathers shed by admission control or the load governor", func(s *Stats) int64 { return s.Shed }},
+		{"lbsq_overload_busy_replies_total", "explicit BUSY backpressure frames received from saturated peers", func(s *Stats) int64 { return s.BusyReplies }},
+		{"lbsq_overload_queue_drops_total", "requests peers shed silently beyond the busy band", func(s *Stats) int64 { return s.QueueDrops }},
+		{"lbsq_overload_retry_budget_exhausted_total", "collections that stopped retrying on an exhausted per-tick retry budget", func(s *Stats) int64 { return s.RetryBudgetExhausted }},
+		{"lbsq_overload_coalesced_total", "queries that reused a co-located donor's peer-gather", func(s *Stats) int64 { return s.Coalesced }},
+	},
+}
+
 // newWorldMetrics registers the simulator's instrument set. trustOn
 // additionally registers the trust-layer instruments, consOn the
 // consistency-layer ones, chanOn the channel-impairment ones, contOn

@@ -46,18 +46,45 @@ func TestMetricsOffIsNil(t *testing.T) {
 }
 
 // TestMetricsTrajectoryIdentity: enabling the observability layer must
-// not perturb the simulation — identical seeds yield identical Stats
-// with the knob on and off.
+// not perturb the simulation — on every golden world, identical seeds
+// yield identical Stats and identical trace events with the knob on and
+// off (the per-phase span fields are the only bytes the knob may add to
+// a trace).
 func TestMetricsTrajectoryIdentity(t *testing.T) {
-	for _, kind := range []QueryKind{KNNQuery, WindowQuery} {
-		on := metricsWorld(t, kind, 31)
-		off := smallWorld31(t, kind)
-		son, soff := on.Run(), off.Run()
-		if son != soff {
-			t.Fatalf("%v: metrics knob perturbed the trajectory:\n%+v\nvs\n%+v",
-				kind, son, soff)
+	for name, p := range goldenWorlds() {
+		t.Run(name, func(t *testing.T) {
+			on := goldenRunOf(t, name, p)
+			_, soff, troff := runTracedWorld(t, p, 1)
+			if on.stats != soff {
+				t.Errorf("metrics knob perturbed the trajectory:\n%+v\nvs\n%+v", on.stats, soff)
+			}
+			if !bytes.Equal(stripSpans(t, on.trc), troff) {
+				t.Error("metrics knob perturbed the trace beyond its span fields")
+			}
+		})
+	}
+}
+
+// stripSpans re-encodes a metrics-on trace without its span fields.
+func stripSpans(t *testing.T, tr []byte) []byte {
+	t.Helper()
+	events, err := trace.Read(bytes.NewReader(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	for _, e := range events {
+		e.SpanP2PSlots, e.SpanMergeWork, e.SpanVerifyWork = 0, 0, 0
+		e.SpanTuneSlots, e.SpanDownloadSlots = 0, 0
+		if err := w.Record(e); err != nil {
+			t.Fatal(err)
 		}
 	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // smallWorld31 mirrors metricsWorld with the knob off (smallWorld uses a
@@ -101,55 +128,106 @@ func TestMetricsDeterminism(t *testing.T) {
 	}
 }
 
-// TestMetricsMatchStats: the counters and the latency histogram must
-// agree exactly with the Stats the run reports — the two observability
-// surfaces describe the same counted window.
+// TestMetricsMatchStats: on every golden world, every /metrics counter
+// equals its statCounters row applied to the Stats of the same report,
+// and the latency and tuning histograms sum to the Stats totals — the
+// two observability surfaces describe one ledger. A layer registers all
+// of its instruments or none.
 func TestMetricsMatchStats(t *testing.T) {
-	w := metricsWorld(t, KNNQuery, 35)
-	stats := w.Run()
-	snap := w.Metrics().Snapshot()
+	for name, p := range goldenWorlds() {
+		t.Run(name, func(t *testing.T) {
+			var rep Report
+			if err := json.Unmarshal(goldenRunOf(t, name, p).report, &rep); err != nil {
+				t.Fatal(err)
+			}
+			stats, snap := rep.Stats, rep.Metrics
+			if stats.Queries == 0 {
+				t.Fatal("run counted no queries; golden world too small")
+			}
 
-	counters := map[string]int64{
-		"lbsq_queries_total":             int64(stats.Queries),
-		"lbsq_queries_verified_total":    int64(stats.Verified),
-		"lbsq_queries_approximate_total": int64(stats.Approximate),
-		"lbsq_queries_broadcast_total":   int64(stats.Broadcast),
-		"lbsq_peer_bytes_total":          stats.PeerBytes,
-		"lbsq_backoff_slots_total":       stats.BackoffSlots,
-	}
-	for name, want := range counters {
-		got, ok := snap.Counter(name)
-		if !ok {
-			t.Fatalf("counter %s missing from snapshot", name)
-		}
-		if got.Value != want {
-			t.Errorf("%s = %d, want %d", name, got.Value, want)
-		}
-	}
+			rows := 0
+			for layer, counters := range statCounters {
+				registered := 0
+				for _, row := range counters {
+					got, ok := snap.Counter(row.name)
+					if !ok {
+						continue
+					}
+					registered++
+					if want := row.get(&stats); got.Value != want {
+						t.Errorf("%s = %d, Stats says %d", row.name, got.Value, want)
+					}
+				}
+				if registered != 0 && registered != len(counters) {
+					t.Errorf("layer %d registered %d of its %d counters", layer, registered, len(counters))
+				}
+				if layer == int(layerBase) && registered == 0 {
+					t.Error("base counters missing")
+				}
+				rows += registered
+			}
+			if rows != len(snap.Counters) {
+				t.Errorf("snapshot carries %d counters, %d of them views of Stats", len(snap.Counters), rows)
+			}
+			_, crowdOn := snap.Counter("lbsq_overload_crowd_queries_total")
+			if _, ok := snap.Gauge("lbsq_overload_governor_engaged"); ok != crowdOn {
+				t.Errorf("governor gauge registered = %v, overload counters = %v", ok, crowdOn)
+			}
 
-	lat, ok := snap.Histogram("lbsq_query_latency_slots")
-	if !ok {
-		t.Fatal("latency histogram missing")
+			lat, ok := snap.Histogram("lbsq_query_latency_slots")
+			if !ok {
+				t.Fatal("latency histogram missing")
+			}
+			if int64(lat.Sum) != stats.LatencySlots || lat.Count != uint64(stats.Queries) {
+				t.Errorf("latency sum/count = %v/%d, Stats says %d/%d",
+					lat.Sum, lat.Count, stats.LatencySlots, stats.Queries)
+			}
+			if tun, _ := snap.Histogram("lbsq_query_tuning_slots"); int64(tun.Sum) != stats.TuningSlots {
+				t.Errorf("tuning sum = %v, Stats says %d", tun.Sum, stats.TuningSlots)
+			}
+			// Every phase histogram observed every counted query.
+			for ph := metrics.Phase(0); ph < metrics.NumPhases; ph++ {
+				hname := "lbsq_phase_" + ph.String() + "_" + ph.Unit()
+				if h, _ := snap.Histogram(hname); h.Count != uint64(stats.Queries) {
+					t.Errorf("%s count = %d, want %d", hname, h.Count, stats.Queries)
+				}
+			}
+		})
 	}
-	if int64(lat.Sum) != stats.LatencySlots {
-		t.Errorf("latency sum = %v, want %d", lat.Sum, stats.LatencySlots)
-	}
-	if lat.Count != uint64(stats.Queries) {
-		t.Errorf("latency count = %d, want %d", lat.Count, stats.Queries)
-	}
-	if stats.Queries == 0 {
-		t.Fatal("run counted no queries; test world too small")
-	}
+}
 
-	// Every phase histogram observed every counted query.
-	for ph := metrics.Phase(0); ph < metrics.NumPhases; ph++ {
-		name := "lbsq_phase_" + ph.String() + "_" + ph.Unit()
-		h, ok := snap.Histogram(name)
-		if !ok {
-			t.Fatalf("phase histogram %s missing", name)
+// TestMetricsUnarmedLayersAbsent: a layer whose knobs are off registers
+// nothing — a zero-knob snapshot is the base instruments only, and the
+// every-layer-armed world carries every row of the table.
+func TestMetricsUnarmedLayersAbsent(t *testing.T) {
+	worlds := goldenWorlds()
+	layerPrefixes := []string{"lbsq_trust_", "lbsq_consistency_", "lbsq_channel_",
+		"lbsq_continuous_", "lbsq_overload_"}
+	for _, name := range []string{"knn_zero", "window_zero"} {
+		var rep Report
+		if err := json.Unmarshal(goldenRunOf(t, name, worlds[name]).report, &rep); err != nil {
+			t.Fatal(err)
 		}
-		if h.Count != uint64(stats.Queries) {
-			t.Errorf("%s count = %d, want %d", name, h.Count, stats.Queries)
+		if got, want := len(rep.Metrics.Counters), len(statCounters[layerBase]); got != want {
+			t.Errorf("%s: %d counters, want the %d base ones", name, got, want)
+		}
+		for _, sample := range rep.Metrics.Samples() {
+			for _, prefix := range layerPrefixes {
+				if strings.HasPrefix(sample.Name, prefix) {
+					t.Errorf("%s: zero-knob registry carries %s", name, sample.Name)
+				}
+			}
+		}
+	}
+	var rep Report
+	if err := json.Unmarshal(goldenRunOf(t, "armed_knn", worlds["armed_knn"]).report, &rep); err != nil {
+		t.Fatal(err)
+	}
+	for _, counters := range statCounters {
+		for _, row := range counters {
+			if _, ok := rep.Metrics.Counter(row.name); !ok {
+				t.Errorf("armed_knn: %s not registered", row.name)
+			}
 		}
 	}
 }

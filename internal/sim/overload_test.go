@@ -10,7 +10,6 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"lbsq/internal/broadcast"
@@ -498,56 +497,4 @@ func TestCrowdNoMetastability(t *testing.T) {
 		sg.Shed, sg.BusyReplies, sg.QueueDrops, sg.Coalesced,
 		sg.RetryBudgetExhausted, sg.GovernorEngagedTicks,
 		wg.OverloadRecoveryTicks())
-}
-
-// TestOverloadMetrics pins the lbsq_overload_* instruments: registered
-// only when the plane is armed, and their final values match the Stats
-// counters exactly.
-func TestOverloadMetrics(t *testing.T) {
-	if testing.Short() {
-		t.Skip("crowd scenario in -short mode")
-	}
-	p := withOverloadControls(crowdParams())
-	p.Metrics = true
-	w, err := NewWorld(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := w.Run()
-	snap := w.Metrics().Snapshot()
-	for name, want := range map[string]int64{
-		"lbsq_overload_crowd_queries_total":          s.CrowdQueries,
-		"lbsq_overload_shed_total":                   s.Shed,
-		"lbsq_overload_busy_replies_total":           s.BusyReplies,
-		"lbsq_overload_queue_drops_total":            s.QueueDrops,
-		"lbsq_overload_retry_budget_exhausted_total": s.RetryBudgetExhausted,
-		"lbsq_overload_coalesced_total":              s.Coalesced,
-	} {
-		c, ok := snap.Counter(name)
-		if !ok {
-			t.Errorf("counter %s not registered", name)
-			continue
-		}
-		if c.Value != want {
-			t.Errorf("%s = %d, want %d", name, c.Value, want)
-		}
-	}
-	if _, ok := snap.Gauge("lbsq_overload_governor_engaged"); !ok {
-		t.Error("governor gauge not registered")
-	}
-
-	// Unarmed worlds register none of the overload instruments.
-	p2 := LACity().Scaled(1.5).WithDuration(0.02)
-	p2.TimeStepSec = 10
-	p2.Metrics = true
-	w2, err := NewWorld(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2.Run()
-	for _, c := range w2.Metrics().Snapshot().Counters {
-		if strings.HasPrefix(c.Name, "lbsq_overload_") {
-			t.Errorf("zero-knob registry carries %s", c.Name)
-		}
-	}
 }
