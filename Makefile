@@ -127,8 +127,10 @@ goldens:
 
 # The size measures ROADMAP.md tracks (aim 2), with the exact commands:
 # non-test lines of internal/sim, all non-test Go lines outside the bench/
-# module, and the four counts its item 2 quotes — lines of world.go, lines
-# of world.go that gate on a layer pointer, Stats fields, lbsq-sim flags.
+# module, the four counts its item 2 quotes — lines of world.go, lines
+# of world.go that gate on a layer pointer, Stats fields, lbsq-sim flags —
+# and item 3's: lines of stats.go + metrics.go, and lines outside
+# metrics.go that touch the metrics bundle.
 loc:
 	@printf 'loc: internal/sim non-test lines: '; \
 		ls internal/sim/*.go | grep -v _test.go | xargs cat | wc -l
@@ -139,6 +141,10 @@ loc:
 	@printf 'loc: Stats fields: '; \
 		awk '/^type Stats struct/,/^}/' internal/sim/stats.go | grep -cE '^\s[A-Z][A-Za-z0-9]* '
 	@printf 'loc: lbsq-sim flags: '; grep -cE '= flag\.[A-Z]' cmd/lbsq-sim/main.go
+	@printf 'loc: internal/sim stats.go + metrics.go lines: '; \
+		cat internal/sim/stats.go internal/sim/metrics.go | wc -l
+	@printf 'loc: "w.mx" lines outside metrics.go: '; \
+		ls internal/sim/*.go | grep -v -e _test.go -e /metrics.go | xargs cat | grep -c 'w\.mx'
 
 # Continuous-query identity lane (DESIGN.md §15): zero-knob and armed
 # determinism, the batched-tick identity matrix with subscriptions live,

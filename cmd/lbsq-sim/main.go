@@ -376,16 +376,6 @@ func main() {
 	p.IRWindow = *irWindow
 	p.VRTTLSec = *vrTTL
 	p.IRDiscard = *irDiscard
-	if p.UpdateRate > 0 {
-		// Mirror the sim defaults so the reports below show the values
-		// actually simulated.
-		if p.IRPeriodSec == 0 {
-			p.IRPeriodSec = 30
-		}
-		if p.IRWindow == 0 {
-			p.IRWindow = 8
-		}
-	}
 	p.ContinuousRate = *contRate
 	p.ContinuousNaive = *contNaive
 	p.CrowdRate = *crowdRate
@@ -412,6 +402,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	p = w.Params // defaults applied: the reports below show the values simulated
 	w.CompareBaseline = *baseline
 	w.BaselineSampleRate = 1
 	w.SelfCheck = *selfcheck

@@ -217,12 +217,6 @@ func (n *Network) AppendNeighbors(dst []int, q geom.Point, radius float64, exclu
 	return dst
 }
 
-// RecordExchange tallies one request that reached `replies` peers.
-func (n *Network) RecordExchange(replies int) {
-	n.Stats.Requests++
-	n.Stats.Replies += int64(replies)
-}
-
 // ObserveFanout records one exchange's reachable-peer count into the
 // attached fan-out histogram; a no-op (one branch, zero allocations)
 // when metrics are disabled. Callers invoke it once per query so the

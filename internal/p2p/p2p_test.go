@@ -162,15 +162,6 @@ func TestHostsOutsideAreaClamp(t *testing.T) {
 	}
 }
 
-func TestTrafficStats(t *testing.T) {
-	n := mustNetwork(t, geom.NewRect(0, 0, 1, 1), 1)
-	n.RecordExchange(3)
-	n.RecordExchange(0)
-	if n.Stats.Requests != 2 || n.Stats.Replies != 3 {
-		t.Fatalf("stats = %+v", n.Stats)
-	}
-}
-
 func TestNeighborsMultiHop(t *testing.T) {
 	n := mustNetwork(t, geom.NewRect(0, 0, 20, 20), 1)
 	// A chain of hosts 0.9 apart; radius 1 reaches exactly one link.

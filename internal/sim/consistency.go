@@ -152,7 +152,6 @@ func (w *World) applyUpdates(ti int) {
 	}
 	w.stats.POIUpdates += int64(n)
 	w.stats.IRBroadcasts++
-	w.mx.observeUpdates(int64(n))
 
 	// Retain the last IRWindow epochs, bounded by the wire item limit
 	// (dropping the oldest record raises the horizon — clients that far
@@ -260,7 +259,6 @@ func (w *World) syncIR(idx, ti int) int64 {
 	acc := w.types[ti].sched.ListenIR(w.slotNow(), lost)
 	w.stats.IRListens++
 	w.stats.IRListenSlots += acc.Latency
-	w.mx.observeIRListen(acc.Latency)
 	if acc.Abandoned {
 		// Every IR replica within the wait bound was lost (sustained
 		// outage the blackout schedule did not predict): the host learned
@@ -272,7 +270,7 @@ func (w *World) syncIR(idx, ti int) int64 {
 	rec := h.caches[ti].Reconcile(tc.epoch, tc.horizon, tc.invals, w.Params.IRDiscard)
 	w.stats.VRsReconciled += int64(rec.Repaired)
 	w.stats.VRsDiscarded += int64(rec.Discarded)
-	w.mx.observeReconcile(rec)
+	w.mx.observeReconcileCost(rec.Repaired, rec.Pieces)
 	h.irEpoch[ti] = tc.epoch
 	return acc.Latency
 }
@@ -288,10 +286,7 @@ func (w *World) expireTTL(c *cache.Cache) {
 	if cutoff < 0 {
 		return
 	}
-	if n := int64(c.ExpireBefore(cutoff)); n > 0 {
-		w.stats.VRsExpired += n
-		w.mx.observeExpired(n)
-	}
+	w.stats.VRsExpired += int64(c.ExpireBefore(cutoff))
 }
 
 // admitShared is the receiving client's consistency gate for one region a
@@ -316,7 +311,6 @@ func (w *World) admitShared(peers []core.PeerData, id, ti int, r cache.Region, s
 	case w.Params.IRDiscard:
 		// Whole-discard ablation: any superseded region is thrown away.
 		w.stats.VRsDiscarded++
-		w.mx.observeReconcile(cache.Recon{Discarded: 1})
 		return peers
 	case r.Epoch >= tc.horizon-1:
 		pieces, touched := cache.ReconcileRegion(r, tc.invals, tc.epoch)
@@ -327,11 +321,10 @@ func (w *World) admitShared(peers []core.PeerData, id, ti int, r cache.Region, s
 		}
 		if pieces == nil {
 			w.stats.VRsDiscarded++
-			w.mx.observeReconcile(cache.Recon{Discarded: 1})
 			return peers
 		}
 		w.stats.VRsReconciled++
-		w.mx.observeReconcile(cache.Recon{Repaired: 1, Pieces: len(pieces)})
+		w.mx.observeReconcileCost(1, len(pieces))
 		for _, p := range pieces {
 			w.qs.owners = append(w.qs.owners, id)
 			peers = append(peers, core.PeerData{VR: p.Rect, POIs: p.POIs})
@@ -341,7 +334,6 @@ func (w *World) admitShared(peers []core.PeerData, id, ti int, r cache.Region, s
 		// Missed-IR window policy: too old to repair, never exact again —
 		// but still probabilistic evidence (Lemma 3.2), not garbage.
 		w.stats.VRsDemoted++
-		w.mx.observeDemoted()
 		w.qs.owners = append(w.qs.owners, id)
 		return append(peers, core.PeerData{VR: r.Rect, POIs: r.POIs, Tainted: true})
 	}

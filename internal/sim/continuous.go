@@ -35,10 +35,10 @@ import (
 	"lbsq/internal/trace"
 )
 
-// contReason classifies why a subscription re-verified this tick. The
-// priority order (unverified > naive > taint > exit) matches the
-// maintenance dispatch in maintainSubscription, so the four Stats
-// counters partition Reverifies exactly.
+// contReason classifies one subscription maintenance tick: why it
+// re-verified, or that it did not (contHit). classify fixes the priority
+// order (unverified > naive > taint > exit > hit), so the four reason
+// counters in Stats partition Reverifies exactly.
 type contReason int
 
 const (
@@ -55,7 +55,25 @@ const (
 	// contExit: the host moved at least the safe-exit radius from the
 	// position the answer was verified at.
 	contExit
+	// contHit: none of the above — the standing answer is provably still
+	// exact and the tick costs no query.
+	contHit
 )
+
+// classify picks the first reason that applies, in priority order.
+func classify(exact, naive, tainted, outside bool) contReason {
+	switch {
+	case !exact:
+		return contUnverified
+	case naive:
+		return contNaive
+	case tainted:
+		return contTaint
+	case outside:
+		return contExit
+	}
+	return contHit
+}
 
 // subscription is one standing query: the registered shape (k for kNN,
 // side/offset for windows — fixed for the subscription's lifetime), the
@@ -153,7 +171,6 @@ func (w *World) registerSubscription() {
 	if w.counted() {
 		w.stats.Subscriptions++
 	}
-	w.mx.observeSubscription()
 }
 
 // contTainted reports whether the subscription's standing answer has
@@ -170,45 +187,33 @@ func (w *World) contTainted(s *subscription) bool {
 }
 
 // maintainSubscription runs one tick of one subscription: classify the
-// standing answer (reason priority: unverified > naive > taint > exit),
-// then either take the safe-region hit — re-rank the standing set
-// around the new position, zero channel cost — or run the full
-// re-verification.
+// standing answer, then either run the full re-verification or take the
+// safe-region hit — re-rank the standing set around the new position,
+// zero channel cost.
 func (w *World) maintainSubscription(s *subscription) {
 	pos := w.hosts[s.host].mob.Pos
-	var reason contReason
-	switch {
-	case !s.exact:
-		reason = contUnverified
-	case w.Params.ContinuousNaive:
-		reason = contNaive
-	case w.contTainted(s):
-		reason = contTaint
-	case pos.Dist(s.anchor) >= s.safeR:
-		reason = contExit
-	default:
-		// Safe-region hit: the host is strictly inside the safe-exit
-		// radius and nothing tainted the answer, so the standing set is
-		// provably the exact result at the new position. kNN sets may
-		// permute internally as the host moves — re-rank by the current
-		// distance; window sets are order-free.
-		if w.Params.Kind != WindowQuery {
-			core.SortByDist(s.answer, pos)
-		}
-		if w.counted() {
-			w.stats.SafeRegionHits++
-			if w.SelfCheck {
-				if w.Params.Kind == WindowQuery {
-					w.checkWindow(s.ti, geom.RectAround(pos.Add(s.off), s.side/2), s.answer)
-				} else {
-					w.checkKNN(s.ti, pos, s.k, s.answer)
-				}
-			}
-		}
-		w.mx.observeContinuous(false, 0)
+	reason := classify(s.exact, w.Params.ContinuousNaive, w.contTainted(s), pos.Dist(s.anchor) >= s.safeR)
+	if reason != contHit {
+		w.reverify(s, reason)
 		return
 	}
-	w.reverify(s, reason)
+	// The host is strictly inside the safe-exit radius and nothing tainted
+	// the answer, so the standing set is provably the exact result at the
+	// new position. kNN sets may permute internally as the host moves —
+	// re-rank by the current distance; window sets are order-free.
+	if w.Params.Kind != WindowQuery {
+		core.SortByDist(s.answer, pos)
+	}
+	if w.counted() {
+		w.stats.SafeRegionHits++
+		if w.SelfCheck {
+			if w.Params.Kind == WindowQuery {
+				w.checkWindow(s.ti, geom.RectAround(pos.Add(s.off), s.side/2), s.answer)
+			} else {
+				w.checkKNN(s.ti, pos, s.k, s.answer)
+			}
+		}
+	}
 }
 
 // contCommit writes one re-verification's outcome into the subscription
@@ -244,7 +249,7 @@ func (w *World) contCommit(s *subscription, reason contReason, answer []broadcas
 		ev.Subscription = s.id
 		w.record(ev)
 	}
-	w.mx.observeContinuous(true, slots)
+	w.mx.observeReverifyCost(slots)
 }
 
 // reverify runs one subscription's full re-verification: the query

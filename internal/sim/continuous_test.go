@@ -265,3 +265,36 @@ func TestContinuousTraceEvents(t *testing.T) {
 		t.Fatal("no cont event ever carried a safe radius")
 	}
 }
+
+// TestContinuousReasonPriority checks classify on all 16 inputs against
+// the documented order: unverified > naive > taint > exit > hit.
+func TestContinuousReasonPriority(t *testing.T) {
+	bools := []bool{false, true}
+	for _, exact := range bools {
+		for _, naive := range bools {
+			for _, tainted := range bools {
+				for _, outside := range bools {
+					// The highest-priority condition that holds, found by
+					// walking the documented order from the bottom up.
+					want := contHit
+					if outside {
+						want = contExit
+					}
+					if tainted {
+						want = contTaint
+					}
+					if naive {
+						want = contNaive
+					}
+					if !exact {
+						want = contUnverified
+					}
+					if got := classify(exact, naive, tainted, outside); got != want {
+						t.Errorf("classify(exact=%v naive=%v tainted=%v outside=%v) = %d, want %d",
+							exact, naive, tainted, outside, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -113,7 +113,6 @@ func (w *World) launch(idx, ti int) {
 		}
 		e.baseline = w.rng.Float64() <= rate
 	}
-	e.peerBytes = w.stats.PeerBytes
 	if w.Params.TickWorkers <= 1 {
 		w.flushBatch()
 		return

@@ -131,6 +131,17 @@ func goldenRunOf(t *testing.T, name string, p Params) goldenRun {
 	return r
 }
 
+// goldenReportOf decodes the serial run's report row, as a consumer of
+// the golden file would read it.
+func goldenReportOf(t *testing.T, name string, p Params) Report {
+	t.Helper()
+	var rep Report
+	if err := json.Unmarshal(goldenRunOf(t, name, p).report, &rep); err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // goldenRender renders one run as its golden file.
 func goldenRender(t *testing.T, rep, tr []byte) []byte {
 	t.Helper()
@@ -164,12 +175,13 @@ func TestGolden(t *testing.T) {
 	for name, p := range goldenWorlds() {
 		path := filepath.Join("testdata", "golden", name+".json")
 		t.Run(name, func(t *testing.T) {
-			serial := goldenRunOf(t, name, p)
+			run := goldenRunOf(t, name, p)
+			serial := goldenRender(t, run.report, run.trc)
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(path, goldenRender(t, serial.report, serial.trc), 0o644); err != nil {
+				if err := os.WriteFile(path, serial, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -178,10 +190,7 @@ func TestGolden(t *testing.T) {
 				t.Fatalf("%v (run `make goldens`)", err)
 			}
 			_, _, rep4, tr4 := runTickWorld(t, p, 4)
-			for workers, got := range map[int][]byte{
-				1: goldenRender(t, serial.report, serial.trc),
-				4: goldenRender(t, rep4, tr4),
-			} {
+			for workers, got := range map[int][]byte{1: serial, 4: goldenRender(t, rep4, tr4)} {
 				if !bytes.Equal(got, want) {
 					line, g, w := firstDiffLine(got, want)
 					t.Errorf("workers=%d diverged from %s at line %d:\n got: %s\nwant: %s",

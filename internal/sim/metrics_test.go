@@ -136,10 +136,7 @@ func TestMetricsDeterminism(t *testing.T) {
 func TestMetricsMatchStats(t *testing.T) {
 	for name, p := range goldenWorlds() {
 		t.Run(name, func(t *testing.T) {
-			var rep Report
-			if err := json.Unmarshal(goldenRunOf(t, name, p).report, &rep); err != nil {
-				t.Fatal(err)
-			}
+			rep := goldenReportOf(t, name, p)
 			stats, snap := rep.Stats, rep.Metrics
 			if stats.Queries == 0 {
 				t.Fatal("run counted no queries; golden world too small")
@@ -161,7 +158,7 @@ func TestMetricsMatchStats(t *testing.T) {
 				if registered != 0 && registered != len(counters) {
 					t.Errorf("layer %d registered %d of its %d counters", layer, registered, len(counters))
 				}
-				if layer == int(layerBase) && registered == 0 {
+				if layer == layerBase && registered == 0 {
 					t.Error("base counters missing")
 				}
 				rows += registered
@@ -204,10 +201,7 @@ func TestMetricsUnarmedLayersAbsent(t *testing.T) {
 	layerPrefixes := []string{"lbsq_trust_", "lbsq_consistency_", "lbsq_channel_",
 		"lbsq_continuous_", "lbsq_overload_"}
 	for _, name := range []string{"knn_zero", "window_zero"} {
-		var rep Report
-		if err := json.Unmarshal(goldenRunOf(t, name, worlds[name]).report, &rep); err != nil {
-			t.Fatal(err)
-		}
+		rep := goldenReportOf(t, name, worlds[name])
 		if got, want := len(rep.Metrics.Counters), len(statCounters[layerBase]); got != want {
 			t.Errorf("%s: %d counters, want the %d base ones", name, got, want)
 		}
@@ -219,10 +213,7 @@ func TestMetricsUnarmedLayersAbsent(t *testing.T) {
 			}
 		}
 	}
-	var rep Report
-	if err := json.Unmarshal(goldenRunOf(t, "armed_knn", worlds["armed_knn"]).report, &rep); err != nil {
-		t.Fatal(err)
-	}
+	rep := goldenReportOf(t, "armed_knn", worlds["armed_knn"])
 	for _, counters := range statCounters {
 		for _, row := range counters {
 			if _, ok := rep.Metrics.Counter(row.name); !ok {

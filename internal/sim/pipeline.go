@@ -50,8 +50,7 @@ type query struct {
 	// slices inside alias cache storage either way (see core.PeerData).
 	peers     []core.PeerData
 	nPeers    int
-	collected int64 // backoff + rung-switch slots (the metrics "spent")
-	spent     int64 // collected + irSlots + audit slots (the latency term)
+	spent     int64 // backoff + rung-switch + IR-listen + audit slots (the latency term)
 	minBorn   int64 // oldest own-cache Born stamp offered (staleBound)
 	trep      trust.Report
 	shed      shedCause
@@ -59,11 +58,9 @@ type query struct {
 	sched     *broadcast.Schedule // nil on the channel-less rungs
 	now       int64               // the algorithm's slot clock
 
-	// One-shot extras, fixed when the query launches: the baseline
-	// sampling coin (the only world-stream draw after the shape) and
-	// Stats.PeerBytes as this query's collection left it.
-	baseline  bool
-	peerBytes int64
+	// One-shot extra, fixed when the query launches: the baseline sampling
+	// coin (the only world-stream draw after the shape).
+	baseline bool
 
 	res queryResult
 
@@ -139,6 +136,7 @@ func (w *World) prepare(e *query) {
 func (w *World) collect(e *query) {
 	e.minBorn = math.MaxInt64
 	gathered := false
+	collected := e.qc.switchCost() // plus the gather's retry backoff
 	switch e.qc.mode {
 	case modeFull, modeP2POnly:
 		if d := w.coalesceLookup(e.ti, e.q, e.relevance); d != nil {
@@ -152,8 +150,7 @@ func (w *World) collect(e *query) {
 			if w.counted() {
 				w.stats.Coalesced++
 			}
-			e.collected = e.qc.switchCost()
-			e.spent = e.collected + e.irSlots
+			e.spent = collected + e.irSlots
 			return
 		}
 		if ok, cause := w.admitOneShot(e.idx); !ok {
@@ -163,7 +160,9 @@ func (w *World) collect(e *query) {
 			e.peers, e.minBorn = w.collectOwnCacheOnly(e.idx, e.ti, e.relevance, false)
 			break
 		}
-		e.peers, e.nPeers, e.collected = w.gather(e.idx, e.ti, e.relevance)
+		var backoff int64
+		e.peers, e.nPeers, backoff = w.gather(e.idx, e.ti, e.relevance)
+		collected += backoff
 		gathered = true
 	default:
 		// The P2P channel is in a deep fade: spending the retry budget on
@@ -171,8 +170,7 @@ func (w *World) collect(e *query) {
 		// the wire entirely.
 		e.peers, e.minBorn = w.collectOwnCacheOnly(e.idx, e.ti, e.relevance, e.qc.mode == modeOwnCache)
 	}
-	e.collected += e.qc.switchCost()
-	e.peers, e.spent, e.trep = w.trustScreen(e.ti, e.peers, e.collected+e.irSlots, e.qc.bcastUp)
+	e.peers, e.spent, e.trep = w.trustScreen(e.ti, e.peers, collected+e.irSlots, e.qc.bcastUp)
 	if gathered {
 		w.coalesceDonate(e.ti, e.q, e.relevance, e.peers, e.nPeers)
 	}
@@ -214,10 +212,12 @@ func (w *World) commit(e *query) {
 	res := &e.res
 	if w.counted() {
 		ts := &w.types[e.ti]
-		// The backoff slots the P2P phase burned are part of the query's
-		// end-to-end access latency, as is the dead air a naive client
-		// spent waiting out a blackout window.
+		// The slots the P2P phase burned are part of the query's end-to-end
+		// access latency, as is the dead air a naive client spent waiting
+		// out a blackout window. latency is the query's term of
+		// Stats.LatencySlots: total when the channel resolved it, else zero.
 		total := res.access.Latency + e.spent + e.qc.chWait
+		var latency int64
 		w.stats.Queries++
 		w.stats.peersSum += int64(e.nPeers)
 		switch {
@@ -231,13 +231,14 @@ func (w *World) commit(e *query) {
 			w.stats.Approximate++
 		default:
 			w.stats.Broadcast++
-			w.stats.LatencySlots += total
+			latency = total
 			w.stats.TuningSlots += res.access.Tuning
 			w.stats.PacketsRead += int64(res.access.PacketsRead)
 			w.stats.PacketsSkipped += int64(res.access.PacketsSkipped)
 			w.stats.Retransmissions += int64(res.access.Retransmissions)
 			w.stats.IndexRetries += int64(res.access.IndexRetries)
 		}
+		w.stats.LatencySlots += latency
 		if w.chanArmed || w.govSteering() {
 			w.observeBudget(ts, total, !res.degraded || len(res.pois) > 0, e.shed != shedNone)
 		}
@@ -263,10 +264,7 @@ func (w *World) commit(e *query) {
 		ev.Shed, ev.Coalesced = e.shed.String(), e.coalesced
 		if w.mx != nil {
 			w.net.ObserveFanout(e.nPeers)
-			w.mx.observeQuery(res.outcome, e.collected, e.trep.AuditSlots+e.irSlots, res.access,
-				res.merged, res.examined, res.knownRegion, e.peerBytes)
-			w.mx.observeTrust(e.trep)
-			w.mx.observeChannel(e.qc, res.degraded, len(res.pois) == 0)
+			w.mx.observeQuery(e, latency)
 			w.mx.spanFields(&ev.SpanP2PSlots, &ev.SpanMergeWork,
 				&ev.SpanVerifyWork, &ev.SpanTuneSlots, &ev.SpanDownloadSlots)
 		}

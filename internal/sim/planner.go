@@ -223,7 +223,6 @@ func (w *World) appendOwnCache(peers []core.PeerData, idx, ti int, relevance geo
 			if w.cons != nil && r.Epoch < w.cons.types[ti].epoch {
 				pd.Tainted = true
 				w.stats.VRsDemoted++
-				w.mx.observeDemoted()
 			}
 			peers = append(peers, pd)
 			w.qs.owners = append(w.qs.owners, trust.Self)

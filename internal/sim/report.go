@@ -143,43 +143,10 @@ func NewReport(p Params, stats Stats, selfChecked bool, wallSeconds float64) Rep
 	if p.CrowdEnabled() || p.OverloadEnabled() {
 		schema = BenchSchemaOverload
 	}
-	if p.UpdateRate > 0 {
-		// Callers may pass pre-default Params; fill the consistency
-		// defaults so armed rows record the period/window actually
-		// simulated. Zero-knob rows are untouched.
-		if p.IRPeriodSec == 0 {
-			p.IRPeriodSec = 30
-		}
-		if p.IRWindow == 0 {
-			p.IRWindow = 8
-		}
-	}
-	// Same courtesy fill for the crowd/overload defaults (applyDefaults):
-	// armed rows record the hotspot geometry and control levels actually
-	// simulated; zero-knob rows are untouched.
-	if p.CrowdRate > 0 {
-		if p.CrowdRadiusMiles == 0 {
-			p.CrowdRadiusMiles = p.AreaMiles / 10
-		}
-		if p.CrowdCenterXMiles == 0 {
-			p.CrowdCenterXMiles = p.AreaMiles / 2
-		}
-		if p.CrowdCenterYMiles == 0 {
-			p.CrowdCenterYMiles = p.AreaMiles / 2
-		}
-		if p.CrowdDurationSec == 0 {
-			p.CrowdDurationSec = p.DurationHours * 3600 * 0.1
-		}
-		if p.CrowdStartSec == 0 {
-			p.CrowdStartSec = p.DurationHours * 3600 * 0.5
-		}
-	}
-	if p.AdmissionRate > 0 && p.AdmissionBurst == 0 {
-		p.AdmissionBurst = 4
-	}
-	if p.Governed && p.GovernorFloor == 0 {
-		p.GovernorFloor = 0.9
-	}
+	// Callers may pass pre-default Params: armed rows record the knob
+	// values actually simulated (defaults materialize only for armed
+	// layers, so zero-knob rows are untouched).
+	p.applyDefaults()
 	// GoodputPct is nonzero on every run (it partitions the outcomes), so
 	// it only rides rows that carry the overload knobs — zero-knob rows
 	// must stay byte-identical to the earlier schemas.

@@ -313,11 +313,7 @@ func NewWorld(p Params) (*World, error) {
 	}
 	w.ovl = newOverloadState(p)
 	if p.Metrics {
-		w.mx = newWorldMetrics(w.tr != nil, w.cons != nil || p.VRTTLSec > 0,
-			w.chanArmed || w.planner, p.ContinuousEnabled(),
-			p.CrowdEnabled() || p.OverloadEnabled())
-		w.mx.hosts.Set(float64(p.MHNumber))
-		w.net.FanoutHist = w.mx.fanout
+		w.mx = newWorldMetrics(w)
 	}
 
 	w.hosts = make([]host, p.MHNumber)
@@ -527,9 +523,6 @@ func (w *World) Step(dt float64) {
 		w.net.Update(i, w.hosts[i].mob.Pos)
 	}
 	w.nowSec += dt
-	if w.mx != nil {
-		w.mx.nowSec.Set(w.nowSec)
-	}
 	// The overload plane resets its per-tick state (peer queues,
 	// admission refill, retry budget, donor table, governor decision)
 	// before any query of the tick — including continuous maintenance,
@@ -560,9 +553,7 @@ func (w *World) Step(dt float64) {
 		w.launch(idx, ti)
 	}
 	w.flushBatch()
-	if w.ovl != nil && w.mx != nil {
-		w.observeOverloadTick()
-	}
+	w.mx.sync(w)
 }
 
 // record emits a trace event when tracing is enabled.
