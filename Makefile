@@ -17,7 +17,7 @@ STATICCHECK_VERSION = 2025.1.1
 COVER_PKGS = internal/core internal/geom internal/metrics internal/trust internal/cache internal/faults internal/sim internal/p2p internal/broadcast
 COVER_MIN ?= 70
 
-.PHONY: all build vet test race lint loc cover cover-profile cover-check fuzz-smoke verify goldens continuous-identity trust-identity nnv-identity soak bench bench-hot bench-tick bench-smoke bench-e2e-check
+.PHONY: all build vet test race lint loc cover cover-profile cover-check fuzz-smoke verify goldens continuous-identity trust-identity nnv-identity soak bench bench-e2e-check
 
 all: build
 
@@ -184,44 +184,15 @@ soak:
 # Fault/resilience benchmark grid: one JSON line per cell into
 # results/BENCH_faults.json. Sweeps request-loss with and without the
 # deadline/breaker/churn knobs so the two degradation curves can be compared.
-# Runs in one process through the sweep engine (internal/perf.FaultGrid);
-# rows are value-identical to the former go-run-per-cell shell loop, in
-# the same order, plus the bench_schema version field.
+# Runs in one process through the sweep engine
+# (internal/experiments.FaultGrid); rows are value-identical to the former
+# go-run-per-cell shell loop, in the same order, plus the bench_schema
+# version field.
 bench:
 	@mkdir -p results
 	$(GO) run ./cmd/lbsq-sim -grid faults -side 2 -hours 0.1 \
 		> results/BENCH_faults.json
 	@echo "bench: wrote results/BENCH_faults.json"
-
-# Hot-path perf report: steady-state micro benchmarks (ns/op, B/op,
-# allocs/op of the scratch-based query kernels) plus the parallel-sweep
-# wall-clock comparison with its serial-identity check.
-bench-hot:
-	@mkdir -p results
-	$(GO) run ./cmd/lbsq-bench -out results/BENCH_hotpath.json
-	@echo "bench-hot: wrote results/BENCH_hotpath.json"
-
-# Tick-engine report: a full world run at each -tick-workers setting
-# with per-row GOMAXPROCS stamps and the embedded serial-identity check
-# (DESIGN.md §14.4). The committed file is a GOMAXPROCS=1 run.
-bench-tick:
-	@mkdir -p results
-	$(GO) run ./cmd/lbsq-bench -tick -out results/BENCH_tick.json
-	@echo "bench-tick: wrote results/BENCH_tick.json"
-
-# CI regression gate: quick-scale harness compared against the committed
-# baseline (fails on >25% ns/op regression or any steady-state allocs/op
-# growth), the tick-engine report against its baseline (wall clock only
-# judged under matching GOMAXPROCS; allocations within 1% on one core
-# and 10% otherwise; serial identity always), then the parallel sweep
-# identity under the race detector.
-bench-smoke:
-	$(GO) run ./cmd/lbsq-bench -quick -compare results/BENCH_hotpath.json
-	$(GO) run ./cmd/lbsq-bench -tick -compare results/BENCH_tick.json
-	$(GO) test -race ./internal/sweep
-	$(GO) test -race -run 'TestParallel|TestFaultGrid' \
-		./internal/perf ./internal/experiments
-	$(GO) test -race -short -run 'TestBatchedTick' ./internal/sim
 
 # The end-to-end benchmark (bench/, see BENCHMARK.json) is a module of its
 # own, so tier-1 never builds it — yet it drives the exported surface of

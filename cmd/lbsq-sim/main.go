@@ -154,9 +154,9 @@ import (
 	"time"
 
 	"lbsq/internal/cache"
+	"lbsq/internal/experiments"
 	"lbsq/internal/faults"
 	"lbsq/internal/metrics"
-	"lbsq/internal/perf"
 	"lbsq/internal/sim"
 	"lbsq/internal/sweep"
 	"lbsq/internal/trace"
@@ -279,7 +279,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "unknown grid %q (supported: faults)\n", *grid)
 			os.Exit(2)
 		}
-		reports, err := perf.RunFaultGrid(sweep.Workers(*parallel), *side, *hours)
+		reports, err := experiments.RunFaultGrid(sweep.Workers(*parallel), *side, *hours)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -1,4 +1,4 @@
-package perf
+package experiments
 
 import (
 	"fmt"
@@ -151,14 +151,14 @@ func RunFaultGrid(workers int, side, hours float64) ([]sim.Report, error) {
 		p := c.Params(side, hours)
 		w, err := sim.NewWorld(p)
 		if err != nil {
-			return cellOut{err: fmt.Errorf("perf: fault grid cell %+v: %w", c, err)}
+			return cellOut{err: fmt.Errorf("experiments: fault grid cell %+v: %w", c, err)}
 		}
 		w.SelfCheck = true
 		start := time.Now()
 		stats := w.Run()
 		elapsed := time.Since(start).Seconds()
 		if err := w.SelfCheckErr(); err != nil {
-			return cellOut{err: fmt.Errorf("perf: fault grid cell %+v self-check: %w", c, err)}
+			return cellOut{err: fmt.Errorf("experiments: fault grid cell %+v self-check: %w", c, err)}
 		}
 		return cellOut{rep: sim.NewReport(p, stats, true, elapsed)}
 	})

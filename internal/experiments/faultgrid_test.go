@@ -1,9 +1,7 @@
-package perf
+package experiments
 
 import (
-	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -60,66 +58,5 @@ func TestFaultGridCellOrder(t *testing.T) {
 	}
 	if !reflect.DeepEqual(grid, want) {
 		t.Fatalf("FaultGrid order changed: %+v", grid)
-	}
-}
-
-// TestCompare exercises the regression gate logic.
-func TestCompare(t *testing.T) {
-	base := Hotpath{
-		Micro: []Micro{
-			{Name: "a", NsPerOp: 1000, AllocsPerOp: 3},
-			{Name: "b", NsPerOp: 500, AllocsPerOp: 0},
-			{Name: "retired", NsPerOp: 10},
-		},
-		Sweep: Sweep{Identical: true},
-	}
-	cur := Hotpath{
-		Micro: []Micro{
-			{Name: "a", NsPerOp: 1100, AllocsPerOp: 3}, // +10%: within tolerance
-			{Name: "b", NsPerOp: 500, AllocsPerOp: 0},
-			{Name: "new", NsPerOp: 999999}, // no baseline: ignored
-		},
-		Sweep: Sweep{Identical: true},
-	}
-	if fails := Compare(base, cur, 0.25); len(fails) != 0 {
-		t.Fatalf("unexpected failures: %v", fails)
-	}
-
-	cur.Micro[0].NsPerOp = 1500 // +50%: beyond tolerance
-	cur.Micro[1].AllocsPerOp = 1
-	cur.Sweep.Identical = false
-	fails := Compare(base, cur, 0.25)
-	if len(fails) != 3 {
-		t.Fatalf("want 3 failures (ns/op, allocs/op, identity), got %d: %v", len(fails), fails)
-	}
-	joined := strings.Join(fails, "\n")
-	for _, frag := range []string{"ns/op", "allocs/op", "determinism"} {
-		if !strings.Contains(joined, frag) {
-			t.Fatalf("failures missing %q: %v", frag, fails)
-		}
-	}
-}
-
-// TestHotpathRoundTrip checks the report file format survives a
-// write/load cycle (the baseline-compare path in CI).
-func TestHotpathRoundTrip(t *testing.T) {
-	rep := Hotpath{
-		BenchSchema: HotpathSchemaVersion,
-		GoMaxProcs:  4,
-		NumCPU:      8,
-		GoVersion:   "go-test",
-		Micro:       []Micro{{Name: "x", NsPerOp: 123.5, BytesPerOp: 64, AllocsPerOp: 2}},
-		Sweep:       Sweep{Cells: 30, Workers: 4, SerialSeconds: 2, ParallelSeconds: 1, Speedup: 2, Identical: true},
-	}
-	path := filepath.Join(t.TempDir(), "hot.json")
-	if err := rep.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadHotpath(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, rep) {
-		t.Fatalf("round trip mismatch:\n%+v\n%+v", got, rep)
 	}
 }

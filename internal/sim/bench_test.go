@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 // BenchmarkWorldStep measures one simulation step (movement + query
 // processing) on a scaled LA City world.
@@ -48,5 +51,43 @@ func BenchmarkWindowWorldStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Step(10)
+	}
+}
+
+// tickParams is the world BenchmarkTickWorkers runs: a 4-mile LA world
+// with warm caches, whose 10-second ticks carry ~40 queries each — real
+// batches, so the rows measure what several workers buy, not what
+// dispatching near-empty batches costs.
+func tickParams(workers int) Params {
+	p := LACity().Scaled(4).WithDuration(0.1)
+	p.TimeStepSec = 10
+	p.Seed = 42
+	p.PrefillQueriesPerHost = 10
+	p.TickWorkers = workers
+	return p
+}
+
+// BenchmarkTickWorkers measures what the batched tick engine (DESIGN.md
+// §14) buys at 1, 2 and 4 workers; read the speed-up off the ns/op
+// column against the GOMAXPROCS suffix go test prints. One op is one
+// full world run, set-up untimed: World.Step cost grows with simulated
+// time as caches fill, so a bounded, identical workload per op keeps the
+// rows comparable. That every worker count produces the serial run's
+// bytes is TestBatchedTickIdentity's job, not this one's.
+func BenchmarkTickWorkers(b *testing.B) {
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(strconv.Itoa(workers), func(b *testing.B) {
+			p := tickParams(workers)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				w, err := NewWorld(p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				w.Run()
+			}
+		})
 	}
 }

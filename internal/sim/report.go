@@ -77,7 +77,7 @@ type Report struct {
 	Metrics *metrics.Snapshot `json:"metrics,omitempty"`
 	// WallSeconds is the host wall-clock cost of the run. It is the one
 	// nondeterministic field; byte-identity comparisons must zero it
-	// first (see internal/perf).
+	// first.
 	WallSeconds float64 `json:"wall_seconds"`
 }
 

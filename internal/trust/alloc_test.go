@@ -14,7 +14,7 @@ import (
 	"lbsq/internal/geom"
 )
 
-// peers64 is internal/perf's hot-path fixture as a screen's input: a
+// peers64 is internal/core's benchmark fixture as a screen's input: a
 // 500-POI field on a 32×32 area and 64 truthful, heavily overlapping
 // regions, one per peer id. The oracle is a lookup, so audits allocate
 // nothing of their own.
