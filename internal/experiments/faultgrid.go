@@ -22,7 +22,7 @@ type FaultCell struct {
 	// Burst arms the Gilbert–Elliott fading chain (deep-fade bad state
 	// over the Bernoulli loss floor); Blackout the per-MH downlink
 	// outage schedule; Degraded the fallback-ladder planner. The three
-	// channel cells append after the legacy rows, carrying bench_schema 4.
+	// channel cells append after the churn rows.
 	Burst    bool
 	Blackout bool
 	Degraded bool
@@ -30,9 +30,8 @@ type FaultCell struct {
 	// over the legacy rate); Governed additionally arms the full
 	// overload-control stack (peer backpressure, retry budget, admission
 	// buckets, load governor, coalescing). The two crowd cells append
-	// after the channel rows, carrying bench_schema 6 — the
-	// uncontrolled/governed pair the EXPERIMENTS.md goodput curve
-	// summarizes.
+	// after the channel rows — the uncontrolled/governed pair the
+	// EXPERIMENTS.md goodput curve summarizes.
 	Crowd    bool
 	Governed bool
 }
@@ -43,11 +42,9 @@ type FaultCell struct {
 // POI-churn cells (surgical reconciliation vs whole-discard at the same
 // churn and loss), then the three channel-impairment cells (burst fading naive
 // and planned, blackout planned), then the two flash-crowd cells
-// (uncontrolled vs governed at the same hotspot load). The legacy cell
-// order (and therefore the BENCH_faults.json row prefix) matches the
-// historical shell loop, so downstream row consumers keep working;
-// churn rows append carrying bench_schema 3, channel rows carrying
-// bench_schema 4, crowd rows carrying bench_schema 6.
+// (uncontrolled vs governed at the same hotspot load). New cells append
+// — never reorder — so a BENCH_faults.json row keeps its line number
+// (TestFaultGridCellOrder).
 func FaultGrid() []FaultCell {
 	rates := []float64{0, 0.05, 0.1, 0.2}
 	cells := make([]FaultCell, 0, 2*len(rates)+7)
@@ -60,17 +57,17 @@ func FaultGrid() []FaultCell {
 	cells = append(cells,
 		FaultCell{Loss: 0.1, Resilient: true, UpdateRate: 2},
 		FaultCell{Loss: 0.1, Resilient: true, UpdateRate: 2, Discard: true})
-	// Channel-impairment rows (bench_schema 4): burst fading over the
-	// resilient stack without and with the fallback-ladder planner, and
-	// a blackout schedule with the planner — the availability cells the
+	// Channel-impairment rows: burst fading over the resilient stack
+	// without and with the fallback-ladder planner, and a blackout
+	// schedule with the planner — the availability cells the
 	// EXPERIMENTS.md curve summarizes.
 	cells = append(cells,
 		FaultCell{Loss: 0.1, Resilient: true, Burst: true},
 		FaultCell{Loss: 0.1, Resilient: true, Burst: true, Degraded: true},
 		FaultCell{Resilient: true, Blackout: true, Degraded: true})
-	// Flash-crowd rows (bench_schema 6): the same hotspot burst over the
-	// resilient stack, first uncontrolled (the metastability baseline),
-	// then with the full overload-control stack.
+	// Flash-crowd rows: the same hotspot burst over the resilient stack,
+	// first uncontrolled (the metastability baseline), then with the full
+	// overload-control stack.
 	cells = append(cells,
 		FaultCell{Loss: 0.1, Resilient: true, Crowd: true},
 		FaultCell{Loss: 0.1, Resilient: true, Crowd: true, Governed: true})

@@ -54,30 +54,24 @@ func BenchmarkWindowWorldStep(b *testing.B) {
 	}
 }
 
-// tickParams is the world BenchmarkTickWorkers runs: a 4-mile LA world
-// with warm caches, whose 10-second ticks carry ~40 queries each — real
-// batches, so the rows measure what several workers buy, not what
-// dispatching near-empty batches costs.
-func tickParams(workers int) Params {
-	p := LACity().Scaled(4).WithDuration(0.1)
-	p.TimeStepSec = 10
-	p.Seed = 42
-	p.PrefillQueriesPerHost = 10
-	p.TickWorkers = workers
-	return p
-}
-
 // BenchmarkTickWorkers measures what the batched tick engine (DESIGN.md
 // §14) buys at 1, 2 and 4 workers; read the speed-up off the ns/op
-// column against the GOMAXPROCS suffix go test prints. One op is one
-// full world run, set-up untimed: World.Step cost grows with simulated
-// time as caches fill, so a bounded, identical workload per op keeps the
-// rows comparable. That every worker count produces the serial run's
-// bytes is TestBatchedTickIdentity's job, not this one's.
+// column against the GOMAXPROCS suffix go test prints. The world is a
+// 4-mile LA one with warm caches, whose 10-second ticks carry ~40
+// queries each — real batches, so the rows measure what several workers
+// buy, not what dispatching near-empty batches costs. One op is one full
+// world run, set-up untimed: World.Step cost grows with simulated time
+// as caches fill, so a bounded, identical workload per op keeps the rows
+// comparable. That every worker count produces the serial run's bytes is
+// TestBatchedTickIdentity's job, not this one's.
 func BenchmarkTickWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(strconv.Itoa(workers), func(b *testing.B) {
-			p := tickParams(workers)
+			p := LACity().Scaled(4).WithDuration(0.1)
+			p.TimeStepSec = 10
+			p.Seed = 42
+			p.PrefillQueriesPerHost = 10
+			p.TickWorkers = workers
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()

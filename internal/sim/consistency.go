@@ -306,7 +306,7 @@ func (w *World) admitShared(peers []core.PeerData, id, ti int, r cache.Region, s
 	}
 	switch {
 	case r.Epoch >= tc.epoch:
-		w.qs.owners = append(w.qs.owners, id)
+		w.qs.origins = append(w.qs.origins, origin{peer: id})
 		return append(peers, core.PeerData{VR: r.Rect, POIs: r.POIs})
 	case w.Params.IRDiscard:
 		// Whole-discard ablation: any superseded region is thrown away.
@@ -316,7 +316,7 @@ func (w *World) admitShared(peers []core.PeerData, id, ti int, r cache.Region, s
 		pieces, touched := cache.ReconcileRegion(r, tc.invals, tc.epoch)
 		if !touched {
 			// No mutation since r.Epoch reaches the region: still exact.
-			w.qs.owners = append(w.qs.owners, id)
+			w.qs.origins = append(w.qs.origins, origin{peer: id})
 			return append(peers, core.PeerData{VR: r.Rect, POIs: r.POIs})
 		}
 		if pieces == nil {
@@ -326,7 +326,7 @@ func (w *World) admitShared(peers []core.PeerData, id, ti int, r cache.Region, s
 		w.stats.VRsReconciled++
 		w.mx.observeReconcileCost(1, len(pieces))
 		for _, p := range pieces {
-			w.qs.owners = append(w.qs.owners, id)
+			w.qs.origins = append(w.qs.origins, origin{peer: id, repaired: true})
 			peers = append(peers, core.PeerData{VR: p.Rect, POIs: p.POIs})
 		}
 		return peers
@@ -334,7 +334,7 @@ func (w *World) admitShared(peers []core.PeerData, id, ti int, r cache.Region, s
 		// Missed-IR window policy: too old to repair, never exact again —
 		// but still probabilistic evidence (Lemma 3.2), not garbage.
 		w.stats.VRsDemoted++
-		w.qs.owners = append(w.qs.owners, id)
+		w.qs.origins = append(w.qs.origins, origin{peer: id})
 		return append(peers, core.PeerData{VR: r.Rect, POIs: r.POIs, Tainted: true})
 	}
 }

@@ -116,14 +116,15 @@ func TestConsistencyZeroKnobInert(t *testing.T) {
 }
 
 // TestConsistencyArmedReportSchema checks armed rows announce themselves:
-// bench_schema 3, the knob fields present with the defaults actually
-// simulated, and the consistency counters in the stats block.
+// the same bench_schema as a zero-knob row, the knob fields present with
+// the defaults actually simulated, and the consistency counters in the
+// stats block.
 func TestConsistencyArmedReportSchema(t *testing.T) {
 	p := consParams(1801, KNNQuery, 6, 0, 0) // period 0: defaults must fill
 	_, s := runSoakWorld(t, p)
 	rep := NewReport(p, s, true, 0)
-	if rep.BenchSchema != BenchSchemaConsistency {
-		t.Fatalf("armed schema %d, want %d", rep.BenchSchema, BenchSchemaConsistency)
+	if rep.BenchSchema != BenchSchemaVersion {
+		t.Fatalf("armed schema %d, want %d", rep.BenchSchema, BenchSchemaVersion)
 	}
 	if rep.IRPeriodSec != 30 || rep.IRWindow != 8 {
 		t.Fatalf("armed row missing defaults: period=%v window=%d", rep.IRPeriodSec, rep.IRWindow)
@@ -283,10 +284,6 @@ func TestVRTTLStandsAlone(t *testing.T) {
 	}
 	if s.POIUpdates != 0 || s.IRListens != 0 || s.VRsReconciled != 0 || s.VRsDemoted != 0 {
 		t.Fatalf("update-process counters moved with TTL only: %+v", s)
-	}
-	rep := NewReport(p, s, true, 0)
-	if rep.BenchSchema != BenchSchemaConsistency {
-		t.Fatalf("TTL row schema %d, want %d", rep.BenchSchema, BenchSchemaConsistency)
 	}
 }
 

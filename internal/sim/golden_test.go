@@ -97,17 +97,31 @@ func goldenWorlds() map[string]Params {
 	lossy := clean(KNNQuery)
 	lossy.Faults = faults.Profile{RequestLoss: 0.1, ReplyLoss: 0.1, ReplyTruncate: 0.05, ReplyCorrupt: 0.05}
 
+	// Byzantine peers under partial audits while POIs churn, window kind,
+	// surgical repair (the armed worlds above run the IRDiscard ablation):
+	// a lying claim reaches the screen as repair pieces. Until a piece
+	// stopped being an audit unit (DESIGN.md §11.2) this seed died on the
+	// self-check — an honest-looking piece vouched its byzantine peer and
+	// the false sibling entered an exact SBWQ answer.
+	byzUpdates := byzParams(901, WindowQuery, 0.1, 0.3, faults.AttackMix)
+	byzUpdates.PrefillQueriesPerHost = 5
+	byzUpdates.UseOwnCache = true
+	byzUpdates.UpdateRate = 4
+	byzUpdates.IRPeriodSec = 20
+	byzUpdates.IRWindow = 4
+
 	return map[string]Params{
-		"knn_zero":     clean(KNNQuery),
-		"window_zero":  clean(WindowQuery),
-		"lossy_knn":    lossy,
-		"armed_knn":    armedKNN,
-		"armed_window": armedWindow,
-		"crowd":        crowd,
-		"crowd_lossy":  crowdLossy,
-		"ladder":       ladder,
-		"stall_window": stall,
-		"byzantine":    byzParams(901, KNNQuery, 0.3, 0.5, faults.AttackMix),
+		"knn_zero":           clean(KNNQuery),
+		"window_zero":        clean(WindowQuery),
+		"lossy_knn":          lossy,
+		"armed_knn":          armedKNN,
+		"armed_window":       armedWindow,
+		"crowd":              crowd,
+		"crowd_lossy":        crowdLossy,
+		"ladder":             ladder,
+		"stall_window":       stall,
+		"byzantine":          byzParams(901, KNNQuery, 0.3, 0.5, faults.AttackMix),
+		"byz_updates_window": byzUpdates,
 	}
 }
 

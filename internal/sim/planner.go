@@ -225,7 +225,7 @@ func (w *World) appendOwnCache(peers []core.PeerData, idx, ti int, relevance geo
 				w.stats.VRsDemoted++
 			}
 			peers = append(peers, pd)
-			w.qs.owners = append(w.qs.owners, trust.Self)
+			w.qs.origins = append(w.qs.origins, origin{peer: trust.Self})
 			if r.Born < minBorn {
 				minBorn = r.Born
 			}
@@ -240,7 +240,7 @@ func (w *World) appendOwnCache(peers []core.PeerData, idx, ti int, relevance geo
 // the host has, because the alternative is answering with nothing.
 func (w *World) collectOwnCacheOnly(idx, ti int, relevance geom.Rect, force bool) ([]core.PeerData, int64) {
 	peers := w.qs.peers[:0]
-	w.qs.owners = w.qs.owners[:0]
+	w.qs.origins = w.qs.origins[:0]
 	minBorn := int64(math.MaxInt64)
 	if w.Params.UseOwnCache || force {
 		peers, minBorn = w.appendOwnCache(peers, idx, ti, relevance)

@@ -9,9 +9,8 @@ import "lbsq/internal/metrics"
 // produces valid JSONL (see `make bench`).
 //
 // BenchSchema versions the row format: consumers should skip rows whose
-// schema they do not understand. Version 1 was the pre-schema format
-// (no bench_schema field); version 2 added the field itself, with every
-// other key unchanged, so v1 consumers keep working on v2 rows.
+// schema they do not understand. Every row carries BenchSchemaVersion;
+// a layer's knobs and counters are omitempty keys, present when armed.
 type Report struct {
 	BenchSchema     int     `json:"bench_schema"`
 	Set             string  `json:"set"`
@@ -35,25 +34,21 @@ type Report struct {
 	// byzantine knobs live inside Faults, omitempty likewise).
 	AuditRate float64 `json:"audit_rate,omitempty"`
 	// Consistency-layer knobs (DESIGN.md §12), all omitted when zero or
-	// false under the same contract. Rows carrying any of them report
-	// BenchSchemaConsistency.
+	// false under the same contract.
 	UpdateRate  float64 `json:"update_rate,omitempty"`
 	IRPeriodSec float64 `json:"ir_period_sec,omitempty"`
 	IRWindow    int     `json:"ir_window,omitempty"`
 	VRTTLSec    float64 `json:"vr_ttl_sec,omitempty"`
 	IRDiscard   bool    `json:"ir_discard,omitempty"`
 	// DegradedMode arms the fallback-ladder planner (DESIGN.md §13); the
-	// burst/blackout knobs ride inside Faults (omitempty likewise). Rows
-	// carrying any channel-impairment knob report BenchSchemaBurst.
+	// burst/blackout knobs ride inside Faults (omitempty likewise).
 	DegradedMode bool `json:"degraded_mode,omitempty"`
 	// Continuous-query knobs (DESIGN.md §15), omitted when zero/false
-	// under the same contract. Rows carrying them report
-	// BenchSchemaContinuous.
+	// under the same contract.
 	ContinuousRate  float64 `json:"continuous_rate,omitempty"`
 	ContinuousNaive bool    `json:"continuous_naive,omitempty"`
 	// Flash-crowd and overload-control knobs (DESIGN.md §16), omitted
-	// when zero/false under the same contract. Rows carrying any of them
-	// report BenchSchemaOverload.
+	// when zero/false under the same contract.
 	CrowdRate           float64 `json:"crowd_rate,omitempty"`
 	CrowdRadiusMiles    float64 `json:"crowd_radius_miles,omitempty"`
 	CrowdCenterXMiles   float64 `json:"crowd_center_x_miles,omitempty"`
@@ -81,29 +76,10 @@ type Report struct {
 	WallSeconds float64 `json:"wall_seconds"`
 }
 
-// BenchSchemaVersion is the Report row format emitted by this build for
-// runs with the consistency layer off. BenchSchemaConsistency marks rows
-// that carry the consistency knob fields and counters (v2 rows are a
-// strict subset, so v2 consumers keep working if they ignore unknown
-// keys — the bump is a courtesy signal, same convention as v1→v2).
-// BenchSchemaBurst marks rows carrying the channel-impairment knobs
-// (Gilbert–Elliott burst fading, blackout windows, degraded-mode
-// planner) and their counters — the same strict-superset courtesy bump
-// as v2→v3.
-// BenchSchemaContinuous marks rows carrying the continuous-query knobs
-// (standing subscriptions with safe-region maintenance) and their
-// counters — the same strict-superset courtesy bump as v3→v4.
-// BenchSchemaOverload marks rows carrying the flash-crowd and
-// overload-control knobs (crowd generator, peer backpressure, admission
-// control, retry budgets, load governor, coalescing) and their counters
-// — the same strict-superset courtesy bump as v4→v5.
-const (
-	BenchSchemaVersion     = 2
-	BenchSchemaConsistency = 3
-	BenchSchemaBurst       = 4
-	BenchSchemaContinuous  = 5
-	BenchSchemaOverload    = 6
-)
+// BenchSchemaVersion is the Report row format. Versions 2–6 told armed
+// layers apart, which the omitempty keys already do; 7 is the first one
+// every row carries.
+const BenchSchemaVersion = 7
 
 // Derived holds the rates the human-readable report prints, precomputed
 // so JSONL consumers need no knowledge of the Stats accessor methods.
@@ -130,19 +106,6 @@ type Derived struct {
 
 // NewReport assembles the Report for a finished run.
 func NewReport(p Params, stats Stats, selfChecked bool, wallSeconds float64) Report {
-	schema := BenchSchemaVersion
-	if p.UpdateRate > 0 || p.VRTTLSec > 0 {
-		schema = BenchSchemaConsistency
-	}
-	if p.Faults.BurstEnabled() || p.Faults.BlackoutEnabled() || p.DegradedMode {
-		schema = BenchSchemaBurst
-	}
-	if p.ContinuousRate > 0 {
-		schema = BenchSchemaContinuous
-	}
-	if p.CrowdEnabled() || p.OverloadEnabled() {
-		schema = BenchSchemaOverload
-	}
 	// Callers may pass pre-default Params: armed rows record the knob
 	// values actually simulated (defaults materialize only for armed
 	// layers, so zero-knob rows are untouched).
@@ -155,7 +118,7 @@ func NewReport(p Params, stats Stats, selfChecked bool, wallSeconds float64) Rep
 		goodput = stats.GoodputPct()
 	}
 	return Report{
-		BenchSchema:         schema,
+		BenchSchema:         BenchSchemaVersion,
 		Set:                 p.Name,
 		Kind:                p.Kind.String(),
 		Seed:                p.Seed,

@@ -204,6 +204,15 @@ func soakParams(schedule int) Params {
 		p.GovernorFloor = 0.6 + rng.Float64()*0.35
 		p.CoalesceRadiusMiles = 0.15 + rng.Float64()*0.5
 	}
+
+	// Window kind is schedule%3 == 2 and POI updates are schedule%3 == 0,
+	// so byzantine peers × audits × surgical repair would only ever soak
+	// under kNN: schedule 3 (odd, updates, no discard) runs as a window
+	// world. Decided after every draw, so no schedule's draws move.
+	if schedule == 3 {
+		p.Kind = WindowQuery
+		p.AcceptApproximate = false
+	}
 	return p
 }
 

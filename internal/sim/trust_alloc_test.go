@@ -22,12 +22,12 @@ func TestTrustScreenAdapterAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var peers []core.PeerData
-	w.qs.owners = w.qs.owners[:0]
+	w.qs.origins = w.qs.origins[:0]
 	for i := 0; i < 8; i++ {
 		x := 0.1 * float64(i)
 		vr := geom.NewRect(x, x, x+0.5, x+0.5)
 		peers = append(peers, core.PeerData{VR: vr, POIs: w.poisInRect(0, vr)})
-		w.qs.owners = append(w.qs.owners, i)
+		w.qs.origins = append(w.qs.origins, origin{peer: i})
 	}
 	var out []core.PeerData
 	screen := func() { out, _, _ = w.trustScreen(0, peers, 0, false) } // dark downlink: no audit fits

@@ -150,6 +150,16 @@ type World struct {
 	selfCheckErr error
 }
 
+// origin is where one collected peers entry came from: the contributing
+// host (trust.Self for the own cache), and whether the entry is a piece
+// cache.ReconcileRegion cut out of that host's superseded claim rather
+// than a claim as the host made it — the trust screen never audits a
+// piece (DESIGN.md §11.2).
+type origin struct {
+	peer     int
+	repaired bool
+}
+
 // queryScratch holds the per-World reusable buffers of the query path.
 // Aliasing contract: core.PeerData entries alias live cache storage for
 // the duration of one query only, and the core algorithms copy every
@@ -159,7 +169,7 @@ type queryScratch struct {
 	ids      []int                // neighbor lookup buffer
 	heard    []int                // per-round indexes into targets of the peers that heard
 	peers    []core.PeerData      // collected verified regions
-	owners   []int                // contributing host per peers entry (trust.Self for own cache)
+	origins  []origin             // where each peers entry came from
 	targets  []collectTarget      // per-peer collection state
 	shared   []sharedRegion       // receiveReply staging
 	regs     []wire.Region        // wire-encoding staging (damaged-reply path)
@@ -589,8 +599,9 @@ func (w *World) trustScreen(ti int, peers []core.PeerData, spent int64, bcastUp 
 		// A demoted (epoch-stale) region enters the screen flagged Stale:
 		// disagreements it causes are reconciliation work, not evidence of
 		// lying, and must not strike the contributing peer.
+		o := w.qs.origins[i]
 		contribs = append(contribs, trust.Contribution{
-			Peer: w.qs.owners[i], VR: pd.VR, POIs: pd.POIs, Stale: pd.Tainted})
+			Peer: o.peer, VR: pd.VR, POIs: pd.POIs, Stale: pd.Tainted, Repaired: o.repaired})
 	}
 	w.qs.contribs = contribs
 	// Audits spend broadcast slots; they must fit in whatever the
@@ -665,7 +676,7 @@ func (w *World) gather(idx, ti int, relevance geom.Rect) ([]core.PeerData, int, 
 	count := w.counted()
 	stamp := int64(w.nowSec)
 	peers := w.qs.peers[:0]
-	w.qs.owners = w.qs.owners[:0]
+	w.qs.origins = w.qs.origins[:0]
 	if w.Params.UseOwnCache {
 		// The host's own cache is a zero-cost "peer": no wire traffic, no
 		// transport faults, no breaker. Regions beyond the consistency
@@ -987,14 +998,14 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 			// The documented TrustStale hazard: the diverged region is
 			// trusted at face value, claimed epoch included.
 			peers = append(peers, w.poisonRegion(core.PeerData{VR: s.region.Rect, POIs: s.region.POIs}))
-			w.qs.owners = append(w.qs.owners, id)
+			w.qs.origins = append(w.qs.origins, origin{peer: id})
 		case w.cons != nil:
 			peers = w.admitShared(peers, id, ti, s.region, s.stale)
 		case s.stale:
 			staleDiscards++
 		default:
 			peers = append(peers, core.PeerData{VR: s.region.Rect, POIs: s.region.POIs})
-			w.qs.owners = append(w.qs.owners, id)
+			w.qs.origins = append(w.qs.origins, origin{peer: id})
 		}
 	}
 	return peers, replyOutcome{kind: replyDelivered, staleDiscards: staleDiscards}

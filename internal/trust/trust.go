@@ -182,6 +182,13 @@ type Contribution struct {
 	// no audit (an audit would convict an honest peer for churn it has
 	// not heard about yet).
 	Stale bool
+	// Repaired marks a piece the receiver cut out of the peer's superseded
+	// claim inside the IR repair window (cache.ReconcileRegion), not a
+	// claim as the peer made it. A piece is never an audit unit: a lie
+	// sits in one piece and its siblings match ground truth, so auditing
+	// one of those would vouch the liar. A piece is exact only while its
+	// peer is vouched by a whole claim.
+	Repaired bool
 }
 
 // Result is one screened piece of a contribution. Quarantine subtraction
@@ -933,7 +940,8 @@ func (e *Engine) applyVerdicts(rep *Report) {
 
 // audit runs the spot audits: seeded contribution-level sampling, priced
 // in slots against the deadline budget, capped per query. The audit runs
-// on the *original* claim (pre-subtraction): under the always-material
+// on the *original* claim — before quarantine subtraction, and never on
+// a piece the receiver's IR repair cut from it: under the always-material
 // adversary model this makes a sampled lie impossible to miss, which is
 // what keeps byzantine peers permanently unvouchable.
 func (e *Engine) audit(contribs []Contribution, oracle Oracle, budget int64, rep *Report) {
@@ -942,9 +950,11 @@ func (e *Engine) audit(contribs []Contribution, oracle Oracle, budget int64, rep
 		s := &e.slots[i]
 		// Stale contributions are skipped before the sampling draw: the
 		// claim predates the current epoch, so re-verifying it against
-		// current truth would convict an honest peer for churn. A peer
-		// convicted earlier in this screen is quarantined by now.
-		if s.rec == nil || s.stale || e.quarantined(s.rec) {
+		// current truth would convict an honest peer for churn. Repair
+		// pieces likewise: a fragment that matches the truth says nothing
+		// about the claim it was cut from. A peer convicted earlier in
+		// this screen is quarantined by now.
+		if s.rec == nil || s.stale || contribs[s.ci].Repaired || e.quarantined(s.rec) {
 			continue
 		}
 		if audits >= e.cfg.MaxAuditsPerQuery {

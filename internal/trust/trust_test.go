@@ -525,3 +525,37 @@ func TestStaleContributionNeverAudited(t *testing.T) {
 		t.Fatalf("audit counters moved: %+v", cn)
 	}
 }
+
+// The receiver cuts a superseded claim into repair pieces before the
+// screen sees it (cache.ReconcileRegion). One lie makes one false piece;
+// its siblings match the ground truth, and auditing one of them must not
+// vouch the peer — the false piece would leave the same screen exact.
+func TestRepairPiecesNeverVouch(t *testing.T) {
+	e := newTestEngine(t, Config{AuditRate: 1}, nil)
+	var pieces []Contribution
+	for x := 0.0; x < 12; x += 2 {
+		c := honest(0, geom.NewRect(x, 0, x+2, 10))
+		c.Repaired = true
+		pieces = append(pieces, c)
+	}
+	// The lie sits in the last piece, past the per-screen audit cap: the
+	// audits that would run all land on honest-looking siblings.
+	last := &pieces[len(pieces)-1]
+	last.POIs = append(last.POIs, broadcast.POI{ID: 1000, Pos: geom.Pt(11, 5)})
+
+	out, rep := e.Screen(pieces, oracle, -1)
+	if e.Vouched(0) {
+		t.Fatal("peer vouched on the strength of a repair piece")
+	}
+	if rep.Audits != 0 {
+		t.Fatalf("%d repair pieces audited, want none", rep.Audits)
+	}
+	if len(out) != len(pieces) {
+		t.Fatalf("%d results for %d pieces", len(out), len(pieces))
+	}
+	for _, r := range out {
+		if !r.Tainted {
+			t.Fatalf("piece %v of an unvouched peer came back exact", r.VR)
+		}
+	}
+}
