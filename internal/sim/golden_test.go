@@ -110,6 +110,23 @@ func goldenWorlds() map[string]Params {
 	byzUpdates.IRPeriodSec = 20
 	byzUpdates.IRWindow = 4
 
+	// The bench's knn_armed cell at golden scale: every shell layer armed
+	// with surgical repair, so kNN queries merge receiver-side repair
+	// pieces (the armed worlds above discard instead, and byz_updates_window
+	// is a window world).
+	armedRepair := clean(KNNQuery)
+	armedRepair.PrefillQueriesPerHost = 3
+	armedRepair.Faults = faults.Profile{RequestLoss: 0.1, ReplyLoss: 0.1,
+		ReplyCorrupt: 0.05, MaxRetries: 4, ChurnRate: 0.1}
+	armedRepair.DeadlineSlots = 16
+	armedRepair.BreakerThreshold = 3
+	armedRepair.BreakerCooldown = 8
+	armedRepair.DegradedMode = true
+	armedRepair.UpdateRate = 1
+	armedRepair.UseOwnCache = true
+	armedRepair.ContinuousRate = 0.5
+	armedRepair.AuditRate = 0.1
+
 	return map[string]Params{
 		"knn_zero":           clean(KNNQuery),
 		"window_zero":        clean(WindowQuery),
@@ -122,6 +139,7 @@ func goldenWorlds() map[string]Params {
 		"stall_window":       stall,
 		"byzantine":          byzParams(901, KNNQuery, 0.3, 0.5, faults.AttackMix),
 		"byz_updates_window": byzUpdates,
+		"armed_repair_knn":   armedRepair,
 	}
 }
 
