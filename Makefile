@@ -86,9 +86,11 @@ cover-check:
 # grid geometry (DESIGN.md §9.2), a union cut down to the members near a
 # query point must keep that point's clearance and disk areas within the
 # cut radius (DESIGN.md §9.3), the trust screen's one-hole subtraction
-# must emit SubtractRect's rectangles bit for bit and in its order, and
-# its claim-coverage detection must find the pair loop's conflicts
-# element for element (DESIGN.md §11.5). The seed corpora are part of
+# must emit SubtractRect's rectangles bit for bit and in its order, its
+# claim-coverage detection must find the pair loop's conflicts element
+# for element (DESIGN.md §11.5), and the append-into-scratch subtraction
+# and the IR repair kernel over it must match their allocating references
+# on one dirty scratch (DESIGN.md §12.3). The seed corpora are part of
 # the gate: a missing testdata corpus means a fuzz target silently lost
 # its regression inputs, so fail loudly instead of fuzzing from nothing.
 # Explicit -timeout keeps a hung target from stalling CI for go test's
@@ -112,8 +114,14 @@ fuzz-smoke:
 	@if [ ! -d internal/geom/testdata/fuzz/FuzzSubtractOne ]; then \
 		echo "fuzz-smoke: internal/geom/testdata/fuzz/FuzzSubtractOne corpus missing"; exit 1; \
 	fi
+	@if [ ! -d internal/geom/testdata/fuzz/FuzzAppendSubtractRect ]; then \
+		echo "fuzz-smoke: internal/geom/testdata/fuzz/FuzzAppendSubtractRect corpus missing"; exit 1; \
+	fi
 	@if [ ! -d internal/trust/testdata/fuzz/FuzzDetectConflicts ]; then \
 		echo "fuzz-smoke: internal/trust/testdata/fuzz/FuzzDetectConflicts corpus missing"; exit 1; \
+	fi
+	@if [ ! -d internal/cache/testdata/fuzz/FuzzReconcileRegion ]; then \
+		echo "fuzz-smoke: internal/cache/testdata/fuzz/FuzzReconcileRegion corpus missing"; exit 1; \
 	fi
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeReply -fuzztime=5s -timeout 5m ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=5s -timeout 5m ./internal/wire
@@ -123,7 +131,9 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRectUnion -fuzztime=5s -timeout 5m ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzLocalClearance -fuzztime=5s -timeout 5m ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzSubtractOne -fuzztime=5s -timeout 5m ./internal/geom
+	$(GO) test -run='^$$' -fuzz=FuzzAppendSubtractRect -fuzztime=5s -timeout 5m ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzDetectConflicts -fuzztime=5s -timeout 5m ./internal/trust
+	$(GO) test -run='^$$' -fuzz=FuzzReconcileRegion -fuzztime=5s -timeout 5m ./internal/cache
 
 verify: vet build race fuzz-smoke
 	@echo "verify: all gates passed"

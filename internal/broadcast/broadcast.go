@@ -36,6 +36,43 @@ type POI struct {
 	Pos geom.Point
 }
 
+// POIArena hands out POI slices cut from one backing array that Rewind
+// makes reusable (DESIGN.md §9.1). Growing starts a larger array instead
+// of moving slices already handed out; those keep the old one alive.
+type POIArena struct{ buf []POI }
+
+// Alloc returns n POIs of unspecified content, valid until Rewind.
+func (a *POIArena) Alloc(n int) []POI {
+	if len(a.buf)+n > cap(a.buf) {
+		a.buf = make([]POI, 0, max(2*cap(a.buf), n, 256))
+	}
+	lo := len(a.buf)
+	a.buf = a.buf[:lo+n]
+	return a.buf[lo : lo+n : lo+n]
+}
+
+// Rewind invalidates every slice handed out so far.
+func (a *POIArena) Rewind() { a.buf = a.buf[:0] }
+
+// Partition groups pois by owner into one slice cut from the arena,
+// input order kept within a group and pois[i] with owner[i] < 0 dropped.
+// count[k] holds the number owned by k on entry and the end of k's run
+// on return; run k starts where run k-1 ends.
+func (a *POIArena) Partition(pois []POI, owner, count []int32) []POI {
+	total := int32(0)
+	for k, n := range count {
+		count[k], total = total, total+n
+	}
+	out := a.Alloc(int(total))
+	for i, k := range owner {
+		if k >= 0 {
+			out[count[k]] = pois[i]
+			count[k]++
+		}
+	}
+	return out
+}
+
 // Packet is one broadcast data bucket: the POIs of a run of consecutive
 // Hilbert cells.
 type Packet struct {

@@ -27,12 +27,39 @@ func TestReconcileRegionUntouchedZeroAllocs(t *testing.T) {
 			Invalidation{Epoch: 2, Kind: InvalDelete, ID: 1}) // already reflected
 	}
 	invals := NewInvalSet(items)
+	s := newRepairScratch()
 	allocs := testing.AllocsPerRun(100, func() {
-		if pieces, touched := ReconcileRegion(r, invals, 3); touched || pieces != nil {
+		if pieces, touched := ReconcileRegion(s, &r, invals, 3); touched || pieces != nil {
 			t.Fatal("untouched region reported as touched")
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("untouched ReconcileRegion allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestReconcileRegionTouchedZeroAllocs pins the repair itself: with the
+// scratch and the arena warm, cutting cells out of a region, stripping its
+// deleted POIs and handing the survivors to their pieces allocates nothing
+// — as long as the arena's owner rewinds it.
+func TestReconcileRegionTouchedZeroAllocs(t *testing.T) {
+	r := mkRegion(geom.NewRect(0, 0, 8, 8), 1, 2, 3, 4, 5, 6, 7)
+	r.Epoch = 2
+	invals := NewInvalSet([]Invalidation{
+		{Epoch: 3, Kind: InvalDelete, ID: 2},
+		{Epoch: 3, Kind: InvalInsert, ID: 90, Cell: geom.NewRect(3, 3, 4, 4)},
+		{Epoch: 4, Kind: InvalMove, ID: 5, Cell: geom.NewRect(6, 1, 7, 2)},
+		{Epoch: 4, Kind: InvalInsert, ID: 91, Cell: geom.NewRect(20, 20, 21, 21)},
+	})
+	s := newRepairScratch()
+	repair := func() {
+		s.POIs.Rewind()
+		if pieces, touched := ReconcileRegion(s, &r, invals, 4); !touched || len(pieces) < 4 {
+			t.Fatalf("fixture not cut: touched=%v pieces=%d", touched, len(pieces))
+		}
+	}
+	repair() // warm the scratch and the arena
+	if allocs := testing.AllocsPerRun(100, repair); allocs != 0 {
+		t.Fatalf("touched ReconcileRegion allocates %.1f times per run, want 0", allocs)
 	}
 }

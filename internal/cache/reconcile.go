@@ -16,7 +16,10 @@
 // policy: demotion, not fabricated exactness).
 package cache
 
-import "lbsq/internal/geom"
+import (
+	"lbsq/internal/broadcast"
+	"lbsq/internal/geom"
+)
 
 // InvalKind is the mutation class of one invalidation.
 type InvalKind uint8
@@ -112,44 +115,70 @@ type Recon struct {
 	BeyondHorizon int
 }
 
+// RepairScratch holds what one region's repair needs for the length of
+// the call, reused across calls (DESIGN.md §9.1); set POIs before use.
+type RepairScratch struct {
+	// POIs is the arena the pieces' POI lists are cut from. Its owner
+	// decides how long they live; the scratch never rewinds it.
+	POIs *broadcast.POIArena
+
+	cells, rects []geom.Rect
+	pieces       []Region
+	owner, count []int32 // per POI its piece or -1; per piece its POI count
+	spare        []Region
+}
+
 // ReconcileRegion applies the invalidations newer than r.Epoch. The second
 // result reports whether any of them touched the region. When none did,
 // the content already matches the new epoch: the result is (nil, false),
-// nothing was allocated, and the caller keeps r as it is, at epoch. When
+// nothing was written, and the caller keeps r as it is, at epoch. When
 // one did, the result is the surviving exact sub-regions, each stamped
 // with epoch — nil if the region could not be soundly repaired (shrunk to
-// nothing or over-fragmented).
-func ReconcileRegion(r Region, invals InvalSet, epoch int64) ([]Region, bool) {
-	if !invals.touches(&r) {
+// nothing or over-fragmented). The pieces are s's, valid until its next
+// repair, their POIs cut from s.POIs; a warm scratch allocates nothing.
+func ReconcileRegion(s *RepairScratch, r *Region, invals InvalSet, epoch int64) ([]Region, bool) {
+	if !invals.touches(r) {
 		return nil, false
 	}
-	var cells []geom.Rect
+	cells := s.cells[:0]
 	for i := range invals.items {
-		if inv := &invals.items[i]; inv.cuts(&r) {
+		if inv := &invals.items[i]; inv.cuts(r) {
 			cells = append(cells, inv.Cell)
 		}
 	}
-	rects := geom.SubtractRect(r.Rect, cells)
+	s.cells = cells
+	s.rects = geom.AppendSubtractRect(s.rects[:0], r.Rect, cells)
+	rects := s.rects
 	if len(rects) == 0 || len(rects) > maxReconcilePieces {
 		return nil, true
 	}
-	pieces := make([]Region, len(rects))
-	for i, rect := range rects {
-		pieces[i] = Region{Rect: rect, Stamp: r.Stamp, Epoch: epoch, Born: r.Born}
-	}
 	// First-containing-piece assignment keeps POI ownership disjoint when
 	// a survivor sits exactly on a shared piece boundary.
-	for _, p := range r.POIs {
-		if invals.removes(p.ID, r.Epoch) {
-			continue
-		}
-		for i := range pieces {
-			if pieces[i].Rect.Contains(p.Pos) {
-				pieces[i].POIs = append(pieces[i].POIs, p)
-				break
+	owner, count := s.owner[:0], append(s.count[:0], make([]int32, len(rects))...)
+	for i := range r.POIs {
+		o := int32(-1)
+		if p := &r.POIs[i]; !invals.removes(p.ID, r.Epoch) {
+			for k := range rects {
+				if rects[k].Contains(p.Pos) {
+					o = int32(k)
+					count[k]++
+					break
+				}
 			}
 		}
+		owner = append(owner, o)
 	}
+	s.owner, s.count = owner, count
+	pois := s.POIs.Partition(r.POIs, owner, count)
+	pieces, lo := s.pieces[:0], int32(0)
+	for k, rect := range rects {
+		p := Region{Rect: rect, Stamp: r.Stamp, Epoch: epoch, Born: r.Born}
+		if hi := count[k]; hi > lo {
+			p.POIs = pois[lo:hi:hi]
+		}
+		pieces, lo = append(pieces, p), count[k]
+	}
+	s.pieces = pieces
 	return pieces, true
 }
 
@@ -158,44 +187,57 @@ func ReconcileRegion(r Region, invals InvalSet, epoch int64) ([]Region, bool) {
 // are surgically repaired (or all dropped when discard is set — the
 // whole-discard ablation); regions older than horizon-1 predate the
 // report's memory and stay cached for query-time demotion.
-func (c *Cache) Reconcile(epoch, horizon int64, invals InvalSet, discard bool) Recon {
+func (c *Cache) Reconcile(s *RepairScratch, epoch, horizon int64, invals InvalSet, discard bool) Recon {
 	var rec Recon
 	// A repair can fan one region out into several pieces, so the output
-	// cannot reuse the backing array being iterated.
-	out := make([]Region, 0, len(c.regions))
+	// cannot reuse the array being iterated: it is staged in the scratch
+	// and copied back.
+	out := s.spare[:0]
 	size := 0
-	for _, r := range c.regions {
+	for i := range c.regions {
+		r := &c.regions[i]
 		switch {
 		case r.Epoch >= epoch:
-			out = append(out, r)
-			size += cost(r)
+			out = append(out, *r)
+			size += cost(*r)
 		case discard:
 			rec.Discarded++
 		case r.Epoch < horizon-1:
 			rec.BeyondHorizon++
-			out = append(out, r)
-			size += cost(r)
+			out = append(out, *r)
+			size += cost(*r)
 		default:
-			pieces, touched := ReconcileRegion(r, invals, epoch)
+			pieces, touched := ReconcileRegion(s, r, invals, epoch)
 			switch {
 			case !touched:
 				r.Epoch = epoch
-				out = append(out, r)
-				size += cost(r)
+				out = append(out, *r)
+				size += cost(*r)
 			case pieces == nil:
 				rec.Discarded++
 			default:
 				rec.Repaired++
 				rec.Pieces += len(pieces)
+				// The cache retains the pieces, so their POIs leave the
+				// arena: one exact-size array per repaired region.
+				kept := 0
+				for k := range pieces {
+					kept += len(pieces[k].POIs)
+				}
+				pois := make([]broadcast.POI, 0, kept)
 				for _, p := range pieces {
+					pois = append(pois, p.POIs...)
+					p.POIs = pois[len(pois)-len(p.POIs) : len(pois) : len(pois)]
 					out = append(out, p)
 					size += cost(p)
 				}
 			}
 		}
 	}
-	c.regions = out
-	c.size = size
+	clear(c.regions[min(len(out), len(c.regions)):]) // unpin the dropped regions' POIs
+	c.regions = append(c.regions[:0], out...)
+	clear(out)
+	s.spare, c.size = out, size
 	return rec
 }
 

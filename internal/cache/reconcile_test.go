@@ -3,8 +3,13 @@ package cache
 import (
 	"testing"
 
+	"lbsq/internal/broadcast"
 	"lbsq/internal/geom"
 )
+
+func newRepairScratch() *RepairScratch {
+	return &RepairScratch{POIs: new(broadcast.POIArena)}
+}
 
 // poisOf flattens a region list's POI ids for set comparison.
 func poisOf(regions []Region) map[int64]bool {
@@ -25,7 +30,7 @@ func TestReconcileRegionUntouchedBumpsEpoch(t *testing.T) {
 		{Epoch: 3, Kind: InvalDelete, ID: 1},
 		{Epoch: 5, Kind: InvalInsert, ID: 99, Cell: geom.NewRect(10, 10, 11, 11)}, // disjoint
 	}
-	pieces, touched := ReconcileRegion(r, NewInvalSet(invals), 5)
+	pieces, touched := ReconcileRegion(newRepairScratch(), &r, NewInvalSet(invals), 5)
 	if touched || pieces != nil {
 		t.Fatalf("disjoint/old mutations must return (nil, false), got (%v, %v)", pieces, touched)
 	}
@@ -33,7 +38,7 @@ func TestReconcileRegionUntouchedBumpsEpoch(t *testing.T) {
 	c := New(100, LRU)
 	c.Insert(r, geom.Pt(0, 0), geom.Point{}, 7)
 	c.Regions()[0].Stamp = 9
-	if rec := c.Reconcile(5, 3, NewInvalSet(invals), false); rec != (Recon{}) {
+	if rec := c.Reconcile(newRepairScratch(), 5, 3, NewInvalSet(invals), false); rec != (Recon{}) {
 		t.Fatalf("untouched region counted as work: %+v", rec)
 	}
 	got := c.Regions()
@@ -48,7 +53,7 @@ func TestReconcileRegionUntouchedBumpsEpoch(t *testing.T) {
 func TestReconcileRegionDeleteStripsPOI(t *testing.T) {
 	r := mkRegion(geom.NewRect(0, 0, 4, 4), 1, 2, 3)
 	invals := []Invalidation{{Epoch: 1, Kind: InvalDelete, ID: 2}}
-	pieces, touched := ReconcileRegion(r, NewInvalSet(invals), 1)
+	pieces, touched := ReconcileRegion(newRepairScratch(), &r, NewInvalSet(invals), 1)
 	if !touched {
 		t.Fatal("delete of a contained POI not reported as touching")
 	}
@@ -66,7 +71,7 @@ func TestReconcileRegionInsertSubtractsCell(t *testing.T) {
 	r := mkRegion(geom.NewRect(0, 0, 8, 8), 1, 2, 3)
 	cell := geom.NewRect(3, 3, 5, 5)
 	invals := []Invalidation{{Epoch: 2, Kind: InvalInsert, ID: 50, Cell: cell}}
-	pieces, touched := ReconcileRegion(r, NewInvalSet(invals), 2)
+	pieces, touched := ReconcileRegion(newRepairScratch(), &r, NewInvalSet(invals), 2)
 	if !touched || len(pieces) == 0 {
 		t.Fatalf("insert inside region not repaired: touched=%v pieces=%d", touched, len(pieces))
 	}
@@ -95,7 +100,7 @@ func TestReconcileRegionShrinkToEmpty(t *testing.T) {
 	r := mkRegion(geom.NewRect(2, 2, 3, 3), 1)
 	// The invalidated cell swallows the whole region.
 	invals := []Invalidation{{Epoch: 1, Kind: InvalMove, ID: 77, Cell: geom.NewRect(0, 0, 10, 10)}}
-	pieces, touched := ReconcileRegion(r, NewInvalSet(invals), 1)
+	pieces, touched := ReconcileRegion(newRepairScratch(), &r, NewInvalSet(invals), 1)
 	if !touched || pieces != nil {
 		t.Fatalf("shrink-to-empty must return (nil, true), got (%v, %v)", pieces, touched)
 	}
@@ -112,7 +117,7 @@ func TestReconcileRegionFragmentationCap(t *testing.T) {
 			Epoch: 1, Kind: InvalInsert, ID: int64(100 + i),
 			Cell: geom.NewRect(x, 0, x+0.5, 1)})
 	}
-	pieces, touched := ReconcileRegion(r, NewInvalSet(invals), 1)
+	pieces, touched := ReconcileRegion(newRepairScratch(), &r, NewInvalSet(invals), 1)
 	if !touched || pieces != nil {
 		t.Fatalf("over-fragmented repair must drop the region, got %d pieces", len(pieces))
 	}
@@ -129,7 +134,7 @@ func TestCacheReconcileFreshAndBeyondHorizon(t *testing.T) {
 
 	// Report: epoch 10, horizon 8 — fresh is current, ancient predates the
 	// report's memory (1 < 8-1) and must survive untouched for demotion.
-	rec := c.Reconcile(10, 8, InvalSet{}, false)
+	rec := c.Reconcile(newRepairScratch(), 10, 8, InvalSet{}, false)
 	if rec.Repaired != 0 || rec.Discarded != 0 || rec.BeyondHorizon != 1 {
 		t.Fatalf("unexpected recon: %+v", rec)
 	}
@@ -148,7 +153,7 @@ func TestCacheReconcileWholeDiscard(t *testing.T) {
 	old := mkRegion(geom.NewRect(0, 0, 4, 4), 1, 2)
 	old.Epoch = 4
 	c.Insert(old, geom.Pt(0, 0), geom.Point{}, 0)
-	rec := c.Reconcile(5, 4, InvalSet{}, true)
+	rec := c.Reconcile(newRepairScratch(), 5, 4, InvalSet{}, true)
 	if rec.Discarded != 1 || len(c.Regions()) != 0 || c.Size() != 0 {
 		t.Fatalf("whole-discard kept data: %+v regions=%d size=%d",
 			rec, len(c.Regions()), c.Size())
@@ -162,7 +167,7 @@ func TestCacheReconcileEvictedRegionIsNoOp(t *testing.T) {
 	r := mkRegion(geom.NewRect(0, 0, 2, 2), 1)
 	c.Insert(r, geom.Pt(0, 0), geom.Point{}, 0)
 	c.Clear() // the region is gone before the report arrives
-	rec := c.Reconcile(3, 2, NewInvalSet([]Invalidation{
+	rec := c.Reconcile(newRepairScratch(), 3, 2, NewInvalSet([]Invalidation{
 		{Epoch: 3, Kind: InvalInsert, ID: 9, Cell: geom.NewRect(0, 0, 2, 2)},
 	}), false)
 	if rec != (Recon{}) || len(c.Regions()) != 0 || c.Size() != 0 {
@@ -184,7 +189,7 @@ func TestCacheReconcileFanOutKeepsUnvisitedRegions(t *testing.T) {
 	c.Insert(big, geom.Pt(0, 0), geom.Point{}, 0)
 	c.Insert(tail1, geom.Pt(0, 0), geom.Point{}, 0)
 	c.Insert(tail2, geom.Pt(0, 0), geom.Point{}, 0)
-	rec := c.Reconcile(2, 1, NewInvalSet([]Invalidation{
+	rec := c.Reconcile(newRepairScratch(), 2, 1, NewInvalSet([]Invalidation{
 		{Epoch: 2, Kind: InvalInsert, ID: 90, Cell: geom.NewRect(4, 4, 5, 5)},
 	}), false)
 	if rec.Repaired != 1 || rec.Pieces < 2 {

@@ -14,6 +14,28 @@ func tiny() Options {
 	return Options{SideMiles: 2, DurationHours: 0.1, TimeStepSec: 20, Seed: 7}
 }
 
+// figureRuns memoizes the figures of tiny() by Figure.ID: a figure is a
+// few seconds of simulation and four tests read the same three. Each is
+// resolved through ByID under whatever alias asked first.
+var figureRuns = map[string]Figure{}
+
+func figureOf(t *testing.T, id string) Figure {
+	t.Helper()
+	key := "Fig" + strings.TrimPrefix(strings.ToLower(id), "fig")
+	f, ok := figureRuns[key]
+	if !ok {
+		var err error
+		if f, err = ByID(id, tiny()); err != nil {
+			t.Fatalf("ByID(%q): %v", id, err)
+		}
+		figureRuns[key] = f
+	}
+	if f.ID != key {
+		t.Fatalf("ByID(%q) returned %s, want %s", id, f.ID, key)
+	}
+	return f
+}
+
 func checkFigure(t *testing.T, f Figure, wantPoints int) {
 	t.Helper()
 	if len(f.Series) != 3 {
@@ -41,7 +63,7 @@ func checkFigure(t *testing.T, f Figure, wantPoints int) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	f := Fig10(tiny())
+	f := figureOf(t, "Fig10")
 	checkFigure(t, f, len(TxRangeSweep()))
 	// Monotone trend: sharing at max range must beat sharing at min range
 	// for the dense set.
@@ -71,10 +93,9 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestFig13Through15Shape(t *testing.T) {
-	o := tiny()
-	checkFigure(t, Fig13(o), len(TxRangeSweep()))
-	checkFigure(t, Fig14(o), len(CacheSweep()))
-	f15 := Fig15(o)
+	checkFigure(t, figureOf(t, "13"), len(TxRangeSweep()))
+	checkFigure(t, figureOf(t, "FIG14"), len(CacheSweep()))
+	f15 := figureOf(t, "fig15")
 	checkFigure(t, f15, len(WindowSweep()))
 	// Bigger windows are harder to cover (LA trend).
 	la := f15.Series[0]
@@ -85,19 +106,16 @@ func TestFig13Through15Shape(t *testing.T) {
 }
 
 func TestByID(t *testing.T) {
-	o := tiny()
 	for _, id := range []string{"10", "Fig10", "fig15", "13"} {
-		if _, err := ByID(id, o); err != nil {
-			t.Errorf("ByID(%q): %v", id, err)
-		}
+		figureOf(t, id)
 	}
-	if _, err := ByID("99", o); err == nil {
+	if _, err := ByID("99", tiny()); err == nil {
 		t.Error("unknown figure accepted")
 	}
 }
 
 func TestFigureWriteTo(t *testing.T) {
-	f := Fig10(tiny())
+	f := figureOf(t, "10")
 	var buf bytes.Buffer
 	if _, err := f.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -111,7 +129,7 @@ func TestFigureWriteTo(t *testing.T) {
 	}
 	// Window figure omits the approximate column.
 	var buf2 bytes.Buffer
-	if _, err := Fig13(tiny()).WriteTo(&buf2); err != nil {
+	if _, err := figureOf(t, "Fig13").WriteTo(&buf2); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf2.String(), "Approx %") {

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 )
 
 // disjointIndexMin is the number of disjoint rects below which
@@ -474,12 +473,18 @@ func (u *RectUnion) UnverifiedArea(c Point, radius float64) float64 {
 // as a set of disjoint rectangles. This implements the query-window
 // reduction of SBWQ: the returned rectangles are the reduced windows w′
 // that still require on-air resolution.
-func SubtractRect(w Rect, covers []Rect) []Rect {
+func SubtractRect(w Rect, covers []Rect) []Rect { return AppendSubtractRect(nil, w, covers) }
+
+// AppendSubtractRect appends SubtractRect(w, covers) to dst: the repair
+// and reduction kernels cut into a reused buffer. The cut coordinates
+// start on the stack and reach the heap only past 15 covers meeting w.
+func AppendSubtractRect(dst []Rect, w Rect, covers []Rect) []Rect {
 	if w.Empty() {
-		return nil
+		return dst
 	}
-	xs := []float64{w.Min.X, w.Max.X}
-	ys := []float64{w.Min.Y, w.Max.Y}
+	var xbuf, ybuf [32]float64
+	xs := append(xbuf[:0], w.Min.X, w.Max.X)
+	ys := append(ybuf[:0], w.Min.Y, w.Max.Y)
 	for _, r := range covers {
 		if !r.Intersects(w) {
 			continue
@@ -509,7 +514,6 @@ func SubtractRect(w Rect, covers []Rect) []Rect {
 		return false
 	}
 
-	var out []Rect
 	for j := 0; j+1 < len(ys); j++ {
 		ymid := (ys[j] + ys[j+1]) / 2
 		stripStart := -1
@@ -523,7 +527,7 @@ func SubtractRect(w Rect, covers []Rect) []Rect {
 				stripStart = i
 			}
 			if !uncovered && stripStart >= 0 {
-				out = append(out, Rect{
+				dst = append(dst, Rect{
 					Min: Point{xs[stripStart], ys[j]},
 					Max: Point{xs[i], ys[j+1]},
 				})
@@ -531,7 +535,7 @@ func SubtractRect(w Rect, covers []Rect) []Rect {
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // AppendSubtractOne appends to dst the parts of w not covered by hole —
@@ -669,7 +673,7 @@ func (si *stripIndex) bucketOf(x float64) int {
 
 // dedupSorted sorts vs ascending and removes duplicates in place.
 func dedupSorted(vs []float64) []float64 {
-	sort.Float64s(vs)
+	slices.Sort(vs)
 	out := vs[:0]
 	for i, v := range vs {
 		if i == 0 || v != out[len(out)-1] {

@@ -440,28 +440,27 @@ func collectItems(n *node) []Item {
 }
 
 // Window returns every item inside the closed rectangle r.
-func (t *Tree) Window(r geom.Rect) []Item {
-	var out []Item
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n.leaf {
-			for _, it := range n.items {
-				if r.Contains(it.Pos) {
-					out = append(out, it)
-				}
-			}
-			return
-		}
-		for _, c := range n.children {
-			if c.bounds.Intersects(r) {
-				walk(c)
+func (t *Tree) Window(r geom.Rect) []Item { return t.AppendWindow(nil, r) }
+
+// AppendWindow appends every item inside the closed rectangle r to dst
+// (an empty tree's root is an empty leaf).
+func (t *Tree) AppendWindow(dst []Item, r geom.Rect) []Item { return t.root.appendWindow(dst, r) }
+
+func (n *node) appendWindow(dst []Item, r geom.Rect) []Item {
+	if n.leaf {
+		for _, it := range n.items {
+			if r.Contains(it.Pos) {
+				dst = append(dst, it)
 			}
 		}
+		return dst
 	}
-	if t.size > 0 {
-		walk(t.root)
+	for _, c := range n.children {
+		if c.bounds.Intersects(r) {
+			dst = c.appendWindow(dst, r)
+		}
 	}
-	return out
+	return dst
 }
 
 // All returns every stored item.

@@ -267,7 +267,7 @@ func (w *World) syncIR(idx, ti int) int64 {
 		w.stats.IRListenAborts++
 		return acc.Latency
 	}
-	rec := h.caches[ti].Reconcile(tc.epoch, tc.horizon, tc.invals, w.Params.IRDiscard)
+	rec := h.caches[ti].Reconcile(&w.qs.repair, tc.epoch, tc.horizon, tc.invals, w.Params.IRDiscard)
 	w.stats.VRsReconciled += int64(rec.Repaired)
 	w.stats.VRsDiscarded += int64(rec.Discarded)
 	w.mx.observeReconcileCost(rec.Repaired, rec.Pieces)
@@ -299,7 +299,9 @@ func (w *World) expireTTL(c *cache.Cache) {
 // "slept past the IR window" degrade identically (and without the
 // breaker-feeding discard of the consistency-off path: staleness under
 // an armed layer is amnestied, like the trust layer's stale verdict).
-func (w *World) admitShared(peers []core.PeerData, id, ti int, r cache.Region, stale bool) []core.PeerData {
+// r is the staged copy, the function's to rewrite; a repaired region's
+// pieces are read straight out of the repair scratch.
+func (w *World) admitShared(peers []core.PeerData, id, ti int, r *cache.Region, stale bool) []core.PeerData {
 	tc := &w.cons.types[ti]
 	if stale {
 		r.Epoch = tc.horizon - 2
@@ -313,7 +315,7 @@ func (w *World) admitShared(peers []core.PeerData, id, ti int, r cache.Region, s
 		w.stats.VRsDiscarded++
 		return peers
 	case r.Epoch >= tc.horizon-1:
-		pieces, touched := cache.ReconcileRegion(r, tc.invals, tc.epoch)
+		pieces, touched := cache.ReconcileRegion(&w.qs.repair, r, tc.invals, tc.epoch)
 		if !touched {
 			// No mutation since r.Epoch reaches the region: still exact.
 			w.qs.origins = append(w.qs.origins, origin{peer: id})
@@ -325,9 +327,9 @@ func (w *World) admitShared(peers []core.PeerData, id, ti int, r cache.Region, s
 		}
 		w.stats.VRsReconciled++
 		w.mx.observeReconcileCost(1, len(pieces))
-		for _, p := range pieces {
+		for i := range pieces {
 			w.qs.origins = append(w.qs.origins, origin{peer: id, repaired: true})
-			peers = append(peers, core.PeerData{VR: p.Rect, POIs: p.POIs})
+			peers = append(peers, core.PeerData{VR: pieces[i].Rect, POIs: pieces[i].POIs})
 		}
 		return peers
 	default:

@@ -119,7 +119,7 @@ func (w *World) launch(idx, ti int) {
 	}
 	// Entry-owned snapshot: the top-level slice is copied; the POI slices
 	// inside alias cache storage that is immutable until a conflicting
-	// flush (see core.PeerData and the conflict predicate).
+	// flush (see the conflict predicate), or the arena prepare rewinds.
 	e.own = append(e.own[:0], e.peers...)
 	e.peers = e.own
 }

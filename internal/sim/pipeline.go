@@ -46,8 +46,8 @@ type query struct {
 	irSlots int64
 	// peers is the screened collection result. Until the batch engine
 	// snapshots it into own, it aliases World scratch (or the coalescing
-	// donor table) and is valid only until the next prepare; the POI
-	// slices inside alias cache storage either way (see core.PeerData).
+	// donor table) and is valid only until the next prepare; the POI slices
+	// inside alias cache storage or the World arena either way (§9.1).
 	peers     []core.PeerData
 	nPeers    int
 	spent     int64 // backoff + rung-switch + IR-listen + audit slots (the latency term)
@@ -117,6 +117,12 @@ func (e *query) shapeWindow(win geom.Rect) {
 // mark set, which turns the one-shot gates (coalesce, admission,
 // governor, retry budget, donation) into pass-throughs.
 func (w *World) prepare(e *query) {
+	// The one place the arena is rewound (DESIGN.md §9.1): it backs the
+	// peers of every prepared query until that query commits, so it starts
+	// over only when e is the sole entry in flight.
+	if w.eng.n <= 1 {
+		w.qs.arena.Rewind()
+	}
 	e.qc = w.assessChannel(e.idx)
 	e.irSlots = w.syncIR(e.idx, e.ti)
 	w.collect(e)

@@ -429,7 +429,7 @@ func TestPrefillRespectsCapacityAndSoundness(t *testing.T) {
 					filled++
 				}
 				for _, r := range c.Regions() {
-					want := w.poisInRect(ti, r.Rect)
+					want := w.poisInRect(nil, ti, r.Rect)
 					if len(want) != len(r.POIs) {
 						t.Fatalf("%v: prefilled region holds %d POIs, database has %d inside",
 							kind, len(r.POIs), len(want))

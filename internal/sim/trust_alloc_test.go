@@ -3,8 +3,10 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
+	"lbsq/internal/cache"
 	"lbsq/internal/core"
 	"lbsq/internal/geom"
 )
@@ -26,7 +28,7 @@ func TestTrustScreenAdapterAllocFree(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		x := 0.1 * float64(i)
 		vr := geom.NewRect(x, x, x+0.5, x+0.5)
-		peers = append(peers, core.PeerData{VR: vr, POIs: w.poisInRect(0, vr)})
+		peers = append(peers, core.PeerData{VR: vr, POIs: w.poisInRect(nil, 0, vr)})
 		w.qs.origins = append(w.qs.origins, origin{peer: i})
 	}
 	var out []core.PeerData
@@ -45,5 +47,97 @@ func TestTrustScreenAdapterAllocFree(t *testing.T) {
 	}
 	if rep.Audits == 0 || rep.AuditFailures != 0 {
 		t.Fatalf("bound oracle: %+v", rep)
+	}
+	// The oracle answers out of World scratch, so an audited screen costs
+	// no allocation either.
+	audits := 0
+	lit := func() {
+		_, _, rep = w.trustScreen(0, peers, 0, true)
+		audits += rep.Audits
+	}
+	if allocs := testing.AllocsPerRun(200, lit); allocs != 0 || audits == 0 {
+		t.Fatalf("audited trustScreen allocated %v times per query over %d audits", allocs, audits)
+	}
+}
+
+// A delivered reply whose regions the current IR report all cuts is
+// repaired on World scratch: cells, cut rectangles and pieces in the
+// repair scratch, the survivors' POIs in the arena — nothing allocated.
+func TestAdmitSharedRepairAllocFree(t *testing.T) {
+	p := LACity().Scaled(1).WithDuration(0.05)
+	p.UpdateRate = 1
+	p.Seed = 3
+	w, err := NewWorld(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const server, regions = 1, 6
+	c := w.hosts[server].caches[0]
+	c.Clear()
+	var items []cache.Invalidation
+	for i := 0; i < regions; i++ {
+		x := 0.1 * float64(i)
+		vr := geom.NewRect(x, x, x+0.4, x+0.4)
+		c.Insert(cache.Region{Rect: vr, POIs: w.poisInRect(nil, 0, vr)}, geom.Pt(0, 0), geom.Point{}, 0)
+		items = append(items, cache.Invalidation{Epoch: 1, Kind: cache.InvalInsert, ID: 1 << 40,
+			Cell: geom.NewRect(x+0.1, x+0.1, x+0.2, x+0.2)})
+	}
+	if len(c.Regions()) != regions {
+		t.Fatalf("fixture cached %d regions, want %d", len(c.Regions()), regions)
+	}
+	tc := &w.cons.types[0]
+	tc.epoch, tc.horizon, tc.invals = 1, 1, cache.NewInvalSet(items)
+
+	var peers []core.PeerData
+	var out replyOutcome
+	reply := func() {
+		w.qs.arena.Rewind()
+		w.qs.origins = w.qs.origins[:0]
+		peers, out = w.receiveReply(w.qs.peers[:0], server, 0, w.area, 0, true)
+		w.qs.peers = peers
+	}
+	reply()
+	if allocs := testing.AllocsPerRun(100, reply); allocs != 0 {
+		t.Fatalf("repairing reply allocated %v times", allocs)
+	}
+	if out.kind != replyDelivered || len(peers) < 4*regions || len(w.qs.origins) != len(peers) {
+		t.Fatalf("outcome %+v with %d peers entries and %d origins, want every region cut into pieces",
+			out, len(peers), len(w.qs.origins))
+	}
+	for i, o := range w.qs.origins {
+		if !o.repaired || o.peer != server {
+			t.Fatalf("entry %d has origin %+v, want a repair piece of host %d", i, o, server)
+		}
+	}
+}
+
+// The armed write side runs in caller scratch, measured where the bench
+// measures it: process-wide mallocs over the counted steps of the bench's
+// knn_armed cell at golden scale, per counted query. What is left is the
+// on-air client, the damaged-reply codec path and the cache's own inserts.
+func TestArmedWorldAllocBudget(t *testing.T) {
+	const budget = 40
+	w, err := NewWorld(goldenWorlds()["armed_repair_knn"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dt := w.Params.TimeStepSec
+	for !w.counted() {
+		w.Step(dt)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for w.nowSec < w.durationSec {
+		w.Step(dt)
+	}
+	runtime.ReadMemStats(&m1)
+	s := w.Stats()
+	if s.Queries == 0 || s.VRsReconciled == 0 {
+		t.Fatalf("fixture ran %d queries and repaired %d regions", s.Queries, s.VRsReconciled)
+	}
+	if per := float64(m1.Mallocs-m0.Mallocs) / float64(s.Queries); per > budget {
+		t.Fatalf("%.1f allocations per query, budget %d", per, budget)
+	} else {
+		t.Logf("%.1f allocations per query over %d queries", per, s.Queries)
 	}
 }

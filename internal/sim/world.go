@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"lbsq/internal/broadcast"
 	"lbsq/internal/cache"
@@ -176,6 +177,12 @@ type queryScratch struct {
 	contribs []trust.Contribution // trust-screen staging
 	screened []core.PeerData      // trust-screened PeerData
 	core     core.Scratch         // NNV/SBNN/SBWQ hot-path scratch
+	repair   cache.RepairScratch  // IR repair transients (admitShared, syncIR)
+	items    []rtree.Item         // ground-truth lookup staging
+	truth    []broadcast.POI      // the audit oracle's answer
+	// arena holds the POI lists of repair pieces and trust-screen splits
+	// in peers, alive until their query commits: prepare rewinds it.
+	arena broadcast.POIArena
 }
 
 // collectTarget is one addressed peer's state during a collection.
@@ -300,8 +307,14 @@ func NewWorld(p Params) (*World, error) {
 	}
 	w.tr = trust.NewEngine(p.Seed^trustSeedSalt, p.TrustConfig(), w.breakers)
 	if w.tr != nil {
-		w.auditOracle = func(r geom.Rect) []broadcast.POI { return w.poisInRect(w.auditType, r) }
+		// An audit is done with the truth before the oracle runs again.
+		w.auditOracle = func(r geom.Rect) []broadcast.POI {
+			w.qs.truth = w.poisInRect(w.qs.truth[:0], w.auditType, r)
+			return w.qs.truth
+		}
+		w.tr.LendArena(&w.qs.arena)
 	}
+	w.qs.repair.POIs = &w.qs.arena
 	if prof.ByzantineRate > 0 {
 		// Byzantine status is a per-host property, assigned once from a
 		// dedicated seeded stream (the attacker's population, not a
@@ -425,20 +438,21 @@ func (w *World) prefill() {
 				rk := nn[len(nn)-1].Pos.Dist(center)
 				region = geom.RectAround(center, math.Max(rk, 1e-9))
 			}
-			h.caches[ti].Insert(cache.Region{Rect: region, POIs: w.poisInRect(ti, region)},
+			h.caches[ti].Insert(cache.Region{Rect: region, POIs: w.poisInRect(nil, ti, region)},
 				h.mob.Pos, h.mob.Heading(), 0)
 		}
 	}
 }
 
-// poisInRect returns the database POIs of one type inside r (ground truth).
-func (w *World) poisInRect(ti int, r geom.Rect) []broadcast.POI {
-	items := w.types[ti].truth.Window(r)
-	out := make([]broadcast.POI, len(items))
-	for i, it := range items {
-		out[i] = broadcast.POI{ID: it.ID, Pos: it.Pos}
+// poisInRect appends the database POIs of one type inside r (ground
+// truth) to dst.
+func (w *World) poisInRect(dst []broadcast.POI, ti int, r geom.Rect) []broadcast.POI {
+	w.qs.items = w.types[ti].truth.AppendWindow(w.qs.items[:0], r)
+	dst = slices.Grow(dst, len(w.qs.items))
+	for _, it := range w.qs.items {
+		dst = append(dst, broadcast.POI(it))
 	}
-	return out
+	return dst
 }
 
 // Schedule exposes the broadcast schedule of the first data type (for
@@ -1000,7 +1014,7 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 			peers = append(peers, w.poisonRegion(core.PeerData{VR: s.region.Rect, POIs: s.region.POIs}))
 			w.qs.origins = append(w.qs.origins, origin{peer: id})
 		case w.cons != nil:
-			peers = w.admitShared(peers, id, ti, s.region, s.stale)
+			peers = w.admitShared(peers, id, ti, &s.region, s.stale)
 		case s.stale:
 			staleDiscards++
 		default:

@@ -94,8 +94,9 @@ func TestScreenAllocsSettleAfterGrowth(t *testing.T) {
 	}
 }
 
-// With the rectangle quarantine at its cap a screen allocates one POI
-// array per contribution the quarantine actually cut, and nothing else.
+// With the rectangle quarantine at its cap a screen still allocates
+// nothing: the POIs of every contribution the quarantine cut come out of
+// the arena.
 func TestScreenQuarantinedAllocsBoundedBySplits(t *testing.T) {
 	contribs, oracle := peers64()
 	e := newTestEngine(t, Config{AuditRate: 1e-12, QuarantineCycles: 1 << 40}, nil)
@@ -121,10 +122,44 @@ func TestScreenQuarantinedAllocsBoundedBySplits(t *testing.T) {
 	if split == 0 || len(out) <= len(contribs) {
 		t.Fatalf("fixture cut nothing: %d results for %d contributions", len(out), len(contribs))
 	}
-	if allocs > float64(split) {
-		t.Fatalf("%v allocs per screen for %d split contributions", allocs, split)
+	if allocs != 0 {
+		t.Fatalf("%v allocs per screen for %d split contributions, want 0", allocs, split)
 	}
 	if e.QuarantinedRects() != maxQuarRects {
 		t.Fatalf("quarantine decayed to %d during the run", e.QuarantinedRects())
+	}
+}
+
+// A tainted contribution that loses a POI to the cross-pool dedup against
+// a trusted one, and one the quarantine splits, get their POIs from the
+// arena: once it is warm the screen allocates nothing, whether the engine
+// rewinds its own arena or a caller the one it lent.
+func TestScreenDedupSplitAllocFree(t *testing.T) {
+	for _, lent := range []bool{false, true} {
+		e, contribs := aliasScene(t)
+		var arena broadcast.POIArena
+		if lent {
+			e.LendArena(&arena)
+		}
+		var out []Result
+		screen := func() {
+			if lent {
+				arena.Rewind()
+			}
+			out, _ = e.Screen(contribs, oracle, 0)
+		}
+		screen()
+		if allocs := testing.AllocsPerRun(100, screen); allocs != 0 {
+			t.Errorf("lent=%v: %v allocs per screen, want 0", lent, allocs)
+		}
+		deduped, split := false, false
+		for _, r := range out {
+			own := sharesStorage(r.POIs, contribs[r.Peer].POIs)
+			deduped = deduped || r.Peer == 2 && len(r.POIs) == 1 && r.POIs[0].ID == 4 && !own
+			split = split || r.Peer == 1 && r.VR != contribs[1].VR && len(r.POIs) == 1 && !own
+		}
+		if !deduped || !split {
+			t.Fatalf("lent=%v: fixture lost its deduped (%v) or split (%v) result: %+v", lent, deduped, split, out)
+		}
 	}
 }

@@ -156,10 +156,13 @@ func aliasScene(t *testing.T) (e *Engine, contribs []Contribution) {
 	return e, []Contribution{vouchedC, split, deduped, whole}
 }
 
-// Result.POIs outlive the screen that produced them: the batched tick
-// engine keeps several queries' screened peers across later screens.
+// Result.POIs outlive the screen that produced them for as long as the
+// lent arena is not rewound: the batched tick engine keeps several
+// queries' screened peers across later screens.
 func TestScreenResultsSurviveNextScreen(t *testing.T) {
 	e, contribs := aliasScene(t)
+	var arena broadcast.POIArena
+	e.LendArena(&arena)
 	out, _ := e.Screen(contribs, oracle, 0)
 	got := append([]Result(nil), out...) // the slice itself is scratch
 	if len(got) < 5 {

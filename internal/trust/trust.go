@@ -321,6 +321,11 @@ type Engine struct {
 	quarIdx      map[geom.Rect]int
 	quarMinUntil int64
 
+	// arena is where a Result's POIs are cut from when they cannot be the
+	// contribution's own: rewound by every Screen unless lent (LendArena).
+	arena *broadcast.POIArena
+	lent  bool
+
 	// Scratch reused across screens (DESIGN.md §11.5). out is what Screen
 	// returns; nothing here is referenced by a Result's POIs.
 	slots     []slot
@@ -352,6 +357,16 @@ func NewEngine(seed int64, cfg Config, breakers *p2p.BreakerSet) *Engine {
 		breakers: breakers,
 		peers:    make(map[int]*peerRec),
 		quarIdx:  make(map[geom.Rect]int),
+		arena:    new(broadcast.POIArena),
+	}
+}
+
+// LendArena makes a the arena results' POIs are cut from and leaves its
+// rewinding to the caller: results may then outlive the next Screen.
+// Safe on nil.
+func (e *Engine) LendArena(a *broadcast.POIArena) {
+	if e != nil {
+		e.arena, e.lent = a, true
 	}
 }
 
@@ -767,10 +782,10 @@ func bit(b bool) int32 {
 // (negative means unlimited); audits that do not fit are skipped.
 //
 // Aliasing: the returned slice is engine scratch, valid until the next
-// Screen. Each Result's POIs stay valid and unchanged for as long as the
-// contribution they came from does — they are the contribution's own
-// POIs slice when the piece is the whole region and keeps every POI, and
-// freshly allocated otherwise. Screen never writes to a contribution.
+// Screen. A Result's POIs are the contribution's own slice when the piece
+// is the whole region and keeps every POI, and cut from the arena
+// otherwise: valid until the next Screen, or a lent arena's rewind
+// (LendArena). Screen never writes to a contribution.
 //
 // Safe on nil: contributions pass through untainted and unscreened (the
 // defense is off; this is the seed behavior).
@@ -783,6 +798,9 @@ func (e *Engine) Screen(contribs []Contribution, oracle Oracle, budget int64) ([
 		return out, Report{}
 	}
 	e.seq++
+	if !e.lent {
+		e.arena.Rewind()
+	}
 	var rep Report
 	e.decayQuarantine()
 
@@ -1101,7 +1119,7 @@ func (e *Engine) assemble(contribs []Contribution) []Result {
 // tainted piece drops every POI an untainted result already vouches for:
 // core's candidate dedup assumes one POI ID appears in only one trust
 // pool, and the untrusted copy adds nothing. A piece that keeps all of
-// c.POIs shares the slice; otherwise the pieces of c share one new array.
+// c.POIs shares the slice; otherwise the pieces of c share one arena run.
 func (e *Engine) appendPieces(out []Result, c *Contribution, tainted bool, pieces []geom.Rect) []Result {
 	if len(pieces) == 0 {
 		return out // the quarantine swallowed the whole region
@@ -1130,26 +1148,13 @@ func (e *Engine) appendPieces(out []Result, c *Contribution, tainted bool, piece
 	if len(pieces) == 1 && kept == len(c.POIs) {
 		return append(out, Result{Peer: c.Peer, VR: pieces[0], POIs: c.POIs, Tainted: tainted})
 	}
-	var buf []broadcast.POI
-	if kept > 0 {
-		buf = make([]broadcast.POI, kept)
-	}
-	// Lay the pieces' runs out back to back; count[k] becomes the write
-	// cursor of piece k.
-	off := int32(0)
+	pois, lo := e.arena.Partition(c.POIs, owner, count), int32(0)
 	for k, piece := range pieces {
 		r := Result{Peer: c.Peer, VR: piece, Tainted: tainted}
-		if n := count[k]; n > 0 {
-			r.POIs = buf[off : off+n : off+n]
+		if hi := count[k]; hi > lo {
+			r.POIs = pois[lo:hi:hi]
 		}
-		count[k], off = off, off+count[k]
-		out = append(out, r)
-	}
-	for i, p := range c.POIs {
-		if k := owner[i]; k >= 0 {
-			buf[count[k]] = p
-			count[k]++
-		}
+		out, lo = append(out, r), count[k]
 	}
 	return out
 }

@@ -38,6 +38,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -419,27 +420,35 @@ func appendTrailer(buf []byte) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 }
 
+// The frame-level rejections, as values: a lossy link makes thousands.
+var (
+	ErrShort   = errors.New("wire: message too short")
+	ErrCRC     = errors.New("wire: CRC mismatch")
+	ErrMagic   = errors.New("wire: bad magic")
+	ErrVersion = errors.New("wire: unsupported version")
+	ErrKind    = errors.New("wire: unexpected message kind")
+)
+
 // parseHeader validates the CRC trailer and the fixed header, returning
 // the payload between them. Magic and version alone are not trusted: a
 // bit-flipped message with an intact header is rejected here, before any
 // structural parsing.
 func parseHeader(b []byte, wantKind byte) ([]byte, uint64, error) {
 	if len(b) < headerSize+TrailerSize {
-		return nil, 0, fmt.Errorf("wire: message too short (%d bytes)", len(b))
+		return nil, 0, ErrShort
 	}
 	body := b[:len(b)-TrailerSize]
-	want := binary.LittleEndian.Uint32(b[len(b)-TrailerSize:])
-	if got := crc32.Checksum(body, castagnoli); got != want {
-		return nil, 0, fmt.Errorf("wire: CRC mismatch (got %#x want %#x)", got, want)
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(b[len(b)-TrailerSize:]) {
+		return nil, 0, ErrCRC
 	}
 	if binary.LittleEndian.Uint16(body) != magic {
-		return nil, 0, fmt.Errorf("wire: bad magic %#x", binary.LittleEndian.Uint16(body))
+		return nil, 0, ErrMagic
 	}
 	if body[2] != version {
-		return nil, 0, fmt.Errorf("wire: unsupported version %d", body[2])
+		return nil, 0, ErrVersion
 	}
 	if body[3] != wantKind {
-		return nil, 0, fmt.Errorf("wire: kind %d, want %d", body[3], wantKind)
+		return nil, 0, ErrKind
 	}
 	return body[headerSize:], binary.LittleEndian.Uint64(body[4:]), nil
 }

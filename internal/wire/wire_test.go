@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -117,20 +118,30 @@ func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 
 func TestDecodeRejectsBadHeader(t *testing.T) {
 	good := EncodeRequest(sampleRequest())
-	bad := append([]byte(nil), good...)
-	bad[0] ^= 0xFF // magic
-	if _, err := DecodeRequest(bad); err == nil {
-		t.Fatal("bad magic accepted")
+	body := len(good) - TrailerSize
+	for _, c := range []struct {
+		name   string
+		at     int
+		val    byte
+		reseal bool
+		want   error
+	}{
+		{"damaged magic", 0, good[0] ^ 0xFF, false, ErrCRC},
+		{"bad magic", 0, good[0] ^ 0xFF, true, ErrMagic},
+		{"bad version", 2, 99, true, ErrVersion},
+		{"wrong kind", 3, kindReply, true, ErrKind},
+	} {
+		bad := append([]byte(nil), good...)
+		bad[c.at] = c.val
+		if c.reseal {
+			bad = appendTrailer(bad[:body])
+		}
+		if _, err := DecodeRequest(bad); !errors.Is(err, c.want) {
+			t.Fatalf("%s: err = %v, want %v", c.name, err, c.want)
+		}
 	}
-	bad = append([]byte(nil), good...)
-	bad[2] = 99 // version
-	if _, err := DecodeRequest(bad); err == nil {
-		t.Fatal("bad version accepted")
-	}
-	bad = append([]byte(nil), good...)
-	bad[3] = kindReply // wrong kind
-	if _, err := DecodeRequest(bad); err == nil {
-		t.Fatal("wrong kind accepted")
+	if _, err := DecodeRequest(good[:headerSize]); !errors.Is(err, ErrShort) {
+		t.Fatalf("short frame: err = %v, want %v", err, ErrShort)
 	}
 }
 
