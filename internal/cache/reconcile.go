@@ -124,8 +124,8 @@ type RepairScratch struct {
 
 	cells, rects []geom.Rect
 	pieces       []Region
-	owner, count []int32 // per POI its piece or -1; per piece its POI count
-	spare        []Region
+	owner, count []int32  // per POI its piece or -1; per piece its POI count
+	staged       []Region // Cache.Reconcile's output before it is copied back
 }
 
 // ReconcileRegion applies the invalidations newer than r.Epoch. The second
@@ -192,7 +192,7 @@ func (c *Cache) Reconcile(s *RepairScratch, epoch, horizon int64, invals InvalSe
 	// A repair can fan one region out into several pieces, so the output
 	// cannot reuse the array being iterated: it is staged in the scratch
 	// and copied back.
-	out := s.spare[:0]
+	out := s.staged[:0]
 	size := 0
 	for i := range c.regions {
 		r := &c.regions[i]
@@ -234,10 +234,10 @@ func (c *Cache) Reconcile(s *RepairScratch, epoch, horizon int64, invals InvalSe
 			}
 		}
 	}
-	clear(c.regions[min(len(out), len(c.regions)):]) // unpin the dropped regions' POIs
+	clear(c.regions) // neither array may pin a dropped region's POIs
 	c.regions = append(c.regions[:0], out...)
 	clear(out)
-	s.spare, c.size = out, size
+	s.staged, c.size = out, size
 	return rec
 }
 

@@ -674,11 +674,5 @@ func (si *stripIndex) bucketOf(x float64) int {
 // dedupSorted sorts vs ascending and removes duplicates in place.
 func dedupSorted(vs []float64) []float64 {
 	slices.Sort(vs)
-	out := vs[:0]
-	for i, v := range vs {
-		if i == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	return slices.Compact(vs)
 }
