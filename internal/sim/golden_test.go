@@ -127,6 +127,14 @@ func goldenWorlds() map[string]Params {
 	armedRepair.ContinuousRate = 0.5
 	armedRepair.AuditRate = 0.1
 
+	// The bench's -quick knn_sparse cell: rural densities, so most
+	// queries fall to the channel (every world above answers most from
+	// peers).
+	sparse := RiversideCounty().Scaled(6).WithDuration(0.2)
+	sparse.Seed = 99
+	sparse.AcceptApproximate = true
+	sparse.PrefillQueriesPerHost = 10
+
 	return map[string]Params{
 		"knn_zero":           clean(KNNQuery),
 		"window_zero":        clean(WindowQuery),
@@ -140,6 +148,7 @@ func goldenWorlds() map[string]Params {
 		"byzantine":          byzParams(901, KNNQuery, 0.3, 0.5, faults.AttackMix),
 		"byz_updates_window": byzUpdates,
 		"armed_repair_knn":   armedRepair,
+		"sparse_knn":         sparse,
 	}
 }
 
