@@ -90,7 +90,9 @@ cover-check:
 # claim-coverage detection must find the pair loop's conflicts element
 # for element (DESIGN.md §11.5), and the append-into-scratch subtraction
 # and the IR repair kernel over it must match their allocating references
-# on one dirty scratch (DESIGN.md §12.3). The seed corpora are part of
+# on one dirty scratch (DESIGN.md §12.3), and so must the on-air client
+# kernels — search radius, kNN client, window client, region growing
+# (DESIGN.md §9.1). The seed corpora are part of
 # the gate: a missing testdata corpus means a fuzz target silently lost
 # its regression inputs, so fail loudly instead of fuzzing from nothing.
 # Explicit -timeout keeps a hung target from stalling CI for go test's
@@ -123,6 +125,11 @@ fuzz-smoke:
 	@if [ ! -d internal/cache/testdata/fuzz/FuzzReconcileRegion ]; then \
 		echo "fuzz-smoke: internal/cache/testdata/fuzz/FuzzReconcileRegion corpus missing"; exit 1; \
 	fi
+	@for f in FuzzSearchRadius FuzzKNNScratch FuzzWindowClient FuzzGrowCompleteRect; do \
+		if [ ! -d internal/broadcast/testdata/fuzz/$$f ]; then \
+			echo "fuzz-smoke: internal/broadcast/testdata/fuzz/$$f corpus missing"; exit 1; \
+		fi; \
+	done
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeReply -fuzztime=5s -timeout 5m ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=5s -timeout 5m ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzInvalidationReport -fuzztime=5s -timeout 5m ./internal/wire
@@ -134,6 +141,10 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzAppendSubtractRect -fuzztime=5s -timeout 5m ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzDetectConflicts -fuzztime=5s -timeout 5m ./internal/trust
 	$(GO) test -run='^$$' -fuzz=FuzzReconcileRegion -fuzztime=5s -timeout 5m ./internal/cache
+	$(GO) test -run='^$$' -fuzz=FuzzSearchRadius -fuzztime=5s -timeout 5m ./internal/broadcast
+	$(GO) test -run='^$$' -fuzz=FuzzKNNScratch -fuzztime=5s -timeout 5m ./internal/broadcast
+	$(GO) test -run='^$$' -fuzz=FuzzWindowClient -fuzztime=5s -timeout 5m ./internal/broadcast
+	$(GO) test -run='^$$' -fuzz=FuzzGrowCompleteRect -fuzztime=5s -timeout 5m ./internal/broadcast
 
 verify: vet build race fuzz-smoke
 	@echo "verify: all gates passed"

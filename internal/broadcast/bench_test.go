@@ -30,39 +30,52 @@ func BenchmarkScheduleBuild(b *testing.B) {
 	}
 }
 
+// The on-air benchmarks run the scratch form the simulator runs: one warm
+// Scratch, no allocation per query.
+
 func BenchmarkOnAirKNN(b *testing.B) {
 	s, rng := benchSchedule(b, 2750)
+	var sc Scratch
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := geom.Pt(rng.Float64()*64, rng.Float64()*64)
-		s.KNN(q, 5, int64(i))
+		s.KNNScratch(&sc, q, 5, int64(i), Bounds{})
 	}
 }
 
 func BenchmarkOnAirKNNWithBounds(b *testing.B) {
 	s, rng := benchSchedule(b, 2750)
+	var sc Scratch
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := geom.Pt(rng.Float64()*64, rng.Float64()*64)
-		s.KNNWithBounds(q, 5, int64(i), Bounds{Upper: 4, Lower: 2})
+		s.KNNScratch(&sc, q, 5, int64(i), Bounds{Upper: 4, Lower: 2})
 	}
 }
 
 func BenchmarkOnAirWindow(b *testing.B) {
 	s, rng := benchSchedule(b, 2750)
+	var sc Scratch
+	windows := make([]geom.Rect, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cx, cy := rng.Float64()*60, rng.Float64()*60
-		s.Window(geom.NewRect(cx, cy, cx+2, cy+2), int64(i))
+		windows[0] = geom.NewRect(cx, cy, cx+2, cy+2)
+		s.WindowReducedDetailed(&sc, windows, int64(i))
 	}
 }
 
 func BenchmarkGrowCompleteRect(b *testing.B) {
 	s, _ := benchSchedule(b, 2750)
+	var sc Scratch
 	w := geom.NewRect(30, 30, 34, 34)
-	_, _, retrieved, _ := s.WindowReducedDetailed([]geom.Rect{w}, 0)
+	_, _, retrieved, _ := s.WindowReducedDetailed(&sc, []geom.Rect{w}, 0)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.GrowCompleteRect(w, retrieved, 200)
+		s.GrowCompleteRect(&sc, w, retrieved, 200)
 	}
 }

@@ -179,8 +179,7 @@ type Schedule struct {
 	indexStarts    []int64 // slot offsets of the index segments within a cycle
 	packetSlot     []int64 // slot offset of each packet within a cycle
 	totalPOIs      int
-	cellPacket     map[int64]int // cell key -> packet seq (only non-empty cells)
-	cellKey        func(x, y int) int64
+	cellPacket     []int32 // grid cell y*side+x -> packet seq, -1 for an empty cell
 	ordering       Ordering
 	lossRate       float64
 	lossRng        *rand.Rand
@@ -341,18 +340,20 @@ func NewSchedule(pois []POI, cfg Config) (*Schedule, error) {
 		packets:        packets,
 		m:              cfg.M,
 		totalPOIs:      len(pois),
-		cellPacket:     make(map[int64]int),
-		cellKey:        key,
+		cellPacket:     make([]int32, curve.Cells()),
 		ordering:       cfg.Ordering,
 		lossRate:       math.Min(math.Max(cfg.LossRate, 0), 0.95),
 		lossRng:        rand.New(rand.NewSource(cfg.LossSeed)),
 		treeIndex:      cfg.TreeIndex,
 		entriesPerSlot: cfg.IndexEntriesPerSlot,
 	}
+	for i := range s.cellPacket {
+		s.cellPacket[i] = -1
+	}
 	for _, p := range packets {
 		for _, poi := range p.POIs {
 			cx, cy := curve.CellOf(poi.Pos)
-			s.cellPacket[key(cx, cy)] = p.Seq
+			s.cellPacket[cy*curve.Side()+cx] = int32(p.Seq)
 		}
 	}
 	s.indexSlots = (len(packets) + cfg.IndexEntriesPerSlot - 1) / cfg.IndexEntriesPerSlot
@@ -528,31 +529,54 @@ func (s *Schedule) ListenIR(start int64, lost func() bool) Access {
 	return acc
 }
 
+// Scratch holds the transients of one on-air client (DESIGN.md §9.1):
+// the slices the scratch-taking query methods return alias it and are
+// valid until the next call with the same Scratch. The zero value is
+// ready to use; a Scratch must not be shared between goroutines.
+type Scratch struct {
+	near     []nearPacket // searchRadius: the nearest packets so far, ascending
+	need     []int        // candidate packets, ascending by Seq
+	pois     []POI        // contents of the downloaded packets, in need order
+	filtered []POI        // window client: the pois inside a window
+	got      []uint32     // GrowCompleteRect: got[seq] == mark iff seq was retrieved
+	mark     uint32
+}
+
+// nearPacket is what the index tells searchRadius about one packet.
+type nearPacket struct {
+	maxDist float64
+	count   int
+}
+
 // indexTuning returns the extra index slots a tree-index client tunes:
-// the distinct leaf slots holding the entries of the candidate packets.
-// Zero for the flat index (already fully read by probeIndex).
+// the distinct leaf slots holding the entries of the candidate packets
+// (ascending by Seq, so a leaf's entries are adjacent). Zero for the flat
+// index (already fully read by probeIndex).
 func (s *Schedule) indexTuning(candidates []int) int64 {
 	if !s.treeIndex || s.entriesPerSlot <= 0 {
 		return 0
 	}
-	slots := map[int]bool{}
+	slots, last := int64(0), -1
 	for _, seq := range candidates {
-		slots[seq/s.entriesPerSlot] = true
+		if slot := seq / s.entriesPerSlot; slot != last {
+			slots++
+			last = slot
+		}
 	}
-	return int64(len(slots))
+	return slots
 }
 
 // retrieve downloads the given packet sequence numbers starting no earlier
-// than `from`, returning their POIs and the cost. The client sleeps
-// between packets (selective tuning), so tuning grows by one slot per
-// packet while latency runs to the last arrival.
-func (s *Schedule) retrieve(seqs []int, from int64) ([]POI, int64, Access) {
+// than `from`, returning their POIs (in sc) and the cost. The client
+// sleeps between packets (selective tuning), so tuning grows by one slot
+// per packet while latency runs to the last arrival.
+func (s *Schedule) retrieve(sc *Scratch, seqs []int, from int64) ([]POI, Access) {
 	var acc Access
+	pois := sc.pois[:0]
 	if len(seqs) == 0 {
-		return nil, from, acc
+		return pois, acc
 	}
 	last := from
-	var pois []POI
 	for _, seq := range seqs {
 		at := s.nextPacketArrival(seq, from)
 		// Channel errors: each failed reception wastes the listening slot
@@ -569,8 +593,9 @@ func (s *Schedule) retrieve(seqs []int, from int64) ([]POI, int64, Access) {
 		acc.Tuning++
 		acc.PacketsRead++
 	}
+	sc.pois = pois
 	acc.Latency = last - from + 1
-	return pois, last + 1, acc
+	return pois, acc
 }
 
 // KNN runs the plain on-air k-nearest-neighbor algorithm (no peer
@@ -600,20 +625,29 @@ type Bounds struct {
 // caller is expected to merge it with the peer-supplied POIs that
 // justified the bounds.
 func (s *Schedule) KNNWithBounds(q geom.Point, k int, start int64, b Bounds) ([]POI, Access) {
-	if k <= 0 || len(s.packets) == 0 {
-		_, acc := s.probeIndex(start)
-		return nil, acc
-	}
-	after, acc := s.probeIndex(start)
+	var sc Scratch
+	pois, _, acc := s.KNNScratch(&sc, q, k, start, b)
+	return pois, acc
+}
 
+// KNNScratch is KNNWithBounds on caller-owned scratch, which the returned
+// POIs alias. It also returns the radius of the search range it used —
+// b.Upper when positive, else SearchRadius(q, k): the retrieval covered
+// every packet intersecting the square of that radius around q.
+func (s *Schedule) KNNScratch(sc *Scratch, q geom.Point, k int, start int64, b Bounds) ([]POI, float64, Access) {
+	after, acc := s.probeIndex(start)
 	radius := b.Upper
 	if radius <= 0 {
-		radius = s.SearchRadius(q, k)
+		radius = s.searchRadius(sc, q, k)
+	}
+	if k <= 0 || len(s.packets) == 0 {
+		return nil, radius, acc
 	}
 	searchRange := geom.RectAround(q, radius)
 
-	var need []int
-	for _, p := range s.packets {
+	need := sc.need[:0]
+	for i := range s.packets {
+		p := &s.packets[i]
 		if !p.Region.Intersects(searchRange) {
 			continue
 		}
@@ -627,10 +661,11 @@ func (s *Schedule) KNNWithBounds(q geom.Point, k int, start int64, b Bounds) ([]
 		}
 		need = append(need, p.Seq)
 	}
+	sc.need = need
 	acc.Tuning += s.indexTuning(need)
-	pois, _, racc := s.retrieve(need, after)
+	pois, racc := s.retrieve(sc, need, after)
 	acc.add(racc)
-	return pois, acc
+	return pois, radius, acc
 }
 
 // SearchRadius derives, from index information alone, a radius guaranteed
@@ -639,35 +674,49 @@ func (s *Schedule) KNNWithBounds(q geom.Point, k int, start int64, b Bounds) ([]
 // models the first index scan of the on-air kNN algorithm; clients use it
 // to know which region their retrieval made them an authority on.
 func (s *Schedule) SearchRadius(q geom.Point, k int) float64 {
-	type pk struct {
-		maxDist float64
-		count   int
-	}
-	ps := make([]pk, len(s.packets))
-	total := 0
-	for i, p := range s.packets {
-		ps[i] = pk{maxDist: p.Region.MaxDist(q), count: len(p.POIs)}
-		total += len(p.POIs)
-	}
-	if total <= k {
+	var sc Scratch
+	return s.searchRadius(&sc, q, k)
+}
+
+// searchRadius is a weighted order statistic over the packets' MaxDist.
+// Cell-granular packing never emits an empty packet, so the k packets
+// nearest by MaxDist hold at least k POIs and decide it: one pass keeps
+// them in a k-bounded insertion buffer. Which of several packets tied at
+// the buffer's edge is kept does not change the value.
+func (s *Schedule) searchRadius(sc *Scratch, q geom.Point, k int) float64 {
+	if s.totalPOIs <= k {
 		// Fewer POIs than requested: the whole file is the answer.
-		max := 0.0
-		for _, p := range ps {
-			if p.maxDist > max {
-				max = p.maxDist
-			}
+		far := 0.0
+		for i := range s.packets {
+			far = max(far, s.packets[i].Region.MaxDist(q))
 		}
-		return max
+		return far
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].maxDist < ps[j].maxDist })
+	limit := max(k, 1)
+	near := sc.near[:0]
+	for i := range s.packets {
+		p := &s.packets[i]
+		d := p.Region.MaxDist(q)
+		if len(near) < limit {
+			near = append(near, nearPacket{})
+		} else if d >= near[limit-1].maxDist {
+			continue
+		}
+		j := len(near) - 1
+		for ; j > 0 && near[j-1].maxDist > d; j-- {
+			near[j] = near[j-1]
+		}
+		near[j] = nearPacket{maxDist: d, count: len(p.POIs)}
+	}
+	sc.near = near
 	acc := 0
-	for _, p := range ps {
+	for _, p := range near {
 		acc += p.count
 		if acc >= k {
 			return p.maxDist
 		}
 	}
-	return ps[len(ps)-1].maxDist
+	return 0 // no packets
 }
 
 // Window runs the plain on-air window query: retrieve every packet whose
@@ -681,22 +730,25 @@ func (s *Schedule) Window(w geom.Rect, start int64) ([]POI, Access) {
 // verified region from the original window. POIs outside every window are
 // filtered out before returning.
 func (s *Schedule) WindowReduced(windows []geom.Rect, start int64) ([]POI, Access) {
-	out, _, _, acc := s.WindowReducedDetailed(windows, start)
+	var sc Scratch
+	out, _, _, acc := s.WindowReducedDetailed(&sc, windows, start)
 	return out, acc
 }
 
-// WindowReducedDetailed is WindowReduced exposing the full retrieval: the
-// filtered result, the raw contents of every downloaded packet, and the
-// downloaded packet sequence numbers. SBWQ uses the extra data to turn the
+// WindowReducedDetailed is WindowReduced on caller-owned scratch,
+// exposing the full retrieval: the filtered result, the raw contents of
+// every downloaded packet, and the downloaded packet sequence numbers
+// (ascending), all aliasing sc. SBWQ uses the extra data to turn the
 // retrieval into cached verified knowledge (the paper's "store received
 // POIs with their collective MBR" cache policy).
-func (s *Schedule) WindowReducedDetailed(windows []geom.Rect, start int64) (filtered, raw []POI, retrieved []int, acc Access) {
+func (s *Schedule) WindowReducedDetailed(sc *Scratch, windows []geom.Rect, start int64) (filtered, raw []POI, retrieved []int, acc Access) {
 	after, acc := s.probeIndex(start)
 	if len(s.packets) == 0 {
 		return nil, nil, nil, acc
 	}
-	var need []int
-	for _, p := range s.packets {
+	need := sc.need[:0]
+	for i := range s.packets {
+		p := &s.packets[i]
 		hit := false
 		for _, w := range windows {
 			if p.Region.Intersects(w) {
@@ -710,9 +762,11 @@ func (s *Schedule) WindowReducedDetailed(windows []geom.Rect, start int64) (filt
 			acc.PacketsSkipped++
 		}
 	}
+	sc.need = need
 	acc.Tuning += s.indexTuning(need)
-	raw, _, racc := s.retrieve(need, after)
+	raw, racc := s.retrieve(sc, need, after)
 	acc.add(racc)
+	filtered = sc.filtered[:0]
 	for _, poi := range raw {
 		for _, w := range windows {
 			if w.Contains(poi.Pos) {
@@ -721,6 +775,7 @@ func (s *Schedule) WindowReducedDetailed(windows []geom.Rect, start int64) (filt
 			}
 		}
 	}
+	sc.filtered = filtered
 	return filtered, raw, need, acc
 }
 
@@ -728,33 +783,45 @@ func (s *Schedule) WindowReducedDetailed(windows []geom.Rect, start int64) (filt
 // given the retrieved packet set: either the cell is empty, or its
 // (unique, by cell-granular packing) packet was downloaded.
 func (s *Schedule) CellComplete(x, y int, retrieved map[int]bool) bool {
-	seq, ok := s.cellPacket[s.cellKey(x, y)]
-	if !ok {
-		return true // empty cell: trivially complete
-	}
-	return retrieved[seq]
+	seq := s.cellPacket[y*s.curve.Side()+x]
+	return seq < 0 || retrieved[int(seq)]
 }
 
 // GrowCompleteRect expands the seed rectangle outward, one cell row or
 // column at a time, for as long as every newly covered cell is complete
-// under the retrieved packet set and the area stays within maxArea. It
-// returns the grown cell-aligned rectangle, or the seed unchanged when
-// even the seed's own cells are not all complete. The result is the
-// largest sound "collective MBR" a client may cache after a window
-// retrieval.
-func (s *Schedule) GrowCompleteRect(seed geom.Rect, retrieved []int, maxArea float64) geom.Rect {
+// (CellComplete) under the retrieved packet set and the area stays within
+// maxArea. It returns the grown cell-aligned rectangle, or the seed
+// unchanged when even the seed's own cells are not all complete. The
+// result is the largest sound "collective MBR" a client may cache after a
+// window retrieval.
+func (s *Schedule) GrowCompleteRect(sc *Scratch, seed geom.Rect, retrieved []int, maxArea float64) geom.Rect {
 	if seed.Empty() {
 		return seed
 	}
-	got := make(map[int]bool, len(retrieved))
+	// Stamp the retrieved packets: a new mark per call leaves every older
+	// stamp, of this schedule or another, reading as not retrieved.
+	if len(sc.got) < len(s.packets) {
+		sc.got = make([]uint32, len(s.packets))
+	}
+	sc.mark++
+	if sc.mark == 0 {
+		clear(sc.got)
+		sc.mark = 1
+	}
+	got, mark := sc.got, sc.mark
 	for _, seq := range retrieved {
-		got[seq] = true
+		got[seq] = mark
+	}
+	side := s.curve.Side()
+	complete := func(x, y int) bool {
+		seq := s.cellPacket[y*side+x]
+		return seq < 0 || got[seq] == mark
 	}
 	x0, y0 := s.curve.CellOf(seed.Min)
 	x1, y1 := s.curve.CellOf(seed.Max)
 	for y := y0; y <= y1; y++ {
 		for x := x0; x <= x1; x++ {
-			if !s.CellComplete(x, y, got) {
+			if !complete(x, y) {
 				return seed
 			}
 		}
@@ -763,22 +830,22 @@ func (s *Schedule) GrowCompleteRect(seed geom.Rect, retrieved []int, maxArea flo
 		return s.curve.CellRect(ax0, ay0).Union(s.curve.CellRect(ax1, ay1))
 	}
 	colComplete := func(x, ay0, ay1 int) bool {
-		if x < 0 || x >= s.curve.Side() {
+		if x < 0 || x >= side {
 			return false
 		}
 		for y := ay0; y <= ay1; y++ {
-			if !s.CellComplete(x, y, got) {
+			if !complete(x, y) {
 				return false
 			}
 		}
 		return true
 	}
 	rowComplete := func(y, ax0, ax1 int) bool {
-		if y < 0 || y >= s.curve.Side() {
+		if y < 0 || y >= side {
 			return false
 		}
 		for x := ax0; x <= ax1; x++ {
-			if !s.CellComplete(x, y, got) {
+			if !complete(x, y) {
 				return false
 			}
 		}

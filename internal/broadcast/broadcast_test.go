@@ -163,7 +163,8 @@ func TestGrowCompleteRect(t *testing.T) {
 	for _, p := range s.Packets() {
 		all = append(all, p.Seq)
 	}
-	grown := s.GrowCompleteRect(seed, all, 1200)
+	var sc Scratch
+	grown := s.GrowCompleteRect(&sc, seed, all, 1200)
 	if !grown.ContainsRect(seed) {
 		t.Fatalf("grown %v does not contain seed", grown)
 	}
@@ -189,12 +190,12 @@ func TestGrowCompleteRect(t *testing.T) {
 	}
 
 	// Retrieve nothing: a seed over non-empty cells stays put.
-	grown2 := s.GrowCompleteRect(seed, nil, 1e9)
+	grown2 := s.GrowCompleteRect(&sc, seed, nil, 1e9)
 	if grown2 != seed {
 		t.Fatalf("unretrieved seed grew: %v", grown2)
 	}
 	// Empty seed passes through.
-	if s.GrowCompleteRect(geom.Rect{}, all, 1e9) != (geom.Rect{}) {
+	if s.GrowCompleteRect(&sc, geom.Rect{}, all, 1e9) != (geom.Rect{}) {
 		t.Fatal("empty seed must pass through")
 	}
 }
@@ -204,7 +205,7 @@ func TestWindowReducedDetailed(t *testing.T) {
 	pois := randomPOIs(rng, 300, 64)
 	s := mustSchedule(t, pois, testConfig())
 	w := geom.NewRect(10, 10, 30, 30)
-	filtered, raw, retrieved, acc := s.WindowReducedDetailed([]geom.Rect{w}, 0)
+	filtered, raw, retrieved, acc := s.WindowReducedDetailed(new(Scratch), []geom.Rect{w}, 0)
 	if len(raw) < len(filtered) {
 		t.Fatalf("raw %d < filtered %d", len(raw), len(filtered))
 	}
@@ -621,5 +622,33 @@ func TestTreeIndexReducesTuning(t *testing.T) {
 	}
 	if treeLat != flatLat {
 		t.Errorf("tree index changed latency: %d vs %d", treeLat, flatLat)
+	}
+}
+
+// indexTuning counts leaf slots by walking the ascending candidate list;
+// the map-based count it replaced (refClient) is the reference.
+func TestIndexTuningMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, per := range []int{1, 3, 8, 16} {
+		cfg := testConfig()
+		cfg.TreeIndex = true
+		cfg.IndexEntriesPerSlot = per
+		s := mustSchedule(t, randomPOIs(rng, 600, 64), cfg)
+		ref := newRefClient(s)
+		for trial := 0; trial < 200; trial++ {
+			var need []int // ascending, as the clients build it
+			for seq := range s.Packets() {
+				if rng.Intn(1+trial%7) == 0 {
+					need = append(need, seq)
+				}
+			}
+			if got, want := s.indexTuning(need), ref.indexTuning(need); got != want {
+				t.Fatalf("%d entries per slot, candidates %v: %d leaf slots, map count %d", per, need, got, want)
+			}
+		}
+	}
+	flat := mustSchedule(t, randomPOIs(rng, 50, 64), testConfig())
+	if got := flat.indexTuning([]int{0, 1, 9}); got != 0 {
+		t.Fatalf("flat index tunes %d extra slots", got)
 	}
 }

@@ -63,3 +63,23 @@ func TestReconcileRegionTouchedZeroAllocs(t *testing.T) {
 		t.Fatalf("touched ReconcileRegion allocates %.1f times per run, want 0", allocs)
 	}
 }
+
+// TestShrinkRegionOneAlloc pins what a shrink costs and what the cache
+// then retains: the sort runs in a recycled buffer, and the kept POIs are
+// one array of exactly their size, however oversized the region was.
+func TestShrinkRegionOneAlloc(t *testing.T) {
+	ids := make([]int64, 300)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	r := mkRegion(geom.NewRect(0, 0, 30, 30), ids...)
+	var out Region
+	shrink := func() { out = shrinkRegion(r, 50) }
+	shrink() // warm the buffer pool
+	if allocs := testing.AllocsPerRun(100, shrink); allocs > 1 {
+		t.Fatalf("shrinkRegion allocates %.1f times per run, want 1", allocs)
+	}
+	if len(out.POIs) == 0 || len(out.POIs) > 50 || cap(out.POIs) != len(out.POIs) {
+		t.Fatalf("kept %d POIs in an array of %d", len(out.POIs), cap(out.POIs))
+	}
+}

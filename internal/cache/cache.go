@@ -15,8 +15,10 @@
 package cache
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"lbsq/internal/broadcast"
 	"lbsq/internal/geom"
@@ -209,18 +211,26 @@ func effectiveDistance(pos, heading, target geom.Point) float64 {
 	return d
 }
 
+// sortBufs recycles shrinkRegion's sort buffers. Insert has no parameter
+// to carry caller scratch, and a buffer per Cache would be one per host.
+var sortBufs = sync.Pool{New: func() any { return new([]broadcast.POI) }}
+
 // shrinkRegion keeps the maxPOIs POIs closest to the region center and
 // shrinks the rectangle to a sub-rectangle guaranteed to contain only
 // kept POIs: the original rect intersected with the axis-aligned square
-// inscribed in the disk of the last kept POI's distance.
+// inscribed in the disk of the last kept POI's distance. What it returns
+// is one allocation of exactly the kept POIs' size.
 func shrinkRegion(r Region, maxPOIs int) Region {
 	if maxPOIs <= 0 {
 		return Region{}
 	}
 	center := r.Rect.Center()
-	pois := append([]broadcast.POI(nil), r.POIs...)
-	sort.Slice(pois, func(i, j int) bool {
-		return pois[i].Pos.DistSq(center) < pois[j].Pos.DistSq(center)
+	buf := sortBufs.Get().(*[]broadcast.POI)
+	defer sortBufs.Put(buf)
+	pois := append((*buf)[:0], r.POIs...)
+	*buf = pois
+	slices.SortFunc(pois, func(a, b broadcast.POI) int {
+		return cmp.Compare(a.Pos.DistSq(center), b.Pos.DistSq(center))
 	})
 	kept := pois[:maxPOIs]
 	radius := kept[len(kept)-1].Pos.Dist(center)
@@ -240,11 +250,17 @@ func shrinkRegion(r Region, maxPOIs int) Region {
 	if !ok {
 		return Region{}
 	}
-	var inside []broadcast.POI
+	n := 0 // compact the survivors to the front of the buffer
 	for _, p := range kept {
 		if rect.Contains(p.Pos) {
-			inside = append(inside, p)
+			kept[n] = p
+			n++
 		}
+	}
+	var inside []broadcast.POI
+	if n > 0 {
+		inside = make([]broadcast.POI, n)
+		copy(inside, kept)
 	}
 	return Region{Rect: rect, POIs: inside, Stamp: r.Stamp, Epoch: r.Epoch, Born: r.Born}
 }

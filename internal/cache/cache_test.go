@@ -1,7 +1,10 @@
 package cache
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"lbsq/internal/broadcast"
@@ -281,5 +284,60 @@ func TestShrinkRegionZeroBudget(t *testing.T) {
 	r := mkRegion(geom.NewRect(0, 0, 2, 2), 1, 2)
 	if out := shrinkRegion(r, 0); !out.Rect.Empty() && len(out.POIs) != 0 {
 		t.Fatalf("zero budget kept %v", out)
+	}
+}
+
+// refShrinkRegion is the body shrinkRegion replaced: a fresh copy sorted
+// by sort.Slice and an append-grown result.
+func refShrinkRegion(r Region, maxPOIs int) Region {
+	if maxPOIs <= 0 {
+		return Region{}
+	}
+	center := r.Rect.Center()
+	pois := append([]broadcast.POI(nil), r.POIs...)
+	sort.Slice(pois, func(i, j int) bool {
+		return pois[i].Pos.DistSq(center) < pois[j].Pos.DistSq(center)
+	})
+	kept := pois[:maxPOIs]
+	radius := kept[len(kept)-1].Pos.Dist(center)
+	if len(pois) > maxPOIs {
+		dropped := pois[maxPOIs].Pos.Dist(center)
+		if dropped <= radius {
+			radius = math.Nextafter(dropped, 0)
+		}
+	}
+	half := radius / math.Sqrt2
+	square := geom.RectAround(center, half)
+	rect, ok := r.Rect.Intersect(square)
+	if !ok {
+		return Region{}
+	}
+	var inside []broadcast.POI
+	for _, p := range kept {
+		if rect.Contains(p.Pos) {
+			inside = append(inside, p)
+		}
+	}
+	return Region{Rect: rect, POIs: inside, Stamp: r.Stamp, Epoch: r.Epoch, Born: r.Born}
+}
+
+// shrinkRegion against the body it replaced, on half-integer positions
+// where equal distances from the centre are common: same rectangle, same
+// POIs in the same order (slices.SortFunc is sort.Slice's pdqsort).
+func TestShrinkRegionMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 2000; trial++ {
+		r := Region{Rect: geom.NewRect(0, 0, float64(2+rng.Intn(14)), float64(2+rng.Intn(14))),
+			Stamp: 7, Epoch: 3, Born: 5}
+		for i, n := 0, 2+rng.Intn(60); i < n; i++ {
+			r.POIs = append(r.POIs, broadcast.POI{ID: int64(i),
+				Pos: geom.Pt(float64(rng.Intn(33))/2, float64(rng.Intn(33))/2)})
+		}
+		budget := 1 + rng.Intn(len(r.POIs)-1)
+		got, want := shrinkRegion(r, budget), refShrinkRegion(r, budget)
+		if got.Rect != want.Rect || !slices.Equal(got.POIs, want.POIs) ||
+			got.Stamp != want.Stamp || got.Epoch != want.Epoch || got.Born != want.Born {
+			t.Fatalf("trial %d (budget %d of %d):\n got %+v\nwant %+v", trial, budget, len(r.POIs), got, want)
+		}
 	}
 }

@@ -76,8 +76,37 @@ func TestSBNNScratchSteadyAllocs(t *testing.T) {
 		SBNNScratch(&s, q, peers, cfg, nil, 0)
 	})
 	// One allocation for the fresh Known slice is the by-design floor.
-	if allocs > 2 {
-		t.Fatalf("warm verified SBNNScratch allocates %.1f times per run, want <= 2", allocs)
+	if allocs > 1 {
+		t.Fatalf("warm verified SBNNScratch allocates %.1f times per run, want <= 1", allocs)
+	}
+}
+
+// The broadcast path has the same floor: the on-air client runs in the
+// scratch and Known is counted, then allocated once — without peers (the
+// plain on-air search) and with peers whose heap supplies search bounds.
+func TestSBNNScratchBroadcastPathAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	w := newTestWorld(t, rng, 400)
+	cfg := SBNNConfig{K: 5, Lambda: 0.4}
+	var s Scratch
+	for name, peers := range map[string][]PeerData{"no peers": nil, "three peers": w.soundPeers(rng, 3)} {
+		onAir := 0
+		query := func(i int) {
+			q := geom.Pt(float64(i*7%32), float64(i*13%32))
+			if SBNNScratch(&s, q, peers, cfg, w.sched, int64(i)).Outcome == OutcomeBroadcast {
+				onAir++
+			}
+		}
+		for i := 0; i < 64; i++ {
+			query(i) // warm the scratch to capacity
+		}
+		if onAir < 32 {
+			t.Fatalf("%s: only %d of 64 queries reached the channel", name, onAir)
+		}
+		i := 0
+		if allocs := testing.AllocsPerRun(64, func() { query(i); i++ }); allocs > 1 {
+			t.Fatalf("%s: warm SBNNScratch allocates %.2f times per query, want <= 1", name, allocs)
+		}
 	}
 }
 

@@ -52,6 +52,7 @@ type Scratch struct {
 	tainted    []broadcast.POI
 	poiBuf     []broadcast.POI
 	sortKeys   []uint64 // sortCandidates: packed (distance², index) keys
+	onAir      broadcast.Scratch
 }
 
 // NNVResult bundles the outputs of the nearest-neighbor verification

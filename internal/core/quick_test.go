@@ -140,6 +140,11 @@ func TestQuickSBNNExactness(t *testing.T) {
 			for _, p := range res.Known {
 				known[p.ID] = true
 			}
+			// Known lists a POI once, in a slice of exactly its size
+			// (DESIGN.md §9.1 rule 3).
+			if len(known) != len(res.Known) || cap(res.Known) != len(res.Known) {
+				return false
+			}
 			for _, p := range w.db {
 				if res.KnownRegion.Contains(p.Pos) && !known[p.ID] {
 					return false
@@ -184,6 +189,11 @@ func TestQuickSBWQExactness(t *testing.T) {
 			known := map[int64]bool{}
 			for _, p := range res.Known {
 				known[p.ID] = true
+			}
+			// Known lists a POI once, in a slice of exactly its size
+			// (DESIGN.md §9.1 rule 3).
+			if len(known) != len(res.Known) || cap(res.Known) != len(res.Known) {
+				return false
 			}
 			for _, p := range w.db {
 				if res.KnownRegion.Contains(p.Pos) && !known[p.ID] {

@@ -144,8 +144,19 @@ func SBNNScratch(s *Scratch, q geom.Point, peers []PeerData, cfg SBNNConfig, sch
 			return
 		}
 		res.KnownRegion = verifiedSquare(q, dv)
+		known := func(e Entry) bool { return e.Verified && res.KnownRegion.Contains(e.POI.Pos) }
+		n := 0
 		for _, e := range nnv.Heap.Entries() {
-			if e.Verified && res.KnownRegion.Contains(e.POI.Pos) {
+			if known(e) {
+				n++
+			}
+		}
+		if n == 0 {
+			return
+		}
+		res.Known = make([]broadcast.POI, 0, n)
+		for _, e := range nnv.Heap.Entries() {
+			if known(e) {
 				res.Known = append(res.Known, e.POI)
 			}
 		}
@@ -185,7 +196,7 @@ func SBNNScratch(s *Scratch, q geom.Point, peers []PeerData, cfg SBNNConfig, sch
 		fillVerifiedKnowledge()
 		return res
 	}
-	onAir, acc := sched.KNNWithBounds(q, cfg.K, now, res.Bounds)
+	onAir, radius, acc := sched.KNNScratch(&s.onAir, q, cfg.K, now, res.Bounds)
 	res.Access = acc
 
 	// Merge: the heap's trusted POIs (peer knowledge, covering any
@@ -205,20 +216,33 @@ func SBNNScratch(s *Scratch, q geom.Point, peers []PeerData, cfg SBNNConfig, sch
 	// The retrieval covered every packet intersecting the search square,
 	// and the heap covers the skipped packets, so within the square the
 	// merged set is complete — that square is new verified knowledge.
-	radius := res.Bounds.Upper
-	if radius <= 0 {
-		radius = sched.SearchRadius(q, cfg.K)
-	}
 	res.KnownRegion = geom.RectAround(q, radius)
-	for _, p := range merged {
-		if res.KnownRegion.Contains(p.Pos) {
-			res.Known = append(res.Known, p)
-		}
-	}
+	res.Known = poisInside(merged, res.KnownRegion)
 
 	if len(merged) > cfg.K {
 		merged = merged[:cfg.K]
 	}
 	res.POIs = merged
 	return res
+}
+
+// poisInside returns the members of pois inside r as a fresh slice of
+// exactly their number (DESIGN.md §9.1 rule 3), nil when there are none.
+func poisInside(pois []broadcast.POI, r geom.Rect) []broadcast.POI {
+	n := 0
+	for _, p := range pois {
+		if r.Contains(p.Pos) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]broadcast.POI, 0, n)
+	for _, p := range pois {
+		if r.Contains(p.Pos) {
+			out = append(out, p)
+		}
+	}
+	return out
 }

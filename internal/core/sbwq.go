@@ -142,7 +142,7 @@ func SBWQScratch(s *Scratch, q geom.Point, w geom.Rect, peers []PeerData, cfg SB
 		res.POIs = freshCopy(local)
 		return res
 	}
-	onAir, raw, retrieved, acc := sched.WindowReducedDetailed(res.ReducedWindows, now)
+	onAir, raw, retrieved, acc := sched.WindowReducedDetailed(&s.onAir, res.ReducedWindows, now)
 	res.Access = acc
 	merged := append(local, onAir...)
 	sortCandidates(s, merged, q)
@@ -159,19 +159,15 @@ func SBWQScratch(s *Scratch, q geom.Point, w geom.Rect, peers []PeerData, cfg SB
 	if maxArea <= 0 {
 		maxArea = 64 * w.Area()
 	}
-	res.KnownRegion = sched.GrowCompleteRect(w, retrieved, maxArea)
+	res.KnownRegion = sched.GrowCompleteRect(&s.onAir, w, retrieved, maxArea)
 	if res.KnownRegion == w {
 		res.Known = merged
 	} else {
 		// Inside the grown region every POI comes from a retrieved
-		// packet, so the raw downloads are the complete inventory.
-		seenKnown := make(map[int64]bool, len(raw))
-		for _, poi := range raw {
-			if res.KnownRegion.Contains(poi.Pos) && !seenKnown[poi.ID] {
-				seenKnown[poi.ID] = true
-				res.Known = append(res.Known, poi)
-			}
-		}
+		// packet, so the raw downloads are the complete inventory — and
+		// hold no POI twice: a cell is in one packet and a retrieval
+		// lists a packet once.
+		res.Known = poisInside(raw, res.KnownRegion)
 	}
 	return res
 }

@@ -111,13 +111,11 @@ func TestAdmitSharedRepairAllocFree(t *testing.T) {
 	}
 }
 
-// The armed write side runs in caller scratch, measured where the bench
-// measures it: process-wide mallocs over the counted steps of the bench's
-// knn_armed cell at golden scale, per counted query. What is left is the
-// on-air client, the damaged-reply codec path and the cache's own inserts.
-func TestArmedWorldAllocBudget(t *testing.T) {
-	const budget = 40
-	w, err := NewWorld(goldenWorlds()["armed_repair_knn"])
+// worldAllocsPerQuery runs a world as the bench measures it: process-wide
+// mallocs over the counted steps, per counted query.
+func worldAllocsPerQuery(t *testing.T, p Params) (float64, Stats) {
+	t.Helper()
+	w, err := NewWorld(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,12 +130,38 @@ func TestArmedWorldAllocBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&m1)
 	s := w.Stats()
-	if s.Queries == 0 || s.VRsReconciled == 0 {
-		t.Fatalf("fixture ran %d queries and repaired %d regions", s.Queries, s.VRsReconciled)
+	if s.Queries == 0 {
+		t.Fatal("fixture counted no query")
 	}
-	if per := float64(m1.Mallocs-m0.Mallocs) / float64(s.Queries); per > budget {
+	per := float64(m1.Mallocs-m0.Mallocs) / float64(s.Queries)
+	t.Logf("%.1f allocations per query over %d queries", per, s.Queries)
+	return per, s
+}
+
+// The armed write side runs in caller scratch: the bench's knn_armed cell
+// at golden scale. What is left is the damaged-reply codec path and the
+// cache's own inserts.
+func TestArmedWorldAllocBudget(t *testing.T) {
+	const budget = 40
+	per, s := worldAllocsPerQuery(t, goldenWorlds()["armed_repair_knn"])
+	if s.VRsReconciled == 0 {
+		t.Fatal("fixture repaired no region")
+	}
+	if per > budget {
 		t.Fatalf("%.1f allocations per query, budget %d", per, budget)
-	} else {
-		t.Logf("%.1f allocations per query over %d queries", per, s.Queries)
+	}
+}
+
+// The on-air client runs in caller scratch: the bench's knn_sparse cell at
+// golden scale, where most queries fall to the channel. What is left is
+// the Known slice a cache retains and the cache's own inserts.
+func TestSparseWorldAllocBudget(t *testing.T) {
+	const budget = 6
+	per, s := worldAllocsPerQuery(t, goldenWorlds()["sparse_knn"])
+	if 2*s.Broadcast < s.Queries {
+		t.Fatalf("fixture sent %d of %d queries to the channel", s.Broadcast, s.Queries)
+	}
+	if per > budget {
+		t.Fatalf("%.1f allocations per query, budget %d", per, budget)
 	}
 }
