@@ -135,6 +135,18 @@ func goldenWorlds() map[string]Params {
 	sparse.AcceptApproximate = true
 	sparse.PrefillQueriesPerHost = 10
 
+	// The bench's knn_byzantine cell at golden scale: few liars, few
+	// audits, so most claims stay unvouched and a rectangle quarantine is
+	// live throughout (byzantine above audits half its claims and barely
+	// subtracts).
+	outline := LACity().Scaled(2).WithDuration(0.1)
+	outline.Seed = 99
+	outline.AcceptApproximate = true
+	outline.PrefillQueriesPerHost = 3
+	outline.AuditRate = 0.1
+	outline.Faults.ByzantineRate = 0.02
+	outline.BreakerThreshold = 3
+
 	return map[string]Params{
 		"knn_zero":           clean(KNNQuery),
 		"window_zero":        clean(WindowQuery),
@@ -149,6 +161,7 @@ func goldenWorlds() map[string]Params {
 		"byz_updates_window": byzUpdates,
 		"armed_repair_knn":   armedRepair,
 		"sparse_knn":         sparse,
+		"outline_knn":        outline,
 	}
 }
 
