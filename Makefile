@@ -88,8 +88,10 @@ cover-check:
 # cut radius (DESIGN.md §9.3), the trust screen's one-hole subtraction
 # must emit SubtractRect's rectangles bit for bit and in its order, its
 # claim-coverage detection must find the pair loop's conflicts element
-# for element (DESIGN.md §11.5), and the append-into-scratch subtraction
-# and the IR repair kernel over it must match their allocating references
+# for element and its incremental quarantine outline must be the one the
+# ledger defines after every op (DESIGN.md §11.5), and the
+# append-into-scratch subtraction and the IR repair kernel over it must
+# match their allocating references
 # on one dirty scratch (DESIGN.md §12.3), and so must the on-air client
 # kernels — search radius, kNN client, window client, region growing
 # (DESIGN.md §9.1). The seed corpora are part of
@@ -119,9 +121,11 @@ fuzz-smoke:
 	@if [ ! -d internal/geom/testdata/fuzz/FuzzAppendSubtractRect ]; then \
 		echo "fuzz-smoke: internal/geom/testdata/fuzz/FuzzAppendSubtractRect corpus missing"; exit 1; \
 	fi
-	@if [ ! -d internal/trust/testdata/fuzz/FuzzDetectConflicts ]; then \
-		echo "fuzz-smoke: internal/trust/testdata/fuzz/FuzzDetectConflicts corpus missing"; exit 1; \
-	fi
+	@for f in FuzzDetectConflicts FuzzOutline; do \
+		if [ ! -d internal/trust/testdata/fuzz/$$f ]; then \
+			echo "fuzz-smoke: internal/trust/testdata/fuzz/$$f corpus missing"; exit 1; \
+		fi; \
+	done
 	@if [ ! -d internal/cache/testdata/fuzz/FuzzReconcileRegion ]; then \
 		echo "fuzz-smoke: internal/cache/testdata/fuzz/FuzzReconcileRegion corpus missing"; exit 1; \
 	fi
@@ -140,6 +144,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSubtractOne -fuzztime=5s -timeout 5m ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzAppendSubtractRect -fuzztime=5s -timeout 5m ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzDetectConflicts -fuzztime=5s -timeout 5m ./internal/trust
+	$(GO) test -run='^$$' -fuzz=FuzzOutline -fuzztime=5s -timeout 5m ./internal/trust
 	$(GO) test -run='^$$' -fuzz=FuzzReconcileRegion -fuzztime=5s -timeout 5m ./internal/cache
 	$(GO) test -run='^$$' -fuzz=FuzzSearchRadius -fuzztime=5s -timeout 5m ./internal/broadcast
 	$(GO) test -run='^$$' -fuzz=FuzzKNNScratch -fuzztime=5s -timeout 5m ./internal/broadcast
@@ -190,12 +195,15 @@ continuous-identity:
 # kernel against the verbatim pre-kernel body, and its claim-coverage
 # detection against the retired pair loop, over thousands of screens and
 # over the table of cases closed containment could fool (plus their fuzz
-# seeds); that a screen does not depend on what the scratch held before;
+# seeds); the quarantine outline against the ledger it is derived from —
+# the same point set cut out, the incremental outline equal to the
+# brute-force one; that a screen does not depend on what the scratch held
+# before;
 # and the aliasing contract of the results (they outlive later screens,
 # inputs are never written) — under the race detector, as its own CI step
 # so a regression is named in the job log.
 trust-identity:
-	$(GO) test -race -count=1 -run 'TestScreenMatchesReference|TestCrossValidationCases|TestDedupByID|TestScreenIndependentOfScratchHistory|FuzzDetectConflicts|TestScreen.*Survive|TestScreenDoesNotMutate' ./internal/trust
+	$(GO) test -race -count=1 -run 'TestScreenMatchesReference|TestCrossValidationCases|TestOutlineSubtractsTheSameSet|TestDedupByID|TestScreenIndependentOfScratchHistory|FuzzDetectConflicts|FuzzOutline|TestScreen.*Survive|TestScreenDoesNotMutate' ./internal/trust
 
 # Query-local NNV identity lane (DESIGN.md §9.3): NNV against the verbatim
 # gather-all, sort-all, decompose-all body over thousands of grid and

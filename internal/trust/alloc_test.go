@@ -130,6 +130,45 @@ func TestScreenQuarantinedAllocsBoundedBySplits(t *testing.T) {
 	}
 }
 
+// Steady churn — every screen disputes one rectangle for the first time
+// and lets one expire, in nests of three whose members arrive in varying
+// order, so the outline loses members to a new container and gets them back
+// when it leaves — allocates nothing once the ledger, its index and the
+// outline have reached their size.
+func TestScreenQuarantineChurnAllocFree(t *testing.T) {
+	contribs, oracle := peers64()
+	const cycles = 64
+	e := newTestEngine(t, Config{AuditRate: 1e-12, QuarantineCycles: cycles}, nil)
+	var rep Report
+	k, swallowed, resurfaced := 0, 0, 0
+	screen := func() {
+		// A place is taken again only after its last rectangle expired.
+		n := k % (3 * cycles)
+		x, y, inner := 12+1.5*float64(n/3%8), 12+1.5*float64(n/24), float64((n+n/3)%3)/4
+		covered := e.QuarantinedRects() - len(e.outline)
+		e.quarantineRect(geom.NewRect(x+inner, y+inner, x+1.4-inner, y+1.4-inner), &rep)
+		swallowed += e.QuarantinedRects() - len(e.outline) - covered
+		e.orphans = e.orphans[:0]
+		e.Screen(contribs, oracle, -1)
+		for _, i := range e.orphans {
+			if !e.quar[i].covered {
+				resurfaced++
+			}
+		}
+		k++
+	}
+	for i := 0; i < 4*cycles; i++ {
+		screen()
+	}
+	swallowed, resurfaced = 0, 0
+	if allocs := testing.AllocsPerRun(3*cycles, screen); allocs != 0 {
+		t.Fatalf("%v allocs per screen under churn, want 0", allocs)
+	}
+	if live := e.QuarantinedRects(); live != cycles-1 || swallowed < cycles/2 || resurfaced < cycles/2 {
+		t.Fatalf("fixture: %d live rectangles, %d went under cover, %d resurfaced", live, swallowed, resurfaced)
+	}
+}
+
 // A tainted contribution that loses a POI to the cross-pool dedup against
 // a trusted one, and one the quarantine splits, get their POIs from the
 // arena: once it is warm the screen allocates nothing, whether the engine

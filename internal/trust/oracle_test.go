@@ -1,6 +1,7 @@
 package trust
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 
@@ -16,7 +17,11 @@ import (
 // into fresh slices, pieceOwns per (piece, POI), in-place cross-pool
 // dedup on copied POI slices. TestScreenMatchesReference drives it and
 // the production engine from one seed and requires every observable to
-// be equal after every screen.
+// be equal after every screen. What it subtracts moved with the rule: the
+// quarantine's outline, derived from the ledger by brute force on every
+// screen (bruteOutline). With everyRect set it subtracts as it did before
+// the outline — every live rectangle, in insertion order — which is what
+// TestOutlineSubtractsTheSameSet holds the outline to, as a point set.
 type refEngine struct {
 	cfg      Config
 	rng      *rand.Rand
@@ -27,8 +32,42 @@ type refEngine struct {
 	quarIdx  map[geom.Rect]int // rect → index in quar (dedup)
 	counters Counters
 
+	everyRect bool
+	outline   []geom.Rect // of the last screen's ledger
+
 	// scratch reused across screens
 	pieces []geom.Rect
+}
+
+// bruteOutline derives the outline from a live ledger in insertion order:
+// the rectangles no other one contains, by comparing all pairs, sorted
+// largest first by a stable sort, so equal areas stay oldest first.
+func bruteOutline(live []quarRect) []geom.Rect {
+	var out []geom.Rect
+	for i, q := range live {
+		covered := false
+		for j := 0; j < len(live) && !covered; j++ {
+			covered = j != i && live[j].r.ContainsRect(q.r)
+		}
+		if !covered {
+			out = append(out, q.r)
+		}
+	}
+	slices.SortStableFunc(out, func(a, b geom.Rect) int { return cmp.Compare(b.Area(), a.Area()) })
+	return out
+}
+
+// holes is what a tainted region is cut by, in order.
+func (e *refEngine) holes() []geom.Rect {
+	e.outline = bruteOutline(e.quar)
+	if !e.everyRect {
+		return e.outline
+	}
+	out := make([]geom.Rect, len(e.quar))
+	for i, q := range e.quar {
+		out[i] = q.r
+	}
+	return out
 }
 
 type refPeerRec struct {
@@ -307,6 +346,7 @@ func (e *refEngine) screenReference(contribs []Contribution, oracle Oracle, budg
 	// reduced by the quarantine set and marked with its taint verdict.
 	out := make([]Result, 0, len(kept))
 	taintedPeers := make(map[int]bool)
+	holes := e.holes()
 	for _, c := range kept {
 		if convicted[c.Peer] || e.Quarantined(c.Peer) {
 			continue
@@ -324,13 +364,13 @@ func (e *refEngine) screenReference(contribs []Contribution, oracle Oracle, budg
 		// would let an attacker pulverize the honest MVR merely by
 		// disputing it (the coverage-collapse failure mode).
 		if tainted {
-			for _, q := range e.quar {
-				if !c.VR.Intersects(q.r) {
+			for _, h := range holes {
+				if !c.VR.Intersects(h) {
 					continue
 				}
 				next := e.pieces[:0:0]
 				for _, piece := range e.pieces {
-					next = append(next, geom.SubtractRect(piece, []geom.Rect{q.r})...)
+					next = append(next, geom.SubtractRect(piece, []geom.Rect{h})...)
 				}
 				e.pieces = next
 			}

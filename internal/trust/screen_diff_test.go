@@ -201,12 +201,16 @@ func sameResults(t *testing.T, got, want []Result) {
 }
 
 // diffPair is the production engine and the reference, built from one
-// seed, each behind a breaker set of its own.
+// seed, each behind a breaker set of its own. With sets set the reference
+// subtracts every live rectangle in insertion order and the results are
+// compared as point sets (sameRegions), everything else as ever.
 type diffPair struct {
 	e      *Engine
 	ref    *refEngine
 	eb, rb *p2p.BreakerSet
 	pairs  pairOracle
+	sets   bool
+	want   []Result // the reference's results of the last screen
 }
 
 func newDiffPair(seed int64, cfg Config) *diffPair {
@@ -218,8 +222,9 @@ func newDiffPair(seed int64, cfg Config) *diffPair {
 
 // screen runs one screen on both engines and compares every observable:
 // results, report, counters, the reputations and breakers of peers
-// -1..peers-1, the quarantine and its index — and the conflict list of the
-// coverage check against the pair loop's. It returns the production
+// -1..peers-1, the quarantine ledger and its index — and the conflict list
+// of the coverage check against the pair loop's, and the incremental
+// outline against the one derived from the ledger. It returns the production
 // engine's results (valid until its next screen) and report.
 func (d *diffPair) screen(t *testing.T, s int, contribs []Contribution, oracle Oracle, budget int64, peers int) ([]Result, Report) {
 	t.Helper()
@@ -227,7 +232,12 @@ func (d *diffPair) screen(t *testing.T, s int, contribs []Contribution, oracle O
 	pristine := cloneContribs(contribs)
 	want, wantRep := ref.screenReference(cloneContribs(contribs), oracle, budget)
 	got, gotRep := e.Screen(contribs, oracle, budget)
-	sameResults(t, got, want)
+	d.want = want
+	if d.sets {
+		sameRegions(t, got, want)
+	} else {
+		sameResults(t, got, want)
+	}
 	if !sameContribs(contribs, pristine) {
 		t.Fatalf("screen %d wrote to its input", s)
 	}
@@ -247,18 +257,15 @@ func (d *diffPair) screen(t *testing.T, s int, contribs []Contribution, oracle O
 			t.Fatalf("screen %d peer %d: breaker %v, reference %v", s, id, d.eb.State(id), d.rb.State(id))
 		}
 	}
-	live := e.quar[e.quarHead:]
 	if e.QuarantinedRects() != len(ref.quar) {
 		t.Fatalf("screen %d: %d quarantined rects, reference %d", s, e.QuarantinedRects(), len(ref.quar))
 	}
-	for i, q := range live {
-		if q != ref.quar[i] || e.quarIdx[q.r] != e.quarHead+i {
-			t.Fatalf("screen %d: quarantine entry %d = %+v (index %d), reference %+v", s, i, q, e.quarIdx[q.r]-e.quarHead, ref.quar[i])
+	for i, q := range e.quar[e.quarHead:] {
+		if want := ref.quar[i]; !sameBits(q.r, want.r) || q.until != want.until {
+			t.Fatalf("screen %d: quarantine entry %d = %+v, reference %+v", s, i, q, want)
 		}
 	}
-	if len(e.quarIdx) != len(live) {
-		t.Fatalf("screen %d: %d index entries for %d live rects", s, len(e.quarIdx), len(live))
-	}
+	checkOutlineIs(t, e, ref.outline) // and the ledger's index
 	return got, gotRep
 }
 

@@ -21,8 +21,8 @@
 //     only possible through the TrustStale bypass) is vouched the
 //     engine cannot tell who lied: the overlap rectangle is
 //     quarantined out of the merge (subtracted from every unvouched
-//     contribution, one rectangle at a time in insertion order, via
-//     geom.AppendSubtractOne; vouched claims stand whole)
+//     contribution, one rectangle of the quarantine's outline at a time,
+//     via geom.AppendSubtractOne; vouched claims stand whole)
 //     for QuarantineCycles screens and both peers are struck and
 //     unvouched. The live rectangle set is deduplicated and capped
 //     (maxQuarRects) so a sustained attack cannot make the screening
@@ -59,6 +59,7 @@
 package trust
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -255,10 +256,34 @@ type peerRec struct {
 	counted   bool
 }
 
-// quarRect is one quarantined rectangle with its decay horizon.
+// quarRect is one quarantined rectangle of the ledger with its decay
+// horizon. born counts the rectangles quarantined before it, so it orders
+// the ledger by age; covered says another live rectangle contains this
+// one, which keeps it out of the outline.
 type quarRect struct {
-	r     geom.Rect
-	until int64
+	r       geom.Rect
+	until   int64
+	born    int64
+	covered bool
+}
+
+// outRect is one rectangle of the outline, in the outline's order: largest
+// first, and among equal areas the oldest first.
+type outRect struct {
+	r    geom.Rect
+	area float64
+	born int64
+}
+
+func outlineOf(q *quarRect) outRect { return outRect{r: q.r, area: q.r.Area(), born: q.born} }
+
+// compareOutline is the outline's total order. born is unique, so no two
+// members compare equal.
+func compareOutline(a, b outRect) int {
+	if c := cmp.Compare(b.area, a.area); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.born, b.born)
 }
 
 // maxQuarRects caps the live rectangle-quarantine set. Dense sustained
@@ -320,6 +345,17 @@ type Engine struct {
 	quarHead     int
 	quarIdx      map[geom.Rect]int
 	quarMinUntil int64
+	born         int64 // rectangles quarantined so far
+
+	// The outline is what tainted claims are cut by: the live rectangles
+	// that no other live rectangle contains, in compareOutline order. It
+	// has the ledger's union — a rectangle inside another adds nothing to
+	// it — and is a function of the live set alone. A new rectangle and a
+	// batch of departures update it in place; a refresh leaves it alone.
+	// left and orphans are scratch of one batch of departures.
+	outline []outRect
+	left    []outRect // outline members that left the ledger
+	orphans []int32   // ledger indices of covered rectangles that lost their cover
 
 	// arena is where a Result's POIs are cut from when they cannot be the
 	// contribution's own: rewound by every Screen unless lent (LendArena).
@@ -334,7 +370,7 @@ type Engine struct {
 	grid      slotGrid    // point location over the claiming slots' regions
 	inside    []int32     // slots whose region contains the claim under test
 	pairs     []uint64    // conflicting pairs as witnessed, i<<32 | j, unsorted
-	holes     []geom.Rect // live quarantine meeting the tainted contributions
+	holes     []geom.Rect // the outline meeting the tainted contributions, in its order
 	pieces    []geom.Rect
 	spare     []geom.Rect
 	owner     []int32 // per POI of one contribution: owning piece, or -1
@@ -491,8 +527,13 @@ func (e *Engine) quarantineRect(r geom.Rect, rep *Report) {
 		return
 	}
 	if len(e.quar)-e.quarHead >= maxQuarRects {
-		delete(e.quarIdx, e.quar[e.quarHead].r)
+		oldest := &e.quar[e.quarHead]
+		delete(e.quarIdx, oldest.r)
 		e.quarHead++
+		if !oldest.covered {
+			e.left = append(e.left[:0], outlineOf(oldest))
+			e.resurface()
+		}
 		if e.quarHead >= maxQuarRects {
 			// One compaction per maxQuarRects evictions keeps eviction
 			// amortised O(1) and the backing array at twice the cap.
@@ -506,10 +547,87 @@ func (e *Engine) quarantineRect(r geom.Rect, rep *Report) {
 	if len(e.quar) == e.quarHead || until < e.quarMinUntil {
 		e.quarMinUntil = until
 	}
+	q := quarRect{r: r, until: until, born: e.born}
+	e.born++
+	q.covered = e.outlineAdmit(&q)
 	e.quarIdx[r] = len(e.quar)
-	e.quar = append(e.quar, quarRect{r: r, until: until})
+	e.quar = append(e.quar, q)
 	rep.QuarantinedArea += r.Area()
 	e.counters.QuarantinedArea += r.Area()
+}
+
+// outlineAdmit files a rectangle new to the ledger (dedup: equal to no
+// live one) and reports whether it is covered. One pass over the outline
+// decides both questions: a live rectangle containing q lies inside an
+// outline member that contains q too, and only outline members can lose
+// their place to q. The two cannot both happen — a member inside q would
+// lie inside q's container — so the pass may compact as it goes.
+func (e *Engine) outlineAdmit(q *quarRect) (covered bool) {
+	w := 0
+	for _, m := range e.outline {
+		if m.r.ContainsRect(q.r) {
+			return true
+		}
+		if q.r.ContainsRect(m.r) {
+			e.quar[e.quarIdx[m.r]].covered = true
+			continue
+		}
+		e.outline[w] = m
+		w++
+	}
+	e.outline = e.outline[:w]
+	e.outlineInsert(outlineOf(q))
+	return false
+}
+
+// outlineInsert puts o at its place in the outline's order.
+func (e *Engine) outlineInsert(o outRect) {
+	at, _ := slices.BinarySearchFunc(e.outline, o, compareOutline)
+	e.outline = slices.Insert(e.outline, at, o)
+}
+
+// resurface restores the outline once the outline members listed in e.left
+// have gone from the ledger (a covered rectangle leaves without a trace:
+// whatever it contains, its own cover contains). Only a covered rectangle
+// inside one that left can have lost its cover, and it has unless a
+// remaining member or another such rectangle still contains it: of a nest
+// A ⊇ B ⊇ C that loses A, B resurfaces and C stays covered.
+func (e *Engine) resurface() {
+	for _, o := range e.left {
+		at, _ := slices.BinarySearchFunc(e.outline, o, compareOutline)
+		e.outline = slices.Delete(e.outline, at, at+1)
+	}
+	orphans := e.orphans[:0]
+	for i := e.quarHead; i < len(e.quar); i++ {
+		q := &e.quar[i]
+		if q.covered && within(q.r, e.left) && !within(q.r, e.outline) {
+			orphans = append(orphans, int32(i))
+		}
+	}
+	e.orphans = orphans
+	for _, i := range orphans {
+		q := &e.quar[i]
+		q.covered = false
+		for _, j := range orphans {
+			if j != i && e.quar[j].r.ContainsRect(q.r) {
+				q.covered = true
+				break
+			}
+		}
+		if !q.covered {
+			e.outlineInsert(outlineOf(q))
+		}
+	}
+}
+
+// within reports whether one of the rectangles contains r.
+func within(r geom.Rect, in []outRect) bool {
+	for k := range in {
+		if in[k].r.ContainsRect(r) {
+			return true
+		}
+	}
+	return false
 }
 
 // decayQuarantine drops the expired quarantine rectangles, insertion
@@ -521,10 +639,14 @@ func (e *Engine) decayQuarantine() {
 	}
 	w := e.quarHead
 	minUntil := int64(math.MaxInt64)
+	e.left = e.left[:0]
 	for i := e.quarHead; i < len(e.quar); i++ {
 		q := e.quar[i]
 		if q.until <= e.seq {
 			delete(e.quarIdx, q.r)
+			if !q.covered {
+				e.left = append(e.left, outlineOf(&q))
+			}
 			continue
 		}
 		if q.until < minUntil {
@@ -540,6 +662,9 @@ func (e *Engine) decayQuarantine() {
 	e.quarMinUntil = minUntil
 	if w == e.quarHead {
 		e.quar, e.quarHead = e.quar[:0], 0
+	}
+	if len(e.left) > 0 {
+		e.resurface()
 	}
 }
 
@@ -1057,11 +1182,9 @@ func (e *Engine) judge(rep *Report) {
 	if !anyTainted {
 		return
 	}
-	// Insertion order is kept, so each contribution meets its holes in
-	// the order the full set would present them.
-	for _, q := range e.quar[e.quarHead:] {
-		if q.r.Intersects(reach) {
-			e.holes = append(e.holes, q.r)
+	for k := range e.outline {
+		if r := e.outline[k].r; r.Intersects(reach) {
+			e.holes = append(e.holes, r)
 		}
 	}
 }
@@ -1091,7 +1214,7 @@ func (e *Engine) assemble(contribs []Contribution) []Result {
 				}
 				// Most holes that meet the region meet none of what is
 				// left of it, or one piece: copy nothing until a piece is
-				// actually hit.
+				// actually hit, and cut only the pieces that are.
 				k := 0
 				for k < len(pieces) && !pieces[k].Intersects(h) {
 					k++
@@ -1101,9 +1224,16 @@ func (e *Engine) assemble(contribs []Contribution) []Result {
 				}
 				spare = append(spare[:0], pieces[:k]...)
 				for _, piece := range pieces[k:] {
-					spare = geom.AppendSubtractOne(spare, piece, h)
+					if piece.Intersects(h) {
+						spare = geom.AppendSubtractOne(spare, piece, h)
+					} else {
+						spare = append(spare, piece)
+					}
 				}
 				pieces, spare = spare, pieces
+				if len(pieces) == 0 {
+					break // the quarantine swallowed the whole region
+				}
 			}
 		}
 		e.pieces, e.spare = pieces, spare
