@@ -1,0 +1,259 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// These tests drive the built binary, so they pin the command-line surface
+// itself — flag names, defaults, report bytes, exit codes — and not the
+// shape of main.go behind it.
+
+var update = flag.Bool("update", false, "rewrite testdata/*.json from the binary built from this tree")
+
+var binary string // built once by TestMain
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "lbsq-sim-test")
+	if err != nil {
+		panic(err)
+	}
+	binary = filepath.Join(dir, "lbsq-sim")
+	if out, err := exec.Command("go", "build", "-o", binary, ".").CombinedOutput(); err != nil {
+		os.RemoveAll(dir)
+		panic("go build: " + err.Error() + "\n" + string(out))
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// run executes the binary and returns stdout, stderr and the exit code.
+func run(t *testing.T, args ...string) (string, string, int) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(binary, args...)
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	code := 0
+	if err := cmd.Run(); err != nil {
+		ee, ok := err.(*exec.ExitError)
+		if !ok {
+			t.Fatalf("lbsq-sim %v: %v", args, err)
+		}
+		code = ee.ExitCode()
+	}
+	return stdout.String(), stderr.String(), code
+}
+
+// flagSurface is the sorted (name, default) list of every flag, read off
+// `-h` of the binary built from commit b77d052 (the default is what the
+// flag package prints after the usage; empty for a zero default).
+var flagSurface = [][2]string{
+	{"admission-burst", ``},
+	{"admission-rate", ``},
+	{"approx", `true`},
+	{"attack", ``},
+	{"audit-rate", ``},
+	{"baseline", ``},
+	{"blackout-duration", ``},
+	{"blackout-period", ``},
+	{"breaker-cooldown", ``},
+	{"breaker-threshold", ``},
+	{"burst-bad-loss", ``},
+	{"burst-bad-slots", ``},
+	{"burst-good-loss", ``},
+	{"burst-good-slots", ``},
+	{"byzantine-rate", ``},
+	{"cache", ``},
+	{"churn-rate", ``},
+	{"clusters", ``},
+	{"coalesce-radius", ``},
+	{"continuous-naive", ``},
+	{"continuous-rate", ``},
+	{"corrupt", ``},
+	{"crowd-duration", ``},
+	{"crowd-radius", ``},
+	{"crowd-rate", ``},
+	{"crowd-start", ``},
+	{"crowd-x", ``},
+	{"crowd-y", ``},
+	{"deadline-slots", ``},
+	{"degraded", ``},
+	{"governed", ``},
+	{"governor-floor", ``},
+	{"grid", ``},
+	{"hops", `1`},
+	{"hours", `0.5`},
+	{"ir-discard", ``},
+	{"ir-period", ``},
+	{"ir-window", ``},
+	{"json", ``},
+	{"k", ``},
+	{"kind", `"knn"`},
+	{"loss", ``},
+	{"max-speed", ``},
+	{"metrics", ``},
+	{"metrics-listen", ``},
+	{"metrics-out", ``},
+	{"min-speed", ``},
+	{"owncache", ``},
+	{"parallel", ``},
+	{"policy", `"direction"`},
+	{"prefill", `10`},
+	{"queue-cap", ``},
+	{"reply-loss", ``},
+	{"req-loss", ``},
+	{"retries", ``},
+	{"retry-budget", ``},
+	{"seed", `42`},
+	{"selfcheck", ``},
+	{"set", `"la"`},
+	{"side", `5`},
+	{"stale-rate", ``},
+	{"step", `10`},
+	{"tick-workers", `1`},
+	{"trace", ``},
+	{"tx", ``},
+	{"types", `1`},
+	{"update-rate", ``},
+	{"vr-ttl", ``},
+	{"window", ``},
+}
+
+var (
+	flagLine    = regexp.MustCompile(`^  -(\S+)`)
+	defaultTail = regexp.MustCompile(`\(default (true|[0-9.]+|"[^"]*")\)$`)
+)
+
+// helpFlags parses `lbsq-sim -h`: every flag is a "  -name [type]" line
+// followed by its usage line, in the flag package's PrintDefaults layout.
+func helpFlags(t *testing.T) [][2]string {
+	t.Helper()
+	_, stderr, _ := run(t, "-h")
+	var got [][2]string
+	lines := strings.Split(stderr, "\n")
+	for i, line := range lines {
+		m := flagLine.FindStringSubmatch(line)
+		if m == nil || i+1 == len(lines) {
+			continue
+		}
+		def := ""
+		if d := defaultTail.FindStringSubmatch(lines[i+1]); d != nil {
+			def = d[1]
+		}
+		got = append(got, [2]string{m[1], def})
+	}
+	sort.Slice(got, func(i, j int) bool { return got[i][0] < got[j][0] })
+	return got
+}
+
+func TestFlagSurfaceUnchanged(t *testing.T) {
+	got := helpFlags(t)
+	if len(got) != len(flagSurface) {
+		t.Errorf("%d flags registered, want %d", len(got), len(flagSurface))
+	}
+	want := map[string]string{}
+	for _, f := range flagSurface {
+		want[f[0]] = f[1]
+	}
+	seen := map[string]bool{}
+	for _, f := range got {
+		def, ok := want[f[0]]
+		switch {
+		case seen[f[0]]:
+			t.Errorf("flag -%s listed twice", f[0])
+		case !ok:
+			t.Errorf("new flag -%s", f[0])
+		case def != f[1]:
+			t.Errorf("flag -%s default %q, want %q", f[0], f[1], def)
+		}
+		seen[f[0]] = true
+	}
+	for _, f := range flagSurface {
+		if !seen[f[0]] {
+			t.Errorf("flag -%s is gone", f[0])
+		}
+	}
+}
+
+// reportCommands are three fixed runs whose -json rows are compared byte
+// for byte (wall clock zeroed) with rows the binary built from commit
+// b77d052 wrote: no knob armed; every flag the knob declarations generate
+// set to a non-default value, so a flag bound to the wrong field or not
+// copied onto the preset shows; and the hand-written -corrupt and -attack
+// beside a metrics snapshot, the boolean ablations and batched ticks.
+var reportCommands = []struct{ name, args string }{
+	{"zero", "-set la -side 1 -hours 0.1 -seed 7 -owncache -selfcheck -json"},
+	{"layers", "-set suburbia -side 1.5 -hours 0.1 -seed 11 -step 5 -hops 2 -clusters 3 -types 2 " +
+		"-prefill 5 -min-speed 15 -max-speed 40 -owncache -approx=false -selfcheck -json " +
+		"-loss 0.05 -req-loss 0.1 -reply-loss 0.05 -stale-rate 0.02 -retries 3 -churn-rate 0.05 " +
+		"-deadline-slots 16 -breaker-threshold 3 -breaker-cooldown 6 -byzantine-rate 0.05 -audit-rate 0.3 " +
+		"-update-rate 4 -ir-period 20 -ir-window 6 -vr-ttl 120 " +
+		"-burst-good-loss 0.01 -burst-bad-loss 0.9 -burst-good-slots 300 -burst-bad-slots 40 " +
+		"-blackout-period 60 -blackout-duration 10 -degraded -continuous-rate 2 " +
+		"-crowd-rate 300 -crowd-radius 0.3 -crowd-x 0.6 -crowd-y 0.7 -crowd-start 100 -crowd-duration 120 " +
+		"-queue-cap 2 -retry-budget 8 -admission-rate 0.1 -admission-burst 3 -governed -governor-floor 0.8 " +
+		"-coalesce-radius 0.1"},
+	{"attack", "-set riverside -kind window -side 3 -hours 0.2 -seed 5 -tx 250 -cache 30 -window 4 " +
+		"-policy lru -metrics -json -corrupt 0.2 -byzantine-rate 0.2 -attack shift -audit-rate 0.5 " +
+		"-ir-discard -update-rate 2 -continuous-rate 1 -continuous-naive -tick-workers 4"},
+}
+
+var wallClock = regexp.MustCompile(`"wall_seconds":[0-9.e+-]+`)
+
+func TestJSONReportUnchanged(t *testing.T) {
+	for _, c := range reportCommands {
+		t.Run(c.name, func(t *testing.T) {
+			stdout, stderr, code := run(t, strings.Fields(c.args)...)
+			if code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr)
+			}
+			got := wallClock.ReplaceAllString(stdout, `"wall_seconds":0`)
+			path := filepath.Join("testdata", c.name+".json")
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				i := 0
+				for i < len(got) && i < len(want) && got[i] == want[i] {
+					i++
+				}
+				lo := max(i-80, 0)
+				t.Fatalf("report differs from %s at byte %d:\n got …%s\nwant …%s",
+					path, i, got[lo:min(i+80, len(got))], want[lo:min(i+80, len(want))])
+			}
+		})
+	}
+}
+
+// TestBadValuesExitTwo: a value outside a knob's range dies at parse time
+// with exit status 2 and the flag's name, before any world is built.
+func TestBadValuesExitTwo(t *testing.T) {
+	for _, c := range []struct{ flag, value string }{
+		{"loss", "-0.1"},
+		{"churn-rate", "NaN"},
+		{"governor-floor", "1.2"},
+		{"blackout-period", "+Inf"},
+		{"req-loss", "0.97"},
+		{"max-speed", "-3"},
+	} {
+		_, stderr, code := run(t, "-"+c.flag, c.value)
+		if code != 2 || !strings.Contains(stderr, "-"+c.flag+": ") {
+			t.Errorf("-%s %s: exit %d, stderr %q; want exit 2 naming the flag", c.flag, c.value, code, stderr)
+		}
+	}
+}
