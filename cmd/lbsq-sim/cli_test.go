@@ -250,6 +250,7 @@ func TestBadValuesExitTwo(t *testing.T) {
 		{"blackout-period", "+Inf"},
 		{"req-loss", "0.97"},
 		{"max-speed", "-3"},
+		{"corrupt", "1.2"},
 	} {
 		_, stderr, code := run(t, "-"+c.flag, c.value)
 		if code != 2 || !strings.Contains(stderr, "-"+c.flag+": ") {

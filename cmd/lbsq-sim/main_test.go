@@ -1,64 +1,87 @@
 package main
 
 import (
-	"math"
+	"flag"
+	"io"
+	"os"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
 	"lbsq/internal/faults"
+	"lbsq/internal/knob"
+	"lbsq/internal/sim"
 )
+
+// newCLI registers lbsq-sim's flags on a fresh set.
+func newCLI() (*flag.FlagSet, *cli) {
+	fs := flag.NewFlagSet("lbsq-sim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return fs, register(fs)
+}
+
+// checkFlags parses the arguments and runs the one range check main runs.
+func checkFlags(t *testing.T, args ...string) error {
+	t.Helper()
+	fs, c := newCLI()
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("parse %v: %v", args, err)
+	}
+	return knob.Check(&c.knobs)
+}
 
 // TestCheckRates pins the parse-time flag validation: NaN, infinite,
 // negative, and above-maximum values must be rejected with the
 // offending flag's name; legal values (including the boundaries) must
 // pass. This is the gate that keeps a typo like `-loss -0.1` from
-// being silently clamped by Normalized() deep in the stack.
+// being silently clamped by Normalized() deep in the stack. The bounds
+// are the `max` tags of the knob declarations.
 func TestCheckRates(t *testing.T) {
 	cases := []struct {
 		name    string
-		flags   []rateFlag
+		args    string
 		wantErr string // substring; "" = must pass
 	}{
-		{"empty", nil, ""},
-		{"zero is legal", []rateFlag{{"loss", 0, faults.MaxRate}}, ""},
-		{"max boundary is legal", []rateFlag{{"loss", faults.MaxRate, faults.MaxRate}}, ""},
-		{"interior value is legal", []rateFlag{{"churn-rate", 0.1, faults.MaxRate}}, ""},
-		{"probability boundary is legal", []rateFlag{{"audit-rate", 1, 1}}, ""},
-		{"unbounded duration is legal", []rateFlag{{"blackout-period", 1e9, 0}}, ""},
-		{"NaN", []rateFlag{{"loss", math.NaN(), faults.MaxRate}}, "-loss: NaN"},
-		{"positive infinity", []rateFlag{{"blackout-period", math.Inf(1), 0}}, "-blackout-period: value must be finite"},
-		{"negative infinity", []rateFlag{{"update-rate", math.Inf(-1), 0}}, "-update-rate: "},
-		{"negative rate", []rateFlag{{"req-loss", -0.1, faults.MaxRate}}, "-req-loss: negative value -0.1"},
-		{"negative duration", []rateFlag{{"burst-bad-slots", -4, 0}}, "-burst-bad-slots: negative value -4"},
-		{"above MaxRate", []rateFlag{{"reply-loss", 0.96, faults.MaxRate}}, "-reply-loss: 0.96 exceeds maximum 0.95"},
-		{"above probability", []rateFlag{{"byzantine-rate", 1.5, 1}}, "-byzantine-rate: 1.5 exceeds maximum 1"},
-		{"crowd rate is unbounded above", []rateFlag{{"crowd-rate", 1e6, 0}}, ""},
-		{"crowd geometry is legal", []rateFlag{{"crowd-radius", 2, 0}, {"crowd-x", 10, 0}, {"crowd-y", 10, 0}}, ""},
-		{"governor floor boundary is legal", []rateFlag{{"governor-floor", 1, 1}}, ""},
-		{"negative crowd rate", []rateFlag{{"crowd-rate", -5, 0}}, "-crowd-rate: negative value -5"},
-		{"NaN admission rate", []rateFlag{{"admission-rate", math.NaN(), 0}}, "-admission-rate: NaN"},
-		{"infinite crowd duration", []rateFlag{{"crowd-duration", math.Inf(1), 0}}, "-crowd-duration: value must be finite"},
-		{"governor floor above one", []rateFlag{{"governor-floor", 1.2, 1}}, "-governor-floor: 1.2 exceeds maximum 1"},
-		{"negative coalesce radius", []rateFlag{{"coalesce-radius", -1, 0}}, "-coalesce-radius: negative value -1"},
-		{"second flag bad", []rateFlag{
-			{"loss", 0.1, faults.MaxRate},
-			{"burst-bad-loss", math.NaN(), 1},
-		}, "-burst-bad-loss: NaN"},
+		{"empty", "", ""},
+		{"zero is legal", "-loss 0", ""},
+		{"max boundary is legal", "-loss 0.95", ""},
+		{"interior value is legal", "-churn-rate 0.1", ""},
+		{"probability boundary is legal", "-audit-rate 1", ""},
+		{"unbounded duration is legal", "-blackout-period 1e9", ""},
+		{"NaN", "-loss NaN", "-loss: NaN"},
+		{"positive infinity", "-blackout-period +Inf", "-blackout-period: value must be finite"},
+		{"negative infinity", "-update-rate -Inf", "-update-rate: "},
+		{"negative rate", "-req-loss -0.1", "-req-loss: negative value -0.1"},
+		{"negative duration", "-burst-bad-slots -4", "-burst-bad-slots: negative value -4"},
+		{"above MaxRate", "-reply-loss 0.96", "-reply-loss: 0.96 exceeds maximum 0.95"},
+		{"above probability", "-byzantine-rate 1.5", "-byzantine-rate: 1.5 exceeds maximum 1"},
+		{"crowd rate is unbounded above", "-crowd-rate 1e6", ""},
+		{"crowd geometry is legal", "-crowd-radius 2 -crowd-x 10 -crowd-y 10", ""},
+		{"governor floor boundary is legal", "-governor-floor 1", ""},
+		{"negative crowd rate", "-crowd-rate -5", "-crowd-rate: negative value -5"},
+		{"NaN admission rate", "-admission-rate NaN", "-admission-rate: NaN"},
+		{"infinite crowd duration", "-crowd-duration +Inf", "-crowd-duration: value must be finite"},
+		{"governor floor above one", "-governor-floor 1.2", "-governor-floor: 1.2 exceeds maximum 1"},
+		{"negative coalesce radius", "-coalesce-radius -1", "-coalesce-radius: negative value -1"},
+		{"second flag bad", "-loss 0.1 -burst-bad-loss NaN", "-burst-bad-loss: NaN"},
+		{"negative integer knob", "-ir-window -1", "-ir-window: negative value -1"},
+		{"retry budget above its cap", "-retries 17", "-retries: 17 exceeds maximum 16"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := checkRates(tc.flags)
+			err := checkFlags(t, strings.Fields(tc.args)...)
 			if tc.wantErr == "" {
 				if err != nil {
-					t.Fatalf("checkRates(%v) = %v, want nil", tc.flags, err)
+					t.Fatalf("%q rejected: %v", tc.args, err)
 				}
 				return
 			}
 			if err == nil {
-				t.Fatalf("checkRates(%v) = nil, want error containing %q", tc.flags, tc.wantErr)
+				t.Fatalf("%q accepted, want error containing %q", tc.args, tc.wantErr)
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("checkRates(%v) = %q, want substring %q", tc.flags, err, tc.wantErr)
+				t.Fatalf("%q: error %q, want substring %q", tc.args, err, tc.wantErr)
 			}
 		})
 	}
@@ -68,10 +91,108 @@ func TestCheckRates(t *testing.T) {
 // faults.MaxRate: a deep fade may kill every frame, so 1.0 must pass
 // where the Bernoulli knobs stop at 0.95.
 func TestCheckRatesBurstBound(t *testing.T) {
-	if err := checkRates([]rateFlag{{"burst-bad-loss", 1, 1}}); err != nil {
+	if err := checkFlags(t, "-burst-bad-loss", "1"); err != nil {
 		t.Fatalf("burst-bad-loss 1.0 rejected: %v", err)
 	}
-	if err := checkRates([]rateFlag{{"burst-bad-loss", 1.01, 1}}); err == nil {
+	if err := checkFlags(t, "-burst-bad-loss", "1.01"); err == nil {
 		t.Fatal("burst-bad-loss 1.01 accepted, want error")
+	}
+}
+
+// TestEveryKnobHasOneFlag: every exported field of the per-layer knob
+// structs and of faults.Profile is the target of exactly one registered
+// flag — setting that flag, and no other, changes it — or is one of the
+// four fields written by hand: the two halves of -corrupt, the parsed
+// -attack, and the TrustStale test knob, which has no flag.
+func TestEveryKnobHasOneFlag(t *testing.T) {
+	byHand := map[string]bool{"ReplyTruncate": true, "ReplyCorrupt": true, "Attack": true, "TrustStale": true}
+
+	fs, c := newCLI()
+	var knobs []knob.Knob
+	knob.Walk(&c.knobs, func(k knob.Knob) { knobs = append(knobs, k) })
+	values := func() []any {
+		out := make([]any, len(knobs))
+		for i, k := range knobs {
+			out[i] = k.Value.Interface()
+		}
+		return out
+	}
+	flagOf := map[string]string{} // field → flag, for every generated flag
+	seen := map[string]string{}   // flag → field
+	for i, k := range knobs {
+		if k.Flag == "" {
+			continue
+		}
+		if prev, dup := seen[k.Flag]; dup {
+			t.Errorf("flag -%s names both %s and %s", k.Flag, prev, k.Field)
+		}
+		seen[k.Flag], flagOf[k.Field] = k.Field, k.Flag
+		if fs.Lookup(k.Flag) == nil {
+			t.Errorf("%s: flag -%s is not registered", k.Field, k.Flag)
+			continue
+		}
+		value := "7" // no default is 7
+		if k.Value.Kind() == reflect.Bool {
+			value = "true"
+			if k.Value.Bool() {
+				value = "false"
+			}
+		}
+		before := values()
+		if err := fs.Set(k.Flag, value); err != nil {
+			t.Fatalf("-%s %s: %v", k.Flag, value, err)
+		}
+		for j, now := range values() {
+			if moved := now != before[j]; moved != (j == i) {
+				t.Errorf("-%s %s: %s moved = %v", k.Flag, value, knobs[j].Field, moved)
+			}
+		}
+	}
+
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(sim.LayerKnobs{}), reflect.TypeOf(faults.Profile{}),
+	} {
+		var fields func(reflect.Type)
+		fields = func(typ reflect.Type) {
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				switch {
+				case f.Anonymous:
+					fields(f.Type)
+				case !f.IsExported():
+				case byHand[f.Name]:
+					if flagOf[f.Name] != "" {
+						t.Errorf("%s.%s is on the by-hand list and has flag -%s", typ, f.Name, flagOf[f.Name])
+					}
+				case flagOf[f.Name] == "":
+					t.Errorf("%s.%s has no flag: tag it `flag:\"…\" usage:\"…\"`", typ, f.Name)
+				}
+			}
+		}
+		fields(typ)
+	}
+}
+
+// TestReadmeMatrixFlagsExist: every `-flag` the README's robustness matrix
+// names is a registered flag.
+func TestReadmeMatrixFlagsExist(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, matrix, ok := strings.Cut(string(readme), "### Robustness flag matrix")
+	if !ok {
+		t.Fatal("README.md has no \"Robustness flag matrix\" section")
+	}
+	matrix, _, _ = strings.Cut(matrix, "\n\nAll layers stack")
+	fs, _ := newCLI()
+	names := regexp.MustCompile("[`( ]-([a-z][a-z-]*)").FindAllStringSubmatch(matrix, -1)
+	if len(names) < 30 {
+		t.Fatalf("found only %d flag tokens in the matrix", len(names))
+	}
+	for _, m := range names {
+		if fs.Lookup(m[1]) == nil {
+			t.Errorf("README matrix names -%s, which lbsq-sim does not register", m[1])
+		}
 	}
 }

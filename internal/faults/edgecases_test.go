@@ -82,13 +82,32 @@ func TestPickSingleElement(t *testing.T) {
 }
 
 func TestValidateBoundaries(t *testing.T) {
-	// Exactly MaxRate (0.95) and exactly 1 are valid rates; Normalized
-	// clamping to MaxRate is a separate concern from validation.
-	for _, v := range []float64{0, MaxRate, 1} {
-		p := Profile{RequestLoss: v, ChurnRate: v}
+	// MaxRate is the inclusive bound of every Bernoulli loss knob — the one
+	// their `max` tags carry and Normalized clamps to — so Validate rejects
+	// what Normalized would otherwise simulate as something else.
+	for _, v := range []float64{0, 0.5, MaxRate} {
+		p := Profile{RequestLoss: v, ReplyLoss: v, ReplyTruncate: v, ReplyCorrupt: v,
+			BroadcastLoss: v, StaleRate: v, ChurnRate: v}
 		if err := p.Validate(); err != nil {
 			t.Errorf("rate %v rejected: %v", v, err)
 		}
+	}
+	for i, p := range []Profile{
+		{RequestLoss: 0.97}, // NewWorld used to run this at 0.95 while lbsq-sim -req-loss 0.97 exited 2
+		{ReplyLoss: 1},
+		{ReplyTruncate: 0.96},
+		{ReplyCorrupt: 1},
+		{BroadcastLoss: 0.951},
+		{StaleRate: 1},
+		{ChurnRate: 1},
+	} {
+		if err := p.Validate(); err == nil {
+			t.Errorf("rate above MaxRate accepted (case %d): %+v", i, p)
+		}
+	}
+	// Population fractions and burst losses stay bounded by 1.
+	if err := (Profile{ByzantineRate: 1, BurstGoodLoss: 1, BurstBadLoss: 1}).Validate(); err != nil {
+		t.Errorf("rate 1 rejected: %v", err)
 	}
 	// Negative, above-one, and NaN rates are rejected for every field.
 	bad := []Profile{

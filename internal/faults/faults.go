@@ -44,6 +44,8 @@ package faults
 import (
 	"fmt"
 	"math/rand"
+
+	"lbsq/internal/knob"
 )
 
 // MaxRate caps every loss probability; a channel losing more than 95% of
@@ -56,25 +58,28 @@ const MaxRate = 0.95
 const DefaultMaxRetries = 2
 
 // Profile configures the per-channel fault rates. The zero value is the
-// ideal substrate: no faults, no random draws, no behavioral change.
+// ideal substrate: no faults, no random draws, no behavioral change. A
+// field's `flag`, `max` and `usage` tags are its lbsq-sim flag, its
+// inclusive upper bound and its help line (internal/knob); an empty flag
+// name keeps the range check only (the two halves of -corrupt).
 type Profile struct {
 	// RequestLoss is the probability that one neighbor fails to hear one
 	// broadcast cache request (independently per peer and per attempt).
-	RequestLoss float64
+	RequestLoss float64 `flag:"req-loss" max:"0.95" usage:"P2P request loss rate per peer [0, 0.95]"`
 	// ReplyLoss is the probability a peer reply is dropped in flight.
-	ReplyLoss float64
+	ReplyLoss float64 `flag:"reply-loss" max:"0.95" usage:"P2P reply loss rate [0, 0.95]"`
 	// ReplyTruncate is the probability a reply arrives cut short.
-	ReplyTruncate float64
+	ReplyTruncate float64 `flag:"" max:"0.95"`
 	// ReplyCorrupt is the probability a reply arrives with flipped bits.
-	ReplyCorrupt float64
+	ReplyCorrupt float64 `flag:"" max:"0.95"`
 	// BroadcastLoss is the probability one broadcast packet (or index
 	// segment) reception fails and the client waits a further cycle (or
 	// index replica).
-	BroadcastLoss float64
+	BroadcastLoss float64 `flag:"loss" max:"0.95" usage:"broadcast packet/index loss rate [0, 0.95]"`
 	// StaleRate is the probability that a shared verified region has been
 	// silently invalidated by the POI-update process since the peer
 	// cached it.
-	StaleRate float64
+	StaleRate float64 `flag:"stale-rate" max:"0.95" usage:"fraction of shared verified regions silently invalidated [0, 0.95]"`
 	// ChurnRate is the per-peer, per-collection-round probability that a
 	// neighbor powers off or drifts out of transmission range while a
 	// query's peer collection is in flight — and, symmetrically, that a
@@ -83,11 +88,11 @@ type Profile struct {
 	// every round, so a reply can arrive from a peer that has since
 	// departed (it was in flight) and a retry can target a peer that is
 	// no longer there (wasted, counted). Zero disables churn entirely.
-	ChurnRate float64
+	ChurnRate float64 `flag:"churn-rate" max:"0.95" usage:"per-peer per-round probability of powering off/on mid-collection [0, 0.95]"`
 	// MaxRetries bounds how many times a querying host re-broadcasts its
 	// cache request while a neighbor has not answered. Zero selects
 	// DefaultMaxRetries when any fault rate is set.
-	MaxRetries int
+	MaxRetries int `flag:"retries" max:"16" usage:"retry rounds per peer collection (0 = default when faults are on)"`
 	// TrustStale disables the consistency layer's stale-region discard:
 	// stale regions are served with silently diverged contents and enter
 	// verification. This is a test knob demonstrating the soundness
@@ -100,7 +105,7 @@ type Profile struct {
 	// stream; the rate is a population fraction, not a per-reply
 	// probability. Zero (the default) means every peer is honest and the
 	// attack path makes no draws at all.
-	ByzantineRate float64 `json:",omitempty"`
+	ByzantineRate float64 `json:",omitempty" flag:"byzantine-rate" max:"1" usage:"fraction of hosts that lie about their cached regions [0, 1]"`
 	// Attack selects the lie byzantine hosts tell. Normalized defaults
 	// it to AttackMix when ByzantineRate > 0 and clears it to AttackNone
 	// when the rate is zero (an attack with no attackers is inert).
@@ -110,24 +115,24 @@ type Profile struct {
 	// Unlike the independent Bernoulli knobs it may reach 1.0: the
 	// degraded planner, not a retry cap, is the defense against a dead
 	// channel.
-	BurstGoodLoss float64 `json:",omitempty"`
+	BurstGoodLoss float64 `json:",omitempty" flag:"burst-good-loss" max:"1" usage:"extra ad-hoc frame loss in the Gilbert–Elliott good state [0, 1]"`
 	// BurstBadLoss is the extra ad-hoc frame loss in the bad (fade)
 	// state. Zero disarms the chain entirely.
-	BurstBadLoss float64 `json:",omitempty"`
+	BurstBadLoss float64 `json:",omitempty" flag:"burst-bad-loss" max:"1" usage:"extra ad-hoc frame loss in the Gilbert–Elliott bad (fade) state [0, 1]; 0 disarms the chain"`
 	// BurstGoodSlots is the mean good-state dwell time in broadcast
 	// slots (geometric). Defaults to 9× BurstBadSlots when the chain is
 	// armed but this is left zero (≈10% bad-state duty cycle).
-	BurstGoodSlots float64 `json:",omitempty"`
+	BurstGoodSlots float64 `json:",omitempty" flag:"burst-good-slots" usage:"mean good-state dwell in broadcast slots (0 = default 9× bad dwell)"`
 	// BurstBadSlots is the mean bad-state dwell time in broadcast slots
 	// (geometric). Zero disarms the chain.
-	BurstBadSlots float64 `json:",omitempty"`
+	BurstBadSlots float64 `json:",omitempty" flag:"burst-bad-slots" usage:"mean bad-state dwell in broadcast slots (0 = default 1)"`
 	// BlackoutPeriodSec is the period of the per-MH broadcast-downlink
 	// blackout schedule (see Blackout in burst.go). Zero disarms
 	// blackout windows.
-	BlackoutPeriodSec float64 `json:",omitempty"`
+	BlackoutPeriodSec float64 `json:",omitempty" flag:"blackout-period" usage:"per-MH broadcast-downlink blackout period in seconds (0 = no blackouts)"`
 	// BlackoutDurationSec is how long each blackout window holds the
 	// downlink dark. Clamped to the period. Zero disarms.
-	BlackoutDurationSec float64 `json:",omitempty"`
+	BlackoutDurationSec float64 `json:",omitempty" flag:"blackout-duration" usage:"blackout window length in seconds (0 = default period/10)"`
 }
 
 // Enabled reports whether any fault process is active.
@@ -220,74 +225,17 @@ func (p Profile) Normalized() Profile {
 	return out
 }
 
-// Validate reports profile configuration errors (NaN or negative rates,
-// unbounded retry budgets).
+// Validate reports profile configuration errors. Every flag-tagged rate,
+// dwell and budget is range-checked from its declaration above (finite,
+// non-negative, at most its `max` — MaxRate for the Bernoulli knobs, so
+// Normalized's clamp has nothing left to hide); what remains here is what a
+// range cannot say.
 func (p Profile) Validate() error {
-	rates := []struct {
-		name string
-		v    float64
-	}{
-		{"RequestLoss", p.RequestLoss},
-		{"ReplyLoss", p.ReplyLoss},
-		{"ReplyTruncate", p.ReplyTruncate},
-		{"ReplyCorrupt", p.ReplyCorrupt},
-		{"BroadcastLoss", p.BroadcastLoss},
-		{"StaleRate", p.StaleRate},
-		{"ChurnRate", p.ChurnRate},
-	}
-	for _, r := range rates {
-		if r.v != r.v { // NaN
-			return fmt.Errorf("faults: %s is NaN", r.name)
-		}
-		if r.v < 0 || r.v > 1 {
-			return fmt.Errorf("faults: %s %v out of [0, 1]", r.name, r.v)
-		}
-	}
-	if p.MaxRetries < 0 || p.MaxRetries > 16 {
-		return fmt.Errorf("faults: MaxRetries %d out of [0, 16]", p.MaxRetries)
-	}
-	if p.ByzantineRate != p.ByzantineRate {
-		return fmt.Errorf("faults: ByzantineRate is NaN")
-	}
-	if p.ByzantineRate < 0 || p.ByzantineRate > 1 {
-		return fmt.Errorf("faults: ByzantineRate %v out of [0, 1]", p.ByzantineRate)
+	if err := knob.Check(&p); err != nil {
+		return fmt.Errorf("faults: %w", err)
 	}
 	if p.Attack < AttackNone || p.Attack > AttackMix {
 		return fmt.Errorf("faults: unknown Attack %d", int(p.Attack))
-	}
-	// Burst losses live in [0, 1] (a fade may be total); dwell means and
-	// blackout times are non-negative finite seconds/slots.
-	bursts := []struct {
-		name string
-		v    float64
-	}{
-		{"BurstGoodLoss", p.BurstGoodLoss},
-		{"BurstBadLoss", p.BurstBadLoss},
-	}
-	for _, r := range bursts {
-		if r.v != r.v {
-			return fmt.Errorf("faults: %s is NaN", r.name)
-		}
-		if r.v < 0 || r.v > 1 {
-			return fmt.Errorf("faults: %s %v out of [0, 1]", r.name, r.v)
-		}
-	}
-	durs := []struct {
-		name string
-		v    float64
-	}{
-		{"BurstGoodSlots", p.BurstGoodSlots},
-		{"BurstBadSlots", p.BurstBadSlots},
-		{"BlackoutPeriodSec", p.BlackoutPeriodSec},
-		{"BlackoutDurationSec", p.BlackoutDurationSec},
-	}
-	for _, r := range durs {
-		if r.v != r.v {
-			return fmt.Errorf("faults: %s is NaN", r.name)
-		}
-		if r.v < 0 || r.v > 1e12 {
-			return fmt.Errorf("faults: %s %v out of [0, 1e12]", r.name, r.v)
-		}
 	}
 	if p.BlackoutDurationSec > 0 && p.BlackoutPeriodSec > 0 &&
 		p.BlackoutDurationSec > p.BlackoutPeriodSec {

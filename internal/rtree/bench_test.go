@@ -43,17 +43,6 @@ func BenchmarkKNNBestFirst(b *testing.B) {
 	}
 }
 
-func BenchmarkKNNDepthFirst(b *testing.B) {
-	tr, rng := benchTree(b, 10000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := geom.Pt(rng.Float64()*100, rng.Float64()*100)
-		if got := tr.KNNDepthFirst(q, 10); len(got) != 10 {
-			b.Fatal("short result")
-		}
-	}
-}
-
 func BenchmarkWindow(b *testing.B) {
 	tr, rng := benchTree(b, 10000)
 	b.ResetTimer()

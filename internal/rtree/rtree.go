@@ -521,110 +521,6 @@ func (t *Tree) KNN(q geom.Point, k int) []Item {
 	return out
 }
 
-// KNNDepthFirst returns the k nearest items using the depth-first
-// branch-and-bound algorithm of Roussopoulos et al. It produces the same
-// result set as KNN and exists as the classical baseline.
-func (t *Tree) KNNDepthFirst(q geom.Point, k int) []Item {
-	if k <= 0 || t.size == 0 {
-		return nil
-	}
-	best := &boundedResult{k: k}
-	t.dfKNN(t.root, q, best)
-	return best.sorted()
-}
-
-type scoredItem struct {
-	dist float64
-	item Item
-}
-
-// boundedResult keeps the k closest items seen so far as a max-heap.
-type boundedResult struct {
-	k     int
-	items []scoredItem // max-heap by dist
-}
-
-func (b *boundedResult) worst() float64 {
-	if len(b.items) < b.k {
-		return math.Inf(1)
-	}
-	return b.items[0].dist
-}
-
-func (b *boundedResult) add(d float64, it Item) {
-	if len(b.items) < b.k {
-		b.items = append(b.items, scoredItem{d, it})
-		b.up(len(b.items) - 1)
-		return
-	}
-	if d >= b.items[0].dist {
-		return
-	}
-	b.items[0] = scoredItem{d, it}
-	b.down(0)
-}
-
-func (b *boundedResult) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if b.items[p].dist >= b.items[i].dist {
-			break
-		}
-		b.items[p], b.items[i] = b.items[i], b.items[p]
-		i = p
-	}
-}
-
-func (b *boundedResult) down(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < len(b.items) && b.items[l].dist > b.items[big].dist {
-			big = l
-		}
-		if r < len(b.items) && b.items[r].dist > b.items[big].dist {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		b.items[i], b.items[big] = b.items[big], b.items[i]
-		i = big
-	}
-}
-
-func (b *boundedResult) sorted() []Item {
-	s := append([]scoredItem(nil), b.items...)
-	sort.Slice(s, func(i, j int) bool { return s[i].dist < s[j].dist })
-	out := make([]Item, len(s))
-	for i, e := range s {
-		out[i] = e.item
-	}
-	return out
-}
-
-func (t *Tree) dfKNN(n *node, q geom.Point, best *boundedResult) {
-	if n.leaf {
-		for _, it := range n.items {
-			best.add(it.Pos.Dist(q), it)
-		}
-		return
-	}
-	// Visit children by ascending MINDIST, pruning against the current
-	// k-th distance.
-	order := make([]*node, len(n.children))
-	copy(order, n.children)
-	sort.Slice(order, func(i, j int) bool {
-		return order[i].bounds.Dist(q) < order[j].bounds.Dist(q)
-	})
-	for _, c := range order {
-		if c.bounds.Dist(q) > best.worst() {
-			return
-		}
-		t.dfKNN(c, q, best)
-	}
-}
-
 // Height returns the tree height (1 for a single leaf).
 func (t *Tree) Height() int {
 	h := 1
@@ -632,27 +528,4 @@ func (t *Tree) Height() int {
 		h++
 	}
 	return h
-}
-
-// NodesTouchedByWindow returns how many tree nodes a window query visits
-// — the page-access proxy of the random-access-disk baseline.
-func (t *Tree) NodesTouchedByWindow(r geom.Rect) int {
-	if t.size == 0 {
-		return 0
-	}
-	count := 0
-	var walk func(n *node)
-	walk = func(n *node) {
-		count++
-		if n.leaf {
-			return
-		}
-		for _, c := range n.children {
-			if c.bounds.Intersects(r) {
-				walk(c)
-			}
-		}
-	}
-	walk(t.root)
-	return count
 }

@@ -177,26 +177,6 @@ func TestWindowVsBruteForce(t *testing.T) {
 	}
 }
 
-func TestKNNDepthFirstMatchesBestFirst(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	items := randomItems(rng, 600, 40)
-	tr := Bulk(items, 10)
-	for trial := 0; trial < 40; trial++ {
-		q := geom.Pt(rng.Float64()*40, rng.Float64()*40)
-		k := 1 + rng.Intn(15)
-		bf := tr.KNN(q, k)
-		df := tr.KNNDepthFirst(q, k)
-		if len(bf) != len(df) {
-			t.Fatalf("trial %d: len %d vs %d", trial, len(bf), len(df))
-		}
-		for i := range bf {
-			if bf[i].Pos.Dist(q) != df[i].Pos.Dist(q) {
-				t.Fatalf("trial %d: DF/BF mismatch at %d", trial, i)
-			}
-		}
-	}
-}
-
 func TestKNNMoreThanSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	items := randomItems(rng, 7, 10)
@@ -204,10 +184,6 @@ func TestKNNMoreThanSize(t *testing.T) {
 	got := tr.KNN(geom.Pt(5, 5), 100)
 	if len(got) != 7 {
 		t.Fatalf("KNN over-ask = %d items", len(got))
-	}
-	df := tr.KNNDepthFirst(geom.Pt(5, 5), 100)
-	if len(df) != 7 {
-		t.Fatalf("DF over-ask = %d items", len(df))
 	}
 }
 
@@ -383,11 +359,5 @@ func TestMixedWorkloadModelCheck(t *testing.T) {
 		if got[i].Pos.Dist(q) != want[i].Pos.Dist(q) {
 			t.Fatal("final KNN mismatch after mixed workload")
 		}
-	}
-}
-
-func TestNodesTouchedEmptyTree(t *testing.T) {
-	if New(8).NodesTouchedByWindow(geom.NewRect(0, 0, 1, 1)) != 0 {
-		t.Error("empty tree touched nodes")
 	}
 }

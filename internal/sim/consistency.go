@@ -13,6 +13,41 @@ import (
 	"lbsq/internal/wire"
 )
 
+// ConsistencyKnobs configure the dynamic-POI layer (DESIGN.md §12); all
+// zero keeps the paper's immutable database. See LayerKnobs for the tags.
+type ConsistencyKnobs struct {
+	// UpdateRate arms the consistency layer (DESIGN.md §12): the mean
+	// number of POI mutations (insert/delete/move) per minute, per data
+	// type. Zero (the default) keeps the paper's immutable POI set — no
+	// update process exists, no IR frames ride the index slots, and every
+	// output is bit-identical to a build without the layer. Nonzero
+	// versions the POI database with a monotone epoch counter, broadcasts
+	// invalidation reports every IRPeriodSec, and makes every client
+	// reconcile its cached verified regions (surgical shrink with
+	// geom.SubtractRect) before querying.
+	UpdateRate float64 `json:"update_rate,omitempty" flag:"update-rate" usage:"POI mutations per minute (insert/delete/move); 0 keeps the database static"`
+	// IRPeriodSec is the invalidation-report broadcast period in
+	// simulated seconds; mutations accumulate into one epoch per period.
+	// Defaults to 30 when UpdateRate is set.
+	IRPeriodSec float64 `json:"ir_period_sec,omitempty" flag:"ir-period" usage:"invalidation-report broadcast period in seconds (0 = default 30 when -update-rate > 0)"`
+	// IRWindow is how many past epochs of mutation items one IR frame
+	// retains (the paper's broadcast-window w of Tabassum et al.): a
+	// client whose cached region slept past IRWindow epochs cannot repair
+	// it and must demote it to the probabilistic path. Defaults to 8 when
+	// UpdateRate is set.
+	IRWindow int `json:"ir_window,omitempty" flag:"ir-window" usage:"epochs each invalidation report retains (0 = default 8; older caches demote)"`
+	// VRTTLSec is an optional time-to-live for cached verified regions:
+	// regions older than this are evicted at the owner's next IR sync (a
+	// defense-in-depth bound on how long any cache entry can matter).
+	// Zero disables TTL expiry.
+	VRTTLSec float64 `json:"vr_ttl_sec,omitempty" flag:"vr-ttl" usage:"cached verified-region time-to-live in seconds (0 = no expiry)"`
+	// IRDiscard switches reconciliation to the whole-region-discard
+	// ablation: any superseded region is dropped instead of surgically
+	// shrunk. The EXPERIMENTS.md freshness curve quantifies what the
+	// surgical repair buys over this baseline.
+	IRDiscard bool `json:"ir_discard,omitempty" flag:"ir-discard" usage:"discard whole superseded regions instead of surgically reconciling them (ablation)"`
+}
+
 // updateSeedSalt seeds the POI-mutation stream and irSeedSalt the
 // IR-listen loss stream. Both are decorrelated from the world, fault,
 // byzantine, and trust streams for the same reason as faultSeedSalt:

@@ -35,6 +35,32 @@ import (
 	"lbsq/internal/trace"
 )
 
+// ContinuousKnobs configure standing subscriptions (see the top of this
+// file, and LayerKnobs for the tags).
+type ContinuousKnobs struct {
+	// ContinuousRate arms the continuous-query layer (DESIGN.md §15): the
+	// mean number of standing-subscription registrations per minute across
+	// the whole system. Zero (the default) keeps every query a one-shot
+	// snapshot — no subscription registry exists, no maintenance phase
+	// runs, and every output is bit-identical to a build without the
+	// layer. Nonzero registers moving hosts with standing kNN or window
+	// queries (the run's Kind) whose answers are maintained incrementally:
+	// each exact answer carries a safe-exit radius computed from the MVR
+	// clearance and the known result-flip boundaries (internal/core
+	// SafeExitKNN/SafeExitWindow), and the subscription re-runs the full
+	// query path only when its host crosses that radius, an invalidation
+	// epoch or VR TTL taints the answer, or the previous answer was not
+	// exact (the Lemma 3.2 probabilistic demotion). Registration draws
+	// come from a dedicated seeded stream, so arming the layer never
+	// perturbs the legacy query draws.
+	ContinuousRate float64 `json:"continuous_rate,omitempty" flag:"continuous-rate" usage:"continuous-subscription registrations per minute (0 = no standing queries)"`
+	// ContinuousNaive forces every standing subscription to re-verify on
+	// every tick instead of consulting its safe region — the baseline the
+	// EXPERIMENTS.md continuous curve compares against. No effect without
+	// ContinuousRate.
+	ContinuousNaive bool `json:"continuous_naive,omitempty" flag:"continuous-naive" usage:"re-verify standing queries every tick instead of using safe regions (baseline)"`
+}
+
 // contReason classifies one subscription maintenance tick: why it
 // re-verified, or that it did not (contHit). classify fixes the priority
 // order (unverified > naive > taint > exit > hit), so the four reason

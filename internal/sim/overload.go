@@ -41,6 +41,82 @@ import (
 // identical by construction, and the zero-knob world never constructs
 // this state at all.
 
+// CrowdKnobs configure the flash-crowd workload generator (see LayerKnobs
+// for the tags).
+type CrowdKnobs struct {
+	// CrowdRate arms the flash-crowd workload generator (DESIGN.md §16):
+	// the mean number of extra queries per minute, system-wide, that the
+	// hotspot injects at the peak of its temporal burst. Zero (the
+	// default) generates no crowd — no crowd stream exists and every
+	// output is bit-identical to a build without the layer. Nonzero
+	// launches additional queries from hosts inside the hotspot disk
+	// during the burst window, Poisson-modulated by a smooth ramp
+	// (sin², peaking mid-window), from a dedicated seeded stream so the
+	// legacy query draws are never perturbed.
+	CrowdRate float64 `json:"crowd_rate,omitempty" flag:"crowd-rate" usage:"flash-crowd peak query rate per minute injected inside the hotspot (0 = no crowd)"`
+	// CrowdRadiusMiles is the hotspot disk radius. Defaults to
+	// AreaMiles/10 when the crowd is armed.
+	CrowdRadiusMiles float64 `json:"crowd_radius_miles,omitempty" flag:"crowd-radius" usage:"hotspot disk radius in miles (0 = area/10 when the crowd is armed)"`
+	// CrowdCenterXMiles / CrowdCenterYMiles place the hotspot center.
+	// Zero selects the area center when the crowd is armed.
+	CrowdCenterXMiles float64 `json:"crowd_center_x_miles,omitempty" flag:"crowd-x" usage:"hotspot center x in miles (0 = area center)"`
+	CrowdCenterYMiles float64 `json:"crowd_center_y_miles,omitempty" flag:"crowd-y" usage:"hotspot center y in miles (0 = area center)"`
+	// CrowdStartSec is when the burst window opens (simulated seconds);
+	// zero selects mid-run when the crowd is armed. CrowdDurationSec is
+	// the window length; zero selects 10% of the run.
+	CrowdStartSec    float64 `json:"crowd_start_sec,omitempty" flag:"crowd-start" usage:"burst window start in simulated seconds (0 = mid-run)"`
+	CrowdDurationSec float64 `json:"crowd_duration_sec,omitempty" flag:"crowd-duration" usage:"burst window length in seconds (0 = 10% of the run)"`
+}
+
+// OverloadKnobs are the demand-side controls; any one of them arms the
+// plane (Params.OverloadEnabled).
+type OverloadKnobs struct {
+	// PeerQueueCap arms peer-side backpressure (DESIGN.md §16): each
+	// peer serves at most this many cache requests per tick; the next
+	// band is refused with an explicit BUSY frame on the wire, and
+	// saturation beyond that is shed silently (p2p.ServiceQueue). BUSY
+	// replies and queue drops are never breaker strikes — a busy peer is
+	// not a broken peer. Zero (the default) leaves service unbounded.
+	PeerQueueCap int `json:"peer_queue_cap,omitempty" flag:"queue-cap" usage:"per-peer per-tick service queue capacity; overflow answers BUSY (0 = unbounded)"`
+	// RetryBudget caps retry amplification: the total number of request
+	// re-broadcasts (across every query) one tick may spend. A query
+	// whose backoff schedule would exceed the exhausted budget stops
+	// retrying and proceeds with the replies it has. Zero (the default)
+	// leaves retries unbudgeted.
+	RetryBudget int `json:"retry_budget,omitempty" flag:"retry-budget" usage:"per-tick system-wide request re-broadcast budget (0 = unbudgeted)"`
+	// AdmissionRate arms per-MH admission token buckets: each host
+	// accrues this many query tokens per simulated second (deterministic
+	// refill, no randomness) up to AdmissionBurst. A one-shot query
+	// issued from an empty bucket is shed to the broadcast-only path
+	// (Lemma 3.2 / on-air fallback — degraded, never wrong) instead of
+	// gathering peers. Continuous-subscription maintenance is exempt:
+	// safe-region hits are nearly free. Zero (the default) admits
+	// everything.
+	AdmissionRate float64 `json:"admission_rate,omitempty" flag:"admission-rate" usage:"per-MH admission tokens accrued per second; empty buckets shed to broadcast (0 = admit all)"`
+	// AdmissionBurst is the token-bucket depth; defaults to 4 when
+	// AdmissionRate is set.
+	AdmissionBurst int `json:"admission_burst,omitempty" flag:"admission-burst" usage:"admission token-bucket depth (0 = default 4 when -admission-rate > 0)"`
+	// Governed arms the load governor: a windowed answered-in-budget
+	// ratio (DeadlineSlots plus one broadcast cycle, the PR-7
+	// availability metric) is tracked per tick, and when it falls below
+	// GovernorFloor the governor sheds one-shot queries to the
+	// broadcast-only path until the ratio recovers. Priority-aware:
+	// continuous subscriptions keep their service. Off (the default) the
+	// governor never exists.
+	Governed bool `json:"governed,omitempty" flag:"governed" usage:"arm the load governor (sheds one-shots while answered-in-budget sits below the floor)"`
+	// GovernorFloor is the answered-in-budget ratio (0..1) below which
+	// the governor engages; defaults to 0.9 when Governed is set.
+	GovernorFloor float64 `json:"governor_floor,omitempty" flag:"governor-floor" max:"1" usage:"answered-in-budget ratio below which the governor engages [0, 1] (0 = default 0.9)"`
+	// CoalesceRadiusMiles arms cross-MH query coalescing: a query whose
+	// origin lies within this distance of an earlier same-tick, same-type
+	// query reuses that query's screened peer gather instead of
+	// broadcasting its own request — one gather serves the co-located
+	// crowd. Soundness is unchanged: the recipient still verifies against
+	// the shared regions and falls back to the channel when coverage is
+	// insufficient. Zero (the default) disables coalescing.
+	CoalesceRadiusMiles float64 `json:"coalesce_radius_miles,omitempty" flag:"coalesce-radius" usage:"co-located same-tick queries within this many miles share one peer gather (0 = off)"`
+}
+
 // crowdSeedSalt seeds the flash-crowd stream: how many crowd queries
 // fire each tick, and which hotspot hosts and data types they hit.
 // Decorrelated from every other stream so arming the crowd knobs never

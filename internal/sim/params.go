@@ -15,6 +15,7 @@ import (
 	"lbsq/internal/cache"
 	"lbsq/internal/faults"
 	"lbsq/internal/geom"
+	"lbsq/internal/knob"
 	"lbsq/internal/p2p"
 	"lbsq/internal/trust"
 )
@@ -43,7 +44,9 @@ func (k QueryKind) String() string {
 }
 
 // Params mirrors Table 4 (simulation parameters) plus the simulator knobs
-// the paper describes in prose. Distances are miles unless noted.
+// the paper describes in prose. Distances are miles unless noted. A field
+// tagged `flag` is an lbsq-sim flag of that name with that `usage` line, and
+// Validate checks it against its optional `max` (internal/knob).
 type Params struct {
 	// Name labels the parameter set in reports.
 	Name string
@@ -90,7 +93,7 @@ type Params struct {
 	// 10-hour runs accumulate before measurement. The pre-filled regions
 	// are built from the ground-truth database, so they satisfy the same
 	// soundness invariant live caching maintains. Zero disables.
-	PrefillQueriesPerHost float64
+	PrefillQueriesPerHost float64 `flag:"prefill" usage:"mean historical queries pre-filling each host cache (0 disables)"`
 	// PrefillRadiusMiles spreads the historical query locations around
 	// each host's starting position (how far its knowledge lags behind).
 	// Defaults to min(7.5, AreaMiles/2) — the mean travel between
@@ -103,15 +106,15 @@ type Params struct {
 	// Seed drives all randomness; runs are reproducible.
 	Seed int64
 	// TimeStepSec is the movement/query time step in seconds.
-	TimeStepSec float64
+	TimeStepSec float64 `flag:"step" usage:"time step in seconds"`
 	// WarmupFrac is the leading fraction of the run whose queries warm
 	// the caches but are excluded from statistics ("all simulation
 	// results were recorded after the system model reached steady
 	// state").
 	WarmupFrac float64
 	// MinSpeedMph/MaxSpeedMph bound the random waypoint vehicle speeds.
-	MinSpeedMph float64
-	MaxSpeedMph float64
+	MinSpeedMph float64 `flag:"min-speed" usage:"minimum vehicle speed in mph (0 = preset value)"`
+	MaxSpeedMph float64 `flag:"max-speed" usage:"maximum vehicle speed in mph (0 = preset value)"`
 	// PauseSec is the maximum random waypoint pause.
 	PauseSec float64
 	// SlotSec is the broadcast slot duration in seconds (one data packet
@@ -123,30 +126,30 @@ type Params struct {
 	// field, broadcast channel, and per-host cache of CacheSize POIs —
 	// Table 4's "cache capacity per data type". Defaults to 1, the
 	// paper's experimental setting (gas stations only).
-	POITypes int
+	POITypes int `flag:"types" usage:"independent POI data types (cache capacity applies per type)"`
 
 	// POIClusters, when positive, draws the POI field from a Gaussian
 	// mixture with this many centers instead of the uniform (Poisson)
 	// field the paper assumes — a robustness knob for the Lemma 3.2
 	// correctness model, whose lambda stays the global average density.
-	POIClusters int
+	POIClusters int `flag:"clusters" usage:"POI Gaussian-mixture cluster count (0 = uniform field)"`
 
 	// UseOwnCache lets the querying host consult its own cached verified
 	// regions in addition to its peers'. Off by default so the reported
 	// shares isolate the paper's peer-sharing mechanism.
-	UseOwnCache bool
+	UseOwnCache bool `flag:"owncache" usage:"let hosts consult their own caches (off isolates peer sharing)"`
 
 	// SharingHops is how many ad-hoc hops a cache request travels. The
 	// paper uses single-hop sharing (1, the default when zero); larger
 	// values relay requests through intermediate peers — the natural
 	// multi-hop extension of its cooperative-caching citations.
-	SharingHops int
+	SharingHops int `flag:"hops" usage:"ad-hoc sharing hops (1 = the paper's single-hop)"`
 
 	// CachePolicy selects the replacement policy (the paper uses the
 	// moving-direction + data-distance policy).
 	CachePolicy cache.Policy
 	// AcceptApproximate lets clients accept approximate SBNN answers.
-	AcceptApproximate bool
+	AcceptApproximate bool `flag:"approx" usage:"accept approximate SBNN answers (correctness > 50%)"`
 	// MinCorrectness is the approximate acceptance threshold (the
 	// paper's experiments count answers with correctness above 50%).
 	MinCorrectness float64
@@ -156,51 +159,12 @@ type Params struct {
 	// peer-cache staleness, and peer churn (see the faults package). The
 	// zero value is the ideal substrate the paper assumes — no faults are
 	// drawn and behavior is identical to a build without the layer.
-	Faults faults.Profile
+	Faults faults.Profile `layer:"faults: losses, churn, byzantine hosts, bursts and blackouts (DESIGN.md §7, §8, §11, §13)"`
 
-	// DeadlineSlots is the per-query slot budget of peer collection: when
-	// a query's retry backoff would spend more broadcast slots than this,
-	// collection abandons its remaining targets and the query falls back
-	// to the channel with the spent slots priced into its access latency.
-	// Zero disables the deadline.
-	DeadlineSlots int
-	// BreakerThreshold is the consecutive-failure count (CRC rejections,
-	// stale discards, reply timeouts) that trips a peer's circuit breaker
-	// open. Zero disables per-peer breakers.
-	BreakerThreshold int
-	// BreakerCooldown is the quarantine length of a tripped breaker in
-	// collection cycles (one query's P2P phase = one cycle). Zero selects
-	// p2p.DefaultBreakerCooldown when BreakerThreshold is set.
-	BreakerCooldown int64
-
-	// AuditRate enables the Byzantine-resilience layer (internal/trust):
-	// the probability that one peer contribution is spot-audited against
-	// the broadcast channel during one query's screen. Zero (the default)
-	// disables the whole defense — no trust engine exists, peer
-	// contributions flow to the core algorithms unscreened, and every
-	// output is bit-identical to a build without the layer. Nonzero arms
-	// audit-gated vouching: contributions from unvouched peers are
-	// tainted (demoted to the Lemma 3.2 probabilistic path), overlapping
-	// verified regions are cross-validated, and convictions quarantine
-	// the peer and force its circuit breaker open. Audit slot costs are
-	// priced into the audited query's access latency and charged against
-	// its DeadlineSlots budget. Byzantine peers themselves are configured
-	// through Faults.ByzantineRate and Faults.Attack.
-	AuditRate float64
-
-	// DegradedMode arms the degraded-mode query planner (DESIGN.md §13):
-	// each query classifies its connectivity (broadcast downlink up/down ×
-	// P2P channel up/down) and walks the fallback ladder — full protocol →
-	// P2P-only with Lemma 3.2 probabilistic answers → on-air-only →
-	// serve-from-own-cache with an explicit staleness bound. Off (the
-	// default), queries run the full protocol unconditionally: a dark
-	// downlink stalls them until the blackout window ends, and a deep fade
-	// burns the whole retry budget against unreachable peers. The planner
-	// only changes behavior when the burst or blackout knobs
-	// (Faults.Burst*/Blackout*) create impairments to classify; with those
-	// zero every query classifies as fully connected and output is
-	// bit-identical to a build without the planner.
-	DegradedMode bool
+	// LayerKnobs are the shell layers' knobs, one struct per layer. Every
+	// one is inert at its zero value: output is bit-identical to a build
+	// without the layer.
+	LayerKnobs
 
 	// Broadcast configures the air index; the Area field is filled in by
 	// the simulator. Faults.BroadcastLoss, when set, overrides
@@ -218,127 +182,6 @@ type Params struct {
 	// zero-knob identity contract as Faults and the resilience knobs.
 	Metrics bool
 
-	// UpdateRate arms the consistency layer (DESIGN.md §12): the mean
-	// number of POI mutations (insert/delete/move) per minute, per data
-	// type. Zero (the default) keeps the paper's immutable POI set — no
-	// update process exists, no IR frames ride the index slots, and every
-	// output is bit-identical to a build without the layer. Nonzero
-	// versions the POI database with a monotone epoch counter, broadcasts
-	// invalidation reports every IRPeriodSec, and makes every client
-	// reconcile its cached verified regions (surgical shrink with
-	// geom.SubtractRect) before querying.
-	UpdateRate float64
-	// IRPeriodSec is the invalidation-report broadcast period in
-	// simulated seconds; mutations accumulate into one epoch per period.
-	// Defaults to 30 when UpdateRate is set.
-	IRPeriodSec float64
-	// IRWindow is how many past epochs of mutation items one IR frame
-	// retains (the paper's broadcast-window w of Tabassum et al.): a
-	// client whose cached region slept past IRWindow epochs cannot repair
-	// it and must demote it to the probabilistic path. Defaults to 8 when
-	// UpdateRate is set.
-	IRWindow int
-	// VRTTLSec is an optional time-to-live for cached verified regions:
-	// regions older than this are evicted at the owner's next IR sync (a
-	// defense-in-depth bound on how long any cache entry can matter).
-	// Zero disables TTL expiry.
-	VRTTLSec float64
-	// IRDiscard switches reconciliation to the whole-region-discard
-	// ablation: any superseded region is dropped instead of surgically
-	// shrunk. The EXPERIMENTS.md freshness curve quantifies what the
-	// surgical repair buys over this baseline.
-	IRDiscard bool
-
-	// ContinuousRate arms the continuous-query layer (DESIGN.md §15): the
-	// mean number of standing-subscription registrations per minute across
-	// the whole system. Zero (the default) keeps every query a one-shot
-	// snapshot — no subscription registry exists, no maintenance phase
-	// runs, and every output is bit-identical to a build without the
-	// layer. Nonzero registers moving hosts with standing kNN or window
-	// queries (the run's Kind) whose answers are maintained incrementally:
-	// each exact answer carries a safe-exit radius computed from the MVR
-	// clearance and the known result-flip boundaries (internal/core
-	// SafeExitKNN/SafeExitWindow), and the subscription re-runs the full
-	// query path only when its host crosses that radius, an invalidation
-	// epoch or VR TTL taints the answer, or the previous answer was not
-	// exact (the Lemma 3.2 probabilistic demotion). Registration draws
-	// come from a dedicated seeded stream, so arming the layer never
-	// perturbs the legacy query draws.
-	ContinuousRate float64
-	// ContinuousNaive forces every standing subscription to re-verify on
-	// every tick instead of consulting its safe region — the baseline the
-	// EXPERIMENTS.md continuous curve compares against. No effect without
-	// ContinuousRate.
-	ContinuousNaive bool
-
-	// CrowdRate arms the flash-crowd workload generator (DESIGN.md §16):
-	// the mean number of extra queries per minute, system-wide, that the
-	// hotspot injects at the peak of its temporal burst. Zero (the
-	// default) generates no crowd — no crowd stream exists and every
-	// output is bit-identical to a build without the layer. Nonzero
-	// launches additional queries from hosts inside the hotspot disk
-	// during the burst window, Poisson-modulated by a smooth ramp
-	// (sin², peaking mid-window), from a dedicated seeded stream so the
-	// legacy query draws are never perturbed.
-	CrowdRate float64
-	// CrowdRadiusMiles is the hotspot disk radius. Defaults to
-	// AreaMiles/10 when the crowd is armed.
-	CrowdRadiusMiles float64
-	// CrowdCenterXMiles / CrowdCenterYMiles place the hotspot center.
-	// Zero selects the area center when the crowd is armed.
-	CrowdCenterXMiles float64
-	CrowdCenterYMiles float64
-	// CrowdStartSec is when the burst window opens (simulated seconds);
-	// zero selects mid-run when the crowd is armed. CrowdDurationSec is
-	// the window length; zero selects 10% of the run.
-	CrowdStartSec    float64
-	CrowdDurationSec float64
-
-	// PeerQueueCap arms peer-side backpressure (DESIGN.md §16): each
-	// peer serves at most this many cache requests per tick; the next
-	// band is refused with an explicit BUSY frame on the wire, and
-	// saturation beyond that is shed silently (p2p.ServiceQueue). BUSY
-	// replies and queue drops are never breaker strikes — a busy peer is
-	// not a broken peer. Zero (the default) leaves service unbounded.
-	PeerQueueCap int
-	// RetryBudget caps retry amplification: the total number of request
-	// re-broadcasts (across every query) one tick may spend. A query
-	// whose backoff schedule would exceed the exhausted budget stops
-	// retrying and proceeds with the replies it has. Zero (the default)
-	// leaves retries unbudgeted.
-	RetryBudget int
-	// AdmissionRate arms per-MH admission token buckets: each host
-	// accrues this many query tokens per simulated second (deterministic
-	// refill, no randomness) up to AdmissionBurst. A one-shot query
-	// issued from an empty bucket is shed to the broadcast-only path
-	// (Lemma 3.2 / on-air fallback — degraded, never wrong) instead of
-	// gathering peers. Continuous-subscription maintenance is exempt:
-	// safe-region hits are nearly free. Zero (the default) admits
-	// everything.
-	AdmissionRate float64
-	// AdmissionBurst is the token-bucket depth; defaults to 4 when
-	// AdmissionRate is set.
-	AdmissionBurst int
-	// Governed arms the load governor: a windowed answered-in-budget
-	// ratio (DeadlineSlots plus one broadcast cycle, the PR-7
-	// availability metric) is tracked per tick, and when it falls below
-	// GovernorFloor the governor sheds one-shot queries to the
-	// broadcast-only path until the ratio recovers. Priority-aware:
-	// continuous subscriptions keep their service. Off (the default) the
-	// governor never exists.
-	Governed bool
-	// GovernorFloor is the answered-in-budget ratio (0..1) below which
-	// the governor engages; defaults to 0.9 when Governed is set.
-	GovernorFloor float64
-	// CoalesceRadiusMiles arms cross-MH query coalescing: a query whose
-	// origin lies within this distance of an earlier same-tick, same-type
-	// query reuses that query's screened peer gather instead of
-	// broadcasting its own request — one gather serves the co-located
-	// crowd. Soundness is unchanged: the recipient still verifies against
-	// the shared regions and falls back to the channel when coverage is
-	// insufficient. Zero (the default) disables coalescing.
-	CoalesceRadiusMiles float64
-
 	// TickWorkers sets when the query pipeline's pure execute stage runs
 	// (DESIGN.md §14.2). 0 or 1 (the default): each query executes and
 	// commits as it is drawn. More: a tick's prepared queries are held
@@ -347,7 +190,58 @@ type Params struct {
 	// report, trace, and metrics output is byte-identical at every
 	// setting. The knob is a host-machine execution detail, never part
 	// of the simulated configuration, so it is excluded from Report rows.
-	TickWorkers int `json:"-"`
+	TickWorkers int `json:"-" flag:""`
+}
+
+// LayerKnobs gathers the knob structs declared beside each shell layer.
+// It is embedded in both Params and Report, so a knob is declared once: a
+// field's tags are its report key, its lbsq-sim flag, its inclusive upper
+// bound and its help line (internal/knob), and the `layer` tags here title
+// `lbsq-sim -h`. Report rows carry the keys in this order.
+type LayerKnobs struct {
+	LifecycleKnobs   `layer:"collection lifecycle (DESIGN.md §8)"`
+	TrustKnobs       `layer:"trust: audits against byzantine peers (DESIGN.md §11)"`
+	ConsistencyKnobs `layer:"consistency: POI updates and invalidation reports (DESIGN.md §12)"`
+	ChannelKnobs     `layer:"degraded-mode planner (DESIGN.md §13)"`
+	ContinuousKnobs  `layer:"continuous queries (DESIGN.md §15)"`
+	CrowdKnobs       `layer:"flash crowd (DESIGN.md §16)"`
+	OverloadKnobs    `layer:"overload control (DESIGN.md §16)"`
+}
+
+// LifecycleKnobs bound one query's peer collection (DESIGN.md §8).
+type LifecycleKnobs struct {
+	// DeadlineSlots is the per-query slot budget of peer collection: when
+	// a query's retry backoff would spend more broadcast slots than this,
+	// collection abandons its remaining targets and the query falls back
+	// to the channel with the spent slots priced into its access latency.
+	// Zero disables the deadline.
+	DeadlineSlots int `json:"deadline_slots" flag:"deadline-slots" usage:"per-query P2P slot budget; exceeding it falls back to the channel (0 = no deadline)"`
+	// BreakerThreshold is the consecutive-failure count (CRC rejections,
+	// stale discards, reply timeouts) that trips a peer's circuit breaker
+	// open. Zero disables per-peer breakers.
+	BreakerThreshold int `json:"breaker_threshold" flag:"breaker-threshold" usage:"consecutive peer failures that trip its circuit breaker (0 = breakers off)"`
+	// BreakerCooldown is the quarantine length of a tripped breaker in
+	// collection cycles (one query's P2P phase = one cycle). Zero selects
+	// p2p.DefaultBreakerCooldown when BreakerThreshold is set.
+	BreakerCooldown int64 `json:"breaker_cooldown" flag:"breaker-cooldown" usage:"breaker quarantine in collection cycles (0 = default 8 when breakers on)"`
+}
+
+// TrustKnobs arm the Byzantine-resilience layer (DESIGN.md §11).
+type TrustKnobs struct {
+	// AuditRate enables the Byzantine-resilience layer (internal/trust):
+	// the probability that one peer contribution is spot-audited against
+	// the broadcast channel during one query's screen. Zero (the default)
+	// disables the whole defense — no trust engine exists, peer
+	// contributions flow to the core algorithms unscreened, and every
+	// output is bit-identical to a build without the layer. Nonzero arms
+	// audit-gated vouching: contributions from unvouched peers are
+	// tainted (demoted to the Lemma 3.2 probabilistic path), overlapping
+	// verified regions are cross-validated, and convictions quarantine
+	// the peer and force its circuit breaker open. Audit slot costs are
+	// priced into the audited query's access latency and charged against
+	// its DeadlineSlots budget. Byzantine peers themselves are configured
+	// through Faults.ByzantineRate and Faults.Attack.
+	AuditRate float64 `json:"audit_rate,omitempty" flag:"audit-rate" max:"1" usage:"probability one peer contribution is spot-audited against the channel [0, 1]; 0 disables the trust layer"`
 }
 
 // applyDefaults fills unset simulator knobs with the paper-faithful
@@ -441,59 +335,20 @@ func (p *Params) Validate() error {
 	case p.WarmupFrac < 0 || p.WarmupFrac >= 1:
 		return fmt.Errorf("sim: WarmupFrac %v out of [0,1)", p.WarmupFrac)
 	}
-	if err := p.Faults.Validate(); err != nil {
+	// Every flag-tagged knob — here, in the layer structs and in Faults —
+	// is range-checked from its declaration: finite, non-negative, at most
+	// its `max`.
+	if err := knob.Check(p); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	if p.DeadlineSlots < 0 {
-		return fmt.Errorf("sim: negative DeadlineSlots %d", p.DeadlineSlots)
+	if err := p.Faults.Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	if err := p.BreakerConfig().Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
 	if err := p.TrustConfig().Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
-	}
-	switch {
-	case p.UpdateRate != p.UpdateRate || p.UpdateRate < 0:
-		return fmt.Errorf("sim: UpdateRate %v must be a non-negative number", p.UpdateRate)
-	case p.IRPeriodSec != p.IRPeriodSec || p.IRPeriodSec < 0:
-		return fmt.Errorf("sim: IRPeriodSec %v must be a non-negative number", p.IRPeriodSec)
-	case p.IRWindow < 0:
-		return fmt.Errorf("sim: negative IRWindow %d", p.IRWindow)
-	case p.VRTTLSec != p.VRTTLSec || p.VRTTLSec < 0:
-		return fmt.Errorf("sim: VRTTLSec %v must be a non-negative number", p.VRTTLSec)
-	}
-	if p.ContinuousRate != p.ContinuousRate || p.ContinuousRate < 0 {
-		return fmt.Errorf("sim: ContinuousRate %v must be a non-negative number", p.ContinuousRate)
-	}
-	switch {
-	case p.CrowdRate != p.CrowdRate || p.CrowdRate < 0:
-		return fmt.Errorf("sim: CrowdRate %v must be a non-negative number", p.CrowdRate)
-	case p.CrowdRadiusMiles != p.CrowdRadiusMiles || p.CrowdRadiusMiles < 0:
-		return fmt.Errorf("sim: CrowdRadiusMiles %v must be a non-negative number", p.CrowdRadiusMiles)
-	case p.CrowdCenterXMiles != p.CrowdCenterXMiles || p.CrowdCenterXMiles < 0:
-		return fmt.Errorf("sim: CrowdCenterXMiles %v must be a non-negative number", p.CrowdCenterXMiles)
-	case p.CrowdCenterYMiles != p.CrowdCenterYMiles || p.CrowdCenterYMiles < 0:
-		return fmt.Errorf("sim: CrowdCenterYMiles %v must be a non-negative number", p.CrowdCenterYMiles)
-	case p.CrowdStartSec != p.CrowdStartSec || p.CrowdStartSec < 0:
-		return fmt.Errorf("sim: CrowdStartSec %v must be a non-negative number", p.CrowdStartSec)
-	case p.CrowdDurationSec != p.CrowdDurationSec || p.CrowdDurationSec < 0:
-		return fmt.Errorf("sim: CrowdDurationSec %v must be a non-negative number", p.CrowdDurationSec)
-	case p.PeerQueueCap < 0:
-		return fmt.Errorf("sim: negative PeerQueueCap %d", p.PeerQueueCap)
-	case p.RetryBudget < 0:
-		return fmt.Errorf("sim: negative RetryBudget %d", p.RetryBudget)
-	case p.AdmissionRate != p.AdmissionRate || p.AdmissionRate < 0:
-		return fmt.Errorf("sim: AdmissionRate %v must be a non-negative number", p.AdmissionRate)
-	case p.AdmissionBurst < 0:
-		return fmt.Errorf("sim: negative AdmissionBurst %d", p.AdmissionBurst)
-	case p.GovernorFloor != p.GovernorFloor || p.GovernorFloor < 0 || p.GovernorFloor > 1:
-		return fmt.Errorf("sim: GovernorFloor %v out of [0,1]", p.GovernorFloor)
-	case p.CoalesceRadiusMiles != p.CoalesceRadiusMiles || p.CoalesceRadiusMiles < 0:
-		return fmt.Errorf("sim: CoalesceRadiusMiles %v must be a non-negative number", p.CoalesceRadiusMiles)
-	}
-	if p.TickWorkers < 0 {
-		return fmt.Errorf("sim: negative TickWorkers %d", p.TickWorkers)
 	}
 	return nil
 }

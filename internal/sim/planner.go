@@ -28,6 +28,24 @@ import (
 // EXPERIMENTS.md availability curve compares against), and a deep fade is
 // simply a very lossy collection round.
 
+// ChannelKnobs select how queries meet the correlated channel impairments
+// of Faults.Burst*/Blackout* (DESIGN.md §13).
+type ChannelKnobs struct {
+	// DegradedMode arms the degraded-mode query planner (DESIGN.md §13):
+	// each query classifies its connectivity (broadcast downlink up/down ×
+	// P2P channel up/down) and walks the fallback ladder — full protocol →
+	// P2P-only with Lemma 3.2 probabilistic answers → on-air-only →
+	// serve-from-own-cache with an explicit staleness bound. Off (the
+	// default), queries run the full protocol unconditionally: a dark
+	// downlink stalls them until the blackout window ends, and a deep fade
+	// burns the whole retry budget against unreachable peers. The planner
+	// only changes behavior when the burst or blackout knobs
+	// (Faults.Burst*/Blackout*) create impairments to classify; with those
+	// zero every query classifies as fully connected and output is
+	// bit-identical to a build without the planner.
+	DegradedMode bool `json:"degraded_mode,omitempty" flag:"degraded" usage:"arm the degraded-mode query planner (fallback ladder instead of naive stalls)"`
+}
+
 // queryMode is one rung of the fallback ladder.
 type queryMode int
 

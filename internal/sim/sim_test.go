@@ -281,9 +281,6 @@ func TestStatsAccessors(t *testing.T) {
 	if s.AvgPeers() != 4 {
 		t.Errorf("AvgPeers = %v", s.AvgPeers())
 	}
-	if s.String() == "" {
-		t.Error("String empty")
-	}
 }
 
 func TestPeerBytesAccounting(t *testing.T) {

@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // Stats aggregates the quantities the paper's figures report.
 type Stats struct {
 	// Queries is the number of (post-warm-up) queries issued.
@@ -440,72 +438,6 @@ func (s Stats) ResilienceEvents() int64 {
 	return s.DeadlineAborts + s.BackoffSlots + s.BreakerTrips +
 		s.BreakerShortCircuits + s.BreakerRecoveries +
 		s.ChurnDepartures + s.ChurnReturns + s.WastedRetries
-}
-
-// String renders a one-line summary.
-func (s Stats) String() string {
-	out := fmt.Sprintf(
-		"queries=%d verified=%.1f%% approx=%.1f%% broadcast=%.1f%% avgPeers=%.1f avgLatency=%.0f slots",
-		s.Queries, s.VerifiedPct(), s.ApproximatePct(), s.BroadcastPct(),
-		s.AvgPeers(), s.AvgLatencySlots(),
-	)
-	if s.FaultEvents() > 0 {
-		out += fmt.Sprintf(
-			" faults[unheard=%d dropped=%d rejected=%d stale=%d retries=%d rexmit=%d idxretry=%d]",
-			s.RequestsUnheard, s.RepliesDropped, s.RepliesRejected,
-			s.StaleVRs, s.PeerRetries, s.Retransmissions, s.IndexRetries,
-		)
-	}
-	if s.ResilienceEvents() > 0 {
-		out += fmt.Sprintf(
-			" resilience[aborts=%d backoff=%d trips=%d shortcircuits=%d recoveries=%d churn=%d/%d wasted=%d]",
-			s.DeadlineAborts, s.BackoffSlots, s.BreakerTrips,
-			s.BreakerShortCircuits, s.BreakerRecoveries,
-			s.ChurnDepartures, s.ChurnReturns, s.WastedRetries,
-		)
-	}
-	if s.TrustEvents() > 0 || s.ByzantineLies > 0 {
-		out += fmt.Sprintf(
-			" trust[lies=%d audits=%d/%d conflicts=%d quarantined=%d auditslots=%d area=%.2f]",
-			s.ByzantineLies, s.AuditsRun, s.AuditFailures, s.ConflictsDetected,
-			s.PeersQuarantined, s.AuditSlots, s.QuarantinedArea,
-		)
-	}
-	if s.ConsistencyEvents() > 0 {
-		out += fmt.Sprintf(
-			" consistency[updates=%d irs=%d listens=%d listenslots=%d reconciled=%d demoted=%d discarded=%d expired=%d staleverdicts=%d]",
-			s.POIUpdates, s.IRBroadcasts, s.IRListens, s.IRListenSlots,
-			s.VRsReconciled, s.VRsDemoted, s.VRsDiscarded, s.VRsExpired,
-			s.StaleVerdicts,
-		)
-	}
-	if s.ChannelEvents() > 0 || s.AnsweredInBudget > 0 {
-		out += fmt.Sprintf(
-			" channel[degraded=%d unanswered=%d modes=%d/%d/%d switchslots=%d blackout[q=%d wait=%d recov=%d] irdef=%d iraborts=%d fadesupp=%d burst[loss=%d trans=%d] inbudget=%.1f%% stalebound=%ds]",
-			s.Degraded, s.Unanswered, s.ModeP2POnly, s.ModeOnAirOnly,
-			s.ModeOwnCache, s.ModeSwitchSlots, s.BlackoutQueries,
-			s.BlackoutWaitSlots, s.BlackoutRecoveries, s.IRDeferred,
-			s.IRListenAborts, s.FadeSuppressedStrikes, s.BurstFrameLosses,
-			s.BurstTransitions, s.AnsweredInBudgetPct(), s.StaleBoundMaxSec,
-		)
-	}
-	if s.ContinuousEvents() > 0 {
-		out += fmt.Sprintf(
-			" continuous[subs=%d hits=%d reverifies=%d (exit=%d taint=%d unverified=%d naive=%d) degraded=%d slots=%d fraction=%.2f]",
-			s.Subscriptions, s.SafeRegionHits, s.Reverifies,
-			s.ReverifyExits, s.ReverifyTaints, s.ReverifyUnverified,
-			s.ReverifyNaive, s.ContDegraded, s.ContSlots, s.ReverifyFraction(),
-		)
-	}
-	if s.OverloadEvents() > 0 {
-		out += fmt.Sprintf(
-			" overload[crowd=%d busy=%d qdrops=%d shed=%d (admission=%d governor=%d) govticks=%d retrybudget=%d coalesced=%d]",
-			s.CrowdQueries, s.BusyReplies, s.QueueDrops, s.Shed,
-			s.AdmissionDenied, s.GovernorSheds, s.GovernorEngagedTicks,
-			s.RetryBudgetExhausted, s.Coalesced,
-		)
-	}
-	return out
 }
 
 func pct(part, whole int) float64 {
