@@ -17,7 +17,7 @@ STATICCHECK_VERSION = 2025.1.1
 COVER_PKGS = internal/core internal/geom internal/metrics internal/trust internal/cache internal/faults internal/sim internal/p2p internal/broadcast
 COVER_MIN ?= 70
 
-.PHONY: all build vet test race lint loc cover cover-profile cover-check fuzz-smoke verify goldens continuous-identity trust-identity nnv-identity soak bench bench-e2e-check
+.PHONY: all build vet test race lint loc loc-check cover cover-profile cover-check fuzz-smoke verify goldens continuous-identity trust-identity nnv-identity soak bench bench-e2e-check
 
 all: build
 
@@ -76,80 +76,34 @@ cover-check:
 				else printf "cover-check: %s %.1f%%\n", p, pct[p] } \
 			exit bad }' results/cover.txt
 
-# Short native-fuzzing runs of the wire codecs, the byzantine attack
-# mangler and the MVR geometry kernel: the decoders must survive arbitrary
-# bytes (the fault layer's truncation/corruption damage classes) without
-# panicking, accepted inputs must round-trip canonically, every attack
-# profile must produce a materially false claim over arbitrary geometry
-# (the trust layer's audits-always-convict contract), the row-strip
-# RectUnion must match its brute-force oracles bit for bit on degenerate
-# grid geometry (DESIGN.md §9.2), a union cut down to the members near a
-# query point must keep that point's clearance and disk areas within the
-# cut radius (DESIGN.md §9.3), the trust screen's one-hole subtraction
-# must emit SubtractRect's rectangles bit for bit and in its order, its
-# claim-coverage detection must find the pair loop's conflicts element
-# for element and its incremental quarantine outline must be the one the
-# ledger defines after every op (DESIGN.md §11.5), and the
-# append-into-scratch subtraction and the IR repair kernel over it must
-# match their allocating references
-# on one dirty scratch (DESIGN.md §12.3), and so must the on-air client
-# kernels — search radius, kNN client, window client, region growing
-# (DESIGN.md §9.1). The seed corpora are part of
-# the gate: a missing testdata corpus means a fuzz target silently lost
-# its regression inputs, so fail loudly instead of fuzzing from nothing.
-# Explicit -timeout keeps a hung target from stalling CI for go test's
-# 10-minute default.
+# Short native-fuzzing runs of every fuzz target under internal/: the wire
+# decoders and the attack mangler against arbitrary bytes and geometry, and
+# the scratch kernels (MVR union, local clearance, subtraction, conflict
+# detection, quarantine outline, IR repair, on-air client) against the
+# references they replaced — each target's doc comment states its contract.
+# The seed corpora are part of the gate: a missing testdata corpus means a
+# fuzz target silently lost its regression inputs, so fail loudly instead
+# of fuzzing from nothing. Explicit -timeout keeps a hung target from
+# stalling CI for go test's 10-minute default.
+# The target list is read off the source (every `func Fuzz*` under
+# internal/, as pkg:Target), so a new target joins the gate without an
+# edit here. The -fuzz pattern is anchored because go test refuses to fuzz
+# when it matches two targets, as one target's name may prefix another's.
+FUZZ_TARGETS = $(shell grep -rHo '^func Fuzz[A-Za-z0-9_]*' internal --include='*_test.go' | \
+	sed -E 's,^internal/([^/]+)/[^:]*:func ,\1:,' | sort -u)
+
 fuzz-smoke:
-	@if [ ! -d internal/wire/testdata/fuzz ]; then \
-		echo "fuzz-smoke: internal/wire/testdata/fuzz corpus missing"; exit 1; \
-	fi
-	@if [ ! -d internal/wire/testdata/fuzz/FuzzDecodeBusy ]; then \
-		echo "fuzz-smoke: internal/wire/testdata/fuzz/FuzzDecodeBusy corpus missing"; exit 1; \
-	fi
-	@if [ ! -d internal/faults/testdata/fuzz ]; then \
-		echo "fuzz-smoke: internal/faults/testdata/fuzz corpus missing"; exit 1; \
-	fi
-	@if [ ! -d internal/geom/testdata/fuzz/FuzzRectUnion ]; then \
-		echo "fuzz-smoke: internal/geom/testdata/fuzz/FuzzRectUnion corpus missing"; exit 1; \
-	fi
-	@if [ ! -d internal/geom/testdata/fuzz/FuzzLocalClearance ]; then \
-		echo "fuzz-smoke: internal/geom/testdata/fuzz/FuzzLocalClearance corpus missing"; exit 1; \
-	fi
-	@if [ ! -d internal/geom/testdata/fuzz/FuzzSubtractOne ]; then \
-		echo "fuzz-smoke: internal/geom/testdata/fuzz/FuzzSubtractOne corpus missing"; exit 1; \
-	fi
-	@if [ ! -d internal/geom/testdata/fuzz/FuzzAppendSubtractRect ]; then \
-		echo "fuzz-smoke: internal/geom/testdata/fuzz/FuzzAppendSubtractRect corpus missing"; exit 1; \
-	fi
-	@for f in FuzzDetectConflicts FuzzOutline; do \
-		if [ ! -d internal/trust/testdata/fuzz/$$f ]; then \
-			echo "fuzz-smoke: internal/trust/testdata/fuzz/$$f corpus missing"; exit 1; \
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; f=$${t##*:}; \
+		if [ ! -d internal/$$pkg/testdata/fuzz/$$f ]; then \
+			echo "fuzz-smoke: internal/$$pkg/testdata/fuzz/$$f corpus missing"; exit 1; \
 		fi; \
 	done
-	@if [ ! -d internal/cache/testdata/fuzz/FuzzReconcileRegion ]; then \
-		echo "fuzz-smoke: internal/cache/testdata/fuzz/FuzzReconcileRegion corpus missing"; exit 1; \
-	fi
-	@for f in FuzzSearchRadius FuzzKNNScratch FuzzWindowClient FuzzGrowCompleteRect; do \
-		if [ ! -d internal/broadcast/testdata/fuzz/$$f ]; then \
-			echo "fuzz-smoke: internal/broadcast/testdata/fuzz/$$f corpus missing"; exit 1; \
-		fi; \
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; f=$${t##*:}; \
+		echo "$(GO) test -run='^$$' -fuzz=^$$f\$$ -fuzztime=5s -timeout 5m ./internal/$$pkg"; \
+		$(GO) test -run='^$$' -fuzz="^$$f\$$" -fuzztime=5s -timeout 5m ./internal/$$pkg || exit 1; \
 	done
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeReply -fuzztime=5s -timeout 5m ./internal/wire
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=5s -timeout 5m ./internal/wire
-	$(GO) test -run='^$$' -fuzz=FuzzInvalidationReport -fuzztime=5s -timeout 5m ./internal/wire
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeBusy -fuzztime=5s -timeout 5m ./internal/wire
-	$(GO) test -run='^$$' -fuzz=FuzzAttackClaim -fuzztime=5s -timeout 5m ./internal/faults
-	$(GO) test -run='^$$' -fuzz=FuzzRectUnion -fuzztime=5s -timeout 5m ./internal/geom
-	$(GO) test -run='^$$' -fuzz=FuzzLocalClearance -fuzztime=5s -timeout 5m ./internal/geom
-	$(GO) test -run='^$$' -fuzz=FuzzSubtractOne -fuzztime=5s -timeout 5m ./internal/geom
-	$(GO) test -run='^$$' -fuzz=FuzzAppendSubtractRect -fuzztime=5s -timeout 5m ./internal/geom
-	$(GO) test -run='^$$' -fuzz=FuzzDetectConflicts -fuzztime=5s -timeout 5m ./internal/trust
-	$(GO) test -run='^$$' -fuzz=FuzzOutline -fuzztime=5s -timeout 5m ./internal/trust
-	$(GO) test -run='^$$' -fuzz=FuzzReconcileRegion -fuzztime=5s -timeout 5m ./internal/cache
-	$(GO) test -run='^$$' -fuzz=FuzzSearchRadius -fuzztime=5s -timeout 5m ./internal/broadcast
-	$(GO) test -run='^$$' -fuzz=FuzzKNNScratch -fuzztime=5s -timeout 5m ./internal/broadcast
-	$(GO) test -run='^$$' -fuzz=FuzzWindowClient -fuzztime=5s -timeout 5m ./internal/broadcast
-	$(GO) test -run='^$$' -fuzz=FuzzGrowCompleteRect -fuzztime=5s -timeout 5m ./internal/broadcast
 
 verify: vet build race fuzz-smoke
 	@echo "verify: all gates passed"
@@ -167,21 +121,38 @@ goldens:
 # world.go that gate on a layer pointer, Stats fields, lbsq-sim flags,
 # commands under cmd/ — and item 3's: lines of stats.go + metrics.go, and
 # lines outside metrics.go that touch the metrics bundle.
+LOC_SIM = ls internal/sim/*.go | grep -v _test.go | xargs cat | wc -l
+LOC_ALL = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+LOC_MAIN = wc -l < cmd/lbsq-sim/main.go
 loc:
-	@printf 'loc: internal/sim non-test lines: '; \
-		ls internal/sim/*.go | grep -v _test.go | xargs cat | wc -l
-	@printf 'loc: all non-test, non-bench lines: '; \
-		find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+	@printf 'loc: internal/sim non-test lines: '; $(LOC_SIM)
+	@printf 'loc: all non-test, non-bench lines: '; $(LOC_ALL)
 	@printf 'loc: internal/sim/world.go lines: '; wc -l < internal/sim/world.go
 	@printf 'loc: "!= nil" layer gates in world.go: '; grep -c '!= nil' internal/sim/world.go
 	@printf 'loc: Stats fields: '; \
 		awk '/^type Stats struct/,/^}/' internal/sim/stats.go | grep -cE '^\s[A-Z][A-Za-z0-9]* '
-	@printf 'loc: lbsq-sim flags: '; grep -cE '= flag\.[A-Z]' cmd/lbsq-sim/main.go
+	@printf 'loc: lbsq-sim flags: '; $(GO) run ./cmd/lbsq-sim -h 2>&1 | grep -cE '^  -'
+	@printf 'loc: cmd/lbsq-sim/main.go lines: '; $(LOC_MAIN)
 	@printf 'loc: cmd/ directories: '; ls -d cmd/*/ | wc -l
 	@printf 'loc: internal/sim stats.go + metrics.go lines: '; \
 		cat internal/sim/stats.go internal/sim/metrics.go | wc -l
 	@printf 'loc: "w.mx" lines outside metrics.go: '; \
 		ls internal/sim/*.go | grep -v -e _test.go -e /metrics.go | xargs cat | grep -c 'w\.mx'
+
+# Ceilings on the three size measures that crept between re-anchors
+# (17,079 → 17,425 non-test lines over PRs 21–23 with nothing noticing),
+# set at the values of the PR that introduced the check. A PR that needs
+# more raises the ceiling in the same diff, where a reviewer sees it; one
+# that shrinks the system lowers it.
+LOC_MAX_ALL = 17013
+LOC_MAX_SIM = 4523
+LOC_MAX_MAIN = 413
+loc-check:
+	@check() { if [ "$$2" -gt "$$3" ]; then echo "loc-check: $$1: $$2 lines, ceiling $$3"; exit 1; fi; \
+			echo "loc-check: $$1: $$2 lines (ceiling $$3)"; }; \
+		check 'all non-test, non-bench' $$($(LOC_ALL)) $(LOC_MAX_ALL) && \
+		check 'internal/sim non-test' $$($(LOC_SIM)) $(LOC_MAX_SIM) && \
+		check 'cmd/lbsq-sim/main.go' $$($(LOC_MAIN)) $(LOC_MAX_MAIN)
 
 # Continuous-query identity lane (DESIGN.md §15): zero-knob and armed
 # determinism, the batched-tick identity matrix with subscriptions live,
