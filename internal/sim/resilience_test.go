@@ -76,7 +76,7 @@ func TestDeadlineBoundsBackoffSpend(t *testing.T) {
 // traffic during cooldown, and recover via half-open probes.
 func TestBreakersQuarantineDamagedPeers(t *testing.T) {
 	prof := faults.Profile{
-		ReplyTruncate: 0.35, ReplyCorrupt: 0.35, StaleRate: 0.2, MaxRetries: 3,
+		ReplyTruncate: 0.35, ReplyCorrupt: 0.35, MaxRetries: 3,
 	}
 	w := resilientWorld(t, 33, prof, 0, 2, 4)
 	s := w.Run()
@@ -158,7 +158,7 @@ func TestChurnWastesRetries(t *testing.T) {
 func TestResilientDeterminism(t *testing.T) {
 	prof := faults.Profile{
 		RequestLoss: 0.3, ReplyLoss: 0.15, ReplyTruncate: 0.1,
-		ReplyCorrupt: 0.1, StaleRate: 0.1, ChurnRate: 0.15, MaxRetries: 4,
+		ReplyCorrupt: 0.1, ChurnRate: 0.15, MaxRetries: 4,
 	}
 	a := resilientWorld(t, 36, prof, 12, 3, 6)
 	b := resilientWorld(t, 36, prof, 12, 3, 6)

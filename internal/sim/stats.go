@@ -53,10 +53,6 @@ type Stats struct {
 	// RepliesRejected counts truncated or bit-corrupted peer replies the
 	// wire decoder's CRC/structure checks refused.
 	RepliesRejected int64
-	// StaleVRs counts shared verified regions the POI-update process had
-	// silently invalidated (discarded by the consistency layer unless the
-	// TrustStale test knob is set).
-	StaleVRs int64
 	// Retransmissions counts broadcast data-packet receptions lost to
 	// channel errors; the client waited a further cycle for each.
 	Retransmissions int64
@@ -348,8 +344,7 @@ func (s Stats) AvgPeers() float64 {
 // statistics — zero exactly when the run saw an ideal substrate.
 func (s Stats) FaultEvents() int64 {
 	return s.RequestsUnheard + s.RepliesDropped + s.RepliesRejected +
-		s.StaleVRs + s.Retransmissions + s.IndexRetries + s.ChurnDepartures +
-		s.ByzantineLies
+		s.Retransmissions + s.IndexRetries + s.ChurnDepartures + s.ByzantineLies
 }
 
 // TrustEvents returns the total activity of the trust layer — zero

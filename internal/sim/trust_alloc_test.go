@@ -89,7 +89,7 @@ func TestAdmitSharedRepairAllocFree(t *testing.T) {
 	tc.epoch, tc.horizon, tc.invals = 1, 1, cache.NewInvalSet(items)
 
 	var peers []core.PeerData
-	var out replyOutcome
+	var out replyKind
 	reply := func() {
 		w.qs.arena.Rewind()
 		w.qs.origins = w.qs.origins[:0]
@@ -100,7 +100,7 @@ func TestAdmitSharedRepairAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, reply); allocs != 0 {
 		t.Fatalf("repairing reply allocated %v times", allocs)
 	}
-	if out.kind != replyDelivered || len(peers) < 4*regions || len(w.qs.origins) != len(peers) {
+	if out != replyDelivered || len(peers) < 4*regions || len(w.qs.origins) != len(peers) {
 		t.Fatalf("outcome %+v with %d peers entries and %d origins, want every region cut into pieces",
 			out, len(peers), len(w.qs.origins))
 	}

@@ -99,12 +99,10 @@ func TestByzantineSoundnessGrid(t *testing.T) {
 }
 
 // TestTrustHonestSubstrate: audits armed over honest peers must vouch,
-// never convict — no false positives from the defense itself (the
-// consistency layer discards stale regions before screening, so every
-// surviving honest claim is ground-truth exact).
+// never convict — no false positives from the defense itself (with no
+// POI updates every honest claim is ground-truth exact).
 func TestTrustHonestSubstrate(t *testing.T) {
 	p := byzParams(77, KNNQuery, 0, 0.5, faults.AttackNone)
-	p.Faults.StaleRate = 0.1 // stale regions are discarded pre-screen
 	w, s := runSoakWorld(t, p)
 	if err := w.SelfCheckErr(); err != nil {
 		t.Fatal(err)

@@ -172,7 +172,7 @@ type queryScratch struct {
 	peers    []core.PeerData      // collected verified regions
 	origins  []origin             // where each peers entry came from
 	targets  []collectTarget      // per-peer collection state
-	shared   []sharedRegion       // receiveReply staging
+	shared   []cache.Region       // receiveReply staging
 	regs     []wire.Region        // wire-encoding staging (damaged-reply path)
 	contribs []trust.Contribution // trust-screen staging
 	screened []core.PeerData      // trust-screened PeerData
@@ -195,13 +195,6 @@ type collectTarget struct {
 	// end-of-collection timeout is strike-exempt (the BUSY/queue-drop
 	// analogue of the fade suppression below).
 	dropped bool
-}
-
-// sharedRegion is one cache region a peer serves in a reply, with its
-// staleness fate drawn from the injector.
-type sharedRegion struct {
-	region cache.Region
-	stale  bool
 }
 
 type host struct {
@@ -472,7 +465,6 @@ func (w *World) Stats() Stats {
 	s.RequestsUnheard = c.RequestsUnheard
 	s.RepliesDropped = c.RepliesDropped
 	s.RepliesRejected = c.RepliesTruncated + c.RepliesCorrupted
-	s.StaleVRs = c.StaleVRs
 	s.ChurnDepartures = c.ChurnDepartures
 	s.ChurnReturns = c.ChurnReturns
 	s.BurstFrameLosses = c.BurstLosses
@@ -666,9 +658,9 @@ func (w *World) trustScreen(ti int, peers []core.PeerData, spent int64, bcastUp 
 //     may churn: power off / drift out of range (a reply already in
 //     flight still arrives; later retries to the departed peer are
 //     wasted) or power back on and rejoin.
-//  5. Reply outcomes feed the per-peer breakers: CRC rejections, stale
-//     discards, and end-of-collection timeouts are failures; sound
-//     deliveries are successes.
+//  5. Reply outcomes feed the per-peer breakers: CRC rejections and
+//     end-of-collection timeouts are failures; sound deliveries are
+//     successes.
 //
 // Every random draw (loss, fates, churn, jitter) comes from the seeded
 // injector stream. With a zero fault profile every peer resolves in round
@@ -805,20 +797,14 @@ func (w *World) gather(idx, ti int, relevance geom.Rect) ([]core.PeerData, int, 
 					continue
 				}
 			}
-			var out replyOutcome
+			var out replyKind
 			peers, out = w.receiveReply(peers, t.id, ti, relevance, stamp, count)
-			switch out.kind {
+			switch out {
 			case replyDelivered:
 				t.resolved = true
 				remaining--
 				w.net.Stats.Replies++
-				if out.staleDiscards > 0 {
-					// The peer served outdated regions the consistency
-					// layer had to throw away.
-					w.breakers.RecordFailure(t.id)
-				} else {
-					w.breakers.RecordSuccess(t.id)
-				}
+				w.breakers.RecordSuccess(t.id)
 			case replySilent, replyUnencodable:
 				// Null ack: nothing relevant — no reason to retry, no
 				// reputation signal either way.
@@ -845,8 +831,8 @@ func (w *World) gather(idx, ti int, relevance geom.Rect) ([]core.PeerData, int, 
 	// impaired chain suppresses every timeout strike of the collection
 	// (a global fade must never trip honest-peer breakers); and a
 	// half-open probe whose target departed mid-probe is inconclusive
-	// rather than failed (RecordDeparture). Content-level strikes — CRC
-	// rejections and stale discards above — stand either way: a fade
+	// rather than failed (RecordDeparture). Content-level strikes — the CRC
+	// rejections above — stand either way: a fade
 	// only removes frames, it cannot damage the ones that arrive.
 	impaired := w.inj.ChannelImpaired()
 	for i := range targets {
@@ -899,18 +885,11 @@ const (
 	replyUnencodable
 )
 
-// replyOutcome is one reply attempt's classification plus how many of its
-// delivered regions the consistency layer discarded as stale.
-type replyOutcome struct {
-	kind          replyKind
-	staleDiscards int
-}
-
 // receiveReply models one peer answering a cache request: the peer serves
 // every cached region intersecting the relevance rectangle, the channel
 // applies a transport fate to the reply, and the client's consistency
 // gate admits what arrived. Surviving regions are appended to peers.
-func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.Rect, stamp int64, count bool) ([]core.PeerData, replyOutcome) {
+func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.Rect, stamp int64, count bool) ([]core.PeerData, replyKind) {
 	c := w.hosts[id].caches[ti]
 	// Serving is a cache touchpoint: the peer lazily expires its own
 	// timed-out regions before offering anything (no-op unless VRTTLSec).
@@ -929,8 +908,7 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 		if !regions[ri].Rect.Intersects(relevance) {
 			continue
 		}
-		shared = append(shared, sharedRegion{region: regions[ri]})
-		s := &shared[len(shared)-1]
+		shared = append(shared, regions[ri])
 		// The peer serves the region regardless of freshness — it cannot
 		// know the POI-update process invalidated it.
 		c.Touch(ri, stamp)
@@ -939,18 +917,18 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 			// radio: the lie rides every downstream path (delivery, loss,
 			// wire damage) exactly like an honest claim would. AttackClaim
 			// returns fresh copies, so the host's own cache stays intact.
-			s.region.Rect, s.region.POIs = w.inj.AttackClaim(s.region.Rect, s.region.POIs, atk)
+			s := &shared[len(shared)-1]
+			s.Rect, s.POIs = w.inj.AttackClaim(s.Rect, s.POIs, atk)
 		}
-		s.stale = w.inj.StaleVR()
 	}
 	w.qs.shared = shared
 	if len(shared) == 0 {
-		return peers, replyOutcome{kind: replySilent} // nothing relevant: the peer stays silent
+		return peers, replySilent // nothing relevant: the peer stays silent
 	}
 
 	wireBytes := wire.ReplyOverhead
 	for i := range shared {
-		wireBytes += wire.RegionWireSize(len(shared[i].region.POIs))
+		wireBytes += wire.RegionWireSize(len(shared[i].POIs))
 	}
 
 	switch fate := w.inj.ReplyFate(); fate {
@@ -964,7 +942,7 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 		if count {
 			w.stats.PeerBytes += int64(wireBytes)
 		}
-		return peers, replyOutcome{kind: replyDropped}
+		return peers, replyDropped
 	default: // FateTruncate, FateCorrupt
 		// Damaged in flight: run the real codec end to end. The CRC
 		// trailer rejects the frame and the query degrades; in the
@@ -972,7 +950,7 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 		// the decoded content is used like any delivered reply.
 		regs := w.qs.regs[:0]
 		for i := range shared {
-			regs = append(regs, wire.Region{Rect: shared[i].region.Rect, POIs: shared[i].region.POIs})
+			regs = append(regs, wire.Region{Rect: shared[i].Rect, POIs: shared[i].POIs})
 		}
 		w.qs.regs = regs
 		w.queryID++
@@ -980,7 +958,7 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 		if err != nil {
 			// A cache region exceeding wire limits cannot be encoded;
 			// treat the reply as undeliverable.
-			return peers, replyOutcome{kind: replyUnencodable}
+			return peers, replyUnencodable
 		}
 		mangled := w.inj.Mangle(enc, fate)
 		if count {
@@ -989,55 +967,27 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 		dec, err := wire.DecodeReply(mangled)
 		if err != nil || len(dec.Regions) != len(shared) {
 			w.net.Stats.RepliesRejected++
-			return peers, replyOutcome{kind: replyRejected} // sound degradation, already counted
+			return peers, replyRejected // sound degradation, already counted
 		}
-		// The staged regions keep their epoch and staleness fate; the frame
-		// carries the (damage-passed) geometry.
+		// The staged regions keep their epoch; the frame carries the
+		// (damage-passed) geometry.
 		for i, reg := range dec.Regions {
-			shared[i].region.Rect, shared[i].region.POIs = reg.Rect, reg.POIs
+			shared[i].Rect, shared[i].POIs = reg.Rect, reg.POIs
 		}
 	}
 
-	// The client's consistency gate, once per staged region. With the
-	// layer armed every region passes the epoch gate — repair, demote or
-	// accept — and injector staleness rides it, so staleDiscards stays
-	// zero: staleness is amnestied there and the breakers see an ordinary
-	// delivery. With the layer off the gate is binary keep/discard.
-	trustStale := w.inj.Profile().TrustStale
-	var staleDiscards int
+	// The client's consistency gate, once per staged region: with the
+	// layer armed every region passes the epoch gate (repair, demote or
+	// accept), with it off every region is kept.
 	for i := range shared {
-		s := &shared[i]
-		switch {
-		case s.stale && trustStale:
-			// The documented TrustStale hazard: the diverged region is
-			// trusted at face value, claimed epoch included.
-			peers = append(peers, w.poisonRegion(core.PeerData{VR: s.region.Rect, POIs: s.region.POIs}))
-			w.qs.origins = append(w.qs.origins, origin{peer: id})
-		case w.cons != nil:
-			peers = w.admitShared(peers, id, ti, &s.region, s.stale)
-		case s.stale:
-			staleDiscards++
-		default:
-			peers = append(peers, core.PeerData{VR: s.region.Rect, POIs: s.region.POIs})
-			w.qs.origins = append(w.qs.origins, origin{peer: id})
+		if w.cons != nil {
+			peers = w.admitShared(peers, id, ti, &shared[i])
+			continue
 		}
+		peers = append(peers, core.PeerData{VR: shared[i].Rect, POIs: shared[i].POIs})
+		w.qs.origins = append(w.qs.origins, origin{peer: id})
 	}
-	return peers, replyOutcome{kind: replyDelivered, staleDiscards: staleDiscards}
-}
-
-// poisonRegion returns a silently diverged copy of a trusted stale
-// region: the verified-region promise stands while one POI is missing —
-// exactly the byzantine hazard of the core package's trust-model tests.
-// Only reachable under the TrustStale test knob.
-func (w *World) poisonRegion(pd core.PeerData) core.PeerData {
-	if len(pd.POIs) == 0 {
-		return pd
-	}
-	drop := w.inj.Pick(len(pd.POIs))
-	pois := make([]broadcast.POI, 0, len(pd.POIs)-1)
-	pois = append(pois, pd.POIs[:drop]...)
-	pois = append(pois, pd.POIs[drop+1:]...)
-	return core.PeerData{VR: pd.VR, POIs: pois}
+	return peers, replyDelivered
 }
 
 // drawK samples the per-query k around the configured mean.

@@ -17,9 +17,8 @@
 //     claim stands (a byzantine peer can never be vouched, so this
 //     verdict is sound — and it stops one liar from shredding the
 //     honest population's trust, the failure mode that otherwise
-//     collapses sharing coverage entirely). When neither (or both —
-//     only possible through the TrustStale bypass) is vouched the
-//     engine cannot tell who lied: the overlap rectangle is
+//     collapses sharing coverage entirely). When neither (or both) is
+//     vouched the engine cannot tell who lied: the overlap rectangle is
 //     quarantined out of the merge (subtracted from every unvouched
 //     contribution, one rectangle of the quarantine's outline at a time,
 //     via geom.AppendSubtractOne; vouched claims stand whole)
@@ -52,10 +51,9 @@
 // the Lemma 3.2 probabilistic path (never Verified, never a search
 // upper bound, never merged into exact channel answers). Lies can
 // therefore degrade answers from verified to probabilistic or
-// broadcast, but never produce a verified-wrong result. The one
-// documented bypass is the faults.TrustStale knob, which poisons
-// regions *after* honesty screening by construction; audits still
-// convict its victims when they sample them.
+// broadcast, but never produce a verified-wrong result. The one known
+// exception is DESIGN.md §11.3's residual: a lie a later POI update made
+// true passes its audit and vouches its peer.
 package trust
 
 import (
