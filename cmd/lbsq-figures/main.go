@@ -6,12 +6,15 @@
 // Usage:
 //
 //	lbsq-figures [-fig all|10|11|12|13|14|15|latency|analysis|ablation|
-//	              calibration|lifetime|phases]
+//	              calibration|lifetime|phases|faults]
 //	             [-side miles] [-hours h] [-step sec] [-seed n]
 //	             [-parallel n] [-pprof addr]
 //
 // -fig phases prints the per-phase query-cost breakdown (the
 // EXPERIMENTS.md latency-breakdown table) from metrics-enabled runs.
+// -fig faults runs the fault/resilience grid (internal/experiments.FaultGrid,
+// the `make bench` cells) and prints one self-checked sim.Report JSON line
+// per cell and nothing else; only -side, -hours and -parallel apply.
 // -pprof serves net/http/pprof on the given address for profiling long
 // figure regenerations.
 //
@@ -25,6 +28,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -35,11 +39,12 @@ import (
 	"time"
 
 	"lbsq/internal/experiments"
+	"lbsq/internal/sweep"
 )
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "figure to regenerate: all, 10..15, latency, analysis, ablation, calibration, lifetime, phases")
+		fig      = flag.String("fig", "all", "figure to regenerate: all, 10..15, latency, analysis, ablation, calibration, lifetime, phases, faults")
 		side     = flag.Float64("side", 5, "service area side in miles (density-preserving scale of the 20-mile Table 3 area)")
 		hours    = flag.Float64("hours", 0.5, "simulated hours per experiment cell")
 		step     = flag.Float64("step", 10, "simulation time step in seconds")
@@ -91,6 +96,9 @@ func main() {
 		printLifetime(opt)
 	case "phases":
 		printPhases(opt)
+	case "faults":
+		printFaultGrid(opt) // JSONL only: no trailer
+		return
 	default:
 		f, err := experiments.ByID(*fig, opt)
 		if err != nil {
@@ -157,6 +165,21 @@ func printCalibration(opt experiments.Options) {
 func printLifetime(opt experiments.Options) {
 	experiments.WriteLifetime(os.Stdout, experiments.ResultLifetime(opt))
 	fmt.Println()
+}
+
+func printFaultGrid(opt experiments.Options) {
+	reports, err := experiments.RunFaultGrid(sweep.Workers(opt.Parallel), opt.SideMiles, opt.DurationHours)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	enc := json.NewEncoder(os.Stdout)
+	for _, rep := range reports {
+		if err := enc.Encode(rep); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
 }
 
 func printPhases(opt experiments.Options) {

@@ -16,8 +16,10 @@ package cache
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 
 	"lbsq/internal/broadcast"
@@ -46,6 +48,19 @@ func (p Policy) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// Set implements flag.Value: it parses the -policy spelling, in any case.
+func (p *Policy) Set(s string) error {
+	switch strings.ToLower(s) {
+	case "direction", "direction-distance":
+		*p = DirectionDistance
+	case "lru":
+		*p = LRU
+	default:
+		return fmt.Errorf("unknown cache policy %q (want direction or lru)", s)
+	}
+	return nil
 }
 
 // behindPenalty scales the effective distance of regions that lie behind

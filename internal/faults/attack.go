@@ -78,6 +78,12 @@ func (a Attack) String() string {
 	}
 }
 
+// Set implements flag.Value: it parses the -attack spelling.
+func (a *Attack) Set(s string) (err error) {
+	*a, err = ParseAttack(s)
+	return err
+}
+
 // ParseAttack parses the -attack flag spelling.
 func ParseAttack(s string) (Attack, error) {
 	switch s {

@@ -1,6 +1,7 @@
 // Package knob turns tagged struct fields into everything a configuration
 // knob needs besides its meaning: a command-line flag, a range check and a
-// line of help. A knob is one exported bool, int, int64 or float64 field
+// line of help. A knob is one exported bool, int, int64 or float64 field,
+// or one whose pointer is a flag.Value (an enum with String and Set),
 // declared as
 //
 //	IRWindow int `json:"ir_window,omitempty" flag:"ir-window" usage:"epochs each invalidation report retains"`
@@ -70,6 +71,8 @@ func Bind(fs *flag.FlagSet, v any) {
 			return
 		}
 		switch p := k.Value.Addr().Interface().(type) {
+		case flag.Value:
+			fs.Var(p, k.Flag, k.Usage)
 		case *bool:
 			fs.BoolVar(p, k.Flag, *p, k.Usage)
 		case *int:
@@ -85,12 +88,18 @@ func Bind(fs *flag.FlagSet, v any) {
 }
 
 // Copy sets every knob of *dst to the value it has in *src (two values of
-// one struct type); fields that are not knobs keep what dst had.
+// one struct type) unless that value is zero: a knob left at zero, like a
+// field that is not a knob, keeps what dst had.
 func Copy(dst, src any) {
 	var vals []reflect.Value
 	Walk(src, func(k Knob) { vals = append(vals, k.Value) })
 	i := 0
-	Walk(dst, func(k Knob) { k.Value.Set(vals[i]); i++ })
+	Walk(dst, func(k Knob) {
+		if !vals[i].IsZero() {
+			k.Value.Set(vals[i])
+		}
+		i++
+	})
 }
 
 // Check returns an error naming the first numeric knob of *v, by flag and

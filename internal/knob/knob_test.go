@@ -2,6 +2,8 @@ package knob
 
 import (
 	"flag"
+	"fmt"
+	"io"
 	"math"
 	"slices"
 	"strings"
@@ -44,29 +46,54 @@ func TestWalkOrderLayersAndTags(t *testing.T) {
 	}
 }
 
+// level is an enum knob: its pointer is a flag.Value.
+type level int
+
+func (l level) String() string { return [...]string{"low", "high"}[l] }
+
+func (l *level) Set(s string) error {
+	switch s {
+	case "low":
+		*l = 0
+	case "high":
+		*l = 1
+	default:
+		return fmt.Errorf("unknown level %q", s)
+	}
+	return nil
+}
+
 func TestBindDefaultsAndParses(t *testing.T) {
 	v := struct {
-		Step float64 `flag:"step" usage:"a step"`
-		On   bool    `flag:"on" usage:"a switch"`
-		N    int     `flag:"n" usage:"a count"`
-		At   int64   `flag:"at" usage:"an epoch"`
-		Half float64 `flag:"" max:"1"`
+		Step  float64 `flag:"step" usage:"a step"`
+		On    bool    `flag:"on" usage:"a switch"`
+		N     int     `flag:"n" usage:"a count"`
+		At    int64   `flag:"at" usage:"an epoch"`
+		Level level   `flag:"level" usage:"a level"`
+		Half  float64 `flag:"" max:"1"`
 	}{Step: 10}
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
 	Bind(fs, &v)
 	if f := fs.Lookup("step"); f == nil || f.DefValue != "10" || f.Usage != "a step" {
 		t.Fatalf("step flag = %+v", f)
 	}
+	if f := fs.Lookup("level"); f == nil || f.DefValue != "low" {
+		t.Fatalf("level flag = %+v", f)
+	}
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 4 {
-		t.Fatalf("%d flags registered, want 4 (the empty name registers none)", n)
+	if n != 5 {
+		t.Fatalf("%d flags registered, want 5 (the empty name registers none)", n)
 	}
-	if err := fs.Parse([]string{"-step", "2.5", "-on", "-n", "3", "-at", "9"}); err != nil {
+	if err := fs.Parse([]string{"-step", "2.5", "-on", "-n", "3", "-at", "9", "-level", "high"}); err != nil {
 		t.Fatal(err)
 	}
-	if v.Step != 2.5 || !v.On || v.N != 3 || v.At != 9 {
+	if v.Step != 2.5 || !v.On || v.N != 3 || v.At != 9 || v.Level != 1 {
 		t.Fatalf("parsed into %+v", v)
+	}
+	if err := fs.Parse([]string{"-level", "medium"}); err == nil || !strings.Contains(err.Error(), "-level: unknown level") {
+		t.Fatalf("bad enum value: error %v", err)
 	}
 }
 
@@ -102,6 +129,7 @@ func TestCopyMovesKnobsOnly(t *testing.T) {
 	Copy(&dst, &src)
 	want := src
 	want.Name, want.Plain = "dst", 7
+	want.Named.Rate = 8 // zero in src: dst keeps its own value
 	if dst != want {
 		t.Fatalf("copy = %+v, want %+v", dst, want)
 	}
