@@ -102,9 +102,6 @@ func (u *RectUnion) Rects() []Rect { return u.rects }
 // Len returns the number of member rectangles.
 func (u *RectUnion) Len() int { return len(u.rects) }
 
-// IsEmpty reports whether the union covers no area.
-func (u *RectUnion) IsEmpty() bool { return len(u.rects) == 0 }
-
 // Contains reports whether p lies in the closed union.
 func (u *RectUnion) Contains(p Point) bool {
 	for _, r := range u.rects {
