@@ -15,8 +15,9 @@
 // control. Every layer is off at its zero value, output is then
 // bit-identical to a build without it, and every run is deterministic
 // under -seed. A value outside a knob's range exits 2 naming the flag.
-// -json emits the run as one JSONL row (sim.Report) instead of the report;
-// the fault/resilience grid of such rows is `lbsq-figures -fig faults`.
+// The report is one sim.Report row, printed as text (Report.WriteText) or,
+// with -json, as one JSONL object; the fault/resilience grid of such rows
+// is `lbsq-figures -fig faults`.
 package main
 
 import (
@@ -153,13 +154,6 @@ func main() {
 		defer w.Trace.Flush()
 	}
 
-	if !c.jsonOut {
-		fmt.Printf("%s — %s queries, %.1f-mile area, %d hosts, %d POIs, %.0f queries/min\n",
-			p.Name, p.Kind, p.AreaMiles, p.MHNumber, p.POINumber, p.QueryRate)
-		fmt.Printf("tx=%.0fm cache=%d k=%d window=%.1f%% policy=%v duration=%.2fh seed=%d\n\n",
-			p.TxRangeMeters, p.CacheSize, p.K, p.WindowPct, p.CachePolicy, p.DurationHours, p.Seed)
-	}
-
 	if c.mxListen != "" {
 		// Live observability: /metrics serves the latest published
 		// snapshot (immutable, so no lock touches the simulation
@@ -204,8 +198,8 @@ func main() {
 		}
 	}
 
+	rep := sim.NewReport(p, stats, c.selfcheck, elapsed.Seconds())
 	if c.jsonOut {
-		rep := sim.NewReport(p, stats, c.selfcheck, elapsed.Seconds())
 		if reg := w.Metrics(); reg != nil {
 			snap := reg.Snapshot()
 			rep.Metrics = &snap
@@ -213,116 +207,11 @@ func main() {
 		emitJSON(rep)
 		return
 	}
-
-	fmt.Printf("queries counted (post warm-up): %d\n", stats.Queries)
-	fmt.Printf("  resolved by SBNN/SBWQ (verified): %6.1f%%\n", stats.VerifiedPct())
-	if p.Kind == sim.KNNQuery {
-		fmt.Printf("  resolved by approximate SBNN:     %6.1f%%\n", stats.ApproximatePct())
+	if err := rep.WriteText(os.Stdout); err != nil {
+		die(1, err)
 	}
-	fmt.Printf("  resolved by broadcast channel:    %6.1f%%\n", stats.BroadcastPct())
-	fmt.Printf("\nmean reachable peers per query: %.1f\n", stats.AvgPeers())
-	fmt.Printf("P2P traffic: %d requests, %d replies, %.0f bytes/query\n",
-		stats.PeerRequests, stats.PeerReplies, stats.AvgPeerBytes())
-	if stats.Broadcast > 0 {
-		fmt.Printf("\nchannel cost (broadcast-resolved queries):\n")
-		fmt.Printf("  mean access latency: %.1f slots\n", stats.AvgLatencySlots())
-		fmt.Printf("  mean tuning time:    %.1f slots\n", stats.AvgTuningSlots())
-		fmt.Printf("  packets read / skipped by search bounds: %d / %d\n",
-			stats.PacketsRead, stats.PacketsSkipped)
-	}
-	fmt.Printf("mean system latency over all queries: %.1f slots\n", stats.MeanSystemLatencySlots())
-	if stats.FaultEvents() > 0 || stats.PeerRetries > 0 {
-		fmt.Printf("\nfault injection (deterministic under -seed %d):\n", p.Seed)
-		fmt.Printf("  requests unheard:              %d (retries: %d)\n",
-			stats.RequestsUnheard, stats.PeerRetries)
-		fmt.Printf("  replies dropped / rejected:    %d / %d (CRC or structure)\n",
-			stats.RepliesDropped, stats.RepliesRejected)
-		fmt.Printf("  packet / index re-receptions:  %d / %d (extra cycle or replica waits)\n",
-			stats.Retransmissions, stats.IndexRetries)
-	}
-	if stats.ResilienceEvents() > 0 {
-		fmt.Printf("\ncollection lifecycle (deadline=%d slots, breaker=%d/%d, churn=%.2f):\n",
-			p.DeadlineSlots, p.BreakerThreshold, p.BreakerCooldown, p.Faults.ChurnRate)
-		fmt.Printf("  deadline aborts:               %d (backoff spent: %d slots)\n",
-			stats.DeadlineAborts, stats.BackoffSlots)
-		fmt.Printf("  breaker trips / short-circuits / recoveries: %d / %d / %d\n",
-			stats.BreakerTrips, stats.BreakerShortCircuits, stats.BreakerRecoveries)
-		fmt.Printf("  churn departures / returns:    %d / %d (wasted retries: %d)\n",
-			stats.ChurnDepartures, stats.ChurnReturns, stats.WastedRetries)
-	}
-	if stats.TrustEvents() > 0 || stats.ByzantineLies > 0 {
-		fmt.Printf("\ntrust layer (byzantine=%.2f attack=%v audit=%.2f):\n",
-			p.Faults.ByzantineRate, p.Faults.Normalized().Attack, p.AuditRate)
-		fmt.Printf("  byzantine lies told:           %d\n", stats.ByzantineLies)
-		fmt.Printf("  audits run / failed:           %d / %d (cost: %d slots)\n",
-			stats.AuditsRun, stats.AuditFailures, stats.AuditSlots)
-		fmt.Printf("  cross-validation conflicts:    %d\n", stats.ConflictsDetected)
-		fmt.Printf("  peers quarantined:             %d (area: %.2f sq mi)\n",
-			stats.PeersQuarantined, stats.QuarantinedArea)
-	}
-	if stats.ConsistencyEvents() > 0 {
-		fmt.Printf("\nconsistency layer (update-rate=%.2f/min ir-period=%.0fs ir-window=%d vr-ttl=%.0fs discard=%v):\n",
-			p.UpdateRate, p.IRPeriodSec, p.IRWindow, p.VRTTLSec, p.IRDiscard)
-		fmt.Printf("  POI updates applied:           %d (%d IR broadcasts)\n",
-			stats.POIUpdates, stats.IRBroadcasts)
-		fmt.Printf("  IR listens:                    %d (%d slots, %d replica waits)\n",
-			stats.IRListens, stats.IRListenSlots, stats.IRListenRetries)
-		fmt.Printf("  VRs reconciled / demoted / discarded: %d / %d / %d\n",
-			stats.VRsReconciled, stats.VRsDemoted, stats.VRsDiscarded)
-		fmt.Printf("  VRs expired (TTL):             %d\n", stats.VRsExpired)
-		fmt.Printf("  stale verdicts (amnestied):    %d\n", stats.StaleVerdicts)
-	}
-	if stats.ChannelEvents() > 0 || stats.AnsweredInBudget > 0 {
-		fmt.Printf("\nchannel impairment (burst=%.2f@%g/%g slots blackout=%gs/%gs degraded=%v):\n",
-			p.Faults.BurstBadLoss, p.Faults.BurstBadSlots, p.Faults.BurstGoodSlots,
-			p.Faults.BlackoutDurationSec, p.Faults.BlackoutPeriodSec, p.DegradedMode)
-		fmt.Printf("  burst frame losses / transitions: %d / %d\n",
-			stats.BurstFrameLosses, stats.BurstTransitions)
-		fmt.Printf("  blackout stalls:               %d queries (%d dead-air slots, %d recoveries)\n",
-			stats.BlackoutQueries, stats.BlackoutWaitSlots, stats.BlackoutRecoveries)
-		fmt.Printf("  IR listens deferred (dark downlink): %d\n", stats.IRDeferred)
-		fmt.Printf("  fade-suppressed breaker strikes: %d\n", stats.FadeSuppressedStrikes)
-		if p.DegradedMode {
-			fmt.Printf("  fallback rungs p2p-only / onair-only / own-cache: %d / %d / %d (%d switch slots)\n",
-				stats.ModeP2POnly, stats.ModeOnAirOnly, stats.ModeOwnCache, stats.ModeSwitchSlots)
-			fmt.Printf("  degraded / unanswered:         %d / %d (worst staleness bound: %ds)\n",
-				stats.Degraded, stats.Unanswered, stats.StaleBoundMaxSec)
-		}
-		fmt.Printf("  answered in budget:            %.1f%%\n", stats.AnsweredInBudgetPct())
-	}
-	if stats.ContinuousEvents() > 0 {
-		fmt.Printf("\ncontinuous queries (rate=%.2f/min naive=%v):\n",
-			p.ContinuousRate, p.ContinuousNaive)
-		fmt.Printf("  subscriptions registered:      %d\n", stats.Subscriptions)
-		fmt.Printf("  safe-region hits / reverifies: %d / %d (fraction %.2f)\n",
-			stats.SafeRegionHits, stats.Reverifies, stats.ReverifyFraction())
-		fmt.Printf("  reverify reasons exit / taint / unverified / naive: %d / %d / %d / %d\n",
-			stats.ReverifyExits, stats.ReverifyTaints, stats.ReverifyUnverified, stats.ReverifyNaive)
-		fmt.Printf("  degraded answers:              %d (maintenance cost: %d slots)\n",
-			stats.ContDegraded, stats.ContSlots)
-	}
-	if stats.OverloadEvents() > 0 {
-		fmt.Printf("\noverload plane (crowd=%.0f/min queue-cap=%d retry-budget=%d admission=%.2f/s governed=%v coalesce=%.2fmi):\n",
-			p.CrowdRate, p.PeerQueueCap, p.RetryBudget, p.AdmissionRate,
-			p.Governed, p.CoalesceRadiusMiles)
-		fmt.Printf("  crowd queries injected:        %d\n", stats.CrowdQueries)
-		fmt.Printf("  busy replies / queue drops:    %d / %d (never breaker strikes)\n",
-			stats.BusyReplies, stats.QueueDrops)
-		fmt.Printf("  queries shed to broadcast:     %d (admission: %d, governor: %d)\n",
-			stats.Shed, stats.AdmissionDenied, stats.GovernorSheds)
-		fmt.Printf("  governor engaged:              %d ticks\n", stats.GovernorEngagedTicks)
-		fmt.Printf("  retry budget exhaustions:      %d\n", stats.RetryBudgetExhausted)
-		fmt.Printf("  coalesced gathers:             %d\n", stats.Coalesced)
-		fmt.Printf("  goodput:                       %.1f%%\n", stats.GoodputPct())
-	}
-	if c.baseline && stats.BaselineSampled > 0 {
-		base := stats.BaselineMeanLatencySlots()
-		fmt.Printf("\nplain on-air baseline: %.1f slots/query (%d sampled)\n",
-			base, stats.BaselineSampled)
-		if base > 0 {
-			fmt.Printf("latency reduction from sharing: %.1f%%\n",
-				100*(1-stats.MeanSystemLatencySlots()/base))
-		}
+	if base := stats.BaselineMeanLatencySlots(); c.baseline && base > 0 {
+		fmt.Printf("\nlatency reduction from sharing: %.1f%%\n", 100*(1-stats.MeanSystemLatencySlots()/base))
 	}
 	if c.selfcheck {
 		fmt.Println("\nself-check: every exact result matched the R-tree ground truth")

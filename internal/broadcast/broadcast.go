@@ -27,7 +27,6 @@ import (
 
 	"lbsq/internal/geom"
 	"lbsq/internal/hilbert"
-	"lbsq/internal/metrics"
 )
 
 // POI is a broadcast point of interest.
@@ -241,16 +240,6 @@ type Access struct {
 	// on a dead channel. Latency and Tuning still record the slots spent
 	// before giving up.
 	Abandoned bool
-}
-
-// AddTo maps this access record into the per-query phase-span taxonomy
-// of internal/metrics: active listening becomes the onair_tune span and
-// access latency the onair_download span. The channel layer owns this
-// mapping so every consumer (sim, experiments, future serving stacks)
-// attributes broadcast costs identically.
-func (a Access) AddTo(s *metrics.QuerySpans) {
-	s.Add(metrics.PhaseOnAirTune, a.Tuning)
-	s.Add(metrics.PhaseOnAirDownload, a.Latency)
 }
 
 // add accumulates another access (used when a query needs two passes).

@@ -1,7 +1,6 @@
 // Package p2p provides the single-hop ad-hoc network substrate: a uniform
 // grid index over mobile-host positions supporting constant-time position
-// updates and range lookups ("which peers can hear my request?"), plus
-// message accounting.
+// updates and range lookups ("which peers can hear my request?").
 //
 // The paper's radio model is a disk of radius TxRange around the querying
 // host (IEEE 802.11b/g abstracted to its reliable coverage range); a peer
@@ -13,7 +12,6 @@ import (
 	"math"
 
 	"lbsq/internal/geom"
-	"lbsq/internal/metrics"
 )
 
 // Network indexes host positions on a uniform grid. Host IDs are dense
@@ -28,43 +26,6 @@ type Network struct {
 	present  []bool       // host id -> registered?
 	cellOf   []int        // host id -> cell index
 	live     int          // registered host count (keeps Len O(1))
-	// Stats counts sharing traffic for the experiment reports.
-	Stats TrafficStats
-	// FanoutHist, when non-nil, receives the reachable-peer count of
-	// every query exchange via ObserveFanout — the sharing layer's
-	// fan-out distribution (internal/metrics). Nil, the default, costs
-	// one branch; attaching it never perturbs behavior or allocation.
-	FanoutHist *metrics.Histogram
-}
-
-// TrafficStats tallies the P2P messages exchanged, including the fault
-// paths: retries are the bounded request re-broadcasts a querying host
-// pays while a neighbor has not answered, and the reply-failure counters
-// record degradation that consumed channel bytes without delivering data.
-type TrafficStats struct {
-	Requests int64 // broadcast cache requests issued (every attempt)
-	Replies  int64 // peer replies delivered intact
-	// Retries counts request re-broadcasts beyond each query's first
-	// attempt (the retry-with-timeout budget of the fault layer).
-	Retries int64
-	// RepliesLost counts peer replies dropped in flight.
-	RepliesLost int64
-	// RepliesRejected counts peer replies delivered truncated or
-	// corrupted and refused by the wire decoder's CRC/structure checks.
-	RepliesRejected int64
-	// WastedRetries counts retry transmissions addressed at peers that
-	// had already departed (powered off or drifted out of range) — the
-	// querying host cannot know, so the frame is spent for nothing.
-	WastedRetries int64
-	// Busy counts explicit BUSY backpressure replies: a peer's bounded
-	// service queue was full, so it refused the request on the wire
-	// instead of going silent. A busy peer is not a broken peer — these
-	// are excluded from breaker strike accounting.
-	Busy int64
-	// QueueDrops counts requests a peer shed without even a BUSY reply:
-	// the overflow band beyond the busy threshold, where the peer is too
-	// saturated to spend slots on refusals. Also strike-exempt.
-	QueueDrops int64
 }
 
 // NewNetwork creates a network over the service area with the given index
@@ -215,16 +176,6 @@ func (n *Network) AppendNeighbors(dst []int, q geom.Point, radius float64, exclu
 		}
 	}
 	return dst
-}
-
-// ObserveFanout records one exchange's reachable-peer count into the
-// attached fan-out histogram; a no-op (one branch, zero allocations)
-// when metrics are disabled. Callers invoke it once per query so the
-// distribution matches the per-query peer counts the reports average.
-func (n *Network) ObserveFanout(peers int) {
-	if n.FanoutHist != nil {
-		n.FanoutHist.ObserveInt(int64(peers))
-	}
 }
 
 // NeighborsMultiHop returns the hosts reachable from q within the given

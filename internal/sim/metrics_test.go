@@ -128,11 +128,15 @@ func TestMetricsDeterminism(t *testing.T) {
 	}
 }
 
+// baseSection reports whether a Stats section's counters are registered
+// on every world, armed or not.
+func baseSection(section string) bool { return (&World{}).sectionArmed(section) }
+
 // TestMetricsMatchStats: on every golden world, every /metrics counter
-// equals its statCounters row applied to the Stats of the same report,
-// and the latency and tuning histograms sum to the Stats totals — the
-// two observability surfaces describe one ledger. A layer registers all
-// of its instruments or none.
+// equals the sum of the Stats fields tagged with its name in the same
+// report, and the latency and tuning histograms sum to the Stats totals —
+// the two observability surfaces describe one ledger. A section registers
+// all of its counters or none.
 func TestMetricsMatchStats(t *testing.T) {
 	for name, p := range goldenWorlds() {
 		t.Run(name, func(t *testing.T) {
@@ -143,25 +147,27 @@ func TestMetricsMatchStats(t *testing.T) {
 			}
 
 			rows := 0
-			for layer, counters := range statCounters {
-				registered := 0
-				for _, row := range counters {
-					got, ok := snap.Counter(row.name)
-					if !ok {
-						continue
-					}
-					registered++
-					if want := row.get(&stats); got.Value != want {
-						t.Errorf("%s = %d, Stats says %d", row.name, got.Value, want)
-					}
+			registered, declared := map[string]int{}, map[string]int{}
+			for i := range statMetrics {
+				sm := &statMetrics[i]
+				declared[sm.section]++
+				got, ok := snap.Counter(sm.name)
+				if !ok {
+					continue
 				}
-				if registered != 0 && registered != len(counters) {
-					t.Errorf("layer %d registered %d of its %d counters", layer, registered, len(counters))
+				registered[sm.section]++
+				if want := sm.sum(&stats); got.Value != want {
+					t.Errorf("%s = %d, Stats says %d", sm.name, got.Value, want)
 				}
-				if layer == layerBase && registered == 0 {
-					t.Error("base counters missing")
+			}
+			for section, n := range declared {
+				if got := registered[section]; got != 0 && got != n {
+					t.Errorf("section %s registered %d of its %d counters", section, got, n)
 				}
-				rows += registered
+				if baseSection(section) && registered[section] == 0 {
+					t.Errorf("base counters of section %s missing", section)
+				}
+				rows += registered[section]
 			}
 			if rows != len(snap.Counters) {
 				t.Errorf("snapshot carries %d counters, %d of them views of Stats", len(snap.Counters), rows)
@@ -195,14 +201,20 @@ func TestMetricsMatchStats(t *testing.T) {
 
 // TestMetricsUnarmedLayersAbsent: a layer whose knobs are off registers
 // nothing — a zero-knob snapshot is the base instruments only, and the
-// every-layer-armed world carries every row of the table.
+// every-layer-armed world carries every counter Stats declares.
 func TestMetricsUnarmedLayersAbsent(t *testing.T) {
 	worlds := goldenWorlds()
 	layerPrefixes := []string{"lbsq_trust_", "lbsq_consistency_", "lbsq_channel_",
 		"lbsq_continuous_", "lbsq_overload_"}
+	base := 0
+	for _, sm := range statMetrics {
+		if baseSection(sm.section) {
+			base++
+		}
+	}
 	for _, name := range []string{"knn_zero", "window_zero"} {
 		rep := goldenReportOf(t, name, worlds[name])
-		if got, want := len(rep.Metrics.Counters), len(statCounters[layerBase]); got != want {
+		if got, want := len(rep.Metrics.Counters), base; got != want {
 			t.Errorf("%s: %d counters, want the %d base ones", name, got, want)
 		}
 		for _, sample := range rep.Metrics.Samples() {
@@ -214,11 +226,9 @@ func TestMetricsUnarmedLayersAbsent(t *testing.T) {
 		}
 	}
 	rep := goldenReportOf(t, "armed_knn", worlds["armed_knn"])
-	for _, counters := range statCounters {
-		for _, row := range counters {
-			if _, ok := rep.Metrics.Counter(row.name); !ok {
-				t.Errorf("armed_knn: %s not registered", row.name)
-			}
+	for _, sm := range statMetrics {
+		if _, ok := rep.Metrics.Counter(sm.name); !ok {
+			t.Errorf("armed_knn: %s not registered", sm.name)
 		}
 	}
 }

@@ -300,6 +300,20 @@ func (w *World) tickReset(dt float64) {
 	if !o.governed {
 		return
 	}
+	o.governTick()
+	if o.engaged {
+		if w.counted() {
+			w.stats.GovernorEngagedTicks++
+		}
+		if o.crowdRng != nil && w.nowSec > o.startSec+o.durSec {
+			o.postCrowdEngaged++
+		}
+	}
+}
+
+// governTick folds the last tick's answered-in-budget window into the
+// governor's EWMA and re-decides engagement.
+func (o *overloadState) governTick() {
 	o.ewmaQ = o.ewmaQ*govDecay + float64(o.tickQ)
 	o.ewmaA = o.ewmaA*govDecay + float64(o.tickA)
 	o.tickQ, o.tickA = 0, 0
@@ -324,14 +338,6 @@ func (w *World) tickReset(dt float64) {
 	} else if o.engaged && o.ewmaQ < 0.5 {
 		// The load vanished entirely; nothing left to govern.
 		o.engaged = false
-	}
-	if o.engaged {
-		if w.counted() {
-			w.stats.GovernorEngagedTicks++
-		}
-		if o.crowdRng != nil && w.nowSec > o.startSec+o.durSec {
-			o.postCrowdEngaged++
-		}
 	}
 }
 

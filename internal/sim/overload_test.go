@@ -10,6 +10,7 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"lbsq/internal/broadcast"
@@ -220,6 +221,74 @@ func TestGovernorEngageDisengage(t *testing.T) {
 	}
 	if o3.engaged {
 		t.Error("governor latched up on vanished load")
+	}
+}
+
+// TestGovernorModelCheck walks every sequence of up to 8 ticks over the
+// alphabet (q, a) — a tick's counted one-shot queries q ≤ 2 and how many
+// of them answered in budget — at floors 0.5, 0.9 and 1, against the
+// governor's specification, recomputing its decayed load Q and answered
+// mass A on the side:
+//   - an idle governor engages only when, on at least one query of
+//     evidence (Q ≥ 1), the ratio A/Q is below the floor;
+//   - an engaged one disengages as soon as, on that evidence, the ratio
+//     reaches floor + hysteresis (capped at 1) or the miss mass Q − A falls
+//     below half a query, or as soon as the load vanishes (Q < 0.5), and
+//     otherwise stays engaged — it is never latched while one of those
+//     holds;
+//   - from every state reached, ticks without a miss (q = a for q = 0, 1
+//     or 2) release it within 8 ticks.
+//
+// Sequences share their prefixes: the state is restored on the way back up.
+func TestGovernorModelCheck(t *testing.T) {
+	const depth, maxQ, releaseTicks = 8, 2, 8
+	for _, floor := range []float64{0.5, 0.9, 1} {
+		p := LACity()
+		p.Governed, p.GovernorFloor = true, floor
+		o := newOverloadState(p)
+		off := math.Min(1, floor+govHysteresis)
+		var path [][2]int64
+		var walk func()
+		walk = func() {
+			if len(path) == depth {
+				return
+			}
+			engaged, q0, a0 := o.engaged, o.ewmaQ, o.ewmaA
+			for q := int64(0); q <= maxQ; q++ {
+				for a := int64(0); a <= q; a++ {
+					o.engaged, o.ewmaQ, o.ewmaA = engaged, q0, a0
+					o.tickQ, o.tickA = q, a
+					o.governTick()
+					path = append(path, [2]int64{q, a})
+					Q, A := q0*govDecay+float64(q), a0*govDecay+float64(a)
+					evidence := Q >= 1
+					want := engaged
+					if engaged && ((evidence && (A/Q >= off || Q-A < 0.5)) || Q < 0.5) {
+						want = false
+					} else if !engaged && evidence && A/Q < floor {
+						want = true
+					}
+					if o.engaged != want || o.ewmaQ != Q || o.ewmaA != A || o.tickQ != 0 || o.tickA != 0 {
+						t.Fatalf("floor %v ticks %v: engaged %v Q %v A %v, model %v %v %v",
+							floor, path, o.engaged, o.ewmaQ, o.ewmaA, want, Q, A)
+					}
+					for clean := int64(0); o.engaged && clean <= maxQ; clean++ {
+						for i := 0; o.engaged; i++ {
+							if i == releaseTicks {
+								t.Fatalf("floor %v ticks %v: still engaged after %d ticks of (%d, %d)",
+									floor, path, releaseTicks, clean, clean)
+							}
+							o.tickQ, o.tickA = clean, clean
+							o.governTick()
+						}
+						o.engaged, o.ewmaQ, o.ewmaA = true, Q, A
+					}
+					walk()
+					path = path[:len(path)-1]
+				}
+			}
+		}
+		walk()
 	}
 }
 

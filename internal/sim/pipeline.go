@@ -269,7 +269,6 @@ func (w *World) commit(e *query) {
 		ev.StaleBoundSec = w.staleBound(e.qc.mode, e.minBorn)
 		ev.Shed, ev.Coalesced = e.shed.String(), e.coalesced
 		if w.mx != nil {
-			w.net.ObserveFanout(e.nPeers)
 			w.mx.observeQuery(e, latency)
 			w.mx.spanFields(&ev.SpanP2PSlots, &ev.SpanMergeWork,
 				&ev.SpanVerifyWork, &ev.SpanTuneSlots, &ev.SpanDownloadSlots)

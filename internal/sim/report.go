@@ -1,13 +1,23 @@
 package sim
 
-import "lbsq/internal/metrics"
+import (
+	"cmp"
+	"fmt"
+	"io"
+	"reflect"
+	"strings"
 
-// Report is the machine-readable run record the `-json` flag of
-// lbsq-sim (and every in-process bench cell) emits: the resolved
-// configuration, the full Stats struct, and the derived rates the human
-// report prints. One compact object per line, so appending runs
-// produces valid JSONL (see `make bench`). A layer's knobs and counters
-// are omitempty keys, present when armed.
+	"lbsq/internal/faults"
+	"lbsq/internal/knob"
+	"lbsq/internal/metrics"
+)
+
+// Report is the run record lbsq-sim prints (and every in-process bench
+// cell emits): the resolved configuration, the full Stats struct, and the
+// derived rates. `-json` encodes it as one compact object per line, so
+// appending runs produces valid JSONL (see `make bench`); without it,
+// WriteText prints the same row as text. A layer's knobs and counters are
+// omitempty keys, present when armed.
 type Report struct {
 	BenchSchema   int     `json:"bench_schema"`
 	Set           string  `json:"set"`
@@ -38,13 +48,11 @@ type Report struct {
 }
 
 // BenchSchemaVersion is the Report row format; consumers should skip rows
-// whose schema they do not understand. Versions 2–6 told armed layers
-// apart, which the omitempty keys already do; 7 is the first one every row
-// carries.
+// whose schema they do not understand.
 const BenchSchemaVersion = 7
 
-// Derived holds the rates the human-readable report prints, precomputed
-// so JSONL consumers need no knowledge of the Stats accessor methods.
+// Derived holds the rates derived from Stats, precomputed so JSONL
+// consumers need no knowledge of the Stats accessor methods.
 type Derived struct {
 	VerifiedPct            float64 `json:"verified_pct"`
 	ApproximatePct         float64 `json:"approximate_pct"`
@@ -117,4 +125,48 @@ func NewReport(p Params, stats Stats, selfChecked bool, wallSeconds float64) Rep
 		},
 		WallSeconds: wallSeconds,
 	}
+}
+
+// WriteText prints r as text: a header line, then every non-zero knob as
+// its flag under its `lbsq-sim -h` layer title, every non-zero Stats field
+// under its section and the non-zero Derived rates, one "key value" line
+// each, keyed as in the JSON row. Integers print exact, floats to two
+// decimals.
+func (r *Report) WriteText(w io.Writer) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s: %s queries, %d hosts, %d POIs, %.2f queries/min, seed %d\n",
+		r.Set, r.Kind, r.MHNumber, r.POINumber, r.QueryRate, r.Seed)
+	title := ""
+	line := func(heading, text string) {
+		if heading != title {
+			title = heading
+			fmt.Fprintf(&b, "\n%s:\n", heading)
+		}
+		fmt.Fprintf(&b, "  %s\n", text)
+	}
+	p := Params{AreaMiles: r.AreaMiles, DurationHours: r.DurationHours, TxRangeMeters: r.TxRangeMeters,
+		CacheSize: r.CacheSize, K: r.K, WindowPct: r.WindowPct, LayerKnobs: r.LayerKnobs}
+	p.Faults, _ = r.Faults.(faults.Profile)
+	_ = p.Kind.Set(r.Kind) // an unknown kind leaves knn, whose zero prints nothing
+	knob.Walk(&p, func(k knob.Knob) {
+		if k.Flag != "" && !k.Value.IsZero() {
+			line(cmp.Or(k.Layer, "world"), fmt.Sprintf("-%s %v", k.Flag, k.Value.Interface()))
+		}
+	})
+	for _, s := range []reflect.Value{reflect.ValueOf(r.Stats), reflect.ValueOf(r.Derived)} {
+		for i := 0; i < s.NumField(); i++ {
+			f, v := s.Type().Field(i), s.Field(i)
+			if !f.IsExported() || v.IsZero() {
+				continue
+			}
+			key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			value := fmt.Sprintf("%.2f", v.Interface())
+			if v.CanInt() {
+				value = fmt.Sprint(v.Int())
+			}
+			line(cmp.Or(f.Tag.Get("section"), "derived"), cmp.Or(key, f.Name)+" "+value)
+		}
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }

@@ -458,9 +458,6 @@ func (w *World) Database() []broadcast.POI { return w.types[0].db }
 // Stats returns the statistics collected so far.
 func (w *World) Stats() Stats {
 	s := w.stats
-	s.PeerRequests = w.net.Stats.Requests
-	s.PeerReplies = w.net.Stats.Replies
-	s.PeerRetries = w.net.Stats.Retries
 	c := w.inj.Counters
 	s.RequestsUnheard = c.RequestsUnheard
 	s.RepliesDropped = c.RepliesDropped
@@ -469,9 +466,6 @@ func (w *World) Stats() Stats {
 	s.ChurnReturns = c.ChurnReturns
 	s.BurstFrameLosses = c.BurstLosses
 	s.BurstTransitions = c.BurstTransitions
-	s.WastedRetries = w.net.Stats.WastedRetries
-	s.BusyReplies = w.net.Stats.Busy
-	s.QueueDrops = w.net.Stats.QueueDrops
 	b := w.breakers.Stats()
 	s.BreakerTrips = b.Trips
 	s.BreakerShortCircuits = b.ShortCircuits
@@ -728,10 +722,10 @@ func (w *World) gather(idx, ti int, relevance geom.Rect) ([]core.PeerData, int, 
 			// follows it (a no-op with the burst knobs off), so a burst
 			// can begin or end inside one collection.
 			w.inj.Sync(w.slotNow() + spent)
-			w.net.Stats.Retries++
+			w.stats.PeerRetries++
 		}
 		// One broadcast frame addresses every still-pending peer.
-		w.net.Stats.Requests++
+		w.stats.PeerRequests++
 		if count {
 			w.stats.PeerBytes += int64(wire.RequestSize)
 		}
@@ -746,7 +740,7 @@ func (w *World) gather(idx, ti int, relevance geom.Rect) ([]core.PeerData, int, 
 				if attempt > 1 {
 					// The retry addressed a peer that is no longer
 					// there — spent channel time, no possible answer.
-					w.net.Stats.WastedRetries++
+					w.stats.WastedRetries++
 				}
 				continue
 			}
@@ -786,14 +780,14 @@ func (w *World) gather(idx, ti int, relevance geom.Rect) ([]core.PeerData, int, 
 				case p2p.ServeBusy:
 					t.resolved = true
 					remaining--
-					w.net.Stats.Busy++
+					w.stats.BusyReplies++
 					if count {
 						w.stats.PeerBytes += int64(wire.BusySize)
 					}
 					continue
 				case p2p.ServeDrop:
 					t.dropped = true
-					w.net.Stats.QueueDrops++
+					w.stats.QueueDrops++
 					continue
 				}
 			}
@@ -803,7 +797,7 @@ func (w *World) gather(idx, ti int, relevance geom.Rect) ([]core.PeerData, int, 
 			case replyDelivered:
 				t.resolved = true
 				remaining--
-				w.net.Stats.Replies++
+				w.stats.PeerReplies++
 				w.breakers.RecordSuccess(t.id)
 			case replySilent, replyUnencodable:
 				// Null ack: nothing relevant — no reason to retry, no
@@ -938,7 +932,6 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 		}
 	case faults.FateDrop:
 		// Lost in flight: the frame occupied the channel, nothing arrived.
-		w.net.Stats.RepliesLost++
 		if count {
 			w.stats.PeerBytes += int64(wireBytes)
 		}
@@ -966,7 +959,6 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 		}
 		dec, err := wire.DecodeReply(mangled)
 		if err != nil || len(dec.Regions) != len(shared) {
-			w.net.Stats.RepliesRejected++
 			return peers, replyRejected // sound degradation, already counted
 		}
 		// The staged regions keep their epoch; the frame carries the
