@@ -101,6 +101,12 @@ func (r Rect) Valid() bool {
 	return r.Min.X <= r.Max.X && r.Min.Y <= r.Max.Y
 }
 
+// Finite reports whether no coordinate of r is NaN or infinite.
+func (r Rect) Finite() bool {
+	const m = math.MaxFloat64
+	return math.Abs(r.Min.X) <= m && math.Abs(r.Min.Y) <= m && math.Abs(r.Max.X) <= m && math.Abs(r.Max.Y) <= m
+}
+
 // Contains reports whether p lies in the closed rectangle r.
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y

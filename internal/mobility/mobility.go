@@ -23,14 +23,15 @@ type Waypoint struct {
 
 // NewWaypoint validates and returns a model.
 func NewWaypoint(area geom.Rect, minSpeed, maxSpeed, maxPause float64) (*Waypoint, error) {
-	if area.Empty() {
-		return nil, fmt.Errorf("mobility: empty area %v", area)
+	if area.Empty() || !area.Finite() {
+		return nil, fmt.Errorf("mobility: empty or non-finite area %v", area)
 	}
-	if minSpeed <= 0 || maxSpeed < minSpeed {
+	// Written so that NaN fails every comparison into an error.
+	if !(minSpeed > 0 && maxSpeed >= minSpeed && maxSpeed <= math.MaxFloat64) {
 		return nil, fmt.Errorf("mobility: bad speed range [%v, %v]", minSpeed, maxSpeed)
 	}
-	if maxPause < 0 {
-		return nil, fmt.Errorf("mobility: negative pause %v", maxPause)
+	if !(maxPause >= 0 && maxPause <= math.MaxFloat64) {
+		return nil, fmt.Errorf("mobility: pause %v must be non-negative and finite", maxPause)
 	}
 	return &Waypoint{Area: area, MinSpeed: minSpeed, MaxSpeed: maxSpeed, MaxPause: maxPause}, nil
 }

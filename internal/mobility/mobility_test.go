@@ -31,6 +31,24 @@ func TestNewWaypointValidation(t *testing.T) {
 	if _, err := NewWaypoint(area, 1, 2, -1); err == nil {
 		t.Error("negative pause must be rejected")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name              string
+		area              geom.Rect
+		minS, maxS, pause float64
+	}{
+		{"NaN area", geom.NewRect(0, 0, nan, 10), 1, 2, 0},
+		{"infinite area", geom.NewRect(0, -inf, 10, 10), 1, 2, 0},
+		{"NaN min speed", area, nan, 2, 0},
+		{"NaN max speed", area, 1, nan, 0},
+		{"infinite max speed", area, 1, inf, 0},
+		{"NaN pause", area, 1, 2, nan},
+		{"infinite pause", area, 1, 2, inf},
+	} {
+		if _, err := NewWaypoint(c.area, c.minS, c.maxS, c.pause); err == nil {
+			t.Errorf("%s must be rejected", c.name)
+		}
+	}
 }
 
 func TestInitInsideArea(t *testing.T) {

@@ -15,7 +15,8 @@ import (
 
 // TestAppendNeighborsZeroAllocs pins the zero-allocation contract of
 // the warm single-hop lookup — the per-query path of every simulated
-// host. The reflect.DeepEqual comparison in append_test.go guarantees
+// host — and of a whole tick of the grid, moves plus the lookups after
+// them. The reflect.DeepEqual comparison in append_test.go guarantees
 // it is the same answer; this guarantees it is free.
 func TestAppendNeighborsZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
@@ -27,5 +28,24 @@ func TestAppendNeighborsZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm AppendNeighbors allocates %.1f times per run, want 0", allocs)
+	}
+
+	// A tick: every host moves, then lookups run; the first rebuilds the
+	// index into the arrays the previous rebuild grew.
+	grid, ticks, _ := tickWorld(t, 5000)
+	tick := 0
+	cycle := func() {
+		tick++
+		at := ticks[tick%2]
+		for id, p := range at {
+			grid.Update(id, p)
+		}
+		for id := 0; id < len(at); id += 250 {
+			buf = grid.AppendNeighbors(buf[:0], at[id], 0.5, id)
+		}
+	}
+	cycle() // warm
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("warm move-then-look-up cycle allocates %.1f times per run, want 0", allocs)
 	}
 }
