@@ -151,7 +151,7 @@ loc:
 # values of the last PR that lowered them. A PR that needs more raises the
 # ceiling in the same diff, where a reviewer sees it; one that shrinks the
 # system lowers it.
-LOC_MAX_ALL = 16737
+LOC_MAX_ALL = 16467
 LOC_MAX_SIM = 4468
 LOC_MAX_MAIN = 247
 LOC_MAX_HAND = 10

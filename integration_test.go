@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"lbsq"
-	"lbsq/internal/quadtree"
 )
 
 // TestKnowledgePropagationChain: verified knowledge hops host-to-host.
@@ -47,22 +46,13 @@ func TestKnowledgePropagationChain(t *testing.T) {
 	}
 }
 
-// TestWindowAgainstQuadtreeGroundTruth cross-checks the full sharing
-// pipeline against an entirely independent spatial index (the PR
-// quadtree baseline): whatever mixture of peer caches answers a window
-// query, the result equals the quadtree's.
-func TestWindowAgainstQuadtreeGroundTruth(t *testing.T) {
+// TestWindowAgainstLinearScan cross-checks the full sharing pipeline
+// against a linear scan of the database, which shares no index with it:
+// whatever mixture of peer caches answers a window query, the result
+// holds exactly the POIs the window contains.
+func TestWindowAgainstLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	srv := demoServer(t, rng, 400)
-	qt, err := quadtree.New(srv.Area(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range srv.POIs() {
-		if err := qt.Insert(quadtree.Item{ID: p.ID, Pos: p.Pos}); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	// A rolling population of clients issuing and sharing window queries.
 	var fleet []*lbsq.Client
@@ -82,7 +72,12 @@ func TestWindowAgainstQuadtreeGroundTruth(t *testing.T) {
 			}
 		}
 		res := c.Window(w, peers)
-		want := qt.Window(w)
+		var want []int64
+		for _, p := range srv.POIs() {
+			if w.Contains(p.Pos) {
+				want = append(want, p.ID)
+			}
+		}
 		if len(res.POIs) != len(want) {
 			t.Fatalf("round %d: got %d POIs want %d (outcome %v)",
 				round, len(res.POIs), len(want), res.Outcome)
@@ -91,9 +86,9 @@ func TestWindowAgainstQuadtreeGroundTruth(t *testing.T) {
 		for _, p := range res.POIs {
 			ids[p.ID] = true
 		}
-		for _, itm := range want {
-			if !ids[itm.ID] {
-				t.Fatalf("round %d: missing POI %d", round, itm.ID)
+		for _, id := range want {
+			if !ids[id] {
+				t.Fatalf("round %d: missing POI %d", round, id)
 			}
 		}
 	}
