@@ -768,18 +768,11 @@ func (s *Schedule) WindowReducedDetailed(sc *Scratch, windows []geom.Rect, start
 	return filtered, raw, need, acc
 }
 
-// CellComplete reports whether the grid cell (x, y) is completely known
-// given the retrieved packet set: either the cell is empty, or its
-// (unique, by cell-granular packing) packet was downloaded.
-func (s *Schedule) CellComplete(x, y int, retrieved map[int]bool) bool {
-	seq := s.cellPacket[y*s.curve.Side()+x]
-	return seq < 0 || retrieved[int(seq)]
-}
-
 // GrowCompleteRect expands the seed rectangle outward, one cell row or
 // column at a time, for as long as every newly covered cell is complete
-// (CellComplete) under the retrieved packet set and the area stays within
-// maxArea. It returns the grown cell-aligned rectangle, or the seed
+// under the retrieved packet set — the cell is empty, or its (unique, by
+// cell-granular packing) packet was downloaded — and the area stays
+// within maxArea. It returns the grown cell-aligned rectangle, or the seed
 // unchanged when even the seed's own cells are not all complete. The
 // result is the largest sound "collective MBR" a client may cache after a
 // window retrieval.
@@ -866,16 +859,6 @@ func (s *Schedule) GrowCompleteRect(sc *Scratch, seed geom.Rect, retrieved []int
 	// The grown rect always contains the (cell-aligned bounding box of
 	// the) seed; return the union with the seed for exact containment.
 	return grown.Union(seed)
-}
-
-// FullCycleAccess returns the cost of downloading the entire data file —
-// the worst case a client without any index or sharing would pay.
-func (s *Schedule) FullCycleAccess(start int64) Access {
-	return Access{
-		Latency:     s.cycleLen,
-		Tuning:      s.cycleLen,
-		PacketsRead: len(s.packets),
-	}
 }
 
 // ExpectedKNNLatency estimates the mean on-air kNN latency by averaging

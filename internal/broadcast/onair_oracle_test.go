@@ -393,18 +393,9 @@ func checkGrow(t *testing.T, c onAirCase) {
 	t.Helper()
 	ref, s := c.pair(t)
 	var retrieved []int
-	got := map[int]bool{}
 	for seq := range s.packets {
 		if c.retrieve>>(seq%64)&1 != 0 {
 			retrieved = append(retrieved, seq)
-			got[seq] = true
-		}
-	}
-	for y := 0; y < s.curve.Side(); y++ {
-		for x := 0; x < s.curve.Side(); x++ {
-			if s.CellComplete(x, y, got) != ref.cellComplete(x, y, got) {
-				t.Fatalf("CellComplete(%d, %d) given %v differs from the reference", x, y, retrieved)
-			}
 		}
 	}
 	// What the window client retrieved is the list SBWQ passes.

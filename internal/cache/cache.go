@@ -79,12 +79,16 @@ type Region struct {
 	Born int64
 }
 
-// Cache is a bounded store of verified regions.
+// Cache is a bounded store of verified regions. Copy a Cache only while
+// it is empty: copies share region storage.
 type Cache struct {
-	capacity int // maximum total POIs (the paper's CSize)
-	policy   Policy
+	// bounds is the MBR of regions, kept by every mutator (zero when
+	// empty): a rectangle that misses it meets no cached region.
+	bounds   geom.Rect
 	regions  []Region
 	size     int
+	capacity int // maximum total POIs (the paper's CSize)
+	policy   Policy
 }
 
 // cost is a region's charge against the capacity: its POI count, floored
@@ -105,30 +109,35 @@ func New(capacity int, policy Policy) *Cache {
 	return &Cache{capacity: capacity, policy: policy}
 }
 
-// Capacity returns the POI capacity.
-func (c *Cache) Capacity() int { return c.capacity }
-
 // Size returns the capacity units in use: the cached POI count, with
 // every empty region charged one unit.
 func (c *Cache) Size() int { return c.size }
-
-// POICount returns the number of POIs currently cached.
-func (c *Cache) POICount() int {
-	n := 0
-	for _, r := range c.regions {
-		n += len(r.POIs)
-	}
-	return n
-}
 
 // Regions returns the cached verified regions. The slice and its members
 // must not be modified.
 func (c *Cache) Regions() []Region { return c.regions }
 
+// Bounds returns the MBR of the cached regions; ok is false when the cache
+// is empty.
+func (c *Cache) Bounds() (mbr geom.Rect, ok bool) { return c.bounds, len(c.regions) > 0 }
+
+// rebound recomputes bounds after the region list changed.
+func (c *Cache) rebound() {
+	c.bounds = geom.Rect{}
+	if len(c.regions) == 0 {
+		return
+	}
+	c.bounds = c.regions[0].Rect
+	for i := 1; i < len(c.regions); i++ {
+		c.bounds = c.bounds.Union(c.regions[i].Rect)
+	}
+}
+
 // Clear removes everything.
 func (c *Cache) Clear() {
 	c.regions = nil
 	c.size = 0
+	c.bounds = geom.Rect{}
 }
 
 // Insert stores a verified region, evicting older regions by policy when
@@ -137,9 +146,10 @@ func (c *Cache) Clear() {
 // when stationary). now is the current logical time.
 //
 // The invariant maintained is: for every stored region R, the cache holds
-// exactly the POIs of the underlying database that lie inside R.Rect.
+// exactly the POIs of the underlying database that lie inside R.Rect. An
+// empty or non-finite rectangle promises nothing and is dropped.
 func (c *Cache) Insert(r Region, pos, heading geom.Point, now int64) {
-	if c.capacity == 0 || r.Rect.Empty() {
+	if c.capacity == 0 || !r.Rect.Finite() || r.Rect.Empty() {
 		return
 	}
 	r.Stamp = now
@@ -153,6 +163,7 @@ func (c *Cache) Insert(r Region, pos, heading geom.Point, now int64) {
 	c.regions = append(c.regions, r)
 	c.size += cost(r)
 	c.evictUntilFit(pos, heading)
+	c.rebound()
 }
 
 // Touch refreshes the LRU stamp of region index i.

@@ -26,8 +26,8 @@ func mkRegion(rect geom.Rect, ids ...int64) Region {
 
 func TestInsertAndSize(t *testing.T) {
 	c := New(10, DirectionDistance)
-	if c.Capacity() != 10 || c.Size() != 0 {
-		t.Fatalf("fresh cache cap=%d size=%d", c.Capacity(), c.Size())
+	if c.capacity != 10 || c.Size() != 0 {
+		t.Fatalf("fresh cache cap=%d size=%d", c.capacity, c.Size())
 	}
 	c.Insert(mkRegion(geom.NewRect(0, 0, 2, 2), 1, 2, 3), geom.Pt(1, 1), geom.Point{}, 0)
 	if c.Size() != 3 || len(c.Regions()) != 1 {
@@ -42,8 +42,8 @@ func TestZeroCapacityCacheStaysEmpty(t *testing.T) {
 		t.Fatal("zero-capacity cache accepted POIs")
 	}
 	neg := New(-5, LRU)
-	if neg.Capacity() != 0 {
-		t.Fatalf("negative capacity = %d", neg.Capacity())
+	if neg.capacity != 0 {
+		t.Fatalf("negative capacity = %d", neg.capacity)
 	}
 }
 
@@ -52,6 +52,30 @@ func TestEmptyRegionIgnored(t *testing.T) {
 	c.Insert(Region{Rect: geom.Rect{}}, geom.Pt(0, 0), geom.Point{}, 0)
 	if len(c.Regions()) != 0 {
 		t.Fatal("degenerate region stored")
+	}
+}
+
+// A NaN corner makes Rect.Empty false, and an infinite one promises an
+// infinite area: neither may enter the cache, and the MBR of the sound
+// regions beside them stays finite.
+func TestNonFiniteRegionIgnored(t *testing.T) {
+	c := New(10, DirectionDistance)
+	sound := geom.NewRect(6, 6, 8, 8)
+	c.Insert(Region{Rect: sound}, geom.Pt(8, 8), geom.Point{}, 0)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, r := range []geom.Rect{
+		{Min: geom.Pt(6, nan), Max: geom.Pt(10, 10)},
+		{Min: geom.Pt(nan, nan), Max: geom.Pt(nan, nan)},
+		{Min: geom.Pt(6, 6), Max: geom.Pt(inf, 10)},
+		{Min: geom.Pt(-inf, -inf), Max: geom.Pt(inf, inf)},
+	} {
+		c.Insert(Region{Rect: r}, geom.Pt(8, 8), geom.Point{}, 1)
+	}
+	if len(c.Regions()) != 1 || c.Size() != 1 {
+		t.Fatalf("non-finite regions stored: %v", c.Regions())
+	}
+	if mbr, ok := c.Bounds(); !ok || mbr != sound {
+		t.Fatalf("Bounds = %v, %v; want %v", mbr, ok, sound)
 	}
 }
 
@@ -182,15 +206,16 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 			heading := geom.Pt(rng.Float64()*2-1, rng.Float64()*2-1)
 			c.Insert(r, pos, heading, int64(step))
 
-			if c.Size() > c.Capacity() {
+			if c.Size() > c.capacity {
 				t.Fatalf("policy %v step %d: size %d > capacity", policy, step, c.Size())
 			}
-			total := 0
+			total, poiCount := 0, 0
 			for _, reg := range c.Regions() {
 				if len(reg.POIs) == 0 {
 					total++ // empty regions charge one unit
 				}
 				total += len(reg.POIs)
+				poiCount += len(reg.POIs)
 				for _, p := range reg.POIs {
 					if !reg.Rect.Contains(p.Pos) {
 						t.Fatalf("policy %v step %d: POI outside its region", policy, step)
@@ -200,9 +225,9 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 			if total != c.Size() {
 				t.Fatalf("policy %v step %d: size %d != sum %d", policy, step, c.Size(), total)
 			}
-			if c.POICount() > c.Size() {
-				t.Fatalf("policy %v step %d: POICount %d exceeds Size %d",
-					policy, step, c.POICount(), c.Size())
+			if poiCount > c.Size() {
+				t.Fatalf("policy %v step %d: %d POIs exceed Size %d",
+					policy, step, poiCount, c.Size())
 			}
 		}
 		c.Clear()

@@ -20,11 +20,13 @@ func TestEmptyRegionsAreBounded(t *testing.T) {
 	if len(c.Regions()) > 10 {
 		t.Fatalf("%d empty regions retained with capacity 10", len(c.Regions()))
 	}
-	if c.Size() > c.Capacity() {
+	if c.Size() > c.capacity {
 		t.Fatalf("size %d exceeds capacity", c.Size())
 	}
-	if c.POICount() != 0 {
-		t.Fatalf("POICount = %d", c.POICount())
+	for _, r := range c.Regions() {
+		if len(r.POIs) != 0 {
+			t.Fatalf("empty region holds %d POIs", len(r.POIs))
+		}
 	}
 }
 

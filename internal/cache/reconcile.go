@@ -238,6 +238,7 @@ func (c *Cache) Reconcile(s *RepairScratch, epoch, horizon int64, invals InvalSe
 	c.regions = append(c.regions[:0], out...)
 	clear(out)
 	s.staged, c.size = out, size
+	c.rebound()
 	return rec
 }
 
@@ -260,5 +261,6 @@ func (c *Cache) ExpireBefore(cutoff int64) int {
 	}
 	c.regions = out
 	c.size = size
+	c.rebound()
 	return n
 }

@@ -36,8 +36,8 @@ func TestHeapBasics(t *testing.T) {
 	if h.Len() != 3 || !h.Full() {
 		t.Fatalf("len=%d full=%v", h.Len(), h.Full())
 	}
-	if h.VerifiedCount() != 2 || h.UnverifiedCount() != 1 {
-		t.Fatalf("verified=%d unverified=%d", h.VerifiedCount(), h.UnverifiedCount())
+	if h.VerifiedCount() != 2 || h.Len()-h.VerifiedCount() != 1 {
+		t.Fatalf("verified=%d of %d", h.VerifiedCount(), h.Len())
 	}
 	if d, ok := h.LastDist(); !ok || d != 5 {
 		t.Fatalf("LastDist = %v, %v", d, ok)

@@ -94,9 +94,6 @@ func (h *Heap) VerifiedCount() int {
 	return n
 }
 
-// UnverifiedCount returns how many entries are unverified.
-func (h *Heap) UnverifiedCount() int { return len(h.entries) - h.VerifiedCount() }
-
 // TaintedCount returns how many entries came from untrusted peers.
 func (h *Heap) TaintedCount() int {
 	n := 0

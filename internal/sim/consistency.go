@@ -97,6 +97,8 @@ type typeConsState struct {
 	invals  cache.InvalSet
 	// frameBytes is the encoded size of the current IR frame.
 	frameBytes int
+	// heard is, per host, the newest epoch it has heard an IR frame for.
+	heard []int64
 }
 
 // epochRecord is one epoch's batch of mutation items.
@@ -116,6 +118,7 @@ func newConsState(p Params, types []typeState) *consState {
 	}
 	for ti := range c.types {
 		c.types[ti].nextID = int64(len(types[ti].db))
+		c.types[ti].heard = make([]int64, p.MHNumber)
 	}
 	return c
 }
@@ -262,14 +265,14 @@ func (w *World) applyUpdates(ti int) {
 // slots spent listening; zero (with zero draws) when the layer is off and
 // the host is current.
 func (w *World) syncIR(idx, ti int) int64 {
-	h := &w.hosts[idx]
-	w.expireTTL(h.caches[ti])
+	own := &w.caches[ti][idx]
+	w.expireTTL(own)
 	c := w.cons
 	if c == nil {
 		return 0
 	}
 	tc := &c.types[ti]
-	if h.irEpoch[ti] >= tc.epoch {
+	if tc.heard[idx] >= tc.epoch {
 		return 0
 	}
 	if w.blackout.Down(idx, w.nowSec) {
@@ -302,11 +305,11 @@ func (w *World) syncIR(idx, ti int) int64 {
 		w.stats.IRListenAborts++
 		return acc.Latency
 	}
-	rec := h.caches[ti].Reconcile(&w.qs.repair, tc.epoch, tc.horizon, tc.invals, w.Params.IRDiscard)
+	rec := own.Reconcile(&w.qs.repair, tc.epoch, tc.horizon, tc.invals, w.Params.IRDiscard)
 	w.stats.VRsReconciled += int64(rec.Repaired)
 	w.stats.VRsDiscarded += int64(rec.Discarded)
 	w.mx.observeReconcileCost(rec.Repaired, rec.Pieces)
-	h.irEpoch[ti] = tc.epoch
+	tc.heard[idx] = tc.epoch
 	return acc.Latency
 }
 

@@ -173,7 +173,7 @@ func (w *World) advanceContinuous(dt float64) {
 // runs the initial full verification.
 func (w *World) registerSubscription() {
 	c := w.cont
-	idx := c.rng.Intn(len(w.hosts))
+	idx := c.rng.Intn(len(w.mob))
 	ti := c.rng.Intn(len(w.types))
 	s := subscription{id: len(c.subs) + 1, host: idx, ti: ti}
 	if w.Params.Kind == WindowQuery {
@@ -217,7 +217,7 @@ func (w *World) contTainted(s *subscription) bool {
 // safe-region hit — re-rank the standing set around the new position,
 // zero channel cost.
 func (w *World) maintainSubscription(s *subscription) {
-	pos := w.hosts[s.host].mob.Pos
+	pos := w.mob[s.host].Pos
 	reason := classify(s.exact, w.Params.ContinuousNaive, w.contTainted(s), pos.Dist(s.anchor) >= s.safeR)
 	if reason != contHit {
 		w.reverify(s, reason)
@@ -250,7 +250,7 @@ func (w *World) contCommit(s *subscription, reason contReason, answer []broadcas
 	s.answer = append(s.answer[:0], answer...)
 	s.exact = exact
 	s.safeR = safeR
-	s.anchor = w.hosts[s.host].mob.Pos
+	s.anchor = w.mob[s.host].Pos
 	s.bornSec = w.nowSec
 	if w.cons != nil {
 		s.epoch = w.cons.types[s.ti].epoch

@@ -69,7 +69,7 @@ func (eng *tickEngine) conflicts(w *World, idx, ti int) bool {
 		hops = 1
 	}
 	reach := float64(hops) * w.Params.TxRangeMiles()
-	pos := w.hosts[idx].mob.Pos
+	pos := w.mob[idx].Pos
 	for i := 0; i < eng.n; i++ {
 		e := &eng.entries[i]
 		if e.ti != ti {

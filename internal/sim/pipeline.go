@@ -100,7 +100,7 @@ func (r *queryResult) exact() bool {
 // start resets e to a query by host idx on data type ti, keeping the
 // batch buffers.
 func (w *World) start(e *query, idx, ti int) {
-	*e = query{idx: idx, ti: ti, q: w.hosts[idx].mob.Pos, own: e.own, poiBuf: e.poiBuf}
+	*e = query{idx: idx, ti: ti, q: w.mob[idx].Pos, own: e.own, poiBuf: e.poiBuf}
 }
 
 func (w *World) shapeKNN(e *query, k int) {
@@ -326,6 +326,5 @@ func (w *World) cacheKnown(e *query) {
 	if w.cons != nil {
 		reg.Epoch = w.cons.types[e.ti].epoch
 	}
-	h := &w.hosts[e.idx]
-	h.caches[e.ti].Insert(reg, e.q, h.mob.Heading(), int64(w.nowSec))
+	w.caches[e.ti][e.idx].Insert(reg, e.q, w.mob[e.idx].Heading(), int64(w.nowSec))
 }

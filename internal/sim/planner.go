@@ -232,11 +232,16 @@ func (w *World) observeBudget(ts *typeState, total int64, answered, shed bool) {
 // probabilistic path exactly like the peer-served admission gate. The
 // second return value is the oldest Born stamp among the appended
 // regions (math.MaxInt64 when none) — the input of the own-cache rung's
-// staleness bound.
+// staleness bound. Like a peer's reply, it reads no region when the
+// cache MBR misses the rectangle.
 func (w *World) appendOwnCache(peers []core.PeerData, idx, ti int, relevance geom.Rect) ([]core.PeerData, int64) {
 	minBorn := int64(math.MaxInt64)
-	for _, r := range w.hosts[idx].caches[ti].Regions() {
-		if r.Rect.Intersects(relevance) {
+	c := &w.caches[ti][idx]
+	if mbr, ok := c.Bounds(); !ok || !mbr.Intersects(relevance) {
+		return peers, minBorn
+	}
+	for i, regions := 0, c.Regions(); i < len(regions); i++ {
+		if r := &regions[i]; r.Rect.Intersects(relevance) {
 			pd := core.PeerData{VR: r.Rect, POIs: r.POIs}
 			if w.cons != nil && r.Epoch < w.cons.types[ti].epoch {
 				pd.Tainted = true
@@ -244,9 +249,7 @@ func (w *World) appendOwnCache(peers []core.PeerData, idx, ti int, relevance geo
 			}
 			peers = append(peers, pd)
 			w.qs.origins = append(w.qs.origins, origin{peer: trust.Self})
-			if r.Born < minBorn {
-				minBorn = r.Born
-			}
+			minBorn = min(minBorn, r.Born)
 		}
 	}
 	return peers, minBorn

@@ -417,9 +417,10 @@ func TestPrefillRespectsCapacityAndSoundness(t *testing.T) {
 		}
 		// Caches are filled and within capacity; every region is sound.
 		filled := 0
-		for i := range w.hosts {
-			for ti, c := range w.hosts[i].caches {
-				if c.Size() > c.Capacity() {
+		for ti := range w.caches {
+			for i := range w.caches[ti] {
+				c := &w.caches[ti][i]
+				if c.Size() > w.Params.CacheSize {
 					t.Fatalf("%v: cache over capacity", kind)
 				}
 				if c.Size() > 0 {
@@ -434,8 +435,8 @@ func TestPrefillRespectsCapacityAndSoundness(t *testing.T) {
 				}
 			}
 		}
-		if filled < len(w.hosts)/2 {
-			t.Fatalf("%v: only %d/%d hosts prefilled", kind, filled, len(w.hosts))
+		if filled < len(w.mob)/2 {
+			t.Fatalf("%v: only %d/%d hosts prefilled", kind, filled, len(w.mob))
 		}
 	}
 }
@@ -599,8 +600,8 @@ func TestMultipleDataTypes(t *testing.T) {
 		t.Fatal("no queries")
 	}
 	// Every host carries one cache per type.
-	if got := len(w.hosts[0].caches); got != 3 {
-		t.Fatalf("host has %d caches, want 3", got)
+	if got := len(w.caches); got != 3 {
+		t.Fatalf("hosts have %d caches, want 3", got)
 	}
 	// The three types hold independent POI fields.
 	if len(w.types) != 3 {

@@ -72,7 +72,7 @@ func TestAdmitSharedRepairAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	const server, regions = 1, 6
-	c := w.hosts[server].caches[0]
+	c := &w.caches[0][server]
 	c.Clear()
 	var items []cache.Invalidation
 	for i := 0; i < regions; i++ {

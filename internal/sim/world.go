@@ -68,9 +68,14 @@ type World struct {
 	types   []typeState
 	net     *p2p.Network
 	model   *mobility.Waypoint
-	hosts   []host
 	inj     *faults.Injector
 	queryID uint64 // wire correlation IDs for encoded replies
+
+	// Per-host state, one array per field indexed by host id: mob[i] is
+	// host i's motion, caches[ti][i] its cache of POI type ti (Table 4:
+	// CSize per type), by value so serving a peer reads its bounds in one load.
+	mob    []mobility.State
+	caches [][]cache.Cache
 
 	// breakers is nil unless BreakerThreshold is set.
 	breakers *p2p.BreakerSet
@@ -197,15 +202,6 @@ type collectTarget struct {
 	dropped bool
 }
 
-type host struct {
-	mob    mobility.State
-	caches []*cache.Cache // one per POI data type (Table 4: CSize per type)
-	// irEpoch is the newest database epoch this host has heard an
-	// invalidation report for, per data type. Nil when the consistency
-	// layer is off.
-	irEpoch []int64
-}
-
 // typeState is the per-data-type substrate: its POI field, ground truth,
 // and broadcast channel (types are frequency-multiplexed, each with its
 // own cyclic schedule — "the effects of other POI types are expected to
@@ -229,10 +225,7 @@ func NewWorld(p Params) (*World, error) {
 	rng := rand.New(rand.NewSource(p.Seed))
 	area := p.Area()
 
-	nTypes := p.POITypes
-	if nTypes < 1 {
-		nTypes = 1
-	}
+	nTypes := max(p.POITypes, 1)
 	prof := p.Faults.Normalized()
 	types := make([]typeState, nTypes)
 	for ti := range types {
@@ -332,20 +325,18 @@ func NewWorld(p Params) (*World, error) {
 		w.mx = newWorldMetrics(w)
 	}
 
-	w.hosts = make([]host, p.MHNumber)
-	for i := range w.hosts {
-		caches := make([]*cache.Cache, nTypes)
-		for ti := range caches {
-			caches[ti] = cache.New(p.CacheSize, p.CachePolicy)
+	empty := cache.New(p.CacheSize, p.CachePolicy)
+	w.caches = make([][]cache.Cache, nTypes)
+	for ti := range w.caches {
+		w.caches[ti] = make([]cache.Cache, p.MHNumber)
+		for i := range w.caches[ti] {
+			w.caches[ti][i] = *empty
 		}
-		w.hosts[i] = host{
-			mob:    model.Init(rng),
-			caches: caches,
-		}
-		if w.cons != nil {
-			w.hosts[i].irEpoch = make([]int64, nTypes)
-		}
-		w.net.Update(i, w.hosts[i].mob.Pos)
+	}
+	w.mob = make([]mobility.State, p.MHNumber)
+	for i := range w.mob {
+		w.mob[i] = model.Init(rng)
+		w.net.Update(i, w.mob[i].Pos)
 	}
 	if p.PrefillQueriesPerHost > 0 {
 		w.prefill()
@@ -394,8 +385,8 @@ func (w *World) prefill() {
 		// map size for scaled runs.
 		radius = math.Min(7.5, w.Params.AreaMiles/2)
 	}
-	for i := range w.hosts {
-		h := &w.hosts[i]
+	for i := range w.mob {
+		m := &w.mob[i]
 		ti := w.rng.Intn(len(w.types))
 		ts := &w.types[ti]
 		n := mobility.Poisson(w.rng, w.Params.PrefillQueriesPerHost)
@@ -406,7 +397,7 @@ func (w *World) prefill() {
 			}
 			angle := w.rng.Float64() * 2 * math.Pi
 			d := w.rng.Float64() * radius
-			center := w.area.Clip(h.mob.Pos.Add(
+			center := w.area.Clip(m.Pos.Add(
 				geom.Pt(math.Cos(angle)*d, math.Sin(angle)*d)))
 			var region geom.Rect
 			if w.Params.Kind == WindowQuery {
@@ -431,8 +422,8 @@ func (w *World) prefill() {
 				rk := nn[len(nn)-1].Pos.Dist(center)
 				region = geom.RectAround(center, math.Max(rk, 1e-9))
 			}
-			h.caches[ti].Insert(cache.Region{Rect: region, POIs: w.poisInRect(nil, ti, region)},
-				h.mob.Pos, h.mob.Heading(), 0)
+			w.caches[ti][i].Insert(cache.Region{Rect: region, POIs: w.poisInRect(nil, ti, region)},
+				m.Pos, m.Heading(), 0)
 		}
 	}
 }
@@ -528,9 +519,9 @@ func (w *World) RunTick(tick func()) Stats {
 // Step advances the world by dt seconds: every host moves, then a
 // Poisson-distributed number of randomly chosen hosts launch queries.
 func (w *World) Step(dt float64) {
-	for i := range w.hosts {
-		w.model.Step(&w.hosts[i].mob, dt, w.rng)
-		w.net.Update(i, w.hosts[i].mob.Pos)
+	for i := range w.mob {
+		w.model.Step(&w.mob[i], dt, w.rng)
+		w.net.Update(i, w.mob[i].Pos)
 	}
 	w.nowSec += dt
 	// The overload plane resets its per-tick state (peer queues,
@@ -551,7 +542,7 @@ func (w *World) Step(dt float64) {
 	// nothing here.
 	nCrowd := w.crowdDraw(dt)
 	for q := 0; q < n; q++ {
-		idx := w.rng.Intn(len(w.hosts))
+		idx := w.rng.Intn(len(w.mob))
 		ti := w.rng.Intn(len(w.types))
 		w.launch(idx, ti)
 	}
@@ -661,11 +652,8 @@ func (w *World) trustScreen(ti int, peers []core.PeerData, spent int64, bcastUp 
 // one and nothing is drawn: one frame, then one reply or null ack per
 // neighbour — the paper's ideal exchange.
 func (w *World) gather(idx, ti int, relevance geom.Rect) ([]core.PeerData, int, int64) {
-	q := w.hosts[idx].mob.Pos
-	hops := w.Params.SharingHops
-	if hops < 1 {
-		hops = 1
-	}
+	q := w.mob[idx].Pos
+	hops := max(w.Params.SharingHops, 1)
 	ids := w.net.AppendNeighborsMultiHop(w.qs.ids[:0], q, w.Params.TxRangeMiles(), hops, idx)
 	w.qs.ids = ids
 	nPeers := len(ids)
@@ -884,10 +872,15 @@ const (
 // applies a transport fate to the reply, and the client's consistency
 // gate admits what arrived. Surviving regions are appended to peers.
 func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.Rect, stamp int64, count bool) ([]core.PeerData, replyKind) {
-	c := w.hosts[id].caches[ti]
+	c := &w.caches[ti][id]
 	// Serving is a cache touchpoint: the peer lazily expires its own
 	// timed-out regions before offering anything (no-op unless VRTTLSec).
 	w.expireTTL(c)
+	// A peer whose cache MBR misses the relevance rectangle holds nothing
+	// relevant: it sends the null ack before any region is read.
+	if mbr, ok := c.Bounds(); !ok || !mbr.Intersects(relevance) {
+		return peers, replySilent
+	}
 	atk := faults.AttackNone
 	if w.byzAttack != nil {
 		atk = w.byzAttack[id]
@@ -984,11 +977,7 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 
 // drawK samples the per-query k around the configured mean.
 func (w *World) drawK() int {
-	k := mobility.Poisson(w.rng, float64(w.Params.K))
-	if k < 1 {
-		k = 1
-	}
-	return k
+	return max(mobility.Poisson(w.rng, float64(w.Params.K)), 1)
 }
 
 // knnRelevanceRadius bounds which peer regions can matter for a k-NN

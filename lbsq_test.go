@@ -1,6 +1,7 @@
 package lbsq_test
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -144,6 +145,28 @@ func TestClientMoveToUpdatesHeading(t *testing.T) {
 	c.AdvanceSlots(-5) // ignored
 	if c.NowSlot() != 10 {
 		t.Fatalf("NowSlot after negative advance = %d", c.NowSlot())
+	}
+}
+
+// A verified region with a NaN or infinite coordinate promises nothing a
+// peer can use: the client must not cache it, so it never shares it.
+func TestNonFiniteKnowledgeIsNotShared(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	srv := gridServer()
+	c := lbsq.NewClient(srv, lbsq.Pt(8, 8), 50)
+	c.Window(lbsq.Rect{Min: lbsq.Pt(6, nan), Max: lbsq.Pt(10, 10)}, nil)
+	if got := c.Share(); len(got) != 0 {
+		t.Errorf("window with a NaN corner shared %v", got)
+	}
+	c = lbsq.NewClient(srv, lbsq.Pt(nan, 8), 50)
+	c.KNN(3, nil)
+	if got := c.Share(); len(got) != 0 {
+		t.Errorf("kNN from a NaN position shared %v", got)
+	}
+	c = lbsq.NewClient(srv, lbsq.Pt(8, 8), 50)
+	c.Window(lbsq.Rect{Min: lbsq.Pt(6, 6), Max: lbsq.Pt(inf, 10)}, nil)
+	if got := c.Share(); len(got) != 0 {
+		t.Errorf("window reaching +Inf shared %v", got)
 	}
 }
 
