@@ -131,7 +131,6 @@ var flagSurface = [][2]string{
 	{"set", `"la"`},
 	{"side", `5`},
 	{"step", `10`},
-	{"tick-workers", `1`},
 	{"trace", ``},
 	{"tx", ``},
 	{"types", `1`},
@@ -201,7 +200,7 @@ func TestFlagSurfaceUnchanged(t *testing.T) {
 // armed; every layer and plain knob flag set to a non-default value, so a
 // flag bound to the wrong field or not copied onto the preset shows; and
 // the world flags, the enum flags and the hand-written -corrupt beside a
-// metrics snapshot, the boolean ablations and batched ticks.
+// metrics snapshot and the boolean ablations.
 var reportCommands = []struct{ name, args string }{
 	{"zero", "-set la -side 1 -hours 0.1 -seed 7 -owncache -selfcheck -json"},
 	{"layers", "-set suburbia -side 1.5 -hours 0.1 -seed 11 -step 5 -hops 2 -clusters 3 -types 2 " +
@@ -216,7 +215,7 @@ var reportCommands = []struct{ name, args string }{
 		"-coalesce-radius 0.1"},
 	{"attack", "-set riverside -kind window -side 3 -hours 0.2 -seed 5 -tx 250 -cache 30 -window 4 " +
 		"-policy lru -metrics -json -corrupt 0.2 -byzantine-rate 0.2 -attack shift -audit-rate 0.5 " +
-		"-ir-discard -update-rate 2 -continuous-rate 1 -continuous-naive -tick-workers 4"},
+		"-ir-discard -update-rate 2 -continuous-rate 1 -continuous-naive"},
 }
 
 var wallClock = regexp.MustCompile(`"wall_seconds":[0-9.e+-]+`)
@@ -373,12 +372,11 @@ func TestBadValuesExitTwo(t *testing.T) {
 }
 
 // TestGoodValuesRun: values at the edge of what the checks admit still
-// run — a negative seed, every spelling of the enum flags, and the
-// GOMAXPROCS tick-worker setting.
+// run — a negative seed and every spelling of the enum flags.
 func TestGoodValuesRun(t *testing.T) {
 	for _, arg := range []string{
 		"-seed -3", "-policy lru", "-policy direction", "-policy LRU", "-kind window", "-kind KNN",
-		"-attack none", "-tick-workers 0",
+		"-attack none",
 	} {
 		_, stderr, code := run(t, append(strings.Fields(arg), "-side", "1", "-hours", "0.02", "-json")...)
 		if code != 0 {

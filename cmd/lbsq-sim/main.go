@@ -11,13 +11,13 @@
 // semantics; a world knob left at zero keeps the preset's value. DESIGN.md
 // has the models: §7 faults, §8 collection lifecycle, §10 metrics, §11
 // trust, §12 consistency, §13 bursts, blackouts and the degraded planner,
-// §14 tick workers, §15 continuous queries, §16 crowds and overload
-// control. Every layer is off at its zero value, output is then
-// bit-identical to a build without it, and every run is deterministic
-// under -seed. A value outside a knob's range exits 2 naming the flag.
-// The report is one sim.Report row, printed as text (Report.WriteText) or,
-// with -json, as one JSONL object; the fault/resilience grid of such rows
-// is `lbsq-figures -fig faults`.
+// §15 continuous queries, §16 crowds and overload control. Every layer
+// is off at its zero value, output is then bit-identical to a build
+// without it, and every run is deterministic under -seed. A value
+// outside a knob's range exits 2 naming the flag. The report is one
+// sim.Report row, printed as text (Report.WriteText) or, with -json, as
+// one JSONL object; the fault/resilience grid of such rows is
+// `lbsq-figures -fig faults`.
 package main
 
 import (
@@ -35,7 +35,6 @@ import (
 	"lbsq/internal/knob"
 	"lbsq/internal/metrics"
 	"lbsq/internal/sim"
-	"lbsq/internal/sweep"
 	"lbsq/internal/trace"
 )
 
@@ -54,7 +53,7 @@ type cli struct {
 // register defines all of lbsq-sim's flags on fs.
 func register(fs *flag.FlagSet) *cli {
 	c := &cli{knobs: sim.Params{AreaMiles: 5, DurationHours: 0.5, TimeStepSec: 10, AcceptApproximate: true,
-		SharingHops: 1, POITypes: 1, PrefillQueriesPerHost: 10, TickWorkers: 1}}
+		SharingHops: 1, POITypes: 1, PrefillQueriesPerHost: 10}}
 	knob.Bind(fs, &c.knobs)
 	fs.StringVar(&c.set, "set", "la", "parameter set: la, suburbia, riverside")
 	fs.Int64Var(&c.seed, "seed", 42, "random seed")
@@ -134,7 +133,6 @@ func main() {
 	p.Faults.ReplyTruncate = c.corrupt / 2
 	p.Faults.ReplyCorrupt = c.corrupt / 2
 	p.Metrics = c.metricsOn || c.mxOut != "" || c.mxListen != ""
-	p.TickWorkers = sweep.Workers(p.TickWorkers)
 
 	w, err := sim.NewWorld(p)
 	if err != nil {

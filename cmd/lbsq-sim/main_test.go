@@ -107,7 +107,7 @@ func TestCheckRatesBurstBound(t *testing.T) {
 func TestEveryKnobHasOneFlag(t *testing.T) {
 	byHand := map[string]bool{"ReplyTruncate": true, "ReplyCorrupt": true}
 	world := []string{"AreaMiles", "DurationHours", "TxRangeMeters", "CacheSize", "K", "WindowPct",
-		"Kind", "CachePolicy", "TickWorkers"}
+		"Kind", "CachePolicy"}
 	flagValue := reflect.TypeOf((*flag.Value)(nil)).Elem()
 
 	fs, c := newCLI()

@@ -94,9 +94,9 @@ func SafeExitWindow(w geom.Rect, candidates []broadcast.POI, coverClearance floa
 // order the query algorithms use — so a maintained kNN answer can be
 // re-ranked cheaply after the host moves without re-running the query.
 func SortByDist(pois []broadcast.POI, q geom.Point) {
-	s := GetScratch()
+	s := getScratch()
 	sortCandidates(s, pois, q)
-	PutScratch(s)
+	putScratch(s)
 }
 
 // inAnswer reports whether id is one of the (at most k, so linear-scan

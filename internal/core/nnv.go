@@ -97,11 +97,11 @@ type NNVResult struct {
 // out before returning, so the result is caller-owned while the cold
 // path stays near the warm path's allocation profile.
 func NNV(q geom.Point, peers []PeerData, k int, lambda float64) NNVResult {
-	s := GetScratch()
+	s := getScratch()
 	res := NNVScratch(s, q, peers, k, lambda)
 	res.Heap = cloneHeap(res.Heap)
 	res.MVR = cloneMVR(res.MVR)
-	PutScratch(s)
+	putScratch(s)
 	return res
 }
 

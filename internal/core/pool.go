@@ -8,21 +8,20 @@ import (
 )
 
 // scratchPool recycles Scratch values across cold-start queries: the
-// convenience entry points (NNV, SBNN, SBWQ) and the parallel tick
-// engine's workers draw from it instead of allocating a fresh Scratch
-// per query, so the cold path converges to the warm path's allocation
-// profile once the pool holds grown buffers.
+// convenience entry points (NNV, SBNN, SBWQ) draw from it instead of
+// allocating a fresh Scratch per query, so the cold path converges to the
+// warm path's allocation profile once the pool holds grown buffers.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-// GetScratch returns a Scratch from the pool (possibly with warm, grown
+// getScratch returns a Scratch from the pool (possibly with warm, grown
 // buffers). Results of the *Scratch functions alias the Scratch they
 // ran on — callers must finish consuming (or copying) a result before
-// returning its Scratch with PutScratch.
-func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+// returning its Scratch with putScratch.
+func getScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
-// PutScratch returns a Scratch to the pool. The caller must not use the
+// putScratch returns a Scratch to the pool. The caller must not use the
 // Scratch, or any result aliasing it, afterwards.
-func PutScratch(s *Scratch) { scratchPool.Put(s) }
+func putScratch(s *Scratch) { scratchPool.Put(s) }
 
 // cloneHeap copies a heap so the result survives its scratch. An empty
 // heap clones to nil entries, matching what a fresh Scratch produces.

@@ -117,12 +117,12 @@ func verifiedSquare(q geom.Point, radius float64) geom.Rect {
 // POIs) out before returning, so the result is caller-owned while the
 // cold path stays near the warm path's allocation profile.
 func SBNN(q geom.Point, peers []PeerData, cfg SBNNConfig, sched *broadcast.Schedule, now int64) SBNNResult {
-	s := GetScratch()
+	s := getScratch()
 	res := SBNNScratch(s, q, peers, cfg, sched, now)
 	res.Heap = cloneHeap(res.Heap)
 	res.MVR = cloneMVR(res.MVR)
 	res.POIs = clonePOIs(res.POIs)
-	PutScratch(s)
+	putScratch(s)
 	return res
 }
 

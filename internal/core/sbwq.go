@@ -65,10 +65,10 @@ func SBWQ(q geom.Point, w geom.Rect, peers []PeerData, sched *broadcast.Schedule
 // are fresh already), so the result is caller-owned while the cold path
 // stays near the warm path's allocation profile.
 func SBWQWithConfig(q geom.Point, w geom.Rect, peers []PeerData, cfg SBWQConfig, sched *broadcast.Schedule, now int64) SBWQResult {
-	s := GetScratch()
+	s := getScratch()
 	res := SBWQScratch(s, q, w, peers, cfg, sched, now)
 	res.MVR = cloneMVR(res.MVR)
-	PutScratch(s)
+	putScratch(s)
 	return res
 }
 

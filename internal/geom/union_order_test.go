@@ -73,9 +73,9 @@ func compareAgainst(t *testing.T, tag string, inc, ref *RectUnion, rng *rand.Ran
 	}
 }
 
-// TestRectUnionOrderIndependence pins the property the tick engine's
-// memoized MVRs rely on: the decomposition and every derived query are
-// functions of the member MULTISET only, so a union that was probed,
+// TestRectUnionOrderIndependence pins the property the goldens rely on:
+// the decomposition and every derived query are functions of the member
+// MULTISET only, so a union that was probed,
 // Reset and refilled matches one built fresh from the same members in
 // any other order — duplicates included.
 func TestRectUnionOrderIndependence(t *testing.T) {

@@ -18,8 +18,8 @@ package p2p
 // The queue is per-tick state: Reset clears it at every tick boundary,
 // so capacity is a rate (requests per peer per tick), not a lifetime
 // total. All decisions are deterministic functions of arrival order —
-// no randomness — so armed runs stay reproducible and tick-worker
-// identical (admission happens in the simulator's serial prepare stage).
+// no randomness — so armed runs stay reproducible (admission happens in
+// the simulator's prepare stage, one query at a time).
 
 // ServiceVerdict classifies one admission decision of a peer's bounded
 // service queue.

@@ -20,9 +20,9 @@ package sim
 // world stream w.rng is untouched whether the knob is armed or not.
 // With ContinuousRate zero the layer is a nil pointer: zero draws, zero
 // branches, zero counters — outputs stay bit-identical to the
-// pre-continuous build. The whole phase runs serially before the tick's
-// first one-shot query launches, so it is the same at every TickWorkers
-// setting.
+// pre-continuous build. The whole phase runs before the tick's first
+// one-shot query launches, one re-verification at a time in registration
+// order.
 
 import (
 	"math"

@@ -7,9 +7,7 @@ package sim
 //     state, counters, trace events, or report keys — and stay
 //     deterministic run-to-run.
 //   - Armed determinism: identical seeds yield byte-identical reports
-//     and traces, at every TickWorkers count (the maintenance phase runs
-//     serially before the batched query loop, so the engine identity
-//     matrix must hold with subscriptions live).
+//     and traces, for both query kinds.
 //   - Safe-region soundness: every safe-region hit re-checks the
 //     standing answer against the R-tree ground truth (SelfCheck), so a
 //     run with hits and a nil SelfCheckErr is the differential proof
@@ -56,8 +54,8 @@ func TestContinuousZeroKnob(t *testing.T) {
 	if p.ContinuousEnabled() {
 		t.Fatal("zero knob reports enabled")
 	}
-	wa, sa, repA, trA := runTickWorld(t, p, 1)
-	_, sb, repB, trB := runTickWorld(t, p, 1)
+	wa, sa, repA, trA := runArmedWorld(t, p)
+	_, sb, repB, trB := runArmedWorld(t, p)
 	if sa != sb || !bytes.Equal(repA, repB) || !bytes.Equal(trA, trB) {
 		t.Fatal("zero-knob run not deterministic")
 	}
@@ -83,8 +81,8 @@ func TestContinuousDeterminism(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			p := contParams(kind, 42)
-			_, sa, repA, trA := runTickWorld(t, p, 1)
-			_, sb, repB, trB := runTickWorld(t, p, 1)
+			_, sa, repA, trA := runArmedWorld(t, p)
+			_, sb, repB, trB := runArmedWorld(t, p)
 			if sa != sb {
 				t.Fatalf("armed stats diverged:\n%+v\nvs\n%+v", sa, sb)
 			}
@@ -94,18 +92,6 @@ func TestContinuousDeterminism(t *testing.T) {
 			if sa.Subscriptions == 0 || sa.Reverifies == 0 {
 				t.Fatalf("armed run registered nothing: %+v", sa)
 			}
-		})
-	}
-}
-
-// TestContinuousTickWorkersIdentity runs the armed configuration through
-// the batched-engine identity matrix: workers 2/4/8 must stay
-// byte-identical to the serial baseline with subscriptions live.
-func TestContinuousTickWorkersIdentity(t *testing.T) {
-	for _, kind := range []QueryKind{KNNQuery, WindowQuery} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			checkTickIdentity(t, contParams(kind, 9))
 		})
 	}
 }
@@ -242,7 +228,7 @@ func TestContinuousReverifyFractionAccessor(t *testing.T) {
 // answers.
 func TestContinuousTraceEvents(t *testing.T) {
 	p := contParams(KNNQuery, 33)
-	_, s, _, tr := runTickWorld(t, p, 1)
+	_, s, _, tr := runArmedWorld(t, p)
 	if s.Reverifies == 0 {
 		t.Fatal("no reverifies to trace")
 	}

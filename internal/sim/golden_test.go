@@ -3,16 +3,15 @@ package sim
 // Committed goldens (testdata/golden/*.json): the report row (wall clock
 // zeroed, metrics snapshot embedded) and the trace stream's SHA-256 of a
 // fixed set of small worlds, each run with SelfCheck, CompareBaseline
-// and Metrics on. Every other identity test in this package compares
-// the build against itself (serial vs batched, zero-knob vs armed); the
-// goldens compare it against the commit that generated them, so a
-// behaviour-preserving refactor is proven by an empty diff and an
-// intentional change is a reviewed golden diff.
+// and Metrics on, once. Every other identity test in this package
+// compares the build against itself (run twice, zero-knob vs armed,
+// metrics on vs off); the goldens compare it against the commit that
+// generated them, so a behaviour-preserving refactor is proven by an
+// empty diff and an intentional change is a reviewed golden diff.
 //
 //	make goldens    # go test ./internal/sim -run TestGolden -update
 //
-// Report rows do not carry TickWorkers, so one file pins both worker
-// counts. The files are float-bit exact and therefore amd64-only: other
+// The files are float-bit exact and therefore amd64-only: other
 // architectures may fuse multiply-adds and move the last bit.
 
 import (
@@ -55,8 +54,8 @@ func goldenWorlds() map[string]Params {
 	// with IR reconciliation (whole-discard ablation), blackouts, standing
 	// subscriptions and the overload controls. The safe-region path
 	// replaces its naive baseline so hits are pinned too. The kNN world
-	// keeps its lossy broadcast channel (entries execute serially at
-	// commit); the window world clears it, so batches execute in parallel.
+	// keeps its lossy broadcast channel; the window world pins the same
+	// stack for window queries (SBWQ, standing windows) on a loss-free one.
 	armedKNN := soakParams(9)
 	armedKNN.ContinuousNaive = false
 	armedWindow := armedKNN
@@ -68,8 +67,8 @@ func goldenWorlds() map[string]Params {
 	// Flash crowd under the full control stack (coalescing, admission,
 	// BUSY backpressure, retry budget). On its lossy downlink a governor
 	// floor of 1 engages at the first budget miss, so governor sheds are
-	// pinned; on a loss-free downlink nothing misses, most of the hotspot
-	// coalesces, and its batches execute in parallel.
+	// pinned; on a loss-free downlink nothing misses, so the governor never
+	// engages and most of the hotspot coalesces.
 	crowdLossy := withOverloadControls(crowdParams())
 	crowdLossy.GovernorFloor = 1
 	crowd := crowdLossy
@@ -165,7 +164,7 @@ func goldenWorlds() map[string]Params {
 	}
 }
 
-// goldenRun is one golden world's serial run with everything armed: what
+// goldenRun is one golden world's run with everything armed: what
 // the golden file renders, and what the stats-vs-metrics and metrics
 // on-vs-off tests read, so the three share one simulation per world.
 type goldenRun struct {
@@ -179,13 +178,13 @@ func goldenRunOf(t *testing.T, name string, p Params) goldenRun {
 	t.Helper()
 	r, ok := goldenRuns[name]
 	if !ok {
-		_, r.stats, r.report, r.trc = runTickWorld(t, p, 1)
+		_, r.stats, r.report, r.trc = runArmedWorld(t, p)
 		goldenRuns[name] = r
 	}
 	return r
 }
 
-// goldenReportOf decodes the serial run's report row, as a consumer of
+// goldenReportOf decodes the run's report row, as a consumer of
 // the golden file would read it.
 func goldenReportOf(t *testing.T, name string, p Params) Report {
 	t.Helper()
@@ -230,12 +229,12 @@ func TestGolden(t *testing.T) {
 		path := filepath.Join("testdata", "golden", name+".json")
 		t.Run(name, func(t *testing.T) {
 			run := goldenRunOf(t, name, p)
-			serial := goldenRender(t, run.report, run.trc)
+			got := goldenRender(t, run.report, run.trc)
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(path, serial, 0o644); err != nil {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -243,13 +242,9 @@ func TestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v (run `make goldens`)", err)
 			}
-			_, _, rep4, tr4 := runTickWorld(t, p, 4)
-			for workers, got := range map[int][]byte{1: serial, 4: goldenRender(t, rep4, tr4)} {
-				if !bytes.Equal(got, want) {
-					line, g, w := firstDiffLine(got, want)
-					t.Errorf("workers=%d diverged from %s at line %d:\n got: %s\nwant: %s",
-						workers, path, line, g, w)
-				}
+			if !bytes.Equal(got, want) {
+				line, g, w := firstDiffLine(got, want)
+				t.Errorf("diverged from %s at line %d:\n got: %s\nwant: %s", path, line, g, w)
 			}
 		})
 	}

@@ -54,7 +54,7 @@ func TestMetricsTrajectoryIdentity(t *testing.T) {
 	for name, p := range goldenWorlds() {
 		t.Run(name, func(t *testing.T) {
 			on := goldenRunOf(t, name, p)
-			_, soff, troff := runTracedWorld(t, p, 1)
+			_, soff, troff := runTracedWorld(t, p)
 			if on.stats != soff {
 				t.Errorf("metrics knob perturbed the trajectory:\n%+v\nvs\n%+v", on.stats, soff)
 			}

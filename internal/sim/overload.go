@@ -36,10 +36,9 @@ import (
 // Determinism: every decision here is either a pure function of
 // deterministic per-tick state (queues, buckets, the governor's ratio)
 // or drawn from the dedicated crowd stream (crowdSeedSalt). All hooks
-// run in Step's launch loop or the pipeline's prepare stage — serial,
-// in query order, at every worker count — so armed runs are tick-worker
-// identical by construction, and the zero-knob world never constructs
-// this state at all.
+// run in Step's launch loop or the pipeline's prepare stage, one query at
+// a time in draw order, so armed runs are reproducible per seed, and the
+// zero-knob world never constructs this state at all.
 
 // CrowdKnobs configure the flash-crowd workload generator (see LayerKnobs
 // for the tags).

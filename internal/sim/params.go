@@ -195,16 +195,6 @@ type Params struct {
 	// output is bit-identical to a build without the layer — the same
 	// zero-knob identity contract as Faults and the resilience knobs.
 	Metrics bool
-
-	// TickWorkers sets when the query pipeline's pure execute stage runs
-	// (DESIGN.md §14.2). 0 or 1 (the default): each query executes and
-	// commits as it is drawn. More: a tick's prepared queries are held
-	// and executed together across this many workers against the tick's
-	// frozen world state, then committed serially in query order. Every
-	// report, trace, and metrics output is byte-identical at every
-	// setting. The knob is a host-machine execution detail, never part
-	// of the simulated configuration, so it is excluded from Report rows.
-	TickWorkers int `json:"-" flag:"tick-workers" usage:"per-tick query execution workers (1 = the serial seed path, 0 = GOMAXPROCS; results identical either way)"`
 }
 
 // LayerKnobs gathers the knob structs declared beside each shell layer.

@@ -12,22 +12,21 @@ import (
 )
 
 // The query pipeline (DESIGN.md §14). Every query the simulator runs — a
-// one-shot kNN or window query, executed as drawn or batched across
-// workers, or a standing subscription's re-verification — is one query
-// value passing through three stages:
+// one-shot kNN or window query, or a standing subscription's
+// re-verification — is one query value passing through three stages, one
+// query at a time, in draw order:
 //
 //	prepare  assess channel → sync IR → overload-gated collect → trust
-//	         screen. Serial. Consumes the injector, trust and consistency
-//	         streams; touches peer caches, queues, buckets, breakers.
+//	         screen. Consumes the injector, trust and consistency streams;
+//	         touches peer caches, queues, buckets, breakers.
 //	execute  SBNN or SBWQ, chosen by shape, on caller-supplied scratch.
 //	         Pure: reads only the query and state frozen for the tick.
 //	commit   outcome counters, budget, baseline pricing, self-check, trace
-//	         event, metrics, cache insert. Serial, in query order.
+//	         event, metrics, cache insert.
 //
 // Callers differ only in who supplies the shape (drawn from the world
-// stream, or fixed at subscription time), when execute runs (engine.go's
-// flush policy), and what commit adds (a standing query's safe-exit
-// radius and counters, continuous.go).
+// stream, or fixed at subscription time) and what commit adds (a standing
+// query's safe-exit radius and counters, continuous.go).
 
 // query is one query in flight: its shape, everything prepare learned,
 // and the execute stage's result.
@@ -44,10 +43,10 @@ type query struct {
 
 	qc      queryChannel
 	irSlots int64
-	// peers is the screened collection result. Until the batch engine
-	// snapshots it into own, it aliases World scratch (or the coalescing
-	// donor table) and is valid only until the next prepare; the POI slices
-	// inside alias cache storage or the World arena either way (§9.1).
+	// peers is the screened collection result. It aliases World scratch
+	// (or the coalescing donor table) and is valid only until the next
+	// prepare; the POI slices inside alias cache storage or the World arena
+	// (§9.1).
 	peers     []core.PeerData
 	nPeers    int
 	spent     int64 // backoff + rung-switch + IR-listen + audit slots (the latency term)
@@ -63,12 +62,6 @@ type query struct {
 	baseline bool
 
 	res queryResult
-
-	// Batch-only storage, kept across ticks: the entry-owned peers
-	// snapshot and the copy-out buffer for SBNN answers (which alias
-	// worker scratch).
-	own    []core.PeerData
-	poiBuf []broadcast.POI
 }
 
 // queryResult is what commit consumes of an SBNN or SBWQ result. pois
@@ -97,10 +90,9 @@ func (r *queryResult) exact() bool {
 	return !r.degraded && r.outcome != core.OutcomeApproximate
 }
 
-// start resets e to a query by host idx on data type ti, keeping the
-// batch buffers.
+// start resets e to a query by host idx on data type ti.
 func (w *World) start(e *query, idx, ti int) {
-	*e = query{idx: idx, ti: ti, q: w.mob[idx].Pos, own: e.own, poiBuf: e.poiBuf}
+	*e = query{idx: idx, ti: ti, q: w.mob[idx].Pos}
 }
 
 func (w *World) shapeKNN(e *query, k int) {
@@ -112,17 +104,43 @@ func (e *query) shapeWindow(win geom.Rect) {
 	e.window, e.win, e.relevance = true, win, win
 }
 
-// prepare runs the serial pre-algorithm stage for a shaped query. A
-// standing query takes the same path with the overload plane's exempt
-// mark set, which turns the one-shot gates (coalesce, admission,
-// governor, retry budget, donation) into pass-throughs.
+// launch runs one one-shot query by host idx on data type ti: shape from
+// the world stream, then prepare, execute and commit.
+func (w *World) launch(idx, ti int) {
+	e := &w.qs.cur
+	w.start(e, idx, ti)
+	if w.Params.Kind == WindowQuery {
+		win, ok := w.drawWindow(e.q)
+		if !ok {
+			return
+		}
+		e.shapeWindow(win)
+	} else {
+		w.shapeKNN(e, w.drawK())
+	}
+	w.prepare(e)
+	// The baseline coin is the only world-stream draw a query makes after
+	// its shape. It sits between prepare and execute: moving it would
+	// reorder the world stream and every run after the first sampled query.
+	if w.CompareBaseline && w.counted() {
+		rate := w.BaselineSampleRate
+		if rate <= 0 {
+			rate = 0.2
+		}
+		e.baseline = w.rng.Float64() <= rate
+	}
+	w.execute(e, &w.qs.core)
+	w.commit(e)
+}
+
+// prepare runs the pre-algorithm stage for a shaped query. A standing
+// query takes the same path with the overload plane's exempt mark set,
+// which turns the one-shot gates (coalesce, admission, governor, retry
+// budget, donation) into pass-throughs.
 func (w *World) prepare(e *query) {
 	// The one place the arena is rewound (DESIGN.md §9.1): it backs the
-	// peers of every prepared query until that query commits, so it starts
-	// over only when e is the sole entry in flight.
-	if w.eng.n <= 1 {
-		w.qs.arena.Rewind()
-	}
+	// peers of the query in flight until that query commits.
+	w.qs.arena.Rewind()
 	e.qc = w.assessChannel(e.idx)
 	e.irSlots = w.syncIR(e.idx, e.ti)
 	w.collect(e)
@@ -183,8 +201,7 @@ func (w *World) collect(e *query) {
 }
 
 // execute runs the core algorithm for e on the given scratch. It writes
-// only e.res and the scratch, so batch workers may run it concurrently on
-// disjoint entries.
+// only e.res and the scratch.
 func (w *World) execute(e *query, s *core.Scratch) {
 	ts := &w.types[e.ti]
 	r := &e.res

@@ -148,10 +148,6 @@ type World struct {
 	// every cell its own World and therefore its own scratch.
 	qs queryScratch
 
-	// eng holds the tick's pending one-shot queries (engine.go). Its
-	// buffers are reused across ticks.
-	eng tickEngine
-
 	stats        Stats
 	selfCheckErr error
 }
@@ -188,6 +184,9 @@ type queryScratch struct {
 	// arena holds the POI lists of repair pieces and trust-screen splits
 	// in peers, alive until their query commits: prepare rewinds it.
 	arena broadcast.POIArena
+	// cur is the one-shot query in flight (launch), World-owned like the
+	// buffers above so that launching a query allocates nothing.
+	cur query
 }
 
 // collectTarget is one addressed peer's state during a collection.
@@ -287,7 +286,6 @@ func NewWorld(p Params) (*World, error) {
 		chanArmed:   prof.BurstEnabled() || prof.BlackoutEnabled(),
 	}
 	w.warmupSec = w.durationSec * p.WarmupFrac
-	w.eng.serialAir = prof.BroadcastLoss > 0
 	if w.blackout != nil {
 		w.chanDown = make([]bool, p.MHNumber)
 	}
@@ -531,8 +529,8 @@ func (w *World) Step(dt float64) {
 	w.tickReset(dt)
 	w.advanceConsistency()
 	// Continuous subscriptions register and maintain strictly before the
-	// one-shot queries, on the simulation goroutine, so the maintenance
-	// phase is the same at every TickWorkers setting by construction.
+	// one-shot queries, so a tick's one-shots see the caches its
+	// re-verifications filled.
 	w.advanceContinuous(dt)
 
 	mean := w.Params.QueryRate / 60 * dt
@@ -553,7 +551,6 @@ func (w *World) Step(dt float64) {
 		}
 		w.launch(idx, ti)
 	}
-	w.flushBatch()
 	w.mx.sync(w)
 }
 

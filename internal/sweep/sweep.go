@@ -3,13 +3,13 @@
 // in-process bench grids, and any caller with independent parameter
 // cells to evaluate.
 //
-// Determinism contract: each cell is a closure owning all of its inputs
-// (its own seeded sim.World, RNG, and scratch — nothing shared), and
-// results are written into a slice indexed by cell position. The output
-// is therefore bit-identical to running the cells serially in order, no
-// matter how the scheduler interleaves workers. Callers must not smuggle
-// shared mutable state into cell closures; that is the one way to break
-// the contract.
+// Determinism contract: each cell — one element of Map's input — owns
+// all of its inputs (its own seeded sim.World, RNG, and scratch —
+// nothing shared), and results are written into a slice indexed by cell
+// position. The output is therefore bit-identical to running the cells
+// serially in order, no matter how the scheduler interleaves workers.
+// Callers must not smuggle shared mutable state into the mapped
+// function; that is the one way to break the contract.
 package sweep
 
 import (
@@ -28,71 +28,36 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Run evaluates every cell and returns the results in cell order.
-// workers is the concurrency level (pass Workers(flagValue) to resolve
-// an "auto" request); 1 runs the cells serially on the calling
-// goroutine with zero synchronization overhead. Results are identical
-// either way — see the package determinism contract.
+// Map runs f over every element of in and returns the outputs in input
+// order. workers is the concurrency level (pass Workers(flagValue) to
+// resolve an "auto" request); 1 runs the elements serially on the
+// calling goroutine with zero synchronization overhead. Results are
+// identical either way — see the package determinism contract. f
+// receives the element index and value and must not touch state shared
+// with other elements.
 //
-// Workers claim cells in chunks (several cells per atomic increment) so
-// cheap cells — the tick engine's per-query work items — do not
-// serialize on the shared counter; the chunk size shrinks with the
-// cell/worker ratio so the tail still load-balances.
-func Run[T any](workers int, cells []func() T) []T {
-	results := make([]T, len(cells))
-	if len(cells) == 0 {
-		return results
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
+// Workers claim one element per atomic increment: an element is a whole
+// world, so the shared counter is never the bottleneck.
+func Map[In, Out any](workers int, in []In, f func(int, In) Out) []Out {
+	out := make([]Out, len(in))
+	workers = min(workers, len(in))
 	if workers <= 1 {
-		for i, cell := range cells {
-			results[i] = cell()
+		for i, v := range in {
+			out[i] = f(i, v)
 		}
-		return results
-	}
-	chunk := len(cells) / (workers * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
-	if chunk > 64 {
-		chunk = 64
+		return out
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		go func() {
 			defer wg.Done()
-			for {
-				start := int(next.Add(int64(chunk))) - chunk
-				if start >= len(cells) {
-					return
-				}
-				end := start + chunk
-				if end > len(cells) {
-					end = len(cells)
-				}
-				for i := start; i < end; i++ {
-					results[i] = cells[i]()
-				}
+			for i := int(next.Add(1)) - 1; i < len(in); i = int(next.Add(1)) - 1 {
+				out[i] = f(i, in[i])
 			}
 		}()
 	}
 	wg.Wait()
-	return results
-}
-
-// Map runs f over every element of in across the given number of
-// workers and returns the outputs in input order. It is Run with the
-// cell closures built for the caller; f receives the element index and
-// value and must not touch state shared with other elements.
-func Map[In, Out any](workers int, in []In, f func(int, In) Out) []Out {
-	cells := make([]func() Out, len(in))
-	for i := range in {
-		i := i
-		cells[i] = func() Out { return f(i, in[i]) }
-	}
-	return Run(workers, cells)
+	return out
 }

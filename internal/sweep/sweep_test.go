@@ -24,59 +24,50 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
-// TestRunMatchesSerial is the engine-level determinism contract: for
+// TestMapMatchesSerial is the engine-level determinism contract: for
 // every worker count the result slice is identical to the serial run,
 // including with cells that do real seeded work.
-func TestRunMatchesSerial(t *testing.T) {
-	const n = 37
-	makeCells := func() []func() uint64 {
-		cells := make([]func() uint64, n)
-		for i := range cells {
-			seed := int64(i + 1)
-			cells[i] = func() uint64 {
-				rng := rand.New(rand.NewSource(seed))
-				var sum uint64
-				for j := 0; j < 1000; j++ {
-					sum += rng.Uint64() >> 32
-				}
-				return sum
-			}
-		}
-		return cells
+func TestMapMatchesSerial(t *testing.T) {
+	seeds := make([]int64, 37)
+	for i := range seeds {
+		seeds[i] = int64(i + 1)
 	}
-	want := Run(1, makeCells())
+	cell := func(_ int, seed int64) uint64 {
+		rng := rand.New(rand.NewSource(seed))
+		var sum uint64
+		for j := 0; j < 1000; j++ {
+			sum += rng.Uint64() >> 32
+		}
+		return sum
+	}
+	want := Map(1, seeds, cell)
 	for _, workers := range []int{2, 3, 4, 8, 64} {
-		got := Run(workers, makeCells())
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Run(workers=%d) differs from serial", workers)
+		if got := Map(workers, seeds, cell); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Map(workers=%d) differs from serial", workers)
 		}
 	}
 }
 
-func TestRunEmptyAndSingle(t *testing.T) {
-	if got := Run[int](4, nil); len(got) != 0 {
-		t.Fatalf("Run over nil cells: %v", got)
+func TestMapEmptyAndSingle(t *testing.T) {
+	ident := func(_, v int) int { return v }
+	if got := Map(4, nil, ident); len(got) != 0 {
+		t.Fatalf("Map over nil input: %v", got)
 	}
-	got := Run(4, []func() int{func() int { return 7 }})
+	got := Map(4, []int{7}, ident)
 	if len(got) != 1 || got[0] != 7 {
 		t.Fatalf("single cell: %v", got)
 	}
 }
 
-// TestRunEveryCellOnce checks each cell executes exactly once even when
+// TestMapEveryCellOnce checks each cell executes exactly once even when
 // workers outnumber cells.
-func TestRunEveryCellOnce(t *testing.T) {
+func TestMapEveryCellOnce(t *testing.T) {
 	const n = 5
 	var counts [n]atomic.Int64
-	cells := make([]func() int, n)
-	for i := range cells {
-		i := i
-		cells[i] = func() int {
-			counts[i].Add(1)
-			return i
-		}
-	}
-	got := Run(16, cells)
+	got := Map(16, make([]struct{}, n), func(i int, _ struct{}) int {
+		counts[i].Add(1)
+		return i
+	})
 	for i := range counts {
 		if c := counts[i].Load(); c != 1 {
 			t.Fatalf("cell %d ran %d times", i, c)

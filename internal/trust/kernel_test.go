@@ -157,8 +157,8 @@ func aliasScene(t *testing.T) (e *Engine, contribs []Contribution) {
 }
 
 // Result.POIs outlive the screen that produced them for as long as the
-// lent arena is not rewound: the batched tick engine keeps several
-// queries' screened peers across later screens.
+// lent arena is not rewound: the arena's owner, not the next screen,
+// ends their life.
 func TestScreenResultsSurviveNextScreen(t *testing.T) {
 	e, contribs := aliasScene(t)
 	var arena broadcast.POIArena

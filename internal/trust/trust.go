@@ -322,9 +322,8 @@ type conflict struct {
 // decaying rectangle quarantine, and the seeded audit-sampling stream. It
 // is deterministic — identical seeds and call sequences produce identical
 // verdicts. Nothing in it is synchronized, and nothing needs to be: the
-// simulator's query pipeline screens in its prepare stage, which like
-// commit runs serially on the stepping goroutine for every worker count;
-// the parallel execute stage never sees the engine.
+// simulator runs one query at a time on the stepping goroutine and screens
+// in its prepare stage.
 type Engine struct {
 	cfg      Config
 	rng      *rand.Rand
