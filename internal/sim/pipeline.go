@@ -292,6 +292,9 @@ func (w *World) commit(e *query) {
 		}
 		w.record(ev)
 	}
+	if w.commitHook != nil {
+		w.commitHook(e)
+	}
 	w.cacheKnown(e)
 }
 

@@ -150,6 +150,10 @@ type World struct {
 
 	stats        Stats
 	selfCheckErr error
+
+	// commitHook, when set, sees every one-shot query in commit before its
+	// knowledge is cached. Only tests set it (TestCollectionComplete).
+	commitHook func(*query)
 }
 
 // origin is where one collected peers entry came from: the contributing
