@@ -17,7 +17,7 @@ STATICCHECK_VERSION = 2025.1.1
 COVER_PKGS = internal/core internal/geom internal/metrics internal/trust internal/cache internal/faults internal/sim internal/p2p internal/broadcast
 COVER_MIN ?= 70
 
-.PHONY: all build vet test race lint loc loc-check cover cover-profile cover-check fuzz-smoke verify goldens continuous-identity trust-identity nnv-identity soak bench bench-e2e-check
+.PHONY: all build vet test race lint loc loc-check cover cover-profile cover-check fuzz-smoke verify goldens continuous-identity trust-identity nnv-identity residual-sweep soak bench bench-e2e-check
 
 all: build
 
@@ -150,9 +150,12 @@ loc:
 # 17,425 non-test lines over PRs 21–23 with nothing noticing), set at the
 # values of the last PR that lowered them. A PR that needs more raises the
 # ceiling in the same diff, where a reviewer sees it; one that shrinks the
-# system lowers it.
-LOC_MAX_ALL = 16250
-LOC_MAX_SIM = 4297
+# system lowers it. The kNN reach cut (DESIGN.md §9.3) raised both:
+# internal/sim by 143 (136 for the cut, 7 for the completeness test's
+# commit hook), the total by 37 net of the 165 lines internal/ondemand and
+# examples/scalability freed.
+LOC_MAX_ALL = 16287
+LOC_MAX_SIM = 4440
 LOC_MAX_MAIN = 245
 LOC_MAX_HAND = 10
 LOC_MAX_MX = 2
@@ -189,11 +192,38 @@ trust-identity:
 
 # Query-local NNV identity lane (DESIGN.md §9.3): NNV against the verbatim
 # gather-all, sort-all, decompose-all body over thousands of grid and
-# adversarial inputs, and the contract that no result aliases the peers'
-# POI slices it now scans in place — under the race detector, as its own
-# CI step.
+# adversarial inputs, the contract that no result aliases the peers'
+# POI slices it now scans in place, and the reach cut's committed corpus
+# (NNV over the regions the cut keeps against NNV over all of them) —
+# under the race detector, as its own CI step.
 nnv-identity:
-	$(GO) test -race -count=1 -run 'TestNNVMatchesReference|TestCoreDoesNotRetainPeerSlices' ./internal/core
+	$(GO) test -race -count=1 -run 'TestNNVMatchesReference|TestCoreDoesNotRetainPeerSlices|FuzzReachCut' ./internal/core
+
+# Residual sweep (ROADMAP item 1(c)): 60 lbsq-sim runs, seeds 12-41 of
+# both query kinds, with byzantine liars under audits while POIs churn and
+# peers' claims are surgically repaired, every exact answer self-checked.
+# Runs that are known to fail are listed in RESIDUAL_KNOWN, one "kind
+# seed" per line. The sweep fails when any other run fails, and names a
+# listed run that now passes so the list can shrink. Run it whenever a
+# change reorders a random draw or regenerates a golden: a failure pinned
+# to one seed moves with the draws, and the sweep follows it.
+RESIDUAL_KNOWN = internal/sim/testdata/residual_known.txt
+RESIDUAL_FLAGS = -set la -side 2 -hours 0.2 -prefill 5 -owncache -selfcheck \
+	-byzantine-rate 0.1 -attack mix -audit-rate 0.3 -update-rate 4 -ir-period 20 -ir-window 4
+residual-sweep:
+	@mkdir -p .residual_build
+	$(GO) build -o .residual_build/lbsq-sim ./cmd/lbsq-sim
+	@bad=0; for kind in window knn; do for seed in $$(seq 12 41); do \
+		if .residual_build/lbsq-sim $(RESIDUAL_FLAGS) -kind $$kind -seed $$seed > /dev/null 2>&1; then \
+			if grep -qx "$$kind $$seed" $(RESIDUAL_KNOWN); then \
+				echo "residual-sweep: $$kind seed $$seed passes now: drop it from $(RESIDUAL_KNOWN)"; fi; \
+		elif grep -qx "$$kind $$seed" $(RESIDUAL_KNOWN); then \
+			echo "residual-sweep: $$kind seed $$seed fails (listed)"; \
+		else \
+			echo "residual-sweep: FAIL: lbsq-sim $(RESIDUAL_FLAGS) -kind $$kind -seed $$seed"; bad=1; \
+		fi; \
+	done; done; \
+	if [ $$bad -eq 0 ]; then echo "residual-sweep: no failure outside $(RESIDUAL_KNOWN)"; fi; exit $$bad
 
 # Chaos soak sweep: randomized fault/churn/resilience schedules with
 # metamorphic invariants after every run (see internal/sim/soak_test.go).

@@ -11,16 +11,12 @@
 package lbsq_test
 
 import (
-	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"lbsq"
 	"lbsq/internal/experiments"
-	"lbsq/internal/ondemand"
-	"lbsq/internal/rtree"
 	"lbsq/internal/sim"
 )
 
@@ -229,49 +225,6 @@ func BenchmarkEndToEndSharedQuery(b *testing.B) {
 		res := q.KNN(3, peers)
 		if len(res.POIs) != 3 {
 			b.Fatal("wrong result size")
-		}
-	}
-}
-
-// BenchmarkScalabilityOnDemandVsBroadcast reproduces the Section 1/2.1
-// scalability argument: the on-demand (point-to-point) model's latency
-// blows up with the client population while broadcast latency is flat —
-// the reason the paper builds on broadcast at all.
-func BenchmarkScalabilityOnDemandVsBroadcast(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	items := make([]rtree.Item, 2750)
-	area := lbsq.NewRect(0, 0, 20, 20)
-	pois := make([]lbsq.POI, len(items))
-	for i := range items {
-		p := lbsq.Pt(rng.Float64()*20, rng.Float64()*20)
-		items[i] = rtree.Item{ID: int64(i), Pos: p}
-		pois[i] = lbsq.POI{ID: int64(i), Pos: p}
-	}
-	server, err := ondemand.NewServer(items, 100) // 100 queries/s capacity
-	if err != nil {
-		b.Fatal(err)
-	}
-	bcast, err := lbsq.NewServer(area, pois, lbsq.BroadcastConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Broadcast latency in seconds at 50 ms slots, independent of load.
-	bl := bcast.Schedule().ExpectedKNNLatency(lbsq.Pt(10, 10), 5, 64) * 0.05
-	rows := server.ScalabilitySweep(
-		[]int{100, 1000, 10000, 93300}, 6220.0/60/93300, bl)
-	for _, r := range rows {
-		od := fmt.Sprintf("%8.3fs", r.OnDemandLatency)
-		if math.IsInf(r.OnDemandLatency, 1) {
-			od = "saturated"
-		}
-		b.Logf("clients %6d: on-demand %s   broadcast %8.3fs",
-			r.Clients, od, r.BroadcastLatency)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := lbsq.Pt(rng.Float64()*20, rng.Float64()*20)
-		if got := server.KNN(q, 5); len(got) != 5 {
-			b.Fatal("short result")
 		}
 	}
 }

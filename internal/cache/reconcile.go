@@ -79,9 +79,9 @@ func (inv *Invalidation) cuts(r *Region) bool {
 		inv.Cell.Intersects(r.Rect)
 }
 
-// touches reports whether any mutation newer than r.Epoch removes one of
+// Touches reports whether any mutation newer than r.Epoch removes one of
 // r's POIs or places one inside r.
-func (s InvalSet) touches(r *Region) bool {
+func (s InvalSet) Touches(r *Region) bool {
 	for i := range r.POIs {
 		if s.removes(r.POIs[i].ID, r.Epoch) {
 			return true
@@ -137,7 +137,7 @@ type RepairScratch struct {
 // nothing or over-fragmented). The pieces are s's, valid until its next
 // repair, their POIs cut from s.POIs; a warm scratch allocates nothing.
 func ReconcileRegion(s *RepairScratch, r *Region, invals InvalSet, epoch int64) ([]Region, bool) {
-	if !invals.touches(r) {
+	if !invals.Touches(r) {
 		return nil, false
 	}
 	cells := s.cells[:0]

@@ -15,7 +15,7 @@ import (
 // pieces — rectangles bit for bit, POIs in its order, stamps and epochs —
 // whatever its scratch and arena held before.
 func referenceReconcileRegion(r Region, invals InvalSet, epoch int64) ([]Region, bool) {
-	if !invals.touches(&r) {
+	if !invals.Touches(&r) {
 		return nil, false
 	}
 	var cells []geom.Rect

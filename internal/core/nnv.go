@@ -259,6 +259,52 @@ func nearestTrusted(s *Scratch, q geom.Point, peers []PeerData, k int) []broadca
 	}
 }
 
+// Reach returns the squared distance from q of the k-th candidate NNV
+// ranks from peers — the last of nearestTrusted's k — and false when the
+// untainted peers hold fewer than k distinct candidates. Every heap row NNV
+// builds from peers lies no farther (DESIGN.md §9.3, "The reach cut").
+func Reach(s *Scratch, q geom.Point, peers []PeerData, k int) (float64, bool) {
+	if k <= 0 {
+		return 0, true
+	}
+	cands := nearestTrusted(s, q, peers, k)
+	if len(cands) < k {
+		return 0, false
+	}
+	return cands[k-1].Pos.DistSq(q), true
+}
+
+// ReachCut marks, in keep (reused), the peers NNV reads when its k-th
+// candidate lies at squared distance d2 from q (Reach): a peer whose region
+// meets the square around q of half-side r, or that lists a POI no farther
+// than d2 wherever its region lies (a lie, or a POI on the region's edge).
+// NNV over the marked peers alone builds the same rows with the same
+// verdicts and probabilities as over all of them: every row lies no
+// farther than d2, and the square NNV cuts its local union by is no wider
+// than r. r is √d2 widened by 1e-9 relative, far above the few ulps by
+// which Dist and DistSq round apart, and at least 1e-130, above every
+// distance whose square rounds by more (near underflow); an infinite or
+// NaN d2 marks every peer.
+func ReachCut(keep []bool, q geom.Point, peers []PeerData, d2 float64) []bool {
+	keep = keep[:0]
+	all := !(d2 < math.Inf(1))
+	sq := geom.RectAround(q, max(math.Sqrt(d2)*(1+1e-9), 1e-130))
+	for i := range peers {
+		keep = append(keep, all || peers[i].VR.Intersects(sq) || peers[i].Lists(q, d2))
+	}
+	return keep
+}
+
+// Lists reports whether p lists a POI within squared distance d2 of q.
+func (p *PeerData) Lists(q geom.Point, d2 float64) bool {
+	for i := range p.POIs {
+		if p.POIs[i].Pos.DistSq(q) <= d2 {
+			return true
+		}
+	}
+	return false
+}
+
 // candBefore reports whether a precedes b in the candidate order
 // (ascending distance² to q, POI ID as the deterministic tiebreak) —
 // the same total order sortCandidates establishes within each pool.

@@ -10,6 +10,7 @@ import (
 	"lbsq/internal/geom"
 	"lbsq/internal/mobility"
 	"lbsq/internal/rtree"
+	"lbsq/internal/trust"
 	"lbsq/internal/wire"
 )
 
@@ -327,48 +328,50 @@ func (w *World) expireTTL(c *cache.Cache) {
 	w.stats.VRsExpired += int64(c.ExpireBefore(cutoff))
 }
 
-// admitShared is the receiving client's consistency gate for one region a
-// peer served (only reachable when the layer is armed): regions at the
-// current epoch enter exact, superseded ones are surgically repaired from
-// the current IR frame, and regions older than the repair horizon are
-// demoted to the probabilistic path — served, but never exact. r is the
-// staged copy, the function's to rewrite; a repaired region's pieces are
-// read straight out of the repair scratch.
-func (w *World) admitShared(peers []core.PeerData, id, ti int, r *cache.Region) []core.PeerData {
+// admitShared is the receiving client's consistency gate for one staged
+// region (pd, o), adding what it admits to dst. The own cache was gated
+// when it was collected, and with the layer off every region is kept.
+// Otherwise regions at the current epoch enter exact, superseded ones are
+// surgically repaired from the current IR frame, and regions older than the
+// repair horizon are demoted to the probabilistic path — served, but never
+// exact. A repaired region's pieces are read straight out of the repair
+// scratch. It reports whether the gate changed what the region claims.
+func (w *World) admitShared(dst *collection, ti int, pd core.PeerData, o origin) bool {
+	if w.cons == nil || o.peer == trust.Self || o.epoch >= w.cons.types[ti].epoch {
+		dst.add(pd, o)
+		return false
+	}
 	tc := &w.cons.types[ti]
 	switch {
-	case r.Epoch >= tc.epoch:
-		w.qs.origins = append(w.qs.origins, origin{peer: id})
-		return append(peers, core.PeerData{VR: r.Rect, POIs: r.POIs})
 	case w.Params.IRDiscard:
 		// Whole-discard ablation: any superseded region is thrown away.
 		w.stats.VRsDiscarded++
-		return peers
-	case r.Epoch >= tc.horizon-1:
-		pieces, touched := cache.ReconcileRegion(&w.qs.repair, r, tc.invals, tc.epoch)
+	case o.epoch >= tc.horizon-1:
+		r := cache.Region{Rect: pd.VR, POIs: pd.POIs, Epoch: o.epoch}
+		pieces, touched := cache.ReconcileRegion(&w.qs.repair, &r, tc.invals, tc.epoch)
 		if !touched {
-			// No mutation since r.Epoch reaches the region: still exact.
-			w.qs.origins = append(w.qs.origins, origin{peer: id})
-			return append(peers, core.PeerData{VR: r.Rect, POIs: r.POIs})
+			// No mutation since the region's epoch reaches it: still exact.
+			dst.add(pd, o)
+			return false
 		}
 		if pieces == nil {
 			w.stats.VRsDiscarded++
-			return peers
+			break
 		}
 		w.stats.VRsReconciled++
 		w.mx.observeReconcileCost(1, len(pieces))
+		o.repaired = true
 		for i := range pieces {
-			w.qs.origins = append(w.qs.origins, origin{peer: id, repaired: true})
-			peers = append(peers, core.PeerData{VR: pieces[i].Rect, POIs: pieces[i].POIs})
+			dst.add(core.PeerData{VR: pieces[i].Rect, POIs: pieces[i].POIs}, o)
 		}
-		return peers
 	default:
 		// Missed-IR window policy: too old to repair, never exact again —
 		// but still probabilistic evidence (Lemma 3.2), not garbage.
 		w.stats.VRsDemoted++
-		w.qs.origins = append(w.qs.origins, origin{peer: id})
-		return append(peers, core.PeerData{VR: r.Rect, POIs: r.POIs, Tainted: true})
+		pd.Tainted = true
+		dst.add(pd, o)
 	}
+	return true
 }
 
 // Epoch returns the current database epoch of data type ti (zero when

@@ -286,6 +286,7 @@ func (w *World) contCommit(s *subscription, reason contReason, answer []broadcas
 func (w *World) reverify(s *subscription, reason contReason) {
 	var e query
 	w.start(&e, s.host, s.ti)
+	e.standing = true
 	// areaMargin > 0 means the translated window sits strictly inside the
 	// service area: the safe-exit radius is additionally capped by it, so
 	// every position inside the safe region keeps the window on the map.

@@ -466,15 +466,22 @@ func (w *World) coalesceLookup(ti int, q geom.Point, relevance geom.Rect) *coalD
 	return nil
 }
 
+// donates reports whether the gather in flight will donate its screened
+// set to the tick's donor table.
+func (w *World) donates() bool {
+	o := w.ovl
+	return o != nil && o.coalRadius > 0 && !o.exempt && o.nDonors < maxCoalesceDonors
+}
+
 // coalesceDonate registers a completed gather's screened peer set in the
 // donor table. The set is deep-copied (PeerData values and POI slices)
 // because cache storage the originals alias mutates as later queries
 // commit; the copy is immutable for the rest of the tick.
 func (w *World) coalesceDonate(ti int, q geom.Point, relevance geom.Rect, peers []core.PeerData, nPeers int) {
-	o := w.ovl
-	if o == nil || o.coalRadius <= 0 || o.exempt || o.nDonors == maxCoalesceDonors {
+	if !w.donates() {
 		return
 	}
+	o := w.ovl
 	d := &o.donors[o.nDonors]
 	o.nDonors++
 	d.ti, d.origin, d.relevance, d.nPeers = ti, q, relevance, nPeers

@@ -16,9 +16,10 @@ import (
 // re-verification — is one query value passing through three stages, one
 // query at a time, in draw order:
 //
-//	prepare  assess channel → sync IR → overload-gated collect → trust
-//	         screen. Consumes the injector, trust and consistency streams;
-//	         touches peer caches, queues, buckets, breakers.
+//	prepare  assess channel → sync IR → overload-gated collect → admit
+//	         (reach cut, consistency gate) → trust screen. Consumes the
+//	         injector, trust and consistency streams; touches peer caches,
+//	         queues, buckets, breakers.
 //	execute  SBNN or SBWQ, chosen by shape, on caller-supplied scratch.
 //	         Pure: reads only the query and state frozen for the tick.
 //	commit   outcome counters, budget, baseline pricing, self-check, trace
@@ -40,6 +41,7 @@ type query struct {
 	k         int
 	win       geom.Rect
 	relevance geom.Rect
+	standing  bool // a subscription's re-verification (continuous.go)
 
 	qc      queryChannel
 	irSlots int64
@@ -156,7 +158,8 @@ func (w *World) prepare(e *query) {
 }
 
 // collect gathers and screens the query's peer knowledge: the overload
-// gates in front of the mode-dispatched gather, then the trust screen.
+// gates in front of the mode-dispatched gather, then admission and the
+// trust screen.
 func (w *World) collect(e *query) {
 	e.minBorn = math.MaxInt64
 	gathered := false
@@ -167,8 +170,8 @@ func (w *World) collect(e *query) {
 			// Reuse the donor's screened set: no gather, no re-screen —
 			// the donor already paid collection and audits for this
 			// neighborhood this tick.
-			e.peers = append(w.qs.peers[:0], d.peers...)
-			w.qs.peers = e.peers
+			e.peers = append(w.qs.col.peers[:0], d.peers...)
+			w.qs.col.peers = e.peers
 			e.nPeers = d.nPeers
 			e.coalesced = true
 			if w.counted() {
@@ -181,19 +184,26 @@ func (w *World) collect(e *query) {
 			// Shed: own cache plus broadcast only — the Lemma 3.2 /
 			// on-air path, exact answers at broadcast latency.
 			e.shed = cause
-			e.peers, e.minBorn = w.collectOwnCacheOnly(e.idx, e.ti, e.relevance, false)
+			e.minBorn = w.collectOwnCacheOnly(e.idx, e.ti, e.relevance, false)
 			break
 		}
 		var backoff int64
-		e.peers, e.nPeers, backoff = w.gather(e.idx, e.ti, e.relevance)
+		e.nPeers, backoff = w.gather(e.idx, e.ti, e.relevance)
 		collected += backoff
 		gathered = true
 	default:
 		// The P2P channel is in a deep fade: spending the retry budget on
 		// peers that cannot hear is pure waste, so the lower rungs skip
 		// the wire entirely.
-		e.peers, e.minBorn = w.collectOwnCacheOnly(e.idx, e.ti, e.relevance, e.qc.mode == modeOwnCache)
+		e.minBorn = w.collectOwnCacheOnly(e.idx, e.ti, e.relevance, e.qc.mode == modeOwnCache)
 	}
+	// The reach cut spares the per-region work of the consistency gate and
+	// the trust screen; with neither armed NNV's own cut is all there is to
+	// do. A standing query reads the full MVR's clearance and every
+	// contribution, and a donor's set must serve queries at other points:
+	// both keep the static square (DESIGN.md §9.3 "The reach cut").
+	cut := !e.window && !e.standing && (w.tr != nil || w.cons != nil) && !(gathered && w.donates())
+	e.peers = w.admit(e, cut)
 	e.peers, e.spent, e.trep = w.trustScreen(e.ti, e.peers, collected+e.irSlots, e.qc.bcastUp)
 	if gathered {
 		w.coalesceDonate(e.ti, e.q, e.relevance, e.peers, e.nPeers)

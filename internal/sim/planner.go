@@ -226,19 +226,19 @@ func (w *World) observeBudget(ts *typeState, total int64, answered, shed bool) {
 	}
 }
 
-// appendOwnCache appends the host's own cached regions intersecting the
-// relevance rectangle as zero-cost peer data (no wire traffic, no
-// transport faults, no breaker), demoting beyond-horizon regions to the
-// probabilistic path exactly like the peer-served admission gate. The
-// second return value is the oldest Born stamp among the appended
-// regions (math.MaxInt64 when none) — the input of the own-cache rung's
-// staleness bound. Like a peer's reply, it reads no region when the
-// cache MBR misses the rectangle.
-func (w *World) appendOwnCache(peers []core.PeerData, idx, ti int, relevance geom.Rect) ([]core.PeerData, int64) {
+// appendOwnCache adds the host's own cached regions intersecting the
+// relevance rectangle to the query's collection as zero-cost peer data (no
+// wire traffic, no transport faults, no breaker), demoting beyond-horizon
+// regions to the probabilistic path exactly like the peer-served admission
+// gate. It returns the oldest Born stamp among the added regions
+// (math.MaxInt64 when none) — the input of the own-cache rung's staleness
+// bound. Like a peer's reply, it reads no region when the cache MBR misses
+// the rectangle.
+func (w *World) appendOwnCache(idx, ti int, relevance geom.Rect) int64 {
 	minBorn := int64(math.MaxInt64)
 	c := &w.caches[ti][idx]
 	if mbr, ok := c.Bounds(); !ok || !mbr.Intersects(relevance) {
-		return peers, minBorn
+		return minBorn
 	}
 	for i, regions := 0, c.Regions(); i < len(regions); i++ {
 		if r := &regions[i]; r.Rect.Intersects(relevance) {
@@ -247,25 +247,22 @@ func (w *World) appendOwnCache(peers []core.PeerData, idx, ti int, relevance geo
 				pd.Tainted = true
 				w.stats.VRsDemoted++
 			}
-			peers = append(peers, pd)
-			w.qs.origins = append(w.qs.origins, origin{peer: trust.Self})
+			w.qs.col.add(pd, origin{peer: trust.Self})
 			minBorn = min(minBorn, r.Born)
 		}
 	}
-	return peers, minBorn
+	return minBorn
 }
 
-// collectOwnCacheOnly is the bottom rungs' collection: no requests leave
-// the host's radio. force includes the own cache even when the
-// UseOwnCache knob is off — the last-resort rung answers from whatever
+// collectOwnCacheOnly is the bottom rungs' collection, staged like a
+// gather's: no requests leave the host's radio. It returns the oldest Born
+// stamp collected (appendOwnCache). force includes the own cache even when
+// the UseOwnCache knob is off — the last-resort rung answers from whatever
 // the host has, because the alternative is answering with nothing.
-func (w *World) collectOwnCacheOnly(idx, ti int, relevance geom.Rect, force bool) ([]core.PeerData, int64) {
-	peers := w.qs.peers[:0]
-	w.qs.origins = w.qs.origins[:0]
-	minBorn := int64(math.MaxInt64)
+func (w *World) collectOwnCacheOnly(idx, ti int, relevance geom.Rect, force bool) int64 {
+	w.qs.col.reset()
 	if w.Params.UseOwnCache || force {
-		peers, minBorn = w.appendOwnCache(peers, idx, ti, relevance)
+		return w.appendOwnCache(idx, ti, relevance)
 	}
-	w.qs.peers = peers
-	return peers, minBorn
+	return math.MaxInt64
 }

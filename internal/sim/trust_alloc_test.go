@@ -23,14 +23,13 @@ func TestTrustScreenAdapterAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var peers []core.PeerData
-	w.qs.origins = w.qs.origins[:0]
+	w.qs.col.reset()
 	for i := 0; i < 8; i++ {
 		x := 0.1 * float64(i)
 		vr := geom.NewRect(x, x, x+0.5, x+0.5)
-		peers = append(peers, core.PeerData{VR: vr, POIs: w.poisInRect(nil, 0, vr)})
-		w.qs.origins = append(w.qs.origins, origin{peer: i})
+		w.qs.col.add(core.PeerData{VR: vr, POIs: w.poisInRect(nil, 0, vr)}, origin{peer: i})
 	}
+	peers := w.qs.col.peers
 	var out []core.PeerData
 	screen := func() { out, _, _ = w.trustScreen(0, peers, 0, false) } // dark downlink: no audit fits
 	screen()
@@ -60,9 +59,9 @@ func TestTrustScreenAdapterAllocFree(t *testing.T) {
 	}
 }
 
-// A delivered reply whose regions the current IR report all cuts is
-// repaired on World scratch: cells, cut rectangles and pieces in the
-// repair scratch, the survivors' POIs in the arena — nothing allocated.
+// A delivered reply whose regions the current IR report all cuts is staged
+// and then repaired on World scratch: cells, cut rectangles and pieces in
+// the repair scratch, the survivors' POIs in the arena — nothing allocated.
 func TestAdmitSharedRepairAllocFree(t *testing.T) {
 	p := LACity().Scaled(1).WithDuration(0.05)
 	p.UpdateRate = 1
@@ -90,21 +89,22 @@ func TestAdmitSharedRepairAllocFree(t *testing.T) {
 
 	var peers []core.PeerData
 	var out replyKind
+	e := &query{ti: 0, window: true}
 	reply := func() {
 		w.qs.arena.Rewind()
-		w.qs.origins = w.qs.origins[:0]
-		peers, out = w.receiveReply(w.qs.peers[:0], server, 0, w.area, 0, true)
-		w.qs.peers = peers
+		w.qs.col.reset()
+		out = w.receiveReply(server, 0, w.area, 0, true)
+		peers = w.admit(e, false)
 	}
 	reply()
 	if allocs := testing.AllocsPerRun(100, reply); allocs != 0 {
 		t.Fatalf("repairing reply allocated %v times", allocs)
 	}
-	if out != replyDelivered || len(peers) < 4*regions || len(w.qs.origins) != len(peers) {
+	if out != replyDelivered || len(peers) < 4*regions || len(w.qs.col.from) != len(peers) {
 		t.Fatalf("outcome %+v with %d peers entries and %d origins, want every region cut into pieces",
-			out, len(peers), len(w.qs.origins))
+			out, len(peers), len(w.qs.col.from))
 	}
-	for i, o := range w.qs.origins {
+	for i, o := range w.qs.col.from {
 		if !o.repaired || o.peer != server {
 			t.Fatalf("entry %d has origin %+v, want a repair piece of host %d", i, o, server)
 		}

@@ -157,13 +157,30 @@ type World struct {
 }
 
 // origin is where one collected peers entry came from: the contributing
-// host (trust.Self for the own cache), and whether the entry is a piece
-// cache.ReconcileRegion cut out of that host's superseded claim rather
-// than a claim as the host made it — the trust screen never audits a
-// piece (DESIGN.md §11.2).
+// host (trust.Self for the own cache), the epoch the host's copy was
+// verified at, whether the entry is a piece cache.ReconcileRegion cut out
+// of that host's superseded claim rather than a claim as the host made it
+// — the trust screen never audits a piece (DESIGN.md §11.2) — and whether
+// it lies beyond the query's reach cut (audited at most, DESIGN.md §9.3).
 type origin struct {
 	peer     int
+	epoch    int64
 	repaired bool
+	far      bool
+}
+
+// collection is a query's collected regions with where each came from,
+// side by side.
+type collection struct {
+	peers []core.PeerData
+	from  []origin
+}
+
+func (c *collection) reset() { c.peers, c.from = c.peers[:0], c.from[:0] }
+
+func (c *collection) add(pd core.PeerData, o origin) {
+	c.peers = append(c.peers, pd)
+	c.from = append(c.from, o)
 }
 
 // queryScratch holds the per-World reusable buffers of the query path.
@@ -172,19 +189,22 @@ type origin struct {
 // candidate before returning (see core.PeerData); all other buffers are
 // consumed before the query completes.
 type queryScratch struct {
-	ids      []int                // neighbor lookup buffer
-	heard    []int                // per-round indexes into targets of the peers that heard
-	peers    []core.PeerData      // collected verified regions
-	origins  []origin             // where each peers entry came from
-	targets  []collectTarget      // per-peer collection state
-	shared   []cache.Region       // receiveReply staging
-	regs     []wire.Region        // wire-encoding staging (damaged-reply path)
-	contribs []trust.Contribution // trust-screen staging
-	screened []core.PeerData      // trust-screened PeerData
-	core     core.Scratch         // NNV/SBNN/SBWQ hot-path scratch
-	repair   cache.RepairScratch  // IR repair transients (admitShared, syncIR)
-	items    []rtree.Item         // ground-truth lookup staging
-	truth    []broadcast.POI      // the audit oracle's answer
+	ids   []int // neighbor lookup buffer
+	heard []int // per-round indexes into targets of the peers that heard
+	// col is the collection: staged by gather, rewritten by admit through
+	// next (the two swap), read by the trust screen.
+	col, next collection
+	claims    []core.PeerData      // the reach cut's candidate regions
+	keep      []bool               // the reach cut's verdict per staged entry
+	targets   []collectTarget      // per-peer collection state
+	shared    []cache.Region       // receiveReply staging
+	regs      []wire.Region        // wire-encoding staging (damaged-reply path)
+	contribs  []trust.Contribution // trust-screen staging
+	screened  []core.PeerData      // trust-screened PeerData
+	core      core.Scratch         // NNV/SBNN/SBWQ hot-path scratch
+	repair    cache.RepairScratch  // IR repair transients (admitShared, syncIR)
+	items     []rtree.Item         // ground-truth lookup staging
+	truth     []broadcast.POI      // the audit oracle's answer
 	// arena holds the POI lists of repair pieces and trust-screen splits
 	// in peers, alive until their query commits: prepare rewinds it.
 	arena broadcast.POIArena
@@ -591,9 +611,9 @@ func (w *World) trustScreen(ti int, peers []core.PeerData, spent int64, bcastUp 
 		// A demoted (epoch-stale) region enters the screen flagged Stale:
 		// disagreements it causes are reconciliation work, not evidence of
 		// lying, and must not strike the contributing peer.
-		o := w.qs.origins[i]
-		contribs = append(contribs, trust.Contribution{
-			Peer: o.peer, VR: pd.VR, POIs: pd.POIs, Stale: pd.Tainted, Repaired: o.repaired})
+		o := w.qs.col.from[i]
+		contribs = append(contribs, trust.Contribution{Peer: o.peer, VR: pd.VR, POIs: pd.POIs,
+			Stale: pd.Tainted, Repaired: o.repaired, AuditOnly: o.far})
 	}
 	w.qs.contribs = contribs
 	// Audits spend broadcast slots; they must fit in whatever the
@@ -621,8 +641,10 @@ func (w *World) trustScreen(ti int, peers []core.PeerData, spent int64, bcastUp 
 // gather is the paper's sharing step for host idx: broadcast a cache
 // request and collect the verified regions of its single-hop peers that
 // intersect the relevance rectangle (dropping the rest only shrinks the
-// MVR, which keeps verification sound). It returns them as PeerData with
-// the neighbour count and the broadcast slots spent in retry backoff. The
+// MVR, which keeps verification sound). It stages them in the query's
+// collection as they arrived, each with its epoch (admit runs the
+// consistency gate afterwards), and returns the neighbour count and the
+// broadcast slots spent in retry backoff. The
 // fault layer between the two hosts only ever removes information, so a
 // degraded collection falls back to the channel instead of trusting
 // damaged or outdated data.
@@ -652,7 +674,7 @@ func (w *World) trustScreen(ti int, peers []core.PeerData, spent int64, bcastUp 
 // injector stream. With a zero fault profile every peer resolves in round
 // one and nothing is drawn: one frame, then one reply or null ack per
 // neighbour — the paper's ideal exchange.
-func (w *World) gather(idx, ti int, relevance geom.Rect) ([]core.PeerData, int, int64) {
+func (w *World) gather(idx, ti int, relevance geom.Rect) (int, int64) {
 	q := w.mob[idx].Pos
 	hops := max(w.Params.SharingHops, 1)
 	ids := w.net.AppendNeighborsMultiHop(w.qs.ids[:0], q, w.Params.TxRangeMiles(), hops, idx)
@@ -664,13 +686,12 @@ func (w *World) gather(idx, ti int, relevance geom.Rect) ([]core.PeerData, int, 
 
 	count := w.counted()
 	stamp := int64(w.nowSec)
-	peers := w.qs.peers[:0]
-	w.qs.origins = w.qs.origins[:0]
+	w.qs.col.reset()
 	if w.Params.UseOwnCache {
 		// The host's own cache is a zero-cost "peer": no wire traffic, no
 		// transport faults, no breaker. Regions beyond the consistency
 		// layer's repair horizon are offered demoted (never exact).
-		peers, _ = w.appendOwnCache(peers, idx, ti, relevance)
+		w.appendOwnCache(idx, ti, relevance)
 	}
 
 	// Breaker gate: quarantined peers cost nothing this query.
@@ -780,9 +801,7 @@ func (w *World) gather(idx, ti int, relevance geom.Rect) ([]core.PeerData, int, 
 					continue
 				}
 			}
-			var out replyKind
-			peers, out = w.receiveReply(peers, t.id, ti, relevance, stamp, count)
-			switch out {
+			switch w.receiveReply(t.id, ti, relevance, stamp, count) {
 			case replyDelivered:
 				t.resolved = true
 				remaining--
@@ -843,8 +862,7 @@ func (w *World) gather(idx, ti int, relevance geom.Rect) ([]core.PeerData, int, 
 		}
 	}
 	w.stats.BackoffSlots += spent
-	w.qs.peers = peers
-	return peers, nPeers, spent
+	return nPeers, spent
 }
 
 // replyKind classifies what the querying host learned from one peer's
@@ -869,10 +887,10 @@ const (
 )
 
 // receiveReply models one peer answering a cache request: the peer serves
-// every cached region intersecting the relevance rectangle, the channel
-// applies a transport fate to the reply, and the client's consistency
-// gate admits what arrived. Surviving regions are appended to peers.
-func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.Rect, stamp int64, count bool) ([]core.PeerData, replyKind) {
+// every cached region intersecting the relevance rectangle and the channel
+// applies a transport fate to the reply. What arrived is staged in the
+// query's collection, each region with its epoch.
+func (w *World) receiveReply(id, ti int, relevance geom.Rect, stamp int64, count bool) replyKind {
 	c := &w.caches[ti][id]
 	// Serving is a cache touchpoint: the peer lazily expires its own
 	// timed-out regions before offering anything (no-op unless VRTTLSec).
@@ -880,7 +898,7 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 	// A peer whose cache MBR misses the relevance rectangle holds nothing
 	// relevant: it sends the null ack before any region is read.
 	if mbr, ok := c.Bounds(); !ok || !mbr.Intersects(relevance) {
-		return peers, replySilent
+		return replySilent
 	}
 	atk := faults.AttackNone
 	if w.byzAttack != nil {
@@ -911,7 +929,7 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 	}
 	w.qs.shared = shared
 	if len(shared) == 0 {
-		return peers, replySilent // nothing relevant: the peer stays silent
+		return replySilent // nothing relevant: the peer stays silent
 	}
 
 	wireBytes := wire.ReplyOverhead
@@ -929,7 +947,7 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 		if count {
 			w.stats.PeerBytes += int64(wireBytes)
 		}
-		return peers, replyDropped
+		return replyDropped
 	default: // FateTruncate, FateCorrupt
 		// Damaged in flight: run the real codec end to end. The CRC
 		// trailer rejects the frame and the query degrades; in the
@@ -945,7 +963,7 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 		if err != nil {
 			// A cache region exceeding wire limits cannot be encoded;
 			// treat the reply as undeliverable.
-			return peers, replyUnencodable
+			return replyUnencodable
 		}
 		mangled := w.inj.Mangle(enc, fate)
 		if count {
@@ -953,7 +971,7 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 		}
 		dec, err := wire.DecodeReply(mangled)
 		if err != nil || len(dec.Regions) != len(shared) {
-			return peers, replyRejected // sound degradation, already counted
+			return replyRejected // sound degradation, already counted
 		}
 		// The staged regions keep their epoch; the frame carries the
 		// (damage-passed) geometry.
@@ -962,18 +980,11 @@ func (w *World) receiveReply(peers []core.PeerData, id, ti int, relevance geom.R
 		}
 	}
 
-	// The client's consistency gate, once per staged region: with the
-	// layer armed every region passes the epoch gate (repair, demote or
-	// accept), with it off every region is kept.
 	for i := range shared {
-		if w.cons != nil {
-			peers = w.admitShared(peers, id, ti, &shared[i])
-			continue
-		}
-		peers = append(peers, core.PeerData{VR: shared[i].Rect, POIs: shared[i].POIs})
-		w.qs.origins = append(w.qs.origins, origin{peer: id})
+		w.qs.col.add(core.PeerData{VR: shared[i].Rect, POIs: shared[i].POIs},
+			origin{peer: id, epoch: shared[i].Epoch})
 	}
-	return peers, replyDelivered
+	return replyDelivered
 }
 
 // drawK samples the per-query k around the configured mean.

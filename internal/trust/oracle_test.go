@@ -258,6 +258,9 @@ func (e *refEngine) screenReference(contribs []Contribution, oracle Oracle, budg
 			if kept[i].Peer == kept[j].Peer {
 				continue // two regions of one cache cannot witness each other
 			}
+			if kept[i].AuditOnly || kept[j].AuditOnly {
+				continue // an audit-only claim is never cross-validated
+			}
 			overlap, ok := kept[i].VR.Intersect(kept[j].VR)
 			if !ok || overlap.Empty() {
 				continue
@@ -348,7 +351,7 @@ func (e *refEngine) screenReference(contribs []Contribution, oracle Oracle, budg
 	taintedPeers := make(map[int]bool)
 	holes := e.holes()
 	for _, c := range kept {
-		if convicted[c.Peer] || e.Quarantined(c.Peer) {
+		if convicted[c.Peer] || e.Quarantined(c.Peer) || c.AuditOnly {
 			continue
 		}
 		tainted := c.Stale || !e.Vouched(c.Peer)
@@ -541,7 +544,7 @@ func (o *pairOracle) detectConflicts(slots []slot, contribs []Contribution) []co
 	for i := range slots {
 		a := &slots[i]
 		av := a.vr
-		if av.Empty() {
+		if av.Empty() || a.auditOnly {
 			continue
 		}
 		for j := i + 1; j < len(slots); j++ {
@@ -552,7 +555,7 @@ func (o *pairOracle) detectConflicts(slots []slot, contribs []Contribution) []co
 				av.Min.Y < b.vr.Max.Y && b.vr.Min.Y < av.Max.Y) {
 				continue
 			}
-			if a.peer == b.peer || b.vr.Empty() {
+			if a.peer == b.peer || b.vr.Empty() || b.auditOnly {
 				continue // two regions of one cache cannot witness each other
 			}
 			if o.lo[i] < 0 {

@@ -26,6 +26,9 @@ type diffWorld struct {
 	db    []broadcast.POI
 	peers int // peer ids are 0..peers-1
 	liars int // ids below this lie on every claim
+	// auditOnly, when positive, marks about one contribution in auditOnly
+	// audit-only (no draw is made when it is zero).
+	auditOnly int
 }
 
 var diffAttacks = []faults.Attack{faults.AttackFabricate, faults.AttackOmit,
@@ -119,6 +122,9 @@ func (w *diffWorld) contributions(maxN int) []Contribution {
 					con.POIs[i].Pos = geom.Pt(negZero(con.POIs[i].Pos.X), negZero(con.POIs[i].Pos.Y))
 				}
 			}
+			if w.auditOnly > 0 && rng.Intn(w.auditOnly) == 0 {
+				con.AuditOnly = true
+			}
 			out = append(out, con)
 		}
 	}
@@ -158,7 +164,8 @@ func sameContribs(a, b []Contribution) bool {
 		return false
 	}
 	for i := range a {
-		if a[i].Peer != b[i].Peer || !sameBits(a[i].VR, b[i].VR) || a[i].Stale != b[i].Stale || !samePOIs(a[i].POIs, b[i].POIs) {
+		if a[i].Peer != b[i].Peer || !sameBits(a[i].VR, b[i].VR) || a[i].Stale != b[i].Stale ||
+			a[i].AuditOnly != b[i].AuditOnly || !samePOIs(a[i].POIs, b[i].POIs) {
 			return false
 		}
 	}
@@ -330,5 +337,15 @@ func TestScreenMatchesReference(t *testing.T) {
 	// drops from tainted pieces what trusted ones carry.
 	t.Run("audited", func(t *testing.T) {
 		runDifferential(t, newDiffWorld(3, 24, 4), Config{AuditRate: 0.9, MaxAuditsPerQuery: 16, QuarantineCycles: 20, VouchCycles: 40}, 13, 600, 16)
+	})
+	// A third of the claims lie beyond a reach cut: audited in their turn,
+	// never cross-validated, never returned.
+	t.Run("auditOnly", func(t *testing.T) {
+		w := newDiffWorld(4, 40, 8)
+		w.auditOnly = 3
+		e, _ := runDifferential(t, w, Config{AuditRate: 0.3}, 14, 1500, 24)
+		if c := e.Counters(); c.AuditsRun == 0 || c.AuditFailures == 0 || c.ConflictsDetected == 0 {
+			t.Fatalf("audit-only run exercised too little: %+v", c)
+		}
 	})
 }

@@ -188,6 +188,12 @@ type Contribution struct {
 	// one of those would vouch the liar. A piece is exact only while its
 	// peer is vouched by a whole claim.
 	Repaired bool
+	// AuditOnly marks a whole claim the query's answer cannot reach (it lies
+	// beyond the receiver's reach cut, DESIGN.md §9.3): it takes its turn in
+	// the audit walk like any whole claim, so the vouched population does
+	// not shrink with the cut, but it is neither cross-validated nor
+	// returned.
+	AuditOnly bool
 }
 
 // Result is one screened piece of a contribution. Quarantine subtraction
@@ -297,17 +303,21 @@ const maxQuarRects = 1024
 // slot is one contribution that survived the quarantined-peer drop, with
 // what the screen's passes need of it side by side.
 type slot struct {
-	vr    geom.Rect
-	peer  int
-	rec   *peerRec // nil for Self
-	ci    int32    // index into the contributions
-	stale bool
+	vr        geom.Rect
+	peer      int
+	rec       *peerRec // nil for Self
+	ci        int32    // index into the contributions
+	stale     bool
+	auditOnly bool
 }
 
-// claims reports whether the slot's region can claim anything: positive
-// area and no NaN bound. Only such a region can strictly overlap another,
-// so only such slots take part in cross-validation.
-func (s *slot) claims() bool { return s.vr.Min.X < s.vr.Max.X && s.vr.Min.Y < s.vr.Max.Y }
+// claims reports whether the slot's region can claim anything: not
+// audit-only, positive area and no NaN bound. Only such a region can
+// strictly overlap another, so only such slots take part in
+// cross-validation.
+func (s *slot) claims() bool {
+	return !s.auditOnly && s.vr.Min.X < s.vr.Max.X && s.vr.Min.Y < s.vr.Max.Y
+}
 
 // conflict is one pair of contributions (i < j, slot indices) that
 // disagree on their overlap.
@@ -900,8 +910,9 @@ func bit(b bool) int32 {
 // drops quarantined peers, cross-validates overlapping VRs, spot-audits
 // a seeded sample against the oracle within the slot budget, subtracts
 // quarantined rectangles, and marks every surviving piece with its taint
-// verdict. budget is the query's remaining deadline budget in slots
-// (negative means unlimited); audits that do not fit are skipped.
+// verdict. An audit-only contribution takes part in the audits alone.
+// budget is the query's remaining deadline budget in slots (negative means
+// unlimited); audits that do not fit are skipped.
 //
 // Aliasing: the returned slice is engine scratch, valid until the next
 // Screen. A Result's POIs are the contribution's own slice when the piece
@@ -937,7 +948,7 @@ func (e *Engine) Screen(contribs []Contribution, oracle Oracle, budget int64) ([
 				continue
 			}
 		}
-		slots = append(slots, slot{vr: c.VR, peer: c.Peer, rec: r, ci: int32(i), stale: c.Stale})
+		slots = append(slots, slot{vr: c.VR, peer: c.Peer, rec: r, ci: int32(i), stale: c.Stale, auditOnly: c.AuditOnly})
 	}
 	e.slots = slots
 
@@ -969,7 +980,9 @@ func (e *Engine) detectConflicts(contribs []Contribution) {
 	slots, cv := e.slots, &e.cover
 	listed := 0
 	for i := range slots {
-		listed += len(contribs[slots[i].ci].POIs)
+		if slots[i].claims() {
+			listed += len(contribs[slots[i].ci].POIs)
+		}
 	}
 	cv.reset(listed)
 	for i := range slots {
@@ -1142,7 +1155,7 @@ func (e *Engine) judge(rep *Report) {
 	anyTainted, selfTainted := false, false
 	for i := range e.slots {
 		s := &e.slots[i]
-		if e.quarantined(s.rec) {
+		if e.quarantined(s.rec) || s.auditOnly {
 			continue
 		}
 		if !e.tainted(s) {
@@ -1187,14 +1200,14 @@ func (e *Engine) judge(rep *Report) {
 }
 
 // assemble emits the surviving pieces in contribution order: convicted
-// peers drop out entirely; everything else is reduced by the quarantine
-// set and marked with its taint verdict.
+// peers and audit-only claims drop out entirely; everything else is
+// reduced by the quarantine set and marked with its taint verdict.
 func (e *Engine) assemble(contribs []Contribution) []Result {
 	out := e.out[:0]
 	for i := range e.slots {
 		s := &e.slots[i]
 		c := &contribs[s.ci]
-		if e.quarantined(s.rec) || c.VR.Empty() {
+		if e.quarantined(s.rec) || s.auditOnly || c.VR.Empty() {
 			continue
 		}
 		tainted := e.tainted(s)
