@@ -17,7 +17,7 @@ STATICCHECK_VERSION = 2025.1.1
 COVER_PKGS = internal/core internal/geom internal/metrics internal/trust internal/cache internal/faults internal/sim internal/p2p internal/broadcast
 COVER_MIN ?= 70
 
-.PHONY: all build vet test race lint loc loc-check cover cover-profile cover-check fuzz-smoke verify goldens continuous-identity trust-identity nnv-identity residual-sweep soak bench bench-e2e-check
+.PHONY: all build vet test race lint loc loc-check cover cover-profile cover-check fuzz-smoke verify goldens continuous-identity trust-identity nnv-identity residual-sweep soak bench bench-check bench-e2e-check
 
 all: build
 
@@ -150,12 +150,13 @@ loc:
 # 17,425 non-test lines over PRs 21–23 with nothing noticing), set at the
 # values of the last PR that lowered them. A PR that needs more raises the
 # ceiling in the same diff, where a reviewer sees it; one that shrinks the
-# system lowers it. The kNN reach cut (DESIGN.md §9.3) raised both:
-# internal/sim by 143 (136 for the cut, 7 for the completeness test's
-# commit hook), the total by 37 net of the 165 lines internal/ondemand and
-# examples/scalability freed.
-LOC_MAX_ALL = 16287
-LOC_MAX_SIM = 4440
+# system lowers it. Giving each decision one implementation lowered both:
+# the R-tree keeps only its bulk build (internal/rtree 531 -> 203 lines),
+# a standing query is marked priority traffic by its own flag alone, the
+# query-shape draws take their stream, and the seven per-layer activity
+# totals are one fold over `events` tags on Stats.
+LOC_MAX_ALL = 15891
+LOC_MAX_SIM = 4371
 LOC_MAX_MAIN = 245
 LOC_MAX_HAND = 10
 LOC_MAX_MX = 2
@@ -238,12 +239,26 @@ soak:
 # deadline/breaker/churn knobs so the two degradation curves can be compared.
 # Runs in one process through the sweep engine
 # (internal/experiments.FaultGrid); rows are seed-deterministic apart
-# from wall_seconds.
+# from wall_seconds. bench-check regenerates the rows into a temp file and
+# fails unless they equal the committed ones with wall_seconds zeroed on
+# both sides.
+BENCH_CMD = $(GO) run ./cmd/lbsq-figures -fig faults -side 2 -hours 0.1
 bench:
 	@mkdir -p results
-	$(GO) run ./cmd/lbsq-figures -fig faults -side 2 -hours 0.1 \
-		> results/BENCH_faults.json
+	$(BENCH_CMD) > results/BENCH_faults.json
 	@echo "bench: wrote results/BENCH_faults.json"
+
+bench-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(BENCH_CMD) > "$$tmp/new.json" || exit 1; \
+	zero='s/"wall_seconds":[0-9.e+-]*/"wall_seconds":0/'; \
+	sed "$$zero" results/BENCH_faults.json > "$$tmp/old.json"; \
+	sed -i "$$zero" "$$tmp/new.json"; \
+	if cmp "$$tmp/old.json" "$$tmp/new.json"; then \
+		echo "bench-check: fault-grid rows match results/BENCH_faults.json"; \
+	else \
+		echo "bench-check: fault-grid rows differ from results/BENCH_faults.json (make bench regenerates them)"; exit 1; \
+	fi
 
 # The end-to-end benchmark (bench/, see BENCHMARK.json) is a module of its
 # own, so tier-1 never builds it — yet it drives the exported surface of

@@ -862,8 +862,9 @@ func (s *Schedule) GrowCompleteRect(sc *Scratch, seed geom.Rect, retrieved []int
 }
 
 // ExpectedKNNLatency estimates the mean on-air kNN latency by averaging
-// over every possible starting phase of the cycle. It is used by the
-// analytical model and the latency experiment.
+// over samples starting phases spread evenly across the cycle (16 when
+// samples is not positive). Neither the simulator nor the experiments
+// call it; it is a reference figure for tests and benchmarks.
 func (s *Schedule) ExpectedKNNLatency(q geom.Point, k int, samples int) float64 {
 	if samples <= 0 {
 		samples = 16

@@ -23,15 +23,6 @@ func BenchmarkBulkLoad10k(b *testing.B) {
 	}
 }
 
-func BenchmarkInsert(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	tr := New(16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Insert(Item{ID: int64(i), Pos: geom.Pt(rng.Float64()*100, rng.Float64()*100)})
-	}
-}
-
 func BenchmarkKNNBestFirst(b *testing.B) {
 	tr, rng := benchTree(b, 10000)
 	b.ResetTimer()
@@ -49,21 +40,5 @@ func BenchmarkWindow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cx, cy := rng.Float64()*95, rng.Float64()*95
 		tr.Window(geom.NewRect(cx, cy, cx+5, cy+5))
-	}
-}
-
-func BenchmarkDelete(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	items := randomItems(rng, 100000, 100)
-	tr := Bulk(items, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it := items[i%len(items)]
-		tr.Delete(it.ID, it.Pos)
-		if i%len(items) == len(items)-1 {
-			b.StopTimer()
-			tr = Bulk(items, 16)
-			b.StartTimer()
-		}
 	}
 }

@@ -1,12 +1,8 @@
-// Package rtree implements an in-memory R-tree over point data (Guttman,
-// SIGMOD 1984) with quadratic node splitting, STR bulk loading, window
-// queries, and both best-first (Hjaltason–Samet) and depth-first
-// branch-and-bound (Roussopoulos et al.) k-nearest-neighbor search.
-//
-// In the reproduction it plays two roles: it is the wireless information
-// server's spatial database (ground truth for every query the simulator
-// issues), and it is the classical random-access-disk baseline the paper
-// contrasts with sequential on-air access.
+// Package rtree is the wireless information server's spatial database: a
+// static in-memory R-tree over point data, packed by Sort-Tile-Recursive
+// bulk loading, with window queries and best-first (Hjaltason–Samet)
+// k-nearest-neighbor search. It is the ground truth for every query the
+// simulator issues; a changed POI set is packed into a new tree.
 package rtree
 
 import (
@@ -23,8 +19,8 @@ type Item struct {
 	Pos geom.Point
 }
 
-// DefaultMaxEntries is the node fan-out used when callers pass a
-// non-positive value.
+// DefaultMaxEntries is the node fan-out used when callers pass a value
+// below two.
 const DefaultMaxEntries = 16
 
 type node struct {
@@ -32,47 +28,24 @@ type node struct {
 	bounds   geom.Rect
 	children []*node // internal nodes
 	items    []Item  // leaf nodes
-	parent   *node
 }
 
-// Tree is an R-tree over point items. The zero value is not usable; use
-// New or Bulk.
+// Tree is an R-tree over point items, built by Bulk.
 type Tree struct {
-	root       *node
-	maxEntries int
-	minEntries int
-	size       int
-}
-
-// New returns an empty tree with the given maximum node fan-out.
-func New(maxEntries int) *Tree {
-	if maxEntries <= 1 {
-		maxEntries = DefaultMaxEntries
-	}
-	t := &Tree{
-		maxEntries: maxEntries,
-		minEntries: maxEntries * 2 / 5,
-	}
-	if t.minEntries < 1 {
-		t.minEntries = 1
-	}
-	t.root = &node{leaf: true}
-	return t
+	root *node
 }
 
 // Bulk builds a tree from items using Sort-Tile-Recursive packing, which
 // produces near-optimal leaves for static data sets such as a POI
 // database.
 func Bulk(items []Item, maxEntries int) *Tree {
-	t := New(maxEntries)
-	if len(items) == 0 {
-		return t
+	if maxEntries <= 1 {
+		maxEntries = DefaultMaxEntries
 	}
-	leaves := strPack(items, t.maxEntries)
-	t.size = len(items)
-	t.root = buildUp(leaves, t.maxEntries)
-	setParents(t.root)
-	return t
+	if len(items) == 0 {
+		return &Tree{root: &node{leaf: true}}
+	}
+	return &Tree{root: buildUp(strPack(items, maxEntries), maxEntries)}
 }
 
 // strPack tiles items into leaf nodes: sort by X, slice into vertical
@@ -140,303 +113,19 @@ func buildUp(level []*node, m int) *node {
 	return level[0]
 }
 
-func setParents(n *node) {
-	for _, c := range n.children {
-		c.parent = n
-		setParents(c)
-	}
-}
-
-// Len returns the number of items stored.
-func (t *Tree) Len() int { return t.size }
-
-// Bounds returns the MBR of all stored items; ok is false when empty.
-func (t *Tree) Bounds() (geom.Rect, bool) {
-	if t.size == 0 {
-		return geom.Rect{}, false
-	}
-	return t.root.bounds, true
-}
-
+// recomputeBounds sets n's MBR from its (never empty) items or children.
 func (n *node) recomputeBounds() {
 	if n.leaf {
-		if len(n.items) == 0 {
-			n.bounds = geom.Rect{}
-			return
-		}
-		b := geom.Rect{Min: n.items[0].Pos, Max: n.items[0].Pos}
+		n.bounds = geom.Rect{Min: n.items[0].Pos, Max: n.items[0].Pos}
 		for _, it := range n.items[1:] {
-			b = b.Union(geom.Rect{Min: it.Pos, Max: it.Pos})
+			n.bounds = n.bounds.Union(geom.Rect{Min: it.Pos, Max: it.Pos})
 		}
-		n.bounds = b
 		return
 	}
-	if len(n.children) == 0 {
-		n.bounds = geom.Rect{}
-		return
-	}
-	b := n.children[0].bounds
+	n.bounds = n.children[0].bounds
 	for _, c := range n.children[1:] {
-		b = b.Union(c.bounds)
+		n.bounds = n.bounds.Union(c.bounds)
 	}
-	n.bounds = b
-}
-
-// Insert adds an item to the tree.
-func (t *Tree) Insert(it Item) {
-	leaf := t.chooseLeaf(t.root, it.Pos)
-	leaf.items = append(leaf.items, it)
-	leaf.bounds = extend(leaf, it.Pos)
-	t.size++
-	if len(leaf.items) > t.maxEntries {
-		t.splitNode(leaf)
-	} else {
-		t.adjustUp(leaf.parent)
-	}
-}
-
-func extend(n *node, p geom.Point) geom.Rect {
-	pt := geom.Rect{Min: p, Max: p}
-	if n.leaf && len(n.items) == 1 {
-		return pt
-	}
-	return n.bounds.Union(pt)
-}
-
-func (t *Tree) chooseLeaf(n *node, p geom.Point) *node {
-	for !n.leaf {
-		best := n.children[0]
-		bestEnl := enlargement(best.bounds, p)
-		for _, c := range n.children[1:] {
-			enl := enlargement(c.bounds, p)
-			if enl < bestEnl || (enl == bestEnl && c.bounds.Area() < best.bounds.Area()) {
-				best, bestEnl = c, enl
-			}
-		}
-		n = best
-	}
-	return n
-}
-
-func enlargement(r geom.Rect, p geom.Point) float64 {
-	grown := r.Union(geom.Rect{Min: p, Max: p})
-	return grown.Area() - r.Area()
-}
-
-// splitNode splits an overflowing node with Guttman's quadratic algorithm
-// and propagates upward.
-func (t *Tree) splitNode(n *node) {
-	var sibling *node
-	if n.leaf {
-		a, b := quadraticSplitItems(n.items, t.minEntries)
-		n.items = a
-		sibling = &node{leaf: true, items: b}
-	} else {
-		a, b := quadraticSplitNodes(n.children, t.minEntries)
-		n.children = a
-		sibling = &node{children: b}
-		for _, c := range sibling.children {
-			c.parent = sibling
-		}
-	}
-	n.recomputeBounds()
-	sibling.recomputeBounds()
-
-	if n.parent == nil {
-		newRoot := &node{children: []*node{n, sibling}}
-		n.parent = newRoot
-		sibling.parent = newRoot
-		newRoot.recomputeBounds()
-		t.root = newRoot
-		return
-	}
-	p := n.parent
-	sibling.parent = p
-	p.children = append(p.children, sibling)
-	p.recomputeBounds()
-	if len(p.children) > t.maxEntries {
-		t.splitNode(p)
-	} else {
-		t.adjustUp(p.parent)
-	}
-}
-
-func (t *Tree) adjustUp(n *node) {
-	for n != nil {
-		n.recomputeBounds()
-		n = n.parent
-	}
-}
-
-func quadraticSplitItems(items []Item, min int) (a, b []Item) {
-	// Pick the pair of seeds wasting the most area together.
-	si, sj := 0, 1
-	worst := -1.0
-	for i := range items {
-		for j := i + 1; j < len(items); j++ {
-			r := geom.Rect{Min: items[i].Pos, Max: items[i].Pos}.
-				Union(geom.Rect{Min: items[j].Pos, Max: items[j].Pos})
-			if w := r.Area(); w > worst {
-				worst, si, sj = w, i, j
-			}
-		}
-	}
-	a = []Item{items[si]}
-	b = []Item{items[sj]}
-	ra := geom.Rect{Min: items[si].Pos, Max: items[si].Pos}
-	rb := geom.Rect{Min: items[sj].Pos, Max: items[sj].Pos}
-	for k, it := range items {
-		if k == si || k == sj {
-			continue
-		}
-		// Force balance when one side must absorb the rest.
-		if len(a) >= len(items)-min {
-			b = append(b, it)
-			rb = rb.Union(geom.Rect{Min: it.Pos, Max: it.Pos})
-			continue
-		}
-		if len(b) >= len(items)-min {
-			a = append(a, it)
-			ra = ra.Union(geom.Rect{Min: it.Pos, Max: it.Pos})
-			continue
-		}
-		ea := ra.Union(geom.Rect{Min: it.Pos, Max: it.Pos}).Area() - ra.Area()
-		eb := rb.Union(geom.Rect{Min: it.Pos, Max: it.Pos}).Area() - rb.Area()
-		if ea < eb || (ea == eb && len(a) <= len(b)) {
-			a = append(a, it)
-			ra = ra.Union(geom.Rect{Min: it.Pos, Max: it.Pos})
-		} else {
-			b = append(b, it)
-			rb = rb.Union(geom.Rect{Min: it.Pos, Max: it.Pos})
-		}
-	}
-	return a, b
-}
-
-func quadraticSplitNodes(nodes []*node, min int) (a, b []*node) {
-	si, sj := 0, 1
-	worst := -1.0
-	for i := range nodes {
-		for j := i + 1; j < len(nodes); j++ {
-			r := nodes[i].bounds.Union(nodes[j].bounds)
-			w := r.Area() - nodes[i].bounds.Area() - nodes[j].bounds.Area()
-			if w > worst {
-				worst, si, sj = w, i, j
-			}
-		}
-	}
-	a = []*node{nodes[si]}
-	b = []*node{nodes[sj]}
-	ra, rb := nodes[si].bounds, nodes[sj].bounds
-	for k, c := range nodes {
-		if k == si || k == sj {
-			continue
-		}
-		if len(a) >= len(nodes)-min {
-			b = append(b, c)
-			rb = rb.Union(c.bounds)
-			continue
-		}
-		if len(b) >= len(nodes)-min {
-			a = append(a, c)
-			ra = ra.Union(c.bounds)
-			continue
-		}
-		ea := ra.Union(c.bounds).Area() - ra.Area()
-		eb := rb.Union(c.bounds).Area() - rb.Area()
-		if ea < eb || (ea == eb && len(a) <= len(b)) {
-			a = append(a, c)
-			ra = ra.Union(c.bounds)
-		} else {
-			b = append(b, c)
-			rb = rb.Union(c.bounds)
-		}
-	}
-	return a, b
-}
-
-// Delete removes the item with the given ID at pos. It reports whether an
-// item was removed. Underflowing nodes are condensed and their remaining
-// items reinserted (Guttman's CondenseTree).
-func (t *Tree) Delete(id int64, pos geom.Point) bool {
-	leaf := t.findLeaf(t.root, id, pos)
-	if leaf == nil {
-		return false
-	}
-	for i, it := range leaf.items {
-		if it.ID == id {
-			leaf.items = append(leaf.items[:i], leaf.items[i+1:]...)
-			break
-		}
-	}
-	t.size--
-	t.condense(leaf)
-	return true
-}
-
-func (t *Tree) findLeaf(n *node, id int64, pos geom.Point) *node {
-	if n.leaf {
-		for _, it := range n.items {
-			if it.ID == id {
-				return n
-			}
-		}
-		return nil
-	}
-	for _, c := range n.children {
-		if c.bounds.Contains(pos) {
-			if found := t.findLeaf(c, id, pos); found != nil {
-				return found
-			}
-		}
-	}
-	return nil
-}
-
-func (t *Tree) condense(n *node) {
-	var orphans []Item
-	for n.parent != nil {
-		p := n.parent
-		under := (n.leaf && len(n.items) < t.minEntries) ||
-			(!n.leaf && len(n.children) < t.minEntries)
-		if under {
-			// Detach n and collect its items for reinsertion.
-			for i, c := range p.children {
-				if c == n {
-					p.children = append(p.children[:i], p.children[i+1:]...)
-					break
-				}
-			}
-			orphans = append(orphans, collectItems(n)...)
-		} else {
-			n.recomputeBounds()
-		}
-		n = p
-	}
-	t.root.recomputeBounds()
-	// Shrink a root with a single internal child.
-	for !t.root.leaf && len(t.root.children) == 1 {
-		t.root = t.root.children[0]
-		t.root.parent = nil
-	}
-	if !t.root.leaf && len(t.root.children) == 0 {
-		t.root = &node{leaf: true}
-	}
-	t.size -= len(orphans)
-	for _, it := range orphans {
-		t.Insert(it)
-	}
-}
-
-func collectItems(n *node) []Item {
-	if n.leaf {
-		return n.items
-	}
-	var out []Item
-	for _, c := range n.children {
-		out = append(out, collectItems(c)...)
-	}
-	return out
 }
 
 // Window returns every item inside the closed rectangle r.
@@ -461,14 +150,6 @@ func (n *node) appendWindow(dst []Item, r geom.Rect) []Item {
 		}
 	}
 	return dst
-}
-
-// All returns every stored item.
-func (t *Tree) All() []Item {
-	if t.size == 0 {
-		return nil
-	}
-	return collectItems(t.root)
 }
 
 // nnEntry is a priority-queue element for best-first search.
@@ -496,7 +177,7 @@ func (q *nnQueue) Pop() interface{} {
 // KNN returns the k nearest items to q in ascending distance order using
 // best-first (incremental) search.
 func (t *Tree) KNN(q geom.Point, k int) []Item {
-	if k <= 0 || t.size == 0 {
+	if k <= 0 {
 		return nil
 	}
 	pq := &nnQueue{{dist: t.root.bounds.Dist(q), node: t.root}}
@@ -519,13 +200,4 @@ func (t *Tree) KNN(q geom.Point, k int) []Item {
 		}
 	}
 	return out
-}
-
-// Height returns the tree height (1 for a single leaf).
-func (t *Tree) Height() int {
-	h := 1
-	for n := t.root; !n.leaf; n = n.children[0] {
-		h++
-	}
-	return h
 }

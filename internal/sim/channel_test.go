@@ -79,8 +79,8 @@ func TestChannelLayerZeroWhenUnarmed(t *testing.T) {
 	if err := w.SelfCheckErr(); err != nil {
 		t.Fatal(err)
 	}
-	if ev := s.ChannelEvents(); ev != 0 {
-		t.Errorf("ChannelEvents() = %d with channel knobs off, want 0", ev)
+	if ev := s.Events("channel"); ev != 0 {
+		t.Errorf("Events(\"channel\") = %d with channel knobs off, want 0", ev)
 	}
 	if s.AnsweredInBudget != 0 {
 		t.Errorf("AnsweredInBudget = %d with channel knobs off, want 0", s.AnsweredInBudget)

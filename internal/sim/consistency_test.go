@@ -90,7 +90,7 @@ func TestConsistencyZeroKnobInert(t *testing.T) {
 	if w.Epoch(0) != 0 {
 		t.Fatalf("epoch advanced with updates off: %d", w.Epoch(0))
 	}
-	if s.ConsistencyEvents() != 0 {
+	if s.Events("consistency") != 0 {
 		t.Fatalf("consistency counters moved with the layer off: %+v", s)
 	}
 	rep := NewReport(p, s, true, 0)

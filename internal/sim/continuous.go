@@ -167,31 +167,22 @@ func (w *World) advanceContinuous(dt float64) {
 
 // registerSubscription draws one new standing query from the continuous
 // stream: the subscribing host, its data type, and the query shape —
-// sampled with the same distributions a one-shot query uses (drawK /
-// drawWindow), but from the dedicated rng so the world stream never
-// moves. The subscription starts inexact, so its first maintenance pass
-// runs the initial full verification.
+// drawn as a one-shot query's is (drawK / drawWindow), but from the
+// dedicated rng so the world stream never moves. The subscription starts
+// inexact, so its first maintenance pass runs the initial full
+// verification.
 func (w *World) registerSubscription() {
 	c := w.cont
 	idx := c.rng.Intn(len(w.mob))
 	ti := c.rng.Intn(len(w.types))
 	s := subscription{id: len(c.subs) + 1, host: idx, ti: ti}
 	if w.Params.Kind == WindowQuery {
-		side := w.Params.WindowSideMiles() * (0.5 + c.rng.Float64())
-		if side <= 0 {
+		var ok bool
+		if s.side, s.off, ok = w.drawWindow(c.rng); !ok {
 			return
 		}
-		dist := math.Abs(c.rng.NormFloat64()*w.Params.WindowDistMiles/3 +
-			w.Params.WindowDistMiles)
-		angle := c.rng.Float64() * 2 * math.Pi
-		s.side = side
-		s.off = geom.Pt(math.Cos(angle)*dist, math.Sin(angle)*dist)
 	} else {
-		k := mobility.Poisson(c.rng, float64(w.Params.K))
-		if k < 1 {
-			k = 1
-		}
-		s.k = k
+		s.k = w.drawK(c.rng)
 	}
 	c.subs = append(c.subs, s)
 	if w.counted() {
@@ -310,13 +301,7 @@ func (w *World) reverify(s *subscription, reason contReason) {
 	} else {
 		w.shapeKNN(&e, s.k)
 	}
-	// Standing subscriptions are priority traffic under overload: never
-	// admission-denied, governor-shed or coalesced, and their retries
-	// bypass the retry budget. Peer-side BUSY backpressure still applies —
-	// a saturated peer cannot tell subscribers from one-shots.
-	w.overloadExempt(true)
 	w.prepare(&e)
-	w.overloadExempt(false)
 	w.execute(&e, &w.qs.core)
 
 	// Inexact answers (approximate or degraded) are the Lemma 3.2

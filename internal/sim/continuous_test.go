@@ -62,7 +62,7 @@ func TestContinuousZeroKnob(t *testing.T) {
 	if wa.cont != nil {
 		t.Fatal("continuous state allocated with the knob off")
 	}
-	if sa.ContinuousEvents() != 0 {
+	if sa.Events("continuous") != 0 {
 		t.Fatalf("zero-knob run produced continuous events: %+v", sa)
 	}
 	if strings.Contains(string(repA), "continuous") ||

@@ -73,7 +73,7 @@ func TestZeroProfileIsSeedBehavior(t *testing.T) {
 	if zero.FaultCounters() != (faults.Counters{}) {
 		t.Fatalf("zero profile made fault draws: %+v", zero.FaultCounters())
 	}
-	if sz.FaultEvents() != 0 || sz.PeerRetries != 0 || sz.BackoffSlots != 0 {
+	if sz.Events("fault") != 0 || sz.PeerRetries != 0 || sz.BackoffSlots != 0 {
 		t.Fatalf("zero profile reported fault events: %+v", sz)
 	}
 	if sz.PeerRequests != int64(sz.Queries) {
@@ -110,9 +110,9 @@ func TestFaultSweepStaysSound(t *testing.T) {
 		if s.Retransmissions == 0 && s.IndexRetries == 0 {
 			t.Errorf("%v: broadcast loss never fired", kind)
 		}
-		if got := s.FaultEvents(); got != s.RequestsUnheard+s.RepliesDropped+
+		if got := s.Events("fault"); got != s.RequestsUnheard+s.RepliesDropped+
 			s.RepliesRejected+s.Retransmissions+s.IndexRetries {
-			t.Errorf("%v: FaultEvents = %d, not the counter sum", kind, got)
+			t.Errorf("%v: fault events = %d, not the counter sum", kind, got)
 		}
 	}
 }

@@ -217,11 +217,6 @@ type overloadState struct {
 	// (metastability means this never stops growing).
 	postCrowdEngaged int64
 
-	// exempt marks the in-flight query as priority traffic (continuous
-	// subscription maintenance): never admission-denied, never
-	// governor-shed, and its retries bypass the retry budget.
-	exempt bool
-
 	// Cross-MH coalescing (radius 0 disables; donors is the per-tick
 	// table, entries reuse their buffers across ticks).
 	coalRadius float64
@@ -351,9 +346,9 @@ func (o *overloadState) noteBudget(ok bool) {
 // takeRetry draws one retry token from the global per-tick budget.
 // Returns false when the budget is configured and exhausted — the
 // collection stops retrying and proceeds with the replies it has.
-// Priority (continuous-maintenance) traffic bypasses the budget.
-func (o *overloadState) takeRetry() bool {
-	if o == nil || o.retryBudget <= 0 || o.exempt {
+// A standing re-verification is priority traffic and bypasses the budget.
+func (o *overloadState) takeRetry(standing bool) bool {
+	if o == nil || o.retryBudget <= 0 || standing {
 		return true
 	}
 	if o.retryTokens > 0 {
@@ -361,14 +356,6 @@ func (o *overloadState) takeRetry() bool {
 		return true
 	}
 	return false
-}
-
-// overloadExempt marks (or unmarks) the in-flight query as priority
-// traffic. No-op without the overload plane.
-func (w *World) overloadExempt(on bool) {
-	if w.ovl != nil {
-		w.ovl.exempt = on
-	}
 }
 
 // govSteering reports whether the load governor is armed — it steers by
@@ -382,10 +369,11 @@ func (w *World) govSteering() bool {
 // peer-gather: the host's admission token bucket first, then the load
 // governor. A denied query sheds its P2P phase — it answers from its own
 // cache plus the broadcast channel (exact, just slower), which is the
-// soundness contract every shed path honors.
-func (w *World) admitOneShot(idx int) (bool, shedCause) {
+// soundness contract every shed path honors. A standing re-verification
+// is priority traffic: always admitted, consuming no token.
+func (w *World) admitOneShot(idx int, standing bool) (bool, shedCause) {
 	o := w.ovl
-	if o == nil || o.exempt {
+	if o == nil || standing {
 		return true, shedNone
 	}
 	if o.tokens != nil && o.tokens[idx] < 1 {
@@ -453,7 +441,7 @@ func (w *World) crowdPick() (idx, ti int) {
 // broadcast channel, never to a wrong answer. Nil on miss.
 func (w *World) coalesceLookup(ti int, q geom.Point, relevance geom.Rect) *coalDonor {
 	o := w.ovl
-	if o == nil || o.coalRadius <= 0 || o.exempt {
+	if o == nil || o.coalRadius <= 0 {
 		return nil
 	}
 	r2 := o.coalRadius * o.coalRadius
@@ -470,7 +458,7 @@ func (w *World) coalesceLookup(ti int, q geom.Point, relevance geom.Rect) *coalD
 // set to the tick's donor table.
 func (w *World) donates() bool {
 	o := w.ovl
-	return o != nil && o.coalRadius > 0 && !o.exempt && o.nDonors < maxCoalesceDonors
+	return o != nil && o.coalRadius > 0 && o.nDonors < maxCoalesceDonors
 }
 
 // coalesceDonate registers a completed gather's screened peer set in the

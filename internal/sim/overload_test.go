@@ -97,7 +97,7 @@ func TestOverloadZeroKnob(t *testing.T) {
 	w.Trace = trace.NewWriter(&trBuf)
 	s := w.Run()
 	w.Trace.Flush()
-	if s.OverloadEvents() != 0 {
+	if s.Events("overload") != 0 {
 		t.Fatalf("overload counters moved with the plane off: %+v", s)
 	}
 	js, err := json.Marshal(NewReport(p, s, false, 0))
@@ -294,7 +294,7 @@ func TestGovernorModelCheck(t *testing.T) {
 
 // TestAdmissionBucket pins the token-bucket mechanics: bursts drain a
 // full bucket, empty buckets deny with the admission cause, the refill
-// is deterministic and capped, and exempt (continuous) traffic is
+// is deterministic and capped, and standing (continuous) traffic is
 // always admitted without consuming tokens.
 func TestAdmissionBucket(t *testing.T) {
 	p := LACity()
@@ -305,23 +305,23 @@ func TestAdmissionBucket(t *testing.T) {
 	o := w.ovl
 
 	for i := 0; i < 2; i++ {
-		if ok, cause := w.admitOneShot(0); !ok || cause != shedNone {
+		if ok, cause := w.admitOneShot(0, false); !ok || cause != shedNone {
 			t.Fatalf("admit %d: denied with a full bucket (cause %v)", i, cause)
 		}
 	}
-	if ok, cause := w.admitOneShot(0); ok || cause != shedAdmission {
+	if ok, cause := w.admitOneShot(0, false); ok || cause != shedAdmission {
 		t.Fatalf("empty bucket admitted (ok=%v cause=%v)", ok, cause)
 	}
 	if w.stats.AdmissionDenied != 1 || w.stats.Shed != 1 {
 		t.Fatalf("denial not counted: %+v", w.stats)
 	}
 	// Host 1's bucket is untouched by host 0's burst.
-	if ok, _ := w.admitOneShot(1); !ok {
+	if ok, _ := w.admitOneShot(1, false); !ok {
 		t.Fatal("independent bucket drained by another host")
 	}
 	// One tick refills one token; the cap holds at the burst depth.
 	w.tickReset(10)
-	if ok, _ := w.admitOneShot(0); !ok {
+	if ok, _ := w.admitOneShot(0, false); !ok {
 		t.Fatal("refilled bucket still denies")
 	}
 	for i := 0; i < 10; i++ {
@@ -330,44 +330,41 @@ func TestAdmissionBucket(t *testing.T) {
 	if got := o.tokens[0]; got != o.admBurst {
 		t.Fatalf("bucket overfilled past burst: %v > %v", got, o.admBurst)
 	}
-	// Exempt traffic: admitted from an empty bucket, consumes nothing.
+	// Standing traffic: admitted from an empty bucket, consumes nothing.
 	o.tokens[0] = 0
-	w.overloadExempt(true)
-	if ok, cause := w.admitOneShot(0); !ok || cause != shedNone {
-		t.Fatalf("exempt traffic denied (cause %v)", cause)
+	if ok, cause := w.admitOneShot(0, true); !ok || cause != shedNone {
+		t.Fatalf("standing traffic denied (cause %v)", cause)
 	}
-	w.overloadExempt(false)
 	if o.tokens[0] != 0 {
-		t.Error("exempt admission consumed a token")
+		t.Error("standing admission consumed a token")
 	}
 }
 
 // TestRetryBudget pins the global per-tick retry pool: takeRetry drains
-// it, exhaustion refuses, tickReset replenishes, exempt traffic
+// it, exhaustion refuses, tickReset replenishes, standing traffic
 // bypasses, and a nil/unbudgeted plane always grants.
 func TestRetryBudget(t *testing.T) {
 	var nilW World
-	if !nilW.ovl.takeRetry() {
+	if !nilW.ovl.takeRetry(false) {
 		t.Fatal("nil plane refused a retry")
 	}
 	p := LACity()
 	p.RetryBudget = 2
 	w := &World{ovl: newOverloadState(p)}
 	o := w.ovl
-	if !o.takeRetry() || !o.takeRetry() {
+	if !o.takeRetry(false) || !o.takeRetry(false) {
 		t.Fatal("budgeted retries refused")
 	}
-	if o.takeRetry() {
+	if o.takeRetry(false) {
 		t.Fatal("exhausted budget granted a retry")
 	}
 	w.tickReset(10)
-	if !o.takeRetry() {
+	if !o.takeRetry(false) {
 		t.Fatal("replenished budget refused")
 	}
 	o.retryTokens = 0
-	o.exempt = true
-	if !o.takeRetry() {
-		t.Fatal("exempt traffic hit the retry budget")
+	if !o.takeRetry(true) {
+		t.Fatal("standing traffic hit the retry budget")
 	}
 }
 

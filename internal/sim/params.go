@@ -485,8 +485,8 @@ func (p Params) Scaled(sideMiles float64) Params {
 	if out.WindowRefMiles <= 0 {
 		out.WindowRefMiles = p.AreaMiles // windows keep their physical size
 	}
-	out.MHNumber = maxInt(1, int(math.Round(float64(p.MHNumber)*ratio)))
-	out.POINumber = maxInt(1, int(math.Round(float64(p.POINumber)*ratio)))
+	out.MHNumber = max(1, int(math.Round(float64(p.MHNumber)*ratio)))
+	out.POINumber = max(1, int(math.Round(float64(p.POINumber)*ratio)))
 	out.QueryRate = p.QueryRate * ratio
 	if out.QueryRate <= 0 {
 		out.QueryRate = 1
@@ -499,11 +499,4 @@ func (p Params) WithDuration(hours float64) Params {
 	out := p
 	out.DurationHours = hours
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

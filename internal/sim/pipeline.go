@@ -112,13 +112,19 @@ func (w *World) launch(idx, ti int) {
 	e := &w.qs.cur
 	w.start(e, idx, ti)
 	if w.Params.Kind == WindowQuery {
-		win, ok := w.drawWindow(e.q)
+		side, off, ok := w.drawWindow(w.rng)
+		if !ok {
+			return
+		}
+		// A one-shot window's center is clipped to the service area (a
+		// subscription keeps its offset, continuous.go).
+		win, ok := geom.RectAround(w.area.Clip(e.q.Add(off)), side/2).Intersect(w.area)
 		if !ok {
 			return
 		}
 		e.shapeWindow(win)
 	} else {
-		w.shapeKNN(e, w.drawK())
+		w.shapeKNN(e, w.drawK(w.rng))
 	}
 	w.prepare(e)
 	// The baseline coin is the only world-stream draw a query makes after
@@ -136,9 +142,9 @@ func (w *World) launch(idx, ti int) {
 }
 
 // prepare runs the pre-algorithm stage for a shaped query. A standing
-// query takes the same path with the overload plane's exempt mark set,
-// which turns the one-shot gates (coalesce, admission, governor, retry
-// budget, donation) into pass-throughs.
+// query takes the same path; collect turns the one-shot overload gates
+// (coalesce, admission, governor, retry budget, donation) into
+// pass-throughs for it.
 func (w *World) prepare(e *query) {
 	// The one place the arena is rewound (DESIGN.md §9.1): it backs the
 	// peers of the query in flight until that query commits.
@@ -159,14 +165,18 @@ func (w *World) prepare(e *query) {
 
 // collect gathers and screens the query's peer knowledge: the overload
 // gates in front of the mode-dispatched gather, then admission and the
-// trust screen.
+// trust screen. A standing re-verification is priority traffic under
+// overload: never coalesced, admission-denied or governor-shed, it
+// donates nothing, and its retries bypass the retry budget. Peer-side
+// BUSY backpressure still applies — a saturated peer cannot tell
+// subscribers from one-shots.
 func (w *World) collect(e *query) {
 	e.minBorn = math.MaxInt64
 	gathered := false
 	collected := e.qc.switchCost() // plus the gather's retry backoff
 	switch e.qc.mode {
 	case modeFull, modeP2POnly:
-		if d := w.coalesceLookup(e.ti, e.q, e.relevance); d != nil {
+		if d := w.coalesceLookup(e.ti, e.q, e.relevance); d != nil && !e.standing {
 			// Reuse the donor's screened set: no gather, no re-screen —
 			// the donor already paid collection and audits for this
 			// neighborhood this tick.
@@ -180,7 +190,7 @@ func (w *World) collect(e *query) {
 			e.spent = collected + e.irSlots
 			return
 		}
-		if ok, cause := w.admitOneShot(e.idx); !ok {
+		if ok, cause := w.admitOneShot(e.idx, e.standing); !ok {
 			// Shed: own cache plus broadcast only — the Lemma 3.2 /
 			// on-air path, exact answers at broadcast latency.
 			e.shed = cause
@@ -188,7 +198,7 @@ func (w *World) collect(e *query) {
 			break
 		}
 		var backoff int64
-		e.nPeers, backoff = w.gather(e.idx, e.ti, e.relevance)
+		e.nPeers, backoff = w.gather(e.idx, e.ti, e.relevance, e.standing)
 		collected += backoff
 		gathered = true
 	default:
@@ -205,7 +215,7 @@ func (w *World) collect(e *query) {
 	cut := !e.window && !e.standing && (w.tr != nil || w.cons != nil) && !(gathered && w.donates())
 	e.peers = w.admit(e, cut)
 	e.peers, e.spent, e.trep = w.trustScreen(e.ti, e.peers, collected+e.irSlots, e.qc.bcastUp)
-	if gathered {
+	if gathered && !e.standing {
 		w.coalesceDonate(e.ti, e.q, e.relevance, e.peers, e.nPeers)
 	}
 }

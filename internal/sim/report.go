@@ -112,15 +112,15 @@ func NewReport(p Params, stats Stats, selfChecked bool, wallSeconds float64) Rep
 			AvgTuningSlots:         stats.AvgTuningSlots(),
 			MeanSystemLatencySlots: stats.MeanSystemLatencySlots(),
 			AvgPeerBytes:           stats.AvgPeerBytes(),
-			FaultEvents:            stats.FaultEvents(),
-			ResilienceEvents:       stats.ResilienceEvents(),
-			TrustEvents:            stats.TrustEvents(),
-			ConsistencyEvents:      stats.ConsistencyEvents(),
-			ChannelEvents:          stats.ChannelEvents(),
+			FaultEvents:            stats.Events("fault"),
+			ResilienceEvents:       stats.Events("resilience"),
+			TrustEvents:            stats.Events("trust"),
+			ConsistencyEvents:      stats.Events("consistency"),
+			ChannelEvents:          stats.Events("channel"),
 			AnsweredInBudgetPct:    stats.AnsweredInBudgetPct(),
-			ContinuousEvents:       stats.ContinuousEvents(),
+			ContinuousEvents:       stats.Events("continuous"),
 			ReverifyFraction:       stats.ReverifyFraction(),
-			OverloadEvents:         stats.OverloadEvents(),
+			OverloadEvents:         stats.Events("overload"),
 			GoodputPct:             goodput,
 		},
 		WallSeconds: wallSeconds,

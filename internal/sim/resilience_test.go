@@ -175,7 +175,7 @@ func TestResilientDeterminism(t *testing.T) {
 		a.Breakers().Cycle() != b.Breakers().Cycle() {
 		t.Fatal("breaker state diverged under identical seed")
 	}
-	if sa.ResilienceEvents() == 0 {
+	if sa.Events("resilience") == 0 {
 		t.Error("fully-knobbed run reported no resilience activity")
 	}
 }

@@ -283,7 +283,7 @@ func checkSoakInvariants(t *testing.T, p Params, w *World, s Stats) {
 	if s.WastedRetries > 0 && s.ChurnDepartures == 0 {
 		t.Errorf("wasted retries %d without departures", s.WastedRetries)
 	}
-	if p.AuditRate == 0 && s.TrustEvents() != 0 {
+	if p.AuditRate == 0 && s.Events("trust") != 0 {
 		t.Errorf("trust counters fired with audits off: %+v", s)
 	}
 	if p.Faults.ByzantineRate == 0 && s.ByzantineLies != 0 {
@@ -367,7 +367,7 @@ func checkSoakInvariants(t *testing.T, p Params, w *World, s Stats) {
 	// zero; armed, re-verifications partition exactly by reason, the
 	// naive baseline never takes a safe-region hit, and taint
 	// re-verifications require an invalidation source.
-	if p.ContinuousRate == 0 && s.ContinuousEvents() != 0 {
+	if p.ContinuousRate == 0 && s.Events("continuous") != 0 {
 		t.Errorf("continuous counters fired with the knob off: %+v", s)
 	}
 	if s.Reverifies != s.ReverifyExits+s.ReverifyTaints+s.ReverifyUnverified+s.ReverifyNaive {
@@ -386,7 +386,7 @@ func checkSoakInvariants(t *testing.T, p Params, w *World, s Stats) {
 	// Overload counter causality: the plane off leaves every counter at
 	// zero, each mechanism's counters require its knob, sheds partition
 	// exactly by cause, and governor sheds require an engaged tick.
-	if !p.CrowdEnabled() && !p.OverloadEnabled() && s.OverloadEvents() != 0 {
+	if !p.CrowdEnabled() && !p.OverloadEnabled() && s.Events("overload") != 0 {
 		t.Errorf("overload counters fired with the plane off: %+v", s)
 	}
 	if p.CrowdRate == 0 && s.CrowdQueries != 0 {
@@ -587,7 +587,7 @@ func TestSoakZeroKnobIdentity(t *testing.T) {
 	if err := a.SelfCheckErr(); err != nil {
 		t.Fatal(err)
 	}
-	if sa.ResilienceEvents() != sa.BackoffSlots {
+	if sa.Events("resilience") != sa.BackoffSlots {
 		t.Fatalf("deadline, breaker or churn counters fired with their knobs off: %+v", sa)
 	}
 	if sa.BackoffSlots == 0 || sa.PeerRetries == 0 {

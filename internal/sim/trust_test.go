@@ -42,8 +42,8 @@ func TestByzantineNoTrustFailsOpen(t *testing.T) {
 		if s.ByzantineLies == 0 {
 			t.Fatalf("%v: no byzantine lies told (rate 0.5)", kind)
 		}
-		if s.TrustEvents() != 0 {
-			t.Fatalf("%v: trust events %d with the defense disarmed", kind, s.TrustEvents())
+		if s.Events("trust") != 0 {
+			t.Fatalf("%v: trust events %d with the defense disarmed", kind, s.Events("trust"))
 		}
 		if w.Trust() != nil {
 			t.Fatalf("%v: trust engine exists with AuditRate 0", kind)
@@ -135,7 +135,7 @@ func TestTrustZeroKnobIdentity(t *testing.T) {
 	if w.Trust() != nil {
 		t.Fatal("trust engine exists with zero knobs")
 	}
-	if s.TrustEvents() != 0 || s.ByzantineLies != 0 || s.QuarantinedArea != 0 {
+	if s.Events("trust") != 0 || s.ByzantineLies != 0 || s.QuarantinedArea != 0 {
 		t.Fatalf("trust counters fired with zero knobs: %+v", s)
 	}
 	w2, s2 := runSoakWorld(t, p)
@@ -168,7 +168,7 @@ func TestTrustDeterminism(t *testing.T) {
 	if s != s2 {
 		t.Fatalf("armed run not deterministic:\n%+v\nvs\n%+v", s, s2)
 	}
-	if s.TrustEvents() == 0 {
+	if s.Events("trust") == 0 {
 		t.Fatal("armed run produced no trust activity")
 	}
 }

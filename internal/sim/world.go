@@ -434,7 +434,7 @@ func (w *World) prefill() {
 				}
 				region = win
 			} else {
-				k := w.drawK()
+				k := w.drawK(w.rng)
 				nn := ts.truth.KNN(center, k)
 				if len(nn) == 0 {
 					continue
@@ -644,10 +644,10 @@ func (w *World) trustScreen(ti int, peers []core.PeerData, spent int64, bcastUp 
 // MVR, which keeps verification sound). It stages them in the query's
 // collection as they arrived, each with its epoch (admit runs the
 // consistency gate afterwards), and returns the neighbour count and the
-// broadcast slots spent in retry backoff. The
-// fault layer between the two hosts only ever removes information, so a
-// degraded collection falls back to the channel instead of trusting
-// damaged or outdated data.
+// broadcast slots spent in retry backoff; a standing re-verification's
+// retries bypass the per-tick retry budget. The fault layer between the
+// two hosts only ever removes information, so a degraded collection falls
+// back to the channel instead of trusting damaged or outdated data.
 //
 //  1. Peers with open circuit breakers are short-circuited before any
 //     traffic is spent on them.
@@ -674,7 +674,7 @@ func (w *World) trustScreen(ti int, peers []core.PeerData, spent int64, bcastUp 
 // injector stream. With a zero fault profile every peer resolves in round
 // one and nothing is drawn: one frame, then one reply or null ack per
 // neighbour — the paper's ideal exchange.
-func (w *World) gather(idx, ti int, relevance geom.Rect) (int, int64) {
+func (w *World) gather(idx, ti int, relevance geom.Rect, standing bool) (int, int64) {
 	q := w.mob[idx].Pos
 	hops := max(w.Params.SharingHops, 1)
 	ids := w.net.AppendNeighborsMultiHop(w.qs.ids[:0], q, w.Params.TxRangeMiles(), hops, idx)
@@ -715,7 +715,7 @@ func (w *World) gather(idx, ti int, relevance geom.Rect) (int, int64) {
 			// retrying and proceed with the replies collected so far —
 			// under a flash crowd, retry amplification is the collapse
 			// mechanism, and the budget caps it fleet-wide.
-			if w.ovl != nil && !w.ovl.takeRetry() {
+			if w.ovl != nil && !w.ovl.takeRetry(standing) {
 				if count {
 					w.stats.RetryBudgetExhausted++
 				}
@@ -987,9 +987,9 @@ func (w *World) receiveReply(id, ti int, relevance geom.Rect, stamp int64, count
 	return replyDelivered
 }
 
-// drawK samples the per-query k around the configured mean.
-func (w *World) drawK() int {
-	return max(mobility.Poisson(w.rng, float64(w.Params.K)), 1)
+// drawK samples a query's k around the configured mean from rng.
+func (w *World) drawK(rng *rand.Rand) int {
+	return max(mobility.Poisson(rng, float64(w.Params.K)), 1)
 }
 
 // knnRelevanceRadius bounds which peer regions can matter for a k-NN
@@ -1003,24 +1003,19 @@ func (w *World) knnRelevanceRadius(ti, k int) float64 {
 	return math.Min(r, w.Params.AreaMiles)
 }
 
-// drawWindow samples a query window: side around the configured mean,
-// center at a normally-distributed distance from the host in a uniform
-// direction, clipped to the service area.
-func (w *World) drawWindow(q geom.Point) (geom.Rect, bool) {
-	side := w.Params.WindowSideMiles() * (0.5 + w.rng.Float64())
+// drawWindow samples a query window's shape from rng: its side around
+// the configured mean, and its center's offset from the host, at a
+// normally-distributed distance in a uniform direction. ok is false when
+// the side is not positive.
+func (w *World) drawWindow(rng *rand.Rand) (side float64, off geom.Point, ok bool) {
+	side = w.Params.WindowSideMiles() * (0.5 + rng.Float64())
 	if side <= 0 {
-		return geom.Rect{}, false
+		return 0, geom.Point{}, false
 	}
-	dist := math.Abs(w.rng.NormFloat64()*w.Params.WindowDistMiles/3 +
+	dist := math.Abs(rng.NormFloat64()*w.Params.WindowDistMiles/3 +
 		w.Params.WindowDistMiles)
-	angle := w.rng.Float64() * 2 * math.Pi
-	center := q.Add(geom.Pt(math.Cos(angle)*dist, math.Sin(angle)*dist))
-	center = w.area.Clip(center)
-	win, ok := geom.RectAround(center, side/2).Intersect(w.area)
-	if !ok {
-		return geom.Rect{}, false
-	}
-	return win, true
+	angle := rng.Float64() * 2 * math.Pi
+	return side, geom.Pt(math.Cos(angle)*dist, math.Sin(angle)*dist), true
 }
 
 func (w *World) checkKNN(ti int, q geom.Point, k int, got []broadcast.POI) {
