@@ -384,3 +384,19 @@ func TestGoodValuesRun(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceWriteFailureExitsOne: a trace that cannot be written fails the
+// run under its own name, whether the buffered events fail only at the
+// final flush (a short run) or mid-run (a long one), and is never reported
+// as a self-check failure.
+func TestTraceWriteFailureExitsOne(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	for _, size := range []string{"-side 1 -hours 0.02", "-side 3 -hours 0.2"} {
+		_, stderr, code := run(t, append(strings.Fields(size), "-trace", "/dev/full")...)
+		if code != 1 || !strings.Contains(stderr, "/dev/full") || strings.Contains(stderr, "SELF-CHECK") {
+			t.Errorf("%s -trace /dev/full: exit %d, stderr %q; want exit 1 naming the trace file", size, code, stderr)
+		}
+	}
+}

@@ -22,6 +22,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -130,8 +131,7 @@ func main() {
 	p := preset().Scaled(c.knobs.AreaMiles).WithDuration(c.knobs.DurationHours)
 	knob.Copy(&p, &c.knobs) // every generated flag not left at zero, onto the preset
 	p.Seed = c.seed
-	p.Faults.ReplyTruncate = c.corrupt / 2
-	p.Faults.ReplyCorrupt = c.corrupt / 2
+	p.Faults.ReplyTruncate, p.Faults.ReplyCorrupt = c.corrupt/2, c.corrupt/2
 	p.Metrics = c.metricsOn || c.mxOut != "" || c.mxListen != ""
 
 	w, err := sim.NewWorld(p)
@@ -142,14 +142,12 @@ func main() {
 	w.CompareBaseline = c.baseline
 	w.BaselineSampleRate = 1
 	w.SelfCheck = c.selfcheck
+	var traceOut *os.File
 	if c.traceFile != "" {
-		f, err := os.Create(c.traceFile)
-		if err != nil {
+		if traceOut, err = os.Create(c.traceFile); err != nil {
 			die(1, err)
 		}
-		defer f.Close()
-		w.Trace = trace.NewWriter(f)
-		defer w.Trace.Flush()
+		w.Trace = trace.NewWriter(traceOut)
 	}
 
 	if c.mxListen != "" {
@@ -186,6 +184,12 @@ func main() {
 	}
 	elapsed := time.Since(start)
 
+	// Written out before the run is judged: a self-check failure keeps its trace.
+	if traceOut != nil {
+		if err := errors.Join(w.Trace.Flush(), traceOut.Close()); err != nil {
+			die(1, fmt.Errorf("trace %s: %v", c.traceFile, err))
+		}
+	}
 	if err := w.SelfCheckErr(); err != nil {
 		die(1, fmt.Errorf("SELF-CHECK FAILED: %v", err))
 	}
@@ -230,16 +234,11 @@ func writeMetrics(path string, reg *metrics.Registry) error {
 	if err != nil {
 		return err
 	}
-	if err := reg.WriteText(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return errors.Join(reg.WriteText(f), f.Close())
 }
 
 func emitJSON(rep sim.Report) {
-	enc := json.NewEncoder(os.Stdout)
-	if err := enc.Encode(rep); err != nil {
+	if err := json.NewEncoder(os.Stdout).Encode(rep); err != nil {
 		die(1, err)
 	}
 }

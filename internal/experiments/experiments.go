@@ -97,20 +97,33 @@ type Figure struct {
 	Series         []Series
 }
 
-// runCell executes one simulation cell.
-func runCell(base sim.Params, o Options, mutate func(*sim.Params)) sim.Stats {
+// cell is the Params of one simulation cell on parameter set base: o's
+// scale, duration, step, seed and warm start.
+func (o Options) cell(base sim.Params) sim.Params {
 	p := base.Scaled(o.SideMiles).WithDuration(o.DurationHours)
 	p.TimeStepSec = o.TimeStepSec
 	p.Seed = o.Seed
 	if o.PrefillPerHost > 0 {
 		p.PrefillQueriesPerHost = o.PrefillPerHost
 	}
-	mutate(&p)
+	return p
+}
+
+// mustWorld builds the world of a cell; its parameters are internal, so
+// an error is a bug.
+func mustWorld(p sim.Params) *sim.World {
 	w, err := sim.NewWorld(p)
 	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err)) // parameters are internal
+		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	return w.Run()
+	return w
+}
+
+// runCell executes one simulation cell.
+func runCell(base sim.Params, o Options, mutate func(*sim.Params)) sim.Stats {
+	p := o.cell(base)
+	mutate(&p)
+	return mustWorld(p).Run()
 }
 
 // runSweep builds a figure by running every (parameter set × x value)
@@ -356,18 +369,10 @@ func LatencyReduction(o Options) []LatencyRow {
 	o.applyDefaults()
 	var rows []LatencyRow
 	for _, base := range sim.ParameterSets() {
-		p := base.Scaled(o.SideMiles).WithDuration(o.DurationHours)
-		p.TimeStepSec = o.TimeStepSec
-		p.Seed = o.Seed
-		if o.PrefillPerHost > 0 {
-			p.PrefillQueriesPerHost = o.PrefillPerHost
-		}
+		p := o.cell(base)
 		p.Kind = sim.KNNQuery
 		p.AcceptApproximate = true
-		w, err := sim.NewWorld(p)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
+		w := mustWorld(p)
 		w.CompareBaseline = true
 		w.BaselineSampleRate = 1
 		stats := w.Run()

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 
-	"lbsq/internal/metrics"
 	"lbsq/internal/sim"
 	"lbsq/internal/sweep"
 )
@@ -13,7 +13,7 @@ import (
 // breakdown: the distribution of one query phase's cost over every
 // counted query of a metrics-enabled run. Channel phases are measured in
 // broadcast slots, CPU phases in deterministic work units (regions
-// merged, candidates examined) — see internal/metrics.Phase.
+// merged, candidates examined) — see sim.PhaseHistograms.
 type PhaseRow struct {
 	SetName string
 	Phase   string
@@ -35,47 +35,25 @@ type PhaseRow struct {
 func PhaseBreakdown(o Options) []PhaseRow {
 	o.applyDefaults()
 	sets := sim.ParameterSets()
-	snaps := sweep.Map(sweep.Workers(o.Parallel), sets, func(_ int, base sim.Params) metrics.Snapshot {
-		p := base.Scaled(o.SideMiles).WithDuration(o.DurationHours)
-		p.TimeStepSec = o.TimeStepSec
-		p.Seed = o.Seed
-		if o.PrefillPerHost > 0 {
-			p.PrefillQueriesPerHost = o.PrefillPerHost
-		}
+	phases := sim.PhaseHistograms()
+	rows := sweep.Map(sweep.Workers(o.Parallel), sets, func(_ int, base sim.Params) []PhaseRow {
+		p := o.cell(base)
 		p.Kind = sim.KNNQuery
 		p.AcceptApproximate = true
 		p.Metrics = true
-		w, err := sim.NewWorld(p)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %v", err)) // parameters are internal
-		}
+		w := mustWorld(p)
 		w.Run()
-		return w.Metrics().Snapshot()
-	})
-
-	var rows []PhaseRow
-	for si, base := range sets {
-		snap := snaps[si]
-		for ph := metrics.Phase(0); ph < metrics.NumPhases; ph++ {
-			name := "lbsq_phase_" + ph.String() + "_" + ph.Unit()
-			h, ok := snap.Histogram(name)
-			if !ok {
-				continue
+		snap := w.Metrics().Snapshot()
+		var out []PhaseRow
+		for _, ph := range phases {
+			if h, ok := snap.Histogram(ph.Metric()); ok {
+				out = append(out, PhaseRow{SetName: base.Name, Phase: ph.Name, Unit: ph.Unit,
+					Count: h.Count, Mean: h.Mean, P50: h.P50, P90: h.P90, P99: h.P99, Max: h.Max})
 			}
-			rows = append(rows, PhaseRow{
-				SetName: base.Name,
-				Phase:   ph.String(),
-				Unit:    ph.Unit(),
-				Count:   h.Count,
-				Mean:    h.Mean,
-				P50:     h.P50,
-				P90:     h.P90,
-				P99:     h.P99,
-				Max:     h.Max,
-			})
 		}
-	}
-	return rows
+		return out
+	})
+	return slices.Concat(rows...)
 }
 
 // WritePhases prints the per-phase breakdown as an aligned text table

@@ -117,7 +117,8 @@ func TestSortSamples(t *testing.T) {
 
 func TestHandlerServesPublishedSnapshot(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("hits", "")
+	var hits int64
+	r.Counter("hits", "", func() int64 { return hits })
 	h := Handler(r)
 
 	// No snapshot published yet: placeholder comment, no samples.
@@ -127,7 +128,7 @@ func TestHandlerServesPublishedSnapshot(t *testing.T) {
 		t.Fatalf("unpublished body %q", rec.Body.String())
 	}
 
-	c.Add(4)
+	hits = 4
 	r.Publish()
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))

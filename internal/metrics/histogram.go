@@ -72,12 +72,6 @@ func (h *Histogram) Observe(v float64) {
 // ObserveInt records an integer-valued observation (slots, work units).
 func (h *Histogram) ObserveInt(v int64) { h.Observe(float64(v)) }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Sum returns the exact sum of all observations.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // Min returns the exact smallest observation (0 when empty).
 func (h *Histogram) Min() float64 {
 	if h.count == 0 {
@@ -101,12 +95,6 @@ func (h *Histogram) Mean() float64 {
 	}
 	return h.sum / float64(h.count)
 }
-
-// Name returns the registered metric name.
-func (h *Histogram) Name() string { return h.name }
-
-// Unit returns the registered observation unit.
-func (h *Histogram) Unit() string { return h.unit }
 
 // Quantile returns the deterministic q-quantile for q in [0, 1]: the
 // upper bound of the bucket holding the ceil(q·count)-th smallest

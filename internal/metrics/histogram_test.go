@@ -55,8 +55,8 @@ func TestHistogramZeroObservation(t *testing.T) {
 	if h.counts[0] != 1 {
 		t.Fatalf("zero observation in bucket %v, want counts[0]=1", h.counts)
 	}
-	if h.Min() != 0 || h.Max() != 0 || h.Count() != 1 || h.Sum() != 0 {
-		t.Fatalf("min/max/count/sum = %v/%v/%d/%v", h.Min(), h.Max(), h.Count(), h.Sum())
+	if h.Min() != 0 || h.Max() != 0 || h.count != 1 || h.sum != 0 {
+		t.Fatalf("min/max/count/sum = %v/%v/%d/%v", h.Min(), h.Max(), h.count, h.sum)
 	}
 	if q := h.Quantile(0.99); q != 0 {
 		t.Fatalf("p99 of all-zero histogram = %v, want 0", q)
@@ -151,8 +151,8 @@ func TestHistogramMinMaxTracking(t *testing.T) {
 	for _, v := range []float64{5, 2, 9, 2, 7} {
 		h.Observe(v)
 	}
-	if h.Min() != 2 || h.Max() != 9 || h.Count() != 5 || h.Sum() != 25 {
-		t.Fatalf("min/max/count/sum = %v/%v/%d/%v", h.Min(), h.Max(), h.Count(), h.Sum())
+	if h.Min() != 2 || h.Max() != 9 || h.count != 5 || h.sum != 25 {
+		t.Fatalf("min/max/count/sum = %v/%v/%d/%v", h.Min(), h.Max(), h.count, h.sum)
 	}
 }
 

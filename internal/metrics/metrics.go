@@ -1,23 +1,23 @@
-// Package metrics is a stdlib-only, allocation-free-on-the-hot-path
-// metrics layer for the simulator and its serving harnesses: monotonic
-// counters, gauges, and fixed-bucket log-scale histograms with
-// deterministic quantile extraction, plus the per-query phase-span
-// taxonomy (p2p_collect, mvr_merge, nnv_verify, onair_tune,
-// onair_download) the query path reports through.
+// Package metrics is a stdlib-only metrics layer for the simulator and
+// its serving harnesses: counters and gauges, and fixed-bucket log-scale
+// histograms with deterministic quantile extraction.
 //
 // Design constraints (DESIGN.md §10):
 //
-//   - Registration (Registry.Counter/Gauge/Histogram) may allocate; the
-//     observation path (Add/Inc/Set/Observe) must not. Instruments are
-//     plain structs with preallocated bucket arrays; Observe is a binary
-//     search plus integer increments.
-//   - Everything observed is a deterministic quantity (simulated slots,
-//     work units, areas) — never wall-clock time — so identical seeds
-//     produce byte-identical snapshots, and the zero-knob identity
+//   - Counters and gauges hold no state. Each is a read function the
+//     registry calls when it snapshots, over a value its owner already
+//     keeps (the simulator reads its Stats ledger and its clock), so there
+//     is no second copy to keep in step.
+//   - Registration may allocate; Histogram.Observe must not. A histogram
+//     is a plain struct with a preallocated bucket array; Observe is a
+//     binary search plus integer increments.
+//   - Everything observed or read is a deterministic quantity (simulated
+//     slots, work units, areas) — never wall-clock time — so identical
+//     seeds produce byte-identical snapshots, and the zero-knob identity
 //     contract of the faults/resilience layers extends to metrics.
-//   - A Registry is single-writer: the owning goroutine observes without
-//     synchronization (parallel sweeps give every World its own
-//     registry). Cross-goroutine readers (the -metrics-listen HTTP
+//   - A Registry is single-writer: the owning goroutine observes and
+//     snapshots without synchronization (parallel sweeps give every World
+//     its own registry). Cross-goroutine readers (the -metrics-listen HTTP
 //     endpoint) consume immutable published Snapshots via Publish.
 package metrics
 
@@ -27,59 +27,27 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing event count. The zero value is
-// unusable; obtain counters from a Registry.
-type Counter struct {
-	name string
+// counter is a monotonically increasing event count, read when the
+// registry snapshots.
+type counter struct {
 	help string
-	v    int64
+	read func() int64
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add increases the counter by n. Negative deltas are ignored —
-// counters are monotonic by contract.
-func (c *Counter) Add(n int64) {
-	if n > 0 {
-		c.v += n
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v }
-
-// Name returns the registered metric name.
-func (c *Counter) Name() string { return c.name }
-
-// Gauge is a value that can move both ways (simulated clock, live host
-// count, cache fill). The zero value is unusable; obtain gauges from a
-// Registry.
-type Gauge struct {
-	name string
+// gauge is a value that can move both ways (simulated clock, live host
+// count), read when the registry snapshots.
+type gauge struct {
 	help string
-	v    float64
+	read func() float64
 }
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add shifts the gauge by delta.
-func (g *Gauge) Add(delta float64) { g.v += delta }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
-
-// Name returns the registered metric name.
-func (g *Gauge) Name() string { return g.name }
 
 // Registry holds the named instruments of one simulation world (or any
-// other single-writer component). Registration is idempotent: asking
-// for an existing name of the same kind returns the same instrument;
-// re-registering a name as a different kind panics (a wiring bug).
+// other single-writer component). A name has one instrument: registering
+// a counter or gauge name twice, or a name as a different kind, panics (a
+// wiring bug); asking for an existing histogram returns it.
 type Registry struct {
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
+	counters   map[string]counter
+	gauges     map[string]gauge
 	histograms map[string]*Histogram
 
 	// published is the latest immutable snapshot made visible to
@@ -90,8 +58,8 @@ type Registry struct {
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
+		counters:   make(map[string]counter),
+		gauges:     make(map[string]gauge),
 		histograms: make(map[string]*Histogram),
 	}
 }
@@ -100,10 +68,10 @@ func (r *Registry) checkName(name, kind string) {
 	if name == "" {
 		panic("metrics: empty metric name")
 	}
-	if _, ok := r.counters[name]; ok && kind != "counter" {
+	if _, ok := r.counters[name]; ok {
 		panic(fmt.Sprintf("metrics: %q already registered as counter", name))
 	}
-	if _, ok := r.gauges[name]; ok && kind != "gauge" {
+	if _, ok := r.gauges[name]; ok {
 		panic(fmt.Sprintf("metrics: %q already registered as gauge", name))
 	}
 	if _, ok := r.histograms[name]; ok && kind != "histogram" {
@@ -111,26 +79,18 @@ func (r *Registry) checkName(name, kind string) {
 	}
 }
 
-// Counter registers (or returns the existing) counter under name.
-func (r *Registry) Counter(name, help string) *Counter {
+// Counter registers a counter under name whose value is read() at each
+// snapshot. read must be monotonic; it runs on the owning goroutine.
+func (r *Registry) Counter(name, help string, read func() int64) {
 	r.checkName(name, "counter")
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c := &Counter{name: name, help: help}
-	r.counters[name] = c
-	return c
+	r.counters[name] = counter{help: help, read: read}
 }
 
-// Gauge registers (or returns the existing) gauge under name.
-func (r *Registry) Gauge(name, help string) *Gauge {
+// Gauge registers a gauge under name whose value is read() at each
+// snapshot, on the owning goroutine.
+func (r *Registry) Gauge(name, help string, read func() float64) {
 	r.checkName(name, "gauge")
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{name: name, help: help}
-	r.gauges[name] = g
-	return g
+	r.gauges[name] = gauge{help: help, read: read}
 }
 
 // Histogram registers (or returns the existing) histogram under name.

@@ -6,66 +6,84 @@ import (
 	"testing"
 )
 
+// mustPanic fails t unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// TestCounterGaugeBasics: a counter or gauge holds no value of its own —
+// every snapshot reports what its read returns at that moment.
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("q_total", "queries")
-	c.Inc()
-	c.Add(4)
-	c.Add(-3) // monotonic: negative deltas dropped
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter value %d, want 5", got)
+	var n int64
+	var v float64
+	r.Counter("q_total", "queries", func() int64 { return n })
+	r.Gauge("now_sec", "sim clock", func() float64 { return v })
+	for _, step := range []struct {
+		n int64
+		v float64
+	}{{0, 0}, {5, 12.5}, {9, 10}} {
+		n, v = step.n, step.v
+		s := r.Snapshot()
+		if c, ok := s.Counter("q_total"); !ok || c.Value != n || c.Help != "queries" {
+			t.Fatalf("counter snapshot %+v, want value %d", c, n)
+		}
+		if g, ok := s.Gauge("now_sec"); !ok || g.Value != v || g.Help != "sim clock" {
+			t.Fatalf("gauge snapshot %+v, want value %v", g, v)
+		}
 	}
-	if c.Name() != "q_total" {
-		t.Fatalf("counter name %q", c.Name())
-	}
-	g := r.Gauge("now_sec", "sim clock")
-	g.Set(12.5)
-	g.Add(-2.5)
-	if got := g.Value(); got != 10 {
-		t.Fatalf("gauge value %v, want 10", got)
-	}
-	// Idempotent re-registration returns the same instrument.
-	if r.Counter("q_total", "queries") != c {
-		t.Fatal("re-registration returned a different counter")
-	}
-	if r.Gauge("now_sec", "sim clock") != g {
-		t.Fatal("re-registration returned a different gauge")
-	}
+	// A name has one read: registering it again panics.
+	mustPanic(t, "second counter read", func() { r.Counter("q_total", "", func() int64 { return 0 }) })
+	mustPanic(t, "second gauge read", func() { r.Gauge("now_sec", "", func() float64 { return 0 }) })
 }
 
 func TestKindMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x", "")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("registering counter name as gauge did not panic")
-		}
-	}()
-	r.Gauge("x", "")
+	r.Counter("c", "", func() int64 { return 0 })
+	r.Gauge("g", "", func() float64 { return 0 })
+	r.Histogram("h", "", "slots", SlotBuckets())
+	mustPanic(t, "counter name as gauge", func() { r.Gauge("c", "", func() float64 { return 0 }) })
+	mustPanic(t, "counter name as histogram", func() { r.Histogram("c", "", "slots", SlotBuckets()) })
+	mustPanic(t, "gauge name as counter", func() { r.Counter("g", "", func() int64 { return 0 }) })
+	mustPanic(t, "histogram name as counter", func() { r.Counter("h", "", func() int64 { return 0 }) })
+	mustPanic(t, "histogram name as gauge", func() { r.Gauge("h", "", func() float64 { return 0 }) })
+	if r.Histogram("h", "", "slots", SlotBuckets()) != r.histograms["h"] {
+		t.Fatal("re-registration returned a different histogram")
+	}
 }
 
 func TestEmptyNamePanics(t *testing.T) {
-	r := NewRegistry()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty metric name did not panic")
-		}
-	}()
-	r.Counter("", "")
+	mustPanic(t, "empty metric name", func() { NewRegistry().Counter("", "", func() int64 { return 0 }) })
 }
 
-// fillRegistry populates a registry with a deterministic workload.
-func fillRegistry(r *Registry) {
-	c := r.Counter("queries_total", "total queries")
-	g := r.Gauge("sim_now_seconds", "simulated clock")
+// source is the state a deterministic workload keeps; the registry's
+// counter and gauge read it.
+type source struct {
+	queries int64
+	now     float64
+}
+
+// fillRegistry registers reads of a fresh source, drives the workload and
+// returns the source.
+func fillRegistry(r *Registry) *source {
+	src := &source{}
+	r.Counter("queries_total", "total queries", func() int64 { return src.queries })
+	r.Gauge("sim_now_seconds", "simulated clock", func() float64 { return src.now })
 	h := r.Histogram("latency_slots", "per-query latency", "slots", SlotBuckets())
 	a := r.Histogram("known_area_sqmi", "cached region area", "sqmi", AreaBuckets())
 	for i := 0; i < 1000; i++ {
-		c.Inc()
-		g.Set(float64(i) * 5)
+		src.queries++
+		src.now = float64(i) * 5
 		h.ObserveInt(int64((i * 37) % 4096))
 		a.Observe(float64(i%17) * 0.31)
 	}
+	return src
 }
 
 // TestSnapshotDeterminism pins the byte-identical-snapshot contract:
@@ -100,7 +118,7 @@ func TestSnapshotDeterminism(t *testing.T) {
 
 func TestSnapshotLookups(t *testing.T) {
 	r := NewRegistry()
-	fillRegistry(r)
+	src := fillRegistry(r)
 	s := r.Snapshot()
 	if c, ok := s.Counter("queries_total"); !ok || c.Value != 1000 {
 		t.Fatalf("counter lookup: %+v ok=%v", c, ok)
@@ -120,12 +138,29 @@ func TestSnapshotLookups(t *testing.T) {
 	if _, ok := s.Gauge("nope"); ok {
 		t.Fatal("lookup of absent gauge succeeded")
 	}
+	// The next snapshot reads the source as it is then; the one taken
+	// keeps what it read.
+	src.queries, src.now = 1500, 7
+	next := r.Snapshot()
+	if c, _ := next.Counter("queries_total"); c.Value != 1500 {
+		t.Fatalf("counter read %d after the source moved, want 1500", c.Value)
+	}
+	if g, _ := next.Gauge("sim_now_seconds"); g.Value != 7 {
+		t.Fatalf("gauge read %v after the source moved, want 7", g.Value)
+	}
+	if c, _ := s.Counter("queries_total"); c.Value != 1000 {
+		t.Fatalf("earlier snapshot moved with its source: %d", c.Value)
+	}
 }
 
+// TestPublishSnapshotIsolation: a published snapshot does not change when
+// the source its counters and gauges read changes later.
 func TestPublishSnapshotIsolation(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("c", "")
-	c.Add(3)
+	var n int64 = 3
+	v := 1.5
+	r.Counter("c", "", func() int64 { return n })
+	r.Gauge("g", "", func() float64 { return v })
 	if r.Published() != nil {
 		t.Fatal("published snapshot before any Publish")
 	}
@@ -134,86 +169,18 @@ func TestPublishSnapshotIsolation(t *testing.T) {
 	if s == nil {
 		t.Fatal("nil published snapshot")
 	}
-	c.Add(7) // must not leak into the published snapshot
+	n, v = 10, 4 // must not leak into the published snapshot
 	if got, _ := s.Counter("c"); got.Value != 3 {
 		t.Fatalf("published counter %d, want 3 (immutability broken)", got.Value)
+	}
+	if got, _ := s.Gauge("g"); got.Value != 1.5 {
+		t.Fatalf("published gauge %v, want 1.5 (immutability broken)", got.Value)
 	}
 	r.Publish()
 	if got, _ := r.Published().Counter("c"); got.Value != 10 {
 		t.Fatalf("republished counter %d, want 10", got.Value)
 	}
-}
-
-func TestPhaseSpans(t *testing.T) {
-	var s QuerySpans
-	s.Add(PhaseP2PCollect, 10)
-	s.Add(PhaseP2PCollect, 5)
-	s.Add(PhaseOnAirTune, 3)
-	s.Add(PhaseOnAirDownload, -4) // negative dropped
-	s.Add(NumPhases, 99)          // out of range ignored
-	if got := s.Get(PhaseP2PCollect); got != 15 {
-		t.Fatalf("p2p_collect span %d, want 15", got)
-	}
-	if got := s.Get(PhaseOnAirDownload); got != 0 {
-		t.Fatalf("onair_download span %d, want 0", got)
-	}
-	if got := s.Get(NumPhases); got != 0 {
-		t.Fatalf("out-of-range Get %d, want 0", got)
-	}
-	s.Reset()
-	for p := Phase(0); p < NumPhases; p++ {
-		if s.Get(p) != 0 {
-			t.Fatalf("phase %v nonzero after Reset", p)
-		}
-	}
-}
-
-func TestPhaseNamesAndUnits(t *testing.T) {
-	want := map[Phase][2]string{
-		PhaseP2PCollect:    {"p2p_collect", "slots"},
-		PhaseMVRMerge:      {"mvr_merge", "work"},
-		PhaseNNVVerify:     {"nnv_verify", "work"},
-		PhaseOnAirTune:     {"onair_tune", "slots"},
-		PhaseOnAirDownload: {"onair_download", "slots"},
-	}
-	for p, w := range want {
-		if p.String() != w[0] || p.Unit() != w[1] {
-			t.Fatalf("phase %d: %q/%q, want %q/%q", p, p.String(), p.Unit(), w[0], w[1])
-		}
-	}
-	if NumPhases.String() != "unknown" || NumPhases.Unit() != "" {
-		t.Fatalf("out-of-range phase: %q/%q", NumPhases.String(), NumPhases.Unit())
-	}
-}
-
-func TestPhaseSetObserve(t *testing.T) {
-	r := NewRegistry()
-	ps := NewPhaseSet(r, "lbsq")
-	var s QuerySpans
-	s.Add(PhaseMVRMerge, 7)
-	s.Add(PhaseOnAirDownload, 120)
-	ps.Observe(&s)
-	s.Reset()
-	s.Add(PhaseOnAirDownload, 80)
-	ps.Observe(&s)
-
-	h := ps.Histogram(PhaseOnAirDownload)
-	if h == nil || h.Count() != 2 || h.Sum() != 200 {
-		t.Fatalf("onair_download histogram count/sum: %v", h)
-	}
-	if h.Name() != "lbsq_phase_onair_download_slots" {
-		t.Fatalf("histogram name %q", h.Name())
-	}
-	if m := ps.Histogram(PhaseMVRMerge); m.Unit() != "work" {
-		t.Fatalf("mvr_merge unit %q", m.Unit())
-	}
-	if ps.Histogram(NumPhases) != nil {
-		t.Fatal("out-of-range phase histogram not nil")
-	}
-	// Every phase histogram saw both queries (zeros included).
-	for p := Phase(0); p < NumPhases; p++ {
-		if got := ps.Histogram(p).Count(); got != 2 {
-			t.Fatalf("phase %v count %d, want 2", p, got)
-		}
+	if got, _ := r.Published().Gauge("g"); got.Value != 4 {
+		t.Fatalf("republished gauge %v, want 4", got.Value)
 	}
 }

@@ -51,18 +51,18 @@ type HistogramSnapshot struct {
 	Buckets []Bucket `json:"buckets"`
 }
 
-// Snapshot captures the registry's current state. Safe to call from the
-// owning goroutine at any time; the result shares no storage with the
-// live instruments.
+// Snapshot captures the registry's current state: every counter and
+// gauge is read now. Safe to call from the owning goroutine at any time;
+// the result shares no storage with the live instruments.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	for _, name := range sortedNames(r.counters) {
 		c := r.counters[name]
-		s.Counters = append(s.Counters, CounterSnapshot{Name: c.name, Help: c.help, Value: c.v})
+		s.Counters = append(s.Counters, CounterSnapshot{Name: name, Help: c.help, Value: c.read()})
 	}
 	for _, name := range sortedNames(r.gauges) {
 		g := r.gauges[name]
-		s.Gauges = append(s.Gauges, GaugeSnapshot{Name: g.name, Help: g.help, Value: g.v})
+		s.Gauges = append(s.Gauges, GaugeSnapshot{Name: name, Help: g.help, Value: g.read()})
 	}
 	for _, name := range sortedNames(r.histograms) {
 		h := r.histograms[name]

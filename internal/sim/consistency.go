@@ -337,7 +337,7 @@ func (w *World) expireTTL(c *cache.Cache) {
 // exact. A repaired region's pieces are read straight out of the repair
 // scratch. It reports whether the gate changed what the region claims.
 func (w *World) admitShared(dst *collection, ti int, pd core.PeerData, o origin) bool {
-	if w.cons == nil || o.peer == trust.Self || o.epoch >= w.cons.types[ti].epoch {
+	if o.peer == trust.Self || o.epoch >= w.epoch(ti) {
 		dst.add(pd, o)
 		return false
 	}
@@ -374,9 +374,9 @@ func (w *World) admitShared(dst *collection, ti int, pd core.PeerData, o origin)
 	return true
 }
 
-// Epoch returns the current database epoch of data type ti (zero when
-// the consistency layer is off) — testing and tools.
-func (w *World) Epoch(ti int) int64 {
+// epoch returns the current database epoch of data type ti: zero when the
+// consistency layer is off, where every cached region is of epoch zero.
+func (w *World) epoch(ti int) int64 {
 	if w.cons == nil {
 		return 0
 	}

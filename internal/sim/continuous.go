@@ -194,7 +194,7 @@ func (w *World) registerSubscription() {
 // been invalidated by the consistency layer: the data-type epoch moved
 // past the answer's, or the answer outlived the verified-region TTL.
 func (w *World) contTainted(s *subscription) bool {
-	if w.cons != nil && w.cons.types[s.ti].epoch > s.epoch {
+	if w.epoch(s.ti) > s.epoch {
 		return true
 	}
 	if ttl := w.Params.VRTTLSec; ttl > 0 && w.nowSec-s.bornSec > ttl {
@@ -243,9 +243,7 @@ func (w *World) contCommit(s *subscription, reason contReason, answer []broadcas
 	s.safeR = safeR
 	s.anchor = w.mob[s.host].Pos
 	s.bornSec = w.nowSec
-	if w.cons != nil {
-		s.epoch = w.cons.types[s.ti].epoch
-	}
+	s.epoch = w.epoch(s.ti)
 	if w.counted() {
 		w.stats.Reverifies++
 		switch reason {

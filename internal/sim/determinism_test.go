@@ -91,15 +91,15 @@ func checkRunTwice(t *testing.T, p Params) {
 	if sa != sb {
 		t.Errorf("stats diverged between runs:\n%+v\nvs\n%+v", sa, sb)
 	}
-	if a.FaultCounters() != b.FaultCounters() {
-		t.Errorf("fault counters diverged: %+v vs %+v", a.FaultCounters(), b.FaultCounters())
+	if a.inj.Counters != b.inj.Counters {
+		t.Errorf("fault counters diverged: %+v vs %+v", a.inj.Counters, b.inj.Counters)
 	}
-	if (a.Breakers() == nil) != (b.Breakers() == nil) {
+	if (a.breakers == nil) != (b.breakers == nil) {
 		t.Error("breaker allocation diverged")
-	} else if a.Breakers() != nil {
-		if a.Breakers().Stats() != b.Breakers().Stats() ||
-			a.Breakers().Tracked() != b.Breakers().Tracked() ||
-			a.Breakers().Cycle() != b.Breakers().Cycle() {
+	} else if a.breakers != nil {
+		if a.breakers.Stats() != b.breakers.Stats() ||
+			a.breakers.Tracked() != b.breakers.Tracked() ||
+			a.breakers.Cycle() != b.breakers.Cycle() {
 			t.Error("breaker state diverged")
 		}
 	}

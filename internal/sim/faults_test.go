@@ -46,9 +46,9 @@ func TestFaultDeterminism(t *testing.T) {
 		if sa != sb {
 			t.Fatalf("%v: stats diverged under identical seed:\n%+v\nvs\n%+v", kind, sa, sb)
 		}
-		if a.FaultCounters() != b.FaultCounters() {
+		if a.inj.Counters != b.inj.Counters {
 			t.Fatalf("%v: injector counters diverged: %+v vs %+v",
-				kind, a.FaultCounters(), b.FaultCounters())
+				kind, a.inj.Counters, b.inj.Counters)
 		}
 		if err := a.SelfCheckErr(); err != nil {
 			t.Fatalf("%v: self-check under faults: %v", kind, err)
@@ -70,8 +70,8 @@ func TestZeroProfileIsSeedBehavior(t *testing.T) {
 	if sz != sp {
 		t.Fatalf("zero profile drifted from seed behavior:\n%+v\nvs\n%+v", sz, sp)
 	}
-	if zero.FaultCounters() != (faults.Counters{}) {
-		t.Fatalf("zero profile made fault draws: %+v", zero.FaultCounters())
+	if zero.inj.Counters != (faults.Counters{}) {
+		t.Fatalf("zero profile made fault draws: %+v", zero.inj.Counters)
 	}
 	if sz.Events("fault") != 0 || sz.PeerRetries != 0 || sz.BackoffSlots != 0 {
 		t.Fatalf("zero profile reported fault events: %+v", sz)

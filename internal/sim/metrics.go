@@ -4,37 +4,64 @@ import (
 	"reflect"
 
 	"lbsq/internal/metrics"
+	"lbsq/internal/trace"
 )
 
-// worldMetrics bundles one World's registered instruments — the
+// worldMetrics bundles one World's registered histograms — the
 // observability layer of DESIGN.md §10. It exists only when
 // Params.Metrics is set; a nil worldMetrics costs one branch per query
-// and one per tick and leaves every output bit-identical to a
-// metrics-free build. All observed quantities are deterministic simulated
-// values (slots, work units, square miles), so identical seeds produce
-// byte-identical snapshots.
+// and leaves every output bit-identical to a metrics-free build. All
+// observed quantities are deterministic simulated values (slots, work
+// units, square miles), so identical seeds produce byte-identical
+// snapshots.
 //
-// Counters are not observed: each is a view of Stats (statMetrics),
-// advanced once per tick by sync. What is observed by hand is what Stats
-// cannot express — distributions, phase spans and gauges.
+// Counters and gauges are not observed: each is a read of Stats
+// (statMetrics) or of the World that the registry calls when it
+// snapshots. What is observed by hand is what Stats cannot express — the
+// distributions, the per-phase spans among them.
 //
 // The struct is owned by the World's goroutine; the only concurrent
 // consumers are published snapshots (metrics.Registry.Publish).
 type worldMetrics struct {
 	reg    *metrics.Registry
-	spans  metrics.QuerySpans // reused per query (observation scratch)
-	phases *metrics.PhaseSet
-
-	views    []*statMetric      // the registered statMetrics, and
-	counters []*metrics.Counter // their counters
-	stats    Stats              // sync's reading of World.Stats (a field, so sync allocates nothing)
+	phases [len(phaseHistograms)]*metrics.Histogram
 
 	latency, tuning, fanout, knownArea *metrics.Histogram
-	nowSec                             *metrics.Gauge
 	// Registered only when their layer is armed; nil otherwise.
 	auditCost, reconcileCost, reverifyCost *metrics.Histogram
-	govEngaged                             *metrics.Gauge
 }
+
+// PhaseHistogram is one stage of the sharing-based query lifecycle: its
+// span name and cost unit. Costs are deterministic simulated quantities,
+// never wall time — "slots" on the broadcast clock, "work" in units the
+// algorithms process.
+type PhaseHistogram struct{ Name, Unit string }
+
+// Metric is the phase's /metrics histogram name.
+func (ph PhaseHistogram) Metric() string { return "lbsq_phase_" + ph.Name + "_" + ph.Unit }
+
+// phaseHistograms is the span taxonomy, in the order of the trace's
+// span_* fields:
+//
+//	p2p_collect    slots spent before the algorithms ran: retry backoff,
+//	               rung switches, IR listens, audits (0 when every peer
+//	               answers the first request, modeled instantaneous)
+//	mvr_merge      peer verified regions merged into the MVR
+//	nnv_verify     candidate POIs pushed through Lemma 3.1/3.2
+//	onair_tune     slots actively listened on the channel
+//	onair_download slots from the query instant until the last required
+//	               packet arrived (access latency)
+var phaseHistograms = [...]PhaseHistogram{
+	{"p2p_collect", "slots"},
+	{"mvr_merge", "work"},
+	{"nnv_verify", "work"},
+	{"onair_tune", "slots"},
+	{"onair_download", "slots"},
+}
+
+// PhaseHistograms returns the per-query phase spans a metrics-enabled
+// World observes, one histogram each.
+func PhaseHistograms() [len(phaseHistograms)]PhaseHistogram { return phaseHistograms }
 
 // statMetric is one /metrics counter declared on Stats: the `metric` tag's
 // name, the `help` and `section` of its first field, and the indexes of
@@ -97,15 +124,13 @@ func (w *World) sectionArmed(section string) bool {
 	return true
 }
 
-// newWorldMetrics registers w's instrument set: the base instruments, the
-// counters of every armed section and the cost distributions of the armed
-// layers.
+// newWorldMetrics registers w's instrument set: the base instruments, a
+// read of Stats for every counter of an armed section, the World's gauges
+// and the cost distributions of the armed layers.
 func newWorldMetrics(w *World) *worldMetrics {
 	reg := metrics.NewRegistry()
 	m := &worldMetrics{
-		reg:    reg,
-		phases: metrics.NewPhaseSet(reg, "lbsq"),
-
+		reg: reg,
 		latency: reg.Histogram("lbsq_query_latency_slots",
 			"end-to-end access latency per counted query (peer-resolved queries observe 0)",
 			"slots", metrics.SlotBuckets()),
@@ -118,14 +143,24 @@ func newWorldMetrics(w *World) *worldMetrics {
 		knownArea: reg.Histogram("lbsq_known_region_area_sqmi",
 			"area of the verified region each query contributed to its cache",
 			"sqmi", metrics.AreaBuckets()),
-
-		nowSec: reg.Gauge("lbsq_sim_now_seconds", "simulated clock"),
+	}
+	for i, ph := range phaseHistograms {
+		bounds := metrics.SlotBuckets()
+		if ph.Unit == "work" {
+			bounds = metrics.WorkBuckets()
+		}
+		m.phases[i] = reg.Histogram(ph.Metric(), "per-query cost of the "+ph.Name+" span", ph.Unit, bounds)
 	}
 	for i := range statMetrics {
 		if sm := &statMetrics[i]; w.sectionArmed(sm.section) {
-			m.views, m.counters = append(m.views, sm), append(m.counters, reg.Counter(sm.name, sm.help))
+			reg.Counter(sm.name, sm.help, func() int64 {
+				s := w.Stats()
+				return sm.sum(&s)
+			})
 		}
 	}
+	reg.Gauge("lbsq_sim_now_seconds", "simulated clock", w.Now)
+	reg.Gauge("lbsq_sim_hosts", "mobile hosts in the world", func() float64 { return float64(w.Params.MHNumber) })
 	if w.sectionArmed("trust") {
 		m.auditCost = reg.Histogram("lbsq_trust_audit_cost_slots",
 			"audit slot cost per audited query",
@@ -142,31 +177,14 @@ func newWorldMetrics(w *World) *worldMetrics {
 			"slots", metrics.SlotBuckets())
 	}
 	if w.sectionArmed("overload") {
-		m.govEngaged = reg.Gauge("lbsq_overload_governor_engaged", "load governor state (1 = shedding, 0 = idle)")
+		reg.Gauge("lbsq_overload_governor_engaged", "load governor state (1 = shedding, 0 = idle)", func() float64 {
+			if w.ovl.engaged {
+				return 1
+			}
+			return 0
+		})
 	}
-	reg.Gauge("lbsq_sim_hosts", "mobile hosts in the world").Set(float64(w.Params.MHNumber))
 	return m
-}
-
-// sync advances every counter to its Stats sum and refreshes the gauges —
-// once per tick, at the end of World.Step. Deltas are non-negative because
-// every Stats tally is monotonic. Nil-safe: a metrics-off world pays this
-// one check per tick.
-func (m *worldMetrics) sync(w *World) {
-	if m == nil {
-		return
-	}
-	m.stats = w.Stats()
-	for i, c := range m.counters {
-		c.Add(m.views[i].sum(&m.stats) - c.Value())
-	}
-	m.nowSec.Set(w.nowSec)
-	if m.govEngaged != nil {
-		m.govEngaged.Set(0)
-		if w.ovl.engaged {
-			m.govEngaged.Set(1)
-		}
-	}
 }
 
 // observeReconcileCost records the surviving piece count of a
@@ -185,25 +203,23 @@ func (m *worldMetrics) observeReverifyCost(slots int64) {
 	}
 }
 
-// observeQuery records one counted query's distributions: the per-phase
-// span record, latency — the query's term of Stats.LatencySlots, as
-// commit priced it — tuning, fan-out, known area and audit cost.
+// observeQuery records one counted query's distributions — its phase
+// spans, latency (the query's term of Stats.LatencySlots, as commit
+// priced it), tuning, fan-out, known area and audit cost — and sets the
+// span fields of its trace event (omitted from the JSONL when zero, and
+// never set with metrics off, so such traces keep the seed format).
 // Allocation-free once warm (TestMetricsSyncAndObserveAllocFree), and
 // called only inside the post-warm-up counted window so the distributions
 // describe the same steady state as Stats.
-func (m *worldMetrics) observeQuery(e *query, latency int64) {
+func (m *worldMetrics) observeQuery(e *query, latency int64, ev *trace.Event) {
 	res := &e.res
-	m.spans.Reset()
-	// Everything that delayed the algorithms — retry backoff, rung
-	// switches, IR listens, audits — is the P2P phase of the query's wall
-	// clock; active listening on air is the tune phase and the access
-	// latency the download phase.
-	m.spans.Add(metrics.PhaseP2PCollect, e.spent)
-	m.spans.Add(metrics.PhaseMVRMerge, int64(res.merged))
-	m.spans.Add(metrics.PhaseNNVVerify, int64(res.examined))
-	m.spans.Add(metrics.PhaseOnAirTune, res.access.Tuning)
-	m.spans.Add(metrics.PhaseOnAirDownload, res.access.Latency)
-	m.phases.Observe(&m.spans)
+	spans := [len(phaseHistograms)]int64{e.spent, int64(res.merged), int64(res.examined),
+		res.access.Tuning, res.access.Latency}
+	for i, v := range spans {
+		m.phases[i].ObserveInt(v)
+	}
+	ev.SpanP2PSlots, ev.SpanMergeWork, ev.SpanVerifyWork = spans[0], spans[1], spans[2]
+	ev.SpanTuneSlots, ev.SpanDownloadSlots = spans[3], spans[4]
 
 	m.fanout.ObserveInt(int64(e.nPeers))
 	m.latency.ObserveInt(latency)
@@ -214,18 +230,6 @@ func (m *worldMetrics) observeQuery(e *query, latency int64) {
 	if e.trep.Audits > 0 {
 		m.auditCost.ObserveInt(e.trep.AuditSlots)
 	}
-}
-
-// spanFields copies the current span record into a trace event — the
-// enriched per-query trace sink. No-op fields stay zero and are omitted
-// from the JSONL encoding, so traces without metrics are byte-identical
-// to the seed format.
-func (m *worldMetrics) spanFields(p2p, merge, verify, tune, download *int64) {
-	*p2p = m.spans.Get(metrics.PhaseP2PCollect)
-	*merge = m.spans.Get(metrics.PhaseMVRMerge)
-	*verify = m.spans.Get(metrics.PhaseNNVVerify)
-	*tune = m.spans.Get(metrics.PhaseOnAirTune)
-	*download = m.spans.Get(metrics.PhaseOnAirDownload)
 }
 
 // Metrics returns the World's metrics registry, or nil when the

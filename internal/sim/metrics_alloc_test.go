@@ -2,11 +2,16 @@
 
 package sim
 
-import "testing"
+import (
+	"testing"
 
-// The observability layer's two recurring costs — the per-tick counter
-// sync and the per-query distribution observation — never touch the
-// allocator, with every layer's instruments registered.
+	"lbsq/internal/trace"
+)
+
+// The observability layer's one recurring cost — the per-query
+// distribution observation — never touches the allocator, with every
+// layer's instruments registered. Counters and gauges have no recurring
+// cost: the registry reads Stats and the World only when it snapshots.
 func TestMetricsSyncAndObserveAllocFree(t *testing.T) {
 	p := goldenWorlds()["armed_knn"]
 	p.Metrics = true
@@ -15,13 +20,11 @@ func TestMetricsSyncAndObserveAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Step(p.TimeStepSec)
-	if allocs := testing.AllocsPerRun(100, func() { w.mx.sync(w) }); allocs != 0 {
-		t.Errorf("sync allocated %v times per tick", allocs)
-	}
 	var e query
 	e.trep.Audits, e.trep.AuditSlots = 1, 7
 	e.res.knownRegion = w.area
-	if allocs := testing.AllocsPerRun(100, func() { w.mx.observeQuery(&e, 42) }); allocs != 0 {
+	var ev trace.Event
+	if allocs := testing.AllocsPerRun(100, func() { w.mx.observeQuery(&e, 42, &ev) }); allocs != 0 {
 		t.Errorf("observeQuery allocated %v times per query", allocs)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"lbsq/internal/metrics"
 	"lbsq/internal/trace"
 )
 
@@ -189,10 +188,9 @@ func TestMetricsMatchStats(t *testing.T) {
 				t.Errorf("tuning sum = %v, Stats says %d", tun.Sum, stats.TuningSlots)
 			}
 			// Every phase histogram observed every counted query.
-			for ph := metrics.Phase(0); ph < metrics.NumPhases; ph++ {
-				hname := "lbsq_phase_" + ph.String() + "_" + ph.Unit()
-				if h, _ := snap.Histogram(hname); h.Count != uint64(stats.Queries) {
-					t.Errorf("%s count = %d, want %d", hname, h.Count, stats.Queries)
+			for _, ph := range PhaseHistograms() {
+				if h, _ := snap.Histogram(ph.Metric()); h.Count != uint64(stats.Queries) {
+					t.Errorf("%s count = %d, want %d", ph.Metric(), h.Count, stats.Queries)
 				}
 			}
 		})

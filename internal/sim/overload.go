@@ -490,19 +490,3 @@ func (w *World) coalesceDonate(ti int, q geom.Point, relevance geom.Rect, peers 
 			VR: pd.VR, POIs: d.pois[start:len(d.pois):len(d.pois)], Tainted: pd.Tainted})
 	}
 }
-
-// OverloadRecoveryTicks reports how many ticks the load governor stayed
-// engaged after the crowd window closed — the soak harness's
-// no-metastability probe (a healthy system disengages within a bounded
-// tail; a metastable one never does). Zero without the plane.
-func (w *World) OverloadRecoveryTicks() int64 {
-	if w.ovl == nil {
-		return 0
-	}
-	return w.ovl.postCrowdEngaged
-}
-
-// GovernorEngaged reports the governor's current state (testing).
-func (w *World) GovernorEngaged() bool {
-	return w.ovl != nil && w.ovl.engaged
-}

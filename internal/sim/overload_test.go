@@ -551,10 +551,10 @@ func TestCrowdNoMetastability(t *testing.T) {
 	// and spent at most a bounded tail engaged after the crowd window
 	// closed (the run has ~18 post-crowd ticks; a metastable system
 	// stays engaged through all of them).
-	if wg.GovernorEngaged() {
+	if wg.ovl.engaged {
 		t.Error("governor still engaged at end of run")
 	}
-	if rec := wg.OverloadRecoveryTicks(); rec > 10 {
+	if rec := wg.ovl.postCrowdEngaged; rec > 10 {
 		t.Errorf("governor stayed engaged %d ticks past the crowd window", rec)
 	}
 	t.Logf("uncontrolled: requests=%d retries=%d backoff=%d; governed: requests=%d retries=%d backoff=%d shed=%d busy=%d drops=%d coalesced=%d exhausted=%d govticks=%d recovery=%d",
@@ -562,5 +562,5 @@ func TestCrowdNoMetastability(t *testing.T) {
 		sg.PeerRequests, sg.PeerRetries, sg.BackoffSlots,
 		sg.Shed, sg.BusyReplies, sg.QueueDrops, sg.Coalesced,
 		sg.RetryBudgetExhausted, sg.GovernorEngagedTicks,
-		wg.OverloadRecoveryTicks())
+		wg.ovl.postCrowdEngaged)
 }

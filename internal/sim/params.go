@@ -414,57 +414,33 @@ func (p *Params) WindowSideMiles() float64 {
 	return ref * p.WindowPct / 100
 }
 
+// table3 is one Table 3 parameter set: the name and the densities that
+// tell the three apart, beside the settings all three share.
+func table3(name string, pois, hosts int, queryRate float64) Params {
+	return Params{
+		Name:            name,
+		POINumber:       pois,
+		MHNumber:        hosts,
+		CacheSize:       50,
+		QueryRate:       queryRate,
+		TxRangeMeters:   200,
+		K:               5,
+		WindowPct:       3,
+		WindowDistMiles: 1,
+		DurationHours:   10,
+		AreaMiles:       20,
+	}
+}
+
 // LACity returns the Los Angeles City parameter set of Table 3: a very
 // dense urban area.
-func LACity() Params {
-	return Params{
-		Name:            "Los Angeles City",
-		POINumber:       2750,
-		MHNumber:        93300,
-		CacheSize:       50,
-		QueryRate:       6220,
-		TxRangeMeters:   200,
-		K:               5,
-		WindowPct:       3,
-		WindowDistMiles: 1,
-		DurationHours:   10,
-		AreaMiles:       20,
-	}
-}
+func LACity() Params { return table3("Los Angeles City", 2750, 93300, 6220) }
 
 // SyntheticSuburbia returns the blended suburban parameter set of Table 3.
-func SyntheticSuburbia() Params {
-	return Params{
-		Name:            "Synthetic Suburbia",
-		POINumber:       2100,
-		MHNumber:        51500,
-		CacheSize:       50,
-		QueryRate:       3440,
-		TxRangeMeters:   200,
-		K:               5,
-		WindowPct:       3,
-		WindowDistMiles: 1,
-		DurationHours:   10,
-		AreaMiles:       20,
-	}
-}
+func SyntheticSuburbia() Params { return table3("Synthetic Suburbia", 2100, 51500, 3440) }
 
 // RiversideCounty returns the low-density rural parameter set of Table 3.
-func RiversideCounty() Params {
-	return Params{
-		Name:            "Riverside County",
-		POINumber:       1450,
-		MHNumber:        9700,
-		CacheSize:       50,
-		QueryRate:       650,
-		TxRangeMeters:   200,
-		K:               5,
-		WindowPct:       3,
-		WindowDistMiles: 1,
-		DurationHours:   10,
-		AreaMiles:       20,
-	}
-}
+func RiversideCounty() Params { return table3("Riverside County", 1450, 9700, 650) }
 
 // ParameterSets returns the three Table 3 presets in the order the paper
 // plots them.

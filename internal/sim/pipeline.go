@@ -306,9 +306,7 @@ func (w *World) commit(e *query) {
 		ev.StaleBoundSec = w.staleBound(e.qc.mode, e.minBorn)
 		ev.Shed, ev.Coalesced = e.shed.String(), e.coalesced
 		if w.mx != nil {
-			w.mx.observeQuery(e, latency)
-			w.mx.spanFields(&ev.SpanP2PSlots, &ev.SpanMergeWork,
-				&ev.SpanVerifyWork, &ev.SpanTuneSlots, &ev.SpanDownloadSlots)
+			w.mx.observeQuery(e, latency, &ev)
 		}
 		w.record(ev)
 	}
@@ -362,9 +360,6 @@ func (w *World) cacheKnown(e *query) {
 	if e.res.knownRegion.Empty() {
 		return
 	}
-	reg := cache.Region{Rect: e.res.knownRegion, POIs: e.res.known}
-	if w.cons != nil {
-		reg.Epoch = w.cons.types[e.ti].epoch
-	}
+	reg := cache.Region{Rect: e.res.knownRegion, POIs: e.res.known, Epoch: w.epoch(e.ti)}
 	w.caches[e.ti][e.idx].Insert(reg, e.q, w.mob[e.idx].Heading(), int64(w.nowSec))
 }

@@ -243,7 +243,7 @@ func (w *World) appendOwnCache(idx, ti int, relevance geom.Rect) int64 {
 	for i, regions := 0, c.Regions(); i < len(regions); i++ {
 		if r := &regions[i]; r.Rect.Intersects(relevance) {
 			pd := core.PeerData{VR: r.Rect, POIs: r.POIs}
-			if w.cons != nil && r.Epoch < w.cons.types[ti].epoch {
+			if r.Epoch < w.epoch(ti) {
 				pd.Tainted = true
 				w.stats.VRsDemoted++
 			}

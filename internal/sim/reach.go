@@ -98,7 +98,7 @@ func (w *World) auditable(ti int, pd *core.PeerData, o origin) bool {
 	if w.tr == nil || o.peer == trust.Self || pd.Tainted {
 		return false
 	}
-	if w.cons == nil || o.epoch >= w.cons.types[ti].epoch {
+	if o.epoch >= w.epoch(ti) {
 		return true
 	}
 	tc := &w.cons.types[ti]

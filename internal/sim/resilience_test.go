@@ -95,7 +95,7 @@ func TestBreakersQuarantineDamagedPeers(t *testing.T) {
 	if s.BreakerRecoveries > s.BreakerTrips {
 		t.Errorf("recoveries %d exceed trips %d", s.BreakerRecoveries, s.BreakerTrips)
 	}
-	if err := w.Breakers().CheckInvariants(); err != nil {
+	if err := w.breakers.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -166,13 +166,13 @@ func TestResilientDeterminism(t *testing.T) {
 	if sa != sb {
 		t.Fatalf("stats diverged under identical seed:\n%+v\nvs\n%+v", sa, sb)
 	}
-	if a.FaultCounters() != b.FaultCounters() {
+	if a.inj.Counters != b.inj.Counters {
 		t.Fatalf("injector counters diverged: %+v vs %+v",
-			a.FaultCounters(), b.FaultCounters())
+			a.inj.Counters, b.inj.Counters)
 	}
-	if a.Breakers().Stats() != b.Breakers().Stats() ||
-		a.Breakers().Tracked() != b.Breakers().Tracked() ||
-		a.Breakers().Cycle() != b.Breakers().Cycle() {
+	if a.breakers.Stats() != b.breakers.Stats() ||
+		a.breakers.Tracked() != b.breakers.Tracked() ||
+		a.breakers.Cycle() != b.breakers.Cycle() {
 		t.Fatal("breaker state diverged under identical seed")
 	}
 	if sa.Events("resilience") == 0 {

@@ -256,7 +256,7 @@ func checkSoakInvariants(t *testing.T, p Params, w *World, s Stats) {
 	}
 
 	// Breaker liveness and bookkeeping.
-	if err := w.Breakers().CheckInvariants(); err != nil {
+	if err := w.breakers.CheckInvariants(); err != nil {
 		t.Errorf("breaker invariants: %v", err)
 	}
 	if s.BreakerRecoveries > s.BreakerTrips {
@@ -436,19 +436,19 @@ func TestChaosSoak(t *testing.T) {
 			if s != s2 {
 				t.Errorf("stats diverged under identical seed:\n%+v\nvs\n%+v", s, s2)
 			}
-			if w.FaultCounters() != w2.FaultCounters() {
+			if w.inj.Counters != w2.inj.Counters {
 				t.Errorf("fault counters diverged: %+v vs %+v",
-					w.FaultCounters(), w2.FaultCounters())
+					w.inj.Counters, w2.inj.Counters)
 			}
-			if w.Breakers().Stats() != w2.Breakers().Stats() {
+			if w.breakers.Stats() != w2.breakers.Stats() {
 				t.Errorf("breaker stats diverged: %+v vs %+v",
-					w.Breakers().Stats(), w2.Breakers().Stats())
+					w.breakers.Stats(), w2.breakers.Stats())
 			}
-			if w.Breakers().Tracked() != w2.Breakers().Tracked() ||
-				w.Breakers().Cycle() != w2.Breakers().Cycle() {
+			if w.breakers.Tracked() != w2.breakers.Tracked() ||
+				w.breakers.Cycle() != w2.breakers.Cycle() {
 				t.Errorf("breaker state diverged: tracked %d/%d cycle %d/%d",
-					w.Breakers().Tracked(), w2.Breakers().Tracked(),
-					w.Breakers().Cycle(), w2.Breakers().Cycle())
+					w.breakers.Tracked(), w2.breakers.Tracked(),
+					w.breakers.Cycle(), w2.breakers.Cycle())
 			}
 
 			agg.DeadlineAborts += s.DeadlineAborts
@@ -593,10 +593,10 @@ func TestSoakZeroKnobIdentity(t *testing.T) {
 	if sa.BackoffSlots == 0 || sa.PeerRetries == 0 {
 		t.Fatalf("lost frames were never re-requested: retries=%d backoff=%d", sa.PeerRetries, sa.BackoffSlots)
 	}
-	if a.Breakers() != nil || b.Breakers() != nil {
+	if a.breakers != nil || b.breakers != nil {
 		t.Fatal("breaker set allocated with breakers disabled")
 	}
-	if a.Trust() != nil || b.Trust() != nil {
+	if a.tr != nil || b.tr != nil {
 		t.Fatal("trust engine allocated with audits disabled")
 	}
 }

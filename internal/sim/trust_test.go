@@ -45,7 +45,7 @@ func TestByzantineNoTrustFailsOpen(t *testing.T) {
 		if s.Events("trust") != 0 {
 			t.Fatalf("%v: trust events %d with the defense disarmed", kind, s.Events("trust"))
 		}
-		if w.Trust() != nil {
+		if w.tr != nil {
 			t.Fatalf("%v: trust engine exists with AuditRate 0", kind)
 		}
 		if err := w.SelfCheckErr(); err == nil {
@@ -132,7 +132,7 @@ func TestTrustZeroKnobIdentity(t *testing.T) {
 	if err := w.SelfCheckErr(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Trust() != nil {
+	if w.tr != nil {
 		t.Fatal("trust engine exists with zero knobs")
 	}
 	if s.Events("trust") != 0 || s.ByzantineLies != 0 || s.QuarantinedArea != 0 {

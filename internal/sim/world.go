@@ -60,7 +60,8 @@ type World struct {
 	// SelfCheck, when set, verifies every exact query result against the
 	// R-tree ground truth and records the first mismatch.
 	SelfCheck bool
-	// Trace, when non-nil, receives one event per counted query (JSONL).
+	// Trace, when non-nil, receives one event per counted query (JSONL);
+	// the caller flushes it, and its Flush reports any write error.
 	Trace *trace.Writer
 
 	rng     *rand.Rand
@@ -111,7 +112,7 @@ type World struct {
 	auditType   int
 
 	// mx is the observability layer (nil unless Params.Metrics): the
-	// per-world registry, phase-span scratch, and instrument handles.
+	// per-world registry and its histogram handles.
 	// Observation is allocation-free and draws no randomness, so the
 	// simulation trajectory is identical with or without it.
 	mx *worldMetrics
@@ -495,17 +496,6 @@ func (w *World) Stats() Stats {
 	return s
 }
 
-// Trust exposes the trust engine (nil when the AuditRate knob is off) —
-// the soak harness asserts its reputation invariants.
-func (w *World) Trust() *trust.Engine { return w.tr }
-
-// Breakers exposes the per-peer circuit-breaker set (nil when disabled) —
-// the chaos soak harness asserts its state-machine invariants.
-func (w *World) Breakers() *p2p.BreakerSet { return w.breakers }
-
-// FaultCounters exposes the injector's raw tallies (testing and tools).
-func (w *World) FaultCounters() faults.Counters { return w.inj.Counters }
-
 // SelfCheckErr returns the first ground-truth mismatch observed, if any.
 func (w *World) SelfCheckErr() error { return w.selfCheckErr }
 
@@ -575,16 +565,14 @@ func (w *World) Step(dt float64) {
 		}
 		w.launch(idx, ti)
 	}
-	w.mx.sync(w)
 }
 
-// record emits a trace event when tracing is enabled.
+// record emits a trace event when tracing is enabled. A write error is
+// the trace's, not the run's: it sticks in the writer, whose Flush
+// returns it.
 func (w *World) record(e trace.Event) {
-	if w.Trace == nil {
-		return
-	}
-	if err := w.Trace.Record(e); err != nil && w.selfCheckErr == nil {
-		w.selfCheckErr = err
+	if w.Trace != nil {
+		_ = w.Trace.Record(e)
 	}
 }
 
