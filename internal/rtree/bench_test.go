@@ -23,12 +23,17 @@ func BenchmarkBulkLoad10k(b *testing.B) {
 	}
 }
 
+// BenchmarkKNNBestFirst times AppendKNN with warm scratch and a dst of
+// enough capacity, the way the simulator's ground-truth lookups call it.
 func BenchmarkKNNBestFirst(b *testing.B) {
 	tr, rng := benchTree(b, 10000)
+	var s KNNScratch
+	dst := tr.AppendKNN(nil, geom.Pt(50, 50), 10, &s)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := geom.Pt(rng.Float64()*100, rng.Float64()*100)
-		if got := tr.KNN(q, 10); len(got) != 10 {
+		if dst = tr.AppendKNN(dst[:0], q, 10, &s); len(dst) != 10 {
 			b.Fatal("short result")
 		}
 	}

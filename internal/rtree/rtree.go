@@ -6,8 +6,8 @@
 package rtree
 
 import (
-	"container/heap"
 	"math"
+	"slices"
 	"sort"
 
 	"lbsq/internal/geom"
@@ -45,72 +45,35 @@ func Bulk(items []Item, maxEntries int) *Tree {
 	if len(items) == 0 {
 		return &Tree{root: &node{leaf: true}}
 	}
-	return &Tree{root: buildUp(strPack(items, maxEntries), maxEntries)}
-}
-
-// strPack tiles items into leaf nodes: sort by X, slice into vertical
-// strips of ~sqrt(n/M) each, sort each strip by Y, and cut runs of M.
-func strPack(items []Item, m int) []*node {
-	sorted := append([]Item(nil), items...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Pos.X < sorted[j].Pos.X })
-	n := len(sorted)
-	leafCount := (n + m - 1) / m
-	stripCount := int(math.Ceil(math.Sqrt(float64(leafCount))))
-	perStrip := (n + stripCount - 1) / stripCount
-
-	var leaves []*node
-	for s := 0; s < n; s += perStrip {
-		e := s + perStrip
-		if e > n {
-			e = n
-		}
-		strip := sorted[s:e]
-		sort.Slice(strip, func(i, j int) bool { return strip[i].Pos.Y < strip[j].Pos.Y })
-		for i := 0; i < len(strip); i += m {
-			j := i + m
-			if j > len(strip) {
-				j = len(strip)
-			}
-			leaf := &node{leaf: true, items: append([]Item(nil), strip[i:j]...)}
-			leaf.recomputeBounds()
-			leaves = append(leaves, leaf)
-		}
-	}
-	return leaves
-}
-
-// buildUp packs nodes level by level until a single root remains.
-func buildUp(level []*node, m int) *node {
+	level := strTile(slices.Clone(items), maxEntries,
+		func(it Item) geom.Point { return it.Pos },
+		func(run []Item) *node { return &node{leaf: true, items: run} })
 	for len(level) > 1 {
-		sort.Slice(level, func(i, j int) bool {
-			return level[i].bounds.Center().X < level[j].bounds.Center().X
-		})
-		groupCount := (len(level) + m - 1) / m
-		stripCount := int(math.Ceil(math.Sqrt(float64(groupCount))))
-		perStrip := (len(level) + stripCount - 1) / stripCount
-		var next []*node
-		for s := 0; s < len(level); s += perStrip {
-			e := s + perStrip
-			if e > len(level) {
-				e = len(level)
-			}
-			strip := level[s:e]
-			sort.Slice(strip, func(i, j int) bool {
-				return strip[i].bounds.Center().Y < strip[j].bounds.Center().Y
-			})
-			for i := 0; i < len(strip); i += m {
-				j := i + m
-				if j > len(strip) {
-					j = len(strip)
-				}
-				parent := &node{children: append([]*node(nil), strip[i:j]...)}
-				parent.recomputeBounds()
-				next = append(next, parent)
-			}
-		}
-		level = next
+		level = strTile(level, maxEntries,
+			func(n *node) geom.Point { return n.bounds.Center() },
+			func(run []*node) *node { return &node{children: run} })
 	}
-	return level[0]
+	return &Tree{root: level[0]}
+}
+
+// strTile packs one STR level, sorting xs in place: sort by center X,
+// slice into vertical strips of ~sqrt(len/m) groups each, sort each strip
+// by center Y, and wrap a copy of each run of m in a node.
+func strTile[T any](xs []T, m int, center func(T) geom.Point, wrap func([]T) *node) []*node {
+	sort.Slice(xs, func(i, j int) bool { return center(xs[i]).X < center(xs[j]).X })
+	stripCount := int(math.Ceil(math.Sqrt(float64((len(xs) + m - 1) / m))))
+	perStrip := (len(xs) + stripCount - 1) / stripCount
+	var out []*node
+	for s := 0; s < len(xs); s += perStrip {
+		strip := xs[s:min(s+perStrip, len(xs))]
+		sort.Slice(strip, func(i, j int) bool { return center(strip[i]).Y < center(strip[j]).Y })
+		for i := 0; i < len(strip); i += m {
+			n := wrap(slices.Clone(strip[i:min(i+m, len(strip))]))
+			n.recomputeBounds()
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // recomputeBounds sets n's MBR from its (never empty) items or children.
@@ -152,52 +115,85 @@ func (n *node) appendWindow(dst []Item, r geom.Rect) []Item {
 	return dst
 }
 
-// nnEntry is a priority-queue element for best-first search.
-type nnEntry struct {
-	dist     float64
-	node     *node
-	item     Item
-	leafItem bool
+// KNN returns the k nearest items to q in ascending distance order.
+func (t *Tree) KNN(q geom.Point, k int) []Item { return t.AppendKNN(nil, q, k, &KNNScratch{}) }
+
+// KNNScratch is the reusable state of AppendKNN. Items is staging space
+// for the caller's own lookups; the search never touches it.
+type KNNScratch struct {
+	Items    []Item
+	frontier []ranked[*node] // min-heap on dist
+	best     []ranked[Item]  // ascending, at most k long
 }
 
-type nnQueue []nnEntry
-
-func (q nnQueue) Len() int            { return len(q) }
-func (q nnQueue) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q nnQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *nnQueue) Push(x interface{}) { *q = append(*q, x.(nnEntry)) }
-func (q *nnQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
+// ranked is a node or an item with its distance to the query point.
+type ranked[T any] struct {
+	dist float64
+	v    T
 }
 
-// KNN returns the k nearest items to q in ascending distance order using
-// best-first (incremental) search.
-func (t *Tree) KNN(q geom.Point, k int) []Item {
+// AppendKNN appends the k nearest items to q to dst in ascending distance
+// order (ties in any order) by best-first search: nodes leave a min-heap
+// nearest first, and the answer is a sorted run of the best k items seen.
+// An item or a child enters only if it is strictly nearer than the
+// current k-th, and the search stops at the first node that is not. The
+// metric is Point.Dist and Rect.Dist, so the k-th distance is bit-equal
+// to any exact search's. With warm scratch and a dst of enough capacity
+// it allocates nothing.
+func (t *Tree) AppendKNN(dst []Item, q geom.Point, k int, s *KNNScratch) []Item {
 	if k <= 0 {
-		return nil
+		return dst
 	}
-	pq := &nnQueue{{dist: t.root.bounds.Dist(q), node: t.root}}
-	var out []Item
-	for pq.Len() > 0 && len(out) < k {
-		e := heap.Pop(pq).(nnEntry)
-		if e.leafItem {
-			out = append(out, e.item)
-			continue
+	s.best = s.best[:0]
+	s.frontier = append(s.frontier[:0], ranked[*node]{t.root.bounds.Dist(q), t.root})
+	for len(s.frontier) > 0 {
+		e := s.pop()
+		if !s.beats(e.dist, k) {
+			break
 		}
-		n := e.node
-		if n.leaf {
-			for _, it := range n.items {
-				heap.Push(pq, nnEntry{dist: it.Pos.Dist(q), item: it, leafItem: true})
+		for _, it := range e.v.items { // a leaf's; an internal node has none
+			if d := it.Pos.Dist(q); s.beats(d, k) {
+				run := s.best[:min(len(s.best), k-1)]
+				i := sort.Search(len(run), func(j int) bool { return run[j].dist > d })
+				s.best = slices.Insert(run, i, ranked[Item]{d, it})
 			}
-			continue
 		}
-		for _, c := range n.children {
-			heap.Push(pq, nnEntry{dist: c.bounds.Dist(q), node: c})
+		for _, c := range e.v.children {
+			if d := c.bounds.Dist(q); s.beats(d, k) {
+				s.push(ranked[*node]{d, c})
+			}
 		}
 	}
-	return out
+	for _, b := range s.best {
+		dst = append(dst, b.v)
+	}
+	return dst
+}
+
+// beats reports whether distance d is strictly nearer than the k-th best.
+func (s *KNNScratch) beats(d float64, k int) bool { return len(s.best) < k || d < s.best[k-1].dist }
+
+func (s *KNNScratch) push(e ranked[*node]) {
+	h := append(s.frontier, e)
+	i := len(h) - 1
+	for ; i > 0 && h[(i-1)/2].dist > e.dist; i = (i - 1) / 2 {
+		h[i] = h[(i-1)/2]
+	}
+	h[i], s.frontier = e, h
+}
+
+func (s *KNNScratch) pop() ranked[*node] {
+	h, n := s.frontier, len(s.frontier)-1
+	h[0], h[n] = h[n], h[0]
+	for i, c := 0, 1; c < n; i, c = c, 2*c+1 {
+		if c+1 < n && h[c+1].dist < h[c].dist {
+			c++
+		}
+		if h[i].dist <= h[c].dist {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+	}
+	s.frontier = h[:n]
+	return h[n]
 }

@@ -26,6 +26,7 @@ func BenchmarkWorldBuildWithPrefill(b *testing.B) {
 	p := LACity().Scaled(3).WithDuration(1)
 	p.Kind = KNNQuery
 	p.PrefillQueriesPerHost = 10
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Seed = int64(i + 1)

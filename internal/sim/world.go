@@ -204,7 +204,7 @@ type queryScratch struct {
 	screened  []core.PeerData      // trust-screened PeerData
 	core      core.Scratch         // NNV/SBNN/SBWQ hot-path scratch
 	repair    cache.RepairScratch  // IR repair transients (admitShared, syncIR)
-	items     []rtree.Item         // ground-truth lookup staging
+	rt        rtree.KNNScratch     // ground-truth lookups: staging and kNN frontier
 	truth     []broadcast.POI      // the audit oracle's answer
 	// arena holds the POI lists of repair pieces and trust-screen splits
 	// in peers, alive until their query commits: prepare rewinds it.
@@ -411,12 +411,10 @@ func (w *World) prefill() {
 	for i := range w.mob {
 		m := &w.mob[i]
 		ti := w.rng.Intn(len(w.types))
-		ts := &w.types[ti]
 		n := mobility.Poisson(w.rng, w.Params.PrefillQueriesPerHost)
 		for j := 0; j < n; j++ {
 			if len(w.types) > 1 {
 				ti = w.rng.Intn(len(w.types))
-				ts = &w.types[ti]
 			}
 			angle := w.rng.Float64() * 2 * math.Pi
 			d := w.rng.Float64() * radius
@@ -426,7 +424,7 @@ func (w *World) prefill() {
 			if w.Params.Kind == WindowQuery {
 				// A historical broadcast window retrieval caches the
 				// collective MBR of its packets, capacity-bounded.
-				area := float64(w.Params.CacheSize) / math.Max(ts.lambda, 1e-9)
+				area := float64(w.Params.CacheSize) / math.Max(w.types[ti].lambda, 1e-9)
 				area *= 0.4 + 0.6*w.rng.Float64()
 				half := math.Sqrt(area) / 2
 				win, ok := geom.RectAround(center, half).Intersect(w.area)
@@ -435,8 +433,8 @@ func (w *World) prefill() {
 				}
 				region = win
 			} else {
-				k := w.drawK(w.rng)
-				nn := ts.truth.KNN(center, k)
+				nn := w.types[ti].truth.AppendKNN(w.qs.rt.Items[:0], center, w.drawK(w.rng), &w.qs.rt)
+				w.qs.rt.Items = nn
 				if len(nn) == 0 {
 					continue
 				}
@@ -454,9 +452,9 @@ func (w *World) prefill() {
 // poisInRect appends the database POIs of one type inside r (ground
 // truth) to dst.
 func (w *World) poisInRect(dst []broadcast.POI, ti int, r geom.Rect) []broadcast.POI {
-	w.qs.items = w.types[ti].truth.AppendWindow(w.qs.items[:0], r)
-	dst = slices.Grow(dst, len(w.qs.items))
-	for _, it := range w.qs.items {
+	w.qs.rt.Items = w.types[ti].truth.AppendWindow(w.qs.rt.Items[:0], r)
+	dst = slices.Grow(dst, len(w.qs.rt.Items))
+	for _, it := range w.qs.rt.Items {
 		dst = append(dst, broadcast.POI(it))
 	}
 	return dst
@@ -1010,7 +1008,8 @@ func (w *World) checkKNN(ti int, q geom.Point, k int, got []broadcast.POI) {
 	if w.selfCheckErr != nil {
 		return
 	}
-	want := w.types[ti].truth.KNN(q, k)
+	want := w.types[ti].truth.AppendKNN(w.qs.rt.Items[:0], q, k, &w.qs.rt)
+	w.qs.rt.Items = want
 	if len(got) != len(want) {
 		w.selfCheckErr = fmt.Errorf("kNN self-check: got %d results want %d", len(got), len(want))
 		return
