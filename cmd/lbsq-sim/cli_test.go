@@ -133,7 +133,6 @@ var flagSurface = [][2]string{
 	{"step", `10`},
 	{"trace", ``},
 	{"tx", ``},
-	{"types", `1`},
 	{"update-rate", ``},
 	{"vr-ttl", ``},
 	{"window", ``},
@@ -203,7 +202,7 @@ func TestFlagSurfaceUnchanged(t *testing.T) {
 // metrics snapshot and the boolean ablations.
 var reportCommands = []struct{ name, args string }{
 	{"zero", "-set la -side 1 -hours 0.1 -seed 7 -owncache -selfcheck -json"},
-	{"layers", "-set suburbia -side 1.5 -hours 0.1 -seed 11 -step 5 -hops 2 -clusters 3 -types 2 " +
+	{"layers", "-set suburbia -side 1.5 -hours 0.1 -seed 11 -step 5 -hops 2 -clusters 3 " +
 		"-prefill 5 -min-speed 15 -max-speed 40 -owncache -approx=false -selfcheck -json " +
 		"-loss 0.05 -req-loss 0.1 -reply-loss 0.05 -retries 3 -churn-rate 0.05 " +
 		"-deadline-slots 16 -breaker-threshold 3 -breaker-cooldown 6 -byzantine-rate 0.05 -audit-rate 0.3 " +

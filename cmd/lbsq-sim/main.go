@@ -54,7 +54,7 @@ type cli struct {
 // register defines all of lbsq-sim's flags on fs.
 func register(fs *flag.FlagSet) *cli {
 	c := &cli{knobs: sim.Params{AreaMiles: 5, DurationHours: 0.5, TimeStepSec: 10, AcceptApproximate: true,
-		SharingHops: 1, POITypes: 1, PrefillQueriesPerHost: 10}}
+		SharingHops: 1, PrefillQueriesPerHost: 10}}
 	knob.Bind(fs, &c.knobs)
 	fs.StringVar(&c.set, "set", "la", "parameter set: la, suburbia, riverside")
 	fs.Int64Var(&c.seed, "seed", 42, "random seed")

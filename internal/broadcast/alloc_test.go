@@ -14,11 +14,10 @@ import (
 )
 
 // A warm Scratch answers kNN and window queries and grows a retrieval's
-// region without allocating, on a lossy channel with a tree index too.
+// region without allocating, on a lossy channel too.
 func TestOnAirClientsZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	cfg := testConfig()
-	cfg.TreeIndex = true
 	cfg.LossRate = 0.2
 	s := mustSchedule(t, randomPOIs(rng, 600, 64), cfg)
 	var sc Scratch

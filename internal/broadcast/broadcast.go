@@ -127,13 +127,6 @@ type Config struct {
 	// IndexEntriesPerSlot controls how many packet descriptors fit in one
 	// index slot. Defaults to 16.
 	IndexEntriesPerSlot int
-	// TreeIndex models a tree-structured air index (a directory slot
-	// pointing at leaf index slots): clients selectively tune only the
-	// index slots describing their candidate packets instead of the whole
-	// segment, reducing tuning time (power) without changing latency.
-	// The flat default reads the full segment, as the (1, m) scheme of
-	// Figure 2 implies.
-	TreeIndex bool
 	// LossRate is the probability that a reception fails — the wireless
 	// error model. A lost data packet defers the client to the packet's
 	// next cycle occurrence; a lost index segment defers it to the next
@@ -170,20 +163,18 @@ func (c *Config) applyDefaults() {
 // Schedule is one full broadcast cycle: m interleavings of (index segment,
 // data chunk).
 type Schedule struct {
-	curve          *hilbert.Curve
-	packets        []Packet
-	m              int
-	indexSlots     int
-	cycleLen       int64
-	indexStarts    []int64 // slot offsets of the index segments within a cycle
-	packetSlot     []int64 // slot offset of each packet within a cycle
-	totalPOIs      int
-	cellPacket     []int32 // grid cell y*side+x -> packet seq, -1 for an empty cell
-	ordering       Ordering
-	lossRate       float64
-	lossRng        *rand.Rand
-	treeIndex      bool
-	entriesPerSlot int
+	curve       *hilbert.Curve
+	packets     []Packet
+	m           int
+	indexSlots  int
+	cycleLen    int64
+	indexStarts []int64 // slot offsets of the index segments within a cycle
+	packetSlot  []int64 // slot offset of each packet within a cycle
+	totalPOIs   int
+	cellPacket  []int32 // grid cell y*side+x -> packet seq, -1 for an empty cell
+	ordering    Ordering
+	lossRate    float64
+	lossRng     *rand.Rand
 }
 
 // cellKeyFunc returns the broadcast-order key of a grid cell for the
@@ -325,16 +316,14 @@ func NewSchedule(pois []POI, cfg Config) (*Schedule, error) {
 	}
 
 	s := &Schedule{
-		curve:          curve,
-		packets:        packets,
-		m:              cfg.M,
-		totalPOIs:      len(pois),
-		cellPacket:     make([]int32, curve.Cells()),
-		ordering:       cfg.Ordering,
-		lossRate:       math.Min(math.Max(cfg.LossRate, 0), 0.95),
-		lossRng:        rand.New(rand.NewSource(cfg.LossSeed)),
-		treeIndex:      cfg.TreeIndex,
-		entriesPerSlot: cfg.IndexEntriesPerSlot,
+		curve:      curve,
+		packets:    packets,
+		m:          cfg.M,
+		totalPOIs:  len(pois),
+		cellPacket: make([]int32, curve.Cells()),
+		ordering:   cfg.Ordering,
+		lossRate:   math.Min(math.Max(cfg.LossRate, 0), 0.95),
+		lossRng:    rand.New(rand.NewSource(cfg.LossSeed)),
 	}
 	for i := range s.cellPacket {
 		s.cellPacket[i] = -1
@@ -443,10 +432,8 @@ func mod(a, b int64) int64 {
 
 // probeIndex models the general access protocol's first two steps: the
 // initial probe plus reading one index segment. It returns the slot at
-// which the client holds the index and the accumulated access cost. With
-// a flat index the whole segment is tuned; with a tree index only the
-// directory is tuned here and indexTuning adds the visited leaf slots
-// once the candidate set is known.
+// which the client holds the index and the accumulated access cost: the
+// (1, m) index is flat, so the whole segment is tuned.
 //
 // Under channel errors an index-segment reception can fail like any other
 // packet; the client then stays tuned through the wasted segment and
@@ -454,21 +441,17 @@ func mod(a, b int64) int64 {
 // it can resolve any packet addresses. Each such wait is counted in
 // Access.IndexRetries and widens both latency and tuning time.
 func (s *Schedule) probeIndex(start int64) (int64, Access) {
-	is := s.nextIndexStart(start)
-	segTuning := int64(s.indexSlots) // slots tuned per segment read
-	if s.treeIndex {
-		segTuning = 1 // directory slot only
-	}
+	is, seg := s.nextIndexStart(start), int64(s.indexSlots)
 	acc := Access{Tuning: 1, IndexReads: 1} // the initial probe
 	for s.lossRate > 0 && s.lossRng.Float64() < s.lossRate {
 		// Reception failed: the tuned slots are wasted and the client
 		// retunes at the next index replica.
-		acc.Tuning += segTuning
+		acc.Tuning += seg
 		acc.IndexRetries++
-		is = s.nextIndexStart(is + int64(s.indexSlots))
+		is = s.nextIndexStart(is + seg)
 	}
-	acc.Tuning += segTuning
-	done := is + int64(s.indexSlots)
+	acc.Tuning += seg
+	done := is + seg
 	acc.Latency = done - start
 	return done, acc
 }
@@ -495,26 +478,22 @@ func (s *Schedule) probeIndex(start int64) (int64, Access) {
 // its old IR epoch instead of spinning forever on a channel that is not
 // delivering.
 func (s *Schedule) ListenIR(start int64, lost func() bool) Access {
-	is := s.nextIndexStart(start)
-	segTuning := int64(s.indexSlots)
-	if s.treeIndex {
-		segTuning = 1 // the IR rides the directory slot
-	}
+	is, seg := s.nextIndexStart(start), int64(s.indexSlots)
 	acc := Access{Tuning: 1, IndexReads: 1}
 	for lost != nil && lost() {
-		acc.Tuning += segTuning
+		acc.Tuning += seg
 		acc.IndexRetries++
 		if acc.IndexRetries >= MaxIRReplicaWaits {
 			acc.Abandoned = true
 			// Latency counts the slots burned up to the last wasted
 			// segment; no IR was received.
-			acc.Latency = is + int64(s.indexSlots) - start
+			acc.Latency = is + seg - start
 			return acc
 		}
-		is = s.nextIndexStart(is + int64(s.indexSlots))
+		is = s.nextIndexStart(is + seg)
 	}
-	acc.Tuning += segTuning
-	acc.Latency = is + int64(s.indexSlots) - start
+	acc.Tuning += seg
+	acc.Latency = is + seg - start
 	return acc
 }
 
@@ -535,24 +514,6 @@ type Scratch struct {
 type nearPacket struct {
 	maxDist float64
 	count   int
-}
-
-// indexTuning returns the extra index slots a tree-index client tunes:
-// the distinct leaf slots holding the entries of the candidate packets
-// (ascending by Seq, so a leaf's entries are adjacent). Zero for the flat
-// index (already fully read by probeIndex).
-func (s *Schedule) indexTuning(candidates []int) int64 {
-	if !s.treeIndex || s.entriesPerSlot <= 0 {
-		return 0
-	}
-	slots, last := int64(0), -1
-	for _, seq := range candidates {
-		if slot := seq / s.entriesPerSlot; slot != last {
-			slots++
-			last = slot
-		}
-	}
-	return slots
 }
 
 // retrieve downloads the given packet sequence numbers starting no earlier
@@ -651,7 +612,6 @@ func (s *Schedule) KNNScratch(sc *Scratch, q geom.Point, k int, start int64, b B
 		need = append(need, p.Seq)
 	}
 	sc.need = need
-	acc.Tuning += s.indexTuning(need)
 	pois, racc := s.retrieve(sc, need, after)
 	acc.add(racc)
 	return pois, radius, acc
@@ -752,7 +712,6 @@ func (s *Schedule) WindowReducedDetailed(sc *Scratch, windows []geom.Rect, start
 		}
 	}
 	sc.need = need
-	acc.Tuning += s.indexTuning(need)
 	raw, racc := s.retrieve(sc, need, after)
 	acc.add(racc)
 	filtered = sc.filtered[:0]

@@ -589,61 +589,3 @@ func TestLossRateClamped(t *testing.T) {
 		t.Fatalf("negative loss rate = %v", s2.lossRate)
 	}
 }
-
-func TestTreeIndexReducesTuning(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	pois := randomPOIs(rng, 600, 64)
-	flatCfg := testConfig()
-	flat := mustSchedule(t, pois, flatCfg)
-	treeCfg := testConfig()
-	treeCfg.TreeIndex = true
-	tree := mustSchedule(t, pois, treeCfg)
-
-	var flatTuning, treeTuning, flatLat, treeLat int64
-	for trial := 0; trial < 40; trial++ {
-		q := geom.Pt(rng.Float64()*64, rng.Float64()*64)
-		gotF, accF := flat.KNN(q, 5, int64(trial)*13)
-		gotT, accT := tree.KNN(q, 5, int64(trial)*13)
-		if len(gotF) != len(gotT) {
-			t.Fatalf("trial %d: result sizes differ", trial)
-		}
-		flatTuning += accF.Tuning
-		treeTuning += accT.Tuning
-		flatLat += accF.Latency
-		treeLat += accT.Latency
-	}
-	if treeTuning >= flatTuning {
-		t.Errorf("tree index tuning %d not below flat %d", treeTuning, flatTuning)
-	}
-	if treeLat != flatLat {
-		t.Errorf("tree index changed latency: %d vs %d", treeLat, flatLat)
-	}
-}
-
-// indexTuning counts leaf slots by walking the ascending candidate list;
-// the map-based count it replaced (refClient) is the reference.
-func TestIndexTuningMatchesMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for _, per := range []int{1, 3, 8, 16} {
-		cfg := testConfig()
-		cfg.TreeIndex = true
-		cfg.IndexEntriesPerSlot = per
-		s := mustSchedule(t, randomPOIs(rng, 600, 64), cfg)
-		ref := newRefClient(s)
-		for trial := 0; trial < 200; trial++ {
-			var need []int // ascending, as the clients build it
-			for seq := range s.Packets() {
-				if rng.Intn(1+trial%7) == 0 {
-					need = append(need, seq)
-				}
-			}
-			if got, want := s.indexTuning(need), ref.indexTuning(need); got != want {
-				t.Fatalf("%d entries per slot, candidates %v: %d leaf slots, map count %d", per, need, got, want)
-			}
-		}
-	}
-	flat := mustSchedule(t, randomPOIs(rng, 50, 64), testConfig())
-	if got := flat.indexTuning([]int{0, 1, 9}); got != 0 {
-		t.Fatalf("flat index tunes %d extra slots", got)
-	}
-}

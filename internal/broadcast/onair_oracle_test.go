@@ -3,10 +3,10 @@ package broadcast
 // Differential oracles for the on-air client kernels. refClient holds the
 // bodies the kernels replaced — SearchRadius filling and sorting a
 // P-entry array, the clients append-growing fresh slices, the window side
-// keyed by a cell-key map, indexTuning and GrowCompleteRect building a
-// map per call — and every check runs one input through both, the kernel
-// always on the same dirty scratch. Loss draws come out of the schedule,
-// so each side runs on its own schedule built from the same Config.
+// keyed by a cell-key map and GrowCompleteRect building a map per call —
+// and every check runs one input through both, the kernel always on the
+// same dirty scratch. Loss draws come out of the schedule, so each side
+// runs on its own schedule built from the same Config.
 
 import (
 	"math"
@@ -33,18 +33,6 @@ func newRefClient(s *Schedule) *refClient {
 		}
 	}
 	return r
-}
-
-func (r *refClient) indexTuning(candidates []int) int64 {
-	s := r.s
-	if !s.treeIndex || s.entriesPerSlot <= 0 {
-		return 0
-	}
-	slots := map[int]bool{}
-	for _, seq := range candidates {
-		slots[seq/s.entriesPerSlot] = true
-	}
-	return int64(len(slots))
 }
 
 func (r *refClient) retrieve(seqs []int, from int64) ([]POI, int64, Access) {
@@ -98,7 +86,6 @@ func (r *refClient) knnWithBounds(q geom.Point, k int, start int64, b Bounds) ([
 		}
 		need = append(need, p.Seq)
 	}
-	acc.Tuning += r.indexTuning(need)
 	pois, _, racc := r.retrieve(need, after)
 	acc.add(racc)
 	return pois, acc
@@ -159,7 +146,6 @@ func (r *refClient) windowReducedDetailed(windows []geom.Rect, start int64) (fil
 			acc.PacketsSkipped++
 		}
 	}
-	acc.Tuning += r.indexTuning(need)
 	raw, _, racc := r.retrieve(need, after)
 	acc.add(racc)
 	for _, poi := range raw {
@@ -267,8 +253,7 @@ type onAirCase struct {
 // query against it, every coordinate a multiple of ½ so that MaxDist ties,
 // POIs on cell edges and several POIs in one spot are the norm. Twelve
 // header bytes: ordering (mod 3), curve order (1–3), packet capacity (1–4),
-// flags (bit 0 tree index, bit 1 a 30 % lossy channel seeded by the other
-// bits), index entries per slot (1–4, low nibble) and m (1–4, high
+// flags (bit 1 a 30 % lossy channel seeded by bits 2–7; bit 0 is unused), index entries per slot (1–4, low nibble) and m (1–4, high
 // nibble), q (two bytes, −6 … 15½: outside the area too), a selector for k
 // among {−1, 0, 1, total−1, total, total+1, 3, 5}, the upper and lower
 // bound (0 … 11½, 0 = none), the start slot, the POI count (mod 40). Then
@@ -290,8 +275,7 @@ func decodeOnAir(b []byte) onAirCase {
 	c := onAirCase{
 		cfg: Config{
 			Area: geom.NewRect(0, 0, 16, 16), Ordering: Ordering(h[0] % 3), Order: 1 + int(h[1]%3),
-			PacketCapacity: 1 + int(h[2]%4), TreeIndex: h[3]&1 != 0,
-			IndexEntriesPerSlot: 1 + int(h[4]&15)%4, M: 1 + int(h[4]>>4)%4,
+			PacketCapacity: 1 + int(h[2]%4), IndexEntriesPerSlot: 1 + int(h[4]&15)%4, M: 1 + int(h[4]>>4)%4,
 		},
 		q:     geom.Pt(half(h[5], 44, 12), half(h[6], 44, 12)),
 		b:     Bounds{Upper: half(h[8], 24, 0), Lower: half(h[9], 24, 0)},
@@ -429,12 +413,12 @@ var onAirSeeds = []struct {
 	{"k-negative", []byte{0, 2, 1, 0, 17, 22, 18, 0, 0, 0, 7, 5, 1, 1, 9, 9, 17, 3, 25, 30, 30, 25}},
 	{"upper-and-lower-bound", []byte{0, 2, 1, 0, 3, 28, 28, 7, 12, 6, 4, 10,
 		12, 12, 13, 12, 12, 13, 20, 20, 16, 17, 17, 16, 2, 2, 30, 30, 2, 30, 30, 2, 0}},
-	{"lossy-channel-tree-index", []byte{0, 2, 1, 43, 0, 28, 28, 7, 0, 0, 9, 10,
+	{"lossy-channel", []byte{0, 2, 1, 43, 0, 28, 28, 7, 0, 0, 9, 10,
 		12, 12, 13, 12, 12, 13, 20, 20, 16, 17, 17, 16, 2, 2, 30, 30, 2, 30, 30, 2,
 		2, 10, 10, 30, 30, 0, 0, 8, 8, 10, 10, 30, 30, 100, 255, 255}},
 	{"morton-lossy", []byte{1, 2, 2, 14, 33, 10, 30, 6, 0, 0, 3, 10,
 		1, 1, 5, 5, 9, 9, 13, 13, 17, 17, 21, 21, 25, 25, 29, 29, 3, 29, 29, 3, 1, 2, 2, 34, 34}},
-	{"row-major-tree-index", []byte{2, 2, 2, 1, 16, 10, 30, 6, 0, 0, 3, 10,
+	{"row-major", []byte{2, 2, 2, 1, 16, 10, 30, 6, 0, 0, 3, 10,
 		1, 1, 5, 5, 9, 9, 13, 13, 17, 17, 21, 21, 25, 25, 29, 29, 3, 29, 29, 3, 1, 2, 2, 34, 34}},
 	{"no-windows", []byte{0, 2, 1, 0, 3, 20, 20, 2, 0, 0, 0, 3, 4, 4, 16, 16, 28, 28, 0}},
 	{"zero-area-and-inverted-windows", []byte{0, 2, 1, 0, 3, 20, 20, 2, 0, 0, 0, 3, 4, 4, 16, 16, 28, 28,

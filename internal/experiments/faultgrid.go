@@ -84,7 +84,6 @@ func (c FaultCell) Params(side, hours float64) sim.Params {
 	p.Seed = 42
 	p.AcceptApproximate = true
 	p.SharingHops = 1
-	p.POITypes = 1
 	p.PrefillQueriesPerHost = 10
 	p.Faults.RequestLoss = c.Loss
 	p.Faults.ReplyLoss = c.Loss

@@ -28,7 +28,7 @@ func bruteRelevance(w *World, e *query) geom.Rect {
 	if e.window {
 		return e.win
 	}
-	lambda := math.Max(w.types[e.ti].lambda, 1e-9)
+	lambda := math.Max(w.data.lambda, 1e-9)
 	r := 4 * math.Sqrt(float64(e.k)/(math.Pi*lambda))
 	r = math.Max(r, 2*w.Params.TxRangeMiles())
 	return geom.RectAround(e.q, math.Min(r, w.Params.AreaMiles))
@@ -42,7 +42,7 @@ func bruteCollection(w *World, e *query) []core.PeerData {
 	rel := bruteRelevance(w, e)
 	var peers []core.PeerData
 	add := func(id int) {
-		regions := w.caches[e.ti][id].Regions()
+		regions := w.caches[id].Regions()
 		for i := range regions {
 			if regions[i].Rect.Intersects(rel) {
 				peers = append(peers, core.PeerData{VR: regions[i].Rect, POIs: regions[i].POIs})
@@ -68,7 +68,7 @@ func checkComplete(w *World, e *query) error {
 	got := &e.res
 	if e.window {
 		cfg := core.SBWQConfig{
-			MaxKnownArea: 1.5 * float64(w.Params.CacheSize) / math.Max(w.types[e.ti].lambda, 1e-9),
+			MaxKnownArea: 1.5 * float64(w.Params.CacheSize) / math.Max(w.data.lambda, 1e-9),
 		}
 		want := core.SBWQWithConfig(e.q, e.win, peers, cfg, e.sched, e.now)
 		if got.outcome != want.Outcome || len(got.pois) != len(want.POIs) || got.knownRegion != want.KnownRegion {
@@ -77,7 +77,7 @@ func checkComplete(w *World, e *query) error {
 		}
 		return nil
 	}
-	cfg := core.SBNNConfig{K: e.k, Lambda: w.types[e.ti].lambda,
+	cfg := core.SBNNConfig{K: e.k, Lambda: w.data.lambda,
 		AcceptApproximate: w.Params.AcceptApproximate, MinCorrectness: w.Params.MinCorrectness}
 	want := core.SBNN(e.q, peers, cfg, e.sched, e.now)
 	if got.outcome != want.Outcome || got.knownRegion != want.KnownRegion {

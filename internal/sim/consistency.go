@@ -68,20 +68,15 @@ const (
 const maxUpdatesPerEpoch = wire.MaxIRItems / 4
 
 // consState is the server side of the consistency layer (DESIGN.md §12):
-// the seeded update process, the per-type version state, and the loss
-// stream for client IR listens. Nil when UpdateRate is zero — no state,
-// no draws, and the zero-knob outputs stay bit-identical to the seed.
+// the seeded update process, the version state, and the loss stream for
+// client IR listens. Nil when UpdateRate is zero — no state, no draws,
+// and the zero-knob outputs stay bit-identical to the seed.
 type consState struct {
 	updRng  *rand.Rand
 	lossRng *rand.Rand
 	loss    float64 // BroadcastLoss applied to IR receptions
 	// nextIRSec is the simulated time of the next IR broadcast tick.
 	nextIRSec float64
-	types     []typeConsState
-}
-
-// typeConsState is one data type's version state.
-type typeConsState struct {
 	// epoch is the monotone database version; it advances once per IR
 	// period that saw at least one mutation.
 	epoch int64
@@ -109,19 +104,16 @@ type epochRecord struct {
 }
 
 // newConsState builds the consistency state for an armed world.
-func newConsState(p Params, types []typeState) *consState {
-	c := &consState{
+// nPOIs is the size of the initial database: the first fresh POI id.
+func newConsState(p Params, nPOIs int) *consState {
+	return &consState{
 		updRng:    rand.New(rand.NewSource(p.Seed ^ updateSeedSalt)),
 		lossRng:   rand.New(rand.NewSource(p.Seed ^ irSeedSalt)),
 		loss:      p.Faults.Normalized().BroadcastLoss,
 		nextIRSec: p.IRPeriodSec,
-		types:     make([]typeConsState, len(types)),
+		nextID:    int64(nPOIs),
+		heard:     make([]int64, p.MHNumber),
 	}
-	for ti := range c.types {
-		c.types[ti].nextID = int64(len(types[ti].db))
-		c.types[ti].heard = make([]int64, p.MHNumber)
-	}
-	return c
 }
 
 // advanceConsistency runs every IR broadcast tick that has come due:
@@ -134,22 +126,19 @@ func (w *World) advanceConsistency() {
 		return
 	}
 	for w.nowSec >= c.nextIRSec {
-		for ti := range w.types {
-			w.applyUpdates(ti)
-		}
+		w.applyUpdates()
 		c.nextIRSec += w.Params.IRPeriodSec
 	}
 }
 
-// applyUpdates mutates one data type's POI set for one IR period and
-// rebuilds its ground truth, broadcast schedule, and IR frame. The
-// mutation mix is uniform over insert/delete/move; deletes and moves
-// pick a uniform victim, inserts and moves draw a uniform fresh
-// position. Every draw comes from the dedicated update stream.
-func (w *World) applyUpdates(ti int) {
+// applyUpdates mutates the POI set for one IR period and rebuilds its
+// ground truth, broadcast schedule, and IR frame. The mutation mix is
+// uniform over insert/delete/move; deletes and moves pick a uniform
+// victim, inserts and moves draw a uniform fresh position. Every draw
+// comes from the dedicated update stream.
+func (w *World) applyUpdates() {
 	c := w.cons
-	ts := &w.types[ti]
-	tc := &c.types[ti]
+	ts := &w.data
 	mean := w.Params.UpdateRate / 60 * w.Params.IRPeriodSec
 	n := mobility.Poisson(c.updRng, mean)
 	if n > maxUpdatesPerEpoch {
@@ -158,7 +147,7 @@ func (w *World) applyUpdates(ti int) {
 	if n == 0 {
 		return // quiet period: no epoch advance, no new frame
 	}
-	tc.epoch++
+	c.epoch++
 	curve := ts.sched.Curve()
 	items := make([]wire.IRItem, 0, n)
 	for i := 0; i < n; i++ {
@@ -171,22 +160,22 @@ func (w *World) applyUpdates(ti int) {
 			j := c.updRng.Intn(len(ts.db))
 			id := ts.db[j].ID
 			ts.db = append(ts.db[:j], ts.db[j+1:]...)
-			items = append(items, wire.IRItem{Epoch: tc.epoch, Kind: wire.IRDelete, ID: id})
+			items = append(items, wire.IRItem{Epoch: c.epoch, Kind: wire.IRDelete, ID: id})
 		case 2: // move
 			j := c.updRng.Intn(len(ts.db))
 			pos := geom.Pt(c.updRng.Float64()*w.Params.AreaMiles, c.updRng.Float64()*w.Params.AreaMiles)
 			ts.db[j].Pos = pos
 			cx, cy := curve.CellOf(pos)
 			items = append(items, wire.IRItem{
-				Epoch: tc.epoch, Kind: wire.IRMove, ID: ts.db[j].ID, Cell: curve.CellRect(cx, cy)})
+				Epoch: c.epoch, Kind: wire.IRMove, ID: ts.db[j].ID, Cell: curve.CellRect(cx, cy)})
 		default: // insert
 			pos := geom.Pt(c.updRng.Float64()*w.Params.AreaMiles, c.updRng.Float64()*w.Params.AreaMiles)
-			id := tc.nextID
-			tc.nextID++
+			id := c.nextID
+			c.nextID++
 			ts.db = append(ts.db, broadcast.POI{ID: id, Pos: pos})
 			cx, cy := curve.CellOf(pos)
 			items = append(items, wire.IRItem{
-				Epoch: tc.epoch, Kind: wire.IRInsert, ID: id, Cell: curve.CellRect(cx, cy)})
+				Epoch: c.epoch, Kind: wire.IRInsert, ID: id, Cell: curve.CellRect(cx, cy)})
 		}
 	}
 	w.stats.POIUpdates += int64(n)
@@ -195,17 +184,17 @@ func (w *World) applyUpdates(ti int) {
 	// Retain the last IRWindow epochs, bounded by the wire item limit
 	// (dropping the oldest record raises the horizon — clients that far
 	// behind demote instead of repairing).
-	tc.records = append(tc.records, epochRecord{epoch: tc.epoch, items: items})
-	for len(tc.records) > w.Params.IRWindow && len(tc.records) > 1 {
-		tc.records = tc.records[1:]
+	c.records = append(c.records, epochRecord{epoch: c.epoch, items: items})
+	for len(c.records) > w.Params.IRWindow && len(c.records) > 1 {
+		c.records = c.records[1:]
 	}
 	total := 0
-	for _, r := range tc.records {
+	for _, r := range c.records {
 		total += len(r.items)
 	}
-	for total > wire.MaxIRItems && len(tc.records) > 1 {
-		total -= len(tc.records[0].items)
-		tc.records = tc.records[1:]
+	for total > wire.MaxIRItems && len(c.records) > 1 {
+		total -= len(c.records[0].items)
+		c.records = c.records[1:]
 	}
 
 	// Rebuild the ground truth and the broadcast schedule at the new
@@ -218,14 +207,14 @@ func (w *World) applyUpdates(ti int) {
 	ts.truth = rtree.Bulk(rt, 16)
 	bcfg := ts.bcfg
 	if bcfg.LossRate > 0 {
-		bcfg.LossSeed ^= tc.epoch << 24
+		bcfg.LossSeed ^= c.epoch << 24
 	}
 	sched, err := broadcast.NewSchedule(ts.db, bcfg)
 	if err != nil {
 		// Cannot happen with a non-empty database; surface loudly if the
 		// model drifts.
 		if w.selfCheckErr == nil {
-			w.selfCheckErr = fmt.Errorf("consistency: schedule rebuild at epoch %d: %w", tc.epoch, err)
+			w.selfCheckErr = fmt.Errorf("consistency: schedule rebuild at epoch %d: %w", c.epoch, err)
 		}
 		return
 	}
@@ -235,28 +224,28 @@ func (w *World) applyUpdates(ti int) {
 	// clients reconcile from: a frame the codec rejects would take the
 	// whole layer down, exactly as it should.
 	flat := make([]wire.IRItem, 0, total)
-	for _, r := range tc.records {
+	for _, r := range c.records {
 		flat = append(flat, r.items...)
 	}
-	ir := wire.InvalidationReport{Epoch: tc.epoch, Horizon: tc.records[0].epoch, Items: flat}
+	ir := wire.InvalidationReport{Epoch: c.epoch, Horizon: c.records[0].epoch, Items: flat}
 	enc, err := wire.EncodeInvalidationReport(ir)
 	if err == nil {
 		ir, err = wire.DecodeInvalidationReport(enc)
 	}
 	if err != nil {
 		if w.selfCheckErr == nil {
-			w.selfCheckErr = fmt.Errorf("consistency: IR frame at epoch %d: %w", tc.epoch, err)
+			w.selfCheckErr = fmt.Errorf("consistency: IR frame at epoch %d: %w", c.epoch, err)
 		}
 		return
 	}
-	tc.frameBytes = len(enc)
-	tc.horizon = ir.Horizon
+	c.frameBytes = len(enc)
+	c.horizon = ir.Horizon
 	invals := make([]cache.Invalidation, 0, len(ir.Items))
 	for _, it := range ir.Items {
 		invals = append(invals, cache.Invalidation{
 			Epoch: it.Epoch, Kind: cache.InvalKind(it.Kind), ID: it.ID, Cell: it.Cell})
 	}
-	tc.invals = cache.NewInvalSet(invals)
+	c.invals = cache.NewInvalSet(invals)
 }
 
 // syncIR is the client side of one query's consistency pass, run before
@@ -265,15 +254,14 @@ func (w *World) applyUpdates(ti int) {
 // latency) and reconcile the own cache against it. Returns the broadcast
 // slots spent listening; zero (with zero draws) when the layer is off and
 // the host is current.
-func (w *World) syncIR(idx, ti int) int64 {
-	own := &w.caches[ti][idx]
+func (w *World) syncIR(idx int) int64 {
+	own := &w.caches[idx]
 	w.expireTTL(own)
 	c := w.cons
 	if c == nil {
 		return 0
 	}
-	tc := &c.types[ti]
-	if tc.heard[idx] >= tc.epoch {
+	if c.heard[idx] >= c.epoch {
 		return 0
 	}
 	if w.blackout.Down(idx, w.nowSec) {
@@ -295,7 +283,7 @@ func (w *World) syncIR(idx, ti int) int64 {
 			return false
 		}
 	}
-	acc := w.types[ti].sched.ListenIR(w.slotNow(), lost)
+	acc := w.data.sched.ListenIR(w.slotNow(), lost)
 	w.stats.IRListens++
 	w.stats.IRListenSlots += acc.Latency
 	if acc.Abandoned {
@@ -306,11 +294,11 @@ func (w *World) syncIR(idx, ti int) int64 {
 		w.stats.IRListenAborts++
 		return acc.Latency
 	}
-	rec := own.Reconcile(&w.qs.repair, tc.epoch, tc.horizon, tc.invals, w.Params.IRDiscard)
+	rec := own.Reconcile(&w.qs.repair, c.epoch, c.horizon, c.invals, w.Params.IRDiscard)
 	w.stats.VRsReconciled += int64(rec.Repaired)
 	w.stats.VRsDiscarded += int64(rec.Discarded)
 	w.mx.observeReconcileCost(rec.Repaired, rec.Pieces)
-	tc.heard[idx] = tc.epoch
+	c.heard[idx] = c.epoch
 	return acc.Latency
 }
 
@@ -336,19 +324,19 @@ func (w *World) expireTTL(c *cache.Cache) {
 // repair horizon are demoted to the probabilistic path — served, but never
 // exact. A repaired region's pieces are read straight out of the repair
 // scratch. It reports whether the gate changed what the region claims.
-func (w *World) admitShared(dst *collection, ti int, pd core.PeerData, o origin) bool {
-	if o.peer == trust.Self || o.epoch >= w.epoch(ti) {
+func (w *World) admitShared(dst *collection, pd core.PeerData, o origin) bool {
+	if o.peer == trust.Self || o.epoch >= w.epoch() {
 		dst.add(pd, o)
 		return false
 	}
-	tc := &w.cons.types[ti]
+	c := w.cons
 	switch {
 	case w.Params.IRDiscard:
 		// Whole-discard ablation: any superseded region is thrown away.
 		w.stats.VRsDiscarded++
-	case o.epoch >= tc.horizon-1:
+	case o.epoch >= c.horizon-1:
 		r := cache.Region{Rect: pd.VR, POIs: pd.POIs, Epoch: o.epoch}
-		pieces, touched := cache.ReconcileRegion(&w.qs.repair, &r, tc.invals, tc.epoch)
+		pieces, touched := cache.ReconcileRegion(&w.qs.repair, &r, c.invals, c.epoch)
 		if !touched {
 			// No mutation since the region's epoch reaches it: still exact.
 			dst.add(pd, o)
@@ -374,11 +362,11 @@ func (w *World) admitShared(dst *collection, ti int, pd core.PeerData, o origin)
 	return true
 }
 
-// epoch returns the current database epoch of data type ti: zero when the
-// consistency layer is off, where every cached region is of epoch zero.
-func (w *World) epoch(ti int) int64 {
+// epoch returns the current database epoch: zero when the consistency
+// layer is off, where every cached region is of epoch zero.
+func (w *World) epoch() int64 {
 	if w.cons == nil {
 		return 0
 	}
-	return w.cons.types[ti].epoch
+	return w.cons.epoch
 }

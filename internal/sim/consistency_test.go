@@ -87,8 +87,8 @@ func TestConsistencyZeroKnobInert(t *testing.T) {
 		t.Fatal("zero knobs report consistency enabled")
 	}
 	w, s := runSoakWorld(t, p)
-	if w.epoch(0) != 0 {
-		t.Fatalf("epoch advanced with updates off: %d", w.epoch(0))
+	if w.epoch() != 0 {
+		t.Fatalf("epoch advanced with updates off: %d", w.epoch())
 	}
 	if s.Events("consistency") != 0 {
 		t.Fatalf("consistency counters moved with the layer off: %+v", s)

@@ -107,17 +107,16 @@ type OverloadKnobs struct {
 	// the governor engages; defaults to 0.9 when Governed is set.
 	GovernorFloor float64 `json:"governor_floor,omitempty" flag:"governor-floor" max:"1" usage:"answered-in-budget ratio below which the governor engages [0, 1] (0 = default 0.9)"`
 	// CoalesceRadiusMiles arms cross-MH query coalescing: a query whose
-	// origin lies within this distance of an earlier same-tick, same-type
-	// query reuses that query's screened peer gather instead of
-	// broadcasting its own request — one gather serves the co-located
-	// crowd. Soundness is unchanged: the recipient still verifies against
+	// origin lies within this distance of an earlier same-tick query
+	// reuses that query's screened peer gather instead of broadcasting its
+	// own request — one gather serves the co-located crowd. Soundness is unchanged: the recipient still verifies against
 	// the shared regions and falls back to the channel when coverage is
 	// insufficient. Zero (the default) disables coalescing.
 	CoalesceRadiusMiles float64 `json:"coalesce_radius_miles,omitempty" flag:"coalesce-radius" usage:"co-located same-tick queries within this many miles share one peer gather (0 = off)"`
 }
 
 // crowdSeedSalt seeds the flash-crowd stream: how many crowd queries
-// fire each tick, and which hotspot hosts and data types they hit.
+// fire each tick, and which hotspot hosts they hit.
 // Decorrelated from every other stream so arming the crowd knobs never
 // perturbs movement, legacy query launching, the POI field, or the
 // fault draws. (The crowd queries themselves then consume world-stream
@@ -169,9 +168,8 @@ const maxCoalesceDonors = 16
 
 // coalDonor is one tick-scoped gather snapshot: the screened peer set of
 // a completed full-protocol collection, deep-copied so later cache
-// mutations cannot reach it, offered to co-located same-type queries.
+// mutations cannot reach it, offered to co-located queries.
 type coalDonor struct {
-	ti        int
 	origin    geom.Point
 	relevance geom.Rect
 	nPeers    int
@@ -422,24 +420,24 @@ func (w *World) crowdDraw(dt float64) int {
 	return n
 }
 
-// crowdPick draws one crowd query's host and data type from the crowd
-// stream. Only valid after a positive crowdDraw in the same tick.
-func (w *World) crowdPick() (idx, ti int) {
+// crowdPick draws one crowd query's host from the crowd stream. Only
+// valid after a positive crowdDraw in the same tick.
+func (w *World) crowdPick() int {
 	o := w.ovl
-	idx = o.crowdIDs[o.crowdRng.Intn(len(o.crowdIDs))]
-	ti = o.crowdRng.Intn(len(w.types))
-	return idx, ti
+	idx := o.crowdIDs[o.crowdRng.Intn(len(o.crowdIDs))]
+	o.crowdRng.Int63() // the kept type draw (typeState)
+	return idx
 }
 
 // coalesceLookup scans the tick's donor table for a completed gather a
-// query at q can reuse: same data type, origin within the coalescing
-// radius, and overlapping relevance rectangles. The reuse is sound
+// query at q can reuse: origin within the coalescing radius and
+// overlapping relevance rectangles. The reuse is sound
 // because the donor's set is a truthful screened subset of the
 // neighborhood's knowledge — the recipient still runs full verification
 // against it, and anything the donor's slightly-offset gather missed
 // only shrinks the merged region, degrading the recipient to the exact
 // broadcast channel, never to a wrong answer. Nil on miss.
-func (w *World) coalesceLookup(ti int, q geom.Point, relevance geom.Rect) *coalDonor {
+func (w *World) coalesceLookup(q geom.Point, relevance geom.Rect) *coalDonor {
 	o := w.ovl
 	if o == nil || o.coalRadius <= 0 {
 		return nil
@@ -447,7 +445,7 @@ func (w *World) coalesceLookup(ti int, q geom.Point, relevance geom.Rect) *coalD
 	r2 := o.coalRadius * o.coalRadius
 	for i := 0; i < o.nDonors; i++ {
 		d := &o.donors[i]
-		if d.ti == ti && d.origin.DistSq(q) <= r2 && d.relevance.Intersects(relevance) {
+		if d.origin.DistSq(q) <= r2 && d.relevance.Intersects(relevance) {
 			return d
 		}
 	}
@@ -465,14 +463,14 @@ func (w *World) donates() bool {
 // donor table. The set is deep-copied (PeerData values and POI slices)
 // because cache storage the originals alias mutates as later queries
 // commit; the copy is immutable for the rest of the tick.
-func (w *World) coalesceDonate(ti int, q geom.Point, relevance geom.Rect, peers []core.PeerData, nPeers int) {
+func (w *World) coalesceDonate(q geom.Point, relevance geom.Rect, peers []core.PeerData, nPeers int) {
 	if !w.donates() {
 		return
 	}
 	o := w.ovl
 	d := &o.donors[o.nDonors]
 	o.nDonors++
-	d.ti, d.origin, d.relevance, d.nPeers = ti, q, relevance, nPeers
+	d.origin, d.relevance, d.nPeers = q, relevance, nPeers
 	total := 0
 	for _, pd := range peers {
 		total += len(pd.POIs)

@@ -368,8 +368,8 @@ func TestRetryBudget(t *testing.T) {
 	}
 }
 
-// TestCoalesceDonorTable pins the donor table mechanics: the type,
-// radius, and overlap gates; the per-tick bound; the tick reset; and —
+// TestCoalesceDonorTable pins the donor table mechanics: the radius and
+// overlap gates; the per-tick bound; the tick reset; and —
 // critically — that donated peer sets are deep copies no later mutation
 // of the source slices can reach.
 func TestCoalesceDonorTable(t *testing.T) {
@@ -379,18 +379,15 @@ func TestCoalesceDonorTable(t *testing.T) {
 
 	rel := geom.NewRect(1, 1, 3, 3)
 	src := makePeers(2, rel)
-	w.coalesceDonate(0, geom.Pt(2, 2), rel, src, 7)
+	w.coalesceDonate(geom.Pt(2, 2), rel, src, 7)
 
-	if d := w.coalesceLookup(1, geom.Pt(2, 2), rel); d != nil {
-		t.Error("type gate failed: different data type matched")
-	}
-	if d := w.coalesceLookup(0, geom.Pt(2.6, 2), rel); d != nil {
+	if d := w.coalesceLookup(geom.Pt(2.6, 2), rel); d != nil {
 		t.Error("radius gate failed: origin 0.6mi away matched a 0.5mi radius")
 	}
-	if d := w.coalesceLookup(0, geom.Pt(2.2, 2), geom.NewRect(10, 10, 12, 12)); d != nil {
+	if d := w.coalesceLookup(geom.Pt(2.2, 2), geom.NewRect(10, 10, 12, 12)); d != nil {
 		t.Error("overlap gate failed: disjoint relevance matched")
 	}
-	d := w.coalesceLookup(0, geom.Pt(2.2, 2), geom.NewRect(2, 2, 4, 4))
+	d := w.coalesceLookup(geom.Pt(2.2, 2), geom.NewRect(2, 2, 4, 4))
 	if d == nil {
 		t.Fatal("co-located overlapping query missed the donor")
 	}
@@ -410,7 +407,7 @@ func TestCoalesceDonorTable(t *testing.T) {
 
 	// The table bounds at maxCoalesceDonors per tick and clears on reset.
 	for i := 0; i < maxCoalesceDonors+5; i++ {
-		w.coalesceDonate(0, geom.Pt(2, 2), rel, src, 1)
+		w.coalesceDonate(geom.Pt(2, 2), rel, src, 1)
 	}
 	if w.ovl.nDonors != maxCoalesceDonors {
 		t.Fatalf("donor table overflowed: %d", w.ovl.nDonors)
@@ -419,7 +416,7 @@ func TestCoalesceDonorTable(t *testing.T) {
 	if w.ovl.nDonors != 0 {
 		t.Fatal("donor table survived the tick reset")
 	}
-	if d := w.coalesceLookup(0, geom.Pt(2, 2), rel); d != nil {
+	if d := w.coalesceLookup(geom.Pt(2, 2), rel); d != nil {
 		t.Fatal("stale donor matched after reset")
 	}
 }

@@ -69,8 +69,8 @@ type Params struct {
 	POINumber int
 	// MHNumber is the number of mobile hosts in the simulation area.
 	MHNumber int
-	// CacheSize is the cache capacity per data type of each mobile host
-	// (CSize, in POIs).
+	// CacheSize is the cache capacity of each mobile host (CSize, in
+	// POIs).
 	CacheSize int `flag:"cache" usage:"cache capacity in POIs (0 = preset value)"`
 	// QueryRate is the mean number of queries launched per minute across
 	// the whole system (the Query parameter).
@@ -134,13 +134,6 @@ type Params struct {
 	// SlotSec is the broadcast slot duration in seconds (one data packet
 	// per slot), used to convert slot latencies into wall time.
 	SlotSec float64
-
-	// POITypes is the number of independent POI data types (gas
-	// stations, hotels, restaurants, ...). Each type gets its own POI
-	// field, broadcast channel, and per-host cache of CacheSize POIs —
-	// Table 4's "cache capacity per data type". Defaults to 1, the
-	// paper's experimental setting (gas stations only).
-	POITypes int `flag:"types" usage:"independent POI data types (cache capacity applies per type)"`
 
 	// POIClusters, when positive, draws the POI field from a Gaussian
 	// mixture with this many centers instead of the uniform (Poisson)

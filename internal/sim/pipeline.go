@@ -32,8 +32,8 @@ import (
 // query is one query in flight: its shape, everything prepare learned,
 // and the execute stage's result.
 type query struct {
-	idx, ti int
-	q       geom.Point
+	idx int
+	q   geom.Point
 	// Shape: k for a kNN query, win for a window query. relevance bounds
 	// which cached regions can matter (the window itself, or a square
 	// around q sized by knnRelevanceRadius).
@@ -92,25 +92,25 @@ func (r *queryResult) exact() bool {
 	return !r.degraded && r.outcome != core.OutcomeApproximate
 }
 
-// start resets e to a query by host idx on data type ti.
-func (w *World) start(e *query, idx, ti int) {
-	*e = query{idx: idx, ti: ti, q: w.mob[idx].Pos}
+// start resets e to a query by host idx.
+func (w *World) start(e *query, idx int) {
+	*e = query{idx: idx, q: w.mob[idx].Pos}
 }
 
 func (w *World) shapeKNN(e *query, k int) {
 	e.k = k
-	e.relevance = geom.RectAround(e.q, w.knnRelevanceRadius(e.ti, k))
+	e.relevance = geom.RectAround(e.q, w.knnRelevanceRadius(k))
 }
 
 func (e *query) shapeWindow(win geom.Rect) {
 	e.window, e.win, e.relevance = true, win, win
 }
 
-// launch runs one one-shot query by host idx on data type ti: shape from
-// the world stream, then prepare, execute and commit.
-func (w *World) launch(idx, ti int) {
+// launch runs one one-shot query by host idx: shape from the world
+// stream, then prepare, execute and commit.
+func (w *World) launch(idx int) {
 	e := &w.qs.cur
-	w.start(e, idx, ti)
+	w.start(e, idx)
 	if w.Params.Kind == WindowQuery {
 		side, off, ok := w.drawWindow(w.rng)
 		if !ok {
@@ -150,12 +150,12 @@ func (w *World) prepare(e *query) {
 	// peers of the query in flight until that query commits.
 	w.qs.arena.Rewind()
 	e.qc = w.assessChannel(e.idx)
-	e.irSlots = w.syncIR(e.idx, e.ti)
+	e.irSlots = w.syncIR(e.idx)
 	w.collect(e)
 	// The blackout rungs have no channel to fall back to; the core
 	// algorithms answer from peer knowledge alone.
 	if e.qc.mode != modeP2POnly && e.qc.mode != modeOwnCache {
-		e.sched = w.types[e.ti].sched
+		e.sched = w.data.sched
 	}
 	// Slots spent in retry backoff, IR listens and audits delay the
 	// client's arrival on the broadcast channel, as does a naive-mode
@@ -176,7 +176,7 @@ func (w *World) collect(e *query) {
 	collected := e.qc.switchCost() // plus the gather's retry backoff
 	switch e.qc.mode {
 	case modeFull, modeP2POnly:
-		if d := w.coalesceLookup(e.ti, e.q, e.relevance); d != nil && !e.standing {
+		if d := w.coalesceLookup(e.q, e.relevance); d != nil && !e.standing {
 			// Reuse the donor's screened set: no gather, no re-screen —
 			// the donor already paid collection and audits for this
 			// neighborhood this tick.
@@ -194,18 +194,18 @@ func (w *World) collect(e *query) {
 			// Shed: own cache plus broadcast only — the Lemma 3.2 /
 			// on-air path, exact answers at broadcast latency.
 			e.shed = cause
-			e.minBorn = w.collectOwnCacheOnly(e.idx, e.ti, e.relevance, false)
+			e.minBorn = w.collectOwnCacheOnly(e.idx, e.relevance, false)
 			break
 		}
 		var backoff int64
-		e.nPeers, backoff = w.gather(e.idx, e.ti, e.relevance, e.standing)
+		e.nPeers, backoff = w.gather(e.idx, e.relevance, e.standing)
 		collected += backoff
 		gathered = true
 	default:
 		// The P2P channel is in a deep fade: spending the retry budget on
 		// peers that cannot hear is pure waste, so the lower rungs skip
 		// the wire entirely.
-		e.minBorn = w.collectOwnCacheOnly(e.idx, e.ti, e.relevance, e.qc.mode == modeOwnCache)
+		e.minBorn = w.collectOwnCacheOnly(e.idx, e.relevance, e.qc.mode == modeOwnCache)
 	}
 	// The reach cut spares the per-region work of the consistency gate and
 	// the trust screen; with neither armed NNV's own cut is all there is to
@@ -214,22 +214,21 @@ func (w *World) collect(e *query) {
 	// both keep the static square (DESIGN.md §9.3 "The reach cut").
 	cut := !e.window && !e.standing && (w.tr != nil || w.cons != nil) && !(gathered && w.donates())
 	e.peers = w.admit(e, cut)
-	e.peers, e.spent, e.trep = w.trustScreen(e.ti, e.peers, collected+e.irSlots, e.qc.bcastUp)
+	e.peers, e.spent, e.trep = w.trustScreen(e.peers, collected+e.irSlots, e.qc.bcastUp)
 	if gathered && !e.standing {
-		w.coalesceDonate(e.ti, e.q, e.relevance, e.peers, e.nPeers)
+		w.coalesceDonate(e.q, e.relevance, e.peers, e.nPeers)
 	}
 }
 
 // execute runs the core algorithm for e on the given scratch. It writes
 // only e.res and the scratch.
 func (w *World) execute(e *query, s *core.Scratch) {
-	ts := &w.types[e.ti]
 	r := &e.res
 	if e.window {
 		// Cap cached retrieval regions at what the cache can hold:
 		// CacheSize POIs cover about CacheSize/lambda square miles.
 		cfg := core.SBWQConfig{
-			MaxKnownArea: 1.5 * float64(w.Params.CacheSize) / math.Max(ts.lambda, 1e-9),
+			MaxKnownArea: 1.5 * float64(w.Params.CacheSize) / math.Max(w.data.lambda, 1e-9),
 		}
 		res := core.SBWQScratch(s, e.q, e.win, e.peers, cfg, e.sched, e.now)
 		*r = queryResult{outcome: res.Outcome, access: res.Access,
@@ -238,7 +237,7 @@ func (w *World) execute(e *query, s *core.Scratch) {
 	} else {
 		cfg := core.SBNNConfig{
 			K:                 e.k,
-			Lambda:            ts.lambda,
+			Lambda:            w.data.lambda,
 			AcceptApproximate: w.Params.AcceptApproximate,
 			MinCorrectness:    w.Params.MinCorrectness,
 		}
@@ -254,7 +253,6 @@ func (w *World) execute(e *query, s *core.Scratch) {
 func (w *World) commit(e *query) {
 	res := &e.res
 	if w.counted() {
-		ts := &w.types[e.ti]
 		// The slots the P2P phase burned are part of the query's end-to-end
 		// access latency, as is the dead air a naive client spent waiting
 		// out a blackout window. latency is the query's term of
@@ -283,7 +281,7 @@ func (w *World) commit(e *query) {
 		}
 		w.stats.LatencySlots += latency
 		if w.chanArmed || w.govSteering() {
-			w.observeBudget(ts, total, !res.degraded || len(res.pois) > 0, e.shed != shedNone)
+			w.observeBudget(total, !res.degraded || len(res.pois) > 0, e.shed != shedNone)
 		}
 		if e.baseline {
 			// Price the same query on the plain on-air algorithm. On a
@@ -291,9 +289,9 @@ func (w *World) commit(e *query) {
 			// stream, so it must directly follow this query's execute.
 			var acc broadcast.Access
 			if e.window {
-				_, acc = ts.sched.Window(e.win, w.slotNow())
+				_, acc = w.data.sched.Window(e.win, w.slotNow())
 			} else {
-				_, acc = ts.sched.KNN(e.q, e.k, w.slotNow())
+				_, acc = w.data.sched.KNN(e.q, e.k, w.slotNow())
 			}
 			w.stats.BaselineLatencySlots += acc.Latency
 			w.stats.BaselinePackets += int64(acc.PacketsRead)
@@ -346,9 +344,9 @@ func (w *World) traceEvent(e *query, standing bool) trace.Event {
 // selfCheck compares e's answer with the R-tree ground truth.
 func (w *World) selfCheck(e *query) {
 	if e.window {
-		w.checkWindow(e.ti, e.win, e.res.pois)
+		w.checkWindow(e.win, e.res.pois)
 	} else {
-		w.checkKNN(e.ti, e.q, e.k, e.res.pois)
+		w.checkKNN(e.q, e.k, e.res.pois)
 	}
 }
 
@@ -360,6 +358,6 @@ func (w *World) cacheKnown(e *query) {
 	if e.res.knownRegion.Empty() {
 		return
 	}
-	reg := cache.Region{Rect: e.res.knownRegion, POIs: e.res.known, Epoch: w.epoch(e.ti)}
-	w.caches[e.ti][e.idx].Insert(reg, e.q, w.mob[e.idx].Heading(), int64(w.nowSec))
+	reg := cache.Region{Rect: e.res.knownRegion, POIs: e.res.known, Epoch: w.epoch()}
+	w.caches[e.idx].Insert(reg, e.q, w.mob[e.idx].Heading(), int64(w.nowSec))
 }

@@ -208,8 +208,8 @@ func (w *World) staleBound(mode queryMode, minBorn int64) int64 {
 // end-to-end patience a deadline-bound client realistically has. This is
 // the curve on which the fallback ladder beats the naive
 // stall-and-retry baseline (EXPERIMENTS.md).
-func (w *World) observeBudget(ts *typeState, total int64, answered, shed bool) {
-	budget := int64(w.Params.DeadlineSlots) + ts.sched.CycleLength()
+func (w *World) observeBudget(total int64, answered, shed bool) {
+	budget := int64(w.Params.DeadlineSlots) + w.data.sched.CycleLength()
 	ok := answered && total <= budget
 	if ok {
 		w.stats.AnsweredInBudget++
@@ -234,16 +234,16 @@ func (w *World) observeBudget(ts *typeState, total int64, answered, shed bool) {
 // (math.MaxInt64 when none) — the input of the own-cache rung's staleness
 // bound. Like a peer's reply, it reads no region when the cache MBR misses
 // the rectangle.
-func (w *World) appendOwnCache(idx, ti int, relevance geom.Rect) int64 {
+func (w *World) appendOwnCache(idx int, relevance geom.Rect) int64 {
 	minBorn := int64(math.MaxInt64)
-	c := &w.caches[ti][idx]
+	c := &w.caches[idx]
 	if mbr, ok := c.Bounds(); !ok || !mbr.Intersects(relevance) {
 		return minBorn
 	}
 	for i, regions := 0, c.Regions(); i < len(regions); i++ {
 		if r := &regions[i]; r.Rect.Intersects(relevance) {
 			pd := core.PeerData{VR: r.Rect, POIs: r.POIs}
-			if r.Epoch < w.epoch(ti) {
+			if r.Epoch < w.epoch() {
 				pd.Tainted = true
 				w.stats.VRsDemoted++
 			}
@@ -259,10 +259,10 @@ func (w *World) appendOwnCache(idx, ti int, relevance geom.Rect) int64 {
 // stamp collected (appendOwnCache). force includes the own cache even when
 // the UseOwnCache knob is off — the last-resort rung answers from whatever
 // the host has, because the alternative is answering with nothing.
-func (w *World) collectOwnCacheOnly(idx, ti int, relevance geom.Rect, force bool) int64 {
+func (w *World) collectOwnCacheOnly(idx int, relevance geom.Rect, force bool) int64 {
 	w.qs.col.reset()
 	if w.Params.UseOwnCache || force {
-		return w.appendOwnCache(idx, ti, relevance)
+		return w.appendOwnCache(idx, relevance)
 	}
 	return math.MaxInt64
 }

@@ -34,7 +34,7 @@ func (w *World) admit(e *query, cut bool) []core.PeerData {
 			continue
 		}
 		// Only a region that listed a candidate can push the k-th one out.
-		changed = w.admitShared(next, e.ti, pd, o) && keep != nil && pd.Lists(e.q, d2) || changed
+		changed = w.admitShared(next, pd, o) && keep != nil && pd.Lists(e.q, d2) || changed
 	}
 	w.qs.col, w.qs.next = w.qs.next, w.qs.col
 	if keep == nil {
@@ -53,8 +53,8 @@ func (w *World) admit(e *query, cut bool) []core.PeerData {
 			next.add(pd, o)
 		case widen:
 			o.far = false
-			w.admitShared(next, e.ti, pd, o)
-		case w.auditable(e.ti, &pd, o):
+			w.admitShared(next, pd, o)
+		case w.auditable(&pd, o):
 			next.add(pd, o)
 		}
 	}
@@ -94,14 +94,14 @@ func (w *World) claims() []core.PeerData {
 // claim at the current epoch, what the audit walk samples (DESIGN.md
 // §11.2): keeping every such claim keeps the vouched population as it is
 // without the cut.
-func (w *World) auditable(ti int, pd *core.PeerData, o origin) bool {
+func (w *World) auditable(pd *core.PeerData, o origin) bool {
 	if w.tr == nil || o.peer == trust.Self || pd.Tainted {
 		return false
 	}
-	if o.epoch >= w.epoch(ti) {
+	if o.epoch >= w.epoch() {
 		return true
 	}
-	tc := &w.cons.types[ti]
-	return !w.Params.IRDiscard && o.epoch >= tc.horizon-1 &&
-		!tc.invals.Touches(&cache.Region{Rect: pd.VR, POIs: pd.POIs, Epoch: o.epoch})
+	c := w.cons
+	return !w.Params.IRDiscard && o.epoch >= c.horizon-1 &&
+		!c.invals.Touches(&cache.Region{Rect: pd.VR, POIs: pd.POIs, Epoch: o.epoch})
 }

@@ -417,21 +417,19 @@ func TestPrefillRespectsCapacityAndSoundness(t *testing.T) {
 		}
 		// Caches are filled and within capacity; every region is sound.
 		filled := 0
-		for ti := range w.caches {
-			for i := range w.caches[ti] {
-				c := &w.caches[ti][i]
-				if c.Size() > w.Params.CacheSize {
-					t.Fatalf("%v: cache over capacity", kind)
-				}
-				if c.Size() > 0 {
-					filled++
-				}
-				for _, r := range c.Regions() {
-					want := w.poisInRect(nil, ti, r.Rect)
-					if len(want) != len(r.POIs) {
-						t.Fatalf("%v: prefilled region holds %d POIs, database has %d inside",
-							kind, len(r.POIs), len(want))
-					}
+		for i := range w.caches {
+			c := &w.caches[i]
+			if c.Size() > w.Params.CacheSize {
+				t.Fatalf("%v: cache over capacity", kind)
+			}
+			if c.Size() > 0 {
+				filled++
+			}
+			for _, r := range c.Regions() {
+				want := w.poisInRect(nil, r.Rect)
+				if len(want) != len(r.POIs) {
+					t.Fatalf("%v: prefilled region holds %d POIs, database has %d inside",
+						kind, len(r.POIs), len(want))
 				}
 			}
 		}
@@ -478,13 +476,13 @@ func TestSelfCheckCatchesCorruption(t *testing.T) {
 	}
 	w.SelfCheck = true
 	// Wrong count.
-	w.checkKNN(0, w.Database()[0].Pos, 3, nil)
+	w.checkKNN(w.Database()[0].Pos, 3, nil)
 	if w.SelfCheckErr() == nil {
 		t.Fatal("count mismatch not caught")
 	}
 	// First error is sticky.
 	first := w.SelfCheckErr()
-	w.checkKNN(0, w.Database()[0].Pos, 1, nil)
+	w.checkKNN(w.Database()[0].Pos, 1, nil)
 	if w.SelfCheckErr() != first {
 		t.Fatal("first self-check error not sticky")
 	}
@@ -496,7 +494,7 @@ func TestSelfCheckCatchesCorruption(t *testing.T) {
 	w2.SelfCheck = true
 	// Wrong distance at right count.
 	wrong := []broadcast.POI{{ID: 999, Pos: geom.Pt(0, 0)}}
-	w2.checkKNN(0, geom.Pt(10, 10), 1, wrong)
+	w2.checkKNN(geom.Pt(10, 10), 1, wrong)
 	if w2.SelfCheckErr() == nil {
 		t.Fatal("distance mismatch not caught")
 	}
@@ -507,7 +505,7 @@ func TestSelfCheckCatchesCorruption(t *testing.T) {
 	}
 	w3.SelfCheck = true
 	win := geom.NewRect(0, 0, 20, 20)
-	w3.checkWindow(0, win, nil)
+	w3.checkWindow(win, nil)
 	if w3.SelfCheckErr() == nil {
 		t.Fatal("window count mismatch not caught")
 	}
@@ -516,12 +514,12 @@ func TestSelfCheckCatchesCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same count, wrong members.
-	truth := w4.types[0].truth.Window(win)
+	truth := w4.data.truth.Window(win)
 	fake := make([]broadcast.POI, len(truth))
 	for i := range fake {
 		fake[i] = broadcast.POI{ID: int64(100000 + i), Pos: geom.Pt(1, 1)}
 	}
-	w4.checkWindow(0, win, fake)
+	w4.checkWindow(win, fake)
 	if w4.SelfCheckErr() == nil {
 		t.Fatal("window member mismatch not caught")
 	}
@@ -576,48 +574,5 @@ func TestTraceRecording(t *testing.T) {
 		sum.ByOutcome["approximate"] != stats.Approximate ||
 		sum.ByOutcome["broadcast"] != stats.Broadcast {
 		t.Fatalf("trace outcomes %v disagree with stats %+v", sum.ByOutcome, stats)
-	}
-}
-
-func TestMultipleDataTypes(t *testing.T) {
-	p := LACity().Scaled(2).WithDuration(0.12)
-	p.Kind = KNNQuery
-	p.Seed = 18
-	p.TimeStepSec = 10
-	p.POITypes = 3
-	p.AcceptApproximate = true
-	p.PrefillQueriesPerHost = 5
-	w, err := NewWorld(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.SelfCheck = true
-	stats := w.Run()
-	if err := w.SelfCheckErr(); err != nil {
-		t.Fatalf("multi-type self-check: %v", err)
-	}
-	if stats.Queries == 0 {
-		t.Fatal("no queries")
-	}
-	// Every host carries one cache per type.
-	if got := len(w.caches); got != 3 {
-		t.Fatalf("hosts have %d caches, want 3", got)
-	}
-	// The three types hold independent POI fields.
-	if len(w.types) != 3 {
-		t.Fatalf("%d type states", len(w.types))
-	}
-	same := 0
-	for i := range w.types[0].db {
-		if w.types[0].db[i].Pos == w.types[1].db[i].Pos {
-			same++
-		}
-	}
-	if same == len(w.types[0].db) {
-		t.Fatal("type fields are identical — generation not independent")
-	}
-	// Sharing still works across a multi-type workload.
-	if stats.SharedPct() == 0 {
-		t.Error("no sharing in multi-type run")
 	}
 }

@@ -27,11 +27,11 @@ func TestTrustScreenAdapterAllocFree(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		x := 0.1 * float64(i)
 		vr := geom.NewRect(x, x, x+0.5, x+0.5)
-		w.qs.col.add(core.PeerData{VR: vr, POIs: w.poisInRect(nil, 0, vr)}, origin{peer: i})
+		w.qs.col.add(core.PeerData{VR: vr, POIs: w.poisInRect(nil, vr)}, origin{peer: i})
 	}
 	peers := w.qs.col.peers
 	var out []core.PeerData
-	screen := func() { out, _, _ = w.trustScreen(0, peers, 0, false) } // dark downlink: no audit fits
+	screen := func() { out, _, _ = w.trustScreen(peers, 0, false) } // dark downlink: no audit fits
 	screen()
 	if allocs := testing.AllocsPerRun(100, screen); allocs != 0 {
 		t.Fatalf("trustScreen allocated %v times per query", allocs)
@@ -40,9 +40,9 @@ func TestTrustScreenAdapterAllocFree(t *testing.T) {
 		t.Fatalf("%d screened peers, want %d", len(out), len(peers))
 	}
 	// With the downlink up audits run through the bound oracle.
-	_, _, rep := w.trustScreen(0, peers, 0, true)
+	_, _, rep := w.trustScreen(peers, 0, true)
 	for i := 0; i < 200 && rep.Audits == 0; i++ {
-		_, _, rep = w.trustScreen(0, peers, 0, true)
+		_, _, rep = w.trustScreen(peers, 0, true)
 	}
 	if rep.Audits == 0 || rep.AuditFailures != 0 {
 		t.Fatalf("bound oracle: %+v", rep)
@@ -51,7 +51,7 @@ func TestTrustScreenAdapterAllocFree(t *testing.T) {
 	// no allocation either.
 	audits := 0
 	lit := func() {
-		_, _, rep = w.trustScreen(0, peers, 0, true)
+		_, _, rep = w.trustScreen(peers, 0, true)
 		audits += rep.Audits
 	}
 	if allocs := testing.AllocsPerRun(200, lit); allocs != 0 || audits == 0 {
@@ -71,29 +71,29 @@ func TestAdmitSharedRepairAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	const server, regions = 1, 6
-	c := &w.caches[0][server]
+	c := &w.caches[server]
 	c.Clear()
 	var items []cache.Invalidation
 	for i := 0; i < regions; i++ {
 		x := 0.1 * float64(i)
 		vr := geom.NewRect(x, x, x+0.4, x+0.4)
-		c.Insert(cache.Region{Rect: vr, POIs: w.poisInRect(nil, 0, vr)}, geom.Pt(0, 0), geom.Point{}, 0)
+		c.Insert(cache.Region{Rect: vr, POIs: w.poisInRect(nil, vr)}, geom.Pt(0, 0), geom.Point{}, 0)
 		items = append(items, cache.Invalidation{Epoch: 1, Kind: cache.InvalInsert, ID: 1 << 40,
 			Cell: geom.NewRect(x+0.1, x+0.1, x+0.2, x+0.2)})
 	}
 	if len(c.Regions()) != regions {
 		t.Fatalf("fixture cached %d regions, want %d", len(c.Regions()), regions)
 	}
-	tc := &w.cons.types[0]
-	tc.epoch, tc.horizon, tc.invals = 1, 1, cache.NewInvalSet(items)
+	cons := w.cons
+	cons.epoch, cons.horizon, cons.invals = 1, 1, cache.NewInvalSet(items)
 
 	var peers []core.PeerData
 	var out replyKind
-	e := &query{ti: 0, window: true}
+	e := &query{window: true}
 	reply := func() {
 		w.qs.arena.Rewind()
 		w.qs.col.reset()
-		out = w.receiveReply(server, 0, w.area, 0, true)
+		out = w.receiveReply(server, w.area, 0, true)
 		peers = w.admit(e, false)
 	}
 	reply()

@@ -66,17 +66,17 @@ type World struct {
 
 	rng     *rand.Rand
 	area    geom.Rect
-	types   []typeState
+	data    typeState
 	net     *p2p.Network
 	model   *mobility.Waypoint
 	inj     *faults.Injector
 	queryID uint64 // wire correlation IDs for encoded replies
 
 	// Per-host state, one array per field indexed by host id: mob[i] is
-	// host i's motion, caches[ti][i] its cache of POI type ti (Table 4:
-	// CSize per type), by value so serving a peer reads its bounds in one load.
+	// host i's motion, caches[i] its cache (Table 4: CSize), by value so
+	// serving a peer reads its bounds in one load.
 	mob    []mobility.State
-	caches [][]cache.Cache
+	caches []cache.Cache
 
 	// breakers is nil unless BreakerThreshold is set.
 	breakers *p2p.BreakerSet
@@ -106,10 +106,8 @@ type World struct {
 	tr *trust.Engine
 	// auditOracle is the ground-truth oracle handed to every screen,
 	// bound once (a closure per query would escape through the Oracle
-	// value); it reads the POI type from auditType, which trustScreen
-	// sets before each call.
+	// value).
 	auditOracle trust.Oracle
-	auditType   int
 
 	// mx is the observability layer (nil unless Params.Metrics): the
 	// per-world registry and its histogram handles.
@@ -118,7 +116,7 @@ type World struct {
 	mx *worldMetrics
 
 	// cons is the consistency layer (nil unless Params.UpdateRate > 0):
-	// the POI-update process, the per-type epoch state, and the on-air
+	// the POI-update process, the epoch state, and the on-air
 	// invalidation-report frames (DESIGN.md §12).
 	cons *consState
 
@@ -226,10 +224,13 @@ type collectTarget struct {
 	dropped bool
 }
 
-// typeState is the per-data-type substrate: its POI field, ground truth,
-// and broadcast channel (types are frequency-multiplexed, each with its
-// own cyclic schedule — "the effects of other POI types are expected to
-// be very similar", Section 4).
+// typeState is the one POI type's field, ground truth and broadcast
+// channel (the paper evaluates gas stations only, Section 4).
+//
+// Four sites keep the one Int63 the retired per-query type draw (an Intn
+// over one type) consumed, so no random stream moves: prefill once per
+// host, Step's background launches, crowdPick and registerSubscription.
+// ROADMAP item 8(a) deletes them in its deliberate golden diff.
 type typeState struct {
 	db     []broadcast.POI
 	truth  *rtree.Tree
@@ -249,35 +250,24 @@ func NewWorld(p Params) (*World, error) {
 	rng := rand.New(rand.NewSource(p.Seed))
 	area := p.Area()
 
-	nTypes := max(p.POITypes, 1)
 	prof := p.Faults.Normalized()
-	types := make([]typeState, nTypes)
-	for ti := range types {
-		db := generatePOIs(rng, p)
-		items := make([]rtree.Item, len(db))
-		for i, poi := range db {
-			items[i] = rtree.Item{ID: poi.ID, Pos: poi.Pos}
-		}
-		bcfg := p.Broadcast
-		bcfg.Area = area
-		if prof.BroadcastLoss > 0 {
-			// One fault profile drives every channel: the broadcast loss
-			// rate feeds the schedule's reception-error model, seeded per
-			// type so the channels stay independent but reproducible.
-			bcfg.LossRate = prof.BroadcastLoss
-			bcfg.LossSeed = p.Seed ^ faultSeedSalt ^ int64(ti+1)
-		}
-		sched, err := broadcast.NewSchedule(db, bcfg)
-		if err != nil {
-			return nil, err
-		}
-		types[ti] = typeState{
-			db:     db,
-			truth:  rtree.Bulk(items, 16),
-			sched:  sched,
-			lambda: p.POIDensity(),
-			bcfg:   bcfg,
-		}
+	db := generatePOIs(rng, p)
+	items := make([]rtree.Item, len(db))
+	for i, poi := range db {
+		items[i] = rtree.Item{ID: poi.ID, Pos: poi.Pos}
+	}
+	bcfg := p.Broadcast
+	bcfg.Area = area
+	if prof.BroadcastLoss > 0 {
+		// The fault profile's broadcast loss rate feeds the schedule's
+		// reception-error model on a stream of its own (the trailing 1
+		// keeps the seed the channel has always had).
+		bcfg.LossRate = prof.BroadcastLoss
+		bcfg.LossSeed = p.Seed ^ faultSeedSalt ^ 1
+	}
+	sched, err := broadcast.NewSchedule(db, bcfg)
+	if err != nil {
+		return nil, err
 	}
 
 	cell := p.TxRangeMiles()
@@ -300,7 +290,6 @@ func NewWorld(p Params) (*World, error) {
 		Params:      p,
 		rng:         rng,
 		area:        area,
-		types:       types,
 		net:         net,
 		model:       model,
 		inj:         faults.New(p.Seed^faultSeedSalt, p.Faults),
@@ -309,6 +298,13 @@ func NewWorld(p Params) (*World, error) {
 		blackout:    faults.NewBlackout(p.Seed^faultSeedSalt, prof),
 		planner:     p.DegradedMode,
 		chanArmed:   prof.BurstEnabled() || prof.BlackoutEnabled(),
+		data: typeState{
+			db:     db,
+			truth:  rtree.Bulk(items, 16),
+			sched:  sched,
+			lambda: p.POIDensity(),
+			bcfg:   bcfg,
+		},
 	}
 	w.warmupSec = w.durationSec * p.WarmupFrac
 	if w.blackout != nil {
@@ -318,7 +314,7 @@ func NewWorld(p Params) (*World, error) {
 	if w.tr != nil {
 		// An audit is done with the truth before the oracle runs again.
 		w.auditOracle = func(r geom.Rect) []broadcast.POI {
-			w.qs.truth = w.poisInRect(w.qs.truth[:0], w.auditType, r)
+			w.qs.truth = w.poisInRect(w.qs.truth[:0], r)
 			return w.qs.truth
 		}
 		w.tr.LendArena(&w.qs.arena)
@@ -338,7 +334,7 @@ func NewWorld(p Params) (*World, error) {
 		}
 	}
 	if p.ConsistencyEnabled() {
-		w.cons = newConsState(p, types)
+		w.cons = newConsState(p, len(db))
 	}
 	if p.ContinuousEnabled() {
 		w.cont = newContState(p)
@@ -349,12 +345,9 @@ func NewWorld(p Params) (*World, error) {
 	}
 
 	empty := cache.New(p.CacheSize, p.CachePolicy)
-	w.caches = make([][]cache.Cache, nTypes)
-	for ti := range w.caches {
-		w.caches[ti] = make([]cache.Cache, p.MHNumber)
-		for i := range w.caches[ti] {
-			w.caches[ti][i] = *empty
-		}
+	w.caches = make([]cache.Cache, p.MHNumber)
+	for i := range w.caches {
+		w.caches[i] = *empty
 	}
 	w.mob = make([]mobility.State, p.MHNumber)
 	for i := range w.mob {
@@ -410,12 +403,9 @@ func (w *World) prefill() {
 	}
 	for i := range w.mob {
 		m := &w.mob[i]
-		ti := w.rng.Intn(len(w.types))
+		w.rng.Int63() // the kept type draw (typeState)
 		n := mobility.Poisson(w.rng, w.Params.PrefillQueriesPerHost)
 		for j := 0; j < n; j++ {
-			if len(w.types) > 1 {
-				ti = w.rng.Intn(len(w.types))
-			}
 			angle := w.rng.Float64() * 2 * math.Pi
 			d := w.rng.Float64() * radius
 			center := w.area.Clip(m.Pos.Add(
@@ -424,7 +414,7 @@ func (w *World) prefill() {
 			if w.Params.Kind == WindowQuery {
 				// A historical broadcast window retrieval caches the
 				// collective MBR of its packets, capacity-bounded.
-				area := float64(w.Params.CacheSize) / math.Max(w.types[ti].lambda, 1e-9)
+				area := float64(w.Params.CacheSize) / math.Max(w.data.lambda, 1e-9)
 				area *= 0.4 + 0.6*w.rng.Float64()
 				half := math.Sqrt(area) / 2
 				win, ok := geom.RectAround(center, half).Intersect(w.area)
@@ -433,7 +423,7 @@ func (w *World) prefill() {
 				}
 				region = win
 			} else {
-				nn := w.types[ti].truth.AppendKNN(w.qs.rt.Items[:0], center, w.drawK(w.rng), &w.qs.rt)
+				nn := w.data.truth.AppendKNN(w.qs.rt.Items[:0], center, w.drawK(w.rng), &w.qs.rt)
 				w.qs.rt.Items = nn
 				if len(nn) == 0 {
 					continue
@@ -443,16 +433,15 @@ func (w *World) prefill() {
 				rk := nn[len(nn)-1].Pos.Dist(center)
 				region = geom.RectAround(center, math.Max(rk, 1e-9))
 			}
-			w.caches[ti][i].Insert(cache.Region{Rect: region, POIs: w.poisInRect(nil, ti, region)},
+			w.caches[i].Insert(cache.Region{Rect: region, POIs: w.poisInRect(nil, region)},
 				m.Pos, m.Heading(), 0)
 		}
 	}
 }
 
-// poisInRect appends the database POIs of one type inside r (ground
-// truth) to dst.
-func (w *World) poisInRect(dst []broadcast.POI, ti int, r geom.Rect) []broadcast.POI {
-	w.qs.rt.Items = w.types[ti].truth.AppendWindow(w.qs.rt.Items[:0], r)
+// poisInRect appends the database POIs inside r (ground truth) to dst.
+func (w *World) poisInRect(dst []broadcast.POI, r geom.Rect) []broadcast.POI {
+	w.qs.rt.Items = w.data.truth.AppendWindow(w.qs.rt.Items[:0], r)
 	dst = slices.Grow(dst, len(w.qs.rt.Items))
 	for _, it := range w.qs.rt.Items {
 		dst = append(dst, broadcast.POI(it))
@@ -460,12 +449,11 @@ func (w *World) poisInRect(dst []broadcast.POI, ti int, r geom.Rect) []broadcast
 	return dst
 }
 
-// Schedule exposes the broadcast schedule of the first data type (for
-// experiments and tools).
-func (w *World) Schedule() *broadcast.Schedule { return w.types[0].sched }
+// Schedule exposes the broadcast schedule (for experiments and tools).
+func (w *World) Schedule() *broadcast.Schedule { return w.data.sched }
 
-// Database returns the POI database of the first data type.
-func (w *World) Database() []broadcast.POI { return w.types[0].db }
+// Database returns the POI database.
+func (w *World) Database() []broadcast.POI { return w.data.db }
 
 // Stats returns the statistics collected so far.
 func (w *World) Stats() Stats {
@@ -553,15 +541,15 @@ func (w *World) Step(dt float64) {
 	nCrowd := w.crowdDraw(dt)
 	for q := 0; q < n; q++ {
 		idx := w.rng.Intn(len(w.mob))
-		ti := w.rng.Intn(len(w.types))
-		w.launch(idx, ti)
+		w.rng.Int63() // the kept type draw (typeState)
+		w.launch(idx)
 	}
 	for q := 0; q < nCrowd; q++ {
-		idx, ti := w.crowdPick()
+		idx := w.crowdPick()
 		if w.counted() {
 			w.stats.CrowdQueries++
 		}
-		w.launch(idx, ti)
+		w.launch(idx)
 	}
 }
 
@@ -588,7 +576,7 @@ func (w *World) counted() bool { return w.nowSec >= w.warmupSec }
 // the audit budget: on-air spot audits are physically impossible on a
 // dark downlink, and a missed audit must never read as a failed one —
 // cross-validation between the contributions themselves still runs.
-func (w *World) trustScreen(ti int, peers []core.PeerData, spent int64, bcastUp bool) ([]core.PeerData, int64, trust.Report) {
+func (w *World) trustScreen(peers []core.PeerData, spent int64, bcastUp bool) ([]core.PeerData, int64, trust.Report) {
 	if w.tr == nil {
 		return peers, spent, trust.Report{}
 	}
@@ -614,7 +602,6 @@ func (w *World) trustScreen(ti int, peers []core.PeerData, spent int64, bcastUp 
 	if !bcastUp {
 		budget = 0 // dark downlink: no channel to audit against
 	}
-	w.auditType = ti
 	screened, rep := w.tr.Screen(contribs, w.auditOracle, budget)
 	out := w.qs.screened[:0]
 	for _, r := range screened {
@@ -660,7 +647,7 @@ func (w *World) trustScreen(ti int, peers []core.PeerData, spent int64, bcastUp 
 // injector stream. With a zero fault profile every peer resolves in round
 // one and nothing is drawn: one frame, then one reply or null ack per
 // neighbour — the paper's ideal exchange.
-func (w *World) gather(idx, ti int, relevance geom.Rect, standing bool) (int, int64) {
+func (w *World) gather(idx int, relevance geom.Rect, standing bool) (int, int64) {
 	q := w.mob[idx].Pos
 	hops := max(w.Params.SharingHops, 1)
 	ids := w.net.AppendNeighborsMultiHop(w.qs.ids[:0], q, w.Params.TxRangeMiles(), hops, idx)
@@ -677,7 +664,7 @@ func (w *World) gather(idx, ti int, relevance geom.Rect, standing bool) (int, in
 		// The host's own cache is a zero-cost "peer": no wire traffic, no
 		// transport faults, no breaker. Regions beyond the consistency
 		// layer's repair horizon are offered demoted (never exact).
-		w.appendOwnCache(idx, ti, relevance)
+		w.appendOwnCache(idx, relevance)
 	}
 
 	// Breaker gate: quarantined peers cost nothing this query.
@@ -787,7 +774,7 @@ func (w *World) gather(idx, ti int, relevance geom.Rect, standing bool) (int, in
 					continue
 				}
 			}
-			switch w.receiveReply(t.id, ti, relevance, stamp, count) {
+			switch w.receiveReply(t.id, relevance, stamp, count) {
 			case replyDelivered:
 				t.resolved = true
 				remaining--
@@ -876,8 +863,8 @@ const (
 // every cached region intersecting the relevance rectangle and the channel
 // applies a transport fate to the reply. What arrived is staged in the
 // query's collection, each region with its epoch.
-func (w *World) receiveReply(id, ti int, relevance geom.Rect, stamp int64, count bool) replyKind {
-	c := &w.caches[ti][id]
+func (w *World) receiveReply(id int, relevance geom.Rect, stamp int64, count bool) replyKind {
+	c := &w.caches[id]
 	// Serving is a cache touchpoint: the peer lazily expires its own
 	// timed-out regions before offering anything (no-op unless VRTTLSec).
 	w.expireTTL(c)
@@ -981,8 +968,8 @@ func (w *World) drawK(rng *rand.Rand) int {
 // knnRelevanceRadius bounds which peer regions can matter for a k-NN
 // query: several times the expected k-NN distance under the POI density,
 // floored by the transmission range.
-func (w *World) knnRelevanceRadius(ti, k int) float64 {
-	r := 4 * math.Sqrt(float64(k)/(math.Pi*math.Max(w.types[ti].lambda, 1e-9)))
+func (w *World) knnRelevanceRadius(k int) float64 {
+	r := 4 * math.Sqrt(float64(k)/(math.Pi*math.Max(w.data.lambda, 1e-9)))
 	if tx := 2 * w.Params.TxRangeMiles(); tx > r {
 		r = tx
 	}
@@ -1004,11 +991,11 @@ func (w *World) drawWindow(rng *rand.Rand) (side float64, off geom.Point, ok boo
 	return side, geom.Pt(math.Cos(angle)*dist, math.Sin(angle)*dist), true
 }
 
-func (w *World) checkKNN(ti int, q geom.Point, k int, got []broadcast.POI) {
+func (w *World) checkKNN(q geom.Point, k int, got []broadcast.POI) {
 	if w.selfCheckErr != nil {
 		return
 	}
-	want := w.types[ti].truth.AppendKNN(w.qs.rt.Items[:0], q, k, &w.qs.rt)
+	want := w.data.truth.AppendKNN(w.qs.rt.Items[:0], q, k, &w.qs.rt)
 	w.qs.rt.Items = want
 	if len(got) != len(want) {
 		w.selfCheckErr = fmt.Errorf("kNN self-check: got %d results want %d", len(got), len(want))
@@ -1024,11 +1011,11 @@ func (w *World) checkKNN(ti int, q geom.Point, k int, got []broadcast.POI) {
 	}
 }
 
-func (w *World) checkWindow(ti int, win geom.Rect, got []broadcast.POI) {
+func (w *World) checkWindow(win geom.Rect, got []broadcast.POI) {
 	if w.selfCheckErr != nil {
 		return
 	}
-	want := w.types[ti].truth.Window(win)
+	want := w.data.truth.Window(win)
 	if len(got) != len(want) {
 		w.selfCheckErr = fmt.Errorf(
 			"window self-check: got %d results want %d (w=%v)", len(got), len(want), win)
