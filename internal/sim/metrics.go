@@ -189,8 +189,8 @@ func newWorldMetrics(w *World) *worldMetrics {
 
 // observeReconcileCost records the surviving piece count of a
 // reconciliation that repaired something; observeReverifyCost the slot
-// cost of one subscription re-verification. Both are nil-safe and
-// reachable only with their layer armed.
+// cost of one counted subscription re-verification (warm-up excluded, as
+// in Stats). Both are nil-safe and reachable only with their layer armed.
 func (m *worldMetrics) observeReconcileCost(repaired, pieces int) {
 	if m != nil && repaired > 0 {
 		m.reconcileCost.ObserveInt(int64(pieces))

@@ -193,6 +193,13 @@ func TestMetricsMatchStats(t *testing.T) {
 					t.Errorf("%s count = %d, want %d", ph.Metric(), h.Count, stats.Queries)
 				}
 			}
+			// A re-verification is observed when Stats counts it, warm-up
+			// excluded.
+			if rv, ok := snap.Histogram("lbsq_continuous_reverify_cost_slots"); ok &&
+				(rv.Count != uint64(stats.Reverifies) || int64(rv.Sum) != stats.ContSlots) {
+				t.Errorf("reverify cost count/sum = %d/%v, Stats says %d/%d",
+					rv.Count, rv.Sum, stats.Reverifies, stats.ContSlots)
+			}
 		})
 	}
 }
