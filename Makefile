@@ -121,8 +121,10 @@ goldens:
 # world.go that gate on a layer pointer, Stats fields, lbsq-sim flags and
 # how many of them main.go registers by hand rather than from the knob
 # declarations, commands under cmd/ — and item 3's: lines of stats.go +
-# metrics.go, lines outside metrics.go that touch the metrics bundle, and
-# how many internal/ packages import internal/metrics (non-test files).
+# metrics.go, lines outside metrics.go that touch the metrics bundle, how
+# many internal/ packages import internal/metrics, and the exported fields
+# of the `type …Config struct` declarations under internal/ (the options a
+# layer takes besides the knobs; all counts over non-test files).
 LOC_SIM = ls internal/sim/*.go | grep -v _test.go | xargs cat | wc -l
 LOC_ALL = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 LOC_MAIN = wc -l < cmd/lbsq-sim/main.go
@@ -131,6 +133,8 @@ LOC_FLAGS = $(GO) run ./cmd/lbsq-sim -h 2>&1 | grep -cE '^  -'
 LOC_LEDGER = cat internal/sim/stats.go internal/sim/metrics.go | wc -l
 LOC_MX = grep -rl '"lbsq/internal/metrics"' internal --include='*.go' --exclude='*_test.go' | \
 	xargs -n1 dirname | sort -u | wc -l
+LOC_CONFIG = find internal -name '*.go' -not -name '*_test.go' | xargs awk \
+	'/^type [A-Za-z0-9_]*Config struct/ { c = 1; next } c && /^}/ { c = 0 } c && /^\t[A-Z]/ { n++ } END { print n + 0 }'
 loc:
 	@printf 'loc: internal/sim non-test lines: '; $(LOC_SIM)
 	@printf 'loc: all non-test, non-bench lines: '; $(LOC_ALL)
@@ -146,6 +150,7 @@ loc:
 	@printf 'loc: "w.mx" lines outside metrics.go: '; \
 		ls internal/sim/*.go | grep -v -e _test.go -e /metrics.go | xargs cat | grep -c 'w\.mx'
 	@printf 'loc: internal/ packages importing internal/metrics: '; $(LOC_MX)
+	@printf 'loc: exported fields of internal/ *Config structs: '; $(LOC_CONFIG)
 
 # Ceilings on the size measures that crept between re-anchors (17,079 →
 # 17,425 non-test lines over PRs 21–23 with nothing noticing), set at the
@@ -160,10 +165,15 @@ loc:
 # container/heap queue) and lowered the totals again. Deleting the
 # multiple-POI-type dimension (-types) and the tree-structured air index,
 # which no experiment ran, lowered them once more and set the flag
-# ceiling, so a deleted knob cannot return unnoticed.
-LOC_MAX_ALL = 15550
-LOC_MAX_SIM = 4277
+# ceiling, so a deleted knob cannot return unnoticed. Range-checking a
+# knob once, in sim.Params.Validate, deleted the clamps and validators
+# below it and the trust policy fields only tests set: it lowered the
+# totals again and set the config-field ceiling, so a deleted option
+# cannot return unnoticed either.
+LOC_MAX_ALL = 15420
+LOC_MAX_SIM = 4249
 LOC_MAX_FLAGS = 64
+LOC_MAX_CONFIG = 16
 LOC_MAX_MAIN = 245
 LOC_MAX_HAND = 10
 LOC_MAX_MX = 1
@@ -175,6 +185,7 @@ loc-check:
 		check 'internal/sim non-test lines' $$($(LOC_SIM)) $(LOC_MAX_SIM) && \
 		check 'cmd/lbsq-sim/main.go lines' $$($(LOC_MAIN)) $(LOC_MAX_MAIN) && \
 		check 'lbsq-sim flags' $$($(LOC_FLAGS)) $(LOC_MAX_FLAGS) && \
+		check 'exported fields of internal/ *Config structs' $$($(LOC_CONFIG)) $(LOC_MAX_CONFIG) && \
 		check 'lbsq-sim flags registered by hand' $$($(LOC_HAND)) $(LOC_MAX_HAND) && \
 		check 'internal/ packages importing internal/metrics' $$($(LOC_MX)) $(LOC_MAX_MX) && \
 		check 'internal/sim stats.go + metrics.go lines' $$($(LOC_LEDGER)) $(LOC_MAX_LEDGER)
@@ -274,6 +285,20 @@ bench-check:
 # own, so tier-1 never builds it — yet it drives the exported surface of
 # internal/sim, internal/core and internal/geom from outside. Vet it, run
 # its tests and one shrunken pass of every workload, so a signature it
-# depends on cannot change unnoticed.
+# depends on cannot change unnoticed, and compare each workload's
+# sim_digest with BENCH_DIGESTS, one "workload digest" line per workload.
+# The digests are amd64-exact, like the goldens: a change that moves one on
+# purpose regenerates the file in the same diff.
+BENCH_DIGESTS = results/bench_quick_digests.txt
 bench-e2e-check:
-	cd bench && $(GO) vet . && $(GO) test ./... && $(GO) run . -quick
+	cd bench && $(GO) vet . && $(GO) test ./...
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	(cd bench && $(GO) run . -quick) > "$$tmp/quick.txt" || exit 1; \
+	cat "$$tmp/quick.txt"; \
+	awk '/ sim_digest [0-9a-f]+$$/ { sub(/:$$/, "", $$1); print $$1, $$NF }' "$$tmp/quick.txt" > "$$tmp/digests.txt"; \
+	if cmp -s $(BENCH_DIGESTS) "$$tmp/digests.txt"; then \
+		echo "bench-e2e-check: every sim_digest matches $(BENCH_DIGESTS)"; \
+	else \
+		echo "bench-e2e-check: sim_digests differ from $(BENCH_DIGESTS)"; \
+		echo "committed:"; cat $(BENCH_DIGESTS); echo "this run:"; cat "$$tmp/digests.txt"; exit 1; \
+	fi

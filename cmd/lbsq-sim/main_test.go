@@ -36,8 +36,8 @@ func checkFlags(t *testing.T, args ...string) error {
 // negative, and above-maximum values must be rejected with the
 // offending flag's name; legal values (including the boundaries) must
 // pass. This is the gate that keeps a typo like `-loss -0.1` from
-// being silently clamped by Normalized() deep in the stack. The bounds
-// are the `max` tags of the knob declarations.
+// running: no layer below sim.Params.Validate re-checks or clamps a knob.
+// The bounds are the `max` tags of the knob declarations.
 func TestCheckRates(t *testing.T) {
 	cases := []struct {
 		name    string

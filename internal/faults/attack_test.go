@@ -200,14 +200,6 @@ func TestByzantineProfileNormalizeValidate(t *testing.T) {
 	if p.Attack != AttackNone {
 		t.Fatalf("Normalized kept Attack %v with zero byzantine rate", p.Attack)
 	}
-	p = Profile{ByzantineRate: 1.7}.Normalized()
-	if p.ByzantineRate != 1 {
-		t.Fatalf("Normalized did not clamp ByzantineRate: %v", p.ByzantineRate)
-	}
-	p = Profile{ByzantineRate: -0.2}.Normalized()
-	if p.ByzantineRate != 0 || p.Attack != AttackNone {
-		t.Fatalf("Normalized mishandled negative rate: %+v", p)
-	}
 	if err := (Profile{ByzantineRate: 1.5}).Validate(); err == nil {
 		t.Fatal("Validate accepted ByzantineRate > 1")
 	}

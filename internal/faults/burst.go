@@ -184,11 +184,7 @@ func NewBlackout(seed int64, p Profile) *Blackout {
 	if !p.BlackoutEnabled() {
 		return nil
 	}
-	d := p.BlackoutDurationSec
-	if d > p.BlackoutPeriodSec {
-		d = p.BlackoutPeriodSec
-	}
-	return &Blackout{period: p.BlackoutPeriodSec, duration: d, seed: uint64(seed)}
+	return &Blackout{period: p.BlackoutPeriodSec, duration: p.BlackoutDurationSec, seed: uint64(seed)}
 }
 
 // splitmix64 is the finalizer of the SplitMix64 generator — a cheap,

@@ -34,14 +34,29 @@ func TestBurstNormalizedDefaults(t *testing.T) {
 	if p.MaxRetries != DefaultMaxRetries {
 		t.Fatalf("burst-armed profile must default retries, got %d", p.MaxRetries)
 	}
-	// Burst losses clamp to [0, 1], not MaxRate: total fades are legal.
-	p = Profile{BurstBadLoss: 2, BurstBadSlots: 4}.Normalized()
-	if p.BurstBadLoss != 1 {
-		t.Fatalf("BurstBadLoss clamp = %v, want 1", p.BurstBadLoss)
+	// A dwell below one slot rounds up to one, and so does the good dwell
+	// it implies.
+	p = Profile{BurstBadLoss: 0.8, BurstBadSlots: 0.05}.Normalized()
+	if p.BurstBadSlots != 1 || p.BurstGoodSlots != 9 {
+		t.Fatalf("sub-slot dwells = %v bad, %v good; want 1 and 9", p.BurstBadSlots, p.BurstGoodSlots)
 	}
-	p = Profile{BlackoutPeriodSec: 100, BlackoutDurationSec: 500}.Normalized()
-	if p.BlackoutDurationSec != 100 {
-		t.Fatalf("blackout duration clamp = %v, want period 100", p.BlackoutDurationSec)
+	// Zero is no default: one knob of each pair alone leaves the model
+	// disarmed, as the two -h lines say.
+	for _, q := range []Profile{
+		{BurstBadLoss: 0.9},
+		{BurstBadSlots: 4},
+	} {
+		if q.Normalized().BurstEnabled() {
+			t.Errorf("%+v armed the fading chain", q)
+		}
+	}
+	for _, q := range []Profile{
+		{BlackoutPeriodSec: 60},
+		{BlackoutDurationSec: 10},
+	} {
+		if q.Normalized().BlackoutEnabled() || NewBlackout(1, q) != nil {
+			t.Errorf("%+v armed blackout windows", q)
+		}
 	}
 }
 

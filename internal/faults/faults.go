@@ -41,9 +41,10 @@ import (
 	"lbsq/internal/knob"
 )
 
-// MaxRate caps every loss probability; a channel losing more than 95% of
-// its frames is indistinguishable from no channel, and capping keeps the
-// retry loops bounded.
+// MaxRate is the inclusive upper bound of every independent loss
+// probability (the `max` tag of each Bernoulli knob below): a channel
+// losing more than 95% of its frames is indistinguishable from no channel,
+// and the bound keeps the retry loops short.
 const MaxRate = 0.95
 
 // DefaultMaxRetries is the request re-broadcast budget used when a
@@ -109,14 +110,14 @@ type Profile struct {
 	BurstGoodSlots float64 `json:",omitempty" flag:"burst-good-slots" usage:"mean good-state dwell in broadcast slots (0 = default 9× bad dwell)"`
 	// BurstBadSlots is the mean bad-state dwell time in broadcast slots
 	// (geometric). Zero disarms the chain.
-	BurstBadSlots float64 `json:",omitempty" flag:"burst-bad-slots" usage:"mean bad-state dwell in broadcast slots (0 = default 1)"`
+	BurstBadSlots float64 `json:",omitempty" flag:"burst-bad-slots" usage:"mean bad-state dwell in broadcast slots; 0 disarms the chain"`
 	// BlackoutPeriodSec is the period of the per-MH broadcast-downlink
 	// blackout schedule (see Blackout in burst.go). Zero disarms
 	// blackout windows.
 	BlackoutPeriodSec float64 `json:",omitempty" flag:"blackout-period" usage:"per-MH broadcast-downlink blackout period in seconds (0 = no blackouts)"`
 	// BlackoutDurationSec is how long each blackout window holds the
-	// downlink dark. Clamped to the period. Zero disarms.
-	BlackoutDurationSec float64 `json:",omitempty" flag:"blackout-duration" usage:"blackout window length in seconds (0 = default period/10)"`
+	// downlink dark, at most the period. Zero disarms.
+	BlackoutDurationSec float64 `json:",omitempty" flag:"blackout-duration" usage:"blackout window length in seconds, at most the period; 0 disarms blackouts"`
 }
 
 // Enabled reports whether any fault process is active.
@@ -126,59 +127,20 @@ func (p Profile) Enabled() bool {
 		p.BurstEnabled()
 }
 
-// Normalized returns the profile with every rate clamped to [0, MaxRate]
-// and the retry budget defaulted.
+// Normalized returns the profile with the defaults its zero fields stand
+// for filled in: the attack a byzantine rate implies, the burst dwells and
+// the retry budget. It does not range-check: Validate rejects an
+// out-of-range value, and sim.Params.Validate runs before any layer is
+// built.
 func (p Profile) Normalized() Profile {
-	clamp := func(v float64) float64 {
-		if v < 0 {
-			return 0
-		}
-		if v > MaxRate {
-			return MaxRate
-		}
-		return v
-	}
 	out := p
-	out.RequestLoss = clamp(p.RequestLoss)
-	out.ReplyLoss = clamp(p.ReplyLoss)
-	out.ReplyTruncate = clamp(p.ReplyTruncate)
-	out.ReplyCorrupt = clamp(p.ReplyCorrupt)
-	out.BroadcastLoss = clamp(p.BroadcastLoss)
-	out.ChurnRate = clamp(p.ChurnRate)
-	// The byzantine rate is a population fraction, not a channel loss
-	// rate, so it clamps to [0, 1] rather than MaxRate.
-	if out.ByzantineRate < 0 {
-		out.ByzantineRate = 0
-	}
-	if out.ByzantineRate > 1 {
-		out.ByzantineRate = 1
-	}
 	if out.ByzantineRate > 0 && out.Attack == AttackNone {
 		out.Attack = AttackMix
 	}
 	if out.ByzantineRate == 0 {
 		out.Attack = AttackNone
 	}
-	// Burst losses clamp to [0, 1] rather than MaxRate: a fade may kill
-	// the channel outright, and the degraded planner (not the retry cap)
-	// is the defense. Dwell means below one slot round up to one.
-	clamp01 := func(v float64) float64 {
-		if v < 0 {
-			return 0
-		}
-		if v > 1 {
-			return 1
-		}
-		return v
-	}
-	out.BurstGoodLoss = clamp01(p.BurstGoodLoss)
-	out.BurstBadLoss = clamp01(p.BurstBadLoss)
-	if out.BurstGoodSlots < 0 {
-		out.BurstGoodSlots = 0
-	}
-	if out.BurstBadSlots < 0 {
-		out.BurstBadSlots = 0
-	}
+	// Dwell means below one slot round up to one.
 	if out.BurstEnabled() {
 		if out.BurstBadSlots < 1 {
 			out.BurstBadSlots = 1
@@ -190,18 +152,6 @@ func (p Profile) Normalized() Profile {
 			out.BurstGoodSlots = 1
 		}
 	}
-	if out.BlackoutPeriodSec < 0 {
-		out.BlackoutPeriodSec = 0
-	}
-	if out.BlackoutDurationSec < 0 {
-		out.BlackoutDurationSec = 0
-	}
-	if out.BlackoutDurationSec > out.BlackoutPeriodSec {
-		out.BlackoutDurationSec = out.BlackoutPeriodSec
-	}
-	if out.MaxRetries < 0 {
-		out.MaxRetries = 0
-	}
 	if out.MaxRetries == 0 && out.Enabled() {
 		out.MaxRetries = DefaultMaxRetries
 	}
@@ -210,9 +160,8 @@ func (p Profile) Normalized() Profile {
 
 // Validate reports profile configuration errors. Every flag-tagged rate,
 // dwell and budget is range-checked from its declaration above (finite,
-// non-negative, at most its `max` — MaxRate for the Bernoulli knobs, so
-// Normalized's clamp has nothing left to hide); what remains here is what a
-// range cannot say.
+// non-negative, at most its `max` — MaxRate for the Bernoulli knobs); what
+// remains here is what a range cannot say.
 func (p Profile) Validate() error {
 	if err := knob.Check(&p); err != nil {
 		return fmt.Errorf("faults: %w", err)

@@ -63,30 +63,15 @@ type BreakerConfig struct {
 // Enabled reports whether breakers are active.
 func (c BreakerConfig) Enabled() bool { return c.Threshold > 0 }
 
-// Normalized returns the config with the cooldown defaulted.
+// Normalized returns the config with the cooldown defaulted. It does not
+// range-check: sim.Params.Validate rejects a negative knob before any
+// breaker set is built.
 func (c BreakerConfig) Normalized() BreakerConfig {
 	out := c
-	if out.Threshold < 0 {
-		out.Threshold = 0
-	}
-	if out.Cooldown < 0 {
-		out.Cooldown = 0
-	}
 	if out.Enabled() && out.Cooldown == 0 {
 		out.Cooldown = DefaultBreakerCooldown
 	}
 	return out
-}
-
-// Validate reports configuration errors.
-func (c BreakerConfig) Validate() error {
-	if c.Threshold < 0 {
-		return fmt.Errorf("p2p: breaker threshold %d negative", c.Threshold)
-	}
-	if c.Cooldown < 0 {
-		return fmt.Errorf("p2p: breaker cooldown %d negative", c.Cooldown)
-	}
-	return nil
 }
 
 // BreakerStats tallies breaker activity for the experiment reports.
@@ -134,14 +119,6 @@ func NewBreakerSet(cfg BreakerConfig) *BreakerSet {
 		return nil
 	}
 	return &BreakerSet{cfg: cfg, peers: make(map[int]*breakerRec)}
-}
-
-// Config returns the active (normalized) config. Safe on nil.
-func (bs *BreakerSet) Config() BreakerConfig {
-	if bs == nil {
-		return BreakerConfig{}
-	}
-	return bs.cfg
 }
 
 // Stats returns the breaker tallies. Safe on nil (zero).

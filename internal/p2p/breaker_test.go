@@ -214,9 +214,6 @@ func TestBreakerNilSafety(t *testing.T) {
 	if bs.Tracked() != 0 || bs.Cycle() != 0 {
 		t.Fatal("nil set reports tracked peers or cycles")
 	}
-	if got := bs.Config(); got != (BreakerConfig{}) {
-		t.Fatalf("nil config = %+v, want zero", got)
-	}
 	if err := bs.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -243,29 +240,10 @@ func TestBreakerConfigNormalized(t *testing.T) {
 	if got.Cooldown != 2 {
 		t.Fatalf("explicit cooldown rewritten to %d", got.Cooldown)
 	}
-	got = BreakerConfig{Threshold: -4, Cooldown: -2}.Normalized()
-	if got.Threshold != 0 || got.Cooldown != 0 {
-		t.Fatalf("negatives not clamped: %+v", got)
-	}
 	// Disabled config keeps cooldown zero (no phantom default).
 	got = BreakerConfig{Cooldown: 0}.Normalized()
 	if got.Cooldown != 0 {
 		t.Fatalf("disabled config picked up a cooldown: %+v", got)
-	}
-}
-
-func TestBreakerConfigValidate(t *testing.T) {
-	if err := (BreakerConfig{Threshold: 3, Cooldown: 8}).Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
-	}
-	if err := (BreakerConfig{}).Validate(); err != nil {
-		t.Fatalf("zero config rejected: %v", err)
-	}
-	if err := (BreakerConfig{Threshold: -1}).Validate(); err == nil {
-		t.Fatal("negative threshold accepted")
-	}
-	if err := (BreakerConfig{Cooldown: -1}).Validate(); err == nil {
-		t.Fatal("negative cooldown accepted")
 	}
 }
 

@@ -18,13 +18,13 @@ import (
 // zero keeps the paper's immutable database. See LayerKnobs for the tags.
 type ConsistencyKnobs struct {
 	// UpdateRate arms the consistency layer (DESIGN.md §12): the mean
-	// number of POI mutations (insert/delete/move) per minute, per data
-	// type. Zero (the default) keeps the paper's immutable POI set — no
-	// update process exists, no IR frames ride the index slots, and every
-	// output is bit-identical to a build without the layer. Nonzero
-	// versions the POI database with a monotone epoch counter, broadcasts
-	// invalidation reports every IRPeriodSec, and makes every client
-	// reconcile its cached verified regions (surgical shrink with
+	// number of POI mutations (insert/delete/move) per minute across the
+	// whole database. Zero (the default) keeps the paper's immutable POI
+	// set — no update process exists, no IR frames ride the index slots,
+	// and every output is bit-identical to a build without the layer.
+	// Nonzero versions the POI database with a monotone epoch counter,
+	// broadcasts invalidation reports every IRPeriodSec, and makes every
+	// client reconcile its cached verified regions (surgical shrink with
 	// geom.SubtractRect) before querying.
 	UpdateRate float64 `json:"update_rate,omitempty" flag:"update-rate" usage:"POI mutations per minute (insert/delete/move); 0 keeps the database static"`
 	// IRPeriodSec is the invalidation-report broadcast period in
@@ -109,7 +109,7 @@ func newConsState(p Params, nPOIs int) *consState {
 	return &consState{
 		updRng:    rand.New(rand.NewSource(p.Seed ^ updateSeedSalt)),
 		lossRng:   rand.New(rand.NewSource(p.Seed ^ irSeedSalt)),
-		loss:      p.Faults.Normalized().BroadcastLoss,
+		loss:      p.Faults.BroadcastLoss,
 		nextIRSec: p.IRPeriodSec,
 		nextID:    int64(nPOIs),
 		heard:     make([]int64, p.MHNumber),

@@ -17,8 +17,6 @@ import (
 	"lbsq/internal/faults"
 	"lbsq/internal/geom"
 	"lbsq/internal/knob"
-	"lbsq/internal/p2p"
-	"lbsq/internal/trust"
 )
 
 // MetersPerMile converts the paper's transmission ranges (meters) into
@@ -265,15 +263,6 @@ func (p *Params) applyDefaults() {
 	if p.MinCorrectness == 0 {
 		p.MinCorrectness = 0.5
 	}
-	if p.Broadcast.Order == 0 {
-		p.Broadcast.Order = 6
-	}
-	if p.Broadcast.PacketCapacity == 0 {
-		p.Broadcast.PacketCapacity = 8
-	}
-	if p.Broadcast.M == 0 {
-		p.Broadcast.M = 4
-	}
 	// Consistency defaults only materialize when the layer is armed, so a
 	// zero-knob Params round-trips through reports byte-identically.
 	if p.UpdateRate > 0 {
@@ -339,12 +328,6 @@ func (p *Params) Validate() error {
 	if err := p.Faults.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	if err := p.BreakerConfig().Validate(); err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
-	if err := p.TrustConfig().Validate(); err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
 	return nil
 }
 
@@ -367,17 +350,6 @@ func (p *Params) ContinuousEnabled() bool { return p.ContinuousRate > 0 }
 // ConsistencyEnabled reports whether the POI-update process (and with it
 // the IR broadcast and cache reconciliation) is armed.
 func (p *Params) ConsistencyEnabled() bool { return p.UpdateRate > 0 }
-
-// TrustConfig assembles the trust-engine configuration; its zero value
-// (AuditRate 0) disables the defense entirely.
-func (p *Params) TrustConfig() trust.Config {
-	return trust.Config{AuditRate: p.AuditRate}
-}
-
-// BreakerConfig assembles the per-peer circuit-breaker configuration.
-func (p *Params) BreakerConfig() p2p.BreakerConfig {
-	return p2p.BreakerConfig{Threshold: p.BreakerThreshold, Cooldown: p.BreakerCooldown}
-}
 
 // Area returns the square service area in miles.
 func (p *Params) Area() geom.Rect {

@@ -3,11 +3,13 @@ package sim
 import (
 	"bytes"
 	"math"
+	"regexp"
 	"testing"
 
 	"lbsq/internal/broadcast"
 	"lbsq/internal/cache"
 	"lbsq/internal/geom"
+	"lbsq/internal/knob"
 	"lbsq/internal/trace"
 )
 
@@ -463,6 +465,61 @@ func TestValidateWarmupFrac(t *testing.T) {
 	p.WarmupFrac = -0.1
 	if _, err := NewWorld(p); err == nil {
 		t.Error("negative WarmupFrac accepted")
+	}
+}
+
+// TestNewWorldRejectsEveryBadKnob is the guarantee behind the one range
+// check: every numeric knob reachable from Params, the fault profile's
+// included, is rejected by NewWorld at NaN, +Inf, -1 and just above its
+// `max`, with an error that names it. No layer below re-checks or clamps a
+// knob, so a value that got past here would run as given.
+func TestNewWorldRejectsEveryBadKnob(t *testing.T) {
+	base := LACity().Scaled(1).WithDuration(0.05)
+	valid := base
+	valid.applyDefaults()
+	if err := valid.Validate(); err != nil {
+		t.Fatalf("base params rejected: %v", err)
+	}
+	var knobs []knob.Knob
+	knob.Walk(&base, func(k knob.Knob) { knobs = append(knobs, k) })
+	for i, k := range knobs {
+		var bad []float64
+		switch {
+		case k.Value.CanFloat():
+			bad = []float64{math.NaN(), math.Inf(1), -1}
+			if k.Max > 0 {
+				bad = append(bad, k.Max+0.01)
+			}
+		case k.Value.CanInt():
+			bad = []float64{-1}
+			if k.Max > 0 {
+				bad = append(bad, math.Floor(k.Max)+1)
+			}
+		default:
+			continue // a bool knob has no bad value
+		}
+		name := regexp.MustCompile(`\b` + regexp.QuoteMeta(k.Field) + `\b`)
+		for _, v := range bad {
+			p := base
+			j := 0
+			knob.Walk(&p, func(kk knob.Knob) {
+				if j == i {
+					if kk.Value.CanFloat() {
+						kk.Value.SetFloat(v)
+					} else {
+						kk.Value.SetInt(int64(v))
+					}
+				}
+				j++
+			})
+			_, err := NewWorld(p)
+			switch {
+			case err == nil:
+				t.Errorf("%s = %v accepted", k.Field, v)
+			case !name.MatchString(err.Error()):
+				t.Errorf("%s = %v: error %q does not name the knob", k.Field, v, err)
+			}
+		}
 	}
 }
 

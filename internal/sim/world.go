@@ -294,7 +294,7 @@ func NewWorld(p Params) (*World, error) {
 		model:       model,
 		inj:         faults.New(p.Seed^faultSeedSalt, p.Faults),
 		durationSec: p.DurationHours * 3600,
-		breakers:    p2p.NewBreakerSet(p.BreakerConfig()),
+		breakers:    p2p.NewBreakerSet(p2p.BreakerConfig{Threshold: p.BreakerThreshold, Cooldown: p.BreakerCooldown}),
 		blackout:    faults.NewBlackout(p.Seed^faultSeedSalt, prof),
 		planner:     p.DegradedMode,
 		chanArmed:   prof.BurstEnabled() || prof.BlackoutEnabled(),
@@ -310,7 +310,7 @@ func NewWorld(p Params) (*World, error) {
 	if w.blackout != nil {
 		w.chanDown = make([]bool, p.MHNumber)
 	}
-	w.tr = trust.NewEngine(p.Seed^trustSeedSalt, p.TrustConfig(), w.breakers)
+	w.tr = trust.NewEngine(p.Seed^trustSeedSalt, trust.Config{AuditRate: p.AuditRate}, w.breakers)
 	if w.tr != nil {
 		// An audit is done with the truth before the oracle runs again.
 		w.auditOracle = func(r geom.Rect) []broadcast.POI {

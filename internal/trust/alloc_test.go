@@ -46,7 +46,7 @@ func peers64() ([]Contribution, Oracle) {
 func TestScreenHonestSteadyStateAllocs(t *testing.T) {
 	contribs, oracle := peers64()
 	for name, cfg := range map[string]Config{
-		"all-vouched":  {AuditRate: 1, MaxAuditsPerQuery: len(contribs)},
+		"all-vouched":  {AuditRate: 1, maxAuditsPerQuery: len(contribs)},
 		"none-vouched": {AuditRate: 1e-12},
 	} {
 		e := newTestEngine(t, cfg, nil)
@@ -99,7 +99,7 @@ func TestScreenAllocsSettleAfterGrowth(t *testing.T) {
 // the arena.
 func TestScreenQuarantinedAllocsBoundedBySplits(t *testing.T) {
 	contribs, oracle := peers64()
-	e := newTestEngine(t, Config{AuditRate: 1e-12, QuarantineCycles: 1 << 40}, nil)
+	e := newTestEngine(t, Config{AuditRate: 1e-12, quarantineCycles: 1 << 40}, nil)
 	e.seq = 1
 	rng := rand.New(rand.NewSource(9))
 	var rep Report
@@ -138,7 +138,7 @@ func TestScreenQuarantinedAllocsBoundedBySplits(t *testing.T) {
 func TestScreenQuarantineChurnAllocFree(t *testing.T) {
 	contribs, oracle := peers64()
 	const cycles = 64
-	e := newTestEngine(t, Config{AuditRate: 1e-12, QuarantineCycles: cycles}, nil)
+	e := newTestEngine(t, Config{AuditRate: 1e-12, quarantineCycles: cycles}, nil)
 	var rep Report
 	k, swallowed, resurfaced := 0, 0, 0
 	screen := func() {

@@ -10,7 +10,7 @@ import "testing"
 // quarantine is filled untimed.
 func BenchmarkScreenUnderAttack(b *testing.B) {
 	w := newDiffWorld(2, 300, 150)
-	e := NewEngine(12, Config{AuditRate: 0.01, QuarantineCycles: 32, ConvictStrikes: 1 << 30}, nil)
+	e := NewEngine(12, Config{AuditRate: 0.01, quarantineCycles: 32, convictStrikes: 1 << 30}, nil)
 	inputs := make([][]Contribution, 512)
 	for i := range inputs {
 		inputs[i] = w.contributions(20)

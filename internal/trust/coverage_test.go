@@ -159,7 +159,7 @@ func TestCrossValidationCases(t *testing.T) {
 	for _, tc := range coverageCases {
 		t.Run(tc.name, func(t *testing.T) {
 			// Twice: the second screen meets the quarantine the first left.
-			d := newDiffPair(3, Config{AuditRate: 0.5, ConvictStrikes: 100})
+			d := newDiffPair(3, Config{AuditRate: 0.5, convictStrikes: 100})
 			for s := 0; s < 2; s++ {
 				_, rep := d.screen(t, s, tc.contribs, noTruth, 0, 8)
 				if rep.Conflicts != tc.conflicts || rep.StaleConflicts != tc.stale {
@@ -177,7 +177,7 @@ func TestCrossValidationCases(t *testing.T) {
 // POI a vouched peer's result carries is dropped wherever the tainted
 // peer puts it, and kept when nobody trusted carries that ID.
 func TestDedupByIDThroughClaimTable(t *testing.T) {
-	d := newDiffPair(5, Config{AuditRate: 1, MaxAuditsPerQuery: 1, ConvictStrikes: 100})
+	d := newDiffPair(5, Config{AuditRate: 1, maxAuditsPerQuery: 1, convictStrikes: 100})
 	vouched := honest(0, geom.NewRect(0, 0, 6, 6)) // POIs 1, 2, 3
 	d.screen(t, 0, []Contribution{vouched}, oracle, -1, 4)
 	if !d.e.Vouched(0) {
@@ -197,7 +197,7 @@ func TestDedupByIDThroughClaimTable(t *testing.T) {
 // and pair list were grown (and left dirty) by a far larger detection
 // screens a sequence exactly as a fresh engine does.
 func TestScreenIndependentOfScratchHistory(t *testing.T) {
-	cfg := Config{AuditRate: 0.3, QuarantineCycles: 40, VouchCycles: 60}
+	cfg := Config{AuditRate: 0.3, quarantineCycles: 40, vouchCycles: 60}
 	fresh, grown := NewEngine(21, cfg, nil), NewEngine(21, cfg, nil)
 	var big []Contribution
 	for bw := newDiffWorld(8, 60, 20); len(big) < 300; {

@@ -84,7 +84,7 @@ func TestQuarantineCapEvictsOldest(t *testing.T) {
 // extended, keeps its place, and is not counted as new area; the decay
 // scan is skipped until the earliest horizon is due.
 func TestQuarantineRefreshExtendsNotRecounts(t *testing.T) {
-	e := newTestEngine(t, Config{AuditRate: 0.0001, QuarantineCycles: 10, ConvictStrikes: 100}, nil)
+	e := newTestEngine(t, Config{AuditRate: 0.0001, quarantineCycles: 10, convictStrikes: 100}, nil)
 	a := lying(0, geom.NewRect(0, 0, 4, 4), geom.Pt(3.5, 3.5))
 	b := honest(1, geom.NewRect(3, 3, 6, 6))
 	overlap := geom.NewRect(3, 3, 4, 4)
@@ -142,7 +142,7 @@ func sharesStorage(a, b []broadcast.POI) bool {
 // whole region that loses a POI to the cross-pool dedup (new storage).
 func aliasScene(t *testing.T) (e *Engine, contribs []Contribution) {
 	t.Helper()
-	e = newTestEngine(t, Config{AuditRate: 1, MaxAuditsPerQuery: 1, ConvictStrikes: 100}, nil)
+	e = newTestEngine(t, Config{AuditRate: 1, maxAuditsPerQuery: 1, convictStrikes: 100}, nil)
 	vouchedC := honest(0, geom.NewRect(0, 0, 6, 6)) // POIs 1, 2, 3
 	e.Screen([]Contribution{vouchedC}, oracle, -1)
 	if !e.Vouched(0) {

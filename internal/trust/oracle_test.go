@@ -87,8 +87,8 @@ func newRefEngine(seed int64, cfg Config, breakers *p2p.BreakerSet) *refEngine {
 }
 
 func (e *refEngine) auditCost(nPOIs int) int64 {
-	per := int64(e.cfg.AuditPOIsPerSlot)
-	return e.cfg.AuditBaseSlots + (int64(nPOIs)+per-1)/per
+	per := int64(e.cfg.auditPOIsPerSlot)
+	return e.cfg.auditBaseSlots + (int64(nPOIs)+per-1)/per
 }
 
 // Quarantined reports whether peer id is currently quarantined. Safe on
@@ -134,7 +134,7 @@ func (e *refEngine) convict(id int, rep *Report, convicted map[int]bool) {
 	}
 	convicted[id] = true
 	r := e.rec(id)
-	r.quarantinedUntil = e.seq + e.cfg.QuarantineCycles
+	r.quarantinedUntil = e.seq + e.cfg.quarantineCycles
 	r.vouchedUntil = 0
 	r.strikes = 0
 	e.counters.PeersQuarantined++
@@ -143,7 +143,7 @@ func (e *refEngine) convict(id int, rep *Report, convicted map[int]bool) {
 }
 
 // strike records one cross-validation strike against peer id, unvouching
-// it; ConvictStrikes standing strikes convict.
+// it; convictStrikes standing strikes convict.
 func (e *refEngine) strike(id int, rep *Report, convicted map[int]bool) {
 	if id == Self {
 		return
@@ -151,7 +151,7 @@ func (e *refEngine) strike(id int, rep *Report, convicted map[int]bool) {
 	r := e.rec(id)
 	r.vouchedUntil = 0
 	r.strikes++
-	if r.strikes >= e.cfg.ConvictStrikes {
+	if r.strikes >= e.cfg.convictStrikes {
 		e.convict(id, rep, convicted)
 	}
 }
@@ -163,7 +163,7 @@ func (e *refEngine) strike(id int, rep *Report, convicted map[int]bool) {
 // as newly quarantined area. The live set is capped at maxQuarRects by
 // evicting the oldest entry.
 func (e *refEngine) quarantineRect(r geom.Rect, rep *Report) {
-	until := e.seq + e.cfg.QuarantineCycles
+	until := e.seq + e.cfg.quarantineCycles
 	if i, ok := e.quarIdx[r]; ok {
 		if e.quar[i].until < until {
 			e.quar[i].until = until
@@ -313,7 +313,7 @@ func (e *refEngine) screenReference(contribs []Contribution, oracle Oracle, budg
 		if c.Peer == Self || c.Stale || convicted[c.Peer] || e.Quarantined(c.Peer) {
 			continue
 		}
-		if audits >= e.cfg.MaxAuditsPerQuery {
+		if audits >= e.cfg.maxAuditsPerQuery {
 			break
 		}
 		if e.rng.Float64() >= e.cfg.AuditRate {
@@ -334,7 +334,7 @@ func (e *refEngine) screenReference(contribs []Contribution, oracle Oracle, budg
 			// testified for the peer, so conflicts it lost to unvouched
 			// accusers no longer count against it.
 			r := e.rec(c.Peer)
-			r.vouchedUntil = e.seq + e.cfg.VouchCycles
+			r.vouchedUntil = e.seq + e.cfg.vouchCycles
 			r.strikes = 0
 			continue
 		}

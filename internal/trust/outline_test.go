@@ -246,7 +246,7 @@ var outlineCases = []struct {
 // ways on one axis are left out: geom.AppendSubtractOne probes interval
 // midpoints, that midpoint is NaN, and either rule then cuts nothing.)
 func TestOutlineSubtractsTheSameSet(t *testing.T) {
-	cfg := Config{AuditRate: 1e-12, QuarantineCycles: outlineCycles, ConvictStrikes: 1 << 30}
+	cfg := Config{AuditRate: 1e-12, quarantineCycles: outlineCycles, convictStrikes: 1 << 30}
 	for _, tc := range outlineCases {
 		t.Run(tc.name, func(t *testing.T) {
 			d := newSetPair(17, cfg)
@@ -297,7 +297,7 @@ func TestOutlineSubtractsTheSameSet(t *testing.T) {
 	// half-unbounded ones, disputed directly and by the claims' conflicts.
 	t.Run("random grid", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(23))
-		d := newSetPair(19, Config{AuditRate: 1e-12, QuarantineCycles: 12, ConvictStrikes: 1 << 30})
+		d := newSetPair(19, Config{AuditRate: 1e-12, quarantineCycles: 12, convictStrikes: 1 << 30})
 		gridRect := func() geom.Rect {
 			x, y := float64(rng.Intn(8)), float64(rng.Intn(8))
 			r := geom.NewRect(x, y, x+1+float64(rng.Intn(4)), y+1+float64(rng.Intn(4)))
@@ -380,7 +380,7 @@ func fuzzFiller(k int) geom.Rect {
 // rectangles in the same order, covered marks and quarIdx consistent.
 func FuzzOutline(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e := NewEngine(1, Config{AuditRate: 0.5, QuarantineCycles: 8}, nil)
+		e := NewEngine(1, Config{AuditRate: 0.5, quarantineCycles: 8}, nil)
 		var rep Report
 		filler, overflows := 0, 0
 		for ops := 0; len(data) >= 3 && ops < 48; ops++ {

@@ -324,7 +324,7 @@ func TestScreenMatchesReference(t *testing.T) {
 	// audits and a strike limit out of reach, so unvouched disagreeing
 	// pairs fill the rectangle quarantine to its cap and keep evicting.
 	t.Run("cap", func(t *testing.T) {
-		cfg := Config{AuditRate: 0.01, QuarantineCycles: 4000, ConvictStrikes: 1 << 30}
+		cfg := Config{AuditRate: 0.01, quarantineCycles: 4000, convictStrikes: 1 << 30}
 		e, _ := runDifferential(t, newDiffWorld(2, 300, 150), cfg, 12, 900, 20)
 		if e.QuarantinedRects() != maxQuarRects {
 			t.Fatalf("quarantine holds %d rects, want the cap %d", e.QuarantinedRects(), maxQuarRects)
@@ -336,7 +336,7 @@ func TestScreenMatchesReference(t *testing.T) {
 	// Everyone audited at once: vouched claimants outvote liars, dedup
 	// drops from tainted pieces what trusted ones carry.
 	t.Run("audited", func(t *testing.T) {
-		runDifferential(t, newDiffWorld(3, 24, 4), Config{AuditRate: 0.9, MaxAuditsPerQuery: 16, QuarantineCycles: 20, VouchCycles: 40}, 13, 600, 16)
+		runDifferential(t, newDiffWorld(3, 24, 4), Config{AuditRate: 0.9, maxAuditsPerQuery: 16, quarantineCycles: 20, vouchCycles: 40}, 13, 600, 16)
 	})
 	// A third of the claims lie beyond a reach cut: audited in their turn,
 	// never cross-validated, never returned.

@@ -21,11 +21,12 @@
 //     vouched the engine cannot tell who lied: the overlap rectangle is
 //     quarantined out of the merge (subtracted from every unvouched
 //     contribution, one rectangle of the quarantine's outline at a time,
-//     via geom.AppendSubtractOne; vouched claims stand whole)
-//     for QuarantineCycles screens and both peers are struck and
-//     unvouched. The live rectangle set is deduplicated and capped
-//     (maxQuarRects) so a sustained attack cannot make the screening
-//     pass itself unaffordable.
+//     via geom.AppendSubtractOne; vouched claims stand whole) for the
+//     quarantine horizon (DefaultQuarantineCycles screens) and both
+//     peers are struck and unvouched. The live rectangle set is
+//     deduplicated and capped
+//     (maxQuarRects) so a sustained attack cannot make the screening pass
+//     itself unaffordable.
 //  2. On-air spot audits. A seeded, rate-limited sample of contributions
 //     is re-verified against the broadcast channel while the MH is
 //     already tuned in; the cost is priced in slots against the query's
@@ -33,11 +34,11 @@
 //     contribution in full* (sampling is at the contribution level, so
 //     the cost stays bounded while a sampled lie cannot hide): a failed
 //     audit convicts the peer on the spot, a passed audit vouches it
-//     for VouchCycles screens and forgives its standing strikes (the
-//     ground truth just testified for it).
+//     for the vouch horizon (DefaultVouchCycles screens) and forgives
+//     its standing strikes (the ground truth just testified for it).
 //  3. Reputation-driven quarantine. Convictions (failed audit, or
-//     ConvictStrikes accumulated conflict strikes) quarantine the peer
-//     for QuarantineCycles screens and force its circuit breaker open
+//     DefaultConvictStrikes accumulated conflict strikes) quarantine the
+//     peer for the quarantine horizon and force its circuit breaker open
 //     (p2p.BreakerSet.ForceOpen); parole runs through the breaker's
 //     ordinary half-open probe once the trust quarantine decays.
 //
@@ -58,7 +59,6 @@ package trust
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -75,12 +75,13 @@ import (
 // problem, not the trust layer's).
 const Self = -1
 
-// Defaults for Config fields left at zero.
+// The fixed trust policy: the values Config's unexported fields take
+// when zero, as they are outside this package's tests.
 const (
 	DefaultMaxAuditsPerQuery = 4
 	// DefaultVouchCycles trades audit traffic against trusted-peer
 	// coverage: the steady-state vouched population is roughly
-	// audits-per-screen × VouchCycles, so a short horizon starves the
+	// audits-per-screen × the vouch horizon, so a short horizon starves the
 	// trusted MVR even on an honest substrate (measured in
 	// EXPERIMENTS.md: 64 screens left under half the queries verified
 	// with zero liars).
@@ -92,76 +93,59 @@ const (
 )
 
 // Config parameterizes the trust engine. The zero value disables the
-// defense entirely (NewEngine returns nil).
+// defense entirely (NewEngine returns nil). AuditRate is the one setting;
+// the unexported fields are the fixed policy, each taking its Default*
+// constant when zero, and only this package's tests set them.
 type Config struct {
 	// AuditRate is the probability that one peer contribution is spot
 	// audited during one screen. Zero disables the whole defense — the
 	// engine only exists when audits can vouch peers, because without
 	// vouching every contribution would be permanently tainted.
 	AuditRate float64
-	// MaxAuditsPerQuery caps audits per screen so a dense neighborhood
-	// cannot blow the deadline budget. Zero selects the default.
-	MaxAuditsPerQuery int
-	// VouchCycles is how many screens a passed audit vouches a peer for.
-	// Zero selects the default.
-	VouchCycles int64
-	// QuarantineCycles is how many screens a conviction quarantines a
-	// peer (and a conflict quarantines its rectangle) for. Zero selects
-	// the default.
-	QuarantineCycles int64
-	// ConvictStrikes is how many cross-validation strikes convict a peer
-	// without an audit. Zero selects the default.
-	ConvictStrikes int
-	// AuditBaseSlots and AuditPOIsPerSlot price one audit in broadcast
+	// maxAuditsPerQuery caps audits per screen so a dense neighborhood
+	// cannot blow the deadline budget.
+	maxAuditsPerQuery int
+	// vouchCycles is how many screens a passed audit vouches a peer for.
+	vouchCycles int64
+	// quarantineCycles is how many screens a conviction quarantines a
+	// peer (and a conflict quarantines its rectangle) for.
+	quarantineCycles int64
+	// convictStrikes is how many cross-validation strikes convict a peer
+	// without an audit.
+	convictStrikes int
+	// auditBaseSlots and auditPOIsPerSlot price one audit in broadcast
 	// slots: base tuning cost plus one slot per so-many POIs re-checked.
-	// Zero selects the defaults.
-	AuditBaseSlots   int64
-	AuditPOIsPerSlot int
+	auditBaseSlots   int64
+	auditPOIsPerSlot int
 }
 
 // Enabled reports whether the defense is active.
 func (c Config) Enabled() bool { return c.AuditRate > 0 }
 
-// Normalized returns the config with rates clamped and zero fields
-// defaulted.
+// Normalized returns the config with zero fields defaulted. It does not
+// range-check AuditRate: sim.Params.Validate rejects it out of [0, 1]
+// before any engine is built.
 func (c Config) Normalized() Config {
 	out := c
-	if out.AuditRate < 0 {
-		out.AuditRate = 0
+	if out.maxAuditsPerQuery <= 0 {
+		out.maxAuditsPerQuery = DefaultMaxAuditsPerQuery
 	}
-	if out.AuditRate > 1 {
-		out.AuditRate = 1
+	if out.vouchCycles <= 0 {
+		out.vouchCycles = DefaultVouchCycles
 	}
-	if out.MaxAuditsPerQuery <= 0 {
-		out.MaxAuditsPerQuery = DefaultMaxAuditsPerQuery
+	if out.quarantineCycles <= 0 {
+		out.quarantineCycles = DefaultQuarantineCycles
 	}
-	if out.VouchCycles <= 0 {
-		out.VouchCycles = DefaultVouchCycles
+	if out.convictStrikes <= 0 {
+		out.convictStrikes = DefaultConvictStrikes
 	}
-	if out.QuarantineCycles <= 0 {
-		out.QuarantineCycles = DefaultQuarantineCycles
+	if out.auditBaseSlots <= 0 {
+		out.auditBaseSlots = DefaultAuditBaseSlots
 	}
-	if out.ConvictStrikes <= 0 {
-		out.ConvictStrikes = DefaultConvictStrikes
-	}
-	if out.AuditBaseSlots <= 0 {
-		out.AuditBaseSlots = DefaultAuditBaseSlots
-	}
-	if out.AuditPOIsPerSlot <= 0 {
-		out.AuditPOIsPerSlot = DefaultAuditPOIsPerSlot
+	if out.auditPOIsPerSlot <= 0 {
+		out.auditPOIsPerSlot = DefaultAuditPOIsPerSlot
 	}
 	return out
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.AuditRate != c.AuditRate {
-		return fmt.Errorf("trust: AuditRate is NaN")
-	}
-	if c.AuditRate < 0 || c.AuditRate > 1 {
-		return fmt.Errorf("trust: AuditRate %v out of [0, 1]", c.AuditRate)
-	}
-	return nil
 }
 
 // Contribution is one shared verified region entering a query's merge:
@@ -413,14 +397,6 @@ func (e *Engine) LendArena(a *broadcast.POIArena) {
 	}
 }
 
-// Config returns the active (normalized) config. Safe on nil.
-func (e *Engine) Config() Config {
-	if e == nil {
-		return Config{}
-	}
-	return e.cfg
-}
-
 // Enabled reports whether the defense is active. Safe on nil.
 func (e *Engine) Enabled() bool { return e != nil }
 
@@ -497,7 +473,7 @@ func (e *Engine) convict(id int, r *peerRec, rep *Report) {
 		return
 	}
 	r.convicted = true
-	r.quarantinedUntil = e.seq + e.cfg.QuarantineCycles
+	r.quarantinedUntil = e.seq + e.cfg.quarantineCycles
 	r.vouchedUntil = 0
 	r.strikes = 0
 	e.counters.PeersQuarantined++
@@ -506,7 +482,7 @@ func (e *Engine) convict(id int, r *peerRec, rep *Report) {
 }
 
 // strike records one cross-validation strike against peer id, unvouching
-// it; ConvictStrikes standing strikes convict. A nil record is Self,
+// it; convictStrikes standing strikes convict. A nil record is Self,
 // which is never struck.
 func (e *Engine) strike(id int, r *peerRec, rep *Report) {
 	if r == nil {
@@ -514,7 +490,7 @@ func (e *Engine) strike(id int, r *peerRec, rep *Report) {
 	}
 	r.vouchedUntil = 0
 	r.strikes++
-	if int(r.strikes) >= e.cfg.ConvictStrikes {
+	if int(r.strikes) >= e.cfg.convictStrikes {
 		e.convict(id, r, rep)
 	}
 }
@@ -526,7 +502,7 @@ func (e *Engine) strike(id int, r *peerRec, rep *Report) {
 // as newly quarantined area. The live set is capped at maxQuarRects by
 // evicting the oldest entry.
 func (e *Engine) quarantineRect(r geom.Rect, rep *Report) {
-	until := e.seq + e.cfg.QuarantineCycles
+	until := e.seq + e.cfg.quarantineCycles
 	if i, ok := e.quarIdx[r]; ok {
 		if e.quar[i].until < until {
 			e.quar[i].until = until
@@ -677,8 +653,8 @@ func (e *Engine) decayQuarantine() {
 
 // auditCost prices one audit in broadcast slots.
 func (e *Engine) auditCost(nPOIs int) int64 {
-	per := int64(e.cfg.AuditPOIsPerSlot)
-	return e.cfg.AuditBaseSlots + (int64(nPOIs)+per-1)/per
+	per := int64(e.cfg.auditPOIsPerSlot)
+	return e.cfg.auditBaseSlots + (int64(nPOIs)+per-1)/per
 }
 
 // claimHonest re-verifies one claim against the ground truth: the
@@ -1110,7 +1086,7 @@ func (e *Engine) audit(contribs []Contribution, oracle Oracle, budget int64, rep
 		if s.rec == nil || s.stale || contribs[s.ci].Repaired || e.quarantined(s.rec) {
 			continue
 		}
-		if audits >= e.cfg.MaxAuditsPerQuery {
+		if audits >= e.cfg.maxAuditsPerQuery {
 			break
 		}
 		if e.rng.Float64() >= e.cfg.AuditRate {
@@ -1131,7 +1107,7 @@ func (e *Engine) audit(contribs []Contribution, oracle Oracle, budget int64, rep
 			// Vouch and forgive standing strikes: the ground truth just
 			// testified for the peer, so conflicts it lost to unvouched
 			// accusers no longer count against it.
-			s.rec.vouchedUntil = e.seq + e.cfg.VouchCycles
+			s.rec.vouchedUntil = e.seq + e.cfg.vouchCycles
 			s.rec.strikes = 0
 			continue
 		}

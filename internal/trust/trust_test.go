@@ -67,24 +67,18 @@ func TestNilEnginePassthrough(t *testing.T) {
 	}
 }
 
-func TestConfigNormalizeValidate(t *testing.T) {
+func TestConfigNormalized(t *testing.T) {
 	c := Config{AuditRate: 0.5}.Normalized()
-	if c.MaxAuditsPerQuery != DefaultMaxAuditsPerQuery ||
-		c.VouchCycles != DefaultVouchCycles ||
-		c.QuarantineCycles != DefaultQuarantineCycles ||
-		c.ConvictStrikes != DefaultConvictStrikes ||
-		c.AuditBaseSlots != DefaultAuditBaseSlots ||
-		c.AuditPOIsPerSlot != DefaultAuditPOIsPerSlot {
+	if c.maxAuditsPerQuery != DefaultMaxAuditsPerQuery ||
+		c.vouchCycles != DefaultVouchCycles ||
+		c.quarantineCycles != DefaultQuarantineCycles ||
+		c.convictStrikes != DefaultConvictStrikes ||
+		c.auditBaseSlots != DefaultAuditBaseSlots ||
+		c.auditPOIsPerSlot != DefaultAuditPOIsPerSlot {
 		t.Fatalf("Normalized missed defaults: %+v", c)
 	}
-	if got := (Config{AuditRate: 1.8}).Normalized().AuditRate; got != 1 {
-		t.Fatalf("Normalized did not clamp AuditRate: %v", got)
-	}
-	if err := (Config{AuditRate: -0.1}).Validate(); err == nil {
-		t.Fatal("Validate accepted negative AuditRate")
-	}
-	if err := (Config{AuditRate: 0.3}).Validate(); err != nil {
-		t.Fatalf("Validate rejected valid config: %v", err)
+	if c.AuditRate != 0.5 {
+		t.Fatalf("Normalized changed AuditRate to %v", c.AuditRate)
 	}
 }
 
@@ -218,7 +212,7 @@ func TestCrossValidationConflict(t *testing.T) {
 // one lying neighbor can neither poison nor suppress an honest peer's
 // trust, and the vouched claim stands unquarantined.
 func TestVouchedSurvivesConflict(t *testing.T) {
-	e := newTestEngine(t, Config{AuditRate: 1, ConvictStrikes: 99}, nil)
+	e := newTestEngine(t, Config{AuditRate: 1, convictStrikes: 99}, nil)
 	r := geom.NewRect(0, 0, 6, 6)
 	e.Screen([]Contribution{honest(0, r)}, oracle, -1)
 	if !e.Vouched(0) {
@@ -253,7 +247,7 @@ func TestVouchedSurvivesConflict(t *testing.T) {
 // accusers is restored to full trust once the ground truth testifies
 // for it.
 func TestAuditForgivesStrikes(t *testing.T) {
-	e := newTestEngine(t, Config{AuditRate: 1, ConvictStrikes: 99, MaxAuditsPerQuery: 1}, nil)
+	e := newTestEngine(t, Config{AuditRate: 1, convictStrikes: 99, maxAuditsPerQuery: 1}, nil)
 	a := honest(0, geom.NewRect(0, 0, 6, 6))
 	b := lying(1, geom.NewRect(4, 4, 10, 10), geom.Pt(5, 4.4))
 	// Budget 0: no audits, both claimants unvouched, both struck.
@@ -268,9 +262,9 @@ func TestAuditForgivesStrikes(t *testing.T) {
 	}
 }
 
-// ConvictStrikes accumulated conflicts convict without any audit.
+// convictStrikes accumulated conflicts convict without any audit.
 func TestStrikesConvict(t *testing.T) {
-	e := newTestEngine(t, Config{AuditRate: 0.0001, ConvictStrikes: 2}, nil)
+	e := newTestEngine(t, Config{AuditRate: 0.0001, convictStrikes: 2}, nil)
 	for i := 0; i < 2; i++ {
 		a := honest(0, geom.NewRect(0, 0, 6, 6))
 		b := lying(1, geom.NewRect(4, 4, 10, 10), geom.Pt(5, 4.2))
@@ -284,10 +278,10 @@ func TestStrikesConvict(t *testing.T) {
 	}
 }
 
-// Quarantine decays: after QuarantineCycles screens the peer is paroled
+// Quarantine decays: after quarantineCycles screens the peer is paroled
 // (its contributions flow again, tainted until re-vouched).
 func TestQuarantineDecays(t *testing.T) {
-	e := newTestEngine(t, Config{AuditRate: 1, QuarantineCycles: 3}, nil)
+	e := newTestEngine(t, Config{AuditRate: 1, quarantineCycles: 3}, nil)
 	r := geom.NewRect(0, 0, 4, 4)
 	e.Screen([]Contribution{lying(0, r, geom.Pt(2, 2))}, oracle, -1)
 	if !e.Quarantined(0) {
@@ -327,9 +321,9 @@ func TestAuditBudget(t *testing.T) {
 	}
 }
 
-// MaxAuditsPerQuery caps the per-screen audit count.
+// maxAuditsPerQuery caps the per-screen audit count.
 func TestAuditCap(t *testing.T) {
-	e := newTestEngine(t, Config{AuditRate: 1, MaxAuditsPerQuery: 2}, nil)
+	e := newTestEngine(t, Config{AuditRate: 1, maxAuditsPerQuery: 2}, nil)
 	var contribs []Contribution
 	for i := 0; i < 6; i++ {
 		contribs = append(contribs, honest(i, geom.NewRect(0, 0, 4, 4)))
@@ -343,7 +337,7 @@ func TestAuditCap(t *testing.T) {
 // Cross-pool dedup: a POI vouched by an untainted contribution is
 // dropped from tainted pieces (core's dedup precondition).
 func TestCrossPoolDedup(t *testing.T) {
-	e := newTestEngine(t, Config{AuditRate: 1, MaxAuditsPerQuery: 1}, nil)
+	e := newTestEngine(t, Config{AuditRate: 1, maxAuditsPerQuery: 1}, nil)
 	r := geom.NewRect(0, 0, 4, 4)
 	// Screen 1: vouch peer 0.
 	e.Screen([]Contribution{honest(0, r)}, oracle, -1)
@@ -386,7 +380,7 @@ func TestSamePeerRegionsDoNotConflict(t *testing.T) {
 // every claim is materially false can never become vouched, no matter
 // how many screens run.
 func TestByzantineNeverVouched(t *testing.T) {
-	e := newTestEngine(t, Config{AuditRate: 0.5, QuarantineCycles: 2}, nil)
+	e := newTestEngine(t, Config{AuditRate: 0.5, quarantineCycles: 2}, nil)
 	r := geom.NewRect(0, 0, 6, 6)
 	for i := 0; i < 200; i++ {
 		e.Screen([]Contribution{lying(3, r, geom.Pt(2, 2.5))}, oracle, -1)
@@ -469,7 +463,7 @@ func TestBoundaryPOINotDuplicated(t *testing.T) {
 // and no overlap is quarantined. This keeps honest peers with outdated
 // caches from being convicted under POI churn.
 func TestStaleConflictAmnesty(t *testing.T) {
-	e := newTestEngine(t, Config{AuditRate: 0.0001, ConvictStrikes: 1}, nil)
+	e := newTestEngine(t, Config{AuditRate: 0.0001, convictStrikes: 1}, nil)
 	fresh := honest(0, geom.NewRect(0, 0, 6, 6))
 	outdated := honest(1, geom.NewRect(4, 4, 10, 10))
 	// The stale peer's cache predates a POI insert at (5, 4.5): its list
@@ -502,7 +496,7 @@ func TestStaleConflictAmnesty(t *testing.T) {
 // to be outdated, so an audit "failure" against current ground truth
 // proves nothing about the peer's honesty (and must not convict it).
 func TestStaleContributionNeverAudited(t *testing.T) {
-	e := newTestEngine(t, Config{AuditRate: 1, ConvictStrikes: 1}, nil)
+	e := newTestEngine(t, Config{AuditRate: 1, convictStrikes: 1}, nil)
 	c := honest(0, geom.NewRect(0, 0, 6, 6))
 	// The outdated cache is missing POI 2 — an audit would see an
 	// omission and convict.
