@@ -17,7 +17,7 @@ STATICCHECK_VERSION = 2025.1.1
 COVER_PKGS = internal/core internal/geom internal/metrics internal/trust internal/cache internal/faults internal/sim internal/p2p internal/broadcast
 COVER_MIN ?= 70
 
-.PHONY: all build vet test race lint loc loc-check cover cover-profile cover-check fuzz-smoke verify goldens continuous-identity trust-identity nnv-identity residual-sweep soak bench bench-check bench-e2e-check
+.PHONY: all build vet test race lint loc loc-check unlinked unlinked-check cover cover-profile cover-check fuzz-smoke verify goldens continuous-identity trust-identity nnv-identity residual-sweep soak bench bench-check bench-e2e-check
 
 all: build
 
@@ -169,8 +169,10 @@ loc:
 # knob once, in sim.Params.Validate, deleted the clamps and validators
 # below it and the trust policy fields only tests set: it lowered the
 # totals again and set the config-field ceiling, so a deleted option
-# cannot return unnoticed either.
-LOC_MAX_ALL = 15420
+# cannot return unnoticed either. Deleting the functions no binary links
+# and only their own tests called (make unlinked), and the nil-Injector
+# path, lowered the total once more.
+LOC_MAX_ALL = 15137
 LOC_MAX_SIM = 4249
 LOC_MAX_FLAGS = 64
 LOC_MAX_CONFIG = 16
@@ -189,6 +191,45 @@ loc-check:
 		check 'lbsq-sim flags registered by hand' $$($(LOC_HAND)) $(LOC_MAX_HAND) && \
 		check 'internal/ packages importing internal/metrics' $$($(LOC_MX)) $(LOC_MAX_MX) && \
 		check 'internal/sim stats.go + metrics.go lines' $$($(LOC_LEDGER)) $(LOC_MAX_LEDGER)
+
+# Production code is what a binary links (ROADMAP item 3(c)). `make
+# unlinked` builds every package main under ./... and the bench/ module
+# with inlining off (-gcflags=all=-l, so no function disappears into an
+# inlined caller), collects the text symbols under lbsq/internal/ they link
+# (go tool nm), and prints every function of an internal/ package archive
+# (go list -export) that none of them links. Closures and init are
+# dropped, (*T).M is folded into T.M and generic instantiation suffixes
+# are stripped. unlinked-check diffs the report against UNLINKED_KEEP, one
+# "symbol<TAB>reason" line per function kept although only tests call it
+# (an oracle, an inspection hook, a priced frame format): a new function
+# that only tests call fails it, and so does a listed one a binary now
+# links or that is gone.
+UNLINKED_KEEP = results/test_support_symbols.txt
+unlinked:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -gcflags=all=-l -o "$$tmp/bin/" ./...; \
+	(cd bench && $(GO) build -gcflags=all=-l -o "$$tmp/bin/bench" .); \
+	syms() { sed -n 's,^ *[0-9a-f]* T lbsq/internal/,,p' | \
+		grep -vE '\.(func|gowrap|deferwrap)[0-9]|\.init(\.[0-9]+)?$$' | \
+		sed -E 's/\(\*([^)]*)\)/\1/; s/\[.*\]//' | LC_ALL=C sort -u; }; \
+	for b in "$$tmp"/bin/*; do $(GO) tool nm "$$b"; done | syms > "$$tmp/linked"; \
+	archives=$$($(GO) list -export -f '{{.Export}}' ./internal/...); \
+	for a in $$archives; do $(GO) tool nm "$$a"; done | syms > "$$tmp/all"; \
+	LC_ALL=C comm -23 "$$tmp/all" "$$tmp/linked"
+
+unlinked-check:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(MAKE) -s --no-print-directory unlinked > "$$tmp/report"; \
+	if awk -F '\t' 'NF != 2 || $$2 == "" { print "unlinked-check: $(UNLINKED_KEEP):" NR ": want symbol<TAB>reason"; bad = 1 } END { exit !bad }' $(UNLINKED_KEEP); then exit 1; fi; \
+	cut -f1 $(UNLINKED_KEEP) | LC_ALL=C sort > "$$tmp/kept"; \
+	if diff "$$tmp/kept" "$$tmp/report" > "$$tmp/diff"; then \
+		echo "unlinked-check: the $$(wc -l < "$$tmp/report") functions no binary links are the ones $(UNLINKED_KEEP) lists"; \
+	else \
+		echo "unlinked-check: the functions no binary links differ from $(UNLINKED_KEEP)"; \
+		echo "  '>' no binary links it and the list does not name it: delete it, or list it with the test that needs it"; \
+		echo "  '<' listed, but a binary links it now or it is gone: drop its line"; \
+		grep '^[<>]' "$$tmp/diff"; exit 1; \
+	fi
 
 # Continuous-query identity lane (DESIGN.md §15): zero-knob identity,
 # armed run-twice determinism for both query kinds, and the safe-region

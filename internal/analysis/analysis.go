@@ -18,17 +18,13 @@
 //  4. Peers contribute independently.
 //
 // Under these assumptions the probability that at least one reachable
-// peer can fully answer the query is 1 − exp(−ρπR² · p₁), where p₁ is the
-// per-peer success probability computed from the margin geometry: a kNN
+// peer can fully answer a kNN query is 1 − exp(−ρπR² · p₁), where p₁ is
+// the per-peer success probability computed from the margin geometry: the
 // query verifies only if the query point sits at least r_k inside a
-// verified region; a window query only if the window fits entirely
-// inside one.
+// verified region.
 package analysis
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Model carries the densities and radio/cache parameters of a scenario.
 // Distances are miles; densities are per square mile.
@@ -44,23 +40,6 @@ type Model struct {
 	// LocalityMiles is the radius D of the disk over which a peer's
 	// cached knowledge is spread around its current position.
 	LocalityMiles float64
-}
-
-// Validate reports parameter errors.
-func (m Model) Validate() error {
-	switch {
-	case m.MHDensity < 0:
-		return fmt.Errorf("analysis: negative MH density %v", m.MHDensity)
-	case m.POIDensity <= 0:
-		return fmt.Errorf("analysis: POI density %v must be positive", m.POIDensity)
-	case m.TxRangeMiles < 0:
-		return fmt.Errorf("analysis: negative transmission range %v", m.TxRangeMiles)
-	case m.CacheSize < 0:
-		return fmt.Errorf("analysis: negative cache size %d", m.CacheSize)
-	case m.LocalityMiles <= 0:
-		return fmt.Errorf("analysis: locality %v must be positive", m.LocalityMiles)
-	}
-	return nil
 }
 
 // ExpectedPeers returns ρπR², the mean number of peers inside the
@@ -102,30 +81,11 @@ func (m Model) SinglePeerKNNHitProb(k int) float64 {
 	return math.Min(p, 1)
 }
 
-// SinglePeerWindowHitProb returns p₁ for a window query of the given side
-// length: the window must fit entirely inside the peer's square region,
-// leaving an (L−s)² placement core.
-func (m Model) SinglePeerWindowHitProb(windowSide float64) float64 {
-	side := math.Sqrt(m.PeerCoverageArea())
-	core := side - windowSide
-	if core <= 0 {
-		return 0
-	}
-	p := core * core / (math.Pi * m.LocalityMiles * m.LocalityMiles)
-	return math.Min(p, 1)
-}
-
 // KNNHitRatio returns the predicted fraction of kNN queries answered
 // entirely by peers: 1 − exp(−E[peers]·p₁), the void probability of the
 // thinned Poisson field of "helpful" peers.
 func (m Model) KNNHitRatio(k int) float64 {
 	return 1 - math.Exp(-m.ExpectedPeers()*m.SinglePeerKNNHitProb(k))
-}
-
-// WindowHitRatio returns the predicted fraction of window queries whose
-// window is covered by a single peer's region.
-func (m Model) WindowHitRatio(windowSide float64) float64 {
-	return 1 - math.Exp(-m.ExpectedPeers()*m.SinglePeerWindowHitProb(windowSide))
 }
 
 // ProbAtLeastOnePeer returns 1 − exp(−ρπR²): the chance any peer at all

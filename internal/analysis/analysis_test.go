@@ -15,24 +15,6 @@ func laModel() Model {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	if err := laModel().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []Model{
-		{MHDensity: -1, POIDensity: 1, LocalityMiles: 1},
-		{MHDensity: 1, POIDensity: 0, LocalityMiles: 1},
-		{MHDensity: 1, POIDensity: 1, TxRangeMiles: -1, LocalityMiles: 1},
-		{MHDensity: 1, POIDensity: 1, CacheSize: -1, LocalityMiles: 1},
-		{MHDensity: 1, POIDensity: 1, LocalityMiles: 0},
-	}
-	for i, m := range bad {
-		if m.Validate() == nil {
-			t.Errorf("case %d: invalid model accepted", i)
-		}
-	}
-}
-
 func TestExpectedPeersLA(t *testing.T) {
 	m := laModel()
 	// 233.25 vehicles/sq mi in a 200m (0.124 mi) disk: ~11.3 peers.
@@ -112,31 +94,12 @@ func TestHitRatioDecreasesWithK(t *testing.T) {
 	}
 }
 
-func TestWindowHitRatioDecreasesWithSize(t *testing.T) {
-	m := laModel()
-	prev := 2.0
-	for _, s := range []float64{0.2, 0.4, 0.6, 0.8, 1.0} {
-		h := m.WindowHitRatio(s)
-		if h > prev {
-			t.Fatalf("window hit ratio increased with side %v", s)
-		}
-		prev = h
-	}
-	// A window larger than any cacheable region can never be covered.
-	if m.WindowHitRatio(10) != 0 {
-		t.Error("oversized window must have zero hit ratio")
-	}
-}
-
 func TestUpperBoundByPeerPresence(t *testing.T) {
 	m := laModel()
 	for _, k := range []int{1, 5, 15} {
 		if m.KNNHitRatio(k) > m.ProbAtLeastOnePeer()+1e-12 {
 			t.Fatalf("hit ratio exceeds peer-presence bound at k=%d", k)
 		}
-	}
-	if m.WindowHitRatio(0.5) > m.ProbAtLeastOnePeer()+1e-12 {
-		t.Fatal("window hit ratio exceeds peer-presence bound")
 	}
 }
 

@@ -172,7 +172,6 @@ type Schedule struct {
 	packetSlot  []int64 // slot offset of each packet within a cycle
 	totalPOIs   int
 	cellPacket  []int32 // grid cell y*side+x -> packet seq, -1 for an empty cell
-	ordering    Ordering
 	lossRate    float64
 	lossRng     *rand.Rand
 }
@@ -321,7 +320,6 @@ func NewSchedule(pois []POI, cfg Config) (*Schedule, error) {
 		m:          cfg.M,
 		totalPOIs:  len(pois),
 		cellPacket: make([]int32, curve.Cells()),
-		ordering:   cfg.Ordering,
 		lossRate:   math.Min(math.Max(cfg.LossRate, 0), 0.95),
 		lossRng:    rand.New(rand.NewSource(cfg.LossSeed)),
 	}
@@ -376,23 +374,14 @@ func (s *Schedule) layout() {
 // CycleLength returns the number of slots in one broadcast cycle.
 func (s *Schedule) CycleLength() int64 { return s.cycleLen }
 
-// IndexSlots returns the length of one index segment in slots.
-func (s *Schedule) IndexSlots() int { return s.indexSlots }
-
 // Packets returns the data packets in broadcast order.
 func (s *Schedule) Packets() []Packet { return s.packets }
-
-// TotalPOIs returns the number of POIs in the broadcast file.
-func (s *Schedule) TotalPOIs() int { return s.totalPOIs }
 
 // Curve exposes the Hilbert curve organizing the data file.
 func (s *Schedule) Curve() *hilbert.Curve { return s.curve }
 
 // M returns the effective index replication factor.
 func (s *Schedule) M() int { return len(s.indexStarts) }
-
-// Ordering returns the cell broadcast order in use.
-func (s *Schedule) Ordering() Ordering { return s.ordering }
 
 // nextIndexStart returns the first slot >= t at which an index segment
 // begins.
@@ -582,7 +571,7 @@ func (s *Schedule) KNNWithBounds(q geom.Point, k int, start int64, b Bounds) ([]
 
 // KNNScratch is KNNWithBounds on caller-owned scratch, which the returned
 // POIs alias. It also returns the radius of the search range it used —
-// b.Upper when positive, else SearchRadius(q, k): the retrieval covered
+// b.Upper when positive, else searchRadius(q, k): the retrieval covered
 // every packet intersecting the square of that radius around q.
 func (s *Schedule) KNNScratch(sc *Scratch, q geom.Point, k int, start int64, b Bounds) ([]POI, float64, Access) {
 	after, acc := s.probeIndex(start)
@@ -617,17 +606,13 @@ func (s *Schedule) KNNScratch(sc *Scratch, q geom.Point, k int, start int64, b B
 	return pois, radius, acc
 }
 
-// SearchRadius derives, from index information alone, a radius guaranteed
+// searchRadius derives, from index information alone, a radius guaranteed
 // to contain at least k POIs: the smallest r such that the packets whose
 // regions lie entirely within distance r of q together hold k POIs. This
 // models the first index scan of the on-air kNN algorithm; clients use it
 // to know which region their retrieval made them an authority on.
-func (s *Schedule) SearchRadius(q geom.Point, k int) float64 {
-	var sc Scratch
-	return s.searchRadius(&sc, q, k)
-}
-
-// searchRadius is a weighted order statistic over the packets' MaxDist.
+//
+// It is a weighted order statistic over the packets' MaxDist.
 // Cell-granular packing never emits an empty packet, so the k packets
 // nearest by MaxDist hold at least k POIs and decide it: one pass keeps
 // them in a k-bounded insertion buffer. Which of several packets tied at
@@ -818,21 +803,4 @@ func (s *Schedule) GrowCompleteRect(sc *Scratch, seed geom.Rect, retrieved []int
 	// The grown rect always contains the (cell-aligned bounding box of
 	// the) seed; return the union with the seed for exact containment.
 	return grown.Union(seed)
-}
-
-// ExpectedKNNLatency estimates the mean on-air kNN latency by averaging
-// over samples starting phases spread evenly across the cycle (16 when
-// samples is not positive). Neither the simulator nor the experiments
-// call it; it is a reference figure for tests and benchmarks.
-func (s *Schedule) ExpectedKNNLatency(q geom.Point, k int, samples int) float64 {
-	if samples <= 0 {
-		samples = 16
-	}
-	total := 0.0
-	for i := 0; i < samples; i++ {
-		start := int64(math.Round(float64(i) / float64(samples) * float64(s.cycleLen)))
-		_, acc := s.KNN(q, k, start)
-		total += float64(acc.Latency)
-	}
-	return total / float64(samples)
 }

@@ -77,7 +77,7 @@ func TestQuickSafeExitKNNDifferential(t *testing.T) {
 		if nnv.Heap.VerifiedCount() < k {
 			return true // not a verified answer; no safe region to test
 		}
-		answer := nnv.Heap.POIs()
+		answer := nnv.Heap.AppendPOIs(nil)
 		clearance, ok := nnv.MVR.Clearance(q)
 		if !ok {
 			return true

@@ -19,8 +19,9 @@ func poi(id int64, x, y float64) broadcast.POI {
 // --- Heap -------------------------------------------------------------
 
 func TestHeapBasics(t *testing.T) {
-	h := NewHeap(3)
-	if h.K() != 3 || h.Len() != 0 || h.Full() {
+	h := new(Heap)
+	h.Reset(3)
+	if h.k != 3 || h.Len() != 0 || h.Full() {
 		t.Fatal("fresh heap state wrong")
 	}
 	if _, ok := h.LastDist(); ok {
@@ -48,17 +49,18 @@ func TestHeapBasics(t *testing.T) {
 	if got := h.MinUnverifiedCorrectness(); got != 0.4 {
 		t.Fatalf("MinUnverifiedCorrectness = %v", got)
 	}
-	if got := h.POIs(); len(got) != 3 || got[0].ID != 1 || got[2].ID != 3 {
-		t.Fatalf("POIs = %v", got)
+	if got := h.AppendPOIs(nil); len(got) != 3 || got[0].ID != 1 || got[2].ID != 3 {
+		t.Fatalf("AppendPOIs = %v", got)
 	}
-	if NewHeap(-2).K() != 0 {
+	if h.Reset(-2); h.k != 0 {
 		t.Error("negative k must clamp to 0")
 	}
 }
 
 func TestHeapStates(t *testing.T) {
 	mk := func(k, verified, unverified int) *Heap {
-		h := NewHeap(k)
+		h := new(Heap)
+		h.Reset(k)
 		d := 1.0
 		for i := 0; i < verified; i++ {
 			h.add(Entry{Dist: d, Verified: true, Correctness: 1})
@@ -92,7 +94,8 @@ func TestHeapStates(t *testing.T) {
 
 func TestSearchBoundsPerState(t *testing.T) {
 	// State 1: both bounds.
-	h := NewHeap(2)
+	h := new(Heap)
+	h.Reset(2)
 	h.add(Entry{Dist: 1, Verified: true})
 	h.add(Entry{Dist: 3})
 	b := h.SearchBounds()
@@ -100,7 +103,7 @@ func TestSearchBoundsPerState(t *testing.T) {
 		t.Fatalf("state 1 bounds = %+v", b)
 	}
 	// State 2: upper only.
-	h = NewHeap(2)
+	h.Reset(2)
 	h.add(Entry{Dist: 2})
 	h.add(Entry{Dist: 4})
 	b = h.SearchBounds()
@@ -108,26 +111,27 @@ func TestSearchBoundsPerState(t *testing.T) {
 		t.Fatalf("state 2 bounds = %+v", b)
 	}
 	// State 3/4: lower only.
-	h = NewHeap(5)
+	h.Reset(5)
 	h.add(Entry{Dist: 1, Verified: true})
 	h.add(Entry{Dist: 3})
 	b = h.SearchBounds()
 	if b.Upper != 0 || b.Lower != 1 {
 		t.Fatalf("state 3 bounds = %+v", b)
 	}
-	h = NewHeap(5)
+	h.Reset(5)
 	h.add(Entry{Dist: 1.5, Verified: true})
 	b = h.SearchBounds()
 	if b.Upper != 0 || b.Lower != 1.5 {
 		t.Fatalf("state 4 bounds = %+v", b)
 	}
 	// States 5/6: nothing.
-	h = NewHeap(5)
+	h.Reset(5)
 	h.add(Entry{Dist: 2})
 	if b = h.SearchBounds(); b != (broadcast.Bounds{}) {
 		t.Fatalf("state 5 bounds = %+v", b)
 	}
-	if b = NewHeap(5).SearchBounds(); b != (broadcast.Bounds{}) {
+	h.Reset(5)
+	if b = h.SearchBounds(); b != (broadcast.Bounds{}) {
 		t.Fatalf("state 6 bounds = %+v", b)
 	}
 }

@@ -52,14 +52,6 @@ type Heap struct {
 	entries []Entry
 }
 
-// NewHeap returns an empty heap for a k-NN query.
-func NewHeap(k int) *Heap {
-	if k < 0 {
-		k = 0
-	}
-	return &Heap{k: k}
-}
-
 // Reset re-initializes the heap for a new k-NN query, keeping the entry
 // storage allocated for reuse (the scratch hot path).
 func (h *Heap) Reset(k int) {
@@ -69,9 +61,6 @@ func (h *Heap) Reset(k int) {
 	h.k = k
 	h.entries = h.entries[:0]
 }
-
-// K returns the requested result cardinality.
-func (h *Heap) K() int { return h.k }
 
 // Len returns the number of entries currently held.
 func (h *Heap) Len() int { return len(h.entries) }
@@ -244,18 +233,8 @@ func (h *Heap) MinUnverifiedCorrectness() float64 {
 	return min
 }
 
-// POIs returns the entry POIs in ascending distance order.
-func (h *Heap) POIs() []broadcast.POI {
-	out := make([]broadcast.POI, len(h.entries))
-	for i, e := range h.entries {
-		out[i] = e.POI
-	}
-	return out
-}
-
 // AppendPOIs appends the entry POIs in ascending distance order to dst
-// and returns it — the zero-allocation variant of POIs for reused
-// buffers.
+// and returns it.
 func (h *Heap) AppendPOIs(dst []broadcast.POI) []broadcast.POI {
 	for _, e := range h.entries {
 		dst = append(dst, e.POI)

@@ -142,7 +142,8 @@ func TestTaintedSuppressesUpperBound(t *testing.T) {
 
 // AppendTrustedPOIs drops exactly the tainted entries.
 func TestAppendTrustedPOIs(t *testing.T) {
-	h := NewHeap(3)
+	h := new(Heap)
+	h.Reset(3)
 	h.add(Entry{POI: broadcast.POI{ID: 1}, Dist: 1, Verified: true})
 	h.add(Entry{POI: broadcast.POI{ID: 900}, Dist: 2, Tainted: true})
 	h.add(Entry{POI: broadcast.POI{ID: 2}, Dist: 3})

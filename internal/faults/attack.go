@@ -137,14 +137,13 @@ const minMaterialDelta = 1e-3
 //   - The input slice and rect are never modified; lied-about POI sets
 //     are fresh copies (peers share views of their cache storage).
 //   - Exactly one lie is counted (Counters.ByzantineLies) per call with
-//     a concrete attack; AttackNone (or a nil injector) is the identity
-//     and draws nothing.
+//     a concrete attack; AttackNone is the identity and draws nothing.
 //
 // Parameter draws come from the injector's own stream, preserving the
 // layer's invariant that enabling misbehavior never perturbs the
 // simulation's randomness.
 func (in *Injector) AttackClaim(vr geom.Rect, pois []broadcast.POI, a Attack) (geom.Rect, []broadcast.POI) {
-	if in == nil || a == AttackNone {
+	if a == AttackNone {
 		return vr, pois
 	}
 	seq := in.lieSeq

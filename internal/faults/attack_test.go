@@ -113,17 +113,20 @@ func TestAttackClaimDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// AttackNone returns the claim as given, a nil POI set included, and
+// counts no lie.
 func TestAttackClaimNilAndNoneIdentity(t *testing.T) {
 	vr, pois := testClaim()
-	var nilIn *Injector
-	cvr, cpois := nilIn.AttackClaim(vr, pois, AttackFabricate)
-	if cvr != vr || &cpois[0] != &pois[0] {
-		t.Fatal("nil injector AttackClaim is not the identity")
-	}
 	in := New(1, Profile{})
-	cvr, cpois = in.AttackClaim(vr, pois, AttackNone)
-	if cvr != vr || &cpois[0] != &pois[0] || in.Counters.ByzantineLies != 0 {
+	cvr, cpois := in.AttackClaim(vr, pois, AttackNone)
+	if cvr != vr || &cpois[0] != &pois[0] {
 		t.Fatal("AttackNone is not the identity")
+	}
+	if cvr, cpois = in.AttackClaim(vr, nil, AttackNone); cvr != vr || cpois != nil {
+		t.Fatal("AttackNone on a nil POI set is not the identity")
+	}
+	if in.Counters.ByzantineLies != 0 {
+		t.Fatal("AttackNone counted a lie")
 	}
 }
 

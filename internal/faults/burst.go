@@ -122,9 +122,9 @@ func (g *gilbert) sync(slot int64, c *Counters) {
 
 // Sync advances the Gilbert–Elliott chain to the given broadcast slot.
 // The sim calls this at query start and after each backoff wait so fades
-// can begin or end mid-collection. Safe on nil and with the chain unarmed.
+// can begin or end mid-collection. A no-op with the chain unarmed.
 func (in *Injector) Sync(slot int64) {
-	if in == nil || in.ge == nil {
+	if in.ge == nil {
 		return
 	}
 	in.ge.sync(slot, &in.Counters)
@@ -134,7 +134,7 @@ func (in *Injector) Sync(slot int64) {
 // chain's current state. No draw (and no loss) when the chain is unarmed
 // or the current state's loss rate is zero.
 func (in *Injector) burstLost() bool {
-	if in == nil || in.ge == nil {
+	if in.ge == nil {
 		return false
 	}
 	loss := in.ge.goodLoss
@@ -154,16 +154,16 @@ func (in *Injector) burstLost() bool {
 // ChannelImpaired reports whether the fading chain currently sits in its
 // bad state (at the last synced slot). The resilient collection loop uses
 // this to suppress circuit-breaker strikes: during a fade the losses are
-// the channel's fault, not any individual peer's. Safe on nil.
+// the channel's fault, not any individual peer's.
 func (in *Injector) ChannelImpaired() bool {
-	return in != nil && in.ge != nil && in.ge.bad
+	return in.ge != nil && in.ge.bad
 }
 
 // DeepFade reports whether the chain is in a bad state severe enough
 // (loss >= DeepFadeLoss) that the degraded planner should treat the
-// ad-hoc channel as down rather than merely lossy. Safe on nil.
+// ad-hoc channel as down rather than merely lossy.
 func (in *Injector) DeepFade() bool {
-	return in != nil && in.ge != nil && in.ge.bad && in.ge.badLoss >= DeepFadeLoss
+	return in.ge != nil && in.ge.bad && in.ge.badLoss >= DeepFadeLoss
 }
 
 // Blackout is the per-MH broadcast-downlink outage schedule: every

@@ -160,17 +160,17 @@ func TestBackoffSlotsTable(t *testing.T) {
 	}
 }
 
+// Jitter stays in [0, n), and a non-positive n is safe: no wait, no draw.
 func TestJitterBoundsAndNilSafety(t *testing.T) {
-	var nilIn *Injector
-	if got := nilIn.Jitter(10); got != 0 {
-		t.Errorf("nil Jitter = %d, want 0", got)
-	}
 	in := New(5, Profile{RequestLoss: 0.5})
 	if got := in.Jitter(0); got != 0 {
 		t.Errorf("Jitter(0) = %d, want 0", got)
 	}
 	if got := in.Jitter(-4); got != 0 {
 		t.Errorf("Jitter(-4) = %d, want 0", got)
+	}
+	if twin := New(5, Profile{RequestLoss: 0.5}); in.Jitter(1<<40) != twin.Jitter(1<<40) {
+		t.Error("a non-positive Jitter drew from the stream")
 	}
 	for i := 0; i < 100; i++ {
 		if got := in.Jitter(8); got < 0 || got >= 8 {
@@ -204,14 +204,10 @@ func TestChurnDrawsAreCountedAndSeeded(t *testing.T) {
 		t.Errorf("counted %d departures, drew %d", ca.ChurnDepartures, want)
 	}
 
-	// Zero churn: no draws, no counters, nil-safe.
+	// Zero churn: no draws, no counters.
 	z := New(7, Profile{})
-	if z.ChurnDeparts() || z.ChurnReturns() {
+	if z.ChurnDeparts() || z.ChurnReturns() || z.Counters != (Counters{}) {
 		t.Error("zero profile churned")
-	}
-	var nilIn *Injector
-	if nilIn.ChurnDeparts() || nilIn.ChurnReturns() {
-		t.Error("nil injector churned")
 	}
 }
 

@@ -212,10 +212,6 @@ type Counters struct {
 	RequestsUnheard int64
 	// RepliesDropped counts replies lost in flight.
 	RepliesDropped int64
-	// RepliesTruncated counts replies delivered cut short.
-	RepliesTruncated int64
-	// RepliesCorrupted counts replies delivered with flipped bits.
-	RepliesCorrupted int64
 	// ChurnDepartures counts peers that powered off or drifted out of
 	// range while a query's peer collection was in flight.
 	ChurnDepartures int64
@@ -232,9 +228,8 @@ type Counters struct {
 	BurstTransitions int64 `json:",omitempty"`
 }
 
-// Injector is a seeded, deterministic fault source. A nil *Injector is
-// valid and injects nothing, so consumers may thread it through without
-// nil checks. All decision methods draw from the injector's own stream —
+// Injector is a seeded, deterministic fault source. All decision methods
+// draw from the injector's own stream —
 // never the simulation's — so enabling faults does not perturb the world's
 // randomness, and a zero profile makes no draws at all.
 type Injector struct {
@@ -263,26 +258,15 @@ func New(seed int64, p Profile) *Injector {
 	}
 }
 
-// Profile returns the active (normalized) profile. Safe on nil.
-func (in *Injector) Profile() Profile {
-	if in == nil {
-		return Profile{}
-	}
-	return in.prof
-}
-
-// Enabled reports whether any fault process is active. Safe on nil.
-func (in *Injector) Enabled() bool { return in != nil && in.prof.Enabled() }
+// Profile returns the active (normalized) profile.
+func (in *Injector) Profile() Profile { return in.prof }
 
 // RequestHeard draws whether one neighbor heard one broadcast cache
 // request. The legacy Bernoulli draw comes first (from the legacy
 // stream, only when RequestLoss is set — exactly as before the fading
 // chain existed); the Gilbert–Elliott kill is layered under it from its
-// own stream. Safe on nil (always heard).
+// own stream.
 func (in *Injector) RequestHeard() bool {
-	if in == nil {
-		return true
-	}
 	heard := true
 	if in.prof.RequestLoss > 0 {
 		if in.rng.Float64() < in.prof.RequestLoss {
@@ -302,11 +286,7 @@ func (in *Injector) RequestHeard() bool {
 // corruption) and draw from the legacy stream exactly as before; the
 // Gilbert–Elliott fading kill is layered under a legacy FateDeliver from
 // its own stream, so arming the chain never shifts the legacy sequence.
-// Safe on nil (always delivered).
 func (in *Injector) ReplyFate() ReplyFate {
-	if in == nil {
-		return FateDeliver
-	}
 	fate := FateDeliver
 	p := in.prof
 	if p.ReplyLoss > 0 || p.ReplyTruncate > 0 || p.ReplyCorrupt > 0 {
@@ -316,10 +296,8 @@ func (in *Injector) ReplyFate() ReplyFate {
 			in.Counters.RepliesDropped++
 			fate = FateDrop
 		case u < p.ReplyLoss+p.ReplyTruncate:
-			in.Counters.RepliesTruncated++
 			fate = FateTruncate
 		case u < p.ReplyLoss+p.ReplyTruncate+p.ReplyCorrupt:
-			in.Counters.RepliesCorrupted++
 			fate = FateCorrupt
 		}
 	}
@@ -331,9 +309,9 @@ func (in *Injector) ReplyFate() ReplyFate {
 }
 
 // ChurnDeparts draws whether one present peer powers off or drifts out of
-// range during the current collection round. Safe on nil (never departs).
+// range during the current collection round.
 func (in *Injector) ChurnDeparts() bool {
-	if in == nil || in.prof.ChurnRate <= 0 {
+	if in.prof.ChurnRate <= 0 {
 		return false
 	}
 	if in.rng.Float64() < in.prof.ChurnRate {
@@ -344,10 +322,9 @@ func (in *Injector) ChurnDeparts() bool {
 }
 
 // ChurnReturns draws whether one departed peer powers back on or drifts
-// back into range during the current collection round. Safe on nil (never
-// returns — but a nil injector never departs a peer either).
+// back into range during the current collection round.
 func (in *Injector) ChurnReturns() bool {
-	if in == nil || in.prof.ChurnRate <= 0 {
+	if in.prof.ChurnRate <= 0 {
 		return false
 	}
 	if in.rng.Float64() < in.prof.ChurnRate {
@@ -390,9 +367,9 @@ func BackoffSlots(attempt int) int64 {
 
 // Jitter draws a uniform delay in [0, n) from the injector's stream — the
 // seeded jitter added to each backoff wait so colliding retry schedules
-// de-synchronize deterministically. Safe on nil (returns 0).
+// de-synchronize deterministically.
 func (in *Injector) Jitter(n int64) int64 {
-	if in == nil || n <= 0 {
+	if n <= 0 {
 		return 0
 	}
 	return in.rng.Int63n(n)
@@ -401,9 +378,9 @@ func (in *Injector) Jitter(n int64) int64 {
 // Mangle applies the drawn fate to an encoded message: truncation cuts it
 // at a random interior point, corruption flips one to four random bits.
 // FateDeliver and FateDrop return the input unchanged. The input slice is
-// never modified; mangled output is a copy. Safe on nil (identity).
+// never modified; mangled output is a copy.
 func (in *Injector) Mangle(b []byte, fate ReplyFate) []byte {
-	if in == nil || len(b) == 0 {
+	if len(b) == 0 {
 		return b
 	}
 	switch fate {

@@ -211,21 +211,6 @@ func (r Rect) String() string {
 	return fmt.Sprintf("[%s-%s]", r.Min, r.Max)
 }
 
-// BoundingRect returns the MBR of pts. It panics for an empty slice.
-func BoundingRect(pts []Point) Rect {
-	if len(pts) == 0 {
-		panic("geom: BoundingRect of empty point set")
-	}
-	out := Rect{Min: pts[0], Max: pts[0]}
-	for _, p := range pts[1:] {
-		out.Min.X = math.Min(out.Min.X, p.X)
-		out.Min.Y = math.Min(out.Min.Y, p.Y)
-		out.Max.X = math.Max(out.Max.X, p.X)
-		out.Max.Y = math.Max(out.Max.Y, p.Y)
-	}
-	return out
-}
-
 // Segment is a closed line segment between A and B.
 type Segment struct {
 	A, B Point

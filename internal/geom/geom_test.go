@@ -205,19 +205,6 @@ func TestRectAround(t *testing.T) {
 	}
 }
 
-func TestBoundingRect(t *testing.T) {
-	pts := []Point{Pt(1, 5), Pt(-2, 3), Pt(4, -1)}
-	if got := BoundingRect(pts); got != NewRect(-2, -1, 4, 5) {
-		t.Errorf("BoundingRect = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("BoundingRect(nil) must panic")
-		}
-	}()
-	BoundingRect(nil)
-}
-
 func TestRectCorners(t *testing.T) {
 	c := NewRect(0, 0, 1, 2).Corners()
 	want := [4]Point{Pt(0, 0), Pt(1, 0), Pt(1, 2), Pt(0, 2)}

@@ -112,19 +112,6 @@ func (u *RectUnion) Contains(p Point) bool {
 	return false
 }
 
-// Bounds returns the MBR of the whole union; the second result is false
-// for an empty union.
-func (u *RectUnion) Bounds() (Rect, bool) {
-	if len(u.rects) == 0 {
-		return Rect{}, false
-	}
-	out := u.rects[0]
-	for _, r := range u.rects[1:] {
-		out = out.Union(r)
-	}
-	return out, true
-}
-
 // Area returns the exact area of the union.
 func (u *RectUnion) Area() float64 {
 	total := 0.0

@@ -27,17 +27,6 @@ func TestRectUnionDropsDegenerate(t *testing.T) {
 	}
 }
 
-func TestRectUnionBounds(t *testing.T) {
-	u := NewRectUnion(NewRect(0, 0, 1, 1), NewRect(5, -2, 6, 3))
-	b, ok := u.Bounds()
-	if !ok || b != NewRect(0, -2, 6, 3) {
-		t.Fatalf("Bounds = %v, %v", b, ok)
-	}
-	if _, ok := NewRectUnion().Bounds(); ok {
-		t.Error("empty union must report no bounds")
-	}
-}
-
 func TestRectUnionAreaOverlap(t *testing.T) {
 	// Two 2x2 squares overlapping in a 1x1 square: area = 4+4-1 = 7.
 	u := NewRectUnion(NewRect(0, 0, 2, 2), NewRect(1, 1, 3, 3))

@@ -34,7 +34,7 @@ func BenchmarkXY(b *testing.B) {
 	}
 }
 
-func BenchmarkValueOf(b *testing.B) {
+func BenchmarkCellOf(b *testing.B) {
 	c := benchCurve(b, 10)
 	rng := rand.New(rand.NewSource(1))
 	pts := make([]geom.Point, 1024)
@@ -43,17 +43,6 @@ func BenchmarkValueOf(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.ValueOf(pts[i%len(pts)])
-	}
-}
-
-func BenchmarkRangesOfRect(b *testing.B) {
-	c := benchCurve(b, 6)
-	w := geom.NewRect(4, 4, 9, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := c.RangesOfRect(w); len(got) == 0 {
-			b.Fatal("no ranges")
-		}
+		c.CellOf(pts[i%len(pts)])
 	}
 }

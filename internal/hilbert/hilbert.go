@@ -5,13 +5,11 @@
 //
 // The server partitions the service area into a 2^order × 2^order grid and
 // broadcasts data packets in ascending Hilbert value of their grid cell,
-// so consecutive packets are spatially close and a client can translate a
-// spatial search region into a small set of index-value ranges.
+// so consecutive packets are spatially close.
 package hilbert
 
 import (
 	"fmt"
-	"sort"
 
 	"lbsq/internal/geom"
 )
@@ -19,8 +17,7 @@ import (
 // Curve maps between grid coordinates and positions along a Hilbert curve
 // over a square region of the plane.
 type Curve struct {
-	order int       // curve order; grid is side × side with side = 1<<order
-	side  int       // 1 << order
+	side  int       // grid is side × side with side = 1<<order
 	area  geom.Rect // region of the plane covered by the grid
 	cellW float64   // width of one grid cell
 	cellH float64   // height of one grid cell
@@ -37,7 +34,6 @@ func New(order int, area geom.Rect) (*Curve, error) {
 	}
 	side := 1 << order
 	return &Curve{
-		order: order,
 		side:  side,
 		area:  area,
 		cellW: area.Width() / float64(side),
@@ -45,17 +41,11 @@ func New(order int, area geom.Rect) (*Curve, error) {
 	}, nil
 }
 
-// Order returns the curve order.
-func (c *Curve) Order() int { return c.order }
-
 // Side returns the grid side length (number of cells per axis).
 func (c *Curve) Side() int { return c.side }
 
 // Cells returns the total number of grid cells, side².
 func (c *Curve) Cells() int64 { return int64(c.side) * int64(c.side) }
-
-// Area returns the region of the plane covered by the grid.
-func (c *Curve) Area() geom.Rect { return c.area }
 
 // D computes the Hilbert value of grid cell (x, y). Coordinates outside
 // the grid are clamped.
@@ -118,12 +108,6 @@ func (c *Curve) CellOf(p geom.Point) (x, y int) {
 	return clampInt(x, 0, c.side-1), clampInt(y, 0, c.side-1)
 }
 
-// ValueOf returns the Hilbert value of the cell containing p.
-func (c *Curve) ValueOf(p geom.Point) int64 {
-	x, y := c.CellOf(p)
-	return c.D(x, y)
-}
-
 // CellRect returns the rectangle covered by grid cell (x, y).
 func (c *Curve) CellRect(x, y int) geom.Rect {
 	minX := c.area.Min.X + float64(x)*c.cellW
@@ -132,81 +116,6 @@ func (c *Curve) CellRect(x, y int) geom.Rect {
 		Min: geom.Pt(minX, minY),
 		Max: geom.Pt(minX+c.cellW, minY+c.cellH),
 	}
-}
-
-// CellRectOfValue returns the rectangle of the cell with Hilbert value d.
-func (c *Curve) CellRectOfValue(d int64) geom.Rect {
-	x, y := c.XY(d)
-	return c.CellRect(x, y)
-}
-
-// CellCenter returns the center point of the cell with Hilbert value d.
-func (c *Curve) CellCenter(d int64) geom.Point {
-	return c.CellRectOfValue(d).Center()
-}
-
-// CellsInRect returns the Hilbert values (ascending) of every grid cell
-// whose rectangle intersects r. This is the candidate set a broadcast
-// client must retrieve to resolve a window query over r.
-func (c *Curve) CellsInRect(r geom.Rect) []int64 {
-	x0, y0 := c.CellOf(r.Min)
-	x1, y1 := c.CellOf(r.Max)
-	out := make([]int64, 0, (x1-x0+1)*(y1-y0+1))
-	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			out = append(out, c.D(x, y))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Range is a closed interval [First, Last] of Hilbert values.
-type Range struct {
-	First, Last int64
-}
-
-// Contains reports whether d lies in the range.
-func (r Range) Contains(d int64) bool { return d >= r.First && d <= r.Last }
-
-// Len returns the number of values the range spans.
-func (r Range) Len() int64 { return r.Last - r.First + 1 }
-
-// RangeOfRect returns the minimal single Hilbert range [first, last]
-// covering every cell that intersects r — the "first point a, last point
-// b" bound of the on-air window query algorithm (Fig. 8 of the paper).
-// ok is false when r misses the grid entirely.
-func (c *Curve) RangeOfRect(r geom.Rect) (Range, bool) {
-	if !c.area.Intersects(r) {
-		return Range{}, false
-	}
-	cells := c.CellsInRect(r)
-	if len(cells) == 0 {
-		return Range{}, false
-	}
-	return Range{First: cells[0], Last: cells[len(cells)-1]}, true
-}
-
-// RangesOfRect returns the exact set of maximal contiguous Hilbert ranges
-// covering the cells that intersect r. Compared with RangeOfRect it skips
-// the curve's detours outside the window, trading a longer index for less
-// data retrieval.
-func (c *Curve) RangesOfRect(r geom.Rect) []Range {
-	cells := c.CellsInRect(r)
-	if len(cells) == 0 {
-		return nil
-	}
-	var out []Range
-	cur := Range{First: cells[0], Last: cells[0]}
-	for _, d := range cells[1:] {
-		if d == cur.Last+1 {
-			cur.Last = d
-			continue
-		}
-		out = append(out, cur)
-		cur = Range{First: d, Last: d}
-	}
-	return append(out, cur)
 }
 
 func clampInt(v, lo, hi int) int {

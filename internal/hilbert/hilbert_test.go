@@ -36,8 +36,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Order() != 3 || c.Side() != 8 || c.Cells() != 64 {
-		t.Errorf("accessors: order=%d side=%d cells=%d", c.Order(), c.Side(), c.Cells())
+	if c.Side() != 8 || c.Cells() != 64 {
+		t.Errorf("accessors: side=%d cells=%d", c.Side(), c.Cells())
 	}
 }
 
@@ -154,49 +154,6 @@ func TestCellOfAndCellRect(t *testing.T) {
 	if x != 0 || y != 3 {
 		t.Fatalf("CellOf outside = (%d,%d)", x, y)
 	}
-	// Round trip through value.
-	d := c.ValueOf(geom.Pt(7, 13))
-	if got := c.CellRectOfValue(d); got != geom.NewRect(5, 10, 10, 15) {
-		t.Fatalf("CellRectOfValue = %v", got)
-	}
-	if got := c.CellCenter(d); got != geom.Pt(7.5, 12.5) {
-		t.Fatalf("CellCenter = %v", got)
-	}
-}
-
-func TestCellsInRect(t *testing.T) {
-	c := mustCurve(t, 2, geom.NewRect(0, 0, 4, 4)) // 4x4 grid, unit cells
-	// Rect covering cells (1..2, 1..2) — a 2x2 block.
-	cells := c.CellsInRect(geom.NewRect(1.1, 1.1, 2.9, 2.9))
-	if len(cells) != 4 {
-		t.Fatalf("CellsInRect = %v", cells)
-	}
-	for i := 1; i < len(cells); i++ {
-		if cells[i] <= cells[i-1] {
-			t.Fatalf("cells not ascending: %v", cells)
-		}
-	}
-	// Whole area covers all 16 cells.
-	if got := c.CellsInRect(geom.NewRect(0, 0, 4, 4)); len(got) != 16 {
-		t.Fatalf("full area cells = %d", len(got))
-	}
-}
-
-func TestRangeOfRect(t *testing.T) {
-	c := mustCurve(t, 3, geom.NewRect(0, 0, 8, 8))
-	r, ok := c.RangeOfRect(geom.NewRect(0.1, 0.1, 0.9, 0.9))
-	if !ok || r.First != 0 || r.Last != 0 {
-		t.Fatalf("single cell range = %+v, %v", r, ok)
-	}
-	if !r.Contains(0) || r.Contains(1) {
-		t.Error("Range.Contains wrong")
-	}
-	if r.Len() != 1 {
-		t.Errorf("Range.Len = %d", r.Len())
-	}
-	if _, ok := c.RangeOfRect(geom.NewRect(100, 100, 101, 101)); ok {
-		t.Error("range of disjoint rect must fail")
-	}
 }
 
 // TestFigure8WindowSpan reproduces the observation behind Figure 8: a
@@ -205,59 +162,21 @@ func TestRangeOfRect(t *testing.T) {
 func TestFigure8WindowSpan(t *testing.T) {
 	c := unitCurve(t, 3)
 	// A central window: cells x in [2,5], y in [2,5].
-	w := geom.NewRect(2.1, 2.1, 5.9, 5.9)
-	r, ok := c.RangeOfRect(w)
-	if !ok {
-		t.Fatal("range must exist")
+	first, last := c.Cells(), int64(-1)
+	for y := 2; y <= 5; y++ {
+		for x := 2; x <= 5; x++ {
+			d := c.D(x, y)
+			first, last = min(first, d), max(last, d)
+		}
 	}
-	span := r.Len()
+	span := last - first + 1
 	if span < 40 {
 		t.Errorf("central window span = %d; expected the long-segment effect (>40 of 64)", span)
 	}
-	// The exact ranges must cover far fewer cells than the single span.
-	exact := c.RangesOfRect(w)
-	var exactLen int64
-	for _, e := range exact {
-		exactLen += e.Len()
-	}
-	if exactLen != 16 {
-		t.Errorf("exact cell count = %d want 16", exactLen)
-	}
-	if exactLen >= span {
-		t.Errorf("exact ranges (%d) must beat single span (%d)", exactLen, span)
-	}
 }
 
-func TestRangesOfRectContiguity(t *testing.T) {
-	c := unitCurve(t, 4)
-	w := geom.NewRect(3.5, 3.5, 9.5, 6.5)
-	ranges := c.RangesOfRect(w)
-	if len(ranges) == 0 {
-		t.Fatal("no ranges")
-	}
-	// Ranges are disjoint, ascending, non-adjacent (maximal).
-	for i := 1; i < len(ranges); i++ {
-		if ranges[i].First <= ranges[i-1].Last+1 {
-			t.Fatalf("ranges not maximal/disjoint: %+v", ranges)
-		}
-	}
-	// Every covered cell is in exactly one range.
-	cells := c.CellsInRect(w)
-	for _, d := range cells {
-		n := 0
-		for _, r := range ranges {
-			if r.Contains(d) {
-				n++
-			}
-		}
-		if n != 1 {
-			t.Fatalf("cell %d in %d ranges", d, n)
-		}
-	}
-}
-
-// Property: random points map to cells whose rect contains them, and
-// ValueOf is consistent with D∘CellOf.
+// Property: random points map to cells whose rect contains them, and the
+// Hilbert value of that cell, D∘CellOf, maps back to it through XY.
 func TestValueOfProperty(t *testing.T) {
 	c := mustCurve(t, 5, geom.NewRect(-10, -10, 10, 10))
 	f := func(seed int64) bool {
@@ -267,7 +186,8 @@ func TestValueOfProperty(t *testing.T) {
 		if !c.CellRect(x, y).Contains(p) {
 			return false
 		}
-		return c.ValueOf(p) == c.D(x, y)
+		vx, vy := c.XY(c.D(x, y))
+		return vx == x && vy == y
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -279,12 +199,16 @@ func TestValueOfProperty(t *testing.T) {
 func TestLocalityStatistical(t *testing.T) {
 	c := unitCurve(t, 6)
 	rng := rand.New(rand.NewSource(3))
+	center := func(d int64) geom.Point {
+		x, y := c.XY(d)
+		return c.CellRect(x, y).Center()
+	}
 	var sumNear, sumFar float64
 	const trials = 2000
 	for i := 0; i < trials; i++ {
 		d := rng.Int63n(c.Cells() - 10)
-		near := c.CellCenter(d).Dist(c.CellCenter(d + 1))
-		far := c.CellCenter(d).Dist(c.CellCenter(rng.Int63n(c.Cells())))
+		near := center(d).Dist(center(d + 1))
+		far := center(d).Dist(center(rng.Int63n(c.Cells())))
 		sumNear += near
 		sumFar += far
 	}

@@ -6,15 +6,13 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 )
 
 // This file implements the Prometheus-style text exposition sink
 // (text format version 0.0.4 subset: counters, gauges, histograms) and
-// a parser for the same subset, used by the round-trip tests and by
-// offline tooling that consumes `lbsq-sim -metrics-out` files.
+// a parser for the same subset, used by the round-trip tests.
 
 // formatFloat renders a sample value deterministically: the shortest
 // representation that round-trips (strconv 'g', precision -1).
@@ -170,16 +168,5 @@ func Handler(r *Registry) http.Handler {
 			return
 		}
 		_ = s.WriteText(w)
-	})
-}
-
-// SortSamples orders samples by (name, le) — a convenience for
-// comparing parsed expositions independent of emission order.
-func SortSamples(samples []Sample) {
-	sort.Slice(samples, func(i, j int) bool {
-		if samples[i].Name != samples[j].Name {
-			return samples[i].Name < samples[j].Name
-		}
-		return samples[i].LE < samples[j].LE
 	})
 }

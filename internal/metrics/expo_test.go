@@ -107,14 +107,6 @@ func TestFormatFloat(t *testing.T) {
 	}
 }
 
-func TestSortSamples(t *testing.T) {
-	s := []Sample{{Name: "b"}, {Name: "a", LE: "2"}, {Name: "a", LE: "1"}}
-	SortSamples(s)
-	if s[0].LE != "1" || s[1].LE != "2" || s[2].Name != "b" {
-		t.Fatalf("sorted order %+v", s)
-	}
-}
-
 func TestHandlerServesPublishedSnapshot(t *testing.T) {
 	r := NewRegistry()
 	var hits int64

@@ -111,15 +111,6 @@ func (s *State) Heading() geom.Point {
 	return d.Scale(1 / n)
 }
 
-// Exp draws an exponential inter-arrival time with the given rate (events
-// per time unit); it panics for non-positive rates.
-func Exp(rng *rand.Rand, rate float64) float64 {
-	if rate <= 0 {
-		panic(fmt.Sprintf("mobility: non-positive rate %v", rate))
-	}
-	return rng.ExpFloat64() / rate
-}
-
 // Poisson draws a Poisson-distributed count with the given mean using
 // Knuth's method for small means and a normal approximation for large
 // ones.

@@ -163,30 +163,6 @@ func TestLongRunCoversArea(t *testing.T) {
 	}
 }
 
-func TestExp(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	const rate = 2.0
-	var sum float64
-	const n = 20000
-	for i := 0; i < n; i++ {
-		v := Exp(rng, rate)
-		if v < 0 {
-			t.Fatal("negative exponential draw")
-		}
-		sum += v
-	}
-	mean := sum / n
-	if math.Abs(mean-1/rate) > 0.02 {
-		t.Errorf("Exp mean = %v want %v", mean, 1/rate)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Exp with rate 0 must panic")
-		}
-	}()
-	Exp(rng, 0)
-}
-
 func TestPoissonMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, mean := range []float64{0.5, 3, 12, 80} {

@@ -39,7 +39,7 @@ func TestAppendNeighborsMatchesNeighbors(t *testing.T) {
 			t.Fatalf("AppendNeighbors differs from Neighbors at %v r=%v", q, radius)
 		}
 		for hops := 1; hops <= 3; hops++ {
-			wantMH := net.NeighborsMultiHop(q, radius, hops, exclude)
+			wantMH := net.AppendNeighborsMultiHop(nil, q, radius, hops, exclude)
 			gotMH := net.AppendNeighborsMultiHop(buf[:0], q, radius, hops, exclude)
 			if len(wantMH) == 0 && len(gotMH) == 0 {
 				continue

@@ -7,16 +7,15 @@ import (
 	"lbsq/internal/geom"
 )
 
-// FuzzNeighbors drives one grid through a decoded sequence of Update,
-// Remove and lookup operations and checks every lookup against the sorted
-// brute-force scan (bruteNeighbors), and Len against the registered set.
+// FuzzNeighbors drives one grid through a decoded sequence of Update and
+// lookup operations and checks every lookup against the sorted
+// brute-force scan (bruteNeighbors).
 //
 // data[0] picks the cell size on a 16 × 16 area, (1 + data[0]%32)/8, so
 // from 1/8 to 4, a quarter of the side. Each following
 // 4-byte group (op, a, b, c) is one operation, by op%4:
-//   - 0, 1: Update(a%32) to (int8(b)/4, int8(c)/4), which reaches 16
+//   - 0, 1, 2: Update(a%32) to (int8(b)/4, int8(c)/4), which reaches 16
 //     beyond every edge of the area (such hosts sit in the border cells);
-//   - 2: Remove(a%32), registered or not;
 //   - 3: a lookup at (int8(a)/4, int8(b)/4) with radius int8(c)/8 (zero,
 //     negative, or up to 16, wider than any cell), excluding
 //     (op>>2)%33 - 1 (-1 excludes nobody).
@@ -33,13 +32,10 @@ func FuzzNeighbors(f *testing.F) {
 		for ops := data[1:]; len(ops) >= 4; ops = ops[4:] {
 			op, a, b, c := ops[0], ops[1], ops[2], ops[3]
 			switch op % 4 {
-			case 0, 1:
+			case 0, 1, 2:
 				p := geom.Pt(float64(int8(b))/4, float64(int8(c))/4)
 				n.Update(int(a%32), p)
 				pts[int(a%32)] = p
-			case 2:
-				n.Remove(int(a % 32))
-				delete(pts, int(a%32))
 			case 3:
 				q := geom.Pt(float64(int8(a))/4, float64(int8(b))/4)
 				radius := float64(int8(c)) / 8
@@ -48,9 +44,6 @@ func FuzzNeighbors(f *testing.F) {
 				if want := bruteNeighbors(pts, q, radius, exclude); !slices.Equal(got, want) {
 					t.Fatalf("Neighbors(%v, %v, %d) = %v, want %v", q, radius, exclude, got, want)
 				}
-			}
-			if n.Len() != len(pts) {
-				t.Fatalf("Len = %d, want %d", n.Len(), len(pts))
 			}
 		}
 	})

@@ -18,11 +18,11 @@ import (
 // Network indexes host positions on a uniform grid. Host IDs are dense
 // small integers assigned by the caller.
 //
-// Update and Remove only record a position or a departure and mark the
-// index stale. The first lookup after a change rebuilds it with one
-// counting sort by cell, so a tick that moves every host pays one
-// O(hosts + cells) pass instead of one list edit per host. Lookups are
-// therefore writers: a Network must not be shared between goroutines.
+// Update only records a position and marks the index stale. The first
+// lookup after a change rebuilds it with one counting sort by cell, so a
+// tick that moves every host pays one O(hosts + cells) pass instead of one
+// list edit per host. Lookups are therefore writers: a Network must not be
+// shared between goroutines.
 type Network struct {
 	area    geom.Rect
 	perCell float64 // 1 / cell size
@@ -30,7 +30,7 @@ type Network struct {
 	rows    int
 	pos     []geom.Point // host id -> position
 	present []bool       // host id -> registered?
-	live    int          // registered host count (keeps Len O(1))
+	live    int          // registered host count
 
 	// The index, current unless stale: cell c (row-major, so the cells
 	// cx0…cx1 of one row are one run) holds ids[start[c]:start[c+1]] in
@@ -63,10 +63,6 @@ func NewNetwork(area geom.Rect, cellSize float64) (*Network, error) {
 	}, nil
 }
 
-// Len returns the number of registered hosts in O(1): a live-host counter
-// is maintained by Update/Remove instead of scanning the presence table.
-func (n *Network) Len() int { return n.live }
-
 // coord returns the grid coordinate of offset d from the area's lower
 // edge, clamped to [0, cells): positions outside the area fall in the
 // border cells, and NaN in the first.
@@ -98,16 +94,6 @@ func (n *Network) Update(id int, p geom.Point) {
 		n.live++
 	}
 	n.pos[id] = p
-	n.stale = true
-}
-
-// Remove unregisters a host.
-func (n *Network) Remove(id int) {
-	if id < 0 || id >= len(n.present) || !n.present[id] {
-		return
-	}
-	n.present[id] = false
-	n.live--
 	n.stale = true
 }
 
@@ -166,8 +152,8 @@ func (n *Network) Neighbors(q geom.Point, radius float64, exclude int) []int {
 // for callers that keep a reusable buffer (pass dst[:0] to reuse its
 // capacity). A host is within range when its squared distance to q is at
 // most radius², so the result is a function of the registered positions
-// alone, not of the order they were registered or moved in. An Update or
-// Remove is visible to the next lookup.
+// alone, not of the order they were registered or moved in. An Update is
+// visible to the next lookup.
 func (n *Network) AppendNeighbors(dst []int, q geom.Point, radius float64, exclude int) []int {
 	if radius <= 0 {
 		return dst
@@ -191,19 +177,14 @@ func (n *Network) AppendNeighbors(dst []int, q geom.Point, radius float64, exclu
 	return dst
 }
 
-// NeighborsMultiHop returns the hosts reachable from q within the given
-// number of ad-hoc hops: hop 1 is every host within `radius` of q; hop
-// h+1 adds every host within `radius` of a hop-h host. The result
-// excludes `exclude` and is deduplicated. hops <= 1 behaves exactly like
-// Neighbors. Multi-hop relaying is the natural extension of the paper's
-// single-hop sharing (its cooperative-caching citations [4, 5] relay
-// across hops); it trades extra ad-hoc traffic for reach in sparse areas.
-func (n *Network) NeighborsMultiHop(q geom.Point, radius float64, hops, exclude int) []int {
-	return n.AppendNeighborsMultiHop(nil, q, radius, hops, exclude)
-}
-
-// AppendNeighborsMultiHop is NeighborsMultiHop appending into a
-// caller-owned buffer (pass dst[:0] to reuse capacity). The single-hop
+// AppendNeighborsMultiHop appends to dst the hosts reachable from q
+// within the given number of ad-hoc hops: hop 1 is every host within
+// `radius` of q; hop h+1 adds every host within `radius` of a hop-h host.
+// The result excludes `exclude` and is deduplicated. hops <= 1 behaves
+// exactly like AppendNeighbors. Multi-hop relaying is the natural
+// extension of the paper's single-hop sharing (its cooperative-caching
+// citations [4, 5] relay across hops); it trades extra ad-hoc traffic for
+// reach in sparse areas. Pass dst[:0] to reuse capacity: the single-hop
 // default path allocates nothing; multi-hop frontiers still allocate
 // their dedup state, which only non-default configurations pay for.
 func (n *Network) AppendNeighborsMultiHop(dst []int, q geom.Point, radius float64, hops, exclude int) []int {

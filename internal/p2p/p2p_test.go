@@ -63,28 +63,6 @@ func TestUpdateAndPosition(t *testing.T) {
 	if p != geom.Pt(9, 9) {
 		t.Fatalf("moved Position = %v", p)
 	}
-	if n.Len() != 1 {
-		t.Fatalf("Len = %d", n.Len())
-	}
-}
-
-func TestRemove(t *testing.T) {
-	n := mustNetwork(t, geom.NewRect(0, 0, 10, 10), 2)
-	n.Update(0, geom.Pt(1, 1))
-	n.Update(1, geom.Pt(2, 2))
-	n.Remove(0)
-	if _, ok := n.Position(0); ok {
-		t.Error("removed host still present")
-	}
-	if n.Len() != 1 {
-		t.Fatalf("Len after remove = %d", n.Len())
-	}
-	got := n.Neighbors(geom.Pt(1, 1), 5, -1)
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Neighbors after remove = %v", got)
-	}
-	n.Remove(0)  // idempotent
-	n.Remove(99) // out of range, no panic
 }
 
 func TestNeighborsBruteForce(t *testing.T) {
@@ -137,24 +115,19 @@ func bruteNeighbors(pts map[int]geom.Point, q geom.Point, radius float64, exclud
 	return want
 }
 
-// TestNeighborsAscendingAndComplete: after random registrations, moves
-// and removals, every lookup returns exactly the brute-force set, in
-// ascending ID order — whatever history put the hosts where they are.
+// TestNeighborsAscendingAndComplete: after random registrations and
+// moves, every lookup returns exactly the brute-force set, in ascending
+// ID order — whatever history put the hosts where they are.
 func TestNeighborsAscendingAndComplete(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := mustNetwork(t, geom.NewRect(0, 0, 40, 40), 3)
 	pts := map[int]geom.Point{}
 	for op := 0; op < 4000; op++ {
 		id := rng.Intn(150)
-		if rng.Intn(4) == 0 {
-			n.Remove(id)
-			delete(pts, id)
-		} else {
-			// A few hosts stray outside the area, into the border cells.
-			p := geom.Pt(rng.Float64()*44-2, rng.Float64()*44-2)
-			n.Update(id, p)
-			pts[id] = p
-		}
+		// A few hosts stray outside the area, into the border cells.
+		p := geom.Pt(rng.Float64()*44-2, rng.Float64()*44-2)
+		n.Update(id, p)
+		pts[id] = p
 		if op%10 != 0 {
 			continue
 		}
@@ -234,25 +207,25 @@ func TestNeighborsMultiHop(t *testing.T) {
 		n.Update(i, geom.Pt(float64(i)*0.9, 0))
 	}
 	q := geom.Pt(0, 0)
-	oneHop := n.NeighborsMultiHop(q, 1, 1, 0)
+	oneHop := n.AppendNeighborsMultiHop(nil, q, 1, 1, 0)
 	if len(oneHop) != 1 || oneHop[0] != 1 {
 		t.Fatalf("1 hop = %v", oneHop)
 	}
-	twoHop := n.NeighborsMultiHop(q, 1, 2, 0)
+	twoHop := n.AppendNeighborsMultiHop(nil, q, 1, 2, 0)
 	if len(twoHop) != 2 {
 		t.Fatalf("2 hops = %v", twoHop)
 	}
-	fiveHop := n.NeighborsMultiHop(q, 1, 5, 0)
+	fiveHop := n.AppendNeighborsMultiHop(nil, q, 1, 5, 0)
 	if len(fiveHop) != 5 {
 		t.Fatalf("5 hops = %v (whole chain minus self)", fiveHop)
 	}
 	// Hops beyond the chain length saturate.
-	tenHop := n.NeighborsMultiHop(q, 1, 10, 0)
+	tenHop := n.AppendNeighborsMultiHop(nil, q, 1, 10, 0)
 	if len(tenHop) != 5 {
 		t.Fatalf("10 hops = %v", tenHop)
 	}
-	// hops<=1 equals Neighbors.
-	if got := n.NeighborsMultiHop(q, 1, 0, 0); len(got) != 1 {
+	// hops<=1 equals AppendNeighbors.
+	if got := n.AppendNeighborsMultiHop(nil, q, 1, 0, 0); len(got) != 1 {
 		t.Fatalf("0 hops = %v", got)
 	}
 }
@@ -263,7 +236,7 @@ func TestNeighborsMultiHopNoDuplicates(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		n.Update(i, geom.Pt(rng.Float64()*10, rng.Float64()*10))
 	}
-	got := n.NeighborsMultiHop(geom.Pt(5, 5), 1.2, 3, 7)
+	got := n.AppendNeighborsMultiHop(nil, geom.Pt(5, 5), 1.2, 3, 7)
 	seen := map[int]bool{}
 	for _, id := range got {
 		if seen[id] {
@@ -279,35 +252,5 @@ func TestNeighborsMultiHopNoDuplicates(t *testing.T) {
 		if !seen[id] {
 			t.Fatalf("single-hop neighbor %d missing from multi-hop", id)
 		}
-	}
-}
-
-// TestLenChurn: Len must stay exact — O(1) via the live-host counter —
-// through arbitrary interleavings of registrations, moves, removals,
-// double-removals and re-registrations.
-func TestLenChurn(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n := mustNetwork(t, geom.NewRect(0, 0, 10, 10), 1)
-	alive := map[int]bool{}
-	for op := 0; op < 5000; op++ {
-		id := rng.Intn(60)
-		switch rng.Intn(3) {
-		case 0, 1: // register or move
-			n.Update(id, geom.Pt(rng.Float64()*10, rng.Float64()*10))
-			alive[id] = true
-		case 2: // remove (possibly already absent)
-			n.Remove(id)
-			delete(alive, id)
-		}
-		if n.Len() != len(alive) {
-			t.Fatalf("op %d: Len = %d, want %d", op, n.Len(), len(alive))
-		}
-	}
-	// Drain completely, including ids never registered.
-	for id := 0; id < 70; id++ {
-		n.Remove(id)
-	}
-	if n.Len() != 0 {
-		t.Fatalf("Len after drain = %d", n.Len())
 	}
 }

@@ -74,6 +74,3 @@ func (q *ServiceQueue) Admit(peer int) ServiceVerdict {
 		return ServeDrop
 	}
 }
-
-// Load returns the number of requests the peer has received this tick.
-func (q *ServiceQueue) Load(peer int) int { return q.load[peer] }

@@ -16,14 +16,8 @@ func TestServiceQueueAdmissionLadder(t *testing.T) {
 			t.Fatalf("request %d: verdict %v, want %v", i, got, w)
 		}
 	}
-	if got := q.Load(7); got != len(want) {
-		t.Fatalf("load %d, want %d", got, len(want))
-	}
 
 	q.Reset()
-	if got := q.Load(7); got != 0 {
-		t.Fatalf("load %d after reset, want 0", got)
-	}
 	if got := q.Admit(7); got != ServeOK {
 		t.Fatalf("post-reset verdict %v, want ServeOK", got)
 	}
@@ -38,11 +32,5 @@ func TestServiceQueuePerPeerIsolation(t *testing.T) {
 	}
 	if got := q.Admit(2); got != ServeOK {
 		t.Fatalf("fresh peer verdict %v, want ServeOK", got)
-	}
-	if got := q.Load(1); got != 10 {
-		t.Fatalf("peer 1 load %d, want 10", got)
-	}
-	if got := q.Load(2); got != 1 {
-		t.Fatalf("peer 2 load %d, want 1", got)
 	}
 }

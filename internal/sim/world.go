@@ -461,7 +461,6 @@ func (w *World) Stats() Stats {
 	c := w.inj.Counters
 	s.RequestsUnheard = c.RequestsUnheard
 	s.RepliesDropped = c.RepliesDropped
-	s.RepliesRejected = c.RepliesTruncated + c.RepliesCorrupted
 	s.ChurnDepartures = c.ChurnDepartures
 	s.ChurnReturns = c.ChurnReturns
 	s.BurstFrameLosses = c.BurstLosses
@@ -944,7 +943,8 @@ func (w *World) receiveReply(id int, relevance geom.Rect, stamp int64, count boo
 		}
 		dec, err := wire.DecodeReply(mangled)
 		if err != nil || len(dec.Regions) != len(shared) {
-			return replyRejected // sound degradation, already counted
+			w.stats.RepliesRejected++ // sound degradation
+			return replyRejected
 		}
 		// The staged regions keep their epoch; the frame carries the
 		// (damage-passed) geometry.

@@ -397,9 +397,6 @@ func (e *Engine) LendArena(a *broadcast.POIArena) {
 	}
 }
 
-// Enabled reports whether the defense is active. Safe on nil.
-func (e *Engine) Enabled() bool { return e != nil }
-
 // Counters returns the cumulative activity tallies. Safe on nil (zero).
 func (e *Engine) Counters() Counters {
 	if e == nil {

@@ -59,7 +59,7 @@ func TestNilEnginePassthrough(t *testing.T) {
 	if rep != (Report{}) {
 		t.Fatalf("nil engine reported activity: %+v", rep)
 	}
-	if e.Enabled() || e.Quarantined(0) || e.Vouched(0) || e.Counters() != (Counters{}) {
+	if e.Quarantined(0) || e.Vouched(0) || e.Counters() != (Counters{}) {
 		t.Fatal("nil engine accessors not inert")
 	}
 	if NewEngine(1, Config{}, nil) != nil {
