@@ -144,15 +144,16 @@ func TestIntersectCircleAreaUnion(t *testing.T) {
 func TestArcIntegralClamps(t *testing.T) {
 	// Integral over the full width equals half the disk area.
 	r := 2.0
-	full := arcIntegral(r, r) - arcIntegral(r, -r)
+	at := func(x float64) float64 { return arcIntegral(r, arcPoint{x, chord(r, x)}) }
+	full := at(r) - at(-r)
 	if !almostEqual(full, math.Pi*r*r/2, 1e-9) {
 		t.Errorf("full integral = %v want %v", full, math.Pi*r*r/2)
 	}
-	// Values outside [-r, r] clamp.
-	if got := arcIntegral(r, 100); !almostEqual(got, arcIntegral(r, r), 1e-12) {
+	// Values outside [-r, r] clamp: the chord there is zero.
+	if got := at(100); !almostEqual(got, at(r), 1e-12) {
 		t.Errorf("clamp high = %v", got)
 	}
-	if got := arcIntegral(r, -100); !almostEqual(got, arcIntegral(r, -r), 1e-12) {
+	if got := at(-100); !almostEqual(got, at(-r), 1e-12) {
 		t.Errorf("clamp low = %v", got)
 	}
 }
