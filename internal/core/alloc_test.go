@@ -34,8 +34,8 @@ func TestNNVScratchZeroAllocs(t *testing.T) {
 	}
 
 	// The same with one peer in seven tainted (both candidate pools, the
-	// local union a strict subset of the MVR), k from 1 to past the
-	// trusted pool's size.
+	// reach square cut by a strict subset of the MVR's regions), k from 1
+	// to past the trusted pool's size.
 	q, peers, _ = poolWorkload()
 	for k := 1; k <= 256; k *= 4 {
 		NNVScratch(&s, q, peers, k, 0.5)

@@ -76,6 +76,50 @@ func BenchmarkNNV64PeersCold(b *testing.B) {
 	}
 }
 
+// BenchmarkNNVDense is NNV on a knn_dense-shaped query: 100 sound regions
+// of a dense POI field scattered around q, about 40 of them within reach
+// of the k = 5 rows, and a gap near q no region covers, so q is inside the
+// MVR with a clearance short of reach and the last rows are priced by
+// Lemma 3.2 (the approximate answers the dense workload accepts).
+func BenchmarkNNVDense(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	db := benchDB(rng, 500)
+	q, gap := geom.Pt(16, 16), geom.Pt(16.9, 16.5)
+	var peers []PeerData
+	for len(peers) < 100 {
+		c := geom.Pt(q.X+(rng.Float64()*2-1)*4, q.Y+(rng.Float64()*2-1)*4)
+		vr := geom.RectAround(c, 1.3*(0.5+rng.Float64()))
+		if vr.Contains(gap) {
+			continue
+		}
+		pd := PeerData{VR: vr}
+		for _, p := range db {
+			if vr.Contains(p.Pos) {
+				pd.POIs = append(pd.POIs, p)
+			}
+		}
+		peers = append(peers, pd)
+	}
+	var s Scratch
+	d2, _ := Reach(&s, q, peers, 5)
+	within := 0
+	for _, in := range ReachCut(nil, q, peers, d2) {
+		if in {
+			within++
+		}
+	}
+	res := NNVScratch(&s, q, peers, 5, 0.5)
+	last := res.Heap.Entries()[res.Heap.Len()-1]
+	if within < 30 || within > 50 || !res.InsideMVR || last.Verified {
+		b.Fatalf("shape: %d regions within reach, inside %v, last row verified %v", within, res.InsideMVR, last.Verified)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NNVScratch(&s, q, peers, 5, 0.5)
+	}
+}
+
 func BenchmarkSBNNPeerResolved(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	db := benchDB(rng, 500)

@@ -34,8 +34,8 @@ type PeerData struct {
 }
 
 // Scratch holds the reusable per-client buffers of the query hot path:
-// the merged verified region, the part of it NNV decomposes, the result
-// heap, and the candidate/result slices. A Scratch reaches a
+// the merged verified region, the uncovered pieces of NNV's reach square,
+// the result heap, and the candidate/result slices. A Scratch reaches a
 // zero-allocation steady state after a few queries (buffers grow to the
 // working-set high-water mark and are then reused).
 //
@@ -45,7 +45,7 @@ type PeerData struct {
 // A Scratch must not be shared between goroutines.
 type Scratch struct {
 	mvr        geom.RectUnion
-	local      geom.RectUnion // NNV: the members of mvr within reach of q
+	uncovered  geom.Uncovered // NNV: the reach square less the untainted regions
 	heap       Heap
 	nearest    []nearCand // NNV: the trusted pool's selection buffer
 	candidates []broadcast.POI
@@ -67,9 +67,9 @@ type NNVResult struct {
 	// EdgeDist is a lower bound on ‖q, e_s‖ — the distance from q to the
 	// nearest boundary edge of the MVR — that is exact whenever it does
 	// not exceed the distance of the farthest heap entry, and exceeds that
-	// distance otherwise (NNV measures it on the part of the MVR within
-	// reach of the heap, DESIGN.md §9.3; MVR.Clearance(q) is the true
-	// value). Zero when q lies outside the MVR (no verification possible).
+	// distance otherwise (NNV measures it in the square just wider than
+	// that, DESIGN.md §9.3; MVR.Clearance(q) is the true value). Zero when
+	// q lies outside the MVR (no verification possible).
 	EdgeDist float64
 	// InsideMVR reports whether q lies inside the MVR (the precondition
 	// of Lemma 3.1).
@@ -115,9 +115,9 @@ func NNV(q geom.Point, peers []PeerData, k int, lambda float64) NNVResult {
 // dropped — so the trusted pool is scanned in place for its first k
 // distinct candidates and never sorted whole; and every question the rows
 // ask of the MVR lies within reach, the distance of the farthest row, so
-// only the verified regions that meet the square around q just wider than
-// reach are decomposed into strips. The full MVR still receives every
-// untainted region, but builds its strips only if a caller asks it to.
+// it is asked of the uncovered pieces of the square just wider than reach
+// (geom.Uncovered). The full MVR still receives every untainted region,
+// but builds its strips only if a caller asks it to.
 func NNVScratch(s *Scratch, q geom.Point, peers []PeerData, k int, lambda float64) NNVResult {
 	mvr := &s.mvr
 	mvr.Reset()
@@ -162,15 +162,14 @@ func NNVScratch(s *Scratch, q geom.Point, peers []PeerData, k int, lambda float6
 	res.Examined = res.Heap.Len()
 
 	// Every distance the rows are compared with or priced at is ≤ reach.
-	local := &s.local
-	local.Reset()
-	near := geom.RectAround(q, math.Nextafter(reach, math.Inf(1)))
+	unc := &s.uncovered
+	unc.Reset(q, reach)
 	for i := range peers {
-		if p := &peers[i]; !p.Tainted && p.VR.Intersects(near) {
-			local.Add(p.VR)
+		if p := &peers[i]; !p.Tainted && unc.Cut(p.VR) {
+			break // the square is covered: q is inside, every row verified
 		}
 	}
-	res.EdgeDist, res.InsideMVR = local.Clearance(q)
+	res.EdgeDist, res.InsideMVR = unc.Clearance()
 
 	lastVerified := 0.0
 	for i := range s.heap.entries {
@@ -185,7 +184,7 @@ func NNVScratch(s *Scratch, q geom.Point, peers []PeerData, k int, lambda float6
 		// verified regardless of geometry): the candidate's unverified
 		// region is the part of its distance disk not covered by the
 		// (trusted) MVR.
-		e.Correctness = CorrectnessProbability(lambda, local.UnverifiedArea(q, e.Dist))
+		e.Correctness = CorrectnessProbability(lambda, unc.UnverifiedArea(e.Dist))
 		if lastVerified > 0 {
 			e.Surpassing = e.Dist / lastVerified
 		}
@@ -280,11 +279,11 @@ func Reach(s *Scratch, q geom.Point, peers []PeerData, k int) (float64, bool) {
 // than d2 wherever its region lies (a lie, or a POI on the region's edge).
 // NNV over the marked peers alone builds the same rows with the same
 // verdicts and probabilities as over all of them: every row lies no
-// farther than d2, and the square NNV cuts its local union by is no wider
-// than r. r is √d2 widened by 1e-9 relative, far above the few ulps by
-// which Dist and DistSq round apart, and at least 1e-130, above every
-// distance whose square rounds by more (near underflow); an infinite or
-// NaN d2 marks every peer.
+// farther than d2, and NNV's square is no wider than r but for an ulp
+// (DESIGN.md §9.3). r is √d2 widened by 1e-9 relative, far above the few
+// ulps by which Dist and DistSq round apart, and at least 1e-130, above
+// every distance whose square rounds by more (near underflow); an
+// infinite or NaN d2 marks every peer.
 func ReachCut(keep []bool, q geom.Point, peers []PeerData, d2 float64) []bool {
 	keep = keep[:0]
 	all := !(d2 < math.Inf(1))

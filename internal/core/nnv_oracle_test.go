@@ -15,7 +15,9 @@ import (
 // verification became query-local, kept verbatim — every peer POI copied
 // into one buffer per pool, the whole buffer sorted and de-duplicated, the
 // whole merged verified region decomposed, and one loop that verifies and
-// prices candidates until the heap is full. TestNNVMatchesReference drives
+// prices candidates until the heap is full. The unverified area is the
+// retired RectUnion.UnverifiedArea inline: the disk less its part in the
+// union, clamped at zero. TestNNVMatchesReference drives
 // it and the production function over the same inputs.
 func refNNV(s *Scratch, mvr *geom.RectUnion, q geom.Point, peers []PeerData, k int, lambda float64) NNVResult {
 	mvr.Reset()
@@ -82,7 +84,7 @@ func refNNV(s *Scratch, mvr *geom.RectUnion, q geom.Point, peers []PeerData, k i
 			// verified regardless of geometry): the candidate's
 			// unverified region is the part of its distance disk not
 			// covered by the (trusted) MVR.
-			u := mvr.UnverifiedArea(q, d)
+			u := math.Max(0, math.Pi*d*d-mvr.IntersectCircleArea(q, d))
 			e.Correctness = CorrectnessProbability(lambda, u)
 			if hasVerified && lastVerified > 0 {
 				e.Surpassing = d / lastVerified
@@ -95,9 +97,10 @@ func refNNV(s *Scratch, mvr *geom.RectUnion, q geom.Point, peers []PeerData, k i
 
 // checkNNVAgainstReference runs one input through both and applies the
 // query-local contract (DESIGN.md §9.3): the heap rows and the counters
-// are equal; Lemma 3.2 probabilities agree to 1e-12 relative (the local
-// strips cut the same set into other pieces, so the area sums associate
-// differently); EdgeDist is the reference's whenever that lies within
+// are equal; Lemma 3.2 probabilities agree to 1e-12 relative (NNV sums
+// the disk's area in the uncovered pieces where the reference takes the
+// disk less its area in the strips, so the sums associate differently);
+// EdgeDist is the reference's whenever that lies within
 // reach of the heap, and beyond reach otherwise.
 func checkNNVAgainstReference(t *testing.T, tag string, q geom.Point, peers []PeerData, k int, lambda float64) {
 	t.Helper()
@@ -274,6 +277,13 @@ func TestNNVMatchesReference(t *testing.T) {
 			[]PeerData{{VR: box, POIs: []broadcast.POI{poi(1, 5, 5), poi(2, 6, 5)}}}, []int{1}},
 		{"reach zero on the boundary", geom.Pt(0, 0),
 			[]PeerData{{VR: box, POIs: []broadcast.POI{poi(1, 0, 0)}}}, []int{1, 2}},
+		{"reach under an ulp of q.X, q on a shared edge", geom.Pt(1e6, 5),
+			[]PeerData{{VR: geom.NewRect(1e6-1, 0, 1e6, 10), POIs: []broadcast.POI{poi(1, 1e6, 5+1e-12), poi(2, 1e6, 5)}},
+				{VR: geom.NewRect(1e6, 0, 1e6+1, 10)}}, []int{1, 2, 3}},
+		{"reach under an ulp of q.X, q on an outer edge", geom.Pt(1e6, 5),
+			[]PeerData{{VR: geom.NewRect(1e6-1, 0, 1e6, 10), POIs: []broadcast.POI{poi(1, 1e6, 5+1e-12), poi(2, 1e6, 5)}}}, []int{1, 2, 3}},
+		{"reach under an ulp of q.X, q on a corner", geom.Pt(1e6, 10),
+			[]PeerData{{VR: geom.NewRect(1e6-1, 0, 1e6, 10), POIs: []broadcast.POI{poi(1, 1e6, 10-1e-12), poi(2, 1e6, 10)}}}, []int{1, 2, 3}},
 		{"far regions beyond reach", geom.Pt(5, 5),
 			[]PeerData{{VR: geom.NewRect(4, 4, 6, 6), POIs: []broadcast.POI{poi(1, 5, 5.5)}},
 				{VR: geom.NewRect(6, 4, 9, 6), POIs: []broadcast.POI{poi(2, 8, 5)}},

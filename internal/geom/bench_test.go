@@ -67,12 +67,21 @@ func BenchmarkCircleRectArea(b *testing.B) {
 	}
 }
 
+// BenchmarkUnverifiedArea32 is NNV's per-query cycle on the reach square
+// of a 32-member union: Reset, cut every member, clearance, one area.
 func BenchmarkUnverifiedArea32(b *testing.B) {
-	u, p := benchUnion(32, 3)
-	u.Disjoint() // warm
-	b.ResetTimer()
+	src, p := benchUnion(32, 3)
+	var u Uncovered
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		u.UnverifiedArea(p, 2.5)
+		u.Reset(p, 2.5)
+		for _, r := range src.Rects() {
+			if u.Cut(r) {
+				break
+			}
+		}
+		u.Clearance()
+		u.UnverifiedArea(2.5)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 )
 
 // oracleCircleArea is a brute-force reference for RectUnion.IntersectCircleArea
-// that shares nothing with it: no disjoint decomposition, no strip index and
-// no CircleRectArea. At abscissa x the disk's chord is the segment of
+// that shares nothing with it: no disjoint decomposition and no
+// CircleRectArea. At abscissa x the disk's chord is the segment of
 // half-length a = √(r² − (x − c.X)²) around c.Y; the area is the integral
 // over x of the length of that chord the members cover, merged as 1-D
 // intervals. Between consecutive breakpoints — the members' x edges, the
@@ -133,8 +133,8 @@ func TestCircleAreaOracle(t *testing.T) {
 }
 
 // TestIntersectCircleAreaMatchesOracle runs the oracle against real-valued
-// unions large enough for the strip index to engage, with disks from well
-// inside one member to beyond the whole union.
+// unions of many strips, with disks from well inside one member to beyond
+// the whole union.
 func TestIntersectCircleAreaMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
 	for trial := 0; trial < 20; trial++ {

@@ -55,7 +55,8 @@ func TestQuickUnionAreaMonotone(t *testing.T) {
 	}
 }
 
-// Property: UnverifiedArea is monotone in radius and bounded by the disk.
+// Property: Uncovered.UnverifiedArea is monotone in radius, bounded by the
+// disk, and the disk less the union's part of it.
 func TestQuickUnverifiedAreaBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -63,12 +64,17 @@ func TestQuickUnverifiedAreaBounds(t *testing.T) {
 		for i := 0; i < rng.Intn(5); i++ {
 			rects = append(rects, randomRect(rng, 4))
 		}
-		u := NewRectUnion(rects...)
+		un := NewRectUnion(rects...)
 		c := randomPoint(rng, 4)
+		var u Uncovered
+		u.Reset(c, 4)
+		for _, r := range rects {
+			u.Cut(r)
+		}
 		prev := 0.0
 		for _, r := range []float64{0.5, 1, 2, 4} {
-			a := u.UnverifiedArea(c, r)
-			if a < 0 || a > math.Pi*r*r+1e-9 {
+			a := u.UnverifiedArea(r)
+			if a < 0 || a > math.Pi*r*r+1e-9 || math.Abs(a-(math.Pi*r*r-un.IntersectCircleArea(c, r))) > 1e-9 {
 				return false
 			}
 			if a < prev-1e-9 {

@@ -12,8 +12,8 @@ import (
 )
 
 // TestRectUnionReuseAllocs asserts the full Reset → Add → query cycle
-// allocates nothing once warm: every cache (disjoint decomposition,
-// boundary segments, strip indexes, grid scratch) must reuse its
+// allocates nothing once warm: every cache (disjoint decomposition, row
+// directory, grid scratch) must reuse its
 // capacity across queries. This is the steady-state contract the sim
 // hot path depends on; any regression fails the build.
 func TestRectUnionReuseAllocs(t *testing.T) {

@@ -78,24 +78,27 @@ func FuzzRectUnion(f *testing.F) {
 }
 
 // checkLocalClearance is the contract the query-local NNV rests on
-// (DESIGN.md §9.3). Of a union, keep only the members that meet the square
-// around q of half-side just above r. Then the clearance of q in what is
-// kept is the full union's, bit for bit, whenever that is at most r, and
-// exceeds r otherwise; and a disk around q of radius at most r cuts the
-// same area out of both — through other strips, so in another summation
-// order: equal to 1e-12 of the disk's own area, the scale of the terms (a
-// disk that only grazes the union reports a residue of ±1e-15, not 0).
+// (DESIGN.md §9.3). Cut the members out of the square just wider than r
+// around q (Uncovered), stopping once nothing is left, as NNV does. Then
+// the clearance of q in what is left is the full union's, bit for bit,
+// whenever that is at most r, and exceeds r otherwise, and q is inside
+// exactly when the union contains it; and the disk around q of radius at
+// most r has the uncovered area the union leaves of it — summed over
+// other pieces, so equal to 1e-12 of the disk's own area, the scale of
+// the terms (a disk that only grazes the union leaves a residue of
+// ±1e-15 in π r² − covered, not 0).
 func checkLocalClearance(t *testing.T, rects []Rect, q Point, r float64) {
 	t.Helper()
-	full, local := NewRectUnion(rects...), &RectUnion{}
-	near := RectAround(q, math.Nextafter(r, math.Inf(1)))
+	full := NewRectUnion(rects...)
+	var u Uncovered
+	u.Reset(q, r)
 	for _, m := range rects {
-		if m.Intersects(near) {
-			local.Add(m)
+		if u.Cut(m) {
+			break
 		}
 	}
 	want, wantOK := full.Clearance(q)
-	got, gotOK := local.Clearance(q)
+	got, gotOK := u.Clearance()
 	switch {
 	case gotOK != wantOK:
 		t.Fatalf("local Clearance(%v) inside=%v, full inside=%v (r=%v rects %v)", q, gotOK, wantOK, r, rects)
@@ -105,9 +108,23 @@ func checkLocalClearance(t *testing.T, rects []Rect, q Point, r float64) {
 		t.Fatalf("local Clearance(%v) = %v, want a bound in (%v, %v] (rects %v)", q, got, r, want, rects)
 	}
 	for _, d := range [3]float64{r, r / 2, r / 7} {
-		want, got := full.IntersectCircleArea(q, d), local.IntersectCircleArea(q, d)
+		want, got := math.Pi*d*d-full.IntersectCircleArea(q, d), u.UnverifiedArea(d)
 		if math.Abs(got-want) > 1e-12*math.Pi*d*d {
-			t.Fatalf("local IntersectCircleArea(%v, %v) = %v, full = %v (r=%v rects %v)", q, d, got, want, r, rects)
+			t.Fatalf("local UnverifiedArea(%v, %v) = %v, full = %v (r=%v rects %v)", q, d, got, want, r, rects)
+		}
+	}
+}
+
+// TestUncoveredMatchesUnion applies checkLocalClearance on real-valued
+// unions of 30–90 members, probed inside and far outside at radii up to
+// a third of the area: many members meet the square and cut it into many
+// pieces.
+func TestUncoveredMatchesUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(202))
+	for trial := 0; trial < 30; trial++ {
+		u := randomUnion(rng, 30+rng.Intn(60))
+		for i := 0; i < 40; i++ {
+			checkLocalClearance(t, u.Rects(), Pt(rng.Float64()*120-10, rng.Float64()*120-10), rng.Float64()*30)
 		}
 	}
 }

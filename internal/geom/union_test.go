@@ -310,15 +310,20 @@ func TestIntersectRectArea(t *testing.T) {
 }
 
 func TestUnverifiedAreaFullyCovered(t *testing.T) {
-	// Disk entirely inside the union: unverified area must be ~0.
-	u := NewRectUnion(NewRect(-10, -10, 10, 10))
-	if got := u.UnverifiedArea(Pt(0, 0), 2); !almostEqual(got, 0, 1e-9) {
+	// Disk entirely inside a member: nothing of the square is left and the
+	// unverified area is exactly 0.
+	var u Uncovered
+	u.Reset(Pt(0, 0), 2)
+	if !u.Cut(NewRect(-10, -10, 10, 10)) {
+		t.Fatalf("a member covering the square left pieces %v", u.pieces)
+	}
+	if got := u.UnverifiedArea(2); got != 0 {
 		t.Errorf("covered disk unverified area = %v", got)
 	}
-	// Empty union: unverified area is the whole disk.
-	empty := NewRectUnion()
+	// Nothing cut: unverified area is the whole disk.
+	u.Reset(Pt(0, 0), 2)
 	want := math.Pi * 4
-	if got := empty.UnverifiedArea(Pt(0, 0), 2); !almostEqual(got, want, 1e-9) {
+	if got := u.UnverifiedArea(2); !almostEqual(got, want, 1e-9) {
 		t.Errorf("uncovered disk area = %v want %v", got, want)
 	}
 }
@@ -360,6 +365,79 @@ func TestDedupSorted(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("dedupSorted = %v", got)
+		}
+	}
+}
+
+// randomUnion builds a union of n random rects over a 100×100 area: long
+// rows, uncovered bands and deep overlap.
+func randomUnion(rng *rand.Rand, n int) *RectUnion {
+	u := &RectUnion{}
+	for i := 0; i < n; i++ {
+		x, y := rng.Float64()*90, rng.Float64()*90
+		w, h := 1+rng.Float64()*9, 1+rng.Float64()*9
+		u.Add(NewRect(x, y, x+w, y+h))
+	}
+	return u
+}
+
+// TestBoundaryDistIndexedMatchesBrute is the differential test for the
+// row-strip kernel on real-valued geometry: randomized unions with long
+// rows, uncovered bands and deep overlap, probed inside and far outside,
+// must satisfy the whole oracle contract FuzzRectUnion checks on grid
+// geometry — the pruned outward search equal to the full scan over
+// explicit boundary pieces bit for bit.
+func TestBoundaryDistIndexedMatchesBrute(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	for trial := 0; trial < 30; trial++ {
+		u := randomUnion(rng, 30+rng.Intn(60))
+		if trial%2 == 1 {
+			// Every other union is one dense blob: few spans, deep probes.
+			u.Reset()
+			for i := 0; i < 50; i++ {
+				x, y := 30+rng.Float64()*20, 30+rng.Float64()*20
+				u.Add(NewRect(x, y, x+5+rng.Float64()*15, y+5+rng.Float64()*15))
+			}
+		}
+		probes := make([]Point, 50)
+		for i := range probes {
+			probes[i] = Pt(rng.Float64()*140-20, rng.Float64()*140-20)
+		}
+		checkUnionAgainstOracles(t, u.Rects(), probes)
+	}
+}
+
+// TestIndexSurvivesReset checks the invalidate/rebuild cycle of the row
+// strips and their row directory: mutating the union after queries must
+// produce the same answers as a fresh one.
+func TestIndexSurvivesReset(t *testing.T) {
+	rng := rand.New(rand.NewSource(303))
+	u := randomUnion(rng, 64)
+	p := Pt(50, 50)
+	_ = u.BoundaryDist(p) // build the strips and the row directory
+	_ = u.IntersectCircleArea(p, 20)
+
+	// Mutate: reset and load a different union into the same instance.
+	rects := make([]Rect, 0, 40)
+	for i := 0; i < 40; i++ {
+		x, y := rng.Float64()*90, rng.Float64()*90
+		rects = append(rects, NewRect(x, y, x+5, y+5))
+	}
+	u.Reset()
+	fresh := &RectUnion{}
+	for _, r := range rects {
+		u.Add(r)
+		fresh.Add(r)
+	}
+	for i := 0; i < 50; i++ {
+		q := Pt(rng.Float64()*100, rng.Float64()*100)
+		if got, want := u.BoundaryDist(q), fresh.BoundaryDist(q); got != want {
+			t.Fatalf("reused union BoundaryDist(%v) = %v, fresh = %v", q, got, want)
+		}
+		r := rng.Float64() * 25
+		got, want := u.IntersectCircleArea(q, r), fresh.IntersectCircleArea(q, r)
+		if math.Abs(got-want) > 1e-9*math.Max(1, want) {
+			t.Fatalf("reused union IntersectCircleArea(%v, %v) = %v, fresh = %v", q, r, got, want)
 		}
 	}
 }
