@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"lbsq/internal/broadcast"
 	"lbsq/internal/geom"
 )
 
@@ -98,6 +99,86 @@ func checkNNVSymmetry(t *testing.T, tag string, q geom.Point, peers []PeerData, 
 	}
 }
 
+// checkSBWQSymmetry is the metamorphic contract of SBWQ on one window w
+// (zero-width and point windows included): under every symmetry T, SBWQ
+// at T(q) over T(peers) for T(w), with no channel, reaches the same
+// verdict over the same POIs and counters, and its reduced windows are
+// pairwise disjoint pieces of T(w) whose total measure — area, or length
+// for a segment window, or count for a point window — is the measure w
+// itself leaves, to 1e-12 of w's. A window of positive area also keeps
+// its covered fraction to 1e-12.
+func checkSBWQSymmetry(t *testing.T, tag string, q geom.Point, w geom.Rect, peers []PeerData) {
+	t.Helper()
+	var s, ts Scratch
+	want := SBWQScratch(&s, q, w, peers, SBWQConfig{}, nil, 0)
+	wantIDs := poiIDs(want.POIs)
+	wantMeasure := windowMeasure(w, want.ReducedWindows)
+	for sym := 1; sym < 8; sym++ {
+		a, b := symPoint(sym, w.Min), symPoint(sym, w.Max)
+		tw := geom.NewRect(a.X, a.Y, b.X, b.Y)
+		got := SBWQScratch(&ts, symPoint(sym, q), tw, symPeers(sym, peers), SBWQConfig{}, nil, 0)
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("%s, symmetry %d (q=%v w=%v): %s\n peers: %+v", tag, sym, q, w, fmt.Sprintf(format, args...), peers)
+		}
+		if got.Outcome != want.Outcome || got.Merged != want.Merged || got.Examined != want.Examined ||
+			!slices.Equal(poiIDs(got.POIs), wantIDs) {
+			fail("outcome %v merged %d examined %d POIs %v, want %v %d %d %v", got.Outcome, got.Merged,
+				got.Examined, poiIDs(got.POIs), want.Outcome, want.Merged, want.Examined, wantIDs)
+		}
+		if w.Area() > 0 && math.Abs(got.CoveredFraction-want.CoveredFraction) > 1e-12 {
+			fail("covered fraction %v, want %v", got.CoveredFraction, want.CoveredFraction)
+		}
+		for i, p := range got.ReducedWindows {
+			if !tw.ContainsRect(p) {
+				fail("reduced window %v outside %v", p, tw)
+			}
+			for _, o := range got.ReducedWindows[i+1:] {
+				if piecesOverlap(tw, p, o) {
+					fail("reduced windows %v and %v overlap", p, o)
+				}
+			}
+		}
+		if m := windowMeasure(tw, got.ReducedWindows); math.Abs(m-wantMeasure) > 1e-12*windowMeasure(w, []geom.Rect{w}) {
+			fail("reduced windows %v measure %v, want %v", got.ReducedWindows, m, wantMeasure)
+		}
+	}
+}
+
+func poiIDs(pois []broadcast.POI) []int64 {
+	ids := make([]int64, len(pois))
+	for i, p := range pois {
+		ids[i] = p.ID
+	}
+	return ids
+}
+
+// windowMeasure sums over pieces the product of their extents on the axes
+// where w has extent: area, length along a segment window, or the number
+// of pieces of a point window.
+func windowMeasure(w geom.Rect, pieces []geom.Rect) float64 {
+	total := 0.0
+	for _, p := range pieces {
+		m := 1.0
+		if w.Width() > 0 {
+			m *= p.Width()
+		}
+		if w.Height() > 0 {
+			m *= p.Height()
+		}
+		total += m
+	}
+	return total
+}
+
+// piecesOverlap reports whether two pieces of w share more than a
+// boundary: they overlap strictly on every axis where w has extent (on
+// the others both lie on w's line).
+func piecesOverlap(w, a, b geom.Rect) bool {
+	return (w.Width() == 0 || a.Min.X < b.Max.X && b.Min.X < a.Max.X) &&
+		(w.Height() == 0 || a.Min.Y < b.Max.Y && b.Min.Y < a.Max.Y)
+}
+
 // decodeSymmetryCase reads a fuzz input as NNV input on a 16×16 grid:
 // byte 0 (mod 13) is the region count and byte 1 a taint mask (bit i
 // taints region i); each region takes four bytes (corner coordinates mod
@@ -134,12 +215,14 @@ func decodeSymmetryCase(b []byte) (peers []PeerData, qs []geom.Point) {
 }
 
 // FuzzNNVSymmetry drives checkNNVSymmetry: the decoded grid case at every
-// query point for k = 1, 3 and 8, then twenty gridCase draws (IDs at two
-// positions, lies, ties at the k-th candidate) roughened as for the reach
-// cut, seeded from the input. The committed corpus
+// query point for k = 1, 3 and 8, and checkSBWQSymmetry on the window from
+// that point to the next one (a point window when they coincide), then
+// twenty gridCase draws (IDs at two positions, lies, ties at the k-th
+// candidate) roughened as for the reach cut, seeded from the input. The committed corpus
 // (testdata/fuzz/FuzzNNVSymmetry) names the degenerate families: shared
 // edges, zero-width regions, q on an edge or a corner, tainted regions
-// over trusted ones. make nnv-identity runs it.
+// over trusted ones, and point, zero-width and member-edge windows. make
+// nnv-identity runs it.
 func FuzzNNVSymmetry(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		peers, qs := decodeSymmetryCase(b)
@@ -147,6 +230,8 @@ func FuzzNNVSymmetry(f *testing.F) {
 			for _, k := range [3]int{1, 3, 8} {
 				checkNNVSymmetry(t, fmt.Sprintf("decoded query %d", i), q, peers, k, 0.3)
 			}
+			w := geom.NewRect(q.X, q.Y, qs[(i+1)%len(qs)].X, qs[(i+1)%len(qs)].Y)
+			checkSBWQSymmetry(t, fmt.Sprintf("decoded window %d", i), q, w, peers)
 		}
 		h := fnv.New64a()
 		h.Write(b)
