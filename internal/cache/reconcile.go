@@ -2,8 +2,9 @@
 // mutates, the server broadcasts invalidation reports; this file applies
 // them to cached verified regions. The repair is surgical: instead of
 // discarding a whole region because one POI inside it churned, the region
-// is shrunk around the invalidated index cells with geom.SubtractRect and
-// the surviving sub-rectangles stay exact at the new epoch.
+// is shrunk around the invalidated index cells with
+// geom.AppendSubtractRect and the surviving sub-rectangles stay exact at
+// the new epoch.
 //
 // Soundness argument (the invariant NNV relies on is "a region's POI list
 // is exactly the database ∩ rect"): a mutation with epoch newer than the

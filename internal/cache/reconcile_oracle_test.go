@@ -24,7 +24,7 @@ func referenceReconcileRegion(r Region, invals InvalSet, epoch int64) ([]Region,
 			cells = append(cells, inv.Cell)
 		}
 	}
-	rects := geom.SubtractRect(r.Rect, cells)
+	rects := geom.AppendSubtractRect(nil, r.Rect, cells)
 	if len(rects) == 0 || len(rects) > maxReconcilePieces {
 		return nil, true
 	}

@@ -12,10 +12,10 @@ import (
 // answer was last verified exact before the answer could flip, using
 // only knowledge that was certain at verification time:
 //
-//   - a region of complete knowledge around the query (the MVR clearance
-//     disk for peer-verified answers, the retrieval square for
-//     channel-resolved ones) — any database POI not among the known
-//     candidates lies outside it;
+//   - a region of complete knowledge around the query (the MVR for
+//     peer-verified answers, the retrieval square for channel-resolved
+//     ones) — any database POI not among the known candidates lies
+//     outside it;
 //   - the known candidates themselves — the only POIs that can flip the
 //     answer from inside the region.
 //
@@ -28,19 +28,20 @@ import (
 // SafeExitKNN returns how far the query point may move from q before the
 // verified exact kNN answer could change as a SET. answer is the exact
 // k-set at q; candidates are every known database POI (answer members
-// included — they are skipped by ID); clearance is the radius of the
-// complete-knowledge disk around q, so every unknown POI is at distance
-// >= clearance.
+// included — they are skipped by ID); region is the complete-knowledge
+// region as member rectangles (the MVR's for a peer-verified answer, the
+// known region for a channel-resolved one), so every unknown POI is at
+// least q's clearance in it away. The clearance is cut on s.
 //
 // Moving the query by delta inflates each answer distance by at most
 // delta and deflates each non-answer distance by at most delta, so the
 // k-set survives while 2*delta < minOther - dK: the nearest non-answer
-// POI (known candidate or unknown at >= clearance) cannot undercut the
-// farthest answer member. The order WITHIN the set may still permute;
+// POI (known candidate or unknown beyond the clearance) cannot undercut
+// the farthest answer member. The order WITHIN the set may still permute;
 // callers re-sort the stored answer by distance on every maintenance
 // tick.
-func SafeExitKNN(q geom.Point, answer, candidates []broadcast.POI, clearance float64) float64 {
-	if len(answer) == 0 || clearance <= 0 {
+func SafeExitKNN(s *Scratch, q geom.Point, answer, candidates []broadcast.POI, region []geom.Rect) float64 {
+	if len(answer) == 0 {
 		return 0
 	}
 	dK := 0.0
@@ -49,7 +50,7 @@ func SafeExitKNN(q geom.Point, answer, candidates []broadcast.POI, clearance flo
 			dK = d
 		}
 	}
-	minOther := clearance
+	minOther := math.Inf(1)
 	for _, c := range candidates {
 		if inAnswer(answer, c.ID) {
 			continue
@@ -58,7 +59,11 @@ func SafeExitKNN(q geom.Point, answer, candidates []broadcast.POI, clearance flo
 			minOther = d
 		}
 	}
-	r := (minOther - dK) / 2
+	room := clearance(&s.uncovered, geom.Rect{Min: q, Max: q}, region, minOther)
+	if room <= 0 {
+		return 0
+	}
+	r := (min(minOther, room) - dK) / 2
 	if r < 0 || math.IsNaN(r) {
 		return 0
 	}
@@ -67,27 +72,49 @@ func SafeExitKNN(q geom.Point, answer, candidates []broadcast.POI, clearance flo
 
 // SafeExitWindow returns how far a window that translates rigidly with
 // its host may move before its exact answer could change. candidates are
-// every known database POI, inside the window or out; coverClearance
-// bounds how far the window may translate while staying inside the
-// complete-knowledge region (RectUnion.ClearanceRect for peer-verified
-// answers, Rect.InnerGap of the retrieval square for channel-resolved
-// ones).
+// every known database POI, inside the window or out; region is the
+// complete-knowledge region as member rectangles (the MVR's for a
+// peer-verified answer, the known region for a channel-resolved one),
+// and the window's clearance in it is cut on s.
 //
-// While the translation stays under coverClearance every database POI
+// While the translation stays under that clearance every database POI
 // near the window is a known candidate, and while it stays under each
 // candidate's distance to the window boundary no candidate crosses the
 // boundary — the answer ID-set is unchanged.
-func SafeExitWindow(w geom.Rect, candidates []broadcast.POI, coverClearance float64) float64 {
-	r := coverClearance
+func SafeExitWindow(s *Scratch, w geom.Rect, candidates []broadcast.POI, region []geom.Rect) float64 {
+	r := math.Inf(1)
 	for _, c := range candidates {
 		if d := w.BoundaryDist(c.Pos); d < r {
 			r = d
 		}
 	}
+	r = min(r, clearance(&s.uncovered, w, region, r))
 	if r < 0 || math.IsNaN(r) {
 		return 0
 	}
 	return r
+}
+
+// clearance returns how far w may translate while staying inside the
+// union of region: zero when region leaves part of w uncovered, else the
+// least distance from w to the uncovered pieces of w grown just past a
+// cap (DESIGN.md §15.2). The cap is the lesser of limit — the bound the
+// candidates already set — and w's margin in region's bounding box, which
+// no clearance exceeds. So a clearance up to limit is exact, bit for bit,
+// and a larger one is returned as a bound above limit, which the caller's
+// minimum with limit discards.
+func clearance(unc *geom.Uncovered, w geom.Rect, region []geom.Rect, limit float64) float64 {
+	limit = min(limit, geom.Bounds(region).InnerGap(w))
+	if !(limit > 0) {
+		return 0
+	}
+	unc.Reset(w.GrowPast(limit))
+	for _, r := range region {
+		if unc.Cut(r) {
+			break
+		}
+	}
+	return unc.Dist(w)
 }
 
 // SortByDist orders pois ascending by (distance to q, ID) — the total

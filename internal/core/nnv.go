@@ -34,18 +34,19 @@ type PeerData struct {
 }
 
 // Scratch holds the reusable per-client buffers of the query hot path:
-// the merged verified region, the uncovered pieces of NNV's reach square,
-// the result heap, and the candidate/result slices. A Scratch reaches a
+// the merged verified region, the uncovered pieces of NNV's reach square
+// or of SBWQ's window, the result heap, and the candidate/result slices. A Scratch reaches a
 // zero-allocation steady state after a few queries (buffers grow to the
 // working-set high-water mark and are then reused).
 //
 // Results returned by the *Scratch functions alias the scratch: Heap,
-// MVR, and POIs are valid only until the next call with the same Scratch.
+// MVR, ReducedWindows and POIs are valid only until the next call with
+// the same Scratch.
 // Known/KnownRegion are always freshly allocated — callers cache them.
 // A Scratch must not be shared between goroutines.
 type Scratch struct {
 	mvr        geom.RectUnion
-	uncovered  geom.Uncovered // NNV: the reach square less the untainted regions
+	uncovered  geom.Uncovered // NNV's reach square or SBWQ's window less the untainted regions
 	heap       Heap
 	nearest    []nearCand // NNV: the trusted pool's selection buffer
 	candidates []broadcast.POI
@@ -68,8 +69,8 @@ type NNVResult struct {
 	// nearest boundary edge of the MVR — that is exact whenever it does
 	// not exceed the distance of the farthest heap entry, and exceeds that
 	// distance otherwise (NNV measures it in the square just wider than
-	// that, DESIGN.md §9.3; MVR.Clearance(q) is the true value). Zero when
-	// q lies outside the MVR (no verification possible).
+	// that, DESIGN.md §9.3; MVR.BoundaryDist(q) is the true value). Zero
+	// when q lies outside the MVR (no verification possible).
 	EdgeDist float64
 	// InsideMVR reports whether q lies inside the MVR (the precondition
 	// of Lemma 3.1).
@@ -116,8 +117,7 @@ func NNV(q geom.Point, peers []PeerData, k int, lambda float64) NNVResult {
 // distinct candidates and never sorted whole; and every question the rows
 // ask of the MVR lies within reach, the distance of the farthest row, so
 // it is asked of the uncovered pieces of the square just wider than reach
-// (geom.Uncovered). The full MVR still receives every untainted region,
-// but builds its strips only if a caller asks it to.
+// (geom.Uncovered). The full MVR still receives every untainted region.
 func NNVScratch(s *Scratch, q geom.Point, peers []PeerData, k int, lambda float64) NNVResult {
 	mvr := &s.mvr
 	mvr.Reset()
@@ -163,13 +163,13 @@ func NNVScratch(s *Scratch, q geom.Point, peers []PeerData, k int, lambda float6
 
 	// Every distance the rows are compared with or priced at is ≤ reach.
 	unc := &s.uncovered
-	unc.Reset(q, reach)
+	unc.Reset(geom.Rect{Min: q, Max: q}.GrowPast(reach))
 	for i := range peers {
 		if p := &peers[i]; !p.Tainted && unc.Cut(p.VR) {
 			break // the square is covered: q is inside, every row verified
 		}
 	}
-	res.EdgeDist, res.InsideMVR = unc.Clearance()
+	res.EdgeDist, res.InsideMVR = unc.Dist(geom.Rect{Min: q, Max: q}), mvr.Contains(q)
 
 	lastVerified := 0.0
 	for i := range s.heap.entries {
@@ -184,7 +184,7 @@ func NNVScratch(s *Scratch, q geom.Point, peers []PeerData, k int, lambda float6
 		// verified regardless of geometry): the candidate's unverified
 		// region is the part of its distance disk not covered by the
 		// (trusted) MVR.
-		e.Correctness = CorrectnessProbability(lambda, unc.UnverifiedArea(e.Dist))
+		e.Correctness = CorrectnessProbability(lambda, unc.UnverifiedArea(q, e.Dist))
 		if lastVerified > 0 {
 			e.Surpassing = e.Dist / lastVerified
 		}

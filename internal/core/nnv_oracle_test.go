@@ -15,10 +15,13 @@ import (
 // verification became query-local, kept verbatim — every peer POI copied
 // into one buffer per pool, the whole buffer sorted and de-duplicated, the
 // whole merged verified region decomposed, and one loop that verifies and
-// prices candidates until the heap is full. The unverified area is the
-// retired RectUnion.UnverifiedArea inline: the disk less its part in the
-// union, clamped at zero. TestNNVMatchesReference drives
-// it and the production function over the same inputs.
+// prices candidates until the heap is full. The clearance is the whole
+// union's boundary distance (RectUnion.BoundaryDist, the kernel framed by
+// the union's bounding box rather than by the reach square), and the
+// unverified area is the retired RectUnion.UnverifiedArea inline: the
+// disk less its part in the union, clamped at zero.
+// TestNNVMatchesReference drives it and the production function over the
+// same inputs.
 func refNNV(s *Scratch, mvr *geom.RectUnion, q geom.Point, peers []PeerData, k int, lambda float64) NNVResult {
 	mvr.Reset()
 	cands := s.candidates[:0]
@@ -49,8 +52,8 @@ func refNNV(s *Scratch, mvr *geom.RectUnion, q geom.Point, peers []PeerData, k i
 		Merged:            merged,
 		TaintedCandidates: len(taints),
 	}
-	if d, ok := mvr.Clearance(q); ok {
-		res.EdgeDist = d
+	if mvr.Contains(q) {
+		res.EdgeDist = mvr.BoundaryDist(q)
 		res.InsideMVR = true
 	}
 
@@ -99,7 +102,7 @@ func refNNV(s *Scratch, mvr *geom.RectUnion, q geom.Point, peers []PeerData, k i
 // query-local contract (DESIGN.md §9.3): the heap rows and the counters
 // are equal; Lemma 3.2 probabilities agree to 1e-12 relative (NNV sums
 // the disk's area in the uncovered pieces where the reference takes the
-// disk less its area in the strips, so the sums associate differently);
+// disk less its area in the union, so the sums associate differently);
 // EdgeDist is the reference's whenever that lies within
 // reach of the heap, and beyond reach otherwise.
 func checkNNVAgainstReference(t *testing.T, tag string, q geom.Point, peers []PeerData, k int, lambda float64) {

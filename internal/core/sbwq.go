@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"lbsq/internal/broadcast"
 	"lbsq/internal/geom"
 )
@@ -24,12 +26,13 @@ type SBWQResult struct {
 	// Outcome is OutcomeVerified when the window was entirely covered by
 	// the MVR, otherwise OutcomeBroadcast.
 	Outcome Outcome
-	// ReducedWindows are the sub-rectangles of the window left uncovered
-	// by the MVR — the w′ rectangles resolved over the channel. Empty
-	// for fully covered windows.
+	// ReducedWindows are the disjoint pieces of the window the MVR leaves
+	// uncovered — the w′ rectangles resolved over the channel. Empty for
+	// fully covered windows.
 	ReducedWindows []geom.Rect
 	// CoveredFraction is the fraction of the window's area covered by
-	// the MVR (1 for fully covered).
+	// the MVR: 1 for a covered window, and for a window of zero area 1
+	// when it is covered and 0 otherwise.
 	CoveredFraction float64
 	// Access is the broadcast channel cost; zero-valued when the window
 	// was fully covered.
@@ -61,13 +64,15 @@ func SBWQ(q geom.Point, w geom.Rect, peers []PeerData, sched *broadcast.Schedule
 }
 
 // SBWQWithConfig is SBWQ with explicit tuning. It runs on pooled
-// scratch and copies the aliasing MVR out before returning (POIs/Known
-// are fresh already), so the result is caller-owned while the cold path
-// stays near the warm path's allocation profile.
+// scratch and copies the aliasing MVR and reduced windows out before
+// returning (POIs/Known are fresh already), so the result is
+// caller-owned while the cold path stays near the warm path's
+// allocation profile.
 func SBWQWithConfig(q geom.Point, w geom.Rect, peers []PeerData, cfg SBWQConfig, sched *broadcast.Schedule, now int64) SBWQResult {
 	s := getScratch()
 	res := SBWQScratch(s, q, w, peers, cfg, sched, now)
 	res.MVR = cloneMVR(res.MVR)
+	res.ReducedWindows = slices.Clone(res.ReducedWindows)
 	putScratch(s)
 	return res
 }
@@ -83,8 +88,9 @@ func SBWQWithConfig(q geom.Point, w geom.Rect, peers []PeerData, cfg SBWQConfig,
 // allocated: window-query answers double as the cached verified region,
 // so they must survive the next query.
 func SBWQScratch(s *Scratch, q geom.Point, w geom.Rect, peers []PeerData, cfg SBWQConfig, sched *broadcast.Schedule, now int64) SBWQResult {
-	mvr := &s.mvr
+	mvr, unc := &s.mvr, &s.uncovered
 	mvr.Reset()
+	unc.Reset(w)
 	local := s.candidates[:0]
 	mergedVRs := 0
 	for _, p := range peers {
@@ -98,6 +104,7 @@ func SBWQScratch(s *Scratch, q geom.Point, w geom.Rect, peers []PeerData, cfg SB
 			continue
 		}
 		mvr.Add(p.VR)
+		unc.Cut(p.VR)
 		mergedVRs++
 		for _, poi := range p.POIs {
 			if w.Contains(poi.Pos) {
@@ -110,10 +117,18 @@ func SBWQScratch(s *Scratch, q geom.Point, w geom.Rect, peers []PeerData, cfg SB
 	s.candidates = local
 	res := SBWQResult{MVR: mvr, Merged: mergedVRs, Examined: len(local)}
 
-	if !w.Empty() {
-		res.CoveredFraction = mvr.IntersectRectArea(w) / w.Area()
-	} else if mvr.Contains(w.Min) {
+	// What the MVR leaves of w is Algorithm 3's reduced windows: w is
+	// covered when nothing is left.
+	pieces := unc.Pieces()
+	switch {
+	case len(pieces) == 0:
 		res.CoveredFraction = 1
+	case w.Area() > 0:
+		left := 0.0
+		for _, p := range pieces {
+			left += p.Area()
+		}
+		res.CoveredFraction = 1 - left/w.Area()
 	}
 
 	// freshCopy hands result POIs to the caller without aliasing scratch
@@ -127,7 +142,7 @@ func SBWQScratch(s *Scratch, q geom.Point, w geom.Rect, peers []PeerData, cfg SB
 		return out
 	}
 
-	if mvr.CoversRect(w) {
+	if len(pieces) == 0 {
 		res.Outcome = OutcomeVerified
 		out := freshCopy(local)
 		res.POIs = out
@@ -137,7 +152,7 @@ func SBWQScratch(s *Scratch, q geom.Point, w geom.Rect, peers []PeerData, cfg SB
 	}
 
 	res.Outcome = OutcomeBroadcast
-	res.ReducedWindows = geom.SubtractRect(w, mvr.Rects())
+	res.ReducedWindows = pieces
 	if sched == nil {
 		res.POIs = freshCopy(local)
 		return res

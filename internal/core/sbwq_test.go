@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lbsq/internal/broadcast"
@@ -125,17 +126,26 @@ func TestSBWQExactnessRandom(t *testing.T) {
 				t.Fatalf("trial %d: stray POI", trial)
 			}
 		}
-		// Reduced windows never overlap the MVR interior (their total
-		// area equals the uncovered area).
+		// Reduced windows never overlap the MVR interior or each other
+		// (their total area equals the uncovered area).
 		if res.Outcome == OutcomeBroadcast {
 			var redArea float64
-			for _, rw := range res.ReducedWindows {
+			for i, rw := range res.ReducedWindows {
 				redArea += rw.Area()
+				for _, o := range append(res.ReducedWindows[i+1:], res.MVR.Rects()...) {
+					if _, ok := rw.Intersect(o); ok {
+						t.Fatalf("trial %d: reduced window %v overlaps %v", trial, rw, o)
+					}
+				}
 			}
-			uncovered := win.Area() - res.MVR.IntersectRectArea(win)
+			uncovered := uncoveredArea(win, res.MVR.Rects())
 			if !almostEqual(redArea, uncovered, 1e-6) {
 				t.Fatalf("trial %d: reduced area %v != uncovered %v",
 					trial, redArea, uncovered)
+			}
+			if !almostEqual(res.CoveredFraction, 1-uncovered/win.Area(), 1e-9) {
+				t.Fatalf("trial %d: covered fraction %v, uncovered area %v of %v",
+					trial, res.CoveredFraction, uncovered, win.Area())
 			}
 		}
 	}
@@ -196,12 +206,82 @@ func TestSBWQNoPeers(t *testing.T) {
 	}
 }
 
+// uncoveredArea is the area of w the rects leave uncovered, brute force:
+// the grid their edges cut w into, one midpoint probe per cell.
+func uncoveredArea(w geom.Rect, rects []geom.Rect) float64 {
+	xs, ys := []float64{w.Min.X, w.Max.X}, []float64{w.Min.Y, w.Max.Y}
+	for _, r := range rects {
+		xs = append(xs, r.Min.X, r.Max.X)
+		ys = append(ys, r.Min.Y, r.Max.Y)
+	}
+	slices.Sort(xs)
+	slices.Sort(ys)
+	area := 0.0
+	for i := 0; i+1 < len(xs); i++ {
+		for j := 0; j+1 < len(ys); j++ {
+			cell := geom.NewRect(xs[i], ys[j], xs[i+1], ys[j+1])
+			if !w.ContainsRect(cell) || cell.Empty() ||
+				geom.NewRectUnion(rects...).Contains(cell.Center()) {
+				continue
+			}
+			area += cell.Area()
+		}
+	}
+	return area
+}
+
+// A window of zero area — a point or a segment — runs through the same
+// cut: it is covered when the MVR holds all of it, edges included, and is
+// otherwise resolved over the channel whole. Its covered fraction is 1 or
+// 0 by that verdict alone, which no reflection of the window changes.
 func TestSBWQEmptyWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	w := newTestWorld(t, rng, 50)
-	win := geom.NewRect(5, 5, 5, 5)
-	res := SBWQ(geom.Pt(5, 5), win, w.soundPeers(rng, 1), w.sched, 0)
-	if len(res.POIs) != 0 && res.Outcome == OutcomeVerified {
-		t.Log("degenerate window handled")
+	w := newTestWorld(t, rng, 400)
+	vr := geom.NewRect(2, 2, 8, 8)
+	pd := PeerData{VR: vr}
+	for _, p := range w.db {
+		if vr.Contains(p.Pos) {
+			pd.POIs = append(pd.POIs, p)
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		win     geom.Rect
+		covered bool
+	}{
+		{"point inside the member", geom.NewRect(5, 5, 5, 5), true},
+		{"point on its edge", geom.NewRect(8, 5, 8, 5), true},
+		{"point on its corner", geom.NewRect(2, 8, 2, 8), true},
+		{"point outside it", geom.NewRect(10, 5, 10, 5), false},
+		{"segment inside it", geom.NewRect(3, 4, 7, 4), true},
+		{"segment along its edge", geom.NewRect(2, 3, 2, 7), true},
+		{"segment whose Min corner alone is covered", geom.NewRect(8, 5, 12, 5), false},
+		{"segment whose Max corner alone is covered", geom.NewRect(-2, 5, 2, 5), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res := SBWQ(c.win.Center(), c.win, []PeerData{pd}, w.sched, 0)
+			want, fraction := OutcomeBroadcast, 0.0
+			if c.covered {
+				want, fraction = OutcomeVerified, 1
+			}
+			if res.Outcome != want || res.CoveredFraction != fraction {
+				t.Fatalf("outcome %v, covered fraction %v; want %v, %v", res.Outcome, res.CoveredFraction, want, fraction)
+			}
+			if c.covered != (len(res.ReducedWindows) == 0) {
+				t.Fatalf("reduced windows %v", res.ReducedWindows)
+			}
+			if !c.covered && (len(res.ReducedWindows) != 1 || res.ReducedWindows[0] != c.win) {
+				t.Fatalf("reduced windows %v, want the window whole", res.ReducedWindows)
+			}
+			truth := windowTruth(w.db, c.win)
+			if len(res.POIs) != len(truth) {
+				t.Fatalf("got %d POIs, want %d", len(res.POIs), len(truth))
+			}
+			for _, p := range res.POIs {
+				if !truth[p.ID] {
+					t.Fatalf("stray POI %d", p.ID)
+				}
+			}
+		})
 	}
 }

@@ -105,8 +105,8 @@ func checkNNVSymmetry(t *testing.T, tag string, q geom.Point, peers []PeerData, 
 // verdict over the same POIs and counters, and its reduced windows are
 // pairwise disjoint pieces of T(w) whose total measure — area, or length
 // for a segment window, or count for a point window — is the measure w
-// itself leaves, to 1e-12 of w's. A window of positive area also keeps
-// its covered fraction to 1e-12.
+// itself leaves, to 1e-12 of w's; the covered fraction agrees to 1e-12
+// (for a window of zero area it is the verdict, 1 or 0).
 func checkSBWQSymmetry(t *testing.T, tag string, q geom.Point, w geom.Rect, peers []PeerData) {
 	t.Helper()
 	var s, ts Scratch
@@ -126,7 +126,7 @@ func checkSBWQSymmetry(t *testing.T, tag string, q geom.Point, w geom.Rect, peer
 			fail("outcome %v merged %d examined %d POIs %v, want %v %d %d %v", got.Outcome, got.Merged,
 				got.Examined, poiIDs(got.POIs), want.Outcome, want.Merged, want.Examined, wantIDs)
 		}
-		if w.Area() > 0 && math.Abs(got.CoveredFraction-want.CoveredFraction) > 1e-12 {
+		if math.Abs(got.CoveredFraction-want.CoveredFraction) > 1e-12 {
 			fail("covered fraction %v, want %v", got.CoveredFraction, want.CoveredFraction)
 		}
 		for i, p := range got.ReducedWindows {

@@ -20,37 +20,26 @@ func benchUnion(n int, seed int64) (*RectUnion, Point) {
 
 func BenchmarkClearance16(b *testing.B) {
 	u, p := benchUnion(16, 1)
-	u.BoundaryDist(p) // build the row strips once; the loop measures warm probes
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u.BoundaryDist(p)
 	}
 }
 
-// BenchmarkClearanceCold64 is the per-query cycle of the NNV hot path on
-// a reused union: Reset, merge 64 members, first probe (strip build, row
-// directory and search).
+// BenchmarkClearanceCold64 is the per-query clearance cycle on a reused
+// kernel: frame the square around the probe, cut 64 members, measure.
 func BenchmarkClearanceCold64(b *testing.B) {
 	src, p := benchUnion(64, 1)
-	var u RectUnion
+	var u Uncovered
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		u.Reset()
+		u.Reset(Rect{p, p}.GrowPast(2))
 		for _, r := range src.Rects() {
-			u.Add(r)
+			if u.Cut(r) {
+				break
+			}
 		}
-		if _, ok := u.Clearance(p); !ok {
-			b.Fatal("probe outside the union")
-		}
-	}
-}
-
-func BenchmarkDisjointDecompose64(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		u, _ := benchUnion(64, int64(i))
-		if len(u.Disjoint()) == 0 {
-			b.Fatal("empty decomposition")
-		}
+		u.Dist(Rect{p, p})
 	}
 }
 
@@ -74,18 +63,20 @@ func BenchmarkUnverifiedArea32(b *testing.B) {
 	var u Uncovered
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		u.Reset(p, 2.5)
+		u.Reset(Rect{p, p}.GrowPast(2.5))
 		for _, r := range src.Rects() {
 			if u.Cut(r) {
 				break
 			}
 		}
-		u.Clearance()
-		u.UnverifiedArea(2.5)
+		u.Dist(Rect{p, p})
+		u.UnverifiedArea(p, 2.5)
 	}
 }
 
-func BenchmarkSubtractRect(b *testing.B) {
+// BenchmarkCutWindow is SBWQ's window reduction: the kernel framed by
+// the window, cut by 24 members.
+func BenchmarkCutWindow(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	covers := make([]Rect, 24)
 	for i := range covers {
@@ -93,8 +84,12 @@ func BenchmarkSubtractRect(b *testing.B) {
 		covers[i] = NewRect(cx, cy, cx+1+rng.Float64()*2, cy+1+rng.Float64()*2)
 	}
 	w := NewRect(2, 2, 9, 9)
-	b.ResetTimer()
+	var u Uncovered
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		SubtractRect(w, covers)
+		u.Reset(w)
+		for _, r := range covers {
+			u.Cut(r)
+		}
 	}
 }

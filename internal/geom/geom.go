@@ -1,8 +1,9 @@
 // Package geom provides the planar computational geometry that underpins
 // sharing-based spatial query processing: points, axis-aligned rectangles,
 // circles, segments, and exact operations on unions of axis-aligned
-// rectangles (boundary clearance, disjoint decomposition, coverage tests,
-// and circle-intersection areas).
+// rectangles through one cut kernel (Uncovered): a frame less the members,
+// as disjoint pieces, which answers coverage, boundary clearance and
+// circle-intersection areas.
 //
 // Verified regions in the paper are MBRs, so the merged verified region
 // (MVR) is always a union of axis-aligned rectangles. That lets this
@@ -184,6 +185,17 @@ func (r Rect) BoundaryDist(p Point) float64 {
 	return math.Min(
 		math.Min(p.X-r.Min.X, r.Max.X-p.X),
 		math.Min(p.Y-r.Min.Y, r.Max.Y-p.Y),
+	)
+}
+
+// InnerGap returns the smallest margin between the boundary of the inner
+// rectangle s and the boundary of r when r contains s, i.e. how far s
+// may translate in any direction while staying inside r. Negative when s
+// sticks out of r on some side.
+func (r Rect) InnerGap(s Rect) float64 {
+	return math.Min(
+		math.Min(s.Min.X-r.Min.X, r.Max.X-s.Max.X),
+		math.Min(s.Min.Y-r.Min.Y, r.Max.Y-s.Max.Y),
 	)
 }
 

@@ -5,12 +5,13 @@ import (
 	"sort"
 )
 
-// Brute-force references for the row-strip kernel. They are the code the
-// kernel replaced, kept here so the differential and fuzz tests compare
-// against an independent construction: the union boundary as explicit
-// edge pieces (every member edge minus what other members cover on its
-// outward side, O(n²)), and the strip decomposition read off the full
-// difference grid of the compressed coordinates.
+// Brute-force references for the cut kernel (Uncovered), sharing no code
+// with it, so the differential and fuzz tests compare against an
+// independent construction: the union boundary as explicit edge pieces
+// (every member edge minus what other members cover on its outward side,
+// O(n²)), the strip decomposition read off the full difference grid of
+// the compressed coordinates (the union's area), and coverage probed
+// cell by cell.
 
 type interval struct{ a, b float64 }
 
@@ -102,8 +103,8 @@ func segmentRectDist(s Segment, r Rect) float64 {
 
 // bruteBoundaryDist scans every boundary piece (segs = bruteBoundary(u))
 // with the kernel's per-axis arithmetic: the bit-exact reference for
-// BoundaryDist (w = Rect{p, p}), Clearance and ClearanceRect. +Inf for an
-// empty union.
+// BoundaryDist (w = Rect{p, p}) and the kernel's Dist of a covered point
+// or window. +Inf for an empty union.
 func bruteBoundaryDist(segs []Segment, w Rect) float64 {
 	best := math.Inf(1)
 	for _, s := range segs {
@@ -123,7 +124,7 @@ func legacyBoundaryDist(segs []Segment, p Point) float64 {
 	return best
 }
 
-// gridStrips is the retired decomposition builder: every member marks its
+// gridStrips decomposes the union into strips: every member marks its
 // covered cell range on a per-row difference array over the compressed
 // grid, and a per-row prefix sum merges covered cells into strips.
 func gridStrips(rects []Rect) []Rect {
@@ -162,4 +163,61 @@ func gridStrips(rects []Rect) []Rect {
 		}
 	}
 	return out
+}
+
+// oracleArea is the area of the union of rects, summed over the grid
+// builder's strips.
+func oracleArea(rects []Rect) float64 {
+	total := 0.0
+	for _, s := range gridStrips(rects) {
+		total += s.Area()
+	}
+	return total
+}
+
+// bruteCovers reports whether the closed union of the members of positive
+// area covers the closed window w, probing one point per cell of the grid
+// their edges cut w into: the cell's midpoint, or w's own coordinate on an
+// axis where w has no extent.
+func bruteCovers(w Rect, rects []Rect) bool {
+	probes := func(lo, hi float64, edges func(Rect) [2]float64) []float64 {
+		cuts := []float64{lo, hi}
+		for _, r := range rects {
+			for _, v := range edges(r) {
+				if !r.Empty() && v > lo && v < hi {
+					cuts = append(cuts, v)
+				}
+			}
+		}
+		cuts = dedupSorted(cuts)
+		if len(cuts) == 1 {
+			return cuts
+		}
+		mids := make([]float64, len(cuts)-1)
+		for i := range mids {
+			mids[i] = (cuts[i] + cuts[i+1]) / 2
+		}
+		return mids
+	}
+	xs := probes(w.Min.X, w.Max.X, func(r Rect) [2]float64 { return [2]float64{r.Min.X, r.Max.X} })
+	ys := probes(w.Min.Y, w.Max.Y, func(r Rect) [2]float64 { return [2]float64{r.Min.Y, r.Max.Y} })
+	for _, x := range xs {
+		for _, y := range ys {
+			if !NewRectUnion(rects...).Contains(Pt(x, y)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// cutPieces returns a copy of what the members leave of the frame, cut in
+// their order.
+func cutPieces(frame Rect, rects []Rect) []Rect {
+	var u Uncovered
+	u.Reset(frame)
+	for _, r := range rects {
+		u.Cut(r)
+	}
+	return append([]Rect(nil), u.Pieces()...)
 }

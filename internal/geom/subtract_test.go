@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// Edge cases of SubtractRect hit by the trust layer's quarantine
+// Edge cases of the cut kernel hit by the trust layer's quarantine
 // subtraction: conflict rectangles are carved out of peer VRs one at a
 // time, producing degenerate slivers, full containment, and repeated
 // subtraction of the same rectangle.
@@ -32,38 +32,55 @@ func disjoint(rects []Rect) bool {
 
 func TestSubtractRectNoCover(t *testing.T) {
 	w := NewRect(0, 0, 4, 4)
-	got := SubtractRect(w, nil)
+	got := cutPieces(w, nil)
 	if len(got) != 1 || got[0] != w {
-		t.Fatalf("SubtractRect(w, nil) = %v, want [w]", got)
+		t.Fatalf("pieces of (w, nil) = %v, want [w]", got)
 	}
-	got = SubtractRect(w, []Rect{NewRect(10, 10, 12, 12)})
+	got = cutPieces(w, []Rect{NewRect(10, 10, 12, 12)})
 	if len(got) != 1 || got[0] != w {
 		t.Fatalf("non-intersecting cover changed result: %v", got)
+	}
+	got = cutPieces(w, []Rect{NewRect(4, 1, 6, 3)})
+	if len(got) != 1 || got[0] != w {
+		t.Fatalf("a cover touching only w's edge split it: %v", got)
 	}
 }
 
 func TestSubtractRectFullContainment(t *testing.T) {
 	w := NewRect(1, 1, 3, 3)
-	got := SubtractRect(w, []Rect{NewRect(0, 0, 4, 4)})
+	got := cutPieces(w, []Rect{NewRect(0, 0, 4, 4)})
 	if len(got) != 0 {
 		t.Fatalf("fully covered window left pieces: %v", got)
 	}
 	// Exact self-cover is full containment too.
-	got = SubtractRect(w, []Rect{w})
+	got = cutPieces(w, []Rect{w})
 	if len(got) != 0 {
 		t.Fatalf("self-cover left pieces: %v", got)
 	}
 }
 
+// A window of zero area runs through the same kernel: a point or a
+// segment is cut by the members it lies in, edges included, and what is
+// left of it stays a piece.
 func TestSubtractRectEmptyWindow(t *testing.T) {
-	if got := SubtractRect(Rect{}, []Rect{NewRect(0, 0, 1, 1)}); got != nil {
-		t.Fatalf("empty window produced pieces: %v", got)
+	if got := cutPieces(Rect{}, []Rect{NewRect(0, 0, 1, 1)}); len(got) != 0 {
+		t.Fatalf("point window on a member's corner left pieces: %v", got)
 	}
-	// Degenerate (zero-area) covers must not corrupt the decomposition.
+	if got := cutPieces(Rect{}, []Rect{NewRect(1, 1, 2, 2)}); len(got) != 1 || got[0] != (Rect{}) {
+		t.Fatalf("point window outside the member: pieces %v, want the point", got)
+	}
+	seg := NewRect(1, 0, 1, 4)
+	want := []Rect{NewRect(1, 0, 1, 1), NewRect(1, 3, 1, 4)}
+	if got := cutPieces(seg, []Rect{NewRect(0, 1, 1, 3)}); !rectsEqual(got, want) {
+		t.Fatalf("segment on a member's edge: pieces %v, want %v", got, want)
+	}
+	// Degenerate (zero-area) covers cover nothing: the window stays whole.
 	w := NewRect(0, 0, 4, 4)
-	got := SubtractRect(w, []Rect{NewRect(2, 0, 2, 4)}) // zero-width line
-	if subtractArea(got) != w.Area() {
-		t.Fatalf("zero-area cover removed area: %v", got)
+	if got := cutPieces(w, []Rect{NewRect(2, 0, 2, 4)}); len(got) != 1 || got[0] != w {
+		t.Fatalf("zero-area cover cut the window: %v", got)
+	}
+	if got := cutPieces(seg, []Rect{NewRect(1, 1, 1, 3)}); len(got) != 1 || got[0] != seg {
+		t.Fatalf("zero-area cover cut a segment lying in it: %v", got)
 	}
 }
 
@@ -72,17 +89,17 @@ func TestSubtractRectEmptyWindow(t *testing.T) {
 func TestSubtractRectRepeatedIdempotent(t *testing.T) {
 	w := NewRect(0, 0, 10, 10)
 	c := NewRect(4, 4, 6, 6)
-	once := SubtractRect(w, []Rect{c})
-	twice := SubtractRect(w, []Rect{c, c})
-	if subtractArea(once) != subtractArea(twice) {
-		t.Fatalf("repeated cover changed area: %v vs %v", subtractArea(once), subtractArea(twice))
+	once := cutPieces(w, []Rect{c})
+	twice := cutPieces(w, []Rect{c, c})
+	if !rectsEqual(once, twice) {
+		t.Fatalf("repeated cover changed the pieces: %v vs %v", once, twice)
 	}
 	// Chained: subtracting c from every piece of (w − c) is a no-op.
 	var chained []Rect
 	for _, piece := range once {
-		chained = append(chained, SubtractRect(piece, []Rect{c})...)
+		chained = append(chained, cutPieces(piece, []Rect{c})...)
 	}
-	if subtractArea(chained) != subtractArea(once) || len(chained) != len(once) {
+	if !rectsEqual(chained, once) {
 		t.Fatalf("chained re-subtraction changed pieces: %v vs %v", chained, once)
 	}
 }
@@ -93,7 +110,7 @@ func TestSubtractRectDegenerateSlivers(t *testing.T) {
 	w := NewRect(0, 0, 1, 1)
 	eps := 1e-12
 	covers := []Rect{NewRect(eps, eps, 1-eps, 1-eps)}
-	got := SubtractRect(w, covers)
+	got := cutPieces(w, covers)
 	for _, r := range got {
 		if !r.Valid() {
 			t.Fatalf("invalid sliver %v", r)
@@ -107,7 +124,7 @@ func TestSubtractRectDegenerateSlivers(t *testing.T) {
 		t.Fatalf("sliver area %v, want %v", subtractArea(got), want)
 	}
 	// Sliver flush to one edge.
-	got = SubtractRect(w, []Rect{NewRect(0, 0, 1, 1-eps)})
+	got = cutPieces(w, []Rect{NewRect(0, 0, 1, 1-eps)})
 	if len(got) == 0 {
 		t.Fatal("edge sliver lost entirely")
 	}
@@ -121,7 +138,6 @@ func TestSubtractRectDegenerateSlivers(t *testing.T) {
 // and inside w, and no piece intersects any cover's interior.
 func TestSubtractRectAreaConservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
-	var u RectUnion
 	for trial := 0; trial < 300; trial++ {
 		w := NewRect(rng.Float64()*4, rng.Float64()*4, 4+rng.Float64()*4, 4+rng.Float64()*4)
 		n := rng.Intn(6)
@@ -130,7 +146,7 @@ func TestSubtractRectAreaConservation(t *testing.T) {
 			cx, cy := rng.Float64()*8, rng.Float64()*8
 			covers = append(covers, NewRect(cx, cy, cx+rng.Float64()*3, cy+rng.Float64()*3))
 		}
-		got := SubtractRect(w, covers)
+		got := cutPieces(w, covers)
 		if !disjoint(got) {
 			t.Fatalf("trial %d: pieces overlap: %v", trial, got)
 		}
@@ -144,13 +160,7 @@ func TestSubtractRectAreaConservation(t *testing.T) {
 				}
 			}
 		}
-		u.Reset()
-		for _, c := range covers {
-			if ov, ok := c.Intersect(w); ok {
-				u.Add(ov)
-			}
-		}
-		want := w.Area() - u.Area()
+		want := w.Area() - oracleArea(clipped(covers, w))
 		if diff := subtractArea(got) - want; diff > 1e-6 || diff < -1e-6 {
 			t.Fatalf("trial %d: area %v, want %v", trial, subtractArea(got), want)
 		}
@@ -172,26 +182,70 @@ func sameRectBits(a, b []Rect) bool {
 	return true
 }
 
-// checkSubtractOne is AppendSubtractOne's whole contract on one input:
-// the rectangles of the general routine for the single hole, same bits,
-// same order, appended after whatever dst already held.
+// checkSubtractOne is the single-hole cut's whole contract on one input
+// (a frame that is not inverted; the callers never build one): on the grid
+// w's edges and the hole's edges inside it cut w into, a cell — a point on
+// an axis where w has no extent — lies in some piece exactly when the
+// hole, if it has area, does not contain it; the pieces lie in w and meet
+// one another only on edges. So they cover exactly what the hole leaves,
+// comparing coordinates alone, with no probe to round. A hole that only
+// touches w leaves w whole.
 func checkSubtractOne(t *testing.T, w, hole Rect) {
 	t.Helper()
-	want := SubtractRect(w, []Rect{hole})
-	keep := Rect{Pt(-1, -2), Pt(-3, -4)}
-	got := AppendSubtractOne([]Rect{keep}, w, hole)
-	if got[0] != keep {
-		t.Fatalf("AppendSubtractOne(%v, %v) overwrote dst[0]: %v", w, hole, got[0])
+	if !w.Valid() {
+		return
 	}
-	if !sameRectBits(got[1:], want) {
-		t.Fatalf("AppendSubtractOne(%v, %v) = %v, SubtractRect = %v", w, hole, got[1:], want)
+	got := cutPieces(w, []Rect{hole})
+	cells := func(lo, hi, a, b float64) [][2]float64 {
+		cuts := []float64{lo}
+		for _, v := range dedupSorted([]float64{a, b}) {
+			if v > lo && v < hi {
+				cuts = append(cuts, v)
+			}
+		}
+		if hi > lo {
+			cuts = append(cuts, hi)
+		}
+		if len(cuts) == 1 {
+			return [][2]float64{{lo, lo}}
+		}
+		var out [][2]float64
+		for i := 0; i+1 < len(cuts); i++ {
+			out = append(out, [2]float64{cuts[i], cuts[i+1]})
+		}
+		return out
+	}
+	for _, x := range cells(w.Min.X, w.Max.X, hole.Min.X, hole.Max.X) {
+		for _, y := range cells(w.Min.Y, w.Max.Y, hole.Min.Y, hole.Max.Y) {
+			c := Rect{Pt(x[0], y[0]), Pt(x[1], y[1])}
+			in := false
+			for _, p := range got {
+				in = in || p.ContainsRect(c)
+			}
+			if want := hole.Empty() || !hole.ContainsRect(c); in != want {
+				t.Fatalf("cut of %v by %v = %v: cell %v in a piece %v, want %v", w, hole, got, c, in, want)
+			}
+		}
+	}
+	for i, p := range got {
+		if !w.ContainsRect(p) {
+			t.Fatalf("cut of %v by %v = %v: piece %v outside w", w, hole, got, p)
+		}
+		for _, o := range got[i+1:] {
+			if p.Min.X < o.Max.X && o.Min.X < p.Max.X && p.Min.Y < o.Max.Y && o.Min.Y < p.Max.Y {
+				t.Fatalf("cut of %v by %v = %v: pieces %v and %v overlap", w, hole, got, p, o)
+			}
+		}
+	}
+	if !meets(hole, w) && (len(got) != 1 || got[0] != w) {
+		t.Fatalf("cut of %v by %v, which only touches it, = %v", w, hole, got)
 	}
 }
 
-// The closed-form single-hole subtraction on the named degenerate
-// families (the committed fuzz corpus repeats them) and on random grid
-// geometry, where shared edges and zero-area operands are the norm.
-func TestAppendSubtractOneMatchesSubtractRect(t *testing.T) {
+// The single-hole cut on the named degenerate families (the committed
+// fuzz corpus repeats them) and on random grid geometry, where shared
+// edges and zero-area operands are the norm.
+func TestCutOneHole(t *testing.T) {
 	w := NewRect(2, 2, 8, 6)
 	holes := []Rect{
 		NewRect(4, 3, 6, 5),     // strictly inside: four pieces
@@ -205,7 +259,7 @@ func TestAppendSubtractOneMatchesSubtractRect(t *testing.T) {
 		NewRect(20, 20, 22, 22), // disjoint
 		NewRect(5, 0, 5, 9),     // zero-area (a line through w)
 		NewRect(4, 4, 4, 4),     // zero-area (a point inside w)
-		{Pt(6, 5), Pt(4, 3)},    // inverted: covers nothing, still cuts
+		{Pt(6, 5), Pt(4, 3)},    // inverted: covers nothing
 		NewRect(0, 3, 10, 5),    // full-width band: two pieces
 		NewRect(4, 0, 6, 10),    // full-height band: two pieces
 	}
@@ -213,8 +267,9 @@ func TestAppendSubtractOneMatchesSubtractRect(t *testing.T) {
 		checkSubtractOne(t, w, h)
 	}
 	checkSubtractOne(t, NewRect(3, 3, 3, 7), NewRect(0, 0, 9, 9)) // zero-area w
+	checkSubtractOne(t, NewRect(3, 3, 3, 7), NewRect(3, 4, 5, 5)) // zero-area w on the hole's edge
 	checkSubtractOne(t, Rect{}, NewRect(0, 0, 1, 1))
-	// A sliver one ulp wide: the midpoint probe lands on a cell edge.
+	// A sliver one ulp wide, where a midpoint probe would land on an edge.
 	checkSubtractOne(t, NewRect(1, 1, 3, 3), NewRect(math.Nextafter(1, 2), 0, 2, 4))
 	checkSubtractOne(t, NewRect(1, 1, 3, 3), NewRect(0, 0, math.Nextafter(3, 0), 4))
 
@@ -225,10 +280,10 @@ func TestAppendSubtractOneMatchesSubtractRect(t *testing.T) {
 	}
 }
 
-// FuzzSubtractOne checks AppendSubtractOne against SubtractRect on
+// FuzzSubtractOne checks the single-hole cut against the cell oracle on
 // arbitrary (NaN-free) coordinates. The operands are taken raw, not
-// normalized, so inverted rectangles are covered too. The committed
-// corpus (testdata/fuzz/FuzzSubtractOne) names the degenerate families.
+// normalized, so inverted holes are covered too. The committed corpus
+// (testdata/fuzz/FuzzSubtractOne) names the degenerate families.
 func FuzzSubtractOne(f *testing.F) {
 	f.Fuzz(func(t *testing.T, wx0, wy0, wx1, wy1, hx0, hy0, hx1, hy1 float64) {
 		for _, v := range []float64{wx0, wy0, wx1, wy1, hx0, hy0, hx1, hy1} {

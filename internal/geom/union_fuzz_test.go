@@ -28,17 +28,20 @@ func decodeFuzzUnion(b []byte) (rects []Rect, probes []Point) {
 	return rects, probes
 }
 
-// checkUnionAgainstOracles is the whole contract of the row-strip kernel
-// on one input: the sweep emits the grid builder's strips, and every
-// boundary query equals the brute-force scan over explicit boundary
-// pieces bit for bit (same per-axis arithmetic), stays within rounding of
-// the retired Segment.Dist route, and agrees with Contains/CoversRect on
-// which side of the boundary the probe is.
+// checkUnionAgainstOracles is the whole contract of the cut kernel on one
+// input, against the brute-force references: the union's area read off
+// the kernel equals the strips' to rounding; every boundary distance
+// equals the brute-force scan over explicit boundary pieces bit for bit
+// (same per-axis arithmetic) and stays within rounding of the retired
+// Segment.Dist route; and for the window from each probe to the next the
+// kernel framed by it is covered exactly when brute-force coverage says
+// so, with a covered window's clearance the brute-force distance bit for
+// bit.
 func checkUnionAgainstOracles(t *testing.T, rects []Rect, probes []Point) {
 	t.Helper()
 	u := NewRectUnion(rects...)
-	if got, want := u.Disjoint(), gridStrips(u.Rects()); !rectsEqual(got, want) {
-		t.Fatalf("sweep strips differ from grid strips\n sweep: %v\n grid:  %v\n rects: %v", got, want, rects)
+	if got, want := kernelArea(rects), oracleArea(rects); math.Abs(got-want) > 1e-12*math.Max(1, want) {
+		t.Fatalf("kernel area %v, strips %v (rects %v)", got, want, rects)
 	}
 	segs := bruteBoundary(u)
 	for i, p := range probes {
@@ -53,14 +56,11 @@ func checkUnionAgainstOracles(t *testing.T, rects []Rect, probes []Point) {
 		if legacy := legacyBoundaryDist(segs, p); got != legacy && math.Abs(got-legacy) > 1e-12*math.Max(1, legacy) {
 			t.Fatalf("BoundaryDist(%v) = %v, legacy = %v (rects %v)", p, got, legacy, rects)
 		}
-		d, ok := u.Clearance(p)
-		if ok != u.Contains(p) || (ok && d != want) || (!ok && d != 0) {
-			t.Fatalf("Clearance(%v) = %v, %v; contains %v, brute %v (rects %v)", p, d, ok, u.Contains(p), want, rects)
-		}
 		w := NewRect(p.X, p.Y, probes[(i+1)%len(probes)].X, probes[(i+1)%len(probes)].Y)
-		d, ok = u.ClearanceRect(w)
-		if want := bruteBoundaryDist(segs, w); ok != u.CoversRect(w) || (ok && d != want) || (!ok && d != 0) {
-			t.Fatalf("ClearanceRect(%v) = %v, %v; covers %v, brute %v (rects %v)", w, d, ok, u.CoversRect(w), want, rects)
+		d, ok := windowClearance(rects, w)
+		if want := bruteBoundaryDist(segs, w); ok != bruteCovers(w, rects) || (ok && d != want) {
+			t.Fatalf("window %v: clearance %v, covered %v; brute covered %v, distance %v (rects %v)",
+				w, d, ok, bruteCovers(w, rects), want, rects)
 		}
 	}
 }
@@ -80,35 +80,39 @@ func FuzzRectUnion(f *testing.F) {
 // checkLocalClearance is the contract the query-local NNV rests on
 // (DESIGN.md §9.3). Cut the members out of the square just wider than r
 // around q (Uncovered), stopping once nothing is left, as NNV does. Then
-// the clearance of q in what is left is the full union's, bit for bit,
-// whenever that is at most r, and exceeds r otherwise, and q is inside
-// exactly when the union contains it; and the disk around q of radius at
-// most r has the uncovered area the union leaves of it — summed over
-// other pieces, so equal to 1e-12 of the disk's own area, the scale of
-// the terms (a disk that only grazes the union leaves a residue of
-// ±1e-15 in π r² − covered, not 0).
-func checkLocalClearance(t *testing.T, rects []Rect, q Point, r float64) {
+// the distance from q to what is left is zero when the union does not
+// contain q, and otherwise q's clearance in the union — the brute-force
+// boundary distance over segs = bruteBoundary(the union) — bit for bit
+// whenever that is at most r, and a bound in (r, clearance] otherwise;
+// and the disk around q of radius at most r has the uncovered area the
+// union leaves of it (IntersectCircleArea, the kernel framed by the disk's
+// bounding square, which TestIntersectCircleAreaMatchesOracle holds to
+// its oracle) — summed over other pieces, so equal to 1e-12 of the disk's
+// own area, the scale of the terms (a disk that only grazes the union
+// leaves a residue of ±1e-15 in π r² − covered, not 0).
+func checkLocalClearance(t *testing.T, rects []Rect, segs []Segment, q Point, r float64) {
 	t.Helper()
 	full := NewRectUnion(rects...)
 	var u Uncovered
-	u.Reset(q, r)
+	u.Reset(Rect{q, q}.GrowPast(r))
 	for _, m := range rects {
 		if u.Cut(m) {
 			break
 		}
 	}
-	want, wantOK := full.Clearance(q)
-	got, gotOK := u.Clearance()
+	want := 0.0
+	if full.Contains(q) {
+		want = bruteBoundaryDist(segs, Rect{q, q})
+	}
+	got := u.Dist(Rect{q, q})
 	switch {
-	case gotOK != wantOK:
-		t.Fatalf("local Clearance(%v) inside=%v, full inside=%v (r=%v rects %v)", q, gotOK, wantOK, r, rects)
 	case want <= r && got != want:
-		t.Fatalf("local Clearance(%v) = %v, full = %v within r=%v (rects %v)", q, got, want, r, rects)
+		t.Fatalf("local Dist(%v) = %v, full clearance = %v within r=%v (rects %v)", q, got, want, r, rects)
 	case want > r && !(got > r && got <= want):
-		t.Fatalf("local Clearance(%v) = %v, want a bound in (%v, %v] (rects %v)", q, got, r, want, rects)
+		t.Fatalf("local Dist(%v) = %v, want a bound in (%v, %v] (rects %v)", q, got, r, want, rects)
 	}
 	for _, d := range [3]float64{r, r / 2, r / 7} {
-		want, got := math.Pi*d*d-full.IntersectCircleArea(q, d), u.UnverifiedArea(d)
+		want, got := math.Pi*d*d-full.IntersectCircleArea(q, d), u.UnverifiedArea(q, d)
 		if math.Abs(got-want) > 1e-12*math.Pi*d*d {
 			t.Fatalf("local UnverifiedArea(%v, %v) = %v, full = %v (r=%v rects %v)", q, d, got, want, r, rects)
 		}
@@ -123,8 +127,9 @@ func TestUncoveredMatchesUnion(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	for trial := 0; trial < 30; trial++ {
 		u := randomUnion(rng, 30+rng.Intn(60))
+		segs := bruteBoundary(u)
 		for i := 0; i < 40; i++ {
-			checkLocalClearance(t, u.Rects(), Pt(rng.Float64()*120-10, rng.Float64()*120-10), rng.Float64()*30)
+			checkLocalClearance(t, u.Rects(), segs, Pt(rng.Float64()*120-10, rng.Float64()*120-10), rng.Float64()*30)
 		}
 	}
 }
@@ -137,10 +142,11 @@ func TestUncoveredMatchesUnion(t *testing.T) {
 func FuzzLocalClearance(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rects, probes := decodeFuzzUnion(b)
+		segs := bruteBoundary(NewRectUnion(rects...))
 		for i, q := range probes {
 			next := probes[(i+1)%len(probes)]
 			for _, r := range [3]float64{0, float64(len(b)%9) / 2, q.Dist(next)} {
-				checkLocalClearance(t, rects, q, r)
+				checkLocalClearance(t, rects, segs, q, r)
 			}
 		}
 	})
@@ -148,9 +154,10 @@ func FuzzLocalClearance(f *testing.F) {
 
 // TestBoundaryDistHistoryIndependent pins the one-path rule: the answer
 // is a function of the member multiset alone — the same bits whether the
-// probe is the first call on a fresh union, follows other queries that
-// warmed the caches, or runs on a union that reached the multiset by
-// CopyFrom or by Reset and a shuffled re-Add over another union's state.
+// probe is the first call on a fresh union, follows other queries, or
+// runs on a union that reached the multiset by CopyFrom or by Reset and a
+// shuffled re-Add over another union's state (the kernel cuts in another
+// order there, into other pieces).
 func TestBoundaryDistHistoryIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 30; trial++ {
@@ -163,7 +170,6 @@ func TestBoundaryDistHistoryIndependent(t *testing.T) {
 
 		warmed := NewRectUnion(members...)
 		warmed.IntersectCircleArea(Pt(4, 4), 3)
-		warmed.CoversRect(NewRect(1, 1, 2, 2))
 
 		copied := &RectUnion{}
 		copied.CopyFrom(warmed)

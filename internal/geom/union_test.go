@@ -27,24 +27,36 @@ func TestRectUnionDropsDegenerate(t *testing.T) {
 	}
 }
 
+// kernelArea is the area of the union of rects as the kernel measures
+// it: the bounding box less what the members leave of it.
+func kernelArea(rects []Rect) float64 {
+	live := NewRectUnion(rects...).Rects()
+	return Bounds(live).Area() - subtractArea(cutPieces(Bounds(live), live))
+}
+
 func TestRectUnionAreaOverlap(t *testing.T) {
-	// Two 2x2 squares overlapping in a 1x1 square: area = 4+4-1 = 7.
-	u := NewRectUnion(NewRect(0, 0, 2, 2), NewRect(1, 1, 3, 3))
-	if got := u.Area(); !almostEqual(got, 7, 1e-12) {
-		t.Errorf("Area = %v want 7", got)
-	}
-	// Identical rects: area of one.
-	u2 := NewRectUnion(NewRect(0, 0, 2, 3), NewRect(0, 0, 2, 3))
-	if got := u2.Area(); !almostEqual(got, 6, 1e-12) {
-		t.Errorf("Area identical = %v want 6", got)
-	}
-	// Disjoint rects: sum.
-	u3 := NewRectUnion(NewRect(0, 0, 1, 1), NewRect(5, 5, 7, 6))
-	if got := u3.Area(); !almostEqual(got, 3, 1e-12) {
-		t.Errorf("Area disjoint = %v want 3", got)
+	for _, c := range []struct {
+		name  string
+		rects []Rect
+		want  float64
+	}{
+		// Two 2x2 squares overlapping in a 1x1 square: area = 4+4-1 = 7.
+		{"overlap", []Rect{NewRect(0, 0, 2, 2), NewRect(1, 1, 3, 3)}, 7},
+		{"identical", []Rect{NewRect(0, 0, 2, 3), NewRect(0, 0, 2, 3)}, 6},
+		{"disjoint", []Rect{NewRect(0, 0, 1, 1), NewRect(5, 5, 7, 6)}, 3},
+	} {
+		if got := kernelArea(c.rects); !almostEqual(got, c.want, 1e-12) {
+			t.Errorf("%s: kernel area = %v want %v", c.name, got, c.want)
+		}
+		if got := oracleArea(c.rects); !almostEqual(got, c.want, 1e-12) {
+			t.Errorf("%s: strip area = %v want %v", c.name, got, c.want)
+		}
 	}
 }
 
+// The kernel's pieces of a frame are a disjoint decomposition of what the
+// members leave of it: pairwise interior-disjoint, and a probe off their
+// edges lies in a piece exactly when it lies in the frame and in no member.
 func TestDisjointDecompositionIsPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 100; trial++ {
@@ -54,7 +66,8 @@ func TestDisjointDecompositionIsPartition(t *testing.T) {
 			rects[i] = randomRect(rng, 5)
 		}
 		u := NewRectUnion(rects...)
-		parts := u.Disjoint()
+		frame := randomRect(rng, 6)
+		parts := cutPieces(frame, rects)
 		// Pairwise interior-disjoint.
 		for i := range parts {
 			for j := i + 1; j < len(parts); j++ {
@@ -67,7 +80,7 @@ func TestDisjointDecompositionIsPartition(t *testing.T) {
 		// Coverage agrees with membership at random probes.
 		for k := 0; k < 50; k++ {
 			p := randomPoint(rng, 6)
-			inUnion := u.Contains(p)
+			uncovered := frame.Contains(p) && !u.Contains(p)
 			inParts := false
 			for _, r := range parts {
 				if r.Contains(p) {
@@ -83,8 +96,8 @@ func TestDisjointDecompositionIsPartition(t *testing.T) {
 					onEdge = true
 				}
 			}
-			if !onEdge && inUnion != inParts {
-				t.Fatalf("trial %d: probe %v union=%v parts=%v", trial, p, inUnion, inParts)
+			if !onEdge && uncovered != inParts {
+				t.Fatalf("trial %d: probe %v uncovered=%v parts=%v", trial, p, uncovered, inParts)
 			}
 		}
 	}
@@ -105,19 +118,26 @@ func TestBoundaryAdjacentRectsSharedEdgeInterior(t *testing.T) {
 	// interior to the union, so clearance at the shared edge's midpoint is
 	// governed by the outer boundary.
 	u := NewRectUnion(NewRect(0, 0, 2, 1), NewRect(0, 1, 2, 2))
-	got, ok := u.Clearance(Pt(1, 1))
-	if !ok {
+	if !u.Contains(Pt(1, 1)) {
 		t.Fatal("point on shared edge must be inside union")
 	}
+	got := u.BoundaryDist(Pt(1, 1))
 	if !almostEqual(got, 1, 1e-12) {
 		t.Errorf("clearance at shared edge = %v want 1", got)
 	}
 }
 
+// Outside the members q lies in a piece of any frame around it, so its
+// distance to the pieces is zero: no clearance.
 func TestClearanceOutside(t *testing.T) {
-	u := NewRectUnion(NewRect(0, 0, 1, 1))
-	if _, ok := u.Clearance(Pt(5, 5)); ok {
-		t.Error("Clearance must report ok=false outside the union")
+	q := Pt(5, 5)
+	var u Uncovered
+	for _, reach := range []float64{0, 1, 10} {
+		u.Reset(Rect{q, q}.GrowPast(reach))
+		u.Cut(NewRect(0, 0, 1, 1))
+		if d := u.Dist(Rect{q, q}); d != 0 {
+			t.Errorf("reach %v: Dist outside the union = %v, want 0", reach, d)
+		}
 	}
 }
 
@@ -127,10 +147,10 @@ func TestClearanceLShape(t *testing.T) {
 	// Point in the inner corner region: nearest boundary is the re-entrant
 	// corner at (1,1).
 	p := Pt(1.5, 0.5)
-	got, ok := u.Clearance(p)
-	if !ok {
+	if !u.Contains(p) {
 		t.Fatal("p must be inside")
 	}
+	got := u.BoundaryDist(p)
 	// Candidate boundaries: y=0 (0.5), x=1 above y=1 region? The segment
 	// x=1 for y in [1,4] is boundary; distance = hypot(0.5 from x.. ) =
 	// distance to point (1,1) = sqrt(0.25+0.25).
@@ -141,7 +161,7 @@ func TestClearanceLShape(t *testing.T) {
 	// Near the top of the horizontal bar: the bar's top edge y=1 is
 	// boundary for x >= 1 (only x in [0,1] is covered by the vertical bar).
 	p2 := Pt(1.2, 0.8)
-	got2, _ := u.Clearance(p2)
+	got2 := u.BoundaryDist(p2)
 	want2 := 0.2 // vertical distance to the boundary segment y=1, x in [1,4]
 	if !almostEqual(got2, want2, 1e-12) {
 		t.Errorf("clearance near corner = %v want %v", got2, want2)
@@ -149,7 +169,7 @@ func TestClearanceLShape(t *testing.T) {
 	// A point deep inside the vertical bar sees the corner (1,1) only via
 	// the vertical boundary segment x=1, y in [1,4].
 	p3 := Pt(0.8, 1.4)
-	got3, _ := u.Clearance(p3)
+	got3 := u.BoundaryDist(p3)
 	want3 := 0.2 // horizontal distance to boundary segment x=1, y in [1,4]
 	if !almostEqual(got3, want3, 1e-12) {
 		t.Errorf("clearance in vertical bar = %v want %v", got3, want3)
@@ -223,48 +243,56 @@ func isBoundarySample(u *RectUnion, q Point) bool {
 	return false
 }
 
+// A window is covered when the kernel framed by it leaves no piece, for a
+// window of any extent — segments and points included.
 func TestCoversRect(t *testing.T) {
-	u := NewRectUnion(NewRect(0, 0, 2, 2), NewRect(2, 0, 4, 2))
-	if !u.CoversRect(NewRect(0.5, 0.5, 3.5, 1.5)) {
-		t.Error("window spanning both rects must be covered")
-	}
-	if u.CoversRect(NewRect(0.5, 0.5, 3.5, 2.5)) {
-		t.Error("window poking above the union must not be covered")
-	}
-	if !u.CoversRect(NewRect(0, 0, 4, 2)) {
-		t.Error("window equal to the union must be covered")
+	rects := []Rect{NewRect(0, 0, 2, 2), NewRect(2, 0, 4, 2)}
+	for _, c := range []struct {
+		name string
+		w    Rect
+		want bool
+	}{
+		{"window spanning both rects", NewRect(0.5, 0.5, 3.5, 1.5), true},
+		{"window poking above the union", NewRect(0.5, 0.5, 3.5, 2.5), false},
+		{"window equal to the union", NewRect(0, 0, 4, 2), true},
+		{"segment along the seam", NewRect(2, 0, 2, 2), true},
+		{"segment along the top edge", NewRect(0, 2, 4, 2), true},
+		{"segment leaving the union", NewRect(1, 1, 1, 3), false},
+		{"point on a corner", NewRect(4, 2, 4, 2), true},
+		{"point outside", NewRect(5, 1, 5, 1), false},
+	} {
+		if got := len(cutPieces(c.w, rects)) == 0; got != c.want || bruteCovers(c.w, rects) != c.want {
+			t.Errorf("%s: kernel covered = %v, brute = %v, want %v", c.name, got, bruteCovers(c.w, rects), c.want)
+		}
 	}
 }
 
+// The kernel framed by a window w cuts it as Algorithm 3 reduces w.
 func TestSubtractRect(t *testing.T) {
 	w := NewRect(0, 0, 4, 4)
 	// Cover left half: remainder is right half.
-	rem := SubtractRect(w, []Rect{NewRect(0, 0, 2, 4)})
+	rem := cutPieces(w, []Rect{NewRect(0, 0, 2, 4)})
 	if len(rem) != 1 || rem[0] != NewRect(2, 0, 4, 4) {
-		t.Fatalf("SubtractRect half = %v", rem)
+		t.Fatalf("pieces of half = %v", rem)
 	}
 	// Full cover: empty remainder.
-	if rem := SubtractRect(w, []Rect{NewRect(-1, -1, 5, 5)}); len(rem) != 0 {
-		t.Fatalf("SubtractRect full = %v", rem)
+	if rem := cutPieces(w, []Rect{NewRect(-1, -1, 5, 5)}); len(rem) != 0 {
+		t.Fatalf("pieces of full = %v", rem)
 	}
 	// No cover: the window itself.
-	rem = SubtractRect(w, []Rect{NewRect(10, 10, 11, 11)})
+	rem = cutPieces(w, []Rect{NewRect(10, 10, 11, 11)})
 	if len(rem) != 1 || rem[0] != w {
-		t.Fatalf("SubtractRect none = %v", rem)
+		t.Fatalf("pieces of none = %v", rem)
 	}
-	// Hole in the middle: four pieces around it (strip decomposition
-	// yields 3 rows: bottom strip, two side pieces, top strip).
-	rem = SubtractRect(w, []Rect{NewRect(1, 1, 3, 3)})
-	total := 0.0
-	for _, r := range rem {
-		total += r.Area()
-	}
-	if !almostEqual(total, 16-4, 1e-12) {
-		t.Fatalf("SubtractRect hole area = %v pieces=%v", total, rem)
+	// Hole in the middle: the bottom band, two side pieces, the top band.
+	rem = cutPieces(w, []Rect{NewRect(1, 1, 3, 3)})
+	want := []Rect{NewRect(0, 0, 4, 1), NewRect(0, 1, 1, 3), NewRect(3, 1, 4, 3), NewRect(0, 3, 4, 4)}
+	if !rectsEqual(rem, want) {
+		t.Fatalf("pieces of hole = %v, want %v", rem, want)
 	}
 }
 
-// Property: SubtractRect yields disjoint pieces whose area equals
+// Property: the kernel yields disjoint pieces whose area equals
 // area(w) - area(w ∩ union).
 func TestSubtractRectProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -275,7 +303,7 @@ func TestSubtractRectProperty(t *testing.T) {
 		for i := range covers {
 			covers[i] = randomRect(rng, 5)
 		}
-		rem := SubtractRect(w, covers)
+		rem := cutPieces(w, covers)
 		remArea := 0.0
 		for i, r := range rem {
 			remArea += r.Area()
@@ -288,24 +316,40 @@ func TestSubtractRectProperty(t *testing.T) {
 				}
 			}
 		}
-		u := NewRectUnion(covers...)
-		want := w.Area() - u.IntersectRectArea(w)
+		want := w.Area() - oracleArea(clipped(covers, w))
 		if !almostEqual(remArea, want, 1e-9) {
 			t.Fatalf("trial %d: remainder area %v want %v", trial, remArea, want)
 		}
 	}
 }
 
+// clipped returns the parts of rects inside w of positive area.
+func clipped(rects []Rect, w Rect) []Rect {
+	var out []Rect
+	for _, r := range rects {
+		if c, ok := r.Intersect(w); ok {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// The area of w ∩ union is area(w) less the area of the kernel's pieces,
+// as SBWQ's covered fraction reads it.
 func TestIntersectRectArea(t *testing.T) {
-	u := NewRectUnion(NewRect(0, 0, 2, 2), NewRect(1, 1, 3, 3))
-	if got := u.IntersectRectArea(NewRect(0, 0, 3, 3)); !almostEqual(got, 7, 1e-12) {
-		t.Errorf("full overlap area = %v want 7", got)
-	}
-	if got := u.IntersectRectArea(NewRect(10, 10, 11, 11)); got != 0 {
-		t.Errorf("disjoint area = %v want 0", got)
-	}
-	if got := u.IntersectRectArea(NewRect(0, 0, 1, 1)); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("sub-rect area = %v want 1", got)
+	rects := []Rect{NewRect(0, 0, 2, 2), NewRect(1, 1, 3, 3)}
+	for _, c := range []struct {
+		w    Rect
+		want float64
+	}{
+		{NewRect(0, 0, 3, 3), 7},
+		{NewRect(10, 10, 11, 11), 0},
+		{NewRect(0, 0, 1, 1), 1},
+	} {
+		got := c.w.Area() - subtractArea(cutPieces(c.w, rects))
+		if !almostEqual(got, c.want, 1e-12) || !almostEqual(oracleArea(clipped(rects, c.w)), c.want, 1e-12) {
+			t.Errorf("w %v: covered area = %v, strips %v, want %v", c.w, got, oracleArea(clipped(rects, c.w)), c.want)
+		}
 	}
 }
 
@@ -313,17 +357,18 @@ func TestUnverifiedAreaFullyCovered(t *testing.T) {
 	// Disk entirely inside a member: nothing of the square is left and the
 	// unverified area is exactly 0.
 	var u Uncovered
-	u.Reset(Pt(0, 0), 2)
+	square := Rect{}.GrowPast(2)
+	u.Reset(square)
 	if !u.Cut(NewRect(-10, -10, 10, 10)) {
-		t.Fatalf("a member covering the square left pieces %v", u.pieces)
+		t.Fatalf("a member covering the square left pieces %v", u.Pieces())
 	}
-	if got := u.UnverifiedArea(2); got != 0 {
+	if got := u.UnverifiedArea(Pt(0, 0), 2); got != 0 {
 		t.Errorf("covered disk unverified area = %v", got)
 	}
 	// Nothing cut: unverified area is the whole disk.
-	u.Reset(Pt(0, 0), 2)
+	u.Reset(square)
 	want := math.Pi * 4
-	if got := u.UnverifiedArea(2); !almostEqual(got, want, 1e-9) {
+	if got := u.UnverifiedArea(Pt(0, 0), 2); !almostEqual(got, want, 1e-9) {
 		t.Errorf("uncovered disk area = %v want %v", got, want)
 	}
 }
@@ -382,11 +427,11 @@ func randomUnion(rng *rand.Rand, n int) *RectUnion {
 }
 
 // TestBoundaryDistIndexedMatchesBrute is the differential test for the
-// row-strip kernel on real-valued geometry: randomized unions with long
-// rows, uncovered bands and deep overlap, probed inside and far outside,
-// must satisfy the whole oracle contract FuzzRectUnion checks on grid
-// geometry — the pruned outward search equal to the full scan over
-// explicit boundary pieces bit for bit.
+// cut kernel on real-valued geometry: randomized unions with long rows,
+// uncovered bands and deep overlap, probed inside and far outside, must
+// satisfy the whole oracle contract FuzzRectUnion checks on grid geometry
+// — distances to the pieces equal to the full scan over explicit boundary
+// pieces bit for bit.
 func TestBoundaryDistIndexedMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 30; trial++ {
@@ -407,14 +452,13 @@ func TestBoundaryDistIndexedMatchesBrute(t *testing.T) {
 	}
 }
 
-// TestIndexSurvivesReset checks the invalidate/rebuild cycle of the row
-// strips and their row directory: mutating the union after queries must
-// produce the same answers as a fresh one.
+// TestIndexSurvivesReset checks reuse: a union reset and refilled after
+// queries must produce the same answers as a fresh one.
 func TestIndexSurvivesReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	u := randomUnion(rng, 64)
 	p := Pt(50, 50)
-	_ = u.BoundaryDist(p) // build the strips and the row directory
+	_ = u.BoundaryDist(p)
 	_ = u.IntersectCircleArea(p, 20)
 
 	// Mutate: reset and load a different union into the same instance.

@@ -25,7 +25,7 @@ type ConsistencyKnobs struct {
 	// Nonzero versions the POI database with a monotone epoch counter,
 	// broadcasts invalidation reports every IRPeriodSec, and makes every
 	// client reconcile its cached verified regions (surgical shrink with
-	// geom.SubtractRect) before querying.
+	// geom.AppendSubtractRect) before querying.
 	UpdateRate float64 `json:"update_rate,omitempty" flag:"update-rate" usage:"POI mutations per minute (insert/delete/move); 0 keeps the database static"`
 	// IRPeriodSec is the invalidation-report broadcast period in
 	// simulated seconds; mutations accumulate into one epoch per period.

@@ -323,20 +323,15 @@ func (w *World) reverify(s *subscription, reason contReason) {
 }
 
 // safeExitKNN bounds how far the host may move before an exact kNN
-// answer can change. The complete-knowledge clearance around q is the
-// distance to the MVR boundary for peer-verified answers, to the
-// known-region boundary for channel-resolved ones; inside that disk the
-// candidate list is the whole database, so the bound is sound.
+// answer can change. The complete-knowledge region is the MVR for
+// peer-verified answers, the known region for channel-resolved ones;
+// inside q's clearance in it the candidate list is the whole database,
+// so the bound is sound.
 func (w *World) safeExitKNN(e *query) float64 {
 	res := &e.res
 	verified := res.outcome == core.OutcomeVerified
-	var clearance float64
-	if verified {
-		clearance, _ = res.mvr.Clearance(e.q)
-	} else if res.knownRegion.Contains(e.q) {
-		clearance = res.knownRegion.BoundaryDist(e.q)
-	}
-	return core.SafeExitKNN(e.q, res.pois, w.contCandidates(e.peers, res.known, verified), clearance)
+	return core.SafeExitKNN(&w.qs.core, e.q, res.pois, w.contCandidates(e.peers, res.known, verified),
+		knowledge(res, verified))
 }
 
 // safeExitWindow bounds how far an exact, unclipped window may translate
@@ -347,17 +342,18 @@ func (w *World) safeExitKNN(e *query) float64 {
 func (w *World) safeExitWindow(e *query) float64 {
 	res := &e.res
 	verified := res.outcome == core.OutcomeVerified
-	var cover float64
-	covered := false
+	return core.SafeExitWindow(&w.qs.core, e.win, w.contCandidates(e.peers, res.known, verified),
+		knowledge(res, verified))
+}
+
+// knowledge returns the complete-knowledge region of an exact answer as
+// member rectangles: the MVR's for a peer-verified one, the known region
+// for a channel-resolved one.
+func knowledge(res *queryResult, verified bool) []geom.Rect {
 	if verified {
-		cover, covered = res.mvr.ClearanceRect(e.win)
-	} else if res.knownRegion.ContainsRect(e.win) {
-		cover, covered = res.knownRegion.InnerGap(e.win), true
+		return res.mvr.Rects()
 	}
-	if !covered {
-		return 0
-	}
-	return core.SafeExitWindow(e.win, w.contCandidates(e.peers, res.known, verified), cover)
+	return []geom.Rect{res.knownRegion}
 }
 
 // contCandidates returns the candidate POI set the safe-exit bounds

@@ -2,6 +2,7 @@ package trust
 
 import (
 	"cmp"
+	"fmt"
 	"math/rand"
 	"slices"
 
@@ -13,9 +14,13 @@ import (
 // refEngine is the test oracle for Engine: the engine as it stood before
 // Screen became a scratch-based kernel, kept verbatim — per-screen maps,
 // a quarantine set re-indexed on every screen and on every eviction, the
-// |a|·|b| restrictAgree, geom.SubtractRect with a one-element cover list
-// into fresh slices, pieceOwns per (piece, POI), in-place cross-pool
-// dedup on copied POI slices. TestScreenMatchesReference drives it and
+// |a|·|b| restrictAgree, geom.AppendSubtractRect with a one-element cover
+// list into fresh slices, pieceOwns per (piece, POI), in-place cross-pool
+// dedup on copied POI slices. A hole cuts the pieces whose interior it
+// overlaps, as the production cut kernel does; the retired rule, under
+// which a hole that only touches a piece split it too, is cut beside it
+// and must leave every claim the same point set (touchCuts,
+// touchMismatch). TestScreenMatchesReference drives it and
 // the production engine from one seed and requires every observable to
 // be equal after every screen. What it subtracts moved with the rule: the
 // quarantine's outline, derived from the ledger by brute force on every
@@ -37,6 +42,11 @@ type refEngine struct {
 
 	// scratch reused across screens
 	pieces []geom.Rect
+
+	// touchCuts counts the claims the retired rule cut into other pieces;
+	// touchMismatch describes the first whose point set differed.
+	touchCuts     int
+	touchMismatch string
 }
 
 // bruteOutline derives the outline from a live ledger in insertion order:
@@ -367,15 +377,29 @@ func (e *refEngine) screenReference(contribs []Contribution, oracle Oracle, budg
 		// would let an attacker pulverize the honest MVR merely by
 		// disputing it (the coverage-collapse failure mode).
 		if tainted {
+			touch := []geom.Rect{c.VR}
 			for _, h := range holes {
 				if !c.VR.Intersects(h) {
 					continue
 				}
-				next := e.pieces[:0:0]
+				next, old := e.pieces[:0:0], []geom.Rect(nil)
 				for _, piece := range e.pieces {
-					next = append(next, geom.SubtractRect(piece, []geom.Rect{h})...)
+					if overlapsInterior(piece, h) {
+						next = geom.AppendSubtractRect(next, piece, []geom.Rect{h})
+					} else {
+						next = append(next, piece)
+					}
 				}
-				e.pieces = next
+				for _, piece := range touch {
+					old = geom.AppendSubtractRect(old, piece, []geom.Rect{h})
+				}
+				e.pieces, touch = next, old
+			}
+			if !slices.Equal(touch, e.pieces) {
+				e.touchCuts++
+				if !samePointSet(touch, e.pieces) && e.touchMismatch == "" {
+					e.touchMismatch = fmt.Sprintf("peer %d region %v: pieces %v, retired rule %v", c.Peer, c.VR, e.pieces, touch)
+				}
 			}
 		}
 		for _, piece := range e.pieces {
@@ -422,6 +446,39 @@ func (e *refEngine) screenReference(contribs []Contribution, oracle Oracle, budg
 // pieceOwns reports whether piece is the first piece in pieces (closed)
 // containing pos — the tiebreak that keeps a boundary POI from being
 // duplicated across adjacent subtraction pieces.
+// overlapsInterior reports whether a and b share interior points.
+func overlapsInterior(a, b geom.Rect) bool {
+	return a.Min.X < b.Max.X && b.Min.X < a.Max.X && a.Min.Y < b.Max.Y && b.Min.Y < a.Max.Y
+}
+
+// samePointSet reports whether two families of rectangles cover the same
+// point set, brute force: on the grid all their edges cut the plane into,
+// a cell's midpoint lies in one family exactly when it lies in the other.
+func samePointSet(a, b []geom.Rect) bool {
+	var xs, ys []float64
+	for _, r := range append(slices.Clone(a), b...) {
+		xs = append(xs, r.Min.X, r.Max.X)
+		ys = append(ys, r.Min.Y, r.Max.Y)
+	}
+	slices.Sort(xs)
+	slices.Sort(ys)
+	in := func(rs []geom.Rect, p geom.Point) bool {
+		return slices.ContainsFunc(rs, func(r geom.Rect) bool { return r.Contains(p) })
+	}
+	for i := 0; i+1 < len(xs); i++ {
+		for j := 0; j+1 < len(ys); j++ {
+			if xs[i] == xs[i+1] || ys[j] == ys[j+1] {
+				continue
+			}
+			mid := geom.Pt((xs[i]+xs[i+1])/2, (ys[j]+ys[j+1])/2)
+			if in(a, mid) != in(b, mid) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func pieceOwns(pieces []geom.Rect, piece geom.Rect, pos geom.Point) bool {
 	for _, p := range pieces {
 		if p.Empty() {

@@ -109,7 +109,7 @@ func sameRegions(t *testing.T, got, want []Result) {
 						t.Fatalf("peer %d: pieces %v and %v overlap", g[i].peer, other, piece)
 					}
 				}
-				if rest := geom.SubtractRect(piece, side[1]); len(rest) != 0 {
+				if rest := geom.AppendSubtractRect(nil, piece, side[1]); len(rest) != 0 {
 					t.Fatalf("peer %d: %v of piece %v is not in the other tiling\n got  %v\n want %v", g[i].peer, rest, piece, g[i].pieces, w[i].pieces)
 				}
 			}
@@ -206,12 +206,12 @@ var outlineCases = []struct {
 		disputes: []dispute{{0, nestB}, {0, nestA}, {3, nestB}},
 		claim:    nestClaim, screens: 10,
 		outline: map[int][]geom.Rect{0: {nestA}, 4: {nestA}, 5: {nestB}, 7: {nestB}, 8: {}}},
-	// A hole that touches the region bands it without taking anything; one
-	// inside it bands it again.
+	// Holes that touch the region take nothing and leave it whole, under
+	// the ledger and the outline alike, one inside another included.
 	{name: "holes that only touch the region",
 		disputes: []dispute{{0, geom.NewRect(4, 1, 5, 2)}, {0, geom.NewRect(4, 0, 6, 3)}, {0, geom.NewRect(1, -2, 2, 0)}},
 		claim:    claimOf(0, geom.NewRect(0, 0, 4, 4), poi(1, 4, 1.5), poi(2, 4, 3), poi(3, 1.5, 0), poi(4, 2, 2)),
-		screens:  6, keeps: []int64{1, 2, 3, 4},
+		screens:  6, keeps: []int64{1, 2, 3, 4}, alike: true,
 		outline: map[int][]geom.Rect{0: {geom.NewRect(4, 0, 6, 3), geom.NewRect(1, -2, 2, 0)}}},
 	{name: "a hole equal to the region",
 		disputes: []dispute{{0, geom.NewRect(1, 1, 3, 3)}, {0, geom.NewRect(0, 0, 4, 4)}},
@@ -243,8 +243,8 @@ var outlineCases = []struct {
 // live rectangle in insertion order — the rule before the outline, kept in
 // refEngine — leave the same point set and keep the same POIs; only the
 // rectangles that tile what is left differ. (Rectangles unbounded both
-// ways on one axis are left out: geom.AppendSubtractOne probes interval
-// midpoints, that midpoint is NaN, and either rule then cuts nothing.)
+// ways on one axis are left out: the reference's geom.AppendSubtractRect
+// probes interval midpoints, and that midpoint is NaN.)
 func TestOutlineSubtractsTheSameSet(t *testing.T) {
 	cfg := Config{AuditRate: 1e-12, quarantineCycles: outlineCycles, convictStrikes: 1 << 30}
 	for _, tc := range outlineCases {

@@ -273,6 +273,9 @@ func (d *diffPair) screen(t *testing.T, s int, contribs []Contribution, oracle O
 		}
 	}
 	checkOutlineIs(t, e, ref.outline) // and the ledger's index
+	if ref.touchMismatch != "" {
+		t.Fatalf("screen %d: a claim's pieces differ from the retired cut's as point sets: %s", s, ref.touchMismatch)
+	}
 	return got, gotRep
 }
 
@@ -309,12 +312,21 @@ func runDifferential(t *testing.T, w *diffWorld, cfg Config, seed int64, screens
 // TestScreenMatchesReference is the differential oracle for the whole
 // screen (DESIGN.md §11.5): the scratch-based kernel and the verbatim
 // pre-kernel body, one seed, thousands of consecutive screens, every
-// observable equal after each.
+// observable equal after each. Every case also has claims that the
+// retired cut — a hole that only touches a piece splits it — tiles
+// differently, and each of them keeps the same point set.
 func TestScreenMatchesReference(t *testing.T) {
+	retiredCutDiffers := func(t *testing.T, ref *refEngine) {
+		t.Helper()
+		if ref.touchCuts == 0 {
+			t.Fatal("no claim was tiled differently by the retired cut: the point-set check saw nothing")
+		}
+	}
 	// Default horizons: vouching, strikes, convictions and decay all
 	// cycle many times over.
 	t.Run("lifecycle", func(t *testing.T) {
-		e, _ := runDifferential(t, newDiffWorld(1, 40, 8), Config{AuditRate: 0.15}, 11, 2200, 24)
+		e, ref := runDifferential(t, newDiffWorld(1, 40, 8), Config{AuditRate: 0.15}, 11, 2200, 24)
+		retiredCutDiffers(t, ref)
 		c := e.Counters()
 		if c.AuditsRun == 0 || c.AuditFailures == 0 || c.ConflictsDetected == 0 || c.StaleVerdicts == 0 || c.PeersQuarantined == 0 {
 			t.Fatalf("lifecycle run exercised too little: %+v", c)
@@ -325,7 +337,8 @@ func TestScreenMatchesReference(t *testing.T) {
 	// pairs fill the rectangle quarantine to its cap and keep evicting.
 	t.Run("cap", func(t *testing.T) {
 		cfg := Config{AuditRate: 0.01, quarantineCycles: 4000, convictStrikes: 1 << 30}
-		e, _ := runDifferential(t, newDiffWorld(2, 300, 150), cfg, 12, 900, 20)
+		e, ref := runDifferential(t, newDiffWorld(2, 300, 150), cfg, 12, 900, 20)
+		retiredCutDiffers(t, ref)
 		if e.QuarantinedRects() != maxQuarRects {
 			t.Fatalf("quarantine holds %d rects, want the cap %d", e.QuarantinedRects(), maxQuarRects)
 		}
@@ -336,14 +349,16 @@ func TestScreenMatchesReference(t *testing.T) {
 	// Everyone audited at once: vouched claimants outvote liars, dedup
 	// drops from tainted pieces what trusted ones carry.
 	t.Run("audited", func(t *testing.T) {
-		runDifferential(t, newDiffWorld(3, 24, 4), Config{AuditRate: 0.9, maxAuditsPerQuery: 16, quarantineCycles: 20, vouchCycles: 40}, 13, 600, 16)
+		_, ref := runDifferential(t, newDiffWorld(3, 24, 4), Config{AuditRate: 0.9, maxAuditsPerQuery: 16, quarantineCycles: 20, vouchCycles: 40}, 13, 600, 16)
+		retiredCutDiffers(t, ref)
 	})
 	// A third of the claims lie beyond a reach cut: audited in their turn,
 	// never cross-validated, never returned.
 	t.Run("auditOnly", func(t *testing.T) {
 		w := newDiffWorld(4, 40, 8)
 		w.auditOnly = 3
-		e, _ := runDifferential(t, w, Config{AuditRate: 0.3}, 14, 1500, 24)
+		e, ref := runDifferential(t, w, Config{AuditRate: 0.3}, 14, 1500, 24)
+		retiredCutDiffers(t, ref)
 		if c := e.Counters(); c.AuditsRun == 0 || c.AuditFailures == 0 || c.ConflictsDetected == 0 {
 			t.Fatalf("audit-only run exercised too little: %+v", c)
 		}

@@ -21,12 +21,11 @@
 //     vouched the engine cannot tell who lied: the overlap rectangle is
 //     quarantined out of the merge (subtracted from every unvouched
 //     contribution, one rectangle of the quarantine's outline at a time,
-//     via geom.AppendSubtractOne; vouched claims stand whole) for the
-//     quarantine horizon (DefaultQuarantineCycles screens) and both
+//     by the cut kernel geom.Uncovered; vouched claims stand whole) for
+//     the quarantine horizon (DefaultQuarantineCycles screens) and both
 //     peers are struck and unvouched. The live rectangle set is
-//     deduplicated and capped
-//     (maxQuarRects) so a sustained attack cannot make the screening pass
-//     itself unaffordable.
+//     deduplicated and capped (maxQuarRects) so a sustained attack cannot
+//     make the screening pass itself unaffordable.
 //  2. On-air spot audits. A seeded, rate-limited sample of contributions
 //     is re-verified against the broadcast channel while the MH is
 //     already tuned in; the cost is priced in slots against the query's
@@ -357,15 +356,14 @@ type Engine struct {
 	// returns; nothing here is referenced by a Result's POIs.
 	slots     []slot
 	conflicts []conflict
-	cover     coverage    // the screen's distinct claimed POIs and who claims them
-	grid      slotGrid    // point location over the claiming slots' regions
-	inside    []int32     // slots whose region contains the claim under test
-	pairs     []uint64    // conflicting pairs as witnessed, i<<32 | j, unsorted
-	holes     []geom.Rect // the outline meeting the tainted contributions, in its order
-	pieces    []geom.Rect
-	spare     []geom.Rect
-	owner     []int32 // per POI of one contribution: owning piece, or -1
-	count     []int32 // per piece: POIs owned
+	cover     coverage       // the screen's distinct claimed POIs and who claims them
+	grid      slotGrid       // point location over the claiming slots' regions
+	inside    []int32        // slots whose region contains the claim under test
+	pairs     []uint64       // conflicting pairs as witnessed, i<<32 | j, unsorted
+	holes     []geom.Rect    // the outline meeting the tainted contributions, in its order
+	cut       geom.Uncovered // assemble: a claim's region less the holes
+	owner     []int32        // per POI of one contribution: owning piece, or -1
+	count     []int32        // per piece: POIs owned
 	out       []Result
 }
 
@@ -1184,42 +1182,21 @@ func (e *Engine) assemble(contribs []Contribution) []Result {
 			continue
 		}
 		tainted := e.tainted(s)
-		pieces, spare := append(e.pieces[:0], c.VR), e.spare
 		// Rectangle quarantine is defense-in-depth for *unvouched*
 		// claims. A vouched claim is audit-backed, so it stands whole:
 		// subtracting disputed rectangles from the trusted population
 		// would let an attacker pulverize the honest MVR merely by
-		// disputing it (the coverage-collapse failure mode).
+		// disputing it (the coverage-collapse failure mode). A hole that
+		// only touches a piece leaves it whole.
+		e.cut.Reset(c.VR)
 		if tainted {
 			for _, h := range e.holes {
-				if !c.VR.Intersects(h) {
-					continue
-				}
-				// Most holes that meet the region meet none of what is
-				// left of it, or one piece: copy nothing until a piece is
-				// actually hit, and cut only the pieces that are.
-				k := 0
-				for k < len(pieces) && !pieces[k].Intersects(h) {
-					k++
-				}
-				if k == len(pieces) {
-					continue
-				}
-				spare = append(spare[:0], pieces[:k]...)
-				for _, piece := range pieces[k:] {
-					if piece.Intersects(h) {
-						spare = geom.AppendSubtractOne(spare, piece, h)
-					} else {
-						spare = append(spare, piece)
-					}
-				}
-				pieces, spare = spare, pieces
-				if len(pieces) == 0 {
+				if e.cut.Cut(h) {
 					break // the quarantine swallowed the whole region
 				}
 			}
 		}
-		e.pieces, e.spare = pieces, spare
+		pieces := e.cut.Pieces()
 		out = e.appendPieces(out, c, tainted, pieces)
 	}
 	e.out = out
