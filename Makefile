@@ -171,9 +171,11 @@ loc:
 # totals again and set the config-field ceiling, so a deleted option
 # cannot return unnoticed either. Deleting the functions no binary links
 # and only their own tests called (make unlinked), and the nil-Injector
-# path, lowered the total once more.
-LOC_MAX_ALL = 15136
-LOC_MAX_SIM = 4249
+# path, lowered the total once more. Cutting SBWQ, the trust screen and
+# the safe exits on the one kernel NNV uses, and deleting the row strips
+# and two more subtraction routines, lowered the totals again.
+LOC_MAX_ALL = 14805
+LOC_MAX_SIM = 4245
 LOC_MAX_FLAGS = 64
 LOC_MAX_CONFIG = 16
 LOC_MAX_MAIN = 245
@@ -232,12 +234,15 @@ unlinked-check:
 	fi
 
 # Continuous-query identity lane (DESIGN.md §15): zero-knob identity,
-# armed run-twice determinism for both query kinds, and the safe-region
-# differential gate — all under the race detector.
+# armed run-twice determinism for both query kinds, the safe-region
+# differential gate, and the safe-exit radii — the capped frame equal to
+# the whole clearance bit for bit, and no answer change inside a radius —
+# all under the race detector.
 # CI runs this as its own verify step so a continuous regression is
 # named in the job log instead of buried in the full race run.
 continuous-identity:
 	$(GO) test -race -count=1 -run 'TestContinuous' ./internal/sim
+	$(GO) test -race -count=1 -run 'TestSafeExit|TestQuickSafeExit' ./internal/core
 
 # Trust-screen identity lane (DESIGN.md §11.5): the scratch-based screen
 # kernel against the verbatim pre-kernel body, and its claim-coverage
@@ -257,12 +262,13 @@ trust-identity:
 # gather-all, sort-all, decompose-all body over thousands of grid and
 # adversarial inputs, the contract that no result aliases the peers'
 # POI slices it now scans in place, the reach cut's committed corpus
-# (NNV over the regions the cut keeps against NNV over all of them), and
-# the symmetry corpora (NNV, the reach cut and the union kernels under the
-# square's eight symmetries, with no reference at all) — under the race
-# detector, as its own CI step.
+# (NNV over the regions the cut keeps against NNV over all of them), the
+# symmetry corpora (NNV, SBWQ, the reach cut and the cut kernel under the
+# square's eight symmetries, with no reference at all), and the cut
+# kernel's committed corpora against its brute-force oracles (DESIGN.md
+# §9.2) — under the race detector, as its own CI step.
 nnv-identity:
-	$(GO) test -race -count=1 -run 'TestNNVMatchesReference|TestCoreDoesNotRetainPeerSlices|FuzzReachCut|FuzzNNVSymmetry|FuzzSymmetry' ./internal/core ./internal/geom
+	$(GO) test -race -count=1 -run 'TestNNVMatchesReference|TestCoreDoesNotRetainPeerSlices|FuzzReachCut|FuzzNNVSymmetry|FuzzSymmetry|FuzzRectUnion|FuzzLocalClearance|FuzzSubtractOne|TestCutOneHole' ./internal/core ./internal/geom
 
 # Residual sweep (ROADMAP item 1(c)): 60 lbsq-sim runs, seeds 12-41 of
 # both query kinds, with byzantine liars under audits while POIs churn and

@@ -109,11 +109,7 @@ func clearance(unc *geom.Uncovered, w geom.Rect, region []geom.Rect, limit float
 		return 0
 	}
 	unc.Reset(w.GrowPast(limit))
-	for _, r := range region {
-		if unc.Cut(r) {
-			break
-		}
-	}
+	unc.CutAll(region)
 	return unc.Dist(w)
 }
 

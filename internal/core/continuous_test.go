@@ -259,16 +259,12 @@ func refSafeExitWindow(w geom.Rect, candidates []broadcast.POI, clearance float6
 func wholeClearance(w geom.Rect, region []geom.Rect) float64 {
 	var u geom.Uncovered
 	u.Reset(w)
-	for _, r := range region {
-		u.Cut(r)
-	}
+	u.CutAll(region)
 	if len(u.Pieces()) > 0 {
 		return 0
 	}
 	u.Reset(geom.Bounds(region))
-	for _, r := range region {
-		u.Cut(r)
-	}
+	u.CutAll(region)
 	return u.Dist(w)
 }
 

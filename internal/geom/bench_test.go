@@ -34,11 +34,7 @@ func BenchmarkClearanceCold64(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		u.Reset(Rect{p, p}.GrowPast(2))
-		for _, r := range src.Rects() {
-			if u.Cut(r) {
-				break
-			}
-		}
+		u.CutAll(src.Rects())
 		u.Dist(Rect{p, p})
 	}
 }
@@ -64,11 +60,7 @@ func BenchmarkUnverifiedArea32(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		u.Reset(Rect{p, p}.GrowPast(2.5))
-		for _, r := range src.Rects() {
-			if u.Cut(r) {
-				break
-			}
-		}
+		u.CutAll(src.Rects())
 		u.Dist(Rect{p, p})
 		u.UnverifiedArea(p, 2.5)
 	}
@@ -88,8 +80,6 @@ func BenchmarkCutWindow(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		u.Reset(w)
-		for _, r := range covers {
-			u.Cut(r)
-		}
+		u.CutAll(covers)
 	}
 }

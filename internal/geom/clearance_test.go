@@ -72,9 +72,7 @@ func windowClearance(rects []Rect, w Rect) (float64, bool) {
 	}
 	var u Uncovered
 	u.Reset(Bounds(live))
-	for _, r := range live {
-		u.Cut(r)
-	}
+	u.CutAll(live)
 	return u.Dist(w), true
 }
 

@@ -216,8 +216,6 @@ func bruteCovers(w Rect, rects []Rect) bool {
 func cutPieces(frame Rect, rects []Rect) []Rect {
 	var u Uncovered
 	u.Reset(frame)
-	for _, r := range rects {
-		u.Cut(r)
-	}
+	u.CutAll(rects)
 	return append([]Rect(nil), u.Pieces()...)
 }

@@ -68,9 +68,7 @@ func TestQuickUnverifiedAreaBounds(t *testing.T) {
 		c := randomPoint(rng, 4)
 		var u Uncovered
 		u.Reset(Rect{c, c}.GrowPast(4))
-		for _, r := range rects {
-			u.Cut(r)
-		}
+		u.CutAll(rects)
 		prev := 0.0
 		for _, r := range []float64{0.5, 1, 2, 4} {
 			a := u.UnverifiedArea(c, r)

@@ -59,9 +59,7 @@ func checkSymmetry(t *testing.T, rects []Rect, probes []Point) {
 	var u Uncovered
 	local := func(q Point, r float64, rects []Rect) float64 {
 		u.Reset(Rect{q, q}.GrowPast(r))
-		for _, m := range rects {
-			u.Cut(m)
-		}
+		u.CutAll(rects)
 		return u.Dist(Rect{q, q})
 	}
 	for s := 1; s < 8; s++ {

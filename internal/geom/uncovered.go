@@ -71,6 +71,17 @@ func (u *Uncovered) Cut(m Rect) bool {
 	return len(out) == 0
 }
 
+// CutAll cuts each of ms in turn, stopping once nothing is left, and
+// reports whether nothing is.
+func (u *Uncovered) CutAll(ms []Rect) bool {
+	for _, m := range ms {
+		if u.Cut(m) {
+			return true
+		}
+	}
+	return len(u.pieces) == 0
+}
+
 // meets reports whether m and the piece p overlap on each axis: strictly
 // where p has extent, closed where it has none. So a zero-width or point
 // frame is cut by the members it lies in, edges included.

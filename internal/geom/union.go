@@ -92,11 +92,7 @@ func (u *RectUnion) BoundaryDist(p Point) float64 {
 	}
 	var k Uncovered
 	k.Reset(Bounds(u.rects))
-	for _, r := range u.rects {
-		if k.Cut(r) {
-			break
-		}
-	}
+	k.CutAll(u.rects)
 	return k.Dist(Rect{p, p})
 }
 
@@ -109,11 +105,7 @@ func (u *RectUnion) IntersectCircleArea(c Point, radius float64) float64 {
 	}
 	var k Uncovered
 	k.Reset(RectAround(c, radius))
-	for _, r := range u.rects {
-		if k.Cut(r) {
-			break
-		}
-	}
+	k.CutAll(u.rects)
 	return max(0, math.Pi*radius*radius-k.UnverifiedArea(c, radius))
 }
 

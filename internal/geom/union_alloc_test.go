@@ -36,9 +36,7 @@ func TestRectUnionReuseAllocs(t *testing.T) {
 		_ = u.Contains(q)
 		for _, frame := range [2]Rect{Rect{q, q}.GrowPast(15), NewRect(30, 30, 70, 70)} {
 			k.Reset(frame)
-			for _, r := range u.Rects() {
-				k.Cut(r)
-			}
+			k.CutAll(u.Rects())
 			_ = k.Dist(Rect{q, q})
 			_ = k.UnverifiedArea(q, 15)
 			_ = k.Pieces()

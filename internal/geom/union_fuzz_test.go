@@ -95,11 +95,7 @@ func checkLocalClearance(t *testing.T, rects []Rect, segs []Segment, q Point, r 
 	full := NewRectUnion(rects...)
 	var u Uncovered
 	u.Reset(Rect{q, q}.GrowPast(r))
-	for _, m := range rects {
-		if u.Cut(m) {
-			break
-		}
-	}
+	u.CutAll(rects)
 	want := 0.0
 	if full.Contains(q) {
 		want = bruteBoundaryDist(segs, Rect{q, q})

@@ -49,9 +49,7 @@ func compareAgainst(t *testing.T, tag string, inc, ref *RectUnion, rng *rand.Ran
 	var k Uncovered
 	local := func(u *RectUnion, p Point, r float64) float64 {
 		k.Reset(Rect{p, p}.GrowPast(r))
-		for _, m := range u.Rects() {
-			k.Cut(m)
-		}
+		k.CutAll(u.Rects())
 		return k.Dist(Rect{p, p})
 	}
 	for probe := 0; probe < 6; probe++ {

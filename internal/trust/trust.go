@@ -1190,11 +1190,7 @@ func (e *Engine) assemble(contribs []Contribution) []Result {
 		// only touches a piece leaves it whole.
 		e.cut.Reset(c.VR)
 		if tainted {
-			for _, h := range e.holes {
-				if e.cut.Cut(h) {
-					break // the quarantine swallowed the whole region
-				}
-			}
+			e.cut.CutAll(e.holes)
 		}
 		pieces := e.cut.Pieces()
 		out = e.appendPieces(out, c, tainted, pieces)
