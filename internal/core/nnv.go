@@ -35,9 +35,9 @@ type PeerData struct {
 
 // Scratch holds the reusable per-client buffers of the query hot path:
 // the merged verified region, the uncovered pieces of NNV's reach square
-// or of SBWQ's window, the result heap, and the candidate/result slices. A Scratch reaches a
-// zero-allocation steady state after a few queries (buffers grow to the
-// working-set high-water mark and are then reused).
+// or of SBWQ's window, the result heap, and the candidate/result slices.
+// A Scratch reaches a zero-allocation steady state after a few queries
+// (buffers grow to the working-set high-water mark and are then reused).
 //
 // Results returned by the *Scratch functions alias the scratch: Heap,
 // MVR, ReducedWindows and POIs are valid only until the next call with
