@@ -169,7 +169,10 @@ func NNVScratch(s *Scratch, q geom.Point, peers []PeerData, k int, lambda float6
 			break // the square is covered: q is inside, every row verified
 		}
 	}
-	res.EdgeDist, res.InsideMVR = unc.Dist(geom.Rect{Min: q, Max: q}), mvr.Contains(q)
+	// A positive distance leaves q in no piece, so inside a member; at
+	// zero q is outside or on the boundary, and only a member can tell.
+	res.EdgeDist = unc.Dist(geom.Rect{Min: q, Max: q})
+	res.InsideMVR = res.EdgeDist > 0 || mvr.Contains(q)
 
 	lastVerified := 0.0
 	for i := range s.heap.entries {

@@ -90,10 +90,7 @@ func meets(m, p Rect) bool {
 }
 
 func meetsOn(m0, m1, p0, p1 float64) bool {
-	if p0 == p1 {
-		return m0 <= p0 && p0 <= m1
-	}
-	return m0 < p1 && p0 < m1
+	return m0 < p1 && p0 < m1 || p0 == p1 && m0 <= p0 && p0 <= m1
 }
 
 // appendCut appends the parts of w outside hole, which meets it: the
