@@ -101,7 +101,7 @@ func BenchmarkNNVDense(b *testing.B) {
 		peers = append(peers, pd)
 	}
 	var s Scratch
-	d2, _ := Reach(&s, q, peers, 5)
+	d2, _ := Reach(&s, q, peers, nil, 5)
 	within := 0
 	for _, in := range ReachCut(nil, q, peers, d2) {
 		if in {

@@ -139,7 +139,7 @@ func NNVScratch(s *Scratch, q geom.Point, peers []PeerData, k int, lambda float6
 	taints = dedupSortedCandidates(taints)
 	s.tainted = taints
 	res.TaintedCandidates = len(taints)
-	cands := nearestTrusted(s, q, peers, k)
+	cands := nearestTrusted(s, q, peers, nil, k)
 
 	// Merge-walk the two sorted pools in global (distance², ID) order
 	// until the heap is full. With no tainted peers this reduces exactly
@@ -210,7 +210,8 @@ func (c *nearCand) after(d2 float64, id int64) bool {
 // nearestTrusted returns the head of the untainted peers' candidate order
 // — what sorting every untainted POI with sortCandidates and dropping
 // adjacent copies with dedupSortedCandidates would put first — long enough
-// to hold k candidates, or all of them when there are fewer. It scans the
+// to hold k candidates, or all of them when there are fewer. A non-nil use
+// picks the peers instead, one flag per peer, taint ignored. It scans the
 // peers' slices in place, keeping the limit nearest distinct (distance²,
 // ID) keys seen so far in sorted order: almost every POI is dismissed by
 // one comparison with the farthest key kept, and a copy of a kept
@@ -218,14 +219,14 @@ func (c *nearCand) after(d2 float64, id int64) bool {
 // under the stable sort. Dropping adjacent copies of an ID can shorten the
 // kept keys below k (one ID reported at two positions with nothing
 // between them); the scan then repeats with the limit doubled.
-func nearestTrusted(s *Scratch, q geom.Point, peers []PeerData, k int) []broadcast.POI {
+func nearestTrusted(s *Scratch, q geom.Point, peers []PeerData, use []bool, k int) []broadcast.POI {
 	if k <= 0 {
 		return nil
 	}
 	for limit := k; ; limit *= 2 {
 		sel := s.nearest[:0]
 		for i := range peers {
-			if peers[i].Tainted {
+			if use == nil && peers[i].Tainted || use != nil && !use[i] {
 				continue
 			}
 			for _, p := range peers[i].POIs {
@@ -265,11 +266,13 @@ func nearestTrusted(s *Scratch, q geom.Point, peers []PeerData, k int) []broadca
 // ranks from peers — the last of nearestTrusted's k — and false when the
 // untainted peers hold fewer than k distinct candidates. Every heap row NNV
 // builds from peers lies no farther (DESIGN.md §9.3, "The reach cut").
-func Reach(s *Scratch, q geom.Point, peers []PeerData, k int) (float64, bool) {
+// A non-nil use, one flag per peer, picks the peers whose POIs count
+// instead, taint ignored, so a caller selects rows without copying them.
+func Reach(s *Scratch, q geom.Point, peers []PeerData, use []bool, k int) (float64, bool) {
 	if k <= 0 {
 		return 0, true
 	}
-	cands := nearestTrusted(s, q, peers, k)
+	cands := nearestTrusted(s, q, peers, use, k)
 	if len(cands) < k {
 		return 0, false
 	}

@@ -12,10 +12,9 @@ import (
 // checkReachCut applies the reach cut's contract (DESIGN.md §9.3 "The
 // reach cut") at the squared reach Reach selects from the untainted peers
 // and — when every ID has one position and one pool, as in an honest
-// collection — at the one it selects from every peer, taint ignored (the
-// simulator's choice): NNV over the regions ReachCut keeps builds the rows
-// NNV over
-// every region builds — the same POIs, distances, verdicts, taint and
+// collection — at the one it selects from every peer through a mask, taint
+// ignored (the simulator's choice): NNV over the regions ReachCut keeps
+// builds the rows NNV over every region builds — the same POIs, distances, verdicts, taint and
 // surpassing ratios, Lemma 3.2 probabilities within 1e-12, and the same
 // EdgeDist whenever it lies within reach. Without k distinct candidates
 // Reach reports no cut, and the caller keeps every region.
@@ -23,7 +22,7 @@ func checkReachCut(t *testing.T, tag string, q geom.Point, peers []PeerData, k i
 	t.Helper()
 	var s, cs Scratch
 	want := NNVScratch(&s, q, peers, k, lambda)
-	claims := make([]PeerData, len(peers))
+	every := make([]bool, len(peers))
 	type home struct {
 		pos     geom.Point
 		tainted bool
@@ -31,7 +30,7 @@ func checkReachCut(t *testing.T, tag string, q geom.Point, peers []PeerData, k i
 	homes := map[int64]home{}
 	honest := true
 	for i, pd := range peers {
-		claims[i] = PeerData{VR: pd.VR, POIs: pd.POIs}
+		every[i] = true
 		for _, p := range pd.POIs {
 			h := home{p.Pos, pd.Tainted}
 			if at, seen := homes[p.ID]; seen && at != h {
@@ -40,12 +39,12 @@ func checkReachCut(t *testing.T, tag string, q geom.Point, peers []PeerData, k i
 			homes[p.ID] = h
 		}
 	}
-	for v, from := range [2][]PeerData{peers, claims} {
+	for v, use := range [2][]bool{nil, every} {
 		if v == 1 && !honest {
 			continue
 		}
-		d2, ok := Reach(&cs, q, from, k)
-		if n := len(nearestTrusted(&cs, q, from, k)); ok != (n >= k) {
+		d2, ok := Reach(&cs, q, peers, use, k)
+		if n := len(nearestTrusted(&cs, q, peers, use, k)); ok != (n >= k) {
 			t.Fatalf("%s (q=%v k=%d): Reach ok=%v with %d distinct candidates", tag, q, k, ok, n)
 		}
 		if !ok {

@@ -54,15 +54,20 @@ func symPeers(i int, peers []PeerData) []PeerData {
 // along x, so another orientation sums other terms; in a case roughen
 // scaled to 1e150, a piece grazing the disk has an area of 1e284 in one
 // orientation and 0 in another, and the probability is rounding noise);
-// Reach reports the same squared reach and ReachCut keeps the same
-// regions.
+// Reach reports the same squared reach, from the untainted peers and from
+// every other peer through a mask, and ReachCut keeps the same regions.
 func checkNNVSymmetry(t *testing.T, tag string, q geom.Point, peers []PeerData, k int, lambda float64) {
 	t.Helper()
 	var s, ts Scratch
 	want := NNVScratch(&s, q, peers, k, lambda)
 	we := slices.Clone(want.Heap.Entries())
-	wd2, wok := Reach(&s, q, peers, k)
+	wd2, wok := Reach(&s, q, peers, nil, k)
 	wkeep := ReachCut(nil, q, peers, wd2)
+	use := make([]bool, len(peers))
+	for i := range use {
+		use[i] = i%2 == 0
+	}
+	wu2, wuok := Reach(&s, q, peers, use, k)
 	for sym := 1; sym < 8; sym++ {
 		tq, tpeers := symPoint(sym, q), symPeers(sym, peers)
 		got := NNVScratch(&ts, tq, tpeers, k, lambda)
@@ -89,12 +94,15 @@ func checkNNVSymmetry(t *testing.T, tag string, q geom.Point, peers []PeerData, 
 				fail("entry %d: correctness %v, want %v", i, g.Correctness, w.Correctness)
 			}
 		}
-		d2, ok := Reach(&ts, tq, tpeers, k)
+		d2, ok := Reach(&ts, tq, tpeers, nil, k)
 		if d2 != wd2 || ok != wok {
 			fail("Reach %v, %v, want %v, %v", d2, ok, wd2, wok)
 		}
 		if keep := ReachCut(nil, tq, tpeers, d2); !slices.Equal(keep, wkeep) {
 			fail("ReachCut keeps %v, want %v", keep, wkeep)
+		}
+		if d2, ok := Reach(&ts, tq, tpeers, use, k); d2 != wu2 || ok != wuok {
+			fail("masked Reach %v, %v, want %v, %v", d2, ok, wu2, wuok)
 		}
 	}
 }

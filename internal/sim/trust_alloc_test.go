@@ -31,7 +31,7 @@ func TestTrustScreenAdapterAllocFree(t *testing.T) {
 	}
 	peers := w.qs.col.peers
 	var out []core.PeerData
-	screen := func() { out, _, _ = w.trustScreen(peers, 0, false) } // dark downlink: no audit fits
+	screen := func() { out, _, _ = w.trustScreen(0, false) } // dark downlink: no audit fits
 	screen()
 	if allocs := testing.AllocsPerRun(100, screen); allocs != 0 {
 		t.Fatalf("trustScreen allocated %v times per query", allocs)
@@ -40,9 +40,9 @@ func TestTrustScreenAdapterAllocFree(t *testing.T) {
 		t.Fatalf("%d screened peers, want %d", len(out), len(peers))
 	}
 	// With the downlink up audits run through the bound oracle.
-	_, _, rep := w.trustScreen(peers, 0, true)
+	_, _, rep := w.trustScreen(0, true)
 	for i := 0; i < 200 && rep.Audits == 0; i++ {
-		_, _, rep = w.trustScreen(peers, 0, true)
+		_, _, rep = w.trustScreen(0, true)
 	}
 	if rep.Audits == 0 || rep.AuditFailures != 0 {
 		t.Fatalf("bound oracle: %+v", rep)
@@ -51,7 +51,7 @@ func TestTrustScreenAdapterAllocFree(t *testing.T) {
 	// no allocation either.
 	audits := 0
 	lit := func() {
-		_, _, rep = w.trustScreen(peers, 0, true)
+		_, _, rep = w.trustScreen(0, true)
 		audits += rep.Audits
 	}
 	if allocs := testing.AllocsPerRun(200, lit); allocs != 0 || audits == 0 {
@@ -94,7 +94,8 @@ func TestAdmitSharedRepairAllocFree(t *testing.T) {
 		w.qs.arena.Rewind()
 		w.qs.col.reset()
 		out = w.receiveReply(server, w.area, 0, true)
-		peers = w.admit(e, false)
+		w.admit(e, false)
+		peers = w.qs.col.peers
 	}
 	reply()
 	if allocs := testing.AllocsPerRun(100, reply); allocs != 0 {
