@@ -224,17 +224,7 @@ func restrictAgreeRef(overlap geom.Rect, a, b []broadcast.POI) bool {
 // quarantined rectangles, and marks every surviving piece with its taint
 // verdict. budget is the query's remaining deadline budget in slots
 // (negative means unlimited); audits that do not fit are skipped.
-//
-// Safe on nil: contributions pass through untainted and unscreened (the
-// defense is off; this is the seed behavior).
 func (e *refEngine) screenReference(contribs []Contribution, oracle Oracle, budget int64) ([]Result, Report) {
-	if e == nil {
-		out := make([]Result, 0, len(contribs))
-		for _, c := range contribs {
-			out = append(out, Result{Peer: c.Peer, VR: c.VR, POIs: c.POIs, Tainted: c.Stale})
-		}
-		return out, Report{}
-	}
 	e.seq++
 	var rep Report
 

@@ -368,9 +368,10 @@ type Engine struct {
 }
 
 // NewEngine creates a trust engine, or returns nil when the config
-// disables the defense. A nil *Engine is valid everywhere downstream
-// (the sim threads it without checks); breakers may be nil (convictions
-// then rely on the engine's own quarantine alone).
+// disables the defense. A nil *Engine answers every accessor marked safe
+// on nil, so the sim reads it without checks; only Screen needs an engine.
+// breakers may be nil (convictions then rely on the engine's own
+// quarantine alone).
 func NewEngine(seed int64, cfg Config, breakers *p2p.BreakerSet) *Engine {
 	cfg = cfg.Normalized()
 	if !cfg.Enabled() {
@@ -890,17 +891,7 @@ func bit(b bool) int32 {
 // is the whole region and keeps every POI, and cut from the arena
 // otherwise: valid until the next Screen, or a lent arena's rewind
 // (LendArena). Screen never writes to a contribution.
-//
-// Safe on nil: contributions pass through untainted and unscreened (the
-// defense is off; this is the seed behavior).
 func (e *Engine) Screen(contribs []Contribution, oracle Oracle, budget int64) ([]Result, Report) {
-	if e == nil {
-		out := make([]Result, 0, len(contribs))
-		for _, c := range contribs {
-			out = append(out, Result{Peer: c.Peer, VR: c.VR, POIs: c.POIs, Tainted: c.Stale})
-		}
-		return out, Report{}
-	}
 	e.seq++
 	if !e.lent {
 		e.arena.Rewind()
