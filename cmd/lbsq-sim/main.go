@@ -140,7 +140,6 @@ func main() {
 	}
 	p = w.Params // defaults applied: the reports below show the values simulated
 	w.CompareBaseline = c.baseline
-	w.BaselineSampleRate = 1
 	w.SelfCheck = c.selfcheck
 	var traceOut *os.File
 	if c.traceFile != "" {

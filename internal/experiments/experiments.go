@@ -374,7 +374,6 @@ func LatencyReduction(o Options) []LatencyRow {
 		p.AcceptApproximate = true
 		w := mustWorld(p)
 		w.CompareBaseline = true
-		w.BaselineSampleRate = 1
 		stats := w.Run()
 
 		row := LatencyRow{

@@ -17,7 +17,7 @@ import (
 )
 
 // runArmedWorld runs p with every side-effect surface armed — trace
-// capture, the metrics registry, baseline sampling, ground-truth
+// capture, the metrics registry, baseline pricing, ground-truth
 // self-checks — and returns the world, its stats, the marshaled report
 // row (wall clock zeroed), and the raw trace stream.
 func runArmedWorld(t *testing.T, p Params) (*World, Stats, []byte, []byte) {
@@ -43,8 +43,7 @@ func runTracedWorld(t *testing.T, p Params) (*World, Stats, []byte) {
 		t.Fatalf("world: %v", err)
 	}
 	w.SelfCheck = true
-	w.CompareBaseline = true
-	w.BaselineSampleRate = 0.5 // exercise both branches of the coin
+	w.CompareBaseline = true // prices every counted query on the channel too
 	var trBuf bytes.Buffer
 	w.Trace = trace.NewWriter(&trBuf)
 	s := w.Run()

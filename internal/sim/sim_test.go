@@ -225,7 +225,6 @@ func TestBaselineSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.CompareBaseline = true
-	w.BaselineSampleRate = 1
 	stats := w.Run()
 	if stats.BaselineSampled != stats.Queries {
 		t.Fatalf("baseline sampled %d of %d", stats.BaselineSampled, stats.Queries)
@@ -396,7 +395,6 @@ func TestWindowBaselineSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.CompareBaseline = true
-	w.BaselineSampleRate = 1
 	stats := w.Run()
 	if stats.BaselineSampled != stats.Queries {
 		t.Fatalf("window baseline sampled %d of %d", stats.BaselineSampled, stats.Queries)

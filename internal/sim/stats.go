@@ -304,7 +304,7 @@ func (s Stats) AvgTuningSlots() float64 { return per(s.TuningSlots, int64(s.Broa
 func (s Stats) MeanSystemLatencySlots() float64 { return per(s.LatencySlots, int64(s.Queries)) }
 
 // BaselineMeanLatencySlots returns the mean plain on-air latency over the
-// baseline-sampled queries.
+// baseline-priced queries.
 func (s Stats) BaselineMeanLatencySlots() float64 {
 	return per(s.BaselineLatencySlots, int64(s.BaselineSampled))
 }
