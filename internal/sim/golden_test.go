@@ -67,12 +67,15 @@ func goldenWorlds() map[string]Params {
 	// Flash crowd under the full control stack (coalescing, admission,
 	// BUSY backpressure, retry budget). On its lossy downlink a governor
 	// floor of 1 engages at the first budget miss, so governor sheds are
-	// pinned; on a loss-free downlink nothing misses, so the governor never
-	// engages and most of the hotspot coalesces.
+	// pinned (TestGoldenGovernorEngages); the loss is above crowdParams'
+	// 0.3, at which this seed's queries all answer in budget. On a
+	// loss-free downlink nothing misses, so the governor never engages and
+	// most of the hotspot coalesces.
 	crowdLossy := withOverloadControls(crowdParams())
 	crowdLossy.GovernorFloor = 1
 	crowd := crowdLossy
 	crowd.Faults.BroadcastLoss = 0
+	crowdLossy.Faults.BroadcastLoss = 0.4
 
 	// Every rung of the degraded-mode ladder, with standing queries
 	// re-verifying on them; and the planner-less stall it replaces.
@@ -208,6 +211,22 @@ func goldenRender(t *testing.T, rep, tr []byte) []byte {
 		t.Fatal(err)
 	}
 	return append(out, '\n')
+}
+
+// TestGoldenGovernorEngages keeps the two crowd goldens what they are
+// there for, so a regeneration cannot silently lose the one byte-exact
+// record of governor sheds: crowd_lossy's governor engages and sheds,
+// crowd's never does.
+func TestGoldenGovernorEngages(t *testing.T) {
+	worlds := goldenWorlds()
+	lossy := goldenRunOf(t, "crowd_lossy", worlds["crowd_lossy"]).stats
+	if lossy.GovernorSheds == 0 || lossy.GovernorEngagedTicks == 0 {
+		t.Errorf("crowd_lossy: governor sheds %d, engaged ticks %d; want both > 0",
+			lossy.GovernorSheds, lossy.GovernorEngagedTicks)
+	}
+	if clean := goldenRunOf(t, "crowd", worlds["crowd"]).stats; clean.GovernorEngagedTicks != 0 {
+		t.Errorf("crowd: governor engaged %d ticks on a loss-free downlink", clean.GovernorEngagedTicks)
+	}
 }
 
 // firstDiffLine locates the first line two renderings disagree on.
