@@ -36,7 +36,7 @@ func TestNNVScratchZeroAllocs(t *testing.T) {
 	// The same with one peer in seven tainted (both candidate pools, the
 	// reach square cut by a strict subset of the MVR's regions), k from 1
 	// to past the trusted pool's size.
-	q, peers, _ = poolWorkload()
+	q, peers, _ = peerWorkload()
 	for k := 1; k <= 256; k *= 4 {
 		NNVScratch(&s, q, peers, k, 0.5)
 	}
@@ -107,27 +107,5 @@ func TestSBNNScratchBroadcastPathAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(64, func() { query(i); i++ }); allocs > 1 {
 			t.Fatalf("%s: warm SBNNScratch allocates %.2f times per query, want <= 1", name, allocs)
 		}
-	}
-}
-
-// TestNNVColdAllocGate gates the pooled cold-start path: once the
-// scratch pool is warm, a cold-entry NNV call must stay within the
-// copy-out allocations (heap clone, MVR clone) instead of the dozens a
-// fresh Scratch used to cost. (Under -race sync.Pool drops items on
-// purpose, so the gate lives in this file.)
-func TestNNVColdAllocGate(t *testing.T) {
-	q, peers, _ := poolWorkload()
-	for i := 0; i < 4; i++ {
-		NNV(q, peers, 5, 0.5) // warm the pool
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		NNV(q, peers, 5, 0.5)
-	})
-	t.Logf("nnv cold path: %.2f allocs/op", avg)
-	// Expected steady state is 4 (Heap struct + entries, RectUnion
-	// struct + rects); 8 leaves headroom for a GC emptying the pool
-	// mid-measurement without letting the old 52-alloc profile back in.
-	if avg > 8 {
-		t.Errorf("pooled NNV cold path costs %.1f allocs/op, want <= 8", avg)
 	}
 }

@@ -72,7 +72,7 @@ func BenchmarkNNV64PeersCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NNV(q, peers, 5, 0.5)
+		NNVScratch(new(Scratch), q, peers, 5, 0.5)
 	}
 }
 
@@ -139,7 +139,7 @@ func BenchmarkSBNNPeerResolved(b *testing.B) {
 	q := geom.Pt(16, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := SBNN(q, []PeerData{pd}, cfg, sched, int64(i))
+		res := SBNNScratch(new(Scratch), q, []PeerData{pd}, cfg, sched, int64(i))
 		if res.Outcome != OutcomeVerified {
 			b.Fatal("expected verified outcome")
 		}
@@ -157,7 +157,7 @@ func BenchmarkSBNNBroadcastFallback(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := geom.Pt(rng.Float64()*32, rng.Float64()*32)
-		res := SBNN(q, nil, cfg, sched, int64(i))
+		res := SBNNScratch(new(Scratch), q, nil, cfg, sched, int64(i))
 		if res.Outcome != OutcomeBroadcast {
 			b.Fatal("expected broadcast outcome")
 		}
@@ -177,7 +177,7 @@ func BenchmarkSBWQCovered(b *testing.B) {
 	w := geom.NewRect(14, 14, 18, 18)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := SBWQ(geom.Pt(16, 16), w, []PeerData{pd}, nil, 0)
+		res := SBWQScratch(new(Scratch), geom.Pt(16, 16), w, []PeerData{pd}, SBWQConfig{}, nil, 0)
 		if res.Outcome != OutcomeVerified {
 			b.Fatal("expected verified outcome")
 		}

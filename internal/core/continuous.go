@@ -115,11 +115,10 @@ func clearance(unc *geom.Uncovered, w geom.Rect, region []geom.Rect, limit float
 
 // SortByDist orders pois ascending by (distance to q, ID) — the total
 // order the query algorithms use — so a maintained kNN answer can be
-// re-ranked cheaply after the host moves without re-running the query.
-func SortByDist(pois []broadcast.POI, q geom.Point) {
-	s := getScratch()
+// re-ranked cheaply after the host moves without re-running the query. It
+// sorts on s's key buffer.
+func SortByDist(s *Scratch, pois []broadcast.POI, q geom.Point) {
 	sortCandidates(s, pois, q)
-	putScratch(s)
 }
 
 // inAnswer reports whether id is one of the (at most k, so linear-scan

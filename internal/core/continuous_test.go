@@ -73,7 +73,7 @@ func TestQuickSafeExitKNNDifferential(t *testing.T) {
 		db, peers := contTestDB(rng, 40+rng.Intn(80), 3+rng.Intn(6))
 		q := geom.Pt(rng.Float64()*10, rng.Float64()*10)
 		k := 1 + rng.Intn(4)
-		nnv := NNV(q, peers, k, 1)
+		nnv := NNVScratch(new(Scratch), q, peers, k, 1)
 		if nnv.Heap.VerifiedCount() < k {
 			return true // not a verified answer; no safe region to test
 		}
@@ -111,7 +111,7 @@ func TestQuickSafeExitWindowDifferential(t *testing.T) {
 		db, peers := contTestDB(rng, 40+rng.Intn(80), 3+rng.Intn(6))
 		c := geom.Pt(rng.Float64()*10, rng.Float64()*10)
 		w := geom.RectAround(c, 0.1+rng.Float64()*1.2)
-		res := SBWQ(c, w, peers, nil, 0)
+		res := SBWQScratch(new(Scratch), c, w, peers, SBWQConfig{}, nil, 0)
 		var answer, cands []broadcast.POI
 		for _, p := range peers {
 			cands = append(cands, p.POIs...)

@@ -213,7 +213,7 @@ func TestNNVFigure5Accept(t *testing.T) {
 	}}
 	// q=(5,5): clearance = 5 (left/right/bottom edges). o1 at distance 2:
 	// verified. o5 at distance 7: unverified.
-	res := NNV(geom.Pt(5, 5), peers, 2, 0.1)
+	res := NNVScratch(new(Scratch), geom.Pt(5, 5), peers, 2, 0.1)
 	if !res.InsideMVR || !almostEqual(res.EdgeDist, 5, 1e-12) {
 		t.Fatalf("inside=%v edge=%v", res.InsideMVR, res.EdgeDist)
 	}
@@ -244,7 +244,7 @@ func TestNNVFigure6Reject(t *testing.T) {
 		VR:   geom.NewRect(4, 4, 6, 6), // tiny VR around q
 		POIs: []broadcast.POI{poi(4, 5.9, 5.9)},
 	}}
-	res := NNV(geom.Pt(5, 5), peers, 1, 0.3)
+	res := NNVScratch(new(Scratch), geom.Pt(5, 5), peers, 1, 0.3)
 	es := res.Heap.Entries()
 	if len(es) != 1 {
 		t.Fatalf("heap len = %d", len(es))
@@ -260,7 +260,7 @@ func TestNNVOutsideMVR(t *testing.T) {
 		VR:   geom.NewRect(10, 10, 12, 12),
 		POIs: []broadcast.POI{poi(1, 11, 11)},
 	}}
-	res := NNV(geom.Pt(0, 0), peers, 2, 0.1)
+	res := NNVScratch(new(Scratch), geom.Pt(0, 0), peers, 2, 0.1)
 	if res.InsideMVR || res.EdgeDist != 0 {
 		t.Fatal("q outside MVR must disable verification")
 	}
@@ -270,7 +270,7 @@ func TestNNVOutsideMVR(t *testing.T) {
 }
 
 func TestNNVNoPeers(t *testing.T) {
-	res := NNV(geom.Pt(0, 0), nil, 3, 0.1)
+	res := NNVScratch(new(Scratch), geom.Pt(0, 0), nil, 3, 0.1)
 	if res.Heap.Len() != 0 || res.Heap.State() != StateEmpty {
 		t.Fatal("no peers must yield empty heap")
 	}
@@ -289,7 +289,7 @@ func TestNNVNonPositiveK(t *testing.T) {
 		{VR: geom.NewRect(0, 0, 10, 10), POIs: []broadcast.POI{poi(3, 7, 7)}, Tainted: true},
 	}
 	for _, k := range []int{0, -1} {
-		res := NNV(geom.Pt(5, 5), peers, k, 0.1)
+		res := NNVScratch(new(Scratch), geom.Pt(5, 5), peers, k, 0.1)
 		if res.Heap.Len() != 0 || res.Examined != 0 {
 			t.Fatalf("k=%d: heap len %d, examined %d, want an empty heap and no work",
 				k, res.Heap.Len(), res.Examined)
@@ -307,7 +307,7 @@ func TestNNVDeduplicatesPeers(t *testing.T) {
 		{VR: vr, POIs: []broadcast.POI{poi(1, 5, 6)}},
 		{VR: vr, POIs: []broadcast.POI{poi(1, 5, 6), poi(2, 5, 4)}},
 	}
-	res := NNV(geom.Pt(5, 5), peers, 5, 0.1)
+	res := NNVScratch(new(Scratch), geom.Pt(5, 5), peers, 5, 0.1)
 	if res.Examined != 2 {
 		t.Fatalf("examined = %d want 2", res.Examined)
 	}
@@ -343,7 +343,7 @@ func TestNNVVerifiedPrefixProperty(t *testing.T) {
 		}
 		q := geom.Pt(rng.Float64()*20, rng.Float64()*20)
 		k := 1 + rng.Intn(6)
-		res := NNV(q, peers, k, 0.2)
+		res := NNVScratch(new(Scratch), q, peers, k, 0.2)
 		sawUnverified := false
 		prevDist := -1.0
 		for _, e := range res.Heap.Entries() {
@@ -397,7 +397,7 @@ func TestNNVSoundness(t *testing.T) {
 		}
 		q := geom.Pt(rng.Float64()*20, rng.Float64()*20)
 		k := 1 + rng.Intn(5)
-		res := NNV(q, peers, k, 0.2)
+		res := NNVScratch(new(Scratch), q, peers, k, 0.2)
 
 		// Ground truth ranking.
 		truth := append([]broadcast.POI(nil), db...)

@@ -39,9 +39,11 @@ type PeerData struct {
 // A Scratch reaches a zero-allocation steady state after a few queries
 // (buffers grow to the working-set high-water mark and are then reused).
 //
-// Results returned by the *Scratch functions alias the scratch: Heap,
-// MVR, ReducedWindows and POIs are valid only until the next call with
-// the same Scratch.
+// Every query algorithm runs on a caller's Scratch; there is no
+// scratch-less entry point. Results alias the scratch: Heap, MVR,
+// ReducedWindows and kNN POIs are valid only until the next call with the
+// same Scratch, so a caller that keeps a result past that runs each query
+// on a fresh Scratch (lbsq.Client does) or copies what it keeps.
 // Known/KnownRegion are always freshly allocated — callers cache them.
 // A Scratch must not be shared between goroutines.
 type Scratch struct {
@@ -87,28 +89,14 @@ type NNVResult struct {
 	TaintedCandidates int
 }
 
-// NNV is Algorithm 1: merge the peers' verified regions, take their
-// cached POIs in order of distance to q, and verify each candidate o
+// NNVScratch is Algorithm 1: merge the peers' verified regions, take
+// their cached POIs in order of distance to q, and verify each candidate o
 // against Lemma 3.1 (o is a guaranteed nearest neighbor when
 // ‖q,o‖ ≤ ‖q,e_s‖ and q lies inside the MVR). Unverified candidates are
 // annotated with the Lemma 3.2 correctness probability computed from the
 // exact area of their unverified region, using lambda as the POI density.
-//
-// NNV runs on pooled scratch and copies the aliasing parts (Heap, MVR)
-// out before returning, so the result is caller-owned while the cold
-// path stays near the warm path's allocation profile.
-func NNV(q geom.Point, peers []PeerData, k int, lambda float64) NNVResult {
-	s := getScratch()
-	res := NNVScratch(s, q, peers, k, lambda)
-	res.Heap = cloneHeap(res.Heap)
-	res.MVR = cloneMVR(res.MVR)
-	putScratch(s)
-	return res
-}
-
-// NNVScratch is NNV running on caller-owned scratch: the zero-allocation
-// hot-path variant used by the simulator's per-world query loop. The
-// returned Heap and MVR alias the scratch (see Scratch).
+// It runs on caller-owned scratch: the returned Heap and MVR alias it (see
+// Scratch).
 //
 // The work is bounded by what the k heap rows need (DESIGN.md §9.3), not
 // by what the peers sent. The rows are the head of the candidate order —

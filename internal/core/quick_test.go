@@ -50,9 +50,9 @@ func makeQuickWorld(seed int64) quickWorld {
 func TestQuickNNVVerifiedPrefixIsTruth(t *testing.T) {
 	f := func(seed int64) bool {
 		w := makeQuickWorld(seed)
-		res := NNV(w.q, w.peers, w.k, 0.3)
+		res := NNVScratch(new(Scratch), w.q, w.peers, w.k, 0.3)
 		truth := append([]broadcast.POI(nil), w.db...)
-		SortByDist(truth, w.q)
+		SortByDist(new(Scratch), truth, w.q)
 		for rank, e := range res.Heap.Entries() {
 			if !e.Verified {
 				break
@@ -73,7 +73,7 @@ func TestQuickNNVVerifiedPrefixIsTruth(t *testing.T) {
 func TestQuickHeapStructure(t *testing.T) {
 	f := func(seed int64) bool {
 		w := makeQuickWorld(seed)
-		res := NNV(w.q, w.peers, w.k, 0.3)
+		res := NNVScratch(new(Scratch), w.q, w.peers, w.k, 0.3)
 		h := res.Heap
 		if h.Len() > w.k {
 			return false
@@ -118,9 +118,9 @@ func TestQuickSBNNExactness(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res := SBNN(w.q, w.peers, SBNNConfig{K: w.k, Lambda: 0.3}, sched, seed%977)
+		res := SBNNScratch(new(Scratch), w.q, w.peers, SBNNConfig{K: w.k, Lambda: 0.3}, sched, seed%977)
 		truth := append([]broadcast.POI(nil), w.db...)
-		SortByDist(truth, w.q)
+		SortByDist(new(Scratch), truth, w.q)
 		want := w.k
 		if want > len(truth) {
 			want = len(truth)
@@ -172,7 +172,7 @@ func TestQuickSBWQExactness(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed ^ 0x5bd1))
 		cx, cy := rng.Float64()*18, rng.Float64()*18
 		win := geom.NewRect(cx, cy, cx+0.5+rng.Float64()*4, cy+0.5+rng.Float64()*4)
-		res := SBWQ(w.q, win, w.peers, sched, seed%977)
+		res := SBWQScratch(new(Scratch), w.q, win, w.peers, SBWQConfig{}, sched, seed%977)
 		count := 0
 		for _, p := range w.db {
 			if win.Contains(p.Pos) {

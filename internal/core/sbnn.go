@@ -102,8 +102,8 @@ func verifiedSquare(q geom.Point, radius float64) geom.Rect {
 	return geom.RectAround(q, half)
 }
 
-// SBNN is Algorithm 2: run NNV over the peers' cached results; if k
-// verified NNs were obtained — or the client accepts an approximate full
+// SBNNScratch is Algorithm 2: run NNV over the peers' cached results; if
+// k verified NNs were obtained — or the client accepts an approximate full
 // heap — answer immediately with zero channel access. Otherwise derive
 // search bounds from the heap state (Section 3.3.3), run the on-air kNN
 // query with packet filtering, and merge the channel data with the peer
@@ -113,22 +113,7 @@ func verifiedSquare(q geom.Point, radius float64) geom.Rect {
 // peer-side answer is then returned with OutcomeBroadcast and no POIs
 // beyond the heap contents.
 //
-// SBNN runs on pooled scratch and copies the aliasing parts (Heap, MVR,
-// POIs) out before returning, so the result is caller-owned while the
-// cold path stays near the warm path's allocation profile.
-func SBNN(q geom.Point, peers []PeerData, cfg SBNNConfig, sched *broadcast.Schedule, now int64) SBNNResult {
-	s := getScratch()
-	res := SBNNScratch(s, q, peers, cfg, sched, now)
-	res.Heap = cloneHeap(res.Heap)
-	res.MVR = cloneMVR(res.MVR)
-	res.POIs = clonePOIs(res.POIs)
-	putScratch(s)
-	return res
-}
-
-// SBNNScratch is SBNN running on caller-owned scratch — the
-// zero-allocation hot-path variant. Results are bit-identical to SBNN;
-// the returned Heap, MVR, and POIs alias the scratch and are valid only
+// The returned Heap, MVR, and POIs alias the scratch and are valid only
 // until the next call with the same Scratch, while KnownRegion/Known are
 // always freshly allocated (callers insert them into caches).
 func SBNNScratch(s *Scratch, q geom.Point, peers []PeerData, cfg SBNNConfig, sched *broadcast.Schedule, now int64) SBNNResult {

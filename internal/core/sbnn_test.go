@@ -77,7 +77,7 @@ func TestSBNNExactness(t *testing.T) {
 		q := geom.Pt(rng.Float64()*32, rng.Float64()*32)
 		peers := w.soundPeers(rng, rng.Intn(6))
 		k := 1 + rng.Intn(6)
-		res := SBNN(q, peers, SBNNConfig{K: k, Lambda: 0.2}, w.sched, rng.Int63n(1000))
+		res := SBNNScratch(new(Scratch), q, peers, SBNNConfig{K: k, Lambda: 0.2}, w.sched, rng.Int63n(1000))
 		if res.Outcome == OutcomeApproximate {
 			t.Fatalf("trial %d: approximate outcome without acceptance", trial)
 		}
@@ -116,7 +116,7 @@ func TestSBNNVerifiedWithBigPeerCoverage(t *testing.T) {
 			pd.POIs = append(pd.POIs, p)
 		}
 	}
-	res := SBNN(q, []PeerData{pd}, SBNNConfig{K: 3, Lambda: 0.3}, w.sched, 0)
+	res := SBNNScratch(new(Scratch), q, []PeerData{pd}, SBNNConfig{K: 3, Lambda: 0.3}, w.sched, 0)
 	if res.Outcome != OutcomeVerified {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
@@ -148,7 +148,7 @@ func TestSBNNApproximateAcceptance(t *testing.T) {
 	}
 	k := len(pd.POIs) // force unverified tail entries
 	cfgAccept := SBNNConfig{K: k, Lambda: 0.05, AcceptApproximate: true, MinCorrectness: 0}
-	res := SBNN(q, []PeerData{pd}, cfgAccept, w.sched, 0)
+	res := SBNNScratch(new(Scratch), q, []PeerData{pd}, cfgAccept, w.sched, 0)
 	if res.Outcome == OutcomeBroadcast {
 		t.Fatalf("acceptance with zero threshold still used the channel (heap %v/%v)",
 			res.Heap.VerifiedCount(), res.Heap.Len())
@@ -158,7 +158,7 @@ func TestSBNNApproximateAcceptance(t *testing.T) {
 	if res.Outcome == OutcomeApproximate {
 		cfgStrict := cfgAccept
 		cfgStrict.MinCorrectness = 1.0
-		res2 := SBNN(q, []PeerData{pd}, cfgStrict, w.sched, 0)
+		res2 := SBNNScratch(new(Scratch), q, []PeerData{pd}, cfgStrict, w.sched, 0)
 		if res2.Outcome == OutcomeApproximate {
 			t.Fatal("threshold 1.0 must reject unverified entries")
 		}
@@ -171,7 +171,7 @@ func TestSBNNNoPeersFallsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	w := newTestWorld(t, rng, 150)
 	q := geom.Pt(10, 20)
-	res := SBNN(q, nil, SBNNConfig{K: 4, Lambda: 0.2}, w.sched, 7)
+	res := SBNNScratch(new(Scratch), q, nil, SBNNConfig{K: 4, Lambda: 0.2}, w.sched, 7)
 	if res.Outcome != OutcomeBroadcast {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
@@ -193,7 +193,7 @@ func TestSBNNNilSchedule(t *testing.T) {
 	w := newTestWorld(t, rng, 100)
 	peers := w.soundPeers(rng, 2)
 	q := geom.Pt(16, 16)
-	res := SBNN(q, peers, SBNNConfig{K: 10, Lambda: 0.2}, nil, 0)
+	res := SBNNScratch(new(Scratch), q, peers, SBNNConfig{K: 10, Lambda: 0.2}, nil, 0)
 	if res.Outcome != OutcomeBroadcast {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
@@ -219,8 +219,8 @@ func TestSBNNBoundsReduceChannelWork(t *testing.T) {
 		}
 	}
 	k := len(pd.POIs) + 5 // guarantees fallback with a mixed heap
-	resShared := SBNN(q, []PeerData{pd}, SBNNConfig{K: k, Lambda: 0.2}, w.sched, 0)
-	resPlain := SBNN(q, nil, SBNNConfig{K: k, Lambda: 0.2}, w.sched, 0)
+	resShared := SBNNScratch(new(Scratch), q, []PeerData{pd}, SBNNConfig{K: k, Lambda: 0.2}, w.sched, 0)
+	resPlain := SBNNScratch(new(Scratch), q, nil, SBNNConfig{K: k, Lambda: 0.2}, w.sched, 0)
 	if resShared.Outcome != OutcomeBroadcast || resPlain.Outcome != OutcomeBroadcast {
 		t.Skip("unexpected outcomes for this layout")
 	}
@@ -240,7 +240,7 @@ func TestSBNNBoundsReduceChannelWork(t *testing.T) {
 func TestSBNNZeroK(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	w := newTestWorld(t, rng, 50)
-	res := SBNN(geom.Pt(5, 5), nil, SBNNConfig{K: 0, Lambda: 0.2}, w.sched, 0)
+	res := SBNNScratch(new(Scratch), geom.Pt(5, 5), nil, SBNNConfig{K: 0, Lambda: 0.2}, w.sched, 0)
 	if len(res.POIs) != 0 {
 		t.Fatalf("k=0 returned %d POIs", len(res.POIs))
 	}

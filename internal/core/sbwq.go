@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"lbsq/internal/broadcast"
 	"lbsq/internal/geom"
 )
@@ -51,42 +49,22 @@ type SBWQResult struct {
 	Examined int
 }
 
-// SBWQ is Algorithm 3: merge the peers' verified regions and collect
-// their cached POIs overlapping the window w. If w lies entirely inside
-// the MVR the query is fulfilled locally. Otherwise the window is reduced
-// by subtracting the MVR, the on-air window query runs over the reduced
-// windows only, and the channel data is merged with the peer knowledge.
+// SBWQScratch is Algorithm 3: merge the peers' verified regions and
+// collect their cached POIs overlapping the window w. If w lies entirely
+// inside the MVR the query is fulfilled locally. Otherwise the window is
+// reduced by subtracting the MVR, the on-air window query runs over the
+// reduced windows only, and the channel data is merged with the peer
+// knowledge. Candidate collection, the MVR, and deduplication reuse the
+// scratch; duplicates of one POI ID share the database position, so they
+// are adjacent after the distance sort.
 //
 // sched may be nil when no broadcast channel is available; the peer-side
 // partial answer is then returned with OutcomeBroadcast.
-func SBWQ(q geom.Point, w geom.Rect, peers []PeerData, sched *broadcast.Schedule, now int64) SBWQResult {
-	return SBWQWithConfig(q, w, peers, SBWQConfig{}, sched, now)
-}
-
-// SBWQWithConfig is SBWQ with explicit tuning. It runs on pooled
-// scratch and copies the aliasing MVR and reduced windows out before
-// returning (POIs/Known are fresh already), so the result is
-// caller-owned while the cold path stays near the warm path's
-// allocation profile.
-func SBWQWithConfig(q geom.Point, w geom.Rect, peers []PeerData, cfg SBWQConfig, sched *broadcast.Schedule, now int64) SBWQResult {
-	s := getScratch()
-	res := SBWQScratch(s, q, w, peers, cfg, sched, now)
-	res.MVR = cloneMVR(res.MVR)
-	res.ReducedWindows = slices.Clone(res.ReducedWindows)
-	putScratch(s)
-	return res
-}
-
-// SBWQScratch is SBWQ running on caller-owned scratch — the
-// zero-intermediate-allocation hot-path variant. Candidate collection,
-// the MVR, and deduplication reuse the scratch; the per-query ID map of
-// the original is replaced by the sort-based dedup (duplicates of one POI
-// ID share the database position, so they are adjacent after the
-// distance sort). Results are bit-identical to SBWQWithConfig.
 //
-// Unlike SBNNScratch, the returned POIs/Known slices are freshly
-// allocated: window-query answers double as the cached verified region,
-// so they must survive the next query.
+// The returned MVR and ReducedWindows alias the scratch, valid until the
+// next call with the same Scratch. Unlike SBNNScratch, the returned
+// POIs/Known slices are freshly allocated: window-query answers double as
+// the cached verified region, so they must survive the next query.
 func SBWQScratch(s *Scratch, q geom.Point, w geom.Rect, peers []PeerData, cfg SBWQConfig, sched *broadcast.Schedule, now int64) SBWQResult {
 	mvr, unc := &s.mvr, &s.uncovered
 	mvr.Reset()

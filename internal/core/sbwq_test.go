@@ -38,7 +38,7 @@ func TestSBWQFigure9FullCoverage(t *testing.T) {
 	peers := []PeerData{mk(vr1), mk(vr2)}
 	// Window spanning both VRs but inside their union.
 	win := geom.NewRect(10, 6, 24, 16)
-	res := SBWQ(geom.Pt(16, 10), win, peers, w.sched, 0)
+	res := SBWQScratch(new(Scratch), geom.Pt(16, 10), win, peers, SBWQConfig{}, w.sched, 0)
 	if res.Outcome != OutcomeVerified {
 		t.Fatalf("outcome = %v (covered %v)", res.Outcome, res.CoveredFraction)
 	}
@@ -73,7 +73,7 @@ func TestSBWQFigure9PartialCoverage(t *testing.T) {
 		}
 	}
 	win := geom.NewRect(8, 8, 24, 20) // pokes out to the right of the VR
-	res := SBWQ(geom.Pt(12, 12), win, []PeerData{pd}, w.sched, 0)
+	res := SBWQScratch(new(Scratch), geom.Pt(12, 12), win, []PeerData{pd}, SBWQConfig{}, w.sched, 0)
 	if res.Outcome != OutcomeBroadcast {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
@@ -115,7 +115,7 @@ func TestSBWQExactnessRandom(t *testing.T) {
 		cx, cy := rng.Float64()*28, rng.Float64()*28
 		win := geom.NewRect(cx, cy, cx+1+rng.Float64()*8, cy+1+rng.Float64()*8)
 		q := win.Center()
-		res := SBWQ(q, win, peers, w.sched, rng.Int63n(500))
+		res := SBWQScratch(new(Scratch), q, win, peers, SBWQConfig{}, w.sched, rng.Int63n(500))
 		truth := windowTruth(w.db, win)
 		if len(res.POIs) != len(truth) {
 			t.Fatalf("trial %d: got %d want %d (outcome %v, covered %v)",
@@ -164,8 +164,8 @@ func TestSBWQReducedWindowSavesPackets(t *testing.T) {
 		}
 	}
 	win := geom.NewRect(6, 6, 26, 26)
-	shared := SBWQ(win.Center(), win, []PeerData{pd}, w.sched, 0)
-	plain := SBWQ(win.Center(), win, nil, w.sched, 0)
+	shared := SBWQScratch(new(Scratch), win.Center(), win, []PeerData{pd}, SBWQConfig{}, w.sched, 0)
+	plain := SBWQScratch(new(Scratch), win.Center(), win, nil, SBWQConfig{}, w.sched, 0)
 	if shared.Access.PacketsRead > plain.Access.PacketsRead {
 		t.Fatalf("sharing increased packets: %d > %d",
 			shared.Access.PacketsRead, plain.Access.PacketsRead)
@@ -177,7 +177,7 @@ func TestSBWQNilSchedule(t *testing.T) {
 	w := newTestWorld(t, rng, 100)
 	peers := w.soundPeers(rng, 2)
 	win := geom.NewRect(0, 0, 32, 32) // certainly not covered
-	res := SBWQ(geom.Pt(16, 16), win, peers, nil, 0)
+	res := SBWQScratch(new(Scratch), geom.Pt(16, 16), win, peers, SBWQConfig{}, nil, 0)
 	if res.Outcome != OutcomeBroadcast {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
@@ -193,7 +193,7 @@ func TestSBWQNoPeers(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	w := newTestWorld(t, rng, 150)
 	win := geom.NewRect(5, 5, 15, 15)
-	res := SBWQ(win.Center(), win, nil, w.sched, 0)
+	res := SBWQScratch(new(Scratch), win.Center(), win, nil, SBWQConfig{}, w.sched, 0)
 	if res.Outcome != OutcomeBroadcast {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
@@ -259,7 +259,7 @@ func TestSBWQEmptyWindow(t *testing.T) {
 		{"segment whose Max corner alone is covered", geom.NewRect(-2, 5, 2, 5), false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			res := SBWQ(c.win.Center(), c.win, []PeerData{pd}, w.sched, 0)
+			res := SBWQScratch(new(Scratch), c.win.Center(), c.win, []PeerData{pd}, SBWQConfig{}, w.sched, 0)
 			want, fraction := OutcomeBroadcast, 0.0
 			if c.covered {
 				want, fraction = OutcomeVerified, 1

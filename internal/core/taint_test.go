@@ -15,7 +15,7 @@ func TestTaintedPeerNeverVerifies(t *testing.T) {
 		POIs:    []broadcast.POI{{ID: 1, Pos: geom.Pt(5, 6)}},
 		Tainted: true,
 	}
-	res := NNV(geom.Pt(5, 5), []PeerData{peer}, 1, 0.1)
+	res := NNVScratch(new(Scratch), geom.Pt(5, 5), []PeerData{peer}, 1, 0.1)
 	if res.InsideMVR {
 		t.Fatal("tainted VR entered the MVR")
 	}
@@ -46,7 +46,7 @@ func TestMixedPoolMergeOrder(t *testing.T) {
 		POIs:    []broadcast.POI{{ID: 900, Pos: geom.Pt(5, 5.5)}, {ID: 901, Pos: geom.Pt(5, 7)}},
 		Tainted: true,
 	}
-	res := NNV(geom.Pt(5, 5), []PeerData{honest, liar}, 4, 0.1)
+	res := NNVScratch(new(Scratch), geom.Pt(5, 5), []PeerData{honest, liar}, 4, 0.1)
 	es := res.Heap.Entries()
 	if len(es) != 4 {
 		t.Fatalf("heap len = %d, want 4", len(es))
@@ -85,7 +85,7 @@ func TestNoTaintBitIdentity(t *testing.T) {
 		{VR: geom.NewRect(4, 4, 10, 10), POIs: []broadcast.POI{{ID: 3, Pos: geom.Pt(5, 5)}}},
 	}
 	q := geom.Pt(3, 4)
-	a := NNV(q, peers, 2, 0.2)
+	a := NNVScratch(new(Scratch), q, peers, 2, 0.2)
 	// Manual seed re-implementation: all VRs merged, candidates walked in
 	// ascending order.
 	if a.Merged != 2 || a.TaintedCandidates != 0 || a.Examined != 2 {
@@ -96,7 +96,7 @@ func TestNoTaintBitIdentity(t *testing.T) {
 			t.Fatalf("entry %d tainted on the untainted path", i)
 		}
 	}
-	b := NNV(q, peers, 2, 0.2)
+	b := NNVScratch(new(Scratch), q, peers, 2, 0.2)
 	ea, eb := a.Heap.Entries(), b.Heap.Entries()
 	if len(ea) != len(eb) {
 		t.Fatal("nondeterministic heap")
@@ -121,7 +121,7 @@ func TestTaintedSuppressesUpperBound(t *testing.T) {
 		POIs:    []broadcast.POI{{ID: 900, Pos: geom.Pt(5, 6)}},
 		Tainted: true,
 	}
-	res := NNV(geom.Pt(5, 5), []PeerData{honest, liar}, 2, 0.1)
+	res := NNVScratch(new(Scratch), geom.Pt(5, 5), []PeerData{honest, liar}, 2, 0.1)
 	if res.Heap.Len() != 2 || res.Heap.VerifiedCount() != 1 {
 		t.Fatalf("setup: heap %+v", res.Heap.Entries())
 	}
@@ -134,7 +134,7 @@ func TestTaintedSuppressesUpperBound(t *testing.T) {
 	}
 	// Control: without the liar the full-mixed/full-verified heap states
 	// may carry an upper bound.
-	resHonest := NNV(geom.Pt(5, 5), []PeerData{honest, {VR: honest.VR, POIs: []broadcast.POI{{ID: 2, Pos: geom.Pt(5, 9)}}}}, 2, 0.1)
+	resHonest := NNVScratch(new(Scratch), geom.Pt(5, 5), []PeerData{honest, {VR: honest.VR, POIs: []broadcast.POI{{ID: 2, Pos: geom.Pt(5, 9)}}}}, 2, 0.1)
 	if bb := resHonest.Heap.SearchBounds(); bb.Upper == 0 {
 		t.Fatalf("control: honest full heap lost its upper bound: %+v", bb)
 	}
@@ -167,7 +167,7 @@ func TestSBWQSkipsTainted(t *testing.T) {
 		POIs:    []broadcast.POI{{ID: 900, Pos: geom.Pt(5, 5)}},
 		Tainted: true,
 	}
-	res := SBWQ(geom.Pt(5, 5), w, []PeerData{liar}, nil, 0)
+	res := SBWQScratch(new(Scratch), geom.Pt(5, 5), w, []PeerData{liar}, SBWQConfig{}, nil, 0)
 	if res.Outcome == OutcomeVerified {
 		t.Fatal("tainted VR faked window coverage")
 	}
@@ -177,7 +177,7 @@ func TestSBWQSkipsTainted(t *testing.T) {
 	// Control: the same peer untainted covers the window.
 	honest := liar
 	honest.Tainted = false
-	res = SBWQ(geom.Pt(5, 5), w, []PeerData{honest}, nil, 0)
+	res = SBWQScratch(new(Scratch), geom.Pt(5, 5), w, []PeerData{honest}, SBWQConfig{}, nil, 0)
 	if res.Outcome != OutcomeVerified || res.Merged != 1 {
 		t.Fatalf("control: honest coverage failed: %+v", res)
 	}
@@ -192,7 +192,7 @@ func TestSBNNTaintedDemotion(t *testing.T) {
 		Tainted: true,
 	}
 	cfg := SBNNConfig{K: 1, Lambda: 0.1}
-	res := SBNN(geom.Pt(5, 5), []PeerData{liar}, cfg, nil, 0)
+	res := SBNNScratch(new(Scratch), geom.Pt(5, 5), []PeerData{liar}, cfg, nil, 0)
 	if res.Outcome == OutcomeVerified {
 		t.Fatalf("tainted-only SBNN claimed verification: %+v", res)
 	}
@@ -207,7 +207,7 @@ func TestSBNNTaintedDemotion(t *testing.T) {
 	// demoted (never verified).
 	cfg.AcceptApproximate = true
 	cfg.MinCorrectness = 0
-	res = SBNN(geom.Pt(5, 5), []PeerData{liar}, cfg, nil, 0)
+	res = SBNNScratch(new(Scratch), geom.Pt(5, 5), []PeerData{liar}, cfg, nil, 0)
 	if res.Outcome != OutcomeApproximate {
 		t.Fatalf("approximate demotion path unavailable: %+v", res.Outcome)
 	}

@@ -125,6 +125,7 @@ func CorrectnessCalibration(o Options, clustered bool, trials int) []Calibration
 	sums := make([]float64, len(edges)-1)
 	hits := make([]int, len(edges)-1)
 	counts := make([]int, len(edges)-1)
+	var s core.Scratch
 
 	for trial := 0; trial < trials; trial++ {
 		db := samplePOIField(rng, n, areaSide, clustered)
@@ -142,7 +143,7 @@ func CorrectnessCalibration(o Options, clustered bool, trials int) []Calibration
 			vr.Min.Y+rng.Float64()*vr.Height(),
 		)
 		k := 2 + rng.Intn(6)
-		res := core.NNV(q, []core.PeerData{pd}, k, lambda)
+		res := core.NNVScratch(&s, q, []core.PeerData{pd}, k, lambda)
 
 		truth := append([]broadcast.POI(nil), db...)
 		sort.Slice(truth, func(i, j int) bool {

@@ -38,6 +38,7 @@ func ResultLifetime(o Options) []LifetimeRow {
 	const speedMph = 30.0
 	const step = 0.02 // miles per probe
 	var rows []LifetimeRow
+	var s core.Scratch
 	for _, base := range sim.ParameterSets() {
 		rng := rand.New(rand.NewSource(o.Seed))
 		pois := make([]broadcast.POI, base.POINumber)
@@ -61,7 +62,7 @@ func ResultLifetime(o Options) []LifetimeRow {
 					base.AreaMiles/4+rng.Float64()*base.AreaMiles/2,
 					base.AreaMiles/4+rng.Float64()*base.AreaMiles/2,
 				)
-				res := core.SBNN(q, nil, core.SBNNConfig{K: k, Lambda: lambda},
+				res := core.SBNNScratch(&s, q, nil, core.SBNNConfig{K: k, Lambda: lambda},
 					sched, int64(trial)*101)
 				if res.KnownRegion.Empty() {
 					continue
@@ -74,7 +75,7 @@ func ResultLifetime(o Options) []LifetimeRow {
 				for {
 					pos = pos.Add(dir.Scale(step))
 					dist += step
-					nnv := core.NNV(pos, own, k, lambda)
+					nnv := core.NNVScratch(&s, pos, own, k, lambda)
 					if nnv.Heap.VerifiedCount() < k {
 						break
 					}

@@ -44,17 +44,10 @@ func (u *RectUnion) Add(r Rect) {
 	u.rects = append(u.rects, r)
 }
 
-// CopyFrom replaces u's members with a copy of src's, reusing u's
-// storage; src is untouched.
-func (u *RectUnion) CopyFrom(src *RectUnion) { u.rects = append(u.rects[:0], src.rects...) }
-
 // Rects returns the member rectangles as provided (possibly overlapping).
 // The returned slice must not be modified and is invalidated by Add or
 // Reset.
 func (u *RectUnion) Rects() []Rect { return u.rects }
-
-// Len returns the number of member rectangles.
-func (u *RectUnion) Len() int { return len(u.rects) }
 
 // Contains reports whether p lies in the closed union.
 func (u *RectUnion) Contains(p Point) bool {

@@ -151,9 +151,9 @@ func FuzzLocalClearance(f *testing.F) {
 // TestBoundaryDistHistoryIndependent pins the one-path rule: the answer
 // is a function of the member multiset alone — the same bits whether the
 // probe is the first call on a fresh union, follows other queries, or
-// runs on a union that reached the multiset by CopyFrom or by Reset and a
-// shuffled re-Add over another union's state (the kernel cuts in another
-// order there, into other pieces).
+// runs on a union that reached the multiset by Reset and a shuffled re-Add
+// over another union's state (the kernel cuts in another order there, into
+// other pieces).
 func TestBoundaryDistHistoryIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 30; trial++ {
@@ -166,9 +166,6 @@ func TestBoundaryDistHistoryIndependent(t *testing.T) {
 
 		warmed := NewRectUnion(members...)
 		warmed.IntersectCircleArea(Pt(4, 4), 3)
-
-		copied := &RectUnion{}
-		copied.CopyFrom(warmed)
 
 		readded := NewRectUnion(quantRect(rng), quantRect(rng))
 		readded.BoundaryDist(Pt(1, 1))
@@ -184,7 +181,7 @@ func TestBoundaryDistHistoryIndependent(t *testing.T) {
 			}
 			want := NewRectUnion(members...).BoundaryDist(p) // first call on a fresh union
 			for name, u := range map[string]*RectUnion{
-				"warmed": warmed, "copied": copied, "re-added": readded,
+				"warmed": warmed, "re-added": readded,
 			} {
 				if got := u.BoundaryDist(p); got != want {
 					t.Fatalf("trial %d: %s union BoundaryDist(%v) = %v, fresh = %v", trial, name, p, got, want)

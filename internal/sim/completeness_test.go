@@ -70,7 +70,7 @@ func checkComplete(w *World, e *query) error {
 		cfg := core.SBWQConfig{
 			MaxKnownArea: 1.5 * float64(w.Params.CacheSize) / math.Max(w.data.lambda, 1e-9),
 		}
-		want := core.SBWQWithConfig(e.q, e.win, peers, cfg, e.sched, e.now)
+		want := core.SBWQScratch(new(core.Scratch), e.q, e.win, peers, cfg, e.sched, e.now)
 		if got.outcome != want.Outcome || len(got.pois) != len(want.POIs) || got.knownRegion != want.KnownRegion {
 			return fmt.Errorf("window q=%v w=%v: got %v, %d POIs, known %v; brute force %v, %d POIs, known %v",
 				e.q, e.win, got.outcome, len(got.pois), got.knownRegion, want.Outcome, len(want.POIs), want.KnownRegion)
@@ -79,14 +79,14 @@ func checkComplete(w *World, e *query) error {
 	}
 	cfg := core.SBNNConfig{K: e.k, Lambda: w.data.lambda,
 		AcceptApproximate: w.Params.AcceptApproximate, MinCorrectness: w.Params.MinCorrectness}
-	want := core.SBNN(e.q, peers, cfg, e.sched, e.now)
+	want := core.SBNNScratch(new(core.Scratch), e.q, peers, cfg, e.sched, e.now)
 	if got.outcome != want.Outcome || got.knownRegion != want.KnownRegion {
 		return fmt.Errorf("kNN q=%v k=%d: got %v known %v; brute force %v known %v",
 			e.q, e.k, got.outcome, got.knownRegion, want.Outcome, want.KnownRegion)
 	}
 	// The heap the pipeline decided from: NNV is pure, so running it on the
 	// collection the pipeline executed reproduces it row for row.
-	rows := core.NNV(e.q, e.peers, e.k, cfg.Lambda).Heap
+	rows := core.NNVScratch(new(core.Scratch), e.q, e.peers, e.k, cfg.Lambda).Heap
 	if rows.VerifiedCount() != want.Heap.VerifiedCount() || rows.Len() != want.Heap.Len() {
 		return fmt.Errorf("kNN q=%v k=%d: %d of %d rows verified; brute force %d of %d",
 			e.q, e.k, rows.VerifiedCount(), rows.Len(), want.Heap.VerifiedCount(), want.Heap.Len())

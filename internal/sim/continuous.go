@@ -217,7 +217,7 @@ func (w *World) maintainSubscription(s *subscription) {
 	// new position. kNN sets may permute internally as the host moves —
 	// re-rank by the current distance; window sets are order-free.
 	if w.Params.Kind != WindowQuery {
-		core.SortByDist(s.answer, pos)
+		core.SortByDist(&w.qs.core, s.answer, pos)
 	}
 	if w.counted() {
 		w.stats.SafeRegionHits++
@@ -298,7 +298,7 @@ func (w *World) reverify(s *subscription, reason contReason) {
 		w.shapeKNN(&e, s.k)
 	}
 	w.prepare(&e)
-	w.execute(&e, &w.qs.core)
+	w.execute(&e)
 
 	// Inexact answers (approximate or degraded) are the Lemma 3.2
 	// probabilistic path: no safe region, re-verify next tick.

@@ -20,7 +20,7 @@ import (
 //	         (reach cut, consistency gate) → trust screen. Consumes the
 //	         injector, trust and consistency streams; touches peer caches,
 //	         queues, buckets, breakers.
-//	execute  SBNN or SBWQ, chosen by shape, on caller-supplied scratch.
+//	execute  SBNN or SBWQ, chosen by shape, on the World's core scratch.
 //	         Pure: reads only the query and state frozen for the tick.
 //	commit   outcome counters, budget, baseline pricing, self-check, trace
 //	         event, metrics, cache insert.
@@ -45,10 +45,10 @@ type query struct {
 
 	qc      queryChannel
 	irSlots int64
-	// peers is the screened collection result. It aliases World scratch
-	// (or the coalescing donor table) and is valid only until the next
-	// prepare; the POI slices inside alias cache storage or the World arena
-	// (§9.1).
+	// peers is the screened collection result. It aliases World scratch,
+	// the trust engine's rows or the coalescing donor table, and is valid
+	// only until the next prepare; the POI slices inside alias cache
+	// storage, the World arena or the trust engine's (§9.1).
 	peers     []core.PeerData
 	nPeers    int
 	spent     int64 // backoff + rung-switch + IR-listen + audit slots (the latency term)
@@ -126,7 +126,7 @@ func (w *World) launch(idx int) {
 	if w.CompareBaseline && w.counted() {
 		w.rng.Float64() // the kept baseline coin (typeState)
 	}
-	w.execute(e, &w.qs.core)
+	w.execute(e)
 	w.commit(e)
 }
 
@@ -207,10 +207,10 @@ func (w *World) collect(e *query) {
 	}
 }
 
-// execute runs the core algorithm for e on the given scratch. It writes
-// only e.res and the scratch.
-func (w *World) execute(e *query, s *core.Scratch) {
-	r := &e.res
+// execute runs the core algorithm for e on the World's core scratch. It
+// writes only e.res and the scratch.
+func (w *World) execute(e *query) {
+	r, s := &e.res, &w.qs.core
 	if e.window {
 		// Cap cached retrieval regions at what the cache can hold:
 		// CacheSize POIs cover about CacheSize/lambda square miles.

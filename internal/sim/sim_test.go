@@ -580,6 +580,39 @@ func TestSelfCheckCatchesCorruption(t *testing.T) {
 	}
 }
 
+// The window self-check compares positions as well as IDs: an answer
+// that holds a POI at a position it no longer has (a POI move keeps the
+// ID) fails it, and the true answer passes.
+func TestWindowSelfCheckComparesPositions(t *testing.T) {
+	p := LACity().Scaled(1).WithDuration(0.05)
+	p.Seed = 15
+	win := geom.NewRect(0, 0, 20, 20)
+	answer := func(w *World) []broadcast.POI {
+		var out []broadcast.POI
+		for _, it := range w.data.truth.Window(win) {
+			out = append(out, broadcast.POI{ID: it.ID, Pos: it.Pos})
+		}
+		if len(out) == 0 {
+			t.Fatal("fixture: empty window")
+		}
+		return out
+	}
+	w, err := NewWorld(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.checkWindow(win, answer(w))
+	if err := w.SelfCheckErr(); err != nil {
+		t.Fatalf("true answer failed the self-check: %v", err)
+	}
+	stale := answer(w)
+	stale[0].Pos = stale[0].Pos.Add(geom.Pt(0.01, 0))
+	w.checkWindow(win, stale)
+	if w.SelfCheckErr() == nil {
+		t.Fatal("a POI at a stale position passed the window self-check")
+	}
+}
+
 func TestOwnCacheOptionRaisesSharing(t *testing.T) {
 	mk := func(own bool) Stats {
 		p := LACity().Scaled(2).WithDuration(0.15)

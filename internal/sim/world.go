@@ -202,13 +202,12 @@ type queryScratch struct {
 	targets   []collectTarget      // per-peer collection state
 	regs      []wire.Region        // wire-encoding staging (damaged-reply path)
 	contribs  []trust.Contribution // trust-screen staging
-	screened  []core.PeerData      // trust-screened PeerData
 	core      core.Scratch         // NNV/SBNN/SBWQ hot-path scratch
 	repair    cache.RepairScratch  // IR repair transients (admitShared, syncIR)
 	rt        rtree.KNNScratch     // ground-truth lookups: staging and kNN frontier
 	truth     []broadcast.POI      // the audit oracle's answer
-	// arena holds the POI lists of repair pieces and trust-screen splits
-	// in peers, alive until their query commits: prepare rewinds it.
+	// arena holds the POI lists of IR repair pieces in the collection,
+	// alive until their query commits: prepare rewinds it.
 	arena broadcast.POIArena
 	// cur is the one-shot query in flight (launch), World-owned like the
 	// buffers above so that launching a query allocates nothing.
@@ -322,7 +321,6 @@ func NewWorld(p Params) (*World, error) {
 			w.qs.truth = w.poisInRect(w.qs.truth[:0], r)
 			return w.qs.truth
 		}
-		w.tr.LendArena(&w.qs.arena)
 	}
 	w.qs.repair.POIs = &w.qs.arena
 	if prof.ByzantineRate > 0 {
@@ -572,9 +570,9 @@ func (w *World) counted() bool { return w.nowSec >= w.warmupSec }
 // trustScreen runs one query's trust pass (DESIGN.md §11) over the
 // query's collection: cross-validation of overlapping VRs, on-air spot
 // audits priced against the remaining deadline budget, and taint
-// verdicts. Returns the screened PeerData, the total slots the query has
-// now spent (collection backoff plus audit cost), and the per-screen
-// report. A nil engine (AuditRate zero) returns the collection untouched
+// verdicts. Returns the screen's rows (engine scratch, valid until the
+// next screen), the total slots the query has now spent (collection
+// backoff plus audit cost), and the per-screen report. A nil engine (AuditRate zero) returns the collection untouched
 // — the seed behavior, with zero draws and zero branches past the first.
 // bcastUp=false (the host sits in a blackout window) zeroes the audit
 // budget: on-air spot audits are physically impossible on a dark
@@ -607,13 +605,8 @@ func (w *World) trustScreen(spent int64, bcastUp bool) ([]core.PeerData, int64, 
 	if !bcastUp {
 		budget = 0 // dark downlink: no channel to audit against
 	}
-	screened, rep := w.tr.Screen(contribs, w.auditOracle, budget)
-	out := w.qs.screened[:0]
-	for _, r := range screened {
-		out = append(out, core.PeerData{VR: r.VR, POIs: r.POIs, Tainted: r.Tainted})
-	}
-	w.qs.screened = out
-	return out, spent + rep.AuditSlots, rep
+	rows, rep := w.tr.Screen(contribs, w.auditOracle, budget)
+	return rows, spent + rep.AuditSlots, rep
 }
 
 // gather is the paper's sharing step for host idx: broadcast a cache
@@ -1023,13 +1016,15 @@ func (w *World) checkWindow(win geom.Rect, got []broadcast.POI) {
 			"window self-check: got %d results want %d (w=%v)", len(got), len(want), win)
 		return
 	}
-	ids := make(map[int64]bool, len(got))
+	// A POI is its ID at its position: a moved POI (IRMove keeps the ID)
+	// answered at its old position is a wrong answer.
+	have := make(map[broadcast.POI]bool, len(got))
 	for _, p := range got {
-		ids[p.ID] = true
+		have[p] = true
 	}
 	for _, p := range want {
-		if !ids[p.ID] {
-			w.selfCheckErr = fmt.Errorf("window self-check: POI %d missing (w=%v)", p.ID, win)
+		if !have[broadcast.POI{ID: p.ID, Pos: p.Pos}] {
+			w.selfCheckErr = fmt.Errorf("window self-check: POI %d at %v missing (w=%v)", p.ID, p.Pos, win)
 			return
 		}
 	}

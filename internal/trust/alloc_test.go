@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"lbsq/internal/broadcast"
+	"lbsq/internal/core"
 	"lbsq/internal/geom"
 )
 
@@ -41,7 +42,7 @@ func peers64() ([]Contribution, Oracle) {
 }
 
 // A steady-state honest screen with an empty quarantine allocates
-// nothing: every result shares its contribution's POIs — with every peer
+// nothing: every row shares its contribution's POIs — with every peer
 // vouched (audits running each screen) and with none vouched.
 func TestScreenHonestSteadyStateAllocs(t *testing.T) {
 	contribs, oracle := peers64()
@@ -53,17 +54,17 @@ func TestScreenHonestSteadyStateAllocs(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			e.Screen(contribs, oracle, -1)
 		}
-		var out []Result
+		var out []core.PeerData
 		allocs := testing.AllocsPerRun(50, func() { out, _ = e.Screen(contribs, oracle, -1) })
 		if allocs != 0 {
 			t.Errorf("%s: %v allocs per screen, want 0", name, allocs)
 		}
 		if len(out) != len(contribs) || out[0].Tainted != (name == "none-vouched") {
-			t.Fatalf("%s: %d results, first %+v", name, len(out), out[0])
+			t.Fatalf("%s: %d rows, first %+v", name, len(out), out[0])
 		}
 		for i, r := range out {
 			if !sharesStorage(r.POIs, contribs[i].POIs) {
-				t.Fatalf("%s: result %d does not share its contribution's POIs", name, i)
+				t.Fatalf("%s: row %d does not share its contribution's POIs", name, i)
 			}
 		}
 	}
@@ -95,8 +96,8 @@ func TestScreenAllocsSettleAfterGrowth(t *testing.T) {
 }
 
 // With the rectangle quarantine at its cap a screen still allocates
-// nothing: the POIs of every contribution the quarantine cut come out of
-// the arena.
+// nothing: the POIs a contribution the quarantine cut keeps are copied
+// into the arena.
 func TestScreenQuarantinedAllocsBoundedBySplits(t *testing.T) {
 	contribs, oracle := peers64()
 	e := newTestEngine(t, Config{AuditRate: 1e-12, quarantineCycles: 1 << 40}, nil)
@@ -110,17 +111,19 @@ func TestScreenQuarantinedAllocsBoundedBySplits(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		e.Screen(contribs, oracle, -1)
 	}
-	var out []Result
+	var out []core.PeerData
 	allocs := testing.AllocsPerRun(20, func() { out, _ = e.Screen(contribs, oracle, -1) })
-	whole := 0
-	for _, r := range out {
-		if r.VR == contribs[r.Peer].VR {
-			whole++
+	if len(out) != len(contribs) {
+		t.Fatalf("fixture: %d rows for %d contributions", len(out), len(contribs))
+	}
+	split := 0
+	for i, r := range out {
+		if !sharesStorage(r.POIs, contribs[i].POIs) {
+			split++
 		}
 	}
-	split := len(contribs) - whole
-	if split == 0 || len(out) <= len(contribs) {
-		t.Fatalf("fixture cut nothing: %d results for %d contributions", len(out), len(contribs))
+	if split == 0 {
+		t.Fatal("fixture cut no POI out of any contribution")
 	}
 	if allocs != 0 {
 		t.Fatalf("%v allocs per screen for %d split contributions, want 0", allocs, split)
@@ -170,35 +173,22 @@ func TestScreenQuarantineChurnAllocFree(t *testing.T) {
 }
 
 // A tainted contribution that loses a POI to the cross-pool dedup against
-// a trusted one, and one the quarantine splits, get their POIs from the
-// arena: once it is warm the screen allocates nothing, whether the engine
-// rewinds its own arena or a caller the one it lent.
+// a trusted one, and one the quarantine cuts, get their POIs copied into
+// the engine's arena: once it is warm the screen allocates nothing.
 func TestScreenDedupSplitAllocFree(t *testing.T) {
-	for _, lent := range []bool{false, true} {
-		e, contribs := aliasScene(t)
-		var arena broadcast.POIArena
-		if lent {
-			e.LendArena(&arena)
-		}
-		var out []Result
-		screen := func() {
-			if lent {
-				arena.Rewind()
-			}
-			out, _ = e.Screen(contribs, oracle, 0)
-		}
-		screen()
-		if allocs := testing.AllocsPerRun(100, screen); allocs != 0 {
-			t.Errorf("lent=%v: %v allocs per screen, want 0", lent, allocs)
-		}
-		deduped, split := false, false
-		for _, r := range out {
-			own := sharesStorage(r.POIs, contribs[r.Peer].POIs)
-			deduped = deduped || r.Peer == 2 && len(r.POIs) == 1 && r.POIs[0].ID == 4 && !own
-			split = split || r.Peer == 1 && r.VR != contribs[1].VR && len(r.POIs) == 1 && !own
-		}
-		if !deduped || !split {
-			t.Fatalf("lent=%v: fixture lost its deduped (%v) or split (%v) result: %+v", lent, deduped, split, out)
-		}
+	e, contribs := aliasScene(t)
+	var out []core.PeerData
+	screen := func() { out, _ = e.Screen(contribs, oracle, 0) }
+	screen()
+	if allocs := testing.AllocsPerRun(100, screen); allocs != 0 {
+		t.Errorf("%v allocs per screen, want 0", allocs)
+	}
+	if len(out) != len(contribs) {
+		t.Fatalf("fixture: %d rows for %d contributions", len(out), len(contribs))
+	}
+	split, deduped := out[1], out[2]
+	if len(split.POIs) != 1 || split.POIs[0].ID != 4 || sharesStorage(split.POIs, contribs[1].POIs) ||
+		len(deduped.POIs) != 1 || deduped.POIs[0].ID != 4 || sharesStorage(deduped.POIs, contribs[2].POIs) {
+		t.Fatalf("fixture lost its deduped or split row: %+v", out)
 	}
 }

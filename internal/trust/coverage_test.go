@@ -213,7 +213,7 @@ func TestScreenIndependentOfScratchHistory(t *testing.T) {
 		contribs, budget := w.contributions(14), w.budget()
 		want, wantRep := fresh.Screen(contribs, w.truth, budget)
 		got, gotRep := grown.Screen(contribs, w.truth, budget)
-		sameResults(t, got, want)
+		sameRows(t, got, want)
 		sameConflicts(t, grown.conflicts, fresh.conflicts)
 		if gotRep != wantRep || grown.Counters() != fresh.Counters() {
 			t.Fatalf("screen %d: report %+v counters %+v, fresh engine %+v %+v", s, gotRep, grown.Counters(), wantRep, fresh.Counters())

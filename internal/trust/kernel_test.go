@@ -1,9 +1,11 @@
 package trust
 
 import (
+	"slices"
 	"testing"
 
 	"lbsq/internal/broadcast"
+	"lbsq/internal/core"
 	"lbsq/internal/geom"
 )
 
@@ -136,10 +138,10 @@ func sharesStorage(a, b []broadcast.POI) bool {
 	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
 }
 
-// aliasScene is one screen that produces all three kinds of result: a
-// vouched peer's whole region (its POIs slice shared), an unvouched
-// region split by a quarantined rectangle (new storage), and an unvouched
-// whole region that loses a POI to the cross-pool dedup (new storage).
+// aliasScene is one screen that produces all three kinds of row: a
+// vouched peer's region (its POIs slice shared), an unvouched region a
+// quarantined rectangle cuts a POI out of (a copy), and an unvouched
+// region that loses a POI to the cross-pool dedup (a copy).
 func aliasScene(t *testing.T) (e *Engine, contribs []Contribution) {
 	t.Helper()
 	e = newTestEngine(t, Config{AuditRate: 1, maxAuditsPerQuery: 1, convictStrikes: 100}, nil)
@@ -156,50 +158,37 @@ func aliasScene(t *testing.T) (e *Engine, contribs []Contribution) {
 	return e, []Contribution{vouchedC, split, deduped, whole}
 }
 
-// Result.POIs outlive the screen that produced them for as long as the
-// lent arena is not rewound: the arena's owner, not the next screen,
-// ends their life.
-func TestScreenResultsSurviveNextScreen(t *testing.T) {
+// A screen's rows are valid until the next Screen: reading them and the
+// engine's accessors changes none of them, and the next screen takes the
+// arena back (the copies it makes land where the last screen's did), so
+// the arena's size is one screen's copies however long the engine runs.
+func TestScreenRowsValidUntilNextScreen(t *testing.T) {
 	e, contribs := aliasScene(t)
-	var arena broadcast.POIArena
-	e.LendArena(&arena)
 	out, _ := e.Screen(contribs, oracle, 0)
-	got := append([]Result(nil), out...) // the slice itself is scratch
-	if len(got) < 5 {
-		t.Fatalf("fixture produced %d results, want the split: %+v", len(got), got)
+	if len(out) != len(contribs) {
+		t.Fatalf("fixture produced %d rows for %d contributions: %+v", len(out), len(contribs), out)
 	}
-	var snapshot [][]broadcast.POI
-	kinds := map[string]bool{}
-	for _, r := range got {
-		snapshot = append(snapshot, append([]broadcast.POI(nil), r.POIs...))
-		switch {
-		case r.Peer == 0 && sharesStorage(r.POIs, contribs[0].POIs):
-			kinds["vouched-shared"] = true
-		case r.Peer == 3 && sharesStorage(r.POIs, contribs[3].POIs):
-			kinds["tainted-shared"] = true
-		case r.Peer == 1 && len(r.POIs) == 1 && r.POIs[0].ID == 4 && r.VR != contribs[1].VR:
-			kinds["split"] = true
-		case r.Peer == 2 && len(r.POIs) == 1 && r.POIs[0].ID == 4 && r.VR == contribs[2].VR:
-			kinds["deduped"] = true
-		}
+	var snapshot []core.PeerData
+	for _, r := range out {
+		snapshot = append(snapshot, core.PeerData{VR: r.VR, POIs: slices.Clone(r.POIs), Tainted: r.Tainted})
 	}
-	if len(kinds) != 4 {
-		t.Fatalf("fixture missed a result kind: %v\n%+v", kinds, got)
+	// The vouched and the untouched tainted rows share their claim's
+	// storage; the cut and the deduped ones are copies.
+	kinds := []bool{sharesStorage(out[0].POIs, contribs[0].POIs), !sharesStorage(out[1].POIs, contribs[1].POIs),
+		!sharesStorage(out[2].POIs, contribs[2].POIs), sharesStorage(out[3].POIs, contribs[3].POIs)}
+	if slices.Contains(kinds, false) || len(out[1].POIs) != 1 || out[1].VR != contribs[1].VR {
+		t.Fatalf("fixture missed a row kind: %v\n%+v", kinds, out)
 	}
-	// Later screens over other contributions reuse every scratch buffer,
-	// and split regions with other POIs in front.
-	for round := 0; round < 8; round++ {
-		x := float64(round)
-		e.Screen([]Contribution{
-			honest(10+round, geom.NewRect(x, x, x+5, x+5)),
-			lying(30+round, geom.NewRect(x+1, x+1, x+6, x+6), geom.Pt(x+2, x+2.5)),
-			honest(50+round, geom.NewRect(2.5, 2.5, 9.9, 9.9)),
-		}, oracle, 0)
+	res := core.NNVScratch(new(core.Scratch), geom.Pt(7, 7), out, 3, 0.1)
+	if res.Merged != 1 || res.TaintedCandidates != 1 {
+		t.Fatalf("NNV over the rows merged %d regions and saw %d tainted candidates", res.Merged, res.TaintedCandidates)
 	}
-	for i, r := range got {
-		if !samePOIs(r.POIs, snapshot[i]) {
-			t.Fatalf("result %d POIs changed under later screens: %v, were %v", i, r.POIs, snapshot[i])
-		}
+	_, _, _ = e.Vouched(1), e.Quarantined(1), e.Counters()
+	sameRows(t, out, snapshot)
+	cut := &out[1].POIs[0]
+	again, _ := e.Screen(contribs, oracle, 0)
+	if &again[1].POIs[0] != cut {
+		t.Fatal("the next screen did not take the arena back: its copy of the cut row moved")
 	}
 }
 
@@ -230,11 +219,9 @@ func TestScreenDoesNotMutateInputs(t *testing.T) {
 				}
 			}
 		}
-		// A result that lost a POI must not be a view of the input.
-		for _, r := range out {
-			if r.Peer == 2 && (len(r.POIs) != 1 || &r.POIs[0] == &contribs[2].POIs[1]) {
-				t.Fatalf("round %d: deduped result %v shares the contribution's storage", round, r.POIs)
-			}
+		// A row that lost a POI must not be a view of the input.
+		if r := out[2]; len(r.POIs) != 1 || &r.POIs[0] == &contribs[2].POIs[1] {
+			t.Fatalf("round %d: deduped row %v shares the contribution's storage", round, r.POIs)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"lbsq/internal/broadcast"
+	"lbsq/internal/core"
 	"lbsq/internal/geom"
 	"lbsq/internal/p2p"
 )
@@ -15,18 +16,20 @@ import (
 // Screen became a scratch-based kernel, kept verbatim — per-screen maps,
 // a quarantine set re-indexed on every screen and on every eviction, the
 // |a|·|b| restrictAgree, geom.AppendSubtractRect with a one-element cover
-// list into fresh slices, pieceOwns per (piece, POI), in-place cross-pool
-// dedup on copied POI slices. A hole cuts the pieces whose interior it
-// overlaps, as the production cut kernel does; the retired rule, under
-// which a hole that only touches a piece split it too, is cut beside it
-// and must leave every claim the same point set (touchCuts,
-// touchMismatch). TestScreenMatchesReference drives it and
-// the production engine from one seed and requires every observable to
-// be equal after every screen. What it subtracts moved with the rule: the
-// quarantine's outline, derived from the ledger by brute force on every
-// screen (bruteOutline). With everyRect set it subtracts as it did before
-// the outline — every live rectangle, in insertion order — which is what
-// TestOutlineSubtractsTheSameSet holds the outline to, as a point set.
+// list into fresh slices, in-place cross-pool dedup on copied POI slices —
+// but for its output: one row per surviving claim, the claim's region with
+// the POIs its pieces contain, as Screen returns since it stopped
+// returning the pieces. A hole cuts the pieces whose interior it overlaps,
+// as the production cut kernel does; the retired rule, under which a hole
+// that only touches a piece split it too, is cut beside it and must leave
+// every claim the same point set (touchCuts, touchMismatch).
+// TestScreenMatchesReference drives it and the production engine from one
+// seed and requires every observable to be equal after every screen. What
+// it subtracts moved with the rule: the quarantine's outline, derived from
+// the ledger by brute force on every screen (bruteOutline). With everyRect
+// set it subtracts as it did before the outline — every live rectangle, in
+// insertion order — which is what TestOutlineSubtractsTheSameSet holds the
+// outline to, as a point set.
 type refEngine struct {
 	cfg      Config
 	rng      *rand.Rand
@@ -42,6 +45,9 @@ type refEngine struct {
 
 	// scratch reused across screens
 	pieces []geom.Rect
+	// rowPieces[i] are the non-empty pieces row i of the last screen kept
+	// its POIs by (TestOutlineSubtractsTheSameSet compares them).
+	rowPieces [][]geom.Rect
 
 	// touchCuts counts the claims the retired rule cut into other pieces;
 	// touchMismatch describes the first whose point set differed.
@@ -221,10 +227,10 @@ func restrictAgreeRef(overlap geom.Rect, a, b []broadcast.POI) bool {
 // Screen runs one query's trust pass over the collected contributions:
 // drops quarantined peers, cross-validates overlapping VRs, spot-audits
 // a seeded sample against the oracle within the slot budget, subtracts
-// quarantined rectangles, and marks every surviving piece with its taint
+// quarantined rectangles, and marks every surviving claim with its taint
 // verdict. budget is the query's remaining deadline budget in slots
 // (negative means unlimited); audits that do not fit are skipped.
-func (e *refEngine) screenReference(contribs []Contribution, oracle Oracle, budget int64) ([]Result, Report) {
+func (e *refEngine) screenReference(contribs []Contribution, oracle Oracle, budget int64) ([]core.PeerData, Report) {
 	e.seq++
 	var rep Report
 
@@ -347,7 +353,8 @@ func (e *refEngine) screenReference(contribs []Contribution, oracle Oracle, budg
 
 	// Assemble: convicted peers drop out entirely; everything else is
 	// reduced by the quarantine set and marked with its taint verdict.
-	out := make([]Result, 0, len(kept))
+	out := make([]core.PeerData, 0, len(kept))
+	e.rowPieces = e.rowPieces[:0]
 	taintedPeers := make(map[int]bool)
 	holes := e.holes()
 	for _, c := range kept {
@@ -392,24 +399,29 @@ func (e *refEngine) screenReference(contribs []Contribution, oracle Oracle, budg
 				}
 			}
 		}
+		var live []geom.Rect
 		for _, piece := range e.pieces {
-			if piece.Empty() {
-				continue
+			if !piece.Empty() {
+				live = append(live, piece)
 			}
-			r := Result{Peer: c.Peer, VR: piece, Tainted: tainted}
-			for _, p := range c.POIs {
-				if pieceOwns(e.pieces, piece, p.Pos) {
-					r.POIs = append(r.POIs, p)
-				}
-			}
-			out = append(out, r)
 		}
+		if len(live) == 0 {
+			continue // the quarantine swallowed the whole region
+		}
+		r := core.PeerData{VR: c.VR, Tainted: tainted}
+		for _, p := range c.POIs {
+			if slices.ContainsFunc(live, func(piece geom.Rect) bool { return piece.Contains(p.Pos) }) {
+				r.POIs = append(r.POIs, p)
+			}
+		}
+		out = append(out, r)
+		e.rowPieces = append(e.rowPieces, live)
 	}
 
 	// Cross-pool POI dedup: core's candidate dedup assumes one POI ID
-	// appears in only one trust pool, so drop from tainted pieces any
-	// POI an untainted piece already vouches for (the untrusted copy
-	// adds nothing).
+	// appears in only one trust pool, so drop from tainted rows any POI
+	// an untainted row already vouches for (the untrusted copy adds
+	// nothing).
 	trusted := make(map[int64]bool)
 	for _, r := range out {
 		if !r.Tainted {
@@ -433,9 +445,6 @@ func (e *refEngine) screenReference(contribs []Contribution, oracle Oracle, budg
 	return out, rep
 }
 
-// pieceOwns reports whether piece is the first piece in pieces (closed)
-// containing pos — the tiebreak that keeps a boundary POI from being
-// duplicated across adjacent subtraction pieces.
 // overlapsInterior reports whether a and b share interior points.
 func overlapsInterior(a, b geom.Rect) bool {
 	return a.Min.X < b.Max.X && b.Min.X < a.Max.X && a.Min.Y < b.Max.Y && b.Min.Y < a.Max.Y
@@ -467,18 +476,6 @@ func samePointSet(a, b []geom.Rect) bool {
 		}
 	}
 	return true
-}
-
-func pieceOwns(pieces []geom.Rect, piece geom.Rect, pos geom.Point) bool {
-	for _, p := range pieces {
-		if p.Empty() {
-			continue
-		}
-		if p.Contains(pos) {
-			return p == piece
-		}
-	}
-	return false
 }
 
 // pairOracle is the test oracle for detectConflicts: the pair loop it

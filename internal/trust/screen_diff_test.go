@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lbsq/internal/broadcast"
+	"lbsq/internal/core"
 	"lbsq/internal/faults"
 	"lbsq/internal/geom"
 	"lbsq/internal/p2p"
@@ -192,32 +193,35 @@ func sameBits(a, b geom.Rect) bool {
 	return f(a.Min.X) == f(b.Min.X) && f(a.Min.Y) == f(b.Min.Y) && f(a.Max.X) == f(b.Max.X) && f(a.Max.Y) == f(b.Max.Y)
 }
 
-// sameResults requires equal order, peers, region bits, POI order and
-// taint (a nil and an empty POI list are the same list).
-func sameResults(t *testing.T, got, want []Result) {
+// sameRows requires equal order, region bits, POI order and taint (a nil
+// and an empty POI list are the same list).
+func sameRows(t *testing.T, got, want []core.PeerData) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%d results, reference %d\n got  %+v\n want %+v", len(got), len(want), got, want)
+		t.Fatalf("%d rows, reference %d\n got  %+v\n want %+v", len(got), len(want), got, want)
 	}
 	for i := range got {
 		g, w := got[i], want[i]
-		if g.Peer != w.Peer || g.Tainted != w.Tainted || !sameBits(g.VR, w.VR) || !samePOIs(g.POIs, w.POIs) {
-			t.Fatalf("result %d = %+v, reference %+v", i, g, w)
+		if g.Tainted != w.Tainted || !sameBits(g.VR, w.VR) || !samePOIs(g.POIs, w.POIs) {
+			t.Fatalf("row %d = %+v, reference %+v", i, g, w)
 		}
 	}
 }
 
 // diffPair is the production engine and the reference, built from one
 // seed, each behind a breaker set of its own. With sets set the reference
-// subtracts every live rectangle in insertion order and the results are
-// compared as point sets (sameRegions), everything else as ever.
+// subtracts every live rectangle in insertion order, and each row's pieces
+// are compared with the outline's as point sets (sameTilings); the rows
+// themselves, and everything else, must be equal as ever.
 type diffPair struct {
 	e      *Engine
 	ref    *refEngine
 	eb, rb *p2p.BreakerSet
 	pairs  pairOracle
 	sets   bool
-	want   []Result // the reference's results of the last screen
+	// tiledDifferently says whether, in the last screen of a sets pair,
+	// the outline tiled some row differently from the whole ledger.
+	tiledDifferently bool
 }
 
 func newDiffPair(seed int64, cfg Config) *diffPair {
@@ -232,18 +236,21 @@ func newDiffPair(seed int64, cfg Config) *diffPair {
 // -1..peers-1, the quarantine ledger and its index — and the conflict list
 // of the coverage check against the pair loop's, and the incremental
 // outline against the one derived from the ledger. It returns the production
-// engine's results (valid until its next screen) and report.
-func (d *diffPair) screen(t *testing.T, s int, contribs []Contribution, oracle Oracle, budget int64, peers int) ([]Result, Report) {
+// engine's rows (valid until its next screen) and report.
+func (d *diffPair) screen(t *testing.T, s int, contribs []Contribution, oracle Oracle, budget int64, peers int) ([]core.PeerData, Report) {
 	t.Helper()
 	e, ref := d.e, d.ref
 	pristine := cloneContribs(contribs)
 	want, wantRep := ref.screenReference(cloneContribs(contribs), oracle, budget)
 	got, gotRep := e.Screen(contribs, oracle, budget)
-	d.want = want
+	sameRows(t, got, want)
 	if d.sets {
-		sameRegions(t, got, want)
-	} else {
-		sameResults(t, got, want)
+		d.tiledDifferently = false
+		for i := range got {
+			pieces := outlinePieces(e, got[i])
+			sameTilings(t, pieces, ref.rowPieces[i])
+			d.tiledDifferently = d.tiledDifferently || !slices.EqualFunc(pieces, ref.rowPieces[i], sameBits)
+		}
 	}
 	if !sameContribs(contribs, pristine) {
 		t.Fatalf("screen %d wrote to its input", s)

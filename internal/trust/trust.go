@@ -47,7 +47,7 @@
 // of internal/faults — every byzantine claim is materially false — a
 // byzantine peer can never pass an audit, hence never be vouched, hence
 // never contribute to the trusted MVR or a verified answer. Byzantine
-// contributions survive only as Tainted results, which core demotes to
+// contributions survive only as Tainted rows, which core demotes to
 // the Lemma 3.2 probabilistic path (never Verified, never a search
 // upper bound, never merged into exact channel answers). Lies can
 // therefore degrade answers from verified to probabilistic or
@@ -64,6 +64,7 @@ import (
 	"slices"
 
 	"lbsq/internal/broadcast"
+	"lbsq/internal/core"
 	"lbsq/internal/geom"
 	"lbsq/internal/p2p"
 )
@@ -150,8 +151,8 @@ func (c Config) Normalized() Config {
 // Contribution is one shared verified region entering a query's merge:
 // the claiming peer, the region, and every POI the peer claims is inside
 // it. The POIs slice is borrowed: Screen never writes to it and the
-// engine keeps no reference past the call, but a Result may share it
-// (see Screen).
+// engine keeps no reference past the call, but a row Screen returns may
+// share it (see Screen).
 type Contribution struct {
 	Peer int
 	VR   geom.Rect
@@ -177,16 +178,6 @@ type Contribution struct {
 	// not shrink with the cut, but it is neither cross-validated nor
 	// returned.
 	AuditOnly bool
-}
-
-// Result is one screened piece of a contribution. Quarantine subtraction
-// can split one contribution into several disjoint pieces; each carries
-// the claimed POIs inside it and the taint verdict of its peer.
-type Result struct {
-	Peer    int
-	VR      geom.Rect
-	POIs    []broadcast.POI
-	Tainted bool
 }
 
 // Oracle returns the ground-truth POIs inside r — the content the
@@ -347,13 +338,12 @@ type Engine struct {
 	left    []outRect // outline members that left the ledger
 	orphans []int32   // ledger indices of covered rectangles that lost their cover
 
-	// arena is where a Result's POIs are cut from when they cannot be the
-	// contribution's own: rewound by every Screen unless lent (LendArena).
-	arena *broadcast.POIArena
-	lent  bool
+	// arena is where a row's POIs are copied to when they cannot be the
+	// contribution's own slice: rewound by every Screen.
+	arena broadcast.POIArena
 
 	// Scratch reused across screens (DESIGN.md §11.5). out is what Screen
-	// returns; nothing here is referenced by a Result's POIs.
+	// returns; nothing else here is referenced by a row's POIs.
 	slots     []slot
 	conflicts []conflict
 	cover     coverage       // the screen's distinct claimed POIs and who claims them
@@ -362,9 +352,7 @@ type Engine struct {
 	pairs     []uint64       // conflicting pairs as witnessed, i<<32 | j, unsorted
 	holes     []geom.Rect    // the outline meeting the tainted contributions, in its order
 	cut       geom.Uncovered // assemble: a claim's region less the holes
-	owner     []int32        // per POI of one contribution: owning piece, or -1
-	count     []int32        // per piece: POIs owned
-	out       []Result
+	out       []core.PeerData
 }
 
 // NewEngine creates a trust engine, or returns nil when the config
@@ -383,16 +371,6 @@ func NewEngine(seed int64, cfg Config, breakers *p2p.BreakerSet) *Engine {
 		breakers: breakers,
 		peers:    make(map[int]*peerRec),
 		quarIdx:  make(map[geom.Rect]int),
-		arena:    new(broadcast.POIArena),
-	}
-}
-
-// LendArena makes a the arena results' POIs are cut from and leaves its
-// rewinding to the caller: results may then outlive the next Screen.
-// Safe on nil.
-func (e *Engine) LendArena(a *broadcast.POIArena) {
-	if e != nil {
-		e.arena, e.lent = a, true
 	}
 }
 
@@ -683,7 +661,7 @@ type claim struct {
 	poi      broadcast.POI
 	claimers int32 // distinct slots that list it inside their region
 	last     int32 // the latest of them: a POI listed twice counts once
-	carried  bool  // an untainted result of this screen carries it (judge)
+	carried  bool  // an untainted row of this screen carries it (judge)
 }
 
 // coverage is one screen's claim table: every distinct POI that a slot
@@ -749,8 +727,8 @@ func (c *coverage) add(i int32, p broadcast.POI) {
 // of returns slot i's claims.
 func (c *coverage) of(i int32) []int32 { return c.by[c.off[i]:c.off[i+1]] }
 
-// carries reports whether an untainted result of this screen carries a
-// POI with this ID, at whatever position.
+// carries reports whether an untainted row of this screen carries a POI
+// with this ID, at whatever position.
 func (c *coverage) carries(id int64) bool {
 	mask := len(c.table) - 1
 	for h := c.home(id); ; h = (h + 1) & mask {
@@ -880,22 +858,19 @@ func bit(b bool) int32 {
 
 // Screen runs one query's trust pass over the collected contributions:
 // drops quarantined peers, cross-validates overlapping VRs, spot-audits
-// a seeded sample against the oracle within the slot budget, subtracts
-// quarantined rectangles, and marks every surviving piece with its taint
-// verdict. An audit-only contribution takes part in the audits alone.
-// budget is the query's remaining deadline budget in slots (negative means
-// unlimited); audits that do not fit are skipped.
+// a seeded sample against the oracle within the slot budget, and returns
+// one row per surviving contribution, in contribution order, marked with
+// its taint verdict (assemble). An audit-only contribution takes part in
+// the audits alone. budget is the query's remaining deadline budget in
+// slots (negative means unlimited); audits that do not fit are skipped.
 //
-// Aliasing: the returned slice is engine scratch, valid until the next
-// Screen. A Result's POIs are the contribution's own slice when the piece
-// is the whole region and keeps every POI, and cut from the arena
-// otherwise: valid until the next Screen, or a lent arena's rewind
-// (LendArena). Screen never writes to a contribution.
-func (e *Engine) Screen(contribs []Contribution, oracle Oracle, budget int64) ([]Result, Report) {
+// Aliasing: the returned rows and every POI slice in them are valid until
+// the next Screen. A row's POIs are the contribution's own slice when the
+// row keeps every POI, and a copy in the engine's arena otherwise. Screen
+// never writes to a contribution.
+func (e *Engine) Screen(contribs []Contribution, oracle Oracle, budget int64) ([]core.PeerData, Report) {
 	e.seq++
-	if !e.lent {
-		e.arena.Rewind()
-	}
+	e.arena.Rewind()
 	var rep Report
 	e.decayQuarantine()
 
@@ -1108,7 +1083,7 @@ func (e *Engine) audit(contribs []Contribution, oracle Oracle, budget int64, rep
 // judge runs once reputations have stopped moving, so every slot's
 // verdict is settled: dropped (its peer was convicted this screen),
 // tainted or trusted. It counts the tainted peers and gathers what
-// assembly needs from the whole set: which claims untainted results will
+// assembly needs from the whole set: which claims untainted rows will
 // carry (cross-pool dedup) and the quarantine rectangles that can reach a
 // tainted contribution.
 func (e *Engine) judge(rep *Report) {
@@ -1121,7 +1096,7 @@ func (e *Engine) judge(rep *Report) {
 			continue
 		}
 		if !e.tainted(s) {
-			// An untainted region is never subtracted from, so its result
+			// An untainted region is never subtracted from, so its row
 			// carries exactly the POIs it lists inside the region: its claims.
 			for _, t := range e.cover.of(int32(i)) {
 				e.cover.claims[t].carried = true
@@ -1139,7 +1114,7 @@ func (e *Engine) judge(rep *Report) {
 			rep.Tainted++
 		}
 		switch {
-		case s.vr.Empty(): // yields no piece
+		case s.vr.Empty(): // yields no row
 		case !anyTainted:
 			anyTainted, reach = true, s.vr
 		default:
@@ -1161,10 +1136,15 @@ func (e *Engine) judge(rep *Report) {
 	}
 }
 
-// assemble emits the surviving pieces in contribution order: convicted
-// peers and audit-only claims drop out entirely; everything else is
-// reduced by the quarantine set and marked with its taint verdict.
-func (e *Engine) assemble(contribs []Contribution) []Result {
+// assemble emits one row per surviving contribution, in contribution
+// order: convicted peers and audit-only claims drop out entirely, and so
+// does a tainted claim the quarantine swallows whole. A row's VR is the
+// claim's. Its POIs are the claim's that lie in the region less the
+// quarantine holes, and a tainted row drops every POI an untainted row
+// carries: core's candidate dedup assumes one POI ID appears in only one
+// trust pool, and the untrusted copy adds nothing. A tainted VR never
+// reaches the MVR (core.PeerData.Tainted), so only its POIs need the cut.
+func (e *Engine) assemble(contribs []Contribution) []core.PeerData {
 	out := e.out[:0]
 	for i := range e.slots {
 		s := &e.slots[i]
@@ -1178,60 +1158,46 @@ func (e *Engine) assemble(contribs []Contribution) []Result {
 		// subtracting disputed rectangles from the trusted population
 		// would let an attacker pulverize the honest MVR merely by
 		// disputing it (the coverage-collapse failure mode). A hole that
-		// only touches a piece leaves it whole.
+		// only touches a region leaves it whole.
 		e.cut.Reset(c.VR)
 		if tainted {
 			e.cut.CutAll(e.holes)
 		}
-		pieces := e.cut.Pieces()
-		out = e.appendPieces(out, c, tainted, pieces)
+		if pieces := e.cut.Pieces(); len(pieces) > 0 {
+			out = append(out, core.PeerData{VR: c.VR, POIs: e.rowPOIs(c, tainted, pieces), Tainted: tainted})
+		}
 	}
 	e.out = out
 	return out
 }
 
-// appendPieces appends one Result per piece of c. A POI belongs to the
-// first piece that contains it (closed) — the tiebreak that keeps a
-// boundary POI from being duplicated across adjacent pieces — and a
-// tainted piece drops every POI an untainted result already vouches for:
-// core's candidate dedup assumes one POI ID appears in only one trust
-// pool, and the untrusted copy adds nothing. A piece that keeps all of
-// c.POIs shares the slice; otherwise the pieces of c share one arena run.
-func (e *Engine) appendPieces(out []Result, c *Contribution, tainted bool, pieces []geom.Rect) []Result {
-	if len(pieces) == 0 {
-		return out // the quarantine swallowed the whole region
-	}
-	owner, count := e.owner[:0], e.count[:0]
-	for range pieces {
-		count = append(count, 0)
-	}
-	kept := 0
-	for _, p := range c.POIs {
-		o := int32(-1)
-		if !tainted || !e.cover.carries(p.ID) {
-			for k, piece := range pieces {
-				if piece.Contains(p.Pos) {
-					o = int32(k)
-					count[k]++
-					kept++
-					break
-				}
+// rowPOIs returns the POIs of c that lie in one of the pieces, less those
+// an untainted row carries when the row is tainted: c's own slice when
+// that is all of them, otherwise a copy in the arena (copy-on-write: c's
+// slice is a peer's live cache).
+func (e *Engine) rowPOIs(c *Contribution, tainted bool, pieces []geom.Rect) []broadcast.POI {
+	keeps := func(p broadcast.POI) bool {
+		if tainted && e.cover.carries(p.ID) {
+			return false
+		}
+		for _, piece := range pieces {
+			if piece.Contains(p.Pos) {
+				return true
 			}
 		}
-		owner = append(owner, o)
+		return false
 	}
-	e.owner, e.count = owner, count
-
-	if len(pieces) == 1 && kept == len(c.POIs) {
-		return append(out, Result{Peer: c.Peer, VR: pieces[0], POIs: c.POIs, Tainted: tainted})
-	}
-	pois, lo := e.arena.Partition(c.POIs, owner, count), int32(0)
-	for k, piece := range pieces {
-		r := Result{Peer: c.Peer, VR: piece, Tainted: tainted}
-		if hi := count[k]; hi > lo {
-			r.POIs = pois[lo:hi:hi]
+	for i, p := range c.POIs {
+		if keeps(p) {
+			continue
 		}
-		out, lo = append(out, r), count[k]
+		out := append(e.arena.Alloc(len(c.POIs))[:0], c.POIs[:i]...)
+		for _, p := range c.POIs[i+1:] {
+			if keeps(p) {
+				out = append(out, p)
+			}
+		}
+		return out[:len(out):len(out)]
 	}
-	return out
+	return c.POIs
 }

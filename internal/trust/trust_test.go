@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lbsq/internal/broadcast"
+	"lbsq/internal/core"
 	"lbsq/internal/geom"
 	"lbsq/internal/p2p"
 )
@@ -167,7 +168,9 @@ func TestAuditCatchesOmission(t *testing.T) {
 }
 
 // Overlapping contributions that disagree on the overlap conflict: both
-// peers struck and unvouched, the overlap quarantined out of both.
+// peers struck and unvouched, the overlap quarantined out of both — each
+// row keeps its claim's region, and no row lists a POI strictly inside
+// the overlap.
 func TestCrossValidationConflict(t *testing.T) {
 	e := newTestEngine(t, Config{AuditRate: 0.0001}, nil)
 	a := honest(0, geom.NewRect(0, 0, 6, 6))
@@ -177,19 +180,19 @@ func TestCrossValidationConflict(t *testing.T) {
 		t.Fatalf("conflict not detected: %+v", rep)
 	}
 	overlap := geom.NewRect(4, 4, 6, 6)
+	if len(out) != 2 || out[0].VR != a.VR || out[1].VR != b.VR {
+		t.Fatalf("want one row per claim with the claim's region: %+v", out)
+	}
 	for _, r := range out {
-		if ov, ok := r.VR.Intersect(overlap); ok && !ov.Empty() {
-			t.Fatalf("quarantined overlap still in piece %+v", r)
-		}
 		if !r.Tainted {
-			t.Fatalf("conflicted peer's piece untainted: %+v", r)
+			t.Fatalf("conflicted peer's row untainted: %+v", r)
 		}
 		for _, p := range r.POIs {
 			if !r.VR.Contains(p.Pos) {
-				t.Fatalf("POI %v outside its piece %v", p, r.VR)
+				t.Fatalf("POI %v outside its row's region %v", p, r.VR)
 			}
-			if overlap.Contains(p.Pos) {
-				t.Fatalf("POI %v inside quarantined overlap survived", p)
+			if p.Pos.X > overlap.Min.X && p.Pos.X < overlap.Max.X && p.Pos.Y > overlap.Min.Y && p.Pos.Y < overlap.Max.Y {
+				t.Fatalf("POI %v strictly inside the quarantined overlap survived", p)
 			}
 		}
 	}
@@ -230,10 +233,8 @@ func TestVouchedSurvivesConflict(t *testing.T) {
 		t.Fatalf("one-sided conflict quarantined the overlap: rects=%d area=%v",
 			e.QuarantinedRects(), rep.QuarantinedArea)
 	}
-	for _, res := range out {
-		if res.Peer == 0 && (res.Tainted || res.VR != r) {
-			t.Fatalf("vouched claim did not stand whole: %+v", res)
-		}
+	if len(out) != 2 || out[0].Tainted || out[0].VR != r || len(out[0].POIs) != len(a.POIs) {
+		t.Fatalf("vouched claim did not stand whole: %+v", out)
 	}
 }
 
@@ -292,7 +293,7 @@ func TestQuarantineDecays(t *testing.T) {
 	}
 	out, _ := e.Screen([]Contribution{honest(0, r)}, oracle, 0)
 	if len(out) != 1 || !out[0].Tainted {
-		t.Fatalf("paroled peer should contribute tainted pieces: %+v", out)
+		t.Fatalf("paroled peer should contribute a tainted row: %+v", out)
 	}
 }
 
@@ -329,7 +330,7 @@ func TestAuditCap(t *testing.T) {
 }
 
 // Cross-pool dedup: a POI vouched by an untainted contribution is
-// dropped from tainted pieces (core's dedup precondition).
+// dropped from tainted rows (core's dedup precondition).
 func TestCrossPoolDedup(t *testing.T) {
 	e := newTestEngine(t, Config{AuditRate: 1, maxAuditsPerQuery: 1}, nil)
 	r := geom.NewRect(0, 0, 4, 4)
@@ -390,9 +391,9 @@ func TestByzantineNeverVouched(t *testing.T) {
 // Determinism: identical seeds and call sequences produce identical
 // screening decisions and counters.
 func TestScreenDeterministic(t *testing.T) {
-	run := func() ([]Result, Counters) {
+	run := func() ([]core.PeerData, Counters) {
 		e := NewEngine(99, Config{AuditRate: 0.4}, nil)
-		var last []Result
+		var last []core.PeerData
 		for i := 0; i < 50; i++ {
 			contribs := []Contribution{
 				honest(0, geom.NewRect(0, 0, 6, 6)),
@@ -409,22 +410,20 @@ func TestScreenDeterministic(t *testing.T) {
 		t.Fatalf("counters diverged:\n%+v\n%+v", c1, c2)
 	}
 	if len(r1) != len(r2) {
-		t.Fatalf("result lengths diverged: %d vs %d", len(r1), len(r2))
+		t.Fatalf("row counts diverged: %d vs %d", len(r1), len(r2))
 	}
 	for i := range r1 {
-		if r1[i].Peer != r2[i].Peer || r1[i].VR != r2[i].VR ||
-			r1[i].Tainted != r2[i].Tainted || len(r1[i].POIs) != len(r2[i].POIs) {
-			t.Fatalf("result %d diverged:\n%+v\n%+v", i, r1[i], r2[i])
+		if r1[i].VR != r2[i].VR || r1[i].Tainted != r2[i].Tainted || len(r1[i].POIs) != len(r2[i].POIs) {
+			t.Fatalf("row %d diverged:\n%+v\n%+v", i, r1[i], r2[i])
 		}
 	}
 }
 
-// A boundary POI shared by adjacent subtraction pieces lands in exactly
-// one piece.
+// A POI on the boundary between pieces of a cut claim is kept, once.
 func TestBoundaryPOINotDuplicated(t *testing.T) {
 	e := newTestEngine(t, Config{AuditRate: 0.0001}, nil)
 	// Conflict quarantines the central overlap; peer 2's region is then
-	// split around it, and its POI at the piece boundary must appear once.
+	// cut around it, and its POI on a piece boundary must appear once.
 	a := honest(0, geom.NewRect(3, 3, 5, 5))
 	b := lying(1, geom.NewRect(4, 4, 6, 6), geom.Pt(4.5, 4.5))
 	mid := Contribution{Peer: 2, VR: geom.NewRect(0, 0, 10, 10), POIs: []broadcast.POI{
@@ -437,7 +436,7 @@ func TestBoundaryPOINotDuplicated(t *testing.T) {
 	}
 	seen := 0
 	for _, r := range out {
-		if r.Peer != 2 {
+		if r.VR != mid.VR {
 			continue
 		}
 		for _, p := range r.POIs {
@@ -479,10 +478,8 @@ func TestStaleConflictAmnesty(t *testing.T) {
 		t.Fatal("stale conflict convicted a peer")
 	}
 	// The stale claim must still come through demoted, never exact.
-	for _, r := range out {
-		if r.Peer == 1 && !r.Tainted {
-			t.Fatalf("stale contribution passed untainted: %+v", r)
-		}
+	if len(out) != 2 || !out[1].Tainted {
+		t.Fatalf("stale contribution passed untainted: %+v", out)
 	}
 }
 
@@ -539,7 +536,7 @@ func TestRepairPiecesNeverVouch(t *testing.T) {
 		t.Fatalf("%d repair pieces audited, want none", rep.Audits)
 	}
 	if len(out) != len(pieces) {
-		t.Fatalf("%d results for %d pieces", len(out), len(pieces))
+		t.Fatalf("%d rows for %d pieces", len(out), len(pieces))
 	}
 	for _, r := range out {
 		if !r.Tainted {

@@ -233,7 +233,8 @@ func (c *Client) Share() []PeerData {
 // the client's position using the peers' shared data, falling back to the
 // broadcast channel when verification cannot fulfil it. The client's
 // clock advances by the access latency and its cache absorbs the verified
-// knowledge gained.
+// knowledge gained. Each query runs on a scratch of its own, so the result
+// belongs to the caller.
 func (c *Client) KNN(k int, peers []PeerData) SBNNResult {
 	cfg := SBNNConfig{
 		K:                 k,
@@ -241,7 +242,7 @@ func (c *Client) KNN(k int, peers []PeerData) SBNNResult {
 		AcceptApproximate: c.AcceptApproximate,
 		MinCorrectness:    c.MinCorrectness,
 	}
-	res := core.SBNN(c.pos, c.withOwnCache(peers), cfg, c.server.sched, c.nowSlot)
+	res := core.SBNNScratch(new(core.Scratch), c.pos, c.withOwnCache(peers), cfg, c.server.sched, c.nowSlot)
 	c.absorb(res.KnownRegion, res.Known)
 	c.nowSlot += res.Access.Latency
 	return res
@@ -249,7 +250,7 @@ func (c *Client) KNN(k int, peers []PeerData) SBNNResult {
 
 // Window runs the sharing-based window query (Algorithm 3) for window w.
 func (c *Client) Window(w Rect, peers []PeerData) SBWQResult {
-	res := core.SBWQ(c.pos, w, c.withOwnCache(peers), c.server.sched, c.nowSlot)
+	res := core.SBWQScratch(new(core.Scratch), c.pos, w, c.withOwnCache(peers), core.SBWQConfig{}, c.server.sched, c.nowSlot)
 	c.absorb(w, res.POIs)
 	c.nowSlot += res.Access.Latency
 	return res

@@ -3,6 +3,7 @@ package lbsq_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -126,6 +127,45 @@ func TestClientWindow(t *testing.T) {
 	}
 	if len(res2.POIs) != count {
 		t.Fatalf("second window got %d want %d", len(res2.POIs), count)
+	}
+}
+
+// A Client's query results belong to the caller: a kNN result's heap,
+// merged verified region and POIs, and a window result's region, reduced
+// windows and POIs, stay as they were while the same client runs more
+// queries.
+func TestClientResultsOwned(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	srv := demoServer(t, rng, 200)
+	peer := lbsq.NewClient(srv, lbsq.Pt(10, 10), 100)
+	peer.KNN(8, nil)
+	peer.Window(lbsq.NewRect(9, 11, 13, 13), nil)
+	c := lbsq.NewClient(srv, lbsq.Pt(10.5, 10.5), 100)
+	c.DisableOwnCache = true
+
+	knn := c.KNN(5, peer.Share())
+	win := c.Window(lbsq.NewRect(12, 12, 16, 16), peer.Share())
+	if knn.Heap.Len() == 0 || len(knn.MVR.Rects()) == 0 || len(knn.POIs) == 0 ||
+		len(win.MVR.Rects()) == 0 || len(win.ReducedWindows) == 0 || len(win.POIs) == 0 {
+		t.Fatalf("fixture: kNN heap %d, MVR %d, POIs %d; window MVR %d, reduced %d, POIs %d",
+			knn.Heap.Len(), len(knn.MVR.Rects()), len(knn.POIs),
+			len(win.MVR.Rects()), len(win.ReducedWindows), len(win.POIs))
+	}
+	entries := slices.Clone(knn.Heap.Entries())
+	knnMVR, knnPOIs := slices.Clone(knn.MVR.Rects()), slices.Clone(knn.POIs)
+	winMVR, reduced, winPOIs := slices.Clone(win.MVR.Rects()), slices.Clone(win.ReducedWindows), slices.Clone(win.POIs)
+
+	for i := 0; i < 6; i++ {
+		c.MoveTo(lbsq.Pt(2+3*float64(i), 17-2*float64(i)))
+		c.KNN(1+i, peer.Share())
+		pos := c.Pos()
+		c.Window(lbsq.NewRect(pos.X-1, pos.Y-2, pos.X+2, pos.Y+1), peer.Share())
+	}
+	if !slices.Equal(knn.Heap.Entries(), entries) || !slices.Equal(knn.MVR.Rects(), knnMVR) || !slices.Equal(knn.POIs, knnPOIs) {
+		t.Fatal("a kNN result changed under the client's later queries")
+	}
+	if !slices.Equal(win.MVR.Rects(), winMVR) || !slices.Equal(win.ReducedWindows, reduced) || !slices.Equal(win.POIs, winPOIs) {
+		t.Fatal("a window result changed under the client's later queries")
 	}
 }
 
