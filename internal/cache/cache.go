@@ -148,6 +148,7 @@ func (c *Cache) Clear() {
 // The invariant maintained is: for every stored region R, the cache holds
 // exactly the POIs of the underlying database that lie inside R.Rect. An
 // empty or non-finite rectangle promises nothing and is dropped.
+// The region aliases r.POIs until Own (or a shrink) gives it its own.
 func (c *Cache) Insert(r Region, pos, heading geom.Point, now int64) {
 	if c.capacity == 0 || !r.Rect.Finite() || r.Rect.Empty() {
 		return
@@ -166,6 +167,14 @@ func (c *Cache) Insert(r Region, pos, heading geom.Point, now int64) {
 	c.rebound()
 }
 
+// Own gives every region a POI slice of its own (nil when empty): until
+// then a region aliases the slice it was inserted with.
+func (c *Cache) Own() {
+	for i := range c.regions {
+		c.regions[i].POIs = append([]broadcast.POI(nil), c.regions[i].POIs...)
+	}
+}
+
 // Touch refreshes the LRU stamp of region index i.
 func (c *Cache) Touch(i int, now int64) {
 	if i >= 0 && i < len(c.regions) {
@@ -179,7 +188,7 @@ func (c *Cache) evictUntilFit(pos, heading geom.Point) {
 	for c.size > c.capacity && len(c.regions) > 1 {
 		victim := c.pickVictim(pos, heading, len(c.regions)-1)
 		c.size -= cost(c.regions[victim])
-		c.regions = append(c.regions[:victim], c.regions[victim+1:]...)
+		c.regions = slices.Delete(c.regions, victim, victim+1)
 	}
 	// Degenerate: a single region larger than capacity (can only happen
 	// if capacity shrank conceptually; Insert pre-shrinks new regions).

@@ -10,14 +10,12 @@ import (
 	"slices"
 	"sort"
 
+	"lbsq/internal/broadcast"
 	"lbsq/internal/geom"
 )
 
-// Item is a point object stored in the tree.
-type Item struct {
-	ID  int64
-	Pos geom.Point
-}
+// Item is a point object stored in the tree: a POI, so answers need no copy.
+type Item = broadcast.POI
 
 // DefaultMaxEntries is the node fan-out used when callers pass a value
 // below two.
@@ -118,10 +116,8 @@ func (n *node) appendWindow(dst []Item, r geom.Rect) []Item {
 // KNN returns the k nearest items to q in ascending distance order.
 func (t *Tree) KNN(q geom.Point, k int) []Item { return t.AppendKNN(nil, q, k, &KNNScratch{}) }
 
-// KNNScratch is the reusable state of AppendKNN. Items is staging space
-// for the caller's own lookups; the search never touches it.
+// KNNScratch is the reusable state of AppendKNN.
 type KNNScratch struct {
-	Items    []Item
 	frontier []ranked[*node] // min-heap on dist
 	best     []ranked[Item]  // ascending, at most k long
 }

@@ -36,6 +36,23 @@ func BenchmarkWorldBuildWithPrefill(b *testing.B) {
 	}
 }
 
+// BenchmarkWindowWorldBuildWithPrefill measures the build of a dense
+// window world, the shape of the window_dense benchmark workload: 45,717
+// hosts whose prefilled regions mostly evict one another.
+func BenchmarkWindowWorldBuildWithPrefill(b *testing.B) {
+	p := LACity().Scaled(14).WithDuration(1)
+	p.Kind = WindowQuery
+	p.PrefillQueriesPerHost = 10
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Seed = int64(i + 1)
+		if _, err := NewWorld(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkWindowWorldStep measures a window-query workload step.
 func BenchmarkWindowWorldStep(b *testing.B) {
 	p := LACity().Scaled(3).WithDuration(1)

@@ -200,11 +200,7 @@ func (w *World) applyUpdates() {
 	// Rebuild the ground truth and the broadcast schedule at the new
 	// epoch. The loss seed mixes the epoch in so each rebuilt channel has
 	// an independent (but reproducible) error stream.
-	rt := make([]rtree.Item, len(ts.db))
-	for i, poi := range ts.db {
-		rt[i] = rtree.Item{ID: poi.ID, Pos: poi.Pos}
-	}
-	ts.truth = rtree.Bulk(rt, 16)
+	ts.truth = rtree.Bulk(ts.db, 16)
 	bcfg := ts.bcfg
 	if bcfg.LossRate > 0 {
 		bcfg.LossSeed ^= c.epoch << 24

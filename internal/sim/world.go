@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"lbsq/internal/broadcast"
 	"lbsq/internal/cache"
@@ -74,6 +73,7 @@ type World struct {
 	// serving a peer reads its bounds in one load.
 	mob    []mobility.State
 	caches []cache.Cache
+	stage  []broadcast.POI // one host's prefill regions (prefill)
 
 	// breakers is nil unless BreakerThreshold is set.
 	breakers *p2p.BreakerSet
@@ -204,8 +204,8 @@ type queryScratch struct {
 	contribs  []trust.Contribution // trust-screen staging
 	core      core.Scratch         // NNV/SBNN/SBWQ hot-path scratch
 	repair    cache.RepairScratch  // IR repair transients (admitShared, syncIR)
-	rt        rtree.KNNScratch     // ground-truth lookups: staging and kNN frontier
-	truth     []broadcast.POI      // the audit oracle's answer
+	rt        rtree.KNNScratch     // ground-truth kNN frontier
+	truth     []broadcast.POI      // ground-truth answers: audit oracle, kNN
 	// arena holds the POI lists of IR repair pieces in the collection,
 	// alive until their query commits: prepare rewinds it.
 	arena broadcast.POIArena
@@ -256,10 +256,6 @@ func NewWorld(p Params) (*World, error) {
 
 	prof := p.Faults.Normalized()
 	db := generatePOIs(rng, p)
-	items := make([]rtree.Item, len(db))
-	for i, poi := range db {
-		items[i] = rtree.Item{ID: poi.ID, Pos: poi.Pos}
-	}
 	bcfg := p.Broadcast
 	bcfg.Area = area
 	if prof.BroadcastLoss > 0 {
@@ -304,7 +300,7 @@ func NewWorld(p Params) (*World, error) {
 		chanArmed:   prof.BurstEnabled() || prof.BlackoutEnabled(),
 		data: typeState{
 			db:     db,
-			truth:  rtree.Bulk(items, 16),
+			truth:  rtree.Bulk(db, 16),
 			sched:  sched,
 			lambda: p.POIDensity(),
 			bcfg:   bcfg,
@@ -395,6 +391,8 @@ func generatePOIs(rng *rand.Rand, p Params) []broadcast.POI {
 // is populated directly from the ground-truth database, so the cache
 // soundness invariant (a region's POI list is exactly the database
 // restricted to the region) holds by construction.
+// Most regions are evicted by the host's later ones, so each is staged in
+// w.stage, reused across hosts, and Own copies out only the survivors.
 func (w *World) prefill() {
 	radius := w.Params.PrefillRadiusMiles
 	if radius <= 0 {
@@ -406,6 +404,7 @@ func (w *World) prefill() {
 	}
 	for i := range w.mob {
 		m := &w.mob[i]
+		w.stage = w.stage[:0]
 		w.rng.Int63() // the kept type draw (typeState)
 		n := mobility.Poisson(w.rng, w.Params.PrefillQueriesPerHost)
 		for j := 0; j < n; j++ {
@@ -426,8 +425,8 @@ func (w *World) prefill() {
 				}
 				region = win
 			} else {
-				nn := w.data.truth.AppendKNN(w.qs.rt.Items[:0], center, w.drawK(w.rng), &w.qs.rt)
-				w.qs.rt.Items = nn
+				nn := w.data.truth.AppendKNN(w.qs.truth[:0], center, w.drawK(w.rng), &w.qs.rt)
+				w.qs.truth = nn
 				if len(nn) == 0 {
 					continue
 				}
@@ -436,20 +435,18 @@ func (w *World) prefill() {
 				rk := nn[len(nn)-1].Pos.Dist(center)
 				region = geom.RectAround(center, math.Max(rk, 1e-9))
 			}
-			w.caches[i].Insert(cache.Region{Rect: region, POIs: w.poisInRect(nil, region)},
-				m.Pos, m.Heading(), 0)
+			start := len(w.stage)
+			w.stage = w.poisInRect(w.stage, region)
+			pois := w.stage[start:len(w.stage):len(w.stage)]
+			w.caches[i].Insert(cache.Region{Rect: region, POIs: pois}, m.Pos, m.Heading(), 0)
 		}
+		w.caches[i].Own()
 	}
 }
 
 // poisInRect appends the database POIs inside r (ground truth) to dst.
 func (w *World) poisInRect(dst []broadcast.POI, r geom.Rect) []broadcast.POI {
-	w.qs.rt.Items = w.data.truth.AppendWindow(w.qs.rt.Items[:0], r)
-	dst = slices.Grow(dst, len(w.qs.rt.Items))
-	for _, it := range w.qs.rt.Items {
-		dst = append(dst, broadcast.POI(it))
-	}
-	return dst
+	return w.data.truth.AppendWindow(dst, r)
 }
 
 // Schedule exposes the broadcast schedule (for experiments and tools).
@@ -990,8 +987,8 @@ func (w *World) checkKNN(q geom.Point, k int, got []broadcast.POI) {
 	if w.selfCheckErr != nil {
 		return
 	}
-	want := w.data.truth.AppendKNN(w.qs.rt.Items[:0], q, k, &w.qs.rt)
-	w.qs.rt.Items = want
+	want := w.data.truth.AppendKNN(w.qs.truth[:0], q, k, &w.qs.rt)
+	w.qs.truth = want
 	if len(got) != len(want) {
 		w.selfCheckErr = fmt.Errorf("kNN self-check: got %d results want %d", len(got), len(want))
 		return
@@ -1023,7 +1020,7 @@ func (w *World) checkWindow(win geom.Rect, got []broadcast.POI) {
 		have[p] = true
 	}
 	for _, p := range want {
-		if !have[broadcast.POI{ID: p.ID, Pos: p.Pos}] {
+		if !have[p] {
 			w.selfCheckErr = fmt.Errorf("window self-check: POI %d at %v missing (w=%v)", p.ID, p.Pos, win)
 			return
 		}
