@@ -12,7 +12,7 @@ import (
 )
 
 // TestReconcileRegionUntouchedZeroAllocs pins the admission fast path: a
-// client runs ReconcileRegion once per region a peer serves, and nearly
+// client judges every region a peer serves (InvalSet.Verdict), and nearly
 // all of them lie clear of every mutation in the report — deletes of POIs
 // they never held, cells that miss them. Recognising that must not cost an
 // allocation.
@@ -26,15 +26,14 @@ func TestReconcileRegionUntouchedZeroAllocs(t *testing.T) {
 			Invalidation{Epoch: 3, Kind: InvalMove, ID: 200 + i, Cell: geom.NewRect(10, 10, 11, 11)},
 			Invalidation{Epoch: 2, Kind: InvalDelete, ID: 1}) // already reflected
 	}
-	invals := NewInvalSet(items)
-	s := newRepairScratch()
+	invals := NewInvalSet(3, 1, items)
 	allocs := testing.AllocsPerRun(100, func() {
-		if pieces, touched := ReconcileRegion(s, &r, invals, 3); touched || pieces != nil {
-			t.Fatal("untouched region reported as touched")
+		if v := invals.Verdict(&r, false); v != Current {
+			t.Fatalf("untouched region judged %v", v)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("untouched ReconcileRegion allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("judging an untouched region allocates %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -45,7 +44,7 @@ func TestReconcileRegionUntouchedZeroAllocs(t *testing.T) {
 func TestReconcileRegionTouchedZeroAllocs(t *testing.T) {
 	r := mkRegion(geom.NewRect(0, 0, 8, 8), 1, 2, 3, 4, 5, 6, 7)
 	r.Epoch = 2
-	invals := NewInvalSet([]Invalidation{
+	invals := NewInvalSet(4, 1, []Invalidation{
 		{Epoch: 3, Kind: InvalDelete, ID: 2},
 		{Epoch: 3, Kind: InvalInsert, ID: 90, Cell: geom.NewRect(3, 3, 4, 4)},
 		{Epoch: 4, Kind: InvalMove, ID: 5, Cell: geom.NewRect(6, 1, 7, 2)},
@@ -54,8 +53,8 @@ func TestReconcileRegionTouchedZeroAllocs(t *testing.T) {
 	s := newRepairScratch()
 	repair := func() {
 		s.POIs.Rewind()
-		if pieces, touched := ReconcileRegion(s, &r, invals, 4); !touched || len(pieces) < 4 {
-			t.Fatalf("fixture not cut: touched=%v pieces=%d", touched, len(pieces))
+		if pieces := ReconcileRegion(s, &r, &invals); len(pieces) < 4 {
+			t.Fatalf("fixture not cut: %d pieces", len(pieces))
 		}
 	}
 	repair() // warm the scratch and the arena

@@ -30,15 +30,15 @@ func TestReconcileRegionUntouchedBumpsEpoch(t *testing.T) {
 		{Epoch: 3, Kind: InvalDelete, ID: 1},
 		{Epoch: 5, Kind: InvalInsert, ID: 99, Cell: geom.NewRect(10, 10, 11, 11)}, // disjoint
 	}
-	pieces, touched := ReconcileRegion(newRepairScratch(), &r, NewInvalSet(invals), 5)
-	if touched || pieces != nil {
-		t.Fatalf("disjoint/old mutations must return (nil, false), got (%v, %v)", pieces, touched)
+	set := NewInvalSet(5, 3, invals)
+	if v := set.Verdict(&r, false); v != Current {
+		t.Fatalf("disjoint/old mutations must leave the region current, got %v", v)
 	}
-	// The caller keeps the region, at the new epoch.
+	// The cache keeps the region, at the new epoch.
 	c := New(100, LRU)
 	c.Insert(r, geom.Pt(0, 0), geom.Point{}, 7)
 	c.Regions()[0].Stamp = 9
-	if rec := c.Reconcile(newRepairScratch(), 5, 3, NewInvalSet(invals), false); rec != (Recon{}) {
+	if rec := c.Reconcile(newRepairScratch(), &set, false); rec != (Recon{}) {
 		t.Fatalf("untouched region counted as work: %+v", rec)
 	}
 	got := c.Regions()
@@ -53,10 +53,11 @@ func TestReconcileRegionUntouchedBumpsEpoch(t *testing.T) {
 func TestReconcileRegionDeleteStripsPOI(t *testing.T) {
 	r := mkRegion(geom.NewRect(0, 0, 4, 4), 1, 2, 3)
 	invals := []Invalidation{{Epoch: 1, Kind: InvalDelete, ID: 2}}
-	pieces, touched := ReconcileRegion(newRepairScratch(), &r, NewInvalSet(invals), 1)
-	if !touched {
-		t.Fatal("delete of a contained POI not reported as touching")
+	set := NewInvalSet(1, 1, invals)
+	if v := set.Verdict(&r, false); v != Repair {
+		t.Fatalf("delete of a contained POI judged %v, want Repair", v)
 	}
+	pieces := ReconcileRegion(newRepairScratch(), &r, &set)
 	got := poisOf(pieces)
 	if got[2] || !got[1] || !got[3] {
 		t.Fatalf("delete reconciliation wrong survivors: %v", got)
@@ -71,9 +72,13 @@ func TestReconcileRegionInsertSubtractsCell(t *testing.T) {
 	r := mkRegion(geom.NewRect(0, 0, 8, 8), 1, 2, 3)
 	cell := geom.NewRect(3, 3, 5, 5)
 	invals := []Invalidation{{Epoch: 2, Kind: InvalInsert, ID: 50, Cell: cell}}
-	pieces, touched := ReconcileRegion(newRepairScratch(), &r, NewInvalSet(invals), 2)
-	if !touched || len(pieces) == 0 {
-		t.Fatalf("insert inside region not repaired: touched=%v pieces=%d", touched, len(pieces))
+	set := NewInvalSet(2, 1, invals)
+	if v := set.Verdict(&r, false); v != Repair {
+		t.Fatalf("insert inside region judged %v, want Repair", v)
+	}
+	pieces := ReconcileRegion(newRepairScratch(), &r, &set)
+	if len(pieces) == 0 {
+		t.Fatal("insert inside region not repaired")
 	}
 	for _, p := range pieces {
 		if in, ok := p.Rect.Intersect(cell); ok && in.Width() > 1e-12 && in.Height() > 1e-12 {
@@ -100,9 +105,9 @@ func TestReconcileRegionShrinkToEmpty(t *testing.T) {
 	r := mkRegion(geom.NewRect(2, 2, 3, 3), 1)
 	// The invalidated cell swallows the whole region.
 	invals := []Invalidation{{Epoch: 1, Kind: InvalMove, ID: 77, Cell: geom.NewRect(0, 0, 10, 10)}}
-	pieces, touched := ReconcileRegion(newRepairScratch(), &r, NewInvalSet(invals), 1)
-	if !touched || pieces != nil {
-		t.Fatalf("shrink-to-empty must return (nil, true), got (%v, %v)", pieces, touched)
+	set := NewInvalSet(1, 1, invals)
+	if pieces := ReconcileRegion(newRepairScratch(), &r, &set); pieces != nil {
+		t.Fatalf("shrink-to-empty must return nil, got %v", pieces)
 	}
 }
 
@@ -117,8 +122,8 @@ func TestReconcileRegionFragmentationCap(t *testing.T) {
 			Epoch: 1, Kind: InvalInsert, ID: int64(100 + i),
 			Cell: geom.NewRect(x, 0, x+0.5, 1)})
 	}
-	pieces, touched := ReconcileRegion(newRepairScratch(), &r, NewInvalSet(invals), 1)
-	if !touched || pieces != nil {
+	set := NewInvalSet(1, 1, invals)
+	if pieces := ReconcileRegion(newRepairScratch(), &r, &set); pieces != nil {
 		t.Fatalf("over-fragmented repair must drop the region, got %d pieces", len(pieces))
 	}
 }
@@ -134,7 +139,8 @@ func TestCacheReconcileFreshAndBeyondHorizon(t *testing.T) {
 
 	// Report: epoch 10, horizon 8 — fresh is current, ancient predates the
 	// report's memory (1 < 8-1) and must survive untouched for demotion.
-	rec := c.Reconcile(newRepairScratch(), 10, 8, InvalSet{}, false)
+	set := NewInvalSet(10, 8, nil)
+	rec := c.Reconcile(newRepairScratch(), &set, false)
 	if rec.Repaired != 0 || rec.Discarded != 0 || rec.BeyondHorizon != 1 {
 		t.Fatalf("unexpected recon: %+v", rec)
 	}
@@ -153,7 +159,8 @@ func TestCacheReconcileWholeDiscard(t *testing.T) {
 	old := mkRegion(geom.NewRect(0, 0, 4, 4), 1, 2)
 	old.Epoch = 4
 	c.Insert(old, geom.Pt(0, 0), geom.Point{}, 0)
-	rec := c.Reconcile(newRepairScratch(), 5, 4, InvalSet{}, true)
+	set := NewInvalSet(5, 4, nil)
+	rec := c.Reconcile(newRepairScratch(), &set, true)
 	if rec.Discarded != 1 || len(c.Regions()) != 0 || c.Size() != 0 {
 		t.Fatalf("whole-discard kept data: %+v regions=%d size=%d",
 			rec, len(c.Regions()), c.Size())
@@ -167,9 +174,10 @@ func TestCacheReconcileEvictedRegionIsNoOp(t *testing.T) {
 	r := mkRegion(geom.NewRect(0, 0, 2, 2), 1)
 	c.Insert(r, geom.Pt(0, 0), geom.Point{}, 0)
 	c.Clear() // the region is gone before the report arrives
-	rec := c.Reconcile(newRepairScratch(), 3, 2, NewInvalSet([]Invalidation{
+	set := NewInvalSet(3, 2, []Invalidation{
 		{Epoch: 3, Kind: InvalInsert, ID: 9, Cell: geom.NewRect(0, 0, 2, 2)},
-	}), false)
+	})
+	rec := c.Reconcile(newRepairScratch(), &set, false)
 	if rec != (Recon{}) || len(c.Regions()) != 0 || c.Size() != 0 {
 		t.Fatalf("reconcile of empty cache did something: %+v", rec)
 	}
@@ -189,9 +197,10 @@ func TestCacheReconcileFanOutKeepsUnvisitedRegions(t *testing.T) {
 	c.Insert(big, geom.Pt(0, 0), geom.Point{}, 0)
 	c.Insert(tail1, geom.Pt(0, 0), geom.Point{}, 0)
 	c.Insert(tail2, geom.Pt(0, 0), geom.Point{}, 0)
-	rec := c.Reconcile(newRepairScratch(), 2, 1, NewInvalSet([]Invalidation{
+	set := NewInvalSet(2, 1, []Invalidation{
 		{Epoch: 2, Kind: InvalInsert, ID: 90, Cell: geom.NewRect(4, 4, 5, 5)},
-	}), false)
+	})
+	rec := c.Reconcile(newRepairScratch(), &set, false)
 	if rec.Repaired != 1 || rec.Pieces < 2 {
 		t.Fatalf("expected a fan-out repair: %+v", rec)
 	}

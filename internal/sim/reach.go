@@ -94,10 +94,5 @@ func (w *World) auditable(pd *core.PeerData, o origin) bool {
 	if w.tr == nil || o.peer == trust.Self || pd.Tainted {
 		return false
 	}
-	if o.epoch >= w.epoch() {
-		return true
-	}
-	c := w.cons
-	return !w.Params.IRDiscard && o.epoch >= c.horizon-1 &&
-		!c.invals.Touches(&cache.Region{Rect: pd.VR, POIs: pd.POIs, Epoch: o.epoch})
+	return w.verdict(&cache.Region{Rect: pd.VR, POIs: pd.POIs, Epoch: o.epoch}) == cache.Current
 }

@@ -85,7 +85,7 @@ func TestAdmitSharedRepairAllocFree(t *testing.T) {
 		t.Fatalf("fixture cached %d regions, want %d", len(c.Regions()), regions)
 	}
 	cons := w.cons
-	cons.epoch, cons.horizon, cons.invals = 1, 1, cache.NewInvalSet(items)
+	cons.epoch, cons.invals = 1, cache.NewInvalSet(1, 1, items)
 
 	var peers []core.PeerData
 	var out replyKind
