@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -133,7 +134,7 @@ func gridStrips(rects []Rect) []Rect {
 		xs = append(xs, r.Min.X, r.Max.X)
 		ys = append(ys, r.Min.Y, r.Max.Y)
 	}
-	xs, ys = dedupSorted(xs), dedupSorted(ys)
+	xs, ys = sortedUnique(xs), sortedUnique(ys)
 	nx, ny := len(xs)-1, len(ys)-1
 	if nx <= 0 || ny <= 0 {
 		return nil
@@ -189,7 +190,7 @@ func bruteCovers(w Rect, rects []Rect) bool {
 				}
 			}
 		}
-		cuts = dedupSorted(cuts)
+		cuts = sortedUnique(cuts)
 		if len(cuts) == 1 {
 			return cuts
 		}
@@ -218,4 +219,10 @@ func cutPieces(frame Rect, rects []Rect) []Rect {
 	u.Reset(frame)
 	u.CutAll(rects)
 	return append([]Rect(nil), u.Pieces()...)
+}
+
+// sortedUnique sorts vs ascending and drops repeats, in place.
+func sortedUnique(vs []float64) []float64 {
+	slices.Sort(vs)
+	return slices.Compact(vs)
 }

@@ -198,7 +198,7 @@ func checkSubtractOne(t *testing.T, w, hole Rect) {
 	got := cutPieces(w, []Rect{hole})
 	cells := func(lo, hi, a, b float64) [][2]float64 {
 		cuts := []float64{lo}
-		for _, v := range dedupSorted([]float64{a, b}) {
+		for _, v := range sortedUnique([]float64{a, b}) {
 			if v > lo && v < hi {
 				cuts = append(cuts, v)
 			}

@@ -45,9 +45,9 @@ func symRects(i int, rs []Rect) []Rect {
 // area of the union and IntersectCircleArea agree within 1e-12 of their
 // scale (another orientation sums other pieces); and the kernel framed by
 // the window from the probe to the next one (a segment or a point when
-// they share coordinates) and AppendSubtractRect cut the image of the
-// window into pairwise disjoint pieces inside it whose measure is the one
-// the window itself leaves — so the covered verdict is the same too.
+// they share coordinates) cuts the image of the window into pairwise
+// disjoint pieces inside it whose measure is the one the window itself
+// leaves — so the covered verdict is the same too.
 func checkSymmetry(t *testing.T, rects []Rect, probes []Point) {
 	t.Helper()
 	base := NewRectUnion(rects...)
@@ -90,26 +90,20 @@ func checkSymmetry(t *testing.T, rects []Rect, probes []Point) {
 					fail("IntersectCircleArea(%v, %v) = %v, want %v", tp, r, got, want)
 				}
 			}
-			w := windows[i]
-			checkCutSymmetry(t, s, w, rects, func(dst []Rect, w Rect, covers []Rect) []Rect {
-				return append(dst, cutPieces(w, covers)...)
-			})
-			checkCutSymmetry(t, s, w, rects, func(dst []Rect, w Rect, covers []Rect) []Rect {
-				return AppendSubtractRect(dst, w, covers)
-			})
+			checkCutSymmetry(t, s, windows[i], rects)
 		}
 	}
 }
 
-// checkCutSymmetry checks one subtraction routine under symmetry s: the
-// pieces of the image window are pairwise disjoint, lie inside it, and
-// have the measure of the pieces of the window itself — area, or length
-// along a segment window, or the count for a point window.
-func checkCutSymmetry(t *testing.T, s int, w Rect, covers []Rect, cut func([]Rect, Rect, []Rect) []Rect) {
+// checkCutSymmetry checks the cut kernel under symmetry s: the pieces of
+// the image window are pairwise disjoint, lie inside it, and have the
+// measure of the pieces of the window itself — area, or length along a
+// segment window, or the count for a point window.
+func checkCutSymmetry(t *testing.T, s int, w Rect, covers []Rect) {
 	t.Helper()
-	want := windowMeasure(w, cut(nil, w, covers))
+	want := windowMeasure(w, cutPieces(w, covers))
 	tw := symRect(s, w)
-	got := cut(nil, tw, symRects(s, covers))
+	got := cutPieces(tw, symRects(s, covers))
 	for i, p := range got {
 		if !tw.ContainsRect(p) {
 			t.Fatalf("symmetry %d: piece %v outside window %v (covers %v)", s, p, tw, covers)

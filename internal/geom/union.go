@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // RectUnion is a (possibly overlapping) collection of axis-aligned
 // rectangles treated as their set union. It models the merged verified
@@ -100,76 +97,4 @@ func (u *RectUnion) IntersectCircleArea(c Point, radius float64) float64 {
 	k.Reset(RectAround(c, radius))
 	k.CutAll(u.rects)
 	return max(0, math.Pi*radius*radius-k.UnverifiedArea(c, radius))
-}
-
-// AppendSubtractRect appends to dst the parts of w not covered by the
-// union of covers, as disjoint rectangles: every row of the grid the
-// cover edges cut w into, less its covered cells, as maximal strips. It
-// is cache.ReconcileRegion's repair cut into a reused buffer. The cut
-// coordinates start on the stack and reach the heap only past 15 covers
-// meeting w.
-func AppendSubtractRect(dst []Rect, w Rect, covers []Rect) []Rect {
-	if w.Empty() {
-		return dst
-	}
-	var xbuf, ybuf [32]float64
-	xs := append(xbuf[:0], w.Min.X, w.Max.X)
-	ys := append(ybuf[:0], w.Min.Y, w.Max.Y)
-	for _, r := range covers {
-		if !r.Intersects(w) {
-			continue
-		}
-		if r.Min.X > w.Min.X && r.Min.X < w.Max.X {
-			xs = append(xs, r.Min.X)
-		}
-		if r.Max.X > w.Min.X && r.Max.X < w.Max.X {
-			xs = append(xs, r.Max.X)
-		}
-		if r.Min.Y > w.Min.Y && r.Min.Y < w.Max.Y {
-			ys = append(ys, r.Min.Y)
-		}
-		if r.Max.Y > w.Min.Y && r.Max.Y < w.Max.Y {
-			ys = append(ys, r.Max.Y)
-		}
-	}
-	xs = dedupSorted(xs)
-	ys = dedupSorted(ys)
-
-	covered := func(p Point) bool {
-		for _, r := range covers {
-			if r.Contains(p) {
-				return true
-			}
-		}
-		return false
-	}
-
-	for j := 0; j+1 < len(ys); j++ {
-		ymid := (ys[j] + ys[j+1]) / 2
-		stripStart := -1
-		for i := 0; i <= len(xs)-1; i++ {
-			uncovered := false
-			if i+1 < len(xs) {
-				xmid := (xs[i] + xs[i+1]) / 2
-				uncovered = !covered(Point{xmid, ymid})
-			}
-			if uncovered && stripStart < 0 {
-				stripStart = i
-			}
-			if !uncovered && stripStart >= 0 {
-				dst = append(dst, Rect{
-					Min: Point{xs[stripStart], ys[j]},
-					Max: Point{xs[i], ys[j+1]},
-				})
-				stripStart = -1
-			}
-		}
-	}
-	return dst
-}
-
-// dedupSorted sorts vs ascending and removes duplicates in place.
-func dedupSorted(vs []float64) []float64 {
-	slices.Sort(vs)
-	return slices.Compact(vs)
 }

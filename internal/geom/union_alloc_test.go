@@ -48,20 +48,3 @@ func TestRectUnionReuseAllocs(t *testing.T) {
 		t.Fatalf("warm union and kernel cycle allocates %.1f times per run, want 0", allocs)
 	}
 }
-
-// TestAppendSubtractRectZeroAllocs pins the repair and reduction kernel:
-// cutting into a warm buffer allocates nothing — no boxed sort, no
-// coordinate lists — while no more than 15 covers meet the window.
-func TestAppendSubtractRectZeroAllocs(t *testing.T) {
-	w := NewRect(0, 0, 10, 10)
-	var covers []Rect
-	for i := 0; i < 15; i++ {
-		x := float64(i) * 0.6
-		covers = append(covers, NewRect(x, x, x+0.5, x+0.5))
-	}
-	covers = append(covers, NewRect(20, 20, 30, 30)) // misses w: costs no cut
-	dst := AppendSubtractRect(nil, w, covers)
-	if allocs := testing.AllocsPerRun(50, func() { dst = AppendSubtractRect(dst[:0], w, covers) }); allocs != 0 {
-		t.Fatalf("warm AppendSubtractRect allocates %.1f times per run, want 0", allocs)
-	}
-}

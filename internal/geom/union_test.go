@@ -401,19 +401,6 @@ func TestSubtractIntervals(t *testing.T) {
 	}
 }
 
-func TestDedupSorted(t *testing.T) {
-	got := dedupSorted([]float64{3, 1, 2, 1, 3, 3})
-	want := []float64{1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("dedupSorted = %v", got)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("dedupSorted = %v", got)
-		}
-	}
-}
-
 // randomUnion builds a union of n random rects over a 100×100 area: long
 // rows, uncovered bands and deep overlap.
 func randomUnion(rng *rand.Rand, n int) *RectUnion {

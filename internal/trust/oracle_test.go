@@ -15,8 +15,8 @@ import (
 // refEngine is the test oracle for Engine: the engine as it stood before
 // Screen became a scratch-based kernel, kept verbatim — per-screen maps,
 // a quarantine set re-indexed on every screen and on every eviction, the
-// |a|·|b| restrictAgree, geom.AppendSubtractRect with a one-element cover
-// list into fresh slices, in-place cross-pool dedup on copied POI slices —
+// |a|·|b| restrictAgree, the retired one-hole strip cut (subtractHole)
+// into fresh slices, in-place cross-pool dedup on copied POI slices —
 // but for its output: one row per surviving claim, the claim's region with
 // the POIs its pieces contain, as Screen returns since it stopped
 // returning the pieces. A hole cuts the pieces whose interior it overlaps,
@@ -382,13 +382,13 @@ func (e *refEngine) screenReference(contribs []Contribution, oracle Oracle, budg
 				next, old := e.pieces[:0:0], []geom.Rect(nil)
 				for _, piece := range e.pieces {
 					if overlapsInterior(piece, h) {
-						next = geom.AppendSubtractRect(next, piece, []geom.Rect{h})
+						next = subtractHole(next, piece, h)
 					} else {
 						next = append(next, piece)
 					}
 				}
 				for _, piece := range touch {
-					old = geom.AppendSubtractRect(old, piece, []geom.Rect{h})
+					old = subtractHole(old, piece, h)
 				}
 				e.pieces, touch = next, old
 			}
@@ -616,4 +616,43 @@ func (o *pairOracle) detectConflicts(slots []slot, contribs []Contribution) []co
 		}
 	}
 	return conflicts
+}
+
+// subtractHole appends to dst the parts of w outside h, as the screen cut
+// them before the cut kernel: the grid h's edges cut w into, row by row,
+// less the cells whose midpoint h contains, as maximal strips. A hole that
+// meets w, edges included, splits it along its edges — the retired touch
+// rule — even where it covers nothing.
+func subtractHole(dst []geom.Rect, w, h geom.Rect) []geom.Rect {
+	if w.Empty() {
+		return dst
+	}
+	if !h.Intersects(w) {
+		return append(dst, w)
+	}
+	cuts := func(lo, hi, a, b float64) []float64 {
+		vs := []float64{lo, hi}
+		for _, v := range [2]float64{a, b} {
+			if v > lo && v < hi {
+				vs = append(vs, v)
+			}
+		}
+		slices.Sort(vs)
+		return slices.Compact(vs)
+	}
+	xs, ys := cuts(w.Min.X, w.Max.X, h.Min.X, h.Max.X), cuts(w.Min.Y, w.Max.Y, h.Min.Y, h.Max.Y)
+	for j := 0; j+1 < len(ys); j++ {
+		start := -1
+		for i := range xs {
+			open := i+1 < len(xs) && !h.Contains(geom.Pt((xs[i]+xs[i+1])/2, (ys[j]+ys[j+1])/2))
+			if open && start < 0 {
+				start = i
+			}
+			if !open && start >= 0 {
+				dst = append(dst, geom.Rect{Min: geom.Pt(xs[start], ys[j]), Max: geom.Pt(xs[i], ys[j+1])})
+				start = -1
+			}
+		}
+	}
+	return dst
 }

@@ -81,8 +81,9 @@ func sameTilings(t *testing.T, got, want []geom.Rect) {
 					t.Fatalf("pieces %v and %v overlap", other, piece)
 				}
 			}
-			if rest := geom.AppendSubtractRect(nil, piece, side[1]); len(rest) != 0 {
-				t.Fatalf("%v of piece %v is not in the other tiling\n got  %v\n want %v", rest, piece, got, want)
+			var rest geom.Uncovered
+			if rest.Reset(piece); !rest.CutAll(side[1]) {
+				t.Fatalf("%v of piece %v is not in the other tiling\n got  %v\n want %v", rest.Pieces(), piece, got, want)
 			}
 		}
 	}
@@ -207,8 +208,8 @@ var outlineCases = []struct {
 // live rectangle in insertion order — the rule before the outline, kept in
 // refEngine — leave the same point set and keep the same POIs; only the
 // rectangles that tile what is left differ. (Rectangles unbounded both
-// ways on one axis are left out: the reference's geom.AppendSubtractRect
-// probes interval midpoints, and that midpoint is NaN.)
+// ways on one axis are left out: the reference's one-hole cut
+// (subtractHole) probes interval midpoints, and that midpoint is NaN.)
 func TestOutlineSubtractsTheSameSet(t *testing.T) {
 	cfg := Config{AuditRate: 1e-12, quarantineCycles: outlineCycles, convictStrikes: 1 << 30}
 	for _, tc := range outlineCases {
