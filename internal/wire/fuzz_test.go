@@ -62,9 +62,9 @@ func FuzzDecodeRequest(f *testing.F) {
 
 // FuzzInvalidationReport: the IR decoder must never panic; accepted
 // frames must satisfy the version algebra (horizon ≤ epoch, items inside
-// the window, deletes cell-less, insert/move cells valid) and re-encode
-// byte-identically — the reconciler trusts decoded frames blindly, so
-// everything it relies on must be enforced here.
+// the window, deletes cell-less, insert/move cells of positive area) and
+// re-encode byte-identically — the reconciler trusts decoded frames
+// blindly, so everything it relies on must be enforced here.
 func FuzzInvalidationReport(f *testing.F) {
 	fuzzSeeds(f, func() []byte {
 		r := InvalidationReport{
@@ -103,8 +103,8 @@ func FuzzInvalidationReport(f *testing.F) {
 					t.Fatalf("item %d: delete with cell accepted", i)
 				}
 			case IRInsert, IRMove:
-				if !it.Cell.Valid() || it.Cell.Min == it.Cell.Max {
-					t.Fatalf("item %d: bad cell accepted", i)
+				if !it.Cell.Valid() || it.Cell.Empty() {
+					t.Fatalf("item %d: cell %v without area accepted", i, it.Cell)
 				}
 			default:
 				t.Fatalf("item %d: unknown kind %d accepted", i, it.Kind)

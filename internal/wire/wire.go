@@ -343,7 +343,7 @@ func EncodeInvalidationReport(r InvalidationReport) ([]byte, error) {
 // DecodeInvalidationReport parses an IR frame. Beyond CRC integrity it
 // enforces the version algebra a reconciler relies on: Horizon never
 // ahead of Epoch, every item inside the [Horizon, Epoch] window, deletes
-// cell-less, inserts and moves carrying a real cell.
+// cell-less, inserts and moves carrying a cell of positive area.
 func DecodeInvalidationReport(b []byte) (InvalidationReport, error) {
 	var out InvalidationReport
 	rest, epoch, err := parseHeader(b, kindInvalidation)
@@ -399,8 +399,10 @@ func validIRShape(r InvalidationReport) error {
 			if err := validRect(it.Cell); err != nil {
 				return fmt.Errorf("wire: IR item %d: %w", i, err)
 			}
-			if it.Cell.Min == it.Cell.Max {
-				return fmt.Errorf("wire: IR item %d degenerate cell", i)
+			if it.Cell.Empty() {
+				// A cell of zero area cuts nothing out of a cached region,
+				// so the POI it announces could sit in a surviving piece.
+				return fmt.Errorf("wire: IR item %d cell %v has no area", i, it.Cell)
 			}
 		default:
 			return fmt.Errorf("wire: IR item %d unknown kind %d", i, it.Kind)

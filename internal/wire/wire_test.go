@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -157,6 +159,39 @@ func TestDecodeRejectsNonFinite(t *testing.T) {
 	b = EncodeRequest(req)
 	if _, err := DecodeRequest(b); err == nil {
 		t.Fatal("inverted rect accepted")
+	}
+}
+
+// segmentCellFrame is a checksummed IR frame whose one insert announces a
+// cell of zero width, which the encoder refuses to write.
+func segmentCellFrame(t *testing.T) []byte {
+	t.Helper()
+	b, err := EncodeInvalidationReport(InvalidationReport{Epoch: 5, Horizon: 3,
+		Items: []IRItem{{Epoch: 4, Kind: IRInsert, ID: 41, Cell: geom.NewRect(2, 2, 3, 3)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Header, horizon and item count, then the item's epoch, kind, id and
+	// cell minimum: what follows is the cell's Max.X.
+	maxX := headerSize + 10 + 17 + 16
+	binary.LittleEndian.PutUint64(b[maxX:], math.Float64bits(2))
+	return appendTrailer(b[:len(b)-4])
+}
+
+// An insert or move announces the index cell its POI now lies in, and a
+// repair cuts that cell out of a cached region. A cell of zero area cuts
+// nothing, so both ends of the codec refuse one: a segment, a point.
+func TestInvalidationReportRejectsCellWithoutArea(t *testing.T) {
+	for _, cell := range []geom.Rect{geom.NewRect(2, 2, 2, 3), geom.NewRect(2, 2, 3, 2), geom.NewRect(2, 2, 2, 2)} {
+		for _, kind := range []IRKind{IRInsert, IRMove} {
+			r := InvalidationReport{Epoch: 5, Horizon: 3, Items: []IRItem{{Epoch: 4, Kind: kind, ID: 41, Cell: cell}}}
+			if _, err := EncodeInvalidationReport(r); err == nil {
+				t.Errorf("kind %d cell %v encoded", kind, cell)
+			}
+		}
+	}
+	if _, err := DecodeInvalidationReport(segmentCellFrame(t)); err == nil || !strings.Contains(err.Error(), "no area") {
+		t.Fatalf("frame with a segment cell decoded as %v", err)
 	}
 }
 
