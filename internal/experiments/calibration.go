@@ -33,13 +33,7 @@ func OrderingAblation(o Options) []OrderingRow {
 	rng := rand.New(rand.NewSource(o.Seed))
 	base := sim.LACity()
 	area := base.Area()
-	pois := make([]broadcast.POI, base.POINumber)
-	for i := range pois {
-		pois[i] = broadcast.POI{
-			ID:  int64(i),
-			Pos: geom.Pt(rng.Float64()*base.AreaMiles, rng.Float64()*base.AreaMiles),
-		}
-	}
+	pois := sim.GeneratePOIs(rng, base)
 	winSide := base.WindowSideMiles()
 
 	var rows []OrderingRow
@@ -120,6 +114,10 @@ func CorrectnessCalibration(o Options, clustered bool, trials int) []Calibration
 	const areaSide = 20.0
 	const n = 600
 	lambda := float64(n) / (areaSide * areaSide)
+	field := sim.Params{POINumber: n, AreaMiles: areaSide}
+	if clustered {
+		field.POIClusters = 6 // POIs that huddle in commercial centres
+	}
 
 	edges := []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0000001}
 	sums := make([]float64, len(edges)-1)
@@ -128,7 +126,7 @@ func CorrectnessCalibration(o Options, clustered bool, trials int) []Calibration
 	var s core.Scratch
 
 	for trial := 0; trial < trials; trial++ {
-		db := samplePOIField(rng, n, areaSide, clustered)
+		db := sim.GeneratePOIs(rng, field)
 		// One random sound peer region plus a query point near it.
 		cx, cy := rng.Float64()*(areaSide-6), rng.Float64()*(areaSide-6)
 		vr := geom.NewRect(cx, cy, cx+2+rng.Float64()*4, cy+2+rng.Float64()*4)
@@ -181,33 +179,6 @@ func CorrectnessCalibration(o Options, clustered bool, trials int) []Calibration
 		out = append(out, bin)
 	}
 	return out
-}
-
-// samplePOIField draws a POI field: Poisson-uniform, or a clustered
-// Gaussian mixture (modeling POIs that huddle in commercial centers).
-func samplePOIField(rng *rand.Rand, n int, side float64, clustered bool) []broadcast.POI {
-	db := make([]broadcast.POI, n)
-	if !clustered {
-		for i := range db {
-			db[i] = broadcast.POI{ID: int64(i), Pos: geom.Pt(rng.Float64()*side, rng.Float64()*side)}
-		}
-		return db
-	}
-	nCenters := 6
-	centers := make([]geom.Point, nCenters)
-	for i := range centers {
-		centers[i] = geom.Pt(rng.Float64()*side, rng.Float64()*side)
-	}
-	for i := range db {
-		c := centers[rng.Intn(nCenters)]
-		p := geom.Pt(
-			c.X+rng.NormFloat64()*side/20,
-			c.Y+rng.NormFloat64()*side/20,
-		)
-		area := geom.NewRect(0, 0, side, side)
-		db[i] = broadcast.POI{ID: int64(i), Pos: area.Clip(p)}
-	}
-	return db
 }
 
 // HopRow is one cell of the multi-hop sharing extension study.

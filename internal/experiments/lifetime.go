@@ -41,13 +41,7 @@ func ResultLifetime(o Options) []LifetimeRow {
 	var s core.Scratch
 	for _, base := range sim.ParameterSets() {
 		rng := rand.New(rand.NewSource(o.Seed))
-		pois := make([]broadcast.POI, base.POINumber)
-		for i := range pois {
-			pois[i] = broadcast.POI{
-				ID:  int64(i),
-				Pos: geom.Pt(rng.Float64()*base.AreaMiles, rng.Float64()*base.AreaMiles),
-			}
-		}
+		pois := sim.GeneratePOIs(rng, base)
 		sched, err := broadcast.NewSchedule(pois, broadcast.Config{Area: base.Area()})
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %v", err))

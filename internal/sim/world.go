@@ -255,7 +255,7 @@ func NewWorld(p Params) (*World, error) {
 	area := p.Area()
 
 	prof := p.Faults.Normalized()
-	db := generatePOIs(rng, p)
+	db := GeneratePOIs(rng, p)
 	bcfg := p.Broadcast
 	bcfg.Area = area
 	if prof.BroadcastLoss > 0 {
@@ -359,9 +359,10 @@ func NewWorld(p Params) (*World, error) {
 	return w, nil
 }
 
-// generatePOIs draws the POI database: a uniform field (the paper's
-// Poisson assumption), or a Gaussian mixture when POIClusters is set.
-func generatePOIs(rng *rand.Rand, p Params) []broadcast.POI {
+// GeneratePOIs draws the POI database of p.POINumber POIs over the square
+// of side p.AreaMiles: a uniform field (the paper's Poisson assumption), or
+// a Gaussian mixture of p.POIClusters centres when that is set.
+func GeneratePOIs(rng *rand.Rand, p Params) []broadcast.POI {
 	db := make([]broadcast.POI, p.POINumber)
 	area := p.Area()
 	if p.POIClusters <= 0 {
