@@ -50,9 +50,11 @@ type Scratch struct {
 	mvr        geom.RectUnion
 	uncovered  geom.Uncovered // NNV's reach square or SBWQ's window less the untainted regions
 	heap       Heap
-	nearest    []nearCand // NNV: the trusted pool's selection buffer
+	nearest    []nearCand // selectNearest's buffer
 	candidates []broadcast.POI
 	tainted    []broadcast.POI
+	taintMask  []bool // NNV: which peers are tainted, selectNearest's use
+	keep       []bool // SBNN: the merged members Known keeps
 	poiBuf     []broadcast.POI
 	sortKeys   []uint64 // sortCandidates: packed (distance², index) keys
 	onAir      broadcast.Scratch
@@ -84,9 +86,6 @@ type NNVResult struct {
 	// merged, so Merged counts only untainted peers.
 	Merged   int
 	Examined int
-	// TaintedCandidates is the number of distinct candidates contributed
-	// by tainted peers (zero on the seed path).
-	TaintedCandidates int
 }
 
 // NNVScratch is Algorithm 1: merge the peers' verified regions, take
@@ -101,33 +100,32 @@ type NNVResult struct {
 // The work is bounded by what the k heap rows need (DESIGN.md §9.3), not
 // by what the peers sent. The rows are the head of the candidate order —
 // every peer POI sorted by (distance², ID), adjacent copies of one ID
-// dropped — so the trusted pool is scanned in place for its first k
-// distinct candidates and never sorted whole; and every question the rows
-// ask of the MVR lies within reach, the distance of the farthest row, so
-// it is asked of the uncovered pieces of the square just wider than reach
-// (geom.Uncovered). The full MVR still receives every untainted region.
+// dropped — so each pool, trusted and tainted, is scanned in place for
+// its first k distinct candidates and never sorted whole; and every
+// question the rows ask of the MVR lies within reach, the distance of the
+// farthest row, so it is asked of the uncovered pieces of the square just
+// wider than reach (geom.Uncovered). The full MVR still receives every
+// untainted region.
 func NNVScratch(s *Scratch, q geom.Point, peers []PeerData, k int, lambda float64) NNVResult {
 	mvr := &s.mvr
 	mvr.Reset()
 	s.heap.Reset(k)
 	res := NNVResult{Heap: &s.heap, MVR: mvr}
-	taints := s.tainted[:0]
+	mask := s.taintMask[:0]
 	for i := range peers {
-		if p := &peers[i]; p.Tainted {
-			// Untrusted: the VR must not strengthen Lemma 3.1, but the
-			// POIs may still compete as probabilistic candidates. The pool
-			// is sorted whole: TaintedCandidates reports its distinct size.
-			taints = append(taints, p.POIs...)
-		} else {
+		// An untrusted VR must not strengthen Lemma 3.1, but its POIs may
+		// still compete as probabilistic candidates: the tainted pool.
+		p := &peers[i]
+		if !p.Tainted {
 			mvr.Add(p.VR)
 			res.Merged++
 		}
+		mask = append(mask, p.Tainted)
 	}
-	sortCandidates(s, taints, q)
-	taints = dedupSortedCandidates(taints)
-	s.tainted = taints
-	res.TaintedCandidates = len(taints)
-	cands := nearestTrusted(s, q, peers, nil, k)
+	s.taintMask = mask
+	cands := selectNearest(s, s.candidates, q, peers, nil, k)
+	taints := selectNearest(s, s.tainted, q, peers, mask, k)
+	s.candidates, s.tainted = cands, taints
 
 	// Merge-walk the two sorted pools in global (distance², ID) order
 	// until the heap is full. With no tainted peers this reduces exactly
@@ -195,21 +193,23 @@ func (c *nearCand) after(d2 float64, id int64) bool {
 	return d2 < c.d2 || (d2 == c.d2 && id < c.poi.ID)
 }
 
-// nearestTrusted returns the head of the untainted peers' candidate order
-// — what sorting every untainted POI with sortCandidates and dropping
-// adjacent copies with dedupSortedCandidates would put first — long enough
-// to hold k candidates, or all of them when there are fewer. A non-nil use
-// picks the peers instead, one flag per peer, taint ignored. It scans the
-// peers' slices in place, keeping the limit nearest distinct (distance²,
-// ID) keys seen so far in sorted order: almost every POI is dismissed by
-// one comparison with the farthest key kept, and a copy of a kept
-// candidate by a short search. Of equal keys the first scanned stays, as
-// under the stable sort. Dropping adjacent copies of an ID can shorten the
-// kept keys below k (one ID reported at two positions with nothing
-// between them); the scan then repeats with the limit doubled.
-func nearestTrusted(s *Scratch, q geom.Point, peers []PeerData, use []bool, k int) []broadcast.POI {
+// selectNearest returns the head of a pool's candidate order — what
+// sorting the pool with sortCandidates and dropping adjacent copies with
+// dedupSortedCandidates would put first — long enough to hold k
+// candidates, or all of them when there are fewer, appended to dst[:0].
+// The pool is the POIs of the untainted peers or, with a non-nil use, of
+// the peers use marks, one flag per peer, taint ignored; a plain list is
+// one untainted peer. It scans the peers' slices in place, keeping the
+// limit nearest distinct (distance², ID) keys seen so far in sorted order:
+// almost every POI is dismissed by one comparison with the farthest key
+// kept, and a copy of a kept candidate by a short search. Of equal keys
+// the first scanned stays, as under the stable sort. Dropping adjacent
+// copies of an ID can shorten the kept keys below k (one ID reported at
+// two positions with nothing between them); the scan then repeats with the
+// limit doubled.
+func selectNearest(s *Scratch, dst []broadcast.POI, q geom.Point, peers []PeerData, use []bool, k int) []broadcast.POI {
 	if k <= 0 {
-		return nil
+		return dst[:0]
 	}
 	for limit := k; ; limit *= 2 {
 		sel := s.nearest[:0]
@@ -238,20 +238,20 @@ func nearestTrusted(s *Scratch, q geom.Point, peers []PeerData, use []bool, k in
 			}
 		}
 		s.nearest = sel
-		out := s.candidates[:0]
+		out := dst[:0]
 		for i := range sel {
 			out = append(out, sel[i].poi)
 		}
 		out = dedupSortedCandidates(out)
-		s.candidates = out
 		if len(out) >= k || len(sel) < limit {
 			return out
 		}
+		dst = out
 	}
 }
 
 // Reach returns the squared distance from q of the k-th candidate NNV
-// ranks from peers — the last of nearestTrusted's k — and false when the
+// ranks from peers — the last of selectNearest's k — and false when the
 // untainted peers hold fewer than k distinct candidates. Every heap row NNV
 // builds from peers lies no farther (DESIGN.md §9.3, "The reach cut").
 // A non-nil use, one flag per peer, picks the peers whose POIs count
@@ -260,7 +260,8 @@ func Reach(s *Scratch, q geom.Point, peers []PeerData, use []bool, k int) (float
 	if k <= 0 {
 		return 0, true
 	}
-	cands := nearestTrusted(s, q, peers, use, k)
+	cands := selectNearest(s, s.candidates, q, peers, use, k)
+	s.candidates = cands
 	if len(cands) < k {
 		return 0, false
 	}

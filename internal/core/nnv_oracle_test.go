@@ -47,10 +47,9 @@ func refNNV(s *Scratch, mvr *geom.RectUnion, q geom.Point, peers []PeerData, k i
 
 	s.heap.Reset(k)
 	res := NNVResult{
-		Heap:              &s.heap,
-		MVR:               mvr,
-		Merged:            merged,
-		TaintedCandidates: len(taints),
+		Heap:   &s.heap,
+		MVR:    mvr,
+		Merged: merged,
 	}
 	if mvr.Contains(q) {
 		res.EdgeDist = mvr.BoundaryDist(q)
@@ -117,7 +116,7 @@ func checkNNVAgainstReference(t *testing.T, tag string, q geom.Point, peers []Pe
 			fmt.Sprintf(format, args...), peers, want.Heap.Entries(), got.Heap.Entries())
 	}
 	if got.InsideMVR != want.InsideMVR || got.Merged != want.Merged ||
-		got.Examined != want.Examined || got.TaintedCandidates != want.TaintedCandidates {
+		got.Examined != want.Examined || got.Heap.TaintedCount() != want.Heap.TaintedCount() {
 		fail("scalars: want %+v got %+v", want, got)
 	}
 	we, ge := want.Heap.Entries(), got.Heap.Entries()

@@ -44,7 +44,7 @@ func checkReachCut(t *testing.T, tag string, q geom.Point, peers []PeerData, k i
 			continue
 		}
 		d2, ok := Reach(&cs, q, peers, use, k)
-		if n := len(nearestTrusted(&cs, q, peers, use, k)); ok != (n >= k) {
+		if n := len(selectNearest(&cs, nil, q, peers, use, k)); ok != (n >= k) {
 			t.Fatalf("%s (q=%v k=%d): Reach ok=%v with %d distinct candidates", tag, q, k, ok, n)
 		}
 		if !ok {

@@ -77,7 +77,7 @@ func checkNNVSymmetry(t *testing.T, tag string, q geom.Point, peers []PeerData, 
 				fmt.Sprintf(format, args...), peers, we, got.Heap.Entries())
 		}
 		if got.InsideMVR != want.InsideMVR || got.EdgeDist != want.EdgeDist || got.Merged != want.Merged ||
-			got.Examined != want.Examined || got.TaintedCandidates != want.TaintedCandidates {
+			got.Examined != want.Examined || got.Heap.TaintedCount() != want.Heap.TaintedCount() {
 			fail("scalars: want %+v got %+v", want, got)
 		}
 		ge := got.Heap.Entries()

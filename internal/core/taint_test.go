@@ -22,8 +22,8 @@ func TestTaintedPeerNeverVerifies(t *testing.T) {
 	if res.Merged != 0 {
 		t.Fatalf("Merged = %d, want 0", res.Merged)
 	}
-	if res.TaintedCandidates != 1 {
-		t.Fatalf("TaintedCandidates = %d, want 1", res.TaintedCandidates)
+	if res.Heap.TaintedCount() != 1 {
+		t.Fatalf("TaintedCount = %d, want 1", res.Heap.TaintedCount())
 	}
 	es := res.Heap.Entries()
 	if len(es) != 1 || es[0].Verified || !es[0].Tainted {
@@ -88,7 +88,7 @@ func TestNoTaintBitIdentity(t *testing.T) {
 	a := NNVScratch(new(Scratch), q, peers, 2, 0.2)
 	// Manual seed re-implementation: all VRs merged, candidates walked in
 	// ascending order.
-	if a.Merged != 2 || a.TaintedCandidates != 0 || a.Examined != 2 {
+	if a.Merged != 2 || a.Heap.TaintedCount() != 0 || a.Examined != 2 {
 		t.Fatalf("counters changed on the untainted path: %+v", a)
 	}
 	for i, e := range a.Heap.Entries() {
@@ -199,8 +199,8 @@ func TestSBNNTaintedDemotion(t *testing.T) {
 	if len(res.POIs) != 0 {
 		t.Fatalf("tainted POI entered an exact answer set: %+v", res.POIs)
 	}
-	if res.TaintedCandidates != 1 {
-		t.Fatalf("TaintedCandidates = %d", res.TaintedCandidates)
+	if res.Heap.TaintedCount() != 1 {
+		t.Fatalf("TaintedCount = %d", res.Heap.TaintedCount())
 	}
 	// The approximate path is the sanctioned outlet: accepting
 	// probabilistic answers may surface the tainted candidate, clearly

@@ -20,8 +20,8 @@ func CircleRectArea(c Point, radius float64, r Rect) float64 {
 	x1, x2 := r.Min.X-c.X, r.Max.X-c.X
 	y1, y2 := r.Min.Y-c.Y, r.Max.Y-c.Y
 
-	lo := math.Max(x1, -radius)
-	hi := math.Min(x2, radius)
+	lo := max(x1, -radius)
+	hi := min(x2, radius)
 	if lo >= hi {
 		return 0
 	}
@@ -60,8 +60,8 @@ func CircleRectArea(c Point, radius float64, r Rect) float64 {
 	for i := 0; i+1 < len(cuts); i++ {
 		a, b := cuts[i], cuts[i+1]
 		f := chord(radius, (a.x+b.x)/2)
-		upper := math.Min(y2, f)
-		lower := math.Max(y1, -f)
+		upper := min(y2, f)
+		lower := max(y1, -f)
 		if upper <= lower {
 			continue
 		}
@@ -90,7 +90,7 @@ type arcPoint struct{ x, s float64 }
 
 // chord returns √(R²−x²) for |x| ≤ R, and 0 beyond.
 func chord(radius, x float64) float64 {
-	return math.Sqrt(math.Max(0, (radius-x)*(radius+x)))
+	return math.Sqrt(max(0, (radius-x)*(radius+x)))
 }
 
 // arcIntegral returns the antiderivative of sqrt(R^2 - x^2) at the arc

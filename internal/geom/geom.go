@@ -134,8 +134,8 @@ func (r Rect) Intersects(s Rect) bool {
 // non-degenerate (positive area).
 func (r Rect) Intersect(s Rect) (Rect, bool) {
 	out := Rect{
-		Min: Point{math.Max(r.Min.X, s.Min.X), math.Max(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Min(r.Max.X, s.Max.X), math.Min(r.Max.Y, s.Max.Y)},
+		Min: Point{max(r.Min.X, s.Min.X), max(r.Min.Y, s.Min.Y)},
+		Max: Point{min(r.Max.X, s.Max.X), min(r.Max.Y, s.Max.Y)},
 	}
 	if out.Empty() {
 		return Rect{}, false
@@ -146,8 +146,8 @@ func (r Rect) Intersect(s Rect) (Rect, bool) {
 // Union returns the smallest rectangle containing both r and s.
 func (r Rect) Union(s Rect) Rect {
 	return Rect{
-		Min: Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
+		Min: Point{min(r.Min.X, s.Min.X), min(r.Min.Y, s.Min.Y)},
+		Max: Point{max(r.Max.X, s.Max.X), max(r.Max.Y, s.Max.Y)},
 	}
 }
 
@@ -163,16 +163,16 @@ func (r Rect) Expand(d float64) Rect {
 // Dist returns the minimum Euclidean distance from p to r; zero when p is
 // inside r.
 func (r Rect) Dist(p Point) float64 {
-	dx := math.Max(0, math.Max(r.Min.X-p.X, p.X-r.Max.X))
-	dy := math.Max(0, math.Max(r.Min.Y-p.Y, p.Y-r.Max.Y))
+	dx := max(0, r.Min.X-p.X, p.X-r.Max.X)
+	dy := max(0, r.Min.Y-p.Y, p.Y-r.Max.Y)
 	return math.Hypot(dx, dy)
 }
 
 // MaxDist returns the maximum Euclidean distance from p to any point of r
 // (attained at the farthest corner).
 func (r Rect) MaxDist(p Point) float64 {
-	dx := math.Max(math.Abs(p.X-r.Min.X), math.Abs(p.X-r.Max.X))
-	dy := math.Max(math.Abs(p.Y-r.Min.Y), math.Abs(p.Y-r.Max.Y))
+	dx := max(math.Abs(p.X-r.Min.X), math.Abs(p.X-r.Max.X))
+	dy := max(math.Abs(p.Y-r.Min.Y), math.Abs(p.Y-r.Max.Y))
 	return math.Hypot(dx, dy)
 }
 
@@ -182,10 +182,7 @@ func (r Rect) BoundaryDist(p Point) float64 {
 	if !r.Contains(p) {
 		return r.Dist(p)
 	}
-	return math.Min(
-		math.Min(p.X-r.Min.X, r.Max.X-p.X),
-		math.Min(p.Y-r.Min.Y, r.Max.Y-p.Y),
-	)
+	return min(p.X-r.Min.X, r.Max.X-p.X, p.Y-r.Min.Y, r.Max.Y-p.Y)
 }
 
 // InnerGap returns the smallest margin between the boundary of the inner
@@ -193,17 +190,14 @@ func (r Rect) BoundaryDist(p Point) float64 {
 // may translate in any direction while staying inside r. Negative when s
 // sticks out of r on some side.
 func (r Rect) InnerGap(s Rect) float64 {
-	return math.Min(
-		math.Min(s.Min.X-r.Min.X, r.Max.X-s.Max.X),
-		math.Min(s.Min.Y-r.Min.Y, r.Max.Y-s.Max.Y),
-	)
+	return min(s.Min.X-r.Min.X, r.Max.X-s.Max.X, s.Min.Y-r.Min.Y, r.Max.Y-s.Max.Y)
 }
 
 // Clip returns p moved to the nearest point inside r.
 func (r Rect) Clip(p Point) Point {
 	return Point{
-		X: math.Min(math.Max(p.X, r.Min.X), r.Max.X),
-		Y: math.Min(math.Max(p.Y, r.Min.Y), r.Max.Y),
+		X: min(max(p.X, r.Min.X), r.Max.X),
+		Y: min(max(p.Y, r.Min.Y), r.Max.Y),
 	}
 }
 

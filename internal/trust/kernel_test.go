@@ -180,8 +180,8 @@ func TestScreenRowsValidUntilNextScreen(t *testing.T) {
 		t.Fatalf("fixture missed a row kind: %v\n%+v", kinds, out)
 	}
 	res := core.NNVScratch(new(core.Scratch), geom.Pt(7, 7), out, 3, 0.1)
-	if res.Merged != 1 || res.TaintedCandidates != 1 {
-		t.Fatalf("NNV over the rows merged %d regions and saw %d tainted candidates", res.Merged, res.TaintedCandidates)
+	if res.Merged != 1 || res.Heap.TaintedCount() != 1 {
+		t.Fatalf("NNV over the rows merged %d regions and ranked %d tainted candidates", res.Merged, res.Heap.TaintedCount())
 	}
 	_, _, _ = e.Vouched(1), e.Quarantined(1), e.Counters()
 	sameRows(t, out, snapshot)
