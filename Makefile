@@ -187,8 +187,10 @@ loc:
 # Selecting the on-air answer and sorting only the search square's share
 # of the merge, with the copies the whole list's dedup drops decided
 # exactly, raised it by 63 lines that deleting TaintedCandidates did not
-# pay for.
-LOC_MAX_ALL = 14617
+# pay for. Letting the channel's copy of an ID win the on-air merge deleted
+# that predecessor search, which paid for the bounded-row skip and lowered
+# the total by 11.
+LOC_MAX_ALL = 14606
 LOC_MAX_SIM = 4218
 LOC_MAX_FLAGS = 64
 LOC_MAX_CONFIG = 16
@@ -277,10 +279,12 @@ trust-identity:
 
 # Query-local NNV identity lane (DESIGN.md §9.3): NNV against the verbatim
 # gather-all, sort-all, decompose-all body over thousands of grid and
-# adversarial inputs, SBNN's on-air merge against the verbatim sort-all
-# body over random schedules and heaps (and its table of hand-built
-# copies), the contract that no result aliases the peers' POI slices it
-# now scans in place, the reach cut's committed corpus
+# adversarial inputs, SBNN's on-air merge against the sort-all body, with
+# the channel's copy of an ID winning, over random schedules and heaps
+# (and its table of hand-built copies), every candidate scan with Bounded
+# rows against the same scan with every flag cleared, the contract that no
+# result aliases the peers' POI slices it now scans in place, the reach
+# cut's committed corpus
 # (NNV over the regions the cut keeps against NNV over all of them), the
 # symmetry corpora (NNV, SBWQ, the reach cut and the cut kernel under the
 # square's eight symmetries, with no reference at all), and the cut
@@ -290,7 +294,7 @@ trust-identity:
 # that every collected query decides as NNV over a brute-force collection
 # — under the race detector, as its own CI step.
 NNV_IDENTITY = TestNNVMatchesReference TestSBNNMergeMatchesReference TestKnownInsideTable \
-	TestCoreDoesNotRetainPeerSlices FuzzReachCut \
+	TestBoundedRowsMatchFullScan TestCoreDoesNotRetainPeerSlices FuzzReachCut \
 	FuzzNNVSymmetry FuzzSymmetry FuzzRectUnion FuzzLocalClearance FuzzSubtractOne TestCutOneHole
 nnv-identity:
 	$(call run-named,./internal/core ./internal/geom,$(NNV_IDENTITY))

@@ -147,7 +147,11 @@ func (c *Cache) Clear() {
 //
 // The invariant maintained is: for every stored region R, the cache holds
 // exactly the POIs of the underlying database that lie inside R.Rect. An
-// empty or non-finite rectangle promises nothing and is dropped.
+// empty or non-finite rectangle promises nothing and is dropped. Insert
+// takes the caller's word for it — a scan here would cost every prefilled
+// region — and the simulator relies on it: the rows it serves from a cache
+// are core.PeerData.Bounded, so a POI outside R.Rect could be skipped as a
+// candidate (the golden and soak harnesses check every cache after a run).
 // The region aliases r.POIs until Own (or a shrink) gives it its own.
 func (c *Cache) Insert(r Region, pos, heading geom.Point, now int64) {
 	if c.capacity == 0 || !r.Rect.Finite() || r.Rect.Empty() {

@@ -31,6 +31,12 @@ type PeerData struct {
 	// per-pool. The zero value (untainted) reproduces seed behavior
 	// exactly.
 	Tainted bool
+	// Bounded promises that every POI lies in VR (closed), so none lies
+	// nearer q than VR does: the scans for candidates pass over the row
+	// once VR lies farther from q than every candidate they keep
+	// (DESIGN.md §9.3, "Bounded rows"). The zero value promises nothing,
+	// and every POI is read, as a claim that may lie needs.
+	Bounded bool
 }
 
 // Scratch holds the reusable per-client buffers of the query hot path:
@@ -54,7 +60,6 @@ type Scratch struct {
 	candidates []broadcast.POI
 	tainted    []broadcast.POI
 	taintMask  []bool // NNV: which peers are tainted, selectNearest's use
-	keep       []bool // SBNN: the merged members Known keeps
 	poiBuf     []broadcast.POI
 	sortKeys   []uint64 // sortCandidates: packed (distance², index) keys
 	onAir      broadcast.Scratch
@@ -202,11 +207,12 @@ func (c *nearCand) after(d2 float64, id int64) bool {
 // one untainted peer. It scans the peers' slices in place, keeping the
 // limit nearest distinct (distance², ID) keys seen so far in sorted order:
 // almost every POI is dismissed by one comparison with the farthest key
-// kept, and a copy of a kept candidate by a short search. Of equal keys
-// the first scanned stays, as under the stable sort. Dropping adjacent
-// copies of an ID can shorten the kept keys below k (one ID reported at
-// two positions with nothing between them); the scan then repeats with the
-// limit doubled.
+// kept, and a copy of a kept candidate by a short search; a Bounded peer
+// whose region lies farther than that key is passed over unread, since
+// each of its POIs would be dismissed. Of equal keys the first scanned
+// stays, as under the stable sort. Dropping adjacent copies of an ID can
+// shorten the kept keys below k (one ID reported at two positions with
+// nothing between them); the scan then repeats with the limit doubled.
 func selectNearest(s *Scratch, dst []broadcast.POI, q geom.Point, peers []PeerData, use []bool, k int) []broadcast.POI {
 	if k <= 0 {
 		return dst[:0]
@@ -214,10 +220,14 @@ func selectNearest(s *Scratch, dst []broadcast.POI, q geom.Point, peers []PeerDa
 	for limit := k; ; limit *= 2 {
 		sel := s.nearest[:0]
 		for i := range peers {
-			if use == nil && peers[i].Tainted || use != nil && !use[i] {
+			pd := &peers[i]
+			if use == nil && pd.Tainted || use != nil && !use[i] {
 				continue
 			}
-			for _, p := range peers[i].POIs {
+			if pd.Bounded && len(sel) == limit && pd.VR.DistSq(q) > sel[limit-1].d2 {
+				continue // every POI would be dismissed below
+			}
+			for _, p := range pd.POIs {
 				d2 := p.Pos.DistSq(q)
 				n := len(sel)
 				if n >= limit && !sel[n-1].after(d2, p.ID) {
@@ -291,6 +301,9 @@ func ReachCut(keep []bool, q geom.Point, peers []PeerData, d2 float64) []bool {
 
 // Lists reports whether p lists a POI within squared distance d2 of q.
 func (p *PeerData) Lists(q geom.Point, d2 float64) bool {
+	if p.Bounded && p.VR.DistSq(q) > d2 {
+		return false
+	}
 	for i := range p.POIs {
 		if p.POIs[i].Pos.DistSq(q) <= d2 {
 			return true

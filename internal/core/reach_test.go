@@ -126,7 +126,8 @@ func roughen(rng *rand.Rand, q geom.Point, peers []PeerData) geom.Point {
 // FuzzReachCut drives checkReachCut: each input seeds fifty gridCase draws
 // (IDs repeated across regions and at two positions, ties at the k-th
 // candidate, tainted pools), roughened, with k now and then beyond the
-// distinct candidates. make nnv-identity runs the committed corpus.
+// distinct candidates and the rows that keep the Bounded promise flagged
+// at random. make nnv-identity runs the committed corpus.
 func FuzzReachCut(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
@@ -136,6 +137,7 @@ func FuzzReachCut(f *testing.F) {
 			if rng.Intn(4) == 0 {
 				k += rng.Intn(40)
 			}
+			markBounded(rng, peers)
 			checkReachCut(t, fmt.Sprintf("seed %d case %d", seed, i), q, peers, k, 0.05+rng.Float64())
 		}
 	})

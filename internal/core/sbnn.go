@@ -184,12 +184,14 @@ func SBNNScratch(s *Scratch, q geom.Point, peers []PeerData, cfg SBNNConfig, sch
 	// packets the lower bound skipped — the lower bound derives from
 	// verified entries, which are never tainted) plus the channel data.
 	// Tainted entries are excluded: the merged set is an exact answer,
-	// and a fabricated POI must not be able to enter it. The merged list
-	// is read in the candidate order — (distance², ID), adjacent copies of
-	// one ID dropped — but never sorted whole: the answer is its first k,
-	// selected as NNV selects its pools.
+	// and a fabricated POI must not be able to enter it. The download
+	// covers the search square, so it is the authority on every ID it
+	// holds: a heap row with such an ID is dropped, stale or not. The
+	// merged list is read in the candidate order — (distance², ID),
+	// adjacent copies of one ID dropped — but never sorted whole: the
+	// answer is its first k, selected as NNV selects its pools.
 	merged := append(s.poiBuf[:0], onAir...)
-	merged = nnv.Heap.AppendTrustedPOIs(merged)
+	merged = dropSent(nnv.Heap.AppendTrustedPOIs(merged), len(onAir))
 	s.poiBuf = merged
 	pool := [1]PeerData{{POIs: merged}}
 	s.candidates = selectNearest(s, s.candidates, q, pool[:], nil, cfg.K)
@@ -198,85 +200,44 @@ func SBNNScratch(s *Scratch, q geom.Point, peers []PeerData, cfg SBNNConfig, sch
 	// The retrieval covered every packet intersecting the search square,
 	// and the heap covers the skipped packets, so within the square the
 	// merged set is complete — that square is new verified knowledge.
-	// Callers cache Known and share it, so it keeps the candidate order;
-	// only its members are sorted.
 	res.KnownRegion = geom.RectAround(q, radius)
-	res.Known = knownInside(s, merged, len(onAir), q, res.KnownRegion)
+	res.Known = knownInside(s, merged, q, res.KnownRegion)
 	return res
 }
 
-// knownInside returns what poisInside returns for merged sorted by
-// sortCandidates and de-duplicated by dedupSortedCandidates — the members
-// inside r in the candidate order, adjacent copies of one ID dropped — as
-// a fresh slice of exactly their number, sorting only those members.
-// merged is the channel download, which holds no ID twice
-// (TestRetrievalHoldsNoPOITwice), followed from index rows on by heap
-// rows, so every repeated ID has a copy among the heap rows.
-func knownInside(s *Scratch, merged []broadcast.POI, rows int, q geom.Point, r geom.Rect) []broadcast.POI {
-	keep := s.keep[:0]
-	for _, p := range merged {
-		keep = append(keep, r.Contains(p.Pos))
-	}
-	s.keep = keep
-	for h := rows; h < len(merged); h++ {
-		dropCopies(keep, merged, merged[h].ID, q)
-	}
-	n := 0
-	for _, k := range keep {
-		if k {
-			n++
+// dropSent removes, in place, every row of merged[sent:] whose ID the
+// download merged[:sent] holds, and returns what is left. The download
+// holds no ID twice (TestRetrievalHoldsNoPOITwice), so afterwards only
+// heap rows can share an ID.
+func dropSent(merged []broadcast.POI, sent int) []broadcast.POI {
+	out := merged[:sent]
+	for _, p := range merged[sent:] {
+		if !holdsID(merged[:sent], p.ID) {
+			out = append(out, p)
 		}
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]broadcast.POI, 0, n)
-	for i, k := range keep {
-		if k {
-			out = append(out, merged[i])
-		}
-	}
-	sortCandidates(s, out, q)
 	return out
 }
 
-// dropCopies clears, in keep, the flag of every copy of id in merged that
-// dedupSortedCandidates drops after sortCandidates: each copy whose
-// predecessor in that order — (distance², ID), equal keys in merged's
-// order, as the stable sort leaves them — has the same ID. Copies at one
-// distance are adjacent in the order, so all but the first drop; copies at
-// several (a moved POI's stale copy, an unscreened lie) are decided by
-// finding each one's predecessor.
-func dropCopies(keep []bool, merged []broadcast.POI, id int64, q geom.Point) {
-	first, spread, d2 := -1, false, 0.0
-	for i := range merged {
-		if merged[i].ID == id {
-			if first < 0 {
-				first, d2 = i, merged[i].Pos.DistSq(q)
-			}
-			spread = spread || merged[i].Pos.DistSq(q) != d2
+// holdsID reports whether pois holds a POI with the given ID.
+func holdsID(pois []broadcast.POI, id int64) bool {
+	for i := range pois {
+		if pois[i].ID == id {
+			return true
 		}
 	}
-	before := func(i, j int) bool {
-		return candBefore(merged[i], merged[j], q) || !candBefore(merged[j], merged[i], q) && i < j
-	}
-	predIsCopy := func(c int) bool {
-		pred := -1
-		for i := range merged {
-			if before(i, c) && (pred < 0 || before(pred, i)) {
-				pred = i
-			}
-		}
-		return pred >= 0 && merged[pred].ID == id
-	}
-	for c := first + 1; c < len(merged); c++ {
-		if merged[c].ID == id && (!spread || predIsCopy(c)) {
-			keep[c] = false
-		}
-	}
-	if spread && predIsCopy(first) {
-		keep[first] = false
-	}
+	return false
+}
+
+// knownInside returns the members of merged inside r in the candidate
+// order, adjacent copies of one ID dropped, as a fresh slice of exactly
+// their number (DESIGN.md §9.1 rule 3), nil when there are none. Callers
+// cache it and share it, so only those members are sorted.
+func knownInside(s *Scratch, merged []broadcast.POI, q geom.Point, r geom.Rect) []broadcast.POI {
+	out := poisInside(merged, r)
+	sortCandidates(s, out, q)
+	out = dedupSortedCandidates(out)
+	return out[:len(out):len(out)]
 }
 
 // poisInside returns the members of pois inside r as a fresh slice of

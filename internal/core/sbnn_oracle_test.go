@@ -11,11 +11,13 @@ import (
 )
 
 // refSBNN is the test oracle for SBNNScratch's on-air merge: the body as
-// it stood before the merge selected its answer, kept verbatim — the whole
-// merged download sorted and de-duplicated, the answer its head, Known the
-// sorted list cut to the search square. It returns, besides the result,
-// the merged list as it stood before the sort, so a test can tell which
-// cases it drew.
+// it stood before the merge selected its answer — the whole merged
+// download sorted and de-duplicated, the answer its head — with two
+// changes that make the channel the authority on the IDs it sent: heap
+// rows whose ID the download holds are dropped before the sort, and Known
+// is the sorted list cut to the search square before it is de-duplicated.
+// It returns, besides the result, the merged list as it stood before the
+// heap rows were dropped, so a test can tell which cases it drew.
 func refSBNN(s *Scratch, q geom.Point, peers []PeerData, cfg SBNNConfig, sched *broadcast.Schedule, now int64) (SBNNResult, []broadcast.POI) {
 	nnv := NNVScratch(s, q, peers, cfg.K, cfg.Lambda)
 	res := SBNNResult{Heap: nnv.Heap, MVR: nnv.MVR, Merged: nnv.Merged, Examined: nnv.Examined}
@@ -29,14 +31,17 @@ func refSBNN(s *Scratch, q geom.Point, peers []PeerData, cfg SBNNConfig, sched *
 	res.Access = acc
 
 	merged := append(s.poiBuf[:0], onAir...)
-	merged = nnv.Heap.AppendTrustedPOIs(merged)
-	raw := slices.Clone(merged)
+	raw := nnv.Heap.AppendTrustedPOIs(slices.Clone(merged))
+	for _, p := range raw[len(onAir):] {
+		if !slices.ContainsFunc(onAir, func(o broadcast.POI) bool { return o.ID == p.ID }) {
+			merged = append(merged, p)
+		}
+	}
 	sortCandidates(s, merged, q)
+	res.KnownRegion = geom.RectAround(q, radius)
+	res.Known = dedupSortedCandidates(poisInside(merged, res.KnownRegion))
 	merged = dedupSortedCandidates(merged)
 	s.poiBuf = merged
-
-	res.KnownRegion = geom.RectAround(q, radius)
-	res.Known = poisInside(merged, res.KnownRegion)
 
 	if len(merged) > cfg.K {
 		merged = merged[:cfg.K]
@@ -110,7 +115,7 @@ func mergeCase(t *testing.T, rng *rand.Rand) (geom.Point, []PeerData, SBNNConfig
 
 // mergeDraw records which cases one on-air merge drew.
 type mergeDraw struct {
-	sameSpot, adjacent, betweenIn, betweenOut, ties, tainted, upper, noUpper, pastFile bool
+	sameSpot, adjacent, betweenIn, betweenOut, heapTwins, ties, tainted, upper, noUpper, pastFile bool
 }
 
 // classify reads the cases off the merged list as the oracle sorted it.
@@ -131,6 +136,12 @@ func classify(raw []broadcast.POI, q geom.Point, res SBNNResult, dbSize, k int) 
 		}
 		return 0
 	})
+	heap := raw[len(raw)-(res.Heap.Len()-res.Heap.TaintedCount()):]
+	for i, p := range heap {
+		for _, o := range heap[i+1:] {
+			d.heapTwins = d.heapTwins || o.ID == p.ID && !holdsID(raw[:len(raw)-len(heap)], p.ID)
+		}
+	}
 	for i := range order {
 		if i > 0 && order[i].ID != order[i-1].ID && order[i].Pos.DistSq(q) == order[i-1].Pos.DistSq(q) {
 			d.ties = true
@@ -160,11 +171,12 @@ func classify(raw []broadcast.POI, q geom.Point, res SBNNResult, dbSize, k int) 
 
 // TestSBNNMergeMatchesReference is the differential gate of the on-air
 // merge: over random schedules, databases, peers and k, SBNNScratch's
-// POIs, Known and KnownRegion equal the retired sort-all body's bit for
-// bit, on one reused scratch. Every case the merge's exactness argument
-// names must be drawn: channel and heap copies of one POI at one position,
-// at two positions with nothing between them in the order, and with
-// members between them inside and outside the square; distance ties;
+// POIs, Known and KnownRegion equal refSBNN's bit for bit, on one reused
+// scratch. Every kind of copy the filter and the de-duplication meet must
+// be drawn: copies of one POI at one position, at two positions with
+// nothing between them in the order, and with members between them inside
+// and outside the square; two heap rows sharing an ID the download lacks,
+// which the filter leaves to the de-duplication; distance ties;
 // tainted heap rows; the upper search bound set and unset; k past the
 // database.
 func TestSBNNMergeMatchesReference(t *testing.T) {
@@ -192,56 +204,62 @@ func TestSBNNMergeMatchesReference(t *testing.T) {
 		seen.adjacent = seen.adjacent || d.adjacent
 		seen.betweenIn = seen.betweenIn || d.betweenIn
 		seen.betweenOut = seen.betweenOut || d.betweenOut
+		seen.heapTwins = seen.heapTwins || d.heapTwins
 		seen.ties = seen.ties || d.ties
 		seen.tainted = seen.tainted || d.tainted
 		seen.upper = seen.upper || d.upper
 		seen.noUpper = seen.noUpper || d.noUpper
 		seen.pastFile = seen.pastFile || d.pastFile
 	}
-	if all := (mergeDraw{true, true, true, true, true, true, true, true, true}); seen != all {
+	if all := (mergeDraw{true, true, true, true, true, true, true, true, true, true}); seen != all {
 		t.Fatalf("the %d on-air merges missed a case: %+v", onAir, seen)
 	}
 	t.Logf("%d on-air merges, every case drawn", onAir)
 }
 
-// TestKnownInsideTable pins knownInside on hand-built merged lists — the
-// channel members first, then the heap rows from index rows on — cut to
-// the square of half-side half around the origin, and holds each against
-// the sort-all body.
+// TestKnownInsideTable pins the merge's Known on hand-built merged lists —
+// the channel members first, then the heap rows from index sent on — cut
+// to the square of half-side half around the origin: dropSent, then
+// knownInside. It holds each against the reference's Known, the filtered
+// list sorted whole, cut to the square and de-duplicated.
 func TestKnownInsideTable(t *testing.T) {
 	q := geom.Pt(0, 0)
 	cases := []struct {
 		name   string
 		merged []broadcast.POI
-		rows   int
+		sent   int
 		half   float64
 		want   []broadcast.POI
 	}{
 		{"no copies, a distance tie", []broadcast.POI{poi(1, 1, 0), poi(2, 2, 0), poi(3, 0, 1)}, 2, 10,
 			[]broadcast.POI{poi(1, 1, 0), poi(3, 0, 1), poi(2, 2, 0)}},
-		{"one position: the later copy drops", []broadcast.POI{poi(1, 1, 0), poi(2, 2, 0), poi(1, 1, 0)}, 2, 10,
+		{"one position: the heap's copy drops", []broadcast.POI{poi(1, 1, 0), poi(2, 2, 0), poi(1, 1, 0)}, 2, 10,
 			[]broadcast.POI{poi(1, 1, 0), poi(2, 2, 0)}},
-		{"two positions, adjacent: the farther drops", []broadcast.POI{poi(1, 3, 0), poi(2, 4, 0), poi(1, 1, 0)}, 2, 10,
+		{"two positions: the channel's copy stays, the nearer heap copy drops", []broadcast.POI{poi(1, 3, 0), poi(2, 4, 0), poi(1, 1, 0)}, 2, 10,
+			[]broadcast.POI{poi(1, 3, 0), poi(2, 4, 0)}},
+		{"two heap positions, adjacent: the farther drops", []broadcast.POI{poi(2, 4, 0), poi(1, 3, 0), poi(1, 1, 0)}, 1, 10,
 			[]broadcast.POI{poi(1, 1, 0), poi(2, 4, 0)}},
-		{"two positions, another ID between: both stay", []broadcast.POI{poi(1, 3, 0), poi(2, 2, 0), poi(1, 1, 0)}, 2, 10,
+		{"two heap positions, another ID between: both stay", []broadcast.POI{poi(2, 2, 0), poi(1, 3, 0), poi(1, 1, 0)}, 1, 10,
 			[]broadcast.POI{poi(1, 1, 0), poi(2, 2, 0), poi(1, 3, 0)}},
-		{"two positions at one distance: the ID's first copy stays", []broadcast.POI{poi(5, 0, 2), poi(1, 2, 0), poi(5, 0, -2)}, 2, 10,
+		{"two heap positions at one distance: the ID's first copy stays", []broadcast.POI{poi(1, 2, 0), poi(5, 0, 2), poi(5, 0, -2)}, 1, 10,
 			[]broadcast.POI{poi(1, 2, 0), poi(5, 0, 2)}},
-		{"three copies, two of them heap rows", []broadcast.POI{poi(1, 2, 0), poi(1, 1, 0), poi(2, 1.5, 0), poi(1, 2, 0)}, 1, 10,
-			[]broadcast.POI{poi(1, 1, 0), poi(2, 1.5, 0), poi(1, 2, 0)}},
-		{"a member outside the square between two copies inside", []broadcast.POI{poi(1, 1.5, 1.5), poi(3, 2.1, 0), poi(1, 1, 1)}, 2, 2,
-			[]broadcast.POI{poi(1, 1, 1), poi(1, 1.5, 1.5)}},
-		{"the copy inside drops after its twin outside", []broadcast.POI{poi(1, 1.9, 1.9), poi(2, 0.5, 0), poi(1, 2.5, 0)}, 2, 2,
-			[]broadcast.POI{poi(2, 0.5, 0)}},
+		{"three copies, two of them heap rows: the channel's stays", []broadcast.POI{poi(1, 2, 0), poi(1, 1, 0), poi(2, 1.5, 0), poi(1, 2, 0)}, 1, 10,
+			[]broadcast.POI{poi(2, 1.5, 0), poi(1, 2, 0)}},
+		{"a member outside the square between two heap copies inside: the later drops", []broadcast.POI{poi(3, 2.1, 0), poi(1, 1.5, 1.5), poi(1, 1, 1)}, 1, 2,
+			[]broadcast.POI{poi(1, 1, 1)}},
+		{"the channel's copy inside stays after its heap twin outside", []broadcast.POI{poi(1, 1.9, 1.9), poi(2, 0.5, 0), poi(1, 2.5, 0)}, 2, 2,
+			[]broadcast.POI{poi(2, 0.5, 0), poi(1, 1.9, 1.9)}},
+		{"a heap copy inside stays after its heap twin outside", []broadcast.POI{poi(2, 0.5, 0), poi(1, 1.9, 1.9), poi(1, 2.5, 0)}, 1, 2,
+			[]broadcast.POI{poi(2, 0.5, 0), poi(1, 1.9, 1.9)}},
 	}
 	for _, c := range cases {
 		var s Scratch
 		r := geom.RectAround(q, c.half)
-		got := knownInside(&s, c.merged, c.rows, q, r)
-		all := slices.Clone(c.merged)
+		got := knownInside(&s, dropSent(slices.Clone(c.merged), c.sent), q, r)
+		all := dropSent(slices.Clone(c.merged), c.sent)
 		sortCandidates(&s, all, q)
-		if want := poisInside(dedupSortedCandidates(all), r); !samePOIs(want, c.want) {
-			t.Fatalf("%s: the sort-all body keeps %v, the table says %v", c.name, want, c.want)
+		if want := dedupSortedCandidates(poisInside(all, r)); !samePOIs(want, c.want) {
+			t.Fatalf("%s: the reference keeps %v, the table says %v", c.name, want, c.want)
 		}
 		if !samePOIs(got, c.want) || len(got) != cap(got) {
 			t.Errorf("%s: kept %v (cap %d), want %v", c.name, got, cap(got), c.want)

@@ -36,7 +36,7 @@ func symPeers(i int, peers []PeerData) []PeerData {
 	out := make([]PeerData, len(peers))
 	for j, pd := range peers {
 		a, b := symPoint(i, pd.VR.Min), symPoint(i, pd.VR.Max)
-		out[j] = PeerData{VR: geom.NewRect(a.X, a.Y, b.X, b.Y), Tainted: pd.Tainted}
+		out[j] = PeerData{VR: geom.NewRect(a.X, a.Y, b.X, b.Y), Tainted: pd.Tainted, Bounded: pd.Bounded}
 		for _, p := range pd.POIs {
 			p.Pos = symPoint(i, p.Pos)
 			out[j].POIs = append(out[j].POIs, p)
@@ -226,14 +226,19 @@ func decodeSymmetryCase(b []byte) (peers []PeerData, qs []geom.Point) {
 // query point for k = 1, 3 and 8, and checkSBWQSymmetry on the window from
 // that point to the next one (a point window when they coincide), then
 // twenty gridCase draws (IDs at two positions, lies, ties at the k-th
-// candidate) roughened as for the reach cut, seeded from the input. The committed corpus
+// candidate) roughened as for the reach cut, seeded from the input; rows
+// that keep the Bounded promise are flagged at random. The committed corpus
 // (testdata/fuzz/FuzzNNVSymmetry) names the degenerate families: shared
 // edges, zero-width regions, q on an edge or a corner, tainted regions
 // over trusted ones, and point, zero-width and member-edge windows. make
 // nnv-identity runs it.
 func FuzzNNVSymmetry(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
+		h := fnv.New64a()
+		h.Write(b)
+		rng := rand.New(rand.NewSource(int64(h.Sum64())))
 		peers, qs := decodeSymmetryCase(b)
+		markBounded(rng, peers)
 		for i, q := range qs {
 			for _, k := range [3]int{1, 3, 8} {
 				checkNNVSymmetry(t, fmt.Sprintf("decoded query %d", i), q, peers, k, 0.3)
@@ -241,12 +246,10 @@ func FuzzNNVSymmetry(f *testing.F) {
 			w := geom.NewRect(q.X, q.Y, qs[(i+1)%len(qs)].X, qs[(i+1)%len(qs)].Y)
 			checkSBWQSymmetry(t, fmt.Sprintf("decoded window %d", i), q, w, peers)
 		}
-		h := fnv.New64a()
-		h.Write(b)
-		rng := rand.New(rand.NewSource(int64(h.Sum64())))
 		for i := 0; i < 20; i++ {
 			q, peers, k := gridCase(rng)
 			q = roughen(rng, q, peers)
+			markBounded(rng, peers)
 			checkNNVSymmetry(t, fmt.Sprintf("grid case %d", i), q, peers, k, 0.05+rng.Float64())
 		}
 	})

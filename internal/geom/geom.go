@@ -168,6 +168,16 @@ func (r Rect) Dist(p Point) float64 {
 	return math.Hypot(dx, dy)
 }
 
+// DistSq returns the squared minimum Euclidean distance from p to r, in
+// Point.DistSq's arithmetic: for every point o of r, r.DistSq(p) ≤
+// o.DistSq(p) as computed, since each axis gap rounds no larger than o's
+// (rounding is monotone). NaN when a coordinate is.
+func (r Rect) DistSq(p Point) float64 {
+	dx := max(0, r.Min.X-p.X, p.X-r.Max.X)
+	dy := max(0, r.Min.Y-p.Y, p.Y-r.Max.Y)
+	return dx*dx + dy*dy
+}
+
 // MaxDist returns the maximum Euclidean distance from p to any point of r
 // (attained at the farthest corner).
 func (r Rect) MaxDist(p Point) float64 {

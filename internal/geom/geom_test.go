@@ -151,6 +151,12 @@ func TestRectDist(t *testing.T) {
 		if got := r.Dist(c.p); !almostEqual(got, c.want, 1e-12) {
 			t.Errorf("Dist(%v) = %v want %v", c.p, got, c.want)
 		}
+		if got := r.DistSq(c.p); !almostEqual(got, c.want*c.want, 1e-12) {
+			t.Errorf("DistSq(%v) = %v want %v", c.p, got, c.want*c.want)
+		}
+	}
+	if d := r.DistSq(Pt(math.NaN(), 1)); !math.IsNaN(d) {
+		t.Errorf("DistSq of a NaN point = %v, want NaN", d)
 	}
 }
 
@@ -256,7 +262,9 @@ func TestPointDistProperties(t *testing.T) {
 }
 
 // Property: Rect.Dist(p) is zero exactly for contained points and is a
-// lower bound of the distance to any contained point.
+// lower bound of the distance to any contained point; Rect.DistSq(p) is
+// one of the squared distance as Point.DistSq computes it, exactly — at a
+// random point, a random edge point and the corners.
 func TestRectDistProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
@@ -275,6 +283,13 @@ func TestRectDistProperty(t *testing.T) {
 		}
 		if p.Dist(inside) > r.MaxDist(p)+1e-9 {
 			t.Fatalf("MaxDist not an upper bound: r=%v p=%v", r, p)
+		}
+		edge := Pt(r.Min.X+rng.Float64()*r.Width(), r.Max.Y)
+		corners := r.Corners()
+		for _, o := range append(corners[:], inside, edge) {
+			if o.DistSq(p) < r.DistSq(p) {
+				t.Fatalf("DistSq not a lower bound: r=%v p=%v o=%v", r, p, o)
+			}
 		}
 	}
 }

@@ -347,7 +347,7 @@ func (w *World) admitShared(dst *collection, pd core.PeerData, o origin) bool {
 		w.mx.observeReconcileCost(1, len(pieces))
 		o.repaired = true
 		for i := range pieces {
-			dst.add(core.PeerData{VR: pieces[i].Rect, POIs: pieces[i].POIs}, o)
+			dst.add(core.PeerData{VR: pieces[i].Rect, POIs: pieces[i].POIs, Bounded: true}, o)
 		}
 	}
 	return true

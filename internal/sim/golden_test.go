@@ -181,10 +181,28 @@ func goldenRunOf(t *testing.T, name string, p Params) goldenRun {
 	t.Helper()
 	r, ok := goldenRuns[name]
 	if !ok {
-		_, r.stats, r.report, r.trc = runArmedWorld(t, p)
+		var w *World
+		w, r.stats, r.report, r.trc = runArmedWorld(t, p)
+		checkCachesBounded(t, w)
 		goldenRuns[name] = r
 	}
 	return r
+}
+
+// checkCachesBounded asserts the cache invariant that lets the simulator
+// flag the rows it reads from caches core.PeerData.Bounded: every region
+// in every cache lists only POIs inside its rect.
+func checkCachesBounded(t *testing.T, w *World) {
+	t.Helper()
+	for host := range w.caches {
+		for _, r := range w.caches[host].Regions() {
+			for _, p := range r.POIs {
+				if !r.Rect.Contains(p.Pos) {
+					t.Fatalf("host %d caches POI %d at %v outside its region %v", host, p.ID, p.Pos, r.Rect)
+				}
+			}
+		}
+	}
 }
 
 // goldenReportOf decodes the run's report row, as a consumer of

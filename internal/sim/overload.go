@@ -485,6 +485,6 @@ func (w *World) coalesceDonate(q geom.Point, relevance geom.Rect, peers []core.P
 		start := len(d.pois)
 		d.pois = append(d.pois, pd.POIs...)
 		d.peers = append(d.peers, core.PeerData{
-			VR: pd.VR, POIs: d.pois[start:len(d.pois):len(d.pois)], Tainted: pd.Tainted})
+			VR: pd.VR, POIs: d.pois[start:len(d.pois):len(d.pois)], Tainted: pd.Tainted, Bounded: pd.Bounded})
 	}
 }

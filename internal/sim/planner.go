@@ -242,7 +242,7 @@ func (w *World) appendOwnCache(idx int, relevance geom.Rect) int64 {
 	}
 	for i, regions := 0, c.Regions(); i < len(regions); i++ {
 		if r := &regions[i]; r.Rect.Intersects(relevance) {
-			pd := core.PeerData{VR: r.Rect, POIs: r.POIs}
+			pd := core.PeerData{VR: r.Rect, POIs: r.POIs, Bounded: true}
 			if r.Epoch < w.epoch() {
 				pd.Tainted = true
 				w.stats.VRsDemoted++

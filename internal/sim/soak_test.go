@@ -239,6 +239,7 @@ func checkSoakInvariants(t *testing.T, p Params, w *World, s Stats) {
 	if err := w.SelfCheckErr(); err != nil {
 		t.Errorf("self-check failed: %v", err)
 	}
+	checkCachesBounded(t, w)
 	// Termination: every counted query ended in exactly one outcome
 	// (Degraded and Unanswered only exist on the planner's channel-less
 	// rungs; both stay zero on impairment-free schedules).

@@ -888,7 +888,7 @@ func (w *World) receiveReply(id int, relevance geom.Rect, stamp int64, count boo
 		// The peer serves the region regardless of freshness — it cannot
 		// know the POI-update process invalidated it.
 		c.Touch(ri, stamp)
-		pd := core.PeerData{VR: r.Rect, POIs: r.POIs}
+		pd := core.PeerData{VR: r.Rect, POIs: r.POIs, Bounded: atk == faults.AttackNone}
 		if atk != faults.AttackNone {
 			// A byzantine host mangles the claim before it leaves its
 			// radio: the lie rides every downstream path (delivery, loss,
@@ -945,9 +945,9 @@ func (w *World) receiveReply(id int, relevance geom.Rect, stamp int64, count boo
 			return replyRejected
 		}
 		// The rows keep their epoch; the frame carries the (damage-passed)
-		// geometry.
+		// geometry, which promises nothing about where its POIs lie.
 		for i, reg := range dec.Regions {
-			rows[i].VR, rows[i].POIs = reg.Rect, reg.POIs
+			rows[i].VR, rows[i].POIs, rows[i].Bounded = reg.Rect, reg.POIs, false
 		}
 	}
 	return replyDelivered

@@ -1144,6 +1144,7 @@ func (e *Engine) judge(rep *Report) {
 // carries: core's candidate dedup assumes one POI ID appears in only one
 // trust pool, and the untrusted copy adds nothing. A tainted VR never
 // reaches the MVR (core.PeerData.Tainted), so only its POIs need the cut.
+// Every row is Bounded: its POIs lie in its VR even when the claim lied.
 func (e *Engine) assemble(contribs []Contribution) []core.PeerData {
 	out := e.out[:0]
 	for i := range e.slots {
@@ -1164,7 +1165,7 @@ func (e *Engine) assemble(contribs []Contribution) []core.PeerData {
 			e.cut.CutAll(e.holes)
 		}
 		if pieces := e.cut.Pieces(); len(pieces) > 0 {
-			out = append(out, core.PeerData{VR: c.VR, POIs: e.rowPOIs(c, tainted, pieces), Tainted: tainted})
+			out = append(out, core.PeerData{VR: c.VR, POIs: e.rowPOIs(c, tainted, pieces), Tainted: tainted, Bounded: true})
 		}
 	}
 	e.out = out
