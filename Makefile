@@ -124,7 +124,8 @@ goldens:
 # metrics.go, lines outside metrics.go that touch the metrics bundle, how
 # many internal/ packages import internal/metrics, and the exported fields
 # of the `type …Config struct` declarations under internal/ (the options a
-# layer takes besides the knobs; all counts over non-test files).
+# layer takes besides the knobs; all counts over non-test files) — and the
+# lines of DESIGN.md and EXPERIMENTS.md, which item 3(d) shrinks.
 LOC_SIM = ls internal/sim/*.go | grep -v _test.go | xargs cat | wc -l
 LOC_ALL = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 LOC_MAIN = wc -l < cmd/lbsq-sim/main.go
@@ -135,6 +136,8 @@ LOC_MX = grep -rl '"lbsq/internal/metrics"' internal --include='*.go' --exclude=
 	xargs -n1 dirname | sort -u | wc -l
 LOC_CONFIG = find internal -name '*.go' -not -name '*_test.go' | xargs awk \
 	'/^type [A-Za-z0-9_]*Config struct/ { c = 1; next } c && /^}/ { c = 0 } c && /^\t[A-Z]/ { n++ } END { print n + 0 }'
+LOC_DESIGN = wc -l < DESIGN.md
+LOC_EXPERIMENTS = wc -l < EXPERIMENTS.md
 loc:
 	@printf 'loc: internal/sim non-test lines: '; $(LOC_SIM)
 	@printf 'loc: all non-test, non-bench lines: '; $(LOC_ALL)
@@ -151,6 +154,8 @@ loc:
 		ls internal/sim/*.go | grep -v -e _test.go -e /metrics.go | xargs cat | grep -c 'w\.mx'
 	@printf 'loc: internal/ packages importing internal/metrics: '; $(LOC_MX)
 	@printf 'loc: exported fields of internal/ *Config structs: '; $(LOC_CONFIG)
+	@printf 'loc: DESIGN.md lines: '; $(LOC_DESIGN)
+	@printf 'loc: EXPERIMENTS.md lines: '; $(LOC_EXPERIMENTS)
 
 # Ceilings on the size measures that crept between re-anchors (17,079 →
 # 17,425 non-test lines over PRs 21–23 with nothing noticing), set at the
@@ -189,8 +194,11 @@ loc:
 # exactly, raised it by 63 lines that deleting TaintedCandidates did not
 # pay for. Letting the channel's copy of an ID win the on-air merge deleted
 # that predecessor search, which paid for the bounded-row skip and lowered
-# the total by 11.
-LOC_MAX_ALL = 14606
+# the total by 11. Summing each trust screen's report into Stats deleted
+# the engine's parallel counters, the on-air wrappers that allocated a
+# scratch per call went, and the total fell by 30. The two design documents
+# are capped at their size then, so that they can only shrink.
+LOC_MAX_ALL = 14576
 LOC_MAX_SIM = 4218
 LOC_MAX_FLAGS = 64
 LOC_MAX_CONFIG = 16
@@ -198,6 +206,8 @@ LOC_MAX_MAIN = 245
 LOC_MAX_HAND = 10
 LOC_MAX_MX = 1
 LOC_MAX_LEDGER = 616
+LOC_MAX_DESIGN = 2031
+LOC_MAX_EXPERIMENTS = 1534
 loc-check:
 	@check() { if [ "$$2" -gt "$$3" ]; then echo "loc-check: $$1: $$2, ceiling $$3"; exit 1; fi; \
 			echo "loc-check: $$1: $$2 (ceiling $$3)"; }; \
@@ -208,7 +218,9 @@ loc-check:
 		check 'exported fields of internal/ *Config structs' $$($(LOC_CONFIG)) $(LOC_MAX_CONFIG) && \
 		check 'lbsq-sim flags registered by hand' $$($(LOC_HAND)) $(LOC_MAX_HAND) && \
 		check 'internal/ packages importing internal/metrics' $$($(LOC_MX)) $(LOC_MAX_MX) && \
-		check 'internal/sim stats.go + metrics.go lines' $$($(LOC_LEDGER)) $(LOC_MAX_LEDGER)
+		check 'internal/sim stats.go + metrics.go lines' $$($(LOC_LEDGER)) $(LOC_MAX_LEDGER) && \
+		check 'DESIGN.md lines' $$($(LOC_DESIGN)) $(LOC_MAX_DESIGN) && \
+		check 'EXPERIMENTS.md lines' $$($(LOC_EXPERIMENTS)) $(LOC_MAX_EXPERIMENTS)
 
 # Production code is what a binary links (ROADMAP item 3(c)). `make
 # unlinked` builds every package main under ./... and the bench/ module

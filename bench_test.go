@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"lbsq"
+	"lbsq/internal/broadcast"
 	"lbsq/internal/experiments"
 	"lbsq/internal/sim"
 )
@@ -191,10 +192,11 @@ func BenchmarkAblationIndexM(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var sc broadcast.Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := lbsq.Pt(rng.Float64()*20, rng.Float64()*20)
-		srv.Schedule().KNN(q, 5, int64(i))
+		srv.Schedule().KNN(&sc, q, 5, int64(i), broadcast.Bounds{})
 	}
 }
 

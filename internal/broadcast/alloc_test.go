@@ -24,10 +24,10 @@ func TestOnAirClientsZeroAllocs(t *testing.T) {
 	windows := make([]geom.Rect, 2)
 	query := func(i int) {
 		q := geom.Pt(float64(i*7%64), float64(i*13%64))
-		s.KNNScratch(&sc, q, 1+i%9, int64(i), Bounds{})
-		s.KNNScratch(&sc, q, 5, int64(i), Bounds{Upper: 9, Lower: 3})
+		s.KNN(&sc, q, 1+i%9, int64(i), Bounds{})
+		s.KNN(&sc, q, 5, int64(i), Bounds{Upper: 9, Lower: 3})
 		windows[0], windows[1] = geom.RectAround(q, 6), geom.RectAround(q, 2)
-		_, _, retrieved, _ := s.WindowReducedDetailed(&sc, windows, int64(i))
+		_, _, retrieved, _ := s.Window(&sc, windows, int64(i))
 		s.GrowCompleteRect(&sc, windows[1], retrieved, 400)
 	}
 	for i := 0; i < 64; i++ {

@@ -40,7 +40,7 @@ func BenchmarkOnAirKNN(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := geom.Pt(rng.Float64()*64, rng.Float64()*64)
-		s.KNNScratch(&sc, q, 5, int64(i), Bounds{})
+		s.KNN(&sc, q, 5, int64(i), Bounds{})
 	}
 }
 
@@ -51,7 +51,7 @@ func BenchmarkOnAirKNNWithBounds(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := geom.Pt(rng.Float64()*64, rng.Float64()*64)
-		s.KNNScratch(&sc, q, 5, int64(i), Bounds{Upper: 4, Lower: 2})
+		s.KNN(&sc, q, 5, int64(i), Bounds{Upper: 4, Lower: 2})
 	}
 }
 
@@ -64,7 +64,7 @@ func BenchmarkOnAirWindow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cx, cy := rng.Float64()*60, rng.Float64()*60
 		windows[0] = geom.NewRect(cx, cy, cx+2, cy+2)
-		s.WindowReducedDetailed(&sc, windows, int64(i))
+		s.Window(&sc, windows, int64(i))
 	}
 }
 
@@ -72,7 +72,7 @@ func BenchmarkGrowCompleteRect(b *testing.B) {
 	s, _ := benchSchedule(b, 2750)
 	var sc Scratch
 	w := geom.NewRect(30, 30, 34, 34)
-	_, _, retrieved, _ := s.WindowReducedDetailed(&sc, []geom.Rect{w}, 0)
+	_, _, retrieved, _ := s.Window(&sc, []geom.Rect{w}, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

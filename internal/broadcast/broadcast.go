@@ -537,14 +537,6 @@ func (s *Schedule) retrieve(sc *Scratch, seqs []int, from int64) ([]POI, Access)
 	return pois, acc
 }
 
-// KNN runs the plain on-air k-nearest-neighbor algorithm (no peer
-// knowledge): scan the index to derive a search range guaranteed to hold
-// the k nearest POIs, then retrieve every packet intersecting that range.
-// start is the absolute slot at which the query is posed.
-func (s *Schedule) KNN(q geom.Point, k int, start int64) ([]POI, Access) {
-	return s.KNNWithBounds(q, k, start, Bounds{})
-}
-
 // Bounds carries the search bounds SBNN derives from the partial result
 // heap (Section 3.3.3). Zero value means "no bounds".
 type Bounds struct {
@@ -559,21 +551,26 @@ type Bounds struct {
 	Lower float64
 }
 
-// KNNWithBounds runs the on-air kNN search with SBNN packet filtering.
-// The returned POI set excludes the contents of skipped packets; the
-// caller is expected to merge it with the peer-supplied POIs that
-// justified the bounds.
+// KNNWithBounds is KNN on a fresh scratch, without the radius. Only the
+// benchmark's replay (bench/replay.go) links it; delete it once the replay
+// calls KNN.
 func (s *Schedule) KNNWithBounds(q geom.Point, k int, start int64, b Bounds) ([]POI, Access) {
 	var sc Scratch
-	pois, _, acc := s.KNNScratch(&sc, q, k, start, b)
+	pois, _, acc := s.KNN(&sc, q, k, start, b)
 	return pois, acc
 }
 
-// KNNScratch is KNNWithBounds on caller-owned scratch, which the returned
-// POIs alias. It also returns the radius of the search range it used —
-// b.Upper when positive, else searchRadius(q, k): the retrieval covered
-// every packet intersecting the square of that radius around q.
-func (s *Schedule) KNNScratch(sc *Scratch, q geom.Point, k int, start int64, b Bounds) ([]POI, float64, Access) {
+// KNN runs the on-air k-nearest-neighbor search, posed at absolute slot
+// start, on caller-owned scratch, which the returned POIs alias: scan the
+// index to derive a search range guaranteed to hold the k nearest POIs,
+// then retrieve every packet intersecting that range. With zero Bounds it
+// is the plain on-air algorithm (no peer knowledge); SBNN's bounds filter
+// packets, and the returned POI set then excludes the contents of skipped
+// packets, which the caller merges with the peer-supplied POIs that
+// justified the bounds. It also returns the radius of the search range it
+// used — b.Upper when positive, else searchRadius(q, k): the retrieval
+// covered every packet intersecting the square of that radius around q.
+func (s *Schedule) KNN(sc *Scratch, q geom.Point, k int, start int64, b Bounds) ([]POI, float64, Access) {
 	after, acc := s.probeIndex(start)
 	radius := b.Upper
 	if radius <= 0 {
@@ -653,29 +650,27 @@ func (s *Schedule) searchRadius(sc *Scratch, q geom.Point, k int) float64 {
 	return 0 // no packets
 }
 
-// Window runs the plain on-air window query: retrieve every packet whose
-// region intersects w and filter the POIs.
-func (s *Schedule) Window(w geom.Rect, start int64) ([]POI, Access) {
-	return s.WindowReduced([]geom.Rect{w}, start)
-}
-
-// WindowReduced runs the on-air window query over a set of (reduced)
-// windows — the w′ rectangles SBWQ computes by subtracting the merged
-// verified region from the original window. POIs outside every window are
-// filtered out before returning.
+// WindowReduced is Window on a fresh scratch, returning the filtered
+// result alone. Only the benchmark's replay (bench/replay.go) links it;
+// delete it once the replay calls Window.
 func (s *Schedule) WindowReduced(windows []geom.Rect, start int64) ([]POI, Access) {
 	var sc Scratch
-	out, _, _, acc := s.WindowReducedDetailed(&sc, windows, start)
+	out, _, _, acc := s.Window(&sc, windows, start)
 	return out, acc
 }
 
-// WindowReducedDetailed is WindowReduced on caller-owned scratch,
-// exposing the full retrieval: the filtered result, the raw contents of
-// every downloaded packet, and the downloaded packet sequence numbers
-// (ascending), all aliasing sc. SBWQ uses the extra data to turn the
-// retrieval into cached verified knowledge (the paper's "store received
-// POIs with their collective MBR" cache policy).
-func (s *Schedule) WindowReducedDetailed(sc *Scratch, windows []geom.Rect, start int64) (filtered, raw []POI, retrieved []int, acc Access) {
+// Window runs the on-air window query over a set of windows, posed at
+// absolute slot start, on caller-owned scratch: retrieve every packet
+// whose region intersects a window and filter out the POIs outside every
+// window. The plain on-air query passes the one window; SBWQ passes the
+// reduced windows w′ it computes by subtracting the merged verified
+// region from the original one. It exposes the full retrieval: the
+// filtered result, the raw contents of every downloaded packet, and the
+// downloaded packet sequence numbers (ascending), all aliasing sc. SBWQ
+// uses the extra data to turn the retrieval into cached verified
+// knowledge (the paper's "store received POIs with their collective MBR"
+// cache policy).
+func (s *Schedule) Window(sc *Scratch, windows []geom.Rect, start int64) (filtered, raw []POI, retrieved []int, acc Access) {
 	after, acc := s.probeIndex(start)
 	if len(s.packets) == 0 {
 		return nil, nil, nil, acc

@@ -35,6 +35,18 @@ func mustSchedule(t *testing.T, pois []POI, cfg Config) *Schedule {
 	return s
 }
 
+// plainKNN and plainWindow pose the plain on-air queries (no peer
+// knowledge) on a fresh scratch.
+func plainKNN(s *Schedule, q geom.Point, k int, start int64) ([]POI, Access) {
+	pois, _, acc := s.KNN(new(Scratch), q, k, start, Bounds{})
+	return pois, acc
+}
+
+func plainWindow(s *Schedule, w geom.Rect, start int64) ([]POI, Access) {
+	pois, _, _, acc := s.Window(new(Scratch), []geom.Rect{w}, start)
+	return pois, acc
+}
+
 func bruteKNN(pois []POI, q geom.Point, k int) []POI {
 	s := append([]POI(nil), pois...)
 	sort.Slice(s, func(i, j int) bool {
@@ -208,12 +220,12 @@ func TestGrowCompleteRect(t *testing.T) {
 	}
 }
 
-func TestWindowReducedDetailed(t *testing.T) {
+func TestWindowRetrieval(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	pois := randomPOIs(rng, 300, 64)
 	s := mustSchedule(t, pois, testConfig())
 	w := geom.NewRect(10, 10, 30, 30)
-	filtered, raw, retrieved, acc := s.WindowReducedDetailed(new(Scratch), []geom.Rect{w}, 0)
+	filtered, raw, retrieved, acc := s.Window(new(Scratch), []geom.Rect{w}, 0)
 	if len(raw) < len(filtered) {
 		t.Fatalf("raw %d < filtered %d", len(raw), len(filtered))
 	}
@@ -293,7 +305,7 @@ func TestOnAirKNNCorrectness(t *testing.T) {
 		q := geom.Pt(rng.Float64()*64, rng.Float64()*64)
 		k := 1 + rng.Intn(8)
 		start := rng.Int63n(s.CycleLength() * 2)
-		got, acc := s.KNN(q, k, start)
+		got, acc := plainKNN(s, q, k, start)
 		// The retrieved set must contain the true k nearest.
 		want := bruteKNN(pois, q, k)
 		ids := map[int64]bool{}
@@ -319,7 +331,7 @@ func TestOnAirKNNFewerPOIsThanK(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pois := randomPOIs(rng, 5, 64)
 	s := mustSchedule(t, pois, testConfig())
-	got, _ := s.KNN(geom.Pt(32, 32), 10, 0)
+	got, _ := plainKNN(s, geom.Pt(32, 32), 10, 0)
 	if len(got) != 5 {
 		t.Fatalf("got %d POIs want all 5", len(got))
 	}
@@ -327,7 +339,7 @@ func TestOnAirKNNFewerPOIsThanK(t *testing.T) {
 
 func TestOnAirKNNEmptyFile(t *testing.T) {
 	s := mustSchedule(t, nil, testConfig())
-	got, acc := s.KNN(geom.Pt(1, 1), 3, 0)
+	got, acc := plainKNN(s, geom.Pt(1, 1), 3, 0)
 	if got != nil {
 		t.Fatalf("empty file KNN = %v", got)
 	}
@@ -345,11 +357,11 @@ func TestKNNWithUpperBoundReducesWork(t *testing.T) {
 	s := mustSchedule(t, pois, testConfig())
 	q := geom.Pt(32, 32)
 	k := 5
-	_, plain := s.KNN(q, k, 0)
+	_, plain := plainKNN(s, q, k, 0)
 
 	// A tight, valid upper bound: the true k-th NN distance.
 	upper := kthDist(pois, q, k)
-	got, bounded := s.KNNWithBounds(q, k, 0, Bounds{Upper: upper * 1.001})
+	got, _, bounded := s.KNN(new(Scratch), q, k, 0, Bounds{Upper: upper * 1.001})
 	if bounded.PacketsRead > plain.PacketsRead {
 		t.Errorf("upper bound increased packets: %d > %d", bounded.PacketsRead, plain.PacketsRead)
 	}
@@ -376,7 +388,7 @@ func TestKNNWithLowerBoundSkipsPackets(t *testing.T) {
 	// Claim verified knowledge of everything within half the k-th
 	// distance: packets wholly inside that circle are skipped.
 	lower := upper / 2
-	got, acc := s.KNNWithBounds(q, k, 0, Bounds{Upper: upper, Lower: lower})
+	got, _, acc := s.KNN(new(Scratch), q, k, 0, Bounds{Upper: upper, Lower: lower})
 	// Every true NN farther than lower must be present (POIs within lower
 	// are the caller's verified knowledge).
 	want := bruteKNN(pois, q, k)
@@ -402,7 +414,7 @@ func TestOnAirWindowCorrectness(t *testing.T) {
 		a := geom.Pt(rng.Float64()*64, rng.Float64()*64)
 		w := geom.NewRect(a.X, a.Y, a.X+rng.Float64()*20, a.Y+rng.Float64()*20)
 		start := rng.Int63n(s.CycleLength())
-		got, _ := s.Window(w, start)
+		got, _ := plainWindow(s, w, start)
 		wantCount := 0
 		for _, p := range pois {
 			if w.Contains(p.Pos) {
@@ -425,11 +437,11 @@ func TestWindowReducedFiltersAndFetchesLess(t *testing.T) {
 	pois := randomPOIs(rng, 400, 64)
 	s := mustSchedule(t, pois, testConfig())
 	w := geom.NewRect(10, 10, 40, 40)
-	_, full := s.Window(w, 0)
+	_, full := plainWindow(s, w, 0)
 	// Pretend the left half is already verified: only the right half
 	// needs the channel.
 	reduced := geom.NewRect(25, 10, 40, 40)
-	got, racc := s.WindowReduced([]geom.Rect{reduced}, 0)
+	got, _, _, racc := s.Window(new(Scratch), []geom.Rect{reduced}, 0)
 	if racc.PacketsRead > full.PacketsRead {
 		t.Errorf("reduced window read more packets: %d > %d", racc.PacketsRead, full.PacketsRead)
 	}
@@ -452,7 +464,7 @@ func TestWindowReducedFiltersAndFetchesLess(t *testing.T) {
 func TestWindowReducedEmptyWindows(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	s := mustSchedule(t, randomPOIs(rng, 50, 64), testConfig())
-	got, acc := s.WindowReduced(nil, 0)
+	got, _, _, acc := s.Window(new(Scratch), nil, 0)
 	if len(got) != 0 || acc.PacketsRead != 0 {
 		t.Fatalf("empty windows got %d POIs, %d packets", len(got), acc.PacketsRead)
 	}
@@ -466,7 +478,7 @@ func TestLatencyAccounting(t *testing.T) {
 	// Latency from any start is bounded by two full cycles (index wait +
 	// data wrap).
 	for start := int64(0); start < s.CycleLength(); start += 3 {
-		_, acc := s.KNN(q, 3, start)
+		_, acc := plainKNN(s, q, 3, start)
 		if acc.Latency > 2*s.CycleLength() {
 			t.Fatalf("latency %d exceeds 2 cycles (%d)", acc.Latency, 2*s.CycleLength())
 		}
@@ -543,7 +555,7 @@ func TestLossyChannelStillCorrectButSlower(t *testing.T) {
 			wantIDs[p.ID] = true
 		}
 		for _, s := range []*Schedule{clean, lossy} {
-			got, acc := s.KNN(q, k, int64(trial)*11)
+			got, acc := plainKNN(s, q, k, int64(trial)*11)
 			ids := map[int64]bool{}
 			for _, p := range got {
 				ids[p.ID] = true
@@ -581,7 +593,7 @@ func TestLossRateClamped(t *testing.T) {
 		t.Fatalf("loss rate %v not clamped", s.lossRate)
 	}
 	// Query still terminates.
-	if got, _ := s.KNN(geom.Pt(32, 32), 3, 0); len(got) == 0 {
+	if got, _ := plainKNN(s, geom.Pt(32, 32), 3, 0); len(got) == 0 {
 		t.Fatal("query under max loss returned nothing")
 	}
 	cfg.LossRate = -1

@@ -349,9 +349,9 @@ func checkKNN(t *testing.T, c onAirCase) {
 		if wantRadius <= 0 && (len(s.packets) > 0 || c.k >= 0) {
 			wantRadius = ref.searchRadius(c.q, c.k)
 		}
-		got, radius, acc := s.KNNScratch(&dirtyScratch, c.q, c.k, c.start, b)
+		got, radius, acc := s.KNN(&dirtyScratch, c.q, c.k, c.start, b)
 		if acc != wantAcc || radius != wantRadius || !samePOIs(got, want) {
-			t.Fatalf("KNNScratch(%v, k=%d, %+v):\n got %v radius %v %+v\nwant %v radius %v %+v",
+			t.Fatalf("KNN(%v, k=%d, %+v):\n got %v radius %v %+v\nwant %v radius %v %+v",
 				c.q, c.k, b, got, radius, acc, want, wantRadius, wantAcc)
 		}
 		sameStream(t, ref, s)
@@ -362,9 +362,9 @@ func checkWindow(t *testing.T, c onAirCase) {
 	t.Helper()
 	ref, s := c.pair(t)
 	wantF, wantRaw, wantSeqs, wantAcc := ref.windowReducedDetailed(c.windows, c.start)
-	gotF, gotRaw, gotSeqs, acc := s.WindowReducedDetailed(&dirtyScratch, c.windows, c.start)
+	gotF, gotRaw, gotSeqs, acc := s.Window(&dirtyScratch, c.windows, c.start)
 	if acc != wantAcc || !samePOIs(gotF, wantF) || !samePOIs(gotRaw, wantRaw) || !slices.Equal(gotSeqs, wantSeqs) {
-		t.Fatalf("WindowReducedDetailed(%v):\n got %v of %v from %v %+v\nwant %v of %v from %v %+v",
+		t.Fatalf("Window(%v):\n got %v of %v from %v %+v\nwant %v of %v from %v %+v",
 			c.windows, gotF, gotRaw, gotSeqs, acc, wantF, wantRaw, wantSeqs, wantAcc)
 	}
 	sameStream(t, ref, s)
@@ -489,12 +489,12 @@ func TestRetrievalHoldsNoPOITwice(t *testing.T) {
 			cx, cy := rng.Float64()*56, rng.Float64()*56
 			w := geom.NewRect(cx, cy, cx+rng.Float64()*16, cy+rng.Float64()*16)
 			windows := []geom.Rect{w, geom.RectAround(w.Center(), 3), w}
-			_, raw, retrieved, _ := s.WindowReducedDetailed(&sc, windows, int64(trial))
+			_, raw, retrieved, _ := s.Window(&sc, windows, int64(trial))
 			once(raw)
 			if !slices.IsSorted(retrieved) || len(slices.Compact(slices.Clone(retrieved))) != len(retrieved) {
 				t.Fatalf("%v: retrieved %v not strictly ascending", ord, retrieved)
 			}
-			got, _, _ := s.KNNScratch(&sc, w.Center(), 1+rng.Intn(12), int64(trial), Bounds{})
+			got, _, _ := s.KNN(&sc, w.Center(), 1+rng.Intn(12), int64(trial), Bounds{})
 			once(got)
 		}
 	}

@@ -30,7 +30,7 @@ func TestAllOrderingsAnswerCorrectly(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			q := geom.Pt(rng.Float64()*64, rng.Float64()*64)
 			k := 1 + rng.Intn(6)
-			got, _ := s.KNN(q, k, int64(trial))
+			got, _ := plainKNN(s, q, k, int64(trial))
 			want := bruteKNN(pois, q, k)
 			ids := map[int64]bool{}
 			for _, p := range got {
@@ -43,7 +43,7 @@ func TestAllOrderingsAnswerCorrectly(t *testing.T) {
 			}
 			cx, cy := rng.Float64()*56, rng.Float64()*56
 			win := geom.NewRect(cx, cy, cx+6, cy+6)
-			gw, _ := s.Window(win, int64(trial))
+			gw, _ := plainWindow(s, win, int64(trial))
 			count := 0
 			for _, p := range pois {
 				if win.Contains(p.Pos) {
@@ -96,7 +96,7 @@ func TestHilbertLocalityBeatsRowMajor(t *testing.T) {
 		for i := 0; i < trials; i++ {
 			cx, cy := probe.Float64()*52, probe.Float64()*52
 			win := geom.NewRect(cx, cy, cx+12, cy+12)
-			_, acc := s.Window(win, int64(i))
+			_, acc := plainWindow(s, win, int64(i))
 			total += acc.PacketsRead
 		}
 		return float64(total) / trials

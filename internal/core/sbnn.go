@@ -177,7 +177,7 @@ func SBNNScratch(s *Scratch, q geom.Point, peers []PeerData, cfg SBNNConfig, sch
 		fillVerifiedKnowledge()
 		return res
 	}
-	onAir, radius, acc := sched.KNNScratch(&s.onAir, q, cfg.K, now, res.Bounds)
+	onAir, radius, acc := sched.KNN(&s.onAir, q, cfg.K, now, res.Bounds)
 	res.Access = acc
 
 	// Merge: the heap's trusted POIs (peer knowledge, covering any

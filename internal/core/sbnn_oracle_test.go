@@ -27,7 +27,7 @@ func refSBNN(s *Scratch, q geom.Point, peers []PeerData, cfg SBNNConfig, sched *
 	}
 	res.Outcome = OutcomeBroadcast
 	res.Bounds = nnv.Heap.SearchBounds()
-	onAir, radius, acc := sched.KNNScratch(&s.onAir, q, cfg.K, now, res.Bounds)
+	onAir, radius, acc := sched.KNN(&s.onAir, q, cfg.K, now, res.Bounds)
 	res.Access = acc
 
 	merged := append(s.poiBuf[:0], onAir...)

@@ -135,7 +135,7 @@ func SBWQScratch(s *Scratch, q geom.Point, w geom.Rect, peers []PeerData, cfg SB
 		res.POIs = freshCopy(local)
 		return res
 	}
-	onAir, raw, retrieved, acc := sched.WindowReducedDetailed(&s.onAir, res.ReducedWindows, now)
+	onAir, raw, retrieved, acc := sched.Window(&s.onAir, res.ReducedWindows, now)
 	res.Access = acc
 	merged := append(local, onAir...)
 	sortCandidates(s, merged, q)

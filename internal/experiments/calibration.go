@@ -49,14 +49,15 @@ func OrderingAblation(o Options) []OrderingRow {
 		probe := rand.New(rand.NewSource(o.Seed + 1))
 		const trials = 200
 		var knnPk, winPk, knnLat float64
+		var sc broadcast.Scratch
 		for i := 0; i < trials; i++ {
 			q := geom.Pt(probe.Float64()*base.AreaMiles, probe.Float64()*base.AreaMiles)
-			_, acc := sched.KNN(q, base.K, int64(i)*37)
+			_, _, acc := sched.KNN(&sc, q, base.K, int64(i)*37, broadcast.Bounds{})
 			knnPk += float64(acc.PacketsRead)
 			knnLat += float64(acc.Latency)
 			c := geom.Pt(probe.Float64()*(base.AreaMiles-winSide), probe.Float64()*(base.AreaMiles-winSide))
 			w := geom.Rect{Min: c, Max: c.Add(geom.Pt(winSide, winSide))}
-			_, wacc := sched.Window(w, int64(i)*53)
+			_, _, _, wacc := sched.Window(&sc, []geom.Rect{w}, int64(i)*53)
 			winPk += float64(wacc.PacketsRead)
 		}
 		rows = append(rows, OrderingRow{

@@ -276,9 +276,9 @@ func (w *World) commit(e *query) {
 			// stream, so it must directly follow this query's execute.
 			var acc broadcast.Access
 			if e.window {
-				_, acc = w.data.sched.Window(e.win, w.slotNow())
+				_, _, _, acc = w.data.sched.Window(&w.qs.baseline, []geom.Rect{e.win}, w.slotNow())
 			} else {
-				_, acc = w.data.sched.KNN(e.q, e.k, w.slotNow())
+				_, _, acc = w.data.sched.KNN(&w.qs.baseline, e.q, e.k, w.slotNow(), broadcast.Bounds{})
 			}
 			w.stats.BaselineLatencySlots += acc.Latency
 			w.stats.BaselinePackets += int64(acc.PacketsRead)

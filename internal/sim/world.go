@@ -203,6 +203,7 @@ type queryScratch struct {
 	regs      []wire.Region        // wire-encoding staging (damaged-reply path)
 	contribs  []trust.Contribution // trust-screen staging
 	core      core.Scratch         // NNV/SBNN/SBWQ hot-path scratch
+	baseline  broadcast.Scratch    // baseline pricing: the answer aliases core
 	repair    cache.RepairScratch  // IR repair transients (admitShared, syncIR)
 	rt        rtree.KNNScratch     // ground-truth kNN frontier
 	truth     []broadcast.POI      // ground-truth answers: audit oracle, kNN
@@ -471,14 +472,6 @@ func (w *World) Stats() Stats {
 	s.BreakerShortCircuits = b.ShortCircuits
 	s.BreakerRecoveries = b.Recoveries
 	s.ByzantineLies = c.ByzantineLies
-	tc := w.tr.Counters()
-	s.AuditsRun = tc.AuditsRun
-	s.AuditFailures = tc.AuditFailures
-	s.ConflictsDetected = tc.ConflictsDetected
-	s.PeersQuarantined = tc.PeersQuarantined
-	s.AuditSlots = tc.AuditSlots
-	s.QuarantinedArea = tc.QuarantinedArea
-	s.StaleVerdicts = tc.StaleVerdicts
 	return s
 }
 
@@ -570,8 +563,10 @@ func (w *World) counted() bool { return w.nowSec >= w.warmupSec }
 // audits priced against the remaining deadline budget, and taint
 // verdicts. Returns the screen's rows (engine scratch, valid until the
 // next screen), the total slots the query has now spent (collection
-// backoff plus audit cost), and the per-screen report. A nil engine (AuditRate zero) returns the collection untouched
-// — the seed behavior, with zero draws and zero branches past the first.
+// backoff plus audit cost), and the per-screen report, which is summed
+// into Stats here and nowhere else, warm-up included. A nil engine
+// (AuditRate zero) returns the collection untouched — the seed behavior,
+// with zero draws and zero branches past the first.
 // bcastUp=false (the host sits in a blackout window) zeroes the audit
 // budget: on-air spot audits are physically impossible on a dark
 // downlink, and a missed audit must never read as a failed one —
@@ -595,15 +590,19 @@ func (w *World) trustScreen(spent int64, bcastUp bool) ([]core.PeerData, int64, 
 	// deadline budget has left after collection backoff.
 	budget := int64(-1)
 	if w.Params.DeadlineSlots > 0 {
-		budget = int64(w.Params.DeadlineSlots) - spent
-		if budget < 0 {
-			budget = 0
-		}
+		budget = max(int64(w.Params.DeadlineSlots)-spent, 0)
 	}
 	if !bcastUp {
 		budget = 0 // dark downlink: no channel to audit against
 	}
 	rows, rep := w.tr.Screen(contribs, w.auditOracle, budget)
+	w.stats.AuditsRun += int64(rep.Audits)
+	w.stats.AuditFailures += int64(rep.AuditFailures)
+	w.stats.ConflictsDetected += int64(rep.Conflicts)
+	w.stats.PeersQuarantined += int64(rep.Convictions)
+	w.stats.StaleVerdicts += int64(rep.StaleConflicts)
+	w.stats.AuditSlots += rep.AuditSlots
+	w.stats.QuarantinedArea += rep.QuarantinedArea
 	return rows, spent + rep.AuditSlots, rep
 }
 
@@ -1008,7 +1007,8 @@ func (w *World) checkWindow(win geom.Rect, got []broadcast.POI) {
 	if w.selfCheckErr != nil {
 		return
 	}
-	want := w.data.truth.Window(win)
+	want := w.data.truth.AppendWindow(w.qs.truth[:0], win)
+	w.qs.truth = want
 	if len(got) != len(want) {
 		w.selfCheckErr = fmt.Errorf(
 			"window self-check: got %d results want %d (w=%v)", len(got), len(want), win)

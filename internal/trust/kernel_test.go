@@ -61,8 +61,8 @@ func TestQuarantineCapEvictsOldest(t *testing.T) {
 	if cap(e.quar) > 4*maxQuarRects {
 		t.Fatalf("backing array grew to %d entries under eviction", cap(e.quar))
 	}
-	if wantArea := 0.5 * total; rep.QuarantinedArea != wantArea || e.Counters().QuarantinedArea != wantArea {
-		t.Fatalf("quarantined area %v / %v, want %v", rep.QuarantinedArea, e.Counters().QuarantinedArea, wantArea)
+	if wantArea := 0.5 * total; rep.QuarantinedArea != wantArea {
+		t.Fatalf("quarantined area %v, want %v", rep.QuarantinedArea, wantArea)
 	}
 	// An evicted rectangle that resurfaces is new again.
 	e.quarantineRect(nth(0), &rep)
@@ -92,22 +92,28 @@ func TestQuarantineRefreshExtendsNotRecounts(t *testing.T) {
 	overlap := geom.NewRect(3, 3, 4, 4)
 	other := []Contribution{lying(2, geom.NewRect(10, 10, 14, 14), geom.Pt(13.5, 13.5)), honest(3, geom.NewRect(13, 13, 16, 16))}
 
-	_, rep := e.Screen([]Contribution{a, b}, oracle, 0) // seq 1: until 11
+	var sum Report
+	screen := func(contribs []Contribution) Report {
+		_, rep := e.Screen(contribs, oracle, 0)
+		addReport(&sum, rep)
+		return rep
+	}
+	rep := screen([]Contribution{a, b}) // seq 1: until 11
 	if rep.Conflicts != 1 || rep.QuarantinedArea != overlap.Area() {
 		t.Fatalf("first dispute: %+v", rep)
 	}
-	e.Screen(other, oracle, 0) // seq 2: a second rectangle, until 12
+	screen(other) // seq 2: a second rectangle, until 12
 	for e.seq < 6 {
-		e.Screen(nil, oracle, 0)
+		screen(nil)
 	}
-	_, rep = e.Screen([]Contribution{a, b}, oracle, 0) // seq 7: refreshed to 17
+	rep = screen([]Contribution{a, b}) // seq 7: refreshed to 17
 	if rep.Conflicts != 1 || rep.QuarantinedArea != 0 {
 		t.Fatalf("refreshing dispute re-counted area: %+v", rep)
 	}
 	if e.QuarantinedRects() != 2 || e.quar[e.quarHead].r != overlap || e.quar[e.quarHead].until != 17 {
 		t.Fatalf("refresh moved or missed the rectangle: %+v", e.quar[e.quarHead:])
 	}
-	if total := e.Counters().QuarantinedArea; total != 2*overlap.Area() {
+	if total := sum.QuarantinedArea; total != 2*overlap.Area() {
 		t.Fatalf("cumulative quarantined area %v, want %v", total, 2*overlap.Area())
 	}
 	// The refresh leaves quarMinUntil a stale lower bound (11): the scan
@@ -183,7 +189,7 @@ func TestScreenRowsValidUntilNextScreen(t *testing.T) {
 	if res.Merged != 1 || res.Heap.TaintedCount() != 1 {
 		t.Fatalf("NNV over the rows merged %d regions and ranked %d tainted candidates", res.Merged, res.Heap.TaintedCount())
 	}
-	_, _, _ = e.Vouched(1), e.Quarantined(1), e.Counters()
+	_, _, _ = e.Vouched(1), e.Quarantined(1), e.QuarantinedRects()
 	sameRows(t, out, snapshot)
 	cut := &out[1].POIs[0]
 	again, _ := e.Screen(contribs, oracle, 0)

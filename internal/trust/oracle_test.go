@@ -38,7 +38,6 @@ type refEngine struct {
 	peers    map[int]*refPeerRec
 	quar     []quarRect
 	quarIdx  map[geom.Rect]int // rect → index in quar (dedup)
-	counters Counters
 
 	everyRect bool
 	outline   []geom.Rect // of the last screen's ledger
@@ -153,7 +152,6 @@ func (e *refEngine) convict(id int, rep *Report, convicted map[int]bool) {
 	r.quarantinedUntil = e.seq + e.cfg.quarantineCycles
 	r.vouchedUntil = 0
 	r.strikes = 0
-	e.counters.PeersQuarantined++
 	rep.Convictions++
 	e.breakers.ForceOpen(id)
 }
@@ -196,7 +194,6 @@ func (e *refEngine) quarantineRect(r geom.Rect, rep *Report) {
 	e.quarIdx[r] = len(e.quar)
 	e.quar = append(e.quar, quarRect{r: r, until: until})
 	rep.QuarantinedArea += r.Area()
-	e.counters.QuarantinedArea += r.Area()
 }
 
 // restrictAgree reports whether two claims agree on the overlap rect:
@@ -281,11 +278,9 @@ func (e *refEngine) screenReference(contribs []Contribution, oracle Oracle, budg
 			// peers into quarantine.
 			if kept[i].Stale || kept[j].Stale {
 				rep.StaleConflicts++
-				e.counters.StaleVerdicts++
 				continue
 			}
 			rep.Conflicts++
-			e.counters.ConflictsDetected++
 			// An audit-backed vouch outweighs an unvouched accuser: when
 			// exactly one claimant is vouched, the other one lied (a
 			// byzantine peer can never be vouched), so strike it alone and
@@ -332,8 +327,6 @@ func (e *refEngine) screenReference(contribs []Contribution, oracle Oracle, budg
 		audits++
 		rep.Audits++
 		rep.AuditSlots += cost
-		e.counters.AuditsRun++
-		e.counters.AuditSlots += cost
 		truth := oracle(c.VR)
 		if claimHonest(c.VR, c.POIs, truth) {
 			// Vouch and forgive standing strikes: the ground truth just
@@ -345,10 +338,8 @@ func (e *refEngine) screenReference(contribs []Contribution, oracle Oracle, budg
 			continue
 		}
 		rep.AuditFailures++
-		e.counters.AuditFailures++
 		e.convict(c.Peer, &rep, convicted)
 		rep.QuarantinedArea += c.VR.Area()
-		e.counters.QuarantinedArea += c.VR.Area()
 	}
 
 	// Assemble: convicted peers drop out entirely; everything else is

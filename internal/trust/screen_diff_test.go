@@ -219,6 +219,8 @@ type diffPair struct {
 	eb, rb *p2p.BreakerSet
 	pairs  pairOracle
 	sets   bool
+	// total sums the production engine's reports: its cumulative activity.
+	total Report
 	// tiledDifferently says whether, in the last screen of a sets pair,
 	// the outline tiled some row differently from the whole ledger.
 	tiledDifferently bool
@@ -232,7 +234,7 @@ func newDiffPair(seed int64, cfg Config) *diffPair {
 }
 
 // screen runs one screen on both engines and compares every observable:
-// results, report, counters, the reputations and breakers of peers
+// results, report, the reputations and breakers of peers
 // -1..peers-1, the quarantine ledger and its index — and the conflict list
 // of the coverage check against the pair loop's, and the incremental
 // outline against the one derived from the ledger. It returns the production
@@ -258,9 +260,7 @@ func (d *diffPair) screen(t *testing.T, s int, contribs []Contribution, oracle O
 	if gotRep != wantRep {
 		t.Fatalf("screen %d report = %+v, reference %+v", s, gotRep, wantRep)
 	}
-	if e.Counters() != ref.counters {
-		t.Fatalf("screen %d counters = %+v, reference %+v", s, e.Counters(), ref.counters)
-	}
+	addReport(&d.total, gotRep)
 	sameConflicts(t, e.conflicts, d.pairs.detectConflicts(e.slots, contribs))
 	for id := -1; id < peers; id++ {
 		if e.Quarantined(id) != ref.Quarantined(id) || e.Vouched(id) != ref.Vouched(id) {
@@ -302,7 +302,7 @@ func sameConflicts(t *testing.T, got, want []conflict) {
 
 // runDifferential drives the production engine and the reference from one
 // seed through `screens` screens and compares every observable after each.
-func runDifferential(t *testing.T, w *diffWorld, cfg Config, seed int64, screens, maxN int) (*Engine, *refEngine) {
+func runDifferential(t *testing.T, w *diffWorld, cfg Config, seed int64, screens, maxN int) *diffPair {
 	t.Helper()
 	d := newDiffPair(seed, cfg)
 	for s := 0; s < screens; s++ {
@@ -313,7 +313,7 @@ func runDifferential(t *testing.T, w *diffWorld, cfg Config, seed int64, screens
 			}
 		}
 	}
-	return d.e, d.ref
+	return d
 }
 
 // TestScreenMatchesReference is the differential oracle for the whole
@@ -332,10 +332,10 @@ func TestScreenMatchesReference(t *testing.T) {
 	// Default horizons: vouching, strikes, convictions and decay all
 	// cycle many times over.
 	t.Run("lifecycle", func(t *testing.T) {
-		e, ref := runDifferential(t, newDiffWorld(1, 40, 8), Config{AuditRate: 0.15}, 11, 2200, 24)
-		retiredCutDiffers(t, ref)
-		c := e.Counters()
-		if c.AuditsRun == 0 || c.AuditFailures == 0 || c.ConflictsDetected == 0 || c.StaleVerdicts == 0 || c.PeersQuarantined == 0 {
+		d := runDifferential(t, newDiffWorld(1, 40, 8), Config{AuditRate: 0.15}, 11, 2200, 24)
+		retiredCutDiffers(t, d.ref)
+		c := d.total
+		if c.Audits == 0 || c.AuditFailures == 0 || c.Conflicts == 0 || c.StaleConflicts == 0 || c.Convictions == 0 {
 			t.Fatalf("lifecycle run exercised too little: %+v", c)
 		}
 	})
@@ -344,29 +344,29 @@ func TestScreenMatchesReference(t *testing.T) {
 	// pairs fill the rectangle quarantine to its cap and keep evicting.
 	t.Run("cap", func(t *testing.T) {
 		cfg := Config{AuditRate: 0.01, quarantineCycles: 4000, convictStrikes: 1 << 30}
-		e, ref := runDifferential(t, newDiffWorld(2, 300, 150), cfg, 12, 900, 20)
-		retiredCutDiffers(t, ref)
-		if e.QuarantinedRects() != maxQuarRects {
-			t.Fatalf("quarantine holds %d rects, want the cap %d", e.QuarantinedRects(), maxQuarRects)
+		d := runDifferential(t, newDiffWorld(2, 300, 150), cfg, 12, 900, 20)
+		retiredCutDiffers(t, d.ref)
+		if d.e.QuarantinedRects() != maxQuarRects {
+			t.Fatalf("quarantine holds %d rects, want the cap %d", d.e.QuarantinedRects(), maxQuarRects)
 		}
-		if e.Counters().ConflictsDetected < 3*maxQuarRects {
-			t.Fatalf("only %d conflicts: the cap was not overflowed enough to compact", e.Counters().ConflictsDetected)
+		if d.total.Conflicts < 3*maxQuarRects {
+			t.Fatalf("only %d conflicts: the cap was not overflowed enough to compact", d.total.Conflicts)
 		}
 	})
 	// Everyone audited at once: vouched claimants outvote liars, dedup
 	// drops from tainted pieces what trusted ones carry.
 	t.Run("audited", func(t *testing.T) {
-		_, ref := runDifferential(t, newDiffWorld(3, 24, 4), Config{AuditRate: 0.9, maxAuditsPerQuery: 16, quarantineCycles: 20, vouchCycles: 40}, 13, 600, 16)
-		retiredCutDiffers(t, ref)
+		d := runDifferential(t, newDiffWorld(3, 24, 4), Config{AuditRate: 0.9, maxAuditsPerQuery: 16, quarantineCycles: 20, vouchCycles: 40}, 13, 600, 16)
+		retiredCutDiffers(t, d.ref)
 	})
 	// A third of the claims lie beyond a reach cut: audited in their turn,
 	// never cross-validated, never returned.
 	t.Run("auditOnly", func(t *testing.T) {
 		w := newDiffWorld(4, 40, 8)
 		w.auditOnly = 3
-		e, ref := runDifferential(t, w, Config{AuditRate: 0.3}, 14, 1500, 24)
-		retiredCutDiffers(t, ref)
-		if c := e.Counters(); c.AuditsRun == 0 || c.AuditFailures == 0 || c.ConflictsDetected == 0 {
+		d := runDifferential(t, w, Config{AuditRate: 0.3}, 14, 1500, 24)
+		retiredCutDiffers(t, d.ref)
+		if c := d.total; c.Audits == 0 || c.AuditFailures == 0 || c.Conflicts == 0 {
 			t.Fatalf("audit-only run exercised too little: %+v", c)
 		}
 	})

@@ -187,7 +187,9 @@ type Contribution struct {
 type Oracle func(r geom.Rect) []broadcast.POI
 
 // Report is the per-screen activity record (what one query's trust pass
-// did), used for latency pricing, metrics, and tracing.
+// did), used for latency pricing, metrics, and tracing. It is the only
+// record of trust activity: the engine keeps no running totals, and the
+// simulator's Stats sums the reports of its screens.
 type Report struct {
 	// Audits is how many spot audits ran (passed or failed).
 	Audits int
@@ -210,17 +212,6 @@ type Report struct {
 	// QuarantinedArea is the area newly quarantined this screen
 	// (conflict overlaps plus convicted regions).
 	QuarantinedArea float64
-}
-
-// Counters is the engine's cumulative activity (the sim's Stats source).
-type Counters struct {
-	AuditsRun         int64
-	AuditFailures     int64
-	ConflictsDetected int64
-	StaleVerdicts     int64
-	PeersQuarantined  int64
-	AuditSlots        int64
-	QuarantinedArea   float64
 }
 
 // peerRec is one peer's reputation record.
@@ -314,7 +305,6 @@ type Engine struct {
 	breakers *p2p.BreakerSet
 	seq      int64
 	peers    map[int]*peerRec
-	counters Counters
 
 	// The live quarantine set is quar[quarHead:], in insertion order;
 	// quarIdx maps a live rectangle to its index in quar (dedup). Cap
@@ -372,14 +362,6 @@ func NewEngine(seed int64, cfg Config, breakers *p2p.BreakerSet) *Engine {
 		peers:    make(map[int]*peerRec),
 		quarIdx:  make(map[geom.Rect]int),
 	}
-}
-
-// Counters returns the cumulative activity tallies. Safe on nil (zero).
-func (e *Engine) Counters() Counters {
-	if e == nil {
-		return Counters{}
-	}
-	return e.counters
 }
 
 // Quarantined reports whether peer id is currently quarantined. Safe on
@@ -450,7 +432,6 @@ func (e *Engine) convict(id int, r *peerRec, rep *Report) {
 	r.quarantinedUntil = e.seq + e.cfg.quarantineCycles
 	r.vouchedUntil = 0
 	r.strikes = 0
-	e.counters.PeersQuarantined++
 	rep.Convictions++
 	e.breakers.ForceOpen(id)
 }
@@ -510,7 +491,6 @@ func (e *Engine) quarantineRect(r geom.Rect, rep *Report) {
 	e.quarIdx[r] = len(e.quar)
 	e.quar = append(e.quar, q)
 	rep.QuarantinedArea += r.Area()
-	e.counters.QuarantinedArea += r.Area()
 }
 
 // outlineAdmit files a rectangle new to the ledger (dedup: equal to no
@@ -1003,11 +983,9 @@ func (e *Engine) applyVerdicts(rep *Report) {
 		// peers into quarantine.
 		if a.stale || b.stale {
 			rep.StaleConflicts++
-			e.counters.StaleVerdicts++
 			continue
 		}
 		rep.Conflicts++
-		e.counters.ConflictsDetected++
 		// An audit-backed vouch outweighs an unvouched accuser: when
 		// exactly one claimant is vouched, the other one lied (a
 		// byzantine peer can never be vouched), so strike it alone and
@@ -1061,8 +1039,6 @@ func (e *Engine) audit(contribs []Contribution, oracle Oracle, budget int64, rep
 		audits++
 		rep.Audits++
 		rep.AuditSlots += cost
-		e.counters.AuditsRun++
-		e.counters.AuditSlots += cost
 		truth := oracle(c.VR)
 		if claimHonest(c.VR, c.POIs, truth) {
 			// Vouch and forgive standing strikes: the ground truth just
@@ -1073,10 +1049,8 @@ func (e *Engine) audit(contribs []Contribution, oracle Oracle, budget int64, rep
 			continue
 		}
 		rep.AuditFailures++
-		e.counters.AuditFailures++
 		e.convict(s.peer, s.rec, rep)
 		rep.QuarantinedArea += c.VR.Area()
-		e.counters.QuarantinedArea += c.VR.Area()
 	}
 }
 

@@ -50,11 +50,24 @@ func newTestEngine(t *testing.T, cfg Config, bs *p2p.BreakerSet) *Engine {
 	return e
 }
 
+// addReport sums r into sum, as the simulator sums each screen's report
+// into its Stats: the cumulative activity of a sequence of screens.
+func addReport(sum *Report, r Report) {
+	sum.Audits += r.Audits
+	sum.AuditFailures += r.AuditFailures
+	sum.Conflicts += r.Conflicts
+	sum.StaleConflicts += r.StaleConflicts
+	sum.Convictions += r.Convictions
+	sum.Tainted += r.Tainted
+	sum.AuditSlots += r.AuditSlots
+	sum.QuarantinedArea += r.QuarantinedArea
+}
+
 // A nil engine (the layer off) answers its accessors inertly, and a
 // disabled config builds none.
 func TestNilEnginePassthrough(t *testing.T) {
 	var e *Engine
-	if e.Quarantined(0) || e.Vouched(0) || e.Counters() != (Counters{}) {
+	if e.Quarantined(0) || e.Vouched(0) || e.QuarantinedRects() != 0 {
 		t.Fatal("nil engine accessors not inert")
 	}
 	if NewEngine(1, Config{}, nil) != nil {
@@ -147,10 +160,6 @@ func TestAuditFailureConvicts(t *testing.T) {
 	}
 	if rep.QuarantinedArea != r.Area() {
 		t.Fatalf("QuarantinedArea = %v, want %v", rep.QuarantinedArea, r.Area())
-	}
-	c := e.Counters()
-	if c.AuditsRun != 1 || c.AuditFailures != 1 || c.PeersQuarantined != 1 {
-		t.Fatalf("cumulative counters wrong: %+v", c)
 	}
 }
 
@@ -260,16 +269,18 @@ func TestAuditForgivesStrikes(t *testing.T) {
 // convictStrikes accumulated conflicts convict without any audit.
 func TestStrikesConvict(t *testing.T) {
 	e := newTestEngine(t, Config{AuditRate: 0.0001, convictStrikes: 2}, nil)
+	var total Report
 	for i := 0; i < 2; i++ {
 		a := honest(0, geom.NewRect(0, 0, 6, 6))
 		b := lying(1, geom.NewRect(4, 4, 10, 10), geom.Pt(5, 4.2))
-		e.Screen([]Contribution{a, b}, oracle, 0)
+		_, rep := e.Screen([]Contribution{a, b}, oracle, 0)
+		addReport(&total, rep)
 	}
 	if !e.Quarantined(1) {
 		t.Fatal("liar not convicted after repeated conflicts")
 	}
-	if e.Counters().PeersQuarantined < 1 {
-		t.Fatalf("PeersQuarantined = %d", e.Counters().PeersQuarantined)
+	if total.Convictions < 1 {
+		t.Fatalf("summed Convictions = %d", total.Convictions)
 	}
 }
 
@@ -377,37 +388,42 @@ func TestSamePeerRegionsDoNotConflict(t *testing.T) {
 func TestByzantineNeverVouched(t *testing.T) {
 	e := newTestEngine(t, Config{AuditRate: 0.5, quarantineCycles: 2}, nil)
 	r := geom.NewRect(0, 0, 6, 6)
+	var total Report
 	for i := 0; i < 200; i++ {
-		e.Screen([]Contribution{lying(3, r, geom.Pt(2, 2.5))}, oracle, -1)
+		_, rep := e.Screen([]Contribution{lying(3, r, geom.Pt(2, 2.5))}, oracle, -1)
+		addReport(&total, rep)
 		if e.Vouched(3) {
 			t.Fatalf("byzantine peer vouched at screen %d", i)
 		}
 	}
-	if e.Counters().AuditFailures == 0 {
+	if total.AuditFailures == 0 {
 		t.Fatal("no audit ever sampled the liar")
 	}
 }
 
 // Determinism: identical seeds and call sequences produce identical
-// screening decisions and counters.
+// screening decisions and summed reports.
 func TestScreenDeterministic(t *testing.T) {
-	run := func() ([]core.PeerData, Counters) {
+	run := func() ([]core.PeerData, Report) {
 		e := NewEngine(99, Config{AuditRate: 0.4}, nil)
 		var last []core.PeerData
+		var total Report
 		for i := 0; i < 50; i++ {
 			contribs := []Contribution{
 				honest(0, geom.NewRect(0, 0, 6, 6)),
 				lying(1, geom.NewRect(4, 4, 10, 10), geom.Pt(5, 4.7)),
 				honest(2, geom.NewRect(6, 6, 10, 10)),
 			}
-			last, _ = e.Screen(contribs, oracle, 40)
+			var rep Report
+			last, rep = e.Screen(contribs, oracle, 40)
+			addReport(&total, rep)
 		}
-		return last, e.Counters()
+		return last, total
 	}
 	r1, c1 := run()
 	r2, c2 := run()
 	if c1 != c2 {
-		t.Fatalf("counters diverged:\n%+v\n%+v", c1, c2)
+		t.Fatalf("summed reports diverged:\n%+v\n%+v", c1, c2)
 	}
 	if len(r1) != len(r2) {
 		t.Fatalf("row counts diverged: %d vs %d", len(r1), len(r2))
@@ -468,9 +484,6 @@ func TestStaleConflictAmnesty(t *testing.T) {
 	if rep.Conflicts != 0 || rep.StaleConflicts != 1 {
 		t.Fatalf("stale disagreement misclassified: %+v", rep)
 	}
-	if c := e.Counters(); c.ConflictsDetected != 0 || c.StaleVerdicts != 1 {
-		t.Fatalf("counters misclassified stale verdict: %+v", c)
-	}
 	if e.QuarantinedRects() != 0 || rep.QuarantinedArea != 0 {
 		t.Fatal("stale conflict quarantined an overlap")
 	}
@@ -505,9 +518,6 @@ func TestStaleContributionNeverAudited(t *testing.T) {
 	}
 	if e.Quarantined(0) {
 		t.Fatal("stale contribution convicted its peer")
-	}
-	if cn := e.Counters(); cn.AuditsRun != 0 || cn.AuditFailures != 0 {
-		t.Fatalf("audit counters moved: %+v", cn)
 	}
 }
 
