@@ -38,3 +38,22 @@ func TestOnAirClientsZeroAllocs(t *testing.T) {
 		t.Fatalf("warm on-air clients allocate %.1f times per query, want 0", allocs)
 	}
 }
+
+// A schedule build allocates its tables, not one slice per cell: ten times
+// the POIs (and about eight times the packets) add only the packet array's
+// appends, where the per-cell body allocated once per occupied cell.
+func TestScheduleBuildAllocs(t *testing.T) {
+	cfg := Config{Area: geom.NewRect(0, 0, 64, 64), Order: 6, PacketCapacity: 8, M: 4}
+	build := func(n int) float64 {
+		pois := randomPOIs(rand.New(rand.NewSource(2)), n, 64)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := NewSchedule(pois, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := build(275), build(2750)
+	if small > 24 || large > small+6 {
+		t.Fatalf("NewSchedule allocated %v times for 275 POIs and %v for 2,750", small, large)
+	}
+}

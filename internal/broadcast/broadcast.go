@@ -20,10 +20,11 @@
 package broadcast
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"lbsq/internal/geom"
 	"lbsq/internal/hilbert"
@@ -268,11 +269,8 @@ func NewSchedule(pois []POI, cfg Config) (*Schedule, error) {
 		cx, cy := curve.CellOf(p.Pos)
 		ks[i] = keyed{d: key(cx, cy), x: cx, y: cy, poi: p}
 	}
-	sort.Slice(ks, func(i, j int) bool {
-		if ks[i].d != ks[j].d {
-			return ks[i].d < ks[j].d
-		}
-		return ks[i].poi.ID < ks[j].poi.ID
+	slices.SortFunc(ks, func(a, b keyed) int {
+		return cmp.Or(cmp.Compare(a.d, b.d), cmp.Compare(a.poi.ID, b.poi.ID))
 	})
 
 	// Pack whole cells into packets: a packet always holds every POI of
@@ -280,35 +278,37 @@ func NewSchedule(pois []POI, cfg Config) (*Schedule, error) {
 	// complete authority on those cells (the property the verified-cache
 	// machinery builds on). A packet closes when adding the next cell
 	// would exceed the capacity; a single cell denser than the capacity
-	// becomes one oversized packet.
+	// becomes one oversized packet. A packet's cells are consecutive in
+	// the order, so its POIs are a run of one backing array in that order.
+	all := make([]POI, len(ks))
+	for i := range ks {
+		all[i] = ks[i].poi
+	}
 	var packets []Packet
+	start := 0 // where the last packet's POIs begin in all
 	i := 0
 	for i < len(ks) {
-		// Collect the run of POIs sharing the next cell.
+		// Find the run of POIs sharing the next cell.
 		j := i + 1
 		for j < len(ks) && ks[j].d == ks[i].d {
 			j++
 		}
-		cellPOIs := make([]POI, 0, j-i)
-		for _, e := range ks[i:j] {
-			cellPOIs = append(cellPOIs, e.poi)
-		}
 		cellValue := ks[i].d
 		cellRect := curve.CellRect(ks[i].x, ks[i].y)
 
-		if n := len(packets); n > 0 &&
-			len(packets[n-1].POIs)+len(cellPOIs) <= cfg.PacketCapacity {
+		if n := len(packets); n > 0 && j-start <= cfg.PacketCapacity {
 			p := &packets[n-1]
 			p.Last = cellValue
 			p.Region = p.Region.Union(cellRect)
-			p.POIs = append(p.POIs, cellPOIs...)
+			p.POIs = all[start:j:j]
 		} else {
+			start = i
 			packets = append(packets, Packet{
 				Seq:    len(packets),
 				First:  cellValue,
 				Last:   cellValue,
 				Region: cellRect,
-				POIs:   cellPOIs,
+				POIs:   all[i:j:j],
 			})
 		}
 		i = j

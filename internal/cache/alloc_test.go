@@ -26,7 +26,7 @@ func TestReconcileRegionUntouchedZeroAllocs(t *testing.T) {
 			Invalidation{Epoch: 3, Kind: InvalMove, ID: 200 + i, Cell: geom.NewRect(10, 10, 11, 11)},
 			Invalidation{Epoch: 2, Kind: InvalDelete, ID: 1}) // already reflected
 	}
-	invals := NewInvalSet(3, 1, items)
+	invals := newInvalSet(3, 1, items)
 	allocs := testing.AllocsPerRun(100, func() {
 		if v := invals.Verdict(&r, false); v != Current {
 			t.Fatalf("untouched region judged %v", v)
@@ -44,7 +44,7 @@ func TestReconcileRegionUntouchedZeroAllocs(t *testing.T) {
 func TestReconcileRegionTouchedZeroAllocs(t *testing.T) {
 	r := mkRegion(geom.NewRect(0, 0, 8, 8), 1, 2, 3, 4, 5, 6, 7)
 	r.Epoch = 2
-	invals := NewInvalSet(4, 1, []Invalidation{
+	invals := newInvalSet(4, 1, []Invalidation{
 		{Epoch: 3, Kind: InvalDelete, ID: 2},
 		{Epoch: 3, Kind: InvalInsert, ID: 90, Cell: geom.NewRect(3, 3, 4, 4)},
 		{Epoch: 4, Kind: InvalMove, ID: 5, Cell: geom.NewRect(6, 1, 7, 2)},
@@ -80,5 +80,19 @@ func TestShrinkRegionOneAlloc(t *testing.T) {
 	}
 	if len(out.POIs) == 0 || len(out.POIs) > 50 || cap(out.POIs) != len(out.POIs) {
 		t.Fatalf("kept %d POIs in an array of %d", len(out.POIs), cap(out.POIs))
+	}
+}
+
+// Re-indexing a report into a warm InvalSet allocates nothing: the
+// consistency layer resets one set per IR frame.
+func TestInvalSetResetZeroAllocs(t *testing.T) {
+	var items []Invalidation
+	for i := int64(0); i < 60; i++ {
+		items = append(items, Invalidation{Epoch: 1 + i%4, Kind: InvalKind(1 + i%3), ID: (i * 37) % 50})
+	}
+	var s InvalSet
+	s.Reset(4, 1, items)
+	if allocs := testing.AllocsPerRun(100, func() { s.Reset(4, 1, items) }); allocs != 0 {
+		t.Fatalf("Reset allocated %.1f times per warm call", allocs)
 	}
 }

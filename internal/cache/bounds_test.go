@@ -135,7 +135,7 @@ func runBoundsOps(t *testing.T, b []byte) boundsEvents {
 					ID: int64(it[0] >> 4), Cell: rectOf(it[1], it[2])})
 			}
 			discard := v[0]>>6 == 3
-			invals := NewInvalSet(epoch, epoch-int64(v[0]%4), items)
+			invals := newInvalSet(epoch, epoch-int64(v[0]%4), items)
 			rec := c.Reconcile(s, &invals, discard)
 			if !discard && rec.Discarded > 0 {
 				ev.emptyRepairs++

@@ -144,7 +144,7 @@ func checkPieces(r *Region, items []Invalidation, epoch int64, got []Region) err
 func referenceReconcile(regions []Region, epoch, horizon int64, items []Invalidation, discard bool) ([]Region, Recon) {
 	var rec Recon
 	var out []Region
-	invals := NewInvalSet(epoch, horizon, items)
+	invals := newInvalSet(epoch, horizon, items)
 	for _, r := range regions {
 		switch judge(&r, epoch, horizon, items, discard) {
 		case Current:
@@ -213,7 +213,7 @@ var repairScratch = newRepairScratch()
 // between them) and the region never written.
 func checkReconcileRegion(t *testing.T, r Region, items []Invalidation, epoch int64) {
 	t.Helper()
-	invals := NewInvalSet(epoch, 0, items)
+	invals := newInvalSet(epoch, 0, items)
 	v := invals.Verdict(&r, false)
 	if want := judge(&r, epoch, 0, items, false); v != want {
 		t.Fatalf("Verdict = %v, want %v\n region %+v\n items %+v", v, want, r, items)
@@ -309,7 +309,7 @@ func TestReconcileRegionMatchesReference(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			checkReconcileRegion(t, c.r, c.items, c.epoch)
-			invals := NewInvalSet(c.epoch, 0, c.items)
+			invals := newInvalSet(c.epoch, 0, c.items)
 			if v := invals.Verdict(&c.r, false); (v == Current) != (c.pieces == 0) {
 				t.Fatalf("Verdict = %v, want %d pieces", v, c.pieces)
 			}
@@ -401,7 +401,7 @@ func TestCacheReconcileMatchesReference(t *testing.T) {
 		rng.Read(buf)
 		_, items, epoch := decodeFuzzRepair(buf)
 		horizon, discard := int64(rng.Intn(4)), rng.Intn(8) == 0
-		invals := NewInvalSet(epoch, horizon, items)
+		invals := newInvalSet(epoch, horizon, items)
 		want, wantRec := referenceReconcile(cloneRegions(c.regions), epoch, horizon, items, discard)
 
 		s.POIs.Rewind()

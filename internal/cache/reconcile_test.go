@@ -30,7 +30,7 @@ func TestReconcileRegionUntouchedBumpsEpoch(t *testing.T) {
 		{Epoch: 3, Kind: InvalDelete, ID: 1},
 		{Epoch: 5, Kind: InvalInsert, ID: 99, Cell: geom.NewRect(10, 10, 11, 11)}, // disjoint
 	}
-	set := NewInvalSet(5, 3, invals)
+	set := newInvalSet(5, 3, invals)
 	if v := set.Verdict(&r, false); v != Current {
 		t.Fatalf("disjoint/old mutations must leave the region current, got %v", v)
 	}
@@ -53,7 +53,7 @@ func TestReconcileRegionUntouchedBumpsEpoch(t *testing.T) {
 func TestReconcileRegionDeleteStripsPOI(t *testing.T) {
 	r := mkRegion(geom.NewRect(0, 0, 4, 4), 1, 2, 3)
 	invals := []Invalidation{{Epoch: 1, Kind: InvalDelete, ID: 2}}
-	set := NewInvalSet(1, 1, invals)
+	set := newInvalSet(1, 1, invals)
 	if v := set.Verdict(&r, false); v != Repair {
 		t.Fatalf("delete of a contained POI judged %v, want Repair", v)
 	}
@@ -72,7 +72,7 @@ func TestReconcileRegionInsertSubtractsCell(t *testing.T) {
 	r := mkRegion(geom.NewRect(0, 0, 8, 8), 1, 2, 3)
 	cell := geom.NewRect(3, 3, 5, 5)
 	invals := []Invalidation{{Epoch: 2, Kind: InvalInsert, ID: 50, Cell: cell}}
-	set := NewInvalSet(2, 1, invals)
+	set := newInvalSet(2, 1, invals)
 	if v := set.Verdict(&r, false); v != Repair {
 		t.Fatalf("insert inside region judged %v, want Repair", v)
 	}
@@ -105,7 +105,7 @@ func TestReconcileRegionShrinkToEmpty(t *testing.T) {
 	r := mkRegion(geom.NewRect(2, 2, 3, 3), 1)
 	// The invalidated cell swallows the whole region.
 	invals := []Invalidation{{Epoch: 1, Kind: InvalMove, ID: 77, Cell: geom.NewRect(0, 0, 10, 10)}}
-	set := NewInvalSet(1, 1, invals)
+	set := newInvalSet(1, 1, invals)
 	if pieces := ReconcileRegion(newRepairScratch(), &r, &set); pieces != nil {
 		t.Fatalf("shrink-to-empty must return nil, got %v", pieces)
 	}
@@ -122,7 +122,7 @@ func TestReconcileRegionFragmentationCap(t *testing.T) {
 			Epoch: 1, Kind: InvalInsert, ID: int64(100 + i),
 			Cell: geom.NewRect(x, 0, x+0.5, 1)})
 	}
-	set := NewInvalSet(1, 1, invals)
+	set := newInvalSet(1, 1, invals)
 	if pieces := ReconcileRegion(newRepairScratch(), &r, &set); pieces != nil {
 		t.Fatalf("over-fragmented repair must drop the region, got %d pieces", len(pieces))
 	}
@@ -139,7 +139,7 @@ func TestCacheReconcileFreshAndBeyondHorizon(t *testing.T) {
 
 	// Report: epoch 10, horizon 8 — fresh is current, ancient predates the
 	// report's memory (1 < 8-1) and must survive untouched for demotion.
-	set := NewInvalSet(10, 8, nil)
+	set := newInvalSet(10, 8, nil)
 	rec := c.Reconcile(newRepairScratch(), &set, false)
 	if rec.Repaired != 0 || rec.Discarded != 0 || rec.BeyondHorizon != 1 {
 		t.Fatalf("unexpected recon: %+v", rec)
@@ -159,7 +159,7 @@ func TestCacheReconcileWholeDiscard(t *testing.T) {
 	old := mkRegion(geom.NewRect(0, 0, 4, 4), 1, 2)
 	old.Epoch = 4
 	c.Insert(old, geom.Pt(0, 0), geom.Point{}, 0)
-	set := NewInvalSet(5, 4, nil)
+	set := newInvalSet(5, 4, nil)
 	rec := c.Reconcile(newRepairScratch(), &set, true)
 	if rec.Discarded != 1 || len(c.Regions()) != 0 || c.Size() != 0 {
 		t.Fatalf("whole-discard kept data: %+v regions=%d size=%d",
@@ -174,7 +174,7 @@ func TestCacheReconcileEvictedRegionIsNoOp(t *testing.T) {
 	r := mkRegion(geom.NewRect(0, 0, 2, 2), 1)
 	c.Insert(r, geom.Pt(0, 0), geom.Point{}, 0)
 	c.Clear() // the region is gone before the report arrives
-	set := NewInvalSet(3, 2, []Invalidation{
+	set := newInvalSet(3, 2, []Invalidation{
 		{Epoch: 3, Kind: InvalInsert, ID: 9, Cell: geom.NewRect(0, 0, 2, 2)},
 	})
 	rec := c.Reconcile(newRepairScratch(), &set, false)
@@ -197,7 +197,7 @@ func TestCacheReconcileFanOutKeepsUnvisitedRegions(t *testing.T) {
 	c.Insert(big, geom.Pt(0, 0), geom.Point{}, 0)
 	c.Insert(tail1, geom.Pt(0, 0), geom.Point{}, 0)
 	c.Insert(tail2, geom.Pt(0, 0), geom.Point{}, 0)
-	set := NewInvalSet(2, 1, []Invalidation{
+	set := newInvalSet(2, 1, []Invalidation{
 		{Epoch: 2, Kind: InvalInsert, ID: 90, Cell: geom.NewRect(4, 4, 5, 5)},
 	})
 	rec := c.Reconcile(newRepairScratch(), &set, false)
@@ -256,4 +256,11 @@ func TestInsertStampsBornAndShrinkPreservesVersion(t *testing.T) {
 	if len(regs[0].POIs) > 2 {
 		t.Fatalf("capacity not honored: %d POIs", len(regs[0].POIs))
 	}
+}
+
+// newInvalSet indexes a report in an InvalSet of its own.
+func newInvalSet(epoch, horizon int64, items []Invalidation) InvalSet {
+	var s InvalSet
+	s.Reset(epoch, horizon, items)
+	return s
 }

@@ -97,7 +97,7 @@ func TestByzantineSwarmCannotPoisonWithTrust(t *testing.T) {
 				}
 			}
 			if rng.Float64() < 0.5 { // byzantine host
-				vr, pois = inj.AttackClaim(vr, pois, attack)
+				vr, pois = inj.AttackClaim(new(broadcast.POIArena), vr, pois, attack)
 			}
 			contribs = append(contribs, trust.Contribution{Peer: i, VR: vr, POIs: pois})
 		}

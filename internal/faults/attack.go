@@ -135,14 +135,15 @@ const minMaterialDelta = 1e-3
 //     honest. This is what lets the trust layer's spot audits convict
 //     from a single sample (see internal/trust).
 //   - The input slice and rect are never modified; lied-about POI sets
-//     are fresh copies (peers share views of their cache storage).
+//     are copies cut from arena (peers share views of their cache
+//     storage), valid until the caller rewinds it.
 //   - Exactly one lie is counted (Counters.ByzantineLies) per call with
 //     a concrete attack; AttackNone is the identity and draws nothing.
 //
 // Parameter draws come from the injector's own stream, preserving the
 // layer's invariant that enabling misbehavior never perturbs the
 // simulation's randomness.
-func (in *Injector) AttackClaim(vr geom.Rect, pois []broadcast.POI, a Attack) (geom.Rect, []broadcast.POI) {
+func (in *Injector) AttackClaim(arena *broadcast.POIArena, vr geom.Rect, pois []broadcast.POI, a Attack) (geom.Rect, []broadcast.POI) {
 	if a == AttackNone {
 		return vr, pois
 	}
@@ -158,17 +159,18 @@ func (in *Injector) AttackClaim(vr geom.Rect, pois []broadcast.POI, a Attack) (g
 		// hiding a POI the region never covered leaves the claim true.
 		// (Cached POIs normally lie inside their VR, but boundary POIs
 		// can round an ulp outside it.)
-		inside := make([]int, 0, len(pois))
+		inside := in.inside[:0]
 		for i, p := range pois {
 			if vr.Contains(p.Pos) {
 				inside = append(inside, i)
 			}
 		}
+		in.inside = inside
 		if len(inside) == 0 {
-			return vr, in.fabricateInto(vr, pois, seq)
+			return vr, in.fabricateInto(arena, vr, pois, seq)
 		}
 		drop := inside[in.rng.Intn(len(inside))]
-		out := make([]broadcast.POI, 0, len(pois)-1)
+		out := arena.Alloc(len(pois) - 1)[:0]
 		out = append(out, pois[:drop]...)
 		out = append(out, pois[drop+1:]...)
 		return vr, out
@@ -193,13 +195,10 @@ func (in *Injector) AttackClaim(vr geom.Rect, pois []broadcast.POI, a Attack) (g
 				break
 			}
 		}
-		out := make([]broadcast.POI, 0, len(pois)+1)
-		out = append(out, pois...)
-		out = append(out, broadcast.POI{ID: FabricatedIDBase + seq, Pos: p})
-		return big, out
+		return big, plant(arena, pois, broadcast.POI{ID: FabricatedIDBase + seq, Pos: p})
 	case AttackShift:
 		if len(pois) == 0 {
-			return vr, in.fabricateInto(vr, pois, seq)
+			return vr, in.fabricateInto(arena, vr, pois, seq)
 		}
 		idx := in.rng.Intn(len(pois))
 		dx := ShiftFraction * vr.Width() * (2*in.rng.Float64() - 1)
@@ -209,17 +208,17 @@ func (in *Injector) AttackClaim(vr geom.Rect, pois []broadcast.POI, a Attack) (g
 			// Degenerate VR (or tiny draw): force a material displacement.
 			dx, dy = minMaterialDelta, minMaterialDelta
 		}
-		out := append([]broadcast.POI(nil), pois...)
+		out := append(arena.Alloc(len(pois))[:0], pois...)
 		out[idx].Pos = out[idx].Pos.Add(geom.Pt(dx, dy))
 		return vr, out
 	default: // AttackFabricate
-		return vr, in.fabricateInto(vr, pois, seq)
+		return vr, in.fabricateInto(arena, vr, pois, seq)
 	}
 }
 
 // fabricateInto appends one invented POI placed inside vr (at vr.Min for
-// a degenerate rect) to a fresh copy of pois.
-func (in *Injector) fabricateInto(vr geom.Rect, pois []broadcast.POI, seq int64) []broadcast.POI {
+// a degenerate rect) to a copy of pois cut from arena.
+func (in *Injector) fabricateInto(arena *broadcast.POIArena, vr geom.Rect, pois []broadcast.POI, seq int64) []broadcast.POI {
 	p := vr.Min
 	if !vr.Empty() {
 		p = geom.Pt(
@@ -227,8 +226,10 @@ func (in *Injector) fabricateInto(vr geom.Rect, pois []broadcast.POI, seq int64)
 			vr.Min.Y+in.rng.Float64()*vr.Height(),
 		)
 	}
-	out := make([]broadcast.POI, 0, len(pois)+1)
-	out = append(out, pois...)
-	out = append(out, broadcast.POI{ID: FabricatedIDBase + seq, Pos: p})
-	return out
+	return plant(arena, pois, broadcast.POI{ID: FabricatedIDBase + seq, Pos: p})
+}
+
+// plant returns a copy of pois cut from arena with p appended.
+func plant(arena *broadcast.POIArena, pois []broadcast.POI, p broadcast.POI) []broadcast.POI {
+	return append(append(arena.Alloc(len(pois) + 1)[:0], pois...), p)
 }

@@ -51,7 +51,7 @@ func FuzzAttackClaim(f *testing.F) {
 
 		a := Attack(attack % 6)
 		in := New(seed, Profile{ByzantineRate: 1, Attack: a})
-		cvr, cpois := in.AttackClaim(vr, pois, a)
+		cvr, cpois := in.AttackClaim(new(broadcast.POIArena), vr, pois, a)
 
 		for i := range orig {
 			if pois[i] != orig[i] {

@@ -50,7 +50,7 @@ func TestAttackClaimAlwaysMaterial(t *testing.T) {
 		for seed := int64(1); seed <= 50; seed++ {
 			in := New(seed, Profile{ByzantineRate: 0.5, Attack: a})
 			vr, pois := testClaim()
-			cvr, cpois := in.AttackClaim(vr, pois, a)
+			cvr, cpois := in.AttackClaim(new(broadcast.POIArena), vr, pois, a)
 			if !claimIsMaterialLie(vr, pois, cvr, cpois) {
 				t.Fatalf("attack %v seed %d: claim not materially false\n vr=%v pois=%v\ncvr=%v cpois=%v",
 					a, seed, vr, pois, cvr, cpois)
@@ -68,7 +68,7 @@ func TestAttackClaimEmptyPOIFallback(t *testing.T) {
 	vr := geom.NewRect(0, 0, 4, 4)
 	for _, a := range []Attack{AttackOmit, AttackShift, AttackFabricate, AttackInflate} {
 		in := New(7, Profile{ByzantineRate: 1, Attack: a})
-		cvr, cpois := in.AttackClaim(vr, nil, a)
+		cvr, cpois := in.AttackClaim(new(broadcast.POIArena), vr, nil, a)
 		if !claimIsMaterialLie(vr, nil, cvr, cpois) {
 			t.Fatalf("attack %v on empty POI set: claim not material (cvr=%v cpois=%v)", a, cvr, cpois)
 		}
@@ -90,7 +90,7 @@ func TestAttackClaimDegenerateVR(t *testing.T) {
 	pois := []broadcast.POI{{ID: 9, Pos: geom.Pt(5, 5)}}
 	for _, a := range []Attack{AttackShift, AttackInflate, AttackFabricate, AttackOmit} {
 		in := New(11, Profile{ByzantineRate: 1, Attack: a})
-		cvr, cpois := in.AttackClaim(vr, pois, a)
+		cvr, cpois := in.AttackClaim(new(broadcast.POIArena), vr, pois, a)
 		if !claimIsMaterialLie(vr, pois, cvr, cpois) {
 			t.Fatalf("attack %v on degenerate VR: claim not material (cvr=%v cpois=%v)", a, cvr, cpois)
 		}
@@ -103,7 +103,7 @@ func TestAttackClaimDoesNotMutateInput(t *testing.T) {
 		vr, pois := testClaim()
 		orig := append([]broadcast.POI(nil), pois...)
 		for i := 0; i < 8; i++ {
-			in.AttackClaim(vr, pois, a)
+			in.AttackClaim(new(broadcast.POIArena), vr, pois, a)
 		}
 		for i := range orig {
 			if pois[i] != orig[i] {
@@ -118,11 +118,11 @@ func TestAttackClaimDoesNotMutateInput(t *testing.T) {
 func TestAttackClaimNilAndNoneIdentity(t *testing.T) {
 	vr, pois := testClaim()
 	in := New(1, Profile{})
-	cvr, cpois := in.AttackClaim(vr, pois, AttackNone)
+	cvr, cpois := in.AttackClaim(new(broadcast.POIArena), vr, pois, AttackNone)
 	if cvr != vr || &cpois[0] != &pois[0] {
 		t.Fatal("AttackNone is not the identity")
 	}
-	if cvr, cpois = in.AttackClaim(vr, nil, AttackNone); cvr != vr || cpois != nil {
+	if cvr, cpois = in.AttackClaim(new(broadcast.POIArena), vr, nil, AttackNone); cvr != vr || cpois != nil {
 		t.Fatal("AttackNone on a nil POI set is not the identity")
 	}
 	if in.Counters.ByzantineLies != 0 {
@@ -136,7 +136,7 @@ func TestAttackMixCycles(t *testing.T) {
 	vr, pois := testClaim()
 	sawInflate, sawOmit := false, false
 	for i := 0; i < 4; i++ {
-		cvr, cpois := in.AttackClaim(vr, pois, AttackMix)
+		cvr, cpois := in.AttackClaim(new(broadcast.POIArena), vr, pois, AttackMix)
 		if cvr != vr {
 			sawInflate = true
 		}
@@ -159,7 +159,7 @@ func TestAttackClaimDeterministic(t *testing.T) {
 		var sets [][]broadcast.POI
 		vr, pois := testClaim()
 		for i := 0; i < 16; i++ {
-			cvr, cpois := in.AttackClaim(vr, pois, AttackMix)
+			cvr, cpois := in.AttackClaim(new(broadcast.POIArena), vr, pois, AttackMix)
 			rects = append(rects, cvr)
 			sets = append(sets, cpois)
 		}

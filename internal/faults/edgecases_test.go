@@ -30,20 +30,20 @@ func TestMangleOneByteFrame(t *testing.T) {
 		t.Errorf("truncated 1-byte frame has %d bytes, want 0", len(got))
 	}
 	if orig[0] != 0xA5 {
-		t.Error("Mangle modified its input")
+		t.Error("truncation modified the frame's bytes")
 	}
 
-	// Corrupting a 1-byte frame must flip at least one bit of that byte
-	// and leave the length (and the input) alone.
+	// Corrupting a 1-byte frame must flip at least one bit of that byte,
+	// in place, and leave the length alone.
 	got := in.Mangle(orig, FateCorrupt)
 	if len(got) != 1 {
 		t.Fatalf("corrupted 1-byte frame has %d bytes, want 1", len(got))
 	}
-	if got[0] == orig[0] {
-		t.Error("corruption flipped an even number of identical bits back — no observable damage")
+	if &got[0] != &orig[0] {
+		t.Error("corruption copied the frame")
 	}
-	if orig[0] != 0xA5 {
-		t.Error("Mangle modified its input")
+	if got[0] == 0xA5 {
+		t.Error("corruption flipped an even number of identical bits back — no observable damage")
 	}
 }
 

@@ -243,6 +243,7 @@ type Injector struct {
 	// lieSeq counts AttackClaim applications: it cycles AttackMix through
 	// the concrete attacks and makes every fabricated POI ID unique.
 	lieSeq int64
+	inside []int // AttackOmit's candidates, reused across claims
 	// Counters tallies the injected faults.
 	Counters Counters
 }
@@ -375,10 +376,11 @@ func (in *Injector) Jitter(n int64) int64 {
 	return in.rng.Int63n(n)
 }
 
-// Mangle applies the drawn fate to an encoded message: truncation cuts it
-// at a random interior point, corruption flips one to four random bits.
-// FateDeliver and FateDrop return the input unchanged. The input slice is
-// never modified; mangled output is a copy.
+// Mangle applies the drawn fate to an encoded message in place and returns
+// what arrives: truncation returns a prefix of b cut at a random interior
+// point, corruption flips one to four random bits of b itself. FateDeliver
+// and FateDrop return b unchanged. Nothing is allocated, so a caller that
+// needs the sent frame afterwards mangles a copy.
 func (in *Injector) Mangle(b []byte, fate ReplyFate) []byte {
 	if len(b) == 0 {
 		return b
@@ -391,14 +393,13 @@ func (in *Injector) Mangle(b []byte, fate ReplyFate) []byte {
 		if cut >= len(b) {
 			cut = len(b) - 1
 		}
-		return append([]byte(nil), b[:cut]...)
+		return b[:cut]
 	case FateCorrupt:
-		out := append([]byte(nil), b...)
 		flips := 1 + in.rng.Intn(4)
 		for i := 0; i < flips; i++ {
-			out[in.rng.Intn(len(out))] ^= byte(1) << in.rng.Intn(8)
+			b[in.rng.Intn(len(b))] ^= byte(1) << in.rng.Intn(8)
 		}
-		return out
+		return b
 	default:
 		return b
 	}

@@ -239,7 +239,7 @@ func (w *World) applyUpdates() {
 		invals = append(invals, cache.Invalidation{
 			Epoch: it.Epoch, Kind: cache.InvalKind(it.Kind), ID: it.ID, Cell: it.Cell})
 	}
-	c.invals = cache.NewInvalSet(ir.Epoch, ir.Horizon, invals)
+	c.invals.Reset(ir.Epoch, ir.Horizon, invals)
 }
 
 // syncIR is the client side of one query's consistency pass, run before

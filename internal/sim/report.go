@@ -35,7 +35,7 @@ type Report struct {
 	Faults        any     `json:"faults"`
 	// LayerKnobs flatten into the row, in declaration order.
 	LayerKnobs
-	SelfCheck bool    `json:"self_check_passed"`
+	SelfCheck bool    `json:"self_check_passed,omitempty"` // absent when the check did not run
 	Stats     Stats   `json:"stats"`
 	Derived   Derived `json:"derived"`
 	// Metrics is the final registry snapshot of a metrics-enabled run

@@ -85,7 +85,8 @@ func TestAdmitSharedRepairAllocFree(t *testing.T) {
 		t.Fatalf("fixture cached %d regions, want %d", len(c.Regions()), regions)
 	}
 	cons := w.cons
-	cons.epoch, cons.invals = 1, cache.NewInvalSet(1, 1, items)
+	cons.epoch = 1
+	cons.invals.Reset(1, 1, items)
 
 	var peers []core.PeerData
 	var out replyKind

@@ -184,11 +184,10 @@ func (c *collection) add(pd core.PeerData, o origin) {
 }
 
 // queryScratch holds the per-World reusable buffers of the query path.
-// Aliasing contract: the collection's rows alias live cache storage (or a
-// byzantine claim's copy, a decoded frame's geometry, the arena) for the
-// duration of one query only, and the core algorithms copy every
-// candidate before returning (see core.PeerData); all other buffers are
-// consumed before the query completes.
+// Aliasing contract: the collection's rows alias live cache storage, the
+// arena or a decoded frame's geometry for one query only, and the core
+// algorithms copy every candidate before returning (see core.PeerData);
+// all other buffers are consumed before the query completes.
 type queryScratch struct {
 	ids   []int // neighbor lookup buffer
 	heard []int // per-round indexes into targets of the peers that heard
@@ -201,14 +200,15 @@ type queryScratch struct {
 	keep      []bool               // the reach cut's verdict per row
 	targets   []collectTarget      // per-peer collection state
 	regs      []wire.Region        // wire-encoding staging (damaged-reply path)
+	frame     []byte               // the damaged reply's encoded frame, mangled in place
 	contribs  []trust.Contribution // trust-screen staging
 	core      core.Scratch         // NNV/SBNN/SBWQ hot-path scratch
 	baseline  broadcast.Scratch    // baseline pricing: the answer aliases core
 	repair    cache.RepairScratch  // IR repair transients (admitShared, syncIR)
 	rt        rtree.KNNScratch     // ground-truth kNN frontier
 	truth     []broadcast.POI      // ground-truth answers: audit oracle, kNN
-	// arena holds the POI lists of IR repair pieces in the collection,
-	// alive until their query commits: prepare rewinds it.
+	// arena holds the POI lists of repair pieces and byzantine claims in
+	// the collection until their query commits: prepare rewinds it.
 	arena broadcast.POIArena
 	// cur is the one-shot query in flight (launch), World-owned like the
 	// buffers above so that launching a query allocates nothing.
@@ -892,8 +892,8 @@ func (w *World) receiveReply(id int, relevance geom.Rect, stamp int64, count boo
 			// A byzantine host mangles the claim before it leaves its
 			// radio: the lie rides every downstream path (delivery, loss,
 			// wire damage) exactly like an honest claim would. AttackClaim
-			// returns fresh copies, so the host's own cache stays intact.
-			pd.VR, pd.POIs = w.inj.AttackClaim(pd.VR, pd.POIs, atk)
+			// copies into the arena, so the host's own cache stays intact.
+			pd.VR, pd.POIs = w.inj.AttackClaim(&w.qs.arena, pd.VR, pd.POIs, atk)
 		}
 		col.add(pd, origin{peer: id, epoch: r.Epoch})
 		wireBytes += wire.RegionWireSize(len(pd.POIs))
@@ -920,13 +920,13 @@ func (w *World) receiveReply(id int, relevance geom.Rect, stamp int64, count boo
 		// trailer rejects the frame and the query degrades; in the
 		// astronomically unlikely event the damage passes every check,
 		// the decoded content is used like any delivered reply.
-		regs := w.qs.regs[:0]
+		w.qs.regs = w.qs.regs[:0]
 		for i := range rows {
-			regs = append(regs, wire.Region{Rect: rows[i].VR, POIs: rows[i].POIs})
+			w.qs.regs = append(w.qs.regs, wire.Region{Rect: rows[i].VR, POIs: rows[i].POIs})
 		}
-		w.qs.regs = regs
 		w.queryID++
-		enc, err := wire.EncodeReply(wire.Reply{QueryID: w.queryID, Regions: regs})
+		enc, err := wire.AppendReply(w.qs.frame[:0], wire.Reply{QueryID: w.queryID, Regions: w.qs.regs})
+		w.qs.frame = enc
 		if err != nil {
 			// A cache region exceeding wire limits cannot be encoded;
 			// treat the reply as undeliverable.

@@ -192,3 +192,28 @@ func TestScreenDedupSplitAllocFree(t *testing.T) {
 		t.Fatalf("fixture lost its deduped or split row: %+v", out)
 	}
 }
+
+// A peer screened for the first time costs no allocation once the ledger
+// spans its id: its record is an array slot, not a map entry.
+func TestScreenFirstSightAllocFree(t *testing.T) {
+	contribs, oracle := peers64()
+	e := newTestEngine(t, Config{AuditRate: 1e-12}, nil)
+	far := []Contribution{contribs[0]}
+	far[0].Peer = 64 * 64
+	e.Screen(far, oracle, -1) // spans ids 0..4096
+	e.Screen(contribs, oracle, -1)
+	base := 0
+	fresh := func() {
+		base += len(contribs)
+		for i := range contribs {
+			contribs[i].Peer = base + i
+		}
+		e.Screen(contribs, oracle, -1)
+	}
+	if allocs := testing.AllocsPerRun(50, fresh); allocs != 0 {
+		t.Fatalf("%v allocs per screen of 64 first-sight peers", allocs)
+	}
+	if base+len(contribs) > 64*64 {
+		t.Fatal("a screen reached past the ledger's span: the pin measured its growth")
+	}
+}

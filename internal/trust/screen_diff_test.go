@@ -97,7 +97,7 @@ func (w *diffWorld) contributions(maxN int) []Contribution {
 			con := Contribution{Peer: peer, VR: vr, POIs: pois}
 			switch {
 			case peer != Self && peer < w.liars:
-				con.VR, con.POIs = w.inj.AttackClaim(vr, pois, diffAttacks[peer%len(diffAttacks)])
+				con.VR, con.POIs = w.inj.AttackClaim(new(broadcast.POIArena), vr, pois, diffAttacks[peer%len(diffAttacks)])
 			case rng.Intn(10) == 0:
 				// Epoch-stale: honestly reported, possibly diverged.
 				con.Stale = true

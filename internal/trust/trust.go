@@ -154,7 +154,7 @@ func (c Config) Normalized() Config {
 // engine keeps no reference past the call, but a row Screen returns may
 // share it (see Screen).
 type Contribution struct {
-	Peer int
+	Peer int // a host id, or Self
 	VR   geom.Rect
 	POIs []broadcast.POI
 	// Stale marks a region verified against a superseded POI epoch
@@ -304,7 +304,9 @@ type Engine struct {
 	rng      *rand.Rand
 	breakers *p2p.BreakerSet
 	seq      int64
-	peers    map[int]*peerRec
+	// peers is the ledger by host id, grown before a screen points into it
+	// and never shrunk; a zero record is a peer never seen (DESIGN.md §11).
+	peers []peerRec
 
 	// The live quarantine set is quar[quarHead:], in insertion order;
 	// quarIdx maps a live rectangle to its index in quar (dedup). Cap
@@ -359,7 +361,6 @@ func NewEngine(seed int64, cfg Config, breakers *p2p.BreakerSet) *Engine {
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(seed)),
 		breakers: breakers,
-		peers:    make(map[int]*peerRec),
 		quarIdx:  make(map[geom.Rect]int),
 	}
 }
@@ -367,28 +368,10 @@ func NewEngine(seed int64, cfg Config, breakers *p2p.BreakerSet) *Engine {
 // Quarantined reports whether peer id is currently quarantined. Safe on
 // nil (never).
 func (e *Engine) Quarantined(id int) bool {
-	if e == nil || id == Self {
-		return false
-	}
-	return e.quarantined(e.peers[id])
+	return e != nil && id >= 0 && id < len(e.peers) && e.quarantined(&e.peers[id])
 }
 
-// Vouched reports whether peer id is currently vouched with no standing
-// strikes — the condition for its contributions to stay untainted. Safe
-// on nil (never).
-func (e *Engine) Vouched(id int) bool {
-	if e == nil {
-		return false
-	}
-	if id == Self {
-		return true
-	}
-	r, ok := e.peers[id]
-	return ok && e.vouched(r)
-}
-
-// quarantined is Quarantined on a record; nil (Self, or a peer never
-// seen) is not quarantined.
+// quarantined is Quarantined on a record; nil (Self) is not quarantined.
 func (e *Engine) quarantined(r *peerRec) bool {
 	return r != nil && r.quarantinedUntil > e.seq
 }
@@ -402,23 +385,13 @@ func (e *Engine) vouched(r *peerRec) bool {
 // probabilistic path unless fresh and from a vouched peer (or Self).
 func (e *Engine) tainted(s *slot) bool { return s.stale || !e.vouched(s.rec) }
 
-// QuarantinedRects returns the number of rectangles currently in the
-// decaying quarantine set. Safe on nil.
-func (e *Engine) QuarantinedRects() int {
-	if e == nil {
-		return 0
+// growLedger spans every peer of contribs before the screen points into it.
+func (e *Engine) growLedger(contribs []Contribution) {
+	n := len(e.peers)
+	for i := range contribs {
+		n = max(n, contribs[i].Peer+1)
 	}
-	return len(e.quar) - e.quarHead
-}
-
-// rec returns (creating if needed) peer id's reputation record.
-func (e *Engine) rec(id int) *peerRec {
-	r, ok := e.peers[id]
-	if !ok {
-		r = &peerRec{}
-		e.peers[id] = r
-	}
-	return r
+	e.peers = append(e.peers, make([]peerRec, n-len(e.peers))...)
 }
 
 // convict quarantines peer id and forces its breaker open. Idempotent
@@ -853,6 +826,7 @@ func (e *Engine) Screen(contribs []Contribution, oracle Oracle, budget int64) ([
 	e.arena.Rewind()
 	var rep Report
 	e.decayQuarantine()
+	e.growLedger(contribs)
 
 	// Drop contributions from quarantined peers outright.
 	slots := e.slots[:0]
@@ -860,7 +834,7 @@ func (e *Engine) Screen(contribs []Contribution, oracle Oracle, budget int64) ([
 		c := &contribs[i]
 		var r *peerRec
 		if c.Peer != Self {
-			r = e.rec(c.Peer)
+			r = &e.peers[c.Peer]
 			if e.quarantined(r) {
 				continue
 			}

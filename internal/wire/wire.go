@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"lbsq/internal/broadcast"
 	"lbsq/internal/geom"
@@ -191,16 +192,20 @@ func DecodeRequest(b []byte) (Request, error) {
 }
 
 // EncodeReply serializes a reply.
-func EncodeReply(r Reply) ([]byte, error) {
+func EncodeReply(r Reply) ([]byte, error) { return AppendReply(nil, r) }
+
+// AppendReply appends the encoding of r to dst, growing it at most once;
+// on error it returns dst as given.
+func AppendReply(dst []byte, r Reply) ([]byte, error) {
 	if len(r.Regions) > MaxRegions {
-		return nil, fmt.Errorf("wire: %d regions exceeds limit %d", len(r.Regions), MaxRegions)
+		return dst, fmt.Errorf("wire: %d regions exceeds limit %d", len(r.Regions), MaxRegions)
 	}
-	buf := make([]byte, 0, ReplySize(r.Regions))
+	buf := slices.Grow(dst, ReplySize(r.Regions))
 	buf = appendHeader(buf, kindReply, r.QueryID)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Regions)))
 	for _, reg := range r.Regions {
 		if len(reg.POIs) > MaxPOIsPerRegion {
-			return nil, fmt.Errorf("wire: %d POIs exceeds limit %d", len(reg.POIs), MaxPOIsPerRegion)
+			return dst, fmt.Errorf("wire: %d POIs exceeds limit %d", len(reg.POIs), MaxPOIsPerRegion)
 		}
 		buf = appendRect(buf, reg.Rect)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(reg.POIs)))
@@ -209,7 +214,7 @@ func EncodeReply(r Reply) ([]byte, error) {
 			buf = appendPoint(buf, p.Pos)
 		}
 	}
-	return appendTrailer(buf), nil
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[len(dst):], castagnoli)), nil
 }
 
 // DecodeReply parses a reply.
