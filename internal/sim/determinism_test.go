@@ -97,9 +97,23 @@ func checkRunTwice(t *testing.T, p Params) {
 		t.Error("breaker allocation diverged")
 	} else if a.breakers != nil {
 		if a.breakers.Stats() != b.breakers.Stats() ||
-			a.breakers.Tracked() != b.breakers.Tracked() ||
+			!sameBreakerStates(a, b) ||
 			a.breakers.Cycle() != b.breakers.Cycle() {
 			t.Error("breaker state diverged")
 		}
 	}
+}
+
+// sameBreakerStates reports whether every host's breaker is in the same
+// state in both worlds, walked in host order.
+func sameBreakerStates(a, b *World) bool {
+	if len(a.mob) != len(b.mob) {
+		return false
+	}
+	for h := range a.mob {
+		if a.breakers.State(h) != b.breakers.State(h) {
+			return false
+		}
+	}
+	return true
 }

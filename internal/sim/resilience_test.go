@@ -171,7 +171,7 @@ func TestResilientDeterminism(t *testing.T) {
 			a.inj.Counters, b.inj.Counters)
 	}
 	if a.breakers.Stats() != b.breakers.Stats() ||
-		a.breakers.Tracked() != b.breakers.Tracked() ||
+		!sameBreakerStates(a, b) ||
 		a.breakers.Cycle() != b.breakers.Cycle() {
 		t.Fatal("breaker state diverged under identical seed")
 	}

@@ -445,10 +445,8 @@ func TestChaosSoak(t *testing.T) {
 				t.Errorf("breaker stats diverged: %+v vs %+v",
 					w.breakers.Stats(), w2.breakers.Stats())
 			}
-			if w.breakers.Tracked() != w2.breakers.Tracked() ||
-				w.breakers.Cycle() != w2.breakers.Cycle() {
-				t.Errorf("breaker state diverged: tracked %d/%d cycle %d/%d",
-					w.breakers.Tracked(), w2.breakers.Tracked(),
+			if !sameBreakerStates(w, w2) || w.breakers.Cycle() != w2.breakers.Cycle() {
+				t.Errorf("breaker state diverged: per-host states differ or cycle %d/%d",
 					w.breakers.Cycle(), w2.breakers.Cycle())
 			}
 
