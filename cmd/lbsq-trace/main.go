@@ -12,7 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 
 	"lbsq/internal/trace"
 )
@@ -46,7 +46,7 @@ func main() {
 	for o := range s.ByOutcome {
 		outcomes = append(outcomes, o)
 	}
-	sort.Strings(outcomes)
+	slices.Sort(outcomes)
 	for _, o := range outcomes {
 		fmt.Printf("  %-12s %6d (%.1f%%)\n",
 			o, s.ByOutcome[o], 100*float64(s.ByOutcome[o])/float64(s.Events))
@@ -64,7 +64,7 @@ func main() {
 		fmt.Println("no broadcast-resolved events — every query answered by peers")
 		return
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	slices.Sort(lats)
 	fmt.Printf("\nbroadcast latency (slots): min=%d p50=%d p90=%d max=%d mean=%.1f\n",
 		lats[0], percentile(lats, 50), percentile(lats, 90),
 		lats[len(lats)-1], s.MeanLatency)

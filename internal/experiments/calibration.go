@@ -1,10 +1,11 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"lbsq/internal/broadcast"
 	"lbsq/internal/core"
@@ -145,8 +146,8 @@ func CorrectnessCalibration(o Options, clustered bool, trials int) []Calibration
 		res := core.NNVScratch(&s, q, []core.PeerData{pd}, k, lambda)
 
 		truth := append([]broadcast.POI(nil), db...)
-		sort.Slice(truth, func(i, j int) bool {
-			return truth[i].Pos.DistSq(q) < truth[j].Pos.DistSq(q)
+		slices.SortFunc(truth, func(a, b broadcast.POI) int {
+			return cmp.Compare(a.Pos.DistSq(q), b.Pos.DistSq(q))
 		})
 		for rank, e := range res.Heap.Entries() {
 			if e.Verified {

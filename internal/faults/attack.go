@@ -137,8 +137,8 @@ const minMaterialDelta = 1e-3
 //   - The input slice and rect are never modified; lied-about POI sets
 //     are copies cut from arena (peers share views of their cache
 //     storage), valid until the caller rewinds it.
-//   - Exactly one lie is counted (Counters.ByzantineLies) per call with
-//     a concrete attack; AttackNone is the identity and draws nothing.
+//   - Every call with a concrete attack tells exactly one lie, for the
+//     caller to count; AttackNone is the identity and draws nothing.
 //
 // Parameter draws come from the injector's own stream, preserving the
 // layer's invariant that enabling misbehavior never perturbs the
@@ -152,7 +152,6 @@ func (in *Injector) AttackClaim(arena *broadcast.POIArena, vr geom.Rect, pois []
 	if a == AttackMix {
 		a = [...]Attack{AttackFabricate, AttackOmit, AttackInflate, AttackShift}[seq%4]
 	}
-	in.Counters.ByzantineLies++
 	switch a {
 	case AttackOmit:
 		// Only a POI inside the claimed VR can be materially omitted:

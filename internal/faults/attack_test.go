@@ -55,8 +55,8 @@ func TestAttackClaimAlwaysMaterial(t *testing.T) {
 				t.Fatalf("attack %v seed %d: claim not materially false\n vr=%v pois=%v\ncvr=%v cpois=%v",
 					a, seed, vr, pois, cvr, cpois)
 			}
-			if got := in.Counters.ByzantineLies; got != 1 {
-				t.Fatalf("attack %v: ByzantineLies = %d, want 1", a, got)
+			if in.lieSeq != 1 {
+				t.Fatalf("attack %v: told %d lies, want 1", a, in.lieSeq)
 			}
 		}
 	}
@@ -125,8 +125,8 @@ func TestAttackClaimNilAndNoneIdentity(t *testing.T) {
 	if cvr, cpois = in.AttackClaim(new(broadcast.POIArena), vr, nil, AttackNone); cvr != vr || cpois != nil {
 		t.Fatal("AttackNone on a nil POI set is not the identity")
 	}
-	if in.Counters.ByzantineLies != 0 {
-		t.Fatal("AttackNone counted a lie")
+	if in.lieSeq != 0 || !sameStream(in, newRefInjector(1, Profile{})) {
+		t.Fatal("AttackNone told a lie or drew from the stream")
 	}
 }
 
@@ -147,8 +147,8 @@ func TestAttackMixCycles(t *testing.T) {
 	if !sawInflate || !sawOmit {
 		t.Fatalf("mix cycle missed attacks: inflate=%v omit=%v", sawInflate, sawOmit)
 	}
-	if in.Counters.ByzantineLies != 4 {
-		t.Fatalf("ByzantineLies = %d, want 4", in.Counters.ByzantineLies)
+	if in.lieSeq != 4 {
+		t.Fatalf("told %d lies, want 4", in.lieSeq)
 	}
 }
 

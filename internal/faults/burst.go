@@ -102,32 +102,35 @@ func (g *gilbert) dwell(mean float64) int64 {
 	return d
 }
 
-// sync advances the chain to the given slot. Slots move monotonically
-// forward in the simulation; syncing to an earlier slot is a no-op.
-func (g *gilbert) sync(slot int64, c *Counters) {
+// sync advances the chain to the given slot and returns how many times it
+// flipped state. Slots move monotonically forward in the simulation;
+// syncing to an earlier slot is a no-op.
+func (g *gilbert) sync(slot int64) (flips int64) {
 	if !g.started {
 		g.started = true
 		g.until = slot + g.dwell(g.goodMean)
 	}
 	for slot >= g.until {
 		g.bad = !g.bad
-		c.BurstTransitions++
+		flips++
 		mean := g.goodMean
 		if g.bad {
 			mean = g.badMean
 		}
 		g.until += g.dwell(mean)
 	}
+	return flips
 }
 
-// Sync advances the Gilbert–Elliott chain to the given broadcast slot.
-// The sim calls this at query start and after each backoff wait so fades
-// can begin or end mid-collection. A no-op with the chain unarmed.
-func (in *Injector) Sync(slot int64) {
+// Sync advances the Gilbert–Elliott chain to the given broadcast slot and
+// returns the number of good↔bad flips on the way. The sim calls this at
+// query start and after each backoff wait so fades can begin or end
+// mid-collection. A no-op (zero flips) with the chain unarmed.
+func (in *Injector) Sync(slot int64) int64 {
 	if in.ge == nil {
-		return
+		return 0
 	}
-	in.ge.sync(slot, &in.Counters)
+	return in.ge.sync(slot)
 }
 
 // burstLost draws whether the fading chain kills one ad-hoc frame at the
@@ -144,11 +147,7 @@ func (in *Injector) burstLost() bool {
 	if loss <= 0 {
 		return false
 	}
-	if in.ge.rng.Float64() < loss {
-		in.Counters.BurstLosses++
-		return true
-	}
-	return false
+	return in.ge.rng.Float64() < loss
 }
 
 // ChannelImpaired reports whether the fading chain currently sits in its

@@ -93,16 +93,22 @@ func TestBurstZeroKnobNoDraws(t *testing.T) {
 	a := New(42, legacy)
 	b := New(42, legacy)
 	for i := 0; i < 500; i++ {
-		b.Sync(int64(i)) // must be a no-op
-		if a.RequestHeard() != b.RequestHeard() {
+		if flips := b.Sync(int64(i)); flips != 0 { // must be a no-op
+			t.Fatalf("draw %d: an unarmed chain flipped %d times", i, flips)
+		}
+		ha, _ := a.RequestHeard()
+		hb, fadedReq := b.RequestHeard()
+		if ha != hb {
 			t.Fatalf("draw %d: RequestHeard diverged with inert Sync", i)
 		}
-		if a.ReplyFate() != b.ReplyFate() {
+		fa, _ := a.ReplyFate()
+		fb, fadedRep := b.ReplyFate()
+		if fa != fb {
 			t.Fatalf("draw %d: ReplyFate diverged with inert Sync", i)
 		}
-	}
-	if b.Counters.BurstLosses != 0 || b.Counters.BurstTransitions != 0 {
-		t.Fatalf("zero-knob burst counters moved: %+v", b.Counters)
+		if fadedReq || fadedRep {
+			t.Fatalf("draw %d: an unarmed chain faded a frame", i)
+		}
 	}
 	if b.ChannelImpaired() || b.DeepFade() {
 		t.Fatal("zero-knob injector reports an impaired channel")
@@ -120,14 +126,18 @@ func TestBurstLegacyStreamUnperturbed(t *testing.T) {
 	armed.BurstGoodSlots = 8
 	a := New(7, legacy)
 	b := New(7, armed)
-	heardA, heardB := 0, 0
+	heardA, heardB, faded := 0, 0, 0
 	for i := 0; i < 2000; i++ {
 		b.Sync(int64(i))
-		if a.RequestHeard() {
+		if h, _ := a.RequestHeard(); h {
 			heardA++
 		}
-		if b.RequestHeard() {
+		h, f := b.RequestHeard()
+		if h {
 			heardB++
+		}
+		if f {
+			faded++
 		}
 	}
 	// The armed injector's legacy unheard count is a subset relation:
@@ -137,7 +147,7 @@ func TestBurstLegacyStreamUnperturbed(t *testing.T) {
 		t.Fatalf("armed injector heard more (%d) than legacy (%d): legacy stream shifted",
 			heardB, heardA)
 	}
-	if b.Counters.BurstLosses == 0 {
+	if faded == 0 {
 		t.Fatal("armed chain with BadLoss=1 never killed a frame")
 	}
 }
@@ -152,7 +162,9 @@ func TestBurstDeterminism(t *testing.T) {
 		out := make([]bool, 0, 800)
 		for slot := int64(0); slot < 400; slot++ {
 			in.Sync(slot)
-			out = append(out, in.RequestHeard(), in.ReplyFate() == FateDeliver)
+			heard, _ := in.RequestHeard()
+			fate, _ := in.ReplyFate()
+			out = append(out, heard, fate == FateDeliver)
 		}
 		return out
 	}
@@ -181,10 +193,10 @@ func TestBurstDeterminism(t *testing.T) {
 func TestBurstDwellMeans(t *testing.T) {
 	p := Profile{BurstBadLoss: 1, BurstBadSlots: 10, BurstGoodSlots: 40}
 	in := New(99, p)
-	badSlots := 0
+	badSlots, flips := 0, int64(0)
 	const horizon = 200000
 	for slot := int64(0); slot < horizon; slot++ {
-		in.Sync(slot)
+		flips += in.Sync(slot)
 		if in.ChannelImpaired() {
 			badSlots++
 		}
@@ -193,10 +205,10 @@ func TestBurstDwellMeans(t *testing.T) {
 	if duty < 0.15 || duty > 0.25 {
 		t.Fatalf("bad-state duty cycle %.3f, want ~0.20", duty)
 	}
-	if in.Counters.BurstTransitions == 0 {
+	if flips == 0 {
 		t.Fatal("chain never transitioned over 200k slots")
 	}
-	meanDwell := float64(horizon) / float64(in.Counters.BurstTransitions)
+	meanDwell := float64(horizon) / float64(flips)
 	if meanDwell < 20 || meanDwell > 30 {
 		t.Fatalf("mean dwell %.1f slots, want ~25 (=(10+40)/2)", meanDwell)
 	}

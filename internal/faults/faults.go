@@ -205,33 +205,11 @@ func (f ReplyFate) String() string {
 	}
 }
 
-// Counters tallies every injected fault so the degradation paths are
-// visible in the experiment reports.
-type Counters struct {
-	// RequestsUnheard counts per-peer request receptions lost.
-	RequestsUnheard int64
-	// RepliesDropped counts replies lost in flight.
-	RepliesDropped int64
-	// ChurnDepartures counts peers that powered off or drifted out of
-	// range while a query's peer collection was in flight.
-	ChurnDepartures int64
-	// ChurnReturns counts departed peers that powered back on or drifted
-	// back into range before the same collection finished.
-	ChurnReturns int64
-	// ByzantineLies counts materially false claims emitted by byzantine
-	// hosts (one per AttackClaim application).
-	ByzantineLies int64 `json:",omitempty"`
-	// BurstLosses counts ad-hoc frames killed by the Gilbert–Elliott
-	// fading chain (on top of any independent Bernoulli losses).
-	BurstLosses int64 `json:",omitempty"`
-	// BurstTransitions counts state flips of the fading chain.
-	BurstTransitions int64 `json:",omitempty"`
-}
-
 // Injector is a seeded, deterministic fault source. All decision methods
 // draw from the injector's own stream —
 // never the simulation's — so enabling faults does not perturb the world's
-// randomness, and a zero profile makes no draws at all.
+// randomness, and a zero profile makes no draws at all. It keeps no tally:
+// each method returns what it did, and the caller counts it.
 type Injector struct {
 	prof Profile
 	rng  *rand.Rand
@@ -244,8 +222,6 @@ type Injector struct {
 	// the concrete attacks and makes every fabricated POI ID unique.
 	lieSeq int64
 	inside []int // AttackOmit's candidates, reused across claims
-	// Counters tallies the injected faults.
-	Counters Counters
 }
 
 // New creates an injector for the (normalized) profile, seeded
@@ -263,38 +239,32 @@ func New(seed int64, p Profile) *Injector {
 func (in *Injector) Profile() Profile { return in.prof }
 
 // RequestHeard draws whether one neighbor heard one broadcast cache
-// request. The legacy Bernoulli draw comes first (from the legacy
-// stream, only when RequestLoss is set — exactly as before the fading
-// chain existed); the Gilbert–Elliott kill is layered under it from its
-// own stream.
-func (in *Injector) RequestHeard() bool {
-	heard := true
-	if in.prof.RequestLoss > 0 {
-		if in.rng.Float64() < in.prof.RequestLoss {
-			in.Counters.RequestsUnheard++
-			heard = false
-		}
+// request; faded says the Gilbert–Elliott chain killed it. The legacy
+// Bernoulli draw comes first (from the legacy stream, only when
+// RequestLoss is set — exactly as before the fading chain existed); the
+// Gilbert–Elliott kill is layered under it from its own stream.
+func (in *Injector) RequestHeard() (heard, faded bool) {
+	if in.prof.RequestLoss > 0 && in.rng.Float64() < in.prof.RequestLoss {
+		return false, false
 	}
-	if heard && in.burstLost() {
-		in.Counters.RequestsUnheard++
-		heard = false
+	if in.burstLost() {
+		return false, true
 	}
-	return heard
+	return true, false
 }
 
-// ReplyFate draws what the ad-hoc channel does to one peer reply. The
-// three legacy failure modes are disjoint (loss, then truncation, then
-// corruption) and draw from the legacy stream exactly as before; the
-// Gilbert–Elliott fading kill is layered under a legacy FateDeliver from
-// its own stream, so arming the chain never shifts the legacy sequence.
-func (in *Injector) ReplyFate() ReplyFate {
-	fate := FateDeliver
+// ReplyFate draws what the ad-hoc channel does to one peer reply; faded
+// says the Gilbert–Elliott chain dropped it. The three legacy failure
+// modes are disjoint (loss, then truncation, then corruption) and draw
+// from the legacy stream exactly as before; the fading kill is layered
+// under a legacy FateDeliver from its own stream, so arming the chain
+// never shifts the legacy sequence.
+func (in *Injector) ReplyFate() (fate ReplyFate, faded bool) {
 	p := in.prof
 	if p.ReplyLoss > 0 || p.ReplyTruncate > 0 || p.ReplyCorrupt > 0 {
 		u := in.rng.Float64()
 		switch {
 		case u < p.ReplyLoss:
-			in.Counters.RepliesDropped++
 			fate = FateDrop
 		case u < p.ReplyLoss+p.ReplyTruncate:
 			fate = FateTruncate
@@ -303,36 +273,21 @@ func (in *Injector) ReplyFate() ReplyFate {
 		}
 	}
 	if fate == FateDeliver && in.burstLost() {
-		in.Counters.RepliesDropped++
-		fate = FateDrop
+		return FateDrop, true
 	}
-	return fate
+	return fate, false
 }
 
 // ChurnDeparts draws whether one present peer powers off or drifts out of
 // range during the current collection round.
 func (in *Injector) ChurnDeparts() bool {
-	if in.prof.ChurnRate <= 0 {
-		return false
-	}
-	if in.rng.Float64() < in.prof.ChurnRate {
-		in.Counters.ChurnDepartures++
-		return true
-	}
-	return false
+	return in.prof.ChurnRate > 0 && in.rng.Float64() < in.prof.ChurnRate
 }
 
 // ChurnReturns draws whether one departed peer powers back on or drifts
 // back into range during the current collection round.
 func (in *Injector) ChurnReturns() bool {
-	if in.prof.ChurnRate <= 0 {
-		return false
-	}
-	if in.rng.Float64() < in.prof.ChurnRate {
-		in.Counters.ChurnReturns++
-		return true
-	}
-	return false
+	return in.prof.ChurnRate > 0 && in.rng.Float64() < in.prof.ChurnRate
 }
 
 // Backoff parameters of the resilient query lifecycle: the deterministic

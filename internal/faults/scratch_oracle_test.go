@@ -10,10 +10,151 @@ import (
 	"lbsq/internal/geom"
 )
 
+// refCounters is the tally the injector kept before each of its calls
+// returned what it did, kept verbatim as the reference those returns are
+// summed against.
+type refCounters struct {
+	RequestsUnheard  int64
+	RepliesDropped   int64
+	ChurnDepartures  int64
+	ChurnReturns     int64
+	ByzantineLies    int64
+	BurstLosses      int64
+	BurstTransitions int64
+}
+
+// refInjector is the injector as it was when it counted its own faults:
+// the same state and the old method bodies verbatim, each counting into
+// Counters.
+type refInjector struct {
+	prof     Profile
+	rng      *rand.Rand
+	ge       *gilbert
+	lieSeq   int64
+	Counters refCounters
+}
+
+func newRefInjector(seed int64, p Profile) *refInjector {
+	np := p.Normalized()
+	return &refInjector{
+		prof: np,
+		rng:  rand.New(rand.NewSource(seed)),
+		ge:   newGilbert(seed, np),
+	}
+}
+
+func (in *refInjector) RequestHeard() bool {
+	heard := true
+	if in.prof.RequestLoss > 0 {
+		if in.rng.Float64() < in.prof.RequestLoss {
+			in.Counters.RequestsUnheard++
+			heard = false
+		}
+	}
+	if heard && in.burstLost() {
+		in.Counters.RequestsUnheard++
+		heard = false
+	}
+	return heard
+}
+
+func (in *refInjector) ReplyFate() ReplyFate {
+	fate := FateDeliver
+	p := in.prof
+	if p.ReplyLoss > 0 || p.ReplyTruncate > 0 || p.ReplyCorrupt > 0 {
+		u := in.rng.Float64()
+		switch {
+		case u < p.ReplyLoss:
+			in.Counters.RepliesDropped++
+			fate = FateDrop
+		case u < p.ReplyLoss+p.ReplyTruncate:
+			fate = FateTruncate
+		case u < p.ReplyLoss+p.ReplyTruncate+p.ReplyCorrupt:
+			fate = FateCorrupt
+		}
+	}
+	if fate == FateDeliver && in.burstLost() {
+		in.Counters.RepliesDropped++
+		fate = FateDrop
+	}
+	return fate
+}
+
+func (in *refInjector) ChurnDeparts() bool {
+	if in.prof.ChurnRate <= 0 {
+		return false
+	}
+	if in.rng.Float64() < in.prof.ChurnRate {
+		in.Counters.ChurnDepartures++
+		return true
+	}
+	return false
+}
+
+func (in *refInjector) ChurnReturns() bool {
+	if in.prof.ChurnRate <= 0 {
+		return false
+	}
+	if in.rng.Float64() < in.prof.ChurnRate {
+		in.Counters.ChurnReturns++
+		return true
+	}
+	return false
+}
+
+func (in *refInjector) Jitter(n int64) int64 {
+	if n <= 0 {
+		return 0
+	}
+	return in.rng.Int63n(n)
+}
+
+// refSync is gilbert.sync as it was, counting flips into c.
+func refSync(g *gilbert, slot int64, c *refCounters) {
+	if !g.started {
+		g.started = true
+		g.until = slot + g.dwell(g.goodMean)
+	}
+	for slot >= g.until {
+		g.bad = !g.bad
+		c.BurstTransitions++
+		mean := g.goodMean
+		if g.bad {
+			mean = g.badMean
+		}
+		g.until += g.dwell(mean)
+	}
+}
+
+func (in *refInjector) Sync(slot int64) {
+	if in.ge == nil {
+		return
+	}
+	refSync(in.ge, slot, &in.Counters)
+}
+
+func (in *refInjector) burstLost() bool {
+	if in.ge == nil {
+		return false
+	}
+	loss := in.ge.goodLoss
+	if in.ge.bad {
+		loss = in.ge.badLoss
+	}
+	if loss <= 0 {
+		return false
+	}
+	if in.ge.rng.Float64() < loss {
+		in.Counters.BurstLosses++
+		return true
+	}
+	return false
+}
+
 // refMangle is Mangle's body before it damaged the frame in place, kept
 // verbatim (as a function of the injector) as the reference the in-place
 // kernel is held to.
-func refMangle(in *Injector, b []byte, fate ReplyFate) []byte {
+func refMangle(in *refInjector, b []byte, fate ReplyFate) []byte {
 	if len(b) == 0 {
 		return b
 	}
@@ -40,7 +181,7 @@ func refMangle(in *Injector, b []byte, fate ReplyFate) []byte {
 
 // refAttackClaim is AttackClaim's body before it cut its copies from the
 // caller's arena, kept verbatim (as a function of the injector).
-func refAttackClaim(in *Injector, vr geom.Rect, pois []broadcast.POI, a Attack) (geom.Rect, []broadcast.POI) {
+func refAttackClaim(in *refInjector, vr geom.Rect, pois []broadcast.POI, a Attack) (geom.Rect, []broadcast.POI) {
 	if a == AttackNone {
 		return vr, pois
 	}
@@ -106,7 +247,7 @@ func refAttackClaim(in *Injector, vr geom.Rect, pois []broadcast.POI, a Attack) 
 	}
 }
 
-func refFabricateInto(in *Injector, vr geom.Rect, pois []broadcast.POI, seq int64) []broadcast.POI {
+func refFabricateInto(in *refInjector, vr geom.Rect, pois []broadcast.POI, seq int64) []broadcast.POI {
 	p := vr.Min
 	if !vr.Empty() {
 		p = geom.Pt(
@@ -120,11 +261,15 @@ func refFabricateInto(in *Injector, vr geom.Rect, pois []broadcast.POI, seq int6
 	return out
 }
 
-// sameStream reports whether two injectors' streams are at the same
-// position, by drawing from both.
-func sameStream(a, b *Injector) bool {
+// sameStream reports whether an injector's streams, the legacy one and
+// the fading chain's, are where the reference's are, by drawing from both.
+func sameStream(got *Injector, ref *refInjector) bool {
+	if (got.ge == nil) != (ref.ge == nil) {
+		return false
+	}
 	for i := 0; i < 4; i++ {
-		if a.rng.Int63() != b.rng.Int63() {
+		if got.rng.Int63() != ref.rng.Int63() ||
+			got.ge != nil && got.ge.rng.Int63() != ref.ge.rng.Int63() {
 			return false
 		}
 	}
@@ -137,7 +282,7 @@ func sameStream(a, b *Injector) bool {
 func TestMangleMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for seed := int64(1); seed <= 40; seed++ {
-		got, ref := New(seed, Profile{}), New(seed, Profile{})
+		got, ref := New(seed, Profile{}), newRefInjector(seed, Profile{})
 		for trial := 0; trial < 200; trial++ {
 			msg := make([]byte, rng.Intn(41))
 			rng.Read(msg)
@@ -156,8 +301,9 @@ func TestMangleMatchesReference(t *testing.T) {
 
 // AttackClaim into an arena gives the reference's claim — the region and
 // every POI, in order — for every attack, AttackMix's rotation included,
-// leaves the stream, the lie sequence and the counters where the reference
-// leaves them, and cuts every lied-about set from the arena. Claims come
+// leaves the stream and the lie sequence where the reference leaves them,
+// tells one lie a call where the reference counted one, and cuts every
+// lied-about set from the arena. Claims come
 // with POIs inside, on the boundary of and outside their region, empty
 // sets and degenerate regions, so every fallback runs.
 func TestAttackClaimMatchesReference(t *testing.T) {
@@ -181,8 +327,9 @@ func TestAttackClaimMatchesReference(t *testing.T) {
 	}
 	attacks := []Attack{AttackNone, AttackFabricate, AttackOmit, AttackInflate, AttackShift, AttackMix}
 	for _, a := range attacks {
-		got, ref := New(3, Profile{}), New(3, Profile{})
+		got, ref := New(3, Profile{}), newRefInjector(3, Profile{})
 		var arena broadcast.POIArena
+		var lies int64
 		for trial := 0; trial < 400; trial++ {
 			if trial%50 == 0 {
 				arena.Rewind()
@@ -191,6 +338,9 @@ func TestAttackClaimMatchesReference(t *testing.T) {
 			orig := slices.Clone(pois)
 			wvr, wpois := refAttackClaim(ref, vr, pois, a)
 			gvr, gpois := got.AttackClaim(&arena, vr, pois, a)
+			if a != AttackNone {
+				lies++
+			}
 			if gvr != wvr || !slices.Equal(gpois, wpois) || len(gpois) != cap(gpois) && a != AttackNone {
 				t.Fatalf("%v trial %d: got %v %v, reference %v %v", a, trial, gvr, gpois, wvr, wpois)
 			}
@@ -201,9 +351,130 @@ func TestAttackClaimMatchesReference(t *testing.T) {
 				t.Fatalf("%v trial %d: the lie aliases the input", a, trial)
 			}
 		}
-		if got.lieSeq != ref.lieSeq || got.Counters != ref.Counters || !sameStream(got, ref) {
-			t.Fatalf("%v: lie sequence %d / %d, counters %+v / %+v, or the stream differ from the reference",
-				a, got.lieSeq, ref.lieSeq, got.Counters, ref.Counters)
+		if got.lieSeq != ref.lieSeq || lies != ref.Counters.ByzantineLies || !sameStream(got, ref) {
+			t.Fatalf("%v: lie sequence %d / %d, lies %d / %d, or the stream differ from the reference",
+				a, got.lieSeq, ref.lieSeq, lies, ref.Counters.ByzantineLies)
 		}
+	}
+}
+
+// The injector gives the reference's fates, claims, delays and damage and
+// leaves both streams where the reference leaves them, over random
+// profiles: Bernoulli loss, truncation and corruption, churn, every
+// attack, and fading chains up to DeepFadeLoss and beyond. Its returns,
+// summed where the simulator sums them, equal the reference's Counters
+// field by field, and every field moves somewhere in the run.
+func TestInjectorMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	rate := func(max float64) float64 {
+		if rng.Intn(3) == 0 {
+			return 0
+		}
+		return rng.Float64() * max
+	}
+	attacks := []Attack{AttackNone, AttackFabricate, AttackOmit, AttackInflate, AttackShift, AttackMix}
+	var total refCounters
+	for trial := 0; trial < 300; trial++ {
+		p := Profile{RequestLoss: rate(0.5), ReplyLoss: rate(0.3), ReplyTruncate: rate(0.2),
+			ReplyCorrupt: rate(0.2), ChurnRate: rate(0.5)}
+		if rng.Intn(3) > 0 {
+			p.BurstBadLoss = [...]float64{0.4, DeepFadeLoss, 1}[rng.Intn(3)]
+			p.BurstGoodLoss = rate(0.2)
+			p.BurstBadSlots = rate(8)
+			p.BurstGoodSlots = rate(40)
+		}
+		if a := attacks[rng.Intn(len(attacks))]; a != AttackNone {
+			p.ByzantineRate, p.Attack = 0.5, a
+		}
+		seed := rng.Int63()
+		got, ref := New(seed, p), newRefInjector(seed, p)
+		var sum refCounters
+		var arena broadcast.POIArena
+		slot := int64(0)
+		for step := 0; step < 400; step++ {
+			switch rng.Intn(7) {
+			case 0:
+				slot += rng.Int63n(6)
+				sum.BurstTransitions += got.Sync(slot)
+				ref.Sync(slot)
+			case 1:
+				heard, faded := got.RequestHeard()
+				if want := ref.RequestHeard(); heard != want {
+					t.Fatalf("trial %d step %d: heard %v, reference %v", trial, step, heard, want)
+				}
+				if !heard {
+					sum.RequestsUnheard++
+				}
+				if faded {
+					sum.BurstLosses++
+				}
+			case 2:
+				fate, faded := got.ReplyFate()
+				if want := ref.ReplyFate(); fate != want {
+					t.Fatalf("trial %d step %d: fate %v, reference %v", trial, step, fate, want)
+				}
+				if fate == FateDrop {
+					sum.RepliesDropped++
+				}
+				if faded {
+					sum.BurstLosses++
+				}
+				msg := make([]byte, rng.Intn(24))
+				rng.Read(msg)
+				want := refMangle(ref, msg, fate)
+				if out := got.Mangle(slices.Clone(msg), fate); !bytes.Equal(out, want) {
+					t.Fatalf("trial %d step %d: mangled %x, reference %x", trial, step, out, want)
+				}
+			case 3:
+				if d := got.ChurnDeparts(); d != ref.ChurnDeparts() {
+					t.Fatalf("trial %d step %d: departure diverged", trial, step)
+				} else if d {
+					sum.ChurnDepartures++
+				}
+			case 4:
+				if r := got.ChurnReturns(); r != ref.ChurnReturns() {
+					t.Fatalf("trial %d step %d: return diverged", trial, step)
+				} else if r {
+					sum.ChurnReturns++
+				}
+			case 5:
+				if step%40 == 0 {
+					arena.Rewind()
+				}
+				vr := geom.NewRect(0, 0, 1+rng.Float64()*4, 1+rng.Float64()*4)
+				pois := []broadcast.POI{{ID: 1, Pos: geom.Pt(0.5, 0.5)}, {ID: 2, Pos: geom.Pt(9, 9)}}[:rng.Intn(3)]
+				gvr, gpois := got.AttackClaim(&arena, vr, pois, p.Attack)
+				if p.Attack != AttackNone {
+					sum.ByzantineLies++
+				}
+				if wvr, wpois := refAttackClaim(ref, vr, pois, p.Attack); gvr != wvr || !slices.Equal(gpois, wpois) {
+					t.Fatalf("trial %d step %d: claim %v %v, reference %v %v", trial, step, gvr, gpois, wvr, wpois)
+				}
+			case 6:
+				n := rng.Int63n(20)
+				if d, want := got.Jitter(n), ref.Jitter(n); d != want {
+					t.Fatalf("trial %d step %d: jitter %d, reference %d", trial, step, d, want)
+				}
+			}
+			bad := ref.ge != nil && ref.ge.bad
+			if got.ChannelImpaired() != bad || got.DeepFade() != (bad && ref.ge.badLoss >= DeepFadeLoss) {
+				t.Fatalf("trial %d step %d: chain state diverged from the reference", trial, step)
+			}
+		}
+		if sum != ref.Counters || got.lieSeq != ref.lieSeq || !sameStream(got, ref) {
+			t.Fatalf("trial %d (%+v): summed returns %+v, reference counters %+v, or the streams differ",
+				trial, p, sum, ref.Counters)
+		}
+		total.RequestsUnheard += sum.RequestsUnheard
+		total.RepliesDropped += sum.RepliesDropped
+		total.ChurnDepartures += sum.ChurnDepartures
+		total.ChurnReturns += sum.ChurnReturns
+		total.ByzantineLies += sum.ByzantineLies
+		total.BurstLosses += sum.BurstLosses
+		total.BurstTransitions += sum.BurstTransitions
+	}
+	if total.RequestsUnheard == 0 || total.RepliesDropped == 0 || total.ChurnDepartures == 0 ||
+		total.ChurnReturns == 0 || total.ByzantineLies == 0 || total.BurstLosses == 0 || total.BurstTransitions == 0 {
+		t.Fatalf("a counter never moved over the run: %+v", total)
 	}
 }

@@ -74,23 +74,6 @@ func (c BreakerConfig) Normalized() BreakerConfig {
 	return out
 }
 
-// BreakerStats tallies breaker activity for the experiment reports.
-type BreakerStats struct {
-	// Trips counts closed→open and half-open→open transitions.
-	Trips int64
-	// ShortCircuits counts requests skipped because the target peer's
-	// breaker was open (the saved retry traffic).
-	ShortCircuits int64
-	// Probes counts half-open probe requests allowed through.
-	Probes int64
-	// Recoveries counts half-open→closed transitions (probe delivered).
-	Recoveries int64
-	// InconclusiveProbes counts half-open probes voided by a churn
-	// departure: the target left mid-probe, so the probe said nothing
-	// about the peer's health and the breaker stays half-open.
-	InconclusiveProbes int64
-}
-
 // breakerRec is one peer's reputation record. A peer that never failed
 // has the zero record: closed, with no failures.
 type breakerRec struct {
@@ -102,12 +85,13 @@ type breakerRec struct {
 // BreakerSet tracks one breaker per peer host. A nil *BreakerSet is valid
 // and allows everything (breakers disabled), so the simulator threads it
 // through without nil checks. The set is deterministic: all transitions
-// are driven by the caller's (deterministic) request/outcome sequence.
+// are driven by the caller's (deterministic) request/outcome sequence. It
+// keeps no tally: each call returns the transition it made (a short
+// circuit, a trip, a recovery), and the caller counts it.
 type BreakerSet struct {
 	cfg   BreakerConfig
 	peers []breakerRec // by host id, grown on demand, never shrunk (DESIGN.md §11)
 	cycle int64
-	stats BreakerStats
 }
 
 // NewBreakerSet creates a breaker set for the (normalized) config, or
@@ -126,14 +110,6 @@ func (bs *BreakerSet) rec(id int) *breakerRec {
 		bs.peers = append(bs.peers, make([]breakerRec, id+1-len(bs.peers))...)
 	}
 	return &bs.peers[id]
-}
-
-// Stats returns the breaker tallies. Safe on nil (zero).
-func (bs *BreakerSet) Stats() BreakerStats {
-	if bs == nil {
-		return BreakerStats{}
-	}
-	return bs.stats
 }
 
 // Cycle returns the current collection cycle. Safe on nil.
@@ -156,26 +132,20 @@ func (bs *BreakerSet) Tick() {
 // Allow reports whether a request to peer id should be sent. An open
 // breaker whose cooldown has elapsed transitions to half-open and lets
 // one probe through; an open breaker inside its cooldown short-circuits
-// the request. Safe on nil (always allowed).
+// the request, and false is that short circuit. Safe on nil (always
+// allowed).
 func (bs *BreakerSet) Allow(id int) bool {
 	if bs == nil {
 		return true
 	}
 	rec := bs.rec(id)
-	switch rec.state {
-	case BreakerOpen:
+	if rec.state == BreakerOpen {
 		if bs.cycle < rec.reopenAt {
-			bs.stats.ShortCircuits++
 			return false
 		}
 		rec.state = BreakerHalfOpen
-		fallthrough
-	case BreakerHalfOpen:
-		bs.stats.Probes++
-		return true
-	default:
-		return true
 	}
+	return true
 }
 
 // RecordSuccess reports that peer id delivered a sound reply: a closed
@@ -186,44 +156,50 @@ func (bs *BreakerSet) Allow(id int) bool {
 // flight, or depart and return across a conviction), and honoring it
 // would re-enter closed state on stale reputation, bypassing both the
 // cooldown and any trust-conviction ForceOpen. Recovery must go through
-// the half-open probe. Safe on nil.
-func (bs *BreakerSet) RecordSuccess(id int) {
+// the half-open probe. It returns true on a half-open→closed recovery.
+// Safe on nil.
+func (bs *BreakerSet) RecordSuccess(id int) (recovered bool) {
 	if bs == nil {
-		return
+		return false
 	}
 	rec := bs.rec(id)
 	switch rec.state {
 	case BreakerHalfOpen:
-		bs.stats.Recoveries++
 		rec.state = BreakerClosed
 		rec.failures = 0
+		return true
 	case BreakerClosed:
 		rec.failures = 0
 	case BreakerOpen:
 		// Late delivery from a pre-trip round: not a probe, no recovery.
 	}
+	return false
 }
 
 // RecordFailure reports one misbehavior of peer id (CRC-rejected reply,
 // stale-region discard, or reply timeout). Threshold consecutive failures
 // trip the breaker open for Cooldown cycles; a failed half-open probe
-// re-trips immediately. Safe on nil.
-func (bs *BreakerSet) RecordFailure(id int) {
+// re-trips immediately. It returns true when the call tripped the
+// breaker. Safe on nil.
+func (bs *BreakerSet) RecordFailure(id int) (tripped bool) {
 	if bs == nil {
-		return
+		return false
 	}
 	rec := bs.rec(id)
 	switch rec.state {
 	case BreakerHalfOpen:
 		bs.trip(rec)
+		return true
 	case BreakerClosed:
 		rec.failures++
 		if rec.failures >= bs.cfg.Threshold {
 			bs.trip(rec)
+			return true
 		}
 	}
 	// BreakerOpen: failures cannot be recorded against a quarantined peer
 	// (no request was sent); ignore defensively.
+	return false
 }
 
 // RecordDeparture reports that peer id churned away while a request to
@@ -237,23 +213,18 @@ func (bs *BreakerSet) RecordFailure(id int) {
 // re-tripping would extend the quarantine on zero evidence and, under
 // sustained churn, could starve an honest peer of parole indefinitely.
 // The breaker stays half-open and the next Allow sends a fresh probe.
-// Safe on nil.
-func (bs *BreakerSet) RecordDeparture(id int) {
-	if bs == nil {
-		return
+// It returns true when the call tripped the breaker. Safe on nil.
+func (bs *BreakerSet) RecordDeparture(id int) (tripped bool) {
+	if bs == nil || bs.rec(id).state == BreakerHalfOpen {
+		return false
 	}
-	if bs.rec(id).state == BreakerHalfOpen {
-		bs.stats.InconclusiveProbes++
-		return
-	}
-	bs.RecordFailure(id)
+	return bs.RecordFailure(id)
 }
 
 func (bs *BreakerSet) trip(rec *breakerRec) {
 	rec.state = BreakerOpen
 	rec.failures = 0
 	rec.reopenAt = bs.cycle + bs.cfg.Cooldown
-	bs.stats.Trips++
 }
 
 // ForceOpen trips peer id's breaker open immediately, regardless of its
@@ -261,20 +232,21 @@ func (bs *BreakerSet) trip(rec *breakerRec) {
 // caught lying by a spot audit or cross-validation conflict is
 // quarantined without waiting for Threshold channel failures). Parole
 // still runs through the ordinary machine: after Cooldown cycles the
-// breaker half-opens and one probe decides. Forcing an already-open
-// breaker refreshes its cooldown without recounting the trip. Safe on
-// nil (breakers disabled — the trust layer's own quarantine set still
-// applies).
-func (bs *BreakerSet) ForceOpen(id int) {
+// breaker half-opens and one probe decides. It returns true when the call
+// tripped the breaker: forcing an already-open breaker only refreshes its
+// cooldown and returns false. Safe on nil (breakers disabled — the trust
+// layer's own quarantine set still applies).
+func (bs *BreakerSet) ForceOpen(id int) (tripped bool) {
 	if bs == nil {
-		return
+		return false
 	}
 	rec := bs.rec(id)
 	if rec.state == BreakerOpen {
 		rec.reopenAt = bs.cycle + bs.cfg.Cooldown
-		return
+		return false
 	}
 	bs.trip(rec)
+	return true
 }
 
 // State returns peer id's breaker state (without side effects — an open

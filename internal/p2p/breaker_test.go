@@ -21,6 +21,40 @@ const (
 	nBreakerOps
 )
 
+// breakerCounts sums what breaker calls returned: a false Allow is a
+// short circuit, a true RecordFailure, RecordDeparture or ForceOpen a trip
+// and a true RecordSuccess a recovery.
+type breakerCounts struct {
+	trips, shortCircuits, recoveries int64
+}
+
+// apply drives bs with one of the collector's operations on peer, adds
+// what the call returned to c and returns Allow's answer (true otherwise).
+func (c *breakerCounts) apply(bs *BreakerSet, op, peer int) bool {
+	switch op {
+	case opTick:
+		bs.Tick()
+	case opAllow:
+		if !bs.Allow(peer) {
+			c.shortCircuits++
+			return false
+		}
+	case opSuccess:
+		if bs.RecordSuccess(peer) {
+			c.recoveries++
+		}
+	case opFailure:
+		if bs.RecordFailure(peer) {
+			c.trips++
+		}
+	case opDeparture:
+		if bs.RecordDeparture(peer) {
+			c.trips++
+		}
+	}
+	return true
+}
+
 // breakerModel is the reference closed/open/half-open machine for one
 // peer. It keeps a countdown of ticks left in quarantine where BreakerSet
 // keeps an absolute reopen cycle, so the two agree only if both are right.
@@ -28,7 +62,7 @@ type breakerModel struct {
 	state  BreakerState
 	streak int   // consecutive failures while closed
 	wait   int64 // ticks before an open breaker may probe
-	stats  BreakerStats
+	counts breakerCounts
 }
 
 // step applies one operation and returns Allow's answer (true otherwise).
@@ -38,74 +72,71 @@ func (m *breakerModel) step(op, threshold int, cooldown int64) bool {
 	case op == opTick && m.wait > 0:
 		m.wait--
 	case op == opAllow && m.state == BreakerOpen && m.wait > 0:
-		m.stats.ShortCircuits++
+		m.counts.shortCircuits++
 		return false
 	case op == opAllow && m.state != BreakerClosed:
-		m.state = BreakerHalfOpen
-		m.stats.Probes++
+		m.state = BreakerHalfOpen // a probe
 	case op == opSuccess && m.state == BreakerHalfOpen:
 		m.state = BreakerClosed
-		m.stats.Recoveries++
+		m.counts.recoveries++
 	case op == opSuccess && m.state == BreakerClosed:
 		m.streak = 0
 	case op == opDeparture && m.state == BreakerHalfOpen:
-		m.stats.InconclusiveProbes++
+		// An inconclusive probe: the breaker stays half-open.
 	case strike && m.state == BreakerClosed && m.streak+1 < threshold:
 		m.streak++
 	case strike && m.state != BreakerOpen:
 		m.state, m.streak, m.wait = BreakerOpen, 0, cooldown
-		m.stats.Trips++
+		m.counts.trips++
 	}
 	return true
 }
 
 // TestBreakerModelCheck walks every sequence of the five operations up to
 // length 8 on one peer, at thresholds 1–3 and cooldowns 1–3, against the
-// reference model, comparing the state, Allow's answer, the stats and the
-// invariants after every step. Sequences share their prefixes: each step
-// is undone on the way back up instead of replayed.
+// reference model, comparing the state, Allow's answer, the summed returns
+// and the invariants after every step, and checking that a probe, and a
+// probe its target departed from, leave the breaker half-open. Sequences
+// share their prefixes: each step is undone on the way back up instead of
+// replayed.
 func TestBreakerModelCheck(t *testing.T) {
 	const peer, depth = 7, 8
 	for threshold := 1; threshold <= 3; threshold++ {
 		for cooldown := int64(1); cooldown <= 3; cooldown++ {
 			bs := newTestBreakers(t, threshold, cooldown)
 			var path []int
+			var sum breakerCounts
 			var walk func(m breakerModel)
 			walk = func(m breakerModel) {
 				if len(path) == depth {
 					return
 				}
-				cycle, stats := bs.cycle, bs.stats
+				cycle, counts := bs.cycle, sum
 				var saved breakerRec
 				if peer < len(bs.peers) {
 					saved = bs.peers[peer]
 				}
 				for op := 0; op < nBreakerOps; op++ {
 					path = append(path, op)
-					next, allowed := m, true
-					switch op {
-					case opTick:
-						bs.Tick()
-					case opAllow:
-						allowed = bs.Allow(peer)
-					case opSuccess:
-						bs.RecordSuccess(peer)
-					case opFailure:
-						bs.RecordFailure(peer)
-					case opDeparture:
-						bs.RecordDeparture(peer)
-					}
+					next := m
+					allowed := sum.apply(bs, op, peer)
 					want := next.step(op, threshold, cooldown)
-					if allowed != want || bs.State(peer) != next.state || bs.Stats() != next.stats {
-						t.Fatalf("threshold %d cooldown %d ops %v: allowed %v state %v stats %+v, model %v %v %+v",
-							threshold, cooldown, path, allowed, bs.State(peer), bs.Stats(), want, next.state, next.stats)
+					if allowed != want || bs.State(peer) != next.state || sum != next.counts {
+						t.Fatalf("threshold %d cooldown %d ops %v: allowed %v state %v counts %+v, model %v %v %+v",
+							threshold, cooldown, path, allowed, bs.State(peer), sum, want, next.state, next.counts)
+					}
+					probe := op == opAllow && allowed && m.state != BreakerClosed
+					voided := op == opDeparture && m.state == BreakerHalfOpen
+					if (probe || voided) && bs.State(peer) != BreakerHalfOpen {
+						t.Fatalf("threshold %d cooldown %d ops %v: %v after a probe, want half-open",
+							threshold, cooldown, path, bs.State(peer))
 					}
 					if err := bs.CheckInvariants(); err != nil {
 						t.Fatalf("threshold %d cooldown %d ops %v: %v", threshold, cooldown, path, err)
 					}
 					walk(next)
 					path = path[:len(path)-1]
-					bs.cycle, bs.stats = cycle, stats
+					bs.cycle, sum = cycle, counts
 					if peer < len(bs.peers) {
 						bs.peers[peer] = saved
 					}
@@ -119,28 +150,28 @@ func TestBreakerModelCheck(t *testing.T) {
 func TestBreakerHalfOpenProbeFailureReTrips(t *testing.T) {
 	bs := newTestBreakers(t, 2, 4)
 	const peer = 9
-	bs.RecordFailure(peer)
-	bs.RecordFailure(peer) // trip at cycle 0, reopenAt 4
+	if bs.RecordFailure(peer) || !bs.RecordFailure(peer) { // trip at cycle 0, reopenAt 4
+		t.Fatal("the second failure did not report the trip")
+	}
 	for bs.Cycle() < 4 {
 		bs.Tick()
 	}
 	if !bs.Allow(peer) {
 		t.Fatal("probe denied after cooldown")
 	}
-	bs.RecordFailure(peer) // failed probe: immediate re-trip
+	if !bs.RecordFailure(peer) { // failed probe: immediate re-trip
+		t.Fatal("the failed probe did not report a re-trip")
+	}
 	if got := bs.State(peer); got != BreakerOpen {
 		t.Fatalf("state after failed probe = %v, want open", got)
-	}
-	if got := bs.Stats().Trips; got != 2 {
-		t.Fatalf("trips = %d, want 2 (initial + re-trip)", got)
 	}
 	// Fresh cooldown: quarantined again until cycle 8.
 	bs.Tick()
 	if bs.Allow(peer) {
 		t.Fatal("re-tripped breaker allowed a request inside its fresh cooldown")
 	}
-	if got := bs.Stats().Recoveries; got != 0 {
-		t.Fatalf("recoveries = %d, want 0", got)
+	if bs.RecordSuccess(peer) {
+		t.Fatal("a success on an open breaker reported a recovery")
 	}
 	if err := bs.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -214,14 +245,12 @@ func TestBreakerNilSafety(t *testing.T) {
 	if !bs.Allow(1) {
 		t.Fatal("nil set denied a request")
 	}
-	bs.RecordSuccess(1)
-	bs.RecordFailure(1)
+	if bs.RecordSuccess(1) || bs.RecordFailure(1) || bs.RecordDeparture(1) || bs.ForceOpen(1) {
+		t.Fatal("nil set reported a transition")
+	}
 	bs.Tick()
 	if got := bs.State(1); got != BreakerClosed {
 		t.Fatalf("nil state = %v, want closed", got)
-	}
-	if got := bs.Stats(); got != (BreakerStats{}) {
-		t.Fatalf("nil stats = %+v, want zero", got)
 	}
 	if tracked(bs) != 0 || bs.Cycle() != 0 {
 		t.Fatal("nil set reports tracked peers or cycles")
@@ -297,15 +326,11 @@ func TestBreakerProbeDepartureInconclusive(t *testing.T) {
 	}
 
 	// The probed peer churns away: inconclusive, not a failed probe.
-	bs.RecordDeparture(peer)
+	if bs.RecordDeparture(peer) {
+		t.Fatal("departure re-tripped a half-open breaker")
+	}
 	if got := bs.State(peer); got != BreakerHalfOpen {
 		t.Fatalf("state after probe-target departure = %v, want half-open (no re-trip)", got)
-	}
-	if got := bs.Stats().Trips; got != 1 {
-		t.Fatalf("trips = %d, want 1 (departure must not re-trip)", got)
-	}
-	if got := bs.Stats().InconclusiveProbes; got != 1 {
-		t.Fatalf("inconclusive probes = %d, want 1", got)
 	}
 	if err := bs.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -316,7 +341,9 @@ func TestBreakerProbeDepartureInconclusive(t *testing.T) {
 	if !bs.Allow(peer) {
 		t.Fatal("half-open breaker must allow a fresh probe after an inconclusive one")
 	}
-	bs.RecordSuccess(peer)
+	if !bs.RecordSuccess(peer) {
+		t.Fatal("a delivered probe reported no recovery")
+	}
 	if got := bs.State(peer); got != BreakerClosed {
 		t.Fatalf("state after delivered probe = %v, want closed", got)
 	}
@@ -324,9 +351,9 @@ func TestBreakerProbeDepartureInconclusive(t *testing.T) {
 	// Contrast: a *closed* breaker cannot distinguish departure from
 	// silence, so RecordDeparture keeps the legacy strike accounting.
 	const other = 11
-	bs.RecordDeparture(other)
-	bs.RecordDeparture(other)
-	bs.RecordDeparture(other)
+	if bs.RecordDeparture(other) || bs.RecordDeparture(other) || !bs.RecordDeparture(other) {
+		t.Fatal("the third closed-state departure did not report the trip")
+	}
 	if got := bs.State(other); got != BreakerOpen {
 		t.Fatalf("closed-state departures = %v, want open (legacy strike accounting)", got)
 	}

@@ -6,8 +6,26 @@ import (
 	"testing"
 )
 
-// The breaker set before it was indexed by host, over a map, kept
-// verbatim (types renamed) as the reference the array is held to.
+// The breaker set before it was indexed by host, over a map and keeping
+// its own tally, kept verbatim (types renamed) as the reference the array
+// and the returns of its calls are held to.
+
+// refBreakerStats tallies breaker activity for the experiment reports.
+type refBreakerStats struct {
+	// Trips counts closed→open and half-open→open transitions.
+	Trips int64
+	// ShortCircuits counts requests skipped because the target peer's
+	// breaker was open (the saved retry traffic).
+	ShortCircuits int64
+	// Probes counts half-open probe requests allowed through.
+	Probes int64
+	// Recoveries counts half-open→closed transitions (probe delivered).
+	Recoveries int64
+	// InconclusiveProbes counts half-open probes voided by a churn
+	// departure: the target left mid-probe, so the probe said nothing
+	// about the peer's health and the breaker stays half-open.
+	InconclusiveProbes int64
+}
 
 type refBreakerRec struct {
 	state    BreakerState
@@ -24,7 +42,7 @@ type refBreakerSet struct {
 	cfg   BreakerConfig
 	peers map[int]*refBreakerRec
 	cycle int64
-	stats BreakerStats
+	stats refBreakerStats
 }
 
 // newRefBreakerSet creates a breaker set for the (normalized) config, or
@@ -38,9 +56,9 @@ func newRefBreakerSet(cfg BreakerConfig) *refBreakerSet {
 }
 
 // Stats returns the breaker tallies. Safe on nil (zero).
-func (bs *refBreakerSet) Stats() BreakerStats {
+func (bs *refBreakerSet) Stats() refBreakerStats {
 	if bs == nil {
-		return BreakerStats{}
+		return refBreakerStats{}
 	}
 	return bs.stats
 }
@@ -264,35 +282,39 @@ func ledgerIDs(rng *rand.Rand) int {
 // The host-indexed breaker set answers every call as the map did: over
 // random sequences of the collector's five operations and the trust
 // layer's ForceOpen on a dozen sparse hosts, Allow's answer, every
-// host's state, the stats, the cycle and the invariants agree after
-// every step, at thresholds 1–3 and cooldowns 1–4.
+// host's state, the cycle and the invariants agree after every step, and
+// the returns summed (short circuits, trips, recoveries) equal the
+// reference's tally, at thresholds 1–3 and cooldowns 1–4.
 func TestBreakerSetMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for threshold := 1; threshold <= 3; threshold++ {
 		for cooldown := int64(1); cooldown <= 4; cooldown++ {
 			cfg := BreakerConfig{Threshold: threshold, Cooldown: cooldown}
 			bs, ref := NewBreakerSet(cfg), newRefBreakerSet(cfg)
+			var sum breakerCounts
 			for step := 0; step < 4000; step++ {
 				id := ledgerIDs(rng)
-				switch rng.Intn(6) {
-				case 0:
-					bs.Tick()
+				switch op := rng.Intn(nBreakerOps + 1); op {
+				case opTick:
+					sum.apply(bs, op, id)
 					ref.Tick()
-				case 1:
-					if got, want := bs.Allow(id), ref.Allow(id); got != want {
+				case opAllow:
+					if got, want := sum.apply(bs, op, id), ref.Allow(id); got != want {
 						t.Fatalf("threshold %d cooldown %d step %d: Allow(%d) = %v, reference %v", threshold, cooldown, step, id, got, want)
 					}
-				case 2:
-					bs.RecordSuccess(id)
+				case opSuccess:
+					sum.apply(bs, op, id)
 					ref.RecordSuccess(id)
-				case 3:
-					bs.RecordFailure(id)
+				case opFailure:
+					sum.apply(bs, op, id)
 					ref.RecordFailure(id)
-				case 4:
-					bs.RecordDeparture(id)
+				case opDeparture:
+					sum.apply(bs, op, id)
 					ref.RecordDeparture(id)
-				case 5:
-					bs.ForceOpen(id)
+				default:
+					if bs.ForceOpen(id) {
+						sum.trips++
+					}
 					ref.ForceOpen(id)
 				}
 				for h := -1; h <= 5000; h += 1 + h/8 {
@@ -300,16 +322,17 @@ func TestBreakerSetMatchesReference(t *testing.T) {
 						t.Fatalf("threshold %d cooldown %d step %d: host %d %v, reference %v", threshold, cooldown, step, h, bs.State(h), ref.State(h))
 					}
 				}
-				if bs.Stats() != ref.Stats() || bs.Cycle() != ref.Cycle() {
-					t.Fatalf("threshold %d cooldown %d step %d: stats %+v cycle %d, reference %+v %d", threshold, cooldown, step,
-						bs.Stats(), bs.Cycle(), ref.Stats(), ref.Cycle())
+				rs := ref.Stats()
+				if sum != (breakerCounts{trips: rs.Trips, shortCircuits: rs.ShortCircuits, recoveries: rs.Recoveries}) || bs.Cycle() != ref.Cycle() {
+					t.Fatalf("threshold %d cooldown %d step %d: summed returns %+v cycle %d, reference %+v %d", threshold, cooldown, step,
+						sum, bs.Cycle(), rs, ref.Cycle())
 				}
 				if err := bs.CheckInvariants(); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if bs.Stats().Trips == 0 || bs.Stats().Recoveries == 0 || bs.Stats().ShortCircuits == 0 {
-				t.Fatalf("threshold %d cooldown %d: the walk exercised too little: %+v", threshold, cooldown, bs.Stats())
+			if rs := ref.Stats(); rs.Trips == 0 || rs.Recoveries == 0 || rs.ShortCircuits == 0 || rs.Probes == 0 || rs.InconclusiveProbes == 0 {
+				t.Fatalf("threshold %d cooldown %d: the walk exercised too little: %+v", threshold, cooldown, rs)
 			}
 		}
 	}

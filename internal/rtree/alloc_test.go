@@ -33,3 +33,39 @@ func TestAppendKNNAllocs(t *testing.T) {
 		t.Fatalf("AppendKNN allocated %v times per call with warm scratch", allocs)
 	}
 }
+
+// Bulk allocates the tree, its copy of the items, each node with its own
+// run, and the growth of each level's node slice — nothing per sort. The
+// consistency layer rebuilds the ground truth every epoch, so a sort that
+// allocated (sort.Slice's reflective swapper) would be paid per strip.
+func TestBulkAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	items := randomItems(rng, 5000, 100)
+	tr := Bulk(items, 16)
+	want := 2 // the Tree and the items' copy
+	for level := []*node{tr.root}; len(level) > 0; {
+		var next []*node
+		for _, n := range level {
+			next = append(next, n.children...)
+		}
+		want += 2*len(level) + appendGrowths(len(level))
+		level = next
+	}
+	if got := testing.AllocsPerRun(10, func() { Bulk(items, 16) }); got != float64(want) {
+		t.Fatalf("Bulk allocated %v times, want %d", got, want)
+	}
+}
+
+// appendGrowths is how many times a slice of node pointers reallocates
+// when appended to one element at a time from nil up to n elements.
+func appendGrowths(n int) int {
+	var s []*node
+	growths := 0
+	for range n {
+		if len(s) == cap(s) {
+			growths++
+		}
+		s = append(s, nil)
+	}
+	return growths
+}

@@ -6,6 +6,7 @@
 package rtree
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -58,13 +59,13 @@ func Bulk(items []Item, maxEntries int) *Tree {
 // slice into vertical strips of ~sqrt(len/m) groups each, sort each strip
 // by center Y, and wrap a copy of each run of m in a node.
 func strTile[T any](xs []T, m int, center func(T) geom.Point, wrap func([]T) *node) []*node {
-	sort.Slice(xs, func(i, j int) bool { return center(xs[i]).X < center(xs[j]).X })
+	slices.SortFunc(xs, func(a, b T) int { return cmp.Compare(center(a).X, center(b).X) })
 	stripCount := int(math.Ceil(math.Sqrt(float64((len(xs) + m - 1) / m))))
 	perStrip := (len(xs) + stripCount - 1) / stripCount
 	var out []*node
 	for s := 0; s < len(xs); s += perStrip {
 		strip := xs[s:min(s+perStrip, len(xs))]
-		sort.Slice(strip, func(i, j int) bool { return center(strip[i]).Y < center(strip[j]).Y })
+		slices.SortFunc(strip, func(a, b T) int { return cmp.Compare(center(a).Y, center(b).Y) })
 		for i := 0; i < len(strip); i += m {
 			n := wrap(slices.Clone(strip[i:min(i+m, len(strip))]))
 			n.recomputeBounds()

@@ -1,11 +1,9 @@
 package sim
 
-// Continuous-query acceptance tests (DESIGN.md §15). The gates the CI
+// Continuous-query acceptance tests (DESIGN.md §15; the knn_zero and
+// window_zero goldens pin ContinuousRate = 0). The gates the CI
 // continuous-identity lane runs under -race:
 //
-//   - Zero-knob identity: ContinuousRate = 0 must produce no continuous
-//     state, counters, trace events, or report keys — and stay
-//     deterministic run-to-run.
 //   - Armed determinism: identical seeds yield byte-identical reports
 //     and traces, for both query kinds.
 //   - Safe-region soundness: every safe-region hit re-checks the
@@ -17,7 +15,6 @@ package sim
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
@@ -39,39 +36,6 @@ func contParams(kind QueryKind, seed int64) Params {
 		p.WindowDistMiles = 0.1
 	}
 	return p
-}
-
-// TestContinuousZeroKnob pins the off state: no layer allocation, no
-// counters, no report keys, and run-to-run determinism. (Bit-identity
-// against the pre-continuous build is the external binary-vs-binary
-// check; this guards the in-tree invariants that make it hold.)
-func TestContinuousZeroKnob(t *testing.T) {
-	p := LACity().Scaled(1.5).WithDuration(0.1)
-	p.Seed = 7
-	p.TimeStepSec = 10
-	p.Kind = KNNQuery
-	p.AcceptApproximate = true
-	if p.ContinuousEnabled() {
-		t.Fatal("zero knob reports enabled")
-	}
-	wa, sa, repA, trA := runArmedWorld(t, p)
-	_, sb, repB, trB := runArmedWorld(t, p)
-	if sa != sb || !bytes.Equal(repA, repB) || !bytes.Equal(trA, trB) {
-		t.Fatal("zero-knob run not deterministic")
-	}
-	if wa.cont != nil {
-		t.Fatal("continuous state allocated with the knob off")
-	}
-	if sa.Events("continuous") != 0 {
-		t.Fatalf("zero-knob run produced continuous events: %+v", sa)
-	}
-	if strings.Contains(string(repA), "continuous") ||
-		strings.Contains(string(repA), "reverify") {
-		t.Fatalf("zero-knob report leaks continuous keys:\n%s", repA)
-	}
-	if bytes.Contains(trA, []byte("cont-")) {
-		t.Fatal("zero-knob trace contains continuous events")
-	}
 }
 
 // TestContinuousDeterminism pins armed runs: identical seeds must yield

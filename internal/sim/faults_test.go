@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"lbsq/internal/faults"
@@ -46,9 +47,8 @@ func TestFaultDeterminism(t *testing.T) {
 		if sa != sb {
 			t.Fatalf("%v: stats diverged under identical seed:\n%+v\nvs\n%+v", kind, sa, sb)
 		}
-		if a.inj.Counters != b.inj.Counters {
-			t.Fatalf("%v: injector counters diverged: %+v vs %+v",
-				kind, a.inj.Counters, b.inj.Counters)
+		if !sameFaultStream(a, b) {
+			t.Fatalf("%v: injector streams diverged", kind)
 		}
 		if err := a.SelfCheckErr(); err != nil {
 			t.Fatalf("%v: self-check under faults: %v", kind, err)
@@ -70,8 +70,8 @@ func TestZeroProfileIsSeedBehavior(t *testing.T) {
 	if sz != sp {
 		t.Fatalf("zero profile drifted from seed behavior:\n%+v\nvs\n%+v", sz, sp)
 	}
-	if zero.inj.Counters != (faults.Counters{}) {
-		t.Fatalf("zero profile made fault draws: %+v", zero.inj.Counters)
+	if fresh := faults.New(zero.Params.Seed^faultSeedSalt, faults.Profile{}); zero.inj.Jitter(math.MaxInt64) != fresh.Jitter(math.MaxInt64) {
+		t.Fatal("zero profile made fault draws")
 	}
 	if sz.Events("fault") != 0 || sz.PeerRetries != 0 || sz.BackoffSlots != 0 {
 		t.Fatalf("zero profile reported fault events: %+v", sz)

@@ -114,7 +114,7 @@ func (qc queryChannel) switchCost() int64 {
 // knob off this returns the fully-connected assessment with zero draws
 // and zero counter movement.
 func (w *World) assessChannel(idx int) queryChannel {
-	w.inj.Sync(w.slotNow())
+	w.stats.BurstTransitions += w.inj.Sync(w.slotNow())
 	qc := queryChannel{mode: modeFull, bcastUp: true}
 	if w.blackout != nil {
 		down := w.blackout.Down(idx, w.nowSec)
@@ -190,13 +190,8 @@ func (w *World) staleBound(mode queryMode, minBorn int64) int64 {
 	if mode != modeOwnCache || minBorn == math.MaxInt64 {
 		return 0
 	}
-	bound := int64(w.nowSec) - minBorn
-	if bound < 0 {
-		bound = 0
-	}
-	if bound > w.stats.StaleBoundMaxSec {
-		w.stats.StaleBoundMaxSec = bound
-	}
+	bound := max(int64(w.nowSec)-minBorn, 0)
+	w.stats.StaleBoundMaxSec = max(w.stats.StaleBoundMaxSec, bound)
 	return bound
 }
 

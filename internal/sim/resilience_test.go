@@ -154,7 +154,7 @@ func TestChurnWastesRetries(t *testing.T) {
 }
 
 // TestResilientDeterminism: identical seeds with every resilience knob
-// active must reproduce Stats, injector counters, and breaker state.
+// active must reproduce Stats, the injector stream, and breaker state.
 func TestResilientDeterminism(t *testing.T) {
 	prof := faults.Profile{
 		RequestLoss: 0.3, ReplyLoss: 0.15, ReplyTruncate: 0.1,
@@ -166,13 +166,10 @@ func TestResilientDeterminism(t *testing.T) {
 	if sa != sb {
 		t.Fatalf("stats diverged under identical seed:\n%+v\nvs\n%+v", sa, sb)
 	}
-	if a.inj.Counters != b.inj.Counters {
-		t.Fatalf("injector counters diverged: %+v vs %+v",
-			a.inj.Counters, b.inj.Counters)
+	if !sameFaultStream(a, b) {
+		t.Fatal("injector streams diverged under identical seed")
 	}
-	if a.breakers.Stats() != b.breakers.Stats() ||
-		!sameBreakerStates(a, b) ||
-		a.breakers.Cycle() != b.breakers.Cycle() {
+	if !sameBreakerStates(a, b) || a.breakers.Cycle() != b.breakers.Cycle() {
 		t.Fatal("breaker state diverged under identical seed")
 	}
 	if sa.Events("resilience") == 0 {

@@ -421,7 +421,7 @@ func checkSoakInvariants(t *testing.T, p Params, w *World, s Stats) {
 
 // TestChaosSoak is the acceptance harness: randomized fault/churn
 // schedules across seeds, invariants after every run, and identical-seed
-// determinism (Stats, fault counters, and breaker state included).
+// determinism (Stats, the fault stream, and breaker state included).
 func TestChaosSoak(t *testing.T) {
 	n := soakSchedules(t)
 	var agg Stats
@@ -437,13 +437,8 @@ func TestChaosSoak(t *testing.T) {
 			if s != s2 {
 				t.Errorf("stats diverged under identical seed:\n%+v\nvs\n%+v", s, s2)
 			}
-			if w.inj.Counters != w2.inj.Counters {
-				t.Errorf("fault counters diverged: %+v vs %+v",
-					w.inj.Counters, w2.inj.Counters)
-			}
-			if w.breakers.Stats() != w2.breakers.Stats() {
-				t.Errorf("breaker stats diverged: %+v vs %+v",
-					w.breakers.Stats(), w2.breakers.Stats())
+			if !sameFaultStream(w, w2) {
+				t.Error("fault streams diverged")
 			}
 			if !sameBreakerStates(w, w2) || w.breakers.Cycle() != w2.breakers.Cycle() {
 				t.Errorf("breaker state diverged: per-host states differ or cycle %d/%d",
@@ -559,43 +554,5 @@ func TestChaosSoak(t *testing.T) {
 		if agg.Coalesced == 0 {
 			t.Error("no schedule ever coalesced a co-located gather")
 		}
-	}
-}
-
-// TestSoakZeroKnobIdentity pins the policy-off corner of the collector:
-// with the deadline, the breakers and churn all zero, a run under loss
-// and damage is reproducible and sound, allocates neither a
-// breaker set nor a trust engine, and leaves every counter of the three
-// absent mechanisms at zero — while the lost requests and replies are
-// re-requested under priced backoff.
-func TestSoakZeroKnobIdentity(t *testing.T) {
-	p := LACity().Scaled(1.5).WithDuration(0.1)
-	p.Seed = 4242
-	p.TimeStepSec = 10
-	p.Kind = KNNQuery
-	p.AcceptApproximate = true
-	p.Faults = faults.Profile{
-		RequestLoss: 0.2, ReplyLoss: 0.1, ReplyTruncate: 0.05,
-		ReplyCorrupt: 0.05, BroadcastLoss: 0.1,
-	}
-	a, sa := runSoakWorld(t, p)
-	b, sb := runSoakWorld(t, p)
-	if sa != sb {
-		t.Fatalf("loss-only run not deterministic:\n%+v\nvs\n%+v", sa, sb)
-	}
-	if err := a.SelfCheckErr(); err != nil {
-		t.Fatal(err)
-	}
-	if sa.Events("resilience") != sa.BackoffSlots {
-		t.Fatalf("deadline, breaker or churn counters fired with their knobs off: %+v", sa)
-	}
-	if sa.BackoffSlots == 0 || sa.PeerRetries == 0 {
-		t.Fatalf("lost frames were never re-requested: retries=%d backoff=%d", sa.PeerRetries, sa.BackoffSlots)
-	}
-	if a.breakers != nil || b.breakers != nil {
-		t.Fatal("breaker set allocated with breakers disabled")
-	}
-	if a.tr != nil || b.tr != nil {
-		t.Fatal("trust engine allocated with audits disabled")
 	}
 }

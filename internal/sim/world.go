@@ -458,21 +458,14 @@ func (w *World) Schedule() *broadcast.Schedule { return w.data.sched }
 func (w *World) Database() []broadcast.POI { return w.data.db }
 
 // Stats returns the statistics collected so far.
-func (w *World) Stats() Stats {
-	s := w.stats
-	c := w.inj.Counters
-	s.RequestsUnheard = c.RequestsUnheard
-	s.RepliesDropped = c.RepliesDropped
-	s.ChurnDepartures = c.ChurnDepartures
-	s.ChurnReturns = c.ChurnReturns
-	s.BurstFrameLosses = c.BurstLosses
-	s.BurstTransitions = c.BurstTransitions
-	b := w.breakers.Stats()
-	s.BreakerTrips = b.Trips
-	s.BreakerShortCircuits = b.ShortCircuits
-	s.BreakerRecoveries = b.Recoveries
-	s.ByzantineLies = c.ByzantineLies
-	return s
+func (w *World) Stats() Stats { return w.stats }
+
+// bit counts an event a layer's call reported: 1 for true, 0 for false.
+func bit(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // SelfCheckErr returns the first ground-truth mismatch observed, if any.
@@ -600,6 +593,7 @@ func (w *World) trustScreen(spent int64, bcastUp bool) ([]core.PeerData, int64, 
 	w.stats.AuditFailures += int64(rep.AuditFailures)
 	w.stats.ConflictsDetected += int64(rep.Conflicts)
 	w.stats.PeersQuarantined += int64(rep.Convictions)
+	w.stats.BreakerTrips += int64(rep.BreakerTrips)
 	w.stats.StaleVerdicts += int64(rep.StaleConflicts)
 	w.stats.AuditSlots += rep.AuditSlots
 	w.stats.QuarantinedArea += rep.QuarantinedArea
@@ -662,7 +656,8 @@ func (w *World) gather(idx int, relevance geom.Rect, standing bool) (int, int64)
 		w.appendOwnCache(idx, relevance)
 	}
 
-	// Breaker gate: quarantined peers cost nothing this query.
+	// Breaker gate: quarantined peers cost nothing this query; each one
+	// left out is a short circuit.
 	targets := w.qs.targets[:0]
 	for _, id := range ids {
 		if w.breakers.Allow(id) {
@@ -670,6 +665,7 @@ func (w *World) gather(idx int, relevance geom.Rect, standing bool) (int, int64)
 		}
 	}
 	w.qs.targets = targets
+	w.stats.BreakerShortCircuits += int64(len(ids) - len(targets))
 
 	maxAttempts := 1 + w.inj.Profile().MaxRetries
 	deadline := int64(w.Params.DeadlineSlots)
@@ -699,7 +695,7 @@ func (w *World) gather(idx int, relevance geom.Rect, standing bool) (int, int64)
 			// The backoff wait advances the slot clock; the fading chain
 			// follows it (a no-op with the burst knobs off), so a burst
 			// can begin or end inside one collection.
-			w.inj.Sync(w.slotNow() + spent)
+			w.stats.BurstTransitions += w.inj.Sync(w.slotNow() + spent)
 			w.stats.PeerRetries++
 		}
 		// One broadcast frame addresses every still-pending peer.
@@ -722,9 +718,12 @@ func (w *World) gather(idx int, relevance geom.Rect, standing bool) (int, int64)
 				}
 				continue
 			}
-			if w.inj.RequestHeard() {
+			ok, faded := w.inj.RequestHeard()
+			if ok {
 				heard = append(heard, i)
 			}
+			w.stats.RequestsUnheard += bit(!ok)
+			w.stats.BurstFrameLosses += bit(faded)
 		}
 		w.qs.heard = heard
 
@@ -736,8 +735,10 @@ func (w *World) gather(idx int, relevance geom.Rect, standing bool) (int, int64)
 			}
 			if !t.departed {
 				t.departed = w.inj.ChurnDeparts()
+				w.stats.ChurnDepartures += bit(t.departed)
 			} else if w.inj.ChurnReturns() {
 				t.departed = false
+				w.stats.ChurnReturns++
 			}
 		}
 
@@ -774,7 +775,7 @@ func (w *World) gather(idx int, relevance geom.Rect, standing bool) (int, int64)
 				t.resolved = true
 				remaining--
 				w.stats.PeerReplies++
-				w.breakers.RecordSuccess(t.id)
+				w.stats.BreakerRecoveries += bit(w.breakers.RecordSuccess(t.id))
 			case replySilent, replyUnencodable:
 				// Null ack: nothing relevant — no reason to retry, no
 				// reputation signal either way.
@@ -784,7 +785,7 @@ func (w *World) gather(idx int, relevance geom.Rect, standing bool) (int, int64)
 				// The querier received garbage and knows it: the peer
 				// stays pending (a retry may fetch a clean copy) and its
 				// breaker records the CRC failure.
-				w.breakers.RecordFailure(t.id)
+				w.stats.BreakerTrips += bit(w.breakers.RecordFailure(t.id))
 			case replyDropped:
 				// Pure silence — indistinguishable from an unheard
 				// request; the peer stays pending.
@@ -824,9 +825,9 @@ func (w *World) gather(idx int, relevance geom.Rect, standing bool) (int, int64)
 			// crowd would trip every breaker around the hotspot and
 			// amputate the sharing layer exactly when it is most needed.
 		case t.departed:
-			w.breakers.RecordDeparture(t.id)
+			w.stats.BreakerTrips += bit(w.breakers.RecordDeparture(t.id))
 		default:
-			w.breakers.RecordFailure(t.id)
+			w.stats.BreakerTrips += bit(w.breakers.RecordFailure(t.id))
 		}
 	}
 	w.stats.BackoffSlots += spent
@@ -894,6 +895,7 @@ func (w *World) receiveReply(id int, relevance geom.Rect, stamp int64, count boo
 			// wire damage) exactly like an honest claim would. AttackClaim
 			// copies into the arena, so the host's own cache stays intact.
 			pd.VR, pd.POIs = w.inj.AttackClaim(&w.qs.arena, pd.VR, pd.POIs, atk)
+			w.stats.ByzantineLies++
 		}
 		col.add(pd, origin{peer: id, epoch: r.Epoch})
 		wireBytes += wire.RegionWireSize(len(pd.POIs))
@@ -903,13 +905,16 @@ func (w *World) receiveReply(id int, relevance geom.Rect, stamp int64, count boo
 		return replySilent // nothing relevant: the peer stays silent
 	}
 
-	switch fate := w.inj.ReplyFate(); fate {
+	fate, faded := w.inj.ReplyFate()
+	w.stats.BurstFrameLosses += bit(faded)
+	switch fate {
 	case faults.FateDeliver:
 		if count {
 			w.stats.PeerBytes += int64(wireBytes)
 		}
 	case faults.FateDrop:
 		// Lost in flight: the frame occupied the channel, nothing arrived.
+		w.stats.RepliesDropped++
 		if count {
 			w.stats.PeerBytes += int64(wireBytes)
 		}

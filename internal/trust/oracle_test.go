@@ -153,7 +153,9 @@ func (e *refEngine) convict(id int, rep *Report, convicted map[int]bool) {
 	r.vouchedUntil = 0
 	r.strikes = 0
 	rep.Convictions++
-	e.breakers.ForceOpen(id)
+	if e.breakers.ForceOpen(id) {
+		rep.BreakerTrips++
+	}
 }
 
 // strike records one cross-validation strike against peer id, unvouching

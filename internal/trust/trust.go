@@ -204,6 +204,10 @@ type Report struct {
 	// Convictions is how many peers were convicted this screen (audit
 	// failures plus strike accumulations).
 	Convictions int
+	// BreakerTrips is how many of those convictions tripped the peer's
+	// circuit breaker (a breaker already open only has its cooldown
+	// refreshed).
+	BreakerTrips int
 	// Tainted is how many surviving contributions were demoted to the
 	// probabilistic path.
 	Tainted int
@@ -406,7 +410,9 @@ func (e *Engine) convict(id int, r *peerRec, rep *Report) {
 	r.vouchedUntil = 0
 	r.strikes = 0
 	rep.Convictions++
-	e.breakers.ForceOpen(id)
+	if e.breakers.ForceOpen(id) {
+		rep.BreakerTrips++
+	}
 }
 
 // strike records one cross-validation strike against peer id, unvouching

@@ -58,6 +58,7 @@ func addReport(sum *Report, r Report) {
 	sum.Conflicts += r.Conflicts
 	sum.StaleConflicts += r.StaleConflicts
 	sum.Convictions += r.Convictions
+	sum.BreakerTrips += r.BreakerTrips
 	sum.Tainted += r.Tainted
 	sum.AuditSlots += r.AuditSlots
 	sum.QuarantinedArea += r.QuarantinedArea
@@ -146,7 +147,7 @@ func TestAuditFailureConvicts(t *testing.T) {
 	e := newTestEngine(t, Config{AuditRate: 1}, bs)
 	r := geom.NewRect(0, 0, 4, 4)
 	out, rep := e.Screen([]Contribution{lying(0, r, geom.Pt(2, 2))}, oracle, -1)
-	if rep.Audits != 1 || rep.AuditFailures != 1 || rep.Convictions != 1 {
+	if rep.Audits != 1 || rep.AuditFailures != 1 || rep.Convictions != 1 || rep.BreakerTrips != 1 {
 		t.Fatalf("conviction counts wrong: %+v", rep)
 	}
 	if len(out) != 0 {
