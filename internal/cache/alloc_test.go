@@ -8,6 +8,7 @@ package cache
 import (
 	"testing"
 
+	"lbsq/internal/broadcast"
 	"lbsq/internal/geom"
 )
 
@@ -80,6 +81,76 @@ func TestShrinkRegionOneAlloc(t *testing.T) {
 	}
 	if len(out.POIs) == 0 || len(out.POIs) > 50 || cap(out.POIs) != len(out.POIs) {
 		t.Fatalf("kept %d POIs in an array of %d", len(out.POIs), cap(out.POIs))
+	}
+}
+
+// TestInsertOneAlloc pins what a kept region costs: one array of exactly
+// its POIs, whether the region fits or is shrunk to the capacity first
+// (shrinkRegion sorts in a recycled buffer), once the cache's region array
+// has room. An empty region costs nothing.
+func TestInsertOneAlloc(t *testing.T) {
+	ids := make([]int64, 300)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	for _, c := range []struct {
+		name   string
+		n      int
+		allocs float64
+	}{{"empty", 0, 0}, {"fits", 30, 1}, {"shrunk", 300, 1}} {
+		r := mkRegion(geom.NewRect(0, 0, 30, 30), ids[:c.n]...)
+		cache := New(50, DirectionDistance)
+		insert := func() { cache.Insert(r, geom.Pt(0, 0), geom.Point{}, 0) }
+		insert() // each insert evicts the one before: the region array stays warm
+		insert()
+		if allocs := testing.AllocsPerRun(100, insert); allocs != c.allocs {
+			t.Errorf("%s: Insert allocates %.1f times per run, want %v", c.name, allocs, c.allocs)
+		}
+	}
+}
+
+// TestReconcileRepairZeroAllocs pins Cache.Reconcile's repair: with the
+// scratch warm and the cache's region array roomy enough for the pieces,
+// a repair writes the survivors back into their region's array and
+// allocates nothing.
+func TestReconcileRepairZeroAllocs(t *testing.T) {
+	var regions []Region
+	for i := 0; i < 6; i++ {
+		x := float64(10 * i)
+		r := mkRegion(geom.NewRect(x, 0, x+8, 8), int64(10*i+1), int64(10*i+2), int64(10*i+3), int64(10*i+4))
+		r.Epoch = 1
+		regions = append(regions, r)
+	}
+	var items []Invalidation
+	for i := range regions {
+		x := float64(10 * i)
+		items = append(items,
+			Invalidation{Epoch: 2, Kind: InvalDelete, ID: int64(10*i + 1)},
+			Invalidation{Epoch: 2, Kind: InvalInsert, ID: int64(100 + i), Cell: geom.NewRect(x+3.5, 3.5, x+3.9, 3.9)})
+	}
+	invals := newInvalSet(2, 1, items)
+	c := New(1000, LRU)
+	arrays := make([][]broadcast.POI, len(regions))
+	for i := range arrays {
+		arrays[i] = make([]broadcast.POI, len(regions[i].POIs))
+	}
+	s := newRepairScratch()
+	c.regions = make([]Region, 0, 64)
+	repair := func() {
+		c.regions = c.regions[:0]
+		for i, r := range regions {
+			r.POIs = arrays[i]
+			copy(r.POIs, regions[i].POIs)
+			c.regions = append(c.regions, r)
+		}
+		s.POIs.Rewind()
+		if rec := c.Reconcile(s, &invals, false); rec.Repaired != len(regions) {
+			t.Fatalf("fixture: %d of %d regions repaired", rec.Repaired, len(regions))
+		}
+	}
+	repair() // warm the scratch
+	if allocs := testing.AllocsPerRun(100, repair); allocs != 0 {
+		t.Fatalf("a warm repair allocates %.1f times per run, want 0", allocs)
 	}
 }
 

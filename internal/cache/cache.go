@@ -152,8 +152,21 @@ func (c *Cache) Clear() {
 // region — and the simulator relies on it: the rows it serves from a cache
 // are core.PeerData.Bounded, so a POI outside R.Rect could be skipped as a
 // candidate (the golden and soak harnesses check every cache after a run).
-// The region aliases r.POIs until Own (or a shrink) gives it its own.
+//
+// The cache keeps its own copy of r.POIs, allocated once at its exact size
+// (nil when empty; shrinkRegion's when the region is over capacity), so
+// r.POIs may be the caller's scratch.
 func (c *Cache) Insert(r Region, pos, heading geom.Point, now int64) {
+	if len(r.POIs) <= c.capacity {
+		r.POIs = exactCopy(r.POIs)
+	}
+	c.Stage(r, pos, heading, now)
+}
+
+// Stage is Insert without the copy: the region aliases r.POIs until Own
+// (or a shrink) gives it its own. The warm start stages a host's regions
+// from one buffer and calls Own once, so only the survivors are copied.
+func (c *Cache) Stage(r Region, pos, heading geom.Point, now int64) {
 	if c.capacity == 0 || !r.Rect.Finite() || r.Rect.Empty() {
 		return
 	}
@@ -172,11 +185,22 @@ func (c *Cache) Insert(r Region, pos, heading geom.Point, now int64) {
 }
 
 // Own gives every region a POI slice of its own (nil when empty): until
-// then a region aliases the slice it was inserted with.
+// then a staged region aliases the slice it was staged with.
 func (c *Cache) Own() {
 	for i := range c.regions {
-		c.regions[i].POIs = append([]broadcast.POI(nil), c.regions[i].POIs...)
+		c.regions[i].POIs = exactCopy(c.regions[i].POIs)
 	}
+}
+
+// exactCopy returns a copy of pois in one array of exactly its size, nil
+// when pois is empty.
+func exactCopy(pois []broadcast.POI) []broadcast.POI {
+	if len(pois) == 0 {
+		return nil
+	}
+	out := make([]broadcast.POI, len(pois))
+	copy(out, pois)
+	return out
 }
 
 // Touch refreshes the LRU stamp of region index i.
@@ -296,10 +320,5 @@ func shrinkRegion(r Region, maxPOIs int) Region {
 			n++
 		}
 	}
-	var inside []broadcast.POI
-	if n > 0 {
-		inside = make([]broadcast.POI, n)
-		copy(inside, kept)
-	}
-	return Region{Rect: rect, POIs: inside, Stamp: r.Stamp, Epoch: r.Epoch, Born: r.Born}
+	return Region{Rect: rect, POIs: exactCopy(kept[:n]), Stamp: r.Stamp, Epoch: r.Epoch, Born: r.Born}
 }

@@ -255,13 +255,10 @@ func (c *Cache) Reconcile(s *RepairScratch, invals *InvalSet, discard bool) Reco
 			}
 			rec.Repaired++
 			rec.Pieces += len(pieces)
-			// The cache retains the pieces, so their POIs leave the
-			// arena: one exact-size array per repaired region.
-			kept := 0
-			for k := range pieces {
-				kept += len(pieces[k].POIs)
-			}
-			pois := make([]broadcast.POI, 0, kept)
+			// The pieces' POIs leave the arena for the region's own array,
+			// which no row aliases between queries (DESIGN.md §9.1 rule
+			// 5); the caps keep a later repair of one piece out of another.
+			pois := r.POIs[:0:len(r.POIs)]
 			for _, p := range pieces {
 				pois = append(pois, p.POIs...)
 				p.POIs = pois[len(pois)-len(p.POIs) : len(pois) : len(pois)]

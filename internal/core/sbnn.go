@@ -110,9 +110,10 @@ func verifiedSquare(q geom.Point, radius float64) geom.Rect {
 // peer-side answer is then returned with OutcomeBroadcast and no POIs
 // beyond the heap contents.
 //
-// The returned Heap, MVR, and POIs alias the scratch and are valid only
-// until the next call with the same Scratch, while KnownRegion/Known are
-// always freshly allocated (callers insert them into caches).
+// The returned Heap, MVR, POIs and Known alias the scratch and are valid
+// only until the next call with the same Scratch; a warm Scratch answers
+// without allocating. A caller that caches Known hands it to
+// Cache.Insert, which keeps a copy.
 func SBNNScratch(s *Scratch, q geom.Point, peers []PeerData, cfg SBNNConfig, sched *broadcast.Schedule, now int64) SBNNResult {
 	nnv := NNVScratch(s, q, peers, cfg.K, cfg.Lambda)
 	res := SBNNResult{Heap: nnv.Heap, MVR: nnv.MVR, Merged: nnv.Merged, Examined: nnv.Examined}
@@ -125,22 +126,14 @@ func SBNNScratch(s *Scratch, q geom.Point, peers []PeerData, cfg SBNNConfig, sch
 			return
 		}
 		res.KnownRegion = verifiedSquare(q, dv)
-		known := func(e Entry) bool { return e.Verified && res.KnownRegion.Contains(e.POI.Pos) }
-		n := 0
+		known := s.known[:0]
 		for _, e := range nnv.Heap.Entries() {
-			if known(e) {
-				n++
+			if e.Verified && res.KnownRegion.Contains(e.POI.Pos) {
+				known = append(known, e.POI)
 			}
 		}
-		if n == 0 {
-			return
-		}
-		res.Known = make([]broadcast.POI, 0, n)
-		for _, e := range nnv.Heap.Entries() {
-			if known(e) {
-				res.Known = append(res.Known, e.POI)
-			}
-		}
+		s.known = known
+		res.Known = orNil(known)
 	}
 
 	// heapPOIs materializes the heap answer into the reused result buffer.
@@ -230,33 +223,29 @@ func holdsID(pois []broadcast.POI, id int64) bool {
 }
 
 // knownInside returns the members of merged inside r in the candidate
-// order, adjacent copies of one ID dropped, as a fresh slice of exactly
-// their number (DESIGN.md §9.1 rule 3), nil when there are none. Callers
-// cache it and share it, so only those members are sorted.
+// order, adjacent copies of one ID dropped, in s.known; nil when there are
+// none. Callers cache it and share it, so only those members are sorted.
 func knownInside(s *Scratch, merged []broadcast.POI, q geom.Point, r geom.Rect) []broadcast.POI {
-	out := poisInside(merged, r)
+	out := appendInside(s.known[:0], merged, r)
 	sortCandidates(s, out, q)
-	out = dedupSortedCandidates(out)
-	return out[:len(out):len(out)]
+	s.known = out
+	return orNil(dedupSortedCandidates(out))
 }
 
-// poisInside returns the members of pois inside r as a fresh slice of
-// exactly their number (DESIGN.md §9.1 rule 3), nil when there are none.
-func poisInside(pois []broadcast.POI, r geom.Rect) []broadcast.POI {
-	n := 0
+// appendInside appends the members of pois inside r to dst.
+func appendInside(dst, pois []broadcast.POI, r geom.Rect) []broadcast.POI {
 	for _, p := range pois {
 		if r.Contains(p.Pos) {
-			n++
+			dst = append(dst, p)
 		}
 	}
-	if n == 0 {
+	return dst
+}
+
+// orNil returns pois, nil when empty, as a fresh scratch would.
+func orNil(pois []broadcast.POI) []broadcast.POI {
+	if len(pois) == 0 {
 		return nil
 	}
-	out := make([]broadcast.POI, 0, n)
-	for _, p := range pois {
-		if r.Contains(p.Pos) {
-			out = append(out, p)
-		}
-	}
-	return out
+	return pois
 }

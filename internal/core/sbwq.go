@@ -61,10 +61,11 @@ type SBWQResult struct {
 // sched may be nil when no broadcast channel is available; the peer-side
 // partial answer is then returned with OutcomeBroadcast.
 //
-// The returned MVR and ReducedWindows alias the scratch, valid until the
-// next call with the same Scratch. Unlike SBNNScratch, the returned
-// POIs/Known slices are freshly allocated: window-query answers double as
-// the cached verified region, so they must survive the next query.
+// The returned MVR, ReducedWindows, POIs and Known alias the scratch,
+// valid until the next call with the same Scratch; a warm Scratch answers
+// without allocating. The answer is the candidate buffer, and when the
+// window itself is the known region Known is the same slice. A caller
+// that caches Known hands it to Cache.Insert, which keeps a copy.
 func SBWQScratch(s *Scratch, q geom.Point, w geom.Rect, peers []PeerData, cfg SBWQConfig, sched *broadcast.Schedule, now int64) SBWQResult {
 	mvr, unc := &s.mvr, &s.uncovered
 	mvr.Reset()
@@ -109,30 +110,18 @@ func SBWQScratch(s *Scratch, q geom.Point, w geom.Rect, peers []PeerData, cfg SB
 		res.CoveredFraction = 1 - left/w.Area()
 	}
 
-	// freshCopy hands result POIs to the caller without aliasing scratch
-	// (the caller inserts them into its cache).
-	freshCopy := func(pois []broadcast.POI) []broadcast.POI {
-		if len(pois) == 0 {
-			return nil
-		}
-		out := make([]broadcast.POI, len(pois))
-		copy(out, pois)
-		return out
-	}
-
 	if len(pieces) == 0 {
 		res.Outcome = OutcomeVerified
-		out := freshCopy(local)
-		res.POIs = out
+		res.POIs = orNil(local)
 		res.KnownRegion = w
-		res.Known = out
+		res.Known = res.POIs
 		return res
 	}
 
 	res.Outcome = OutcomeBroadcast
 	res.ReducedWindows = pieces
 	if sched == nil {
-		res.POIs = freshCopy(local)
+		res.POIs = orNil(local)
 		return res
 	}
 	onAir, raw, retrieved, acc := sched.Window(&s.onAir, res.ReducedWindows, now)
@@ -141,8 +130,7 @@ func SBWQScratch(s *Scratch, q geom.Point, w geom.Rect, peers []PeerData, cfg SB
 	sortCandidates(s, merged, q)
 	merged = dedupSortedCandidates(merged)
 	s.candidates = merged
-	merged = freshCopy(merged)
-	res.POIs = merged
+	res.POIs = orNil(merged)
 
 	// The exact window contents are always new verified knowledge; when
 	// the retrieval alone made the client a complete authority on the
@@ -154,13 +142,14 @@ func SBWQScratch(s *Scratch, q geom.Point, w geom.Rect, peers []PeerData, cfg SB
 	}
 	res.KnownRegion = sched.GrowCompleteRect(&s.onAir, w, retrieved, maxArea)
 	if res.KnownRegion == w {
-		res.Known = merged
+		res.Known = res.POIs
 	} else {
 		// Inside the grown region every POI comes from a retrieved
 		// packet, so the raw downloads are the complete inventory — and
 		// hold no POI twice: a cell is in one packet and a retrieval
 		// lists a packet once.
-		res.Known = poisInside(raw, res.KnownRegion)
+		s.known = appendInside(s.known[:0], raw, res.KnownRegion)
+		res.Known = orNil(s.known)
 	}
 	return res
 }

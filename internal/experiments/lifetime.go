@@ -61,6 +61,8 @@ func ResultLifetime(o Options) []LifetimeRow {
 				if res.KnownRegion.Empty() {
 					continue
 				}
+				// Known lives in s until the next SBNN or SBWQ call: the
+				// NNV drive below does not write it.
 				own := []core.PeerData{{VR: res.KnownRegion, POIs: res.Known}}
 				angle := rng.Float64() * 2 * math.Pi
 				dir := geom.Pt(math.Cos(angle), math.Sin(angle))

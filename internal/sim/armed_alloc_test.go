@@ -13,11 +13,13 @@ import (
 // shell layer armed (the knn_armed benchmark workload's knobs: loss,
 // corruption, churn, deadline, breakers, IR reconcile, standing queries,
 // audits), and of the same world with byzantine hosts, allocates past
-// warm-up: the answers, regions and repairs it caches, and the epoch
+// warm-up: one exact-size array per region it caches, and the epoch
 // rebuilds' tables. The damaged-reply frame, byzantine claims, the
 // per-host ledgers, the IR report's index and the schedule's packets are
-// scratch or arrays; the body that allocated them read 10.2 and 14.6
-// allocations per query here, and this tree reads 5.3.
+// scratch or arrays, answers and Known live in the core scratch, and a
+// repair reuses its region's array; the body that allocated them read
+// 10.2 and 14.6 allocations per query here, the one that copied answers
+// and repairs 5.0 and 5.1, and this tree reads 2.8 and 2.9.
 func TestArmedQueryAllocs(t *testing.T) {
 	for _, byzantine := range []float64{0, 0.05} {
 		p := LACity().Scaled(2).WithDuration(0.1)
@@ -53,8 +55,10 @@ func TestArmedQueryAllocs(t *testing.T) {
 			t.Fatalf("byzantine rate %v: the world exercised too little: %d queries, %d rejected replies, %d repairs",
 				byzantine, s.Queries, s.RepliesRejected, s.VRsReconciled)
 		}
-		if per := float64(m1.Mallocs-m0.Mallocs) / float64(s.Queries); per > 6 {
-			t.Errorf("byzantine rate %v: %.2f allocations per query, want at most 6", byzantine, per)
+		per := float64(m1.Mallocs-m0.Mallocs) / float64(s.Queries)
+		t.Logf("byzantine rate %v: %.2f allocations per query over %d queries", byzantine, per, s.Queries)
+		if per > 3.5 {
+			t.Errorf("byzantine rate %v: %.2f allocations per query, want at most 3.5", byzantine, per)
 		}
 	}
 }

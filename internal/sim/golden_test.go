@@ -149,8 +149,18 @@ func goldenWorlds() map[string]Params {
 	outline.Faults.ByzantineRate = 0.02
 	outline.BreakerThreshold = 3
 
+	// The zero-knob contract where the knobs are off but caches are not
+	// empty: an own cache and a small warm start (staged, then owned),
+	// every region copied into the cache on insert, and every shell layer
+	// off. The consistency layer's epoch stamps every cached region, so an
+	// epoch that moved with the layer off shows here.
+	ownZero := clean(KNNQuery)
+	ownZero.UseOwnCache = true
+	ownZero.PrefillQueriesPerHost = 2
+
 	return map[string]Params{
 		"knn_zero":           clean(KNNQuery),
+		"own_zero":           ownZero,
 		"window_zero":        clean(WindowQuery),
 		"lossy_knn":          lossy,
 		"armed_knn":          armedKNN,

@@ -440,7 +440,7 @@ func (w *World) prefill() {
 			start := len(w.stage)
 			w.stage = w.poisInRect(w.stage, region)
 			pois := w.stage[start:len(w.stage):len(w.stage)]
-			w.caches[i].Insert(cache.Region{Rect: region, POIs: pois}, m.Pos, m.Heading(), 0)
+			w.caches[i].Stage(cache.Region{Rect: region, POIs: pois}, m.Pos, m.Heading(), 0)
 		}
 		w.caches[i].Own()
 	}

@@ -233,8 +233,8 @@ func (c *Client) Share() []PeerData {
 // the client's position using the peers' shared data, falling back to the
 // broadcast channel when verification cannot fulfil it. The client's
 // clock advances by the access latency and its cache absorbs the verified
-// knowledge gained. Each query runs on a scratch of its own, so the result
-// belongs to the caller.
+// knowledge gained. Each query runs on a scratch of its own and the cache
+// copies what it absorbs, so the result belongs to the caller.
 func (c *Client) KNN(k int, peers []PeerData) SBNNResult {
 	cfg := SBNNConfig{
 		K:                 k,
@@ -249,6 +249,7 @@ func (c *Client) KNN(k int, peers []PeerData) SBNNResult {
 }
 
 // Window runs the sharing-based window query (Algorithm 3) for window w.
+// Like KNN's, its result belongs to the caller.
 func (c *Client) Window(w Rect, peers []PeerData) SBWQResult {
 	res := core.SBWQScratch(new(core.Scratch), c.pos, w, c.withOwnCache(peers), core.SBWQConfig{}, c.server.sched, c.nowSlot)
 	c.absorb(w, res.POIs)

@@ -169,6 +169,42 @@ func TestClientResultsOwned(t *testing.T) {
 	}
 }
 
+// A Client's results do not share storage with its cache: writing to a
+// window answer or to a kNN result's Known leaves what the client shares
+// as it was.
+func TestClientResultsDoNotAliasCache(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	srv := demoServer(t, rng, 200)
+	c := lbsq.NewClient(srv, lbsq.Pt(10, 10), 100)
+	shared := func() []lbsq.POI {
+		var out []lbsq.POI
+		for _, pd := range c.Share() {
+			out = append(out, pd.POIs...)
+		}
+		return out
+	}
+	win := c.Window(lbsq.NewRect(8, 8, 12, 12), nil)
+	if len(win.POIs) == 0 {
+		t.Fatal("fixture: empty window")
+	}
+	before := shared()
+	win.POIs[0].ID = -1
+	if !slices.Equal(shared(), before) {
+		t.Fatal("writing a window answer changed what the client shares")
+	}
+
+	c.MoveTo(lbsq.Pt(3, 16))
+	knn := c.KNN(4, nil)
+	if len(knn.Known) == 0 {
+		t.Fatal("fixture: the kNN query gained no knowledge")
+	}
+	before = shared()
+	knn.Known[0].ID = -1
+	if !slices.Equal(shared(), before) {
+		t.Fatal("writing a kNN result's Known changed what the client shares")
+	}
+}
+
 func TestClientMoveToUpdatesHeading(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	srv := demoServer(t, rng, 50)
