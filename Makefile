@@ -205,17 +205,20 @@ loc:
 # Stats and lowered the total again; DESIGN.md lost its sentences about
 # deleted code and is capped at its new length. Letting the cache copy what
 # it keeps, and core answer in scratch, deleted the counting copies and
-# lowered the total by 2.
-LOC_MAX_ALL = 14474
-LOC_MAX_SIM = 4218
+# lowered the total by 2. Splitting the warm start into a serial draw pass
+# and a build pass on sweep workers, in rounds that bound its memory,
+# raised internal/sim by 33 lines, the total by 41 with Client.Share's
+# copy, and the design documents by its description.
+LOC_MAX_ALL = 14515
+LOC_MAX_SIM = 4251
 LOC_MAX_FLAGS = 64
 LOC_MAX_CONFIG = 16
 LOC_MAX_MAIN = 245
 LOC_MAX_HAND = 10
 LOC_MAX_MX = 1
 LOC_MAX_LEDGER = 616
-LOC_MAX_DESIGN = 2024
-LOC_MAX_EXPERIMENTS = 1533
+LOC_MAX_DESIGN = 2037
+LOC_MAX_EXPERIMENTS = 1544
 loc-check:
 	@check() { if [ "$$2" -gt "$$3" ]; then echo "loc-check: $$1: $$2, ceiling $$3"; exit 1; fi; \
 			echo "loc-check: $$1: $$2 (ceiling $$3)"; }; \
@@ -325,11 +328,12 @@ nnv-identity:
 	$(call run-named,./internal/sim,TestFailedReplyLeavesCollection TestCollectionComplete)
 
 # Warm-start and repair identity lane (DESIGN.md §9.1, §12.3): prefill,
-# which stages each host's regions in one reused buffer and copies out only
-# the survivors, against the reference that inserts every region with a
-# slice of its own (both query kinds, both policies, a capacity that
-# shrinks and evicts), with the staging buffer overwritten afterwards; the
-# cache's shrink against the body it replaced; and the IR repair — the
+# whose build pass stages each host's regions in its block's buffer and
+# copies out only the survivors, against the reference that inserts every
+# region with a slice of its own (both query kinds, both policies, a
+# capacity that shrinks and evicts), every kept list an exact-size array
+# overlapping no other, at 1, 2, 3 and 8 workers with the world stream
+# after it; the cache's shrink against the body it replaced; and the IR repair — the
 # verdict against a brute-force scan of the report, the kernel cut held to
 # its contract (disjoint pieces covering the region less the cut cells,
 # each survivor in its first piece) on the named cases, random grid
@@ -338,7 +342,7 @@ nnv-identity:
 # it replaced; and what a cache keeps (Insert an exact-size copy, Stage the
 # caller's slice until Own copies it, a repair its region's own array) —
 # under the race detector, as its own CI step.
-PREFILL_IDENTITY = TestPrefillMatchesReference TestShrinkRegionMatchesReference \
+PREFILL_IDENTITY = TestPrefillMatchesReference TestPrefillWorkersIdentity TestShrinkRegionMatchesReference \
 	TestReconcileRegionMatchesReference TestCacheReconcileMatchesReference FuzzReconcileRegion \
 	TestInvalSetRemovesMatchesReference TestInsertKeepsExactCopy TestStageAliasesOwnCopies \
 	TestReconcileReusesRegionArray

@@ -20,36 +20,30 @@ func BenchmarkWorldStep(b *testing.B) {
 	}
 }
 
-// BenchmarkWorldBuildWithPrefill measures world construction including
-// the steady-state cache warm start.
-func BenchmarkWorldBuildWithPrefill(b *testing.B) {
-	p := LACity().Scaled(3).WithDuration(1)
-	p.Kind = KNNQuery
-	p.PrefillQueriesPerHost = 10
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Seed = int64(i + 1)
-		if _, err := NewWorld(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWindowWorldBuildWithPrefill measures the build of a dense
-// window world, the shape of the window_dense benchmark workload: 45,717
-// hosts whose prefilled regions mostly evict one another.
-func BenchmarkWindowWorldBuildWithPrefill(b *testing.B) {
-	p := LACity().Scaled(14).WithDuration(1)
-	p.Kind = WindowQuery
-	p.PrefillQueriesPerHost = 10
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Seed = int64(i + 1)
-		if _, err := NewWorld(p); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkNewWorldPrefill measures world construction with the
+// steady-state cache warm start, on the worlds of the knn_dense (LA side
+// 5, kNN) and window_dense (LA side 14, 45,717 hosts whose window regions
+// mostly evict one another) benchmark workloads. The warm start's build
+// pass runs on GOMAXPROCS workers, so -cpu 1,2 shows what a second core
+// buys and that the serial path pays nothing for the split.
+func BenchmarkNewWorldPrefill(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		side float64
+		kind QueryKind
+	}{{"knn", 5, KNNQuery}, {"window", 14, WindowQuery}} {
+		b.Run(tc.name, func(b *testing.B) {
+			p := LACity().Scaled(tc.side).WithDuration(1)
+			p.Kind = tc.kind
+			p.PrefillQueriesPerHost = 10
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.Seed = int64(i + 1)
+				if _, err := NewWorld(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"lbsq/internal/broadcast"
 	"lbsq/internal/cache"
@@ -80,57 +82,120 @@ func sameCaches(got, want []cache.Cache) error {
 	return nil
 }
 
-// Prefill stages each host's regions in one reused buffer and copies out
-// only the survivors. Every cache must equal the one the reference fills
-// region by region, for both query kinds and both policies, at a capacity
-// small enough that regions are shrunk and evicted; and writing over the
-// staging buffer afterwards must change no cache, since a survivor that
-// still aliased it would be read back as whatever the next host staged.
+// checkOwnedLists reports a cached non-empty POI list that is not an
+// exact-size array of its own: one with spare capacity, or one whose
+// memory overlaps another list's. A survivor that still aliased its
+// block's staging buffer would overlap the list staged after it.
+func checkOwnedLists(caches []cache.Cache) error {
+	type span struct {
+		lo, hi uintptr
+		host   int
+	}
+	var spans []span
+	size := unsafe.Sizeof(broadcast.POI{})
+	for i := range caches {
+		for _, r := range caches[i].Regions() {
+			if len(r.POIs) == 0 {
+				continue
+			}
+			if cap(r.POIs) != len(r.POIs) {
+				return fmt.Errorf("host %d keeps %d POIs in an array of %d", i, len(r.POIs), cap(r.POIs))
+			}
+			lo := uintptr(unsafe.Pointer(unsafe.SliceData(r.POIs)))
+			spans = append(spans, span{lo, lo + uintptr(len(r.POIs))*size, i})
+		}
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	for j := 1; j < len(spans); j++ {
+		if spans[j].lo < spans[j-1].hi {
+			return fmt.Errorf("hosts %d and %d keep overlapping POI lists", spans[j-1].host, spans[j].host)
+		}
+	}
+	return nil
+}
+
+// prefillWorlds builds the worlds these tests compare: LA at side miles,
+// CacheSize 8 so that regions are shrunk and evicted. w is built by
+// NewWorld with the given prefill; ref is built without and filled region
+// by region at 10, and must have shrunk a region and evicted one.
+func prefillWorlds(t *testing.T, side float64, kind QueryKind, policy cache.Policy, seed int64, prefill float64) (w, ref *World) {
+	t.Helper()
+	p := LACity().Scaled(side).WithDuration(0.05)
+	p.Kind = kind
+	p.CachePolicy = policy
+	p.CacheSize = 8
+	p.Seed = seed
+	p.PrefillQueriesPerHost = prefill
+	w, err := NewWorld(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.PrefillQueriesPerHost = 0
+	if ref, err = NewWorld(p); err != nil {
+		t.Fatal(err)
+	}
+	ref.Params.PrefillQueriesPerHost = 10
+	shrunk, inserted := refPrefill(ref)
+	kept := 0
+	for i := range ref.caches {
+		kept += len(ref.caches[i].Regions())
+	}
+	if !shrunk || kept >= inserted {
+		t.Fatalf("reference shrank a region: %v, kept %d of %d regions: want both shrink and eviction",
+			shrunk, kept, inserted)
+	}
+	return w, ref
+}
+
+// Prefill stages each host's regions in its block's reused buffer and
+// copies out only the survivors. Every cache must equal the one the
+// reference fills region by region, for both query kinds and both
+// policies, at a capacity small enough that regions are shrunk and
+// evicted; and every list it keeps must be an array of its own.
 func TestPrefillMatchesReference(t *testing.T) {
 	for _, kind := range []QueryKind{KNNQuery, WindowQuery} {
 		for _, policy := range []cache.Policy{cache.DirectionDistance, cache.LRU} {
 			for _, seed := range []int64{3, 29, 71} {
 				t.Run(fmt.Sprintf("%v/%v/seed%d", kind, policy, seed), func(t *testing.T) {
-					p := LACity().Scaled(2).WithDuration(0.05)
-					p.Kind = kind
-					p.CachePolicy = policy
-					p.CacheSize = 8
-					p.Seed = seed
-					p.PrefillQueriesPerHost = 10
-					w, err := NewWorld(p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					p.PrefillQueriesPerHost = 0
-					ref, err := NewWorld(p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ref.Params.PrefillQueriesPerHost = 10
-					shrunk, inserted := refPrefill(ref)
-					kept := 0
-					for i := range ref.caches {
-						kept += len(ref.caches[i].Regions())
-					}
-					if !shrunk || kept >= inserted {
-						t.Fatalf("reference shrank a region: %v, kept %d of %d regions: want both shrink and eviction",
-							shrunk, kept, inserted)
-					}
+					w, ref := prefillWorlds(t, 2, kind, policy, seed, 10)
 					if err := sameCaches(w.caches, ref.caches); err != nil {
 						t.Fatal(err)
 					}
-					if cap(w.stage) == 0 {
-						t.Fatal("prefill staged nothing")
-					}
-					stage := w.stage[:cap(w.stage)]
-					for i := range stage {
-						stage[i] = broadcast.POI{ID: -1, Pos: geom.Pt(-1, -1)}
-					}
-					if err := sameCaches(w.caches, ref.caches); err != nil {
-						t.Fatalf("after overwriting the staging buffer: %v", err)
+					if err := checkOwnedLists(w.caches); err != nil {
+						t.Fatal(err)
 					}
 				})
 			}
+		}
+	}
+}
+
+// The warm start draws and builds in rounds of 16 blocks of hosts per
+// worker. On a world of ~2,100 hosts — five rounds at 1 worker, three at
+// 2, two at 3, one at 8 — every cache must equal the region-by-region
+// reference's, every kept list must be an array of its own, and the world
+// stream must continue where the reference's does.
+func TestPrefillWorkersIdentity(t *testing.T) {
+	for _, kind := range []QueryKind{KNNQuery, WindowQuery} {
+		for _, policy := range []cache.Policy{cache.DirectionDistance, cache.LRU} {
+			t.Run(fmt.Sprintf("%v/%v", kind, policy), func(t *testing.T) {
+				for _, workers := range []int{1, 2, 3, 8} {
+					w, ref := prefillWorlds(t, 3, kind, policy, 17, 0)
+					w.Params.PrefillQueriesPerHost = 10
+					w.prefill(workers)
+					if err := sameCaches(w.caches, ref.caches); err != nil {
+						t.Fatalf("%d workers: %v", workers, err)
+					}
+					if err := checkOwnedLists(w.caches); err != nil {
+						t.Fatalf("%d workers: %v", workers, err)
+					}
+					for j := range 8 {
+						if got, want := w.rng.Int63(), ref.rng.Int63(); got != want {
+							t.Fatalf("%d workers: world draw %d after prefill is %d, want %d", workers, j, got, want)
+						}
+					}
+				}
+			})
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"lbsq/internal/mobility"
 	"lbsq/internal/p2p"
 	"lbsq/internal/rtree"
+	"lbsq/internal/sweep"
 	"lbsq/internal/trace"
 	"lbsq/internal/trust"
 	"lbsq/internal/wire"
@@ -73,7 +74,6 @@ type World struct {
 	// serving a peer reads its bounds in one load.
 	mob    []mobility.State
 	caches []cache.Cache
-	stage  []broadcast.POI // one host's prefill regions (prefill)
 
 	// breakers is nil unless BreakerThreshold is set.
 	breakers *p2p.BreakerSet
@@ -355,7 +355,7 @@ func NewWorld(p Params) (*World, error) {
 		w.net.Update(i, w.mob[i].Pos)
 	}
 	if p.PrefillQueriesPerHost > 0 {
-		w.prefill()
+		w.prefill(sweep.Workers(0))
 	}
 	return w, nil
 }
@@ -388,14 +388,17 @@ func GeneratePOIs(rng *rand.Rand, p Params) []broadcast.POI {
 	return db
 }
 
+// prefillBlock is how many hosts one block of the warm start's build pass
+// fills. A round is 16 blocks per worker: its specs stay small whatever
+// the prefill mean, and a worker idles for at most a block as it ends.
+const prefillBlock = 32
+
 // prefill seeds every host's cache with the results of simulated
 // historical queries — a steady-state warm start. Each synthetic region
 // is populated directly from the ground-truth database, so the cache
 // soundness invariant (a region's POI list is exactly the database
 // restricted to the region) holds by construction.
-// Most regions are evicted by the host's later ones, so each is staged in
-// w.stage, reused across hosts, and Own copies out only the survivors.
-func (w *World) prefill() {
+func (w *World) prefill(workers int) {
 	radius := w.Params.PrefillRadiusMiles
 	if radius <= 0 {
 		// Default locality: how far knowledge lags behind a host — the
@@ -404,45 +407,75 @@ func (w *World) prefill() {
 		// map size for scaled runs.
 		radius = math.Min(7.5, w.Params.AreaMiles/2)
 	}
-	for i := range w.mob {
-		m := &w.mob[i]
-		w.stage = w.stage[:0]
-		w.rng.Int63() // the kept type draw (typeState)
-		n := mobility.Poisson(w.rng, w.Params.PrefillQueriesPerHost)
-		for j := 0; j < n; j++ {
-			angle := w.rng.Float64() * 2 * math.Pi
-			d := w.rng.Float64() * radius
-			center := w.area.Clip(m.Pos.Add(
-				geom.Pt(math.Cos(angle)*d, math.Sin(angle)*d)))
-			var region geom.Rect
-			if w.Params.Kind == WindowQuery {
+	type spec struct {
+		rect geom.Rect // the window, or (k > 0) the kNN centre in Min
+		k    int
+	}
+	type scratch struct {
+		rt        rtree.KNNScratch
+		nn, stage []broadcast.POI
+	}
+	blocks := make([]scratch, 16*workers)
+	round := len(blocks) * prefillBlock
+	var specs []spec
+	ends := make([]int, 1, round+1) // host lo+j's are specs[ends[j]:ends[j+1]]
+	for lo := 0; lo < len(w.mob); lo += round {
+		hi := min(lo+round, len(w.mob))
+		// The draw pass makes every world-rng draw, in host order. No
+		// draw depends on a retrieval, so the stream ends where it would
+		// if each region were built as it was drawn.
+		specs, ends = specs[:0], ends[:1]
+		for i := lo; i < hi; i++ {
+			w.rng.Int63() // the kept type draw (typeState)
+			for range mobility.Poisson(w.rng, w.Params.PrefillQueriesPerHost) {
+				angle := w.rng.Float64() * 2 * math.Pi
+				d := w.rng.Float64() * radius
+				center := w.area.Clip(w.mob[i].Pos.Add(geom.Pt(math.Cos(angle)*d, math.Sin(angle)*d)))
+				if w.Params.Kind != WindowQuery {
+					specs = append(specs, spec{rect: geom.Rect{Min: center}, k: w.drawK(w.rng)})
+					continue
+				}
 				// A historical broadcast window retrieval caches the
 				// collective MBR of its packets, capacity-bounded.
 				area := float64(w.Params.CacheSize) / math.Max(w.data.lambda, 1e-9)
 				area *= 0.4 + 0.6*w.rng.Float64()
-				half := math.Sqrt(area) / 2
-				win, ok := geom.RectAround(center, half).Intersect(w.area)
-				if !ok {
-					continue
+				if win, ok := geom.RectAround(center, math.Sqrt(area)/2).Intersect(w.area); ok {
+					specs = append(specs, spec{rect: win})
 				}
-				region = win
-			} else {
-				nn := w.data.truth.AppendKNN(w.qs.truth[:0], center, w.drawK(w.rng), &w.qs.rt)
-				w.qs.truth = nn
-				if len(nn) == 0 {
-					continue
-				}
-				// The search square a historical on-air kNN would have
-				// verified: the MBR of the k-th NN circle.
-				rk := nn[len(nn)-1].Pos.Dist(center)
-				region = geom.RectAround(center, math.Max(rk, 1e-9))
 			}
-			start := len(w.stage)
-			w.stage = w.poisInRect(w.stage, region)
-			pois := w.stage[start:len(w.stage):len(w.stage)]
-			w.caches[i].Stage(cache.Region{Rect: region, POIs: pois}, m.Pos, m.Heading(), 0)
+			ends = append(ends, len(specs))
 		}
-		w.caches[i].Own()
+		// The build pass fills the round's blocks on up to workers
+		// goroutines, each block on scratch of its own. A host's fill
+		// reads only the R-tree and its own motion state and writes only
+		// its own cache, so every cache is the same for any worker count.
+		// Most regions are evicted by the host's later ones, so each is
+		// staged in the block's buffer and Own copies out the survivors.
+		sweep.Map(workers, blocks, func(b int, _ scratch) struct{} {
+			s := &blocks[b]
+			for i := lo + b*prefillBlock; i < min(hi, lo+(b+1)*prefillBlock); i++ {
+				m := &w.mob[i]
+				s.stage = s.stage[:0]
+				for _, sp := range specs[ends[i-lo]:ends[i-lo+1]] {
+					region := sp.rect
+					if sp.k > 0 {
+						center := sp.rect.Min
+						if s.nn = w.data.truth.AppendKNN(s.nn[:0], center, sp.k, &s.rt); len(s.nn) == 0 {
+							continue
+						}
+						// The search square a historical on-air kNN
+						// would have verified: the k-th NN circle's MBR.
+						region = geom.RectAround(center, math.Max(s.nn[len(s.nn)-1].Pos.Dist(center), 1e-9))
+					}
+					start := len(s.stage)
+					s.stage = w.poisInRect(s.stage, region)
+					pois := s.stage[start:len(s.stage):len(s.stage)]
+					w.caches[i].Stage(cache.Region{Rect: region, POIs: pois}, m.Pos, m.Heading(), 0)
+				}
+				w.caches[i].Own()
+			}
+			return struct{}{}
+		})
 	}
 }
 

@@ -1,12 +1,14 @@
 // Package sweep is the deterministic parallel runner behind every
 // multi-cell experiment in the repository: figure regeneration, the
 // in-process bench grids, and any caller with independent parameter
-// cells to evaluate.
+// cells to evaluate. Inside one world, the warm start (sim's prefill)
+// fills its hosts' caches through it, one block of hosts per cell.
 //
 // Determinism contract: each cell — one element of Map's input — owns
-// all of its inputs (its own seeded sim.World, RNG, and scratch —
-// nothing shared), and results are written into a slice indexed by cell
-// position. The output is therefore bit-identical to running the cells
+// all the state it writes (its own seeded sim.World, RNG and scratch, or
+// in the warm start its own hosts' caches and scratch), whatever cells
+// share they only read, and results are written into a slice indexed by
+// cell position. The output is therefore bit-identical to running the cells
 // serially in order, no matter how the scheduler interleaves workers.
 // Callers must not smuggle shared mutable state into the mapped
 // function; that is the one way to break the contract.
@@ -37,7 +39,8 @@ func Workers(n int) int {
 // with other elements.
 //
 // Workers claim one element per atomic increment: an element is a whole
-// world, so the shared counter is never the bottleneck.
+// world or a block of hosts, so the shared counter is never the
+// bottleneck.
 func Map[In, Out any](workers int, in []In, f func(int, In) Out) []Out {
 	out := make([]Out, len(in))
 	workers = min(workers, len(in))

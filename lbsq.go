@@ -219,12 +219,17 @@ func (c *Client) NowSlot() int64 { return c.nowSlot }
 func (c *Client) CacheSize() int { return c.cache.Size() }
 
 // Share returns the client's cached verified regions as PeerData — what
-// it answers a peer's cache request with.
+// it answers a peer's cache request with. The rows' POIs are copied into
+// one array per call, so the result belongs to the caller: writing it
+// cannot change what the client shares next.
 func (c *Client) Share() []PeerData {
 	regions := c.cache.Regions()
 	out := make([]PeerData, 0, len(regions))
+	pois := make([]POI, 0, c.cache.Size())
 	for _, r := range regions {
-		out = append(out, PeerData{VR: r.Rect, POIs: r.POIs})
+		start := len(pois)
+		pois = append(pois, r.POIs...)
+		out = append(out, PeerData{VR: r.Rect, POIs: pois[start:len(pois):len(pois)]})
 	}
 	return out
 }

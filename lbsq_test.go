@@ -205,6 +205,24 @@ func TestClientResultsDoNotAliasCache(t *testing.T) {
 	}
 }
 
+// Share's rows belong to the caller: writing one must not change what the
+// client shares next, nor the verified region it answers peers with.
+func TestShareDoesNotAliasCache(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	srv := demoServer(t, rng, 200)
+	c := lbsq.NewClient(srv, lbsq.Pt(10, 10), 100)
+	c.Window(lbsq.NewRect(8, 8, 12, 12), nil)
+	rows := c.Share()
+	if len(rows) == 0 || len(rows[0].POIs) == 0 {
+		t.Fatal("fixture: the window query cached no POI")
+	}
+	want := slices.Clone(rows[0].POIs)
+	rows[0].POIs[0].ID = -1
+	if got := c.Share(); !slices.Equal(got[0].POIs, want) {
+		t.Fatalf("writing a shared row changed the next Share: %v, want %v", got[0].POIs, want)
+	}
+}
+
 func TestClientMoveToUpdatesHeading(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	srv := demoServer(t, rng, 50)
