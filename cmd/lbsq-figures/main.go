@@ -8,13 +8,13 @@
 //	lbsq-figures [-fig all|10|11|12|13|14|15|latency|analysis|ablation|
 //	              calibration|lifetime|phases|faults]
 //	             [-side miles] [-hours h] [-step sec] [-seed n]
-//	             [-parallel n] [-pprof addr]
+//	             [-svg dir] [-pprof addr]
 //
 // -fig phases prints the per-phase query-cost breakdown (the
 // EXPERIMENTS.md latency-breakdown table) from metrics-enabled runs.
 // -fig faults runs the fault/resilience grid (internal/experiments.FaultGrid,
 // the `make bench` cells) and prints one self-checked sim.Report JSON line
-// per cell and nothing else; only -side, -hours and -parallel apply.
+// per cell and nothing else; only -side and -hours apply.
 // -pprof serves net/http/pprof on the given address for profiling long
 // figure regenerations.
 //
@@ -22,9 +22,9 @@
 // hours per cell (seconds per figure). Pass -side 20 -hours 10 to run the
 // paper's full configuration.
 //
-// -parallel sets the sweep worker count (0 = GOMAXPROCS, 1 = serial).
-// Every worker count produces byte-identical output: cells own their
-// seeded worlds and results reassemble in cell order (internal/sweep).
+// Cells run on GOMAXPROCS workers. Every worker count produces
+// byte-identical output: cells own their seeded worlds and results
+// reassemble in cell order (internal/sweep).
 package main
 
 import (
@@ -44,14 +44,13 @@ import (
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "figure to regenerate: all, 10..15, latency, analysis, ablation, calibration, lifetime, phases, faults")
-		side     = flag.Float64("side", 5, "service area side in miles (density-preserving scale of the 20-mile Table 3 area)")
-		hours    = flag.Float64("hours", 0.5, "simulated hours per experiment cell")
-		step     = flag.Float64("step", 10, "simulation time step in seconds")
-		seed     = flag.Int64("seed", 42, "random seed")
-		svg      = flag.String("svg", "", "directory to also write figures as SVG plots (created if missing)")
-		parallel = flag.Int("parallel", 0, "sweep worker count (0 = GOMAXPROCS, 1 = serial; output identical either way)")
-		pprofAd  = flag.String("pprof", "", "serve net/http/pprof on this address while figures regenerate")
+		fig     = flag.String("fig", "all", "figure to regenerate: all, 10..15, latency, analysis, ablation, calibration, lifetime, phases, faults")
+		side    = flag.Float64("side", 5, "service area side in miles (density-preserving scale of the 20-mile Table 3 area)")
+		hours   = flag.Float64("hours", 0.5, "simulated hours per experiment cell")
+		step    = flag.Float64("step", 10, "simulation time step in seconds")
+		seed    = flag.Int64("seed", 42, "random seed")
+		svg     = flag.String("svg", "", "directory to also write figures as SVG plots (created if missing)")
+		pprofAd = flag.String("pprof", "", "serve net/http/pprof on this address while figures regenerate")
 	)
 	flag.Parse()
 
@@ -71,7 +70,6 @@ func main() {
 		DurationHours: *hours,
 		TimeStepSec:   *step,
 		Seed:          *seed,
-		Parallel:      *parallel,
 	}
 
 	start := time.Now()
@@ -168,7 +166,7 @@ func printLifetime(opt experiments.Options) {
 }
 
 func printFaultGrid(opt experiments.Options) {
-	reports, err := experiments.RunFaultGrid(sweep.Workers(opt.Parallel), opt.SideMiles, opt.DurationHours)
+	reports, err := experiments.RunFaultGrid(sweep.Workers(), opt.SideMiles, opt.DurationHours)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

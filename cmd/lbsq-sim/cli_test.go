@@ -67,8 +67,11 @@ func run(t *testing.T, args ...string) (string, string, int) {
 // flagSurface is the sorted (name, default) list of every flag, read off
 // `-h` of the binary built from commit b77d052 (the default is what the
 // flag package prints after the usage; empty for a zero default), less
-// -grid and -parallel (the fault grid is `lbsq-figures -fig faults`) and
-// -stale-rate (staleness comes from POI updates only). -kind and -policy
+// -grid and -parallel (the fault grid is `lbsq-figures -fig faults`),
+// -stale-rate (staleness comes from POI updates only), -crowd-x and
+// -crowd-y (the hotspot is at the area centre), -governed (a governor
+// floor arms the governor) and -burst-good-loss (the good state loses
+// nothing beyond the Bernoulli knobs). -kind and -policy
 // are enum flags now, whose zero default the flag package does not print;
 // their usage lines name it.
 var flagSurface = [][2]string{
@@ -84,7 +87,6 @@ var flagSurface = [][2]string{
 	{"breaker-threshold", ``},
 	{"burst-bad-loss", ``},
 	{"burst-bad-slots", ``},
-	{"burst-good-loss", ``},
 	{"burst-good-slots", ``},
 	{"byzantine-rate", ``},
 	{"cache", ``},
@@ -98,11 +100,8 @@ var flagSurface = [][2]string{
 	{"crowd-radius", ``},
 	{"crowd-rate", ``},
 	{"crowd-start", ``},
-	{"crowd-x", ``},
-	{"crowd-y", ``},
 	{"deadline-slots", ``},
 	{"degraded", ``},
-	{"governed", ``},
 	{"governor-floor", ``},
 	{"hops", `1`},
 	{"hours", `0.5`},
@@ -207,10 +206,10 @@ var reportCommands = []struct{ name, args string }{
 		"-loss 0.05 -req-loss 0.1 -reply-loss 0.05 -retries 3 -churn-rate 0.05 " +
 		"-deadline-slots 16 -breaker-threshold 3 -breaker-cooldown 6 -byzantine-rate 0.05 -audit-rate 0.3 " +
 		"-update-rate 4 -ir-period 20 -ir-window 6 -vr-ttl 120 " +
-		"-burst-good-loss 0.01 -burst-bad-loss 0.9 -burst-good-slots 300 -burst-bad-slots 40 " +
+		"-burst-bad-loss 0.9 -burst-good-slots 300 -burst-bad-slots 40 " +
 		"-blackout-period 60 -blackout-duration 10 -degraded -continuous-rate 2 " +
-		"-crowd-rate 300 -crowd-radius 0.3 -crowd-x 0.6 -crowd-y 0.7 -crowd-start 100 -crowd-duration 120 " +
-		"-queue-cap 2 -retry-budget 8 -admission-rate 0.1 -admission-burst 3 -governed -governor-floor 0.8 " +
+		"-crowd-rate 300 -crowd-radius 0.3 -crowd-start 100 -crowd-duration 120 " +
+		"-queue-cap 2 -retry-budget 8 -admission-rate 0.1 -admission-burst 3 -governor-floor 0.8 " +
 		"-coalesce-radius 0.1"},
 	{"attack", "-set riverside -kind window -side 3 -hours 0.2 -seed 5 -tx 250 -cache 30 -window 4 " +
 		"-policy lru -metrics -json -corrupt 0.2 -byzantine-rate 0.2 -attack shift -audit-rate 0.5 " +
@@ -295,6 +294,28 @@ func TestTextReportCarriesRow(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDecodedRowPrintsItsFaults: a row read back from its JSON prints the
+// fault flags it carries, as the row of the run itself does.
+func TestDecodedRowPrintsItsFaults(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "attack.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var row sim.Report
+	if err := json.Unmarshal(raw, &row); err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	if err := row.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"  -byzantine-rate 0.2\n", "  -attack shift\n"} {
+		if !strings.Contains(text.String(), want) {
+			t.Errorf("no line %q in the text of the decoded row:\n%s", strings.TrimSpace(want), text.String())
+		}
 	}
 }
 

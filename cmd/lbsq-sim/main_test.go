@@ -58,7 +58,7 @@ func TestCheckRates(t *testing.T) {
 		{"above MaxRate", "-reply-loss 0.96", "-reply-loss: 0.96 exceeds maximum 0.95"},
 		{"above probability", "-byzantine-rate 1.5", "-byzantine-rate: 1.5 exceeds maximum 1"},
 		{"crowd rate is unbounded above", "-crowd-rate 1e6", ""},
-		{"crowd geometry is legal", "-crowd-radius 2 -crowd-x 10 -crowd-y 10", ""},
+		{"crowd geometry is legal", "-crowd-radius 2 -crowd-start 1e4 -crowd-duration 600", ""},
 		{"governor floor boundary is legal", "-governor-floor 1", ""},
 		{"negative crowd rate", "-crowd-rate -5", "-crowd-rate: negative value -5"},
 		{"NaN admission rate", "-admission-rate NaN", "-admission-rate: NaN"},

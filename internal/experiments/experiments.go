@@ -36,11 +36,10 @@ type Options struct {
 	// the paper's 10-hour runs reach before measurement. Negative
 	// disables.
 	PrefillPerHost float64
-	// Parallel is the sweep worker count: 0 selects GOMAXPROCS, 1 runs
-	// every cell serially on the calling goroutine, n > 1 fans cells
-	// across n workers. Output is bit-identical for every value (each
-	// cell owns its seeded world; results reassemble by cell index).
-	Parallel int
+	// workers overrides the sweep worker count, sweep.Workers() when zero;
+	// the identity tests set it. Output is bit-identical for every count
+	// (each cell owns its seeded world; results reassemble by cell index).
+	workers int
 }
 
 func (o *Options) applyDefaults() {
@@ -58,6 +57,9 @@ func (o *Options) applyDefaults() {
 	}
 	if o.PrefillPerHost == 0 {
 		o.PrefillPerHost = 10
+	}
+	if o.workers == 0 {
+		o.workers = sweep.Workers()
 	}
 }
 
@@ -146,7 +148,7 @@ func runSweep(id, title, xlabel string, approx bool, xs []float64, o Options,
 			keys = append(keys, cellKey{si: si, x: x})
 		}
 	}
-	flat := sweep.Map(sweep.Workers(o.Parallel), keys, func(_ int, k cellKey) Point {
+	flat := sweep.Map(o.workers, keys, func(_ int, k cellKey) Point {
 		stats := runCell(sets[k.si], o, func(p *sim.Params) { mutate(p, k.x) })
 		return Point{
 			X:              k.x,

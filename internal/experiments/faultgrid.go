@@ -74,17 +74,14 @@ func FaultGrid() []FaultCell {
 	return cells
 }
 
-// Params resolves a cell into full simulation parameters at the given
-// scale (the historical grid ran -side 2 -hours 0.1 on the LA set).
-// The non-fault knobs replicate lbsq-sim's flag defaults so the rows
-// stay value-identical to the former `go run`-per-cell shell loop.
+// Params resolves a cell into full simulation parameters: the LA set at
+// the given scale (the historical grid ran -side 2 -hours 0.1), with the
+// step, seed and warm start of the default Options.
 func (c FaultCell) Params(side, hours float64) sim.Params {
-	p := sim.LACity().Scaled(side).WithDuration(hours)
-	p.TimeStepSec = 10
-	p.Seed = 42
+	o := Options{SideMiles: side, DurationHours: hours}
+	o.applyDefaults()
+	p := o.cell(sim.LACity())
 	p.AcceptApproximate = true
-	p.SharingHops = 1
-	p.PrefillQueriesPerHost = 10
 	p.Faults.RequestLoss = c.Loss
 	p.Faults.ReplyLoss = c.Loss
 	if c.Resilient {
@@ -122,12 +119,12 @@ func (c FaultCell) Params(side, hours float64) sim.Params {
 	if c.Governed {
 		// The full overload-control stack at levels sized for the grid
 		// scale: small per-peer service queues, a bounded per-tick retry
-		// pool, sub-query-rate admission refill, the load governor at its
-		// default floor, and quarter-mile coalescing.
+		// pool, sub-query-rate admission refill, the load governor at a
+		// 0.9 floor, and quarter-mile coalescing.
 		p.PeerQueueCap = 2
 		p.RetryBudget = 8
 		p.AdmissionRate = 0.05
-		p.Governed = true
+		p.GovernorFloor = 0.9
 		p.CoalesceRadiusMiles = 0.25
 	}
 	return p

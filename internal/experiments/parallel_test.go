@@ -37,14 +37,14 @@ func TestParallelSweepIdentity(t *testing.T) {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
 			serial := tinyOptions()
-			serial.Parallel = 1
+			serial.workers = 1
 			want := f.run(serial)
 			for _, workers := range []int{0, 3} {
 				opt := tinyOptions()
-				opt.Parallel = workers
+				opt.workers = workers
 				got := f.run(opt)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s with Parallel=%d differs from serial", f.name, workers)
+					t.Fatalf("%s with %d workers differs from serial", f.name, workers)
 				}
 			}
 		})

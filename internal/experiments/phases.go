@@ -36,7 +36,7 @@ func PhaseBreakdown(o Options) []PhaseRow {
 	o.applyDefaults()
 	sets := sim.ParameterSets()
 	phases := sim.PhaseHistograms()
-	rows := sweep.Map(sweep.Workers(o.Parallel), sets, func(_ int, base sim.Params) []PhaseRow {
+	rows := sweep.Map(o.workers, sets, func(_ int, base sim.Params) []PhaseRow {
 		p := o.cell(base)
 		p.Kind = sim.KNNQuery
 		p.AcceptApproximate = true

@@ -7,14 +7,14 @@
 // handoff gaps hold the channel down for many consecutive slots. The two
 // models split that regime along the paper's two channels:
 //
-//   - Gilbert–Elliott (BurstGoodLoss/BurstBadLoss/BurstGoodSlots/
-//     BurstBadSlots): the short-range ad-hoc channel alternates between a
-//     good state (low extra loss) and a bad state (fade; high extra
-//     loss). Dwell times in each state are geometric with the configured
-//     means, so losses are correlated: one bad slot predicts more. The
-//     chain is indexed by the broadcast slot clock and advanced lazily,
-//     so the number of dwell draws depends only on elapsed slots — never
-//     on query volume — keeping runs reproducible under any workload.
+//   - Gilbert–Elliott (BurstBadLoss/BurstGoodSlots/BurstBadSlots): the
+//     short-range ad-hoc channel alternates between a good state (no
+//     extra loss) and a bad state (fade; high extra loss). Dwell times
+//     in each state are geometric with the configured means, so losses
+//     are correlated: one bad slot predicts more. The chain is indexed
+//     by the broadcast slot clock and advanced lazily, so the number of
+//     dwell draws depends only on elapsed slots — never on query volume
+//     — keeping runs reproducible under any workload.
 //   - Blackout windows (BlackoutPeriodSec/BlackoutDurationSec): each MH
 //     periodically loses the broadcast downlink entirely (tunnel, deep
 //     shadow, handoff gap). Windows are a pure function of the seed and
@@ -55,12 +55,11 @@ func (p Profile) BlackoutEnabled() bool {
 }
 
 // gilbert is the two-state Markov fading chain. State dwell times are
-// geometric (mean goodMean/badMean slots); the per-frame kill probability
-// is the current state's loss rate. All draws come from the chain's own
-// salted stream.
+// geometric (mean goodMean/badMean slots); a frame is killed only in the
+// bad state, with probability badLoss. All draws come from the chain's
+// own salted stream.
 type gilbert struct {
 	rng      *rand.Rand
-	goodLoss float64
 	badLoss  float64
 	goodMean float64
 	badMean  float64
@@ -76,7 +75,6 @@ func newGilbert(seed int64, p Profile) *gilbert {
 	}
 	return &gilbert{
 		rng:      rand.New(rand.NewSource(seed ^ burstSeedSalt)),
-		goodLoss: p.BurstGoodLoss,
 		badLoss:  p.BurstBadLoss,
 		goodMean: p.BurstGoodSlots,
 		badMean:  p.BurstBadSlots,
@@ -135,19 +133,12 @@ func (in *Injector) Sync(slot int64) int64 {
 
 // burstLost draws whether the fading chain kills one ad-hoc frame at the
 // chain's current state. No draw (and no loss) when the chain is unarmed
-// or the current state's loss rate is zero.
+// or in its good state.
 func (in *Injector) burstLost() bool {
-	if in.ge == nil {
+	if in.ge == nil || !in.ge.bad {
 		return false
 	}
-	loss := in.ge.goodLoss
-	if in.ge.bad {
-		loss = in.ge.badLoss
-	}
-	if loss <= 0 {
-		return false
-	}
-	return in.ge.rng.Float64() < loss
+	return in.ge.rng.Float64() < in.ge.badLoss
 }
 
 // ChannelImpaired reports whether the fading chain currently sits in its

@@ -63,7 +63,7 @@ func TestBurstNormalizedDefaults(t *testing.T) {
 func TestBurstValidate(t *testing.T) {
 	nan := math.NaN()
 	bad := []Profile{
-		{BurstGoodLoss: nan},
+		{BurstBadLoss: nan},
 		{BurstBadLoss: -0.1},
 		{BurstBadLoss: 1.5},
 		{BurstBadSlots: nan},
@@ -77,8 +77,8 @@ func TestBurstValidate(t *testing.T) {
 			t.Errorf("case %d: Validate accepted invalid profile %+v", i, p)
 		}
 	}
-	ok := Profile{BurstBadLoss: 1, BurstBadSlots: 8, BurstGoodLoss: 0.01,
-		BurstGoodSlots: 100, BlackoutPeriodSec: 300, BlackoutDurationSec: 30}
+	ok := Profile{BurstBadLoss: 1, BurstBadSlots: 8, BurstGoodSlots: 100,
+		BlackoutPeriodSec: 300, BlackoutDurationSec: 30}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("Validate rejected valid burst profile: %v", err)
 	}
@@ -155,8 +155,7 @@ func TestBurstLegacyStreamUnperturbed(t *testing.T) {
 // TestBurstDeterminism: identical seeds give identical chain behavior,
 // different seeds give a different kill pattern.
 func TestBurstDeterminism(t *testing.T) {
-	p := Profile{BurstBadLoss: 0.9, BurstBadSlots: 6, BurstGoodSlots: 20,
-		BurstGoodLoss: 0.05}
+	p := Profile{BurstBadLoss: 0.9, BurstBadSlots: 6, BurstGoodSlots: 20}
 	run := func(seed int64) []bool {
 		in := New(seed, p)
 		out := make([]bool, 0, 800)

@@ -84,7 +84,7 @@ func TestValidateBoundaries(t *testing.T) {
 		}
 	}
 	// Population fractions and burst losses stay bounded by 1.
-	if err := (Profile{ByzantineRate: 1, BurstGoodLoss: 1, BurstBadLoss: 1}).Validate(); err != nil {
+	if err := (Profile{ByzantineRate: 1, BurstBadLoss: 1}).Validate(); err != nil {
 		t.Errorf("rate 1 rejected: %v", err)
 	}
 	// Negative, above-one, and NaN rates are rejected for every field.

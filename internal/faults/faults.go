@@ -95,14 +95,12 @@ type Profile struct {
 	// it to AttackMix when ByzantineRate > 0 and clears it to AttackNone
 	// when the rate is zero (an attack with no attackers is inert).
 	Attack Attack `json:",omitempty" flag:"attack" usage:"byzantine attack profile: fabricate, omit, inflate, shift, mix (default mix when -byzantine-rate > 0)"`
-	// BurstGoodLoss is the extra ad-hoc frame loss while the
-	// Gilbert–Elliott fading chain (see burst.go) is in its good state.
-	// Unlike the independent Bernoulli knobs it may reach 1.0: the
-	// degraded planner, not a retry cap, is the defense against a dead
-	// channel.
-	BurstGoodLoss float64 `json:",omitempty" flag:"burst-good-loss" max:"1" usage:"extra ad-hoc frame loss in the Gilbert–Elliott good state [0, 1]"`
-	// BurstBadLoss is the extra ad-hoc frame loss in the bad (fade)
-	// state. Zero disarms the chain entirely.
+	// BurstBadLoss is the extra ad-hoc frame loss while the
+	// Gilbert–Elliott fading chain (see burst.go) is in its bad (fade)
+	// state; the good state loses nothing beyond the Bernoulli knobs.
+	// Unlike those knobs it may reach 1.0: the degraded planner, not a
+	// retry cap, is the defense against a dead channel. Zero disarms the
+	// chain entirely.
 	BurstBadLoss float64 `json:",omitempty" flag:"burst-bad-loss" max:"1" usage:"extra ad-hoc frame loss in the Gilbert–Elliott bad (fade) state [0, 1]; 0 disarms the chain"`
 	// BurstGoodSlots is the mean good-state dwell time in broadcast
 	// slots (geometric). Defaults to 9× BurstBadSlots when the chain is

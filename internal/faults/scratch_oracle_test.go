@@ -137,14 +137,10 @@ func (in *refInjector) burstLost() bool {
 	if in.ge == nil {
 		return false
 	}
-	loss := in.ge.goodLoss
-	if in.ge.bad {
-		loss = in.ge.badLoss
-	}
-	if loss <= 0 {
+	if !in.ge.bad {
 		return false
 	}
-	if in.ge.rng.Float64() < loss {
+	if in.ge.rng.Float64() < in.ge.badLoss {
 		in.Counters.BurstLosses++
 		return true
 	}
@@ -379,7 +375,6 @@ func TestInjectorMatchesReference(t *testing.T) {
 			ReplyCorrupt: rate(0.2), ChurnRate: rate(0.5)}
 		if rng.Intn(3) > 0 {
 			p.BurstBadLoss = [...]float64{0.4, DeepFadeLoss, 1}[rng.Intn(3)]
-			p.BurstGoodLoss = rate(0.2)
 			p.BurstBadSlots = rate(8)
 			p.BurstGoodSlots = rate(40)
 		}

@@ -53,13 +53,10 @@ type CrowdKnobs struct {
 	// (sin², peaking mid-window), from a dedicated seeded stream so the
 	// legacy query draws are never perturbed.
 	CrowdRate float64 `json:"crowd_rate,omitempty" flag:"crowd-rate" usage:"flash-crowd peak query rate per minute injected inside the hotspot (0 = no crowd)"`
-	// CrowdRadiusMiles is the hotspot disk radius. Defaults to
-	// AreaMiles/10 when the crowd is armed.
+	// CrowdRadiusMiles is the radius of the hotspot disk, which is
+	// centred on the service area. Defaults to AreaMiles/10 when the
+	// crowd is armed.
 	CrowdRadiusMiles float64 `json:"crowd_radius_miles,omitempty" flag:"crowd-radius" usage:"hotspot disk radius in miles (0 = area/10 when the crowd is armed)"`
-	// CrowdCenterXMiles / CrowdCenterYMiles place the hotspot center.
-	// Zero selects the area center when the crowd is armed.
-	CrowdCenterXMiles float64 `json:"crowd_center_x_miles,omitempty" flag:"crowd-x" usage:"hotspot center x in miles (0 = area center)"`
-	CrowdCenterYMiles float64 `json:"crowd_center_y_miles,omitempty" flag:"crowd-y" usage:"hotspot center y in miles (0 = area center)"`
 	// CrowdStartSec is when the burst window opens (simulated seconds);
 	// zero selects mid-run when the crowd is armed. CrowdDurationSec is
 	// the window length; zero selects 10% of the run.
@@ -95,17 +92,14 @@ type OverloadKnobs struct {
 	// AdmissionBurst is the token-bucket depth; defaults to 4 when
 	// AdmissionRate is set.
 	AdmissionBurst int `json:"admission_burst,omitempty" flag:"admission-burst" usage:"admission token-bucket depth (0 = default 4 when -admission-rate > 0)"`
-	// Governed arms the load governor: a windowed answered-in-budget
-	// ratio (DeadlineSlots plus one broadcast cycle, the PR-7
-	// availability metric) is tracked per tick, and when it falls below
-	// GovernorFloor the governor sheds one-shot queries to the
-	// broadcast-only path until the ratio recovers. Priority-aware:
-	// continuous subscriptions keep their service. Off (the default) the
-	// governor never exists.
-	Governed bool `json:"governed,omitempty" flag:"governed" usage:"arm the load governor (sheds one-shots while answered-in-budget sits below the floor)"`
-	// GovernorFloor is the answered-in-budget ratio (0..1) below which
-	// the governor engages; defaults to 0.9 when Governed is set.
-	GovernorFloor float64 `json:"governor_floor,omitempty" flag:"governor-floor" max:"1" usage:"answered-in-budget ratio below which the governor engages [0, 1] (0 = default 0.9)"`
+	// GovernorFloor arms the load governor: a windowed answered-in-budget
+	// ratio (DeadlineSlots plus one broadcast cycle, the availability
+	// metric Stats.AnsweredInBudget counts) is tracked per tick, and when
+	// it falls below this floor (0..1) the governor sheds one-shot queries
+	// to the broadcast-only path until the ratio recovers. Priority-aware:
+	// continuous subscriptions keep their service. Zero (the default)
+	// means the governor never exists.
+	GovernorFloor float64 `json:"governor_floor,omitempty" flag:"governor-floor" max:"1" usage:"arm the load governor: answered-in-budget ratio below which it sheds one-shots [0, 1] (0 = no governor)"`
 	// CoalesceRadiusMiles arms cross-MH query coalescing: a query whose
 	// origin lies within this distance of an earlier same-tick query
 	// reuses that query's screened peer gather instead of broadcasting its
@@ -202,14 +196,13 @@ type overloadState struct {
 	retryBudget int
 	retryTokens int
 
-	// Load governor.
-	governed bool
-	floor    float64
-	engaged  bool
-	ewmaQ    float64 // decayed counted one-shot queries
-	ewmaA    float64 // decayed answered-in-budget among them
-	tickQ    int64   // current tick's counted one-shot queries
-	tickA    int64
+	// Load governor (floor 0 = none).
+	floor   float64
+	engaged bool
+	ewmaQ   float64 // decayed counted one-shot queries
+	ewmaA   float64 // decayed answered-in-budget among them
+	tickQ   int64   // current tick's counted one-shot queries
+	tickA   int64
 	// postCrowdEngaged counts the ticks the governor stayed engaged
 	// after the crowd window closed — the soak harness's recovery probe
 	// (metastability means this never stops growing).
@@ -232,13 +225,12 @@ func newOverloadState(p Params) *overloadState {
 		admRate:     p.AdmissionRate,
 		retryBudget: p.RetryBudget,
 		retryTokens: p.RetryBudget,
-		governed:    p.Governed,
 		floor:       p.GovernorFloor,
 		coalRadius:  p.CoalesceRadiusMiles,
 	}
 	if p.CrowdEnabled() {
 		o.crowdRng = rand.New(rand.NewSource(p.Seed ^ crowdSeedSalt))
-		o.center = geom.Pt(p.CrowdCenterXMiles, p.CrowdCenterYMiles)
+		o.center = geom.Pt(p.AreaMiles/2, p.AreaMiles/2)
 		o.radius = p.CrowdRadiusMiles
 		o.startSec = p.CrowdStartSec
 		o.durSec = p.CrowdDurationSec
@@ -289,7 +281,7 @@ func (w *World) tickReset(dt float64) {
 	}
 	o.retryTokens = o.retryBudget
 	o.nDonors = 0
-	if !o.governed {
+	if o.floor == 0 {
 		return
 	}
 	o.governTick()
@@ -360,7 +352,7 @@ func (o *overloadState) takeRetry(standing bool) bool {
 // the answered-in-budget ratio, so governed runs account availability
 // even without a channel-impairment knob.
 func (w *World) govSteering() bool {
-	return w.ovl != nil && w.ovl.governed
+	return w.ovl != nil && w.ovl.floor > 0
 }
 
 // admitOneShot is the querier-side gate in front of a one-shot query's

@@ -67,10 +67,33 @@ func withOverloadControls(p Params) Params {
 	p.RetryBudget = 8
 	p.AdmissionRate = 0.1
 	p.AdmissionBurst = 2
-	p.Governed = true
 	p.GovernorFloor = 0.95
 	p.CoalesceRadiusMiles = 0.08
 	return p
+}
+
+// TestGovernorFloorArmsGovernor: the floor is the governor's one switch.
+// A crowd world given a floor of 1 and no other control builds the
+// governor, which engages at the first budget miss on a lossy downlink and
+// sheds; the same world without the floor has none.
+func TestGovernorFloorArmsGovernor(t *testing.T) {
+	p := crowdParams()
+	p.Faults.BroadcastLoss = 0.4
+	p.GovernorFloor = 1
+	w, err := NewWorld(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !w.govSteering() {
+		t.Fatal("a floor alone built no governor")
+	}
+	if s := w.Run(); s.GovernorEngagedTicks == 0 || s.GovernorSheds == 0 {
+		t.Errorf("governor never acted: engaged ticks %d, sheds %d", s.GovernorEngagedTicks, s.GovernorSheds)
+	}
+	p.GovernorFloor = 0
+	if w, err := NewWorld(p); err != nil || w.govSteering() {
+		t.Errorf("a zero floor built a governor (err %v)", err)
+	}
 }
 
 // TestGovernorEngageDisengage drives the governor state machine
@@ -79,11 +102,10 @@ func withOverloadControls(p Params) Params {
 // without recovery.
 func TestGovernorEngageDisengage(t *testing.T) {
 	p := LACity()
-	p.Governed = true
 	p.GovernorFloor = 0.9
 	w := &World{ovl: newOverloadState(p)}
 	o := w.ovl
-	if o == nil || !o.governed {
+	if o == nil || o.floor != 0.9 {
 		t.Fatal("governed state not built")
 	}
 
@@ -196,7 +218,7 @@ func TestGovernorModelCheck(t *testing.T) {
 	const depth, maxQ, releaseTicks = 8, 2, 8
 	for _, floor := range []float64{0.5, 0.9, 1} {
 		p := LACity()
-		p.Governed, p.GovernorFloor = true, floor
+		p.GovernorFloor = floor
 		o := newOverloadState(p)
 		off := math.Min(1, floor+govHysteresis)
 		var path [][2]int64
@@ -436,11 +458,10 @@ func TestCrowdNoMetastability(t *testing.T) {
 		return w, s
 	}
 	// The uncontrolled run arms the governor as an inert observer (an
-	// epsilon floor never engages — exact zero would be default-filled
-	// to 0.9) so AnsweredInBudget is measured on both sides; every
-	// actual control stays off.
+	// epsilon floor never engages — a zero floor is no governor) so
+	// AnsweredInBudget is measured on both sides; every actual control
+	// stays off.
 	uncontrolled := crowdParams()
-	uncontrolled.Governed = true
 	uncontrolled.GovernorFloor = 1e-9
 	governed := withOverloadControls(crowdParams())
 	_, su := run(uncontrolled)

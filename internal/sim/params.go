@@ -12,7 +12,6 @@ import (
 	"math"
 	"strings"
 
-	"lbsq/internal/broadcast"
 	"lbsq/internal/cache"
 	"lbsq/internal/faults"
 	"lbsq/internal/geom"
@@ -171,11 +170,6 @@ type Params struct {
 	// without the layer.
 	LayerKnobs
 
-	// Broadcast configures the air index; the Area field is filled in by
-	// the simulator. Faults.BroadcastLoss, when set, overrides
-	// Broadcast.LossRate so one profile drives every channel.
-	Broadcast broadcast.Config
-
 	// Metrics enables the observability layer (DESIGN.md §10): a
 	// per-world metrics registry with outcome counters, latency/tuning/
 	// area histograms, and the five per-query phase spans (p2p_collect,
@@ -278,12 +272,6 @@ func (p *Params) applyDefaults() {
 		if p.CrowdRadiusMiles == 0 {
 			p.CrowdRadiusMiles = p.AreaMiles / 10
 		}
-		if p.CrowdCenterXMiles == 0 {
-			p.CrowdCenterXMiles = p.AreaMiles / 2
-		}
-		if p.CrowdCenterYMiles == 0 {
-			p.CrowdCenterYMiles = p.AreaMiles / 2
-		}
 		if p.CrowdDurationSec == 0 {
 			p.CrowdDurationSec = p.DurationHours * 3600 * 0.1
 		}
@@ -293,9 +281,6 @@ func (p *Params) applyDefaults() {
 	}
 	if p.AdmissionRate > 0 && p.AdmissionBurst == 0 {
 		p.AdmissionBurst = 4
-	}
-	if p.Governed && p.GovernorFloor == 0 {
-		p.GovernorFloor = 0.9
 	}
 }
 
@@ -340,7 +325,7 @@ func (p *Params) CrowdEnabled() bool { return p.CrowdRate > 0 }
 // governor, or query coalescing) is armed.
 func (p *Params) OverloadEnabled() bool {
 	return p.PeerQueueCap > 0 || p.RetryBudget > 0 || p.AdmissionRate > 0 ||
-		p.Governed || p.CoalesceRadiusMiles > 0
+		p.GovernorFloor > 0 || p.CoalesceRadiusMiles > 0
 }
 
 // ContinuousEnabled reports whether the continuous-query layer (standing

@@ -19,20 +19,20 @@ import (
 // WriteText prints the same row as text. A layer's knobs and counters are
 // omitempty keys, present when armed.
 type Report struct {
-	BenchSchema   int     `json:"bench_schema"`
-	Set           string  `json:"set"`
-	Kind          string  `json:"kind"`
-	Seed          int64   `json:"seed"`
-	AreaMiles     float64 `json:"area_miles"`
-	DurationHours float64 `json:"duration_hours"`
-	MHNumber      int     `json:"mh_number"`
-	POINumber     int     `json:"poi_number"`
-	QueryRate     float64 `json:"query_rate"`
-	TxRangeMeters float64 `json:"tx_range_meters"`
-	CacheSize     int     `json:"cache_size"`
-	K             int     `json:"k"`
-	WindowPct     float64 `json:"window_pct"`
-	Faults        any     `json:"faults"`
+	BenchSchema   int            `json:"bench_schema"`
+	Set           string         `json:"set"`
+	Kind          string         `json:"kind"`
+	Seed          int64          `json:"seed"`
+	AreaMiles     float64        `json:"area_miles"`
+	DurationHours float64        `json:"duration_hours"`
+	MHNumber      int            `json:"mh_number"`
+	POINumber     int            `json:"poi_number"`
+	QueryRate     float64        `json:"query_rate"`
+	TxRangeMeters float64        `json:"tx_range_meters"`
+	CacheSize     int            `json:"cache_size"`
+	K             int            `json:"k"`
+	WindowPct     float64        `json:"window_pct"`
+	Faults        faults.Profile `json:"faults"`
 	// LayerKnobs flatten into the row, in declaration order.
 	LayerKnobs
 	SelfCheck bool    `json:"self_check_passed,omitempty"` // absent when the check did not run
@@ -145,8 +145,7 @@ func (r *Report) WriteText(w io.Writer) error {
 		fmt.Fprintf(&b, "  %s\n", text)
 	}
 	p := Params{AreaMiles: r.AreaMiles, DurationHours: r.DurationHours, TxRangeMeters: r.TxRangeMeters,
-		CacheSize: r.CacheSize, K: r.K, WindowPct: r.WindowPct, LayerKnobs: r.LayerKnobs}
-	p.Faults, _ = r.Faults.(faults.Profile)
+		CacheSize: r.CacheSize, K: r.K, WindowPct: r.WindowPct, Faults: r.Faults, LayerKnobs: r.LayerKnobs}
 	_ = p.Kind.Set(r.Kind) // an unknown kind leaves knn, whose zero prints nothing
 	knob.Walk(&p, func(k knob.Knob) {
 		if k.Flag != "" && !k.Value.IsZero() {

@@ -257,8 +257,7 @@ func NewWorld(p Params) (*World, error) {
 
 	prof := p.Faults.Normalized()
 	db := GeneratePOIs(rng, p)
-	bcfg := p.Broadcast
-	bcfg.Area = area
+	bcfg := broadcast.Config{Area: area}
 	if prof.BroadcastLoss > 0 {
 		// The fault profile's broadcast loss rate feeds the schedule's
 		// reception-error model on a stream of its own (the trailing 1
@@ -355,7 +354,7 @@ func NewWorld(p Params) (*World, error) {
 		w.net.Update(i, w.mob[i].Pos)
 	}
 	if p.PrefillQueriesPerHost > 0 {
-		w.prefill(sweep.Workers(0))
+		w.prefill(sweep.Workers())
 	}
 	return w, nil
 }

@@ -20,23 +20,19 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a worker-count request: n >= 1 selects exactly n
-// workers, anything else (0 or negative, the "auto" request) selects
-// GOMAXPROCS. The result is always >= 1.
-func Workers(n int) int {
-	if n >= 1 {
-		return n
-	}
+// Workers is the worker count every sweep runs on: GOMAXPROCS, always
+// >= 1. Results do not depend on it (the determinism contract), so no
+// caller chooses another; tests pass explicit counts to Map.
+func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
 // Map runs f over every element of in and returns the outputs in input
-// order. workers is the concurrency level (pass Workers(flagValue) to
-// resolve an "auto" request); 1 runs the elements serially on the
-// calling goroutine with zero synchronization overhead. Results are
-// identical either way — see the package determinism contract. f
-// receives the element index and value and must not touch state shared
-// with other elements.
+// order. workers is the concurrency level (Workers() outside tests); 1
+// runs the elements serially on the calling goroutine with zero
+// synchronization overhead. Results are identical either way — see the
+// package determinism contract. f receives the element index and value
+// and must not touch state shared with other elements.
 //
 // Workers claim one element per atomic increment: an element is a whole
 // world or a block of hosts, so the shared counter is never the
